@@ -97,43 +97,6 @@ func TestAllocBudget(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetSharded re-runs the allocation gate with sharded execution:
-// the fused barrier must be allocation-free per cycle — exchange buffers are
-// reused across cycles ([:0] reset), barrier rounds are pure atomics with
-// pre-built per-slot wake channels, reduced cycles allocate nothing — so the
-// only sharding overhead against the budget is one-time plan construction
-// and (with more than one CPU) goroutine start-up.
-func TestAllocBudgetSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation gate skipped in -short mode")
-	}
-	allocs := testing.AllocsPerRun(1, func() {
-		cfg := MASKConfig()
-		cfg.Shards = 2
-		if _, err := Run(context.Background(), cfg, []string{"3DS", "CONS"}, benchCycles); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > allocBudget {
-		t.Fatalf("simulator kernel (sharded) allocated %.0f objects per run, budget is %d; "+
-			"a per-cycle allocation crept into the barrier or the exchange buffers", allocs, allocBudget)
-	}
-}
-
-// BenchmarkSimulatorKernelSharded is BenchmarkSimulatorKernel at -shards 2:
-// comparing the two measures the barrier overhead (and, with more than one
-// CPU, the intra-simulation speedup).
-func BenchmarkSimulatorKernelSharded(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := MASKConfig()
-		cfg.Shards = 2
-		if _, err := Run(context.Background(), cfg, []string{"3DS", "CONS"}, benchCycles); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchTelemetry runs the kernel benchmark with the given telemetry epoch;
 // comparing the two benchmarks below bounds the subsystem's overhead. The
 // acceptance target is <= ~2% when disabled (the pull-based design adds no

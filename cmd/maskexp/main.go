@@ -54,7 +54,6 @@ import (
 	"masksim/internal/experiments"
 	"masksim/internal/maskd"
 	"masksim/internal/streamio"
-	"masksim/sim"
 )
 
 func main() {
@@ -64,7 +63,6 @@ func main() {
 		list        = flag.Bool("list", false, "list experiment IDs and exit")
 		csvDir      = flag.String("csv", "", "also write each table as CSV into this directory")
 		workers     = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		shards      = flag.Int("shards", 1, "worker goroutines per simulation (1 = sequential, 0 = derive from GOMAXPROCS); results are bit-identical at any count")
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget per simulation run (0 = none)")
 		cacheDir    = flag.String("cache-dir", "", "persist completed simulation results here and reuse them on later runs")
 		ckptDir     = flag.String("checkpoint-dir", "", "write mid-run checkpoints here and resume interrupted runs from them")
@@ -99,20 +97,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "maskexp: -shards must be >= 0, got %d\n", *shards)
-		os.Exit(2)
-	}
-	var shardWarn string
-	*shards, shardWarn = sim.ResolveShards(*shards)
-	if shardWarn != "" {
-		fmt.Fprintln(os.Stderr, "maskexp:", shardWarn)
-	}
 	opt := experiments.Options{
 		Cycles:          *cycles,
 		Full:            *full,
 		Workers:         *workers,
-		Shards:          *shards,
 		Ctx:             ctx,
 		RunTimeout:      *timeout,
 		CacheDir:        *cacheDir,

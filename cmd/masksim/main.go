@@ -74,8 +74,6 @@ func main() {
 		paging     = flag.Bool("paging", false, "enable the demand-paging extension (paper §5.5)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none); partial results are printed on expiry")
 		noFF       = flag.Bool("no-fastforward", false, "disable event-horizon fast-forward (tick every cycle); results are bit-identical either way")
-		shards     = flag.Int("shards", 1, "worker goroutines ticking the simulation (1 = sequential, 0 = derive from GOMAXPROCS); results are bit-identical at any count")
-		noBatch    = flag.Bool("no-shard-batch", false, "disable quiescent-cycle batching under -shards (wake workers every cycle); results are bit-identical either way")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after a GC) to this file")
 		traceFiles = flag.String("tracefiles", "", "comma-separated trace files to run instead of -apps (see workload.ParseTrace for the format)")
@@ -123,17 +121,6 @@ func main() {
 	}
 	if *noFF {
 		cfg.FastForward = false
-	}
-	if *shards < 0 {
-		fatal(fmt.Errorf("-shards must be >= 0, got %d", *shards))
-	}
-	var shardWarn string
-	cfg.Shards, shardWarn = sim.ResolveShards(*shards)
-	if shardWarn != "" {
-		fmt.Fprintln(os.Stderr, "masksim:", shardWarn)
-	}
-	if *noBatch {
-		cfg.ShardBatch = false
 	}
 	if *ckptDir != "" {
 		cfg.CheckpointDir = *ckptDir

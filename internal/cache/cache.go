@@ -417,15 +417,6 @@ func (c *Cache) Submit(now int64, r *memreq.Request) bool {
 	return true
 }
 
-// PushRetry appends a refused backend submission to the retry list, in
-// submission order. The simulator's sharded drain uses it: during the
-// parallel L1D phase the cache's backend defers every Submit into an
-// exchange buffer, and the barrier replays them — failures land here exactly
-// as the sequential path's inline append would have.
-func (c *Cache) PushRetry(r *memreq.Request) {
-	c.retry = append(c.retry, r)
-}
-
 // QueueOccupancy returns the total number of queued requests across banks,
 // used by tests and congestion metrics.
 func (c *Cache) QueueOccupancy() int {

@@ -10,7 +10,10 @@
 // ticks, simulations are fully deterministic.
 package engine
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 // Ticker is a component driven by the simulation clock once per cycle.
 type Ticker interface {
@@ -66,10 +69,6 @@ type Engine struct {
 
 	fastForward bool
 
-	// shardBatch enables reduced cycles under a shard plan (SetShardBatching):
-	// cycles whose parallel phases are provably quiescent run coordinator-only.
-	shardBatch bool
-
 	// ckptEvery/ckptFn is the periodic checkpoint hook (SetCheckpointHook):
 	// fn runs whenever the clock lands on a multiple of every at a
 	// supervision boundary. Zero/nil when checkpointing is off.
@@ -81,12 +80,6 @@ type Engine struct {
 	// number of cycles simulated.
 	ticked  int64
 	skipped int64
-	reduced int64
-
-	// plan, when non-nil, is the sharded execution plan (SetShardPlan):
-	// Run/RunContext then tick cycles phase by phase with worker goroutines,
-	// bit-identically to the sequential path.
-	plan *shardPlan
 }
 
 // New returns an Engine at cycle 0 with no components.
@@ -170,25 +163,10 @@ func (e *Engine) skipTo(to int64) {
 	e.now = to
 }
 
-// Run advances the simulation by n cycles. With fast-forward enabled and all
-// components quiescence-capable, spans in which no component can act are
-// jumped over instead of single-stepped; results are bit-identical because a
-// tick during such a span would have been a no-op.
+// Run advances the simulation by n cycles: RunContext without cancellation
+// or a watchdog, which then cannot fail.
 func (e *Engine) Run(n int64) {
-	if stop := e.startShardWorkers(); stop != nil {
-		defer stop()
-	}
-	end := e.now + n
-	ff := e.fastForward && e.allSources
-	for e.now < end {
-		if ff {
-			if h := e.nextHorizon(end); h > e.now {
-				e.skipTo(h)
-				continue
-			}
-		}
-		e.step()
-	}
+	_ = e.RunContext(context.Background(), n, nil)
 }
 
 // TickFunc adapts a function to the Ticker interface.

@@ -176,9 +176,6 @@ func (e *Engine) RunContext(ctx context.Context, n int64, wd *Watchdog) error {
 	if wd != nil && wd.Tripped() {
 		return wd.TripError(e.now)
 	}
-	if stop := e.startShardWorkers(); stop != nil {
-		defer stop()
-	}
 	end := e.now + n
 	ff := e.fastForward && e.allSources
 	for e.now < end {
@@ -223,7 +220,7 @@ func (e *Engine) RunContext(ctx context.Context, n int64, wd *Watchdog) error {
 				continue
 			}
 		}
-		e.step()
+		e.Step()
 		if e.now%ctxPollEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("engine: run canceled at cycle %d: %w", e.now, err)

@@ -7,7 +7,8 @@ import "testing"
 // reports the scheduling efficiency this layer exists for: simulations
 // actually executed per op (sims-exec) versus simulations requested
 // (sims-req) — the gap is the work the campaign cache deduplicated.
-// BENCH_campaign.json records the trajectory.
+// The ledger's campaign-sweep workload records the trajectory
+// (experiments.dedup_ratio, simcache.warm_pass_ms).
 func BenchmarkCampaignAll(b *testing.B) {
 	const benchCycles = 600
 	b.ReportAllocs()

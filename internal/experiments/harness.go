@@ -37,10 +37,6 @@ type Harness struct {
 	// harness (all experiments sharing it), enforced by a global semaphore;
 	// 0 means GOMAXPROCS. Negative is rejected by parallel.
 	Workers int
-	// Shards, when > 1, runs every simulation with that many intra-simulation
-	// worker goroutines (sim.Config.Shards). Bit-identical by contract and
-	// canonicalized out of fingerprints, so shard counts share cache entries.
-	Shards int
 
 	// Ctx supervises every run the harness starts (nil means Background):
 	// cancel it to stop a campaign early.
@@ -231,19 +227,14 @@ func (h *Harness) supervised(label string, f func(ctx context.Context) (*sim.Res
 	return res, re
 }
 
-// runConfig overlays the harness execution policy onto one run's config:
-// the checkpoint policy and the intra-simulation shard count. With no
-// CheckpointDir and Shards <= 1 it is the identity; otherwise the run
-// checkpoints periodically and resumes from existing state, which makes both
-// retry paths (same-process retry after a panic, fresh-process retry after a
-// kill) continue mid-run, and/or ticks on Shards worker goroutines. Both
-// knobs are canonicalized out of cache and checkpoint fingerprints — results
-// are bit-identical regardless — so the overlay never changes a run's
-// identity.
+// runConfig overlays the harness checkpoint policy onto one run's config.
+// With no CheckpointDir it is the identity; otherwise the run checkpoints
+// periodically and resumes from existing state, which makes both retry paths
+// (same-process retry after a panic, fresh-process retry after a kill)
+// continue mid-run. The policy is canonicalized out of cache and checkpoint
+// fingerprints — results are bit-identical regardless — so the overlay never
+// changes a run's identity.
 func (h *Harness) runConfig(cfg sim.Config) sim.Config {
-	if h.Shards > 1 {
-		cfg.Shards = h.Shards
-	}
 	if h.CheckpointDir == "" {
 		return cfg
 	}

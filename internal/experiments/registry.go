@@ -58,10 +58,6 @@ type Options struct {
 	Cycles  int64
 	Full    bool
 	Workers int
-	// Shards, when > 1, runs every simulation with that many intra-simulation
-	// worker goroutines (sim.Config.Shards). Bit-identical to sequential, so
-	// cached results are shared across shard counts.
-	Shards int
 	// Ctx cancels the campaign (nil means Background).
 	Ctx context.Context
 	// RunTimeout bounds each individual simulation's wall-clock time.
@@ -96,7 +92,6 @@ type Options struct {
 func newHarness(opt Options) *Harness {
 	h := NewHarness(opt.Cycles)
 	h.Workers = opt.Workers
-	h.Shards = opt.Shards
 	h.Ctx = opt.Ctx
 	h.RunTimeout = opt.RunTimeout
 	switch {

@@ -54,9 +54,10 @@ type RequestDTO struct {
 	Site      Site
 	SiteRef   uint64
 	// PoolID names the free list the live request came from (Pool.ID), so
-	// restore materializes it from the matching pool. With per-core pools
-	// (sharded execution) the recycling partitions must survive a checkpoint
-	// unchanged for the resumed run to stay bit-identical.
+	// restore materializes it from the matching pool. The pool layout is
+	// fixed (one shared pool plus one per core), and the recycling partitions
+	// must survive a checkpoint unchanged for the resumed run to stay
+	// bit-identical.
 	PoolID int
 }
 

@@ -31,7 +31,8 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //
 //	1 — initial format
 //	2 — per-core request pools: the checkpoint payload carries pool and
-//	    ID-generator state as slices (sharded execution support)
+//	    ID-generator state as slices, one entry per pool of the fixed
+//	    shared + per-core layout
 const Version uint32 = 2
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make

@@ -384,8 +384,8 @@ func TestStreamSinkWriteErrorIsSticky(t *testing.T) {
 
 // TestStreamingMemoryFlat is the O(1)-memory gate (CI runs it by name): a
 // million-sample instrumented run must not retain the time series when a
-// streaming sink is attached. It logs the retained-heap numbers recorded in
-// BENCH_stream.json.
+// streaming sink is attached. It logs the retained-heap numbers; the stream
+// spine's throughput is the ledger's workload.mtb_decode_mb_per_s.
 func TestStreamingMemoryFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a million-sample run")

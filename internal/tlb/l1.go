@@ -5,6 +5,8 @@
 package tlb
 
 import (
+	"slices"
+
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
 )
@@ -75,14 +77,6 @@ type L1TLB struct {
 
 	mshrs   map[uint64]*l1miss
 	pending []*memreq.TransReq
-
-	// retryHold, when set and reporting true, makes Tick a no-op. The
-	// simulator's sharded plan ticks L1 TLBs inside the parallel core phase,
-	// where the backend is a deferring exchange buffer; retrying there would
-	// reorder pending submissions around the cycle's fresh lookups, so the
-	// hold keeps retries out of the buffer and the barrier drain replays them
-	// via RetryPending in the sequential engine's order instead.
-	retryHold func() bool
 
 	// entryBuf batch-allocates the TLB's steady-state entry objects: insert
 	// carves new entries out of it until the TLB is full, after which the
@@ -231,31 +225,9 @@ func (t *L1TLB) insert(vpn, frame uint64) {
 	t.entries[vpn] = e
 }
 
-// PushPending appends a refused translation request to the retry list, in
-// submission order. The simulator's sharded drain uses it: during the
-// parallel core phase the TLB's backend defers every SubmitTrans into an
-// exchange buffer, and the barrier replays them — failures land here exactly
-// as the sequential path's inline append would have.
-func (t *L1TLB) PushPending(tr *memreq.TransReq) {
-	t.pending = append(t.pending, tr)
-}
-
-// SetRetryHold installs the predicate that suppresses Tick's retry loop (see
-// the retryHold field). Must be set before simulation starts.
-func (t *L1TLB) SetRetryHold(held func() bool) { t.retryHold = held }
-
-// Tick retries backend submissions that were refused, unless a retry hold is
-// in effect (sharded parallel phase; the drain calls RetryPending instead).
+// Tick resubmits the backend submissions that were refused, in order, keeping
+// what the backend still refuses.
 func (t *L1TLB) Tick(now int64) {
-	if t.retryHold != nil && t.retryHold() {
-		return
-	}
-	t.RetryPending(now)
-}
-
-// RetryPending resubmits the pending list in order, keeping what the backend
-// still refuses.
-func (t *L1TLB) RetryPending(now int64) {
 	if len(t.pending) == 0 {
 		return
 	}
@@ -301,8 +273,9 @@ func (t *L1TLB) Contains(vpn uint64) bool {
 	return ok
 }
 
-// FlushFraction drops roughly the given fraction of cached entries
-// (deterministically), modelling partial eviction across a context switch.
+// FlushFraction drops roughly the given fraction of cached entries — every
+// stride-th one in ascending VPN order, so the victims do not depend on map
+// iteration order — modelling partial eviction across a context switch.
 func (t *L1TLB) FlushFraction(fraction float64) {
 	if fraction <= 0 {
 		return
@@ -315,11 +288,12 @@ func (t *L1TLB) FlushFraction(fraction float64) {
 	if stride < 1 {
 		stride = 1
 	}
-	i := 0
+	vpns := make([]uint64, 0, len(t.entries))
 	for vpn := range t.entries {
-		if i%stride == 0 {
-			delete(t.entries, vpn)
-		}
-		i++
+		vpns = append(vpns, vpn)
+	}
+	slices.Sort(vpns)
+	for i := 0; i < len(vpns); i += stride {
+		delete(t.entries, vpns[i])
 	}
 }

@@ -61,6 +61,13 @@ func TestL1FlushFractionPartial(t *testing.T) {
 	if after >= before || after == 0 {
 		t.Fatalf("partial flush: %d -> %d entries", before, after)
 	}
+	// Victims are every second entry in VPN order, whatever order the map
+	// iterates in.
+	for vpn := uint64(0); vpn < 16; vpn++ {
+		if got, want := l1.Contains(vpn), vpn%2 == 1; got != want {
+			t.Fatalf("after FlushFraction(0.5): Contains(%d) = %v, want %v", vpn, got, want)
+		}
+	}
 }
 
 func TestL2EpochRollResets(t *testing.T) {

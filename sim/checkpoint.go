@@ -63,9 +63,7 @@ type checkpointPayload struct {
 	// the pool and ID-generator counters so allocation behavior after restore
 	// matches the interrupted run. ReqPools[0] is the shared pool, then one
 	// entry per core, matching Simulator.reqPoolList; TransPools and IDGens
-	// are per-core. The split is unconditional, so the payload shape is
-	// identical at every Config.Shards value and a checkpoint taken sharded
-	// restores into a sequential run and vice versa.
+	// are per-core.
 	Reqs       []memreq.RequestDTO
 	Trans      []memreq.TransReqDTO
 	ReqPools   []memreq.PoolState
@@ -149,17 +147,16 @@ func probeCheckpointDir(dir string) error {
 
 // CanonicalConfig strips the fields that do not affect simulated behavior —
 // the display name, test-only fault injection, the telemetry output sink
-// (where samples go, not what they contain), the fast-forward and sharding
-// speed knobs (bit-identical by contract), and the checkpoint/resume
-// orchestration itself — so fingerprints and result-cache keys treat
-// behaviorally equal configs as equal.
+// (where samples go, not what they contain), the fast-forward speed knob
+// (bit-identical by contract), and the checkpoint/resume orchestration itself
+// — so fingerprints and result-cache keys treat behaviorally equal configs as
+// equal.
 func CanonicalConfig(cfg Config) Config {
 	cfg.Name = ""
 	cfg.FaultPlan = nil
 	cfg.TelemetrySink = nil
 	cfg.FastForward = false
-	cfg.Shards = 0
-	cfg.ShardBatch = false
+	cfg.Shards = 0 // deprecated no-op
 	cfg.CheckpointEvery = 0
 	cfg.CheckpointDir = ""
 	cfg.Resume = false

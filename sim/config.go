@@ -179,26 +179,11 @@ type Config struct {
 	// panic). Test-only: it exists to exercise the supervision layer.
 	FaultPlan *faultinject.Plan
 
-	// Shards, when > 1, runs each simulated cycle's core and L1-cache phases
-	// on that many worker goroutines with a cycle barrier (docs/MODEL.md
-	// §10). Results are bit-identical at every shard count — cross-shard
-	// traffic is deferred into exchange buffers replayed in registration
-	// order — so, like FastForward, this is purely a speed knob. 0 and 1 both
-	// select the plain sequential engine; the count is capped at the number
-	// of independent core clusters. The CLIs expose -shards, mapping their
-	// "0 = derive from GOMAXPROCS" convention to a concrete count.
+	// Deprecated: Shards is accepted and ignored. Intra-simulation sharding
+	// was deleted (docs/MODEL.md §10): every simulation ticks on one
+	// goroutine. The field survives only because cmd/maskbench still assigns
+	// it; CanonicalConfig zeroes it so it cannot reach a fingerprint.
 	Shards int
-
-	// ShardBatch enables quiescent-cycle batching under a shard plan: on a
-	// cycle where every parallel-phase component (cores, L1 TLBs, L1Ds)
-	// reports a horizon beyond now, the coordinator runs the cycle alone
-	// without waking shard workers. Bit-identical either way — such a cycle's
-	// parallel ticks are provably no-ops — so, like FastForward (which skips
-	// cycles where the WHOLE system is quiescent), this is purely a speed
-	// knob. No effect when Shards selects the sequential engine. The standard
-	// configurations enable it; masksim's -no-shard-batch turns it off for
-	// A/B verification.
-	ShardBatch bool
 
 	// FastForward enables the engine's next-event fast-forward: spans in
 	// which every component is provably quiescent are jumped over instead of
@@ -275,7 +260,6 @@ func Baseline() Config {
 		WatchdogStallChecks: 4,
 
 		FastForward: true,
-		ShardBatch:  true,
 	}
 }
 
@@ -429,8 +413,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: WatchdogCheckEvery must be >= 0, got %d", c.WatchdogCheckEvery)
 	case c.WatchdogStallChecks < 0:
 		return fmt.Errorf("sim: WatchdogStallChecks must be >= 0, got %d", c.WatchdogStallChecks)
-	case c.Shards < 0:
-		return fmt.Errorf("sim: Shards must be >= 0, got %d", c.Shards)
 	case c.CheckpointEvery < 0:
 		return fmt.Errorf("sim: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
 	case c.CheckpointEvery > 0 && c.CheckpointDir == "":

@@ -10,59 +10,59 @@ import (
 	"masksim/internal/memreq"
 )
 
+// scenario is one pinned simulation. run takes a config mutator so the
+// fast-forward equivalence suite can rerun the exact scenario with one knob
+// flipped; pass a no-op for the canonical configuration.
+type scenario struct {
+	name string
+	run  func(mod func(*Config)) (*Results, error)
+}
+
 // driftScenarios cover every design the hot path flows through: the MASK
 // mechanisms (tokens + bypass + Golden/Silver DRAM queues), the SharedTLB and
 // PWCache baselines, Static partitioning, and single-app calibration runs on
 // the Table 2 reference quadrants (one representative per quadrant).
-//
-// Each run takes a config mutator so equivalence suites (fast-forward,
-// sharded execution) can rerun the exact scenario with one knob flipped;
-// pass a no-op for the canonical configuration.
-var driftScenarios = []struct {
-	name   string
-	run    func(mod func(*Config)) (*Results, error)
-	cycles int64
-}{
+var driftScenarios = []scenario{
 	{"mask-3DS+CONS", func(mod func(*Config)) (*Results, error) {
 		cfg := MASKConfig()
 		mod(&cfg)
 		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
-	}, 4000},
+	}},
 	{"sharedtlb-MUM+GUP", func(mod func(*Config)) (*Results, error) {
 		cfg := SharedTLBConfig()
 		mod(&cfg)
 		return Run(context.Background(), cfg, []string{"MUM", "GUP"}, 4000)
-	}, 4000},
+	}},
 	{"pwcache-3DS+CONS", func(mod func(*Config)) (*Results, error) {
 		cfg := PWCacheConfig()
 		mod(&cfg)
 		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
-	}, 4000},
+	}},
 	{"static-RED+BP", func(mod func(*Config)) (*Results, error) {
 		cfg := StaticConfig()
 		mod(&cfg)
 		return Run(context.Background(), cfg, []string{"RED", "BP"}, 4000)
-	}, 4000},
+	}},
 	{"alone-3DS", func(mod func(*Config)) (*Results, error) {
 		cfg := SharedTLBConfig()
 		mod(&cfg)
 		return RunAlone(context.Background(), cfg, "3DS", 30, 4000)
-	}, 4000},
+	}},
 	{"alone-GUP", func(mod func(*Config)) (*Results, error) {
 		cfg := SharedTLBConfig()
 		mod(&cfg)
 		return RunAlone(context.Background(), cfg, "GUP", 30, 4000)
-	}, 4000},
+	}},
 	{"alone-NN", func(mod func(*Config)) (*Results, error) {
 		cfg := SharedTLBConfig()
 		mod(&cfg)
 		return RunAlone(context.Background(), cfg, "NN", 30, 4000)
-	}, 4000},
+	}},
 	{"alone-MUM", func(mod func(*Config)) (*Results, error) {
 		cfg := SharedTLBConfig()
 		mod(&cfg)
 		return RunAlone(context.Background(), cfg, "MUM", 30, 4000)
-	}, 4000},
+	}},
 }
 
 // unmodified is the no-op config mutator: the scenario's canonical run.

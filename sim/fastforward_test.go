@@ -4,70 +4,23 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"masksim/internal/engine"
 	"masksim/internal/faultinject"
 )
 
-// ffScenarios mirror the drift scenarios: every design the hot path flows
-// through must produce bit-identical Results whether the engine single-steps
-// each cycle or fast-forwards over quiescent spans.
-var ffScenarios = []struct {
-	name string
-	run  func(ff bool) (*Results, error)
-}{
-	{"mask-3DS+CONS", func(ff bool) (*Results, error) {
-		cfg := MASKConfig()
-		cfg.FastForward = ff
-		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
-	}},
-	{"sharedtlb-MUM+GUP", func(ff bool) (*Results, error) {
-		cfg := SharedTLBConfig()
-		cfg.FastForward = ff
-		return Run(context.Background(), cfg, []string{"MUM", "GUP"}, 4000)
-	}},
-	{"pwcache-3DS+CONS", func(ff bool) (*Results, error) {
-		cfg := PWCacheConfig()
-		cfg.FastForward = ff
-		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
-	}},
-	{"static-RED+BP", func(ff bool) (*Results, error) {
-		cfg := StaticConfig()
-		cfg.FastForward = ff
-		return Run(context.Background(), cfg, []string{"RED", "BP"}, 4000)
-	}},
-	{"alone-3DS", func(ff bool) (*Results, error) {
-		cfg := SharedTLBConfig()
-		cfg.FastForward = ff
-		return RunAlone(context.Background(), cfg, "3DS", 30, 4000)
-	}},
-	{"alone-GUP", func(ff bool) (*Results, error) {
-		cfg := SharedTLBConfig()
-		cfg.FastForward = ff
-		return RunAlone(context.Background(), cfg, "GUP", 30, 4000)
-	}},
-	{"alone-NN", func(ff bool) (*Results, error) {
-		cfg := SharedTLBConfig()
-		cfg.FastForward = ff
-		return RunAlone(context.Background(), cfg, "NN", 30, 4000)
-	}},
-	{"alone-MUM", func(ff bool) (*Results, error) {
-		cfg := SharedTLBConfig()
-		cfg.FastForward = ff
-		return RunAlone(context.Background(), cfg, "MUM", 30, 4000)
-	}},
-	// Not a drift scenario, but the deepest fast-forward exerciser: demand
-	// paging drains the whole machine for tens of thousands of cycles per
-	// major fault, so most of the run is skipped (and the FaultUnit's own
-	// horizon is on the critical path).
-	{"paging-MUM+GUP", func(ff bool) (*Results, error) {
-		cfg := SharedTLBConfig()
-		cfg.FastForward = ff
-		cfg.DemandPaging = true
-		return Run(context.Background(), cfg, []string{"MUM", "GUP"}, 20_000)
-	}},
-}
+// pagingScenario is not a drift scenario, but the deepest fast-forward
+// exerciser: demand paging drains the whole machine for tens of thousands of
+// cycles per major fault, so most of the run is skipped (and the FaultUnit's
+// own horizon is on the critical path).
+var pagingScenario = scenario{"paging-MUM+GUP", func(mod func(*Config)) (*Results, error) {
+	cfg := SharedTLBConfig()
+	cfg.DemandPaging = true
+	mod(&cfg)
+	return Run(context.Background(), cfg, []string{"MUM", "GUP"}, 20_000)
+}}
 
 // TestFastForwardEquivalence is the tentpole acceptance test: for every drift
 // scenario, a fast-forwarded run must be bit-identical to the single-stepped
@@ -76,13 +29,13 @@ var ffScenarios = []struct {
 // vacuously compare the slow path against itself).
 func TestFastForwardEquivalence(t *testing.T) {
 	var totalSkipped int64
-	for _, sc := range ffScenarios {
+	for _, sc := range slices.Concat(driftScenarios, []scenario{pagingScenario}) {
 		t.Run(sc.name, func(t *testing.T) {
-			slow, err := sc.run(false)
+			slow, err := sc.run(func(c *Config) { c.FastForward = false })
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := sc.run(true)
+			fast, err := sc.run(func(c *Config) { c.FastForward = true })
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -310,6 +311,22 @@ func TestTimeMuxSlowsExecution(t *testing.T) {
 	if muxed.TotalIPC >= base.TotalIPC {
 		t.Fatalf("full state loss did not slow execution (%v vs %v)",
 			muxed.TotalIPC, base.TotalIPC)
+	}
+}
+
+// TestTimeMuxDeterministic pins that a partial time-multiplexing flush picks
+// the same victims on every run: the L1 TLB's FlushFraction once chose them
+// by map iteration order, so two runs of one fig1 cell disagreed on
+// instruction counts.
+func TestTimeMuxDeterministic(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.TimeMuxQuantum = 500
+	cfg.TimeMuxEvict = 0.24
+	a := tinyRun(t, cfg, []string{"MM"}, 6000)
+	b := tinyRun(t, cfg, []string{"MM"}, 6000)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two runs of one time-multiplexed config differ:\n%s",
+			diffLines(driftFingerprint(a), driftFingerprint(b)))
 	}
 }
 

@@ -50,28 +50,16 @@ type Simulator struct {
 	tokens *tlb.TokenPolicy
 
 	// Request free lists and ID generators. Each core and its private L1D and
-	// L1 TLB share per-core pools (reqPools[i] / transPools[i] / idgens[i]) so
-	// the parallel phases of a sharded run recycle requests without locks; the
-	// shared L2, page walk cache and walker draw from sharedReqPool, which
-	// only the coordinator touches. The split is unconditional — identical
-	// behavior and checkpoint shape at every shard count, including the
-	// sequential engine. Per-instance ownership keeps concurrent simulators
-	// race-free.
+	// L1 TLB share per-core pools (reqPools[i] / transPools[i] / idgens[i]);
+	// the shared L2, page walk cache and walker draw from sharedReqPool. This
+	// is the fixed pool/ID layout checkpoints are keyed by: request DTOs name
+	// their owning pool, and the payload carries one pool and ID-generator
+	// state per entry here. Per-instance ownership keeps concurrent
+	// simulators race-free.
 	sharedReqPool memreq.Pool
 	reqPools      []memreq.Pool
 	transPools    []memreq.TransPool
 	idgens        []memreq.IDGen
-
-	// Sharded-execution wiring (sim/shard.go): per-core exchange buffers and
-	// the registration indices the phase plan is built over.
-	transOut     []*transOutbox
-	subOut       []*submitOutbox
-	coreClusters [][]int
-	coreTickIdx  []int
-	l1tlbTickIdx []int
-	midTickIdx   []int
-	l1dTickIdx   []int
-	tailStart    int
 
 	maskScheds []*dram.MASKSched
 
@@ -208,7 +196,6 @@ func (s *Simulator) build() {
 	cfg := s.cfg
 	numApps := len(s.apps)
 	s.eng.SetFastForward(cfg.FastForward)
-	s.eng.SetShardBatching(cfg.ShardBatch)
 
 	// One shared arena backs every cache's line array (L2, page walk cache,
 	// per-core L1Ds): a single construction-time allocation instead of one
@@ -376,21 +363,7 @@ func (s *Simulator) build() {
 		space := s.spaces[appIdx]
 		factory := workload.NewStreamFactory(app.Profile, heapBase, cfg.PageSize,
 			cfg.L1Cache.LineSize, appWarps, app.Seed)
-		// Cores whose warps share a group-sync barrier must tick on one shard
-		// (a barrier release in core i wakes warps in core j the same cycle).
-		// A synthetic profile's groups span cores only when WarpsPerGroup does
-		// not divide the per-core warp count; trace streams have no group sync.
-		wpg := 0
-		if app.Trace == nil {
-			wpg = app.Profile.WarpsPerGroup
-		}
 		for local := 0; local < s.coresPerApp[appIdx]; local++ {
-			if local == 0 || wpg <= 1 || (local*cfg.WarpsPerCore)%wpg == 0 {
-				s.coreClusters = append(s.coreClusters, nil)
-			}
-			cl := len(s.coreClusters) - 1
-			s.coreClusters[cl] = append(s.coreClusters[cl], coreID)
-
 			l1d := cache.New(cache.Config{
 				Name:               fmt.Sprintf("L1D.%d", coreID),
 				SizeBytes:          cfg.L1Cache.SizeBytes,
@@ -403,14 +376,7 @@ func (s *Simulator) build() {
 				MSHRs:              cfg.L1Cache.MSHRs,
 				WriteCombineWindow: cfg.L1Cache.WriteCombineWindow,
 				Arena:              arena,
-			}, func() cache.Backend {
-				// The L1D reaches the shared L2 through its exchange buffer so
-				// a sharded run can defer cross-shard submissions; outside the
-				// parallel phase the outbox is a transparent pass-through.
-				sub := &submitOutbox{real: s.l2c}
-				s.subOut = append(s.subOut, sub)
-				return sub
-			}())
+			}, s.l2c)
 			l1d.SetRequestPool(&s.reqPools[coreID])
 			s.registerSnapCache(l1d)
 			s.l1ds = append(s.l1ds, l1d)
@@ -430,11 +396,8 @@ func (s *Simulator) build() {
 				if s.l2tlb != nil {
 					transBackend = s.l2tlb
 				}
-				tout := &transOutbox{real: transBackend}
-				s.transOut = append(s.transOut, tout)
-				l1 := tlb.NewL1(coreID, appIdx, space.ASID(), cfg.L1TLBEntries, tout)
+				l1 := tlb.NewL1(coreID, appIdx, space.ASID(), cfg.L1TLBEntries, transBackend)
 				l1.SetTransPool(&s.transPools[coreID])
-				l1.SetRetryHold(func() bool { return tout.deferring })
 				s.l1tlbs = append(s.l1tlbs, l1)
 				coreL1 = l1
 				app := appIdx
@@ -474,37 +437,27 @@ func (s *Simulator) build() {
 	}
 
 	// --- tick order --------------------------------------------------------
-	// Registration indices are recorded as the shard plan's phase boundaries:
-	// cores (parallel P1), the translation machinery (serial), L1Ds (parallel
-	// P2), and everything from tailStart on (serial). The sequential engine
-	// ignores them; the sharded engine reproduces exactly this order.
-	reg := func(t engine.Ticker) int {
-		idx := s.eng.Len()
-		s.eng.Register(t)
-		return idx
-	}
 	for _, c := range s.cores {
-		s.coreTickIdx = append(s.coreTickIdx, reg(c))
+		s.eng.Register(c)
 	}
 	for _, t := range s.l1tlbs {
-		s.l1tlbTickIdx = append(s.l1tlbTickIdx, reg(t))
+		s.eng.Register(t)
 	}
 	if s.l2tlb != nil {
-		s.midTickIdx = append(s.midTickIdx, reg(s.l2tlb))
+		s.eng.Register(s.l2tlb)
 	}
 	if !cfg.Ideal {
-		s.midTickIdx = append(s.midTickIdx, reg(s.walker))
+		s.eng.Register(s.walker)
 	}
 	if s.faults != nil {
-		s.midTickIdx = append(s.midTickIdx, reg(s.faults))
+		s.eng.Register(s.faults)
 	}
 	if s.pwc != nil {
-		s.midTickIdx = append(s.midTickIdx, reg(s.pwc))
+		s.eng.Register(s.pwc)
 	}
 	for _, d := range s.l1ds {
-		s.l1dTickIdx = append(s.l1dTickIdx, reg(d))
+		s.eng.Register(d)
 	}
-	s.tailStart = s.eng.Len()
 	s.eng.Register(s.l2c)
 	s.eng.Register(s.mem)
 	s.eng.Register(scheduledTick{fn: s.epochTick, interval: func() int64 { return s.epoch }})
@@ -530,9 +483,6 @@ func (s *Simulator) build() {
 		s.mem.SetDropHook(plan.DropResponse)
 		s.eng.Register(panicTick{plan: plan})
 	}
-
-	// --- sharded execution -------------------------------------------------
-	s.installShardPlan()
 }
 
 // watchdog builds the progress watchdog for one run, wiring progress probes
