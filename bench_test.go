@@ -75,10 +75,11 @@ func BenchmarkSimulatorKernel(b *testing.B) {
 // benchCycles run of the contended MASK pair). Request/walk pooling brought
 // the iteration from ~554k allocations down to ~59k — almost all of it
 // one-time construction and pool warm-up — so the budget mostly guards the
-// steady state: reintroducing a per-request or per-walk allocation on the hot
-// path blows well past it. Raise it only with a profile in hand showing the
-// new allocations are construction-time.
-const allocBudget = 90_000
+// steady state: reintroducing a per-request, per-walk or per-TLB-fill
+// allocation on the hot path blows past it. The iteration measures 65.6k
+// today and the budget is that + 2 %. Raise it only with a profile in hand
+// showing the new allocations are construction-time.
+const allocBudget = 67_000
 
 // TestAllocBudget is the allocation-regression gate CI runs on every change.
 func TestAllocBudget(t *testing.T) {

@@ -106,10 +106,7 @@ func (d *DRAM) RestoreState(ctx any, state any) error {
 		}
 		copy(ch.banks, cs.Banks)
 		ch.busReadyAt = cs.BusReadyAt
-		ch.inflight = ch.inflight[:0]
-		for _, qs := range cs.Inflight {
-			ch.inflight = append(ch.inflight, dec(qs))
-		}
+		ch.setInflight(decQueue(ch.inflight, cs.Inflight, dec))
 		if err := ch.sched.RestoreQueue(cs.Sched, dec); err != nil {
 			return fmt.Errorf("dram: channel %d: %w", i, err)
 		}

@@ -124,6 +124,19 @@ type channel struct {
 	sched      Scheduler
 	busReadyAt int64
 	inflight   []*Queued
+	// nextFinish is the earliest finish cycle in inflight (engine.NoEvent when
+	// empty), kept exact so Tick skips the completion scan until it is due.
+	nextFinish int64
+}
+
+// setInflight replaces the channel's in-flight list and recomputes
+// nextFinish from it.
+func (ch *channel) setInflight(qs []*Queued) {
+	ch.inflight = qs
+	ch.nextFinish = engine.NoEvent
+	for _, q := range qs {
+		ch.nextFinish = min(ch.nextFinish, q.finish)
+	}
 }
 
 // DRAM is the full memory subsystem. It implements cache.Backend.
@@ -184,6 +197,7 @@ func New(cfg Config, mkSched func(chanIdx int) Scheduler) *DRAM {
 			ch.banks[b].OpenRow = -1
 		}
 		ch.sched = mkSched(i)
+		ch.nextFinish = engine.NoEvent
 	}
 	return d
 }
@@ -245,17 +259,19 @@ func (d *DRAM) Tick(now int64) {
 	for i := range d.channels {
 		ch := &d.channels[i]
 
-		// Complete transfers whose data has arrived.
-		nkeep := 0
-		for _, q := range ch.inflight {
-			if q.finish <= now {
-				d.complete(now, q)
-			} else {
-				ch.inflight[nkeep] = q
-				nkeep++
+		// Complete transfers whose data has arrived, in list order.
+		if ch.nextFinish <= now {
+			nkeep := 0
+			for _, q := range ch.inflight {
+				if q.finish <= now {
+					d.complete(now, q)
+				} else {
+					ch.inflight[nkeep] = q
+					nkeep++
+				}
 			}
+			ch.setInflight(ch.inflight[:nkeep])
 		}
-		ch.inflight = ch.inflight[:nkeep]
 
 		// Issue one request per cycle if the scheduler has a ready candidate.
 		q := ch.sched.Pick(now, ch.banks)
@@ -302,6 +318,7 @@ func (d *DRAM) Tick(now int64) {
 		}
 		q.finish = finish
 		ch.inflight = append(ch.inflight, q)
+		ch.nextFinish = min(ch.nextFinish, finish)
 
 		d.Class[cls].BusCycles += uint64(d.cfg.BusCycles)
 		app := q.Req.AppID
@@ -322,14 +339,7 @@ func (d *DRAM) NextEvent(now int64) int64 {
 	h := engine.NoEvent
 	for i := range d.channels {
 		ch := &d.channels[i]
-		for _, q := range ch.inflight {
-			if q.finish < h {
-				h = q.finish
-			}
-		}
-		if g := ch.sched.NextReady(now, ch.banks); g < h {
-			h = g
-		}
+		h = min(h, ch.nextFinish, ch.sched.NextReady(now, ch.banks))
 		if h <= now {
 			return now
 		}

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/rng"
 )
 
 func testConfig() Config {
@@ -324,5 +326,49 @@ func TestAllReadsCompleteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompletionWatermarkExact checks the per-channel nextFinish that lets
+// Tick skip the completion scan: after every cycle it equals the smallest
+// finish still in flight and nothing due is left behind, also when finish
+// times are not monotone in issue order (BusCycles 0: a row hit issued after
+// a row conflict finishes before it).
+func TestCompletionWatermarkExact(t *testing.T) {
+	for _, busCycles := range []int64{0, 2} {
+		cfg := testConfig()
+		cfg.BusCycles = busCycles
+		d := New(cfg, func(int) Scheduler { return NewFRFCFS(cfg.QueueCap) })
+		src := rng.New(7)
+		submitted, completed := 0, 0
+		for now := int64(0); now < 8000; now++ {
+			if now < 3000 && src.Uint64()%3 == 0 {
+				if d.Submit(now, &memreq.Request{
+					Kind: memreq.Read, Addr: (src.Uint64() % 4096) << 8,
+					Done: func(int64, *memreq.Request) { completed++ },
+				}) {
+					submitted++
+				}
+			}
+			d.Tick(now)
+			want := int64(engine.NoEvent)
+			for i := range d.channels {
+				ch := &d.channels[i]
+				low := int64(engine.NoEvent)
+				for _, q := range ch.inflight {
+					low = min(low, q.finish)
+				}
+				if ch.nextFinish != low || low <= now {
+					t.Fatalf("BusCycles=%d cycle %d channel %d: nextFinish %d, earliest in-flight finish %d", busCycles, now, i, ch.nextFinish, low)
+				}
+				want = min(want, low, ch.sched.NextReady(now+1, ch.banks))
+			}
+			if got := d.NextEvent(now + 1); got != max(want, now+1) {
+				t.Fatalf("BusCycles=%d cycle %d: NextEvent %d, want %d", busCycles, now, got, max(want, now+1))
+			}
+		}
+		if submitted == 0 || completed != submitted {
+			t.Fatalf("BusCycles=%d: %d of %d reads completed", busCycles, completed, submitted)
+		}
 	}
 }

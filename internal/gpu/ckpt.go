@@ -31,7 +31,7 @@ type CtxState struct {
 // CoreState is the core's checkpoint image.
 type CoreState struct {
 	Current    int
-	ReadyCount int
+	ReadyCount int // informational: restore rebuilds the ready set from Warps
 	WaitTrans  int
 	WaitData   int
 	Stats      Stats
@@ -50,7 +50,7 @@ func (c *Core) SnapshotState(ctx any) (any, error) {
 	}
 	st := CoreState{
 		Current:    c.current,
-		ReadyCount: c.readyCount,
+		ReadyCount: c.ReadyWarps(),
 		WaitTrans:  c.waitTrans,
 		WaitData:   c.waitData,
 		Stats:      c.Stats,
@@ -99,8 +99,10 @@ func (c *Core) RestoreState(ctx any, state any) error {
 	if len(st.Warps) != len(c.warps) {
 		return fmt.Errorf("gpu: checkpoint has %d warps, core %d has %d", len(st.Warps), c.id, len(c.warps))
 	}
+	if st.Current < 0 || st.Current >= len(c.warps) {
+		return fmt.Errorf("gpu: checkpoint names current warp %d of %d", st.Current, len(c.warps))
+	}
 	c.current = st.Current
-	c.readyCount = st.ReadyCount
 	c.waitTrans = st.WaitTrans
 	c.waitData = st.WaitData
 	c.Stats = st.Stats
@@ -115,6 +117,7 @@ func (c *Core) RestoreState(ctx any, state any) error {
 		w.transDoneAt = ws.TransDoneAt
 		w.stream.SetState(ws.Stream)
 	}
+	c.rebuildReady()
 	for _, cs := range st.Ctxs {
 		if cs.WarpID < 0 || cs.WarpID >= len(c.warps) {
 			return fmt.Errorf("gpu: checkpoint context names warp %d of %d", cs.WarpID, len(c.warps))

@@ -12,6 +12,8 @@
 package gpu
 
 import (
+	"math/bits"
+
 	"masksim/internal/cache"
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
@@ -142,7 +144,9 @@ type Core struct {
 
 	retry []*memreq.Request
 
-	readyCount int
+	// ready has bit i set exactly while warps[i].state == warpReady, so the
+	// schedulers walk ready warps instead of scanning the whole array.
+	ready []uint64
 	// waitTrans / waitData count blocked warps by phase (translation still
 	// pending vs data only), maintained at warp state transitions so idle
 	// cycles are attributed without scanning the warp array.
@@ -175,7 +179,8 @@ func New(id, appID int, cfg Config, streams []*workload.Stream, translate Transl
 			c.maybeUnblock(dnow, w)
 		}
 	}
-	c.readyCount = len(c.warps)
+	c.ready = make([]uint64, (len(c.warps)+63)/64)
+	c.rebuildReady()
 	return c
 }
 
@@ -247,7 +252,13 @@ func (c *Core) ID() int { return c.id }
 func (c *Core) AppID() int { return c.appID }
 
 // ReadyWarps returns the number of schedulable warps (metrics helper).
-func (c *Core) ReadyWarps() int { return c.readyCount }
+func (c *Core) ReadyWarps() int {
+	n := 0
+	for _, word := range c.ready {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
 
 // Tick retries rejected cache submissions, then issues one instruction from
 // the GTO-selected warp.
@@ -295,20 +306,42 @@ func (c *Core) NextEvent(now int64) int64 {
 	return engine.NoEvent
 }
 
+// rebuildReady derives the ready set from the warp states.
+func (c *Core) rebuildReady() {
+	clear(c.ready)
+	for i := range c.warps {
+		if c.warps[i].state == warpReady {
+			c.ready[i/64] |= 1 << (i % 64)
+		}
+	}
+}
+
+// firstIssuable returns the lowest-numbered ready, issuable warp with index
+// in [from, to), or nil.
+func (c *Core) firstIssuable(from, to int) *warp {
+	for wi := from / 64; wi*64 < to; wi++ {
+		word := c.ready[wi]
+		if wi == from/64 {
+			word &^= 1<<(from%64) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			i := wi*64 + bits.TrailingZeros64(word)
+			if i >= to {
+				return nil
+			}
+			if w := &c.warps[i]; issuable(w) {
+				return w
+			}
+		}
+	}
+	return nil
+}
+
 // canIssue is pickWarp's selection predicate without the c.current mutation:
 // it must leave scheduler state untouched so probing quiescence cannot
 // perturb the GTO/round-robin pick order.
 func (c *Core) canIssue() bool {
-	if c.readyCount == 0 {
-		return false
-	}
-	for i := range c.warps {
-		w := &c.warps[i]
-		if w.state == warpReady && issuable(w) {
-			return true
-		}
-	}
-	return false
+	return c.firstIssuable(0, len(c.warps)) != nil
 }
 
 // SkipTo implements engine.Skipper: every skipped cycle is an idle cycle
@@ -337,32 +370,23 @@ func (c *Core) SkipTo(from, to int64) {
 // barrier (workload.GroupSync) is skipped: it occupies no issue slot until
 // its group catches up.
 func (c *Core) pickWarp() *warp {
-	if c.readyCount == 0 {
-		return nil
-	}
+	n := len(c.warps)
+	var w *warp
 	if c.cfg.RoundRobin {
-		n := len(c.warps)
-		for off := 1; off <= n; off++ {
-			i := (c.current + off) % n
-			w := &c.warps[i]
-			if w.state == warpReady && issuable(w) {
-				c.current = i
-				return w
-			}
+		// Rotation order: current+1 … n-1, then 0 … current.
+		if w = c.firstIssuable(c.current+1, n); w == nil {
+			w = c.firstIssuable(0, c.current+1)
 		}
-		return nil
-	}
-	if w := &c.warps[c.current]; w.state == warpReady && issuable(w) {
-		return w
-	}
-	for i := range c.warps {
-		w := &c.warps[i]
-		if w.state == warpReady && issuable(w) {
-			c.current = i
+	} else {
+		if w = &c.warps[c.current]; w.state == warpReady && issuable(w) {
 			return w
 		}
+		w = c.firstIssuable(0, n)
 	}
-	return nil
+	if w != nil {
+		c.current = w.id
+	}
+	return w
 }
 
 func issuable(w *warp) bool {
@@ -387,7 +411,7 @@ func (c *Core) issue(now int64, w *warp) {
 func (c *Core) issueMem(now int64, w *warp) {
 	inst := w.stream.NextMem()
 	w.state = warpWaitMem
-	c.readyCount--
+	c.ready[w.id/64] &^= 1 << (w.id % 64)
 	c.waitTrans++ // before translate: the callback may fire synchronously
 	w.pendingTrans = len(inst.Pages)
 	w.outstandingData = 0
@@ -439,7 +463,7 @@ func (c *Core) maybeUnblock(now int64, w *warp) {
 		c.Stats.DataStallCycles += uint64(now - w.transDoneAt)
 		c.waitData--
 		w.state = warpReady
+		c.ready[w.id/64] |= 1 << (w.id % 64)
 		w.computeLeft = w.stream.NextComputeGap()
-		c.readyCount++
 	}
 }

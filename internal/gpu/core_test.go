@@ -1,9 +1,11 @@
 package gpu
 
 import (
+	"strings"
 	"testing"
 
 	"masksim/internal/cache"
+	"masksim/internal/engine"
 	"masksim/internal/memreq"
 	"masksim/internal/workload"
 )
@@ -268,5 +270,120 @@ func TestSyncStalledWarpSkipped(t *testing.T) {
 	}
 	if !streams[0].SyncStalled() {
 		t.Fatal("leader warp ran unboundedly ahead of its blocked group member")
+	}
+}
+
+// schedWorld is a core whose translations queue up until the test answers
+// them, so the test decides which warps are blocked at any cycle.
+type schedWorld struct {
+	core  *Core
+	be    *sink
+	l1d   *cache.Cache
+	trans []queuedTrans
+}
+
+type queuedTrans struct {
+	vpn  uint64
+	done func(int64, uint64)
+}
+
+func newSchedWorld(warps int, roundRobin bool) *schedWorld {
+	w := &schedWorld{}
+	w.core, w.be, w.l1d = newTestCore(warps, func(_ int64, vpn uint64, _ int, done func(int64, uint64)) {
+		w.trans = append(w.trans, queuedTrans{vpn, done})
+	})
+	w.core.cfg.RoundRobin = roundRobin
+	return w
+}
+
+// step runs one cycle, first answering the oldest queued translation if asked
+// to, and returns the warp the scheduler is on and the instructions issued.
+func (w *schedWorld) step(now int64, answer bool) (int, uint64) {
+	if answer && len(w.trans) > 0 {
+		q := w.trans[0]
+		w.trans = w.trans[1:]
+		q.done(now, q.vpn)
+	}
+	w.core.Tick(now)
+	w.l1d.Tick(now)
+	w.be.tick(now)
+	return w.core.current, w.core.Stats.Instructions
+}
+
+// TestRestoredCorePicksSameWarps snapshots a core mid-run, with some warps
+// ready and some blocked on translation, restores the image into a fresh
+// core, and checks that it issues from the same warp every cycle as the
+// uninterrupted core. The ready set is not in the image: restore must
+// rebuild it from the warp states.
+func TestRestoredCorePicksSameWarps(t *testing.T) {
+	// 70 warps span two words of the ready set.
+	const warps, quietFrom, snapAt, end = 70, 300, 400, 1500
+	// No translation is answered in [quietFrom, snapAt), so the data side has
+	// drained by snapAt and the restored core can adopt the replica's cache.
+	answer := func(now int64) bool { return now%3 == 0 && (now < quietFrom || now >= snapAt) }
+	for _, roundRobin := range []bool{false, true} {
+		live, replica := newSchedWorld(warps, roundRobin), newSchedWorld(warps, roundRobin)
+		for now := int64(0); now < snapAt; now++ {
+			live.step(now, answer(now))
+			replica.step(now, answer(now))
+		}
+		if len(replica.be.pending) != 0 || replica.l1d.NextEvent(snapAt) != engine.NoEvent || len(replica.core.retry) != 0 {
+			t.Fatal("data side still busy at the snapshot cycle")
+		}
+		st, err := replica.core.SnapshotState(memreq.NewTable())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		restored := newSchedWorld(warps, roundRobin)
+		restored.be, restored.l1d = replica.be, replica.l1d
+		restored.core.l1d, restored.core.idgen = replica.l1d, replica.core.idgen
+		rt, err := memreq.NewRestoreTable(nil, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.core.RestoreState(rt, st); err != nil {
+			t.Fatal(err)
+		}
+		restored.core.SetWaiterAttach(func(vpn uint64, done func(int64, uint64)) {
+			restored.trans = append(restored.trans, queuedTrans{vpn, done})
+		})
+		if err := restored.core.ReattachWaiters(); err != nil {
+			t.Fatal(err)
+		}
+		if n := restored.core.ReadyWarps(); n == 0 || n == warps || n != live.core.ReadyWarps() {
+			t.Fatalf("restored core has %d of %d warps ready, live core %d: want a mixed, equal set", n, warps, live.core.ReadyWarps())
+		}
+
+		for now := int64(snapAt); now < end; now++ {
+			wantWarp, wantInsts := live.step(now, answer(now))
+			gotWarp, gotInsts := restored.step(now, answer(now))
+			if gotWarp != wantWarp || gotInsts != wantInsts {
+				t.Fatalf("roundRobin=%v cycle %d: restored core on warp %d after %d instructions, live core on warp %d after %d",
+					roundRobin, now, gotWarp, gotInsts, wantWarp, wantInsts)
+			}
+		}
+		if restored.core.Stats != live.core.Stats {
+			t.Fatalf("roundRobin=%v: restored stats %+v, live %+v", roundRobin, restored.core.Stats, live.core.Stats)
+		}
+	}
+}
+
+func TestRestoreRejectsCurrentWarpOutOfRange(t *testing.T) {
+	core, _, _ := newTestCore(4, instantTranslate)
+	st, err := core.SnapshotState(memreq.NewTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := memreq.NewRestoreTable(nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, current := range []int{-1, 4} {
+		img := st.(CoreState)
+		img.Current = current
+		if err := core.RestoreState(rt, img); err == nil || !strings.Contains(err.Error(), "current warp") {
+			t.Errorf("Current=%d: error %v, want one naming the current warp", current, err)
+		}
 	}
 }

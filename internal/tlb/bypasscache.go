@@ -5,67 +5,34 @@ package tlb
 // warps that hold no TLB-Fill Token. It is probed in parallel with the
 // shared L2 TLB, so a hit in either counts as an L2-level TLB hit.
 type bypassCache struct {
-	size    int
-	entries map[bypassKey]*bypassEntry
-	stamp   int64
+	tab *assocLRU
 
 	Accesses uint64
 	Hits     uint64
 }
 
-type bypassKey struct {
-	asid uint8
-	vpn  uint64
-}
-
-type bypassEntry struct {
-	frame uint64
-	stamp int64
-}
-
 func newBypassCache(size int) *bypassCache {
-	return &bypassCache{size: size, entries: make(map[bypassKey]*bypassEntry, size)}
+	return &bypassCache{tab: newAssocLRU(size)}
 }
 
 func (b *bypassCache) probe(asid uint8, vpn uint64) (uint64, bool) {
 	b.Accesses++
-	e, ok := b.entries[bypassKey{asid, vpn}]
-	if !ok {
-		return 0, false
+	frame, ok := b.tab.probe(l2key{asid, vpn})
+	if ok {
+		b.Hits++
 	}
-	b.Hits++
-	b.stamp++
-	e.stamp = b.stamp
-	return e.frame, true
+	return frame, ok
 }
 
 func (b *bypassCache) fill(asid uint8, vpn, frame uint64) {
-	b.stamp++
-	k := bypassKey{asid, vpn}
-	if e, ok := b.entries[k]; ok {
-		e.frame = frame
-		e.stamp = b.stamp
-		return
-	}
-	if len(b.entries) >= b.size {
-		var victim bypassKey
-		var victimStamp int64 = 1<<63 - 1
-		for k, e := range b.entries {
-			if e.stamp < victimStamp {
-				victimStamp = e.stamp
-				victim = k
-			}
-		}
-		delete(b.entries, victim)
-	}
-	b.entries[k] = &bypassEntry{frame: frame, stamp: b.stamp}
+	b.tab.fill(l2key{asid, vpn}, frame)
 }
 
 // flushASID drops all entries belonging to one address space.
 func (b *bypassCache) flushASID(asid uint8) {
-	for k := range b.entries {
-		if k.asid == asid {
-			delete(b.entries, k)
+	for _, e := range b.tab.entries() {
+		if e.key.asid == asid {
+			b.tab.remove(e.key)
 		}
 	}
 }

@@ -24,15 +24,15 @@ type L1MissState struct {
 	Tr  int32
 }
 
-// L1State is the L1 TLB's checkpoint image.
+// L1State is the L1 TLB's checkpoint image. Entries are written from LRU to
+// MRU; restore accepts any order and rebuilds recency from the stamps.
 type L1State struct {
-	Entries   []L1EntryState
-	Stamp     int64
-	Mshrs     []L1MissState
-	Pending   []int32
-	EntryUsed int
-	MissFree  int
-	Stats     L1Stats
+	Entries  []L1EntryState
+	Stamp    int64
+	Mshrs    []L1MissState
+	Pending  []int32
+	MissFree int
+	Stats    L1Stats
 }
 
 // SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table.
@@ -42,13 +42,12 @@ func (t *L1TLB) SnapshotState(ctx any) (any, error) {
 		return nil, fmt.Errorf("tlb: snapshot context is %T, want *memreq.Table", ctx)
 	}
 	st := L1State{
-		Stamp:     t.stamp,
-		EntryUsed: t.entryUsed,
-		MissFree:  len(t.missFree),
-		Stats:     t.Stats,
+		Stamp:    t.tab.stamp,
+		MissFree: len(t.missFree),
+		Stats:    t.Stats,
 	}
-	for vpn, e := range t.entries {
-		st.Entries = append(st.Entries, L1EntryState{VPN: vpn, Frame: e.frame, Stamp: e.stamp})
+	for _, e := range t.tab.entries() {
+		st.Entries = append(st.Entries, L1EntryState{VPN: e.key.vpn, Frame: e.frame, Stamp: e.stamp})
 	}
 	for vpn, m := range t.mshrs {
 		st.Mshrs = append(st.Mshrs, L1MissState{VPN: vpn, Tr: tab.Trans(m.tr)})
@@ -69,25 +68,13 @@ func (t *L1TLB) RestoreState(ctx any, state any) error {
 	if !ok {
 		return fmt.Errorf("tlb: restore state is %T, want L1State", state)
 	}
-	t.stamp = st.Stamp
 	t.Stats = st.Stats
-	t.entries = make(map[uint64]*l1entry, t.size)
-	t.entryUsed = 0
-	for _, es := range st.Entries {
-		var e *l1entry
-		if t.entryUsed < len(t.entryBuf) {
-			e = &t.entryBuf[t.entryUsed]
-			t.entryUsed++
-		} else {
-			e = &l1entry{}
-		}
-		e.vpn, e.frame, e.stamp = es.VPN, es.Frame, es.Stamp
-		t.entries[es.VPN] = e
+	es := make([]assocEntry, len(st.Entries))
+	for i, e := range st.Entries {
+		es[i] = assocEntry{key: l2key{t.asid, e.VPN}, frame: e.Frame, stamp: e.Stamp}
 	}
-	// entryUsed records the carve position, which can exceed the live entry
-	// count after a flush dropped buffered objects.
-	if st.EntryUsed > t.entryUsed {
-		t.entryUsed = st.EntryUsed
+	if err := t.tab.restore("L1", st.Stamp, es); err != nil {
+		return err
 	}
 	t.mshrs = make(map[uint64]*l1miss, len(st.Mshrs))
 	for _, ms := range st.Mshrs {
@@ -203,7 +190,8 @@ type BypassEntryState struct {
 	Stamp int64
 }
 
-// BypassState is the TLB bypass cache's checkpoint image.
+// BypassState is the TLB bypass cache's checkpoint image, with the same
+// entry-order rule as L1State.
 type BypassState struct {
 	Entries  []BypassEntryState
 	Stamp    int64
@@ -288,13 +276,13 @@ func (t *L2TLB) SnapshotState(ctx any) (any, error) {
 	}
 	if t.bypass != nil {
 		b := &BypassState{
-			Stamp:    t.bypass.stamp,
+			Stamp:    t.bypass.tab.stamp,
 			Accesses: t.bypass.Accesses,
 			Hits:     t.bypass.Hits,
 		}
-		for k, e := range t.bypass.entries {
+		for _, e := range t.bypass.tab.entries() {
 			b.Entries = append(b.Entries, BypassEntryState{
-				ASID: k.asid, VPN: k.vpn, Frame: e.frame, Stamp: e.stamp,
+				ASID: e.key.asid, VPN: e.key.vpn, Frame: e.frame, Stamp: e.stamp,
 			})
 		}
 		st.Bypass = b
@@ -370,12 +358,14 @@ func (t *L2TLB) RestoreState(ctx any, state any) error {
 		if t.bypass == nil {
 			return fmt.Errorf("tlb: checkpoint has bypass-cache state but the bypass cache is disabled")
 		}
-		t.bypass.stamp = st.Bypass.Stamp
 		t.bypass.Accesses = st.Bypass.Accesses
 		t.bypass.Hits = st.Bypass.Hits
-		t.bypass.entries = make(map[bypassKey]*bypassEntry, t.bypass.size)
-		for _, es := range st.Bypass.Entries {
-			t.bypass.entries[bypassKey{asid: es.ASID, vpn: es.VPN}] = &bypassEntry{frame: es.Frame, stamp: es.Stamp}
+		es := make([]assocEntry, len(st.Bypass.Entries))
+		for i, e := range st.Bypass.Entries {
+			es[i] = assocEntry{key: l2key{e.ASID, e.VPN}, frame: e.Frame, stamp: e.Stamp}
+		}
+		if err := t.bypass.tab.restore("bypass-cache", st.Bypass.Stamp, es); err != nil {
+			return err
 		}
 	}
 	if st.Prefetch != nil {

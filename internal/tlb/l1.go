@@ -5,6 +5,7 @@
 package tlb
 
 import (
+	"cmp"
 	"slices"
 
 	"masksim/internal/engine"
@@ -45,12 +46,6 @@ func (s L1Stats) AvgStalledWarps() float64 {
 	return float64(s.StalledWarpSum) / float64(s.StalledWarpCount)
 }
 
-type l1entry struct {
-	vpn   uint64
-	frame uint64
-	stamp int64
-}
-
 // l1miss tracks one outstanding translation. Miss objects are recycled
 // through the TLB's free list; done is bound once at first allocation so a
 // steady-state miss allocates neither the tracker nor its fill closure.
@@ -70,20 +65,11 @@ type L1TLB struct {
 	coreID  int
 	appID   int
 	asid    uint8
-	size    int
-	entries map[uint64]*l1entry
-	stamp   int64
+	tab     *assocLRU
 	backend TransBackend
 
 	mshrs   map[uint64]*l1miss
 	pending []*memreq.TransReq
-
-	// entryBuf batch-allocates the TLB's steady-state entry objects: insert
-	// carves new entries out of it until the TLB is full, after which the
-	// eviction path recycles existing objects. One construction allocation
-	// replaces size per-insert ones.
-	entryBuf  []l1entry
-	entryUsed int
 
 	missFree []*l1miss
 	// pool recycles translation requests; NewL1 creates a private pool, the
@@ -96,15 +82,13 @@ type L1TLB struct {
 // NewL1 builds an L1 TLB of the given size for one core.
 func NewL1(coreID, appID int, asid uint8, size int, backend TransBackend) *L1TLB {
 	return &L1TLB{
-		coreID:   coreID,
-		appID:    appID,
-		asid:     asid,
-		size:     size,
-		entries:  make(map[uint64]*l1entry, size),
-		mshrs:    make(map[uint64]*l1miss),
-		backend:  backend,
-		pool:     &memreq.TransPool{},
-		entryBuf: make([]l1entry, size),
+		coreID:  coreID,
+		appID:   appID,
+		asid:    asid,
+		tab:     newAssocLRU(size),
+		mshrs:   make(map[uint64]*l1miss),
+		backend: backend,
+		pool:    &memreq.TransPool{},
 	}
 }
 
@@ -147,11 +131,9 @@ func (t *L1TLB) putMiss(m *l1miss) {
 // TLB can apply MASK's fill policy.
 func (t *L1TLB) Lookup(now int64, vpn uint64, warpID int, hasToken bool, done func(now int64, frame uint64)) {
 	t.Stats.Accesses++
-	if e, ok := t.entries[vpn]; ok {
+	if frame, ok := t.tab.probe(l2key{t.asid, vpn}); ok {
 		t.Stats.Hits++
-		t.stamp++
-		e.stamp = t.stamp
-		done(now, e.frame)
+		done(now, frame)
 		return
 	}
 	t.Stats.Misses++
@@ -181,48 +163,13 @@ func (t *L1TLB) fill(now int64, m *l1miss, frame uint64) {
 	}
 	vpn := m.vpn
 	delete(t.mshrs, vpn)
-	t.insert(vpn, frame)
+	t.tab.fill(l2key{t.asid, vpn}, frame)
 	t.Stats.StalledWarpSum += uint64(len(m.waiting))
 	t.Stats.StalledWarpCount++
 	for _, cb := range m.waiting {
 		cb(now, frame)
 	}
 	t.putMiss(m)
-}
-
-func (t *L1TLB) insert(vpn, frame uint64) {
-	t.stamp++
-	if e, ok := t.entries[vpn]; ok {
-		e.frame = frame
-		e.stamp = t.stamp
-		return
-	}
-	if len(t.entries) >= t.size {
-		// Evict the LRU entry and reuse its object for the new translation.
-		var victim uint64
-		var victimStamp int64 = 1<<63 - 1
-		for vpn, e := range t.entries {
-			if e.stamp < victimStamp {
-				victimStamp = e.stamp
-				victim = vpn
-			}
-		}
-		e := t.entries[victim]
-		delete(t.entries, victim)
-		e.vpn, e.frame, e.stamp = vpn, frame, t.stamp
-		t.entries[vpn] = e
-		return
-	}
-	var e *l1entry
-	if t.entryUsed < len(t.entryBuf) {
-		e = &t.entryBuf[t.entryUsed]
-		t.entryUsed++
-	} else {
-		// Flush dropped the original objects; allocate replacements.
-		e = &l1entry{}
-	}
-	e.vpn, e.frame, e.stamp = vpn, frame, t.stamp
-	t.entries[vpn] = e
 }
 
 // Tick resubmits the backend submissions that were refused, in order, keeping
@@ -257,25 +204,20 @@ func (t *L1TLB) NextEvent(now int64) int64 {
 // waking waiters with the eventual translation. To keep the model simple and
 // live, Flush only clears cached entries; outstanding walks still complete
 // and wake their warps.
-func (t *L1TLB) Flush() {
-	t.entries = make(map[uint64]*l1entry, t.size)
-}
+func (t *L1TLB) Flush() { t.tab.reset() }
 
 // Entries returns the number of valid entries (test helper).
-func (t *L1TLB) Entries() int { return len(t.entries) }
+func (t *L1TLB) Entries() int { return t.tab.n }
 
 // OutstandingMisses returns the number of active miss entries.
 func (t *L1TLB) OutstandingMisses() int { return len(t.mshrs) }
 
 // Contains reports whether vpn is cached (test helper).
-func (t *L1TLB) Contains(vpn uint64) bool {
-	_, ok := t.entries[vpn]
-	return ok
-}
+func (t *L1TLB) Contains(vpn uint64) bool { return t.tab.contains(l2key{t.asid, vpn}) }
 
 // FlushFraction drops roughly the given fraction of cached entries — every
-// stride-th one in ascending VPN order, so the victims do not depend on map
-// iteration order — modelling partial eviction across a context switch.
+// stride-th one in ascending VPN order, so the victims do not depend on
+// recency — modelling partial eviction across a context switch.
 func (t *L1TLB) FlushFraction(fraction float64) {
 	if fraction <= 0 {
 		return
@@ -288,12 +230,9 @@ func (t *L1TLB) FlushFraction(fraction float64) {
 	if stride < 1 {
 		stride = 1
 	}
-	vpns := make([]uint64, 0, len(t.entries))
-	for vpn := range t.entries {
-		vpns = append(vpns, vpn)
-	}
-	slices.Sort(vpns)
-	for i := 0; i < len(vpns); i += stride {
-		delete(t.entries, vpns[i])
+	es := t.tab.entries()
+	slices.SortFunc(es, func(x, y assocEntry) int { return cmp.Compare(x.key.vpn, y.key.vpn) })
+	for i := 0; i < len(es); i += stride {
+		t.tab.remove(es[i].key)
 	}
 }
