@@ -6,6 +6,7 @@ package masksim
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"masksim/internal/experiments"
@@ -73,13 +74,15 @@ func BenchmarkSimulatorKernel(b *testing.B) {
 // allocBudget is the checked-in allocation ceiling for one
 // BenchmarkSimulatorKernel iteration (simulator construction plus a
 // benchCycles run of the contended MASK pair). Request/walk pooling brought
-// the iteration from ~554k allocations down to ~59k — almost all of it
-// one-time construction and pool warm-up — so the budget mostly guards the
-// steady state: reintroducing a per-request, per-walk or per-TLB-fill
-// allocation on the hot path blows past it. The iteration measures 65.6k
-// today and the budget is that + 2 %. Raise it only with a profile in hand
-// showing the new allocations are construction-time.
-const allocBudget = 67_000
+// the iteration from ~554k allocations down to ~66k, and carving every pooled
+// object, stream and page-table node from slab chunks brought that to ~10k —
+// what is left is mostly one completion closure per tracker and the
+// construction of 30 cores — so the budget guards both the steady state and
+// the cold start: reintroducing a per-request, per-walk, per-TLB-fill or
+// per-warp allocation blows past it. The iteration measures 10.4k today and
+// the budget is that + 2 %. Raise it only with a profile in hand showing
+// what the new allocations buy.
+const allocBudget = 10_610
 
 // TestAllocBudget is the allocation-regression gate CI runs on every change.
 func TestAllocBudget(t *testing.T) {
@@ -95,6 +98,40 @@ func TestAllocBudget(t *testing.T) {
 	if allocs > allocBudget {
 		t.Fatalf("simulator kernel allocated %.0f objects per run, budget is %d; "+
 			"profile with -memprofile before raising the budget", allocs, allocBudget)
+	}
+}
+
+// TestColdCellBudget gates the cost of the campaign's unit of work — build a
+// simulator, run it for 3 000 cycles, throw it away (`maskexp all` executes
+// hundreds of such cells, maskd one per cold job) — in objects and in bytes.
+// The object budget is today's measurement (8 056) + 2 %. The byte budget is
+// what the same cell allocated before its objects were carved from chunks
+// (6 836 768 B, one new() per request, stream, leaf and closure): chunking
+// may not buy a lower object count with more memory for the collector to
+// trace, so a chunk-size change that pushes bytes past the unchunked figure
+// fails here. The cell measures 6.13 MB today.
+func TestColdCellBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate skipped in -short mode")
+	}
+	const (
+		objectBudget = 8_220
+		byteBudget   = 6_836_768
+	)
+	cell := func() {
+		if _, err := Run(context.Background(), SharedTLBConfig(), []string{"3DS", "HISTO"}, 3000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, cell); allocs > objectBudget {
+		t.Fatalf("cold cell allocated %.0f objects, budget is %d", allocs, objectBudget)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cell()
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > byteBudget {
+		t.Fatalf("cold cell allocated %d bytes, budget is %d", bytes, byteBudget)
 	}
 }
 

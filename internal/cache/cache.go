@@ -22,6 +22,7 @@ import (
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/slab"
 )
 
 // Backend is the next level below a cache (another cache, or DRAM).
@@ -123,14 +124,16 @@ type line struct {
 }
 
 // mshr tracks one outstanding line fetch (regular miss or bypass). MSHR
-// objects are recycled through the cache's free list; fillDone is bound once
-// at first allocation so steady-state misses allocate neither the MSHR nor
-// its completion closure.
+// objects are recycled through the cache's free list; fillDone is bound once,
+// at first handout, so steady-state misses allocate neither the MSHR nor its
+// completion closure, and waiting starts out on waitBuf so the first merges
+// do not allocate either.
 type mshr struct {
 	lineAddr uint64
 	bypass   bool
 	waiting  []*memreq.Request
 	fillDone func(now int64, fr *memreq.Request)
+	waitBuf  [8]*memreq.Request
 }
 
 // Cache is a banked, set-associative, LRU cache.
@@ -150,7 +153,7 @@ type Cache struct {
 	bypassMSHRs map[uint64]*mshr
 	// mshrFree recycles mshr objects (and their waiting-list capacity and
 	// bound completion closures) across misses.
-	mshrFree []*mshr
+	mshrFree slab.List[mshr]
 	// retry holds fill and write requests the backend rejected.
 	retry []*memreq.Request
 
@@ -290,35 +293,17 @@ func New(cfg Config, backend Backend) *Cache {
 // the first Submit.
 func (c *Cache) SetRequestPool(p *memreq.Pool) { c.pool = p }
 
-// getMSHR takes a recycled mshr (or builds one with its completion closure
-// bound) for the given line.
+// getMSHR takes an mshr off the free list for the given line, binding the
+// completion closure of one handed out for the first time.
 func (c *Cache) getMSHR(lineAddr uint64, bypass bool) *mshr {
-	var m *mshr
-	if n := len(c.mshrFree); n > 0 {
-		m = c.mshrFree[n-1]
-		c.mshrFree[n-1] = nil
-		c.mshrFree = c.mshrFree[:n-1]
-	} else {
-		m = c.newMSHR()
+	m, fresh := c.mshrFree.Get()
+	if fresh {
+		m.fillDone = func(now int64, fr *memreq.Request) { c.fillArrived(now, m, fr) }
+		m.waiting = m.waitBuf[:0]
 	}
 	m.lineAddr = lineAddr
 	m.bypass = bypass
 	return m
-}
-
-// newMSHR builds a fresh mshr with its completion closure bound.
-func (c *Cache) newMSHR() *mshr {
-	m := &mshr{}
-	m.fillDone = func(now int64, fr *memreq.Request) { c.fillArrived(now, m, fr) }
-	return m
-}
-
-func (c *Cache) putMSHR(m *mshr) {
-	for i := range m.waiting {
-		m.waiting[i] = nil
-	}
-	m.waiting = m.waiting[:0]
-	c.mshrFree = append(c.mshrFree, m)
 }
 
 // SetBypass installs the bypass predicate (nil disables bypassing).
@@ -641,21 +626,20 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 func (c *Cache) fillArrived(now int64, m *mshr, fr *memreq.Request) {
 	if m.bypass {
 		delete(c.bypassMSHRs, m.lineAddr)
-		for _, w := range m.waiting {
-			w.Served = fr.Served
-			w.Complete(now, fr.Served)
-		}
-		c.putMSHR(m)
-		return
+	} else {
+		delete(c.mshrs, m.lineAddr)
+		c.install(now, m.lineAddr, false, fr.AppID)
 	}
-	delete(c.mshrs, m.lineAddr)
-	c.install(now, m.lineAddr, false, fr.AppID)
 	for _, w := range m.waiting {
 		w.Served = fr.Served
-		c.recordLatency(now, w)
+		if !m.bypass {
+			c.recordLatency(now, w)
+		}
 		w.Complete(now, fr.Served)
 	}
-	c.putMSHR(m)
+	clear(m.waiting)
+	m.waiting = m.waiting[:0]
+	c.mshrFree.Put(m)
 }
 
 // install places lineAddr into its set, evicting the LRU victim (restricted

@@ -63,7 +63,7 @@ func (c *Cache) SnapshotState(ctx any) (any, error) {
 	st := CacheState{
 		SnapID:        c.snapID,
 		Stamp:         c.stamp,
-		MshrFree:      len(c.mshrFree),
+		MshrFree:      c.mshrFree.Len(),
 		CombineSwapAt: c.combineSwapAt,
 		LevelStats:    c.levelStats,
 		EpochStats:    c.epochStats,
@@ -160,10 +160,7 @@ func (c *Cache) RestoreState(ctx any, state any) error {
 	for _, ms := range st.BypassMshrs {
 		c.bypassMSHRs[ms.LineAddr] = buildMSHR(ms, true)
 	}
-	for len(c.mshrFree) < st.MshrFree {
-		c.mshrFree = append(c.mshrFree, c.newMSHR())
-	}
-	c.mshrFree = c.mshrFree[:st.MshrFree]
+	c.mshrFree.Refill(st.MshrFree)
 	c.retry = c.retry[:0]
 	for _, ref := range st.Retry {
 		c.retry = append(c.retry, rt.Req(ref))

@@ -60,7 +60,7 @@ func (d *DRAM) SnapshotState(ctx any) (any, error) {
 		PerAppBus:  append([]uint64(nil), d.perAppBus...),
 		StartCycle: d.startCycle,
 		LastCycle:  d.lastCycle,
-		QFree:      len(d.qFree),
+		QFree:      d.qFree.Len(),
 	}
 	st.Channels = make([]ChannelState, len(d.channels))
 	for i := range d.channels {
@@ -90,8 +90,8 @@ func (d *DRAM) RestoreState(ctx any, state any) error {
 		return fmt.Errorf("dram: checkpoint has %d channels, model has %d", len(st.Channels), len(d.channels))
 	}
 	dec := func(qs QueuedState) *Queued {
-		q := d.getQueued()
-		q.Req, q.Arrival, q.Bank, q.Row, q.finish = rt.Req(qs.Req), qs.Arrival, qs.Bank, qs.Row, qs.Finish
+		q, _ := d.qFree.Get()
+		*q = Queued{Req: rt.Req(qs.Req), Arrival: qs.Arrival, Bank: qs.Bank, Row: qs.Row, finish: qs.Finish}
 		return q
 	}
 	d.Class = st.Class
@@ -111,10 +111,7 @@ func (d *DRAM) RestoreState(ctx any, state any) error {
 			return fmt.Errorf("dram: channel %d: %w", i, err)
 		}
 	}
-	for len(d.qFree) < st.QFree {
-		d.qFree = append(d.qFree, &Queued{})
-	}
-	d.qFree = d.qFree[:st.QFree]
+	d.qFree.Refill(st.QFree)
 	return nil
 }
 

@@ -12,6 +12,7 @@ package dram
 import (
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/slab"
 )
 
 // Config describes the DRAM subsystem (paper Table 1: GDDR5, 8 channels,
@@ -161,22 +162,7 @@ type DRAM struct {
 	// qFree recycles Queued wrappers: Submit takes one, and it returns when
 	// the scheduler refuses it or its transfer completes. Schedulers never
 	// retain a Queued after Pick, so recycling at completion is safe.
-	qFree []*Queued
-}
-
-func (d *DRAM) getQueued() *Queued {
-	if n := len(d.qFree); n > 0 {
-		q := d.qFree[n-1]
-		d.qFree[n-1] = nil
-		d.qFree = d.qFree[:n-1]
-		return q
-	}
-	return &Queued{}
-}
-
-func (d *DRAM) putQueued(q *Queued) {
-	*q = Queued{}
-	d.qFree = append(d.qFree, q)
+	qFree slab.List[Queued]
 }
 
 // New builds the DRAM model. mkSched constructs one scheduler per channel.
@@ -243,10 +229,10 @@ func (d *DRAM) ChannelOfFrame(frame uint64) int {
 // Submit implements cache.Backend: route the request to its channel queue.
 func (d *DRAM) Submit(now int64, r *memreq.Request) bool {
 	chanIdx, bank, row := d.Map(r.Addr)
-	q := d.getQueued()
-	q.Req, q.Arrival, q.Bank, q.Row = r, now, bank, row
+	q, _ := d.qFree.Get()
+	*q = Queued{Req: r, Arrival: now, Bank: bank, Row: row}
 	if !d.channels[chanIdx].sched.Enqueue(now, q) {
-		d.putQueued(q)
+		d.qFree.Put(q)
 		return false
 	}
 	return true
@@ -366,7 +352,7 @@ func (d *DRAM) complete(now int64, q *Queued) {
 	cls := req.Class
 	d.Class[cls].Requests++
 	d.Class[cls].LatSum += uint64(now - q.Arrival)
-	d.putQueued(q)
+	d.qFree.Put(q)
 	if d.drop != nil && d.drop(now) {
 		return // the Request is stranded by design (fault injection)
 	}

@@ -54,7 +54,7 @@ func (c *Core) SnapshotState(ctx any) (any, error) {
 		WaitTrans:  c.waitTrans,
 		WaitData:   c.waitData,
 		Stats:      c.Stats,
-		CtxFree:    len(c.ctxFree),
+		CtxFree:    c.ctxFree.Len(),
 	}
 	st.Warps = make([]WarpState, len(c.warps))
 	for i := range c.warps {
@@ -127,9 +127,7 @@ func (c *Core) RestoreState(ctx any, state any) error {
 		tc.lines = append([]uint64(nil), cs.Lines...)
 		tc.isWrite = cs.IsWrite
 	}
-	for len(c.ctxFree) < st.CtxFree {
-		c.ctxFree = append(c.ctxFree, c.newCtx())
-	}
+	c.ctxFree.Refill(st.CtxFree)
 	c.retry = c.retry[:0]
 	for _, ref := range st.Retry {
 		c.retry = append(c.retry, rt.Req(ref))
@@ -158,11 +156,10 @@ func (c *Core) ReattachWaiters() error {
 	return nil
 }
 
-// DataDone exposes a warp's data-return callback for the simulator's
-// checkpoint link pass (rebinding memreq.SiteCoreData requests).
-func (c *Core) DataDone(warpID int) func(now int64, r *memreq.Request) {
-	return c.warps[warpID].dataDone
-}
+// DataDone exposes the core's data-return callback for the simulator's
+// checkpoint link pass (rebinding memreq.SiteCoreData requests; the
+// request's WarpID must name one of the core's warps).
+func (c *Core) DataDone() func(now int64, r *memreq.Request) { return c.dataDone }
 
 // Stream exposes a warp's stream so the simulator can enumerate shared
 // group-sync objects during checkpointing.

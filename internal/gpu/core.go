@@ -17,6 +17,7 @@ import (
 	"masksim/internal/cache"
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/slab"
 	"masksim/internal/workload"
 )
 
@@ -92,18 +93,14 @@ type warp struct {
 	transDoneAt int64
 
 	stream *workload.Stream
-
-	// dataDone is the completion handler shared by every read this warp
-	// issues, bound once at core construction (the warps slice never
-	// reallocates, so the captured pointer stays valid).
-	dataDone func(now int64, r *memreq.Request)
 }
 
 // transCtx carries one page-translation callback's context. Contexts are
-// recycled through the core's free list: the bound done closure is allocated
-// once, and the per-page fields are reassigned on reuse. A context is checked
-// back in the moment its callback fires; a translation that never completes
-// (fault-injection wedge) strands its context harmlessly.
+// recycled through the core's free list: the done closure is bound once, when
+// the context is first handed out, and the per-page fields are reassigned on
+// reuse. A context is checked back in the moment its callback fires; a
+// translation that never completes (fault-injection wedge) strands its
+// context harmlessly.
 type transCtx struct {
 	w       *warp
 	lines   []uint64
@@ -133,7 +130,10 @@ type Core struct {
 	// pool recycles data-access requests; New creates a private pool, the
 	// simulator injects its shared one.
 	pool    *memreq.Pool
-	ctxFree []*transCtx
+	ctxFree slab.List[transCtx]
+	// dataDone is the completion handler of every read the core issues,
+	// bound once at construction; the request's WarpID names the warp.
+	dataDone func(now int64, r *memreq.Request)
 
 	// liveHead/liveTail anchor the in-flight translation contexts in creation
 	// order (see transCtx.prev/next). attachWaiter, installed by the
@@ -173,11 +173,11 @@ func New(id, appID int, cfg Config, streams []*workload.Stream, translate Transl
 	}
 	for i := range c.warps {
 		c.warps[i] = warp{id: i, stream: streams[i]}
-		w := &c.warps[i]
-		w.dataDone = func(dnow int64, _ *memreq.Request) {
-			w.outstandingData--
-			c.maybeUnblock(dnow, w)
-		}
+	}
+	c.dataDone = func(dnow int64, r *memreq.Request) {
+		w := &c.warps[r.WarpID]
+		w.outstandingData--
+		c.maybeUnblock(dnow, w)
 	}
 	c.ready = make([]uint64, (len(c.warps)+63)/64)
 	c.rebuildReady()
@@ -188,33 +188,23 @@ func New(id, appID int, cfg Config, streams []*workload.Stream, translate Transl
 // per-simulator one. Must be called before simulation starts.
 func (c *Core) SetRequestPool(p *memreq.Pool) { c.pool = p }
 
-// getCtx takes a recycled translation context or builds one with its done
-// handler bound.
+// getCtx takes a translation context off the free list, binding the done
+// handler of one handed out for the first time, and links it live.
 func (c *Core) getCtx() *transCtx {
-	var ctx *transCtx
-	if n := len(c.ctxFree); n > 0 {
-		ctx = c.ctxFree[n-1]
-		c.ctxFree[n-1] = nil
-		c.ctxFree = c.ctxFree[:n-1]
-	} else {
-		ctx = c.newCtx()
+	ctx, fresh := c.ctxFree.Get()
+	if fresh {
+		ctx.done = func(tnow int64, frame uint64) {
+			// Copy out and recycle first: onTranslated never re-enters
+			// getCtx, and releasing here keeps the context live for exactly
+			// one callback.
+			w, lines, isWrite := ctx.w, ctx.lines, ctx.isWrite
+			ctx.w, ctx.lines = nil, nil
+			c.unlinkCtx(ctx)
+			c.ctxFree.Put(ctx)
+			c.onTranslated(tnow, w, lines, frame, isWrite)
+		}
 	}
 	c.linkCtx(ctx)
-	return ctx
-}
-
-// newCtx allocates a context with its done handler bound.
-func (c *Core) newCtx() *transCtx {
-	ctx := &transCtx{}
-	ctx.done = func(tnow int64, frame uint64) {
-		// Copy out and recycle first: onTranslated never re-enters getCtx,
-		// and releasing here keeps the context live for exactly one callback.
-		w, lines, isWrite := ctx.w, ctx.lines, ctx.isWrite
-		ctx.w, ctx.lines = nil, nil
-		c.unlinkCtx(ctx)
-		c.ctxFree = append(c.ctxFree, ctx)
-		c.onTranslated(tnow, w, lines, frame, isWrite)
-	}
 	return ctx
 }
 
@@ -447,7 +437,7 @@ func (c *Core) onTranslated(now int64, w *warp, lines []uint64, frame uint64, is
 		} else {
 			req.Kind = memreq.Read
 			w.outstandingData++
-			req.Done = w.dataDone
+			req.Done = c.dataDone
 			req.Site = memreq.SiteCoreData
 		}
 		if !c.l1d.Submit(now, req) {

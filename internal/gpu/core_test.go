@@ -387,3 +387,70 @@ func TestRestoreRejectsCurrentWarpOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// TestCoreDataDoneByWarpID pins the one-closure-per-core data handler: with
+// every warp of a full core parked on reads of its own lines, completing the
+// reads issued for warp 63 must unblock warp 63 and nothing else, under both
+// warp schedulers.
+func TestCoreDataDoneByWarpID(t *testing.T) {
+	for _, rr := range []bool{false, true} {
+		const warps = 64
+		be := &sink{delay: 1 << 40} // nothing returns until the test says so
+		l1d := cache.New(cache.Config{
+			Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
+			Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 64,
+		}, be)
+		// Read-only, no hot region, one private page per warp: no two warps
+		// ever share a line, so every fill belongs to exactly one of them.
+		p := workload.Profile{
+			Name: "T", HotBytes: 4096, PrivateBytes: warps * 4096,
+			PageStayProb: 1, SeqProb: 1, ComputePerMem: 2, Divergence: 1, LinesPerInst: 2,
+		}
+		streams := make([]*workload.Stream, warps)
+		for w := range streams {
+			streams[w] = p.NewStream(workload.StreamConfig{
+				Base: 1 << 32, PageSize: 4096, LineSize: 64, WarpIndex: w, NumWarps: warps, Seed: 5,
+			})
+		}
+		var idgen memreq.IDGen
+		core := New(0, 0, Config{
+			WarpsPerCore: warps, PageShift: 12, FrameSize: 4096, LineSize: 64, RoundRobin: rr,
+		}, streams, instantTranslate, l1d, &idgen)
+		for now := int64(0); now < 2000; now++ {
+			core.Tick(now)
+			l1d.Tick(now)
+		}
+		if core.ReadyWarps() != 0 || len(core.retry) != 0 {
+			t.Fatalf("rr=%v: %d warps ready, %d requests in retry; want every warp parked on data", rr, core.ReadyWarps(), len(core.retry))
+		}
+		outstanding := func(skip int) (n int) {
+			for i := range core.warps {
+				if i != skip {
+					n += core.warps[i].outstandingData
+				}
+			}
+			return n
+		}
+		others := outstanding(63)
+		returned := 0
+		for _, pr := range be.pending {
+			if pr.r.WarpID == 63 {
+				pr.r.Complete(2000, memreq.ServedDRAM)
+				returned++
+			}
+		}
+		if returned == 0 {
+			t.Fatalf("rr=%v: warp 63 has no fill outstanding at the backend", rr)
+		}
+		if w := &core.warps[63]; w.state != warpReady || w.outstandingData != 0 {
+			t.Fatalf("rr=%v: warp 63 still blocked (state %d, %d reads outstanding) after its %d fills returned", rr, w.state, w.outstandingData, returned)
+		}
+		if core.ReadyWarps() != 1 || outstanding(63) != others {
+			t.Fatalf("rr=%v: %d warps ready and %d reads outstanding elsewhere (was %d); only warp 63 may move", rr, core.ReadyWarps(), outstanding(63), others)
+		}
+		core.Tick(2001)
+		if core.current != 63 {
+			t.Fatalf("rr=%v: scheduler picked warp %d, want the only ready warp 63", rr, core.current)
+		}
+	}
+}

@@ -30,6 +30,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	// Registered after TempDir, so it runs before the directory is removed:
+	// a job a test submitted and never waited for must not still be writing
+	// its results into the store then.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Errorf("drain at cleanup: %v", err)
+		}
+	})
 	return s, ts
 }
 

@@ -1,6 +1,10 @@
 package memreq
 
-import "fmt"
+import (
+	"fmt"
+
+	"masksim/internal/slab"
+)
 
 // Checkpoint support: serializable forms of the request types and the
 // two-phase registry that lets many components reference the same in-flight
@@ -218,40 +222,41 @@ func (g *IDGen) SetState(next uint64) { g.next = next }
 
 // PoolState is the serializable image of a request pool: only the free-list
 // length and the cumulative counters matter — free objects are
-// interchangeable zeroed memory, so restore refills the list with fresh
-// allocations.
+// interchangeable zeroed memory, so restore tops the list up through
+// slab.List.Refill.
 type PoolState struct {
 	Free   int
 	Allocs uint64
 	Gets   uint64
 }
 
-// State captures the pool's checkpoint image.
-func (p *Pool) State() PoolState {
-	return PoolState{Free: len(p.free), Allocs: p.Allocs, Gets: p.Gets}
+func poolState[T any](l *slab.List[T]) PoolState {
+	return PoolState{Free: l.Len(), Allocs: l.Allocs, Gets: l.Gets}
 }
 
-// SetState restores the pool image: the free list is topped up (or trimmed)
-// to the recorded length and the counters are overwritten, called after any
+// restorePool applies a pool image: the free list is topped up to the
+// recorded length and the counters are overwritten. Called after any
 // RestoreTable materialization so the counters reflect the checkpointed run.
-func (p *Pool) SetState(st PoolState) {
-	for len(p.free) < st.Free {
-		p.free = append(p.free, &Request{pool: p, life: lifeFree})
+// An image no run can produce — more free objects than were ever created,
+// more created than handed out — is rejected: the envelope checksum vouches
+// for the bytes, not for the state they encode.
+func restorePool[T any](l *slab.List[T], id int, st PoolState) error {
+	if st.Free < 0 || uint64(st.Free) > st.Allocs || st.Allocs > st.Gets {
+		return fmt.Errorf("memreq: checkpoint pool %d has Free=%d Allocs=%d Gets=%d", id, st.Free, st.Allocs, st.Gets)
 	}
-	p.free = p.free[:st.Free]
-	p.Allocs, p.Gets = st.Allocs, st.Gets
+	l.Refill(st.Free)
+	l.Allocs, l.Gets = st.Allocs, st.Gets
+	return nil
 }
 
 // State captures the pool's checkpoint image.
-func (p *TransPool) State() PoolState {
-	return PoolState{Free: len(p.free), Allocs: p.Allocs, Gets: p.Gets}
-}
+func (p *Pool) State() PoolState { return poolState(&p.free) }
 
-// SetState restores the pool image (see Pool.SetState).
-func (p *TransPool) SetState(st PoolState) {
-	for len(p.free) < st.Free {
-		p.free = append(p.free, &TransReq{pool: p, life: lifeFree})
-	}
-	p.free = p.free[:st.Free]
-	p.Allocs, p.Gets = st.Allocs, st.Gets
-}
+// SetState restores the pool image (see restorePool).
+func (p *Pool) SetState(st PoolState) error { return restorePool(&p.free, p.ID, st) }
+
+// State captures the pool's checkpoint image.
+func (p *TransPool) State() PoolState { return poolState(&p.free) }
+
+// SetState restores the pool image (see restorePool).
+func (p *TransPool) SetState(st PoolState) error { return restorePool(&p.free, p.ID, st) }

@@ -1,5 +1,7 @@
 package memreq
 
+import "masksim/internal/slab"
+
 // Pool is a deterministic free list of Requests owned by one simulator.
 //
 // The simulation hot loop creates a Request per memory access and per MSHR
@@ -9,21 +11,18 @@ package memreq
 // the free list once the Done callback has run.
 //
 // Pools are intentionally NOT sync.Pool: the cycle loop is single-threaded
-// per simulator, and a plain slice keeps recycling fully deterministic (the
-// GC never steals entries, so object identity sequences — and therefore any
-// accidental dependence on them — are identical run to run). Each simulator
-// instance owns its pools; two simulators running concurrently never share
-// request memory, which keeps runs race-free (see the sim package's
-// concurrency test).
+// per simulator, and a plain slab.List keeps recycling fully deterministic
+// (the GC never steals entries, so object identity sequences — and therefore
+// any accidental dependence on them — are identical run to run). Each
+// simulator instance owns its pools; two simulators running concurrently
+// never share request memory, which keeps runs race-free (see the sim
+// package's concurrency test).
 //
 // The zero Pool is ready to use.
 type Pool struct {
-	free []*Request
-
-	// Allocs counts objects created because the free list was empty; Gets
-	// counts all handouts. Gets - Allocs is the number of recycles. Exposed
-	// for tests and telemetry.
-	Allocs, Gets uint64
+	// free recycles the requests. Its Allocs counts objects created because
+	// the free list was empty and its Gets all handouts (tests, checkpoints).
+	free slab.List[Request]
 
 	// ID names this pool inside a checkpoint: every request snapshotted by a
 	// Table records its owning pool's ID, and RestoreTable materializes it
@@ -35,16 +34,9 @@ type Pool struct {
 // Get returns a live, zeroed Request owned by the caller. The request comes
 // back to the pool automatically when its Complete runs.
 func (p *Pool) Get() *Request {
-	p.Gets++
-	if n := len(p.free); n > 0 {
-		r := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		*r = Request{pool: p}
-		return r
-	}
-	p.Allocs++
-	return &Request{pool: p}
+	r, _ := p.free.Get()
+	*r = Request{pool: p}
+	return r
 }
 
 // put returns a completed request to the free list. Only Request.Complete
@@ -53,18 +45,16 @@ func (p *Pool) Get() *Request {
 func (p *Pool) put(r *Request) {
 	r.life = lifeFree
 	r.Done = nil
-	p.free = append(p.free, r)
+	p.free.Put(r)
 }
 
 // FreeLen reports the current free-list length (test helper).
-func (p *Pool) FreeLen() int { return len(p.free) }
+func (p *Pool) FreeLen() int { return p.free.Len() }
 
 // TransPool is the Pool analogue for TransReqs, recycled by
 // TransReq.Complete. The zero TransPool is ready to use.
 type TransPool struct {
-	free []*TransReq
-
-	Allocs, Gets uint64
+	free slab.List[TransReq]
 
 	// ID names this pool inside a checkpoint (see Pool.ID).
 	ID int
@@ -72,23 +62,16 @@ type TransPool struct {
 
 // Get returns a live, zeroed TransReq owned by the caller.
 func (p *TransPool) Get() *TransReq {
-	p.Gets++
-	if n := len(p.free); n > 0 {
-		tr := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		*tr = TransReq{pool: p}
-		return tr
-	}
-	p.Allocs++
-	return &TransReq{pool: p}
+	tr, _ := p.free.Get()
+	*tr = TransReq{pool: p}
+	return tr
 }
 
 func (p *TransPool) put(tr *TransReq) {
 	tr.life = lifeFree
 	tr.Done = nil
-	p.free = append(p.free, tr)
+	p.free.Put(tr)
 }
 
 // FreeLen reports the current free-list length (test helper).
-func (p *TransPool) FreeLen() int { return len(p.free) }
+func (p *TransPool) FreeLen() int { return p.free.Len() }

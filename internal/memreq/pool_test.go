@@ -31,8 +31,8 @@ func TestPoolRecyclesOnComplete(t *testing.T) {
 	if r2.Addr != 0 || r2.Served != ServedNone || r2.Done != nil {
 		t.Fatalf("recycled request not zeroed: %+v", r2)
 	}
-	if p.Gets != 2 || p.Allocs != 1 {
-		t.Fatalf("stats Gets=%d Allocs=%d, want 2/1", p.Gets, p.Allocs)
+	if p.free.Gets != 2 || p.free.Allocs != 1 {
+		t.Fatalf("stats Gets=%d Allocs=%d, want 2/1", p.free.Gets, p.free.Allocs)
 	}
 }
 

@@ -10,7 +10,11 @@
 // caches and DRAM banks as data — the interference at the heart of §4.3.
 package pagetable
 
-import "fmt"
+import (
+	"fmt"
+
+	"masksim/internal/slab"
+)
 
 // PageSize4K and PageSize2M are the supported page sizes.
 const (
@@ -69,21 +73,56 @@ func (a *Allocator) Alloc() uint64 {
 // frames skipped by constraints); a cheap proxy for footprint in tests.
 func (a *Allocator) Allocated() uint64 { return a.next - 1 }
 
+// inlineSlots is how many mappings a leaf holds before it switches to a dense
+// table. Sparse VA layouts (large page strides) create many leaves holding
+// only a few mappings each — every leaf of every built-in profile holds
+// exactly 8 — so a leaf keeps its first mappings in a small inline array and
+// pays for a full 512-entry table only when a trace or a dense 2MB layout
+// fills it further.
+const inlineSlots = 8
+
+// node is one page-table node. Interior nodes use kids; leaves use the
+// inline (slot, frame) pairs or, once promoted, dense. Nodes are carved from
+// the Space's slab and never freed.
 type node struct {
-	frame    uint64
-	children []*node // interior nodes
-	// frames maps leaf slot -> data frame. Sparse VA layouts (large page
-	// strides) create many leaf nodes holding only a few mappings each, so
-	// leaves use a small map instead of a 512-slot array.
-	frames map[int]uint64
+	frame uint64
+	kids  *[entriesPerNode]*node
+	// dense maps leaf slot -> data frame; 0 means unmapped (frame 0 is the
+	// Allocator's null sentinel and never backs a page).
+	dense  *[entriesPerNode]uint64
+	frames [inlineSlots]uint64
+	slots  [inlineSlots]uint16
+	n      uint8
 }
 
-func newInterior(frame uint64) *node {
-	return &node{frame: frame, children: make([]*node, entriesPerNode)}
+// lookup returns the data frame mapped at slot idx of a leaf.
+func (n *node) lookup(idx int) (uint64, bool) {
+	if n.dense != nil {
+		f := n.dense[idx]
+		return f, f != 0
+	}
+	for i := 0; i < int(n.n); i++ {
+		if int(n.slots[i]) == idx {
+			return n.frames[i], true
+		}
+	}
+	return 0, false
 }
 
-func newLeaf(frame uint64) *node {
-	return &node{frame: frame, frames: make(map[int]uint64, 8)}
+// set maps slot idx of a leaf, which must not be mapped yet, to frame.
+func (n *node) set(idx int, frame uint64) {
+	if n.dense == nil && n.n < inlineSlots {
+		n.slots[n.n], n.frames[n.n] = uint16(idx), frame
+		n.n++
+		return
+	}
+	if n.dense == nil {
+		n.dense = new([entriesPerNode]uint64)
+		for i, slot := range n.slots {
+			n.dense[slot] = n.frames[i]
+		}
+	}
+	n.dense[idx] = frame
 }
 
 // Space is one application's address space: an ASID plus its radix table.
@@ -93,6 +132,7 @@ type Space struct {
 	levels    int
 	alloc     *Allocator
 	root      *node
+	nodes     slab.List[node]
 
 	mappedPages uint64
 }
@@ -111,8 +151,18 @@ func NewSpace(asid uint8, pageSize int, alloc *Allocator) *Space {
 		panic(fmt.Sprintf("pagetable: unsupported page size %d", pageSize))
 	}
 	s := &Space{asid: asid, pageShift: shift, levels: levels, alloc: alloc}
-	s.root = newInterior(alloc.Alloc())
+	s.root = s.newNode(true)
 	return s
+}
+
+// newNode carves a node backed by a freshly allocated frame.
+func (s *Space) newNode(interior bool) *node {
+	n, _ := s.nodes.Get()
+	n.frame = s.alloc.Alloc()
+	if interior {
+		n.kids = new([entriesPerNode]*node)
+	}
+	return n
 }
 
 // ASID returns the address space identifier.
@@ -149,18 +199,14 @@ func (s *Space) EnsureMapped(va uint64) uint64 {
 	n := s.root
 	for level := 1; level < s.levels; level++ {
 		idx := s.indexAt(vpn, level)
-		if level == s.levels-1 {
-			// Next level is the leaf.
-			if n.children[idx] == nil {
-				n.children[idx] = newLeaf(s.alloc.Alloc())
-			}
-		} else if n.children[idx] == nil {
-			n.children[idx] = newInterior(s.alloc.Alloc())
+		if n.kids[idx] == nil {
+			// The level below the last interior one is the leaf.
+			n.kids[idx] = s.newNode(level < s.levels-1)
 		}
-		n = n.children[idx]
+		n = n.kids[idx]
 	}
 	idx := s.indexAt(vpn, s.levels)
-	if f, ok := n.frames[idx]; ok {
+	if f, ok := n.lookup(idx); ok {
 		return f
 	}
 	// Data pages may span multiple frames (2MB pages); the frame number
@@ -171,7 +217,7 @@ func (s *Space) EnsureMapped(va uint64) uint64 {
 	for i := uint64(1); i < framesPerPage; i++ {
 		s.alloc.Alloc()
 	}
-	n.frames[idx] = base
+	n.set(idx, base)
 	s.mappedPages++
 	return base
 }
@@ -184,13 +230,12 @@ func (s *Space) Translate(va uint64) (uint64, bool) {
 	n := s.root
 	for level := 1; level < s.levels; level++ {
 		idx := s.indexAt(vpn, level)
-		if n.children[idx] == nil {
+		if n.kids[idx] == nil {
 			return 0, false
 		}
-		n = n.children[idx]
+		n = n.kids[idx]
 	}
-	idx := s.indexAt(vpn, s.levels)
-	frame, ok := n.frames[idx]
+	frame, ok := n.lookup(s.indexAt(vpn, s.levels))
 	if !ok {
 		return 0, false
 	}
@@ -218,10 +263,10 @@ func (s *Space) WalkAddrs(vpn uint64) []uint64 {
 		idx := s.indexAt(vpn, level)
 		addrs = append(addrs, n.frame*FrameSize+uint64(idx)*pteSize)
 		if level < s.levels {
-			if n.children[idx] == nil {
+			if n.kids[idx] == nil {
 				panic(fmt.Sprintf("pagetable: WalkAddrs on unmapped vpn %#x (level %d)", vpn, level))
 			}
-			n = n.children[idx]
+			n = n.kids[idx]
 		}
 	}
 	return addrs
@@ -236,10 +281,10 @@ func (s *Space) WalkAddrsInto(vpn uint64, dst []uint64) []uint64 {
 		idx := s.indexAt(vpn, level)
 		dst = append(dst, n.frame*FrameSize+uint64(idx)*pteSize)
 		if level < s.levels {
-			if n.children[idx] == nil {
+			if n.kids[idx] == nil {
 				panic(fmt.Sprintf("pagetable: WalkAddrsInto on unmapped vpn %#x (level %d)", vpn, level))
 			}
-			n = n.children[idx]
+			n = n.kids[idx]
 		}
 	}
 	return dst

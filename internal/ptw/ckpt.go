@@ -50,7 +50,7 @@ func (w *Walker) SnapshotState(ctx any) (any, error) {
 		return nil, fmt.Errorf("ptw: snapshot context is %T, want *memreq.Table", ctx)
 	}
 	st := WalkerState{
-		WalkFree:     len(w.walkFree),
+		WalkFree:     w.walkFree.Len(),
 		PerAppActive: append([]int(nil), w.perAppActive...),
 		SerialSeq:    w.serialSeq,
 		IDGen:        w.idgen.State(),
@@ -114,9 +114,7 @@ func (w *Walker) RestoreState(ctx any, state any) error {
 		}
 		w.pending = append(w.pending, wk)
 	}
-	for len(w.walkFree) < st.WalkFree {
-		w.walkFree = append(w.walkFree, w.newWalk())
-	}
+	w.walkFree.Refill(st.WalkFree)
 	if st.LatHist != nil && w.latHist != nil {
 		w.latHist.SetState(*st.LatHist)
 	}

@@ -18,6 +18,7 @@ import (
 	"masksim/internal/memreq"
 	"masksim/internal/metrics"
 	"masksim/internal/pagetable"
+	"masksim/internal/slab"
 )
 
 // Stats aggregates walker activity.
@@ -107,7 +108,7 @@ type Walker struct {
 	active  []*walk
 	pending []*walk
 	// walkFree recycles finished walk objects.
-	walkFree []*walk
+	walkFree slab.List[walk]
 	// pool recycles the walker's per-level memory read requests; New creates
 	// a private pool, the simulator injects its shared one.
 	pool *memreq.Pool
@@ -164,29 +165,14 @@ func New(maxConcurrent int, backend cache.Backend, numApps int) *Walker {
 // per-simulator one. Must be called before simulation starts.
 func (w *Walker) SetRequestPool(p *memreq.Pool) { w.pool = p }
 
-// getWalk takes a recycled walk object or builds one with its request
-// completion handler bound.
+// getWalk takes a walk object off the free list, binding the request
+// completion handler of one handed out for the first time.
 func (w *Walker) getWalk() *walk {
-	if n := len(w.walkFree); n > 0 {
-		wk := w.walkFree[n-1]
-		w.walkFree[n-1] = nil
-		w.walkFree = w.walkFree[:n-1]
-		return wk
+	wk, fresh := w.walkFree.Get()
+	if fresh {
+		wk.reqDone = func(now int64, _ *memreq.Request) { w.advance(now, wk) }
 	}
-	return w.newWalk()
-}
-
-// newWalk allocates a walk with its request completion handler bound.
-func (w *Walker) newWalk() *walk {
-	wk := &walk{}
-	wk.reqDone = func(now int64, _ *memreq.Request) { w.advance(now, wk) }
 	return wk
-}
-
-func (w *Walker) putWalk(wk *walk) {
-	wk.done, wk.tr, wk.addrs = nil, nil, nil
-	wk.waiting, wk.finished = false, false
-	w.walkFree = append(w.walkFree, wk)
 }
 
 // AddSpace registers an address space so the walker can resolve its radix
@@ -259,7 +245,9 @@ func (w *Walker) Tick(now int64) {
 			w.active[nkeep] = wk
 			nkeep++
 		} else {
-			w.putWalk(wk)
+			wk.done, wk.tr, wk.addrs = nil, nil, nil
+			wk.waiting, wk.finished = false, false
+			w.walkFree.Put(wk)
 		}
 	}
 	for i := nkeep; i < len(w.active); i++ {

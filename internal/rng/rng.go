@@ -17,14 +17,21 @@ type Source struct {
 // New returns a Source seeded with seed. Distinct seeds yield decorrelated
 // streams; a zero seed is remapped so the generator never sticks at zero.
 func New(seed uint64) *Source {
-	s := &Source{state: seed}
+	s := &Source{}
+	s.Seed(seed)
+	return s
+}
+
+// Seed (re)initialises s in place exactly as New(seed) would, for a Source
+// embedded by value in a larger structure.
+func (s *Source) Seed(seed uint64) {
+	s.state = seed
 	if s.state == 0 {
 		s.state = 0x9E3779B97F4A7C15 // golden-ratio constant
 	}
 	// Warm up so that near-identical small seeds diverge immediately.
 	s.Uint64()
 	s.Uint64()
-	return s
 }
 
 // State returns the generator's internal state for checkpointing.

@@ -43,7 +43,7 @@ func (t *L1TLB) SnapshotState(ctx any) (any, error) {
 	}
 	st := L1State{
 		Stamp:    t.tab.stamp,
-		MissFree: len(t.missFree),
+		MissFree: t.missFree.Len(),
 		Stats:    t.Stats,
 	}
 	for _, e := range t.tab.entries() {
@@ -82,9 +82,7 @@ func (t *L1TLB) RestoreState(ctx any, state any) error {
 		m.vpn, m.tr = ms.VPN, rt.Trans(ms.Tr)
 		t.mshrs[ms.VPN] = m
 	}
-	for len(t.missFree) < st.MissFree {
-		t.missFree = append(t.missFree, t.newMiss())
-	}
+	t.missFree.Refill(st.MissFree)
 	t.pending = t.pending[:0]
 	for _, ref := range st.Pending {
 		t.pending = append(t.pending, rt.Trans(ref))
@@ -244,7 +242,7 @@ func (t *L2TLB) SnapshotState(ctx any) (any, error) {
 	st := L2State{
 		Stamp:    t.stamp,
 		In:       engine.SnapshotRefs(t.in, tab.Trans),
-		MissFree: len(t.missFree),
+		MissFree: t.missFree.Len(),
 	}
 	st.Lines = make([]L2EntryState, len(t.lines))
 	for i := range t.lines {
@@ -261,7 +259,7 @@ func (t *L2TLB) SnapshotState(ctx any) (any, error) {
 		}
 		st.Mshrs = append(st.Mshrs, ms)
 	}
-	for _, tr := range t.stalled {
+	for _, tr := range t.stalled.live() {
 		st.Stalled = append(st.Stalled, tab.Trans(tr))
 	}
 	for key := range t.pfInFlight {
@@ -334,12 +332,10 @@ func (t *L2TLB) RestoreState(ctx any, state any) error {
 		}
 		t.mshrs[m.key] = m
 	}
-	for len(t.missFree) < st.MissFree {
-		t.missFree = append(t.missFree, t.newMiss())
-	}
-	t.stalled = t.stalled[:0]
+	t.missFree.Refill(st.MissFree)
+	t.stalled = transFIFO{}
 	for _, ref := range st.Stalled {
-		t.stalled = append(t.stalled, rt.Trans(ref))
+		t.stalled.push(rt.Trans(ref))
 	}
 	if len(st.PfInFlight) > 0 && t.pfInFlight == nil {
 		return fmt.Errorf("tlb: checkpoint has in-flight prefetches but prefetching is disabled")

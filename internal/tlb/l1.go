@@ -10,6 +10,7 @@ import (
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/slab"
 )
 
 // TransBackend receives translation requests that miss in an L1 TLB — the
@@ -47,14 +48,15 @@ func (s L1Stats) AvgStalledWarps() float64 {
 }
 
 // l1miss tracks one outstanding translation. Miss objects are recycled
-// through the TLB's free list; done is bound once at first allocation so a
+// through the TLB's free list; done is bound once, at first handout, so a
 // steady-state miss allocates neither the tracker nor its fill closure.
 type l1miss struct {
 	vpn uint64
 	tr  *memreq.TransReq
 	// waiting holds the completion callbacks of every warp blocked on this
-	// translation.
+	// translation; it starts out on waitBuf.
 	waiting []func(now int64, frame uint64)
+	waitBuf [8]func(now int64, frame uint64)
 
 	done func(now int64, frame uint64)
 }
@@ -71,7 +73,7 @@ type L1TLB struct {
 	mshrs   map[uint64]*l1miss
 	pending []*memreq.TransReq
 
-	missFree []*l1miss
+	missFree slab.List[l1miss]
 	// pool recycles translation requests; NewL1 creates a private pool, the
 	// simulator injects its shared one.
 	pool *memreq.TransPool
@@ -96,32 +98,15 @@ func NewL1(coreID, appID int, asid uint8, size int, backend TransBackend) *L1TLB
 // shared per-simulator one. Must be called before simulation starts.
 func (t *L1TLB) SetTransPool(p *memreq.TransPool) { t.pool = p }
 
-// getMiss takes a recycled miss tracker or builds one with its fill handler
-// bound.
+// getMiss takes a miss tracker off the free list, binding the fill handler
+// of one handed out for the first time.
 func (t *L1TLB) getMiss() *l1miss {
-	if n := len(t.missFree); n > 0 {
-		m := t.missFree[n-1]
-		t.missFree[n-1] = nil
-		t.missFree = t.missFree[:n-1]
-		return m
+	m, fresh := t.missFree.Get()
+	if fresh {
+		m.done = func(dnow int64, frame uint64) { t.fill(dnow, m, frame) }
+		m.waiting = m.waitBuf[:0]
 	}
-	return t.newMiss()
-}
-
-// newMiss allocates a miss tracker with its fill handler bound.
-func (t *L1TLB) newMiss() *l1miss {
-	m := &l1miss{}
-	m.done = func(dnow int64, frame uint64) { t.fill(dnow, m, frame) }
 	return m
-}
-
-func (t *L1TLB) putMiss(m *l1miss) {
-	m.tr = nil
-	for i := range m.waiting {
-		m.waiting[i] = nil
-	}
-	m.waiting = m.waiting[:0]
-	t.missFree = append(t.missFree, m)
 }
 
 // Lookup translates vpn for warpID. On a hit, done is invoked immediately
@@ -169,7 +154,10 @@ func (t *L1TLB) fill(now int64, m *l1miss, frame uint64) {
 	for _, cb := range m.waiting {
 		cb(now, frame)
 	}
-	t.putMiss(m)
+	m.tr = nil
+	clear(m.waiting)
+	m.waiting = m.waiting[:0]
+	t.missFree.Put(m)
 }
 
 // Tick resubmits the backend submissions that were refused, in order, keeping

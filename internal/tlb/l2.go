@@ -3,6 +3,7 @@ package tlb
 import (
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/slab"
 )
 
 // WalkStarter begins a page table walk; the walker queues internally, so
@@ -70,14 +71,49 @@ type l2entry struct {
 }
 
 // l2miss tracks one outstanding shared-TLB miss. Miss objects recycle through
-// the TLB's free list; done is bound once so a steady-state miss allocates
-// neither the tracker nor the walk-completion closure.
+// the TLB's free list; done is bound once, at first handout, so a
+// steady-state miss allocates neither the tracker nor the walk-completion
+// closure, and reqs starts out on reqBuf.
 type l2miss struct {
-	key   l2key
-	appID int
-	reqs  []*memreq.TransReq
+	key    l2key
+	appID  int
+	reqs   []*memreq.TransReq
+	reqBuf [4]*memreq.TransReq
 
 	done func(now int64, frame uint64)
+}
+
+// transFIFO is a queue of translation requests popped through a head index:
+// a pop is O(1) and leaves no pointer to a pooled request behind in the
+// vacated slot. live() is buf[head:], oldest first.
+type transFIFO struct {
+	buf  []*memreq.TransReq
+	head int
+}
+
+func (q *transFIFO) len() int { return len(q.buf) - q.head }
+
+func (q *transFIFO) live() []*memreq.TransReq { return q.buf[q.head:] }
+
+func (q *transFIFO) push(tr *memreq.TransReq) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		// Out of room with at least half the slots consumed: slide the live
+		// entries down instead of growing (amortized O(1) per push).
+		n := copy(q.buf, q.live())
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, tr)
+}
+
+func (q *transFIFO) pop() *memreq.TransReq {
+	tr := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return tr
 }
 
 // L2TLB is the shared, ASID-tagged second-level TLB. Under MASK it also owns
@@ -91,11 +127,11 @@ type L2TLB struct {
 	walker WalkStarter
 
 	mshrs    map[l2key]*l2miss
-	missFree []*l2miss
+	missFree slab.List[l2miss]
 	// stalled holds lookups that missed while the walker backlog was full;
 	// they retry (and may meanwhile hit a newly filled entry or merge into a
 	// new MSHR) before fresh lookups are served.
-	stalled []*memreq.TransReq
+	stalled transFIFO
 
 	tokens *TokenPolicy
 	bypass *bypassCache
@@ -212,11 +248,8 @@ func (t *L2TLB) SubmitTrans(now int64, tr *memreq.TransReq) bool {
 // behind a full walker wait at the TLB rather than growing an unbounded
 // hardware queue.
 func (t *L2TLB) Tick(now int64) {
-	for len(t.stalled) > 0 && t.walker.QueuedWalks() < walkBacklogLimit {
-		tr := t.stalled[0]
-		copy(t.stalled, t.stalled[1:])
-		t.stalled = t.stalled[:len(t.stalled)-1]
-		t.lookup(now, tr, false)
+	for t.stalled.len() > 0 && t.walker.QueuedWalks() < walkBacklogLimit {
+		t.lookup(now, t.stalled.pop(), false)
 	}
 	for i := 0; i < t.cfg.Ports; i++ {
 		tr, ok := t.in.Pop(now)
@@ -234,7 +267,7 @@ func (t *L2TLB) Tick(now int64) {
 // which this horizon recomputes. Otherwise the horizon is the input pipe's
 // head arrival; fills are walk-completion callbacks and need no wakeup.
 func (t *L2TLB) NextEvent(now int64) int64 {
-	if len(t.stalled) > 0 && t.walker.QueuedWalks() < walkBacklogLimit {
+	if t.stalled.len() > 0 && t.walker.QueuedWalks() < walkBacklogLimit {
 		return now
 	}
 	return t.in.NextReady(now)
@@ -279,7 +312,7 @@ func (t *L2TLB) lookup(now int64, tr *memreq.TransReq, first bool) {
 	}
 	if t.walker.QueuedWalks() >= walkBacklogLimit {
 		// No walk slot: park the request; it retries next tick.
-		t.stalled = append(t.stalled, tr)
+		t.stalled.push(tr)
 		return
 	}
 	t.recordMiss(app)
@@ -290,31 +323,15 @@ func (t *L2TLB) lookup(now int64, tr *memreq.TransReq, first bool) {
 	t.walker.StartWalk(now, key.asid, app, key.vpn, m.done)
 }
 
-// getMiss takes a recycled miss tracker or builds one with its walk
-// completion handler bound.
+// getMiss takes a miss tracker off the free list, binding the walk
+// completion handler of one handed out for the first time.
 func (t *L2TLB) getMiss() *l2miss {
-	if n := len(t.missFree); n > 0 {
-		m := t.missFree[n-1]
-		t.missFree[n-1] = nil
-		t.missFree = t.missFree[:n-1]
-		return m
+	m, fresh := t.missFree.Get()
+	if fresh {
+		m.done = func(dnow int64, frame uint64) { t.fill(dnow, m, frame) }
+		m.reqs = m.reqBuf[:0]
 	}
-	return t.newMiss()
-}
-
-// newMiss allocates a miss tracker with its walk-completion handler bound.
-func (t *L2TLB) newMiss() *l2miss {
-	m := &l2miss{}
-	m.done = func(dnow int64, frame uint64) { t.fill(dnow, m, frame) }
 	return m
-}
-
-func (t *L2TLB) putMiss(m *l2miss) {
-	for i := range m.reqs {
-		m.reqs[i] = nil
-	}
-	m.reqs = m.reqs[:0]
-	t.missFree = append(t.missFree, m)
 }
 
 func (t *L2TLB) recordMiss(app int) {
@@ -382,7 +399,9 @@ func (t *L2TLB) fill(now int64, m *l2miss, frame uint64) {
 	for _, tr := range m.reqs {
 		tr.Complete(now, frame)
 	}
-	t.putMiss(m)
+	clear(m.reqs)
+	m.reqs = m.reqs[:0]
+	t.missFree.Put(m)
 }
 
 func (t *L2TLB) install(key l2key, frame uint64, appID int) {
@@ -499,7 +518,7 @@ func (t *L2TLB) OutstandingMisses() int { return len(t.mshrs) }
 
 // QueueLen returns the number of lookups waiting to be served (input pipe
 // plus stalled retries); the watchdog's diagnostic dump reports it.
-func (t *L2TLB) QueueLen() int { return t.in.Len() + len(t.stalled) }
+func (t *L2TLB) QueueLen() int { return t.in.Len() + t.stalled.len() }
 
 // FlushASID removes all entries belonging to asid from the main TLB and the
 // bypass cache (TLB shootdown support, §5.5).

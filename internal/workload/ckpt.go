@@ -29,11 +29,8 @@ func (s *Stream) State() StreamState {
 		ReplayPos: s.replayPos,
 		ReplayGap: s.replayGap,
 	}
-	if s.rnd != nil {
-		st.Rnd = s.rnd.State()
-	}
-	if s.scatterRnd != nil {
-		st.ScatterRnd = s.scatterRnd.State()
+	if s.replay == nil {
+		st.Rnd, st.ScatterRnd = s.rnd.State(), s.scatterRnd.State()
 	}
 	return st
 }
@@ -43,10 +40,8 @@ func (s *Stream) State() StreamState {
 func (s *Stream) SetState(st StreamState) {
 	s.curPage, s.curLine = st.CurPage, st.CurLine
 	s.replayPos, s.replayGap = st.ReplayPos, st.ReplayGap
-	if s.rnd != nil {
+	if s.replay == nil {
 		s.rnd.SetState(st.Rnd)
-	}
-	if s.scatterRnd != nil {
 		s.scatterRnd.SetState(st.ScatterRnd)
 	}
 }

@@ -141,13 +141,15 @@ type MemInst struct {
 
 // Stream generates one warp's instruction stream.
 type Stream struct {
-	p   Profile
-	rnd *rng.Source
+	// p is the app's profile, normalised and shared by every stream of one
+	// StreamFactory; nil for trace replays.
+	p   *Profile
+	rnd rng.Source
 	// scatterRnd drives divergent-lane page selection. It is seeded per
 	// warp (not per group): divergent accesses touch different pages in
 	// different warps, so they do not coalesce across the group — each one
 	// demands its own translation, a major source of page-walk pressure.
-	scatterRnd *rng.Source
+	scatterRnd rng.Source
 	pageShift  uint
 	lineSize   uint64
 
@@ -230,49 +232,13 @@ func (p Profile) TotalPages(pageSize, numWarps int) uint64 {
 	return hot + priv
 }
 
-// NewStream builds the generator for one warp.
+// NewStream builds the generator for one warp on its own. A simulator builds
+// all of an app's streams through one StreamFactory instead, which also
+// wires the group barriers.
 func (p Profile) NewStream(cfg StreamConfig) *Stream {
-	shift := pageShiftFor(cfg.PageSize)
-	hot, priv := p.Layout(cfg.PageSize, cfg.NumWarps)
-	numGroups := p.groups(cfg.NumWarps)
-	g := p.WarpsPerGroup
-	if g < 1 {
-		g = 1
-	}
-	group := cfg.WarpIndex / g
-	if group >= numGroups {
-		group = numGroups - 1
-	}
-	chunk := priv / uint64(numGroups)
-	if chunk < 1 {
-		chunk = 1
-	}
-	start := hot + uint64(group)*chunk
-	// Warps in one group share a seed so they generate identical streams:
-	// they need the same translations at nearly the same time, which is how
-	// a single TLB miss comes to stall a whole group (§4.1).
-	s := &Stream{
-		p:          p,
-		rnd:        rng.New(cfg.Seed ^ (uint64(group)+1)*0x9E3779B97F4A7C15),
-		scatterRnd: rng.New(cfg.Seed ^ (uint64(cfg.WarpIndex)+1)*0xD1B54A32D192ED03),
-		pageShift:  shift,
-		lineSize:   uint64(cfg.LineSize),
-		base:       cfg.Base,
-		hotPages:   hot,
-		privStart:  start,
-		privLen:    chunk,
-		totPages:   hot + priv,
-		curPage:    start,
-	}
-	if s.p.Divergence < 1 {
-		s.p.Divergence = 1
-	}
-	if s.p.LinesPerInst < 1 {
-		s.p.LinesPerInst = 1
-	}
-	s.lineStore = make([]uint64, 0, s.p.LinesPerInst+s.p.Divergence)
-	s.pageBuf = make([]PageAccess, 0, s.p.Divergence)
-	return s
+	f := NewStreamFactory(p, cfg.Base, cfg.PageSize, cfg.LineSize, cfg.NumWarps, cfg.Seed)
+	f.batch = 1
+	return f.stream(cfg.WarpIndex)
 }
 
 // linesPerPage returns how many cache lines fit in a page.
@@ -438,20 +404,18 @@ func (s *Stream) NextComputeGap() int {
 	return g
 }
 
-// PagesToMap enumerates every virtual address (one per page) the app's warps
-// can touch, so the simulator can pre-populate the page table. The paper
-// scopes out demand paging (§5.5); pages are mapped at load time.
-func (p Profile) PagesToMap(base uint64, pageSize, numWarps int) []uint64 {
+// PagesToMap calls fn with one virtual address per page the app's warps can
+// touch, in ascending order, so the simulator can pre-populate the page
+// table. The paper scopes out demand paging (§5.5); pages are mapped at load
+// time.
+func (p Profile) PagesToMap(base uint64, pageSize, numWarps int, fn func(va uint64)) {
 	hot, priv := p.Layout(pageSize, numWarps)
-	total := hot + priv
-	vas := make([]uint64, 0, total)
 	shift := pageShiftFor(pageSize)
 	stride := uint64(1)
 	if p.VAStridePages > 1 {
 		stride = uint64(p.VAStridePages)
 	}
-	for pg := uint64(0); pg < total; pg++ {
-		vas = append(vas, base+(pg*stride)<<shift)
+	for pg := uint64(0); pg < hot+priv; pg++ {
+		fn(base + (pg*stride)<<shift)
 	}
-	return vas
 }

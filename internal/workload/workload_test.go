@@ -122,9 +122,7 @@ func TestStreamAddressesWithinMappedSet(t *testing.T) {
 		const numWarps = 128
 		mapped := map[uint64]bool{}
 		shift := uint(12)
-		for _, va := range p.PagesToMap(1<<32, 4096, numWarps) {
-			mapped[va>>shift] = true
-		}
+		p.PagesToMap(1<<32, 4096, numWarps, func(va uint64) { mapped[va>>shift] = true })
 		for warp := 0; warp < numWarps; warp += 17 {
 			s := p.NewStream(streamCfg(warp, numWarps))
 			for i := 0; i < 2000; i++ {
@@ -193,7 +191,8 @@ func TestVAStrideSpreadsPages(t *testing.T) {
 	if p.VAStridePages < 2 {
 		t.Skip("profile not strided")
 	}
-	vas := p.PagesToMap(0, 4096, 64)
+	var vas []uint64
+	p.PagesToMap(0, 4096, 64, func(va uint64) { vas = append(vas, va) })
 	if len(vas) < 2 {
 		t.Fatal("too few pages")
 	}
@@ -204,7 +203,7 @@ func TestVAStrideSpreadsPages(t *testing.T) {
 }
 
 func TestGroupSync(t *testing.T) {
-	g := NewGroupSync(3, 4)
+	g := &GroupSync{steps: make([]int64, 3), window: 4}
 	for i := 0; i < 4; i++ {
 		g.Advance(0)
 	}

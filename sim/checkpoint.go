@@ -355,10 +355,14 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 	// Pools and ID generators last, after every materialization Get, so the
 	// counters reflect the checkpointed run rather than the restore work.
 	for i, pl := range pools {
-		pl.SetState(p.ReqPools[i])
+		if err := pl.SetState(p.ReqPools[i]); err != nil {
+			return fmt.Errorf("sim: restore checkpoint: %w", err)
+		}
 	}
 	for i, pl := range tpools {
-		pl.SetState(p.TransPools[i])
+		if err := pl.SetState(p.TransPools[i]); err != nil {
+			return fmt.Errorf("sim: restore checkpoint: %w", err)
+		}
 	}
 	for i := range s.idgens {
 		s.idgens[i].SetState(p.IDGens[i])
@@ -415,7 +419,7 @@ func (s *Simulator) linkRestored(rt *memreq.RestoreTable) error {
 			if r.WarpID < 0 || r.WarpID >= s.cfg.WarpsPerCore {
 				return fmt.Errorf("restored request names warp %d of %d", r.WarpID, s.cfg.WarpsPerCore)
 			}
-			r.Done = s.cores[r.CoreID].DataDone(r.WarpID)
+			r.Done = s.cores[r.CoreID].DataDone()
 		case memreq.SiteCacheFill, memreq.SiteCacheBypassFill:
 			c := s.snapCaches[r.SiteRef]
 			if c == nil {

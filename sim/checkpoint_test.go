@@ -3,17 +3,25 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"masksim/internal/cache"
+	"masksim/internal/dram"
 	"masksim/internal/engine"
 	"masksim/internal/faultinject"
+	"masksim/internal/gpu"
+	"masksim/internal/memreq"
+	"masksim/internal/ptw"
 	"masksim/internal/snapshot"
+	"masksim/internal/tlb"
 )
 
 // ckptScenarios mirror the drift scenarios (every design the hot path flows
@@ -312,6 +320,106 @@ func TestCheckpointRejection(t *testing.T) {
 			t.Fatalf("want 0 restored / 2 rejected under budget mismatch, got %+v", got)
 		}
 	})
+}
+
+// TestRestoreRejectsHostilePoolState drives impossible request-pool images
+// past the envelope checksum — the gob payload is decoded, edited and
+// re-sealed, so the file is valid in every respect except the state it
+// encodes. Each must surface as a structured error from RestoreCheckpoint,
+// never a panic, an unbounded allocation or silent adoption.
+func TestRestoreRejectsHostilePoolState(t *testing.T) {
+	const cycles = 3000
+	cfg := SharedTLBConfig()
+	names := []string{"MUM", "GUP"}
+	ckCfg := cfg
+	ckCfg.CheckpointEvery = 1300
+	ckCfg.CheckpointDir = t.TempDir()
+	src := prepareScenario(t, ckCfg, names, 0)
+	src.mustRun(t, cycles)
+	data, err := os.ReadFile(src.checkpointPath(2600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, payload, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(p *checkpointPayload)
+		want   string // "" = must restore
+	}{
+		{"untouched", func(p *checkpointPayload) {}, ""},
+		{"negative free", func(p *checkpointPayload) { p.ReqPools[3].Free = -1 },
+			"memreq: checkpoint pool 3 has Free=-1"},
+		{"huge free", func(p *checkpointPayload) { p.ReqPools[0].Free = 1 << 40 },
+			"memreq: checkpoint pool 0 has Free=1099511627776"},
+		{"free above allocs", func(p *checkpointPayload) { p.ReqPools[1].Free = int(p.ReqPools[1].Allocs) + 1 },
+			"memreq: checkpoint pool 1 has Free="},
+		{"allocs above gets", func(p *checkpointPayload) { p.ReqPools[2].Allocs = p.ReqPools[2].Gets + 1 },
+			"memreq: checkpoint pool 2 has Free="},
+		{"translation pool negative free", func(p *checkpointPayload) { p.TransPools[4].Free = -7 },
+			"memreq: checkpoint pool 4 has Free=-7"},
+		{"translation pool allocs above gets", func(p *checkpointPayload) { p.TransPools[0] = memreq.PoolState{Free: 5, Allocs: 5} },
+			"memreq: checkpoint pool 0 has Free=5 Allocs=5 Gets=0"},
+		// Consistent but absurd: accepted, and must not allocate the promised
+		// objects up front.
+		{"huge consistent image", func(p *checkpointPayload) {
+			p.ReqPools[0] = memreq.PoolState{Free: 1 << 40, Allocs: 1 << 41, Gets: 1 << 42}
+		}, ""},
+		// The six component free lists record only a length, and restore it
+		// through the same slab.List.Refill: a negative one used to panic the
+		// cache and DRAM restores, a huge one to allocate without end.
+		{"component free lengths", func(p *checkpointPayload) {
+			for k, st := range p.States {
+				switch st := st.(type) {
+				case gpu.CoreState:
+					st.CtxFree = 1 << 40
+					p.States[k] = st
+				case cache.CacheState:
+					st.MshrFree = -1
+					p.States[k] = st
+				case dram.DRAMState:
+					st.QFree = -1
+					p.States[k] = st
+				case tlb.L1State:
+					st.MissFree = 1 << 40
+					p.States[k] = st
+				case ptw.WalkerState:
+					st.WalkFree = -1
+					p.States[k] = st
+				}
+			}
+		}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var p checkpointPayload
+			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&p)
+			var body, file bytes.Buffer
+			if err := gob.NewEncoder(&body).Encode(&p); err != nil {
+				t.Fatal(err)
+			}
+			if err := snapshot.Write(&file, h, body.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			dst := prepareScenario(t, cfg, names, 0)
+			err := dst.RestoreCheckpoint(&file)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("unexpected error %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+			if tc.want == "" {
+				dst.mustRun(t, cycles) // the adopted image must also run on
+			}
+		})
+	}
 }
 
 // resealChecksum recomputes the trailing SHA-256 over a mutated envelope so

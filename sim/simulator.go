@@ -347,9 +347,7 @@ func (s *Simulator) build() {
 				sp.EnsureMapped(va)
 			}
 		} else {
-			for _, va := range app.Profile.PagesToMap(heapBase, cfg.PageSize, appWarps) {
-				sp.EnsureMapped(va)
-			}
+			app.Profile.PagesToMap(heapBase, cfg.PageSize, appWarps, func(va uint64) { sp.EnsureMapped(va) })
 		}
 		s.walker.AddSpace(sp)
 	}
