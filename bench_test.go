@@ -74,15 +74,17 @@ func BenchmarkSimulatorKernel(b *testing.B) {
 // allocBudget is the checked-in allocation ceiling for one
 // BenchmarkSimulatorKernel iteration (simulator construction plus a
 // benchCycles run of the contended MASK pair). Request/walk pooling brought
-// the iteration from ~554k allocations down to ~66k, and carving every pooled
-// object, stream and page-table node from slab chunks brought that to ~10k —
-// what is left is mostly one completion closure per tracker and the
-// construction of 30 cores — so the budget guards both the steady state and
-// the cold start: reintroducing a per-request, per-walk, per-TLB-fill or
-// per-warp allocation blows past it. The iteration measures 10.4k today and
-// the budget is that + 2 %. Raise it only with a profile in hand showing
-// what the new allocations buy.
-const allocBudget = 10_610
+// the iteration from ~554k allocations down to ~66k, carving every pooled
+// object, stream and page-table node from slab chunks brought that to ~10k,
+// and replacing the completion closure each tracker bound on first use with a
+// return route the request carries as data halved it again — what is left is
+// mostly the construction of 30 cores and their caches — so the budget guards
+// both the steady state and the cold start: reintroducing a per-request,
+// per-walk, per-TLB-fill, per-tracker or per-warp allocation blows past it.
+// The iteration measures 5 653 today (fast-forward off; 5 646 on) and the
+// budget is that + 2 %. Raise it only with a profile in hand showing what the
+// new allocations buy.
+const allocBudget = 5_766
 
 // TestAllocBudget is the allocation-regression gate CI runs on every change.
 func TestAllocBudget(t *testing.T) {
@@ -104,19 +106,19 @@ func TestAllocBudget(t *testing.T) {
 // TestColdCellBudget gates the cost of the campaign's unit of work — build a
 // simulator, run it for 3 000 cycles, throw it away (`maskexp all` executes
 // hundreds of such cells, maskd one per cold job) — in objects and in bytes.
-// The object budget is today's measurement (8 056) + 2 %. The byte budget is
-// what the same cell allocated before its objects were carved from chunks
-// (6 836 768 B, one new() per request, stream, leaf and closure): chunking
-// may not buy a lower object count with more memory for the collector to
-// trace, so a chunk-size change that pushes bytes past the unchunked figure
-// fails here. The cell measures 6.13 MB today.
+// The object budget is today's measurement (3 975) + 2 %. The byte budget is
+// what the same cell allocated while every tracker still bound a completion
+// closure (6 134 416 B): a lower object count may not be bought with more
+// memory for the collector to trace, so a chunk-size or layout change that
+// pushes bytes back past that figure fails here. The cell measures 5.84 MB
+// today.
 func TestColdCellBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate skipped in -short mode")
 	}
 	const (
-		objectBudget = 8_220
-		byteBudget   = 6_836_768
+		objectBudget = 4_055
+		byteBudget   = 6_134_416
 	)
 	cell := func() {
 		if _, err := Run(context.Background(), SharedTLBConfig(), []string{"3DS", "HISTO"}, 3000); err != nil {

@@ -13,7 +13,7 @@ func BenchmarkCacheHit(b *testing.B) {
 	drive(c, 0, 2)
 	be.completeAll(3)
 	r := &memreq.Request{Kind: memreq.Read, Addr: 0x1000,
-		Done: func(int64, *memreq.Request) {}}
+		Ret: memreq.SinkFunc(func(int64, *memreq.Request) {})}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := int64(10 + i*2)

@@ -124,17 +124,18 @@ type line struct {
 }
 
 // mshr tracks one outstanding line fetch (regular miss or bypass). MSHR
-// objects are recycled through the cache's free list; fillDone is bound once,
-// at first handout, so steady-state misses allocate neither the MSHR nor its
-// completion closure, and waiting starts out on waitBuf so the first merges
-// do not allocate either.
+// objects are recycled through the cache's free list, and waiting starts out
+// on waitBuf so the first merges do not allocate.
 type mshr struct {
 	lineAddr uint64
 	bypass   bool
 	waiting  []*memreq.Request
-	fillDone func(now int64, fr *memreq.Request)
 	waitBuf  [8]*memreq.Request
 }
+
+// tagBypass is the Request.Tag of a bypass fetch: its fill resumes the
+// bypass MSHR of its line, any other fill the regular one.
+const tagBypass = 1
 
 // Cache is a banked, set-associative, LRU cache.
 type Cache struct {
@@ -151,8 +152,8 @@ type Cache struct {
 	// skips the probe and the fill (§5.3), but miss-status registers still
 	// exist, so identical in-flight line fetches must not be duplicated.
 	bypassMSHRs map[uint64]*mshr
-	// mshrFree recycles mshr objects (and their waiting-list capacity and
-	// bound completion closures) across misses.
+	// mshrFree recycles mshr objects (and their waiting-list capacity)
+	// across misses.
 	mshrFree slab.List[mshr]
 	// retry holds fill and write requests the backend rejected.
 	retry []*memreq.Request
@@ -170,11 +171,6 @@ type Cache struct {
 	// wayMask, when non-empty, restricts the replacement victim for each app
 	// to its allowed ways (Static partitioning). Indexed by AppID.
 	wayMask []uint64
-
-	// snapID identifies this cache instance inside a checkpoint: requests
-	// whose Done is one of this cache's MSHR fills carry it as their SiteRef
-	// so restore can find the owning cache again (docs/MODEL.md §9).
-	snapID uint64
 
 	stamp int64
 
@@ -293,12 +289,10 @@ func New(cfg Config, backend Backend) *Cache {
 // the first Submit.
 func (c *Cache) SetRequestPool(p *memreq.Pool) { c.pool = p }
 
-// getMSHR takes an mshr off the free list for the given line, binding the
-// completion closure of one handed out for the first time.
+// getMSHR takes an mshr off the free list for the given line.
 func (c *Cache) getMSHR(lineAddr uint64, bypass bool) *mshr {
 	m, fresh := c.mshrFree.Get()
 	if fresh {
-		m.fillDone = func(now int64, fr *memreq.Request) { c.fillArrived(now, m, fr) }
 		m.waiting = m.waitBuf[:0]
 	}
 	m.lineAddr = lineAddr
@@ -386,8 +380,7 @@ func (c *Cache) Submit(now int64, r *memreq.Request) bool {
 		fetch.CoreID, fetch.WarpID = r.CoreID, r.WarpID
 		fetch.Kind, fetch.Class, fetch.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 		fetch.Addr, fetch.Issue = lineAddr<<c.lineShift, r.Issue
-		fetch.Done = m.fillDone
-		fetch.Site, fetch.SiteRef = memreq.SiteCacheBypassFill, c.snapID
+		fetch.Ret, fetch.Tag = c, tagBypass
 		if !c.backend.Submit(now, fetch) {
 			c.retry = append(c.retry, fetch)
 		}
@@ -453,7 +446,7 @@ func (c *Cache) Tick(now int64) {
 // of its earliest-ready bank queue. Bank queues are strict FIFOs serviced
 // only from the front, so nothing behind the head can be served sooner than
 // the head's ready cycle even if its own readyAt is smaller (the MSHR-full
-// re-enqueue path produces such items). MSHR fills are completion callbacks
+// re-enqueue path produces such items). MSHR fills arrive through RequestDone,
 // driven by the backend's ticks, and write-combine window swaps are replayed
 // exactly by SkipTo, so neither forces a wakeup.
 func (c *Cache) NextEvent(now int64) int64 {
@@ -552,8 +545,7 @@ func (c *Cache) service(now int64, r *memreq.Request) {
 	fill.CoreID, fill.WarpID = r.CoreID, r.WarpID
 	fill.Kind, fill.Class, fill.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 	fill.Addr, fill.Issue = lineAddr<<c.lineShift, r.Issue
-	fill.Done = m.fillDone
-	fill.Site, fill.SiteRef = memreq.SiteCacheFill, c.snapID
+	fill.Ret = c
 	if !c.backend.Submit(now, fill) {
 		c.retry = append(c.retry, fill)
 	}
@@ -621,14 +613,19 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 	r.Complete(now, c.serviceLevel())
 }
 
-// fillArrived is the bound completion handler for both regular fills and
-// bypass fetches; it wakes the merged waiters and recycles the mshr.
-func (c *Cache) fillArrived(now int64, m *mshr, fr *memreq.Request) {
-	if m.bypass {
-		delete(c.bypassMSHRs, m.lineAddr)
+// RequestDone implements memreq.Sink for the cache's own line fetches,
+// regular fills and bypass fetches alike: it finds the MSHR the fetch was
+// issued for, wakes the merged waiters and recycles the mshr.
+func (c *Cache) RequestDone(now int64, fr *memreq.Request) {
+	lineAddr := fr.Addr >> c.lineShift
+	var m *mshr
+	if fr.Tag == tagBypass {
+		m = c.bypassMSHRs[lineAddr]
+		delete(c.bypassMSHRs, lineAddr)
 	} else {
-		delete(c.mshrs, m.lineAddr)
-		c.install(now, m.lineAddr, false, fr.AppID)
+		m = c.mshrs[lineAddr]
+		delete(c.mshrs, lineAddr)
+		c.install(now, lineAddr, false, fr.AppID)
 	}
 	for _, w := range m.waiting {
 		w.Served = fr.Served

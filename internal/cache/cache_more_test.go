@@ -97,7 +97,7 @@ func TestCacheAccountingProperty(t *testing.T) {
 			addr := uint64(seed%512) << 6
 			r := &memreq.Request{
 				Kind: memreq.Read, Addr: addr, Issue: now,
-				Done: func(int64, *memreq.Request) { completed++ },
+				Ret: memreq.SinkFunc(func(int64, *memreq.Request) { completed++ }),
 			}
 			if !c.Submit(now, r) {
 				return false
@@ -147,7 +147,7 @@ func TestAvgLatencyTracksClasses(t *testing.T) {
 	be := &fakeBackend{}
 	c := smallCache(be, false)
 	r := &memreq.Request{Kind: memreq.Read, Class: memreq.Translation, WalkLevel: 2,
-		Addr: 0x100, Issue: 0, Done: func(int64, *memreq.Request) {}}
+		Addr: 0x100, Issue: 0, Ret: memreq.SinkFunc(func(int64, *memreq.Request) {})}
 	c.Submit(0, r)
 	drive(c, 0, 2)
 	be.completeAll(40)

@@ -53,7 +53,7 @@ func read(c *Cache, now int64, addr uint64) *bool {
 	done := new(bool)
 	r := &memreq.Request{
 		Kind: memreq.Read, Addr: addr, Issue: now,
-		Done: func(int64, *memreq.Request) { *done = true },
+		Ret: memreq.SinkFunc(func(int64, *memreq.Request) { *done = true }),
 	}
 	if !c.Submit(now, r) {
 		panic("submit rejected")
@@ -245,7 +245,7 @@ func TestBypassSkipsProbeAndFill(t *testing.T) {
 	done := new(bool)
 	r := &memreq.Request{
 		Kind: memreq.Read, Class: memreq.Translation, WalkLevel: 4, Addr: 0x8000,
-		Done: func(int64, *memreq.Request) { *done = true },
+		Ret: memreq.SinkFunc(func(int64, *memreq.Request) { *done = true }),
 	}
 	c.Submit(0, r)
 	if len(be.reqs) != 1 {
@@ -271,7 +271,7 @@ func TestBypassMSHRCoalesces(t *testing.T) {
 	mk := func(flag *bool) *memreq.Request {
 		return &memreq.Request{
 			Kind: memreq.Read, Class: memreq.Translation, WalkLevel: 4, Addr: 0x9000,
-			Done: func(int64, *memreq.Request) { *flag = true },
+			Ret: memreq.SinkFunc(func(int64, *memreq.Request) { *flag = true }),
 		}
 	}
 	c.Submit(0, mk(&done1))

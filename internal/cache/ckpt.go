@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"masksim/internal/memreq"
 )
@@ -30,7 +31,6 @@ type MSHRState struct {
 
 // CacheState is a cache's checkpoint image.
 type CacheState struct {
-	SnapID        uint64
 	Lines         []LineState
 	Stamp         int64
 	Queues        [][]BankItemState
@@ -49,11 +49,6 @@ type CacheState struct {
 	LatCount      [2]uint64
 }
 
-// SetSnapKey assigns the cache's checkpoint identity; the simulator numbers
-// its caches in build order. Must be set before the first Submit so fill
-// requests carry the right SiteRef.
-func (c *Cache) SetSnapKey(id uint64) { c.snapID = id }
-
 // SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table.
 func (c *Cache) SnapshotState(ctx any) (any, error) {
 	tab, ok := ctx.(*memreq.Table)
@@ -61,7 +56,6 @@ func (c *Cache) SnapshotState(ctx any) (any, error) {
 		return nil, fmt.Errorf("cache %s: snapshot context is %T, want *memreq.Table", c.cfg.Name, ctx)
 	}
 	st := CacheState{
-		SnapID:        c.snapID,
 		Stamp:         c.stamp,
 		MshrFree:      c.mshrFree.Len(),
 		CombineSwapAt: c.combineSwapAt,
@@ -85,29 +79,37 @@ func (c *Cache) SnapshotState(ctx any) (any, error) {
 			st.Queues[b] = append(st.Queues[b], BankItemState{ReadyAt: it.readyAt, Req: tab.Req(it.req)})
 		}
 	}
-	snapMSHR := func(m *mshr) MSHRState {
-		ms := MSHRState{LineAddr: m.lineAddr}
-		for _, w := range m.waiting {
-			ms.Waiting = append(ms.Waiting, tab.Req(w))
+	// Map-backed sets are written in key order, so equal states encode
+	// equally and request indices do not depend on map iteration.
+	snapMSHRs := func(set map[uint64]*mshr) []MSHRState {
+		var out []MSHRState
+		for _, la := range sortedKeys(set) {
+			ms := MSHRState{LineAddr: la}
+			for _, w := range set[la].waiting {
+				ms.Waiting = append(ms.Waiting, tab.Req(w))
+			}
+			out = append(out, ms)
 		}
-		return ms
+		return out
 	}
-	for _, m := range c.mshrs {
-		st.Mshrs = append(st.Mshrs, snapMSHR(m))
-	}
-	for _, m := range c.bypassMSHRs {
-		st.BypassMshrs = append(st.BypassMshrs, snapMSHR(m))
-	}
+	st.Mshrs = snapMSHRs(c.mshrs)
+	st.BypassMshrs = snapMSHRs(c.bypassMSHRs)
 	for _, r := range c.retry {
 		st.Retry = append(st.Retry, tab.Req(r))
 	}
-	for la := range c.combineCur {
-		st.CombineCur = append(st.CombineCur, la)
-	}
-	for la := range c.combinePrev {
-		st.CombinePrev = append(st.CombinePrev, la)
-	}
+	st.CombineCur = sortedKeys(c.combineCur)
+	st.CombinePrev = sortedKeys(c.combinePrev)
 	return st, nil
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // RestoreState implements engine.Snapshotter; ctx is the *memreq.RestoreTable.
@@ -165,6 +167,15 @@ func (c *Cache) RestoreState(ctx any, state any) error {
 	for _, ref := range st.Retry {
 		c.retry = append(c.retry, rt.Req(ref))
 	}
+	for _, fr := range rt.Returning(c) {
+		set := c.mshrs
+		if fr.Tag == tagBypass {
+			set = c.bypassMSHRs
+		}
+		if _, ok := set[fr.Addr>>c.lineShift]; !ok {
+			return fmt.Errorf("cache %s: checkpoint fill %d (addr %#x, tag %d) has no MSHR", c.cfg.Name, fr.ID, fr.Addr, fr.Tag)
+		}
+	}
 	if (len(st.CombineCur) > 0 || len(st.CombinePrev) > 0) && c.cfg.WriteCombineWindow <= 0 {
 		return fmt.Errorf("cache %s: checkpoint carries write-combine state but combining is disabled", c.cfg.Name)
 	}
@@ -179,28 +190,6 @@ func (c *Cache) RestoreState(ctx any, state any) error {
 		}
 	}
 	return nil
-}
-
-// LineAddr returns the line index addr falls in (checkpoint link-pass
-// helper: fill requests store the full line-aligned address).
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
-
-// FillDone resolves the completion handler for a restored fill or bypass
-// fetch targeting lineAddr; the simulator's link pass rebinds
-// memreq.SiteCacheFill / SiteCacheBypassFill requests through it. Valid only
-// after RestoreState has rebuilt the MSHR maps.
-func (c *Cache) FillDone(lineAddr uint64, bypass bool) (func(now int64, fr *memreq.Request), bool) {
-	var m *mshr
-	var ok bool
-	if bypass {
-		m, ok = c.bypassMSHRs[lineAddr]
-	} else {
-		m, ok = c.mshrs[lineAddr]
-	}
-	if !ok {
-		return nil, false
-	}
-	return m.fillDone, true
 }
 
 // ATAState is the bypass policy's checkpoint image.

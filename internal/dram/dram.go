@@ -155,8 +155,8 @@ type DRAM struct {
 	lastCycle  int64
 
 	// drop is a fault-injection hook: when it returns true for a completing
-	// transfer, the response is discarded (the requester's Done callback never
-	// runs). Used to prove the watchdog catches hung memory dependents.
+	// transfer, the response is discarded (the request never returns to its
+	// sink). Used to prove the watchdog catches hung memory dependents.
 	drop func(now int64) bool
 
 	// qFree recycles Queued wrappers: Submit takes one, and it returns when

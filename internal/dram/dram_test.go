@@ -73,7 +73,7 @@ func TestReadCompletes(t *testing.T) {
 	d := newFRFCFSDRAM()
 	done := false
 	r := &memreq.Request{Kind: memreq.Read, Addr: 0x1000, Issue: 0,
-		Done: func(int64, *memreq.Request) { done = true }}
+		Ret: memreq.SinkFunc(func(int64, *memreq.Request) { done = true })}
 	if !d.Submit(0, r) {
 		t.Fatal("submit rejected")
 	}
@@ -94,10 +94,10 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 		d := newFRFCFSDRAM()
 		var t1, t2 int64
 		d.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: a1,
-			Done: func(now int64, _ *memreq.Request) { t1 = now }})
+			Ret: memreq.SinkFunc(func(now int64, _ *memreq.Request) { t1 = now })})
 		drive(d, 0, 300)
 		d.Submit(301, &memreq.Request{Kind: memreq.Read, Addr: a2,
-			Done: func(now int64, _ *memreq.Request) { t2 = now }})
+			Ret: memreq.SinkFunc(func(now int64, _ *memreq.Request) { t2 = now })})
 		drive(d, 301, 700)
 		_ = t1
 		return t2 - 301
@@ -119,10 +119,10 @@ func TestClosedRowPolicy(t *testing.T) {
 	d := New(cfg, func(int) Scheduler { return NewFRFCFS(cfg.QueueCap) })
 	var t1, t2 int64
 	d.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: 0x0000,
-		Done: func(now int64, _ *memreq.Request) { t1 = now }})
+		Ret: memreq.SinkFunc(func(now int64, _ *memreq.Request) { t1 = now })})
 	drive(d, 0, 300)
 	d.Submit(301, &memreq.Request{Kind: memreq.Read, Addr: 0x0040,
-		Done: func(now int64, _ *memreq.Request) { t2 = now }})
+		Ret: memreq.SinkFunc(func(now int64, _ *memreq.Request) { t2 = now })})
 	drive(d, 301, 700)
 	_ = t1
 	// Under the closed-row policy the second access cannot be a row hit.
@@ -315,7 +315,7 @@ func TestAllReadsCompleteProperty(t *testing.T) {
 		for i, a := range addrs {
 			ok := d.Submit(int64(i), &memreq.Request{
 				Kind: memreq.Read, Addr: uint64(a) << 8,
-				Done: func(int64, *memreq.Request) { completed++ },
+				Ret: memreq.SinkFunc(func(int64, *memreq.Request) { completed++ }),
 			})
 			if !ok {
 				return false
@@ -345,7 +345,7 @@ func TestCompletionWatermarkExact(t *testing.T) {
 			if now < 3000 && src.Uint64()%3 == 0 {
 				if d.Submit(now, &memreq.Request{
 					Kind: memreq.Read, Addr: (src.Uint64() % 4096) << 8,
-					Done: func(int64, *memreq.Request) { completed++ },
+					Ret: memreq.SinkFunc(func(int64, *memreq.Request) { completed++ }),
 				}) {
 					submitted++
 				}

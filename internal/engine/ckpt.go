@@ -15,9 +15,9 @@ import "fmt"
 //
 // Contract: restoring a state captured between two cycles onto a component
 // built from the identical configuration must make every subsequent tick
-// bit-identical to the uninterrupted run. Closures are not serializable, so
-// in-flight work that carries callbacks is captured as continuation
-// descriptors and rebound by the simulator's link pass (docs/MODEL.md §9).
+// bit-identical to the uninterrupted run. In-flight work names where it
+// returns as data (docs/MODEL.md §9), so a component's state plus the request
+// registry is everything there is to restore.
 type Snapshotter interface {
 	SnapshotState(ctx any) (any, error)
 	RestoreState(ctx any, state any) error

@@ -15,30 +15,22 @@ type WarpState struct {
 	OutstandingData int
 	IssuedAt        int64
 	TransDoneAt     int64
-	Stream          workload.StreamState
-}
-
-// CtxState is the serializable image of one in-flight translation context: a
-// warp waiting on the L1 TLB for the page holding Lines[0]. Contexts are
-// stored in creation order so restore rebuilds each MSHR's waiting list in
-// the order the callbacks were registered.
-type CtxState struct {
-	WarpID  int
-	Lines   []uint64
-	IsWrite bool
+	// Pages and Write are the memory instruction a warp with PendingTrans > 0
+	// is blocked on, one line list per page slot; the L1 TLB's miss images
+	// name the slots still waiting. Empty once every page is translated.
+	Pages  [][]uint64
+	Write  bool
+	Stream workload.StreamState
 }
 
 // CoreState is the core's checkpoint image.
 type CoreState struct {
-	Current    int
-	ReadyCount int // informational: restore rebuilds the ready set from Warps
-	WaitTrans  int
-	WaitData   int
-	Stats      Stats
-	Warps      []WarpState
-	Ctxs       []CtxState
-	CtxFree    int
-	Retry      []int32
+	Current   int
+	WaitTrans int
+	WaitData  int
+	Stats     Stats
+	Warps     []WarpState
+	Retry     []int32
 }
 
 // SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table
@@ -49,12 +41,10 @@ func (c *Core) SnapshotState(ctx any) (any, error) {
 		return nil, fmt.Errorf("gpu: snapshot context is %T, want *memreq.Table", ctx)
 	}
 	st := CoreState{
-		Current:    c.current,
-		ReadyCount: c.ReadyWarps(),
-		WaitTrans:  c.waitTrans,
-		WaitData:   c.waitData,
-		Stats:      c.Stats,
-		CtxFree:    c.ctxFree.Len(),
+		Current:   c.current,
+		WaitTrans: c.waitTrans,
+		WaitData:  c.waitData,
+		Stats:     c.Stats,
 	}
 	st.Warps = make([]WarpState, len(c.warps))
 	for i := range c.warps {
@@ -68,13 +58,13 @@ func (c *Core) SnapshotState(ctx any) (any, error) {
 			TransDoneAt:     w.transDoneAt,
 			Stream:          w.stream.State(),
 		}
-	}
-	for ctx := c.liveHead; ctx != nil; ctx = ctx.next {
-		st.Ctxs = append(st.Ctxs, CtxState{
-			WarpID:  ctx.w.id,
-			Lines:   append([]uint64(nil), ctx.lines...),
-			IsWrite: ctx.isWrite,
-		})
+		if w.pendingTrans > 0 {
+			ws := &st.Warps[i]
+			ws.Write = w.inst.Write
+			for _, pg := range w.inst.Pages {
+				ws.Pages = append(ws.Pages, append([]uint64(nil), pg.Lines...))
+			}
+		}
 	}
 	for _, r := range c.retry {
 		st.Retry = append(st.Retry, tab.Req(r))
@@ -83,10 +73,6 @@ func (c *Core) SnapshotState(ctx any) (any, error) {
 }
 
 // RestoreState implements engine.Snapshotter; ctx is the *memreq.RestoreTable.
-// Live translation contexts are rebuilt here but re-registered with the L1
-// TLB only in ReattachWaiters, which the simulator calls after every
-// component has restored (the TLB rebuilds its MSHR table after the cores
-// run).
 func (c *Core) RestoreState(ctx any, state any) error {
 	rt, ok := ctx.(*memreq.RestoreTable)
 	if !ok {
@@ -116,50 +102,29 @@ func (c *Core) RestoreState(ctx any, state any) error {
 		w.issuedAt = ws.IssuedAt
 		w.transDoneAt = ws.TransDoneAt
 		w.stream.SetState(ws.Stream)
+		if ws.PendingTrans < 0 || ws.PendingTrans > len(ws.Pages) {
+			return fmt.Errorf("gpu: checkpoint warp %d awaits %d translations of a %d-page instruction", i, ws.PendingTrans, len(ws.Pages))
+		}
+		w.inst = workload.MemInst{Write: ws.Write}
+		for _, lines := range ws.Pages {
+			if len(lines) == 0 {
+				return fmt.Errorf("gpu: checkpoint warp %d has a page slot without lines", i)
+			}
+			w.inst.Pages = append(w.inst.Pages, workload.PageAccess{Lines: lines})
+		}
 	}
 	c.rebuildReady()
-	for _, cs := range st.Ctxs {
-		if cs.WarpID < 0 || cs.WarpID >= len(c.warps) {
-			return fmt.Errorf("gpu: checkpoint context names warp %d of %d", cs.WarpID, len(c.warps))
-		}
-		tc := c.getCtx() // links into the live list in creation order
-		tc.w = &c.warps[cs.WarpID]
-		tc.lines = append([]uint64(nil), cs.Lines...)
-		tc.isWrite = cs.IsWrite
-	}
-	c.ctxFree.Refill(st.CtxFree)
 	c.retry = c.retry[:0]
 	for _, ref := range st.Retry {
 		c.retry = append(c.retry, rt.Req(ref))
 	}
-	return nil
-}
-
-// SetWaiterAttach installs the callback ReattachWaiters uses to re-register a
-// live translation context with the L1 TLB MSHR covering vpn. The simulator
-// wires it to tlb.L1TLB.AddWaiter (no-op under the Ideal design, which never
-// has live contexts at a cycle boundary).
-func (c *Core) SetWaiterAttach(fn func(vpn uint64, done func(now int64, frame uint64))) {
-	c.attachWaiter = fn
-}
-
-// ReattachWaiters re-registers every restored live translation context with
-// the L1 TLB, in creation order (which per-MSHR equals the original waiting
-// order). Called by the simulator after all components have restored.
-func (c *Core) ReattachWaiters() error {
-	for ctx := c.liveHead; ctx != nil; ctx = ctx.next {
-		if c.attachWaiter == nil {
-			return fmt.Errorf("gpu: core %d has live translation contexts but no waiter attach hook", c.id)
+	for _, r := range rt.Returning(c) {
+		if r.WarpID < 0 || r.WarpID >= len(c.warps) {
+			return fmt.Errorf("gpu: checkpoint request %d returns to warp %d of %d", r.ID, r.WarpID, len(c.warps))
 		}
-		c.attachWaiter(ctx.lines[0]>>c.cfg.PageShift, ctx.done)
 	}
 	return nil
 }
-
-// DataDone exposes the core's data-return callback for the simulator's
-// checkpoint link pass (rebinding memreq.SiteCoreData requests; the
-// request's WarpID must name one of the core's warps).
-func (c *Core) DataDone() func(now int64, r *memreq.Request) { return c.dataDone }
 
 // Stream exposes a warp's stream so the simulator can enumerate shared
 // group-sync objects during checkpointing.

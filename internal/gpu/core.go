@@ -17,14 +17,15 @@ import (
 	"masksim/internal/cache"
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
-	"masksim/internal/slab"
 	"masksim/internal/workload"
 )
 
-// TranslateFn resolves a virtual page for a warp; done receives the physical
-// frame. Implementations wrap the L1 TLB, or the instantaneous page-table
-// lookup in the Ideal configuration.
-type TranslateFn func(now int64, vpn uint64, warpID int, done func(now int64, frame uint64))
+// TranslateFn resolves a virtual page for page slot of warpID's current
+// memory instruction. It returns the frame when the translation is available
+// at once (an L1 TLB hit, or the instantaneous page-table lookup of the Ideal
+// configuration); otherwise the L1 TLB records (warpID, slot) against the
+// miss and hands the frame to Core.Translated when it returns.
+type TranslateFn func(now int64, vpn uint64, warpID, slot int) (frame uint64, ok bool)
 
 // Config holds the per-core parameters.
 type Config struct {
@@ -92,26 +93,12 @@ type warp struct {
 	issuedAt    int64
 	transDoneAt int64
 
+	// inst is the memory instruction the warp is blocked on. Its buffers
+	// belong to stream and stay valid until the warp issues again, which it
+	// cannot do before every page slot has been translated.
+	inst workload.MemInst
+
 	stream *workload.Stream
-}
-
-// transCtx carries one page-translation callback's context. Contexts are
-// recycled through the core's free list: the done closure is bound once, when
-// the context is first handed out, and the per-page fields are reassigned on
-// reuse. A context is checked back in the moment its callback fires; a
-// translation that never completes (fault-injection wedge) strands its
-// context harmlessly.
-type transCtx struct {
-	w       *warp
-	lines   []uint64
-	isWrite bool
-	done    func(now int64, frame uint64)
-
-	// prev/next thread the core's live-context list (liveHead/liveTail):
-	// every context currently waiting on a translation callback, in creation
-	// order. Checkpoint restore replays this list to rebuild the L1 TLB MSHR
-	// waiting lists in their original order.
-	prev, next *transCtx
 }
 
 // Core is one shader core running a single application's warps.
@@ -129,18 +116,7 @@ type Core struct {
 
 	// pool recycles data-access requests; New creates a private pool, the
 	// simulator injects its shared one.
-	pool    *memreq.Pool
-	ctxFree slab.List[transCtx]
-	// dataDone is the completion handler of every read the core issues,
-	// bound once at construction; the request's WarpID names the warp.
-	dataDone func(now int64, r *memreq.Request)
-
-	// liveHead/liveTail anchor the in-flight translation contexts in creation
-	// order (see transCtx.prev/next). attachWaiter, installed by the
-	// simulator, re-registers a restored context's callback with the L1 TLB
-	// during checkpoint restore.
-	liveHead, liveTail *transCtx
-	attachWaiter       func(vpn uint64, done func(now int64, frame uint64))
+	pool *memreq.Pool
 
 	retry []*memreq.Request
 
@@ -174,11 +150,6 @@ func New(id, appID int, cfg Config, streams []*workload.Stream, translate Transl
 	for i := range c.warps {
 		c.warps[i] = warp{id: i, stream: streams[i]}
 	}
-	c.dataDone = func(dnow int64, r *memreq.Request) {
-		w := &c.warps[r.WarpID]
-		w.outstandingData--
-		c.maybeUnblock(dnow, w)
-	}
 	c.ready = make([]uint64, (len(c.warps)+63)/64)
 	c.rebuildReady()
 	return c
@@ -187,53 +158,6 @@ func New(id, appID int, cfg Config, streams []*workload.Stream, translate Transl
 // SetRequestPool replaces the core's private request pool with a shared
 // per-simulator one. Must be called before simulation starts.
 func (c *Core) SetRequestPool(p *memreq.Pool) { c.pool = p }
-
-// getCtx takes a translation context off the free list, binding the done
-// handler of one handed out for the first time, and links it live.
-func (c *Core) getCtx() *transCtx {
-	ctx, fresh := c.ctxFree.Get()
-	if fresh {
-		ctx.done = func(tnow int64, frame uint64) {
-			// Copy out and recycle first: onTranslated never re-enters
-			// getCtx, and releasing here keeps the context live for exactly
-			// one callback.
-			w, lines, isWrite := ctx.w, ctx.lines, ctx.isWrite
-			ctx.w, ctx.lines = nil, nil
-			c.unlinkCtx(ctx)
-			c.ctxFree.Put(ctx)
-			c.onTranslated(tnow, w, lines, frame, isWrite)
-		}
-	}
-	c.linkCtx(ctx)
-	return ctx
-}
-
-// linkCtx appends ctx to the live list.
-func (c *Core) linkCtx(ctx *transCtx) {
-	ctx.prev = c.liveTail
-	ctx.next = nil
-	if c.liveTail != nil {
-		c.liveTail.next = ctx
-	} else {
-		c.liveHead = ctx
-	}
-	c.liveTail = ctx
-}
-
-// unlinkCtx removes ctx from the live list.
-func (c *Core) unlinkCtx(ctx *transCtx) {
-	if ctx.prev != nil {
-		ctx.prev.next = ctx.next
-	} else {
-		c.liveHead = ctx.next
-	}
-	if ctx.next != nil {
-		ctx.next.prev = ctx.prev
-	} else {
-		c.liveTail = ctx.prev
-	}
-	ctx.prev, ctx.next = nil, nil
-}
 
 // ID returns the core's global index.
 func (c *Core) ID() int { return c.id }
@@ -285,7 +209,7 @@ func (c *Core) Tick(now int64) {
 // NextEvent implements engine.EventSource. The core is quiescent exactly when
 // an immediate Tick would take the idle path: nothing queued for retry and no
 // warp both ready and issuable. A blocked core cannot wake itself — warps
-// unblock through translation/data callbacks fired by other components'
+// unblock through Translated and RequestDone, called from other components'
 // ticks, and group-sync barriers (workload.GroupSync) only advance when some
 // core issues, which cannot happen during a span in which every core is
 // quiescent — so the horizon is NoEvent rather than a future cycle.
@@ -337,8 +261,8 @@ func (c *Core) canIssue() bool {
 // SkipTo implements engine.Skipper: every skipped cycle is an idle cycle
 // (the engine only skips while NextEvent reports quiescence), charged to the
 // same attribution bucket Tick would have picked. waitTrans/waitData are
-// frozen across the span — they only change in callbacks, which only fire
-// from other components' ticks — so one bucket covers the whole span.
+// frozen across the span — they only change in Translated and RequestDone,
+// called from other components' ticks — so one bucket covers the whole span.
 func (c *Core) SkipTo(from, to int64) {
 	d := uint64(to - from)
 	c.Stats.Cycles += d
@@ -402,23 +326,26 @@ func (c *Core) issueMem(now int64, w *warp) {
 	inst := w.stream.NextMem()
 	w.state = warpWaitMem
 	c.ready[w.id/64] &^= 1 << (w.id % 64)
-	c.waitTrans++ // before translate: the callback may fire synchronously
+	c.waitTrans++ // before the loop: an immediate translation lands inside it
 	w.pendingTrans = len(inst.Pages)
 	w.outstandingData = 0
 	w.issuedAt = now
 	w.transDoneAt = now
-	isWrite := inst.Write
+	w.inst = inst
 
-	for _, pg := range inst.Pages {
-		lines := pg.Lines
-		vpn := lines[0] >> c.cfg.PageShift
-		ctx := c.getCtx()
-		ctx.w, ctx.lines, ctx.isWrite = w, lines, isWrite
-		c.translate(now, vpn, w.id, ctx.done)
+	for slot, pg := range inst.Pages {
+		if frame, ok := c.translate(now, pg.Lines[0]>>c.cfg.PageShift, w.id, slot); ok {
+			c.Translated(now, w.id, slot, frame)
+		}
 	}
 }
 
-func (c *Core) onTranslated(now int64, w *warp, lines []uint64, frame uint64, isWrite bool) {
+// Translated delivers the frame of page slot of warpID's current memory
+// instruction — from issueMem on an immediate translation, from the L1 TLB
+// when a miss returns — and issues the page's line accesses.
+func (c *Core) Translated(now int64, warpID, slot int, frame uint64) {
+	w := &c.warps[warpID]
+	lines, isWrite := w.inst.Pages[slot].Lines, w.inst.Write
 	w.pendingTrans--
 	if w.pendingTrans == 0 {
 		w.transDoneAt = now
@@ -437,13 +364,20 @@ func (c *Core) onTranslated(now int64, w *warp, lines []uint64, frame uint64, is
 		} else {
 			req.Kind = memreq.Read
 			w.outstandingData++
-			req.Done = c.dataDone
-			req.Site = memreq.SiteCoreData
+			req.Ret = c
 		}
 		if !c.l1d.Submit(now, req) {
 			c.retry = append(c.retry, req)
 		}
 	}
+	c.maybeUnblock(now, w)
+}
+
+// RequestDone implements memreq.Sink: a data read returned; its WarpID names
+// the warp it unblocks.
+func (c *Core) RequestDone(now int64, r *memreq.Request) {
+	w := &c.warps[r.WarpID]
+	w.outstandingData--
 	c.maybeUnblock(now, w)
 }
 

@@ -70,9 +70,18 @@ func newTestCore(warps int, translate TranslateFn) (*Core, *sink, *cache.Cache) 
 }
 
 // identity translation: frame number = vpn (keeps data addresses valid).
-func instantTranslate(now int64, vpn uint64, warpID int, done func(int64, uint64)) {
-	done(now, vpn)
+func instantTranslate(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
+	return vpn, true
 }
+
+// queuedTrans is a translation the test's TranslateFn left unanswered: the
+// test answers it later through Core.Translated, as an L1 TLB would.
+type queuedTrans struct {
+	vpn        uint64
+	warp, slot int
+}
+
+func (q queuedTrans) answer(core *Core, now int64) { core.Translated(now, q.warp, q.slot, q.vpn) }
 
 func run(core *Core, be *sink, l1d *cache.Cache, cycles int64) {
 	for now := int64(0); now < cycles; now++ {
@@ -108,7 +117,7 @@ func TestCoreIssuesAtMostOnePerCycle(t *testing.T) {
 func TestCoreIdlesWhenTranslationStalls(t *testing.T) {
 	// A translation that never completes must idle the core once every warp
 	// has issued its first memory instruction.
-	neverTranslate := func(now int64, vpn uint64, warpID int, done func(int64, uint64)) {}
+	neverTranslate := func(now int64, vpn uint64, warpID, slot int) (uint64, bool) { return 0, false }
 	core, be, l1d := newTestCore(2, neverTranslate)
 	run(core, be, l1d, 500)
 	if core.ReadyWarps() != 0 {
@@ -129,13 +138,13 @@ func TestIdleAttributionSumsToIdleCycles(t *testing.T) {
 	// Delay translations by stashing them and completing 7 cycles later, so
 	// the run exercises both translation-bound and data-bound idle cycles.
 	type pendingTr struct {
-		at   int64
-		vpn  uint64
-		done func(int64, uint64)
+		at int64
+		q  queuedTrans
 	}
 	var trq []pendingTr
-	translate := func(now int64, vpn uint64, warpID int, done func(int64, uint64)) {
-		trq = append(trq, pendingTr{at: now + 7, vpn: vpn, done: done})
+	translate := func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
+		trq = append(trq, pendingTr{at: now + 7, q: queuedTrans{vpn, warpID, slot}})
+		return 0, false
 	}
 	core, be, l1d := newTestCore(4, translate)
 	for now := int64(0); now < 3000; now++ {
@@ -145,7 +154,7 @@ func TestIdleAttributionSumsToIdleCycles(t *testing.T) {
 		nkeep := 0
 		for _, p := range trq {
 			if p.at <= now {
-				p.done(now, p.vpn)
+				p.q.answer(core, now)
 			} else {
 				trq[nkeep] = p
 				nkeep++
@@ -167,11 +176,10 @@ func TestIdleAttributionSumsToIdleCycles(t *testing.T) {
 }
 
 func TestDelayedTranslationUnblocksWarp(t *testing.T) {
-	var pending []func(int64, uint64)
-	var vpns []uint64
-	stash := func(now int64, vpn uint64, warpID int, done func(int64, uint64)) {
-		pending = append(pending, done)
-		vpns = append(vpns, vpn)
+	var pending []queuedTrans
+	stash := func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
+		pending = append(pending, queuedTrans{vpn, warpID, slot})
+		return 0, false
 	}
 	core, be, l1d := newTestCore(1, stash)
 	run(core, be, l1d, 50)
@@ -180,8 +188,8 @@ func TestDelayedTranslationUnblocksWarp(t *testing.T) {
 	}
 	issuedBefore := core.Stats.Instructions
 	// Complete the translation; the warp should resume.
-	for i, done := range pending {
-		done(50, vpns[i])
+	for _, q := range pending {
+		q.answer(core, 50)
 	}
 	pending = nil
 	run2 := func(from, to int64) {
@@ -189,8 +197,8 @@ func TestDelayedTranslationUnblocksWarp(t *testing.T) {
 			core.Tick(now)
 			l1d.Tick(now)
 			be.tick(now)
-			for i, done := range pending {
-				done(now, vpns[len(vpns)-len(pending)+i])
+			for _, q := range pending {
+				q.answer(core, now)
 			}
 			pending = nil
 		}
@@ -255,11 +263,8 @@ func TestSyncStalledWarpSkipped(t *testing.T) {
 		Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 64,
 	}, be)
-	translate := func(now int64, vpn uint64, warpID int, done func(int64, uint64)) {
-		if warpID == 1 {
-			return // never completes
-		}
-		done(now, vpn)
+	translate := func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
+		return vpn, warpID != 1 // warp 1's translations never complete
 	}
 	core := New(0, 0, Config{WarpsPerCore: 2, PageShift: 12, FrameSize: 4096, LineSize: 64},
 		streams, translate, l1d, &idgen)
@@ -282,15 +287,11 @@ type schedWorld struct {
 	trans []queuedTrans
 }
 
-type queuedTrans struct {
-	vpn  uint64
-	done func(int64, uint64)
-}
-
 func newSchedWorld(warps int, roundRobin bool) *schedWorld {
 	w := &schedWorld{}
-	w.core, w.be, w.l1d = newTestCore(warps, func(_ int64, vpn uint64, _ int, done func(int64, uint64)) {
-		w.trans = append(w.trans, queuedTrans{vpn, done})
+	w.core, w.be, w.l1d = newTestCore(warps, func(_ int64, vpn uint64, warpID, slot int) (uint64, bool) {
+		w.trans = append(w.trans, queuedTrans{vpn, warpID, slot})
+		return 0, false
 	})
 	w.core.cfg.RoundRobin = roundRobin
 	return w
@@ -302,7 +303,7 @@ func (w *schedWorld) step(now int64, answer bool) (int, uint64) {
 	if answer && len(w.trans) > 0 {
 		q := w.trans[0]
 		w.trans = w.trans[1:]
-		q.done(now, q.vpn)
+		q.answer(w.core, now)
 	}
 	w.core.Tick(now)
 	w.l1d.Tick(now)
@@ -330,7 +331,7 @@ func TestRestoredCorePicksSameWarps(t *testing.T) {
 		if len(replica.be.pending) != 0 || replica.l1d.NextEvent(snapAt) != engine.NoEvent || len(replica.core.retry) != 0 {
 			t.Fatal("data side still busy at the snapshot cycle")
 		}
-		st, err := replica.core.SnapshotState(memreq.NewTable())
+		st, err := replica.core.SnapshotState(memreq.NewTable(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,19 +339,16 @@ func TestRestoredCorePicksSameWarps(t *testing.T) {
 		restored := newSchedWorld(warps, roundRobin)
 		restored.be, restored.l1d = replica.be, replica.l1d
 		restored.core.l1d, restored.core.idgen = replica.l1d, replica.core.idgen
-		rt, err := memreq.NewRestoreTable(nil, nil, nil, nil)
+		rt, err := memreq.NewRestoreTable(nil, nil, memreq.Wiring{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := restored.core.RestoreState(rt, st); err != nil {
 			t.Fatal(err)
 		}
-		restored.core.SetWaiterAttach(func(vpn uint64, done func(int64, uint64)) {
-			restored.trans = append(restored.trans, queuedTrans{vpn, done})
-		})
-		if err := restored.core.ReattachWaiters(); err != nil {
-			t.Fatal(err)
-		}
+		// The waiting translations are the TLB's state, not the core's: the
+		// restored world takes them over as a restored L1 TLB would.
+		restored.trans = append(restored.trans, replica.trans...)
 		if n := restored.core.ReadyWarps(); n == 0 || n == warps || n != live.core.ReadyWarps() {
 			t.Fatalf("restored core has %d of %d warps ready, live core %d: want a mixed, equal set", n, warps, live.core.ReadyWarps())
 		}
@@ -371,11 +369,11 @@ func TestRestoredCorePicksSameWarps(t *testing.T) {
 
 func TestRestoreRejectsCurrentWarpOutOfRange(t *testing.T) {
 	core, _, _ := newTestCore(4, instantTranslate)
-	st, err := core.SnapshotState(memreq.NewTable())
+	st, err := core.SnapshotState(memreq.NewTable(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := memreq.NewRestoreTable(nil, nil, nil, nil)
+	rt, err := memreq.NewRestoreTable(nil, nil, memreq.Wiring{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +386,8 @@ func TestRestoreRejectsCurrentWarpOutOfRange(t *testing.T) {
 	}
 }
 
-// TestCoreDataDoneByWarpID pins the one-closure-per-core data handler: with
+// TestCoreDataDoneByWarpID pins the core's request sink finding its warp by
+// the request's WarpID: with
 // every warp of a full core parked on reads of its own lines, completing the
 // reads issued for warp 63 must unblock warp 63 and nothing else, under both
 // warp schedulers.

@@ -7,8 +7,8 @@ import (
 )
 
 // Checkpoint support: serializable forms of the request types and the
-// two-phase registry that lets many components reference the same in-flight
-// request by index instead of by pointer.
+// registry that lets many components reference the same in-flight request by
+// index instead of by pointer.
 //
 // A live Request is owned by exactly one container (bank queue, MSHR waiting
 // list, retry list, DRAM queue), but a live TransReq is referenced from
@@ -16,31 +16,19 @@ import (
 // queues). Both are therefore snapshotted through a registry: during
 // Snapshot every component converts its pointers to table indices; during
 // Restore the table materializes every object first (from the simulator's
-// pools) and components then resolve indices back to the one shared object.
-// Done callbacks are rebound afterwards from the Site/SiteRef descriptor in
-// a final link pass driven by the simulator.
+// pools, return route included) and components then resolve indices back to
+// the one shared object.
 
-// Site identifies the kind of component a Request's Done callback belongs
-// to. Stamped at Done-bind time, used only by checkpoint restore.
-type Site uint8
-
-const (
-	// SiteNone: the request has no Done callback (fire-and-forget writes,
-	// writebacks, write-allocate fills, write-through forwards).
-	SiteNone Site = iota
-	// SiteCoreData: Done is a core warp's data-return callback; CoreID and
-	// WarpID on the request identify it.
-	SiteCoreData
-	// SiteCacheFill: Done is a cache MSHR's fill callback; SiteRef is the
-	// cache's snapshot ID and Addr names the line.
-	SiteCacheFill
-	// SiteCacheBypassFill: like SiteCacheFill but for the cache's bypass
-	// MSHR set.
-	SiteCacheBypassFill
-	// SiteWalk: Done is a page-table walk's step callback; SiteRef is the
-	// walk's serial number.
-	SiteWalk
-)
+// Wiring is the fixed layout of one simulator that a checkpoint names things
+// by: request pools by Pool.ID, request sinks by engine registration index
+// (nil for tickers that are not sinks), translation sinks (the L1 TLBs) by
+// core.
+type Wiring struct {
+	Pools      []*Pool
+	TransPools []*TransPool
+	Sinks      []Sink
+	TransSinks []TransSink
+}
 
 // RequestDTO is the serializable image of one live Request.
 type RequestDTO struct {
@@ -55,8 +43,10 @@ type RequestDTO struct {
 	Addr      uint64
 	Issue     int64
 	Served    Service
-	Site      Site
-	SiteRef   uint64
+	// Sink is the index in Wiring.Sinks of the component the request
+	// returns to (NilRef: none); Tag is that component's continuation detail.
+	Sink int32
+	Tag  uint64
 	// PoolID names the free list the live request came from (Pool.ID), so
 	// restore materializes it from the matching pool. The pool layout is
 	// fixed (one shared pool plus one per core), and the recycling partitions
@@ -65,9 +55,8 @@ type RequestDTO struct {
 	PoolID int
 }
 
-// TransReqDTO is the serializable image of one live TransReq. TransReqs
-// need no Site: every live one's Done is its owning L1 TLB MSHR's fill,
-// identified by (CoreID, VPN).
+// TransReqDTO is the serializable image of one live TransReq. It needs no
+// sink field: every live one returns to the L1 TLB of CoreID.
 type TransReqDTO struct {
 	AppID        int
 	ASID         uint8
@@ -88,18 +77,32 @@ const NilRef int32 = -1
 // snapshotting. Components call Req/Trans for every pointer they serialize;
 // the first call for a pointer registers it.
 type Table struct {
+	sinkIdx map[Sink]int32
+	// lastSink/lastIdx remember the previous lookup: a container's requests
+	// mostly return to one sink, so most lookups skip the map.
+	lastSink Sink
+	lastIdx  int32
+
 	reqIdx   map[*Request]int32
 	reqs     []RequestDTO
 	transIdx map[*TransReq]int32
 	trans    []TransReqDTO
 }
 
-// NewTable returns an empty registry.
-func NewTable() *Table {
-	return &Table{
+// NewTable returns an empty registry that records each request's Ret as its
+// index in sinks (Wiring.Sinks).
+func NewTable(sinks []Sink) *Table {
+	t := &Table{
+		sinkIdx:  make(map[Sink]int32, len(sinks)),
 		reqIdx:   make(map[*Request]int32),
 		transIdx: make(map[*TransReq]int32),
 	}
+	for i, s := range sinks {
+		if s != nil {
+			t.sinkIdx[s] = int32(i)
+		}
+	}
+	return t
 }
 
 // Req registers r (idempotently) and returns its index; NilRef for nil.
@@ -116,11 +119,22 @@ func (t *Table) Req(r *Request) int32 {
 	if r.pool != nil {
 		poolID = r.pool.ID
 	}
+	sink := NilRef
+	if r.Ret != nil {
+		if r.Ret != t.lastSink {
+			idx, ok := t.sinkIdx[r.Ret]
+			if !ok {
+				panic(fmt.Sprintf("memreq: request %d returns to a %T that is not a registered sink", r.ID, r.Ret))
+			}
+			t.lastSink, t.lastIdx = r.Ret, idx
+		}
+		sink = t.lastIdx
+	}
 	t.reqs = append(t.reqs, RequestDTO{
 		ID: r.ID, AppID: r.AppID, ASID: r.ASID, CoreID: r.CoreID, WarpID: r.WarpID,
 		Kind: r.Kind, Class: r.Class, WalkLevel: r.WalkLevel,
 		Addr: r.Addr, Issue: r.Issue, Served: r.Served,
-		Site: r.Site, SiteRef: r.SiteRef, PoolID: poolID,
+		Sink: sink, Tag: r.Tag, PoolID: poolID,
 	})
 	return i
 }
@@ -153,66 +167,108 @@ func (t *Table) Requests() []RequestDTO { return t.reqs }
 // TransReqs returns the registered TransReq DTOs in index order.
 func (t *Table) TransReqs() []TransReqDTO { return t.trans }
 
-// RestoreTable materializes every registered request from the given pools at
-// construction; components then resolve their serialized indices through it.
-// Done callbacks are NOT set here — the simulator's link pass binds them
-// from the Site descriptors once every component's trackers exist.
+// RestoreTable materializes every registered request from the wiring's pools
+// at construction, return route included; components then resolve their
+// serialized indices through it.
 type RestoreTable struct {
 	reqs  []*Request
 	trans []*TransReq
+	sinks []Sink
+	// bySink groups the requests by the sink they return to, so each sink's
+	// RestoreState can check that it holds the state they resume.
+	bySink [][]*Request
+	err    error
 }
 
 // NewRestoreTable allocates one live object per DTO from the pool carrying
-// its recorded PoolID and copies the serialized fields in. pools and tpools
-// are indexed by Pool.ID/TransPool.ID; a DTO naming a pool outside either
-// list is an error (corrupt or incompatible checkpoint).
-func NewRestoreTable(reqs []RequestDTO, trans []TransReqDTO, pools []*Pool, tpools []*TransPool) (*RestoreTable, error) {
+// its recorded PoolID, copies the serialized fields in and resolves its sink.
+// A DTO naming a pool, sink or core the wiring does not have is an error
+// (corrupt or incompatible checkpoint).
+func NewRestoreTable(reqs []RequestDTO, trans []TransReqDTO, w Wiring) (*RestoreTable, error) {
 	t := &RestoreTable{
-		reqs:  make([]*Request, len(reqs)),
-		trans: make([]*TransReq, len(trans)),
+		reqs:   make([]*Request, len(reqs)),
+		trans:  make([]*TransReq, len(trans)),
+		sinks:  w.Sinks,
+		bySink: make([][]*Request, len(w.Sinks)),
 	}
 	for i, d := range reqs {
-		if d.PoolID < 0 || d.PoolID >= len(pools) {
-			return nil, fmt.Errorf("memreq: request %d names pool %d of %d", i, d.PoolID, len(pools))
+		if d.PoolID < 0 || d.PoolID >= len(w.Pools) {
+			return nil, fmt.Errorf("memreq: request %d names pool %d of %d", i, d.PoolID, len(w.Pools))
 		}
-		r := pools[d.PoolID].Get()
+		if d.Sink != NilRef && (d.Sink < 0 || int(d.Sink) >= len(w.Sinks) || w.Sinks[d.Sink] == nil) {
+			return nil, fmt.Errorf("memreq: request %d returns to ticker %d, which is not a sink", i, d.Sink)
+		}
+		r := w.Pools[d.PoolID].Get()
 		r.ID, r.AppID, r.ASID, r.CoreID, r.WarpID = d.ID, d.AppID, d.ASID, d.CoreID, d.WarpID
 		r.Kind, r.Class, r.WalkLevel = d.Kind, d.Class, d.WalkLevel
-		r.Addr, r.Issue, r.Served = d.Addr, d.Issue, d.Served
-		r.Site, r.SiteRef = d.Site, d.SiteRef
+		r.Addr, r.Issue, r.Served, r.Tag = d.Addr, d.Issue, d.Served, d.Tag
+		if d.Sink != NilRef {
+			r.Ret = w.Sinks[d.Sink]
+			t.bySink[d.Sink] = append(t.bySink[d.Sink], r)
+		}
 		t.reqs[i] = r
 	}
 	for i, d := range trans {
-		if d.PoolID < 0 || d.PoolID >= len(tpools) {
-			return nil, fmt.Errorf("memreq: transreq %d names pool %d of %d", i, d.PoolID, len(tpools))
+		if d.PoolID < 0 || d.PoolID >= len(w.TransPools) {
+			return nil, fmt.Errorf("memreq: transreq %d names pool %d of %d", i, d.PoolID, len(w.TransPools))
 		}
-		tr := tpools[d.PoolID].Get()
+		if d.CoreID < 0 || d.CoreID >= len(w.TransSinks) {
+			return nil, fmt.Errorf("memreq: transreq %d names the L1 TLB of core %d of %d", i, d.CoreID, len(w.TransSinks))
+		}
+		tr := w.TransPools[d.PoolID].Get()
 		tr.AppID, tr.ASID, tr.CoreID, tr.WarpID = d.AppID, d.ASID, d.CoreID, d.WarpID
 		tr.VPN, tr.HasToken, tr.Issue, tr.StalledWarps = d.VPN, d.HasToken, d.Issue, d.StalledWarps
+		tr.Ret = w.TransSinks[d.CoreID]
 		t.trans[i] = tr
 	}
 	return t, nil
 }
 
+// badRef records the first reference outside the registry; Err surfaces it
+// once every component has resolved its references.
+func (t *RestoreTable) badRef(i int32, n int) {
+	if t.err == nil {
+		t.err = fmt.Errorf("memreq: checkpoint reference %d outside %d live requests", i, n)
+	}
+}
+
 // Req resolves a serialized index to its materialized Request (nil for
-// NilRef).
+// NilRef, and for an index outside the registry, which Err then reports).
 func (t *RestoreTable) Req(i int32) *Request {
-	if i == NilRef {
+	if i < 0 || int(i) >= len(t.reqs) {
+		if i != NilRef {
+			t.badRef(i, len(t.reqs))
+		}
 		return nil
 	}
 	return t.reqs[i]
 }
 
-// Trans resolves a serialized index to its materialized TransReq.
+// Trans resolves a serialized index to its materialized TransReq (see Req).
 func (t *RestoreTable) Trans(i int32) *TransReq {
-	if i == NilRef {
+	if i < 0 || int(i) >= len(t.trans) {
+		if i != NilRef {
+			t.badRef(i, len(t.trans))
+		}
 		return nil
 	}
 	return t.trans[i]
 }
 
-// Len returns the materialized request counts (requests, transreqs).
-func (t *RestoreTable) Len() (int, int) { return len(t.reqs), len(t.trans) }
+// Err reports the first out-of-range reference any component resolved. The
+// envelope checksum vouches for the bytes, not for the state they encode, so
+// the simulator checks it after the components have restored.
+func (t *RestoreTable) Err() error { return t.err }
+
+// Returning lists the materialized requests whose Ret is s.
+func (t *RestoreTable) Returning(s Sink) []*Request {
+	for i, have := range t.sinks {
+		if have == s {
+			return t.bySink[i]
+		}
+	}
+	return nil
+}
 
 // State returns the generator's counter for checkpointing.
 func (g *IDGen) State() uint64 { return g.next }

@@ -82,16 +82,32 @@ const (
 	lifeFree
 )
 
+// Sink is a component a completed Request returns to: a core (data reads),
+// a cache (its own line fetches) or the page table walker (per-level reads).
+// RequestDone runs exactly once per request, inside Complete, and finds the
+// state it resumes from what the request carries — WarpID, Addr, Tag.
+type Sink interface {
+	RequestDone(now int64, r *Request)
+}
+
+// SinkFunc adapts a function to Sink for callers outside a wired simulator
+// (tests observing a completion). It cannot be checkpointed.
+type SinkFunc func(now int64, r *Request)
+
+// RequestDone implements Sink.
+func (f SinkFunc) RequestDone(now int64, r *Request) { f(now, r) }
+
 // Request is a physical-address access to the cache/DRAM hierarchy.
 //
-// Done, if non-nil, is invoked exactly once by the component that completes
-// the request (a cache on a hit or fill, or DRAM). Writes may carry a nil
-// Done (fire-and-forget, e.g. write-through traffic and dirty evictions).
+// A request carries its return route: Ret, if non-nil, receives it exactly
+// once from the component that completes it (a cache on a hit or fill, or
+// DRAM). Writes may carry a nil Ret (fire-and-forget, e.g. write-through
+// traffic and dirty evictions).
 //
 // Ownership: a Request has a single owner at every moment — the component
 // currently responsible for advancing it (a bank queue, an MSHR waiting
-// list, a retry list, a DRAM channel). Complete transfers ownership to the
-// Done callback for its duration and then ends the lifecycle; no component
+// list, a retry list, a DRAM channel). Complete transfers ownership to Ret
+// for the duration of RequestDone and then ends the lifecycle; no component
 // may retain a pointer to a request after its Complete returns. That
 // contract is what makes pooled recycling (Pool) sound.
 type Request struct {
@@ -116,16 +132,12 @@ type Request struct {
 	// Served records which level supplied the data; set by the hierarchy.
 	Served Service
 
-	Done func(now int64, r *Request)
-
-	// Site and SiteRef are the checkpoint continuation descriptor: because
-	// Done is a closure, it cannot be serialized — instead every bind site
-	// stamps Site (which kind of component owns the callback) and SiteRef
-	// (which instance) when it assigns Done, and a checkpoint restore rebinds
-	// an equivalent callback from those coordinates (docs/MODEL.md §9).
-	// Requests with a nil Done carry SiteNone.
-	Site    Site
-	SiteRef uint64
+	// Ret is where the completed request returns (nil: nowhere). Tag is
+	// Ret's own continuation detail: the walk serial for the walker, the
+	// bypass-MSHR mark for a cache, unused by a core. A checkpoint records
+	// Ret as its engine registration index, so the pair is the whole route.
+	Ret Sink
+	Tag uint64
 
 	// pool, when non-nil, is the free list this request returns to after
 	// Complete; set only by Pool.Get.
@@ -134,8 +146,8 @@ type Request struct {
 	life lifeState
 }
 
-// Complete marks the request served at svc, fires the Done callback, and —
-// for pool-owned requests — recycles the object into its pool. The caller
+// Complete marks the request served at svc, delivers it to Ret, and — for
+// pool-owned requests — recycles the object into its pool. The caller
 // must not touch r after Complete returns. Completing a request twice, or
 // completing one that has already been recycled, panics.
 func (r *Request) Complete(now int64, svc Service) {
@@ -149,16 +161,28 @@ func (r *Request) Complete(now int64, svc Service) {
 	if r.Served == ServedNone {
 		r.Served = svc
 	}
-	if r.Done != nil {
-		r.Done(now, r)
+	if r.Ret != nil {
+		r.Ret.RequestDone(now, r)
 	}
 	if r.pool != nil {
 		r.pool.put(r)
 	}
 }
 
+// TransSink is a component a completed TransReq returns to: the L1 TLB of
+// tr.CoreID, which finds its miss tracker by tr.VPN.
+type TransSink interface {
+	TransDone(now int64, tr *TransReq, frame uint64)
+}
+
+// TransSinkFunc adapts a function to TransSink (see SinkFunc).
+type TransSinkFunc func(now int64, tr *TransReq, frame uint64)
+
+// TransDone implements TransSink.
+func (f TransSinkFunc) TransDone(now int64, tr *TransReq, frame uint64) { f(now, tr, frame) }
+
 // TransReq is a virtual-page translation request flowing through the TLB
-// hierarchy. Done receives the translated physical frame number.
+// hierarchy. Ret receives it back with the translated physical frame number.
 type TransReq struct {
 	AppID  int
 	ASID   uint8
@@ -178,13 +202,15 @@ type TransReq struct {
 	// scheduler's WarpsStalled metric (§5.4).
 	StalledWarps int
 
-	Done func(now int64, frame uint64)
+	// Ret is where the translation returns; a checkpoint does not record it
+	// because CoreID names the L1 TLB.
+	Ret TransSink
 
 	pool *TransPool
 	life lifeState
 }
 
-// Complete delivers the translated frame to Done and, for pool-owned
+// Complete delivers the translated frame to Ret and, for pool-owned
 // requests, recycles the object. Mirrors Request.Complete: the caller must
 // not touch tr afterwards, and double completion panics.
 func (tr *TransReq) Complete(now int64, frame uint64) {
@@ -195,8 +221,8 @@ func (tr *TransReq) Complete(now int64, frame uint64) {
 		panic("memreq: Complete on a recycled TransReq (use-after-done)")
 	}
 	tr.life = lifeDone
-	if tr.Done != nil {
-		tr.Done(now, frame)
+	if tr.Ret != nil {
+		tr.Ret.TransDone(now, tr, frame)
 	}
 	if tr.pool != nil {
 		tr.pool.put(tr)

@@ -4,10 +4,10 @@ import "testing"
 
 func TestCompleteInvokesDoneOnce(t *testing.T) {
 	calls := 0
-	r := &Request{Done: func(now int64, req *Request) { calls++ }}
+	r := &Request{Ret: SinkFunc(func(now int64, req *Request) { calls++ })}
 	r.Complete(5, ServedL2)
 	if calls != 1 {
-		t.Fatalf("Done called %d times", calls)
+		t.Fatalf("sink called %d times", calls)
 	}
 	if r.Served != ServedL2 {
 		t.Fatalf("Served=%v, want ServedL2", r.Served)

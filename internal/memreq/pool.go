@@ -8,7 +8,7 @@ import "masksim/internal/slab"
 // fill; without recycling those dominate the allocation profile (~550k
 // objects per 6k-cycle run). A Pool turns that into a handful of warm-up
 // allocations: Get hands out a zeroed request, and Complete returns it to
-// the free list once the Done callback has run.
+// the free list once its sink has run.
 //
 // Pools are intentionally NOT sync.Pool: the cycle loop is single-threaded
 // per simulator, and a plain slab.List keeps recycling fully deterministic
@@ -44,7 +44,7 @@ func (p *Pool) Get() *Request {
 // most once per Get.
 func (p *Pool) put(r *Request) {
 	r.life = lifeFree
-	r.Done = nil
+	r.Ret = nil
 	p.free.Put(r)
 }
 
@@ -69,7 +69,7 @@ func (p *TransPool) Get() *TransReq {
 
 func (p *TransPool) put(tr *TransReq) {
 	tr.life = lifeFree
-	tr.Done = nil
+	tr.Ret = nil
 	p.free.Put(tr)
 }
 

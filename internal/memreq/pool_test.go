@@ -28,7 +28,7 @@ func TestPoolRecyclesOnComplete(t *testing.T) {
 	if r2 != r {
 		t.Fatal("Get did not reuse the recycled request")
 	}
-	if r2.Addr != 0 || r2.Served != ServedNone || r2.Done != nil {
+	if r2.Addr != 0 || r2.Served != ServedNone || r2.Ret != nil {
 		t.Fatalf("recycled request not zeroed: %+v", r2)
 	}
 	if p.free.Gets != 2 || p.free.Allocs != 1 {
@@ -40,18 +40,18 @@ func TestPooledDoneRunsBeforeRecycle(t *testing.T) {
 	var p Pool
 	r := p.Get()
 	ran := false
-	r.Done = func(now int64, req *Request) {
+	r.Ret = SinkFunc(func(now int64, req *Request) {
 		ran = true
 		if p.FreeLen() != 0 {
-			t.Error("request recycled before Done returned")
+			t.Error("request recycled before its sink returned")
 		}
 		if req != r {
-			t.Error("Done received a different request")
+			t.Error("sink received a different request")
 		}
-	}
+	})
 	r.Complete(3, ServedDRAM)
 	if !ran {
-		t.Fatal("Done not invoked")
+		t.Fatal("sink not invoked")
 	}
 }
 
@@ -77,10 +77,15 @@ func TestTransPoolLifecycle(t *testing.T) {
 	tr := p.Get()
 	tr.VPN = 42
 	var gotFrame uint64
-	tr.Done = func(now int64, frame uint64) { gotFrame = frame }
+	tr.Ret = TransSinkFunc(func(now int64, got *TransReq, frame uint64) {
+		if got != tr {
+			t.Error("sink received a different TransReq")
+		}
+		gotFrame = frame
+	})
 	tr.Complete(1, 7)
 	if gotFrame != 7 {
-		t.Fatalf("Done got frame %d, want 7", gotFrame)
+		t.Fatalf("sink got frame %d, want 7", gotFrame)
 	}
 	if p.FreeLen() != 1 {
 		t.Fatal("TransReq not recycled on Complete")
@@ -89,7 +94,7 @@ func TestTransPoolLifecycle(t *testing.T) {
 		tr.Complete(2, 8)
 	})
 	tr2 := p.Get()
-	if tr2 != tr || tr2.VPN != 0 || tr2.Done != nil {
+	if tr2 != tr || tr2.VPN != 0 || tr2.Ret != nil {
 		t.Fatalf("recycled TransReq not zeroed or not reused: %+v", tr2)
 	}
 }

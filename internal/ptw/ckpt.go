@@ -1,7 +1,9 @@
 package ptw
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"masksim/internal/memreq"
 	"masksim/internal/metrics"
@@ -36,11 +38,13 @@ type WalkerState struct {
 	LatHist      *metrics.HistogramState
 }
 
-// SetDoneResolver installs the hook RestoreState uses to rebuild a walk's
-// completion callback from its origin coordinates; the simulator wires it to
-// the shared TLB's MSHR and prefetch lookups.
-func (w *Walker) SetDoneResolver(fn func(origin WalkOrigin, asid uint8, appID int, vpn uint64) (func(now int64, frame uint64), error)) {
-	w.resolveDone = fn
+// checkOrigin rejects a walk image whose origin is none of the three, or
+// that carries a TransReq exactly when its origin says it should not.
+func checkOrigin(origin WalkOrigin, tr *memreq.TransReq, asid uint8, vpn uint64) error {
+	if origin < OriginL2Miss || origin > OriginTrans || (origin == OriginTrans) != (tr != nil) {
+		return fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) has origin %d and TransReq %v", asid, vpn, origin, tr != nil)
+	}
+	return nil
 }
 
 // SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table.
@@ -97,7 +101,6 @@ func (w *Walker) RestoreState(ctx any, state any) error {
 	w.idgen.SetState(st.IDGen)
 	w.Stats = st.Stats
 	copy(w.perAppActive, st.PerAppActive)
-	w.bySerial = make(map[uint64]*walk, len(st.Active)+len(st.Pending))
 	w.active = w.active[:0]
 	for _, ws := range st.Active {
 		wk, err := w.buildWalk(ws, rt)
@@ -118,48 +121,34 @@ func (w *Walker) RestoreState(ctx any, state any) error {
 	if st.LatHist != nil && w.latHist != nil {
 		w.latHist.SetState(*st.LatHist)
 	}
+	for _, r := range rt.Returning(w) {
+		if wk := w.walkBySerial(r.Tag); wk == nil || wk.finished || !wk.waiting {
+			return fmt.Errorf("ptw: checkpoint request %d returns to walk %d, which awaits no read", r.ID, r.Tag)
+		}
+	}
 	return nil
 }
 
 // buildWalk materializes one serialized walk, recomputing its page-table
-// addresses and rebinding its completion continuation.
+// addresses.
 func (w *Walker) buildWalk(ws WalkState, rt *memreq.RestoreTable) (*walk, error) {
 	sp, ok := w.spaces[ws.ASID]
 	if !ok {
 		return nil, fmt.Errorf("ptw: checkpoint walk for unregistered ASID %d", ws.ASID)
 	}
-	wk := w.getWalk()
+	wk, _ := w.walkFree.Get()
 	wk.asid, wk.appID, wk.vpn = ws.ASID, ws.AppID, ws.VPN
 	wk.origin, wk.serial = WalkOrigin(ws.Origin), ws.Serial
 	wk.level, wk.waiting, wk.finished, wk.start = ws.Level, ws.Waiting, ws.Finished, ws.Start
 	wk.addrs = sp.WalkAddrsInto(ws.VPN, wk.buf[:0])
-	w.bySerial[ws.Serial] = wk
 	if ws.Finished {
 		return wk, nil
 	}
+	if ws.Level < 1 || ws.Level > len(wk.addrs) {
+		return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is at level %d of %d", ws.ASID, ws.VPN, ws.Level, len(wk.addrs))
+	}
 	wk.tr = rt.Trans(ws.Tr)
-	if wk.tr == nil {
-		if w.resolveDone == nil {
-			return nil, fmt.Errorf("ptw: restore needs a done resolver for walk origin %d", ws.Origin)
-		}
-		done, err := w.resolveDone(wk.origin, ws.ASID, ws.AppID, ws.VPN)
-		if err != nil {
-			return nil, fmt.Errorf("ptw: relink walk (asid %d vpn %#x): %w", ws.ASID, ws.VPN, err)
-		}
-		wk.done = done
-	}
-	return wk, nil
-}
-
-// ReqDoneBySerial resolves a restored walk's per-level request completion
-// handler; the simulator's link pass rebinds memreq.SiteWalk requests
-// through it. Valid only after RestoreState.
-func (w *Walker) ReqDoneBySerial(serial uint64) (func(now int64, r *memreq.Request), bool) {
-	wk, ok := w.bySerial[serial]
-	if !ok {
-		return nil, false
-	}
-	return wk.reqDone, true
+	return wk, checkOrigin(wk.origin, wk.tr, ws.ASID, ws.VPN)
 }
 
 // --- fault unit -------------------------------------------------------------
@@ -170,13 +159,14 @@ type FaultKeyState struct {
 	VPN  uint64
 }
 
-// FaultNotifyState is one held walk continuation in serialized form.
+// FaultNotifyState is one held walk in serialized form.
 type FaultNotifyState struct {
 	Start  int64
 	Origin uint8
 	AppID  int
 	ASID   uint8
 	VPN    uint64
+	Frame  uint64
 	Tr     int32
 }
 
@@ -207,34 +197,29 @@ func (f *FaultUnit) SnapshotState(ctx any) (any, error) {
 	for key := range f.resident {
 		st.Resident = append(st.Resident, FaultKeyState{ASID: key.asid, VPN: key.vpn})
 	}
-	snap := func(p *pendingFault) (PendingFaultState, error) {
+	// The resident set is a map: write it in key order so equal states
+	// encode equally.
+	slices.SortFunc(st.Resident, func(a, b FaultKeyState) int {
+		if c := cmp.Compare(a.ASID, b.ASID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.VPN, b.VPN)
+	})
+	snap := func(p *pendingFault) PendingFaultState {
 		ps := PendingFaultState{ASID: p.key.asid, VPN: p.key.vpn, Start: p.start, DoneAt: p.doneAt}
-		for _, n := range p.notify {
-			// ASIDs are assigned from 1, so a zero ASID marks a continuation
-			// registered through the metadata-less Touch entry point.
-			if n.meta.ASID == 0 || (n.meta.Tr == nil && n.meta.Origin == OriginExternal) {
-				return ps, fmt.Errorf("ptw: fault for (asid %d, vpn %#x) holds a continuation without relink metadata", p.key.asid, p.key.vpn)
-			}
+		for _, h := range p.notify {
 			ps.Notify = append(ps.Notify, FaultNotifyState{
-				Start: n.meta.Start, Origin: uint8(n.meta.Origin), AppID: n.meta.AppID,
-				ASID: n.meta.ASID, VPN: n.meta.VPN, Tr: tab.Trans(n.meta.Tr),
+				Start: h.Start, Origin: uint8(h.Origin), AppID: h.AppID,
+				ASID: h.ASID, VPN: h.VPN, Frame: h.Frame, Tr: tab.Trans(h.Tr),
 			})
 		}
-		return ps, nil
+		return ps
 	}
 	for _, p := range f.inflight {
-		ps, err := snap(p)
-		if err != nil {
-			return nil, err
-		}
-		st.Inflight = append(st.Inflight, ps)
+		st.Inflight = append(st.Inflight, snap(p))
 	}
 	for _, p := range f.queue {
-		ps, err := snap(p)
-		if err != nil {
-			return nil, err
-		}
-		st.Queue = append(st.Queue, ps)
+		st.Queue = append(st.Queue, snap(p))
 	}
 	return st, nil
 }
@@ -249,9 +234,6 @@ func (f *FaultUnit) RestoreState(ctx any, state any) error {
 	if !ok {
 		return fmt.Errorf("ptw: restore state is %T, want FaultUnitState", state)
 	}
-	if f.walker == nil {
-		return fmt.Errorf("ptw: fault unit restore requires an attached walker")
-	}
 	f.Stats = st.Stats
 	f.resident = make(map[faultKey]bool, len(st.Resident))
 	for _, k := range st.Resident {
@@ -263,15 +245,14 @@ func (f *FaultUnit) RestoreState(ctx any, state any) error {
 			start: ps.Start, doneAt: ps.DoneAt,
 		}
 		for _, ns := range ps.Notify {
-			meta := FaultMeta{
+			h := HeldWalk{
 				Start: ns.Start, Origin: WalkOrigin(ns.Origin), AppID: ns.AppID,
-				ASID: ns.ASID, VPN: ns.VPN, Tr: rt.Trans(ns.Tr),
+				ASID: ns.ASID, VPN: ns.VPN, Frame: ns.Frame, Tr: rt.Trans(ns.Tr),
 			}
-			fn, err := f.walker.faultContinuation(meta)
-			if err != nil {
+			if err := checkOrigin(h.Origin, h.Tr, h.ASID, h.VPN); err != nil {
 				return nil, err
 			}
-			p.notify = append(p.notify, faultNotify{fn: fn, meta: meta})
+			p.notify = append(p.notify, h)
 		}
 		return p, nil
 	}
@@ -292,33 +273,4 @@ func (f *FaultUnit) RestoreState(ctx any, state any) error {
 		f.queue = append(f.queue, p)
 	}
 	return nil
-}
-
-// faultContinuation rebuilds the held walk-completion closure a pendingFault
-// carries, mirroring the capture in Walker.advance: the frame comes from the
-// (deterministically rebuilt) page table, the continuation from the walk's
-// origin coordinates.
-func (w *Walker) faultContinuation(meta FaultMeta) (func(now int64), error) {
-	sp, ok := w.spaces[meta.ASID]
-	if !ok {
-		return nil, fmt.Errorf("ptw: fault continuation for unregistered ASID %d", meta.ASID)
-	}
-	frame, ok := sp.TranslateVPN(meta.VPN)
-	if !ok {
-		return nil, fmt.Errorf("ptw: fault continuation for unmapped page (asid %d, vpn %#x)", meta.ASID, meta.VPN)
-	}
-	tr := meta.Tr
-	var done func(now int64, frame uint64)
-	if tr == nil {
-		if w.resolveDone == nil {
-			return nil, fmt.Errorf("ptw: restore needs a done resolver for fault origin %d", meta.Origin)
-		}
-		var err error
-		done, err = w.resolveDone(meta.Origin, meta.ASID, meta.AppID, meta.VPN)
-		if err != nil {
-			return nil, fmt.Errorf("ptw: relink fault continuation (asid %d vpn %#x): %w", meta.ASID, meta.VPN, err)
-		}
-	}
-	start := meta.Start
-	return func(fnow int64) { w.finishWalk(fnow, start, frame, done, tr) }, nil
 }

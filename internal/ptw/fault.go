@@ -26,9 +26,9 @@ type FaultUnit struct {
 	inflight []*pendingFault
 	queue    []*pendingFault
 
-	// walker, set by SetFaultUnit, rebuilds held continuations on checkpoint
-	// restore.
-	walker *Walker
+	// sink receives the held walks of a completed fault; SetFaultUnit sets it
+	// to the walker.
+	sink FaultSink
 
 	Stats FaultStats
 }
@@ -57,26 +57,25 @@ type pendingFault struct {
 	key    faultKey
 	start  int64
 	doneAt int64
-	notify []faultNotify
+	notify []HeldWalk
 }
 
-// faultNotify pairs a held continuation with the serializable description the
-// walker needs to rebuild it after a checkpoint restore.
-type faultNotify struct {
-	fn   func(now int64)
-	meta FaultMeta
-}
-
-// FaultMeta describes a fault-held walk continuation: the walk's start cycle
-// and origin coordinates. The physical frame is recomputed from the page
-// table on restore, and Tr is serialized through the request registry.
-type FaultMeta struct {
+// HeldWalk is the result of a finished walk, held until its page is
+// resident: everything finishing the walk needs, as plain data. Tr is set
+// exactly when Origin is OriginTrans.
+type HeldWalk struct {
 	Start  int64
 	Origin WalkOrigin
 	AppID  int
 	ASID   uint8
 	VPN    uint64
+	Frame  uint64
 	Tr     *memreq.TransReq
+}
+
+// FaultSink receives the held walks of a completed fault (the walker).
+type FaultSink interface {
+	FaultDone(now int64, h HeldWalk)
 }
 
 // NewFaultUnit builds a fault unit.
@@ -91,15 +90,9 @@ func NewFaultUnit(latency int64, concurrency int) *FaultUnit {
 	}
 }
 
-// Touch reports whether (asid, vpn) is resident. If not, done is queued and
-// invoked when the fault completes; Touch returns false in that case.
-// Continuations registered through Touch carry no relink metadata and so
-// cannot survive a checkpoint (the walker uses touch with a FaultMeta).
-func (f *FaultUnit) Touch(now int64, asid uint8, vpn uint64, done func(now int64)) bool {
-	return f.touch(now, asid, vpn, done, FaultMeta{})
-}
-
-func (f *FaultUnit) touch(now int64, asid uint8, vpn uint64, done func(now int64), meta FaultMeta) bool {
+// Touch reports whether (asid, vpn) is resident. If not, h is held and handed
+// to the sink when the fault completes; Touch returns false in that case.
+func (f *FaultUnit) Touch(now int64, asid uint8, vpn uint64, h HeldWalk) bool {
 	key := faultKey{asid, vpn}
 	if f.resident[key] {
 		return true
@@ -107,12 +100,12 @@ func (f *FaultUnit) touch(now int64, asid uint8, vpn uint64, done func(now int64
 	// Merge into an in-flight or queued fault for the same page.
 	for _, p := range append(f.inflight, f.queue...) {
 		if p.key == key {
-			p.notify = append(p.notify, faultNotify{fn: done, meta: meta})
+			p.notify = append(p.notify, h)
 			return false
 		}
 	}
 	f.Stats.Faults++
-	p := &pendingFault{key: key, start: now, notify: []faultNotify{{fn: done, meta: meta}}}
+	p := &pendingFault{key: key, start: now, notify: []HeldWalk{h}}
 	if len(f.inflight) < f.Concurrency {
 		p.doneAt = now + f.Latency
 		f.inflight = append(f.inflight, p)
@@ -136,8 +129,8 @@ func (f *FaultUnit) Tick(now int64) {
 			f.resident[p.key] = true
 			f.Stats.Completed++
 			f.Stats.LatSum += uint64(now - p.start)
-			for _, cb := range p.notify {
-				cb.fn(now)
+			for _, h := range p.notify {
+				f.sink.FaultDone(now, h)
 			}
 		} else {
 			f.inflight[nkeep] = p
@@ -176,7 +169,7 @@ func (f *FaultUnit) Outstanding() int { return len(f.inflight) + len(f.queue) }
 
 // SetFaultUnit attaches demand paging to the walker: a completed walk for a
 // non-resident page is held until its fault is serviced.
-func (w *Walker) SetFaultUnit(f *FaultUnit) { w.faults = f; f.walker = w }
+func (w *Walker) SetFaultUnit(f *FaultUnit) { w.faults = f; f.sink = w }
 
 // Faults returns the attached fault unit (nil when demand paging is off).
 func (w *Walker) Faults() *FaultUnit { return w.faults }

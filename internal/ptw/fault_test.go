@@ -6,24 +6,30 @@ import (
 	"masksim/internal/pagetable"
 )
 
+// newFaultUnit builds a fault unit whose held walks land in the returned log.
+func newFaultUnit(latency int64, concurrency int) (*FaultUnit, *walkLog) {
+	f, log := NewFaultUnit(latency, concurrency), &walkLog{}
+	f.sink = log
+	return f, log
+}
+
 func TestFaultFirstTouchPaysLatency(t *testing.T) {
-	f := NewFaultUnit(100, 4)
-	fired := int64(-1)
-	if f.Touch(0, 1, 42, func(now int64) { fired = now }) {
+	f, log := newFaultUnit(100, 4)
+	if f.Touch(0, 1, 42, HeldWalk{VPN: 42, Frame: 9}) {
 		t.Fatal("first touch reported resident")
 	}
 	for now := int64(1); now < 99; now++ {
 		f.Tick(now)
-		if fired >= 0 {
-			t.Fatalf("fault completed early at %d", fired)
+		if len(log.done) > 0 {
+			t.Fatalf("fault completed early at %d", log.done[0].now)
 		}
 	}
 	f.Tick(100)
-	if fired != 100 {
-		t.Fatalf("fault completed at %d, want 100", fired)
+	if len(log.done) != 1 || log.done[0] != (walkResult{now: 100, vpn: 42, frame: 9}) {
+		t.Fatalf("fault delivered %+v, want the held walk once at 100", log.done)
 	}
 	// Page now resident: no further fault.
-	if !f.Touch(101, 1, 42, func(int64) {}) {
+	if !f.Touch(101, 1, 42, HeldWalk{}) {
 		t.Fatal("resident page faulted again")
 	}
 	if f.Stats.Faults != 1 {
@@ -32,26 +38,24 @@ func TestFaultFirstTouchPaysLatency(t *testing.T) {
 }
 
 func TestFaultMergesSamePage(t *testing.T) {
-	f := NewFaultUnit(50, 4)
-	done := 0
-	f.Touch(0, 1, 7, func(int64) { done++ })
-	f.Touch(1, 1, 7, func(int64) { done++ })
+	f, log := newFaultUnit(50, 4)
+	f.Touch(0, 1, 7, HeldWalk{})
+	f.Touch(1, 1, 7, HeldWalk{})
 	if f.Stats.Faults != 1 {
 		t.Fatalf("same-page touches raised %d faults", f.Stats.Faults)
 	}
 	for now := int64(0); now <= 60; now++ {
 		f.Tick(now)
 	}
-	if done != 2 {
-		t.Fatalf("%d callbacks fired, want 2", done)
+	if done := len(log.done); done != 2 {
+		t.Fatalf("%d held walks delivered, want 2", done)
 	}
 }
 
 func TestFaultConcurrencyLimit(t *testing.T) {
-	f := NewFaultUnit(100, 2)
-	done := 0
+	f, log := newFaultUnit(100, 2)
 	for vpn := uint64(0); vpn < 5; vpn++ {
-		f.Touch(0, 1, vpn, func(int64) { done++ })
+		f.Touch(0, 1, vpn, HeldWalk{})
 	}
 	if f.Outstanding() != 5 {
 		t.Fatalf("outstanding=%d, want 5", f.Outstanding())
@@ -60,13 +64,13 @@ func TestFaultConcurrencyLimit(t *testing.T) {
 	for now := int64(0); now <= 100; now++ {
 		f.Tick(now)
 	}
-	if done != 2 {
+	if done := len(log.done); done != 2 {
 		t.Fatalf("%d faults done after one window, want 2 (concurrency limit)", done)
 	}
 	for now := int64(101); now <= 400; now++ {
 		f.Tick(now)
 	}
-	if done != 5 {
+	if done := len(log.done); done != 5 {
 		t.Fatalf("%d faults done at drain, want 5", done)
 	}
 	if f.Stats.AvgLatency() <= 100 {
@@ -78,14 +82,14 @@ func TestFaultConcurrencyLimit(t *testing.T) {
 func TestPrefaultSkipsFault(t *testing.T) {
 	f := NewFaultUnit(100, 1)
 	f.Prefault(1, 9)
-	if !f.Touch(0, 1, 9, func(int64) {}) {
+	if !f.Touch(0, 1, 9, HeldWalk{}) {
 		t.Fatal("prefaulted page still faulted")
 	}
 }
 
 func TestWalkerWithFaultUnit(t *testing.T) {
 	mem := &fakeMem{}
-	w := New(4, mem, 1)
+	w, log := newWalker(4, mem, 1)
 	sp := pagetable.NewSpace(1, pagetable.PageSize4K, pagetable.NewAllocator())
 	w.AddSpace(sp)
 	fu := NewFaultUnit(200, 4)
@@ -96,8 +100,7 @@ func TestWalkerWithFaultUnit(t *testing.T) {
 
 	va := uint64(0x4_0000_0000)
 	sp.EnsureMapped(va)
-	var doneAt int64 = -1
-	w.StartWalk(0, 1, 0, sp.VPN(va), func(now int64, _ uint64) { doneAt = now })
+	w.StartWalk(0, 1, 0, sp.VPN(va), OriginL2Miss)
 	now := int64(0)
 	for lvl := 0; lvl < 4; lvl++ {
 		w.Tick(now)
@@ -106,15 +109,15 @@ func TestWalkerWithFaultUnit(t *testing.T) {
 		now += 2
 	}
 	// The walk finished but the fault holds the translation.
-	if doneAt >= 0 {
+	if len(log.done) > 0 {
 		t.Fatal("translation returned before the fault was serviced")
 	}
 	for ; now < 300; now++ {
 		w.Tick(now)
 		fu.Tick(now)
 	}
-	if doneAt < 200 {
-		t.Fatalf("translation at %d, want >= fault latency 200", doneAt)
+	if len(log.done) != 1 || log.done[0].now < 200 {
+		t.Fatalf("translation delivered %+v, want once at >= fault latency 200", log.done)
 	}
 	if w.Stats.Completed != 1 {
 		t.Fatal("walk completion not counted after fault")

@@ -51,19 +51,17 @@ func (s Stats) AvgConcurrent() float64 {
 }
 
 // walk is the per-walk state. Walk objects are recycled through the
-// walker's free list once finished; reqDone is bound once at first
-// allocation so steady-state walks allocate neither the walk nor the
-// completion closure of its per-level memory reads.
+// walker's free list once finished, so steady-state walks allocate nothing.
 type walk struct {
 	asid  uint8
 	appID int
 	vpn   uint64
-	// Exactly one of done / tr is set: done for walks started via StartWalk
-	// (shared-TLB fills, prefetches), tr for L1 misses routed straight to
-	// the walker under the PWCache design (completed via tr.Complete so the
-	// TransReq recycles into its pool).
-	done func(now int64, frame uint64)
-	tr   *memreq.TransReq
+	// origin is the only record of where the walk's result goes: to the
+	// walker's WalkSink (shared-TLB fills, prefetches), or — OriginTrans, an
+	// L1 miss routed straight to the walker under the PWCache design — to tr
+	// (tr.Complete, so the TransReq recycles into its pool).
+	origin WalkOrigin
+	tr     *memreq.TransReq
 
 	addrs    []uint64
 	level    int // next 1-based level to issue
@@ -72,36 +70,35 @@ type walk struct {
 	start    int64
 	buf      [4]uint64
 
-	// origin records which kind of continuation done/tr is, and serial is a
-	// per-walker monotonic walk number; together they let checkpoint restore
-	// rebind the walk's callbacks (docs/MODEL.md §9).
-	origin WalkOrigin
+	// serial is a per-walker monotonic walk number; the walk's per-level
+	// memory reads carry it as their Tag and RequestDone finds the walk by it.
 	serial uint64
-
-	reqDone func(now int64, r *memreq.Request)
 }
 
-// WalkOrigin identifies where a walk's completion continuation lives, so a
-// restored walk can be relinked to it.
+// WalkOrigin identifies where a walk's result goes.
 type WalkOrigin uint8
 
 const (
-	// OriginExternal: a caller outside the simulator's wiring (tests); the
-	// continuation cannot be rebuilt across a checkpoint.
-	OriginExternal WalkOrigin = iota
-	// OriginL2Miss: done is a shared-TLB MSHR fill (tlb.L2TLB.MissDone).
-	OriginL2Miss
-	// OriginPrefetch: done installs a prefetched translation
-	// (tlb.L2TLB.PrefetchDone).
+	// OriginL2Miss: a shared-TLB demand miss; WalkDone fills its tracker.
+	OriginL2Miss WalkOrigin = iota + 1
+	// OriginPrefetch: a prediction; WalkDone installs the translation.
 	OriginPrefetch
-	// OriginTrans: tr is set; completion is tr.Complete (PWCache design).
+	// OriginTrans: the walk carries a TransReq and completes it (PWCache
+	// design).
 	OriginTrans
 )
+
+// WalkSink receives the result of every walk started through StartWalk, with
+// the origin it was started with (the shared L2 TLB).
+type WalkSink interface {
+	WalkDone(now int64, asid uint8, appID int, vpn, frame uint64, origin WalkOrigin)
+}
 
 // Walker is the shared page table walker.
 type Walker struct {
 	max     int
 	backend cache.Backend
+	sink    WalkSink
 	spaces  map[uint8]*pagetable.Space
 	idgen   *memreq.IDGen
 
@@ -115,14 +112,8 @@ type Walker struct {
 
 	perAppActive []int
 
-	// serialSeq numbers walks for checkpoint relinking (walk.serial).
+	// serialSeq numbers walks (walk.serial).
 	serialSeq uint64
-	// resolveDone, installed by the simulator, rebuilds a restored walk's
-	// completion callback from its origin coordinates.
-	resolveDone func(origin WalkOrigin, asid uint8, appID int, vpn uint64) (func(now int64, frame uint64), error)
-	// bySerial indexes restored walks for the request link pass; populated
-	// only by RestoreState.
-	bySerial map[uint64]*walk
 
 	// sampleEvery controls concurrency sampling (cycles); 0 disables.
 	sampleEvery int64
@@ -165,15 +156,9 @@ func New(maxConcurrent int, backend cache.Backend, numApps int) *Walker {
 // per-simulator one. Must be called before simulation starts.
 func (w *Walker) SetRequestPool(p *memreq.Pool) { w.pool = p }
 
-// getWalk takes a walk object off the free list, binding the request
-// completion handler of one handed out for the first time.
-func (w *Walker) getWalk() *walk {
-	wk, fresh := w.walkFree.Get()
-	if fresh {
-		wk.reqDone = func(now int64, _ *memreq.Request) { w.advance(now, wk) }
-	}
-	return wk
-}
+// SetWalkSink names the component StartWalk's results return to. Must be
+// called before the first StartWalk.
+func (w *Walker) SetWalkSink(s WalkSink) { w.sink = s }
 
 // AddSpace registers an address space so the walker can resolve its radix
 // table. Must be called for every ASID before simulation starts.
@@ -181,28 +166,20 @@ func (w *Walker) AddSpace(s *pagetable.Space) {
 	w.spaces[s.ASID()] = s
 }
 
-// StartWalk implements tlb.WalkStarter: queue a walk for (asid, vpn). The
-// walk is tagged as a shared-TLB miss fill; callers outside the simulator's
-// wiring (tests) get the same behavior but their walks cannot be relinked
-// across a checkpoint.
-func (w *Walker) StartWalk(now int64, asid uint8, appID int, vpn uint64, done func(now int64, frame uint64)) {
-	w.start(now, asid, appID, vpn, done, nil, OriginL2Miss)
+// StartWalk implements tlb.WalkStarter: queue a walk for (asid, vpn) whose
+// result goes to the walk sink with origin (OriginL2Miss or OriginPrefetch).
+func (w *Walker) StartWalk(now int64, asid uint8, appID int, vpn uint64, origin WalkOrigin) {
+	w.start(now, asid, appID, vpn, origin, nil)
 }
 
-// StartPrefetchWalk implements tlb.WalkStarter for prediction-driven walks.
-func (w *Walker) StartPrefetchWalk(now int64, asid uint8, appID int, vpn uint64, done func(now int64, frame uint64)) {
-	w.start(now, asid, appID, vpn, done, nil, OriginPrefetch)
-}
-
-func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, done func(now int64, frame uint64), tr *memreq.TransReq, origin WalkOrigin) {
+func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, origin WalkOrigin, tr *memreq.TransReq) {
 	sp, ok := w.spaces[asid]
 	if !ok {
 		panic("ptw: walk for unregistered ASID")
 	}
-	wk := w.getWalk()
+	wk, _ := w.walkFree.Get()
 	wk.asid, wk.appID, wk.vpn = asid, appID, vpn
-	wk.done, wk.tr = done, tr
-	wk.origin, wk.serial = origin, w.serialSeq
+	wk.origin, wk.tr, wk.serial = origin, tr, w.serialSeq
 	w.serialSeq++
 	wk.level, wk.start = 1, now
 	wk.addrs = sp.WalkAddrsInto(vpn, wk.buf[:0])
@@ -224,7 +201,7 @@ func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, done func(n
 // shared L2 TLB (Figure 3). FIFO order keeps walker admission fair across
 // applications regardless of core tick order.
 func (w *Walker) SubmitTrans(now int64, tr *memreq.TransReq) bool {
-	w.start(now, tr.ASID, tr.AppID, tr.VPN, nil, tr, OriginTrans)
+	w.start(now, tr.ASID, tr.AppID, tr.VPN, OriginTrans, tr)
 	return true
 }
 
@@ -245,7 +222,7 @@ func (w *Walker) Tick(now int64) {
 			w.active[nkeep] = wk
 			nkeep++
 		} else {
-			wk.done, wk.tr, wk.addrs = nil, nil, nil
+			wk.tr, wk.addrs = nil, nil
 			wk.waiting, wk.finished = false, false
 			w.walkFree.Put(wk)
 		}
@@ -349,19 +326,32 @@ func (w *Walker) issue(now int64, wk *walk) {
 	r.ID, r.AppID, r.ASID = w.idgen.Next(), wk.appID, wk.asid
 	r.Kind, r.Class, r.WalkLevel = memreq.Read, memreq.Translation, uint8(lvl)
 	r.Addr, r.Issue = wk.addrs[lvl-1], now
-	r.Done = wk.reqDone
-	r.Site, r.SiteRef = memreq.SiteWalk, wk.serial
+	r.Ret, r.Tag = w, wk.serial
 	if w.backend.Submit(now, r) {
 		wk.waiting = true
 		return
 	}
 	// On refusal the walk retries next tick (with a fresh request; this one
 	// goes straight back to the pool).
-	r.Done = nil
+	r.Ret = nil
 	r.Complete(now, memreq.ServedNone)
 }
 
-func (w *Walker) advance(now int64, wk *walk) {
+// walkBySerial finds the active walk numbered serial (nil if none). Only
+// active walks have reads outstanding, and there are at most max of them.
+func (w *Walker) walkBySerial(serial uint64) *walk {
+	for _, wk := range w.active {
+		if wk.serial == serial {
+			return wk
+		}
+	}
+	return nil
+}
+
+// RequestDone implements memreq.Sink: a per-level read returned; its Tag is
+// the serial of the walk it advances.
+func (w *Walker) RequestDone(now int64, r *memreq.Request) {
+	wk := w.walkBySerial(r.Tag)
 	wk.waiting = false
 	wk.level++
 	if wk.level <= len(wk.addrs) {
@@ -377,39 +367,34 @@ func (w *Walker) advance(now int64, wk *walk) {
 	if wk.appID >= 0 && wk.appID < len(w.perAppActive) {
 		w.perAppActive[wk.appID]--
 	}
-	// The walk object is recycled at the next Tick's compaction, so anything
-	// that may run later (the fault callback below) must capture these locals,
-	// never wk itself.
-	done, tr, start := wk.done, wk.tr, wk.start
+	// The walk object is recycled at the next Tick's compaction, so what may
+	// be delivered later (a fault-held result) is copied out of it.
+	h := HeldWalk{Start: wk.start, Origin: wk.origin, AppID: wk.appID, ASID: wk.asid, VPN: wk.vpn, Frame: frame, Tr: wk.tr}
 	// Demand paging (§5.5): the walk found the PTE, but a non-resident page
-	// must be faulted in before the translation is usable. The meta mirrors
-	// the closure's captures so a checkpoint can serialize the held
-	// continuation (frame is recomputed from the page table on restore).
-	if w.faults != nil {
-		meta := FaultMeta{Start: start, Origin: wk.origin, AppID: wk.appID, ASID: wk.asid, VPN: wk.vpn, Tr: tr}
-		if !w.faults.touch(now, wk.asid, wk.vpn, func(fnow int64) {
-			w.finishWalk(fnow, start, frame, done, tr)
-		}, meta) {
-			return
-		}
-	}
-	w.finishWalk(now, start, frame, done, tr)
-}
-
-// finishWalk records completion stats and delivers the frame to whichever
-// continuation the walk carries (tr.Complete recycles the TransReq into its
-// pool; done is the plain callback form).
-func (w *Walker) finishWalk(now, start int64, frame uint64, done func(int64, uint64), tr *memreq.TransReq) {
-	w.Stats.Completed++
-	w.Stats.LatSum += uint64(now - start)
-	if w.latHist != nil {
-		w.latHist.Observe(float64(now - start))
-	}
-	if tr != nil {
-		tr.Complete(now, frame)
+	// must be faulted in before the translation is usable.
+	if w.faults != nil && !w.faults.Touch(now, wk.asid, wk.vpn, h) {
 		return
 	}
-	done(now, frame)
+	w.finishWalk(now, h)
+}
+
+// FaultDone implements FaultSink: the page a finished walk was held for is
+// resident.
+func (w *Walker) FaultDone(now int64, h HeldWalk) { w.finishWalk(now, h) }
+
+// finishWalk records completion stats and delivers the frame where the walk's
+// origin says (tr.Complete recycles the TransReq into its pool).
+func (w *Walker) finishWalk(now int64, h HeldWalk) {
+	w.Stats.Completed++
+	w.Stats.LatSum += uint64(now - h.Start)
+	if w.latHist != nil {
+		w.latHist.Observe(float64(now - h.Start))
+	}
+	if h.Origin == OriginTrans {
+		h.Tr.Complete(now, h.Frame)
+		return
+	}
+	w.sink.WalkDone(now, h.ASID, h.AppID, h.VPN, h.Frame, h.Origin)
 }
 
 // ActiveWalks returns the number of in-flight walks.

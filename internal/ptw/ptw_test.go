@@ -30,10 +30,39 @@ func (f *fakeMem) completeAll(now int64) int {
 	return len(reqs)
 }
 
+// walkLog is the WalkSink (and FaultSink) of a walker or fault unit under
+// test: it records what was delivered, and when.
+type walkLog struct {
+	done []walkResult
+}
+
+type walkResult struct {
+	now    int64
+	vpn    uint64
+	frame  uint64
+	origin WalkOrigin
+}
+
+func (l *walkLog) WalkDone(now int64, asid uint8, appID int, vpn, frame uint64, origin WalkOrigin) {
+	l.done = append(l.done, walkResult{now, vpn, frame, origin})
+}
+
+func (l *walkLog) FaultDone(now int64, h HeldWalk) {
+	l.done = append(l.done, walkResult{now, h.VPN, h.Frame, h.Origin})
+}
+
+// newWalker builds a walker over mem whose walk results land in the returned
+// log.
+func newWalker(maxConcurrent int, mem *fakeMem, numApps int) (*Walker, *walkLog) {
+	w, log := New(maxConcurrent, mem, numApps), &walkLog{}
+	w.SetWalkSink(log)
+	return w, log
+}
+
 func newWalkerWithPage(t *testing.T, maxConcurrent int) (*Walker, *fakeMem, *pagetable.Space, uint64) {
 	t.Helper()
 	mem := &fakeMem{}
-	w := New(maxConcurrent, mem, 2)
+	w, _ := newWalker(maxConcurrent, mem, 2)
 	sp := pagetable.NewSpace(1, pagetable.PageSize4K, pagetable.NewAllocator())
 	w.AddSpace(sp)
 	va := uint64(0x4_0000_0000)
@@ -44,8 +73,9 @@ func newWalkerWithPage(t *testing.T, maxConcurrent int) (*Walker, *fakeMem, *pag
 func TestWalkIssuesAllLevelsInOrder(t *testing.T) {
 	w, mem, sp, frame := newWalkerWithPage(t, 4)
 	va := uint64(0x4_0000_0000)
-	var got uint64
-	w.StartWalk(0, 1, 0, sp.VPN(va), func(now int64, f uint64) { got = f })
+	log := &walkLog{}
+	w.SetWalkSink(log)
+	w.StartWalk(0, 1, 0, sp.VPN(va), OriginPrefetch)
 
 	now := int64(0)
 	for lvl := 1; lvl <= 4; lvl++ {
@@ -60,8 +90,8 @@ func TestWalkIssuesAllLevelsInOrder(t *testing.T) {
 		mem.completeAll(now + 1)
 		now += 2
 	}
-	if got != frame {
-		t.Fatalf("walk returned frame %d, want %d", got, frame)
+	if len(log.done) != 1 || log.done[0] != (walkResult{7, sp.VPN(va), frame, OriginPrefetch}) {
+		t.Fatalf("walk delivered %+v, want frame %d for its vpn and origin, once, at cycle 7", log.done, frame)
 	}
 	if w.Stats.Completed != 1 {
 		t.Fatal("completion not counted")
@@ -73,7 +103,7 @@ func TestWalkAddressesMatchPageTable(t *testing.T) {
 	va := uint64(0x4_0000_0000)
 	vpn := sp.VPN(va)
 	want := sp.WalkAddrs(vpn)
-	w.StartWalk(0, 1, 0, vpn, func(int64, uint64) {})
+	w.StartWalk(0, 1, 0, vpn, OriginL2Miss)
 	now := int64(0)
 	for lvl := 0; lvl < 4; lvl++ {
 		w.Tick(now)
@@ -91,7 +121,7 @@ func TestConcurrencyLimit(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		va := base + uint64(i)*pagetable.PageSize4K
 		sp.EnsureMapped(va)
-		w.StartWalk(0, 1, 0, sp.VPN(va), func(int64, uint64) {})
+		w.StartWalk(0, 1, 0, sp.VPN(va), OriginL2Miss)
 	}
 	w.Tick(0)
 	if w.ActiveWalks() != 2 {
@@ -117,7 +147,7 @@ func TestPerAppActiveCounts(t *testing.T) {
 		va := base + uint64(i)*pagetable.PageSize4K
 		sp.EnsureMapped(va)
 		app := i % 2
-		w.StartWalk(0, 1, app, sp.VPN(va), func(int64, uint64) {})
+		w.StartWalk(0, 1, app, sp.VPN(va), OriginL2Miss)
 	}
 	w.Tick(0)
 	if w.ActiveWalksForApp(0) != 2 || w.ActiveWalksForApp(1) != 1 {
@@ -130,8 +160,9 @@ func TestMemRejectionRetries(t *testing.T) {
 	w, mem, sp, frame := newWalkerWithPage(t, 4)
 	mem.reject = true
 	va := uint64(0x4_0000_0000)
-	var got uint64
-	w.StartWalk(0, 1, 0, sp.VPN(va), func(now int64, f uint64) { got = f })
+	log := &walkLog{}
+	w.SetWalkSink(log)
+	w.StartWalk(0, 1, 0, sp.VPN(va), OriginL2Miss)
 	w.Tick(0)
 	w.Tick(1)
 	if len(mem.reqs) != 0 {
@@ -144,7 +175,7 @@ func TestMemRejectionRetries(t *testing.T) {
 		mem.completeAll(now + 1)
 		now += 2
 	}
-	if got != frame {
+	if len(log.done) != 1 || log.done[0].frame != frame {
 		t.Fatal("walk did not recover from rejections")
 	}
 }
@@ -154,7 +185,7 @@ func TestSubmitTransRoutesToWalk(t *testing.T) {
 	va := uint64(0x4_0000_0000)
 	var got uint64
 	tr := &memreq.TransReq{ASID: 1, AppID: 0, VPN: sp.VPN(va),
-		Done: func(now int64, f uint64) { got = f }}
+		Ret: memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq, f uint64) { got = f })}
 	if !w.SubmitTrans(0, tr) {
 		t.Fatal("SubmitTrans rejected")
 	}
@@ -177,7 +208,7 @@ func TestWalkUnknownASIDPanics(t *testing.T) {
 			t.Fatal("walk for unregistered ASID did not panic")
 		}
 	}()
-	w.StartWalk(0, 9, 0, 1, func(int64, uint64) {})
+	w.StartWalk(0, 9, 0, 1, OriginL2Miss)
 }
 
 func TestConcurrencySampling(t *testing.T) {
@@ -186,7 +217,7 @@ func TestConcurrencySampling(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		va := base + uint64(i)*pagetable.PageSize4K
 		sp.EnsureMapped(va)
-		w.StartWalk(0, 1, 0, sp.VPN(va), func(int64, uint64) {})
+		w.StartWalk(0, 1, 0, sp.VPN(va), OriginL2Miss)
 	}
 	// Tick across a sampling boundary without completing anything.
 	for now := int64(0); now <= 128; now++ {

@@ -42,9 +42,9 @@ type List[T any] struct {
 }
 
 // Get hands out an object. fresh reports that it has never been handed out
-// before: it is zero, and the caller binds whatever it keeps across reuses
-// (completion closures, inline buffers) exactly then. A recycled object comes
-// back as the caller Put it.
+// before: it is zero, and the caller sets up whatever it keeps across reuses
+// (a slice over an inline buffer) exactly then. A recycled object comes back
+// as the caller Put it.
 func (l *List[T]) Get() (p *T, fresh bool) {
 	l.Gets++
 	if n := len(l.free); n > 0 {

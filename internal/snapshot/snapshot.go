@@ -33,7 +33,13 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	2 — per-core request pools: the checkpoint payload carries pool and
 //	    ID-generator state as slices, one entry per pool of the fixed
 //	    shared + per-core layout
-const Version uint32 = 2
+//	3 — typed return routes: a request records the engine registration
+//	    index of the component it returns to plus a tag (the site stamps
+//	    are gone), L1 miss images carry their (warp, page slot) waiters,
+//	    warps the memory instruction they are blocked on, held walks their
+//	    frame; CoreState.ReadyCount, Ctxs, CtxFree and CacheState.SnapID
+//	    are gone
+const Version uint32 = 3
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

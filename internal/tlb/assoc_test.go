@@ -105,7 +105,7 @@ func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 	t.Helper()
 	const asid = 3
 	be := &fakeTransBackend{}
-	l1 := NewL1(0, 0, asid, capacity, be)
+	l1, _ := newL1(asid, capacity, be)
 	ref := &refLRU{size: capacity, m: map[l2key]*assocEntry{}}
 	universe := uint64(2*capacity + 3)
 	fractions := []float64{0.1, 0.25, 0.34, 0.5, 1}
@@ -116,8 +116,7 @@ func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 		frame := uint64(step)<<8 | uint64(arg)
 		switch op {
 		case 0, 1, 2: // lookup through the public path; a miss fills
-			got, hit := uint64(0), false
-			l1.Lookup(int64(step), k.vpn, 0, true, func(_ int64, f uint64) { got, hit = f, true })
+			got, hit := l1.Lookup(int64(step), k.vpn, 0, 0, true)
 			want, wantHit := ref.probe(k)
 			if hit != wantHit || (hit && got != want) {
 				t.Fatalf("step %d: Lookup(%#x) = (%d, %v), reference (%d, %v)", step, k.vpn, got, hit, want, wantHit)
@@ -142,7 +141,7 @@ func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 				clear(ref.m)
 			}
 		case 7: // snapshot, shuffle into arbitrary (legacy map) order, restore into a fresh TLB
-			st, err := l1.SnapshotState(memreq.NewTable())
+			st, err := l1.SnapshotState(memreq.NewTable(nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,11 +149,11 @@ func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 			rand.New(rand.NewSource(int64(arg))).Shuffle(len(img.Entries), func(i, j int) {
 				img.Entries[i], img.Entries[j] = img.Entries[j], img.Entries[i]
 			})
-			rt, err := memreq.NewRestoreTable(nil, nil, nil, nil)
+			rt, err := memreq.NewRestoreTable(nil, nil, memreq.Wiring{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			l1 = NewL1(0, 0, asid, capacity, be)
+			l1, _ = newL1(asid, capacity, be)
 			if err := l1.RestoreState(rt, img); err != nil {
 				t.Fatalf("step %d: restore: %v", step, err)
 			}
@@ -218,12 +217,12 @@ func TestAssocLRUSteadyStateAllocs(t *testing.T) {
 
 func TestSnapshotEntriesInRecencyOrder(t *testing.T) {
 	be := &fakeTransBackend{}
-	l1 := NewL1(0, 0, 1, 8, be)
+	l1, _ := newL1(1, 8, be)
 	for _, vpn := range []uint64{5, 9, 2, 7, 9, 5, 11} {
-		l1.Lookup(0, vpn, 0, true, func(int64, uint64) {})
+		l1.Lookup(0, vpn, 0, 0, true)
 		be.answerAll(1, vpn+100)
 	}
-	st, err := l1.SnapshotState(memreq.NewTable())
+	st, err := l1.SnapshotState(memreq.NewTable(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +260,7 @@ func TestRestoreRejectsHostileTableState(t *testing.T) {
 		{"stamp below one", []L1EntryState{{VPN: 1, Stamp: 0}}, 3, "has stamp 0"},
 		{"repeated stamp", []L1EntryState{{VPN: 1, Stamp: 2}, {VPN: 2, Stamp: 2}}, 3, "has stamp 2"},
 	}
-	rt, err := memreq.NewRestoreTable(nil, nil, nil, nil)
+	rt, err := memreq.NewRestoreTable(nil, nil, memreq.Wiring{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +270,7 @@ func TestRestoreRejectsHostileTableState(t *testing.T) {
 		errL1 := l1.RestoreState(rt, L1State{Entries: tc.entries, Stamp: tc.stamp})
 
 		l2, _ := newL2(1, 4, nil)
-		st, err := l2.SnapshotState(memreq.NewTable())
+		st, err := l2.SnapshotState(memreq.NewTable(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,14 +302,14 @@ func TestRestoreRejectsHostileTableState(t *testing.T) {
 func TestRestoreLegacyOrderSameVictims(t *testing.T) {
 	be := &fakeTransBackend{}
 	lookup := func(l1 *L1TLB, vpn uint64) {
-		l1.Lookup(0, vpn, 0, true, func(int64, uint64) {})
+		l1.Lookup(0, vpn, 0, 0, true)
 		be.answerAll(1, vpn+100)
 	}
-	live := NewL1(0, 0, 1, 16, be)
+	live, _ := newL1(1, 16, be)
 	for i := uint64(0); i < 40; i++ {
 		lookup(live, i*5%23)
 	}
-	st, err := live.SnapshotState(memreq.NewTable())
+	st, err := live.SnapshotState(memreq.NewTable(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +317,11 @@ func TestRestoreLegacyOrderSameVictims(t *testing.T) {
 	rand.New(rand.NewSource(7)).Shuffle(len(img.Entries), func(i, j int) {
 		img.Entries[i], img.Entries[j] = img.Entries[j], img.Entries[i]
 	})
-	rt, err := memreq.NewRestoreTable(nil, nil, nil, nil)
+	rt, err := memreq.NewRestoreTable(nil, nil, memreq.Wiring{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewL1(0, 0, 1, 16, be)
+	restored, _ := newL1(1, 16, be)
 	if err := restored.RestoreState(rt, img); err != nil {
 		t.Fatal(err)
 	}

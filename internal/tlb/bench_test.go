@@ -8,18 +8,18 @@ import (
 
 func BenchmarkL1Hit(b *testing.B) {
 	be := &fakeTransBackend{}
-	l1 := NewL1(0, 0, 1, 64, be)
-	l1.Lookup(0, 42, 0, true, func(int64, uint64) {})
+	l1, _ := newL1(1, 64, be)
+	l1.Lookup(0, 42, 0, 0, true)
 	be.answerAll(1, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l1.Lookup(int64(i), 42, 0, true, func(int64, uint64) {})
+		l1.Lookup(int64(i), 42, 0, 0, true)
 	}
 }
 
 func BenchmarkL2ProbeHit(b *testing.B) {
 	l2, w := newL2(1, 0, nil)
-	tr := &memreq.TransReq{ASID: 1, VPN: 9, Done: func(int64, uint64) {}}
+	tr := &memreq.TransReq{ASID: 1, VPN: 9}
 	l2.SubmitTrans(0, tr)
 	for now := int64(0); now < 4; now++ {
 		l2.Tick(now)
@@ -28,7 +28,7 @@ func BenchmarkL2ProbeHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := int64(10 + i*2)
-		tr := &memreq.TransReq{ASID: 1, VPN: 9, Done: func(int64, uint64) {}}
+		tr := &memreq.TransReq{ASID: 1, VPN: 9}
 		l2.SubmitTrans(now, tr)
 		l2.Tick(now + 1)
 	}

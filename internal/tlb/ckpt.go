@@ -1,7 +1,9 @@
 package tlb
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
@@ -16,12 +18,18 @@ type L1EntryState struct {
 	Stamp int64
 }
 
-// L1MissState is one outstanding L1 miss. The waiting callbacks are not
-// serialized here: the cores re-register them through AddWaiter after every
-// component has restored (gpu.Core.ReattachWaiters), in their original order.
+// WaiterState names one warp blocked on an L1 miss and the page slot of its
+// memory instruction (gpu.WarpState.Pages) the translation is for.
+type WaiterState struct {
+	Warp, Slot int32
+}
+
+// L1MissState is one outstanding L1 miss with its blocked warps in arrival
+// order.
 type L1MissState struct {
-	VPN uint64
-	Tr  int32
+	VPN     uint64
+	Tr      int32
+	Waiting []WaiterState
 }
 
 // L1State is the L1 TLB's checkpoint image. Entries are written from LRU to
@@ -49,13 +57,38 @@ func (t *L1TLB) SnapshotState(ctx any) (any, error) {
 	for _, e := range t.tab.entries() {
 		st.Entries = append(st.Entries, L1EntryState{VPN: e.key.vpn, Frame: e.frame, Stamp: e.stamp})
 	}
-	for vpn, m := range t.mshrs {
-		st.Mshrs = append(st.Mshrs, L1MissState{VPN: vpn, Tr: tab.Trans(m.tr)})
+	// Map-backed sets are written in key order throughout this file, so
+	// equal states encode equally and request indices do not depend on map
+	// iteration.
+	for _, vpn := range sortedKeys(t.mshrs, cmp.Compare[uint64]) {
+		m := t.mshrs[vpn]
+		ms := L1MissState{VPN: vpn, Tr: tab.Trans(m.tr)}
+		for _, w := range m.waiting {
+			ms.Waiting = append(ms.Waiting, WaiterState{Warp: w.warp, Slot: w.slot})
+		}
+		st.Mshrs = append(st.Mshrs, ms)
 	}
 	for _, tr := range t.pending {
 		st.Pending = append(st.Pending, tab.Trans(tr))
 	}
 	return st, nil
+}
+
+// sortedKeys returns m's keys in cmp order.
+func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, cmp)
+	return keys
+}
+
+func compareKeys(a, b l2key) int {
+	if c := cmp.Compare(a.asid, b.asid); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.vpn, b.vpn)
 }
 
 // RestoreState implements engine.Snapshotter; ctx is the *memreq.RestoreTable.
@@ -80,6 +113,9 @@ func (t *L1TLB) RestoreState(ctx any, state any) error {
 	for _, ms := range st.Mshrs {
 		m := t.getMiss()
 		m.vpn, m.tr = ms.VPN, rt.Trans(ms.Tr)
+		for _, w := range ms.Waiting {
+			m.waiting = append(m.waiting, waiter{w.Warp, w.Slot})
+		}
 		t.mshrs[ms.VPN] = m
 	}
 	t.missFree.Refill(st.MissFree)
@@ -87,27 +123,6 @@ func (t *L1TLB) RestoreState(ctx any, state any) error {
 	for _, ref := range st.Pending {
 		t.pending = append(t.pending, rt.Trans(ref))
 	}
-	return nil
-}
-
-// MissDone returns the fill callback of the outstanding miss covering vpn.
-// The simulator's link pass uses it to rebind a restored TransReq's Done.
-func (t *L1TLB) MissDone(vpn uint64) (func(now int64, frame uint64), bool) {
-	m, ok := t.mshrs[vpn]
-	if !ok {
-		return nil, false
-	}
-	return m.done, true
-}
-
-// AddWaiter re-registers a warp completion callback against the outstanding
-// miss for vpn (checkpoint restore only; the live path appends in Lookup).
-func (t *L1TLB) AddWaiter(vpn uint64, done func(now int64, frame uint64)) error {
-	m, ok := t.mshrs[vpn]
-	if !ok {
-		return fmt.Errorf("tlb: core %d checkpoint has a waiter for vpn %#x but no outstanding miss", t.coreID, vpn)
-	}
-	m.waiting = append(m.waiting, done)
 	return nil
 }
 
@@ -252,7 +267,8 @@ func (t *L2TLB) SnapshotState(ctx any) (any, error) {
 			Valid: e.valid, Stamp: e.stamp, Prefetched: e.prefetched,
 		}
 	}
-	for key, m := range t.mshrs {
+	for _, key := range sortedKeys(t.mshrs, compareKeys) {
+		m := t.mshrs[key]
 		ms := L2MissState{ASID: key.asid, VPN: key.vpn, AppID: m.appID}
 		for _, tr := range m.reqs {
 			ms.Reqs = append(ms.Reqs, tab.Trans(tr))
@@ -262,7 +278,7 @@ func (t *L2TLB) SnapshotState(ctx any) (any, error) {
 	for _, tr := range t.stalled.live() {
 		st.Stalled = append(st.Stalled, tab.Trans(tr))
 	}
-	for key := range t.pfInFlight {
+	for _, key := range sortedKeys(t.pfInFlight, compareKeys) {
 		st.PfInFlight = append(st.PfInFlight, PfKeyState{ASID: key.asid, VPN: key.vpn})
 	}
 	st.Apps = make([]AppTLBStatsState, len(t.apps))
@@ -290,8 +306,8 @@ func (t *L2TLB) SnapshotState(ctx any) (any, error) {
 		for _, k := range t.pf.order {
 			p.Entries = append(p.Entries, PfEntryState{ASID: k.asid, VPN: k.vpn, Next: t.pf.next[k]})
 		}
-		for asid, vpn := range t.pf.last {
-			p.Last = append(p.Last, PfLastState{ASID: asid, VPN: vpn})
+		for _, asid := range sortedKeys(t.pf.last, cmp.Compare[uint8]) {
+			p.Last = append(p.Last, PfLastState{ASID: asid, VPN: t.pf.last[asid]})
 		}
 		st.Prefetch = p
 	}
@@ -385,21 +401,4 @@ func (t *L2TLB) RestoreState(ctx any, state any) error {
 		t.tokens.SetState(*st.Tokens)
 	}
 	return nil
-}
-
-// MissDone returns the walk-completion callback of the outstanding miss for
-// (asid, vpn); the simulator's link pass rebinds in-flight demand walks to it.
-func (t *L2TLB) MissDone(asid uint8, vpn uint64) (func(now int64, frame uint64), bool) {
-	m, ok := t.mshrs[l2key{asid: asid, vpn: vpn}]
-	if !ok {
-		return nil, false
-	}
-	return m.done, true
-}
-
-// PrefetchDone rebuilds the completion callback of an in-flight prefetch walk
-// for (asid, vpn); the simulator's link pass rebinds restored prefetch walks
-// to it.
-func (t *L2TLB) PrefetchDone(asid uint8, appID int, vpn uint64) func(now int64, frame uint64) {
-	return t.prefetchDone(l2key{asid: asid, vpn: vpn}, appID)
 }

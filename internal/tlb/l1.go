@@ -47,18 +47,27 @@ func (s L1Stats) AvgStalledWarps() float64 {
 	return float64(s.StalledWarpSum) / float64(s.StalledWarpCount)
 }
 
+// Waker is the core an L1 TLB serves: a missed translation returns to the
+// warp and page slot that asked for it.
+type Waker interface {
+	Translated(now int64, warpID, slot int, frame uint64)
+}
+
+// waiter names one blocked requester: a warp and the page slot of its
+// current memory instruction.
+type waiter struct {
+	warp, slot int32
+}
+
 // l1miss tracks one outstanding translation. Miss objects are recycled
-// through the TLB's free list; done is bound once, at first handout, so a
-// steady-state miss allocates neither the tracker nor its fill closure.
+// through the TLB's free list, so a steady-state miss allocates nothing.
 type l1miss struct {
 	vpn uint64
 	tr  *memreq.TransReq
-	// waiting holds the completion callbacks of every warp blocked on this
-	// translation; it starts out on waitBuf.
-	waiting []func(now int64, frame uint64)
-	waitBuf [8]func(now int64, frame uint64)
-
-	done func(now int64, frame uint64)
+	// waiting holds every warp blocked on this translation, in arrival
+	// order; it starts out on waitBuf.
+	waiting []waiter
+	waitBuf [8]waiter
 }
 
 // L1TLB is a private, per-core, fully-associative TLB (Table 1: 64 entries,
@@ -69,6 +78,7 @@ type L1TLB struct {
 	asid    uint8
 	tab     *assocLRU
 	backend TransBackend
+	waker   Waker
 
 	mshrs   map[uint64]*l1miss
 	pending []*memreq.TransReq
@@ -94,68 +104,74 @@ func NewL1(coreID, appID int, asid uint8, size int, backend TransBackend) *L1TLB
 	}
 }
 
+// SetWaker names the core whose warps wait on this TLB's misses. Must be
+// called before the first Lookup that misses.
+func (t *L1TLB) SetWaker(w Waker) { t.waker = w }
+
 // SetTransPool replaces the TLB's private translation-request pool with a
 // shared per-simulator one. Must be called before simulation starts.
 func (t *L1TLB) SetTransPool(p *memreq.TransPool) { t.pool = p }
 
-// getMiss takes a miss tracker off the free list, binding the fill handler
-// of one handed out for the first time.
+// getMiss takes a miss tracker off the free list.
 func (t *L1TLB) getMiss() *l1miss {
 	m, fresh := t.missFree.Get()
 	if fresh {
-		m.done = func(dnow int64, frame uint64) { t.fill(dnow, m, frame) }
 		m.waiting = m.waitBuf[:0]
 	}
 	return m
 }
 
-// Lookup translates vpn for warpID. On a hit, done is invoked immediately
-// (the core charges the 1-cycle access latency). On a miss the warp is
-// recorded against the miss and done fires when the translation returns.
-// hasToken is the warp's TLB-Fill Token state, propagated so the shared L2
-// TLB can apply MASK's fill policy.
-func (t *L1TLB) Lookup(now int64, vpn uint64, warpID int, hasToken bool, done func(now int64, frame uint64)) {
+// Lookup translates vpn for page slot of warpID's memory instruction. A hit
+// returns the frame (the core charges the 1-cycle access latency). On a miss
+// the warp and slot are recorded against the miss and the waker's Translated
+// receives the frame when the translation returns. hasToken is the warp's
+// TLB-Fill Token state, propagated so the shared L2 TLB can apply MASK's
+// fill policy.
+func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (frame uint64, hit bool) {
 	t.Stats.Accesses++
 	if frame, ok := t.tab.probe(l2key{t.asid, vpn}); ok {
 		t.Stats.Hits++
-		done(now, frame)
-		return
+		return frame, true
 	}
 	t.Stats.Misses++
+	w := waiter{int32(warpID), int32(slot)}
 	if m, ok := t.mshrs[vpn]; ok {
-		m.waiting = append(m.waiting, done)
+		m.waiting = append(m.waiting, w)
 		m.tr.StalledWarps++
-		return
+		return 0, false
 	}
 	tr := t.pool.Get()
 	tr.AppID, tr.ASID, tr.CoreID, tr.WarpID = t.appID, t.asid, t.coreID, warpID
 	tr.VPN, tr.HasToken, tr.Issue, tr.StalledWarps = vpn, hasToken, now, 1
+	tr.Ret = t
 	m := t.getMiss()
 	m.vpn, m.tr = vpn, tr
-	m.waiting = append(m.waiting, done)
+	m.waiting = append(m.waiting, w)
 	t.mshrs[vpn] = m
-	tr.Done = m.done
 	if !t.backend.SubmitTrans(now, tr) {
 		t.pending = append(t.pending, tr)
 	}
+	return 0, false
 }
 
-// fill installs the translation, wakes every blocked warp, recycles the miss
-// tracker, and records the stalled-warp sample for the Figure 6 metric.
-func (t *L1TLB) fill(now int64, m *l1miss, frame uint64) {
-	if cur, ok := t.mshrs[m.vpn]; !ok || cur != m {
-		return // flushed while in flight; the stale tracker is abandoned
+// TransDone implements memreq.TransSink: the translation tr asked for has
+// returned. It installs the translation, wakes every blocked warp, recycles
+// the miss tracker, and records the stalled-warp sample for the Figure 6
+// metric.
+func (t *L1TLB) TransDone(now int64, tr *memreq.TransReq, frame uint64) {
+	vpn := tr.VPN
+	m, ok := t.mshrs[vpn]
+	if !ok || m.tr != tr {
+		return // no tracker waits on this request
 	}
-	vpn := m.vpn
 	delete(t.mshrs, vpn)
 	t.tab.fill(l2key{t.asid, vpn}, frame)
 	t.Stats.StalledWarpSum += uint64(len(m.waiting))
 	t.Stats.StalledWarpCount++
-	for _, cb := range m.waiting {
-		cb(now, frame)
+	for _, w := range m.waiting {
+		t.waker.Translated(now, int(w.warp), int(w.slot), frame)
 	}
 	m.tr = nil
-	clear(m.waiting)
 	m.waiting = m.waiting[:0]
 	t.missFree.Put(m)
 }
@@ -178,7 +194,7 @@ func (t *L1TLB) Tick(now int64) {
 
 // NextEvent implements engine.EventSource: the TLB acts on its own only to
 // retry refused backend submissions; everything else (lookups, fills) happens
-// inside callers' calls and completion callbacks.
+// inside callers' calls and returning translations.
 func (t *L1TLB) NextEvent(now int64) int64 {
 	if len(t.pending) > 0 {
 		return now

@@ -3,18 +3,17 @@ package tlb
 import (
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/ptw"
 	"masksim/internal/slab"
 )
 
 // WalkStarter begins a page table walk; the walker queues internally, so
-// StartWalk always succeeds. QueuedWalks exposes the backlog so the TLB can
-// apply back-pressure instead of queueing walks without bound.
-// StartPrefetchWalk is StartWalk for prediction-driven walks; the walker tags
-// the walk's origin so checkpoint restore can rebind its completion callback
-// (an L2 MSHR fill vs a prefetch install).
+// StartWalk always succeeds. origin says what the walk is for (a demand miss
+// or a prediction) and comes back with the frame in WalkDone. QueuedWalks
+// exposes the backlog so the TLB can apply back-pressure instead of queueing
+// walks without bound.
 type WalkStarter interface {
-	StartWalk(now int64, asid uint8, appID int, vpn uint64, done func(now int64, frame uint64))
-	StartPrefetchWalk(now int64, asid uint8, appID int, vpn uint64, done func(now int64, frame uint64))
+	StartWalk(now int64, asid uint8, appID int, vpn uint64, origin ptw.WalkOrigin)
 	QueuedWalks() int
 }
 
@@ -71,16 +70,13 @@ type l2entry struct {
 }
 
 // l2miss tracks one outstanding shared-TLB miss. Miss objects recycle through
-// the TLB's free list; done is bound once, at first handout, so a
-// steady-state miss allocates neither the tracker nor the walk-completion
-// closure, and reqs starts out on reqBuf.
+// the TLB's free list, so a steady-state miss allocates nothing, and reqs
+// starts out on reqBuf.
 type l2miss struct {
 	key    l2key
 	appID  int
 	reqs   []*memreq.TransReq
 	reqBuf [4]*memreq.TransReq
-
-	done func(now int64, frame uint64)
 }
 
 // transFIFO is a queue of translation requests popped through a head index:
@@ -212,17 +208,22 @@ func (t *L2TLB) maybePrefetch(now int64, asid uint8, appID int, vpn uint64) {
 	}
 	t.pf.Stats.Issued++
 	t.pfInFlight[key] = true
-	t.walker.StartPrefetchWalk(now, asid, appID, next, t.prefetchDone(key, appID))
+	t.walker.StartWalk(now, asid, appID, next, ptw.OriginPrefetch)
 }
 
-// prefetchDone builds the completion callback for a prefetch walk of key.
-// Checkpoint restore rebuilds the identical callback for in-flight prefetch
-// walks (the walker records only the walk's origin and coordinates).
-func (t *L2TLB) prefetchDone(key l2key, appID int) func(now int64, frame uint64) {
-	return func(dnow int64, frame uint64) {
+// WalkDone implements ptw.WalkSink: a walk this TLB started has resolved
+// (asid, vpn) to frame. A prefetch walk installs the translation; a demand
+// walk fills the miss tracker of its key.
+func (t *L2TLB) WalkDone(now int64, asid uint8, appID int, vpn, frame uint64, origin ptw.WalkOrigin) {
+	key := l2key{asid, vpn}
+	if origin == ptw.OriginPrefetch {
 		delete(t.pfInFlight, key)
 		t.install(key, frame, appID)
 		t.markPrefetched(key)
+		return
+	}
+	if m, ok := t.mshrs[key]; ok { // no tracker: nothing waits on this walk
+		t.fill(now, m, frame)
 	}
 }
 
@@ -265,7 +266,7 @@ func (t *L2TLB) Tick(now int64) {
 // drain loop is a no-op, and the backlog can only drain through a walker tick
 // — the walker's (or its memory backend's) own horizon pins that cycle, after
 // which this horizon recomputes. Otherwise the horizon is the input pipe's
-// head arrival; fills are walk-completion callbacks and need no wakeup.
+// head arrival; fills arrive through WalkDone and need no wakeup.
 func (t *L2TLB) NextEvent(now int64) int64 {
 	if t.stalled.len() > 0 && t.walker.QueuedWalks() < walkBacklogLimit {
 		return now
@@ -320,15 +321,13 @@ func (t *L2TLB) lookup(now int64, tr *memreq.TransReq, first bool) {
 	m.key, m.appID = key, app
 	m.reqs = append(m.reqs, tr)
 	t.mshrs[key] = m
-	t.walker.StartWalk(now, key.asid, app, key.vpn, m.done)
+	t.walker.StartWalk(now, key.asid, app, key.vpn, ptw.OriginL2Miss)
 }
 
-// getMiss takes a miss tracker off the free list, binding the walk
-// completion handler of one handed out for the first time.
+// getMiss takes a miss tracker off the free list.
 func (t *L2TLB) getMiss() *l2miss {
 	m, fresh := t.missFree.Get()
 	if fresh {
-		m.done = func(dnow int64, frame uint64) { t.fill(dnow, m, frame) }
 		m.reqs = m.reqBuf[:0]
 	}
 	return m

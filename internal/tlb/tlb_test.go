@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"masksim/internal/memreq"
+	"masksim/internal/ptw"
 )
 
 // fakeTransBackend records translation requests and answers on demand.
@@ -25,26 +26,42 @@ func (f *fakeTransBackend) answerAll(now int64, frame uint64) {
 	reqs := f.reqs
 	f.reqs = nil
 	for _, tr := range reqs {
-		tr.Done(now, frame)
+		tr.Complete(now, frame)
 	}
+}
+
+// wakeLog is the Waker of an L1 TLB under test: it records who was woken.
+type wakeLog struct {
+	woken []woke
+}
+
+type woke struct {
+	warp, slot int
+	frame      uint64
+}
+
+func (l *wakeLog) Translated(now int64, warpID, slot int, frame uint64) {
+	l.woken = append(l.woken, woke{warpID, slot, frame})
+}
+
+func newL1(asid uint8, size int, be TransBackend) (*L1TLB, *wakeLog) {
+	l1, log := NewL1(0, 0, asid, size, be), &wakeLog{}
+	l1.SetWaker(log)
+	return l1, log
 }
 
 func TestL1MissThenHit(t *testing.T) {
 	be := &fakeTransBackend{}
-	l1 := NewL1(0, 0, 1, 4, be)
-	var got uint64
-	l1.Lookup(0, 0x10, 0, true, func(now int64, frame uint64) { got = frame })
-	if len(be.reqs) != 1 {
-		t.Fatalf("backend saw %d requests, want 1", len(be.reqs))
+	l1, log := newL1(1, 4, be)
+	if _, hit := l1.Lookup(0, 0x10, 3, 1, true); hit || len(be.reqs) != 1 {
+		t.Fatalf("cold lookup hit=%v and backend saw %d requests, want a miss and 1", hit, len(be.reqs))
 	}
 	be.answerAll(5, 99)
-	if got != 99 {
-		t.Fatalf("translation returned %d, want 99", got)
+	if len(log.woken) != 1 || log.woken[0] != (woke{3, 1, 99}) {
+		t.Fatalf("woken %+v, want warp 3 slot 1 with frame 99", log.woken)
 	}
-	// Second lookup hits without touching the backend.
-	hit := false
-	l1.Lookup(6, 0x10, 1, true, func(int64, uint64) { hit = true })
-	if !hit || len(be.reqs) != 0 {
+	// Second lookup hits without touching the backend or waking anyone.
+	if frame, hit := l1.Lookup(6, 0x10, 1, 0, true); !hit || frame != 99 || len(be.reqs) != 0 || len(log.woken) != 1 {
 		t.Fatal("expected L1 hit")
 	}
 	if l1.Stats.Hits != 1 || l1.Stats.Misses != 1 {
@@ -54,10 +71,9 @@ func TestL1MissThenHit(t *testing.T) {
 
 func TestL1MSHRMergesWarps(t *testing.T) {
 	be := &fakeTransBackend{}
-	l1 := NewL1(0, 0, 1, 4, be)
-	done := 0
+	l1, log := newL1(1, 4, be)
 	for w := 0; w < 5; w++ {
-		l1.Lookup(0, 0x20, w, true, func(int64, uint64) { done++ })
+		l1.Lookup(0, 0x20, w, w%2, true)
 	}
 	if len(be.reqs) != 1 {
 		t.Fatalf("merged miss sent %d backend requests", len(be.reqs))
@@ -66,8 +82,13 @@ func TestL1MSHRMergesWarps(t *testing.T) {
 		t.Fatalf("StalledWarps=%d, want 5", be.reqs[0].StalledWarps)
 	}
 	be.answerAll(3, 7)
-	if done != 5 {
-		t.Fatalf("%d callbacks fired, want 5", done)
+	for w, got := range log.woken {
+		if got != (woke{w, w % 2, 7}) {
+			t.Fatalf("wake %d is %+v, want arrival order", w, got)
+		}
+	}
+	if len(log.woken) != 5 {
+		t.Fatalf("%d warps woken, want 5", len(log.woken))
 	}
 	if l1.Stats.AvgStalledWarps() != 5 {
 		t.Fatalf("AvgStalledWarps=%v, want 5", l1.Stats.AvgStalledWarps())
@@ -76,15 +97,15 @@ func TestL1MSHRMergesWarps(t *testing.T) {
 
 func TestL1LRUEviction(t *testing.T) {
 	be := &fakeTransBackend{}
-	l1 := NewL1(0, 0, 1, 2, be)
+	l1, _ := newL1(1, 2, be)
 	fill := func(vpn uint64) {
-		l1.Lookup(0, vpn, 0, true, func(int64, uint64) {})
+		l1.Lookup(0, vpn, 0, 0, true)
 		be.answerAll(1, vpn+100)
 	}
 	fill(1)
 	fill(2)
 	// Touch 1 so 2 is LRU.
-	l1.Lookup(2, 1, 0, true, func(int64, uint64) {})
+	l1.Lookup(2, 1, 0, 0, true)
 	fill(3)
 	if !l1.Contains(1) || !l1.Contains(3) || l1.Contains(2) {
 		t.Fatal("LRU eviction picked the wrong victim")
@@ -93,24 +114,23 @@ func TestL1LRUEviction(t *testing.T) {
 
 func TestL1BackendRejectionRetries(t *testing.T) {
 	be := &fakeTransBackend{reject: true}
-	l1 := NewL1(0, 0, 1, 4, be)
-	got := false
-	l1.Lookup(0, 0x30, 0, true, func(int64, uint64) { got = true })
+	l1, log := newL1(1, 4, be)
+	l1.Lookup(0, 0x30, 0, 0, true)
 	be.reject = false
 	l1.Tick(1)
 	if len(be.reqs) != 1 {
 		t.Fatal("pending request not retried")
 	}
 	be.answerAll(2, 5)
-	if !got {
+	if len(log.woken) != 1 {
 		t.Fatal("request lost after retry")
 	}
 }
 
 func TestL1FlushDropsEntries(t *testing.T) {
 	be := &fakeTransBackend{}
-	l1 := NewL1(0, 0, 1, 8, be)
-	l1.Lookup(0, 0x40, 0, true, func(int64, uint64) {})
+	l1, _ := newL1(1, 8, be)
+	l1.Lookup(0, 0x40, 0, 0, true)
 	be.answerAll(1, 9)
 	l1.Flush()
 	if l1.Entries() != 0 {
@@ -118,27 +138,33 @@ func TestL1FlushDropsEntries(t *testing.T) {
 	}
 }
 
-// fakeWalker implements WalkStarter.
+// fakeWalker implements WalkStarter: it records the walks the TLB starts and
+// returns them through sink, as the real walker would.
 type fakeWalker struct {
-	walks  []func(int64, uint64)
+	walks  []startedWalk
 	vpns   []uint64
 	queued int
+	sink   ptw.WalkSink
 }
 
-func (f *fakeWalker) StartWalk(now int64, asid uint8, appID int, vpn uint64, done func(int64, uint64)) {
-	f.walks = append(f.walks, done)
-	f.vpns = append(f.vpns, vpn)
+type startedWalk struct {
+	asid   uint8
+	appID  int
+	vpn    uint64
+	origin ptw.WalkOrigin
 }
-func (f *fakeWalker) StartPrefetchWalk(now int64, asid uint8, appID int, vpn uint64, done func(int64, uint64)) {
-	f.StartWalk(now, asid, appID, vpn, done)
+
+func (f *fakeWalker) StartWalk(now int64, asid uint8, appID int, vpn uint64, origin ptw.WalkOrigin) {
+	f.walks = append(f.walks, startedWalk{asid, appID, vpn, origin})
+	f.vpns = append(f.vpns, vpn)
 }
 func (f *fakeWalker) QueuedWalks() int { return f.queued }
 
 func (f *fakeWalker) completeAll(now int64, frame uint64) {
 	walks := f.walks
 	f.walks = nil
-	for _, done := range walks {
-		done(now, frame)
+	for _, wk := range walks {
+		f.sink.WalkDone(now, wk.asid, wk.appID, wk.vpn, frame, wk.origin)
 	}
 }
 
@@ -148,6 +174,7 @@ func newL2(numApps int, bypassSize int, tokens *TokenPolicy) (*L2TLB, *fakeWalke
 		Entries: 32, Ways: 4, Ports: 2, Latency: 1, QueueCap: 16,
 		BypassSize: bypassSize, NumApps: numApps,
 	}, w, tokens)
+	w.sink = l2
 	return l2, w
 }
 
@@ -164,7 +191,7 @@ func submitAndTick(t *testing.T, l2 *L2TLB, tr *memreq.TransReq, from, to int64)
 func TestL2MissWalkFill(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	var got uint64
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x100, Done: func(now int64, f uint64) { got = f }}
+	tr := &memreq.TransReq{ASID: 1, VPN: 0x100, Ret: memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq, f uint64) { got = f })}
 	submitAndTick(t, l2, tr, 0, 3)
 	if len(w.walks) != 1 {
 		t.Fatalf("walker saw %d walks, want 1", len(w.walks))
@@ -175,7 +202,7 @@ func TestL2MissWalkFill(t *testing.T) {
 	}
 	// Now it hits.
 	hit := false
-	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x100, Done: func(int64, uint64) { hit = true }}
+	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x100, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { hit = true })}
 	submitAndTick(t, l2, tr2, 11, 14)
 	if !hit || len(w.walks) != 0 {
 		t.Fatal("expected shared TLB hit")
@@ -188,11 +215,11 @@ func TestL2MissWalkFill(t *testing.T) {
 
 func TestL2ASIDIsolation(t *testing.T) {
 	l2, w := newL2(2, 0, nil)
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x200, Done: func(int64, uint64) {}}
+	tr := &memreq.TransReq{ASID: 1, VPN: 0x200}
 	submitAndTick(t, l2, tr, 0, 3)
 	w.completeAll(5, 42)
 	// Same VPN, different ASID must MISS.
-	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x200, Done: func(int64, uint64) {}}
+	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x200}
 	submitAndTick(t, l2, tr2, 6, 9)
 	if len(w.walks) != 1 {
 		t.Fatal("cross-ASID access hit another space's translation")
@@ -203,7 +230,7 @@ func TestL2MSHRMergesAcrossCores(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	done := 0
 	for i := 0; i < 3; i++ {
-		tr := &memreq.TransReq{ASID: 1, VPN: 0x300, CoreID: i, Done: func(int64, uint64) { done++ }}
+		tr := &memreq.TransReq{ASID: 1, VPN: 0x300, CoreID: i, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { done++ })}
 		if !l2.SubmitTrans(0, tr) {
 			t.Fatal("submit failed")
 		}
@@ -223,7 +250,7 @@ func TestL2MSHRMergesAcrossCores(t *testing.T) {
 func TestL2WalkBacklogStallsMisses(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	w.queued = walkBacklogLimit // backlog full
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x400, Done: func(int64, uint64) {}}
+	tr := &memreq.TransReq{ASID: 1, VPN: 0x400}
 	submitAndTick(t, l2, tr, 0, 3)
 	if len(w.walks) != 0 {
 		t.Fatal("walk started despite full backlog")
@@ -240,20 +267,20 @@ func TestL2WalkBacklogStallsMisses(t *testing.T) {
 func TestL2FlushASID(t *testing.T) {
 	l2, w := newL2(2, 0, nil)
 	for i, asid := range []uint8{1, 2} {
-		tr := &memreq.TransReq{ASID: asid, AppID: i, VPN: 0x500, Done: func(int64, uint64) {}}
+		tr := &memreq.TransReq{ASID: asid, AppID: i, VPN: 0x500}
 		submitAndTick(t, l2, tr, int64(i*10), int64(i*10+3))
 		w.completeAll(int64(i*10+5), uint64(i+1))
 	}
 	l2.FlushASID(1)
 	// ASID 1 must miss; ASID 2 must still hit.
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x500, Done: func(int64, uint64) {}}
+	tr := &memreq.TransReq{ASID: 1, VPN: 0x500}
 	submitAndTick(t, l2, tr, 30, 33)
 	if len(w.walks) != 1 {
 		t.Fatal("flushed ASID still hits")
 	}
 	w.completeAll(35, 1)
 	hit2 := false
-	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x500, Done: func(int64, uint64) { hit2 = true }}
+	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x500, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { hit2 = true })}
 	submitAndTick(t, l2, tr2, 40, 43)
 	if !hit2 {
 		t.Fatal("unflushed ASID lost its entry")
@@ -270,8 +297,7 @@ func TestTokenGatingFillsBypassCache(t *testing.T) {
 	l2, w := newL2(1, 4, tokens)
 
 	// Token-less warp's fill must land in the bypass cache, not main TLB.
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x600, WarpID: 63, HasToken: tokens.HasToken(0, 63),
-		Done: func(int64, uint64) {}}
+	tr := &memreq.TransReq{ASID: 1, VPN: 0x600, WarpID: 63, HasToken: tokens.HasToken(0, 63)}
 	if tr.HasToken {
 		t.Fatal("test setup: warp 63 unexpectedly has a token")
 	}
@@ -282,7 +308,7 @@ func TestTokenGatingFillsBypassCache(t *testing.T) {
 	}
 	// But a subsequent probe still hits via the bypass cache.
 	hit := false
-	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x600, WarpID: 63, Done: func(int64, uint64) { hit = true }}
+	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x600, WarpID: 63, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { hit = true })}
 	submitAndTick(t, l2, tr2, 6, 9)
 	if !hit {
 		t.Fatal("bypass cache did not serve the translation")
@@ -356,8 +382,7 @@ func TestPressureSaturatesAt6Bits(t *testing.T) {
 	l2, _ := newL2(1, 0, nil)
 	// Create 100 outstanding misses.
 	for i := 0; i < 100; i++ {
-		tr := &memreq.TransReq{ASID: 1, VPN: uint64(0x1000 + i), StalledWarps: 100,
-			Done: func(int64, uint64) {}}
+		tr := &memreq.TransReq{ASID: 1, VPN: uint64(0x1000 + i), StalledWarps: 100}
 		l2.SubmitTrans(int64(i), tr)
 	}
 	for now := int64(0); now < 120; now++ {

@@ -8,10 +8,10 @@ package sim
 // configuration makes every subsequent cycle bit-identical to the
 // uninterrupted run.
 //
-// Closures cannot serialize, so completion callbacks are captured as
-// continuation descriptors (memreq.Site stamps, walk origins, L1 MSHR keys)
-// and rebound here in a final link pass once every component has restored
-// its trackers.
+// Nothing in flight holds a closure: a request names the component it returns
+// to, a walk its origin, an L1 miss its waiting (warp, page slot) pairs — all
+// plain data the components serialize themselves, so restore is the request
+// registry, then the components, then the pools.
 
 import (
 	"bytes"
@@ -62,7 +62,7 @@ type checkpointPayload struct {
 	// The request registry: every live Request/TransReq once, by index, plus
 	// the pool and ID-generator counters so allocation behavior after restore
 	// matches the interrupted run. ReqPools[0] is the shared pool, then one
-	// entry per core, matching Simulator.reqPoolList; TransPools and IDGens
+	// entry per core, matching Simulator.wiring; TransPools and IDGens
 	// are per-core.
 	Reqs       []memreq.RequestDTO
 	Trans      []memreq.TransReqDTO
@@ -184,25 +184,26 @@ func (s *Simulator) Fingerprint() string {
 	return s.fp
 }
 
-// reqPoolList returns every request pool in checkpoint order: the shared
-// pool first (its ID is 0), then the per-core pools (ID 1+coreID), matching
-// the pool IDs stamped on request DTOs.
-func (s *Simulator) reqPoolList() []*memreq.Pool {
-	out := make([]*memreq.Pool, 0, 1+len(s.reqPools))
-	out = append(out, &s.sharedReqPool)
+// wiring returns the fixed layout checkpoints name things by: the shared
+// request pool first (its ID is 0), then the per-core pools (ID 1+coreID); the
+// per-core translation pools (ID == coreID); the engine's tickers that are
+// request sinks, by registration index; and the L1 TLBs, by core.
+func (s *Simulator) wiring() memreq.Wiring {
+	w := memreq.Wiring{Pools: []*memreq.Pool{&s.sharedReqPool}}
 	for i := range s.reqPools {
-		out = append(out, &s.reqPools[i])
+		w.Pools = append(w.Pools, &s.reqPools[i])
 	}
-	return out
-}
-
-// transPoolList returns the per-core translation pools (pool ID == coreID).
-func (s *Simulator) transPoolList() []*memreq.TransPool {
-	out := make([]*memreq.TransPool, 0, len(s.transPools))
 	for i := range s.transPools {
-		out = append(out, &s.transPools[i])
+		w.TransPools = append(w.TransPools, &s.transPools[i])
 	}
-	return out
+	for _, t := range s.eng.Tickers() {
+		sink, _ := t.(memreq.Sink)
+		w.Sinks = append(w.Sinks, sink)
+	}
+	for _, t := range s.l1tlbs {
+		w.TransSinks = append(w.TransSinks, t)
+	}
+	return w
 }
 
 // Checkpoint serializes the simulator's complete state to w inside the
@@ -210,18 +211,19 @@ func (s *Simulator) transPoolList() []*memreq.TransPool {
 // checkpoint hook calls it at CheckpointEvery boundaries, and tests call it
 // directly after stepping the engine.
 func (s *Simulator) Checkpoint(w io.Writer) error {
-	tab := memreq.NewTable()
+	wi := s.wiring()
+	tab := memreq.NewTable(wi.Sinks)
 	states, err := s.eng.SnapshotStates(tab)
 	if err != nil {
 		return fmt.Errorf("sim: checkpoint: %w", err)
 	}
-	reqPools := make([]memreq.PoolState, 0, 1+len(s.reqPools))
-	for _, pl := range s.reqPoolList() {
-		reqPools = append(reqPools, pl.State())
+	reqPools := make([]memreq.PoolState, len(wi.Pools))
+	for i, pl := range wi.Pools {
+		reqPools[i] = pl.State()
 	}
-	transPools := make([]memreq.PoolState, len(s.transPools))
-	for i := range s.transPools {
-		transPools[i] = s.transPools[i].State()
+	transPools := make([]memreq.PoolState, len(wi.TransPools))
+	for i, pl := range wi.TransPools {
+		transPools[i] = pl.State()
 	}
 	idgens := make([]uint64, len(s.idgens))
 	for i := range s.idgens {
@@ -245,6 +247,8 @@ func (s *Simulator) Checkpoint(w io.Writer) error {
 	if s.curWD != nil {
 		st := s.curWD.State()
 		p.Watchdog = &st
+	} else {
+		p.Watchdog = s.restoredWD // restored but not yet running
 	}
 	s.forEachSync(func(g *workload.GroupSync) {
 		p.Syncs = append(p.Syncs, g.State())
@@ -299,30 +303,32 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
 		return fmt.Errorf("sim: decode checkpoint payload: %w", err)
 	}
-	pools, tpools := s.reqPoolList(), s.transPoolList()
+	wi := s.wiring()
+	pools, tpools := wi.Pools, wi.TransPools
 	if len(p.ReqPools) != len(pools) || len(p.TransPools) != len(tpools) || len(p.IDGens) != len(s.idgens) {
 		return fmt.Errorf("sim: checkpoint carries %d/%d/%d request pools/translation pools/id generators, simulator has %d/%d/%d",
 			len(p.ReqPools), len(p.TransPools), len(p.IDGens), len(pools), len(tpools), len(s.idgens))
 	}
 
-	// Phase 1: materialize every live request from the pools (each DTO names
-	// its owning pool by ID). Components resolve indices against this table
-	// during their RestoreState.
-	rt, err := memreq.NewRestoreTable(p.Reqs, p.Trans, pools, tpools)
+	// Materialize every live request from the pools, return route included
+	// (each DTO names its pool and sink by index); the components then
+	// resolve indices against this table during their RestoreState. A
+	// reference outside the table is the root cause of whatever else a
+	// component then found wrong, so it is the error reported.
+	rt, err := memreq.NewRestoreTable(p.Reqs, p.Trans, wi)
 	if err != nil {
 		return fmt.Errorf("sim: restore checkpoint: %w", err)
 	}
-	if err := s.eng.RestoreStates(rt, p.States); err != nil {
+	err = s.eng.RestoreStates(rt, p.States)
+	if refErr := rt.Err(); refErr != nil {
+		err = refErr
+	}
+	if err != nil {
 		return fmt.Errorf("sim: restore checkpoint: %w", err)
 	}
 	s.eng.SetClock(p.Clock)
 
-	// Phase 2: rebind the callbacks that could not serialize.
-	if err := s.linkRestored(rt); err != nil {
-		return fmt.Errorf("sim: restore link pass: %w", err)
-	}
-
-	// Phase 3: simulator-owned state outside the tick list.
+	// Simulator-owned state outside the tick list.
 	nSyncs := 0
 	var syncErr error
 	s.forEachSync(func(g *workload.GroupSync) {
@@ -373,102 +379,6 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 	s.restoredTotal = h.TotalCycles
 	s.ckptStats.Restored++
 	return nil
-}
-
-// linkRestored is the final link pass: every continuation descriptor becomes
-// a live callback again. Runs after all components restored, so every MSHR
-// tracker and walk exists.
-func (s *Simulator) linkRestored(rt *memreq.RestoreTable) error {
-	// Core warps parked on a translation re-register with their L1 TLB MSHR
-	// in original waiting order.
-	s.attachErr = nil
-	for _, c := range s.cores {
-		if err := c.ReattachWaiters(); err != nil {
-			return err
-		}
-	}
-	if s.attachErr != nil {
-		return s.attachErr
-	}
-
-	// A live TransReq's Done is always its owning L1 TLB MSHR fill,
-	// identified by (core, vpn); l1tlbs is core-indexed by construction.
-	nReq, nTrans := rt.Len()
-	for i := 0; i < nTrans; i++ {
-		tr := rt.Trans(int32(i))
-		if tr.CoreID < 0 || tr.CoreID >= len(s.l1tlbs) {
-			return fmt.Errorf("restored translation names core %d of %d", tr.CoreID, len(s.l1tlbs))
-		}
-		done, ok := s.l1tlbs[tr.CoreID].MissDone(tr.VPN)
-		if !ok {
-			return fmt.Errorf("restored translation (core %d, vpn %#x) has no L1 TLB tracker", tr.CoreID, tr.VPN)
-		}
-		tr.Done = done
-	}
-
-	// Requests carry a Site descriptor stamped at Done-bind time.
-	for i := 0; i < nReq; i++ {
-		r := rt.Req(int32(i))
-		switch r.Site {
-		case memreq.SiteNone:
-			// Fire-and-forget (writes, writebacks, forwards): Done stays nil.
-		case memreq.SiteCoreData:
-			if r.CoreID < 0 || r.CoreID >= len(s.cores) {
-				return fmt.Errorf("restored request names core %d of %d", r.CoreID, len(s.cores))
-			}
-			if r.WarpID < 0 || r.WarpID >= s.cfg.WarpsPerCore {
-				return fmt.Errorf("restored request names warp %d of %d", r.WarpID, s.cfg.WarpsPerCore)
-			}
-			r.Done = s.cores[r.CoreID].DataDone()
-		case memreq.SiteCacheFill, memreq.SiteCacheBypassFill:
-			c := s.snapCaches[r.SiteRef]
-			if c == nil {
-				return fmt.Errorf("restored fill names unknown cache %d", r.SiteRef)
-			}
-			done, ok := c.FillDone(c.LineAddr(r.Addr), r.Site == memreq.SiteCacheBypassFill)
-			if !ok {
-				return fmt.Errorf("restored fill (cache %d, addr %#x) has no MSHR", r.SiteRef, r.Addr)
-			}
-			r.Done = done
-		case memreq.SiteWalk:
-			if s.walker == nil {
-				return fmt.Errorf("restored walk request but no walker built")
-			}
-			done, ok := s.walker.ReqDoneBySerial(r.SiteRef)
-			if !ok {
-				return fmt.Errorf("restored walk request names unknown walk %d", r.SiteRef)
-			}
-			r.Done = done
-		default:
-			return fmt.Errorf("restored request has unknown continuation site %d", r.Site)
-		}
-	}
-	return nil
-}
-
-// resolveWalkDone rebuilds a restored walk's completion callback from its
-// origin descriptor; installed on the walker at build time. Walks submitted
-// with a TransReq rebind through the request registry instead and never
-// reach here.
-func (s *Simulator) resolveWalkDone(origin ptw.WalkOrigin, asid uint8, appID int, vpn uint64) (func(now int64, frame uint64), error) {
-	switch origin {
-	case ptw.OriginL2Miss:
-		if s.l2tlb == nil {
-			return nil, fmt.Errorf("sim: L2-miss walk restored without a shared TLB")
-		}
-		done, ok := s.l2tlb.MissDone(asid, vpn)
-		if !ok {
-			return nil, fmt.Errorf("sim: L2-miss walk (asid %d, vpn %#x) has no L2 TLB tracker", asid, vpn)
-		}
-		return done, nil
-	case ptw.OriginPrefetch:
-		if s.l2tlb == nil {
-			return nil, fmt.Errorf("sim: prefetch walk restored without a shared TLB")
-		}
-		return s.l2tlb.PrefetchDone(asid, appID, vpn), nil
-	default:
-		return nil, fmt.Errorf("sim: walk origin %d has no resolvable continuation", origin)
-	}
 }
 
 // forEachSync visits every distinct group-barrier object once, in

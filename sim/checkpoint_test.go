@@ -3,12 +3,14 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -163,6 +165,53 @@ func TestCheckpointStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreCheckpointFixpoint restores a checkpoint and checkpoints again
+// without stepping: the two payloads must be deeply equal. Restore and
+// snapshot are written field by field, per component, by hand; this is the
+// one oracle that covers every field of every component at once — a field
+// one side forgets, or a set written in map order, shows up as a difference.
+func TestRestoreCheckpointFixpoint(t *testing.T) {
+	const cycles, at = 4000, 1700
+	for _, sc := range ckptScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := sc.cfg()
+			ckCfg := cfg
+			ckCfg.CheckpointEvery = at
+			ckCfg.CheckpointDir = t.TempDir()
+			src := prepareScenario(t, ckCfg, sc.names, sc.alone)
+			src.mustRun(t, cycles)
+			first, err := os.ReadFile(src.checkpointPath(at))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := prepareScenario(t, cfg, sc.names, sc.alone)
+			if err := dst.RestoreCheckpoint(bytes.NewReader(first)); err != nil {
+				t.Fatal(err)
+			}
+			var second bytes.Buffer
+			if err := dst.Checkpoint(&second); err != nil {
+				t.Fatal(err)
+			}
+			want, got := decodePayload(t, first), decodePayload(t, second.Bytes())
+			if reflect.DeepEqual(want, got) {
+				return
+			}
+			// Name what differs: DeepEqual on the whole payload says nothing.
+			for _, k := range sortedStateKeys(&want) {
+				if !reflect.DeepEqual(want.States[k], got.States[k]) {
+					t.Errorf("ticker %d (%T) differs after restore", k, want.States[k])
+				}
+			}
+			wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
+			for i := 0; i < wv.NumField(); i++ {
+				if name := wv.Type().Field(i).Name; name != "States" && !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
+					t.Errorf("payload field %s differs after restore", name)
+				}
+			}
+		})
+	}
+}
+
 // TestCheckpointRejection proves every way a checkpoint file can be unusable
 // is rejected with a structured error and a clean start — never a panic, and
 // never silently adopting garbage.
@@ -289,6 +338,32 @@ func TestCheckpointRejection(t *testing.T) {
 		resumeClean(t, dir, 2)
 	})
 
+	t.Run("previous-format-v2", func(t *testing.T) {
+		// A file stamped with the format before typed return routes (v2: its
+		// requests carry Site/SiteRef, not a sink index) is rejected by
+		// version, before any of its payload is decoded.
+		dir := makeDir(t)
+		ents, _ := os.ReadDir(dir)
+		for _, e := range ents {
+			p := filepath.Join(dir, e.Name())
+			data, _ := os.ReadFile(p)
+			binary.LittleEndian.PutUint32(data[4:], 2)
+			resealChecksum(data)
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var ve *snapshot.VersionError
+			if _, _, err := snapshot.Decode(data); !errors.As(err, &ve) || ve.Got != 2 || ve.Want != snapshot.Version {
+				t.Fatalf("v2-stamped file decoded with err=%v, want *VersionError{Got: 2, Want: %d}", err, snapshot.Version)
+			}
+			s := prepareScenario(t, cfg, names, 0)
+			if err := s.RestoreCheckpoint(bytes.NewReader(data)); !errors.As(err, &ve) {
+				t.Fatalf("RestoreCheckpoint of a v2 file: err=%v, want *VersionError", err)
+			}
+		}
+		resumeClean(t, dir, 2)
+	})
+
 	t.Run("wrong-simulation", func(t *testing.T) {
 		// A checkpoint from a different config must not restore even if the
 		// file is pristine.
@@ -322,12 +397,48 @@ func TestCheckpointRejection(t *testing.T) {
 	})
 }
 
-// TestRestoreRejectsHostilePoolState drives impossible request-pool images
-// past the envelope checksum — the gob payload is decoded, edited and
+// editState applies edit to the first component state of type T (in ticker
+// order) for which it reports true, and fails the test if there is none.
+func editState[T any](t *testing.T, p *checkpointPayload, edit func(st *T) bool) {
+	t.Helper()
+	for _, k := range sortedStateKeys(p) {
+		if st, ok := p.States[k].(T); ok && edit(&st) {
+			p.States[k] = st
+			return
+		}
+	}
+	t.Fatalf("no %T in the checkpoint takes the edit", *new(T))
+}
+
+func sortedStateKeys(p *checkpointPayload) []int {
+	keys := make([]int, 0, len(p.States))
+	for k := range p.States {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// editReturning applies edit to the first live request that returns to a
+// component whose state is a T.
+func editReturning[T any](t *testing.T, p *checkpointPayload, edit func(d *memreq.RequestDTO)) {
+	t.Helper()
+	for i := range p.Reqs {
+		if _, ok := p.States[int(p.Reqs[i].Sink)].(T); ok {
+			edit(&p.Reqs[i])
+			return
+		}
+	}
+	t.Fatalf("no live request returns to a %T", *new(T))
+}
+
+// TestRestoreRejectsHostileState drives impossible images — request pools,
+// references outside the request registry, return routes naming nothing —
+// past the envelope checksum: the gob payload is decoded, edited and
 // re-sealed, so the file is valid in every respect except the state it
 // encodes. Each must surface as a structured error from RestoreCheckpoint,
 // never a panic, an unbounded allocation or silent adoption.
-func TestRestoreRejectsHostilePoolState(t *testing.T) {
+func TestRestoreRejectsHostileState(t *testing.T) {
 	const cycles = 3000
 	cfg := SharedTLBConfig()
 	names := []string{"MUM", "GUP"}
@@ -345,38 +456,98 @@ func TestRestoreRejectsHostilePoolState(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const badRef = "memreq: checkpoint reference 1073741824 outside "
 	cases := []struct {
 		name   string
-		mutate func(p *checkpointPayload)
+		mutate func(t *testing.T, p *checkpointPayload)
 		want   string // "" = must restore
 	}{
-		{"untouched", func(p *checkpointPayload) {}, ""},
-		{"negative free", func(p *checkpointPayload) { p.ReqPools[3].Free = -1 },
+		{"untouched", func(t *testing.T, p *checkpointPayload) {}, ""},
+		// Every container of request references, one case each: only NilRef
+		// and indices inside the registry may be resolved.
+		{"core retry reference", func(t *testing.T, p *checkpointPayload) {
+			editState(t, p, func(st *gpu.CoreState) bool { st.Retry = append(st.Retry, 1<<30); return true })
+		}, badRef},
+		{"cache bank queue reference", func(t *testing.T, p *checkpointPayload) {
+			editState(t, p, func(st *cache.CacheState) bool {
+				st.Queues[0] = append(st.Queues[0], cache.BankItemState{Req: -5})
+				return true
+			})
+		}, "memreq: checkpoint reference -5 outside "},
+		{"cache MSHR waiter reference", func(t *testing.T, p *checkpointPayload) {
+			editState(t, p, func(st *cache.CacheState) bool {
+				st.Mshrs = append(st.Mshrs, cache.MSHRState{LineAddr: 1 << 50, Waiting: []int32{1 << 30}})
+				return true
+			})
+		}, badRef},
+		{"dram queue reference", func(t *testing.T, p *checkpointPayload) {
+			editState(t, p, func(st *dram.DRAMState) bool {
+				q := &st.Channels[0].Sched.Normal
+				*q = append(*q, dram.QueuedState{Req: 1 << 30})
+				return true
+			})
+		}, badRef},
+		{"l1 pending reference", func(t *testing.T, p *checkpointPayload) {
+			editState(t, p, func(st *tlb.L1State) bool { st.Pending = append(st.Pending, 1<<30); return true })
+		}, badRef},
+		{"l2 stalled reference", func(t *testing.T, p *checkpointPayload) {
+			editState(t, p, func(st *tlb.L2State) bool { st.Stalled = append(st.Stalled, 1<<30); return true })
+		}, badRef},
+		{"walk transreq reference", func(t *testing.T, p *checkpointPayload) {
+			editState(t, p, func(st *ptw.WalkerState) bool {
+				if len(st.Active) == 0 {
+					return false
+				}
+				st.Active[0].Tr = 1 << 30
+				return true
+			})
+		}, badRef},
+		// Return routes: the sink index must name a sink, and the sink must
+		// hold the state the request resumes.
+		{"sink index out of range", func(t *testing.T, p *checkpointPayload) { p.Reqs[0].Sink = 1 << 20 },
+			"memreq: request 0 returns to ticker 1048576, which is not a sink"},
+		{"sink index names a non-sink", func(t *testing.T, p *checkpointPayload) {
+			for _, k := range sortedStateKeys(p) {
+				if _, ok := p.States[k].(tlb.L1State); ok {
+					p.Reqs[0].Sink = int32(k)
+					return
+				}
+			}
+		}, "which is not a sink"},
+		{"walk serial names no walk", func(t *testing.T, p *checkpointPayload) {
+			editReturning[ptw.WalkerState](t, p, func(d *memreq.RequestDTO) { d.Tag = 1 << 60 })
+		}, "returns to walk 1152921504606846976, which awaits no read"},
+		{"bypass tag names no MSHR", func(t *testing.T, p *checkpointPayload) {
+			editReturning[cache.CacheState](t, p, func(d *memreq.RequestDTO) { d.Tag = 1 })
+		}, "tag 1) has no MSHR"},
+		{"request returns to a warp the core lacks", func(t *testing.T, p *checkpointPayload) {
+			editReturning[gpu.CoreState](t, p, func(d *memreq.RequestDTO) { d.WarpID = 1 << 20 })
+		}, "returns to warp 1048576 of"},
+		{"transreq names a core without an L1 TLB", func(t *testing.T, p *checkpointPayload) { p.Trans[0].CoreID = 1 << 20 },
+			"memreq: transreq 0 names the L1 TLB of core 1048576"},
+		{"negative free", func(t *testing.T, p *checkpointPayload) { p.ReqPools[3].Free = -1 },
 			"memreq: checkpoint pool 3 has Free=-1"},
-		{"huge free", func(p *checkpointPayload) { p.ReqPools[0].Free = 1 << 40 },
+		{"huge free", func(t *testing.T, p *checkpointPayload) { p.ReqPools[0].Free = 1 << 40 },
 			"memreq: checkpoint pool 0 has Free=1099511627776"},
-		{"free above allocs", func(p *checkpointPayload) { p.ReqPools[1].Free = int(p.ReqPools[1].Allocs) + 1 },
+		{"free above allocs", func(t *testing.T, p *checkpointPayload) { p.ReqPools[1].Free = int(p.ReqPools[1].Allocs) + 1 },
 			"memreq: checkpoint pool 1 has Free="},
-		{"allocs above gets", func(p *checkpointPayload) { p.ReqPools[2].Allocs = p.ReqPools[2].Gets + 1 },
+		{"allocs above gets", func(t *testing.T, p *checkpointPayload) { p.ReqPools[2].Allocs = p.ReqPools[2].Gets + 1 },
 			"memreq: checkpoint pool 2 has Free="},
-		{"translation pool negative free", func(p *checkpointPayload) { p.TransPools[4].Free = -7 },
+		{"translation pool negative free", func(t *testing.T, p *checkpointPayload) { p.TransPools[4].Free = -7 },
 			"memreq: checkpoint pool 4 has Free=-7"},
-		{"translation pool allocs above gets", func(p *checkpointPayload) { p.TransPools[0] = memreq.PoolState{Free: 5, Allocs: 5} },
+		{"translation pool allocs above gets", func(t *testing.T, p *checkpointPayload) { p.TransPools[0] = memreq.PoolState{Free: 5, Allocs: 5} },
 			"memreq: checkpoint pool 0 has Free=5 Allocs=5 Gets=0"},
 		// Consistent but absurd: accepted, and must not allocate the promised
 		// objects up front.
-		{"huge consistent image", func(p *checkpointPayload) {
+		{"huge consistent image", func(t *testing.T, p *checkpointPayload) {
 			p.ReqPools[0] = memreq.PoolState{Free: 1 << 40, Allocs: 1 << 41, Gets: 1 << 42}
 		}, ""},
-		// The six component free lists record only a length, and restore it
+		// The five component free lists record only a length, and restore it
 		// through the same slab.List.Refill: a negative one used to panic the
 		// cache and DRAM restores, a huge one to allocate without end.
-		{"component free lengths", func(p *checkpointPayload) {
+		{"component free lengths", func(t *testing.T, p *checkpointPayload) {
 			for k, st := range p.States {
 				switch st := st.(type) {
-				case gpu.CoreState:
-					st.CtxFree = 1 << 40
-					p.States[k] = st
 				case cache.CacheState:
 					st.MshrFree = -1
 					p.States[k] = st
@@ -399,7 +570,7 @@ func TestRestoreRejectsHostilePoolState(t *testing.T) {
 			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
 				t.Fatal(err)
 			}
-			tc.mutate(&p)
+			tc.mutate(t, &p)
 			var body, file bytes.Buffer
 			if err := gob.NewEncoder(&body).Encode(&p); err != nil {
 				t.Fatal(err)

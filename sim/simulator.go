@@ -71,10 +71,7 @@ type Simulator struct {
 	epoch int64
 	ran   bool
 
-	// Checkpoint machinery (docs/MODEL.md §9). snapCaches maps the build-order
-	// snapshot IDs stamped on fill requests back to their caches for the
-	// restore link pass.
-	snapCaches  map[uint64]*cache.Cache
+	// Checkpoint machinery (docs/MODEL.md §9).
 	ckptStats   CheckpointStats
 	totalCycles int64  // current run's cycle budget, for checkpoint headers
 	fp          string // cached Fingerprint
@@ -87,21 +84,6 @@ type Simulator struct {
 	resuming      bool // Run's own auto-resume is exempt from the ran guard
 	restoredWD    *engine.WatchdogState
 	restoredTotal int64
-	// attachErr captures an AddWaiter failure raised inside the waiter-attach
-	// closure during the restore link pass (the hook signature has no error).
-	attachErr error
-}
-
-// registerSnapCache assigns the next build-order snapshot ID to c and indexes
-// it for the restore link pass. Build order is deterministic for a given
-// config, so IDs match between the checkpointing and the restoring simulator.
-func (s *Simulator) registerSnapCache(c *cache.Cache) {
-	if s.snapCaches == nil {
-		s.snapCaches = make(map[uint64]*cache.Cache)
-	}
-	id := uint64(len(s.snapCaches) + 1)
-	c.SetSnapKey(id)
-	s.snapCaches[id] = c
 }
 
 // New wires a simulator for the given applications. coresPerApp[i] cores are
@@ -262,7 +244,6 @@ func (s *Simulator) build() {
 		Arena:        arena,
 	}, s.mem)
 	s.l2c.SetRequestPool(&s.sharedReqPool)
-	s.registerSnapCache(s.l2c)
 	if cfg.Static {
 		s.l2c.SetWayPartition(wayMasks(cfg.L2Cache.Ways, numApps))
 	}
@@ -286,14 +267,12 @@ func (s *Simulator) build() {
 			Arena:        arena,
 		}, s.l2c)
 		s.pwc.SetRequestPool(&s.sharedReqPool)
-		s.registerSnapCache(s.pwc)
 		walkBackend = s.pwc
 	}
 
 	// --- walker and shared L2 TLB ----------------------------------------
 	s.walker = ptw.New(cfg.WalkerConcurrency, walkBackend, numApps)
 	s.walker.SetRequestPool(&s.sharedReqPool)
-	s.walker.SetDoneResolver(s.resolveWalkDone)
 	if cfg.DemandPaging && !cfg.Ideal {
 		s.faults = ptw.NewFaultUnit(cfg.FaultLatency, cfg.FaultConcurrency)
 		s.walker.SetFaultUnit(s.faults)
@@ -313,6 +292,7 @@ func (s *Simulator) build() {
 			BypassSize: bypassSize,
 			NumApps:    numApps,
 		}, s.walker, s.tokens)
+		s.walker.SetWalkSink(s.l2tlb)
 		if cfg.Static {
 			s.l2tlb.SetWayPartition(wayMasks(cfg.L2TLBWays, numApps))
 		}
@@ -376,31 +356,29 @@ func (s *Simulator) build() {
 				Arena:              arena,
 			}, s.l2c)
 			l1d.SetRequestPool(&s.reqPools[coreID])
-			s.registerSnapCache(l1d)
 			s.l1ds = append(s.l1ds, l1d)
 
-			var coreL1 *tlb.L1TLB
+			var l1 *tlb.L1TLB
 			var translate gpu.TranslateFn
 			if cfg.Ideal {
-				translate = func(now int64, vpn uint64, warpID int, done func(int64, uint64)) {
+				translate = func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
 					frame, ok := space.TranslateVPN(vpn)
 					if !ok {
 						panic("sim: ideal translation of unmapped page")
 					}
-					done(now, frame)
+					return frame, true
 				}
 			} else {
 				var transBackend tlb.TransBackend = s.walker
 				if s.l2tlb != nil {
 					transBackend = s.l2tlb
 				}
-				l1 := tlb.NewL1(coreID, appIdx, space.ASID(), cfg.L1TLBEntries, transBackend)
+				l1 = tlb.NewL1(coreID, appIdx, space.ASID(), cfg.L1TLBEntries, transBackend)
 				l1.SetTransPool(&s.transPools[coreID])
 				s.l1tlbs = append(s.l1tlbs, l1)
-				coreL1 = l1
 				app := appIdx
-				translate = func(now int64, vpn uint64, warpID int, done func(int64, uint64)) {
-					l1.Lookup(now, vpn, warpID, s.tokens.HasToken(app, warpID), done)
+				translate = func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
+					return l1.Lookup(now, vpn, warpID, slot, s.tokens.HasToken(app, warpID))
 				}
 			}
 
@@ -421,13 +399,8 @@ func (s *Simulator) build() {
 				RoundRobin:   cfg.RoundRobinSched,
 			}, streams, translate, l1d, &s.idgens[coreID])
 			core.SetRequestPool(&s.reqPools[coreID])
-			if coreL1 != nil {
-				l1 := coreL1
-				core.SetWaiterAttach(func(vpn uint64, done func(now int64, frame uint64)) {
-					if err := l1.AddWaiter(vpn, done); err != nil && s.attachErr == nil {
-						s.attachErr = err
-					}
-				})
+			if l1 != nil {
+				l1.SetWaker(core)
 			}
 			s.cores = append(s.cores, core)
 			coreID++
@@ -692,6 +665,7 @@ func (s *Simulator) Run(ctx context.Context, cycles int64) (*Results, error) {
 	if s.restoredWD != nil && wd != nil {
 		wd.SetState(*s.restoredWD)
 	}
+	s.restoredWD = nil // consumed: from here the live watchdog is the state
 	s.curWD = wd
 	if s.cfg.CheckpointEvery > 0 && s.cfg.CheckpointDir != "" {
 		s.eng.SetCheckpointHook(s.cfg.CheckpointEvery, func(now int64) {
