@@ -133,6 +133,15 @@ type mshr struct {
 	waitBuf  [8]*memreq.Request
 }
 
+// reset returns m to the free list's state whatever state it was in: empty,
+// still holding the waiting buffer it grew (slab.List.Rewind).
+func (m *mshr) reset() {
+	*m = mshr{waiting: slab.Slice(m.waiting, 0)}
+	if m.waiting == nil {
+		m.waiting = m.waitBuf[:0]
+	}
+}
+
 // tagBypass is the Request.Tag of a bypass fetch: its fill resumes the
 // bypass MSHR of its line, any other fill the regular one.
 const tagBypass = 1
@@ -159,7 +168,7 @@ type Cache struct {
 	retry []*memreq.Request
 
 	// pool recycles the requests this cache originates (fills, bypass
-	// fetches, forwarded writes, writebacks). New creates a private pool;
+	// fetches, forwarded writes, writebacks): the cache's own (below) until
 	// the simulator replaces it with the per-simulator pool.
 	pool *memreq.Pool
 
@@ -190,6 +199,10 @@ type Cache struct {
 	// latency accounting per class
 	latSum   [2]uint64
 	latCount [2]uint64
+
+	// own is the private request pool; last, so that it does not sit between
+	// the fields every access touches.
+	own memreq.Pool
 }
 
 // bankQueue is a ring buffer: pops are O(1), which matters because every
@@ -244,7 +257,12 @@ func max(a, b int) int {
 // New creates a cache. backend may be nil only for caches that are guaranteed
 // never to miss or write through (not used in practice; the simulator always
 // wires a backend).
-func New(cfg Config, backend Backend) *Cache {
+func New(cfg Config, backend Backend) *Cache { return Renew(nil, cfg, backend) }
+
+// Renew is New built in place over a donor: c is retired and comes back as
+// New(cfg, backend) would return it, over the donor's small buffers where
+// they fit (docs/MODEL.md §11). A nil donor allocates everything.
+func Renew(c *Cache, cfg Config, backend Backend) *Cache {
 	if cfg.LineSize <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid geometry %+v", cfg.Name, cfg))
 	}
@@ -266,22 +284,53 @@ func New(cfg Config, backend Backend) *Cache {
 	if 1<<shift != cfg.LineSize {
 		panic(fmt.Sprintf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineSize))
 	}
-	c := &Cache{
-		cfg:         cfg,
-		lineShift:   shift,
-		sets:        sets,
-		lines:       cfg.Arena.take(sets * cfg.Ways),
-		backend:     backend,
-		queues:      make([]bankQueue, cfg.Banks),
-		mshrs:       make(map[uint64]*mshr),
-		bypassMSHRs: make(map[uint64]*mshr),
-		pool:        &memreq.Pool{},
+	if c == nil {
+		c = new(Cache)
 	}
+	c.Retire()
+	c.cfg, c.lineShift, c.sets, c.backend = cfg, shift, sets, backend
+	c.lines = cfg.Arena.take(sets * cfg.Ways)
+	c.queues = slab.Donors(c.queues, cfg.Banks)
+	c.mshrs, c.bypassMSHRs = slab.Map(c.mshrs), slab.Map(c.bypassMSHRs)
+	c.pool = &c.own
 	if cfg.WriteCombineWindow > 0 {
-		c.combineCur = make(map[uint64]struct{})
-		c.combinePrev = make(map[uint64]struct{})
+		c.combineCur, c.combinePrev = slab.Map(c.combineCur), slab.Map(c.combinePrev)
+	} else {
+		c.combineCur, c.combinePrev = nil, nil
 	}
 	return c
+}
+
+// Retire empties c in place: what is left is the zero Cache but for the
+// capacity of its small buffers — bank rings, MSHR maps and trackers, retry
+// list, write-combine sets, the free stack of its own request pool — with
+// nothing in them. It holds no line array, no request and no neighbour, so a
+// retired cache pins nothing else of the simulator it was part of. Renew
+// starts here; a sim.Recycler retires what it keeps.
+func (c *Cache) Retire() {
+	d := *c
+	d.mshrFree.Rewind((*mshr).reset)
+	d.own.Renew(0)
+	d.queues = d.queues[:cap(d.queues)]
+	for b := range d.queues {
+		// A ring's length is its capacity; all of it comes back empty.
+		items := slab.Grown(d.queues[b].items)
+		d.queues[b] = bankQueue{items: items[:cap(items)]}
+	}
+	clear(d.mshrs)
+	clear(d.bypassMSHRs)
+	clear(d.combineCur)
+	clear(d.combinePrev)
+	*c = Cache{
+		queues:      d.queues,
+		mshrs:       d.mshrs,
+		bypassMSHRs: d.bypassMSHRs,
+		mshrFree:    d.mshrFree,
+		retry:       slab.Grown(d.retry),
+		own:         d.own,
+		combineCur:  d.combineCur,
+		combinePrev: d.combinePrev,
+	}
 }
 
 // SetRequestPool replaces the cache's private request pool, so one simulator

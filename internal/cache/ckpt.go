@@ -128,6 +128,19 @@ func (c *Cache) RestoreState(ctx any, state any) error {
 	if len(st.Queues) != len(c.queues) {
 		return fmt.Errorf("cache %s: checkpoint has %d banks, cache has %d", c.cfg.Name, len(st.Queues), len(c.queues))
 	}
+	// The envelope checksum vouches for the bytes, not for the state they
+	// encode: an image no run of this cache can reach is rejected whole.
+	if c.cfg.MSHRs > 0 && len(st.Mshrs) > c.cfg.MSHRs {
+		return fmt.Errorf("cache %s: checkpoint has %d MSHRs, capacity is %d", c.cfg.Name, len(st.Mshrs), c.cfg.MSHRs)
+	}
+	for b, q := range st.Queues {
+		if c.cfg.QueueCap > 0 && len(q) > c.cfg.QueueCap {
+			return fmt.Errorf("cache %s: checkpoint bank %d queues %d requests, capacity is %d", c.cfg.Name, b, len(q), c.cfg.QueueCap)
+		}
+	}
+	// One tag valid in two ways of a set is not checked for: a write-back
+	// cache reaches that state (a store write-allocates a line whose read
+	// fill is still in flight, and the fill installs it again).
 	c.stamp = st.Stamp
 	c.combineSwapAt = st.CombineSwapAt
 	c.levelStats = st.LevelStats

@@ -125,7 +125,20 @@ func (s *FRFCFS) RestoreQueue(st SchedState, dec func(QueuedState) *Queued) erro
 	if len(st.Golden) > 0 || len(st.Silver) > 0 {
 		return fmt.Errorf("dram: FR-FCFS checkpoint carries class-queue state")
 	}
+	if err := checkQueueLen("request", len(st.Normal), s.cap); err != nil {
+		return err
+	}
 	s.queue = decQueue(s.queue, st.Normal, dec)
+	return nil
+}
+
+// checkQueueLen rejects a checkpointed queue longer than the queue can get
+// (capacity 0 = unbounded): the envelope checksum vouches for the bytes, not
+// for the state they encode.
+func checkQueueLen(what string, n, capacity int) error {
+	if capacity > 0 && n > capacity {
+		return fmt.Errorf("dram: checkpoint %s queue holds %d requests, capacity is %d", what, n, capacity)
+	}
 	return nil
 }
 
@@ -138,6 +151,9 @@ func (s *FCFS) SnapshotQueue(enc func(*Queued) QueuedState) SchedState {
 func (s *FCFS) RestoreQueue(st SchedState, dec func(QueuedState) *Queued) error {
 	if len(st.Golden) > 0 || len(st.Silver) > 0 {
 		return fmt.Errorf("dram: FCFS checkpoint carries class-queue state")
+	}
+	if err := checkQueueLen("request", len(st.Normal), s.cap); err != nil {
+		return err
 	}
 	s.queue = decQueue(s.queue, st.Normal, dec)
 	return nil
@@ -158,6 +174,14 @@ func (s *MASKSched) SnapshotQueue(enc func(*Queued) QueuedState) SchedState {
 func (s *MASKSched) RestoreQueue(st SchedState, dec func(QueuedState) *Queued) error {
 	if st.SilverApp >= s.numApps {
 		return fmt.Errorf("dram: silver turn app %d out of range (%d apps)", st.SilverApp, s.numApps)
+	}
+	for _, q := range []struct {
+		what     string
+		n, limit int
+	}{{"golden", len(st.Golden), s.goldenCap}, {"silver", len(st.Silver), s.silverCap}, {"normal", len(st.Normal), s.normalCap}} {
+		if err := checkQueueLen(q.what, q.n, q.limit); err != nil {
+			return err
+		}
 	}
 	s.golden = decQueue(s.golden, st.Golden, dec)
 	s.silver = decQueue(s.silver, st.Silver, dec)

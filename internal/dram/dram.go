@@ -167,25 +167,50 @@ type DRAM struct {
 
 // New builds the DRAM model. mkSched constructs one scheduler per channel.
 func New(cfg Config, mkSched func(chanIdx int) Scheduler) *DRAM {
+	return Renew(nil, cfg, func(chanIdx int, _ Scheduler) Scheduler { return mkSched(chanIdx) })
+}
+
+// Renew is New built in place over a donor: d is retired and comes back as
+// New would return it, over the donor's buffers where they fit
+// (docs/MODEL.md §11). mkSched is handed the channel's previous scheduler
+// (nil for a new channel) to renew in turn. A nil donor allocates everything.
+func Renew(d *DRAM, cfg Config, mkSched func(chanIdx int, old Scheduler) Scheduler) *DRAM {
 	shift := uint(0)
 	for 1<<shift < cfg.LineSize {
 		shift++
 	}
-	d := &DRAM{
-		cfg:       cfg,
-		lineShift: shift,
-		channels:  make([]channel, cfg.Channels),
+	if d == nil {
+		d = new(DRAM)
 	}
+	d.Retire()
+	d.cfg, d.lineShift = cfg, shift
+	d.channels = slab.Donors(d.channels, cfg.Channels)
 	for i := range d.channels {
 		ch := &d.channels[i]
-		ch.banks = make([]Bank, cfg.BanksPerChannel)
+		ch.banks = slab.Slice(ch.banks, cfg.BanksPerChannel)
 		for b := range ch.banks {
 			ch.banks[b].OpenRow = -1
 		}
-		ch.sched = mkSched(i)
+		ch.sched = mkSched(i, ch.sched)
 		ch.nextFinish = engine.NoEvent
 	}
 	return d
+}
+
+// Retire empties d in place: what is left is the zero DRAM but for the
+// capacity of its channels' bank arrays and in-flight lists, its per-app
+// counters and its queue wrappers, with nothing in them, and each channel's
+// scheduler as it was — Renew hands that to mkSched, which renews it or lets
+// it go. No request, no hook (cache.Cache.Retire has the why).
+func (d *DRAM) Retire() {
+	old := *d
+	old.qFree.Rewind(nil) // the wrappers are what holds the queued requests
+	old.channels = old.channels[:cap(old.channels)]
+	for i := range old.channels {
+		ch := &old.channels[i]
+		*ch = channel{banks: slab.Slice(ch.banks, 0), sched: ch.sched, inflight: slab.Grown(ch.inflight)}
+	}
+	*d = DRAM{channels: old.channels, perAppBus: slab.Slice(old.perAppBus, 0), qFree: old.qFree}
 }
 
 // Config returns the DRAM configuration.

@@ -3,7 +3,18 @@ package dram
 import (
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/slab"
 )
+
+// renewQueue returns an empty request queue with room for capacity entries
+// (a bounded queue never grows past it; 0 = unbounded, grown on demand), over
+// the donor's array when that fits.
+func renewQueue(old []*Queued, capacity int) []*Queued {
+	if capacity == 0 {
+		return slab.Grown(old)
+	}
+	return slab.Slice(old, capacity)[:0]
+}
 
 // nextReadySched returns the earliest cycle >= now at which some request in
 // queue could have a ready bank: now if any already does, the minimum bank
@@ -36,8 +47,16 @@ type FRFCFS struct {
 
 // NewFRFCFS returns an FR-FCFS scheduler with the given queue capacity
 // (0 = unbounded).
-func NewFRFCFS(capacity int) *FRFCFS {
-	return &FRFCFS{cap: capacity}
+func NewFRFCFS(capacity int) *FRFCFS { return RenewFRFCFS(nil, capacity) }
+
+// RenewFRFCFS is NewFRFCFS built in place over old when that is an *FRFCFS,
+// keeping only its queue's capacity (docs/MODEL.md §11); any other donor is
+// dropped.
+func RenewFRFCFS(old Scheduler, capacity int) *FRFCFS {
+	s, _ := old.(*FRFCFS)
+	s, d := slab.Lift(s)
+	*s = FRFCFS{cap: capacity, queue: renewQueue(d.queue, capacity)}
+	return s
 }
 
 // Enqueue implements Scheduler.
@@ -133,15 +152,26 @@ type MASKSched struct {
 // evenly). Queue capacities follow §7.4: 16-entry Golden, 64-entry Silver,
 // 192-entry Normal.
 func NewMASKSched(numApps, threshMax int, pressure PressureFunc) *MASKSched {
+	return RenewMASKSched(nil, numApps, threshMax, pressure)
+}
+
+// RenewMASKSched is NewMASKSched built in place over old when that is a
+// *MASKSched, keeping only its queues' capacity (docs/MODEL.md §11).
+func RenewMASKSched(old Scheduler, numApps, threshMax int, pressure PressureFunc) *MASKSched {
 	if numApps < 1 {
 		numApps = 1
 	}
-	s := &MASKSched{
+	s, _ := old.(*MASKSched)
+	s, d := slab.Lift(s)
+	*s = MASKSched{
 		goldenCap: 16, silverCap: 64, normalCap: 192,
 		threshMax: threshMax,
 		numApps:   numApps,
 		pressure:  pressure,
 	}
+	s.golden = renewQueue(d.golden, s.goldenCap)
+	s.silver = renewQueue(d.silver, s.silverCap)
+	s.normal = renewQueue(d.normal, s.normalCap)
 	s.silverApp = 0
 	s.silverQuota = s.quotaFor(0)
 	return s
@@ -352,8 +382,15 @@ type FCFS struct {
 }
 
 // NewFCFS returns an FCFS scheduler with the given capacity (0 = unbounded).
-func NewFCFS(capacity int) *FCFS {
-	return &FCFS{cap: capacity}
+func NewFCFS(capacity int) *FCFS { return RenewFCFS(nil, capacity) }
+
+// RenewFCFS is NewFCFS built in place over old when that is an *FCFS (see
+// RenewFRFCFS).
+func RenewFCFS(old Scheduler, capacity int) *FCFS {
+	s, _ := old.(*FCFS)
+	s, d := slab.Lift(s)
+	*s = FCFS{cap: capacity, queue: renewQueue(d.queue, capacity)}
+	return s
 }
 
 // Enqueue implements Scheduler.

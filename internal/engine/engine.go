@@ -13,6 +13,8 @@ package engine
 import (
 	"context"
 	"math"
+
+	"masksim/internal/slab"
 )
 
 // Ticker is a component driven by the simulation clock once per cycle.
@@ -83,8 +85,21 @@ type Engine struct {
 }
 
 // New returns an Engine at cycle 0 with no components.
-func New() *Engine {
-	return &Engine{allSources: true}
+func New() *Engine { return Renew(nil) }
+
+// Renew is New built in place over a donor: e comes back at cycle 0 with no
+// components and no hooks, keeping only its registration lists' capacity
+// (docs/MODEL.md §11). A nil donor allocates.
+func Renew(e *Engine) *Engine {
+	e, d := slab.Lift(e)
+	*e = Engine{
+		tickers:      slab.Slice(d.tickers, 0),
+		sources:      slab.Slice(d.sources, 0),
+		skippers:     slab.Slice(d.skippers, 0),
+		snapshotters: slab.Slice(d.snapshotters, 0),
+		allSources:   true,
+	}
+	return e
 }
 
 // Register appends t to the tick order. Registration order defines intra-cycle

@@ -1,5 +1,7 @@
 package engine
 
+import "masksim/internal/slab"
+
 // Pipe is a bounded FIFO in which each item becomes visible to the consumer
 // only after a fixed latency. It models a pipelined, fixed-latency link such
 // as a cache port or an interconnect hop: the producer Pushes at cycle t, the
@@ -25,10 +27,18 @@ type pipeItem[T any] struct {
 // NewPipe returns a Pipe with the given latency (cycles) and capacity.
 // A capacity of 0 means unbounded.
 func NewPipe[T any](latency int64, capacity int) *Pipe[T] {
+	return RenewPipe[T](nil, latency, capacity)
+}
+
+// RenewPipe is NewPipe built in place over a donor, keeping only its item
+// buffer's capacity (docs/MODEL.md §11). A nil donor allocates.
+func RenewPipe[T any](p *Pipe[T], latency int64, capacity int) *Pipe[T] {
 	if latency < 0 {
 		panic("engine: negative pipe latency")
 	}
-	return &Pipe[T]{latency: latency, cap: capacity}
+	p, d := slab.Lift(p)
+	*p = Pipe[T]{latency: latency, cap: capacity, items: slab.Slice(d.items, 0)}
+	return p
 }
 
 // Push inserts v at cycle now. It returns false if the pipe is full.

@@ -72,6 +72,11 @@ type Harness struct {
 	// batch submission parallelism.
 	Slots Acquirer
 
+	// recycler is where every simulation's simulator comes from and goes back
+	// to after a clean run, so a worker's next cell is built over its last
+	// one's small buffers instead of from nothing.
+	recycler sim.Recycler
+
 	semOnce sync.Once
 	sem     chan struct{}
 
@@ -250,7 +255,10 @@ func (h *Harness) runConfig(cfg sim.Config) sim.Config {
 // accounting into the campaign stats — even for aborted runs, whose
 // checkpoints (and rejected resume candidates) are part of the campaign
 // story. A completed run's periodic checkpoints are deleted: they exist only
-// to make the run survivable, and the result cache now owns its outcome.
+// to make the run survivable, and the result cache now owns its outcome; its
+// simulator goes back to the recycler. One that panicked, deadlocked or ran
+// out of time never does: this function does not return normally, or returns
+// an error, and the simulator is left to the collector.
 func (h *Harness) runPrepared(ctx context.Context, s *sim.Simulator, cycles int64) (*sim.Results, error) {
 	res, err := s.Run(ctx, cycles)
 	cs := s.CheckpointStats()
@@ -261,6 +269,7 @@ func (h *Harness) runPrepared(ctx context.Context, s *sim.Simulator, cycles int6
 	h.mu.Unlock()
 	if err == nil {
 		s.RemoveCheckpoints()
+		h.recycler.Put(s)
 	}
 	return res, err
 }
@@ -290,7 +299,7 @@ func (h *Harness) RunEx(cfg sim.Config, names []string) (*sim.Results, RunInfo, 
 	label := fmt.Sprintf("run(%s, %v)", cfg.Name, names)
 	exec := func() (*sim.Results, error) {
 		return h.supervised(label, func(ctx context.Context) (*sim.Results, error) {
-			s, err := sim.Prepare(h.runConfig(cfg), names)
+			s, err := h.recycler.Prepare(h.runConfig(cfg), names)
 			if err != nil {
 				return nil, err
 			}
@@ -318,7 +327,7 @@ func (h *Harness) RunAloneEx(cfg sim.Config, app string, cores int) (*sim.Result
 	label := fmt.Sprintf("alone(%s, %s, %d cores)", cfg.Name, app, cores)
 	exec := func() (*sim.Results, error) {
 		return h.supervised(label, func(ctx context.Context) (*sim.Results, error) {
-			s, err := sim.PrepareAlone(h.runConfig(cfg), app, cores)
+			s, err := h.recycler.PrepareAlone(h.runConfig(cfg), app, cores)
 			if err != nil {
 				return nil, err
 			}

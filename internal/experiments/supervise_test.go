@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"masksim/internal/faultinject"
 	"masksim/internal/workload"
@@ -113,4 +116,64 @@ func TestParallelRejectsNegativeWorkers(t *testing.T) {
 	if err := h.parallel(1, func(int) error { return nil }); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
+}
+
+// TestRecyclerDropsPoisonedSimulator runs poisoned and clean cells alternately
+// on one worker, so every cell is built over whatever the one before it left
+// in the recycler. A cell that panics (both attempts), trips the watchdog or
+// runs out of time must leave nothing there, and the clean cell after it must
+// match a simulation that never saw a recycler.
+func TestRecyclerDropsPoisonedSimulator(t *testing.T) {
+	const cycles = 1500
+	names := []string{"3DS", "CONS"}
+	clean := tinyCfg("clean")
+	want, err := sim.Run(context.Background(), clean, names, cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	panics := tinyCfg("panics")
+	panics.FaultPlan = &faultinject.Plan{PanicAtCycle: 300}
+	wedged := tinyCfg("wedged")
+	wedged.WatchdogCheckEvery, wedged.WatchdogStallChecks = 200, 2
+	wedged.FaultPlan = &faultinject.Plan{WedgePTWAfter: 100}
+
+	h := NewHarness(cycles)
+	h.Workers = 1
+	h.Cache = nil // every request simulates
+	runClean := func(after string) {
+		t.Helper()
+		got, err := h.Run(clean, names)
+		if err != nil {
+			t.Fatalf("clean cell after %s: %v", after, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("clean cell after %s differs from a fresh run:\nfresh: %+v\ncell:  %+v", after, want, got)
+		}
+		if n := h.recycler.Len(); n != 1 {
+			t.Fatalf("recycler holds %d simulators after a clean cell, want 1", n)
+		}
+	}
+	runPoisoned := func(what string, cfg sim.Config, wantErr string) {
+		t.Helper()
+		_, err := h.Run(cfg, names)
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("%s cell: error %v, want one containing %q", what, err, wantErr)
+		}
+		if n := h.recycler.Len(); n != 0 {
+			t.Fatalf("recycler holds %d simulators after a %s cell, want 0", n, what)
+		}
+	}
+
+	runClean("nothing")
+	runPoisoned("panicking", panics, "injected panic")
+	runClean("a panic")
+	runPoisoned("wedged", wedged, "no progress")
+	runClean("a watchdog abort")
+	h.RunTimeout = time.Nanosecond
+	runPoisoned("timed-out", clean, "deadline exceeded")
+	h.RunTimeout = 0
+	runClean("a timeout")
+	// The clean cells in between went back and came out again.
+	runClean("a clean cell")
 }

@@ -17,6 +17,7 @@ import (
 	"masksim/internal/cache"
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/slab"
 	"masksim/internal/workload"
 )
 
@@ -114,7 +115,7 @@ type Core struct {
 	l1d       *cache.Cache
 	idgen     *memreq.IDGen
 
-	// pool recycles data-access requests; New creates a private pool, the
+	// pool recycles data-access requests: the core's own (below) until the
 	// simulator injects its shared one.
 	pool *memreq.Pool
 
@@ -130,29 +131,54 @@ type Core struct {
 	waitData  int
 
 	Stats Stats
+
+	// own is the private request pool; last, so that it does not sit between
+	// the fields every tick touches.
+	own memreq.Pool
 }
 
 // New builds a core whose warps draw from the given streams (one per warp).
 func New(id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache, idgen *memreq.IDGen) *Core {
+	return Renew(nil, id, appID, cfg, streams, translate, l1d, idgen)
+}
+
+// Renew is New built in place over a donor: c is retired and comes back as
+// New would return it, over the donor's buffers where they fit
+// (docs/MODEL.md §11). streams is copied, not kept. A nil donor allocates
+// everything.
+func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache, idgen *memreq.IDGen) *Core {
 	if len(streams) != cfg.WarpsPerCore {
 		panic("gpu: stream count must equal warps per core")
 	}
-	c := &Core{
-		id:        id,
-		appID:     appID,
-		cfg:       cfg,
-		warps:     make([]warp, cfg.WarpsPerCore),
-		translate: translate,
-		l1d:       l1d,
-		idgen:     idgen,
-		pool:      &memreq.Pool{},
+	if c == nil {
+		c = new(Core)
 	}
+	c.Retire()
+	c.id, c.appID, c.cfg = id, appID, cfg
+	c.translate, c.l1d, c.idgen = translate, l1d, idgen
+	c.pool = &c.own
+	c.warps = slab.Slice(c.warps, cfg.WarpsPerCore)
 	for i := range c.warps {
 		c.warps[i] = warp{id: i, stream: streams[i]}
 	}
-	c.ready = make([]uint64, (len(c.warps)+63)/64)
+	c.ready = slab.Slice(c.ready, (len(c.warps)+63)/64)
 	c.rebuildReady()
 	return c
+}
+
+// Retire empties c in place: what is left is the zero Core but for the
+// capacity of its warp array, ready set, retry list and own pool's free
+// stack, with nothing in them — no stream, no request, no neighbour
+// (cache.Cache.Retire has the why).
+func (c *Core) Retire() {
+	d := *c
+	d.own.Renew(0)
+	*c = Core{
+		warps: slab.Slice(d.warps, 0),
+		ready: slab.Slice(d.ready, 0),
+		retry: slab.Grown(d.retry),
+		own:   d.own,
+	}
 }
 
 // SetRequestPool replaces the core's private request pool with a shared

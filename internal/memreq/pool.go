@@ -48,6 +48,15 @@ func (p *Pool) put(r *Request) {
 	p.free.Put(r)
 }
 
+// Renew returns the pool to its initial state as pool id: every request it
+// ever handed out is dead. It keeps what slab.List.Rewind keeps — a few small
+// chunks and a free stack, not the hundreds of kilobytes of requests a core's
+// pool grows to. The zero Pool renews to itself.
+func (p *Pool) Renew(id int) {
+	p.free.Rewind(nil)
+	*p = Pool{free: p.free, ID: id}
+}
+
 // FreeLen reports the current free-list length (test helper).
 func (p *Pool) FreeLen() int { return p.free.Len() }
 
@@ -71,6 +80,12 @@ func (p *TransPool) put(tr *TransReq) {
 	tr.life = lifeFree
 	tr.Ret = nil
 	p.free.Put(tr)
+}
+
+// Renew is Pool.Renew for a TransPool.
+func (p *TransPool) Renew(id int) {
+	p.free.Rewind(nil)
+	*p = TransPool{free: p.free, ID: id}
 }
 
 // FreeLen reports the current free-list length (test helper).

@@ -100,14 +100,14 @@ type Walker struct {
 	backend cache.Backend
 	sink    WalkSink
 	spaces  map[uint8]*pagetable.Space
-	idgen   *memreq.IDGen
+	idgen   memreq.IDGen
 
 	active  []*walk
 	pending []*walk
 	// walkFree recycles finished walk objects.
 	walkFree slab.List[walk]
-	// pool recycles the walker's per-level memory read requests; New creates
-	// a private pool, the simulator injects its shared one.
+	// pool recycles the walker's per-level memory read requests: the
+	// walker's own (below) until the simulator injects its shared one.
 	pool *memreq.Pool
 
 	perAppActive []int
@@ -133,22 +133,52 @@ type Walker struct {
 	latHist *metrics.Histogram
 
 	Stats Stats
+
+	// own is the private request pool; last, so that it does not sit between
+	// the fields every tick touches.
+	own memreq.Pool
 }
 
 // New builds a walker admitting maxConcurrent walks, reading page tables
 // through backend.
 func New(maxConcurrent int, backend cache.Backend, numApps int) *Walker {
+	return Renew(nil, maxConcurrent, backend, numApps)
+}
+
+// Renew is New built in place over a donor: w is retired and comes back as
+// New would return it, over the donor's buffers where they fit
+// (docs/MODEL.md §11). A nil donor allocates everything.
+func Renew(w *Walker, maxConcurrent int, backend cache.Backend, numApps int) *Walker {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 64
 	}
-	return &Walker{
-		max:          maxConcurrent,
-		backend:      backend,
-		spaces:       make(map[uint8]*pagetable.Space),
-		idgen:        &memreq.IDGen{},
-		pool:         &memreq.Pool{},
-		perAppActive: make([]int, numApps),
-		sampleEvery:  128,
+	if w == nil {
+		w = new(Walker)
+	}
+	w.Retire()
+	w.max, w.backend, w.sampleEvery = maxConcurrent, backend, 128
+	w.spaces = slab.Map(w.spaces)
+	w.perAppActive = slab.Slice(w.perAppActive, numApps)
+	w.pool = &w.own
+	return w
+}
+
+// Retire empties w in place: what is left is the zero Walker but for the
+// capacity of its space map, walk lists and objects, per-app counters and own
+// pool's free stack, with nothing in them — no address space, no fault unit,
+// no hook, no neighbour (cache.Cache.Retire has the why).
+func (w *Walker) Retire() {
+	d := *w
+	d.walkFree.Rewind(nil)
+	d.own.Renew(0)
+	clear(d.spaces)
+	*w = Walker{
+		spaces:       d.spaces,
+		active:       slab.Grown(d.active),
+		pending:      slab.Grown(d.pending),
+		walkFree:     d.walkFree,
+		own:          d.own,
+		perAppActive: slab.Slice(d.perAppActive, 0),
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"masksim/internal/slab"
 )
 
 // assocLRU is a fixed-capacity, fully-associative, LRU-replaced translation
@@ -39,12 +41,17 @@ type assocEntry struct {
 	stamp int64
 }
 
-func newAssocLRU(capacity int) *assocLRU {
+func newAssocLRU(capacity int) *assocLRU { return renewAssocLRU(nil, capacity) }
+
+// renewAssocLRU is newAssocLRU built in place over a donor, whose slot and
+// bucket arrays are reused when they fit (docs/MODEL.md §11).
+func renewAssocLRU(a *assocLRU, capacity int) *assocLRU {
 	nb := 1
 	for nb < 2*capacity {
 		nb <<= 1
 	}
-	a := &assocLRU{slots: make([]assocSlot, capacity+1), buckets: make([]int32, nb), end: int32(capacity)}
+	a, d := slab.Lift(a)
+	*a = assocLRU{slots: slab.Slice(d.slots, capacity+1), buckets: slab.Slice(d.buckets, nb), end: int32(capacity)}
 	a.reset()
 	return a
 }

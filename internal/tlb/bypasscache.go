@@ -1,5 +1,7 @@
 package tlb
 
+import "masksim/internal/slab"
+
 // bypassCache is MASK's TLB bypass cache (§5.2): a small (32-entry in the
 // paper) fully-associative, LRU-replaced store for translations requested by
 // warps that hold no TLB-Fill Token. It is probed in parallel with the
@@ -11,8 +13,13 @@ type bypassCache struct {
 	Hits     uint64
 }
 
-func newBypassCache(size int) *bypassCache {
-	return &bypassCache{tab: newAssocLRU(size)}
+func newBypassCache(size int) *bypassCache { return renewBypassCache(nil, size) }
+
+// renewBypassCache is newBypassCache built in place over a donor.
+func renewBypassCache(b *bypassCache, size int) *bypassCache {
+	b, d := slab.Lift(b)
+	b.tab = renewAssocLRU(d.tab, size)
+	return b
 }
 
 func (b *bypassCache) probe(asid uint8, vpn uint64) (uint64, bool) {

@@ -70,6 +70,15 @@ type l1miss struct {
 	waitBuf [8]waiter
 }
 
+// reset returns m to the free list's state whatever state it was in: empty,
+// still holding the waiting buffer it grew (slab.List.Rewind).
+func (m *l1miss) reset() {
+	*m = l1miss{waiting: slab.Slice(m.waiting, 0)}
+	if m.waiting == nil {
+		m.waiting = m.waitBuf[:0]
+	}
+}
+
 // L1TLB is a private, per-core, fully-associative TLB (Table 1: 64 entries,
 // LRU, 1-cycle). The one-cycle latency is charged by the core model.
 type L1TLB struct {
@@ -84,24 +93,43 @@ type L1TLB struct {
 	pending []*memreq.TransReq
 
 	missFree slab.List[l1miss]
-	// pool recycles translation requests; NewL1 creates a private pool, the
+	// pool recycles translation requests: the TLB's own (below) until the
 	// simulator injects its shared one.
 	pool *memreq.TransPool
 
 	Stats L1Stats
+
+	// own is the private pool; last, so that it does not sit between the
+	// fields every lookup touches.
+	own memreq.TransPool
 }
 
 // NewL1 builds an L1 TLB of the given size for one core.
 func NewL1(coreID, appID int, asid uint8, size int, backend TransBackend) *L1TLB {
-	return &L1TLB{
-		coreID:  coreID,
-		appID:   appID,
-		asid:    asid,
-		tab:     newAssocLRU(size),
-		mshrs:   make(map[uint64]*l1miss),
-		backend: backend,
-		pool:    &memreq.TransPool{},
+	return RenewL1(nil, coreID, appID, asid, size, backend)
+}
+
+// RenewL1 is NewL1 built in place over a donor: t comes back as NewL1 would
+// return it, keeping only the capacity of the donor's table, miss map and
+// trackers, pending list and own pool (docs/MODEL.md §11). A nil donor
+// allocates everything.
+func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBackend) *L1TLB {
+	t, d := slab.Lift(t)
+	d.missFree.Rewind((*l1miss).reset)
+	d.own.Renew(0)
+	*t = L1TLB{
+		coreID:   coreID,
+		appID:    appID,
+		asid:     asid,
+		tab:      renewAssocLRU(d.tab, size),
+		mshrs:    slab.Map(d.mshrs),
+		pending:  slab.Grown(d.pending),
+		missFree: d.missFree,
+		backend:  backend,
+		own:      d.own,
 	}
+	t.pool = &t.own
+	return t
 }
 
 // SetWaker names the core whose warps wait on this TLB's misses. Must be

@@ -79,6 +79,15 @@ type l2miss struct {
 	reqBuf [4]*memreq.TransReq
 }
 
+// reset returns m to the free list's state whatever state it was in: empty,
+// still holding the request buffer it grew (slab.List.Rewind).
+func (m *l2miss) reset() {
+	*m = l2miss{reqs: slab.Slice(m.reqs, 0)}
+	if m.reqs == nil {
+		m.reqs = m.reqBuf[:0]
+	}
+}
+
 // transFIFO is a queue of translation requests popped through a head index:
 // a pop is O(1) and leaves no pointer to a pooled request behind in the
 // vacated slot. live() is buf[head:], oldest first.
@@ -144,6 +153,13 @@ type L2TLB struct {
 
 // NewL2 builds the shared TLB. tokens may be nil (no token mechanism).
 func NewL2(cfg L2Config, walker WalkStarter, tokens *TokenPolicy) *L2TLB {
+	return RenewL2(nil, cfg, walker, tokens)
+}
+
+// RenewL2 is NewL2 built in place over a donor: t is retired and comes back
+// as NewL2 would return it, over the donor's buffers where they fit
+// (docs/MODEL.md §11). A nil donor allocates everything.
+func RenewL2(t *L2TLB, cfg L2Config, walker WalkStarter, tokens *TokenPolicy) *L2TLB {
 	if cfg.Ways <= 0 || cfg.Entries < cfg.Ways {
 		panic("tlb: invalid L2 TLB geometry")
 	}
@@ -153,20 +169,43 @@ func NewL2(cfg L2Config, walker WalkStarter, tokens *TokenPolicy) *L2TLB {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 64
 	}
-	t := &L2TLB{
-		cfg:    cfg,
-		sets:   cfg.Entries / cfg.Ways,
-		lines:  make([]l2entry, cfg.Entries),
-		in:     engine.NewPipe[*memreq.TransReq](cfg.Latency, cfg.QueueCap),
-		walker: walker,
-		mshrs:  make(map[l2key]*l2miss),
-		tokens: tokens,
-		apps:   make([]AppTLBStats, cfg.NumApps),
+	if t == nil {
+		t = new(L2TLB)
 	}
+	t.Retire()
+	t.cfg, t.sets, t.walker, t.tokens = cfg, cfg.Entries/cfg.Ways, walker, tokens
+	t.lines = slab.Slice(t.lines, cfg.Entries)
+	t.in = engine.RenewPipe(t.in, cfg.Latency, cfg.QueueCap)
+	t.mshrs = slab.Map(t.mshrs)
+	t.apps = slab.Slice(t.apps, cfg.NumApps)
 	if cfg.BypassSize > 0 {
-		t.bypass = newBypassCache(cfg.BypassSize)
+		t.bypass = renewBypassCache(t.bypass, cfg.BypassSize)
+	} else {
+		t.bypass = nil
 	}
 	return t
+}
+
+// Retire empties t in place: what is left is the zero L2TLB but for the
+// capacity of its entry array, input pipe, miss map and trackers, stalled
+// queue and per-app counters, with nothing in them, and its bypass cache as
+// it was, for RenewL2 to renew or let go — no prefetcher, no address space
+// behind it, no neighbour (cache.Cache.Retire has the why).
+func (t *L2TLB) Retire() {
+	d := *t
+	d.missFree.Rewind((*l2miss).reset)
+	clear(d.mshrs)
+	*t = L2TLB{
+		lines:    slab.Slice(d.lines, 0),
+		mshrs:    d.mshrs,
+		missFree: d.missFree,
+		stalled:  transFIFO{buf: slab.Grown(d.stalled.buf)},
+		apps:     slab.Slice(d.apps, 0),
+		bypass:   d.bypass,
+	}
+	if d.in != nil {
+		t.in = engine.RenewPipe(d.in, 0, 0)
+	}
 }
 
 // SetWayPartition restricts each app's fills to a subset of ways (Static).

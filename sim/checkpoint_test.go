@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -537,6 +538,34 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			"memreq: checkpoint pool 4 has Free=-7"},
 		{"translation pool allocs above gets", func(t *testing.T, p *checkpointPayload) { p.TransPools[0] = memreq.PoolState{Free: 5, Allocs: 5} },
 			"memreq: checkpoint pool 0 has Free=5 Allocs=5 Gets=0"},
+		// Occupancies past what the component can hold: more MSHRs than the
+		// cache has, a bank or channel queue longer than its capacity. The
+		// references are NilRef so that nothing else is wrong with the image.
+		{"more MSHRs than the cache has", func(t *testing.T, p *checkpointPayload) {
+			editState(t, p, func(st *cache.CacheState) bool {
+				for i := len(st.Mshrs); i <= cfg.L1Cache.MSHRs; i++ {
+					st.Mshrs = append(st.Mshrs, cache.MSHRState{LineAddr: 1<<50 + uint64(i)})
+				}
+				return true
+			})
+		}, "checkpoint has " + strconv.Itoa(cfg.L1Cache.MSHRs+1) + " MSHRs, capacity is " + strconv.Itoa(cfg.L1Cache.MSHRs)},
+		{"bank queue past its capacity", func(t *testing.T, p *checkpointPayload) {
+			editState(t, p, func(st *cache.CacheState) bool {
+				for len(st.Queues[0]) <= cfg.L1Cache.QueueCap {
+					st.Queues[0] = append(st.Queues[0], cache.BankItemState{Req: memreq.NilRef})
+				}
+				return true
+			})
+		}, "checkpoint bank 0 queues " + strconv.Itoa(cfg.L1Cache.QueueCap+1) + " requests, capacity is " + strconv.Itoa(cfg.L1Cache.QueueCap)},
+		{"dram queue past its capacity", func(t *testing.T, p *checkpointPayload) {
+			editState(t, p, func(st *dram.DRAMState) bool {
+				q := &st.Channels[1].Sched.Normal
+				for len(*q) <= cfg.DRAM.QueueCap {
+					*q = append(*q, dram.QueuedState{Req: memreq.NilRef})
+				}
+				return true
+			})
+		}, "dram: channel 1: dram: checkpoint request queue holds " + strconv.Itoa(cfg.DRAM.QueueCap+1) + " requests, capacity is " + strconv.Itoa(cfg.DRAM.QueueCap)},
 		// Consistent but absurd: accepted, and must not allocate the promised
 		// objects up front.
 		{"huge consistent image", func(t *testing.T, p *checkpointPayload) {

@@ -11,7 +11,9 @@ import (
 // walk pools are per-simulator by construction; under `go test -race` this
 // test proves no pooled object (or anything else) is shared across instances,
 // and the fingerprint comparison proves pooling stays deterministic when the
-// scheduler interleaves the runs.
+// scheduler interleaves the runs. A second pass draws every simulator from one
+// shared Recycler, three rounds each, so simulators migrate between goroutines
+// and designs: a recycled simulator is only ever one goroutine's at a time.
 func TestConcurrentSimulatorsShareNothing(t *testing.T) {
 	type job struct {
 		cfg   Config
@@ -34,30 +36,44 @@ func TestConcurrentSimulatorsShareNothing(t *testing.T) {
 		want[i] = driftFingerprint(res)
 	}
 
-	got := make([]string, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			res, err := Run(context.Background(), j.cfg, j.names, cycles)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			got[i] = driftFingerprint(res)
-		}(i, j)
-	}
-	wg.Wait()
-
-	for i := range jobs {
-		if errs[i] != nil {
-			t.Fatalf("concurrent run %d: %v", i, errs[i])
+	for _, pass := range []struct {
+		name   string
+		r      *Recycler
+		rounds int
+	}{{"new", new(Recycler), 1}, {"recycled", new(Recycler), 3}} {
+		got := make([]string, len(jobs))
+		errs := make([]error, len(jobs))
+		var wg sync.WaitGroup
+		for i, j := range jobs {
+			wg.Add(1)
+			go func(i int, j job) {
+				defer wg.Done()
+				for round := 0; round < pass.rounds; round++ {
+					s, err := pass.r.Prepare(j.cfg, j.names)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					res, err := s.Run(context.Background(), cycles)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					pass.r.Put(s)
+					got[i] = driftFingerprint(res)
+				}
+			}(i, j)
 		}
-		if got[i] != want[i] {
-			t.Errorf("run %d: concurrent results differ from sequential:\n--- sequential\n%s\n--- concurrent\n%s",
-				i, want[i], got[i])
+		wg.Wait()
+
+		for i := range jobs {
+			if errs[i] != nil {
+				t.Fatalf("%s: concurrent run %d: %v", pass.name, i, errs[i])
+			}
+			if got[i] != want[i] {
+				t.Errorf("%s: run %d: concurrent results differ from sequential:\n--- sequential\n%s\n--- concurrent\n%s",
+					pass.name, i, want[i], got[i])
+			}
 		}
 	}
 }

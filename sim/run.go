@@ -29,14 +29,7 @@ func EvenSplit(cores, n int) []int {
 // supervision semantics; on abort both partial Results and the error are
 // returned).
 func Run(ctx context.Context, cfg Config, names []string, cycles int64) (*Results, error) {
-	apps := make([]workload.App, len(names))
-	for i, n := range names {
-		if _, err := workload.ByName(n); err != nil {
-			return nil, err
-		}
-		apps[i] = workload.NewApp(i, n)
-	}
-	s, err := New(cfg, apps, EvenSplit(cfg.Cores, len(apps)))
+	s, err := Prepare(cfg, names)
 	if err != nil {
 		return nil, err
 	}
@@ -47,6 +40,16 @@ func Run(ctx context.Context, cfg Config, names []string, cycles int64) (*Result
 // that need a handle on the instance — checkpoint control, resume after a
 // killed worker, fingerprint inspection.
 func Prepare(cfg Config, names []string) (*Simulator, error) {
+	return new(Recycler).Prepare(cfg, names)
+}
+
+// PrepareAlone builds the simulator RunAlone would use without running it.
+func PrepareAlone(cfg Config, name string, cores int) (*Simulator, error) {
+	return new(Recycler).PrepareAlone(cfg, name, cores)
+}
+
+// Prepare is sim.Prepare over a recycled simulator (see Recycler.New).
+func (r *Recycler) Prepare(cfg Config, names []string) (*Simulator, error) {
 	apps := make([]workload.App, len(names))
 	for i, n := range names {
 		if _, err := workload.ByName(n); err != nil {
@@ -54,29 +57,24 @@ func Prepare(cfg Config, names []string) (*Simulator, error) {
 		}
 		apps[i] = workload.NewApp(i, n)
 	}
-	return New(cfg, apps, EvenSplit(cfg.Cores, len(apps)))
+	return r.New(cfg, apps, EvenSplit(cfg.Cores, len(apps)))
 }
 
-// PrepareAlone builds the simulator RunAlone would use without running it.
-func PrepareAlone(cfg Config, name string, cores int) (*Simulator, error) {
+// PrepareAlone is sim.PrepareAlone over a recycled simulator.
+func (r *Recycler) PrepareAlone(cfg Config, name string, cores int) (*Simulator, error) {
 	if cores < 1 || cores > cfg.Cores {
 		return nil, fmt.Errorf("sim: invalid alone core count %d", cores)
 	}
+	// Alone runs never partition resources.
 	cfg.Static = false
-	return New(cfg, []workload.App{workload.NewApp(0, name)}, []int{cores})
+	return r.New(cfg, []workload.App{workload.NewApp(0, name)}, []int{cores})
 }
 
 // RunAlone measures one app running by itself on cores cores with the whole
 // uncontended memory system — the paper's IPC_alone condition ("runs on the
 // same number of GPU cores, but does not share GPU resources", §6).
 func RunAlone(ctx context.Context, cfg Config, name string, cores int, cycles int64) (*Results, error) {
-	if cores < 1 || cores > cfg.Cores {
-		return nil, fmt.Errorf("sim: invalid alone core count %d", cores)
-	}
-	// Alone runs never partition resources.
-	cfg.Static = false
-	app := workload.NewApp(0, name)
-	s, err := New(cfg, []workload.App{app}, []int{cores})
+	s, err := PrepareAlone(cfg, name, cores)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"masksim/internal/cache"
 	"masksim/internal/dram"
@@ -14,6 +15,7 @@ import (
 	"masksim/internal/memreq"
 	"masksim/internal/pagetable"
 	"masksim/internal/ptw"
+	"masksim/internal/slab"
 	"masksim/internal/telemetry"
 	"masksim/internal/tlb"
 	"masksim/internal/workload"
@@ -25,7 +27,7 @@ import (
 const heapBase = uint64(2) << 32
 
 // Simulator is a fully wired simulated GPU running one or more applications.
-// Build with New, run once with Run.
+// Build with New (or Recycler.New), run once with Run.
 type Simulator struct {
 	cfg         Config
 	eng         *engine.Engine
@@ -34,6 +36,9 @@ type Simulator struct {
 
 	alloc  *pagetable.Allocator
 	spaces []*pagetable.Space
+
+	// l1dNames[i] is core i's L1D name.
+	l1dNames []string
 
 	cores  []*gpu.Core
 	l1tlbs []*tlb.L1TLB
@@ -69,7 +74,9 @@ type Simulator struct {
 	trace traceState
 
 	epoch int64
-	ran   bool
+	// ran is set when Run starts and clean when it returns without error:
+	// only a clean simulator may be recycled (Recycler.Put).
+	ran, clean bool
 
 	// Checkpoint machinery (docs/MODEL.md §9).
 	ckptStats   CheckpointStats
@@ -91,43 +98,145 @@ type Simulator struct {
 // spatially partitions cores between address spaces; §6 describes an oracle
 // partitioning, which the experiments package approximates.)
 func New(cfg Config, apps []workload.App, coresPerApp []int) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
+	return new(Recycler).New(cfg, apps, coresPerApp)
+}
+
+// Recycler keeps simulators whose runs have ended so the next one is rebuilt
+// in place over their small buffers — queues, maps, trackers, free stacks,
+// the several thousand objects a cold simulator allocates one by one —
+// instead of from nothing: a campaign is hundreds of short cells. The zero
+// Recycler is ready to use and safe for concurrent use; it is a plain LIFO
+// the collector never empties, so what a simulator is rebuilt over depends on
+// nothing but the calls made.
+//
+// A recycled simulator is indistinguishable from a new one (docs/MODEL.md
+// §11): every constructor zeroes the instance it rebuilds and takes only
+// emptied buffers from it.
+type Recycler struct {
+	mu   sync.Mutex
+	idle []*Simulator
+}
+
+// New is sim.New over the most recently returned simulator, if there is one.
+// A request that fails validation leaves the recycler as it was.
+func (r *Recycler) New(cfg Config, apps []workload.App, coresPerApp []int) (*Simulator, error) {
+	if err := validate(cfg, apps, coresPerApp); err != nil {
 		return nil, err
 	}
+	var s *Simulator
+	r.mu.Lock()
+	if n := len(r.idle); n > 0 {
+		s, r.idle[n-1] = r.idle[n-1], nil
+		r.idle = r.idle[:n-1]
+	}
+	r.mu.Unlock()
+	s, donor := slab.Lift(s)
+	s.cfg, s.apps, s.coresPerApp = cfg, apps, coresPerApp
+	s.build(&donor)
+	return s, nil
+}
+
+// Put hands s back for reuse. The caller must not touch s afterwards; the
+// Results it returned stay valid, they share no memory with it. Only a
+// simulator whose Run returned without error is kept: one that panicked,
+// was aborted by the watchdog or its context, or never ran may hold state no
+// rebuild has been tested against, and is left to the collector.
+//
+// What is kept is retired at once: the simulator lets go of everything the
+// next build will not reuse — its line arrays, streams, page tables and
+// requests, its configuration and whatever that points to — so the recycler
+// holds some two megabytes per simulator, not a finished run, and the next
+// build never has the last run's memory reachable beside its own.
+func (r *Recycler) Put(s *Simulator) {
+	if s == nil || !s.clean {
+		return
+	}
+	s.retire() // clears clean: a second Put of the same run is a no-op
+	r.mu.Lock()
+	r.idle = append(r.idle, s)
+	r.mu.Unlock()
+}
+
+// retire reduces s to what build reuses: its ticking components, retired, and
+// the free stacks of its request pools.
+func (s *Simulator) retire() {
+	d := *s
+	for _, c := range d.cores {
+		c.Retire()
+	}
+	for _, c := range d.l1ds {
+		c.Retire()
+	}
+	d.l2c.Retire()
+	if d.pwc != nil {
+		d.pwc.Retire()
+	}
+	d.walker.Retire()
+	if d.l2tlb != nil {
+		d.l2tlb.Retire()
+	}
+	d.mem.Retire()
+	d.sharedReqPool.Renew(0)
+	for i := range d.reqPools {
+		d.reqPools[i].Renew(0)
+	}
+	*s = Simulator{
+		eng:    engine.Renew(d.eng),
+		cores:  d.cores,
+		l1tlbs: d.l1tlbs,
+		l1ds:   d.l1ds,
+		l2tlb:  d.l2tlb,
+		walker: d.walker,
+		pwc:    d.pwc,
+		l2c:    d.l2c,
+		mem:    d.mem,
+
+		sharedReqPool: d.sharedReqPool,
+		reqPools:      d.reqPools,
+		transPools:    d.transPools,
+		idgens:        d.idgens,
+		maskScheds:    slab.Slice(d.maskScheds, 0),
+		l1dNames:      d.l1dNames,
+	}
+}
+
+// Len reports how many simulators wait to be rebuilt.
+func (r *Recycler) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.idle)
+}
+
+// validate rejects a simulation New cannot build.
+func validate(cfg Config, apps []workload.App, coresPerApp []int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if len(apps) == 0 {
-		return nil, fmt.Errorf("sim: at least one application required")
+		return fmt.Errorf("sim: at least one application required")
 	}
 	if len(apps) != len(coresPerApp) {
-		return nil, fmt.Errorf("sim: %d apps but %d core assignments", len(apps), len(coresPerApp))
+		return fmt.Errorf("sim: %d apps but %d core assignments", len(apps), len(coresPerApp))
 	}
 	total := 0
 	for i, n := range coresPerApp {
 		if n < 1 {
-			return nil, fmt.Errorf("sim: app %d assigned %d cores", i, n)
+			return fmt.Errorf("sim: app %d assigned %d cores", i, n)
 		}
 		total += n
 	}
 	if total > cfg.Cores {
-		return nil, fmt.Errorf("sim: %d cores assigned but only %d exist", total, cfg.Cores)
+		return fmt.Errorf("sim: %d cores assigned but only %d exist", total, cfg.Cores)
 	}
 	if cfg.Mask.Any() && cfg.Design != DesignSharedTLB {
-		return nil, fmt.Errorf("sim: MASK mechanisms require the SharedTLB design")
+		return fmt.Errorf("sim: MASK mechanisms require the SharedTLB design")
 	}
 	if cfg.CheckpointDir != "" {
 		if err := probeCheckpointDir(cfg.CheckpointDir); err != nil {
-			return nil, err
+			return err
 		}
 	}
-
-	s := &Simulator{
-		cfg:         cfg,
-		eng:         engine.New(),
-		apps:        apps,
-		coresPerApp: coresPerApp,
-		alloc:       pagetable.NewAllocator(),
-	}
-	s.build()
-	return s, nil
+	return nil
 }
 
 // scheduledTick adapts a periodic action (epoch roll, time-mux eviction,
@@ -174,10 +283,19 @@ func (t panicTick) NextEvent(now int64) int64 {
 	return next
 }
 
-func (s *Simulator) build() {
+// build wires the simulator from s.cfg, s.apps and s.coresPerApp over d, the
+// simulator it replaces (the zero Simulator for a new one). Every component
+// that ticks is its package's Renew over the matching component of d, so the
+// wiring below is the only wiring there is; a component the new design does
+// not have is dropped with d. The line arena, the address spaces and the
+// warp streams are built new: they are most of a simulator's bytes and none
+// of its allocation count (docs/MODEL.md §11).
+func (s *Simulator) build(d *Simulator) {
 	cfg := s.cfg
 	numApps := len(s.apps)
+	s.eng = engine.Renew(d.eng)
 	s.eng.SetFastForward(cfg.FastForward)
+	s.alloc = pagetable.NewAllocator()
 
 	// One shared arena backs every cache's line array (L2, page walk cache,
 	// per-core L1Ds): a single construction-time allocation instead of one
@@ -196,21 +314,23 @@ func (s *Simulator) build() {
 	// Per-core pools and ID generators (see the field comment). Pool IDs name
 	// the owning pool in checkpoint request DTOs: 0 is the shared pool,
 	// 1+coreID the core's data pool; translation pools use coreID directly.
-	s.reqPools = make([]memreq.Pool, assignedCores)
-	s.transPools = make([]memreq.TransPool, assignedCores)
-	s.idgens = make([]memreq.IDGen, assignedCores)
-	s.sharedReqPool.ID = 0
+	s.reqPools = slab.Donors(d.reqPools, assignedCores)
+	s.transPools = slab.Donors(d.transPools, assignedCores)
+	s.idgens = slab.Slice(d.idgens, assignedCores)
+	s.sharedReqPool = d.sharedReqPool
+	s.sharedReqPool.Renew(0)
 	for i := range s.reqPools {
-		s.reqPools[i].ID = i + 1
+		s.reqPools[i].Renew(i + 1)
 	}
 	for i := range s.transPools {
-		s.transPools[i].ID = i
+		s.transPools[i].Renew(i)
 	}
 
 	// --- DRAM -----------------------------------------------------------
-	mkSched := func(chanIdx int) dram.Scheduler {
+	s.maskScheds = slab.Slice(d.maskScheds, 0)
+	mkSched := func(chanIdx int, old dram.Scheduler) dram.Scheduler {
 		if cfg.Mask.DRAMSched {
-			ms := dram.NewMASKSched(numApps, cfg.ThreshMax, func(app int) (float64, float64) {
+			ms := dram.RenewMASKSched(old, numApps, cfg.ThreshMax, func(app int) (float64, float64) {
 				// Pressure metrics come from the shared TLB's MSHRs (§5.4);
 				// the closure resolves lazily because the L2 TLB is built
 				// after DRAM.
@@ -223,14 +343,14 @@ func (s *Simulator) build() {
 			return ms
 		}
 		if cfg.FCFSSched {
-			return dram.NewFCFS(cfg.DRAM.QueueCap)
+			return dram.RenewFCFS(old, cfg.DRAM.QueueCap)
 		}
-		return dram.NewFRFCFS(cfg.DRAM.QueueCap)
+		return dram.RenewFRFCFS(old, cfg.DRAM.QueueCap)
 	}
-	s.mem = dram.New(cfg.DRAM, mkSched)
+	s.mem = dram.Renew(d.mem, cfg.DRAM, mkSched)
 
 	// --- shared L2 data cache --------------------------------------------
-	s.l2c = cache.New(cache.Config{
+	s.l2c = cache.Renew(d.l2c, cache.Config{
 		Name:         "L2",
 		SizeBytes:    cfg.L2Cache.SizeBytes,
 		Ways:         cfg.L2Cache.Ways,
@@ -254,7 +374,7 @@ func (s *Simulator) build() {
 	// --- page walk cache (PWCache design only) ---------------------------
 	walkBackend := cache.Backend(s.l2c)
 	if cfg.Design == DesignPWCache && !cfg.Ideal {
-		s.pwc = cache.New(cache.Config{
+		s.pwc = cache.Renew(d.pwc, cache.Config{
 			Name:         "PWCache",
 			SizeBytes:    cfg.PWCache.SizeBytes,
 			Ways:         cfg.PWCache.Ways,
@@ -271,7 +391,7 @@ func (s *Simulator) build() {
 	}
 
 	// --- walker and shared L2 TLB ----------------------------------------
-	s.walker = ptw.New(cfg.WalkerConcurrency, walkBackend, numApps)
+	s.walker = ptw.Renew(d.walker, cfg.WalkerConcurrency, walkBackend, numApps)
 	s.walker.SetRequestPool(&s.sharedReqPool)
 	if cfg.DemandPaging && !cfg.Ideal {
 		s.faults = ptw.NewFaultUnit(cfg.FaultLatency, cfg.FaultConcurrency)
@@ -283,7 +403,7 @@ func (s *Simulator) build() {
 		if cfg.Mask.Tokens {
 			bypassSize = cfg.BypassCacheEntries
 		}
-		s.l2tlb = tlb.NewL2(tlb.L2Config{
+		s.l2tlb = tlb.RenewL2(d.l2tlb, tlb.L2Config{
 			Entries:    cfg.L2TLBEntries,
 			Ways:       cfg.L2TLBWays,
 			Ports:      cfg.L2TLBPorts,
@@ -335,6 +455,13 @@ func (s *Simulator) build() {
 
 	// --- cores ------------------------------------------------------------
 	pageShift := s.spaces[0].PageShift()
+	s.cores, s.l1ds, s.l1tlbs = d.cores[:0], d.l1ds[:0], d.l1tlbs[:0]
+	s.l1dNames = d.l1dNames // a name depends on nothing but its index
+	for len(s.l1dNames) < assignedCores {
+		s.l1dNames = append(s.l1dNames, fmt.Sprintf("L1D.%d", len(s.l1dNames)))
+	}
+	// gpu.Renew copies its streams out, so one scratch list serves every core.
+	streams := make([]*workload.Stream, cfg.WarpsPerCore)
 	coreID := 0
 	for appIdx, app := range s.apps {
 		appWarps := s.coresPerApp[appIdx] * cfg.WarpsPerCore
@@ -342,8 +469,8 @@ func (s *Simulator) build() {
 		factory := workload.NewStreamFactory(app.Profile, heapBase, cfg.PageSize,
 			cfg.L1Cache.LineSize, appWarps, app.Seed)
 		for local := 0; local < s.coresPerApp[appIdx]; local++ {
-			l1d := cache.New(cache.Config{
-				Name:               fmt.Sprintf("L1D.%d", coreID),
+			l1d := cache.Renew(slab.Donor(d.l1ds, coreID), cache.Config{
+				Name:               s.l1dNames[coreID],
 				SizeBytes:          cfg.L1Cache.SizeBytes,
 				Ways:               cfg.L1Cache.Ways,
 				LineSize:           cfg.L1Cache.LineSize,
@@ -373,7 +500,7 @@ func (s *Simulator) build() {
 				if s.l2tlb != nil {
 					transBackend = s.l2tlb
 				}
-				l1 = tlb.NewL1(coreID, appIdx, space.ASID(), cfg.L1TLBEntries, transBackend)
+				l1 = tlb.RenewL1(slab.Donor(d.l1tlbs, coreID), coreID, appIdx, space.ASID(), cfg.L1TLBEntries, transBackend)
 				l1.SetTransPool(&s.transPools[coreID])
 				s.l1tlbs = append(s.l1tlbs, l1)
 				app := appIdx
@@ -382,7 +509,6 @@ func (s *Simulator) build() {
 				}
 			}
 
-			streams := make([]*workload.Stream, cfg.WarpsPerCore)
 			for w := 0; w < cfg.WarpsPerCore; w++ {
 				if app.Trace != nil {
 					streams[w] = app.Trace.NewStream(local*cfg.WarpsPerCore+w,
@@ -391,7 +517,7 @@ func (s *Simulator) build() {
 					streams[w] = factory.New(local*cfg.WarpsPerCore + w)
 				}
 			}
-			core := gpu.New(coreID, appIdx, gpu.Config{
+			core := gpu.Renew(slab.Donor(d.cores, coreID), coreID, appIdx, gpu.Config{
 				WarpsPerCore: cfg.WarpsPerCore,
 				PageShift:    pageShift,
 				FrameSize:    pagetable.FrameSize,
@@ -614,14 +740,16 @@ func channelPartition(channels, numApps, i int) []bool {
 // (context.WithTimeout) and supports cancellation; the configured watchdog
 // aborts wedged runs. On abort the returned Results still carry the
 // statistics accumulated up to the abort cycle (Results.Aborted is set) along
-// with a non-nil error. A Simulator is single-use.
+// with a non-nil error. A Simulator runs once per build: to simulate again,
+// build another with New, or hand this one to a Recycler after a clean run and
+// let Recycler.New rebuild it in place.
 //
 // cycles is the total cycle budget of the simulation. On a simulator restored
 // from a checkpoint (RestoreCheckpoint, or Config.Resume) only the remaining
 // cycles are simulated, and the budget must match the interrupted run's.
 func (s *Simulator) Run(ctx context.Context, cycles int64) (*Results, error) {
 	if s.ran {
-		return nil, fmt.Errorf("sim: Simulator is single-use; build a new one per run")
+		return nil, fmt.Errorf("sim: Simulator already ran; build another with New or Recycler.New")
 	}
 	if cycles <= 0 {
 		return nil, fmt.Errorf("sim: run length must be >= 1 cycle, got %d", cycles)
@@ -697,6 +825,7 @@ func (s *Simulator) Run(ctx context.Context, cycles int64) (*Results, error) {
 		res.Aborted = true
 		res.AbortReason = err.Error()
 	}
+	s.clean = err == nil
 	return res, err
 }
 
