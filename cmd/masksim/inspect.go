@@ -38,27 +38,14 @@ func inspectCheckpoint(w io.Writer, path string) error {
 	}
 	fmt.Fprintf(w, "  clock:       now=%d ticked=%d skipped=%d\n",
 		info.Clock.Now, info.Clock.Ticked, info.Clock.Skipped)
-	fmt.Fprintf(w, "  in-flight:   %d requests, %d translations, %d group syncs\n",
-		info.Requests, info.TransReqs, info.Syncs)
-	var extras []string
-	if info.HasWatchdog {
-		extras = append(extras, "watchdog")
+	fmt.Fprintf(w, "  not freed:   %d requests, %d translations (in flight, or stranded by a fault plan)\n",
+		info.Requests, info.TransReqs)
+	if info.BadPools > 0 {
+		fmt.Fprintf(w, "  pool defect: %d pool images are inconsistent and left uncounted\n", info.BadPools)
 	}
-	if info.HasATA {
-		extras = append(extras, "l2-bypass")
-	}
-	if info.HasFaultPlan {
-		extras = append(extras, "fault-plan")
-	}
-	if info.TraceSamples > 0 {
-		extras = append(extras, fmt.Sprintf("%d trace samples", info.TraceSamples))
-	}
-	if len(extras) > 0 {
-		fmt.Fprintf(w, "  carries:     %v\n", extras)
-	}
-	fmt.Fprintf(w, "  components (%d, by serialized size):\n", len(info.Components))
-	for _, c := range info.Components {
-		fmt.Fprintf(w, "    %-28s %8d bytes  (ticker %d)\n", c.Type, c.Bytes, c.Index)
+	fmt.Fprintf(w, "  fields (%d, by serialized size):\n", len(info.Fields))
+	for _, f := range info.Fields {
+		fmt.Fprintf(w, "    %-14s %8d bytes\n", f.Field, f.Bytes)
 	}
 	return nil
 }

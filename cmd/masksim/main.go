@@ -8,8 +8,7 @@
 //	masksim -config MASK -apps 3DS,HISTO -cycles 100000 \
 //	        -checkpoint-dir ckpt -checkpoint-every 10000 -restore
 //	masksim -tracefiles mum.trace.gz,gup.mtb -cycles 100000
-//	masksim -config MASK -apps 3DS,HISTO -epoch 1000 \
-//	        -telemetry-csv tel.csv -stream
+//	masksim -config MASK -apps 3DS,HISTO -epoch 1000 -telemetry-csv tel.csv
 //	masksim -list
 //
 // With -speedup, each app is additionally run alone on the same core count
@@ -20,12 +19,11 @@
 // gzip-decompressed when compressed, with identical simulation results
 // regardless of encoding.
 //
-// With -stream, telemetry exports are written incrementally as each epoch
-// closes instead of being buffered until the end of the run, holding
-// telemetry memory constant in the run length; the bytes produced are
-// identical to the buffered exports. Combined with -restore, a resumed run
-// truncates each output to the checkpoint's recorded offset and continues
-// it byte-identically.
+// Telemetry exports (-telemetry-csv, -telemetry-jsonl, -chrome-trace) are
+// written incrementally as each epoch closes, holding telemetry memory
+// constant in the run length. Combined with -restore, a resumed run truncates
+// each output to the checkpoint's recorded offset and continues it
+// byte-identically.
 //
 // With -checkpoint-dir, the run writes an atomic, checksummed checkpoint of
 // the full simulator state every -checkpoint-every cycles, plus a final one
@@ -70,7 +68,6 @@ func main() {
 		chromeOut  = flag.String("chrome-trace", "", "write a Chrome trace_event JSON (Perfetto-loadable) to this file; implies -epoch 1000 if unset")
 		telCSV     = flag.String("telemetry-csv", "", "write the telemetry epoch time series as CSV to this file; implies -epoch 1000 if unset")
 		telJSONL   = flag.String("telemetry-jsonl", "", "write telemetry samples and events as JSONL to this file; implies -epoch 1000 if unset")
-		stream     = flag.Bool("stream", false, "stream the telemetry exports incrementally as each epoch closes (O(1) memory) instead of buffering the full series; requires at least one telemetry output flag")
 		paging     = flag.Bool("paging", false, "enable the demand-paging extension (paper §5.5)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none); partial results are printed on expiry")
 		noFF       = flag.Bool("no-fastforward", false, "disable event-horizon fast-forward (tick every cycle); results are bit-identical either way")
@@ -141,14 +138,14 @@ func main() {
 		stopProfiles = stop
 	}
 
-	// -stream attaches a streaming sink: each telemetry output receives its
-	// epochs as they close instead of a full-series export after the run, so
-	// telemetry memory stays O(1) in the run length. With -restore the files
-	// are opened without truncation; a restored sink cuts each one back to its
-	// checkpointed offset and continues byte-identically.
+	// A telemetry output attaches a streaming sink: each output receives its
+	// epochs as they close, so telemetry memory stays O(1) in the run length.
+	// With -restore the files are opened without truncation; a restored sink
+	// cuts each one back to its checkpointed offset and continues
+	// byte-identically.
 	var sink *telemetry.StreamSink
 	var sinkOuts []io.WriteCloser
-	if *stream {
+	if *chromeOut != "" || *telCSV != "" || *telJSONL != "" {
 		open := streamio.Create
 		if *restore {
 			open = streamio.CreateResumable
@@ -173,9 +170,6 @@ func main() {
 			if err := sink.Attach(o.format, w); err != nil {
 				fatal(err)
 			}
-		}
-		if len(sinkOuts) == 0 {
-			fatal(fmt.Errorf("-stream requires a telemetry output flag (-chrome-trace, -telemetry-csv, or -telemetry-jsonl)"))
 		}
 		cfg.TelemetrySink = sink
 	}
@@ -213,39 +207,17 @@ func main() {
 		fatal(err2)
 	}
 	fmt.Print(res)
-	// Telemetry exports are written even for aborted runs: the partial time
+	// Telemetry exports are finished even for aborted runs: the partial time
 	// series and the watchdog.abort instant event are exactly what one wants
-	// when debugging a wedged run. In streaming mode the epochs already went
-	// straight to the files; closing the sink writes the tails and surfaces
-	// any deferred write error.
+	// when debugging a wedged run. The epochs already went straight to the
+	// files; closing the sink writes the tails and surfaces any deferred
+	// write error.
 	if sink != nil {
 		if err := closeSink(sink, sinkOuts, *restore); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "masksim: telemetry streamed: %d bytes across %d outputs\n",
 			sink.BytesWritten(), len(sinkOuts))
-	} else if res.Telemetry != nil {
-		if *chromeOut != "" {
-			if err := writeTelemetry(*chromeOut, res.Telemetry.WriteChromeTrace); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("chrome trace: %d samples written to %s (open in ui.perfetto.dev)\n",
-				len(res.Telemetry.Samples), *chromeOut)
-		}
-		if *telCSV != "" {
-			if err := writeTelemetry(*telCSV, res.Telemetry.WriteCSV); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("telemetry CSV: %d samples x %d columns written to %s\n",
-				len(res.Telemetry.Samples), len(res.Telemetry.Columns), *telCSV)
-		}
-		if *telJSONL != "" {
-			if err := writeTelemetry(*telJSONL, res.Telemetry.WriteJSONL); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("telemetry JSONL: %d samples x %d columns written to %s\n",
-				len(res.Telemetry.Samples), len(res.Telemetry.Columns), *telJSONL)
-		}
 	}
 	if err2 != nil {
 		// Aborted run (watchdog, timeout, interrupt): the partial results
@@ -270,6 +242,10 @@ func main() {
 		aloneCfg.Mask = sim.Mechanisms{}
 		aloneCfg.Design = sim.DesignSharedTLB
 		aloneCfg.TimeMuxQuantum = 0
+		// The telemetry outputs belong to the shared run above; its sink
+		// is already closed and cannot be bound again.
+		aloneCfg.TelemetrySink = nil
+		aloneCfg.TelemetryEpoch = 0
 		split := sim.EvenSplit(cfg.Cores, len(names))
 		alone := make([]float64, len(names))
 		for i, n := range names {
@@ -338,20 +314,6 @@ func fatal(err error) {
 	stopProfiles()
 	fmt.Fprintln(os.Stderr, "masksim:", err)
 	os.Exit(1)
-}
-
-// writeTelemetry creates path (gzip-compressing ".gz" names) and streams one
-// telemetry export into it.
-func writeTelemetry(path string, write func(w io.Writer) error) error {
-	f, err := streamio.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // closeSink finishes a streaming telemetry run: the sink writes its trailing

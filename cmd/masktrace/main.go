@@ -1,5 +1,5 @@
 // Command masktrace runs one multiprogrammed workload with the telemetry
-// subsystem enabled and exports the collected time series as a Chrome
+// subsystem enabled and streams the time series, epoch by epoch, as a Chrome
 // trace_event JSON (loadable in ui.perfetto.dev or chrome://tracing) plus
 // optional CSV/JSONL companions.
 //
@@ -86,32 +86,45 @@ func main() {
 		defer cancel()
 	}
 
+	// The sink writes every output as each epoch closes; nothing accumulates.
+	if *out == "" {
+		fatal(fmt.Errorf("-out is required"))
+	}
+	sink := telemetry.NewStreamSink()
+	var outs []io.WriteCloser
+	for _, o := range []struct {
+		format telemetry.Format
+		path   string
+	}{{telemetry.FormatChrome, *out}, {telemetry.FormatCSV, *csvOut}, {telemetry.FormatJSONL, *jsonlOut}} {
+		if o.path == "" {
+			continue
+		}
+		w, err := streamio.Create(o.path)
+		if err != nil {
+			fatal(err)
+		}
+		outs = append(outs, w)
+		if err := sink.Attach(o.format, w); err != nil {
+			fatal(err)
+		}
+	}
+	cfg.TelemetrySink = sink
+
 	res, runErr := sim.Run(ctx, cfg, names, *cycles)
 	if runErr != nil && res == nil {
 		fatal(runErr)
 	}
-	if res.Telemetry == nil {
-		fatal(fmt.Errorf("run produced no telemetry (epoch %d)", *epoch))
+	err = sink.Close()
+	for _, w := range outs {
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
 	}
-	d := res.Telemetry
-
-	if err := writeTo(*out, d.WriteChromeTrace); err != nil {
+	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%s: %d samples, %d columns, %d events (epoch %d cycles)\n",
-		*out, len(d.Samples), len(d.Columns), len(d.Events), d.Epoch)
-	if *csvOut != "" {
-		if err := writeTo(*csvOut, d.WriteCSV); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: epoch time series\n", *csvOut)
-	}
-	if *jsonlOut != "" {
-		if err := writeTo(*jsonlOut, d.WriteJSONL); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: samples and events\n", *jsonlOut)
-	}
+	fmt.Printf("%s: %d columns, epochs through cycle %d (epoch %d cycles), %d bytes across %d outputs\n",
+		*out, len(res.Telemetry.Columns), sink.HighWater(), res.Telemetry.Epoch, sink.BytesWritten(), len(outs))
 
 	if *check {
 		f, err := streamio.Open(*out)
@@ -132,18 +145,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "masktrace:", runErr)
 		os.Exit(1)
 	}
-}
-
-func writeTo(path string, write func(w io.Writer) error) error {
-	f, err := streamio.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

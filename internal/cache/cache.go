@@ -425,7 +425,7 @@ func (c *Cache) Submit(now int64, r *memreq.Request) bool {
 		m.waiting = append(m.waiting, r)
 		c.bypassMSHRs[lineAddr] = m
 		fetch := c.pool.Get()
-		fetch.ID, fetch.AppID, fetch.ASID = r.ID, r.AppID, r.ASID
+		fetch.AppID, fetch.ASID = r.AppID, r.ASID
 		fetch.CoreID, fetch.WarpID = r.CoreID, r.WarpID
 		fetch.Kind, fetch.Class, fetch.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 		fetch.Addr, fetch.Issue = lineAddr<<c.lineShift, r.Issue
@@ -590,7 +590,7 @@ func (c *Cache) service(now int64, r *memreq.Request) {
 	m.waiting = append(m.waiting, r)
 	c.mshrs[lineAddr] = m
 	fill := c.pool.Get()
-	fill.ID, fill.AppID, fill.ASID = r.ID, r.AppID, r.ASID
+	fill.AppID, fill.ASID = r.AppID, r.ASID
 	fill.CoreID, fill.WarpID = r.CoreID, r.WarpID
 	fill.Kind, fill.Class, fill.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 	fill.Addr, fill.Issue = lineAddr<<c.lineShift, r.Issue
@@ -619,7 +619,7 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 		lineAddr := r.Addr >> c.lineShift
 		c.install(now, lineAddr, true, r.AppID)
 		fill := c.pool.Get()
-		fill.ID, fill.AppID, fill.ASID, fill.CoreID = r.ID, r.AppID, r.ASID, r.CoreID
+		fill.AppID, fill.ASID, fill.CoreID = r.AppID, r.ASID, r.CoreID
 		fill.Kind, fill.Class, fill.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 		fill.Addr, fill.Issue = lineAddr<<c.lineShift, now
 		if !c.backend.Submit(now, fill) {
@@ -653,7 +653,7 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 		c.combineCur[lineAddr] = struct{}{}
 	}
 	fwd := c.pool.Get()
-	fwd.ID, fwd.AppID, fwd.ASID, fwd.CoreID = r.ID, r.AppID, r.ASID, r.CoreID
+	fwd.AppID, fwd.ASID, fwd.CoreID = r.AppID, r.ASID, r.CoreID
 	fwd.Kind, fwd.Class, fwd.WalkLevel = memreq.Write, r.Class, r.WalkLevel
 	fwd.Addr, fwd.Issue = r.Addr, now
 	if !c.backend.Submit(now, fwd) {

@@ -1,8 +1,8 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"slices"
 
 	"masksim/internal/memreq"
 )
@@ -19,14 +19,14 @@ type LineState struct {
 // BankItemState is one queued bank-queue entry (FIFO order preserved).
 type BankItemState struct {
 	ReadyAt int64
-	Req     int32
+	Req     memreq.RequestState
 }
 
 // MSHRState is one outstanding line fetch with its merged waiters in arrival
 // order.
 type MSHRState struct {
 	LineAddr uint64
-	Waiting  []int32
+	Waiting  []memreq.RequestState
 }
 
 // CacheState is a cache's checkpoint image.
@@ -37,7 +37,7 @@ type CacheState struct {
 	Mshrs         []MSHRState
 	BypassMshrs   []MSHRState
 	MshrFree      int
-	Retry         []int32
+	Retry         []memreq.RequestState
 	CombineCur    []uint64
 	CombinePrev   []uint64
 	CombineSwapAt int64
@@ -49,15 +49,13 @@ type CacheState struct {
 	LatCount      [2]uint64
 }
 
-// SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table.
-func (c *Cache) SnapshotState(ctx any) (any, error) {
-	tab, ok := ctx.(*memreq.Table)
-	if !ok {
-		return nil, fmt.Errorf("cache %s: snapshot context is %T, want *memreq.Table", c.cfg.Name, ctx)
-	}
+// SnapshotState captures the cache's checkpoint image; w names its requests'
+// pools and sinks.
+func (c *Cache) SnapshotState(w *memreq.Wiring) CacheState {
 	st := CacheState{
 		Stamp:         c.stamp,
 		MshrFree:      c.mshrFree.Len(),
+		Retry:         w.Images(nil, c.retry),
 		CombineSwapAt: c.combineSwapAt,
 		LevelStats:    c.levelStats,
 		EpochStats:    c.epochStats,
@@ -76,52 +74,28 @@ func (c *Cache) SnapshotState(ctx any) (any, error) {
 		q := &c.queues[b]
 		for i := 0; i < q.n; i++ {
 			it := &q.items[(q.head+i)%len(q.items)]
-			st.Queues[b] = append(st.Queues[b], BankItemState{ReadyAt: it.readyAt, Req: tab.Req(it.req)})
+			st.Queues[b] = append(st.Queues[b], BankItemState{ReadyAt: it.readyAt, Req: w.Image(it.req)})
 		}
 	}
-	// Map-backed sets are written in key order, so equal states encode
-	// equally and request indices do not depend on map iteration.
 	snapMSHRs := func(set map[uint64]*mshr) []MSHRState {
 		var out []MSHRState
-		for _, la := range sortedKeys(set) {
-			ms := MSHRState{LineAddr: la}
-			for _, w := range set[la].waiting {
-				ms.Waiting = append(ms.Waiting, tab.Req(w))
-			}
-			out = append(out, ms)
+		for _, la := range memreq.SortedKeys(set, cmp.Compare[uint64]) {
+			out = append(out, MSHRState{LineAddr: la, Waiting: w.Images(nil, set[la].waiting)})
 		}
 		return out
 	}
 	st.Mshrs = snapMSHRs(c.mshrs)
 	st.BypassMshrs = snapMSHRs(c.bypassMSHRs)
-	for _, r := range c.retry {
-		st.Retry = append(st.Retry, tab.Req(r))
-	}
-	st.CombineCur = sortedKeys(c.combineCur)
-	st.CombinePrev = sortedKeys(c.combinePrev)
-	return st, nil
+	st.CombineCur = memreq.SortedKeys(c.combineCur, cmp.Compare[uint64])
+	st.CombinePrev = memreq.SortedKeys(c.combinePrev, cmp.Compare[uint64])
+	return st
 }
 
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// RestoreState implements engine.Snapshotter; ctx is the *memreq.RestoreTable.
-func (c *Cache) RestoreState(ctx any, state any) error {
-	rt, ok := ctx.(*memreq.RestoreTable)
-	if !ok {
-		return fmt.Errorf("cache %s: restore context is %T, want *memreq.RestoreTable", c.cfg.Name, ctx)
-	}
-	st, ok := state.(CacheState)
-	if !ok {
-		return fmt.Errorf("cache %s: restore state is %T, want CacheState", c.cfg.Name, state)
-	}
+// RestoreState restores an image captured by SnapshotState onto a cache built
+// from the identical configuration. Everything that can hold one of the
+// cache's own line fetches — its retry list, the components below it —
+// restores first, so every fill returning to the cache is known by the end.
+func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 	if len(st.Lines) != len(c.lines) {
 		return fmt.Errorf("cache %s: checkpoint has %d lines, cache has %d", c.cfg.Name, len(st.Lines), len(c.lines))
 	}
@@ -129,14 +103,9 @@ func (c *Cache) RestoreState(ctx any, state any) error {
 		return fmt.Errorf("cache %s: checkpoint has %d banks, cache has %d", c.cfg.Name, len(st.Queues), len(c.queues))
 	}
 	// The envelope checksum vouches for the bytes, not for the state they
-	// encode: an image no run of this cache can reach is rejected whole.
+	// encode: an image no run of this cache can reach is rejected.
 	if c.cfg.MSHRs > 0 && len(st.Mshrs) > c.cfg.MSHRs {
 		return fmt.Errorf("cache %s: checkpoint has %d MSHRs, capacity is %d", c.cfg.Name, len(st.Mshrs), c.cfg.MSHRs)
-	}
-	for b, q := range st.Queues {
-		if c.cfg.QueueCap > 0 && len(q) > c.cfg.QueueCap {
-			return fmt.Errorf("cache %s: checkpoint bank %d queues %d requests, capacity is %d", c.cfg.Name, b, len(q), c.cfg.QueueCap)
-		}
 	}
 	// One tag valid in two ways of a set is not checked for: a write-back
 	// cache reaches that state (a store write-allocates a line whose read
@@ -152,42 +121,43 @@ func (c *Cache) RestoreState(ctx any, state any) error {
 	for i, ls := range st.Lines {
 		c.lines[i] = line{tag: ls.Tag, valid: ls.Valid, dirty: ls.Dirty, stamp: ls.Stamp}
 	}
-	for b := range c.queues {
+	for b, sq := range st.Queues {
+		if c.cfg.QueueCap > 0 && len(sq) > c.cfg.QueueCap {
+			return fmt.Errorf("cache %s: checkpoint bank %d queues %d requests, capacity is %d", c.cfg.Name, b, len(sq), c.cfg.QueueCap)
+		}
 		q := &c.queues[b]
-		q.items = make([]bankItem, max(8, len(st.Queues[b])))
-		q.head, q.n = 0, len(st.Queues[b])
-		for i, is := range st.Queues[b] {
-			q.items[i] = bankItem{readyAt: is.ReadyAt, req: rt.Req(is.Req)}
+		q.items = make([]bankItem, max(8, len(sq)))
+		q.head, q.n = 0, len(sq)
+		for i, is := range sq {
+			r, err := w.Request(is.Req)
+			if err != nil {
+				return fmt.Errorf("cache %s: bank %d: %w", c.cfg.Name, b, err)
+			}
+			q.items[i] = bankItem{readyAt: is.ReadyAt, req: r}
 		}
 	}
-	buildMSHR := func(ms MSHRState, bypass bool) *mshr {
-		m := c.getMSHR(ms.LineAddr, bypass)
-		for _, ref := range ms.Waiting {
-			m.waiting = append(m.waiting, rt.Req(ref))
+	restoreMSHRs := func(sts []MSHRState, bypass bool) (map[uint64]*mshr, error) {
+		set := make(map[uint64]*mshr, len(sts))
+		for _, ms := range sts {
+			m := c.getMSHR(ms.LineAddr, bypass)
+			var err error
+			if m.waiting, err = w.Requests(m.waiting, ms.Waiting); err != nil {
+				return nil, fmt.Errorf("cache %s: MSHR of line %#x: %w", c.cfg.Name, ms.LineAddr, err)
+			}
+			set[ms.LineAddr] = m
 		}
-		return m
+		return set, nil
 	}
-	c.mshrs = make(map[uint64]*mshr, len(st.Mshrs))
-	for _, ms := range st.Mshrs {
-		c.mshrs[ms.LineAddr] = buildMSHR(ms, false)
+	var err error
+	if c.mshrs, err = restoreMSHRs(st.Mshrs, false); err != nil {
+		return err
 	}
-	c.bypassMSHRs = make(map[uint64]*mshr, len(st.BypassMshrs))
-	for _, ms := range st.BypassMshrs {
-		c.bypassMSHRs[ms.LineAddr] = buildMSHR(ms, true)
+	if c.bypassMSHRs, err = restoreMSHRs(st.BypassMshrs, true); err != nil {
+		return err
 	}
 	c.mshrFree.Refill(st.MshrFree)
-	c.retry = c.retry[:0]
-	for _, ref := range st.Retry {
-		c.retry = append(c.retry, rt.Req(ref))
-	}
-	for _, fr := range rt.Returning(c) {
-		set := c.mshrs
-		if fr.Tag == tagBypass {
-			set = c.bypassMSHRs
-		}
-		if _, ok := set[fr.Addr>>c.lineShift]; !ok {
-			return fmt.Errorf("cache %s: checkpoint fill %d (addr %#x, tag %d) has no MSHR", c.cfg.Name, fr.ID, fr.Addr, fr.Tag)
-		}
+	if c.retry, err = w.Requests(c.retry[:0], st.Retry); err != nil {
+		return fmt.Errorf("cache %s: retry list: %w", c.cfg.Name, err)
 	}
 	if (len(st.CombineCur) > 0 || len(st.CombinePrev) > 0) && c.cfg.WriteCombineWindow <= 0 {
 		return fmt.Errorf("cache %s: checkpoint carries write-combine state but combining is disabled", c.cfg.Name)
@@ -200,6 +170,15 @@ func (c *Cache) RestoreState(ctx any, state any) error {
 		c.combinePrev = make(map[uint64]struct{}, len(st.CombinePrev))
 		for _, la := range st.CombinePrev {
 			c.combinePrev[la] = struct{}{}
+		}
+	}
+	for _, fr := range w.Returning(c) {
+		set := c.mshrs
+		if fr.Tag == tagBypass {
+			set = c.bypassMSHRs
+		}
+		if _, ok := set[fr.Addr>>c.lineShift]; !ok {
+			return fmt.Errorf("cache %s: checkpoint fill (addr %#x, tag %d) has no MSHR", c.cfg.Name, fr.Addr, fr.Tag)
 		}
 	}
 	return nil

@@ -9,7 +9,7 @@ import (
 // QueuedState is the serializable image of one Queued wrapper (queued or in
 // flight).
 type QueuedState struct {
-	Req     int32
+	Req     memreq.RequestState
 	Arrival int64
 	Bank    int
 	Row     int64
@@ -46,14 +46,11 @@ type DRAMState struct {
 	QFree      int
 }
 
-// SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table.
-func (d *DRAM) SnapshotState(ctx any) (any, error) {
-	tab, ok := ctx.(*memreq.Table)
-	if !ok {
-		return nil, fmt.Errorf("dram: snapshot context is %T, want *memreq.Table", ctx)
-	}
+// SnapshotState captures the memory subsystem's checkpoint image; w names
+// its requests' pools and sinks.
+func (d *DRAM) SnapshotState(w *memreq.Wiring) DRAMState {
 	enc := func(q *Queued) QueuedState {
-		return QueuedState{Req: tab.Req(q.Req), Arrival: q.Arrival, Bank: q.Bank, Row: q.Row, Finish: q.finish}
+		return QueuedState{Req: w.Image(q.Req), Arrival: q.Arrival, Bank: q.Bank, Row: q.Row, Finish: q.finish}
 	}
 	st := DRAMState{
 		Class:      d.Class,
@@ -68,31 +65,26 @@ func (d *DRAM) SnapshotState(ctx any) (any, error) {
 		cs := &st.Channels[i]
 		cs.Banks = append([]Bank(nil), ch.banks...)
 		cs.BusReadyAt = ch.busReadyAt
-		for _, q := range ch.inflight {
-			cs.Inflight = append(cs.Inflight, enc(q))
-		}
+		cs.Inflight = encQueue(ch.inflight, enc)
 		cs.Sched = ch.sched.SnapshotQueue(enc)
 	}
-	return st, nil
+	return st
 }
 
-// RestoreState implements engine.Snapshotter; ctx is the *memreq.RestoreTable.
-func (d *DRAM) RestoreState(ctx any, state any) error {
-	rt, ok := ctx.(*memreq.RestoreTable)
-	if !ok {
-		return fmt.Errorf("dram: restore context is %T, want *memreq.RestoreTable", ctx)
-	}
-	st, ok := state.(DRAMState)
-	if !ok {
-		return fmt.Errorf("dram: restore state is %T, want DRAMState", state)
-	}
+// RestoreState restores an image captured by SnapshotState onto a model
+// built from the identical configuration.
+func (d *DRAM) RestoreState(w *memreq.Wiring, st DRAMState) error {
 	if len(st.Channels) != len(d.channels) {
 		return fmt.Errorf("dram: checkpoint has %d channels, model has %d", len(st.Channels), len(d.channels))
 	}
-	dec := func(qs QueuedState) *Queued {
+	dec := func(qs QueuedState) (*Queued, error) {
+		r, err := w.Request(qs.Req)
+		if err != nil {
+			return nil, err
+		}
 		q, _ := d.qFree.Get()
-		*q = Queued{Req: rt.Req(qs.Req), Arrival: qs.Arrival, Bank: qs.Bank, Row: qs.Row, finish: qs.Finish}
-		return q
+		*q = Queued{Req: r, Arrival: qs.Arrival, Bank: qs.Bank, Row: qs.Row, finish: qs.Finish}
+		return q, nil
 	}
 	d.Class = st.Class
 	d.perAppBus = append(d.perAppBus[:0], st.PerAppBus...)
@@ -106,7 +98,11 @@ func (d *DRAM) RestoreState(ctx any, state any) error {
 		}
 		copy(ch.banks, cs.Banks)
 		ch.busReadyAt = cs.BusReadyAt
-		ch.setInflight(decQueue(ch.inflight, cs.Inflight, dec))
+		inflight, err := decQueue("in-flight", ch.inflight, cs.Inflight, 0, dec)
+		if err != nil {
+			return fmt.Errorf("dram: channel %d: %w", i, err)
+		}
+		ch.setInflight(inflight)
 		if err := ch.sched.RestoreQueue(cs.Sched, dec); err != nil {
 			return fmt.Errorf("dram: channel %d: %w", i, err)
 		}
@@ -121,25 +117,9 @@ func (s *FRFCFS) SnapshotQueue(enc func(*Queued) QueuedState) SchedState {
 }
 
 // RestoreQueue implements Scheduler.
-func (s *FRFCFS) RestoreQueue(st SchedState, dec func(QueuedState) *Queued) error {
-	if len(st.Golden) > 0 || len(st.Silver) > 0 {
-		return fmt.Errorf("dram: FR-FCFS checkpoint carries class-queue state")
-	}
-	if err := checkQueueLen("request", len(st.Normal), s.cap); err != nil {
-		return err
-	}
-	s.queue = decQueue(s.queue, st.Normal, dec)
-	return nil
-}
-
-// checkQueueLen rejects a checkpointed queue longer than the queue can get
-// (capacity 0 = unbounded): the envelope checksum vouches for the bytes, not
-// for the state they encode.
-func checkQueueLen(what string, n, capacity int) error {
-	if capacity > 0 && n > capacity {
-		return fmt.Errorf("dram: checkpoint %s queue holds %d requests, capacity is %d", what, n, capacity)
-	}
-	return nil
+func (s *FRFCFS) RestoreQueue(st SchedState, dec func(QueuedState) (*Queued, error)) (err error) {
+	s.queue, err = restorePlain("FR-FCFS", s.queue, s.cap, st, dec)
+	return err
 }
 
 // SnapshotQueue implements Scheduler.
@@ -148,15 +128,17 @@ func (s *FCFS) SnapshotQueue(enc func(*Queued) QueuedState) SchedState {
 }
 
 // RestoreQueue implements Scheduler.
-func (s *FCFS) RestoreQueue(st SchedState, dec func(QueuedState) *Queued) error {
+func (s *FCFS) RestoreQueue(st SchedState, dec func(QueuedState) (*Queued, error)) (err error) {
+	s.queue, err = restorePlain("FCFS", s.queue, s.cap, st, dec)
+	return err
+}
+
+// restorePlain restores the one queue of a scheduler without class queues.
+func restorePlain(name string, dst []*Queued, capacity int, st SchedState, dec func(QueuedState) (*Queued, error)) ([]*Queued, error) {
 	if len(st.Golden) > 0 || len(st.Silver) > 0 {
-		return fmt.Errorf("dram: FCFS checkpoint carries class-queue state")
+		return dst, fmt.Errorf("dram: %s checkpoint carries class-queue state", name)
 	}
-	if err := checkQueueLen("request", len(st.Normal), s.cap); err != nil {
-		return err
-	}
-	s.queue = decQueue(s.queue, st.Normal, dec)
-	return nil
+	return decQueue("request", dst, st.Normal, capacity, dec)
 }
 
 // SnapshotQueue implements Scheduler.
@@ -171,21 +153,20 @@ func (s *MASKSched) SnapshotQueue(enc func(*Queued) QueuedState) SchedState {
 }
 
 // RestoreQueue implements Scheduler.
-func (s *MASKSched) RestoreQueue(st SchedState, dec func(QueuedState) *Queued) error {
+func (s *MASKSched) RestoreQueue(st SchedState, dec func(QueuedState) (*Queued, error)) error {
 	if st.SilverApp >= s.numApps {
 		return fmt.Errorf("dram: silver turn app %d out of range (%d apps)", st.SilverApp, s.numApps)
 	}
-	for _, q := range []struct {
-		what     string
-		n, limit int
-	}{{"golden", len(st.Golden), s.goldenCap}, {"silver", len(st.Silver), s.silverCap}, {"normal", len(st.Normal), s.normalCap}} {
-		if err := checkQueueLen(q.what, q.n, q.limit); err != nil {
-			return err
-		}
+	var err error
+	if s.golden, err = decQueue("golden", s.golden, st.Golden, s.goldenCap, dec); err != nil {
+		return err
 	}
-	s.golden = decQueue(s.golden, st.Golden, dec)
-	s.silver = decQueue(s.silver, st.Silver, dec)
-	s.normal = decQueue(s.normal, st.Normal, dec)
+	if s.silver, err = decQueue("silver", s.silver, st.Silver, s.silverCap, dec); err != nil {
+		return err
+	}
+	if s.normal, err = decQueue("normal", s.normal, st.Normal, s.normalCap, dec); err != nil {
+		return err
+	}
 	s.silverApp = st.SilverApp
 	s.silverQuota = st.SilverQuota
 	return nil
@@ -199,10 +180,20 @@ func encQueue(queue []*Queued, enc func(*Queued) QueuedState) []QueuedState {
 	return out
 }
 
-func decQueue(dst []*Queued, src []QueuedState, dec func(QueuedState) *Queued) []*Queued {
+// decQueue rebuilds a queue from its image into dst's array. A queue longer
+// than it can get (capacity 0 = unbounded) is rejected: the envelope checksum
+// vouches for the bytes, not for the state they encode.
+func decQueue(what string, dst []*Queued, src []QueuedState, capacity int, dec func(QueuedState) (*Queued, error)) ([]*Queued, error) {
 	dst = dst[:0]
-	for _, qs := range src {
-		dst = append(dst, dec(qs))
+	if capacity > 0 && len(src) > capacity {
+		return dst, fmt.Errorf("dram: checkpoint %s queue holds %d requests, capacity is %d", what, len(src), capacity)
 	}
-	return dst
+	for _, qs := range src {
+		q, err := dec(qs)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, q)
+	}
+	return dst, nil
 }

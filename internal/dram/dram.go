@@ -74,7 +74,7 @@ type Scheduler interface {
 	// requests (and any policy state) for checkpointing; enc/dec convert
 	// between live Queued wrappers and their serializable form (ckpt.go).
 	SnapshotQueue(enc func(*Queued) QueuedState) SchedState
-	RestoreQueue(st SchedState, dec func(QueuedState) *Queued) error
+	RestoreQueue(st SchedState, dec func(QueuedState) (*Queued, error)) error
 }
 
 // Queued is a request waiting in (or in flight from) a channel.

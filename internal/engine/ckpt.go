@@ -1,74 +1,5 @@
 package engine
 
-import "fmt"
-
-// Snapshotter is the optional checkpoint capability of a Ticker, the third
-// sibling of EventSource and Skipper: a component that can serialize its
-// complete mutable state into a self-contained, encodable value and later
-// restore it onto a freshly built instance.
-//
-// ctx is an orchestration context supplied by the simulator (it carries the
-// request registry used to serialize cross-component request pointers);
-// components that hold no requests may ignore it. SnapshotState must return
-// a value encodable by encoding/gob whose concrete type the simulator
-// registers; RestoreState receives a value of the same concrete type.
-//
-// Contract: restoring a state captured between two cycles onto a component
-// built from the identical configuration must make every subsequent tick
-// bit-identical to the uninterrupted run. In-flight work names where it
-// returns as data (docs/MODEL.md §9), so a component's state plus the request
-// registry is everything there is to restore.
-type Snapshotter interface {
-	SnapshotState(ctx any) (any, error)
-	RestoreState(ctx any, state any) error
-}
-
-// SnapshotStates captures the state of every snapshot-capable ticker, keyed
-// by registration index. Tickers without the capability (stateless adapters)
-// are simply absent from the map.
-func (e *Engine) SnapshotStates(ctx any) (map[int]any, error) {
-	out := make(map[int]any, len(e.snapshotters))
-	for i, s := range e.snapshotters {
-		if s == nil {
-			continue
-		}
-		st, err := s.SnapshotState(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("engine: snapshot ticker %d: %w", i, err)
-		}
-		out[i] = st
-	}
-	return out, nil
-}
-
-// RestoreStates applies previously captured states onto the registered
-// tickers, in registration order. Every keyed index must name a
-// snapshot-capable ticker; the tick list must be built identically to the
-// run that captured the states. A state keyed past the registered tickers is
-// rejected loudly — it means the capturing run registered tickers this
-// simulator did not (e.g. a fault plan), which would otherwise silently
-// shift or drop component states.
-func (e *Engine) RestoreStates(ctx any, states map[int]any) error {
-	for i := range states {
-		if i < 0 || i >= len(e.tickers) {
-			return fmt.Errorf("engine: restore: checkpoint carries state for ticker %d, but only %d tickers are registered (the restoring simulator must register the same tick list as the checkpointing one)", i, len(e.tickers))
-		}
-	}
-	for i := range e.tickers {
-		st, ok := states[i]
-		if !ok {
-			continue
-		}
-		if i >= len(e.snapshotters) || e.snapshotters[i] == nil {
-			return fmt.Errorf("engine: restore: ticker %d has state but no Snapshotter capability", i)
-		}
-		if err := e.snapshotters[i].RestoreState(ctx, st); err != nil {
-			return fmt.Errorf("engine: restore ticker %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // ClockState is the engine's own checkpoint image: the clock and the
 // tick/skip split behind Results.CyclesTicked/CyclesSkipped.
 type ClockState struct {
@@ -138,29 +69,32 @@ func (w *Watchdog) TripError(now int64) *DeadlockError {
 	}
 }
 
-// PipeItemRef is one in-flight pipe item in serialized form: its delivery
-// cycle plus a caller-defined reference to the value (typically a request
-// registry index).
-type PipeItemRef struct {
+// PipeItemState is one in-flight pipe item in checkpoint form: its delivery
+// cycle and the image of its value.
+type PipeItemState[S any] struct {
 	ReadyAt int64
-	Ref     int32
+	Value   S
 }
 
-// SnapshotRefs serializes the pipe's in-flight items oldest-first, mapping
-// each value through ref.
-func SnapshotRefs[T any](p *Pipe[T], ref func(T) int32) []PipeItemRef {
-	out := make([]PipeItemRef, 0, len(p.items))
+// SnapshotPipe images the pipe's in-flight items oldest-first.
+func SnapshotPipe[T, S any](p *Pipe[T], image func(T) S) []PipeItemState[S] {
+	out := make([]PipeItemState[S], 0, len(p.items))
 	for _, it := range p.items {
-		out = append(out, PipeItemRef{ReadyAt: it.readyAt, Ref: ref(it.value)})
+		out = append(out, PipeItemState[S]{ReadyAt: it.readyAt, Value: image(it.value)})
 	}
 	return out
 }
 
-// RestoreRefs rebuilds the pipe's in-flight items from a SnapshotRefs image,
-// resolving each reference through deref. Existing items are discarded.
-func RestoreRefs[T any](p *Pipe[T], items []PipeItemRef, deref func(int32) T) {
+// RestorePipe rebuilds the pipe's in-flight items from a SnapshotPipe image,
+// resolving each value. Existing items are discarded.
+func RestorePipe[T, S any](p *Pipe[T], items []PipeItemState[S], resolve func(S) (T, error)) error {
 	p.items = p.items[:0]
 	for _, it := range items {
-		p.items = append(p.items, pipeItem[T]{readyAt: it.ReadyAt, value: deref(it.Ref)})
+		v, err := resolve(it.Value)
+		if err != nil {
+			return err
+		}
+		p.items = append(p.items, pipeItem[T]{readyAt: it.ReadyAt, value: v})
 	}
+	return nil
 }

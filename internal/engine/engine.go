@@ -64,10 +64,9 @@ type Engine struct {
 	// tracks whether every registered ticker is an EventSource — fast-forward
 	// is only sound when the whole system can report quiescence, so a single
 	// opaque ticker disables it.
-	sources      []EventSource
-	skippers     []Skipper
-	snapshotters []Snapshotter
-	allSources   bool
+	sources    []EventSource
+	skippers   []Skipper
+	allSources bool
 
 	fastForward bool
 
@@ -93,11 +92,10 @@ func New() *Engine { return Renew(nil) }
 func Renew(e *Engine) *Engine {
 	e, d := slab.Lift(e)
 	*e = Engine{
-		tickers:      slab.Slice(d.tickers, 0),
-		sources:      slab.Slice(d.sources, 0),
-		skippers:     slab.Slice(d.skippers, 0),
-		snapshotters: slab.Slice(d.snapshotters, 0),
-		allSources:   true,
+		tickers:    slab.Slice(d.tickers, 0),
+		sources:    slab.Slice(d.sources, 0),
+		skippers:   slab.Slice(d.skippers, 0),
+		allSources: true,
 	}
 	return e
 }
@@ -109,17 +107,16 @@ func (e *Engine) Register(t Ticker) {
 	e.tickers = append(e.tickers, t)
 	src, _ := t.(EventSource)
 	skp, _ := t.(Skipper)
-	snp, _ := t.(Snapshotter)
 	e.sources = append(e.sources, src)
 	e.skippers = append(e.skippers, skp)
-	e.snapshotters = append(e.snapshotters, snp)
 	if src == nil {
 		e.allSources = false
 	}
 }
 
 // Tickers returns the registered components in tick order; a component's
-// index is its registration index, the key checkpoints name it by.
+// index is its registration index, the key checkpoints name a request sink
+// by.
 func (e *Engine) Tickers() []Ticker { return e.tickers }
 
 // SetFastForward enables or disables next-event fast-forwarding. Even when

@@ -177,55 +177,3 @@ func TestPipeDeliveryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// snapRecorder is a ticker with the Snapshotter capability; its state is its
-// tick count.
-type snapRecorder struct {
-	recorder
-	restored int64
-}
-
-func (r *snapRecorder) SnapshotState(ctx any) (any, error) { return r.ticks, nil }
-func (r *snapRecorder) RestoreState(ctx any, state any) error {
-	r.restored = state.(int64)
-	return nil
-}
-
-// TestRestoreStatesRejectsForeignKeys pins the tick-list-mismatch guard: a
-// state map keyed past the registered tickers (captured by an engine that had
-// registered more of them) must be rejected loudly — silently dropping it
-// would desynchronize the resumed run from the checkpointed one.
-func TestRestoreStatesRejectsForeignKeys(t *testing.T) {
-	var log []int
-	src := New()
-	src.Register(&recorder{id: 0, log: &log}) // stateless: absent from the map
-	snap := &snapRecorder{recorder: recorder{id: 1, log: &log}}
-	src.Register(snap)
-	src.Run(3)
-	states, err := src.SnapshotStates(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := states[1]; !ok {
-		t.Fatalf("snapshotter state missing from %v", states)
-	}
-
-	// A one-ticker engine has no ticker 1: restoring must fail, not skip.
-	dst := New()
-	dst.Register(&snapRecorder{recorder: recorder{id: 0, log: &log}})
-	if err := dst.RestoreStates(nil, states); err == nil {
-		t.Fatal("restore with a foreign state key succeeded; the state was silently dropped")
-	}
-
-	// The matching engine restores fine.
-	ok := New()
-	ok.Register(&recorder{id: 0, log: &log})
-	dup := &snapRecorder{recorder: recorder{id: 1, log: &log}}
-	ok.Register(dup)
-	if err := ok.RestoreStates(nil, states); err != nil {
-		t.Fatal(err)
-	}
-	if dup.restored != 3 {
-		t.Fatalf("restored tick count %d, want 3", dup.restored)
-	}
-}

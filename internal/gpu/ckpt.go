@@ -30,21 +30,18 @@ type CoreState struct {
 	WaitData  int
 	Stats     Stats
 	Warps     []WarpState
-	Retry     []int32
+	Retry     []memreq.RequestState
 }
 
-// SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table
-// registry.
-func (c *Core) SnapshotState(ctx any) (any, error) {
-	tab, ok := ctx.(*memreq.Table)
-	if !ok {
-		return nil, fmt.Errorf("gpu: snapshot context is %T, want *memreq.Table", ctx)
-	}
+// SnapshotState captures the core's checkpoint image; wi names the retry
+// list's pools and sinks.
+func (c *Core) SnapshotState(wi *memreq.Wiring) CoreState {
 	st := CoreState{
 		Current:   c.current,
 		WaitTrans: c.waitTrans,
 		WaitData:  c.waitData,
 		Stats:     c.Stats,
+		Retry:     wi.Images(nil, c.retry),
 	}
 	st.Warps = make([]WarpState, len(c.warps))
 	for i := range c.warps {
@@ -66,22 +63,13 @@ func (c *Core) SnapshotState(ctx any) (any, error) {
 			}
 		}
 	}
-	for _, r := range c.retry {
-		st.Retry = append(st.Retry, tab.Req(r))
-	}
-	return st, nil
+	return st
 }
 
-// RestoreState implements engine.Snapshotter; ctx is the *memreq.RestoreTable.
-func (c *Core) RestoreState(ctx any, state any) error {
-	rt, ok := ctx.(*memreq.RestoreTable)
-	if !ok {
-		return fmt.Errorf("gpu: restore context is %T, want *memreq.RestoreTable", ctx)
-	}
-	st, ok := state.(CoreState)
-	if !ok {
-		return fmt.Errorf("gpu: restore state is %T, want CoreState", state)
-	}
+// RestoreState restores an image captured by SnapshotState onto a core built
+// from the identical configuration. The L1 data cache restores first, so
+// every data read returning to the core is known by the end.
+func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 	if len(st.Warps) != len(c.warps) {
 		return fmt.Errorf("gpu: checkpoint has %d warps, core %d has %d", len(st.Warps), c.id, len(c.warps))
 	}
@@ -114,16 +102,27 @@ func (c *Core) RestoreState(ctx any, state any) error {
 		}
 	}
 	c.rebuildReady()
-	c.retry = c.retry[:0]
-	for _, ref := range st.Retry {
-		c.retry = append(c.retry, rt.Req(ref))
+	var err error
+	if c.retry, err = wi.Requests(c.retry[:0], st.Retry); err != nil {
+		return fmt.Errorf("gpu: core %d retry list: %w", c.id, err)
 	}
-	for _, r := range rt.Returning(c) {
+	for _, r := range wi.Returning(c) {
 		if r.WarpID < 0 || r.WarpID >= len(c.warps) {
-			return fmt.Errorf("gpu: checkpoint request %d returns to warp %d of %d", r.ID, r.WarpID, len(c.warps))
+			return fmt.Errorf("gpu: checkpoint request (addr %#x) returns to warp %d of %d", r.Addr, r.WarpID, len(c.warps))
 		}
 	}
 	return nil
+}
+
+// Awaits implements tlb.Waker: whether page slot of warpID's memory
+// instruction may still be waiting for its translation — the warp is blocked
+// with translations pending, and the instruction has that slot.
+func (c *Core) Awaits(warpID, slot int) bool {
+	if warpID < 0 || warpID >= len(c.warps) {
+		return false
+	}
+	w := &c.warps[warpID]
+	return w.state == warpWaitMem && w.pendingTrans > 0 && slot >= 0 && slot < len(w.inst.Pages)
 }
 
 // Stream exposes a warp's stream so the simulator can enumerate shared

@@ -113,7 +113,6 @@ type Core struct {
 
 	translate TranslateFn
 	l1d       *cache.Cache
-	idgen     *memreq.IDGen
 
 	// pool recycles data-access requests: the core's own (below) until the
 	// simulator injects its shared one.
@@ -138,15 +137,15 @@ type Core struct {
 }
 
 // New builds a core whose warps draw from the given streams (one per warp).
-func New(id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache, idgen *memreq.IDGen) *Core {
-	return Renew(nil, id, appID, cfg, streams, translate, l1d, idgen)
+func New(id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache) *Core {
+	return Renew(nil, id, appID, cfg, streams, translate, l1d)
 }
 
 // Renew is New built in place over a donor: c is retired and comes back as
 // New would return it, over the donor's buffers where they fit
 // (docs/MODEL.md §11). streams is copied, not kept. A nil donor allocates
 // everything.
-func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache, idgen *memreq.IDGen) *Core {
+func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache) *Core {
 	if len(streams) != cfg.WarpsPerCore {
 		panic("gpu: stream count must equal warps per core")
 	}
@@ -155,7 +154,7 @@ func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, trans
 	}
 	c.Retire()
 	c.id, c.appID, c.cfg = id, appID, cfg
-	c.translate, c.l1d, c.idgen = translate, l1d, idgen
+	c.translate, c.l1d = translate, l1d
 	c.pool = &c.own
 	c.warps = slab.Slice(c.warps, cfg.WarpsPerCore)
 	for i := range c.warps {
@@ -382,7 +381,7 @@ func (c *Core) Translated(now int64, warpID, slot int, frame uint64) {
 	for _, va := range lines {
 		pa := frame*c.cfg.FrameSize + (va & pageMask)
 		req := c.pool.Get()
-		req.ID, req.AppID, req.CoreID, req.WarpID = c.idgen.Next(), c.appID, c.id, w.id
+		req.AppID, req.CoreID, req.WarpID = c.appID, c.id, w.id
 		req.Class, req.Addr, req.Issue = memreq.Data, pa, now
 		if isWrite {
 			req.Kind = memreq.Write

@@ -62,10 +62,9 @@ func newTestCore(warps int, translate TranslateFn) (*Core, *sink, *cache.Cache) 
 			WarpIndex: w, NumWarps: warps, Seed: 5,
 		})
 	}
-	var idgen memreq.IDGen
 	core := New(0, 0, Config{
 		WarpsPerCore: warps, PageShift: 12, FrameSize: 4096, LineSize: 64,
-	}, streams, translate, l1d, &idgen)
+	}, streams, translate, l1d)
 	return core, be, l1d
 }
 
@@ -238,9 +237,8 @@ func TestWritesDoNotBlockWarp(t *testing.T) {
 	s := p.NewStream(workload.StreamConfig{
 		Base: 1 << 32, PageSize: 4096, LineSize: 64, WarpIndex: 0, NumWarps: 1, Seed: 3,
 	})
-	var idgen memreq.IDGen
 	core := New(0, 0, Config{WarpsPerCore: 1, PageShift: 12, FrameSize: 4096, LineSize: 64},
-		[]*workload.Stream{s}, instantTranslate, l1d, &idgen)
+		[]*workload.Stream{s}, instantTranslate, l1d)
 	for now := int64(0); now < 300; now++ {
 		core.Tick(now)
 		l1d.Tick(now)
@@ -257,7 +255,6 @@ func TestSyncStalledWarpSkipped(t *testing.T) {
 	streams := []*workload.Stream{f.New(0), f.New(1)}
 	// Block warp 1 forever by never translating for it; warp 0 advances
 	// until the group-sync window stops it.
-	var idgen memreq.IDGen
 	be := &sink{delay: 2}
 	l1d := cache.New(cache.Config{
 		Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
@@ -267,7 +264,7 @@ func TestSyncStalledWarpSkipped(t *testing.T) {
 		return vpn, warpID != 1 // warp 1's translations never complete
 	}
 	core := New(0, 0, Config{WarpsPerCore: 2, PageShift: 12, FrameSize: 4096, LineSize: 64},
-		streams, translate, l1d, &idgen)
+		streams, translate, l1d)
 	for now := int64(0); now < 3000; now++ {
 		core.Tick(now)
 		l1d.Tick(now)
@@ -331,19 +328,12 @@ func TestRestoredCorePicksSameWarps(t *testing.T) {
 		if len(replica.be.pending) != 0 || replica.l1d.NextEvent(snapAt) != engine.NoEvent || len(replica.core.retry) != 0 {
 			t.Fatal("data side still busy at the snapshot cycle")
 		}
-		st, err := replica.core.SnapshotState(memreq.NewTable(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := replica.core.SnapshotState(&memreq.Wiring{})
 
 		restored := newSchedWorld(warps, roundRobin)
 		restored.be, restored.l1d = replica.be, replica.l1d
-		restored.core.l1d, restored.core.idgen = replica.l1d, replica.core.idgen
-		rt, err := memreq.NewRestoreTable(nil, nil, memreq.Wiring{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.core.RestoreState(rt, st); err != nil {
+		restored.core.l1d = replica.l1d
+		if err := restored.core.RestoreState(&memreq.Wiring{}, st); err != nil {
 			t.Fatal(err)
 		}
 		// The waiting translations are the TLB's state, not the core's: the
@@ -369,18 +359,11 @@ func TestRestoredCorePicksSameWarps(t *testing.T) {
 
 func TestRestoreRejectsCurrentWarpOutOfRange(t *testing.T) {
 	core, _, _ := newTestCore(4, instantTranslate)
-	st, err := core.SnapshotState(memreq.NewTable(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := memreq.NewRestoreTable(nil, nil, memreq.Wiring{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := core.SnapshotState(&memreq.Wiring{})
 	for _, current := range []int{-1, 4} {
-		img := st.(CoreState)
+		img := st
 		img.Current = current
-		if err := core.RestoreState(rt, img); err == nil || !strings.Contains(err.Error(), "current warp") {
+		if err := core.RestoreState(&memreq.Wiring{}, img); err == nil || !strings.Contains(err.Error(), "current warp") {
 			t.Errorf("Current=%d: error %v, want one naming the current warp", current, err)
 		}
 	}
@@ -411,10 +394,9 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 				Base: 1 << 32, PageSize: 4096, LineSize: 64, WarpIndex: w, NumWarps: warps, Seed: 5,
 			})
 		}
-		var idgen memreq.IDGen
 		core := New(0, 0, Config{
 			WarpsPerCore: warps, PageShift: 12, FrameSize: 4096, LineSize: 64, RoundRobin: rr,
-		}, streams, instantTranslate, l1d, &idgen)
+		}, streams, instantTranslate, l1d)
 		for now := int64(0); now < 2000; now++ {
 			core.Tick(now)
 			l1d.Tick(now)

@@ -1,38 +1,41 @@
 package memreq
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"masksim/internal/slab"
 )
 
-// Checkpoint support: serializable forms of the request types and the
-// registry that lets many components reference the same in-flight request by
-// index instead of by pointer.
-//
-// A live Request is owned by exactly one container (bank queue, MSHR waiting
-// list, retry list, DRAM queue), but a live TransReq is referenced from
-// several places at once (its L1 MSHR tracker plus wherever it currently
-// queues). Both are therefore snapshotted through a registry: during
-// Snapshot every component converts its pointers to table indices; during
-// Restore the table materializes every object first (from the simulator's
-// pools, return route included) and components then resolve indices back to
-// the one shared object.
+// Checkpoint support. Every live Request has exactly one owner (a retry
+// list, a bank queue, an MSHR's waiters, a DRAM queue), so that owner writes
+// it inline as a RequestState and restores it in place. Every live TransReq
+// has exactly one L1 TLB miss tracker, which writes it; every other holder
+// names it by its TransKey.
 
 // Wiring is the fixed layout of one simulator that a checkpoint names things
 // by: request pools by Pool.ID, request sinks by engine registration index
-// (nil for tickers that are not sinks), translation sinks (the L1 TLBs) by
-// core.
+// (nil for tickers that are not sinks), and live translations by TransKey.
+// One Wiring serves one Checkpoint or one restore.
 type Wiring struct {
-	Pools      []*Pool
-	TransPools []*TransPool
-	Sinks      []Sink
-	TransSinks []TransSink
+	Pools []*Pool
+	Sinks []Sink
+	// Trans resolves a key to the TransReq the restored L1 TLB of its core
+	// tracks (restore only).
+	Trans func(TransKey) (*TransReq, error)
+
+	// last is the index of the sink the previous Image looked up: a
+	// container's requests mostly return to one sink.
+	last int
+	// bySink holds the requests restored so far by the sink they return to,
+	// and closed the sinks whose Returning already ran.
+	bySink [][]*Request
+	closed []bool
 }
 
-// RequestDTO is the serializable image of one live Request.
-type RequestDTO struct {
-	ID        uint64
+// RequestState is the checkpoint image of one live Request.
+type RequestState struct {
 	AppID     int
 	ASID      uint8
 	CoreID    int
@@ -43,243 +46,148 @@ type RequestDTO struct {
 	Addr      uint64
 	Issue     int64
 	Served    Service
-	// Sink is the index in Wiring.Sinks of the component the request
-	// returns to (NilRef: none); Tag is that component's continuation detail.
+	// Sink is 1 + the index in Wiring.Sinks of the component the request
+	// returns to, 0 for none; Tag is that component's continuation detail.
 	Sink int32
 	Tag  uint64
-	// PoolID names the free list the live request came from (Pool.ID), so
-	// restore materializes it from the matching pool. The pool layout is
-	// fixed (one shared pool plus one per core), and the recycling partitions
-	// must survive a checkpoint unchanged for the resumed run to stay
-	// bit-identical.
-	PoolID int
+	// Pool names the free list the request came from (Pool.ID): the
+	// recycling partitions must survive a checkpoint unchanged for the
+	// resumed run to stay bit-identical.
+	Pool int
 }
 
-// TransReqDTO is the serializable image of one live TransReq. It needs no
-// sink field: every live one returns to the L1 TLB of CoreID.
-type TransReqDTO struct {
-	AppID        int
-	ASID         uint8
-	CoreID       int
-	WarpID       int
-	VPN          uint64
-	HasToken     bool
-	Issue        int64
-	StalledWarps int
-	// PoolID names the owning TransPool (see RequestDTO.PoolID).
-	PoolID int
+// TransKey names a live TransReq by its one miss tracker: the L1 TLB of core
+// Core, entry VPN.
+type TransKey struct {
+	Core int32
+	VPN  uint64
 }
 
-// NilRef is the table index encoding a nil pointer.
-const NilRef int32 = -1
+// Key returns the key naming tr.
+func (tr *TransReq) Key() TransKey { return TransKey{Core: int32(tr.CoreID), VPN: tr.VPN} }
 
-// Table assigns stable indices to the live requests encountered while
-// snapshotting. Components call Req/Trans for every pointer they serialize;
-// the first call for a pointer registers it.
-type Table struct {
-	sinkIdx map[Sink]int32
-	// lastSink/lastIdx remember the previous lookup: a container's requests
-	// mostly return to one sink, so most lookups skip the map.
-	lastSink Sink
-	lastIdx  int32
-
-	reqIdx   map[*Request]int32
-	reqs     []RequestDTO
-	transIdx map[*TransReq]int32
-	trans    []TransReqDTO
+// PageKey names one page of one address space in a checkpoint image.
+type PageKey struct {
+	ASID uint8
+	VPN  uint64
 }
 
-// NewTable returns an empty registry that records each request's Ret as its
-// index in sinks (Wiring.Sinks).
-func NewTable(sinks []Sink) *Table {
-	t := &Table{
-		sinkIdx:  make(map[Sink]int32, len(sinks)),
-		reqIdx:   make(map[*Request]int32),
-		transIdx: make(map[*TransReq]int32),
+// Compare orders page keys by address space, then page.
+func (k PageKey) Compare(o PageKey) int {
+	if c := cmp.Compare(k.ASID, o.ASID); c != 0 {
+		return c
 	}
-	for i, s := range sinks {
-		if s != nil {
-			t.sinkIdx[s] = int32(i)
-		}
-	}
-	return t
+	return cmp.Compare(k.VPN, o.VPN)
 }
 
-// Req registers r (idempotently) and returns its index; NilRef for nil.
-func (t *Table) Req(r *Request) int32 {
-	if r == nil {
-		return NilRef
+// SortedKeys returns m's keys in the given order: images write map-backed
+// sets this way, so equal states encode equally.
+func SortedKeys[K comparable, V any](m map[K]V, order func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if i, ok := t.reqIdx[r]; ok {
-		return i
-	}
-	i := int32(len(t.reqs))
-	t.reqIdx[r] = i
-	poolID := 0
-	if r.pool != nil {
-		poolID = r.pool.ID
-	}
-	sink := NilRef
-	if r.Ret != nil {
-		if r.Ret != t.lastSink {
-			idx, ok := t.sinkIdx[r.Ret]
-			if !ok {
-				panic(fmt.Sprintf("memreq: request %d returns to a %T that is not a registered sink", r.ID, r.Ret))
-			}
-			t.lastSink, t.lastIdx = r.Ret, idx
-		}
-		sink = t.lastIdx
-	}
-	t.reqs = append(t.reqs, RequestDTO{
-		ID: r.ID, AppID: r.AppID, ASID: r.ASID, CoreID: r.CoreID, WarpID: r.WarpID,
+	slices.SortFunc(keys, order)
+	return keys
+}
+
+// Image returns r's checkpoint image. r must return nowhere or to one of the
+// wiring's sinks.
+func (w *Wiring) Image(r *Request) RequestState {
+	st := RequestState{
+		AppID: r.AppID, ASID: r.ASID, CoreID: r.CoreID, WarpID: r.WarpID,
 		Kind: r.Kind, Class: r.Class, WalkLevel: r.WalkLevel,
-		Addr: r.Addr, Issue: r.Issue, Served: r.Served,
-		Sink: sink, Tag: r.Tag, PoolID: poolID,
-	})
-	return i
+		Addr: r.Addr, Issue: r.Issue, Served: r.Served, Tag: r.Tag,
+	}
+	if r.pool != nil {
+		st.Pool = r.pool.ID
+	}
+	if r.Ret != nil {
+		if w.last >= len(w.Sinks) || w.Sinks[w.last] != r.Ret {
+			if w.last = slices.Index(w.Sinks, r.Ret); w.last < 0 {
+				panic(fmt.Sprintf("memreq: request (addr %#x, tag %d) returns to a %T that is not a registered sink", r.Addr, r.Tag, r.Ret))
+			}
+		}
+		st.Sink = int32(w.last) + 1
+	}
+	return st
 }
 
-// Trans registers tr (idempotently) and returns its index; NilRef for nil.
-func (t *Table) Trans(tr *TransReq) int32 {
-	if tr == nil {
-		return NilRef
+// Images appends the images of rs to dst.
+func (w *Wiring) Images(dst []RequestState, rs []*Request) []RequestState {
+	for _, r := range rs {
+		dst = append(dst, w.Image(r))
 	}
-	if i, ok := t.transIdx[tr]; ok {
-		return i
-	}
-	i := int32(len(t.trans))
-	t.transIdx[tr] = i
-	poolID := 0
-	if tr.pool != nil {
-		poolID = tr.pool.ID
-	}
-	t.trans = append(t.trans, TransReqDTO{
-		AppID: tr.AppID, ASID: tr.ASID, CoreID: tr.CoreID, WarpID: tr.WarpID,
-		VPN: tr.VPN, HasToken: tr.HasToken, Issue: tr.Issue,
-		StalledWarps: tr.StalledWarps, PoolID: poolID,
-	})
-	return i
+	return dst
 }
 
-// Requests returns the registered Request DTOs in index order.
-func (t *Table) Requests() []RequestDTO { return t.reqs }
-
-// TransReqs returns the registered TransReq DTOs in index order.
-func (t *Table) TransReqs() []TransReqDTO { return t.trans }
-
-// RestoreTable materializes every registered request from the wiring's pools
-// at construction, return route included; components then resolve their
-// serialized indices through it.
-type RestoreTable struct {
-	reqs  []*Request
-	trans []*TransReq
-	sinks []Sink
-	// bySink groups the requests by the sink they return to, so each sink's
-	// RestoreState can check that it holds the state they resume.
-	bySink [][]*Request
-	err    error
+// Request takes a request from the pool st names and gives it st's fields,
+// return route included. An image naming a pool or sink the wiring does not
+// have, or a sink whose Returning already ran, is an error.
+func (w *Wiring) Request(st RequestState) (*Request, error) {
+	if st.Pool < 0 || st.Pool >= len(w.Pools) {
+		return nil, fmt.Errorf("memreq: request (addr %#x, tag %d) names pool %d of %d", st.Addr, st.Tag, st.Pool, len(w.Pools))
+	}
+	var sink Sink
+	i := int(st.Sink) - 1
+	if st.Sink != 0 {
+		if i < 0 || i >= len(w.Sinks) || w.Sinks[i] == nil {
+			return nil, fmt.Errorf("memreq: request (addr %#x, tag %d) returns to ticker %d, which is not a sink", st.Addr, st.Tag, i)
+		}
+		w.routes()
+		if w.closed[i] {
+			return nil, fmt.Errorf("memreq: request (addr %#x, tag %d) returns to ticker %d, which restored before the component holding it", st.Addr, st.Tag, i)
+		}
+		sink = w.Sinks[i]
+	}
+	r := w.Pools[st.Pool].Get()
+	r.AppID, r.ASID, r.CoreID, r.WarpID = st.AppID, st.ASID, st.CoreID, st.WarpID
+	r.Kind, r.Class, r.WalkLevel = st.Kind, st.Class, st.WalkLevel
+	r.Addr, r.Issue, r.Served = st.Addr, st.Issue, st.Served
+	r.Ret, r.Tag = sink, st.Tag
+	if sink != nil {
+		w.bySink[i] = append(w.bySink[i], r)
+	}
+	return r, nil
 }
 
-// NewRestoreTable allocates one live object per DTO from the pool carrying
-// its recorded PoolID, copies the serialized fields in and resolves its sink.
-// A DTO naming a pool, sink or core the wiring does not have is an error
-// (corrupt or incompatible checkpoint).
-func NewRestoreTable(reqs []RequestDTO, trans []TransReqDTO, w Wiring) (*RestoreTable, error) {
-	t := &RestoreTable{
-		reqs:   make([]*Request, len(reqs)),
-		trans:  make([]*TransReq, len(trans)),
-		sinks:  w.Sinks,
-		bySink: make([][]*Request, len(w.Sinks)),
+// Requests appends the requests restored from sts to dst.
+func (w *Wiring) Requests(dst []*Request, sts []RequestState) ([]*Request, error) {
+	for _, st := range sts {
+		r, err := w.Request(st)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, r)
 	}
-	for i, d := range reqs {
-		if d.PoolID < 0 || d.PoolID >= len(w.Pools) {
-			return nil, fmt.Errorf("memreq: request %d names pool %d of %d", i, d.PoolID, len(w.Pools))
-		}
-		if d.Sink != NilRef && (d.Sink < 0 || int(d.Sink) >= len(w.Sinks) || w.Sinks[d.Sink] == nil) {
-			return nil, fmt.Errorf("memreq: request %d returns to ticker %d, which is not a sink", i, d.Sink)
-		}
-		r := w.Pools[d.PoolID].Get()
-		r.ID, r.AppID, r.ASID, r.CoreID, r.WarpID = d.ID, d.AppID, d.ASID, d.CoreID, d.WarpID
-		r.Kind, r.Class, r.WalkLevel = d.Kind, d.Class, d.WalkLevel
-		r.Addr, r.Issue, r.Served, r.Tag = d.Addr, d.Issue, d.Served, d.Tag
-		if d.Sink != NilRef {
-			r.Ret = w.Sinks[d.Sink]
-			t.bySink[d.Sink] = append(t.bySink[d.Sink], r)
-		}
-		t.reqs[i] = r
-	}
-	for i, d := range trans {
-		if d.PoolID < 0 || d.PoolID >= len(w.TransPools) {
-			return nil, fmt.Errorf("memreq: transreq %d names pool %d of %d", i, d.PoolID, len(w.TransPools))
-		}
-		if d.CoreID < 0 || d.CoreID >= len(w.TransSinks) {
-			return nil, fmt.Errorf("memreq: transreq %d names the L1 TLB of core %d of %d", i, d.CoreID, len(w.TransSinks))
-		}
-		tr := w.TransPools[d.PoolID].Get()
-		tr.AppID, tr.ASID, tr.CoreID, tr.WarpID = d.AppID, d.ASID, d.CoreID, d.WarpID
-		tr.VPN, tr.HasToken, tr.Issue, tr.StalledWarps = d.VPN, d.HasToken, d.Issue, d.StalledWarps
-		tr.Ret = w.TransSinks[d.CoreID]
-		t.trans[i] = tr
-	}
-	return t, nil
+	return dst, nil
 }
 
-// badRef records the first reference outside the registry; Err surfaces it
-// once every component has resolved its references.
-func (t *RestoreTable) badRef(i int32, n int) {
-	if t.err == nil {
-		t.err = fmt.Errorf("memreq: checkpoint reference %d outside %d live requests", i, n)
-	}
-}
-
-// Req resolves a serialized index to its materialized Request (nil for
-// NilRef, and for an index outside the registry, which Err then reports).
-func (t *RestoreTable) Req(i int32) *Request {
-	if i < 0 || int(i) >= len(t.reqs) {
-		if i != NilRef {
-			t.badRef(i, len(t.reqs))
-		}
+// Returning lists the restored requests that return to s. A sink calls it
+// last in its own restore: the simulator restores every component that can
+// hold a request before the sink it returns to, so the list is complete, and
+// a request restored later that names s is rejected.
+func (w *Wiring) Returning(s Sink) []*Request {
+	i := slices.Index(w.Sinks, s)
+	if i < 0 {
 		return nil
 	}
-	return t.reqs[i]
+	w.routes()
+	w.closed[i] = true
+	return w.bySink[i]
 }
 
-// Trans resolves a serialized index to its materialized TransReq (see Req).
-func (t *RestoreTable) Trans(i int32) *TransReq {
-	if i < 0 || int(i) >= len(t.trans) {
-		if i != NilRef {
-			t.badRef(i, len(t.trans))
-		}
-		return nil
+// routes allocates the per-sink restore bookkeeping on first use.
+func (w *Wiring) routes() {
+	if w.bySink == nil {
+		w.bySink, w.closed = make([][]*Request, len(w.Sinks)), make([]bool, len(w.Sinks))
 	}
-	return t.trans[i]
 }
-
-// Err reports the first out-of-range reference any component resolved. The
-// envelope checksum vouches for the bytes, not for the state they encode, so
-// the simulator checks it after the components have restored.
-func (t *RestoreTable) Err() error { return t.err }
-
-// Returning lists the materialized requests whose Ret is s.
-func (t *RestoreTable) Returning(s Sink) []*Request {
-	for i, have := range t.sinks {
-		if have == s {
-			return t.bySink[i]
-		}
-	}
-	return nil
-}
-
-// State returns the generator's counter for checkpointing.
-func (g *IDGen) State() uint64 { return g.next }
-
-// SetState restores the generator's counter.
-func (g *IDGen) SetState(next uint64) { g.next = next }
 
 // PoolState is the serializable image of a request pool: only the free-list
 // length and the cumulative counters matter — free objects are
 // interchangeable zeroed memory, so restore tops the list up through
-// slab.List.Refill.
+// slab.List.Refill. Allocs - Free is the number of live requests.
 type PoolState struct {
 	Free   int
 	Allocs uint64
@@ -290,14 +198,23 @@ func poolState[T any](l *slab.List[T]) PoolState {
 	return PoolState{Free: l.Len(), Allocs: l.Allocs, Gets: l.Gets}
 }
 
+// Outstanding returns how many objects the pool created and does not hold
+// free, and whether the image is one a run can produce: no more free objects
+// than were ever created, no more created than handed out.
+func (st PoolState) Outstanding() (uint64, bool) {
+	if st.Free < 0 || uint64(st.Free) > st.Allocs || st.Allocs > st.Gets {
+		return 0, false
+	}
+	return st.Allocs - uint64(st.Free), true
+}
+
 // restorePool applies a pool image: the free list is topped up to the
-// recorded length and the counters are overwritten. Called after any
-// RestoreTable materialization so the counters reflect the checkpointed run.
-// An image no run can produce — more free objects than were ever created,
-// more created than handed out — is rejected: the envelope checksum vouches
+// recorded length and the counters are overwritten. Called after every
+// component restored its requests so the counters reflect the checkpointed
+// run. An image no run can produce is rejected: the envelope checksum vouches
 // for the bytes, not for the state they encode.
 func restorePool[T any](l *slab.List[T], id int, st PoolState) error {
-	if st.Free < 0 || uint64(st.Free) > st.Allocs || st.Allocs > st.Gets {
+	if _, ok := st.Outstanding(); !ok {
 		return fmt.Errorf("memreq: checkpoint pool %d has Free=%d Allocs=%d Gets=%d", id, st.Free, st.Allocs, st.Gets)
 	}
 	l.Refill(st.Free)

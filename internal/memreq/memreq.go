@@ -111,7 +111,6 @@ func (f SinkFunc) RequestDone(now int64, r *Request) { f(now, r) }
 // may retain a pointer to a request after its Complete returns. That
 // contract is what makes pooled recycling (Pool) sound.
 type Request struct {
-	ID     uint64
 	AppID  int
 	ASID   uint8
 	CoreID int
@@ -202,8 +201,8 @@ type TransReq struct {
 	// scheduler's WarpsStalled metric (§5.4).
 	StalledWarps int
 
-	// Ret is where the translation returns; a checkpoint does not record it
-	// because CoreID names the L1 TLB.
+	// Ret is where the translation returns; a checkpoint does not record it:
+	// the L1 TLB whose miss tracker writes the request is where it returns.
 	Ret TransSink
 
 	pool *TransPool
@@ -227,16 +226,4 @@ func (tr *TransReq) Complete(now int64, frame uint64) {
 	if tr.pool != nil {
 		tr.pool.put(tr)
 	}
-}
-
-// IDGen hands out unique request IDs. A plain counter is sufficient because
-// the simulator is single-threaded per run.
-type IDGen struct {
-	next uint64
-}
-
-// Next returns a fresh unique ID.
-func (g *IDGen) Next() uint64 {
-	g.next++
-	return g.next
 }

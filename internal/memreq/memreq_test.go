@@ -30,18 +30,6 @@ func TestCompleteNilDone(t *testing.T) {
 	r.Complete(1, ServedL1) // must not panic
 }
 
-func TestIDGenUnique(t *testing.T) {
-	var g IDGen
-	seen := map[uint64]bool{}
-	for i := 0; i < 10000; i++ {
-		id := g.Next()
-		if seen[id] {
-			t.Fatalf("duplicate id %d", id)
-		}
-		seen[id] = true
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Read.String() != "read" || Write.String() != "write" {
 		t.Fatal("Kind.String mismatch")

@@ -24,10 +24,10 @@ type Pool struct {
 	// the free list was empty and its Gets all handouts (tests, checkpoints).
 	free slab.List[Request]
 
-	// ID names this pool inside a checkpoint: every request snapshotted by a
-	// Table records its owning pool's ID, and RestoreTable materializes it
-	// from the pool with the same ID. The simulator stamps IDs over its
-	// canonical pool list; the zero value maps to the shared pool.
+	// ID names this pool inside a checkpoint: every request image records its
+	// owning pool's ID, and Wiring.Request takes it from the pool with the
+	// same ID. The simulator stamps IDs over its canonical pool list; the zero
+	// value maps to the shared pool.
 	ID int
 }
 
@@ -65,7 +65,8 @@ func (p *Pool) FreeLen() int { return p.free.Len() }
 type TransPool struct {
 	free slab.List[TransReq]
 
-	// ID names this pool inside a checkpoint (see Pool.ID).
+	// ID names this pool in restore errors. A checkpoint needs no pool ID for
+	// a translation: it is written by the L1 TLB that took it from this pool.
 	ID int
 }
 

@@ -1,7 +1,6 @@
 package ptw
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -14,12 +13,14 @@ import (
 // function of the page table, which is rebuilt deterministically, so restore
 // recomputes them.
 type WalkState struct {
-	ASID     uint8
-	AppID    int
-	VPN      uint64
-	Origin   uint8
-	Serial   uint64
-	Tr       int32
+	ASID   uint8
+	AppID  int
+	VPN    uint64
+	Origin uint8
+	Serial uint64
+	// Tr names the TransReq an unfinished OriginTrans walk completes, by the
+	// key of its L1 TLB miss tracker.
+	Tr       memreq.TransKey
 	Level    int
 	Waiting  bool
 	Finished bool
@@ -33,44 +34,60 @@ type WalkerState struct {
 	WalkFree     int
 	PerAppActive []int
 	SerialSeq    uint64
-	IDGen        uint64
 	Stats        Stats
 	LatHist      *metrics.HistogramState
 }
 
-// checkOrigin rejects a walk image whose origin is none of the three, or
-// that carries a TransReq exactly when its origin says it should not.
-func checkOrigin(origin WalkOrigin, tr *memreq.TransReq, asid uint8, vpn uint64) error {
-	if origin < OriginL2Miss || origin > OriginTrans || (origin == OriginTrans) != (tr != nil) {
-		return fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) has origin %d and TransReq %v", asid, vpn, origin, tr != nil)
+// Deliverable implements FaultSink: whether a walk finishing as h has
+// somewhere to deliver its frame — its TransReq (OriginTrans), a shared-TLB miss tracker
+// for its page (OriginL2Miss), or the shared TLB's prefetch install.
+func (w *Walker) Deliverable(h HeldWalk) bool {
+	switch h.Origin {
+	case OriginTrans:
+		return h.Tr != nil
+	case OriginL2Miss:
+		return w.sink != nil && w.sink.Awaits(h.ASID, h.VPN)
+	case OriginPrefetch:
+		return w.sink != nil
+	}
+	return false
+}
+
+// resolveHeld gives a restored walk's result its route: the TransReq of an
+// OriginTrans walk, found by key, and sink's word that something still waits
+// for the result.
+func resolveHeld(wi *memreq.Wiring, sink FaultSink, h *HeldWalk, key memreq.TransKey) error {
+	if h.Origin == OriginTrans {
+		tr, err := wi.Trans(key)
+		if err != nil {
+			return err
+		}
+		h.Tr = tr
+	}
+	if !sink.Deliverable(*h) {
+		return fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) of origin %d has nothing waiting for its result", h.ASID, h.VPN, h.Origin)
 	}
 	return nil
 }
 
-// SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table.
-func (w *Walker) SnapshotState(ctx any) (any, error) {
-	tab, ok := ctx.(*memreq.Table)
-	if !ok {
-		return nil, fmt.Errorf("ptw: snapshot context is %T, want *memreq.Table", ctx)
-	}
+// SnapshotState captures the walker's checkpoint image.
+func (w *Walker) SnapshotState() WalkerState {
 	st := WalkerState{
 		WalkFree:     w.walkFree.Len(),
 		PerAppActive: append([]int(nil), w.perAppActive...),
 		SerialSeq:    w.serialSeq,
-		IDGen:        w.idgen.State(),
 		Stats:        w.Stats,
 	}
 	snap := func(wk *walk) WalkState {
 		ws := WalkState{
 			ASID: wk.asid, AppID: wk.appID, VPN: wk.vpn,
-			Origin: uint8(wk.origin), Serial: wk.serial,
-			Tr: memreq.NilRef, Level: wk.level,
+			Origin: uint8(wk.origin), Serial: wk.serial, Level: wk.level,
 			Waiting: wk.waiting, Finished: wk.finished, Start: wk.start,
 		}
 		// A finished walk has already delivered its continuation (tr may
 		// point at a recycled object); only live continuations serialize.
-		if !wk.finished {
-			ws.Tr = tab.Trans(wk.tr)
+		if !wk.finished && wk.tr != nil {
+			ws.Tr = wk.tr.Key()
 		}
 		return ws
 	}
@@ -84,80 +101,65 @@ func (w *Walker) SnapshotState(ctx any) (any, error) {
 		h := w.latHist.State()
 		st.LatHist = &h
 	}
-	return st, nil
+	return st
 }
 
-// RestoreState implements engine.Snapshotter; ctx is the *memreq.RestoreTable.
-func (w *Walker) RestoreState(ctx any, state any) error {
-	rt, ok := ctx.(*memreq.RestoreTable)
-	if !ok {
-		return fmt.Errorf("ptw: restore context is %T, want *memreq.RestoreTable", ctx)
-	}
-	st, ok := state.(WalkerState)
-	if !ok {
-		return fmt.Errorf("ptw: restore state is %T, want WalkerState", state)
-	}
+// RestoreState restores an image captured by SnapshotState onto a walker
+// built from the identical configuration. The L1 and L2 TLBs restore first,
+// so every walk's continuation resolves, and so do the caches below the
+// walker, so every read returning to it is known by the end.
+func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 	w.serialSeq = st.SerialSeq
-	w.idgen.SetState(st.IDGen)
 	w.Stats = st.Stats
 	copy(w.perAppActive, st.PerAppActive)
-	w.active = w.active[:0]
-	for _, ws := range st.Active {
-		wk, err := w.buildWalk(ws, rt)
-		if err != nil {
-			return err
-		}
-		w.active = append(w.active, wk)
+	var err error
+	if w.active, err = w.buildWalks(wi, w.active[:0], st.Active); err != nil {
+		return err
 	}
-	w.pending = w.pending[:0]
-	for _, ws := range st.Pending {
-		wk, err := w.buildWalk(ws, rt)
-		if err != nil {
-			return err
-		}
-		w.pending = append(w.pending, wk)
+	if w.pending, err = w.buildWalks(wi, w.pending[:0], st.Pending); err != nil {
+		return err
 	}
 	w.walkFree.Refill(st.WalkFree)
 	if st.LatHist != nil && w.latHist != nil {
 		w.latHist.SetState(*st.LatHist)
 	}
-	for _, r := range rt.Returning(w) {
+	for _, r := range wi.Returning(w) {
 		if wk := w.walkBySerial(r.Tag); wk == nil || wk.finished || !wk.waiting {
-			return fmt.Errorf("ptw: checkpoint request %d returns to walk %d, which awaits no read", r.ID, r.Tag)
+			return fmt.Errorf("ptw: checkpoint request (addr %#x) returns to walk %d, which awaits no read", r.Addr, r.Tag)
 		}
 	}
 	return nil
 }
 
-// buildWalk materializes one serialized walk, recomputing its page-table
+// buildWalks appends the walks of sts to dst, recomputing their page-table
 // addresses.
-func (w *Walker) buildWalk(ws WalkState, rt *memreq.RestoreTable) (*walk, error) {
-	sp, ok := w.spaces[ws.ASID]
-	if !ok {
-		return nil, fmt.Errorf("ptw: checkpoint walk for unregistered ASID %d", ws.ASID)
+func (w *Walker) buildWalks(wi *memreq.Wiring, dst []*walk, sts []WalkState) ([]*walk, error) {
+	for _, ws := range sts {
+		sp, ok := w.spaces[ws.ASID]
+		if !ok {
+			return dst, fmt.Errorf("ptw: checkpoint walk for unregistered ASID %d", ws.ASID)
+		}
+		wk, _ := w.walkFree.Get()
+		wk.asid, wk.appID, wk.vpn = ws.ASID, ws.AppID, ws.VPN
+		wk.origin, wk.serial = WalkOrigin(ws.Origin), ws.Serial
+		wk.level, wk.waiting, wk.finished, wk.start = ws.Level, ws.Waiting, ws.Finished, ws.Start
+		wk.addrs = sp.WalkAddrsInto(ws.VPN, wk.buf[:0])
+		if !ws.Finished {
+			if ws.Level < 1 || ws.Level > len(wk.addrs) {
+				return dst, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is at level %d of %d", ws.ASID, ws.VPN, ws.Level, len(wk.addrs))
+			}
+			h := HeldWalk{Origin: wk.origin, ASID: ws.ASID, VPN: ws.VPN}
+			if err := resolveHeld(wi, w, &h, ws.Tr); err != nil {
+				return dst, err
+			}
+			wk.tr = h.Tr
+		}
+		dst = append(dst, wk)
 	}
-	wk, _ := w.walkFree.Get()
-	wk.asid, wk.appID, wk.vpn = ws.ASID, ws.AppID, ws.VPN
-	wk.origin, wk.serial = WalkOrigin(ws.Origin), ws.Serial
-	wk.level, wk.waiting, wk.finished, wk.start = ws.Level, ws.Waiting, ws.Finished, ws.Start
-	wk.addrs = sp.WalkAddrsInto(ws.VPN, wk.buf[:0])
-	if ws.Finished {
-		return wk, nil
-	}
-	if ws.Level < 1 || ws.Level > len(wk.addrs) {
-		return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is at level %d of %d", ws.ASID, ws.VPN, ws.Level, len(wk.addrs))
-	}
-	wk.tr = rt.Trans(ws.Tr)
-	return wk, checkOrigin(wk.origin, wk.tr, ws.ASID, ws.VPN)
+	return dst, nil
 }
 
 // --- fault unit -------------------------------------------------------------
-
-// FaultKeyState identifies one (asid, vpn) page.
-type FaultKeyState struct {
-	ASID uint8
-	VPN  uint64
-}
 
 // FaultNotifyState is one held walk in serialized form.
 type FaultNotifyState struct {
@@ -167,7 +169,8 @@ type FaultNotifyState struct {
 	ASID   uint8
 	VPN    uint64
 	Frame  uint64
-	Tr     int32
+	// Tr names the TransReq of an OriginTrans walk by its tracker key.
+	Tr memreq.TransKey
 }
 
 // PendingFaultState is one in-flight or queued page fault.
@@ -181,37 +184,32 @@ type PendingFaultState struct {
 
 // FaultUnitState is the fault unit's checkpoint image.
 type FaultUnitState struct {
-	Resident []FaultKeyState
+	Resident []memreq.PageKey
 	Inflight []PendingFaultState
 	Queue    []PendingFaultState
 	Stats    FaultStats
 }
 
-// SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table.
-func (f *FaultUnit) SnapshotState(ctx any) (any, error) {
-	tab, ok := ctx.(*memreq.Table)
-	if !ok {
-		return nil, fmt.Errorf("ptw: snapshot context is %T, want *memreq.Table", ctx)
-	}
+// SnapshotState captures the fault unit's checkpoint image.
+func (f *FaultUnit) SnapshotState() FaultUnitState {
 	st := FaultUnitState{Stats: f.Stats}
 	for key := range f.resident {
-		st.Resident = append(st.Resident, FaultKeyState{ASID: key.asid, VPN: key.vpn})
+		st.Resident = append(st.Resident, memreq.PageKey{ASID: key.asid, VPN: key.vpn})
 	}
 	// The resident set is a map: write it in key order so equal states
 	// encode equally.
-	slices.SortFunc(st.Resident, func(a, b FaultKeyState) int {
-		if c := cmp.Compare(a.ASID, b.ASID); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.VPN, b.VPN)
-	})
+	slices.SortFunc(st.Resident, memreq.PageKey.Compare)
 	snap := func(p *pendingFault) PendingFaultState {
 		ps := PendingFaultState{ASID: p.key.asid, VPN: p.key.vpn, Start: p.start, DoneAt: p.doneAt}
 		for _, h := range p.notify {
-			ps.Notify = append(ps.Notify, FaultNotifyState{
+			ns := FaultNotifyState{
 				Start: h.Start, Origin: uint8(h.Origin), AppID: h.AppID,
-				ASID: h.ASID, VPN: h.VPN, Frame: h.Frame, Tr: tab.Trans(h.Tr),
-			})
+				ASID: h.ASID, VPN: h.VPN, Frame: h.Frame,
+			}
+			if h.Tr != nil {
+				ns.Tr = h.Tr.Key()
+			}
+			ps.Notify = append(ps.Notify, ns)
 		}
 		return ps
 	}
@@ -221,56 +219,39 @@ func (f *FaultUnit) SnapshotState(ctx any) (any, error) {
 	for _, p := range f.queue {
 		st.Queue = append(st.Queue, snap(p))
 	}
-	return st, nil
+	return st
 }
 
-// RestoreState implements engine.Snapshotter; ctx is the *memreq.RestoreTable.
-func (f *FaultUnit) RestoreState(ctx any, state any) error {
-	rt, ok := ctx.(*memreq.RestoreTable)
-	if !ok {
-		return fmt.Errorf("ptw: restore context is %T, want *memreq.RestoreTable", ctx)
-	}
-	st, ok := state.(FaultUnitState)
-	if !ok {
-		return fmt.Errorf("ptw: restore state is %T, want FaultUnitState", state)
-	}
+// RestoreState restores an image captured by SnapshotState onto a fault unit
+// attached to a walker; the TLBs restore first, so every held walk's
+// continuation resolves.
+func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
 	f.Stats = st.Stats
 	f.resident = make(map[faultKey]bool, len(st.Resident))
 	for _, k := range st.Resident {
 		f.resident[faultKey{asid: k.ASID, vpn: k.VPN}] = true
 	}
-	build := func(ps PendingFaultState) (*pendingFault, error) {
-		p := &pendingFault{
-			key:   faultKey{asid: ps.ASID, vpn: ps.VPN},
-			start: ps.Start, doneAt: ps.DoneAt,
-		}
-		for _, ns := range ps.Notify {
-			h := HeldWalk{
-				Start: ns.Start, Origin: WalkOrigin(ns.Origin), AppID: ns.AppID,
-				ASID: ns.ASID, VPN: ns.VPN, Frame: ns.Frame, Tr: rt.Trans(ns.Tr),
+	build := func(dst []*pendingFault, sts []PendingFaultState) ([]*pendingFault, error) {
+		for _, ps := range sts {
+			p := &pendingFault{key: faultKey{asid: ps.ASID, vpn: ps.VPN}, start: ps.Start, doneAt: ps.DoneAt}
+			for _, ns := range ps.Notify {
+				h := HeldWalk{
+					Start: ns.Start, Origin: WalkOrigin(ns.Origin), AppID: ns.AppID,
+					ASID: ns.ASID, VPN: ns.VPN, Frame: ns.Frame,
+				}
+				if err := resolveHeld(wi, f.sink, &h, ns.Tr); err != nil {
+					return dst, err
+				}
+				p.notify = append(p.notify, h)
 			}
-			if err := checkOrigin(h.Origin, h.Tr, h.ASID, h.VPN); err != nil {
-				return nil, err
-			}
-			p.notify = append(p.notify, h)
+			dst = append(dst, p)
 		}
-		return p, nil
+		return dst, nil
 	}
-	f.inflight = f.inflight[:0]
-	for _, ps := range st.Inflight {
-		p, err := build(ps)
-		if err != nil {
-			return err
-		}
-		f.inflight = append(f.inflight, p)
+	var err error
+	if f.inflight, err = build(f.inflight[:0], st.Inflight); err != nil {
+		return err
 	}
-	f.queue = f.queue[:0]
-	for _, ps := range st.Queue {
-		p, err := build(ps)
-		if err != nil {
-			return err
-		}
-		f.queue = append(f.queue, p)
-	}
-	return nil
+	f.queue, err = build(f.queue[:0], st.Queue)
+	return err
 }

@@ -74,8 +74,11 @@ type HeldWalk struct {
 }
 
 // FaultSink receives the held walks of a completed fault (the walker).
+// Deliverable reports whether h still has somewhere to deliver its frame; a
+// restore checks every held walk with it.
 type FaultSink interface {
 	FaultDone(now int64, h HeldWalk)
+	Deliverable(h HeldWalk) bool
 }
 
 // NewFaultUnit builds a fault unit.

@@ -89,9 +89,12 @@ const (
 )
 
 // WalkSink receives the result of every walk started through StartWalk, with
-// the origin it was started with (the shared L2 TLB).
+// the origin it was started with (the shared L2 TLB). Awaits reports whether
+// a miss tracker waits for the demand walk of (asid, vpn); a restore checks
+// every OriginL2Miss walk with it.
 type WalkSink interface {
 	WalkDone(now int64, asid uint8, appID int, vpn, frame uint64, origin WalkOrigin)
+	Awaits(asid uint8, vpn uint64) bool
 }
 
 // Walker is the shared page table walker.
@@ -100,7 +103,6 @@ type Walker struct {
 	backend cache.Backend
 	sink    WalkSink
 	spaces  map[uint8]*pagetable.Space
-	idgen   memreq.IDGen
 
 	active  []*walk
 	pending []*walk
@@ -353,7 +355,7 @@ func (w *Walker) issue(now int64, wk *walk) {
 	}
 	lvl := wk.level
 	r := w.pool.Get()
-	r.ID, r.AppID, r.ASID = w.idgen.Next(), wk.appID, wk.asid
+	r.AppID, r.ASID = wk.appID, wk.asid
 	r.Kind, r.Class, r.WalkLevel = memreq.Read, memreq.Translation, uint8(lvl)
 	r.Addr, r.Issue = wk.addrs[lvl-1], now
 	r.Ret, r.Tag = w, wk.serial

@@ -51,6 +51,10 @@ func (l *walkLog) FaultDone(now int64, h HeldWalk) {
 	l.done = append(l.done, walkResult{now, h.VPN, h.Frame, h.Origin})
 }
 
+func (l *walkLog) Awaits(asid uint8, vpn uint64) bool { return true }
+
+func (l *walkLog) Deliverable(h HeldWalk) bool { return true }
+
 // newWalker builds a walker over mem whose walk results land in the returned
 // log.
 func newWalker(maxConcurrent int, mem *fakeMem, numApps int) (*Walker, *walkLog) {

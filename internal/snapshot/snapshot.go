@@ -39,7 +39,12 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	    warps the memory instruction they are blocked on, held walks their
 //	    frame; CoreState.ReadyCount, Ctxs, CtxFree and CacheState.SnapID
 //	    are gone
-const Version uint32 = 3
+//	4 — self-contained images: one typed payload struct instead of a map of
+//	    per-ticker states; every request written inline by the container
+//	    that holds it (no request registry, no IDs), every translation by
+//	    its L1 TLB miss tracker and named elsewhere by (core, VPN); no map
+//	    in any image
+const Version uint32 = 4
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

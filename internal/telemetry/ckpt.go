@@ -9,26 +9,54 @@ type ProbeState struct {
 	LastDen float64
 }
 
+// EventState is an Event's checkpoint image: the arguments as (key, value)
+// pairs sorted by key, so equal events encode equally.
+type EventState struct {
+	Cycle     int64
+	Name      string
+	Component string
+	Args      [][2]string
+}
+
+func eventState(ev Event) EventState {
+	st := EventState{Cycle: ev.Cycle, Name: ev.Name, Component: ev.Component}
+	for _, k := range sortedArgKeys(ev.Args) {
+		st.Args = append(st.Args, [2]string{k, ev.Args[k]})
+	}
+	return st
+}
+
+func (st EventState) event() Event {
+	ev := Event{Cycle: st.Cycle, Name: st.Name, Component: st.Component}
+	if len(st.Args) > 0 {
+		ev.Args = make(map[string]string, len(st.Args))
+		for _, a := range st.Args {
+			ev.Args[a[0]] = a[1]
+		}
+	}
+	return ev
+}
+
 // CollectorState is the collector's checkpoint image. Sink is set when the
 // run streamed its telemetry: Samples and Events are then empty and Sink
 // carries the stream resume state instead.
 type CollectorState struct {
 	Probes  []ProbeState
 	Samples []Sample
-	Events  []Event
+	Events  []EventState
 	Sampled int64
 	Sink    *SinkState
 }
 
-// SnapshotState implements engine.Snapshotter; the collector needs no request
-// registry, so ctx is ignored. In streaming mode the sink is flushed so the
-// recorded output offsets are durable before the checkpoint claims them.
-func (c *Collector) SnapshotState(ctx any) (any, error) {
-	st := CollectorState{Sampled: c.sampled}
+// SnapshotState captures the collector's checkpoint image. In streaming mode
+// the sink is flushed so the recorded output offsets are durable before the
+// checkpoint claims them.
+func (c *Collector) SnapshotState() (CollectorState, error) {
+	st := CollectorState{Samples: c.samples, Sampled: c.sampled}
 	if c.sink != nil {
 		ss, err := c.sink.mark()
 		if err != nil {
-			return nil, err
+			return st, err
 		}
 		st.Sink = ss
 	}
@@ -36,30 +64,17 @@ func (c *Collector) SnapshotState(ctx any) (any, error) {
 	for i, p := range c.probes {
 		st.Probes[i] = ProbeState{Last: p.last, LastDen: p.lastDen}
 	}
-	for _, s := range c.samples {
-		st.Samples = append(st.Samples, Sample{Cycle: s.Cycle, Values: append([]float64(nil), s.Values...)})
-	}
 	for _, ev := range c.events {
-		cp := ev
-		if ev.Args != nil {
-			cp.Args = make(map[string]string, len(ev.Args))
-			for k, v := range ev.Args {
-				cp.Args[k] = v
-			}
-		}
-		st.Events = append(st.Events, cp)
+		st.Events = append(st.Events, eventState(ev))
 	}
 	return st, nil
 }
 
-// RestoreState implements engine.Snapshotter. Probe states are matched by
-// registration order, which is identical between the checkpointing and the
-// restoring simulator because both build the probe set from the same config.
-func (c *Collector) RestoreState(ctx any, state any) error {
-	st, ok := state.(CollectorState)
-	if !ok {
-		return fmt.Errorf("telemetry: restore state is %T, want CollectorState", state)
-	}
+// RestoreState restores an image captured by SnapshotState. Probe states are
+// matched by registration order, which is identical between the
+// checkpointing and the restoring simulator because both build the probe set
+// from the same config.
+func (c *Collector) RestoreState(st CollectorState) error {
 	if len(st.Probes) != len(c.probes) {
 		return fmt.Errorf("telemetry: checkpoint has %d probes, collector has %d", len(st.Probes), len(c.probes))
 	}
@@ -73,7 +88,10 @@ func (c *Collector) RestoreState(ctx any, state any) error {
 		p.last, p.lastDen = st.Probes[i].Last, st.Probes[i].LastDen
 	}
 	c.samples = append(c.samples[:0], st.Samples...)
-	c.events = append(c.events[:0], st.Events...)
+	c.events = c.events[:0]
+	for _, es := range st.Events {
+		c.events = append(c.events, es.event())
+	}
 	c.sampled = st.Sampled
 	if st.Sink != nil {
 		if err := c.sink.restore(st.Sink); err != nil {

@@ -6,46 +6,7 @@ import (
 	"io"
 )
 
-// The buffered exporters are replays of the collected Data through the same
-// incremental writers StreamSink uses live, so buffered and streaming output
-// are byte-identical by construction and every write error — not just the
-// final flush — propagates to the caller.
-
-// writeVia replays d through a single-output StreamSink. Events are fed in
-// live arrival order: an event at a sample's exact cycle fires during that
-// cycle's tick, after the snapshot was taken during the previous tick.
-func (d *Data) writeVia(format Format, w io.Writer) error {
-	k := NewStreamSink()
-	if err := k.Attach(format, w); err != nil {
-		return err
-	}
-	if err := k.bind(d.Epoch, d.Columns); err != nil {
-		return err
-	}
-	ei := 0
-	for _, s := range d.Samples {
-		for ei < len(d.Events) && d.Events[ei].Cycle < s.Cycle {
-			k.event(d.Events[ei])
-			ei++
-		}
-		k.sample(s)
-		for ei < len(d.Events) && d.Events[ei].Cycle <= s.Cycle {
-			k.event(d.Events[ei])
-			ei++
-		}
-	}
-	for ; ei < len(d.Events); ei++ {
-		k.event(d.Events[ei])
-	}
-	return k.Close()
-}
-
-// WriteCSV writes the time series as CSV: a "cycle" column followed by one
-// column per probe, one row per epoch sample. Instant events are not part of
-// the CSV; use WriteJSONL or WriteChromeTrace for those.
-func (d *Data) WriteCSV(w io.Writer) error { return d.writeVia(FormatCSV, w) }
-
-// jsonlRecord is one WriteJSONL line.
+// jsonlRecord is one FormatJSONL line.
 type jsonlRecord struct {
 	Type      string             `json:"type"` // "meta", "sample" or "event"
 	Cycle     int64              `json:"cycle,omitempty"`
@@ -62,11 +23,6 @@ type jsonlColumn struct {
 	Kind string `json:"kind"`
 }
 
-// WriteJSONL writes one JSON object per line: a leading "meta" record with
-// the column catalogue, then "sample" and "event" records in cycle order.
-// encoding/json sorts map keys, so output is deterministic.
-func (d *Data) WriteJSONL(w io.Writer) error { return d.writeVia(FormatJSONL, w) }
-
 // ChromeEvent is one entry of a Chrome trace_event JSON file
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU);
 // chrome://tracing and Perfetto load the containing file directly.
@@ -79,15 +35,6 @@ type ChromeEvent struct {
 	Scope string         `json:"s,omitempty"` // instant events: "g"lobal / "p"rocess
 	Args  map[string]any `json:"args,omitempty"`
 }
-
-// WriteChromeTrace writes the collected telemetry as Chrome trace_event JSON:
-// one process (track group) per component, counter events ("ph":"C") for
-// every probe sample, and instant events ("ph":"i") for watchdog aborts and
-// fault injections. Timestamps are simulation cycles interpreted as
-// microseconds; counter and instant events are emitted in non-decreasing ts
-// order, and each component's process_name metadata event precedes its first
-// timestamped event.
-func (d *Data) WriteChromeTrace(w io.Writer) error { return d.writeVia(FormatChrome, w) }
 
 // ValidateChromeTrace parses a trace_event JSON document and checks the
 // invariants masktrace and CI rely on: every event carries a name and a

@@ -14,8 +14,16 @@ import (
 type Format uint8
 
 const (
+	// FormatCSV is a "cycle" column followed by one column per probe, one row
+	// per epoch sample. Instant events are not part of it.
 	FormatCSV Format = iota
+	// FormatJSONL is one JSON object per line: a leading "meta" record with
+	// the column catalogue, then "sample" and "event" records in cycle order.
 	FormatJSONL
+	// FormatChrome is Chrome trace_event JSON: one process (track group) per
+	// component, a counter event ("ph":"C") per probe sample and an instant
+	// event ("ph":"i") per watchdog abort or injected fault, at timestamps
+	// that are simulation cycles read as microseconds, never decreasing.
 	FormatChrome
 )
 
@@ -51,10 +59,9 @@ type sinkStream struct {
 	wroteEvent bool
 }
 
-// StreamSink writes telemetry incrementally as epochs close, instead of
-// retaining samples for an end-of-run export. Output is byte-identical to the
-// buffered exporters (which are implemented as replays through the same
-// writers).
+// StreamSink writes telemetry incrementally as epochs close: it is the one
+// exporter, so an instrumented run holds O(one epoch) of telemetry whatever
+// its length.
 //
 // Buffering is bounded: the sink holds at most one undecided sample plus the
 // instant events of the current epoch. The one-sample delay exists because
@@ -419,12 +426,13 @@ func (k *StreamSink) Close() error {
 	return k.err
 }
 
-// SinkStreamState is one output's checkpoint image.
+// SinkStreamState is one output's checkpoint image. Tracks lists the Chrome
+// trace's components in pid order (pids count up from 1 in first-appearance
+// order).
 type SinkStreamState struct {
 	Format     Format
 	Offset     int64 // logical bytes committed (post-flush CountingWriter count)
-	PIDs       map[string]int
-	NextPID    int
+	Tracks     []string
 	WroteEvent bool
 }
 
@@ -433,7 +441,7 @@ type SinkStreamState struct {
 type SinkState struct {
 	HighWater int64
 	Pending   *Sample
-	Queued    []Event
+	Queued    []EventState
 	Streams   []SinkStreamState
 }
 
@@ -456,21 +464,14 @@ func (k *StreamSink) mark() (*SinkState, error) {
 		st.Pending = &cp
 	}
 	for _, ev := range k.queued {
-		cp := ev
-		if ev.Args != nil {
-			cp.Args = make(map[string]string, len(ev.Args))
-			for kk, v := range ev.Args {
-				cp.Args[kk] = v
-			}
-		}
-		st.Queued = append(st.Queued, cp)
+		st.Queued = append(st.Queued, eventState(ev))
 	}
 	for _, s := range k.streams {
-		ss := SinkStreamState{Format: s.format, Offset: s.cw.N, NextPID: s.nextPID, WroteEvent: s.wroteEvent}
-		if s.pids != nil {
-			ss.PIDs = make(map[string]int, len(s.pids))
-			for kk, v := range s.pids {
-				ss.PIDs[kk] = v
+		ss := SinkStreamState{Format: s.format, Offset: s.cw.N, WroteEvent: s.wroteEvent}
+		if len(s.pids) > 0 {
+			ss.Tracks = make([]string, s.nextPID-1)
+			for comp, pid := range s.pids {
+				ss.Tracks[pid-1] = comp
 			}
 		}
 		st.Streams = append(st.Streams, ss)
@@ -514,11 +515,11 @@ func (k *StreamSink) restore(st *SinkState) error {
 		s.cw.N = saved.Offset
 		s.bw.Reset(s.cw)
 		if s.format == FormatChrome {
-			s.pids = make(map[string]int, len(saved.PIDs))
-			for kk, v := range saved.PIDs {
-				s.pids[kk] = v
+			s.pids = make(map[string]int, len(saved.Tracks))
+			for i, comp := range saved.Tracks {
+				s.pids[comp] = i + 1
 			}
-			s.nextPID = saved.NextPID
+			s.nextPID = len(saved.Tracks) + 1
 			s.wroteEvent = saved.WroteEvent
 		}
 	}
@@ -528,6 +529,9 @@ func (k *StreamSink) restore(st *SinkState) error {
 		cp := Sample{Cycle: st.Pending.Cycle, Values: append([]float64(nil), st.Pending.Values...)}
 		k.pending = &cp
 	}
-	k.queued = append(k.queued[:0], st.Queued...)
+	k.queued = k.queued[:0]
+	for _, es := range st.Queued {
+		k.queued = append(k.queued, es.event())
+	}
 	return nil
 }

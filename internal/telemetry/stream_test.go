@@ -66,29 +66,23 @@ func (r *streamRig) drive(from, to int64) {
 
 const rigEnd = 600
 
-// bufferedReference runs the rig in buffered mode and renders all three
-// exports.
-func bufferedReference(t *testing.T) (csv, jsonl, chrome []byte) {
+// goldenReference returns the checked-in exports of the rig's reference run,
+// driven over [0, rigEnd) and finished at rigEnd, in all three formats.
+func goldenReference(t *testing.T) (csv, jsonl, chrome []byte) {
 	t.Helper()
-	r := newStreamRig(t, 100)
-	r.drive(0, rigEnd)
-	r.c.Finish(rigEnd)
-	d := r.c.Data()
-	var cb, jb, hb bytes.Buffer
-	if err := d.WriteCSV(&cb); err != nil {
-		t.Fatal(err)
+	var out [3][]byte
+	for i, name := range []string{"rig.csv", "rig.jsonl", "rig.trace.json"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
 	}
-	if err := d.WriteJSONL(&jb); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteChromeTrace(&hb); err != nil {
-		t.Fatal(err)
-	}
-	return cb.Bytes(), jb.Bytes(), hb.Bytes()
+	return out[0], out[1], out[2]
 }
 
-func TestStreamingMatchesBuffered(t *testing.T) {
-	csvRef, jsonlRef, chromeRef := bufferedReference(t)
+func TestStreamingMatchesGolden(t *testing.T) {
+	csvRef, jsonlRef, chromeRef := goldenReference(t)
 
 	r := newStreamRig(t, 100)
 	sink := NewStreamSink()
@@ -117,7 +111,7 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 		got, want []byte
 	}{{"csv", cb.Bytes(), csvRef}, {"jsonl", jb.Bytes(), jsonlRef}, {"chrome", hb.Bytes(), chromeRef}} {
 		if !bytes.Equal(cmp.got, cmp.want) {
-			t.Errorf("%s: streaming output differs from buffered export\nstream: %.200s\nbuffer: %.200s", cmp.name, cmp.got, cmp.want)
+			t.Errorf("%s: streaming output differs from testdata\nstream: %.200s\ngolden: %.200s", cmp.name, cmp.got, cmp.want)
 		}
 	}
 	// Streamed mode retains nothing.
@@ -135,7 +129,7 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 // uninterrupted run exactly, with no duplicated or missing epochs, even
 // though the dead run wrote further output after the checkpoint was taken.
 func TestStreamSinkCheckpointResume(t *testing.T) {
-	csvRef, jsonlRef, chromeRef := bufferedReference(t)
+	csvRef, jsonlRef, chromeRef := goldenReference(t)
 	dir := t.TempDir()
 	paths := map[Format]string{
 		FormatCSV:    filepath.Join(dir, "tel.csv"),
@@ -171,13 +165,13 @@ func TestStreamSinkCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1.drive(0, ckptAt)
-	stRaw, err := r1.c.SnapshotState(nil)
+	stRaw, err := r1.c.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The state must survive the gob encoding checkpoints use.
 	var enc bytes.Buffer
-	if err := gob.NewEncoder(&enc).Encode(stRaw.(CollectorState)); err != nil {
+	if err := gob.NewEncoder(&enc).Encode(stRaw); err != nil {
 		t.Fatal(err)
 	}
 	var st CollectorState
@@ -196,7 +190,7 @@ func TestStreamSinkCheckpointResume(t *testing.T) {
 	if err := r2.c.SetSink(sink2); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.c.RestoreState(nil, st); err != nil {
+	if err := r2.c.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
 	r2.cum = float64(ckptAt * 2) // component state as of the checkpoint
@@ -236,7 +230,7 @@ func TestStreamSinkFreshPreludeResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1.drive(0, ckptAt)
-	stRaw, err := r1.c.SnapshotState(nil)
+	stRaw, err := r1.c.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +244,7 @@ func TestStreamSinkFreshPreludeResume(t *testing.T) {
 	if err := r2.c.SetSink(sink2); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.c.RestoreState(nil, stRaw.(CollectorState)); err != nil {
+	if err := r2.c.RestoreState(stRaw); err != nil {
 		t.Fatal(err)
 	}
 	r2.cum = float64(ckptAt * 2)
@@ -274,7 +268,7 @@ func TestRestoreModeMismatch(t *testing.T) {
 	// Buffered checkpoint into a streaming collector.
 	rb := newStreamRig(t, 100)
 	rb.drive(0, 200)
-	bufState, err := rb.c.SnapshotState(nil)
+	bufState, err := rb.c.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +280,7 @@ func TestRestoreModeMismatch(t *testing.T) {
 	if err := rs.c.SetSink(sink); err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.c.RestoreState(nil, bufState.(CollectorState)); err == nil {
+	if err := rs.c.RestoreState(bufState); err == nil {
 		t.Fatal("buffered checkpoint restored into a streaming collector")
 	}
 
@@ -300,12 +294,12 @@ func TestRestoreModeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1.drive(0, 200)
-	streamState, err := r1.c.SnapshotState(nil)
+	streamState, err := r1.c.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2 := newStreamRig(t, 100)
-	if err := r2.c.RestoreState(nil, streamState.(CollectorState)); err == nil {
+	if err := r2.c.RestoreState(streamState); err == nil {
 		t.Fatal("streaming checkpoint restored into a buffered collector")
 	}
 }
@@ -328,29 +322,23 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestExportersPropagateWriteErrors pins the fix for exporters swallowing
-// write errors: every exporter must surface the first failure, wherever in
-// the document it strikes.
+// TestExportersPropagateWriteErrors pins that no format swallows a write
+// error: a sink over an output that fails must surface the first failure
+// from Close, wherever in the document it strikes.
 func TestExportersPropagateWriteErrors(t *testing.T) {
-	d := buildTestData(t)
-	exporters := map[string]func(io.Writer) error{
-		"csv":    d.WriteCSV,
-		"jsonl":  d.WriteJSONL,
-		"chrome": d.WriteChromeTrace,
-	}
-	for name, export := range exporters {
+	for _, f := range []Format{FormatCSV, FormatJSONL, FormatChrome} {
 		var full bytes.Buffer
-		if err := export(&full); err != nil {
+		if err := exportTestData(f, &full); err != nil {
 			t.Fatal(err)
 		}
 		for _, budget := range []int{0, 7, full.Len() / 2, full.Len() - 1} {
-			if err := export(&failAfter{n: budget}); !errors.Is(err, errDiskFull) {
-				t.Errorf("%s with %d-byte budget returned %v, want disk-full error", name, budget, err)
+			if err := exportTestData(f, &failAfter{n: budget}); !errors.Is(err, errDiskFull) {
+				t.Errorf("%v with %d-byte budget returned %v, want disk-full error", f, budget, err)
 			}
 		}
 		// Sanity: a roomy writer succeeds.
-		if err := export(io.Discard); err != nil {
-			t.Errorf("%s failed on a working writer: %v", name, err)
+		if err := exportTestData(f, io.Discard); err != nil {
+			t.Errorf("%v failed on a working writer: %v", f, err)
 		}
 	}
 }
@@ -374,7 +362,7 @@ func TestStreamSinkWriteErrorIsSticky(t *testing.T) {
 	if !errors.Is(sink.Err(), errDiskFull) {
 		t.Fatalf("sink error = %v, want disk full", sink.Err())
 	}
-	if _, err := r.c.SnapshotState(nil); err == nil {
+	if _, err := r.c.SnapshotState(); err == nil {
 		t.Fatal("checkpointing a failed sink succeeded")
 	}
 	if err := sink.Close(); !errors.Is(err, errDiskFull) {

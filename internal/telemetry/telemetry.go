@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's cycle-level observability subsystem:
 // a registry of named pull-based probes, an epoch sampler that snapshots
 // every probe into a typed time series, an instant-event stream (watchdog
-// aborts, fault injections), and exporters for CSV, JSONL and Chrome
-// trace_event JSON (docs/OBSERVABILITY.md).
+// aborts, fault injections), and a streaming exporter (StreamSink) writing
+// CSV, JSONL and Chrome trace_event JSON (docs/OBSERVABILITY.md).
 //
 // The subsystem is pull-based and therefore zero-cost when disabled: the
 // simulator only builds a Collector when telemetry is requested, components
@@ -138,7 +138,7 @@ type Event struct {
 	Args      map[string]string
 }
 
-// Data is the collected result of one instrumented run, ready for export.
+// Data is the collected result of one instrumented run.
 type Data struct {
 	// Epoch is the sampling interval in cycles.
 	Epoch   int64

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -134,30 +135,42 @@ func TestCollectorKinds(t *testing.T) {
 	}
 }
 
-func buildTestData(t *testing.T) *Data {
-	t.Helper()
+// exportTestData runs a small instrumented rig — two probes, three epochs,
+// two instant events — and streams it to w in one format, returning the
+// sink's Close error.
+func exportTestData(format Format, w io.Writer) error {
 	var a, b float64
 	c := NewCollector(100)
 	if err := c.Counter("app0/instructions", func() float64 { return a }); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	if err := c.Gauge("dram/queue", func() float64 { return b }); err != nil {
-		t.Fatal(err)
+		return err
+	}
+	sink := NewStreamSink()
+	if err := sink.Attach(format, w); err != nil {
+		return err
+	}
+	if err := c.SetSink(sink); err != nil {
+		return err
 	}
 	for now := int64(0); now < 300; now++ {
 		a += 2
 		b = float64(now % 7)
+		switch now {
+		case 150:
+			c.Emit(now, "fault.drop", "dram", map[string]string{"kind": "response-drop", "count": "1"})
+		case 299:
+			c.Emit(now, "watchdog.abort", "engine", map[string]string{"cycle": "299"})
+		}
 		c.Tick(now)
 	}
-	c.Emit(150, "fault.drop", "dram", map[string]string{"kind": "response-drop", "count": "1"})
-	c.Emit(299, "watchdog.abort", "engine", map[string]string{"cycle": "299"})
-	return c.Data()
+	return sink.Close()
 }
 
 func TestWriteCSV(t *testing.T) {
-	d := buildTestData(t)
 	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
+	if err := exportTestData(FormatCSV, &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -173,9 +186,8 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestWriteJSONL(t *testing.T) {
-	d := buildTestData(t)
 	var buf bytes.Buffer
-	if err := d.WriteJSONL(&buf); err != nil {
+	if err := exportTestData(FormatJSONL, &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -212,9 +224,8 @@ func TestWriteJSONL(t *testing.T) {
 }
 
 func TestWriteChromeTraceValidates(t *testing.T) {
-	d := buildTestData(t)
 	var buf bytes.Buffer
-	if err := d.WriteChromeTrace(&buf); err != nil {
+	if err := exportTestData(FormatChrome, &buf); err != nil {
 		t.Fatal(err)
 	}
 	n, err := ValidateChromeTrace(bytes.NewReader(buf.Bytes()))

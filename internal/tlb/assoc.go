@@ -163,26 +163,36 @@ func (a *assocLRU) entries() []assocEntry {
 	return out
 }
 
+// snapshot images the cached translations from LRU to MRU.
+func (a *assocLRU) snapshot() []EntryState {
+	var out []EntryState
+	for _, e := range a.entries() {
+		out = append(out, EntryState{ASID: e.key.asid, VPN: e.key.vpn, Frame: e.frame, Stamp: e.stamp})
+	}
+	return out
+}
+
 // restore replaces the table's contents with a checkpoint image, in any
 // order; what names the structure in errors. The image is hostile input:
 // more entries than slots, a repeated key, or a stamp that is not a distinct
 // value in [1, stamp] is an error, never a panic or a truncation.
-func (a *assocLRU) restore(what string, stamp int64, es []assocEntry) error {
+func (a *assocLRU) restore(what string, stamp int64, es []EntryState) error {
 	if len(es) > int(a.end) {
 		return fmt.Errorf("tlb: checkpoint has %d %s entries, capacity is %d", len(es), what, a.end)
 	}
-	slices.SortFunc(es, func(x, y assocEntry) int { return cmp.Compare(x.stamp, y.stamp) })
+	slices.SortFunc(es, func(x, y EntryState) int { return cmp.Compare(x.Stamp, y.Stamp) })
 	a.reset()
 	for i, e := range es {
-		if e.stamp < 1 || e.stamp > stamp || (i > 0 && e.stamp == es[i-1].stamp) {
+		if e.Stamp < 1 || e.Stamp > stamp || (i > 0 && e.Stamp == es[i-1].Stamp) {
 			return fmt.Errorf("tlb: checkpoint %s entry (asid %d, vpn %#x) has stamp %d, want a distinct value in [1, %d]",
-				what, e.key.asid, e.key.vpn, e.stamp, stamp)
+				what, e.ASID, e.VPN, e.Stamp, stamp)
 		}
-		if a.contains(e.key) {
-			return fmt.Errorf("tlb: checkpoint has duplicate %s entry (asid %d, vpn %#x)", what, e.key.asid, e.key.vpn)
+		k := l2key{e.ASID, e.VPN}
+		if a.contains(k) {
+			return fmt.Errorf("tlb: checkpoint has duplicate %s entry (asid %d, vpn %#x)", what, e.ASID, e.VPN)
 		}
-		a.fill(e.key, e.frame)
-		a.slots[a.slots[a.end].next].stamp = e.stamp
+		a.fill(k, e.Frame)
+		a.slots[a.slots[a.end].next].stamp = e.Stamp
 	}
 	a.stamp = stamp
 	return nil

@@ -141,20 +141,12 @@ func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 				clear(ref.m)
 			}
 		case 7: // snapshot, shuffle into arbitrary (legacy map) order, restore into a fresh TLB
-			st, err := l1.SnapshotState(memreq.NewTable(nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			img := st.(L1State)
+			img := l1.SnapshotState()
 			rand.New(rand.NewSource(int64(arg))).Shuffle(len(img.Entries), func(i, j int) {
 				img.Entries[i], img.Entries[j] = img.Entries[j], img.Entries[i]
 			})
-			rt, err := memreq.NewRestoreTable(nil, nil, memreq.Wiring{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			l1, _ = newL1(asid, capacity, be)
-			if err := l1.RestoreState(rt, img); err != nil {
+			if err := l1.RestoreState(img); err != nil {
 				t.Fatalf("step %d: restore: %v", step, err)
 			}
 		}
@@ -222,12 +214,8 @@ func TestSnapshotEntriesInRecencyOrder(t *testing.T) {
 		l1.Lookup(0, vpn, 0, 0, true)
 		be.answerAll(1, vpn+100)
 	}
-	st, err := l1.SnapshotState(memreq.NewTable(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var vpns []uint64
-	for _, e := range st.(L1State).Entries {
+	for _, e := range l1.SnapshotState().Entries {
 		vpns = append(vpns, e.VPN)
 	}
 	if want := []uint64{2, 7, 9, 5, 11}; !slices.Equal(vpns, want) {
@@ -239,47 +227,39 @@ func TestSnapshotEntriesInRecencyOrder(t *testing.T) {
 // TLB and bypass-cache checkpoint sections to RestoreState: all must be
 // structured errors.
 func TestRestoreRejectsHostileTableState(t *testing.T) {
-	entries := func(n int) []L1EntryState {
-		es := make([]L1EntryState, n)
+	entries := func(n int) []EntryState {
+		es := make([]EntryState, n)
 		for i := range es {
-			es[i] = L1EntryState{VPN: uint64(i), Frame: uint64(i), Stamp: int64(i + 1)}
+			es[i] = EntryState{VPN: uint64(i), Frame: uint64(i), Stamp: int64(i + 1)}
 		}
 		return es
 	}
 	cases := []struct {
 		name    string
-		entries []L1EntryState
+		entries []EntryState
 		stamp   int64
 		want    string // "" = must restore
 	}{
 		{"full", entries(4), 4, ""},
 		{"empty", nil, 0, ""},
 		{"oversize", entries(5), 5, "checkpoint has 5 L1 entries, capacity is 4"},
-		{"duplicate key", []L1EntryState{{VPN: 7, Stamp: 1}, {VPN: 8, Stamp: 2}, {VPN: 7, Stamp: 3}}, 3, "duplicate L1 entry"},
-		{"stamp above table stamp", []L1EntryState{{VPN: 1, Stamp: 1}, {VPN: 2, Stamp: 9}}, 8, "has stamp 9"},
-		{"stamp below one", []L1EntryState{{VPN: 1, Stamp: 0}}, 3, "has stamp 0"},
-		{"repeated stamp", []L1EntryState{{VPN: 1, Stamp: 2}, {VPN: 2, Stamp: 2}}, 3, "has stamp 2"},
-	}
-	rt, err := memreq.NewRestoreTable(nil, nil, memreq.Wiring{})
-	if err != nil {
-		t.Fatal(err)
+		{"duplicate key", []EntryState{{VPN: 7, Stamp: 1}, {VPN: 8, Stamp: 2}, {VPN: 7, Stamp: 3}}, 3, "duplicate L1 entry"},
+		{"stamp above table stamp", []EntryState{{VPN: 1, Stamp: 1}, {VPN: 2, Stamp: 9}}, 8, "has stamp 9"},
+		{"stamp below one", []EntryState{{VPN: 1, Stamp: 0}}, 3, "has stamp 0"},
+		{"repeated stamp", []EntryState{{VPN: 1, Stamp: 2}, {VPN: 2, Stamp: 2}}, 3, "has stamp 2"},
 	}
 	for _, tc := range cases {
 		// The same image through both owners of the table.
 		l1 := NewL1(0, 0, 1, 4, &fakeTransBackend{})
-		errL1 := l1.RestoreState(rt, L1State{Entries: tc.entries, Stamp: tc.stamp})
+		errL1 := l1.RestoreState(L1State{Entries: tc.entries, Stamp: tc.stamp})
 
 		l2, _ := newL2(1, 4, nil)
-		st, err := l2.SnapshotState(memreq.NewTable(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		img := st.(L2State)
+		img := l2.SnapshotState()
 		img.Bypass.Stamp = tc.stamp
 		for _, e := range tc.entries {
-			img.Bypass.Entries = append(img.Bypass.Entries, BypassEntryState{ASID: 1, VPN: e.VPN, Frame: e.Frame, Stamp: e.Stamp})
+			img.Bypass.Entries = append(img.Bypass.Entries, EntryState{ASID: 1, VPN: e.VPN, Frame: e.Frame, Stamp: e.Stamp})
 		}
-		errL2 := l2.RestoreState(rt, img)
+		errL2 := l2.RestoreState(&memreq.Wiring{}, img)
 
 		for owner, err := range map[string]error{"L1": errL1, "bypass-cache": errL2} {
 			want := strings.ReplaceAll(tc.want, "L1", owner)
@@ -309,20 +289,12 @@ func TestRestoreLegacyOrderSameVictims(t *testing.T) {
 	for i := uint64(0); i < 40; i++ {
 		lookup(live, i*5%23)
 	}
-	st, err := live.SnapshotState(memreq.NewTable(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := st.(L1State)
+	img := live.SnapshotState()
 	rand.New(rand.NewSource(7)).Shuffle(len(img.Entries), func(i, j int) {
 		img.Entries[i], img.Entries[j] = img.Entries[j], img.Entries[i]
 	})
-	rt, err := memreq.NewRestoreTable(nil, nil, memreq.Wiring{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	restored, _ := newL1(1, 16, be)
-	if err := restored.RestoreState(rt, img); err != nil {
+	if err := restored.RestoreState(img); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(100); i < 140; i++ {

@@ -3,7 +3,6 @@ package tlb
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
@@ -11,8 +10,9 @@ import (
 
 // --- L1 TLB -----------------------------------------------------------------
 
-// L1EntryState is one cached translation.
-type L1EntryState struct {
+// EntryState is one cached translation of an L1 TLB or the bypass cache.
+type EntryState struct {
+	ASID  uint8
 	VPN   uint64
 	Frame uint64
 	Stamp int64
@@ -25,63 +25,54 @@ type WaiterState struct {
 }
 
 // L1MissState is one outstanding L1 miss with its blocked warps in arrival
-// order.
+// order. The miss tracker is the one holder that writes its translation
+// request: the fields below are the ones the TLB does not imply (core, app,
+// ASID and VPN are the tracker's own); everything else that holds the request
+// names it by memreq.TransKey.
 type L1MissState struct {
-	VPN     uint64
-	Tr      int32
-	Waiting []WaiterState
+	VPN          uint64
+	WarpID       int
+	HasToken     bool
+	Issue        int64
+	StalledWarps int
+	Waiting      []WaiterState
 }
 
 // L1State is the L1 TLB's checkpoint image. Entries are written from LRU to
 // MRU; restore accepts any order and rebuilds recency from the stamps.
+// Pending lists the VPNs of the misses the backend refused, in retry order.
 type L1State struct {
-	Entries  []L1EntryState
+	Entries  []EntryState
 	Stamp    int64
 	Mshrs    []L1MissState
-	Pending  []int32
+	Pending  []uint64
 	MissFree int
 	Stats    L1Stats
 }
 
-// SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table.
-func (t *L1TLB) SnapshotState(ctx any) (any, error) {
-	tab, ok := ctx.(*memreq.Table)
-	if !ok {
-		return nil, fmt.Errorf("tlb: snapshot context is %T, want *memreq.Table", ctx)
-	}
+// SnapshotState captures the L1 TLB's checkpoint image.
+func (t *L1TLB) SnapshotState() L1State {
 	st := L1State{
+		Entries:  t.tab.snapshot(),
 		Stamp:    t.tab.stamp,
 		MissFree: t.missFree.Len(),
 		Stats:    t.Stats,
 	}
-	for _, e := range t.tab.entries() {
-		st.Entries = append(st.Entries, L1EntryState{VPN: e.key.vpn, Frame: e.frame, Stamp: e.stamp})
-	}
-	// Map-backed sets are written in key order throughout this file, so
-	// equal states encode equally and request indices do not depend on map
-	// iteration.
-	for _, vpn := range sortedKeys(t.mshrs, cmp.Compare[uint64]) {
+	for _, vpn := range memreq.SortedKeys(t.mshrs, cmp.Compare[uint64]) {
 		m := t.mshrs[vpn]
-		ms := L1MissState{VPN: vpn, Tr: tab.Trans(m.tr)}
+		ms := L1MissState{
+			VPN: vpn, WarpID: m.tr.WarpID, HasToken: m.tr.HasToken,
+			Issue: m.tr.Issue, StalledWarps: m.tr.StalledWarps,
+		}
 		for _, w := range m.waiting {
 			ms.Waiting = append(ms.Waiting, WaiterState{Warp: w.warp, Slot: w.slot})
 		}
 		st.Mshrs = append(st.Mshrs, ms)
 	}
 	for _, tr := range t.pending {
-		st.Pending = append(st.Pending, tab.Trans(tr))
+		st.Pending = append(st.Pending, tr.VPN)
 	}
-	return st, nil
-}
-
-// sortedKeys returns m's keys in cmp order.
-func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, cmp)
-	return keys
+	return st
 }
 
 func compareKeys(a, b l2key) int {
@@ -91,39 +82,57 @@ func compareKeys(a, b l2key) int {
 	return cmp.Compare(a.vpn, b.vpn)
 }
 
-// RestoreState implements engine.Snapshotter; ctx is the *memreq.RestoreTable.
-func (t *L1TLB) RestoreState(ctx any, state any) error {
-	rt, ok := ctx.(*memreq.RestoreTable)
-	if !ok {
-		return fmt.Errorf("tlb: restore context is %T, want *memreq.RestoreTable", ctx)
-	}
-	st, ok := state.(L1State)
-	if !ok {
-		return fmt.Errorf("tlb: restore state is %T, want L1State", state)
-	}
+// RestoreState restores an image captured by SnapshotState onto a TLB built
+// for the same core. The core restores first: every waiter must name a warp
+// it has blocked on a translation of that page slot.
+func (t *L1TLB) RestoreState(st L1State) error {
 	t.Stats = st.Stats
-	es := make([]assocEntry, len(st.Entries))
-	for i, e := range st.Entries {
-		es[i] = assocEntry{key: l2key{t.asid, e.VPN}, frame: e.Frame, stamp: e.Stamp}
-	}
-	if err := t.tab.restore("L1", st.Stamp, es); err != nil {
+	if err := t.tab.restore("L1", st.Stamp, st.Entries); err != nil {
 		return err
 	}
 	t.mshrs = make(map[uint64]*l1miss, len(st.Mshrs))
 	for _, ms := range st.Mshrs {
+		if _, dup := t.mshrs[ms.VPN]; dup {
+			return fmt.Errorf("tlb: checkpoint has two L1 misses of core %d for vpn %#x", t.coreID, ms.VPN)
+		}
+		tr := t.pool.Get()
+		tr.AppID, tr.ASID, tr.CoreID, tr.WarpID = t.appID, t.asid, t.coreID, ms.WarpID
+		tr.VPN, tr.HasToken, tr.Issue, tr.StalledWarps = ms.VPN, ms.HasToken, ms.Issue, ms.StalledWarps
+		tr.Ret = t
 		m := t.getMiss()
-		m.vpn, m.tr = ms.VPN, rt.Trans(ms.Tr)
+		m.vpn, m.tr = ms.VPN, tr
 		for _, w := range ms.Waiting {
+			if t.waker == nil || !t.waker.Awaits(int(w.Warp), int(w.Slot)) {
+				return fmt.Errorf("tlb: checkpoint L1 miss of core %d for vpn %#x waits for warp %d slot %d, which awaits no translation there", t.coreID, ms.VPN, w.Warp, w.Slot)
+			}
 			m.waiting = append(m.waiting, waiter{w.Warp, w.Slot})
 		}
 		t.mshrs[ms.VPN] = m
 	}
 	t.missFree.Refill(st.MissFree)
 	t.pending = t.pending[:0]
-	for _, ref := range st.Pending {
-		t.pending = append(t.pending, rt.Trans(ref))
+	for _, vpn := range st.Pending {
+		m, ok := t.mshrs[vpn]
+		if !ok {
+			return fmt.Errorf("tlb: checkpoint L1 TLB of core %d retries vpn %#x, which has no miss tracker", t.coreID, vpn)
+		}
+		t.pending = append(t.pending, m.tr)
 	}
 	return nil
+}
+
+// Trackers resolves the keys a checkpoint names translation requests by
+// against l1s, the restored L1 TLBs indexed by core.
+func Trackers(l1s []*L1TLB) func(memreq.TransKey) (*memreq.TransReq, error) {
+	return func(k memreq.TransKey) (*memreq.TransReq, error) {
+		if k.Core < 0 || int(k.Core) >= len(l1s) {
+			return nil, fmt.Errorf("tlb: checkpoint names the L1 TLB of core %d, there are %d", k.Core, len(l1s))
+		}
+		if m, ok := l1s[k.Core].mshrs[k.VPN]; ok {
+			return m.tr, nil
+		}
+		return nil, fmt.Errorf("tlb: checkpoint names the translation of vpn %#x by core %d, which no L1 TLB miss tracks", k.VPN, k.Core)
+	}
 }
 
 // --- token policy -----------------------------------------------------------
@@ -186,27 +195,13 @@ type L2MissState struct {
 	ASID  uint8
 	VPN   uint64
 	AppID int
-	Reqs  []int32
-}
-
-// PfKeyState identifies one (asid, vpn) pair in prefetcher/bypass images.
-type PfKeyState struct {
-	ASID uint8
-	VPN  uint64
-}
-
-// BypassEntryState is one bypass-cache translation.
-type BypassEntryState struct {
-	ASID  uint8
-	VPN   uint64
-	Frame uint64
-	Stamp int64
+	Reqs  []memreq.TransKey
 }
 
 // BypassState is the TLB bypass cache's checkpoint image, with the same
 // entry-order rule as L1State.
 type BypassState struct {
-	Entries  []BypassEntryState
+	Entries  []EntryState
 	Stamp    int64
 	Accesses uint64
 	Hits     uint64
@@ -220,16 +215,11 @@ type PfEntryState struct {
 	Next uint64
 }
 
-// PfLastState is one address space's most recent demand VPN.
-type PfLastState struct {
-	ASID uint8
-	VPN  uint64
-}
-
-// PrefetcherState is the correlation prefetcher's checkpoint image.
+// PrefetcherState is the correlation prefetcher's checkpoint image; Last
+// holds each address space's most recent demand VPN.
 type PrefetcherState struct {
 	Entries []PfEntryState
-	Last    []PfLastState
+	Last    []memreq.PageKey
 	Stats   PrefetchStats
 }
 
@@ -237,26 +227,23 @@ type PrefetcherState struct {
 type L2State struct {
 	Lines      []L2EntryState
 	Stamp      int64
-	In         []engine.PipeItemRef
+	In         []engine.PipeItemState[memreq.TransKey]
 	Mshrs      []L2MissState
 	MissFree   int
-	Stalled    []int32
-	PfInFlight []PfKeyState
+	Stalled    []memreq.TransKey
+	PfInFlight []memreq.PageKey
 	Apps       []AppTLBStatsState
 	Bypass     *BypassState
 	Prefetch   *PrefetcherState
 	Tokens     *TokenState
 }
 
-// SnapshotState implements engine.Snapshotter; ctx is the *memreq.Table.
-func (t *L2TLB) SnapshotState(ctx any) (any, error) {
-	tab, ok := ctx.(*memreq.Table)
-	if !ok {
-		return nil, fmt.Errorf("tlb: snapshot context is %T, want *memreq.Table", ctx)
-	}
+// SnapshotState captures the shared TLB's checkpoint image. Translation
+// requests are named by key: their L1 TLB miss trackers write them.
+func (t *L2TLB) SnapshotState() L2State {
 	st := L2State{
 		Stamp:    t.stamp,
-		In:       engine.SnapshotRefs(t.in, tab.Trans),
+		In:       engine.SnapshotPipe(t.in, (*memreq.TransReq).Key),
 		MissFree: t.missFree.Len(),
 	}
 	st.Lines = make([]L2EntryState, len(t.lines))
@@ -267,19 +254,19 @@ func (t *L2TLB) SnapshotState(ctx any) (any, error) {
 			Valid: e.valid, Stamp: e.stamp, Prefetched: e.prefetched,
 		}
 	}
-	for _, key := range sortedKeys(t.mshrs, compareKeys) {
+	for _, key := range memreq.SortedKeys(t.mshrs, compareKeys) {
 		m := t.mshrs[key]
 		ms := L2MissState{ASID: key.asid, VPN: key.vpn, AppID: m.appID}
 		for _, tr := range m.reqs {
-			ms.Reqs = append(ms.Reqs, tab.Trans(tr))
+			ms.Reqs = append(ms.Reqs, tr.Key())
 		}
 		st.Mshrs = append(st.Mshrs, ms)
 	}
 	for _, tr := range t.stalled.live() {
-		st.Stalled = append(st.Stalled, tab.Trans(tr))
+		st.Stalled = append(st.Stalled, tr.Key())
 	}
-	for _, key := range sortedKeys(t.pfInFlight, compareKeys) {
-		st.PfInFlight = append(st.PfInFlight, PfKeyState{ASID: key.asid, VPN: key.vpn})
+	for _, key := range memreq.SortedKeys(t.pfInFlight, compareKeys) {
+		st.PfInFlight = append(st.PfInFlight, memreq.PageKey{ASID: key.asid, VPN: key.vpn})
 	}
 	st.Apps = make([]AppTLBStatsState, len(t.apps))
 	for i, a := range t.apps {
@@ -289,25 +276,20 @@ func (t *L2TLB) SnapshotState(ctx any) (any, error) {
 		}
 	}
 	if t.bypass != nil {
-		b := &BypassState{
+		st.Bypass = &BypassState{
+			Entries:  t.bypass.tab.snapshot(),
 			Stamp:    t.bypass.tab.stamp,
 			Accesses: t.bypass.Accesses,
 			Hits:     t.bypass.Hits,
 		}
-		for _, e := range t.bypass.tab.entries() {
-			b.Entries = append(b.Entries, BypassEntryState{
-				ASID: e.key.asid, VPN: e.key.vpn, Frame: e.frame, Stamp: e.stamp,
-			})
-		}
-		st.Bypass = b
 	}
 	if t.pf != nil {
 		p := &PrefetcherState{Stats: t.pf.Stats}
 		for _, k := range t.pf.order {
 			p.Entries = append(p.Entries, PfEntryState{ASID: k.asid, VPN: k.vpn, Next: t.pf.next[k]})
 		}
-		for _, asid := range sortedKeys(t.pf.last, cmp.Compare[uint8]) {
-			p.Last = append(p.Last, PfLastState{ASID: asid, VPN: t.pf.last[asid]})
+		for _, asid := range memreq.SortedKeys(t.pf.last, cmp.Compare[uint8]) {
+			p.Last = append(p.Last, memreq.PageKey{ASID: asid, VPN: t.pf.last[asid]})
 		}
 		st.Prefetch = p
 	}
@@ -315,19 +297,13 @@ func (t *L2TLB) SnapshotState(ctx any) (any, error) {
 		ts := t.tokens.State()
 		st.Tokens = &ts
 	}
-	return st, nil
+	return st
 }
 
-// RestoreState implements engine.Snapshotter; ctx is the *memreq.RestoreTable.
-func (t *L2TLB) RestoreState(ctx any, state any) error {
-	rt, ok := ctx.(*memreq.RestoreTable)
-	if !ok {
-		return fmt.Errorf("tlb: restore context is %T, want *memreq.RestoreTable", ctx)
-	}
-	st, ok := state.(L2State)
-	if !ok {
-		return fmt.Errorf("tlb: restore state is %T, want L2State", state)
-	}
+// RestoreState restores an image captured by SnapshotState onto a TLB built
+// from the identical configuration. The L1 TLBs restore first: w.Trans
+// resolves every key against their miss trackers.
+func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 	if len(st.Lines) != len(t.lines) {
 		return fmt.Errorf("tlb: checkpoint has %d L2 TLB lines, configuration has %d", len(st.Lines), len(t.lines))
 	}
@@ -338,20 +314,30 @@ func (t *L2TLB) RestoreState(ctx any, state any) error {
 			valid: es.Valid, stamp: es.Stamp, prefetched: es.Prefetched,
 		}
 	}
-	engine.RestoreRefs(t.in, st.In, rt.Trans)
+	if err := engine.RestorePipe(t.in, st.In, w.Trans); err != nil {
+		return err
+	}
 	t.mshrs = make(map[l2key]*l2miss, len(st.Mshrs))
 	for _, ms := range st.Mshrs {
 		m := t.getMiss()
 		m.key, m.appID = l2key{asid: ms.ASID, vpn: ms.VPN}, ms.AppID
-		for _, ref := range ms.Reqs {
-			m.reqs = append(m.reqs, rt.Trans(ref))
+		for _, k := range ms.Reqs {
+			tr, err := w.Trans(k)
+			if err != nil {
+				return err
+			}
+			m.reqs = append(m.reqs, tr)
 		}
 		t.mshrs[m.key] = m
 	}
 	t.missFree.Refill(st.MissFree)
 	t.stalled = transFIFO{}
-	for _, ref := range st.Stalled {
-		t.stalled.push(rt.Trans(ref))
+	for _, k := range st.Stalled {
+		tr, err := w.Trans(k)
+		if err != nil {
+			return err
+		}
+		t.stalled.push(tr)
 	}
 	if len(st.PfInFlight) > 0 && t.pfInFlight == nil {
 		return fmt.Errorf("tlb: checkpoint has in-flight prefetches but prefetching is disabled")
@@ -372,11 +358,7 @@ func (t *L2TLB) RestoreState(ctx any, state any) error {
 		}
 		t.bypass.Accesses = st.Bypass.Accesses
 		t.bypass.Hits = st.Bypass.Hits
-		es := make([]assocEntry, len(st.Bypass.Entries))
-		for i, e := range st.Bypass.Entries {
-			es[i] = assocEntry{key: l2key{e.ASID, e.VPN}, frame: e.Frame, stamp: e.Stamp}
-		}
-		if err := t.bypass.tab.restore("bypass-cache", st.Bypass.Stamp, es); err != nil {
+		if err := t.bypass.tab.restore("bypass-cache", st.Bypass.Stamp, st.Bypass.Entries); err != nil {
 			return err
 		}
 	}

@@ -48,9 +48,12 @@ func (s L1Stats) AvgStalledWarps() float64 {
 }
 
 // Waker is the core an L1 TLB serves: a missed translation returns to the
-// warp and page slot that asked for it.
+// warp and page slot that asked for it. Awaits reports whether that warp and
+// slot can be waiting for a translation; a restore checks every waiter with
+// it.
 type Waker interface {
 	Translated(now int64, warpID, slot int, frame uint64)
+	Awaits(warpID, slot int) bool
 }
 
 // waiter names one blocked requester: a warp and the page slot of its

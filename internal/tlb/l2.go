@@ -266,6 +266,13 @@ func (t *L2TLB) WalkDone(now int64, asid uint8, appID int, vpn, frame uint64, or
 	}
 }
 
+// Awaits implements ptw.WalkSink: whether a miss tracker waits for the
+// demand walk of (asid, vpn).
+func (t *L2TLB) Awaits(asid uint8, vpn uint64) bool {
+	_, ok := t.mshrs[l2key{asid, vpn}]
+	return ok
+}
+
 func (t *L2TLB) markPrefetched(key l2key) {
 	base := t.setOf(key) * t.cfg.Ways
 	for w := 0; w < t.cfg.Ways; w++ {

@@ -44,6 +44,8 @@ func (l *wakeLog) Translated(now int64, warpID, slot int, frame uint64) {
 	l.woken = append(l.woken, woke{warpID, slot, frame})
 }
 
+func (l *wakeLog) Awaits(warpID, slot int) bool { return true }
+
 func newL1(asid uint8, size int, be TransBackend) (*L1TLB, *wakeLog) {
 	l1, log := NewL1(0, 0, asid, size, be), &wakeLog{}
 	l1.SetWaker(log)

@@ -8,10 +8,10 @@ package sim
 // configuration makes every subsequent cycle bit-identical to the
 // uninterrupted run.
 //
-// Nothing in flight holds a closure: a request names the component it returns
-// to, a walk its origin, an L1 miss its waiting (warp, page slot) pairs — all
-// plain data the components serialize themselves, so restore is the request
-// registry, then the components, then the pools.
+// Every in-flight request is written by the one component that holds it, and
+// every live translation by its L1 TLB miss tracker; everything else names a
+// translation by its (core, VPN) key. Restore is one pass, memory side up,
+// each component resolving what it names against those already restored.
 
 import (
 	"bytes"
@@ -40,35 +40,28 @@ import (
 	"masksim/internal/workload"
 )
 
-// The per-ticker states travel as map[int]any, so gob needs every concrete
-// type registered. Kept in one place: a type added to a component's
-// Snapshotter but missing here fails loudly on the first Checkpoint call.
-func init() {
-	gob.Register(gpu.CoreState{})
-	gob.Register(tlb.L1State{})
-	gob.Register(tlb.L2State{})
-	gob.Register(ptw.WalkerState{})
-	gob.Register(ptw.FaultUnitState{})
-	gob.Register(cache.CacheState{})
-	gob.Register(dram.DRAMState{})
-	gob.Register(telemetry.CollectorState{})
-}
-
-// checkpointPayload is the gob-encoded body inside the snapshot envelope.
+// checkpointPayload is the gob-encoded body inside the snapshot envelope: one
+// typed image per component, then the state the simulator owns. It holds no
+// interface and no map, so two images of one state are the same bytes.
 type checkpointPayload struct {
-	Clock  engine.ClockState
-	States map[int]any
+	Clock engine.ClockState
 
-	// The request registry: every live Request/TransReq once, by index, plus
-	// the pool and ID-generator counters so allocation behavior after restore
+	Cores     []gpu.CoreState
+	L1TLBs    []tlb.L1State
+	L1Ds      []cache.CacheState
+	L2TLB     *tlb.L2State
+	Walker    ptw.WalkerState
+	Faults    *ptw.FaultUnitState
+	PWC       *cache.CacheState
+	L2C       cache.CacheState
+	DRAM      dram.DRAMState
+	Telemetry *telemetry.CollectorState
+
+	// The request pools' counters, so allocation behavior after restore
 	// matches the interrupted run. ReqPools[0] is the shared pool, then one
-	// entry per core, matching Simulator.wiring; TransPools and IDGens
-	// are per-core.
-	Reqs       []memreq.RequestDTO
-	Trans      []memreq.TransReqDTO
+	// entry per core, matching Simulator.wiring; TransPools are per core.
 	ReqPools   []memreq.PoolState
 	TransPools []memreq.PoolState
-	IDGens     []uint64
 
 	// Watchdog is the supervision state mid-run (nil when unsupervised). A
 	// crash checkpoint carries a tripped watchdog, which re-raises its
@@ -185,23 +178,17 @@ func (s *Simulator) Fingerprint() string {
 }
 
 // wiring returns the fixed layout checkpoints name things by: the shared
-// request pool first (its ID is 0), then the per-core pools (ID 1+coreID); the
-// per-core translation pools (ID == coreID); the engine's tickers that are
-// request sinks, by registration index; and the L1 TLBs, by core.
-func (s *Simulator) wiring() memreq.Wiring {
-	w := memreq.Wiring{Pools: []*memreq.Pool{&s.sharedReqPool}}
+// request pool first (its ID is 0), then the per-core pools (ID 1+coreID);
+// the engine's tickers that are request sinks, by registration index; and the
+// L1 TLBs' miss trackers, by (core, VPN).
+func (s *Simulator) wiring() *memreq.Wiring {
+	w := &memreq.Wiring{Pools: []*memreq.Pool{&s.sharedReqPool}, Trans: tlb.Trackers(s.l1tlbs)}
 	for i := range s.reqPools {
 		w.Pools = append(w.Pools, &s.reqPools[i])
-	}
-	for i := range s.transPools {
-		w.TransPools = append(w.TransPools, &s.transPools[i])
 	}
 	for _, t := range s.eng.Tickers() {
 		sink, _ := t.(memreq.Sink)
 		w.Sinks = append(w.Sinks, sink)
-	}
-	for _, t := range s.l1tlbs {
-		w.TransSinks = append(w.TransSinks, t)
 	}
 	return w
 }
@@ -212,37 +199,51 @@ func (s *Simulator) wiring() memreq.Wiring {
 // directly after stepping the engine.
 func (s *Simulator) Checkpoint(w io.Writer) error {
 	wi := s.wiring()
-	tab := memreq.NewTable(wi.Sinks)
-	states, err := s.eng.SnapshotStates(tab)
-	if err != nil {
-		return fmt.Errorf("sim: checkpoint: %w", err)
-	}
-	reqPools := make([]memreq.PoolState, len(wi.Pools))
-	for i, pl := range wi.Pools {
-		reqPools[i] = pl.State()
-	}
-	transPools := make([]memreq.PoolState, len(wi.TransPools))
-	for i, pl := range wi.TransPools {
-		transPools[i] = pl.State()
-	}
-	idgens := make([]uint64, len(s.idgens))
-	for i := range s.idgens {
-		idgens[i] = s.idgens[i].State()
-	}
 	p := checkpointPayload{
-		Clock:      s.eng.Clock(),
-		States:     states,
-		Reqs:       tab.Requests(),
-		Trans:      tab.TransReqs(),
-		ReqPools:   reqPools,
-		TransPools: transPools,
-		IDGens:     idgens,
+		Clock:  s.eng.Clock(),
+		Walker: s.walker.SnapshotState(),
+		L2C:    s.l2c.SnapshotState(wi),
+		DRAM:   s.mem.SnapshotState(wi),
 
 		TraceSamples: s.trace.samples,
 		TraceCycle:   s.trace.lastCycle,
 		TraceInstr:   s.trace.lastInstr,
 		TraceL2Acc:   s.trace.lastL2Access,
 		TraceL2Miss:  s.trace.lastL2Miss,
+	}
+	for _, c := range s.cores {
+		p.Cores = append(p.Cores, c.SnapshotState(wi))
+	}
+	for _, t := range s.l1tlbs {
+		p.L1TLBs = append(p.L1TLBs, t.SnapshotState())
+	}
+	for _, c := range s.l1ds {
+		p.L1Ds = append(p.L1Ds, c.SnapshotState(wi))
+	}
+	if s.l2tlb != nil {
+		st := s.l2tlb.SnapshotState()
+		p.L2TLB = &st
+	}
+	if s.faults != nil {
+		st := s.faults.SnapshotState()
+		p.Faults = &st
+	}
+	if s.pwc != nil {
+		st := s.pwc.SnapshotState(wi)
+		p.PWC = &st
+	}
+	if s.tel != nil {
+		st, err := s.tel.SnapshotState()
+		if err != nil {
+			return fmt.Errorf("sim: checkpoint: %w", err)
+		}
+		p.Telemetry = &st
+	}
+	for _, pl := range wi.Pools {
+		p.ReqPools = append(p.ReqPools, pl.State())
+	}
+	for i := range s.transPools {
+		p.TransPools = append(p.TransPools, s.transPools[i].State())
 	}
 	if s.curWD != nil {
 		st := s.curWD.State()
@@ -287,8 +288,9 @@ func (s *Simulator) RestoreCheckpoint(r io.Reader) error {
 }
 
 // restoreDecoded applies a verified envelope. Rejections (fingerprint, gob
-// shape) happen before any mutation; errors after that indicate a payload
-// inconsistent with this build and leave the simulator unusable.
+// shape, component list) happen before any mutation; errors after that
+// indicate a payload inconsistent with this build and leave the simulator
+// unusable.
 func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 	if s.ran && !s.resuming {
 		return fmt.Errorf("sim: RestoreCheckpoint must precede Run")
@@ -304,49 +306,21 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 		return fmt.Errorf("sim: decode checkpoint payload: %w", err)
 	}
 	wi := s.wiring()
-	pools, tpools := wi.Pools, wi.TransPools
-	if len(p.ReqPools) != len(pools) || len(p.TransPools) != len(tpools) || len(p.IDGens) != len(s.idgens) {
-		return fmt.Errorf("sim: checkpoint carries %d/%d/%d request pools/translation pools/id generators, simulator has %d/%d/%d",
-			len(p.ReqPools), len(p.TransPools), len(p.IDGens), len(pools), len(tpools), len(s.idgens))
+	if err := s.checkShape(&p, wi); err != nil {
+		return err
 	}
-
-	// Materialize every live request from the pools, return route included
-	// (each DTO names its pool and sink by index); the components then
-	// resolve indices against this table during their RestoreState. A
-	// reference outside the table is the root cause of whatever else a
-	// component then found wrong, so it is the error reported.
-	rt, err := memreq.NewRestoreTable(p.Reqs, p.Trans, wi)
-	if err != nil {
-		return fmt.Errorf("sim: restore checkpoint: %w", err)
-	}
-	err = s.eng.RestoreStates(rt, p.States)
-	if refErr := rt.Err(); refErr != nil {
-		err = refErr
-	}
-	if err != nil {
+	if err := s.restoreComponents(wi, &p); err != nil {
 		return fmt.Errorf("sim: restore checkpoint: %w", err)
 	}
 	s.eng.SetClock(p.Clock)
 
 	// Simulator-owned state outside the tick list.
 	nSyncs := 0
-	var syncErr error
 	s.forEachSync(func(g *workload.GroupSync) {
-		if nSyncs < len(p.Syncs) {
-			g.SetState(p.Syncs[nSyncs])
-		}
+		g.SetState(p.Syncs[nSyncs])
 		nSyncs++
 	})
-	if syncErr == nil && nSyncs != len(p.Syncs) {
-		syncErr = fmt.Errorf("sim: checkpoint has %d group syncs, simulator has %d", len(p.Syncs), nSyncs)
-	}
-	if syncErr != nil {
-		return syncErr
-	}
 	if p.ATA != nil {
-		if s.ata == nil {
-			return fmt.Errorf("sim: checkpoint carries L2-bypass state but Mask.L2Bypass is off")
-		}
 		s.ata.SetState(*p.ATA)
 	}
 	if p.FaultPlan != nil && s.cfg.FaultPlan != nil {
@@ -358,27 +332,89 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 	s.trace.lastL2Access = p.TraceL2Acc
 	s.trace.lastL2Miss = p.TraceL2Miss
 
-	// Pools and ID generators last, after every materialization Get, so the
+	// Pools last, after every request the components took from them, so the
 	// counters reflect the checkpointed run rather than the restore work.
-	for i, pl := range pools {
+	for i, pl := range wi.Pools {
 		if err := pl.SetState(p.ReqPools[i]); err != nil {
 			return fmt.Errorf("sim: restore checkpoint: %w", err)
 		}
 	}
-	for i, pl := range tpools {
-		if err := pl.SetState(p.TransPools[i]); err != nil {
+	for i := range s.transPools {
+		if err := s.transPools[i].SetState(p.TransPools[i]); err != nil {
 			return fmt.Errorf("sim: restore checkpoint: %w", err)
 		}
-	}
-	for i := range s.idgens {
-		s.idgens[i].SetState(p.IDGens[i])
 	}
 
 	s.restored = true
 	s.restoredWD = p.Watchdog
-	s.restoredTotal = h.TotalCycles
+	s.totalCycles = h.TotalCycles
 	s.ckptStats.Restored++
 	return nil
+}
+
+// checkShape rejects an image whose components are not this simulator's,
+// which a matching fingerprint rules out for any checkpoint this build wrote.
+func (s *Simulator) checkShape(p *checkpointPayload, wi *memreq.Wiring) error {
+	nSyncs := 0
+	s.forEachSync(func(*workload.GroupSync) { nSyncs++ })
+	for _, c := range []struct {
+		what string
+		same bool
+	}{
+		{"cores", len(p.Cores) == len(s.cores)},
+		{"L1 TLBs", len(p.L1TLBs) == len(s.l1tlbs)},
+		{"L1 data caches", len(p.L1Ds) == len(s.l1ds)},
+		{"L2 TLB", (p.L2TLB != nil) == (s.l2tlb != nil)},
+		{"fault unit", (p.Faults != nil) == (s.faults != nil)},
+		{"page walk cache", (p.PWC != nil) == (s.pwc != nil)},
+		{"telemetry collector", (p.Telemetry != nil) == (s.tel != nil)},
+		{"request pools", len(p.ReqPools) == len(wi.Pools)},
+		{"translation pools", len(p.TransPools) == len(s.transPools)},
+		{"group syncs", len(p.Syncs) == nSyncs},
+		{"L2 bypass policy", p.ATA == nil || s.ata != nil},
+	} {
+		if !c.same {
+			return fmt.Errorf("sim: checkpoint and simulator differ in their %s", c.what)
+		}
+	}
+	return nil
+}
+
+// restoreComponents restores every component in one pass, memory side up
+// (docs/MODEL.md §9): each container of requests before the sinks they
+// return to, so a sink's last step sees every request routed to it, and the
+// cores, then the L1 TLBs — which write every live translation — before
+// anything that names one.
+func (s *Simulator) restoreComponents(wi *memreq.Wiring, p *checkpointPayload) error {
+	err := s.mem.RestoreState(wi, p.DRAM)
+	if err == nil {
+		err = s.l2c.RestoreState(wi, p.L2C)
+	}
+	if err == nil && s.pwc != nil {
+		err = s.pwc.RestoreState(wi, *p.PWC)
+	}
+	for i := 0; err == nil && i < len(s.l1ds); i++ {
+		err = s.l1ds[i].RestoreState(wi, p.L1Ds[i])
+	}
+	for i := 0; err == nil && i < len(s.cores); i++ {
+		err = s.cores[i].RestoreState(wi, p.Cores[i])
+	}
+	for i := 0; err == nil && i < len(s.l1tlbs); i++ {
+		err = s.l1tlbs[i].RestoreState(p.L1TLBs[i])
+	}
+	if err == nil && s.l2tlb != nil {
+		err = s.l2tlb.RestoreState(wi, *p.L2TLB)
+	}
+	if err == nil && s.faults != nil {
+		err = s.faults.RestoreState(wi, *p.Faults)
+	}
+	if err == nil {
+		err = s.walker.RestoreState(wi, p.Walker)
+	}
+	if err == nil && s.tel != nil {
+		err = s.tel.RestoreState(*p.Telemetry)
+	}
+	return err
 }
 
 // forEachSync visits every distinct group-barrier object once, in
@@ -435,19 +471,6 @@ func (s *Simulator) writeCheckpointFile(path string) error {
 	}
 	s.ckptStats.Taken++
 	return nil
-}
-
-// WriteCheckpointNow captures the current state into CheckpointDir and
-// returns the file path (the masksim signal handler's graceful save).
-func (s *Simulator) WriteCheckpointNow() (string, error) {
-	if s.cfg.CheckpointDir == "" {
-		return "", fmt.Errorf("sim: no CheckpointDir configured")
-	}
-	path := s.checkpointPath(s.eng.Now())
-	if err := s.writeCheckpointFile(path); err != nil {
-		return "", err
-	}
-	return path, nil
 }
 
 // ckptCandidate is one on-disk checkpoint of this simulation.

@@ -10,7 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,7 +24,9 @@ import (
 	"masksim/internal/memreq"
 	"masksim/internal/ptw"
 	"masksim/internal/snapshot"
+	"masksim/internal/telemetry"
 	"masksim/internal/tlb"
+	"masksim/internal/workload"
 )
 
 // ckptScenarios mirror the drift scenarios (every design the hot path flows
@@ -167,7 +169,7 @@ func TestCheckpointStreamRoundTrip(t *testing.T) {
 }
 
 // TestRestoreCheckpointFixpoint restores a checkpoint and checkpoints again
-// without stepping: the two payloads must be deeply equal. Restore and
+// without stepping: the two images must be the same bytes. Restore and
 // snapshot are written field by field, per component, by hand; this is the
 // one oracle that covers every field of every component at once — a field
 // one side forgets, or a set written in map order, shows up as a difference.
@@ -193,24 +195,82 @@ func TestRestoreCheckpointFixpoint(t *testing.T) {
 			if err := dst.Checkpoint(&second); err != nil {
 				t.Fatal(err)
 			}
-			want, got := decodePayload(t, first), decodePayload(t, second.Bytes())
-			if reflect.DeepEqual(want, got) {
-				return
-			}
-			// Name what differs: DeepEqual on the whole payload says nothing.
-			for _, k := range sortedStateKeys(&want) {
-				if !reflect.DeepEqual(want.States[k], got.States[k]) {
-					t.Errorf("ticker %d (%T) differs after restore", k, want.States[k])
-				}
-			}
-			wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
-			for i := 0; i < wv.NumField(); i++ {
-				if name := wv.Type().Field(i).Name; name != "States" && !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
-					t.Errorf("payload field %s differs after restore", name)
-				}
+			if !bytes.Equal(first, second.Bytes()) {
+				t.Errorf("checkpoint of the restored simulator differs: %s", payloadDiff(t, first, second.Bytes()))
 			}
 		})
 	}
+}
+
+// payloadDiff names the payload fields in which two checkpoint files differ:
+// comparing the bytes says nothing about where.
+func payloadDiff(t *testing.T, a, b []byte) string {
+	t.Helper()
+	pa, pb := decodePayload(t, a), decodePayload(t, b)
+	va, vb := reflect.ValueOf(pa), reflect.ValueOf(pb)
+	var fields []string
+	for i := 0; i < va.NumField(); i++ {
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			fields = append(fields, va.Type().Field(i).Name)
+		}
+	}
+	if len(fields) == 0 {
+		return "equal when decoded"
+	}
+	return "fields " + strings.Join(fields, ", ")
+}
+
+// TestCheckpointBytesDeterministic builds each scenario twice, runs both to
+// the same cycle and requires their checkpoints to be the same bytes: an
+// image holds no map and no interface, so nothing in it depends on iteration
+// order. The last case is a crash dump whose telemetry carries the fault and
+// watchdog events, the one part of the image built from maps.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	const cycles, at = 2000, 1500
+	image := func(t *testing.T, cfg Config, names []string, alone int) []byte {
+		cfg.CheckpointEvery = at
+		cfg.CheckpointDir = t.TempDir()
+		s := prepareScenario(t, cfg, names, alone)
+		s.mustRun(t, cycles)
+		data, err := os.ReadFile(s.checkpointPath(at))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, sc := range ckptScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			a, b := image(t, sc.cfg(), sc.names, sc.alone), image(t, sc.cfg(), sc.names, sc.alone)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("two simulators of one cell wrote different checkpoints at cycle %d: %s", at, payloadDiff(t, a, b))
+			}
+		})
+	}
+	t.Run("crash-dump-with-events", func(t *testing.T) {
+		crash := func() []byte {
+			cfg := MASKConfig()
+			cfg.Cores, cfg.WarpsPerCore = 2, 8
+			cfg.TelemetryEpoch = 500
+			cfg.WatchdogCheckEvery, cfg.WatchdogStallChecks = 500, 2
+			cfg.FaultPlan = &faultinject.Plan{WedgePTWAfter: 200}
+			cfg.CheckpointDir = t.TempDir()
+			s := prepareScenario(t, cfg, []string{"3DS", "CONS"}, 0)
+			if _, err := s.Run(context.Background(), 200_000); err == nil {
+				t.Fatal("wedged run completed without abort")
+			}
+			data, err := os.ReadFile(s.CrashCheckpointPath())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := decodePayload(t, data); p.Telemetry == nil || len(p.Telemetry.Events) < 2 {
+				t.Fatalf("crash dump carries no telemetry events")
+			}
+			return data
+		}
+		if a, b := crash(), crash(); !bytes.Equal(a, b) {
+			t.Fatalf("two crash dumps of one wedged cell differ: %s", payloadDiff(t, a, b))
+		}
+	})
 }
 
 // TestCheckpointRejection proves every way a checkpoint file can be unusable
@@ -339,31 +399,34 @@ func TestCheckpointRejection(t *testing.T) {
 		resumeClean(t, dir, 2)
 	})
 
-	t.Run("previous-format-v2", func(t *testing.T) {
-		// A file stamped with the format before typed return routes (v2: its
-		// requests carry Site/SiteRef, not a sink index) is rejected by
-		// version, before any of its payload is decoded.
-		dir := makeDir(t)
-		ents, _ := os.ReadDir(dir)
-		for _, e := range ents {
-			p := filepath.Join(dir, e.Name())
-			data, _ := os.ReadFile(p)
-			binary.LittleEndian.PutUint32(data[4:], 2)
-			resealChecksum(data)
-			if err := os.WriteFile(p, data, 0o644); err != nil {
-				t.Fatal(err)
+	// Files stamped with an earlier format are rejected by version, before
+	// any of their payload is decoded: v2 requests carry Site/SiteRef, not a
+	// sink index; v3 payloads are a request registry plus a map of per-ticker
+	// states.
+	for _, old := range []uint32{2, 3} {
+		t.Run(fmt.Sprintf("previous-format-v%d", old), func(t *testing.T) {
+			dir := makeDir(t)
+			ents, _ := os.ReadDir(dir)
+			for _, e := range ents {
+				p := filepath.Join(dir, e.Name())
+				data, _ := os.ReadFile(p)
+				binary.LittleEndian.PutUint32(data[4:], old)
+				resealChecksum(data)
+				if err := os.WriteFile(p, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				var ve *snapshot.VersionError
+				if _, _, err := snapshot.Decode(data); !errors.As(err, &ve) || ve.Got != old || ve.Want != snapshot.Version {
+					t.Fatalf("v%d-stamped file decoded with err=%v, want *VersionError{Got: %d, Want: %d}", old, err, old, snapshot.Version)
+				}
+				s := prepareScenario(t, cfg, names, 0)
+				if err := s.RestoreCheckpoint(bytes.NewReader(data)); !errors.As(err, &ve) {
+					t.Fatalf("RestoreCheckpoint of a v%d file: err=%v, want *VersionError", old, err)
+				}
 			}
-			var ve *snapshot.VersionError
-			if _, _, err := snapshot.Decode(data); !errors.As(err, &ve) || ve.Got != 2 || ve.Want != snapshot.Version {
-				t.Fatalf("v2-stamped file decoded with err=%v, want *VersionError{Got: 2, Want: %d}", err, snapshot.Version)
-			}
-			s := prepareScenario(t, cfg, names, 0)
-			if err := s.RestoreCheckpoint(bytes.NewReader(data)); !errors.As(err, &ve) {
-				t.Fatalf("RestoreCheckpoint of a v2 file: err=%v, want *VersionError", err)
-			}
-		}
-		resumeClean(t, dir, 2)
-	})
+			resumeClean(t, dir, 2)
+		})
+	}
 
 	t.Run("wrong-simulation", func(t *testing.T) {
 		// A checkpoint from a different config must not restore even if the
@@ -398,205 +461,241 @@ func TestCheckpointRejection(t *testing.T) {
 	})
 }
 
-// editState applies edit to the first component state of type T (in ticker
-// order) for which it reports true, and fails the test if there is none.
-func editState[T any](t *testing.T, p *checkpointPayload, edit func(st *T) bool) {
+// firstReturning returns the first request image that returns to a sink of
+// type T, failing the test if there is none.
+func firstReturning[T memreq.Sink](t *testing.T, p *checkpointPayload, sinks []memreq.Sink) *memreq.RequestState {
 	t.Helper()
-	for _, k := range sortedStateKeys(p) {
-		if st, ok := p.States[k].(T); ok && edit(&st) {
-			p.States[k] = st
-			return
-		}
+	d, ok := returningTo[T](p, sinks, func(*memreq.RequestState) bool { return true })
+	if !ok {
+		t.Fatalf("no live request returns to a %T", *new(T))
 	}
-	t.Fatalf("no %T in the checkpoint takes the edit", *new(T))
+	return d
 }
 
-func sortedStateKeys(p *checkpointPayload) []int {
-	keys := make([]int, 0, len(p.States))
-	for k := range p.States {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// editReturning applies edit to the first live request that returns to a
-// component whose state is a T.
-func editReturning[T any](t *testing.T, p *checkpointPayload, edit func(d *memreq.RequestDTO)) {
+// liveWalkOf returns the first unfinished walk of the given origin.
+func liveWalkOf(t *testing.T, p *checkpointPayload, origin ptw.WalkOrigin) *ptw.WalkState {
 	t.Helper()
-	for i := range p.Reqs {
-		if _, ok := p.States[int(p.Reqs[i].Sink)].(T); ok {
-			edit(&p.Reqs[i])
-			return
+	for _, ws := range [][]ptw.WalkState{p.Walker.Active, p.Walker.Pending} {
+		for i := range ws {
+			if !ws[i].Finished && ptw.WalkOrigin(ws[i].Origin) == origin {
+				return &ws[i]
+			}
 		}
 	}
-	t.Fatalf("no live request returns to a %T", *new(T))
+	t.Fatalf("no live walk of origin %d", origin)
+	return nil
 }
 
 // TestRestoreRejectsHostileState drives impossible images — request pools,
-// references outside the request registry, return routes naming nothing —
-// past the envelope checksum: the gob payload is decoded, edited and
-// re-sealed, so the file is valid in every respect except the state it
-// encodes. Each must surface as a structured error from RestoreCheckpoint,
-// never a panic, an unbounded allocation or silent adoption.
+// requests naming pools or sinks that do not exist, translation keys that name
+// no tracker, return routes that lead nowhere — past the envelope checksum:
+// the gob payload is decoded, edited and re-sealed, so the file is valid in
+// every respect except the state it encodes. Each must surface as a
+// structured error from RestoreCheckpoint, never a panic, an unbounded
+// allocation or silent adoption.
 func TestRestoreRejectsHostileState(t *testing.T) {
 	const cycles = 3000
 	cfg := SharedTLBConfig()
+	pagingCfg := cfg
+	pagingCfg.DemandPaging, pagingCfg.FaultLatency, pagingCfg.FaultConcurrency = true, 500, 4
 	names := []string{"MUM", "GUP"}
-	ckCfg := cfg
-	ckCfg.CheckpointEvery = 1300
-	ckCfg.CheckpointDir = t.TempDir()
-	src := prepareScenario(t, ckCfg, names, 0)
-	src.mustRun(t, cycles)
-	data, err := os.ReadFile(src.checkpointPath(2600))
-	if err != nil {
-		t.Fatal(err)
+	type image struct {
+		h       snapshot.Header
+		payload []byte
+		sinks   []memreq.Sink
 	}
-	h, payload, err := snapshot.Decode(data)
-	if err != nil {
-		t.Fatal(err)
+	take := func(cfg Config) image {
+		ckCfg := cfg
+		ckCfg.CheckpointEvery = 1300
+		ckCfg.CheckpointDir = t.TempDir()
+		src := prepareScenario(t, ckCfg, names, 0)
+		src.mustRun(t, cycles)
+		data, err := os.ReadFile(src.checkpointPath(2600))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, payload, err := snapshot.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return image{h, payload, src.wiring().Sinks}
 	}
+	shared, paging := take(cfg), take(pagingCfg)
+	sinks := shared.sinks
+	// A key no L1 TLB miss tracks, and a request image every check but the
+	// one under test accepts.
+	untracked := memreq.TransKey{Core: 0, VPN: 1 << 40}
+	const noTracker = "names the translation of vpn 0x10000000000 by core 0, which no L1 TLB miss tracks"
+	badPool := memreq.RequestState{Pool: 1 << 20}
+	const noPool = "names pool 1048576 of"
 
-	const badRef = "memreq: checkpoint reference 1073741824 outside "
 	cases := []struct {
 		name   string
+		paging bool // edit the demand-paging image instead
 		mutate func(t *testing.T, p *checkpointPayload)
 		want   string // "" = must restore
 	}{
-		{"untouched", func(t *testing.T, p *checkpointPayload) {}, ""},
-		// Every container of request references, one case each: only NilRef
-		// and indices inside the registry may be resolved.
-		{"core retry reference", func(t *testing.T, p *checkpointPayload) {
-			editState(t, p, func(st *gpu.CoreState) bool { st.Retry = append(st.Retry, 1<<30); return true })
-		}, badRef},
-		{"cache bank queue reference", func(t *testing.T, p *checkpointPayload) {
-			editState(t, p, func(st *cache.CacheState) bool {
-				st.Queues[0] = append(st.Queues[0], cache.BankItemState{Req: -5})
-				return true
-			})
-		}, "memreq: checkpoint reference -5 outside "},
-		{"cache MSHR waiter reference", func(t *testing.T, p *checkpointPayload) {
-			editState(t, p, func(st *cache.CacheState) bool {
-				st.Mshrs = append(st.Mshrs, cache.MSHRState{LineAddr: 1 << 50, Waiting: []int32{1 << 30}})
-				return true
-			})
-		}, badRef},
-		{"dram queue reference", func(t *testing.T, p *checkpointPayload) {
-			editState(t, p, func(st *dram.DRAMState) bool {
-				q := &st.Channels[0].Sched.Normal
-				*q = append(*q, dram.QueuedState{Req: 1 << 30})
-				return true
-			})
-		}, badRef},
-		{"l1 pending reference", func(t *testing.T, p *checkpointPayload) {
-			editState(t, p, func(st *tlb.L1State) bool { st.Pending = append(st.Pending, 1<<30); return true })
-		}, badRef},
-		{"l2 stalled reference", func(t *testing.T, p *checkpointPayload) {
-			editState(t, p, func(st *tlb.L2State) bool { st.Stalled = append(st.Stalled, 1<<30); return true })
-		}, badRef},
-		{"walk transreq reference", func(t *testing.T, p *checkpointPayload) {
-			editState(t, p, func(st *ptw.WalkerState) bool {
-				if len(st.Active) == 0 {
-					return false
-				}
-				st.Active[0].Tr = 1 << 30
-				return true
-			})
-		}, badRef},
-		// Return routes: the sink index must name a sink, and the sink must
-		// hold the state the request resumes.
-		{"sink index out of range", func(t *testing.T, p *checkpointPayload) { p.Reqs[0].Sink = 1 << 20 },
-			"memreq: request 0 returns to ticker 1048576, which is not a sink"},
-		{"sink index names a non-sink", func(t *testing.T, p *checkpointPayload) {
-			for _, k := range sortedStateKeys(p) {
-				if _, ok := p.States[k].(tlb.L1State); ok {
-					p.Reqs[0].Sink = int32(k)
-					return
-				}
-			}
+		{"untouched", false, func(t *testing.T, p *checkpointPayload) {}, ""},
+		// Shape: an image whose component list is not the simulator's is
+		// rejected before any restore could dereference a missing image or
+		// index past a short list. One row per line of checkShape.
+		{"fewer cores", false, func(t *testing.T, p *checkpointPayload) { p.Cores = p.Cores[:len(p.Cores)-1] },
+			"differ in their cores"},
+		{"fewer L1 TLBs", false, func(t *testing.T, p *checkpointPayload) { p.L1TLBs = p.L1TLBs[:1] },
+			"differ in their L1 TLBs"},
+		{"fewer L1 data caches", false, func(t *testing.T, p *checkpointPayload) { p.L1Ds = nil },
+			"differ in their L1 data caches"},
+		{"missing L2 TLB", false, func(t *testing.T, p *checkpointPayload) { p.L2TLB = nil },
+			"differ in their L2 TLB"},
+		{"fault unit without demand paging", false, func(t *testing.T, p *checkpointPayload) { p.Faults = &ptw.FaultUnitState{} },
+			"differ in their fault unit"},
+		{"missing fault unit", true, func(t *testing.T, p *checkpointPayload) { p.Faults = nil },
+			"differ in their fault unit"},
+		{"page walk cache outside PWCache", false, func(t *testing.T, p *checkpointPayload) { p.PWC = &cache.CacheState{} },
+			"differ in their page walk cache"},
+		{"telemetry without a collector", false, func(t *testing.T, p *checkpointPayload) { p.Telemetry = &telemetry.CollectorState{} },
+			"differ in their telemetry collector"},
+		{"fewer request pools", false, func(t *testing.T, p *checkpointPayload) { p.ReqPools = p.ReqPools[:1] },
+			"differ in their request pools"},
+		{"fewer translation pools", false, func(t *testing.T, p *checkpointPayload) { p.TransPools = nil },
+			"differ in their translation pools"},
+		{"extra group sync", false, func(t *testing.T, p *checkpointPayload) { p.Syncs = append(p.Syncs, workload.GroupSyncState{}) },
+			"differ in their group syncs"},
+		{"L2 bypass state without the policy", false, func(t *testing.T, p *checkpointPayload) { p.ATA = &cache.ATAState{} },
+			"differ in their L2 bypass policy"},
+		// Every container of requests, one case each: the image it writes
+		// inline must name a pool and sink the simulator has.
+		{"core retry reference", false, func(t *testing.T, p *checkpointPayload) {
+			p.Cores[0].Retry = append(p.Cores[0].Retry, badPool)
+		}, noPool},
+		{"cache bank queue reference", false, func(t *testing.T, p *checkpointPayload) {
+			p.L2C.Queues[0] = append(p.L2C.Queues[0], cache.BankItemState{Req: memreq.RequestState{Pool: -5}})
+		}, "names pool -5 of"},
+		{"cache MSHR waiter reference", false, func(t *testing.T, p *checkpointPayload) {
+			p.L1Ds[0].Mshrs = append(p.L1Ds[0].Mshrs, cache.MSHRState{LineAddr: 1 << 50, Waiting: []memreq.RequestState{badPool}})
+		}, noPool},
+		{"dram queue reference", false, func(t *testing.T, p *checkpointPayload) {
+			q := &p.DRAM.Channels[0].Sched.Normal
+			*q = append(*q, dram.QueuedState{Req: badPool})
+		}, noPool},
+		// Every holder of a translation key, one case each, and a key naming
+		// a core that has no L1 TLB.
+		{"l1 pending reference", false, func(t *testing.T, p *checkpointPayload) {
+			p.L1TLBs[0].Pending = append(p.L1TLBs[0].Pending, untracked.VPN)
+		}, "retries vpn 0x10000000000, which has no miss tracker"},
+		{"l2 stalled reference", false, func(t *testing.T, p *checkpointPayload) {
+			p.L2TLB.Stalled = append(p.L2TLB.Stalled, untracked)
+		}, noTracker},
+		{"l2 pipe key names no tracker", false, func(t *testing.T, p *checkpointPayload) {
+			p.L2TLB.In = append(p.L2TLB.In, engine.PipeItemState[memreq.TransKey]{ReadyAt: 1, Value: untracked})
+		}, noTracker},
+		{"l2 MSHR key names no tracker", false, func(t *testing.T, p *checkpointPayload) {
+			p.L2TLB.Mshrs = append(p.L2TLB.Mshrs, tlb.L2MissState{ASID: 1, VPN: untracked.VPN, Reqs: []memreq.TransKey{untracked}})
+		}, noTracker},
+		{"walk transreq reference", false, func(t *testing.T, p *checkpointPayload) {
+			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
+			ws.Origin, ws.Tr = uint8(ptw.OriginTrans), untracked
+		}, noTracker},
+		{"fault-held walk key names no tracker", true, func(t *testing.T, p *checkpointPayload) {
+			p.Faults.Queue = append(p.Faults.Queue, ptw.PendingFaultState{ASID: 1, VPN: untracked.VPN, Notify: []ptw.FaultNotifyState{
+				{Origin: uint8(ptw.OriginTrans), ASID: 1, VPN: untracked.VPN, Tr: untracked},
+			}})
+		}, noTracker},
+		{"transreq names a core without an L1 TLB", false, func(t *testing.T, p *checkpointPayload) {
+			p.L2TLB.Stalled = append(p.L2TLB.Stalled, memreq.TransKey{Core: 1 << 20})
+		}, "tlb: checkpoint names the L1 TLB of core 1048576"},
+		// Return routes: the sink index must name a sink restored after the
+		// request's holder, and the sink must hold the state it resumes.
+		{"sink index out of range", false, func(t *testing.T, p *checkpointPayload) { requestImages(p)[0].Sink = 1<<20 + 1 },
+			"returns to ticker 1048576, which is not a sink"},
+		{"sink index names a non-sink", false, func(t *testing.T, p *checkpointPayload) {
+			// Cores register first, then the L1 TLBs, which are no request sink.
+			requestImages(p)[0].Sink = int32(len(p.Cores)) + 1
 		}, "which is not a sink"},
-		{"walk serial names no walk", func(t *testing.T, p *checkpointPayload) {
-			editReturning[ptw.WalkerState](t, p, func(d *memreq.RequestDTO) { d.Tag = 1 << 60 })
+		{"request returns to a sink restored before its holder", false, func(t *testing.T, p *checkpointPayload) {
+			d := *firstReturning[*cache.Cache](t, p, sinks)
+			p.Cores[0].Retry = append(p.Cores[0].Retry, d)
+		}, "which restored before the component holding it"},
+		{"walk serial names no walk", false, func(t *testing.T, p *checkpointPayload) {
+			firstReturning[*ptw.Walker](t, p, sinks).Tag = 1 << 60
 		}, "returns to walk 1152921504606846976, which awaits no read"},
-		{"bypass tag names no MSHR", func(t *testing.T, p *checkpointPayload) {
-			editReturning[cache.CacheState](t, p, func(d *memreq.RequestDTO) { d.Tag = 1 })
+		{"bypass tag names no MSHR", false, func(t *testing.T, p *checkpointPayload) {
+			firstReturning[*cache.Cache](t, p, sinks).Tag = 1
 		}, "tag 1) has no MSHR"},
-		{"request returns to a warp the core lacks", func(t *testing.T, p *checkpointPayload) {
-			editReturning[gpu.CoreState](t, p, func(d *memreq.RequestDTO) { d.WarpID = 1 << 20 })
+		{"request returns to a warp the core lacks", false, func(t *testing.T, p *checkpointPayload) {
+			firstReturning[*gpu.Core](t, p, sinks).WarpID = 1 << 20
 		}, "returns to warp 1048576 of"},
-		{"transreq names a core without an L1 TLB", func(t *testing.T, p *checkpointPayload) { p.Trans[0].CoreID = 1 << 20 },
-			"memreq: transreq 0 names the L1 TLB of core 1048576"},
-		{"negative free", func(t *testing.T, p *checkpointPayload) { p.ReqPools[3].Free = -1 },
+		// Continuations held as (warp, slot) pairs and walk origins: the core
+		// and the shared TLB they lead to must still wait for them.
+		{"l1 waiter names a slot its warp does not await", false, func(t *testing.T, p *checkpointPayload) {
+			p.L1TLBs[0].Mshrs = append(p.L1TLBs[0].Mshrs, tlb.L1MissState{VPN: untracked.VPN, Waiting: []tlb.WaiterState{{Warp: 0, Slot: 1 << 20}}})
+		}, "waits for warp 0 slot 1048576, which awaits no translation there"},
+		{"demand walk without an L2 TLB tracker", false, func(t *testing.T, p *checkpointPayload) {
+			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
+			p.L2TLB.Mshrs = slices.DeleteFunc(p.L2TLB.Mshrs, func(m tlb.L2MissState) bool { return m.ASID == ws.ASID && m.VPN == ws.VPN })
+		}, "has nothing waiting for its result"},
+		{"negative free", false, func(t *testing.T, p *checkpointPayload) { p.ReqPools[3].Free = -1 },
 			"memreq: checkpoint pool 3 has Free=-1"},
-		{"huge free", func(t *testing.T, p *checkpointPayload) { p.ReqPools[0].Free = 1 << 40 },
+		{"huge free", false, func(t *testing.T, p *checkpointPayload) { p.ReqPools[0].Free = 1 << 40 },
 			"memreq: checkpoint pool 0 has Free=1099511627776"},
-		{"free above allocs", func(t *testing.T, p *checkpointPayload) { p.ReqPools[1].Free = int(p.ReqPools[1].Allocs) + 1 },
+		{"free above allocs", false, func(t *testing.T, p *checkpointPayload) { p.ReqPools[1].Free = int(p.ReqPools[1].Allocs) + 1 },
 			"memreq: checkpoint pool 1 has Free="},
-		{"allocs above gets", func(t *testing.T, p *checkpointPayload) { p.ReqPools[2].Allocs = p.ReqPools[2].Gets + 1 },
+		{"allocs above gets", false, func(t *testing.T, p *checkpointPayload) { p.ReqPools[2].Allocs = p.ReqPools[2].Gets + 1 },
 			"memreq: checkpoint pool 2 has Free="},
-		{"translation pool negative free", func(t *testing.T, p *checkpointPayload) { p.TransPools[4].Free = -7 },
+		{"translation pool negative free", false, func(t *testing.T, p *checkpointPayload) { p.TransPools[4].Free = -7 },
 			"memreq: checkpoint pool 4 has Free=-7"},
-		{"translation pool allocs above gets", func(t *testing.T, p *checkpointPayload) { p.TransPools[0] = memreq.PoolState{Free: 5, Allocs: 5} },
+		{"translation pool allocs above gets", false, func(t *testing.T, p *checkpointPayload) { p.TransPools[0] = memreq.PoolState{Free: 5, Allocs: 5} },
 			"memreq: checkpoint pool 0 has Free=5 Allocs=5 Gets=0"},
 		// Occupancies past what the component can hold: more MSHRs than the
 		// cache has, a bank or channel queue longer than its capacity. The
-		// references are NilRef so that nothing else is wrong with the image.
-		{"more MSHRs than the cache has", func(t *testing.T, p *checkpointPayload) {
-			editState(t, p, func(st *cache.CacheState) bool {
-				for i := len(st.Mshrs); i <= cfg.L1Cache.MSHRs; i++ {
-					st.Mshrs = append(st.Mshrs, cache.MSHRState{LineAddr: 1<<50 + uint64(i)})
-				}
-				return true
-			})
+		// added requests are valid so that nothing else is wrong with the
+		// image.
+		{"more MSHRs than the cache has", false, func(t *testing.T, p *checkpointPayload) {
+			st := &p.L1Ds[0]
+			for i := len(st.Mshrs); i <= cfg.L1Cache.MSHRs; i++ {
+				st.Mshrs = append(st.Mshrs, cache.MSHRState{LineAddr: 1<<50 + uint64(i)})
+			}
 		}, "checkpoint has " + strconv.Itoa(cfg.L1Cache.MSHRs+1) + " MSHRs, capacity is " + strconv.Itoa(cfg.L1Cache.MSHRs)},
-		{"bank queue past its capacity", func(t *testing.T, p *checkpointPayload) {
-			editState(t, p, func(st *cache.CacheState) bool {
-				for len(st.Queues[0]) <= cfg.L1Cache.QueueCap {
-					st.Queues[0] = append(st.Queues[0], cache.BankItemState{Req: memreq.NilRef})
-				}
-				return true
-			})
+		{"bank queue past its capacity", false, func(t *testing.T, p *checkpointPayload) {
+			st := &p.L1Ds[0]
+			for len(st.Queues[0]) <= cfg.L1Cache.QueueCap {
+				st.Queues[0] = append(st.Queues[0], cache.BankItemState{})
+			}
 		}, "checkpoint bank 0 queues " + strconv.Itoa(cfg.L1Cache.QueueCap+1) + " requests, capacity is " + strconv.Itoa(cfg.L1Cache.QueueCap)},
-		{"dram queue past its capacity", func(t *testing.T, p *checkpointPayload) {
-			editState(t, p, func(st *dram.DRAMState) bool {
-				q := &st.Channels[1].Sched.Normal
-				for len(*q) <= cfg.DRAM.QueueCap {
-					*q = append(*q, dram.QueuedState{Req: memreq.NilRef})
-				}
-				return true
-			})
+		{"dram queue past its capacity", false, func(t *testing.T, p *checkpointPayload) {
+			q := &p.DRAM.Channels[1].Sched.Normal
+			for len(*q) <= cfg.DRAM.QueueCap {
+				*q = append(*q, dram.QueuedState{})
+			}
 		}, "dram: channel 1: dram: checkpoint request queue holds " + strconv.Itoa(cfg.DRAM.QueueCap+1) + " requests, capacity is " + strconv.Itoa(cfg.DRAM.QueueCap)},
 		// Consistent but absurd: accepted, and must not allocate the promised
 		// objects up front.
-		{"huge consistent image", func(t *testing.T, p *checkpointPayload) {
+		{"huge consistent image", false, func(t *testing.T, p *checkpointPayload) {
 			p.ReqPools[0] = memreq.PoolState{Free: 1 << 40, Allocs: 1 << 41, Gets: 1 << 42}
 		}, ""},
 		// The five component free lists record only a length, and restore it
 		// through the same slab.List.Refill: a negative one used to panic the
 		// cache and DRAM restores, a huge one to allocate without end.
-		{"component free lengths", func(t *testing.T, p *checkpointPayload) {
-			for k, st := range p.States {
-				switch st := st.(type) {
-				case cache.CacheState:
-					st.MshrFree = -1
-					p.States[k] = st
-				case dram.DRAMState:
-					st.QFree = -1
-					p.States[k] = st
-				case tlb.L1State:
-					st.MissFree = 1 << 40
-					p.States[k] = st
-				case ptw.WalkerState:
-					st.WalkFree = -1
-					p.States[k] = st
-				}
+		{"component free lengths", false, func(t *testing.T, p *checkpointPayload) {
+			p.L2C.MshrFree = -1
+			for i := range p.L1Ds {
+				p.L1Ds[i].MshrFree = -1
 			}
+			p.DRAM.QFree = -1
+			for i := range p.L1TLBs {
+				p.L1TLBs[i].MissFree = 1 << 40
+			}
+			p.Walker.WalkFree = -1
 		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			img, c := shared, cfg
+			if tc.paging {
+				img, c = paging, pagingCfg
+			}
 			var p checkpointPayload
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
+			if err := gob.NewDecoder(bytes.NewReader(img.payload)).Decode(&p); err != nil {
 				t.Fatal(err)
 			}
 			tc.mutate(t, &p)
@@ -604,10 +703,10 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			if err := gob.NewEncoder(&body).Encode(&p); err != nil {
 				t.Fatal(err)
 			}
-			if err := snapshot.Write(&file, h, body.Bytes()); err != nil {
+			if err := snapshot.Write(&file, img.h, body.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-			dst := prepareScenario(t, cfg, names, 0)
+			dst := prepareScenario(t, c, names, 0)
 			err := dst.RestoreCheckpoint(&file)
 			switch {
 			case tc.want == "" && err != nil:

@@ -70,6 +70,15 @@ type CacheParams struct {
 	WriteCombineWindow int64
 }
 
+// Table 1 parameters no experiment varies: the shared L2 TLB's ports, access
+// latency and input queue, and the walker's concurrent-walk limit.
+const (
+	l2TLBPorts        = 2
+	l2TLBLatency      = 10
+	l2TLBQueueCap     = 64
+	walkerConcurrency = 64
+)
+
 // Config is the full simulated-system description (paper Table 1 defaults).
 type Config struct {
 	Name string
@@ -79,11 +88,8 @@ type Config struct {
 
 	L1TLBEntries int
 
-	L2TLBEntries  int
-	L2TLBWays     int
-	L2TLBPorts    int
-	L2TLBLatency  int64
-	L2TLBQueueCap int
+	L2TLBEntries int
+	L2TLBWays    int
 	// BypassCacheEntries sizes the MASK TLB bypass cache (§5.2).
 	BypassCacheEntries int
 
@@ -92,8 +98,7 @@ type Config struct {
 	// PWCache is the page walk cache used by DesignPWCache.
 	PWCache CacheParams
 
-	WalkerConcurrency int
-	PageSize          int
+	PageSize int
 
 	DRAM dram.Config
 
@@ -223,9 +228,6 @@ func Baseline() Config {
 
 		L2TLBEntries:       512,
 		L2TLBWays:          16,
-		L2TLBPorts:         2,
-		L2TLBLatency:       10,
-		L2TLBQueueCap:      64,
 		BypassCacheEntries: 32,
 
 		L1Cache: CacheParams{
@@ -242,8 +244,7 @@ func Baseline() Config {
 			Banks: 1, PortsPerBank: 2, Latency: 10, QueueCap: 32, MSHRs: 32,
 		},
 
-		WalkerConcurrency: 64,
-		PageSize:          pagetable.PageSize4K,
+		PageSize: pagetable.PageSize4K,
 
 		DRAM: dram.DefaultConfig(),
 

@@ -11,20 +11,19 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 
 	"masksim/internal/engine"
+	"masksim/internal/memreq"
 	"masksim/internal/snapshot"
 )
 
-// ComponentStateSize is the serialized footprint of one ticker's state inside
-// a checkpoint payload.
-type ComponentStateSize struct {
-	// Index is the ticker's engine registration index (build order).
-	Index int
-	// Type is the concrete state type, e.g. "gpu.CoreState".
-	Type string
-	// Bytes is the state's standalone gob encoding size — a relative weight
+// FieldSize is the serialized footprint of one field of a checkpoint payload.
+type FieldSize struct {
+	// Field names the payload field: "Cores", "L2C", "DRAM", ...
+	Field string
+	// Bytes is the field's standalone gob encoding size — a relative weight
 	// for spotting which component dominates the file, not an exact share of
 	// the payload (the combined encoding dedupes type descriptors).
 	Bytes int
@@ -55,20 +54,19 @@ type CheckpointInfo struct {
 	PayloadErr error
 	// Clock is the engine clock state at capture.
 	Clock engine.ClockState
-	// Components lists per-ticker state sizes, largest first.
-	Components []ComponentStateSize
-	// Requests and TransReqs count live in-flight entries in the registry.
-	Requests  int
-	TransReqs int
-	// Syncs counts serialized group barriers.
-	Syncs int
-	// TraceSamples counts accumulated -trace rows.
-	TraceSamples int
-	// HasWatchdog marks a supervised (or crash) checkpoint; HasATA an
-	// L2-bypass run; HasFaultPlan a fault-injection run.
-	HasWatchdog  bool
-	HasATA       bool
-	HasFaultPlan bool
+	// Fields lists the payload's present fields by size, largest first: a
+	// supervised run carries a Watchdog, an L2-bypass run an ATA, and so on.
+	Fields []FieldSize
+	// Requests and TransReqs count the requests and translations the pools
+	// created and do not hold free. That is every one in flight plus any a
+	// fault plan stranded (a dropped DRAM response, a wedged walk), which no
+	// component holds but no pool got back either.
+	Requests  uint64
+	TransReqs uint64
+	// BadPools counts pool images no run can produce (more free than
+	// created, more created than handed out); they are left out of the counts
+	// above, and RestoreCheckpoint rejects the file.
+	BadPools int
 }
 
 // InspectCheckpoint reads and describes one checkpoint file without building
@@ -90,8 +88,8 @@ func InspectCheckpoint(path string) (*CheckpointInfo, error) {
 		PayloadLen: ins.PayloadLen,
 		Err:        ins.Err,
 	}
-	if len(ins.Payload) == 0 {
-		return info, nil
+	if len(ins.Payload) == 0 || ins.Version != snapshot.Version {
+		return info, nil // nothing to decode, or a format this build does not read
 	}
 	var p checkpointPayload
 	if err := gob.NewDecoder(bytes.NewReader(ins.Payload)).Decode(&p); err != nil {
@@ -100,32 +98,25 @@ func InspectCheckpoint(path string) (*CheckpointInfo, error) {
 	}
 	info.PayloadOK = true
 	info.Clock = p.Clock
-	info.Requests = len(p.Reqs)
-	info.TransReqs = len(p.Trans)
-	info.Syncs = len(p.Syncs)
-	info.TraceSamples = len(p.TraceSamples)
-	info.HasWatchdog = p.Watchdog != nil
-	info.HasATA = p.ATA != nil
-	info.HasFaultPlan = p.FaultPlan != nil
-	for idx, st := range p.States {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-			// Unencodable states cannot appear in a decodable payload, but
-			// degrade to a zero size rather than failing the inspection.
-			buf.Reset()
+	count := func(pools []memreq.PoolState) (total uint64) {
+		for _, st := range pools {
+			n, ok := st.Outstanding()
+			if !ok {
+				info.BadPools++
+			}
+			total += n
 		}
-		info.Components = append(info.Components, ComponentStateSize{
-			Index: idx,
-			Type:  fmt.Sprintf("%T", st),
-			Bytes: buf.Len(),
-		})
+		return total
 	}
-	sort.Slice(info.Components, func(i, j int) bool {
-		a, b := info.Components[i], info.Components[j]
-		if a.Bytes != b.Bytes {
-			return a.Bytes > b.Bytes
+	info.Requests = count(p.ReqPools)
+	info.TransReqs = count(p.TransPools)
+	v := reflect.ValueOf(p)
+	for i := 0; i < v.NumField(); i++ {
+		var buf bytes.Buffer
+		if f := v.Field(i); !f.IsZero() && gob.NewEncoder(&buf).EncodeValue(f) == nil {
+			info.Fields = append(info.Fields, FieldSize{Field: v.Type().Field(i).Name, Bytes: buf.Len()})
 		}
-		return a.Index < b.Index
-	})
+	}
+	sort.SliceStable(info.Fields, func(i, j int) bool { return info.Fields[i].Bytes > info.Fields[j].Bytes })
 	return info, nil
 }

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 
 	"masksim/internal/snapshot"
@@ -36,27 +39,58 @@ func TestInspectCheckpoint(t *testing.T) {
 	if info.Clock.Now != 2600 {
 		t.Fatalf("clock = %+v, want Now=2600", info.Clock)
 	}
-	if len(info.Components) == 0 {
-		t.Fatal("no component states reported")
+	if len(info.Fields) == 0 {
+		t.Fatal("no payload fields reported")
 	}
-	// Largest first, every entry typed and sized.
-	for i, c := range info.Components {
-		if c.Type == "" || c.Bytes <= 0 {
-			t.Fatalf("component %d = %+v, want type and positive size", i, c)
+	// Largest first, every entry named and sized.
+	for i, f := range info.Fields {
+		if f.Field == "" || f.Bytes <= 0 {
+			t.Fatalf("field %d = %+v, want a name and a positive size", i, f)
 		}
-		if i > 0 && c.Bytes > info.Components[i-1].Bytes {
-			t.Fatalf("components not sorted largest-first: %+v", info.Components)
+		if i > 0 && f.Bytes > info.Fields[i-1].Bytes {
+			t.Fatalf("fields not sorted largest-first: %+v", info.Fields)
 		}
 	}
 	// A MASK run serializes cores, TLBs, caches and DRAM; spot-check one.
-	var sawCore bool
-	for _, c := range info.Components {
-		if strings.Contains(c.Type, "CoreState") {
-			sawCore = true
-		}
+	if !slices.ContainsFunc(info.Fields, func(f FieldSize) bool { return f.Field == "Cores" }) {
+		t.Fatalf("no Cores among the fields: %+v", info.Fields)
 	}
-	if !sawCore {
-		t.Fatalf("no CoreState among components: %+v", info.Components)
+	// The in-flight counts are what the pools created and do not hold free.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := decodePayload(t, data)
+	var live uint64
+	for _, st := range p.ReqPools {
+		n, _ := st.Outstanding()
+		live += n
+	}
+	if info.Requests == 0 || info.Requests != live || info.Requests != uint64(len(requestImages(&p))) || info.BadPools != 0 {
+		t.Fatalf("inspection counts %d requests in flight (%d bad pools), pools %d, image %d",
+			info.Requests, info.BadPools, live, len(requestImages(&p)))
+	}
+
+	// A pool image with more free than created is flagged and left out of
+	// the count rather than wrapping it.
+	n0, _ := p.ReqPools[0].Outstanding()
+	p.ReqPools[0].Free = int(p.ReqPools[0].Allocs) + 1
+	var body, file bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.Write(&file, info.Header, body.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad-pool.ckpt")
+	if err := os.WriteFile(bad, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if info, err = InspectCheckpoint(bad); err != nil || !info.PayloadOK {
+		t.Fatalf("inspect bad pool: %v %+v", err, info)
+	}
+	if info.BadPools != 1 || info.Requests != live-n0 {
+		t.Fatalf("inconsistent pool: %d bad pools, %d requests counted, want %d", info.BadPools, info.Requests, live-n0)
 	}
 }
 
@@ -102,6 +136,27 @@ func TestInspectCheckpointCorruptAndForeign(t *testing.T) {
 	}
 	if !errors.Is(info.Err, snapshot.ErrBadMagic) || info.PayloadOK {
 		t.Fatalf("foreign file not flagged: %+v", info)
+	}
+
+	// A file of the previous format reports its version and leaves its
+	// payload, which this build does not read, undecoded.
+	raw, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[4:], 3)
+	resealChecksum(raw)
+	stale := filepath.Join(dir, "v3.ckpt")
+	if err := os.WriteFile(stale, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, err = InspectCheckpoint(stale)
+	if err != nil {
+		t.Fatalf("inspect v3: %v", err)
+	}
+	var ve *snapshot.VersionError
+	if info.Version != 3 || !errors.As(info.Err, &ve) || !info.ChecksumOK || info.PayloadOK {
+		t.Fatalf("v3 file not reported by version: %+v", info)
 	}
 }
 

@@ -14,12 +14,7 @@ import (
 // A recycled simulator must be indistinguishable from a new one. The oracle
 // is the behaviour this replaces: every cell a Recycler builds is also built
 // by sim.New, and the two must agree on everything observable — the Results,
-// the state at a mid-run cut, the state at the end.
-//
-// Checkpoint images are compared decoded, not as bytes: gob writes the
-// per-ticker state map in Go's map order, so two images of one state differ
-// as bytes even between two new simulators. Decoded, every field of every
-// component is compared.
+// and the checkpoint bytes at a mid-run cut and at the end.
 
 // cellSize is how many fuzz bytes describe one cell.
 const cellSize = 8
@@ -109,10 +104,10 @@ type builder func(cfg Config, apps []workload.App, split []int) (*Simulator, err
 // cellOutcome is everything observable about one cell.
 type cellOutcome struct {
 	res   *Results
-	final checkpointPayload
-	// cutImage is the state at the cut and resumed the Results of a second
-	// simulator restored from it and run to the end (cut cells only).
-	cutImage checkpointPayload
+	final []byte
+	// cutImage is the checkpoint at the cut and resumed the Results of a
+	// second simulator restored from it and run to the end (cut cells only).
+	cutImage []byte
 	resumed  *Results
 }
 
@@ -120,12 +115,12 @@ type cellOutcome struct {
 // done with to done.
 func runCell(t *testing.T, build builder, done func(*Simulator), c recycleCell) (out cellOutcome, err error) {
 	t.Helper()
-	image := func(s *Simulator) checkpointPayload {
+	image := func(s *Simulator) []byte {
 		var buf bytes.Buffer
 		if err := s.Checkpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return decodePayload(t, buf.Bytes())
+		return buf.Bytes()
 	}
 	cfg := c.cfg
 	if c.cut > 0 {
@@ -139,12 +134,10 @@ func runCell(t *testing.T, build builder, done func(*Simulator), c recycleCell) 
 		t.Fatalf("run: %v", err)
 	}
 	out.final = image(s)
-	var cutBytes []byte
 	if c.cut > 0 {
-		if cutBytes, err = os.ReadFile(s.checkpointPath(c.cut)); err != nil {
+		if out.cutImage, err = os.ReadFile(s.checkpointPath(c.cut)); err != nil {
 			t.Fatal(err)
 		}
-		out.cutImage = decodePayload(t, cutBytes)
 	}
 	done(s)
 	if c.cut > 0 {
@@ -154,7 +147,7 @@ func runCell(t *testing.T, build builder, done func(*Simulator), c recycleCell) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rs.RestoreCheckpoint(bytes.NewReader(cutBytes)); err != nil {
+		if err := rs.RestoreCheckpoint(bytes.NewReader(out.cutImage)); err != nil {
 			t.Fatalf("restore at %d: %v", c.cut, err)
 		}
 		if out.resumed, err = rs.Run(context.Background(), c.cycles); err != nil {
@@ -183,16 +176,26 @@ func recycledEqualsFresh(t *testing.T, spec []byte) {
 		}
 		for _, cmp := range []struct {
 			what      string
-			want, got any
+			want, got *Results
 		}{
 			{"Results", want.res, got.res},
-			{"final image", want.final, got.final},
-			{"image at the cut", want.cutImage, got.cutImage},
 			{"resumed Results", want.resumed, got.resumed},
 		} {
 			if !reflect.DeepEqual(cmp.want, cmp.got) {
 				t.Fatalf("cell %d (%s %v split %v, %d cycles, cut %d): %s of the recycled simulator differ from a new one's\nnew:      %+v\nrecycled: %+v",
 					i/cellSize, c.cfg.Name, c.apps, c.split, c.cycles, c.cut, cmp.what, cmp.want, cmp.got)
+			}
+		}
+		for _, cmp := range []struct {
+			what      string
+			want, got []byte
+		}{
+			{"final image", want.final, got.final},
+			{"image at the cut", want.cutImage, got.cutImage},
+		} {
+			if !bytes.Equal(cmp.want, cmp.got) {
+				t.Fatalf("cell %d (%s %v split %v, %d cycles, cut %d): %s of the recycled simulator differs from a new one's: %s",
+					i/cellSize, c.cfg.Name, c.apps, c.split, c.cycles, c.cut, cmp.what, payloadDiff(t, cmp.want, cmp.got))
 			}
 		}
 		if c.cut > 0 && !reflect.DeepEqual(got.res, got.resumed) {

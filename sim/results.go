@@ -87,8 +87,9 @@ type Results struct {
 	Trace []TraceSample
 
 	// Telemetry is the epoch-sampled probe time series and instant-event
-	// stream (nil unless Config.TelemetryEpoch > 0); export it with
-	// WriteCSV, WriteJSONL or WriteChromeTrace.
+	// stream (nil unless Config.TelemetryEpoch > 0). To write it out as CSV,
+	// JSONL or a Chrome trace, attach a telemetry.StreamSink as
+	// Config.TelemetrySink.
 	Telemetry *telemetry.Data
 
 	// Aborted is set when the run was cut short (watchdog abort, context

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"masksim/internal/cache"
+	"masksim/internal/dram"
 	"masksim/internal/gpu"
 	"masksim/internal/memreq"
 	"masksim/internal/ptw"
@@ -28,30 +29,82 @@ func decodePayload(t *testing.T, data []byte) checkpointPayload {
 	return p
 }
 
-// returningTo finds a live request that returns to a component whose state
-// is a T and satisfies pick, and names it by what stays fixed for its whole
-// life: its ID, its pool and its route.
-func returningTo[T any](p *checkpointPayload, pick func(d memreq.RequestDTO) bool) (string, bool) {
-	for _, d := range p.Reqs {
-		if _, ok := p.States[int(d.Sink)].(T); ok && pick(d) {
-			return fmt.Sprintf("request %d of pool %d to ticker %d tag %d", d.ID, d.PoolID, d.Sink, d.Tag), true
+// requestImages lists every request image a payload holds, wherever it is
+// held, in a fixed order; tests edit them through the pointers.
+func requestImages(p *checkpointPayload) []*memreq.RequestState {
+	var out []*memreq.RequestState
+	add := func(sts []memreq.RequestState) {
+		for i := range sts {
+			out = append(out, &sts[i])
 		}
 	}
-	return "", false
+	for i := range p.Cores {
+		add(p.Cores[i].Retry)
+	}
+	caches := []*cache.CacheState{&p.L2C}
+	if p.PWC != nil {
+		caches = append(caches, p.PWC)
+	}
+	for i := range p.L1Ds {
+		caches = append(caches, &p.L1Ds[i])
+	}
+	for _, c := range caches {
+		for _, q := range c.Queues {
+			for i := range q {
+				out = append(out, &q[i].Req)
+			}
+		}
+		for _, ms := range c.Mshrs {
+			add(ms.Waiting)
+		}
+		for _, ms := range c.BypassMshrs {
+			add(ms.Waiting)
+		}
+		add(c.Retry)
+	}
+	for i := range p.DRAM.Channels {
+		ch := &p.DRAM.Channels[i]
+		for _, q := range [][]dram.QueuedState{ch.Inflight, ch.Sched.Golden, ch.Sched.Silver, ch.Sched.Normal} {
+			for j := range q {
+				out = append(out, &q[j].Req)
+			}
+		}
+	}
+	return out
+}
+
+// returningTo finds a live request that returns to a sink of type T — sinks
+// is the simulator's wiring — and satisfies pick.
+func returningTo[T memreq.Sink](p *checkpointPayload, sinks []memreq.Sink, pick func(d *memreq.RequestState) bool) (*memreq.RequestState, bool) {
+	for _, d := range requestImages(p) {
+		if d.Sink == 0 {
+			continue
+		}
+		if _, ok := sinks[d.Sink-1].(T); ok && pick(d) {
+			return d, true
+		}
+	}
+	return nil, false
+}
+
+// routeKey names a live request by what stays fixed for its whole life: its
+// pool, its route, its address and its issue cycle.
+func routeKey[T memreq.Sink](sinks []memreq.Sink, pick func(d *memreq.RequestState) bool) func(p *checkpointPayload) (string, bool) {
+	return func(p *checkpointPayload) (string, bool) {
+		d, ok := returningTo[T](p, sinks, pick)
+		if !ok {
+			return "", false
+		}
+		return fmt.Sprintf("request of pool %d to ticker %d (addr %#x, tag %d, issued %d)", d.Pool, d.Sink-1, d.Addr, d.Tag, d.Issue), true
+	}
 }
 
 // liveWalk finds an unfinished walk satisfying pick and names it by its
 // serial.
 func liveWalk(p *checkpointPayload, pick func(ws ptw.WalkState) bool) (string, bool) {
-	for _, st := range p.States {
-		ws, ok := st.(ptw.WalkerState)
-		if !ok {
-			continue
-		}
-		for _, w := range append(ws.Active, ws.Pending...) {
-			if !w.Finished && pick(w) {
-				return fmt.Sprintf("walk %d", w.Serial), true
-			}
+	for _, w := range append(p.Walker.Active, p.Walker.Pending...) {
+		if !w.Finished && pick(w) {
+			return fmt.Sprintf("walk %d", w.Serial), true
 		}
 	}
 	return "", false
@@ -60,41 +113,40 @@ func liveWalk(p *checkpointPayload, pick func(ws ptw.WalkState) bool) (string, b
 // heldWalk finds a finished walk a page fault is holding and names it by the
 // fault's page: the page turning resident is the fault delivering it.
 func heldWalk(p *checkpointPayload) (string, bool) {
-	for _, st := range p.States {
-		fs, ok := st.(ptw.FaultUnitState)
-		if !ok {
-			continue
-		}
-		for _, f := range append(fs.Inflight, fs.Queue...) {
-			if len(f.Notify) > 0 {
-				return fmt.Sprintf("fault (asid %d, vpn %#x)", f.ASID, f.VPN), true
-			}
+	if p.Faults == nil {
+		return "", false
+	}
+	for _, f := range append(p.Faults.Inflight, p.Faults.Queue...) {
+		if len(f.Notify) > 0 {
+			return fmt.Sprintf("fault (asid %d, vpn %#x)", f.ASID, f.VPN), true
 		}
 	}
 	return "", false
 }
 
 // checkPoolsConserved asserts that every pooled request a pool ever created
-// is either on its free list or in the registry exactly once: a continuation
-// that was dropped instead of completed, or recycled twice, breaks the sum.
+// is either on its free list or held in the image exactly once: a
+// continuation that was dropped instead of completed, or recycled twice,
+// breaks the sum. Every live translation is held by the L1 TLB miss tracker
+// of its core, which takes it from that core's pool.
 func checkPoolsConserved(t *testing.T, p *checkpointPayload) {
 	t.Helper()
 	live := make([]uint64, len(p.ReqPools))
-	for _, d := range p.Reqs {
-		live[d.PoolID]++
+	for _, d := range requestImages(p) {
+		live[d.Pool]++
 	}
 	for id, st := range p.ReqPools {
 		if st.Allocs-uint64(st.Free) != live[id] {
 			t.Errorf("request pool %d created %d, holds %d free, %d are live: one was lost or recycled twice", id, st.Allocs, st.Free, live[id])
 		}
 	}
-	liveTr := make([]uint64, len(p.TransPools))
-	for _, d := range p.Trans {
-		liveTr[d.PoolID]++
-	}
 	for id, st := range p.TransPools {
-		if st.Allocs-uint64(st.Free) != liveTr[id] {
-			t.Errorf("translation pool %d created %d, holds %d free, %d are live", id, st.Allocs, st.Free, liveTr[id])
+		var liveTr uint64
+		if id < len(p.L1TLBs) {
+			liveTr = uint64(len(p.L1TLBs[id].Mshrs))
+		}
+		if st.Allocs-uint64(st.Free) != liveTr {
+			t.Errorf("translation pool %d created %d, holds %d free, %d are live", id, st.Allocs, st.Free, liveTr)
 		}
 	}
 }
@@ -117,7 +169,8 @@ func TestContinuationRoutes(t *testing.T) {
 		// inFlight names one continuation of this route the image holds.
 		inFlight func(p *checkpointPayload) (string, bool)
 	}
-	anyRequest := func(memreq.RequestDTO) bool { return true }
+	anyRequest := func(*memreq.RequestState) bool { return true }
+	sinks := prepareScenario(t, MASKConfig(), []string{"3DS", "CONS"}, 0).wiring().Sinks
 	walkFrom := func(origin ptw.WalkOrigin) func(p *checkpointPayload) (string, bool) {
 		return func(p *checkpointPayload) (string, bool) {
 			return liveWalk(p, func(w ptw.WalkState) bool { return ptw.WalkOrigin(w.Origin) == origin })
@@ -129,18 +182,10 @@ func TestContinuationRoutes(t *testing.T) {
 		routes []route
 	}{
 		{MASKConfig, []string{"3DS", "CONS"}, []route{
-			{"core data read", func(p *checkpointPayload) (string, bool) {
-				return returningTo[gpu.CoreState](p, anyRequest)
-			}},
-			{"L1D fill", func(p *checkpointPayload) (string, bool) {
-				return returningTo[cache.CacheState](p, func(d memreq.RequestDTO) bool { return d.PoolID > 0 })
-			}},
-			{"L2 bypass fill", func(p *checkpointPayload) (string, bool) {
-				return returningTo[cache.CacheState](p, func(d memreq.RequestDTO) bool { return d.Tag == 1 })
-			}},
-			{"walk step", func(p *checkpointPayload) (string, bool) {
-				return returningTo[ptw.WalkerState](p, anyRequest)
-			}},
+			{"core data read", routeKey[*gpu.Core](sinks, anyRequest)},
+			{"L1D fill", routeKey[*cache.Cache](sinks, func(d *memreq.RequestState) bool { return d.Pool > 0 })},
+			{"L2 bypass fill", routeKey[*cache.Cache](sinks, func(d *memreq.RequestState) bool { return d.Tag == 1 })},
+			{"walk step", routeKey[*ptw.Walker](sinks, anyRequest)},
 		}},
 		{SharedTLBConfig, []string{"MUM", "GUP"}, []route{{"L2 TLB miss fill", walkFrom(ptw.OriginL2Miss)}}},
 		{func() Config {
@@ -204,9 +249,9 @@ func TestContinuationRoutes(t *testing.T) {
 				}
 				dst.mustRun(t, total)
 				restored := finalImage(t, dst)
-				// The key is unique for the continuation's life (IDs, serials
-				// and resident pages never repeat), so finding another, or
-				// none, means this one completed.
+				// The key is unique for the continuation's life (issue
+				// cycles, serials and resident pages never repeat), so
+				// finding another, or none, means this one completed.
 				if k, ok := rt.inFlight(&live); ok && k == key {
 					t.Fatalf("%s, in flight at cycle %d, is still in flight at cycle %d", key, cut, total)
 				}

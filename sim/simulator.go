@@ -54,17 +54,15 @@ type Simulator struct {
 	ata    *cache.ATABypass
 	tokens *tlb.TokenPolicy
 
-	// Request free lists and ID generators. Each core and its private L1D and
-	// L1 TLB share per-core pools (reqPools[i] / transPools[i] / idgens[i]);
-	// the shared L2, page walk cache and walker draw from sharedReqPool. This
-	// is the fixed pool/ID layout checkpoints are keyed by: request DTOs name
-	// their owning pool, and the payload carries one pool and ID-generator
-	// state per entry here. Per-instance ownership keeps concurrent
-	// simulators race-free.
+	// Request free lists. Each core and its private L1D and L1 TLB share
+	// per-core pools (reqPools[i] / transPools[i]); the shared L2, page walk
+	// cache and walker draw from sharedReqPool. This is the fixed pool layout
+	// checkpoints are keyed by: request images name their owning pool, and
+	// the payload carries one pool state per entry here. Per-instance
+	// ownership keeps concurrent simulators race-free.
 	sharedReqPool memreq.Pool
 	reqPools      []memreq.Pool
 	transPools    []memreq.TransPool
-	idgens        []memreq.IDGen
 
 	maskScheds []*dram.MASKSched
 
@@ -80,17 +78,17 @@ type Simulator struct {
 
 	// Checkpoint machinery (docs/MODEL.md §9).
 	ckptStats   CheckpointStats
-	totalCycles int64  // current run's cycle budget, for checkpoint headers
+	totalCycles int64  // the run's cycle budget, for checkpoint headers
 	fp          string // cached Fingerprint
 
 	// curWD is the watchdog supervising the in-progress run; the checkpoint
 	// hook captures its state mid-run.
 	curWD *engine.Watchdog
-	// restored* carry state from RestoreCheckpoint into the next Run.
-	restored      bool
-	resuming      bool // Run's own auto-resume is exempt from the ran guard
-	restoredWD    *engine.WatchdogState
-	restoredTotal int64
+	// restored* carry state from RestoreCheckpoint into the next Run, which
+	// must use the budget the checkpoint records (totalCycles).
+	restored   bool
+	resuming   bool // Run's own auto-resume is exempt from the ran guard
+	restoredWD *engine.WatchdogState
 }
 
 // New wires a simulator for the given applications. coresPerApp[i] cores are
@@ -194,7 +192,6 @@ func (s *Simulator) retire() {
 		sharedReqPool: d.sharedReqPool,
 		reqPools:      d.reqPools,
 		transPools:    d.transPools,
-		idgens:        d.idgens,
 		maskScheds:    slab.Slice(d.maskScheds, 0),
 		l1dNames:      d.l1dNames,
 	}
@@ -311,12 +308,11 @@ func (s *Simulator) build(d *Simulator) {
 	arenaLines += assignedCores * cache.ArenaLines(cfg.L1Cache.SizeBytes, cfg.L1Cache.LineSize, cfg.L1Cache.Ways)
 	arena := cache.NewLineArena(arenaLines)
 
-	// Per-core pools and ID generators (see the field comment). Pool IDs name
-	// the owning pool in checkpoint request DTOs: 0 is the shared pool,
-	// 1+coreID the core's data pool; translation pools use coreID directly.
+	// Per-core pools (see the field comment). Pool IDs name the owning pool
+	// in checkpoint request images: 0 is the shared pool, 1+coreID the core's
+	// data pool; translation pools use coreID directly.
 	s.reqPools = slab.Donors(d.reqPools, assignedCores)
 	s.transPools = slab.Donors(d.transPools, assignedCores)
-	s.idgens = slab.Slice(d.idgens, assignedCores)
 	s.sharedReqPool = d.sharedReqPool
 	s.sharedReqPool.Renew(0)
 	for i := range s.reqPools {
@@ -391,7 +387,7 @@ func (s *Simulator) build(d *Simulator) {
 	}
 
 	// --- walker and shared L2 TLB ----------------------------------------
-	s.walker = ptw.Renew(d.walker, cfg.WalkerConcurrency, walkBackend, numApps)
+	s.walker = ptw.Renew(d.walker, walkerConcurrency, walkBackend, numApps)
 	s.walker.SetRequestPool(&s.sharedReqPool)
 	if cfg.DemandPaging && !cfg.Ideal {
 		s.faults = ptw.NewFaultUnit(cfg.FaultLatency, cfg.FaultConcurrency)
@@ -406,9 +402,9 @@ func (s *Simulator) build(d *Simulator) {
 		s.l2tlb = tlb.RenewL2(d.l2tlb, tlb.L2Config{
 			Entries:    cfg.L2TLBEntries,
 			Ways:       cfg.L2TLBWays,
-			Ports:      cfg.L2TLBPorts,
-			Latency:    cfg.L2TLBLatency,
-			QueueCap:   cfg.L2TLBQueueCap,
+			Ports:      l2TLBPorts,
+			Latency:    l2TLBLatency,
+			QueueCap:   l2TLBQueueCap,
 			BypassSize: bypassSize,
 			NumApps:    numApps,
 		}, s.walker, s.tokens)
@@ -523,7 +519,7 @@ func (s *Simulator) build(d *Simulator) {
 				FrameSize:    pagetable.FrameSize,
 				LineSize:     uint64(cfg.L1Cache.LineSize),
 				RoundRobin:   cfg.RoundRobinSched,
-			}, streams, translate, l1d, &s.idgens[coreID])
+			}, streams, translate, l1d)
 			core.SetRequestPool(&s.reqPools[coreID])
 			if l1 != nil {
 				l1.SetWaker(core)
@@ -569,10 +565,10 @@ func (s *Simulator) build(d *Simulator) {
 	s.buildTelemetry()
 
 	// --- fault injection ---------------------------------------------------
-	// Registered after every snapshot-capable ticker (the collector included):
-	// panicTick carries no checkpoint state, so a run killed by a fault plan
-	// restores onto a plan-free simulator with every state key still aligned —
-	// fingerprints deliberately ignore FaultPlan, and resume drops the flag.
+	// Registered last: checkpoints name request sinks by registration index,
+	// so a run killed by a fault plan restores onto a plan-free simulator
+	// with every index still aligned — fingerprints deliberately ignore
+	// FaultPlan, and resume drops the flag.
 	if plan := cfg.FaultPlan; plan != nil && plan.Active() {
 		if !cfg.Ideal {
 			s.walker.SetWedgeHook(plan.WedgeWalk)
@@ -754,6 +750,10 @@ func (s *Simulator) Run(ctx context.Context, cycles int64) (*Results, error) {
 	if cycles <= 0 {
 		return nil, fmt.Errorf("sim: run length must be >= 1 cycle, got %d", cycles)
 	}
+	if s.restored && s.totalCycles != cycles {
+		return nil, fmt.Errorf("sim: checkpoint was taken in a %d-cycle run, resumed with %d",
+			s.totalCycles, cycles)
+	}
 	s.ran = true
 	s.totalCycles = cycles
 
@@ -768,14 +768,8 @@ func (s *Simulator) Run(ctx context.Context, cycles int64) (*Results, error) {
 			return nil, err
 		}
 	}
-	if s.restored {
-		if s.restoredTotal != cycles {
-			return nil, fmt.Errorf("sim: checkpoint was taken in a %d-cycle run, resumed with %d",
-				s.restoredTotal, cycles)
-		}
-		if s.eng.Now() > cycles {
-			return nil, fmt.Errorf("sim: checkpoint cycle %d past the %d-cycle budget", s.eng.Now(), cycles)
-		}
+	if s.restored && s.eng.Now() > cycles {
+		return nil, fmt.Errorf("sim: checkpoint cycle %d past the %d-cycle budget", s.eng.Now(), cycles)
 	}
 
 	// Scale the adaptation epoch for short runs so tokens and the bypass

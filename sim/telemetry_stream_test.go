@@ -3,9 +3,13 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"masksim/internal/faultinject"
@@ -23,8 +27,10 @@ func streamTestConfig() Config {
 
 // TestSimStreamingMatchesBufferedExports runs the same simulation twice —
 // once buffering telemetry into Results, once streaming it through a sink —
-// and requires byte-identical CSV/JSONL/Chrome output, plus identical
-// simulation results (the sink must be an observer, never a perturbation).
+// and requires the streamed exports to carry exactly the buffered series: the
+// CSV byte for byte, every JSONL sample value for value, a valid Chrome trace
+// with one counter per sample and column. The simulation results must match
+// too (the sink must be an observer, never a perturbation).
 func TestSimStreamingMatchesBufferedExports(t *testing.T) {
 	const cycles = 4000
 	names := []string{"3DS", "CONS"}
@@ -32,16 +38,7 @@ func TestSimStreamingMatchesBufferedExports(t *testing.T) {
 	cfg := streamTestConfig()
 	refSim := prepareScenario(t, cfg, names, 0)
 	ref := refSim.mustRun(t, cycles)
-	var refCSV, refJSONL, refChrome bytes.Buffer
-	if err := ref.Telemetry.WriteCSV(&refCSV); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Telemetry.WriteJSONL(&refJSONL); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Telemetry.WriteChromeTrace(&refChrome); err != nil {
-		t.Fatal(err)
-	}
+	d := ref.Telemetry
 
 	sink := telemetry.NewStreamSink()
 	var csv, jsonl, chrome bytes.Buffer
@@ -73,18 +70,51 @@ func TestSimStreamingMatchesBufferedExports(t *testing.T) {
 				i, res.Apps[i].Instructions, ref.Apps[i].Instructions)
 		}
 	}
-	for _, cmp := range []struct {
-		name      string
-		got, want []byte
-	}{
-		{"csv", csv.Bytes(), refCSV.Bytes()},
-		{"jsonl", jsonl.Bytes(), refJSONL.Bytes()},
-		{"chrome", chrome.Bytes(), refChrome.Bytes()},
-	} {
-		if !bytes.Equal(cmp.got, cmp.want) {
-			t.Errorf("%s: streamed output differs from buffered export (%d vs %d bytes)",
-				cmp.name, len(cmp.got), len(cmp.want))
+	if len(d.Samples) < 2 || len(d.Events) != 0 {
+		t.Fatalf("reference run has %d samples and %d events, want a series and no events", len(d.Samples), len(d.Events))
+	}
+
+	var want bytes.Buffer
+	want.WriteString("cycle")
+	for _, col := range d.Columns {
+		want.WriteString("," + col.Name)
+	}
+	for _, smp := range d.Samples {
+		fmt.Fprintf(&want, "\n%d", smp.Cycle)
+		for _, v := range smp.Values {
+			want.WriteString("," + strconv.FormatFloat(v, 'g', 6, 64))
 		}
+	}
+	want.WriteString("\n")
+	if !bytes.Equal(csv.Bytes(), want.Bytes()) {
+		t.Errorf("streamed CSV differs from the buffered series (%d vs %d bytes)", csv.Len(), want.Len())
+	}
+
+	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
+	if len(lines) != 1+len(d.Samples) {
+		t.Fatalf("JSONL has %d lines, want meta + %d samples", len(lines), len(d.Samples))
+	}
+	for i, ln := range lines[1:] {
+		var rec struct {
+			Cycle  int64
+			Values map[string]float64
+		}
+		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+			t.Fatal(err)
+		}
+		smp := d.Samples[i]
+		for j, col := range d.Columns {
+			if rec.Cycle != smp.Cycle || rec.Values[col.Name] != smp.Values[j] {
+				t.Fatalf("JSONL sample %d: %s = %v at cycle %d, buffered %v at cycle %d", i, col.Name, rec.Values[col.Name], rec.Cycle, smp.Values[j], smp.Cycle)
+			}
+		}
+	}
+
+	if _, err := telemetry.ValidateChromeTrace(bytes.NewReader(chrome.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := strings.Count(chrome.String(), `"ph":"C"`), len(d.Samples)*len(d.Columns); n != want {
+		t.Errorf("Chrome trace has %d counter events, want %d", n, want)
 	}
 }
 
@@ -93,9 +123,6 @@ func TestSimStreamingMatchesBufferedExports(t *testing.T) {
 // the restore must truncate each file back to the exact offset the 2600
 // checkpoint recorded (cutting every byte the original run emitted after it),
 // replay the sink's pending sample, and regenerate a byte-identical tail.
-// The checkpointing run is left with the simulator's default tick list — a
-// restore whose checkpoint carries state for an unregistered ticker is
-// rejected by the engine, which TestRestoreStatesRejectsForeignKeys pins.
 func TestSimStreamingCheckpointResume(t *testing.T) {
 	const cycles = 4000
 	const every = 1300 // checkpoints at 1300, 2600; the kill lands after 2600
@@ -199,8 +226,8 @@ func TestSimStreamingCheckpointResume(t *testing.T) {
 // panic at cycle 3000 without closing its sink, leaving each file at whatever
 // its last checkpoint flush produced (committed rows are durable, the
 // mid-epoch tail is not). The resume is built WITHOUT the fault plan — the
-// fault injector registers its engine ticker after every snapshot-capable
-// one precisely so a plan-free simulator still aligns with a plan-bearing
+// fault injector registers its engine ticker last precisely so a plan-free
+// simulator names every request sink by the same index as a plan-bearing
 // checkpoint — and must reproduce the uninterrupted run's bytes exactly.
 func TestSimStreamingKillResume(t *testing.T) {
 	const cycles = 4000

@@ -25,6 +25,26 @@ func telemetryRun(t *testing.T, cycles, epoch int64) (*Results, Config) {
 	return res, cfg
 }
 
+// telemetryExport runs the same pair streaming its telemetry in one format
+// and returns the bytes written.
+func telemetryExport(t *testing.T, cycles, epoch int64, format telemetry.Format) []byte {
+	t.Helper()
+	cfg := MASKConfig()
+	cfg.Cores = 4
+	cfg.WarpsPerCore = 16
+	cfg.TelemetryEpoch = epoch
+	cfg.TelemetrySink = telemetry.NewStreamSink()
+	var buf bytes.Buffer
+	if err := cfg.TelemetrySink.Attach(format, &buf); err != nil {
+		t.Fatal(err)
+	}
+	tinyRun(t, cfg, []string{"3DS", "CONS"}, cycles)
+	if err := cfg.TelemetrySink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestTelemetryEpochSampling(t *testing.T) {
 	res, _ := telemetryRun(t, 6000, 1000)
 	d := res.Telemetry
@@ -65,11 +85,8 @@ func TestTelemetryStallColumnsSumToCycleBudget(t *testing.T) {
 
 func TestTelemetryCSVHasRequiredColumns(t *testing.T) {
 	res, _ := telemetryRun(t, 4000, 1000)
-	var buf bytes.Buffer
-	if err := res.Telemetry.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	header := strings.SplitN(buf.String(), "\n", 2)[0]
+	csv := string(telemetryExport(t, 4000, 1000, telemetry.FormatCSV))
+	header := strings.SplitN(csv, "\n", 2)[0]
 	for _, col := range []string{
 		"cycle",
 		"app0/l1tlb/hit_rate", "app1/l1tlb/hit_rate",
@@ -84,7 +101,7 @@ func TestTelemetryCSVHasRequiredColumns(t *testing.T) {
 			t.Errorf("CSV header missing column %s", col)
 		}
 	}
-	if n := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); n != 1+4 {
+	if n := len(strings.Split(strings.TrimSpace(csv), "\n")); n != 1+4 {
 		t.Fatalf("CSV has %d lines, want header + 4 samples", n)
 	}
 	// Telemetry must actually observe traffic: the instruction counters sum
@@ -107,19 +124,15 @@ func TestTelemetryCSVHasRequiredColumns(t *testing.T) {
 }
 
 func TestTelemetryChromeTraceValidates(t *testing.T) {
-	res, _ := telemetryRun(t, 3000, 1000)
-	var buf bytes.Buffer
-	if err := res.Telemetry.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	n, err := telemetry.ValidateChromeTrace(bytes.NewReader(buf.Bytes()))
+	trace := telemetryExport(t, 3000, 1000, telemetry.FormatChrome)
+	n, err := telemetry.ValidateChromeTrace(bytes.NewReader(trace))
 	if err != nil {
 		t.Fatalf("simulator-produced trace fails validation: %v", err)
 	}
 	if n == 0 {
 		t.Fatal("empty trace")
 	}
-	s := buf.String()
+	s := string(trace)
 	for _, want := range []string{`"ph":"M"`, `"ph":"C"`, `"process_name"`} {
 		if !strings.Contains(s, want) {
 			t.Errorf("trace missing %s", want)
