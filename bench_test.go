@@ -82,11 +82,11 @@ func BenchmarkSimulatorKernel(b *testing.B) {
 // mostly the construction of 30 cores and their caches — so the budget guards
 // both the steady state and the cold start: reintroducing a per-request,
 // per-walk, per-TLB-fill, per-tracker or per-warp allocation blows past it.
-// The iteration measured 5 653 when the budget was set (fast-forward off;
-// 5 646 on) and the budget is that + 2 %; it measures 5 592 since components
-// hold their private pools by value. Raise it only with a profile in hand
-// showing what the new allocations buy.
-const allocBudget = 5_766
+// The iteration measured 5 564 objects with a request pool and a translation
+// pool per core (fast-forward on; 5 567 off) and measures 4 743 (4 745 off)
+// with one of each per simulator; the budget is that + 2 %. Raise it only
+// with a profile in hand showing what the new allocations buy.
+const allocBudget = 4_840
 
 // TestAllocBudget is the allocation-regression gate CI runs on every change.
 func TestAllocBudget(t *testing.T) {
@@ -107,21 +107,19 @@ func TestAllocBudget(t *testing.T) {
 
 // TestColdCellBudget gates the cost of the campaign's unit of work — build a
 // simulator, run it for 3 000 cycles, throw it away (`maskexp all` executes
-// hundreds of such cells, maskd one per cold job) — in objects and in bytes.
-// The object budget is today's measurement (3 975) + 2 %. The byte budget is
-// what the same cell allocated while every tracker still bound a completion
-// closure (6 134 416 B): a lower object count may not be bought with more
-// memory for the collector to trace, so a chunk-size or layout change that
-// pushes bytes back past that figure fails here. The cell measures 3 974
-// objects and 5.89 MB today (the slab lists now keep a registry of their
-// chunks, which is what lets TestRecycledCellBudget's cells reuse them).
+// hundreds of such cells, maskd one per cold job) — in objects and in bytes:
+// a lower object count may not be bought with more memory for the collector
+// to trace. The cell measured 3 952 objects and 5 795 696 B with a request
+// pool and a translation pool per core, and measures 3 211 objects and
+// 4 647 272 B with one of each per simulator (each per-core pool carved its
+// own first chunks); both budgets are that + 2 %.
 func TestColdCellBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate skipped in -short mode")
 	}
 	const (
-		objectBudget = 4_055
-		byteBudget   = 6_134_416
+		objectBudget = 3_276
+		byteBudget   = 4_740_218
 	)
 	cell := func() {
 		if _, err := Run(context.Background(), SharedTLBConfig(), []string{"3DS", "HISTO"}, 3000); err != nil {
@@ -142,20 +140,23 @@ func TestColdCellBudget(t *testing.T) {
 
 // TestRecycledCellBudget gates what recycling buys the campaign: the cold
 // cell of TestColdCellBudget again, but built by a sim.Recycler over the
-// simulator the previous cell returned — 3 974 objects new. The second such
-// cell measures 377 objects, and a third that follows a cell of another
-// design (MASK: other DRAM schedulers, a bypass cache, token state) 403; the
-// object budget is that + 2 %. Bytes barely move, by design — a recycled
-// simulator keeps its small buffers and lets the large ones go, because
-// keeping them cost a third more resident memory (docs/MODEL.md §11) — so
-// the byte budget, the 3.96 MB measured + 2 %, only says they may not rise.
+// simulator the previous cell returned — 3 211 objects new. The second such
+// cell measures 296–300 objects and 3.36 MB, and a third that follows a cell
+// of another design (MASK: other DRAM schedulers, a bypass cache, token
+// state) 321–326 objects and 3 386 032 B at most; with a request pool and a
+// translation pool per core they measured 361 and 394 objects, 3.85 and
+// 3.88 MB. Both budgets are the largest measurement + 2 %. Bytes barely move between cold
+// and recycled cells, by design — a recycled simulator keeps its small
+// buffers and lets the large ones go, because keeping them cost a third more
+// resident memory (docs/MODEL.md §11) — so the byte budget only says they may
+// not rise.
 func TestRecycledCellBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate skipped in -short mode")
 	}
 	const (
-		objectBudget = 411
-		byteBudget   = 4_040_000
+		objectBudget = 333
+		byteBudget   = 3_453_753
 	)
 	var r sim.Recycler
 	cell := func(cfg Config, names ...string) {
@@ -192,8 +193,10 @@ func TestRecycledCellBudget(t *testing.T) {
 // the collector grants that much headroom again on top: keeping a finished
 // run's 6–9 MB put the campaign a third over its resident-memory bound
 // (docs/MODEL.md §11). After the heaviest cells of the service's mix a retired
-// simulator measures 2.2 MB; one that pins a request chunk or a page table
-// through some forgotten pointer fails here.
+// simulator measures 1.3 MB (1.8 MB while a retired DRAM kept its schedulers'
+// queues, and through them the request chunks of the last cell's queued
+// requests); one that pins a request chunk or a page table through some
+// forgotten pointer fails here.
 func TestRetiredSimulatorFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory gate skipped in -short mode")

@@ -38,11 +38,7 @@ func inspectCheckpoint(w io.Writer, path string) error {
 	}
 	fmt.Fprintf(w, "  clock:       now=%d ticked=%d skipped=%d\n",
 		info.Clock.Now, info.Clock.Ticked, info.Clock.Skipped)
-	fmt.Fprintf(w, "  not freed:   %d requests, %d translations (in flight, or stranded by a fault plan)\n",
-		info.Requests, info.TransReqs)
-	if info.BadPools > 0 {
-		fmt.Fprintf(w, "  pool defect: %d pool images are inconsistent and left uncounted\n", info.BadPools)
-	}
+	fmt.Fprintf(w, "  in flight:   %d requests, %d translations\n", info.Requests, info.TransReqs)
 	fmt.Fprintf(w, "  fields (%d, by serialized size):\n", len(info.Fields))
 	for _, f := range info.Fields {
 		fmt.Fprintf(w, "    %-14s %8d bytes\n", f.Field, f.Bytes)

@@ -168,8 +168,7 @@ type Cache struct {
 	retry []*memreq.Request
 
 	// pool recycles the requests this cache originates (fills, bypass
-	// fetches, forwarded writes, writebacks): the cache's own (below) until
-	// the simulator replaces it with the per-simulator pool.
+	// fetches, forwarded writes, writebacks): the simulator's one pool.
 	pool *memreq.Pool
 
 	// bypass, when non-nil, routes matching requests directly to the backend
@@ -199,10 +198,6 @@ type Cache struct {
 	// latency accounting per class
 	latSum   [2]uint64
 	latCount [2]uint64
-
-	// own is the private request pool; last, so that it does not sit between
-	// the fields every access touches.
-	own memreq.Pool
 }
 
 // bankQueue is a ring buffer: pops are O(1), which matters because every
@@ -254,15 +249,17 @@ func max(a, b int) int {
 	return b
 }
 
-// New creates a cache. backend may be nil only for caches that are guaranteed
-// never to miss or write through (not used in practice; the simulator always
-// wires a backend).
-func New(cfg Config, backend Backend) *Cache { return Renew(nil, cfg, backend) }
+// New creates a cache whose own requests come from pool. backend may be nil
+// only for caches that are guaranteed never to miss or write through (not
+// used in practice; the simulator always wires a backend).
+func New(cfg Config, backend Backend, pool *memreq.Pool) *Cache {
+	return Renew(nil, cfg, backend, pool)
+}
 
 // Renew is New built in place over a donor: c is retired and comes back as
-// New(cfg, backend) would return it, over the donor's small buffers where
-// they fit (docs/MODEL.md §11). A nil donor allocates everything.
-func Renew(c *Cache, cfg Config, backend Backend) *Cache {
+// New(cfg, backend, pool) would return it, over the donor's small buffers
+// where they fit (docs/MODEL.md §11). A nil donor allocates everything.
+func Renew(c *Cache, cfg Config, backend Backend, pool *memreq.Pool) *Cache {
 	if cfg.LineSize <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid geometry %+v", cfg.Name, cfg))
 	}
@@ -288,11 +285,10 @@ func Renew(c *Cache, cfg Config, backend Backend) *Cache {
 		c = new(Cache)
 	}
 	c.Retire()
-	c.cfg, c.lineShift, c.sets, c.backend = cfg, shift, sets, backend
+	c.cfg, c.lineShift, c.sets, c.backend, c.pool = cfg, shift, sets, backend, pool
 	c.lines = cfg.Arena.take(sets * cfg.Ways)
 	c.queues = slab.Donors(c.queues, cfg.Banks)
 	c.mshrs, c.bypassMSHRs = slab.Map(c.mshrs), slab.Map(c.bypassMSHRs)
-	c.pool = &c.own
 	if cfg.WriteCombineWindow > 0 {
 		c.combineCur, c.combinePrev = slab.Map(c.combineCur), slab.Map(c.combinePrev)
 	} else {
@@ -303,14 +299,13 @@ func Renew(c *Cache, cfg Config, backend Backend) *Cache {
 
 // Retire empties c in place: what is left is the zero Cache but for the
 // capacity of its small buffers — bank rings, MSHR maps and trackers, retry
-// list, write-combine sets, the free stack of its own request pool — with
-// nothing in them. It holds no line array, no request and no neighbour, so a
-// retired cache pins nothing else of the simulator it was part of. Renew
-// starts here; a sim.Recycler retires what it keeps.
+// list, write-combine sets — with nothing in them. It holds no line array, no
+// request, no pool and no neighbour, so a retired cache pins nothing else of
+// the simulator it was part of. Renew starts here; a sim.Recycler retires
+// what it keeps.
 func (c *Cache) Retire() {
 	d := *c
 	d.mshrFree.Rewind((*mshr).reset)
-	d.own.Renew(0)
 	d.queues = d.queues[:cap(d.queues)]
 	for b := range d.queues {
 		// A ring's length is its capacity; all of it comes back empty.
@@ -327,16 +322,10 @@ func (c *Cache) Retire() {
 		bypassMSHRs: d.bypassMSHRs,
 		mshrFree:    d.mshrFree,
 		retry:       slab.Grown(d.retry),
-		own:         d.own,
 		combineCur:  d.combineCur,
 		combinePrev: d.combinePrev,
 	}
 }
-
-// SetRequestPool replaces the cache's private request pool, so one simulator
-// can share a single free list across its components. Must be called before
-// the first Submit.
-func (c *Cache) SetRequestPool(p *memreq.Pool) { c.pool = p }
 
 // getMSHR takes an mshr off the free list for the given line.
 func (c *Cache) getMSHR(lineAddr uint64, bypass bool) *mshr {

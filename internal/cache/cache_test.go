@@ -45,7 +45,7 @@ func smallCache(backend Backend, writeBack bool) *Cache {
 	return New(Config{
 		Name: "test", SizeBytes: 1024, Ways: 2, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, WriteBack: writeBack,
-	}, backend)
+	}, backend, new(memreq.Pool))
 }
 
 // read submits a read and returns a pointer to its completion flag.
@@ -170,7 +170,7 @@ func TestWriteCombining(t *testing.T) {
 	c := New(Config{
 		Name: "wc", SizeBytes: 1024, Ways: 2, LineSize: 64,
 		Banks: 1, PortsPerBank: 8, Latency: 1, WriteCombineWindow: 100,
-	}, be)
+	}, be, new(memreq.Pool))
 	for i := 0; i < 10; i++ {
 		c.Submit(int64(i), &memreq.Request{Kind: memreq.Write, Addr: 0x5000})
 	}
@@ -229,7 +229,7 @@ func TestQueueCapacityBackpressure(t *testing.T) {
 	c := New(Config{
 		Name: "q", SizeBytes: 1024, Ways: 2, LineSize: 64,
 		Banks: 1, PortsPerBank: 1, Latency: 1, QueueCap: 2,
-	}, be)
+	}, be, new(memreq.Pool))
 	a := c.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: 0})
 	b := c.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: 64})
 	full := c.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: 128})
@@ -290,7 +290,7 @@ func TestWayPartitioning(t *testing.T) {
 	c := New(Config{
 		Name: "part", SizeBytes: 1024, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1,
-	}, be)
+	}, be, new(memreq.Pool))
 	c.SetWayPartition([]uint64{0b0011, 0b1100}) // app0 ways 0-1, app1 ways 2-3
 	// App 0 fills three same-set lines; only two ways available, so one
 	// evicts — but app 1's line in the same set must survive.

@@ -36,7 +36,6 @@ type CacheState struct {
 	Queues        [][]BankItemState
 	Mshrs         []MSHRState
 	BypassMshrs   []MSHRState
-	MshrFree      int
 	Retry         []memreq.RequestState
 	CombineCur    []uint64
 	CombinePrev   []uint64
@@ -50,11 +49,10 @@ type CacheState struct {
 }
 
 // SnapshotState captures the cache's checkpoint image; w names its requests'
-// pools and sinks.
+// sinks.
 func (c *Cache) SnapshotState(w *memreq.Wiring) CacheState {
 	st := CacheState{
 		Stamp:         c.stamp,
-		MshrFree:      c.mshrFree.Len(),
 		Retry:         w.Images(nil, c.retry),
 		CombineSwapAt: c.combineSwapAt,
 		LevelStats:    c.levelStats,
@@ -155,7 +153,6 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 	if c.bypassMSHRs, err = restoreMSHRs(st.BypassMshrs, true); err != nil {
 		return err
 	}
-	c.mshrFree.Refill(st.MshrFree)
 	if c.retry, err = w.Requests(c.retry[:0], st.Retry); err != nil {
 		return fmt.Errorf("cache %s: retry list: %w", c.cfg.Name, err)
 	}

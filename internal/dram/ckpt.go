@@ -7,12 +7,10 @@ import (
 )
 
 // QueuedState is the serializable image of one Queued wrapper (queued or in
-// flight).
+// flight). Its bank and row are the request address's (DRAM.Map).
 type QueuedState struct {
 	Req     memreq.RequestState
 	Arrival int64
-	Bank    int
-	Row     int64
 	Finish  int64
 }
 
@@ -38,26 +36,20 @@ type ChannelState struct {
 
 // DRAMState is the memory subsystem's checkpoint image.
 type DRAMState struct {
-	Channels   []ChannelState
-	Class      [2]ClassCounters
-	PerAppBus  []uint64
-	StartCycle int64
-	LastCycle  int64
-	QFree      int
+	Channels  []ChannelState
+	Class     [2]ClassCounters
+	PerAppBus []uint64
 }
 
 // SnapshotState captures the memory subsystem's checkpoint image; w names
-// its requests' pools and sinks.
+// its requests' sinks.
 func (d *DRAM) SnapshotState(w *memreq.Wiring) DRAMState {
 	enc := func(q *Queued) QueuedState {
-		return QueuedState{Req: w.Image(q.Req), Arrival: q.Arrival, Bank: q.Bank, Row: q.Row, Finish: q.finish}
+		return QueuedState{Req: w.Image(q.Req), Arrival: q.Arrival, Finish: q.finish}
 	}
 	st := DRAMState{
-		Class:      d.Class,
-		PerAppBus:  append([]uint64(nil), d.perAppBus...),
-		StartCycle: d.startCycle,
-		LastCycle:  d.lastCycle,
-		QFree:      d.qFree.Len(),
+		Class:     d.Class,
+		PerAppBus: append([]uint64(nil), d.perAppBus...),
 	}
 	st.Channels = make([]ChannelState, len(d.channels))
 	for i := range d.channels {
@@ -82,14 +74,13 @@ func (d *DRAM) RestoreState(w *memreq.Wiring, st DRAMState) error {
 		if err != nil {
 			return nil, err
 		}
+		_, bank, row := d.Map(r.Addr)
 		q, _ := d.qFree.Get()
-		*q = Queued{Req: r, Arrival: qs.Arrival, Bank: qs.Bank, Row: qs.Row, finish: qs.Finish}
+		*q = Queued{Req: r, Arrival: qs.Arrival, Bank: bank, Row: row, finish: qs.Finish}
 		return q, nil
 	}
 	d.Class = st.Class
 	d.perAppBus = append(d.perAppBus[:0], st.PerAppBus...)
-	d.startCycle = st.StartCycle
-	d.lastCycle = st.LastCycle
 	for i := range d.channels {
 		ch := &d.channels[i]
 		cs := &st.Channels[i]
@@ -107,7 +98,6 @@ func (d *DRAM) RestoreState(w *memreq.Wiring, st DRAMState) error {
 			return fmt.Errorf("dram: channel %d: %w", i, err)
 		}
 	}
-	d.qFree.Refill(st.QFree)
 	return nil
 }
 

@@ -151,9 +151,6 @@ type DRAM struct {
 	// PerApp bus cycles, sized lazily.
 	perAppBus []uint64
 
-	startCycle int64
-	lastCycle  int64
-
 	// drop is a fault-injection hook: when it returns true for a completing
 	// transfer, the response is discarded (the request never returns to its
 	// sink). Used to prove the watchdog catches hung memory dependents.
@@ -200,17 +197,32 @@ func Renew(d *DRAM, cfg Config, mkSched func(chanIdx int, old Scheduler) Schedul
 // Retire empties d in place: what is left is the zero DRAM but for the
 // capacity of its channels' bank arrays and in-flight lists, its per-app
 // counters and its queue wrappers, with nothing in them, and each channel's
-// scheduler as it was — Renew hands that to mkSched, which renews it or lets
-// it go. No request, no hook (cache.Cache.Retire has the why).
+// scheduler, emptied the same way — Renew hands that to mkSched, which renews
+// it or lets it go. No request, no hook (cache.Cache.Retire has the why).
 func (d *DRAM) Retire() {
 	old := *d
 	old.qFree.Rewind(nil) // the wrappers are what holds the queued requests
 	old.channels = old.channels[:cap(old.channels)]
 	for i := range old.channels {
 		ch := &old.channels[i]
-		*ch = channel{banks: slab.Slice(ch.banks, 0), sched: ch.sched, inflight: slab.Grown(ch.inflight)}
+		*ch = channel{banks: slab.Slice(ch.banks, 0), sched: retireSched(ch.sched), inflight: slab.Grown(ch.inflight)}
 	}
 	*d = DRAM{channels: old.channels, perAppBus: slab.Slice(old.perAppBus, 0), qFree: old.qFree}
+}
+
+// retireSched empties a built-in scheduler in place, keeping its kind and its
+// queues' capacity: a queue left as it was pins the wrappers a Rewind let go,
+// and through them the requests they held. Any other scheduler is dropped.
+func retireSched(s Scheduler) Scheduler {
+	switch s := s.(type) {
+	case *FRFCFS:
+		return RenewFRFCFS(s, s.cap)
+	case *FCFS:
+		return RenewFCFS(s, s.cap)
+	case *MASKSched:
+		return RenewMASKSched(s, 1, 0, nil)
+	}
+	return nil
 }
 
 // Config returns the DRAM configuration.
@@ -266,7 +278,6 @@ func (d *DRAM) Submit(now int64, r *memreq.Request) bool {
 // Tick advances every channel: completes finished transfers and issues new
 // ones chosen by the scheduler.
 func (d *DRAM) Tick(now int64) {
-	d.lastCycle = now
 	for i := range d.channels {
 		ch := &d.channels[i]
 
@@ -358,13 +369,6 @@ func (d *DRAM) NextEvent(now int64) int64 {
 	return h
 }
 
-// SkipTo implements engine.Skipper: Tick stamps lastCycle on every cycle (it
-// feeds BandwidthUtil's elapsed-time denominator), so a skipped span must
-// leave the same stamp the tick at to-1 would have.
-func (d *DRAM) SkipTo(from, to int64) {
-	d.lastCycle = to - 1
-}
-
 // SetDropHook installs a fault-injection hook consulted when a transfer
 // completes; returning true silently discards the response. Pass nil to
 // clear.
@@ -384,11 +388,11 @@ func (d *DRAM) complete(now int64, q *Queued) {
 	req.Complete(now, memreq.ServedDRAM)
 }
 
-// BandwidthUtil returns the fraction of total channel-cycles the data buses
-// were busy for the given class, over the window since ResetWindow (or the
-// whole run). This feeds the paper's Figure 8 reproduction.
-func (d *DRAM) BandwidthUtil(class memreq.Class) float64 {
-	elapsed := d.lastCycle - d.startCycle
+// BandwidthUtil returns the fraction of the channel-cycles 1 … now−1 during
+// which the data buses were busy for the given class, in a run now cycles
+// long. This feeds the paper's Figure 8 reproduction.
+func (d *DRAM) BandwidthUtil(class memreq.Class, now int64) float64 {
+	elapsed := now - 1
 	if elapsed <= 0 {
 		return 0
 	}

@@ -295,7 +295,7 @@ func TestBandwidthCounters(t *testing.T) {
 	if d.Class[memreq.Data].BusCycles == 0 || d.Class[memreq.Translation].BusCycles == 0 {
 		t.Fatal("bus cycle counters not updated")
 	}
-	if d.BandwidthUtil(memreq.Data) <= 0 {
+	if d.BandwidthUtil(memreq.Data, 501) <= 0 {
 		t.Fatal("bandwidth utilization is zero")
 	}
 	if d.AppBusCycles(0) == 0 || d.AppBusCycles(1) == 0 {

@@ -31,7 +31,7 @@ func Storage(h *Harness, full bool) *Table {
 
 	// Shared: 32-entry bypass cache (tag+frame ~ 64b each), 30 15-bit token
 	// counters, 30 1-bit direction registers.
-	add("TLB bypass cache (32 x ~64b)", cfg.BypassCacheEntries*64)
+	add("TLB bypass cache (32 x ~64b)", sim.BypassCacheEntries*64)
 	add("token counters (30 x 15b + 30 x 1b)", 30*15+30)
 
 	// L2 bypass: ten 8-byte counters per... the paper: ten 8-byte counters
@@ -44,7 +44,7 @@ func Storage(h *Harness, full bool) *Table {
 	add(fmt.Sprintf("golden queue entries (16/channel x %d channels, ~64b)", cfg.DRAM.Channels),
 		16*64*cfg.DRAM.Channels)
 
-	total := asidBits + perCore*cfg.Cores + cfg.BypassCacheEntries*64 + 30*15 + 30 + 10*64 + 16*64*cfg.DRAM.Channels
+	total := asidBits + perCore*cfg.Cores + sim.BypassCacheEntries*64 + 30*15 + 30 + 10*64 + 16*64*cfg.DRAM.Channels
 	t.AddRow("TOTAL", fmt.Sprintf("%d", total), fmt.Sprintf("%.0f", float64(total)/8))
 	t.Note = "paper total: 706B of core+TLB state (1.6% of L1 TLB, 3.8% of L2 TLB, +7% ASID bits), <0.1% area, <0.01% power"
 	return t

@@ -25,23 +25,19 @@ type WarpState struct {
 
 // CoreState is the core's checkpoint image.
 type CoreState struct {
-	Current   int
-	WaitTrans int
-	WaitData  int
-	Stats     Stats
-	Warps     []WarpState
-	Retry     []memreq.RequestState
+	Current int
+	Stats   Stats
+	Warps   []WarpState
+	Retry   []memreq.RequestState
 }
 
 // SnapshotState captures the core's checkpoint image; wi names the retry
-// list's pools and sinks.
+// list's sinks.
 func (c *Core) SnapshotState(wi *memreq.Wiring) CoreState {
 	st := CoreState{
-		Current:   c.current,
-		WaitTrans: c.waitTrans,
-		WaitData:  c.waitData,
-		Stats:     c.Stats,
-		Retry:     wi.Images(nil, c.retry),
+		Current: c.current,
+		Stats:   c.Stats,
+		Retry:   wi.Images(nil, c.retry),
 	}
 	st.Warps = make([]WarpState, len(c.warps))
 	for i := range c.warps {
@@ -77,8 +73,6 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 		return fmt.Errorf("gpu: checkpoint names current warp %d of %d", st.Current, len(c.warps))
 	}
 	c.current = st.Current
-	c.waitTrans = st.WaitTrans
-	c.waitData = st.WaitData
 	c.Stats = st.Stats
 	for i := range c.warps {
 		w := &c.warps[i]

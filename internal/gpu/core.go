@@ -114,8 +114,7 @@ type Core struct {
 	translate TranslateFn
 	l1d       *cache.Cache
 
-	// pool recycles data-access requests: the core's own (below) until the
-	// simulator injects its shared one.
+	// pool recycles data-access requests: the simulator's one pool.
 	pool *memreq.Pool
 
 	retry []*memreq.Request
@@ -125,27 +124,25 @@ type Core struct {
 	ready []uint64
 	// waitTrans / waitData count blocked warps by phase (translation still
 	// pending vs data only), maintained at warp state transitions so idle
-	// cycles are attributed without scanning the warp array.
+	// cycles are attributed without scanning the warp array; a restore
+	// recounts them (rebuildReady).
 	waitTrans int
 	waitData  int
 
 	Stats Stats
-
-	// own is the private request pool; last, so that it does not sit between
-	// the fields every tick touches.
-	own memreq.Pool
 }
 
-// New builds a core whose warps draw from the given streams (one per warp).
-func New(id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache) *Core {
-	return Renew(nil, id, appID, cfg, streams, translate, l1d)
+// New builds a core whose warps draw from the given streams (one per warp)
+// and whose data accesses come from pool.
+func New(id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache, pool *memreq.Pool) *Core {
+	return Renew(nil, id, appID, cfg, streams, translate, l1d, pool)
 }
 
 // Renew is New built in place over a donor: c is retired and comes back as
 // New would return it, over the donor's buffers where they fit
 // (docs/MODEL.md §11). streams is copied, not kept. A nil donor allocates
 // everything.
-func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache) *Core {
+func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache, pool *memreq.Pool) *Core {
 	if len(streams) != cfg.WarpsPerCore {
 		panic("gpu: stream count must equal warps per core")
 	}
@@ -154,8 +151,7 @@ func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, trans
 	}
 	c.Retire()
 	c.id, c.appID, c.cfg = id, appID, cfg
-	c.translate, c.l1d = translate, l1d
-	c.pool = &c.own
+	c.translate, c.l1d, c.pool = translate, l1d, pool
 	c.warps = slab.Slice(c.warps, cfg.WarpsPerCore)
 	for i := range c.warps {
 		c.warps[i] = warp{id: i, stream: streams[i]}
@@ -166,23 +162,17 @@ func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, trans
 }
 
 // Retire empties c in place: what is left is the zero Core but for the
-// capacity of its warp array, ready set, retry list and own pool's free
-// stack, with nothing in them — no stream, no request, no neighbour
-// (cache.Cache.Retire has the why).
+// capacity of its warp array, ready set and retry list, with nothing in
+// them — no stream, no request, no pool, no neighbour (cache.Cache.Retire
+// has the why).
 func (c *Core) Retire() {
 	d := *c
-	d.own.Renew(0)
 	*c = Core{
 		warps: slab.Slice(d.warps, 0),
 		ready: slab.Slice(d.ready, 0),
 		retry: slab.Grown(d.retry),
-		own:   d.own,
 	}
 }
-
-// SetRequestPool replaces the core's private request pool with a shared
-// per-simulator one. Must be called before simulation starts.
-func (c *Core) SetRequestPool(p *memreq.Pool) { c.pool = p }
 
 // ID returns the core's global index.
 func (c *Core) ID() int { return c.id }
@@ -245,12 +235,19 @@ func (c *Core) NextEvent(now int64) int64 {
 	return engine.NoEvent
 }
 
-// rebuildReady derives the ready set from the warp states.
+// rebuildReady derives the ready set and the blocked-warp counts from the
+// warp states.
 func (c *Core) rebuildReady() {
 	clear(c.ready)
+	c.waitTrans, c.waitData = 0, 0
 	for i := range c.warps {
-		if c.warps[i].state == warpReady {
+		switch w := &c.warps[i]; {
+		case w.state == warpReady:
 			c.ready[i/64] |= 1 << (i % 64)
+		case w.pendingTrans > 0:
+			c.waitTrans++
+		default:
+			c.waitData++
 		}
 	}
 }

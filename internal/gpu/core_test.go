@@ -50,10 +50,11 @@ func testProfile() workload.Profile {
 
 func newTestCore(warps int, translate TranslateFn) (*Core, *sink, *cache.Cache) {
 	be := &sink{delay: 5}
+	pool := new(memreq.Pool)
 	l1d := cache.New(cache.Config{
 		Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 64,
-	}, be)
+	}, be, pool)
 	streams := make([]*workload.Stream, warps)
 	p := testProfile()
 	for w := 0; w < warps; w++ {
@@ -64,7 +65,7 @@ func newTestCore(warps int, translate TranslateFn) (*Core, *sink, *cache.Cache) 
 	}
 	core := New(0, 0, Config{
 		WarpsPerCore: warps, PageShift: 12, FrameSize: 4096, LineSize: 64,
-	}, streams, translate, l1d)
+	}, streams, translate, l1d, pool)
 	return core, be, l1d
 }
 
@@ -230,15 +231,16 @@ func TestWritesDoNotBlockWarp(t *testing.T) {
 	p := testProfile()
 	p.WriteFrac = 1
 	be := &sink{delay: 1000} // writes would block forever if they counted
+	pool := new(memreq.Pool)
 	l1d := cache.New(cache.Config{
 		Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 256,
-	}, be)
+	}, be, pool)
 	s := p.NewStream(workload.StreamConfig{
 		Base: 1 << 32, PageSize: 4096, LineSize: 64, WarpIndex: 0, NumWarps: 1, Seed: 3,
 	})
 	core := New(0, 0, Config{WarpsPerCore: 1, PageShift: 12, FrameSize: 4096, LineSize: 64},
-		[]*workload.Stream{s}, instantTranslate, l1d)
+		[]*workload.Stream{s}, instantTranslate, l1d, pool)
 	for now := int64(0); now < 300; now++ {
 		core.Tick(now)
 		l1d.Tick(now)
@@ -256,15 +258,16 @@ func TestSyncStalledWarpSkipped(t *testing.T) {
 	// Block warp 1 forever by never translating for it; warp 0 advances
 	// until the group-sync window stops it.
 	be := &sink{delay: 2}
+	pool := new(memreq.Pool)
 	l1d := cache.New(cache.Config{
 		Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 64,
-	}, be)
+	}, be, pool)
 	translate := func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
 		return vpn, warpID != 1 // warp 1's translations never complete
 	}
 	core := New(0, 0, Config{WarpsPerCore: 2, PageShift: 12, FrameSize: 4096, LineSize: 64},
-		streams, translate, l1d)
+		streams, translate, l1d, pool)
 	for now := int64(0); now < 3000; now++ {
 		core.Tick(now)
 		l1d.Tick(now)
@@ -378,10 +381,11 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 	for _, rr := range []bool{false, true} {
 		const warps = 64
 		be := &sink{delay: 1 << 40} // nothing returns until the test says so
+		pool := new(memreq.Pool)
 		l1d := cache.New(cache.Config{
 			Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 			Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 64,
-		}, be)
+		}, be, pool)
 		// Read-only, no hot region, one private page per warp: no two warps
 		// ever share a line, so every fill belongs to exactly one of them.
 		p := workload.Profile{
@@ -396,7 +400,7 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 		}
 		core := New(0, 0, Config{
 			WarpsPerCore: warps, PageShift: 12, FrameSize: 4096, LineSize: 64, RoundRobin: rr,
-		}, streams, instantTranslate, l1d)
+		}, streams, instantTranslate, l1d, pool)
 		for now := int64(0); now < 2000; now++ {
 			core.Tick(now)
 			l1d.Tick(now)

@@ -4,25 +4,25 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-
-	"masksim/internal/slab"
 )
 
 // Checkpoint support. Every live Request has exactly one owner (a retry
 // list, a bank queue, an MSHR's waiters, a DRAM queue), so that owner writes
 // it inline as a RequestState and restores it in place. Every live TransReq
-// has exactly one L1 TLB miss tracker, which writes it; every other holder
-// names it by its TransKey.
+// has exactly one L1 TLB miss tracker, which writes it, and at most one other
+// holder, which names it by its TransKey.
 
 // Wiring is the fixed layout of one simulator that a checkpoint names things
-// by: request pools by Pool.ID, request sinks by engine registration index
-// (nil for tickers that are not sinks), and live translations by TransKey.
-// One Wiring serves one Checkpoint or one restore.
+// by: request sinks by engine registration index (nil for tickers that are
+// not sinks), and live translations by TransKey. One Wiring serves one
+// Checkpoint or one restore.
 type Wiring struct {
-	Pools []*Pool
+	// Pool is the simulator's one request pool, which restore takes every
+	// request from (restore only).
+	Pool  *Pool
 	Sinks []Sink
 	// Trans resolves a key to the TransReq the restored L1 TLB of its core
-	// tracks (restore only).
+	// tracks, once: every holder asks for the keys it holds (restore only).
 	Trans func(TransKey) (*TransReq, error)
 
 	// last is the index of the sink the previous Image looked up: a
@@ -34,7 +34,7 @@ type Wiring struct {
 	closed []bool
 }
 
-// RequestState is the checkpoint image of one live Request.
+// RequestState is the checkpoint image of one live, not yet served Request.
 type RequestState struct {
 	AppID     int
 	ASID      uint8
@@ -45,15 +45,10 @@ type RequestState struct {
 	WalkLevel uint8
 	Addr      uint64
 	Issue     int64
-	Served    Service
 	// Sink is 1 + the index in Wiring.Sinks of the component the request
 	// returns to, 0 for none; Tag is that component's continuation detail.
 	Sink int32
 	Tag  uint64
-	// Pool names the free list the request came from (Pool.ID): the
-	// recycling partitions must survive a checkpoint unchanged for the
-	// resumed run to stay bit-identical.
-	Pool int
 }
 
 // TransKey names a live TransReq by its one miss tracker: the L1 TLB of core
@@ -97,10 +92,7 @@ func (w *Wiring) Image(r *Request) RequestState {
 	st := RequestState{
 		AppID: r.AppID, ASID: r.ASID, CoreID: r.CoreID, WarpID: r.WarpID,
 		Kind: r.Kind, Class: r.Class, WalkLevel: r.WalkLevel,
-		Addr: r.Addr, Issue: r.Issue, Served: r.Served, Tag: r.Tag,
-	}
-	if r.pool != nil {
-		st.Pool = r.pool.ID
+		Addr: r.Addr, Issue: r.Issue, Tag: r.Tag,
 	}
 	if r.Ret != nil {
 		if w.last >= len(w.Sinks) || w.Sinks[w.last] != r.Ret {
@@ -121,13 +113,10 @@ func (w *Wiring) Images(dst []RequestState, rs []*Request) []RequestState {
 	return dst
 }
 
-// Request takes a request from the pool st names and gives it st's fields,
-// return route included. An image naming a pool or sink the wiring does not
-// have, or a sink whose Returning already ran, is an error.
+// Request takes a request from the pool and gives it st's fields, return
+// route included. An image naming a sink the wiring does not have, or a sink
+// whose Returning already ran, is an error.
 func (w *Wiring) Request(st RequestState) (*Request, error) {
-	if st.Pool < 0 || st.Pool >= len(w.Pools) {
-		return nil, fmt.Errorf("memreq: request (addr %#x, tag %d) names pool %d of %d", st.Addr, st.Tag, st.Pool, len(w.Pools))
-	}
 	var sink Sink
 	i := int(st.Sink) - 1
 	if st.Sink != 0 {
@@ -140,10 +129,10 @@ func (w *Wiring) Request(st RequestState) (*Request, error) {
 		}
 		sink = w.Sinks[i]
 	}
-	r := w.Pools[st.Pool].Get()
+	r := w.Pool.Get()
 	r.AppID, r.ASID, r.CoreID, r.WarpID = st.AppID, st.ASID, st.CoreID, st.WarpID
 	r.Kind, r.Class, r.WalkLevel = st.Kind, st.Class, st.WalkLevel
-	r.Addr, r.Issue, r.Served = st.Addr, st.Issue, st.Served
+	r.Addr, r.Issue = st.Addr, st.Issue
 	r.Ret, r.Tag = sink, st.Tag
 	if sink != nil {
 		w.bySink[i] = append(w.bySink[i], r)
@@ -183,53 +172,3 @@ func (w *Wiring) routes() {
 		w.bySink, w.closed = make([][]*Request, len(w.Sinks)), make([]bool, len(w.Sinks))
 	}
 }
-
-// PoolState is the serializable image of a request pool: only the free-list
-// length and the cumulative counters matter — free objects are
-// interchangeable zeroed memory, so restore tops the list up through
-// slab.List.Refill. Allocs - Free is the number of live requests.
-type PoolState struct {
-	Free   int
-	Allocs uint64
-	Gets   uint64
-}
-
-func poolState[T any](l *slab.List[T]) PoolState {
-	return PoolState{Free: l.Len(), Allocs: l.Allocs, Gets: l.Gets}
-}
-
-// Outstanding returns how many objects the pool created and does not hold
-// free, and whether the image is one a run can produce: no more free objects
-// than were ever created, no more created than handed out.
-func (st PoolState) Outstanding() (uint64, bool) {
-	if st.Free < 0 || uint64(st.Free) > st.Allocs || st.Allocs > st.Gets {
-		return 0, false
-	}
-	return st.Allocs - uint64(st.Free), true
-}
-
-// restorePool applies a pool image: the free list is topped up to the
-// recorded length and the counters are overwritten. Called after every
-// component restored its requests so the counters reflect the checkpointed
-// run. An image no run can produce is rejected: the envelope checksum vouches
-// for the bytes, not for the state they encode.
-func restorePool[T any](l *slab.List[T], id int, st PoolState) error {
-	if _, ok := st.Outstanding(); !ok {
-		return fmt.Errorf("memreq: checkpoint pool %d has Free=%d Allocs=%d Gets=%d", id, st.Free, st.Allocs, st.Gets)
-	}
-	l.Refill(st.Free)
-	l.Allocs, l.Gets = st.Allocs, st.Gets
-	return nil
-}
-
-// State captures the pool's checkpoint image.
-func (p *Pool) State() PoolState { return poolState(&p.free) }
-
-// SetState restores the pool image (see restorePool).
-func (p *Pool) SetState(st PoolState) error { return restorePool(&p.free, p.ID, st) }
-
-// State captures the pool's checkpoint image.
-func (p *TransPool) State() PoolState { return poolState(&p.free) }
-
-// SetState restores the pool image (see restorePool).
-func (p *TransPool) SetState(st PoolState) error { return restorePool(&p.free, p.ID, st) }

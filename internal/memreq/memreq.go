@@ -128,7 +128,8 @@ type Request struct {
 	// Issue is the cycle the request entered the memory system (used for
 	// latency accounting).
 	Issue int64
-	// Served records which level supplied the data; set by the hierarchy.
+	// Served records which level supplied the data; set as the request
+	// completes.
 	Served Service
 
 	// Ret is where the completed request returns (nil: nowhere). Tag is
@@ -186,7 +187,6 @@ type TransReq struct {
 	AppID  int
 	ASID   uint8
 	CoreID int
-	WarpID int
 
 	// VPN is the virtual page number being translated.
 	VPN uint64
@@ -194,8 +194,6 @@ type TransReq struct {
 	// issue time (§5.2); it controls whether the walker's result may fill the
 	// shared L2 TLB or only the bypass cache.
 	HasToken bool
-	// Issue is the cycle the request left the L1 TLB.
-	Issue int64
 	// StalledWarps counts the warps blocked on this translation; maintained
 	// by the L1 TLB MSHR and consumed by the Address-Space-Aware DRAM
 	// scheduler's WarpsStalled metric (§5.4).

@@ -13,22 +13,16 @@ import "masksim/internal/slab"
 // Pools are intentionally NOT sync.Pool: the cycle loop is single-threaded
 // per simulator, and a plain slab.List keeps recycling fully deterministic
 // (the GC never steals entries, so object identity sequences — and therefore
-// any accidental dependence on them — are identical run to run). Each
-// simulator instance owns its pools; two simulators running concurrently
-// never share request memory, which keeps runs race-free (see the sim
-// package's concurrency test).
+// any accidental dependence on them — are identical run to run). A simulator
+// owns one Pool, which every component that issues requests draws from; two
+// simulators running concurrently never share request memory, which keeps
+// runs race-free (see the sim package's concurrency test).
 //
 // The zero Pool is ready to use.
 type Pool struct {
 	// free recycles the requests. Its Allocs counts objects created because
-	// the free list was empty and its Gets all handouts (tests, checkpoints).
+	// the free list was empty and its Gets all handouts.
 	free slab.List[Request]
-
-	// ID names this pool inside a checkpoint: every request image records its
-	// owning pool's ID, and Wiring.Request takes it from the pool with the
-	// same ID. The simulator stamps IDs over its canonical pool list; the zero
-	// value maps to the shared pool.
-	ID int
 }
 
 // Get returns a live, zeroed Request owned by the caller. The request comes
@@ -48,26 +42,20 @@ func (p *Pool) put(r *Request) {
 	p.free.Put(r)
 }
 
-// Renew returns the pool to its initial state as pool id: every request it
-// ever handed out is dead. It keeps what slab.List.Rewind keeps — a few small
-// chunks and a free stack, not the hundreds of kilobytes of requests a core's
-// pool grows to. The zero Pool renews to itself.
-func (p *Pool) Renew(id int) {
-	p.free.Rewind(nil)
-	*p = Pool{free: p.free, ID: id}
-}
+// Renew returns the pool to its initial state: every request it ever handed
+// out is dead. It keeps what slab.List.Rewind keeps — a few small chunks and
+// a free stack, not the hundreds of kilobytes of requests a busy pool grows
+// to.
+func (p *Pool) Renew() { p.free.Rewind(nil) }
 
-// FreeLen reports the current free-list length (test helper).
-func (p *Pool) FreeLen() int { return p.free.Len() }
+// Live reports how many requests the pool created and does not hold free:
+// every one some component holds, plus any a fault plan stranded.
+func (p *Pool) Live() int { return int(p.free.Allocs) - p.free.Len() }
 
 // TransPool is the Pool analogue for TransReqs, recycled by
 // TransReq.Complete. The zero TransPool is ready to use.
 type TransPool struct {
 	free slab.List[TransReq]
-
-	// ID names this pool in restore errors. A checkpoint needs no pool ID for
-	// a translation: it is written by the L1 TLB that took it from this pool.
-	ID int
 }
 
 // Get returns a live, zeroed TransReq owned by the caller.
@@ -84,10 +72,7 @@ func (p *TransPool) put(tr *TransReq) {
 }
 
 // Renew is Pool.Renew for a TransPool.
-func (p *TransPool) Renew(id int) {
-	p.free.Rewind(nil)
-	*p = TransPool{free: p.free, ID: id}
-}
+func (p *TransPool) Renew() { p.free.Rewind(nil) }
 
-// FreeLen reports the current free-list length (test helper).
-func (p *TransPool) FreeLen() int { return p.free.Len() }
+// Live is Pool.Live for a TransPool.
+func (p *TransPool) Live() int { return int(p.free.Allocs) - p.free.Len() }

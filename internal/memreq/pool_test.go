@@ -20,9 +20,12 @@ func TestPoolRecyclesOnComplete(t *testing.T) {
 	var p Pool
 	r := p.Get()
 	r.Addr = 0x1000
+	if p.Live() != 1 {
+		t.Fatalf("%d requests live after Get, want 1", p.Live())
+	}
 	r.Complete(1, ServedL1)
-	if p.FreeLen() != 1 {
-		t.Fatalf("free list has %d entries after Complete, want 1", p.FreeLen())
+	if p.Live() != 0 {
+		t.Fatalf("%d requests live after Complete, want 0", p.Live())
 	}
 	r2 := p.Get()
 	if r2 != r {
@@ -42,7 +45,7 @@ func TestPooledDoneRunsBeforeRecycle(t *testing.T) {
 	ran := false
 	r.Ret = SinkFunc(func(now int64, req *Request) {
 		ran = true
-		if p.FreeLen() != 0 {
+		if p.Live() != 1 {
 			t.Error("request recycled before its sink returned")
 		}
 		if req != r {
@@ -87,7 +90,7 @@ func TestTransPoolLifecycle(t *testing.T) {
 	if gotFrame != 7 {
 		t.Fatalf("sink got frame %d, want 7", gotFrame)
 	}
-	if p.FreeLen() != 1 {
+	if p.Live() != 0 {
 		t.Fatal("TransReq not recycled on Complete")
 	}
 	mustPanic(t, "memreq: Complete on a recycled TransReq (use-after-done)", func() {

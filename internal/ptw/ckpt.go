@@ -29,13 +29,10 @@ type WalkState struct {
 
 // WalkerState is the walker's checkpoint image.
 type WalkerState struct {
-	Active       []WalkState
-	Pending      []WalkState
-	WalkFree     int
-	PerAppActive []int
-	SerialSeq    uint64
-	Stats        Stats
-	LatHist      *metrics.HistogramState
+	Active  []WalkState
+	Pending []WalkState
+	Stats   Stats
+	LatHist *metrics.HistogramState
 }
 
 // Deliverable implements FaultSink: whether a walk finishing as h has
@@ -72,12 +69,7 @@ func resolveHeld(wi *memreq.Wiring, sink FaultSink, h *HeldWalk, key memreq.Tran
 
 // SnapshotState captures the walker's checkpoint image.
 func (w *Walker) SnapshotState() WalkerState {
-	st := WalkerState{
-		WalkFree:     w.walkFree.Len(),
-		PerAppActive: append([]int(nil), w.perAppActive...),
-		SerialSeq:    w.serialSeq,
-		Stats:        w.Stats,
-	}
+	st := WalkerState{Stats: w.Stats}
 	snap := func(wk *walk) WalkState {
 		ws := WalkState{
 			ASID: wk.asid, AppID: wk.appID, VPN: wk.vpn,
@@ -109,9 +101,7 @@ func (w *Walker) SnapshotState() WalkerState {
 // so every walk's continuation resolves, and so do the caches below the
 // walker, so every read returning to it is known by the end.
 func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
-	w.serialSeq = st.SerialSeq
 	w.Stats = st.Stats
-	copy(w.perAppActive, st.PerAppActive)
 	var err error
 	if w.active, err = w.buildWalks(wi, w.active[:0], st.Active); err != nil {
 		return err
@@ -119,7 +109,12 @@ func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 	if w.pending, err = w.buildWalks(wi, w.pending[:0], st.Pending); err != nil {
 		return err
 	}
-	w.walkFree.Refill(st.WalkFree)
+	clear(w.perAppActive)
+	for _, wk := range w.active {
+		if !wk.finished && wk.appID >= 0 && wk.appID < len(w.perAppActive) {
+			w.perAppActive[wk.appID]++
+		}
+	}
 	if st.LatHist != nil && w.latHist != nil {
 		w.latHist.SetState(*st.LatHist)
 	}
@@ -161,13 +156,12 @@ func (w *Walker) buildWalks(wi *memreq.Wiring, dst []*walk, sts []WalkState) ([]
 
 // --- fault unit -------------------------------------------------------------
 
-// FaultNotifyState is one held walk in serialized form.
+// FaultNotifyState is one held walk in serialized form; its page is the
+// fault's.
 type FaultNotifyState struct {
 	Start  int64
 	Origin uint8
 	AppID  int
-	ASID   uint8
-	VPN    uint64
 	Frame  uint64
 	// Tr names the TransReq of an OriginTrans walk by its tracker key.
 	Tr memreq.TransKey
@@ -202,10 +196,7 @@ func (f *FaultUnit) SnapshotState() FaultUnitState {
 	snap := func(p *pendingFault) PendingFaultState {
 		ps := PendingFaultState{ASID: p.key.asid, VPN: p.key.vpn, Start: p.start, DoneAt: p.doneAt}
 		for _, h := range p.notify {
-			ns := FaultNotifyState{
-				Start: h.Start, Origin: uint8(h.Origin), AppID: h.AppID,
-				ASID: h.ASID, VPN: h.VPN, Frame: h.Frame,
-			}
+			ns := FaultNotifyState{Start: h.Start, Origin: uint8(h.Origin), AppID: h.AppID, Frame: h.Frame}
 			if h.Tr != nil {
 				ns.Tr = h.Tr.Key()
 			}
@@ -237,7 +228,7 @@ func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
 			for _, ns := range ps.Notify {
 				h := HeldWalk{
 					Start: ns.Start, Origin: WalkOrigin(ns.Origin), AppID: ns.AppID,
-					ASID: ns.ASID, VPN: ns.VPN, Frame: ns.Frame,
+					ASID: ps.ASID, VPN: ps.VPN, Frame: ns.Frame,
 				}
 				if err := resolveHeld(wi, f.sink, &h, ns.Tr); err != nil {
 					return dst, err

@@ -70,8 +70,9 @@ type walk struct {
 	start    int64
 	buf      [4]uint64
 
-	// serial is a per-walker monotonic walk number; the walk's per-level
-	// memory reads carry it as their Tag and RequestDone finds the walk by it.
+	// serial numbers the walk in start order (Stats.Started before it
+	// started); its per-level memory reads carry it as their Tag and
+	// RequestDone finds the walk by it.
 	serial uint64
 }
 
@@ -109,13 +110,12 @@ type Walker struct {
 	// walkFree recycles finished walk objects.
 	walkFree slab.List[walk]
 	// pool recycles the walker's per-level memory read requests: the
-	// walker's own (below) until the simulator injects its shared one.
+	// simulator's one pool.
 	pool *memreq.Pool
 
+	// perAppActive counts each app's unfinished active walks; a restore
+	// recounts it.
 	perAppActive []int
-
-	// serialSeq numbers walks (walk.serial).
-	serialSeq uint64
 
 	// sampleEvery controls concurrency sampling (cycles); 0 disables.
 	sampleEvery int64
@@ -135,22 +135,18 @@ type Walker struct {
 	latHist *metrics.Histogram
 
 	Stats Stats
-
-	// own is the private request pool; last, so that it does not sit between
-	// the fields every tick touches.
-	own memreq.Pool
 }
 
 // New builds a walker admitting maxConcurrent walks, reading page tables
-// through backend.
-func New(maxConcurrent int, backend cache.Backend, numApps int) *Walker {
-	return Renew(nil, maxConcurrent, backend, numApps)
+// through backend with requests from pool.
+func New(maxConcurrent int, backend cache.Backend, numApps int, pool *memreq.Pool) *Walker {
+	return Renew(nil, maxConcurrent, backend, numApps, pool)
 }
 
 // Renew is New built in place over a donor: w is retired and comes back as
 // New would return it, over the donor's buffers where they fit
 // (docs/MODEL.md §11). A nil donor allocates everything.
-func Renew(w *Walker, maxConcurrent int, backend cache.Backend, numApps int) *Walker {
+func Renew(w *Walker, maxConcurrent int, backend cache.Backend, numApps int, pool *memreq.Pool) *Walker {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 64
 	}
@@ -158,35 +154,28 @@ func Renew(w *Walker, maxConcurrent int, backend cache.Backend, numApps int) *Wa
 		w = new(Walker)
 	}
 	w.Retire()
-	w.max, w.backend, w.sampleEvery = maxConcurrent, backend, 128
+	w.max, w.backend, w.pool, w.sampleEvery = maxConcurrent, backend, pool, 128
 	w.spaces = slab.Map(w.spaces)
 	w.perAppActive = slab.Slice(w.perAppActive, numApps)
-	w.pool = &w.own
 	return w
 }
 
 // Retire empties w in place: what is left is the zero Walker but for the
-// capacity of its space map, walk lists and objects, per-app counters and own
-// pool's free stack, with nothing in them — no address space, no fault unit,
-// no hook, no neighbour (cache.Cache.Retire has the why).
+// capacity of its space map, walk lists and objects and per-app counters,
+// with nothing in them — no address space, no fault unit, no pool, no hook,
+// no neighbour (cache.Cache.Retire has the why).
 func (w *Walker) Retire() {
 	d := *w
 	d.walkFree.Rewind(nil)
-	d.own.Renew(0)
 	clear(d.spaces)
 	*w = Walker{
 		spaces:       d.spaces,
 		active:       slab.Grown(d.active),
 		pending:      slab.Grown(d.pending),
 		walkFree:     d.walkFree,
-		own:          d.own,
 		perAppActive: slab.Slice(d.perAppActive, 0),
 	}
 }
-
-// SetRequestPool replaces the walker's private request pool with a shared
-// per-simulator one. Must be called before simulation starts.
-func (w *Walker) SetRequestPool(p *memreq.Pool) { w.pool = p }
 
 // SetWalkSink names the component StartWalk's results return to. Must be
 // called before the first StartWalk.
@@ -211,8 +200,7 @@ func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, origin Walk
 	}
 	wk, _ := w.walkFree.Get()
 	wk.asid, wk.appID, wk.vpn = asid, appID, vpn
-	wk.origin, wk.tr, wk.serial = origin, tr, w.serialSeq
-	w.serialSeq++
+	wk.origin, wk.tr, wk.serial = origin, tr, w.Stats.Started
 	wk.level, wk.start = 1, now
 	wk.addrs = sp.WalkAddrsInto(vpn, wk.buf[:0])
 	w.Stats.Started++

@@ -58,7 +58,7 @@ func (l *walkLog) Deliverable(h HeldWalk) bool { return true }
 // newWalker builds a walker over mem whose walk results land in the returned
 // log.
 func newWalker(maxConcurrent int, mem *fakeMem, numApps int) (*Walker, *walkLog) {
-	w, log := New(maxConcurrent, mem, numApps), &walkLog{}
+	w, log := New(maxConcurrent, mem, numApps, new(memreq.Pool)), &walkLog{}
 	w.SetWalkSink(log)
 	return w, log
 }
@@ -144,7 +144,7 @@ func TestConcurrencyLimit(t *testing.T) {
 	}
 }
 
-func TestPerAppActiveCounts(t *testing.T) {
+func TestActiveWalksForApp(t *testing.T) {
 	w, _, sp, _ := newWalkerWithPage(t, 8)
 	base := uint64(0x4_0000_0000)
 	for i := 0; i < 3; i++ {
@@ -206,7 +206,7 @@ func TestSubmitTransRoutesToWalk(t *testing.T) {
 
 func TestWalkUnknownASIDPanics(t *testing.T) {
 	mem := &fakeMem{}
-	w := New(4, mem, 1)
+	w := New(4, mem, 1, new(memreq.Pool))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("walk for unregistered ASID did not panic")

@@ -41,8 +41,6 @@ type List[T any] struct {
 	// fresh says the chunk being carved is not one of them.
 	reset int
 	fresh bool
-	// owed counts objects Refill put on the list that no Get has carved yet.
-	owed int
 
 	// Allocs counts the objects created because the list was empty (objects,
 	// not chunks); Gets counts all handouts. Gets - Allocs is the number of
@@ -63,11 +61,7 @@ func (l *List[T]) Get() (p *T, fresh bool) {
 		l.free = l.free[:n-1]
 		return p, false
 	}
-	if l.owed > 0 {
-		l.owed--
-	} else {
-		l.Allocs++
-	}
+	l.Allocs++
 	if len(l.chunk) == 0 {
 		if l.used == len(l.chunks) {
 			size := max(int(unsafe.Sizeof(*p)), 1)
@@ -92,7 +86,7 @@ func (l *List[T]) Get() (p *T, fresh bool) {
 func (l *List[T]) Put(p *T) { l.free = append(l.free, p) }
 
 // Len reports how many objects are on the list.
-func (l *List[T]) Len() int { return len(l.free) + l.owed }
+func (l *List[T]) Len() int { return len(l.free) }
 
 // Rewind returns the list to its initial state over the chunks it already
 // has: it then hands out the same objects in the same order, with the same
@@ -133,15 +127,4 @@ func (l *List[T]) Rewind(reset func(*T)) {
 		wasReset = max(dirty, wasReset)
 	}
 	*l = List[T]{free: Grown(l.free), chunks: l.chunks, reset: wasReset}
-}
-
-// Refill tops the list up to n objects (checkpoint restore: free objects are
-// interchangeable, so only their number is recorded). The missing objects are
-// carved by the Gets that hand them out, which report them fresh but do not
-// count them in Allocs — the checkpointed run already did. A list that
-// already holds n or more is left alone.
-func (l *List[T]) Refill(n int) {
-	if d := n - l.Len(); d > 0 {
-		l.owed += d
-	}
 }

@@ -36,20 +36,14 @@ func (l *refList) Put(p *obj) { l.free = append(l.free, p) }
 
 func (l *refList) Len() int { return len(l.free) }
 
-func (l *refList) Refill(n int) {
-	for len(l.free) < n {
-		l.free = append(l.free, new(obj))
-	}
-}
-
 // wasReset is what the reset the tests rewind with leaves in an object.
 var wasReset = obj{id: -1}
 
 // drive applies one op sequence to both lists and checks they agree on every
 // count (which of several interchangeable free objects comes out next is not
 // part of the contract). Each op byte selects Get, Put (of a live object
-// chosen by the next byte), Refill or Rewind — with a reset or without,
-// throughout, by the first byte — which the reference takes as starting over.
+// chosen by the next byte) or Rewind — with a reset or without, throughout,
+// by the first byte — which the reference takes as starting over.
 func drive(t *testing.T, ops []byte) {
 	t.Helper()
 	var l List[obj]
@@ -68,7 +62,7 @@ func drive(t *testing.T, ops []byte) {
 			l.Rewind(reset)
 			ref, live, refLive = refList{}, nil, nil
 			clear(seen)
-		case op < 4 || len(live) == 0 && op < 7:
+		case op < 4 || len(live) == 0:
 			p, fresh := l.Get()
 			rp := ref.Get()
 			if fresh == seen[p] && (fresh || *p != wasReset) {
@@ -84,7 +78,7 @@ func drive(t *testing.T, ops []byte) {
 			nextID++
 			p.id, p.live = nextID, true
 			live, refLive = append(live, p), append(refLive, rp)
-		case op < 7:
+		default:
 			i++
 			k := 0
 			if i < len(ops) {
@@ -95,14 +89,6 @@ func drive(t *testing.T, ops []byte) {
 			ref.Put(refLive[k])
 			live[k], refLive[k] = live[len(live)-1], refLive[len(refLive)-1]
 			live, refLive = live[:len(live)-1], refLive[:len(refLive)-1]
-		default:
-			i++
-			n := -3
-			if i < len(ops) {
-				n += int(ops[i])
-			}
-			l.Refill(n)
-			ref.Refill(n)
 		}
 		if l.Allocs != ref.Allocs || l.Gets != ref.Gets || l.Len() != ref.Len() {
 			t.Fatalf("op %d: Allocs/Gets/Len = %d/%d/%d, reference %d/%d/%d",
@@ -112,7 +98,7 @@ func drive(t *testing.T, ops []byte) {
 }
 
 // TestSlabListMatchesReference drives List and the one-new-per-object
-// recycler it replaced with seeded Get/Put/Refill sequences.
+// recycler it replaced with seeded Get/Put/Rewind sequences.
 func TestSlabListMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -298,8 +284,7 @@ func TestRewindWithResetKeepsBuffers(t *testing.T) {
 }
 
 // TestSlabListAllocations checks what the chunks buy: a cold list allocates
-// per chunk, not per object; a warm one does not allocate at all; and Refill
-// itself allocates nothing, however large the promise.
+// per chunk, not per object, and a warm one does not allocate at all.
 func TestSlabListAllocations(t *testing.T) {
 	const n = 1000
 	perChunk := maxChunk / int(unsafe.Sizeof(obj{}))
@@ -335,19 +320,5 @@ func TestSlabListAllocations(t *testing.T) {
 		}
 	}); warm != 0 {
 		t.Fatalf("steady-state Get/Put cycle made %.0f allocations, want 0", warm)
-	}
-
-	var r List[obj]
-	if a := testing.AllocsPerRun(1, func() { r.Refill(1 << 40) }); a != 0 || r.Len() != 1<<40 {
-		t.Fatalf("Refill(1<<40) made %.0f allocations and left Len %d", a, r.Len())
-	}
-	if refilled := testing.AllocsPerRun(1, func() {
-		for i := 0; i < n; i++ {
-			if _, fresh := r.Get(); !fresh {
-				t.Fatal("a refilled object was not reported fresh")
-			}
-		}
-	}); refilled > budget || r.Allocs != 0 || r.Len() != 1<<40-2*n {
-		t.Fatalf("%d Gets after Refill: %.0f allocations (budget %.0f), Allocs %d, Len %d", n, refilled, budget, r.Allocs, r.Len())
 	}
 }

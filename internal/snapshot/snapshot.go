@@ -44,7 +44,10 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	    that holds it (no request registry, no IDs), every translation by
 //	    its L1 TLB miss tracker and named elsewhere by (core, VPN); no map
 //	    in any image
-const Version uint32 = 4
+//	5 — no allocator state: one request pool and one translation pool per
+//	    simulator, so no pool images, pool IDs or free-list lengths; the
+//	    blocked-warp and per-app walk counts are recounted on restore
+const Version uint32 = 5
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

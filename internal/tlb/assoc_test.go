@@ -146,7 +146,7 @@ func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 				img.Entries[i], img.Entries[j] = img.Entries[j], img.Entries[i]
 			})
 			l1, _ = newL1(asid, capacity, be)
-			if err := l1.RestoreState(img); err != nil {
+			if err := l1.RestoreState(&memreq.Wiring{}, img); err != nil {
 				t.Fatalf("step %d: restore: %v", step, err)
 			}
 		}
@@ -250,8 +250,8 @@ func TestRestoreRejectsHostileTableState(t *testing.T) {
 	}
 	for _, tc := range cases {
 		// The same image through both owners of the table.
-		l1 := NewL1(0, 0, 1, 4, &fakeTransBackend{})
-		errL1 := l1.RestoreState(L1State{Entries: tc.entries, Stamp: tc.stamp})
+		l1 := NewL1(0, 0, 1, 4, &fakeTransBackend{}, new(memreq.TransPool))
+		errL1 := l1.RestoreState(&memreq.Wiring{}, L1State{Entries: tc.entries, Stamp: tc.stamp})
 
 		l2, _ := newL2(1, 4, nil)
 		img := l2.SnapshotState()
@@ -294,7 +294,7 @@ func TestRestoreLegacyOrderSameVictims(t *testing.T) {
 		img.Entries[i], img.Entries[j] = img.Entries[j], img.Entries[i]
 	})
 	restored, _ := newL1(1, 16, be)
-	if err := restored.RestoreState(img); err != nil {
+	if err := restored.RestoreState(&memreq.Wiring{}, img); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(100); i < 140; i++ {

@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 
 	"masksim/internal/engine"
@@ -27,43 +28,36 @@ type WaiterState struct {
 // L1MissState is one outstanding L1 miss with its blocked warps in arrival
 // order. The miss tracker is the one holder that writes its translation
 // request: the fields below are the ones the TLB does not imply (core, app,
-// ASID and VPN are the tracker's own); everything else that holds the request
-// names it by memreq.TransKey.
+// ASID and VPN are the tracker's own, the stalled-warp count is the number of
+// waiters); everything else that holds the request names it by
+// memreq.TransKey.
 type L1MissState struct {
-	VPN          uint64
-	WarpID       int
-	HasToken     bool
-	Issue        int64
-	StalledWarps int
-	Waiting      []WaiterState
+	VPN      uint64
+	HasToken bool
+	Waiting  []WaiterState
 }
 
 // L1State is the L1 TLB's checkpoint image. Entries are written from LRU to
 // MRU; restore accepts any order and rebuilds recency from the stamps.
 // Pending lists the VPNs of the misses the backend refused, in retry order.
 type L1State struct {
-	Entries  []EntryState
-	Stamp    int64
-	Mshrs    []L1MissState
-	Pending  []uint64
-	MissFree int
-	Stats    L1Stats
+	Entries []EntryState
+	Stamp   int64
+	Mshrs   []L1MissState
+	Pending []uint64
+	Stats   L1Stats
 }
 
 // SnapshotState captures the L1 TLB's checkpoint image.
 func (t *L1TLB) SnapshotState() L1State {
 	st := L1State{
-		Entries:  t.tab.snapshot(),
-		Stamp:    t.tab.stamp,
-		MissFree: t.missFree.Len(),
-		Stats:    t.Stats,
+		Entries: t.tab.snapshot(),
+		Stamp:   t.tab.stamp,
+		Stats:   t.Stats,
 	}
 	for _, vpn := range memreq.SortedKeys(t.mshrs, cmp.Compare[uint64]) {
 		m := t.mshrs[vpn]
-		ms := L1MissState{
-			VPN: vpn, WarpID: m.tr.WarpID, HasToken: m.tr.HasToken,
-			Issue: m.tr.Issue, StalledWarps: m.tr.StalledWarps,
-		}
+		ms := L1MissState{VPN: vpn, HasToken: m.tr.HasToken}
 		for _, w := range m.waiting {
 			ms.Waiting = append(ms.Waiting, WaiterState{Warp: w.warp, Slot: w.slot})
 		}
@@ -84,8 +78,9 @@ func compareKeys(a, b l2key) int {
 
 // RestoreState restores an image captured by SnapshotState onto a TLB built
 // for the same core. The core restores first: every waiter must name a warp
-// it has blocked on a translation of that page slot.
-func (t *L1TLB) RestoreState(st L1State) error {
+// it has blocked on a translation of that page slot. A pending translation is
+// one of the holders wi.Trans accounts for.
+func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 	t.Stats = st.Stats
 	if err := t.tab.restore("L1", st.Stamp, st.Entries); err != nil {
 		return err
@@ -96,8 +91,8 @@ func (t *L1TLB) RestoreState(st L1State) error {
 			return fmt.Errorf("tlb: checkpoint has two L1 misses of core %d for vpn %#x", t.coreID, ms.VPN)
 		}
 		tr := t.pool.Get()
-		tr.AppID, tr.ASID, tr.CoreID, tr.WarpID = t.appID, t.asid, t.coreID, ms.WarpID
-		tr.VPN, tr.HasToken, tr.Issue, tr.StalledWarps = ms.VPN, ms.HasToken, ms.Issue, ms.StalledWarps
+		tr.AppID, tr.ASID, tr.CoreID = t.appID, t.asid, t.coreID
+		tr.VPN, tr.HasToken, tr.StalledWarps = ms.VPN, ms.HasToken, len(ms.Waiting)
 		tr.Ret = t
 		m := t.getMiss()
 		m.vpn, m.tr = ms.VPN, tr
@@ -109,22 +104,33 @@ func (t *L1TLB) RestoreState(st L1State) error {
 		}
 		t.mshrs[ms.VPN] = m
 	}
-	t.missFree.Refill(st.MissFree)
 	t.pending = t.pending[:0]
 	for _, vpn := range st.Pending {
-		m, ok := t.mshrs[vpn]
-		if !ok {
-			return fmt.Errorf("tlb: checkpoint L1 TLB of core %d retries vpn %#x, which has no miss tracker", t.coreID, vpn)
+		tr, err := wi.Trans(memreq.TransKey{Core: int32(t.coreID), VPN: vpn})
+		if err != nil {
+			return err
 		}
-		t.pending = append(t.pending, m.tr)
+		t.pending = append(t.pending, tr)
 	}
 	return nil
 }
 
+// ErrHeldTwice rejects an image that names one translation from two holders.
+// A run never holds one TransReq in two places — it moves from the L1 TLB's
+// retry list to the shared TLB's pipe, stalled queue or a miss tracker, or to
+// a walk and a fault — and a resumed run would complete it twice.
+var ErrHeldTwice = errors.New("tlb: checkpoint names one translation from two holders")
+
 // Trackers resolves the keys a checkpoint names translation requests by
-// against l1s, the restored L1 TLBs indexed by core.
+// against l1s, the restored L1 TLBs indexed by core, handing out each key
+// once.
 func Trackers(l1s []*L1TLB) func(memreq.TransKey) (*memreq.TransReq, error) {
+	held := make(map[memreq.TransKey]bool)
 	return func(k memreq.TransKey) (*memreq.TransReq, error) {
+		if held[k] {
+			return nil, fmt.Errorf("%w: core %d, vpn %#x", ErrHeldTwice, k.Core, k.VPN)
+		}
+		held[k] = true
 		if k.Core < 0 || int(k.Core) >= len(l1s) {
 			return nil, fmt.Errorf("tlb: checkpoint names the L1 TLB of core %d, there are %d", k.Core, len(l1s))
 		}
@@ -190,14 +196,6 @@ type L2EntryState struct {
 	Prefetched bool
 }
 
-// L2MissState is one outstanding shared-TLB miss with its merged requesters.
-type L2MissState struct {
-	ASID  uint8
-	VPN   uint64
-	AppID int
-	Reqs  []memreq.TransKey
-}
-
 // BypassState is the TLB bypass cache's checkpoint image, with the same
 // entry-order rule as L1State.
 type BypassState struct {
@@ -223,13 +221,14 @@ type PrefetcherState struct {
 	Stats   PrefetchStats
 }
 
-// L2State is the shared TLB's checkpoint image.
+// L2State is the shared TLB's checkpoint image. Mshrs holds each miss
+// tracker's merged requesters in arrival order; the first is the lookup that
+// missed, whose page and application are the tracker's.
 type L2State struct {
 	Lines      []L2EntryState
 	Stamp      int64
 	In         []engine.PipeItemState[memreq.TransKey]
-	Mshrs      []L2MissState
-	MissFree   int
+	Mshrs      [][]memreq.TransKey
 	Stalled    []memreq.TransKey
 	PfInFlight []memreq.PageKey
 	Apps       []AppTLBStatsState
@@ -242,9 +241,8 @@ type L2State struct {
 // requests are named by key: their L1 TLB miss trackers write them.
 func (t *L2TLB) SnapshotState() L2State {
 	st := L2State{
-		Stamp:    t.stamp,
-		In:       engine.SnapshotPipe(t.in, (*memreq.TransReq).Key),
-		MissFree: t.missFree.Len(),
+		Stamp: t.stamp,
+		In:    engine.SnapshotPipe(t.in, (*memreq.TransReq).Key),
 	}
 	st.Lines = make([]L2EntryState, len(t.lines))
 	for i := range t.lines {
@@ -255,12 +253,11 @@ func (t *L2TLB) SnapshotState() L2State {
 		}
 	}
 	for _, key := range memreq.SortedKeys(t.mshrs, compareKeys) {
-		m := t.mshrs[key]
-		ms := L2MissState{ASID: key.asid, VPN: key.vpn, AppID: m.appID}
-		for _, tr := range m.reqs {
-			ms.Reqs = append(ms.Reqs, tr.Key())
+		var reqs []memreq.TransKey
+		for _, tr := range t.mshrs[key].reqs {
+			reqs = append(reqs, tr.Key())
 		}
-		st.Mshrs = append(st.Mshrs, ms)
+		st.Mshrs = append(st.Mshrs, reqs)
 	}
 	for _, tr := range t.stalled.live() {
 		st.Stalled = append(st.Stalled, tr.Key())
@@ -318,19 +315,21 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 		return err
 	}
 	t.mshrs = make(map[l2key]*l2miss, len(st.Mshrs))
-	for _, ms := range st.Mshrs {
+	for _, reqs := range st.Mshrs {
+		if len(reqs) == 0 {
+			return fmt.Errorf("tlb: checkpoint has an L2 TLB miss without a requester")
+		}
 		m := t.getMiss()
-		m.key, m.appID = l2key{asid: ms.ASID, vpn: ms.VPN}, ms.AppID
-		for _, k := range ms.Reqs {
+		for _, k := range reqs {
 			tr, err := w.Trans(k)
 			if err != nil {
 				return err
 			}
 			m.reqs = append(m.reqs, tr)
 		}
+		m.key, m.appID = l2key{asid: m.reqs[0].ASID, vpn: m.reqs[0].VPN}, m.reqs[0].AppID
 		t.mshrs[m.key] = m
 	}
-	t.missFree.Refill(st.MissFree)
 	t.stalled = transFIFO{}
 	for _, k := range st.Stalled {
 		tr, err := w.Trans(k)

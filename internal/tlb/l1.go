@@ -96,30 +96,25 @@ type L1TLB struct {
 	pending []*memreq.TransReq
 
 	missFree slab.List[l1miss]
-	// pool recycles translation requests: the TLB's own (below) until the
-	// simulator injects its shared one.
+	// pool recycles translation requests: the simulator's one pool.
 	pool *memreq.TransPool
 
 	Stats L1Stats
-
-	// own is the private pool; last, so that it does not sit between the
-	// fields every lookup touches.
-	own memreq.TransPool
 }
 
-// NewL1 builds an L1 TLB of the given size for one core.
-func NewL1(coreID, appID int, asid uint8, size int, backend TransBackend) *L1TLB {
-	return RenewL1(nil, coreID, appID, asid, size, backend)
+// NewL1 builds an L1 TLB of the given size for one core, whose translation
+// requests come from pool.
+func NewL1(coreID, appID int, asid uint8, size int, backend TransBackend, pool *memreq.TransPool) *L1TLB {
+	return RenewL1(nil, coreID, appID, asid, size, backend, pool)
 }
 
 // RenewL1 is NewL1 built in place over a donor: t comes back as NewL1 would
 // return it, keeping only the capacity of the donor's table, miss map and
-// trackers, pending list and own pool (docs/MODEL.md §11). A nil donor
-// allocates everything.
-func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBackend) *L1TLB {
+// trackers and pending list (docs/MODEL.md §11). A nil donor allocates
+// everything.
+func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBackend, pool *memreq.TransPool) *L1TLB {
 	t, d := slab.Lift(t)
 	d.missFree.Rewind((*l1miss).reset)
-	d.own.Renew(0)
 	*t = L1TLB{
 		coreID:   coreID,
 		appID:    appID,
@@ -129,19 +124,14 @@ func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBac
 		pending:  slab.Grown(d.pending),
 		missFree: d.missFree,
 		backend:  backend,
-		own:      d.own,
+		pool:     pool,
 	}
-	t.pool = &t.own
 	return t
 }
 
 // SetWaker names the core whose warps wait on this TLB's misses. Must be
 // called before the first Lookup that misses.
 func (t *L1TLB) SetWaker(w Waker) { t.waker = w }
-
-// SetTransPool replaces the TLB's private translation-request pool with a
-// shared per-simulator one. Must be called before simulation starts.
-func (t *L1TLB) SetTransPool(p *memreq.TransPool) { t.pool = p }
 
 // getMiss takes a miss tracker off the free list.
 func (t *L1TLB) getMiss() *l1miss {
@@ -172,8 +162,8 @@ func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (
 		return 0, false
 	}
 	tr := t.pool.Get()
-	tr.AppID, tr.ASID, tr.CoreID, tr.WarpID = t.appID, t.asid, t.coreID, warpID
-	tr.VPN, tr.HasToken, tr.Issue, tr.StalledWarps = vpn, hasToken, now, 1
+	tr.AppID, tr.ASID, tr.CoreID = t.appID, t.asid, t.coreID
+	tr.VPN, tr.HasToken, tr.StalledWarps = vpn, hasToken, 1
 	tr.Ret = t
 	m := t.getMiss()
 	m.vpn, m.tr = vpn, tr

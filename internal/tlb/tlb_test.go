@@ -47,7 +47,7 @@ func (l *wakeLog) Translated(now int64, warpID, slot int, frame uint64) {
 func (l *wakeLog) Awaits(warpID, slot int) bool { return true }
 
 func newL1(asid uint8, size int, be TransBackend) (*L1TLB, *wakeLog) {
-	l1, log := NewL1(0, 0, asid, size, be), &wakeLog{}
+	l1, log := NewL1(0, 0, asid, size, be, new(memreq.TransPool)), &wakeLog{}
 	l1.SetWaker(log)
 	return l1, log
 }
@@ -299,7 +299,7 @@ func TestTokenGatingFillsBypassCache(t *testing.T) {
 	l2, w := newL2(1, 4, tokens)
 
 	// Token-less warp's fill must land in the bypass cache, not main TLB.
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x600, WarpID: 63, HasToken: tokens.HasToken(0, 63)}
+	tr := &memreq.TransReq{ASID: 1, VPN: 0x600, HasToken: tokens.HasToken(0, 63)}
 	if tr.HasToken {
 		t.Fatal("test setup: warp 63 unexpectedly has a token")
 	}
@@ -310,7 +310,7 @@ func TestTokenGatingFillsBypassCache(t *testing.T) {
 	}
 	// But a subsequent probe still hits via the bypass cache.
 	hit := false
-	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x600, WarpID: 63, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { hit = true })}
+	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x600, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { hit = true })}
 	submitAndTick(t, l2, tr2, 6, 9)
 	if !hit {
 		t.Fatal("bypass cache did not serve the translation")

@@ -1,5 +1,7 @@
 package workload
 
+import "slices"
+
 // Checkpoint support: serializable images of the mutable stream state.
 //
 // A Stream's behavior is a pure function of its construction parameters
@@ -53,20 +55,20 @@ func (s *Stream) SetState(st StreamState) {
 func (s *Stream) Sync() *GroupSync { return s.sync }
 
 // GroupSyncState is the serializable image of one warp group's barrier state.
-// The window is construction-time configuration and is not captured.
+// The window is construction-time configuration and is not captured, and the
+// floor is the slowest member's step count.
 type GroupSyncState struct {
 	Steps []int64
-	Min   int64
 }
 
 // State captures the group's barrier state.
 func (g *GroupSync) State() GroupSyncState {
-	return GroupSyncState{Steps: append([]int64(nil), g.steps...), Min: g.min}
+	return GroupSyncState{Steps: append([]int64(nil), g.steps...)}
 }
 
 // SetState restores barrier state captured from a group with the same member
 // count.
 func (g *GroupSync) SetState(st GroupSyncState) {
 	copy(g.steps, st.Steps)
-	g.min = st.Min
+	g.min = slices.Min(g.steps)
 }

@@ -12,6 +12,8 @@ package sim
 // every live translation by its L1 TLB miss tracker; everything else names a
 // translation by its (core, VPN) key. Restore is one pass, memory side up,
 // each component resolving what it names against those already restored.
+// Nothing a restore can recompute is written: not the allocator's free lists
+// and counters, not a count the rest of the image implies.
 
 import (
 	"bytes"
@@ -57,12 +59,6 @@ type checkpointPayload struct {
 	DRAM      dram.DRAMState
 	Telemetry *telemetry.CollectorState
 
-	// The request pools' counters, so allocation behavior after restore
-	// matches the interrupted run. ReqPools[0] is the shared pool, then one
-	// entry per core, matching Simulator.wiring; TransPools are per core.
-	ReqPools   []memreq.PoolState
-	TransPools []memreq.PoolState
-
 	// Watchdog is the supervision state mid-run (nil when unsupervised). A
 	// crash checkpoint carries a tripped watchdog, which re-raises its
 	// DeadlockError at the restored cycle.
@@ -78,7 +74,6 @@ type checkpointPayload struct {
 	// Trace is the -trace time series accumulated so far plus its window
 	// counters.
 	TraceSamples []TraceSample
-	TraceCycle   int64
 	TraceInstr   uint64
 	TraceL2Acc   uint64
 	TraceL2Miss  uint64
@@ -177,15 +172,12 @@ func (s *Simulator) Fingerprint() string {
 	return s.fp
 }
 
-// wiring returns the fixed layout checkpoints name things by: the shared
-// request pool first (its ID is 0), then the per-core pools (ID 1+coreID);
-// the engine's tickers that are request sinks, by registration index; and the
-// L1 TLBs' miss trackers, by (core, VPN).
+// wiring returns the fixed layout checkpoints name things by: the engine's
+// tickers that are request sinks, by registration index, and the L1 TLBs'
+// miss trackers, by (core, VPN). Restore takes every request from the one
+// request pool.
 func (s *Simulator) wiring() *memreq.Wiring {
-	w := &memreq.Wiring{Pools: []*memreq.Pool{&s.sharedReqPool}, Trans: tlb.Trackers(s.l1tlbs)}
-	for i := range s.reqPools {
-		w.Pools = append(w.Pools, &s.reqPools[i])
-	}
+	w := &memreq.Wiring{Pool: &s.reqPool, Trans: tlb.Trackers(s.l1tlbs)}
 	for _, t := range s.eng.Tickers() {
 		sink, _ := t.(memreq.Sink)
 		w.Sinks = append(w.Sinks, sink)
@@ -206,7 +198,6 @@ func (s *Simulator) Checkpoint(w io.Writer) error {
 		DRAM:   s.mem.SnapshotState(wi),
 
 		TraceSamples: s.trace.samples,
-		TraceCycle:   s.trace.lastCycle,
 		TraceInstr:   s.trace.lastInstr,
 		TraceL2Acc:   s.trace.lastL2Access,
 		TraceL2Miss:  s.trace.lastL2Miss,
@@ -238,12 +229,6 @@ func (s *Simulator) Checkpoint(w io.Writer) error {
 			return fmt.Errorf("sim: checkpoint: %w", err)
 		}
 		p.Telemetry = &st
-	}
-	for _, pl := range wi.Pools {
-		p.ReqPools = append(p.ReqPools, pl.State())
-	}
-	for i := range s.transPools {
-		p.TransPools = append(p.TransPools, s.transPools[i].State())
 	}
 	if s.curWD != nil {
 		st := s.curWD.State()
@@ -306,7 +291,7 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 		return fmt.Errorf("sim: decode checkpoint payload: %w", err)
 	}
 	wi := s.wiring()
-	if err := s.checkShape(&p, wi); err != nil {
+	if err := s.checkShape(&p); err != nil {
 		return err
 	}
 	if err := s.restoreComponents(wi, &p); err != nil {
@@ -327,23 +312,9 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 		s.cfg.FaultPlan.SetState(*p.FaultPlan)
 	}
 	s.trace.samples = p.TraceSamples
-	s.trace.lastCycle = p.TraceCycle
 	s.trace.lastInstr = p.TraceInstr
 	s.trace.lastL2Access = p.TraceL2Acc
 	s.trace.lastL2Miss = p.TraceL2Miss
-
-	// Pools last, after every request the components took from them, so the
-	// counters reflect the checkpointed run rather than the restore work.
-	for i, pl := range wi.Pools {
-		if err := pl.SetState(p.ReqPools[i]); err != nil {
-			return fmt.Errorf("sim: restore checkpoint: %w", err)
-		}
-	}
-	for i := range s.transPools {
-		if err := s.transPools[i].SetState(p.TransPools[i]); err != nil {
-			return fmt.Errorf("sim: restore checkpoint: %w", err)
-		}
-	}
 
 	s.restored = true
 	s.restoredWD = p.Watchdog
@@ -354,7 +325,7 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 
 // checkShape rejects an image whose components are not this simulator's,
 // which a matching fingerprint rules out for any checkpoint this build wrote.
-func (s *Simulator) checkShape(p *checkpointPayload, wi *memreq.Wiring) error {
+func (s *Simulator) checkShape(p *checkpointPayload) error {
 	nSyncs := 0
 	s.forEachSync(func(*workload.GroupSync) { nSyncs++ })
 	for _, c := range []struct {
@@ -368,8 +339,6 @@ func (s *Simulator) checkShape(p *checkpointPayload, wi *memreq.Wiring) error {
 		{"fault unit", (p.Faults != nil) == (s.faults != nil)},
 		{"page walk cache", (p.PWC != nil) == (s.pwc != nil)},
 		{"telemetry collector", (p.Telemetry != nil) == (s.tel != nil)},
-		{"request pools", len(p.ReqPools) == len(wi.Pools)},
-		{"translation pools", len(p.TransPools) == len(s.transPools)},
 		{"group syncs", len(p.Syncs) == nSyncs},
 		{"L2 bypass policy", p.ATA == nil || s.ata != nil},
 	} {
@@ -400,7 +369,7 @@ func (s *Simulator) restoreComponents(wi *memreq.Wiring, p *checkpointPayload) e
 		err = s.cores[i].RestoreState(wi, p.Cores[i])
 	}
 	for i := 0; err == nil && i < len(s.l1tlbs); i++ {
-		err = s.l1tlbs[i].RestoreState(p.L1TLBs[i])
+		err = s.l1tlbs[i].RestoreState(wi, p.L1TLBs[i])
 	}
 	if err == nil && s.l2tlb != nil {
 		err = s.l2tlb.RestoreState(wi, *p.L2TLB)

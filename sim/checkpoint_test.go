@@ -402,8 +402,8 @@ func TestCheckpointRejection(t *testing.T) {
 	// Files stamped with an earlier format are rejected by version, before
 	// any of their payload is decoded: v2 requests carry Site/SiteRef, not a
 	// sink index; v3 payloads are a request registry plus a map of per-ticker
-	// states.
-	for _, old := range []uint32{2, 3} {
+	// states; v4 payloads carry pool images, pool IDs and free-list lengths.
+	for _, old := range []uint32{2, 3, 4} {
 		t.Run(fmt.Sprintf("previous-format-v%d", old), func(t *testing.T) {
 			dir := makeDir(t)
 			ents, _ := os.ReadDir(dir)
@@ -486,9 +486,9 @@ func liveWalkOf(t *testing.T, p *checkpointPayload, origin ptw.WalkOrigin) *ptw.
 	return nil
 }
 
-// TestRestoreRejectsHostileState drives impossible images — request pools,
-// requests naming pools or sinks that do not exist, translation keys that name
-// no tracker, return routes that lead nowhere — past the envelope checksum:
+// TestRestoreRejectsHostileState drives impossible images — requests naming
+// sinks that do not exist, translation keys that name no tracker or are held
+// twice, return routes that lead nowhere — past the envelope checksum:
 // the gob payload is decoded, edited and re-sealed, so the file is valid in
 // every respect except the state it encodes. Each must surface as a
 // structured error from RestoreCheckpoint, never a panic, an unbounded
@@ -522,12 +522,12 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 	}
 	shared, paging := take(cfg), take(pagingCfg)
 	sinks := shared.sinks
-	// A key no L1 TLB miss tracks, and a request image every check but the
-	// one under test accepts.
+	// A key no L1 TLB miss tracks, and a request image that returns nowhere
+	// the simulator has.
 	untracked := memreq.TransKey{Core: 0, VPN: 1 << 40}
 	const noTracker = "names the translation of vpn 0x10000000000 by core 0, which no L1 TLB miss tracks"
-	badPool := memreq.RequestState{Pool: 1 << 20}
-	const noPool = "names pool 1048576 of"
+	badSink := memreq.RequestState{Sink: 1<<20 + 1}
+	const noSink = "returns to ticker 1048576, which is not a sink"
 
 	cases := []struct {
 		name   string
@@ -555,34 +555,31 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			"differ in their page walk cache"},
 		{"telemetry without a collector", false, func(t *testing.T, p *checkpointPayload) { p.Telemetry = &telemetry.CollectorState{} },
 			"differ in their telemetry collector"},
-		{"fewer request pools", false, func(t *testing.T, p *checkpointPayload) { p.ReqPools = p.ReqPools[:1] },
-			"differ in their request pools"},
-		{"fewer translation pools", false, func(t *testing.T, p *checkpointPayload) { p.TransPools = nil },
-			"differ in their translation pools"},
 		{"extra group sync", false, func(t *testing.T, p *checkpointPayload) { p.Syncs = append(p.Syncs, workload.GroupSyncState{}) },
 			"differ in their group syncs"},
 		{"L2 bypass state without the policy", false, func(t *testing.T, p *checkpointPayload) { p.ATA = &cache.ATAState{} },
 			"differ in their L2 bypass policy"},
 		// Every container of requests, one case each: the image it writes
-		// inline must name a pool and sink the simulator has.
+		// inline must name a sink the simulator has.
 		{"core retry reference", false, func(t *testing.T, p *checkpointPayload) {
-			p.Cores[0].Retry = append(p.Cores[0].Retry, badPool)
-		}, noPool},
+			p.Cores[0].Retry = append(p.Cores[0].Retry, badSink)
+		}, noSink},
 		{"cache bank queue reference", false, func(t *testing.T, p *checkpointPayload) {
-			p.L2C.Queues[0] = append(p.L2C.Queues[0], cache.BankItemState{Req: memreq.RequestState{Pool: -5}})
-		}, "names pool -5 of"},
+			p.L2C.Queues[0] = append(p.L2C.Queues[0], cache.BankItemState{Req: memreq.RequestState{Sink: -5}})
+		}, "returns to ticker -6, which is not a sink"},
 		{"cache MSHR waiter reference", false, func(t *testing.T, p *checkpointPayload) {
-			p.L1Ds[0].Mshrs = append(p.L1Ds[0].Mshrs, cache.MSHRState{LineAddr: 1 << 50, Waiting: []memreq.RequestState{badPool}})
-		}, noPool},
+			p.L1Ds[0].Mshrs = append(p.L1Ds[0].Mshrs, cache.MSHRState{LineAddr: 1 << 50, Waiting: []memreq.RequestState{badSink}})
+		}, noSink},
 		{"dram queue reference", false, func(t *testing.T, p *checkpointPayload) {
 			q := &p.DRAM.Channels[0].Sched.Normal
-			*q = append(*q, dram.QueuedState{Req: badPool})
-		}, noPool},
-		// Every holder of a translation key, one case each, and a key naming
-		// a core that has no L1 TLB.
+			*q = append(*q, dram.QueuedState{Req: badSink})
+		}, noSink},
+		// Every holder of a translation key, one case each, a key naming a
+		// core that has no L1 TLB, and a key two holders name: the resumed
+		// run would complete that translation twice.
 		{"l1 pending reference", false, func(t *testing.T, p *checkpointPayload) {
 			p.L1TLBs[0].Pending = append(p.L1TLBs[0].Pending, untracked.VPN)
-		}, "retries vpn 0x10000000000, which has no miss tracker"},
+		}, noTracker},
 		{"l2 stalled reference", false, func(t *testing.T, p *checkpointPayload) {
 			p.L2TLB.Stalled = append(p.L2TLB.Stalled, untracked)
 		}, noTracker},
@@ -590,20 +587,32 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			p.L2TLB.In = append(p.L2TLB.In, engine.PipeItemState[memreq.TransKey]{ReadyAt: 1, Value: untracked})
 		}, noTracker},
 		{"l2 MSHR key names no tracker", false, func(t *testing.T, p *checkpointPayload) {
-			p.L2TLB.Mshrs = append(p.L2TLB.Mshrs, tlb.L2MissState{ASID: 1, VPN: untracked.VPN, Reqs: []memreq.TransKey{untracked}})
+			p.L2TLB.Mshrs = append(p.L2TLB.Mshrs, []memreq.TransKey{untracked})
 		}, noTracker},
+		{"l2 MSHR without a requester", false, func(t *testing.T, p *checkpointPayload) {
+			p.L2TLB.Mshrs = append(p.L2TLB.Mshrs, nil)
+		}, "L2 TLB miss without a requester"},
 		{"walk transreq reference", false, func(t *testing.T, p *checkpointPayload) {
 			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
 			ws.Origin, ws.Tr = uint8(ptw.OriginTrans), untracked
 		}, noTracker},
 		{"fault-held walk key names no tracker", true, func(t *testing.T, p *checkpointPayload) {
 			p.Faults.Queue = append(p.Faults.Queue, ptw.PendingFaultState{ASID: 1, VPN: untracked.VPN, Notify: []ptw.FaultNotifyState{
-				{Origin: uint8(ptw.OriginTrans), ASID: 1, VPN: untracked.VPN, Tr: untracked},
+				{Origin: uint8(ptw.OriginTrans), Tr: untracked},
 			}})
 		}, noTracker},
 		{"transreq names a core without an L1 TLB", false, func(t *testing.T, p *checkpointPayload) {
 			p.L2TLB.Stalled = append(p.L2TLB.Stalled, memreq.TransKey{Core: 1 << 20})
 		}, "tlb: checkpoint names the L1 TLB of core 1048576"},
+		{"translation held twice", false, func(t *testing.T, p *checkpointPayload) {
+			for _, reqs := range p.L2TLB.Mshrs {
+				if len(reqs) > 0 {
+					p.L2TLB.Stalled = append(p.L2TLB.Stalled, reqs[0])
+					return
+				}
+			}
+			t.Fatal("no L2 TLB miss holds a translation")
+		}, "names one translation from two holders"},
 		// Return routes: the sink index must name a sink restored after the
 		// request's holder, and the sink must hold the state it resumes.
 		{"sink index out of range", false, func(t *testing.T, p *checkpointPayload) { requestImages(p)[0].Sink = 1<<20 + 1 },
@@ -632,20 +641,8 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		}, "waits for warp 0 slot 1048576, which awaits no translation there"},
 		{"demand walk without an L2 TLB tracker", false, func(t *testing.T, p *checkpointPayload) {
 			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
-			p.L2TLB.Mshrs = slices.DeleteFunc(p.L2TLB.Mshrs, func(m tlb.L2MissState) bool { return m.ASID == ws.ASID && m.VPN == ws.VPN })
+			p.L2TLB.Mshrs = slices.DeleteFunc(p.L2TLB.Mshrs, func(reqs []memreq.TransKey) bool { return reqs[0].VPN == ws.VPN })
 		}, "has nothing waiting for its result"},
-		{"negative free", false, func(t *testing.T, p *checkpointPayload) { p.ReqPools[3].Free = -1 },
-			"memreq: checkpoint pool 3 has Free=-1"},
-		{"huge free", false, func(t *testing.T, p *checkpointPayload) { p.ReqPools[0].Free = 1 << 40 },
-			"memreq: checkpoint pool 0 has Free=1099511627776"},
-		{"free above allocs", false, func(t *testing.T, p *checkpointPayload) { p.ReqPools[1].Free = int(p.ReqPools[1].Allocs) + 1 },
-			"memreq: checkpoint pool 1 has Free="},
-		{"allocs above gets", false, func(t *testing.T, p *checkpointPayload) { p.ReqPools[2].Allocs = p.ReqPools[2].Gets + 1 },
-			"memreq: checkpoint pool 2 has Free="},
-		{"translation pool negative free", false, func(t *testing.T, p *checkpointPayload) { p.TransPools[4].Free = -7 },
-			"memreq: checkpoint pool 4 has Free=-7"},
-		{"translation pool allocs above gets", false, func(t *testing.T, p *checkpointPayload) { p.TransPools[0] = memreq.PoolState{Free: 5, Allocs: 5} },
-			"memreq: checkpoint pool 0 has Free=5 Allocs=5 Gets=0"},
 		// Occupancies past what the component can hold: more MSHRs than the
 		// cache has, a bank or channel queue longer than its capacity. The
 		// added requests are valid so that nothing else is wrong with the
@@ -668,25 +665,6 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 				*q = append(*q, dram.QueuedState{})
 			}
 		}, "dram: channel 1: dram: checkpoint request queue holds " + strconv.Itoa(cfg.DRAM.QueueCap+1) + " requests, capacity is " + strconv.Itoa(cfg.DRAM.QueueCap)},
-		// Consistent but absurd: accepted, and must not allocate the promised
-		// objects up front.
-		{"huge consistent image", false, func(t *testing.T, p *checkpointPayload) {
-			p.ReqPools[0] = memreq.PoolState{Free: 1 << 40, Allocs: 1 << 41, Gets: 1 << 42}
-		}, ""},
-		// The five component free lists record only a length, and restore it
-		// through the same slab.List.Refill: a negative one used to panic the
-		// cache and DRAM restores, a huge one to allocate without end.
-		{"component free lengths", false, func(t *testing.T, p *checkpointPayload) {
-			p.L2C.MshrFree = -1
-			for i := range p.L1Ds {
-				p.L1Ds[i].MshrFree = -1
-			}
-			p.DRAM.QFree = -1
-			for i := range p.L1TLBs {
-				p.L1TLBs[i].MissFree = 1 << 40
-			}
-			p.Walker.WalkFree = -1
-		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

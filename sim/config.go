@@ -70,13 +70,20 @@ type CacheParams struct {
 	WriteCombineWindow int64
 }
 
-// Table 1 parameters no experiment varies: the shared L2 TLB's ports, access
-// latency and input queue, and the walker's concurrent-walk limit.
+// Parameters no experiment varies: the shared L2 TLB's ports, access latency
+// and input queue, the walker's concurrent-walk limit (Table 1), and MASK's
+// bypass cache and adaptation epoch (§5.2, §6).
 const (
 	l2TLBPorts        = 2
 	l2TLBLatency      = 10
 	l2TLBQueueCap     = 64
 	walkerConcurrency = 64
+
+	// BypassCacheEntries sizes the MASK TLB bypass cache (§5.2).
+	BypassCacheEntries = 32
+	// epochCycles is the adaptation epoch for tokens and the L2 bypass
+	// policy; the paper uses 100K cycles. Run scales it down for short runs.
+	epochCycles = 100_000
 )
 
 // Config is the full simulated-system description (paper Table 1 defaults).
@@ -90,8 +97,6 @@ type Config struct {
 
 	L2TLBEntries int
 	L2TLBWays    int
-	// BypassCacheEntries sizes the MASK TLB bypass cache (§5.2).
-	BypassCacheEntries int
 
 	L1Cache CacheParams
 	L2Cache CacheParams
@@ -110,9 +115,6 @@ type Config struct {
 	Static bool
 	Mask   Mechanisms
 
-	// EpochCycles is the adaptation epoch for tokens and the L2 bypass
-	// policy; the paper uses 100K cycles. Run scales it down for short runs.
-	EpochCycles int64
 	// TokenInitFraction is InitialTokens (§6: 80%).
 	TokenInitFraction float64
 	// ThreshMax is the Silver Queue quota ceiling (§6: 500).
@@ -226,9 +228,8 @@ func Baseline() Config {
 
 		L1TLBEntries: 64,
 
-		L2TLBEntries:       512,
-		L2TLBWays:          16,
-		BypassCacheEntries: 32,
+		L2TLBEntries: 512,
+		L2TLBWays:    16,
 
 		L1Cache: CacheParams{
 			SizeBytes: 16 << 10, Ways: 4, LineSize: 64,
@@ -250,7 +251,6 @@ func Baseline() Config {
 
 		Design: DesignSharedTLB,
 
-		EpochCycles:       100_000,
 		TokenInitFraction: 0.80,
 		ThreshMax:         500,
 
@@ -402,8 +402,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: TelemetryEpoch must be >= 0, got %d", c.TelemetryEpoch)
 	case c.TelemetrySink != nil && c.TelemetryEpoch <= 0:
 		return fmt.Errorf("sim: TelemetrySink requires TelemetryEpoch > 0")
-	case c.EpochCycles < 0:
-		return fmt.Errorf("sim: EpochCycles must be >= 0, got %d", c.EpochCycles)
 	case c.TimeMuxQuantum < 0:
 		return fmt.Errorf("sim: TimeMuxQuantum must be >= 0, got %d", c.TimeMuxQuantum)
 	case c.TimeMuxEvict < 0 || c.TimeMuxEvict > 1:

@@ -57,16 +57,12 @@ type CheckpointInfo struct {
 	// Fields lists the payload's present fields by size, largest first: a
 	// supervised run carries a Watchdog, an L2-bypass run an ATA, and so on.
 	Fields []FieldSize
-	// Requests and TransReqs count the requests and translations the pools
-	// created and do not hold free. That is every one in flight plus any a
-	// fault plan stranded (a dropped DRAM response, a wedged walk), which no
-	// component holds but no pool got back either.
+	// Requests and TransReqs count the requests and translations the image
+	// holds: the request images its components wrote, and the L1 TLB miss
+	// trackers. A request a fault plan stranded (a dropped DRAM response)
+	// is held by no component and is not among them.
 	Requests  uint64
 	TransReqs uint64
-	// BadPools counts pool images no run can produce (more free than
-	// created, more created than handed out); they are left out of the counts
-	// above, and RestoreCheckpoint rejects the file.
-	BadPools int
 }
 
 // InspectCheckpoint reads and describes one checkpoint file without building
@@ -98,19 +94,11 @@ func InspectCheckpoint(path string) (*CheckpointInfo, error) {
 	}
 	info.PayloadOK = true
 	info.Clock = p.Clock
-	count := func(pools []memreq.PoolState) (total uint64) {
-		for _, st := range pools {
-			n, ok := st.Outstanding()
-			if !ok {
-				info.BadPools++
-			}
-			total += n
-		}
-		return total
+	for _, t := range p.L1TLBs {
+		info.TransReqs += uint64(len(t.Mshrs))
 	}
-	info.Requests = count(p.ReqPools)
-	info.TransReqs = count(p.TransPools)
 	v := reflect.ValueOf(p)
+	info.Requests = countRequests(v)
 	for i := 0; i < v.NumField(); i++ {
 		var buf bytes.Buffer
 		if f := v.Field(i); !f.IsZero() && gob.NewEncoder(&buf).EncodeValue(f) == nil {
@@ -119,4 +107,24 @@ func InspectCheckpoint(path string) (*CheckpointInfo, error) {
 	}
 	sort.SliceStable(info.Fields, func(i, j int) bool { return info.Fields[i].Bytes > info.Fields[j].Bytes })
 	return info, nil
+}
+
+// countRequests counts the request images v holds, wherever they are held.
+func countRequests(v reflect.Value) (n uint64) {
+	switch v.Kind() {
+	case reflect.Struct:
+		if v.Type() == reflect.TypeFor[memreq.RequestState]() {
+			return 1
+		}
+		for i := 0; i < v.NumField(); i++ {
+			n += countRequests(v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			n += countRequests(v.Index(i))
+		}
+	case reflect.Pointer:
+		return countRequests(v.Elem()) // a nil pointer's Elem is invalid: 0
+	}
+	return n
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -55,42 +54,28 @@ func TestInspectCheckpoint(t *testing.T) {
 	if !slices.ContainsFunc(info.Fields, func(f FieldSize) bool { return f.Field == "Cores" }) {
 		t.Fatalf("no Cores among the fields: %+v", info.Fields)
 	}
-	// The in-flight counts are what the pools created and do not hold free.
+	// The in-flight counts are what the image holds: every request image, and
+	// every L1 TLB miss tracker. A simulator restored from it holds as many.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := decodePayload(t, data)
-	var live uint64
-	for _, st := range p.ReqPools {
-		n, _ := st.Outstanding()
-		live += n
+	var trackers uint64
+	for _, l1 := range p.L1TLBs {
+		trackers += uint64(len(l1.Mshrs))
 	}
-	if info.Requests == 0 || info.Requests != live || info.Requests != uint64(len(requestImages(&p))) || info.BadPools != 0 {
-		t.Fatalf("inspection counts %d requests in flight (%d bad pools), pools %d, image %d",
-			info.Requests, info.BadPools, live, len(requestImages(&p)))
+	if info.Requests == 0 || info.Requests != uint64(len(requestImages(&p))) || info.TransReqs != trackers {
+		t.Fatalf("inspection counts %d requests and %d translations in flight, image holds %d and %d",
+			info.Requests, info.TransReqs, len(requestImages(&p)), trackers)
 	}
-
-	// A pool image with more free than created is flagged and left out of
-	// the count rather than wrapping it.
-	n0, _ := p.ReqPools[0].Outstanding()
-	p.ReqPools[0].Free = int(p.ReqPools[0].Allocs) + 1
-	var body, file bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&p); err != nil {
+	dst := prepareScenario(t, MASKConfig(), []string{"3DS", "CONS"}, 0)
+	if err := dst.RestoreCheckpoint(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.Write(&file, info.Header, body.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	bad := filepath.Join(dir, "bad-pool.ckpt")
-	if err := os.WriteFile(bad, file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if info, err = InspectCheckpoint(bad); err != nil || !info.PayloadOK {
-		t.Fatalf("inspect bad pool: %v %+v", err, info)
-	}
-	if info.BadPools != 1 || info.Requests != live-n0 {
-		t.Fatalf("inconsistent pool: %d bad pools, %d requests counted, want %d", info.BadPools, info.Requests, live-n0)
+	if info.Requests != uint64(dst.reqPool.Live()) || info.TransReqs != uint64(dst.transPool.Live()) {
+		t.Fatalf("inspection counts %d requests and %d translations in flight, the restored pools %d and %d",
+			info.Requests, info.TransReqs, dst.reqPool.Live(), dst.transPool.Live())
 	}
 }
 
@@ -144,19 +129,19 @@ func TestInspectCheckpointCorruptAndForeign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(raw[4:], 3)
+	binary.LittleEndian.PutUint32(raw[4:], 4)
 	resealChecksum(raw)
-	stale := filepath.Join(dir, "v3.ckpt")
+	stale := filepath.Join(dir, "v4.ckpt")
 	if err := os.WriteFile(stale, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	info, err = InspectCheckpoint(stale)
 	if err != nil {
-		t.Fatalf("inspect v3: %v", err)
+		t.Fatalf("inspect v4: %v", err)
 	}
 	var ve *snapshot.VersionError
-	if info.Version != 3 || !errors.As(info.Err, &ve) || !info.ChecksumOK || info.PayloadOK {
-		t.Fatalf("v3 file not reported by version: %+v", info)
+	if info.Version != 4 || !errors.As(info.Err, &ve) || !info.ChecksumOK || info.PayloadOK {
+		t.Fatalf("v4 file not reported by version: %+v", info)
 	}
 }
 

@@ -164,8 +164,8 @@ func (s *Simulator) collect(cycles int64) *Results {
 	}
 	r.DRAMClass[memreq.Data] = s.mem.Class[memreq.Data]
 	r.DRAMClass[memreq.Translation] = s.mem.Class[memreq.Translation]
-	r.DRAMBandwidthUtil[memreq.Data] = s.mem.BandwidthUtil(memreq.Data)
-	r.DRAMBandwidthUtil[memreq.Translation] = s.mem.BandwidthUtil(memreq.Translation)
+	r.DRAMBandwidthUtil[memreq.Data] = s.mem.BandwidthUtil(memreq.Data, cycles)
+	r.DRAMBandwidthUtil[memreq.Translation] = s.mem.BandwidthUtil(memreq.Translation, cycles)
 
 	for lvl := 0; lvl <= memreq.MaxWalkLevel; lvl++ {
 		r.L2CacheLevel[lvl] = s.l2c.LevelStats(lvl)

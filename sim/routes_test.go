@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"masksim/internal/cache"
@@ -88,14 +89,14 @@ func returningTo[T memreq.Sink](p *checkpointPayload, sinks []memreq.Sink, pick 
 }
 
 // routeKey names a live request by what stays fixed for its whole life: its
-// pool, its route, its address and its issue cycle.
+// route, its address and its issue cycle.
 func routeKey[T memreq.Sink](sinks []memreq.Sink, pick func(d *memreq.RequestState) bool) func(p *checkpointPayload) (string, bool) {
 	return func(p *checkpointPayload) (string, bool) {
 		d, ok := returningTo[T](p, sinks, pick)
 		if !ok {
 			return "", false
 		}
-		return fmt.Sprintf("request of pool %d to ticker %d (addr %#x, tag %d, issued %d)", d.Pool, d.Sink-1, d.Addr, d.Tag, d.Issue), true
+		return fmt.Sprintf("request to ticker %d (addr %#x, tag %d, issued %d)", d.Sink-1, d.Addr, d.Tag, d.Issue), true
 	}
 }
 
@@ -124,30 +125,21 @@ func heldWalk(p *checkpointPayload) (string, bool) {
 	return "", false
 }
 
-// checkPoolsConserved asserts that every pooled request a pool ever created
-// is either on its free list or held in the image exactly once: a
-// continuation that was dropped instead of completed, or recycled twice,
-// breaks the sum. Every live translation is held by the L1 TLB miss tracker
-// of its core, which takes it from that core's pool.
-func checkPoolsConserved(t *testing.T, p *checkpointPayload) {
+// checkPoolsConserved asserts that every request s's pool created and does
+// not hold free is held in p, s's image, exactly once: a continuation that
+// was dropped instead of completed, or recycled twice, breaks the sum. Every
+// live translation is held by the L1 TLB miss tracker of its core.
+func checkPoolsConserved(t *testing.T, s *Simulator, p *checkpointPayload) {
 	t.Helper()
-	live := make([]uint64, len(p.ReqPools))
-	for _, d := range requestImages(p) {
-		live[d.Pool]++
+	if live, held := s.reqPool.Live(), len(requestImages(p)); live != held {
+		t.Errorf("%d requests are live, the image holds %d: one was lost or recycled twice", live, held)
 	}
-	for id, st := range p.ReqPools {
-		if st.Allocs-uint64(st.Free) != live[id] {
-			t.Errorf("request pool %d created %d, holds %d free, %d are live: one was lost or recycled twice", id, st.Allocs, st.Free, live[id])
-		}
+	held := 0
+	for _, l1 := range p.L1TLBs {
+		held += len(l1.Mshrs)
 	}
-	for id, st := range p.TransPools {
-		var liveTr uint64
-		if id < len(p.L1TLBs) {
-			liveTr = uint64(len(p.L1TLBs[id].Mshrs))
-		}
-		if st.Allocs-uint64(st.Free) != liveTr {
-			t.Errorf("translation pool %d created %d, holds %d free, %d are live", id, st.Allocs, st.Free, liveTr)
-		}
+	if live := s.transPool.Live(); live != held {
+		t.Errorf("%d translations are live, the image holds %d", live, held)
 	}
 }
 
@@ -156,9 +148,9 @@ func checkPoolsConserved(t *testing.T, p *checkpointPayload) {
 // finds one in flight at a checkpoint, and lets it complete twice: on the
 // simulator that issued it, and on a fresh one restored from the checkpoint
 // in between. Both must have delivered it by the end (it is gone from the
-// final image), exactly once (the pools account for every request; a second
-// Complete panics), and to the same place: the two final images, every field
-// of every component, are deeply equal.
+// final image), exactly once (the pool accounts for every request, live and
+// after restore; a second Complete panics), and to the same place: the two
+// final images, every field of every component, are deeply equal.
 func TestContinuationRoutes(t *testing.T) {
 	// One budget for every run: the run length is part of the simulation
 	// (it scales the adaptation epoch), so a checkpoint only restores into a
@@ -170,7 +162,9 @@ func TestContinuationRoutes(t *testing.T) {
 		inFlight func(p *checkpointPayload) (string, bool)
 	}
 	anyRequest := func(*memreq.RequestState) bool { return true }
-	sinks := prepareScenario(t, MASKConfig(), []string{"3DS", "CONS"}, 0).wiring().Sinks
+	mask := prepareScenario(t, MASKConfig(), []string{"3DS", "CONS"}, 0)
+	sinks := mask.wiring().Sinks
+	toL1D := func(d *memreq.RequestState) bool { return slices.Contains(mask.l1ds, sinks[d.Sink-1].(*cache.Cache)) }
 	walkFrom := func(origin ptw.WalkOrigin) func(p *checkpointPayload) (string, bool) {
 		return func(p *checkpointPayload) (string, bool) {
 			return liveWalk(p, func(w ptw.WalkState) bool { return ptw.WalkOrigin(w.Origin) == origin })
@@ -183,7 +177,7 @@ func TestContinuationRoutes(t *testing.T) {
 	}{
 		{MASKConfig, []string{"3DS", "CONS"}, []route{
 			{"core data read", routeKey[*gpu.Core](sinks, anyRequest)},
-			{"L1D fill", routeKey[*cache.Cache](sinks, func(d *memreq.RequestState) bool { return d.Pool > 0 })},
+			{"L1D fill", routeKey[*cache.Cache](sinks, toL1D)},
 			{"L2 bypass fill", routeKey[*cache.Cache](sinks, func(d *memreq.RequestState) bool { return d.Tag == 1 })},
 			{"walk step", routeKey[*ptw.Walker](sinks, anyRequest)},
 		}},
@@ -202,16 +196,16 @@ func TestContinuationRoutes(t *testing.T) {
 			return c
 		}, []string{"MUM", "GUP"}, []route{{"fault-held walk", heldWalk}}},
 	}
-	// finalImage checkpoints a finished run and checks what must hold of any
-	// final image.
-	finalImage := func(t *testing.T, s *Simulator) checkpointPayload {
+	// image checkpoints s and checks what must hold of any image: of a run,
+	// of a simulator just restored, of its resumed run.
+	image := func(t *testing.T, s *Simulator) checkpointPayload {
 		t.Helper()
 		var buf bytes.Buffer
 		if err := s.Checkpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
 		p := decodePayload(t, buf.Bytes())
-		checkPoolsConserved(t, &p)
+		checkPoolsConserved(t, s, &p)
 		return p
 	}
 	for _, sc := range scenarios {
@@ -223,32 +217,33 @@ func TestContinuationRoutes(t *testing.T) {
 		ckCfg.CheckpointDir = t.TempDir()
 		src := prepareScenario(t, ckCfg, sc.names, 0)
 		src.mustRun(t, total)
-		live := finalImage(t, src)
+		live := image(t, src)
 
 		for _, rt := range sc.routes {
 			t.Run(rt.name, func(t *testing.T) {
 				var cut int64
-				var image []byte
+				var cutImage []byte
 				var key string
-				for c := int64(every); c <= total/2 && image == nil; c += every {
+				for c := int64(every); c <= total/2 && cutImage == nil; c += every {
 					data, err := os.ReadFile(src.checkpointPath(c))
 					if err != nil {
 						t.Fatal(err)
 					}
 					p := decodePayload(t, data)
 					if k, ok := rt.inFlight(&p); ok {
-						cut, image, key = c, data, k
+						cut, cutImage, key = c, data, k
 					}
 				}
-				if image == nil {
+				if cutImage == nil {
 					t.Fatalf("no checkpoint up to cycle %d holds this route in flight", total/2)
 				}
 				dst := prepareScenario(t, cfg, sc.names, 0)
-				if err := dst.RestoreCheckpoint(bytes.NewReader(image)); err != nil {
+				if err := dst.RestoreCheckpoint(bytes.NewReader(cutImage)); err != nil {
 					t.Fatal(err)
 				}
+				image(t, dst)
 				dst.mustRun(t, total)
-				restored := finalImage(t, dst)
+				restored := image(t, dst)
 				// The key is unique for the continuation's life (issue
 				// cycles, serials and resident pages never repeat), so
 				// finding another, or none, means this one completed.

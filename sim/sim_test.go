@@ -39,7 +39,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.PageSize = 1234 },
 		func(c *Config) { c.DRAM.Channels = 0 },
 		func(c *Config) { c.TraceInterval = -1 },
-		func(c *Config) { c.EpochCycles = -1 },
 		func(c *Config) { c.TimeMuxQuantum = -5 },
 		func(c *Config) { c.TimeMuxEvict = 1.5 },
 		func(c *Config) { c.TokenInitFraction = -0.1 },

@@ -54,15 +54,12 @@ type Simulator struct {
 	ata    *cache.ATABypass
 	tokens *tlb.TokenPolicy
 
-	// Request free lists. Each core and its private L1D and L1 TLB share
-	// per-core pools (reqPools[i] / transPools[i]); the shared L2, page walk
-	// cache and walker draw from sharedReqPool. This is the fixed pool layout
-	// checkpoints are keyed by: request images name their owning pool, and
-	// the payload carries one pool state per entry here. Per-instance
-	// ownership keeps concurrent simulators race-free.
-	sharedReqPool memreq.Pool
-	reqPools      []memreq.Pool
-	transPools    []memreq.TransPool
+	// The request free lists, one per kind, which every component that
+	// issues requests draws from. Per-instance ownership keeps concurrent
+	// simulators race-free; a checkpoint records none of it (docs/MODEL.md
+	// §1, §9).
+	reqPool   memreq.Pool
+	transPool memreq.TransPool
 
 	maskScheds []*dram.MASKSched
 
@@ -156,7 +153,7 @@ func (r *Recycler) Put(s *Simulator) {
 }
 
 // retire reduces s to what build reuses: its ticking components, retired, and
-// the free stacks of its request pools.
+// its two request pools, renewed.
 func (s *Simulator) retire() {
 	d := *s
 	for _, c := range d.cores {
@@ -174,10 +171,8 @@ func (s *Simulator) retire() {
 		d.l2tlb.Retire()
 	}
 	d.mem.Retire()
-	d.sharedReqPool.Renew(0)
-	for i := range d.reqPools {
-		d.reqPools[i].Renew(0)
-	}
+	d.reqPool.Renew()
+	d.transPool.Renew()
 	*s = Simulator{
 		eng:    engine.Renew(d.eng),
 		cores:  d.cores,
@@ -189,11 +184,10 @@ func (s *Simulator) retire() {
 		l2c:    d.l2c,
 		mem:    d.mem,
 
-		sharedReqPool: d.sharedReqPool,
-		reqPools:      d.reqPools,
-		transPools:    d.transPools,
-		maskScheds:    slab.Slice(d.maskScheds, 0),
-		l1dNames:      d.l1dNames,
+		reqPool:    d.reqPool,
+		transPool:  d.transPool,
+		maskScheds: slab.Slice(d.maskScheds, 0),
+		l1dNames:   d.l1dNames,
 	}
 }
 
@@ -308,19 +302,7 @@ func (s *Simulator) build(d *Simulator) {
 	arenaLines += assignedCores * cache.ArenaLines(cfg.L1Cache.SizeBytes, cfg.L1Cache.LineSize, cfg.L1Cache.Ways)
 	arena := cache.NewLineArena(arenaLines)
 
-	// Per-core pools (see the field comment). Pool IDs name the owning pool
-	// in checkpoint request images: 0 is the shared pool, 1+coreID the core's
-	// data pool; translation pools use coreID directly.
-	s.reqPools = slab.Donors(d.reqPools, assignedCores)
-	s.transPools = slab.Donors(d.transPools, assignedCores)
-	s.sharedReqPool = d.sharedReqPool
-	s.sharedReqPool.Renew(0)
-	for i := range s.reqPools {
-		s.reqPools[i].Renew(i + 1)
-	}
-	for i := range s.transPools {
-		s.transPools[i].Renew(i)
-	}
+	s.reqPool, s.transPool = d.reqPool, d.transPool // retire renewed them
 
 	// --- DRAM -----------------------------------------------------------
 	s.maskScheds = slab.Slice(d.maskScheds, 0)
@@ -358,8 +340,7 @@ func (s *Simulator) build(d *Simulator) {
 		MSHRs:        cfg.L2Cache.MSHRs,
 		WriteBack:    true,
 		Arena:        arena,
-	}, s.mem)
-	s.l2c.SetRequestPool(&s.sharedReqPool)
+	}, s.mem, &s.reqPool)
 	if cfg.Static {
 		s.l2c.SetWayPartition(wayMasks(cfg.L2Cache.Ways, numApps))
 	}
@@ -381,14 +362,12 @@ func (s *Simulator) build(d *Simulator) {
 			QueueCap:     cfg.PWCache.QueueCap,
 			MSHRs:        cfg.PWCache.MSHRs,
 			Arena:        arena,
-		}, s.l2c)
-		s.pwc.SetRequestPool(&s.sharedReqPool)
+		}, s.l2c, &s.reqPool)
 		walkBackend = s.pwc
 	}
 
 	// --- walker and shared L2 TLB ----------------------------------------
-	s.walker = ptw.Renew(d.walker, walkerConcurrency, walkBackend, numApps)
-	s.walker.SetRequestPool(&s.sharedReqPool)
+	s.walker = ptw.Renew(d.walker, walkerConcurrency, walkBackend, numApps, &s.reqPool)
 	if cfg.DemandPaging && !cfg.Ideal {
 		s.faults = ptw.NewFaultUnit(cfg.FaultLatency, cfg.FaultConcurrency)
 		s.walker.SetFaultUnit(s.faults)
@@ -397,7 +376,7 @@ func (s *Simulator) build(d *Simulator) {
 	if cfg.Design == DesignSharedTLB && !cfg.Ideal {
 		bypassSize := 0
 		if cfg.Mask.Tokens {
-			bypassSize = cfg.BypassCacheEntries
+			bypassSize = BypassCacheEntries
 		}
 		s.l2tlb = tlb.RenewL2(d.l2tlb, tlb.L2Config{
 			Entries:    cfg.L2TLBEntries,
@@ -477,8 +456,7 @@ func (s *Simulator) build(d *Simulator) {
 				MSHRs:              cfg.L1Cache.MSHRs,
 				WriteCombineWindow: cfg.L1Cache.WriteCombineWindow,
 				Arena:              arena,
-			}, s.l2c)
-			l1d.SetRequestPool(&s.reqPools[coreID])
+			}, s.l2c, &s.reqPool)
 			s.l1ds = append(s.l1ds, l1d)
 
 			var l1 *tlb.L1TLB
@@ -496,8 +474,7 @@ func (s *Simulator) build(d *Simulator) {
 				if s.l2tlb != nil {
 					transBackend = s.l2tlb
 				}
-				l1 = tlb.RenewL1(slab.Donor(d.l1tlbs, coreID), coreID, appIdx, space.ASID(), cfg.L1TLBEntries, transBackend)
-				l1.SetTransPool(&s.transPools[coreID])
+				l1 = tlb.RenewL1(slab.Donor(d.l1tlbs, coreID), coreID, appIdx, space.ASID(), cfg.L1TLBEntries, transBackend, &s.transPool)
 				s.l1tlbs = append(s.l1tlbs, l1)
 				app := appIdx
 				translate = func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
@@ -519,8 +496,7 @@ func (s *Simulator) build(d *Simulator) {
 				FrameSize:    pagetable.FrameSize,
 				LineSize:     uint64(cfg.L1Cache.LineSize),
 				RoundRobin:   cfg.RoundRobinSched,
-			}, streams, translate, l1d)
-			core.SetRequestPool(&s.reqPools[coreID])
+			}, streams, translate, l1d, &s.reqPool)
 			if l1 != nil {
 				l1.SetWaker(core)
 			}
@@ -775,13 +751,7 @@ func (s *Simulator) Run(ctx context.Context, cycles int64) (*Results, error) {
 	// Scale the adaptation epoch for short runs so tokens and the bypass
 	// policy still adapt several times (DESIGN.md §5). Pure function of the
 	// budget, so a restored run reproduces it.
-	s.epoch = s.cfg.EpochCycles
-	if e := cycles / 8; e < s.epoch {
-		s.epoch = e
-	}
-	if s.epoch < 1 {
-		s.epoch = 1
-	}
+	s.epoch = max(1, min(epochCycles, cycles/8))
 
 	wd := s.watchdog()
 	if s.restoredWD != nil && wd != nil {

@@ -19,11 +19,11 @@ type TraceSample struct {
 	OutstandingFaults int
 }
 
-// traceState accumulates window deltas between samples.
+// traceState accumulates window deltas between samples; a window starts at
+// the last sample's cycle.
 type traceState struct {
 	samples []TraceSample
 
-	lastCycle    int64
 	lastInstr    uint64
 	lastL2Access uint64
 	lastL2Miss   uint64
@@ -42,7 +42,11 @@ func (s *Simulator) traceTick(now int64) {
 		instr += c.Stats.Instructions
 	}
 	sample := TraceSample{Cycle: now}
-	if dc := now - st.lastCycle; dc > 0 {
+	start := int64(0)
+	if n := len(st.samples); n > 0 {
+		start = st.samples[n-1].Cycle
+	}
+	if dc := now - start; dc > 0 {
 		sample.IPC = float64(instr-st.lastInstr) / float64(dc)
 	}
 	if s.l2tlb != nil {
@@ -66,7 +70,6 @@ func (s *Simulator) traceTick(now int64) {
 	if s.faults != nil {
 		sample.OutstandingFaults = s.faults.Outstanding()
 	}
-	st.lastCycle = now
 	st.lastInstr = instr
 	st.samples = append(st.samples, sample)
 }
