@@ -36,7 +36,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -62,8 +61,6 @@ func main() {
 		cycles     = flag.Int64("cycles", 100_000, "simulation length in core cycles")
 		speedup    = flag.Bool("speedup", false, "also run each app alone and report multiprogramming metrics")
 		list       = flag.Bool("list", false, "list benchmarks and configurations, then exit")
-		trace      = flag.String("trace", "", "write a CSV time series (IPC, TLB miss rate, walks, tokens) to this file")
-		traceEvery = flag.Int64("trace-interval", 1000, "trace sampling interval in cycles")
 		epoch      = flag.Int64("epoch", 0, "telemetry sampling epoch in cycles (0 = telemetry off; see docs/OBSERVABILITY.md)")
 		chromeOut  = flag.String("chrome-trace", "", "write a Chrome trace_event JSON (Perfetto-loadable) to this file; implies -epoch 1000 if unset")
 		telCSV     = flag.String("telemetry-csv", "", "write the telemetry epoch time series as CSV to this file; implies -epoch 1000 if unset")
@@ -104,15 +101,14 @@ func main() {
 		fatal(fmt.Errorf("no applications given"))
 	}
 
-	if *trace != "" {
-		cfg.TraceInterval = *traceEvery
-	}
-	if (*chromeOut != "" || *telCSV != "" || *telJSONL != "") && *epoch <= 0 {
+	// An output implies -epoch 1000 only when -epoch is not given: a value
+	// given is passed through for Config.Validate to judge.
+	epochSet := false
+	flag.Visit(func(f *flag.Flag) { epochSet = epochSet || f.Name == "epoch" })
+	if !epochSet && (*chromeOut != "" || *telCSV != "" || *telJSONL != "") {
 		*epoch = 1000
 	}
-	if *epoch > 0 {
-		cfg.TelemetryEpoch = *epoch
-	}
+	cfg.TelemetryEpoch = *epoch
 	if *paging {
 		cfg.DemandPaging = true
 	}
@@ -225,12 +221,6 @@ func main() {
 		stopProfiles()
 		fmt.Fprintln(os.Stderr, "masksim:", err2)
 		os.Exit(1)
-	}
-	if *trace != "" {
-		if err := writeTraceCSV(*trace, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace: %d samples written to %s\n", len(res.Trace), *trace)
 	}
 
 	if *speedup {
@@ -352,29 +342,4 @@ func runTraceFiles(ctx context.Context, cfg sim.Config, paths []string, cycles i
 		return nil, err
 	}
 	return s.Run(ctx, cycles)
-}
-
-// writeTraceCSV dumps the sampled time series for plotting.
-func writeTraceCSV(path string, res *sim.Results) error {
-	f, err := streamio.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	fmt.Fprint(w, "cycle,ipc,l2tlb_miss_rate,concurrent_walks,outstanding_faults")
-	if len(res.Trace) > 0 {
-		for i := range res.Trace[0].TokensPerApp {
-			fmt.Fprintf(w, ",tokens_app%d", i)
-		}
-	}
-	fmt.Fprintln(w)
-	for _, s := range res.Trace {
-		fmt.Fprintf(w, "%d,%.4f,%.4f,%d,%d", s.Cycle, s.IPC, s.L2TLBMissRate, s.ConcurrentWalks, s.OutstandingFaults)
-		for _, tok := range s.TokensPerApp {
-			fmt.Fprintf(w, ",%d", tok)
-		}
-		fmt.Fprintln(w)
-	}
-	return w.Flush()
 }

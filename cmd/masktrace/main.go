@@ -1,20 +1,13 @@
-// Command masktrace runs one multiprogrammed workload with the telemetry
-// subsystem enabled and streams the time series, epoch by epoch, as a Chrome
-// trace_event JSON (loadable in ui.perfetto.dev or chrome://tracing) plus
-// optional CSV/JSONL companions.
+// Command masktrace is the trace-file tool: it converts memory traces
+// between their encodings, prints an .mtb file's index, and validates the
+// Chrome traces masksim writes. Simulation runs belong to masksim.
 //
 // Usage:
 //
-//	masktrace -config MASK -apps 3DS,CONS -cycles 50000 -out trace.json
-//	masktrace -apps RED_RAY -epoch 500 -out trace.json -csv series.csv
-//	masktrace -apps 3DS,CONS -out trace.json -check
 //	masktrace convert mum.trace mum.mtb
 //	masktrace convert mum.mtb mum.trace.gz
 //	masktrace info mum.mtb
-//
-// With -check the written trace is re-read and validated (monotonic
-// timestamps, required fields); CI uses this as an end-to-end smoke test.
-// See docs/OBSERVABILITY.md for the probe catalogue.
+//	masktrace check trace.json
 //
 // The convert subcommand rewrites a memory trace between the two supported
 // encodings (docs/FORMATS.md): the input format is sniffed from its leading
@@ -22,134 +15,34 @@
 // chosen by extension — ".mtb" writes the indexed binary format, anything
 // else the canonical text format, gzip-compressed when the name ends in
 // ".gz". The info subcommand prints an .mtb file's footer index without
-// decoding the warp sections.
+// decoding the warp sections. The check subcommand re-reads a Chrome
+// trace_event JSON (masksim -chrome-trace; gzip-compressed or not) and
+// validates it — monotonic timestamps, required fields — exiting non-zero on
+// failure; CI uses this as an end-to-end smoke test. See
+// docs/OBSERVABILITY.md for the probe catalogue.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
 	"strings"
 
 	"masksim/internal/streamio"
 	"masksim/internal/telemetry"
 	"masksim/internal/workload"
-	"masksim/sim"
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "convert":
-			if err := convertCmd(os.Args[2:]); err != nil {
-				fatal(err)
-			}
-			return
-		case "info":
-			if err := infoCmd(os.Args[2:]); err != nil {
-				fatal(err)
-			}
-			return
-		}
+	cmds := map[string]func([]string) error{"convert": convertCmd, "info": infoCmd, "check": checkCmd}
+	if len(os.Args) < 2 || cmds[os.Args[1]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: masktrace convert|info|check ARGS")
+		os.Exit(2)
 	}
-	var (
-		configName = flag.String("config", "MASK", "configuration: "+strings.Join(sim.ConfigNames(), ", "))
-		appsFlag   = flag.String("apps", "3DS,CONS", "comma- or underscore-separated benchmark names")
-		cycles     = flag.Int64("cycles", 50_000, "simulation length in core cycles")
-		epoch      = flag.Int64("epoch", 1000, "telemetry sampling epoch in cycles")
-		out        = flag.String("out", "trace.json", "Chrome trace_event JSON output path")
-		csvOut     = flag.String("csv", "", "also write the epoch time series as CSV to this file")
-		jsonlOut   = flag.String("jsonl", "", "also write samples and events as JSONL to this file")
-		check      = flag.Bool("check", false, "re-read and validate the written trace, exiting non-zero on failure")
-		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none)")
-	)
-	flag.Parse()
-
-	cfg, err := sim.ConfigByName(*configName)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.TelemetryEpoch = *epoch
-	names := strings.FieldsFunc(*appsFlag, func(r rune) bool { return r == ',' || r == '_' })
-	if len(names) == 0 {
-		fatal(fmt.Errorf("no applications given"))
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	// The sink writes every output as each epoch closes; nothing accumulates.
-	if *out == "" {
-		fatal(fmt.Errorf("-out is required"))
-	}
-	sink := telemetry.NewStreamSink()
-	var outs []io.WriteCloser
-	for _, o := range []struct {
-		format telemetry.Format
-		path   string
-	}{{telemetry.FormatChrome, *out}, {telemetry.FormatCSV, *csvOut}, {telemetry.FormatJSONL, *jsonlOut}} {
-		if o.path == "" {
-			continue
-		}
-		w, err := streamio.Create(o.path)
-		if err != nil {
-			fatal(err)
-		}
-		outs = append(outs, w)
-		if err := sink.Attach(o.format, w); err != nil {
-			fatal(err)
-		}
-	}
-	cfg.TelemetrySink = sink
-
-	res, runErr := sim.Run(ctx, cfg, names, *cycles)
-	if runErr != nil && res == nil {
-		fatal(runErr)
-	}
-	err = sink.Close()
-	for _, w := range outs {
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s: %d columns, epochs through cycle %d (epoch %d cycles), %d bytes across %d outputs\n",
-		*out, len(res.Telemetry.Columns), sink.HighWater(), res.Telemetry.Epoch, sink.BytesWritten(), len(outs))
-
-	if *check {
-		f, err := streamio.Open(*out)
-		if err != nil {
-			fatal(err)
-		}
-		n, err := telemetry.ValidateChromeTrace(f)
-		f.Close()
-		if err != nil {
-			fatal(fmt.Errorf("trace validation failed: %w", err))
-		}
-		fmt.Printf("check: %d trace events validated\n", n)
-	}
-
-	if runErr != nil {
-		// Aborted run: the exports above carry the partial series and the
-		// watchdog.abort event; report why and exit non-zero.
-		fmt.Fprintln(os.Stderr, "masktrace:", runErr)
+	if err := cmds[os.Args[1]](os.Args[2:]); err != nil {
+		fmt.Fprintln(os.Stderr, "masktrace:", err)
 		os.Exit(1)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "masktrace:", err)
-	os.Exit(1)
 }
 
 // convertCmd implements "masktrace convert <in> <out>": load a trace in
@@ -233,5 +126,32 @@ func infoCmd(args []string) error {
 	for i := range ix.Offsets {
 		fmt.Printf("  warp %3d: offset %8d  length %8d\n", i, ix.Offsets[i], ix.Lengths[i])
 	}
+	return nil
+}
+
+// checkCmd implements "masktrace check <trace.json[.gz]>": re-read a Chrome
+// trace and check the invariants the trace viewers rely on.
+func checkCmd(args []string) error {
+	fs := flag.NewFlagSet("masktrace check", flag.ExitOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: masktrace check <trace.json[.gz]>")
+		fs.PrintDefaults()
+	}
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		os.Exit(2)
+	}
+	path := fs.Arg(0)
+	f, err := streamio.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	n, err := telemetry.ValidateChromeTrace(f)
+	if err != nil {
+		return fmt.Errorf("%s: trace validation failed: %w", path, err)
+	}
+	fmt.Printf("%s: %d trace events validated\n", path, n)
 	return nil
 }

@@ -1,6 +1,6 @@
 // Paging: the §5.5 future-work extension in action — demand paging with
 // first-touch major faults. Shows the cold-start penalty, how residency
-// builds over time (via the trace), and that MASK's ordering survives
+// builds over time (via the telemetry time series), and that MASK's ordering survives
 // paging.
 //
 //	go run ./examples/paging
@@ -43,17 +43,25 @@ func main() {
 	}
 
 	// Residency build-up: IPC recovers as the working set pages in.
-	fmt.Println("\n== warm-up trace (MASK, faultLat=10000) ==")
+	fmt.Println("\n== warm-up time series (MASK, faultLat=10000) ==")
 	cfg := sim.MASKConfig()
 	cfg.DemandPaging = true
 	cfg.FaultLatency = 10_000
-	cfg.TraceInterval = 5_000
+	cfg.TelemetryEpoch = 5_000
 	res, err := sim.Run(context.Background(), cfg, pair, cycles)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("cycle    windowIPC  outstandingFaults")
-	for _, s := range res.Trace {
-		fmt.Printf("%-7d  %-9.2f  %d\n", s.Cycle, s.IPC, s.OutstandingFaults)
+	tel := res.Telemetry
+	faults := tel.ColumnIndex("faults/outstanding")
+	fmt.Println("cycle    epochIPC   outstandingFaults")
+	start := int64(0)
+	for _, s := range tel.Samples {
+		var instr float64
+		for app := range pair {
+			instr += s.Values[tel.ColumnIndex(fmt.Sprintf("app%d/instructions", app))]
+		}
+		fmt.Printf("%-7d  %-9.2f  %.0f\n", s.Cycle, instr/float64(s.Cycle-start), s.Values[faults])
+		start = s.Cycle
 	}
 }

@@ -47,7 +47,10 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	5 — no allocator state: one request pool and one translation pool per
 //	    simulator, so no pool images, pool IDs or free-list lengths; the
 //	    blocked-warp and per-app walk counts are recounted on restore
-const Version uint32 = 5
+//	6 — one time series: the payload no longer carries the second sampler's
+//	    samples and window counters; the telemetry collector's state is the
+//	    only series an image holds
+const Version uint32 = 6
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

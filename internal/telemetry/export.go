@@ -37,9 +37,9 @@ type ChromeEvent struct {
 }
 
 // ValidateChromeTrace parses a trace_event JSON document and checks the
-// invariants masktrace and CI rely on: every event carries a name and a
-// phase, counter/instant events carry a pid and sit at non-decreasing
-// timestamps. It returns the number of events.
+// invariants the trace viewers rely on (`masktrace check` runs it): every
+// event carries a name and a phase, counter/instant events carry a pid and
+// sit at non-decreasing timestamps. It returns the number of events.
 func ValidateChromeTrace(r io.Reader) (int, error) {
 	var trace struct {
 		TraceEvents []struct {

@@ -71,13 +71,6 @@ type checkpointPayload struct {
 	// ATA is the L2 bypass policy's state (nil unless Mask.L2Bypass).
 	ATA *cache.ATAState
 
-	// Trace is the -trace time series accumulated so far plus its window
-	// counters.
-	TraceSamples []TraceSample
-	TraceInstr   uint64
-	TraceL2Acc   uint64
-	TraceL2Miss  uint64
-
 	// FaultPlan carries the injection counters when a plan is wired.
 	FaultPlan *faultinject.PlanState
 }
@@ -196,11 +189,6 @@ func (s *Simulator) Checkpoint(w io.Writer) error {
 		Walker: s.walker.SnapshotState(),
 		L2C:    s.l2c.SnapshotState(wi),
 		DRAM:   s.mem.SnapshotState(wi),
-
-		TraceSamples: s.trace.samples,
-		TraceInstr:   s.trace.lastInstr,
-		TraceL2Acc:   s.trace.lastL2Access,
-		TraceL2Miss:  s.trace.lastL2Miss,
 	}
 	for _, c := range s.cores {
 		p.Cores = append(p.Cores, c.SnapshotState(wi))
@@ -311,10 +299,6 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 	if p.FaultPlan != nil && s.cfg.FaultPlan != nil {
 		s.cfg.FaultPlan.SetState(*p.FaultPlan)
 	}
-	s.trace.samples = p.TraceSamples
-	s.trace.lastInstr = p.TraceInstr
-	s.trace.lastL2Access = p.TraceL2Acc
-	s.trace.lastL2Miss = p.TraceL2Miss
 
 	s.restored = true
 	s.restoredWD = p.Watchdog

@@ -30,8 +30,9 @@ import (
 )
 
 // ckptScenarios mirror the drift scenarios (every design the hot path flows
-// through) plus a demand-paging pair and a fully instrumented MASK run, so
-// checkpoint/restore equivalence is proven over every serialized subsystem.
+// through) plus a demand-paging pair, a fully instrumented MASK run and a
+// time-multiplexed cell, so checkpoint/restore equivalence is proven over
+// every serialized subsystem.
 var ckptScenarios = []struct {
 	name  string
 	cfg   func() Config
@@ -51,16 +52,23 @@ var ckptScenarios = []struct {
 		c.DemandPaging = true
 		c.FaultLatency = 500
 		c.FaultConcurrency = 4
+		c.TelemetryEpoch = 700
 		return c
 	}, names: []string{"MUM", "GUP"}},
 	{name: "mask-instrumented", cfg: func() Config {
 		c := MASKConfig()
-		c.TraceInterval = 700
 		c.TelemetryEpoch = 900
 		c.TLBPrefetch = true
 		c.WatchdogCheckEvery = 1000
 		return c
 	}, names: []string{"3DS", "CONS"}},
+	// Figure 1's time multiplexing: every quantum flushes a share of every
+	// TLB and cache.
+	{name: "timemux-MM", cfg: func() Config {
+		c := SharedTLBConfig()
+		c.TimeMuxQuantum, c.TimeMuxEvict = 1000, 0.36
+		return c
+	}, names: []string{"MM"}},
 }
 
 func (s *Simulator) mustRun(t *testing.T, cycles int64) *Results {
@@ -402,8 +410,9 @@ func TestCheckpointRejection(t *testing.T) {
 	// Files stamped with an earlier format are rejected by version, before
 	// any of their payload is decoded: v2 requests carry Site/SiteRef, not a
 	// sink index; v3 payloads are a request registry plus a map of per-ticker
-	// states; v4 payloads carry pool images, pool IDs and free-list lengths.
-	for _, old := range []uint32{2, 3, 4} {
+	// states; v4 payloads carry pool images, pool IDs and free-list lengths;
+	// v5 payloads carry a second time series beside the telemetry.
+	for _, old := range []uint32{2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("previous-format-v%d", old), func(t *testing.T) {
 			dir := makeDir(t)
 			ents, _ := os.ReadDir(dir)

@@ -146,14 +146,11 @@ type Config struct {
 	// (related-work comparison, §8.2). Requires the SharedTLB design.
 	TLBPrefetch bool
 
-	// TraceInterval, when positive, samples a time series of system state
-	// every TraceInterval cycles into Results.Trace.
-	TraceInterval int64
-
 	// TelemetryEpoch, when positive, enables the cycle-level telemetry
 	// subsystem: every TelemetryEpoch cycles the collector snapshots every
-	// registered probe (per-app TLB hit rates, walker latency quantiles,
-	// DRAM queue occupancy, per-core stall attribution) into
+	// registered probe (per-app instructions, TLB hit rates and tokens, the
+	// shared TLB miss rate, walker activity and latency quantiles, faults
+	// outstanding, DRAM queue occupancy, per-core stall attribution) into
 	// Results.Telemetry, exportable as CSV/JSONL/Chrome trace
 	// (docs/OBSERVABILITY.md). Zero (the default) builds no collector and
 	// adds no per-event work to the run.
@@ -396,8 +393,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: unsupported page size %d", c.PageSize)
 	case c.DRAM.Channels < 1 || c.DRAM.BanksPerChannel < 1:
 		return fmt.Errorf("sim: invalid DRAM geometry %+v", c.DRAM)
-	case c.TraceInterval < 0:
-		return fmt.Errorf("sim: TraceInterval must be >= 0, got %d", c.TraceInterval)
 	case c.TelemetryEpoch < 0:
 		return fmt.Errorf("sim: TelemetryEpoch must be >= 0, got %d", c.TelemetryEpoch)
 	case c.TelemetrySink != nil && c.TelemetryEpoch <= 0:

@@ -61,7 +61,7 @@ func decodeCell(b []byte) recycleCell {
 	cfg.FastForward = b[2]&4 == 0
 	cfg.TLBPrefetch = b[2]&8 != 0
 	if b[2]&16 != 0 {
-		cfg.TraceInterval = 500
+		cfg.WatchdogCheckEvery = 1000
 	}
 	if b[2]&32 != 0 {
 		cfg.TelemetryEpoch = 700
@@ -246,7 +246,7 @@ var recycleSeeds = [][]byte{
 		cell(dMASK, 0, 0, 1, 4000, 0, 0),
 	}, nil),
 	// A cut restores onto the simulator that just took the checkpoint; then
-	// paging, prefetch, trace and telemetry over what it leaves.
+	// paging, prefetch, the watchdog and telemetry over what it leaves.
 	bytes.Join([][]byte{
 		cell(dMASK, 0, 0, 1, 5000, 100, 0),
 		cell(dSharedTLB, 1, 2|8|16|32, 1, 6000, 40, 0),

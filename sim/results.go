@@ -83,9 +83,6 @@ type Results struct {
 	// Config.TLBPrefetch).
 	Prefetch tlb.PrefetchStats
 
-	// Trace is the sampled time series (empty unless Config.TraceInterval).
-	Trace []TraceSample
-
 	// Telemetry is the epoch-sampled probe time series and instant-event
 	// stream (nil unless Config.TelemetryEpoch > 0). To write it out as CSV,
 	// JSONL or a Chrome trace, attach a telemetry.StreamSink as
@@ -178,7 +175,6 @@ func (s *Simulator) collect(cycles int64) *Results {
 	if s.faults != nil {
 		r.Faults = s.faults.Stats
 	}
-	r.Trace = s.trace.samples
 	if s.tel != nil {
 		// A final partial-epoch sample makes counter columns telescope to the
 		// exact end-of-run totals for any run length.

@@ -38,7 +38,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.L2TLBWays = 0 },
 		func(c *Config) { c.PageSize = 1234 },
 		func(c *Config) { c.DRAM.Channels = 0 },
-		func(c *Config) { c.TraceInterval = -1 },
+		func(c *Config) { c.TelemetryEpoch = -1 },
 		func(c *Config) { c.TimeMuxQuantum = -5 },
 		func(c *Config) { c.TimeMuxEvict = 1.5 },
 		func(c *Config) { c.TokenInitFraction = -0.1 },
@@ -391,29 +391,53 @@ func TestDemandPagingSlowsColdStart(t *testing.T) {
 	base := tinyRun(t, cfg, []string{"MM"}, 4000)
 	cfg.DemandPaging = true
 	cfg.FaultLatency = 5000
+	cfg.TelemetryEpoch = 1000
 	paged := tinyRun(t, cfg, []string{"MM"}, 4000)
 	if paged.Faults.Faults == 0 {
 		t.Fatal("demand paging raised no faults")
+	}
+	// Every fault takes 5000 cycles, so the first one is still outstanding at
+	// the first epoch boundary.
+	tel := paged.Telemetry
+	if col := tel.ColumnIndex("faults/outstanding"); col < 0 || tel.Samples[0].Values[col] < 1 {
+		t.Fatal("telemetry shows no fault outstanding at cycle 1000")
 	}
 	if paged.TotalIPC >= base.TotalIPC {
 		t.Fatalf("cold start with faults not slower (%v vs %v)", paged.TotalIPC, base.TotalIPC)
 	}
 }
 
+// TestTraceSampling checks the time series a token-enabled pair produces: one
+// sample on every epoch boundary, one token column per app and no more, and a
+// shared-TLB miss rate in [0,1].
 func TestTraceSampling(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.TraceInterval = 500
+	cfg.TelemetryEpoch = 500
 	cfg.Mask.Tokens = true
 	res := tinyRun(t, cfg, []string{"3DS", "CONS"}, 3000)
-	if len(res.Trace) < 5 {
-		t.Fatalf("%d trace samples, want >=5", len(res.Trace))
+	tel := res.Telemetry
+	if tel == nil || len(tel.Samples) < 5 {
+		t.Fatalf("telemetry %v, want >=5 samples", tel)
 	}
-	for i, s := range res.Trace {
+	tokens := []int{tel.ColumnIndex("app0/tokens"), tel.ColumnIndex("app1/tokens")}
+	if tokens[0] < 0 || tokens[1] < 0 || tel.ColumnIndex("app2/tokens") >= 0 {
+		t.Fatalf("token columns at %v (app2 at %d), want one per app", tokens, tel.ColumnIndex("app2/tokens"))
+	}
+	miss := tel.ColumnIndex("l2tlb/miss_rate")
+	if miss < 0 {
+		t.Fatal("no l2tlb/miss_rate column")
+	}
+	for i, s := range tel.Samples {
 		if s.Cycle != int64(500*(i+1)) {
 			t.Fatalf("sample %d at cycle %d", i, s.Cycle)
 		}
-		if len(s.TokensPerApp) != 2 {
-			t.Fatalf("sample %d has %d token entries", i, len(s.TokensPerApp))
+		if r := s.Values[miss]; r < 0 || r > 1 {
+			t.Fatalf("sample %d: l2tlb/miss_rate %g outside [0,1]", i, r)
+		}
+		for app, col := range tokens {
+			if s.Values[col] < 0 {
+				t.Fatalf("sample %d: app %d holds %g tokens", i, app, s.Values[col])
+			}
 		}
 	}
 }

@@ -66,8 +66,6 @@ type Simulator struct {
 	// tel is the telemetry collector, nil unless Config.TelemetryEpoch > 0.
 	tel *telemetry.Collector
 
-	trace traceState
-
 	epoch int64
 	// ran is set when Run starts and clean when it returns without error:
 	// only a clean simulator may be recycled (Recycler.Put).
@@ -230,18 +228,21 @@ func validate(cfg Config, apps []workload.App, coresPerApp []int) error {
 	return nil
 }
 
-// scheduledTick adapts a periodic action (epoch roll, time-mux eviction,
-// trace snapshot) to the engine's EventSource capability: Tick runs fn every
-// cycle exactly as the bare TickFunc did, and NextEvent reports the next
-// positive multiple of interval() so fast-forward never jumps over an
-// activation cycle. interval is a closure because the epoch length is
-// finalized in Run, after registration.
+// scheduledTick adapts a periodic action (epoch roll, time-mux eviction) to
+// the engine's EventSource capability: fn runs on the activation cycles only,
+// the positive multiples of interval(), and NextEvent reports the next one so
+// fast-forward never jumps over it. interval is a closure because the epoch
+// length is finalized in Run, after registration.
 type scheduledTick struct {
 	fn       func(now int64)
 	interval func() int64
 }
 
-func (t scheduledTick) Tick(now int64) { t.fn(now) }
+func (t scheduledTick) Tick(now int64) {
+	if iv := t.interval(); iv > 0 && now > 0 && now%iv == 0 {
+		t.fn(now)
+	}
+}
 
 func (t scheduledTick) NextEvent(now int64) int64 {
 	iv := t.interval()
@@ -533,9 +534,6 @@ func (s *Simulator) build(d *Simulator) {
 	if cfg.TimeMuxQuantum > 0 {
 		s.eng.Register(scheduledTick{fn: s.timeMuxTick, interval: func() int64 { return s.cfg.TimeMuxQuantum }})
 	}
-	if cfg.TraceInterval > 0 {
-		s.eng.Register(scheduledTick{fn: s.traceTick, interval: func() int64 { return s.cfg.TraceInterval }})
-	}
 
 	// --- telemetry ---------------------------------------------------------
 	s.buildTelemetry()
@@ -626,9 +624,6 @@ func (s *Simulator) watchdog() *engine.Watchdog {
 // quantum, a fraction of TLB and cache state is evicted as if other
 // processes had run in between (Figure 1).
 func (s *Simulator) timeMuxTick(now int64) {
-	if now == 0 || now%s.cfg.TimeMuxQuantum != 0 {
-		return
-	}
 	f := s.cfg.TimeMuxEvict
 	for _, t := range s.l1tlbs {
 		t.FlushFraction(f)
@@ -646,10 +641,7 @@ func (s *Simulator) timeMuxTick(now int64) {
 }
 
 // epochTick rolls the adaptive policies on epoch boundaries.
-func (s *Simulator) epochTick(now int64) {
-	if s.epoch <= 0 || now == 0 || now%s.epoch != 0 {
-		return
-	}
+func (s *Simulator) epochTick(int64) {
 	if s.l2tlb != nil {
 		rates := s.l2tlb.EpochRoll()
 		s.tokens.Epoch(rates)

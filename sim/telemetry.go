@@ -119,9 +119,17 @@ func (s *Simulator) buildTelemetry() {
 	if s.l2tlb != nil {
 		reg(tel.Gauge("l2tlb/queue", func() float64 { return float64(s.l2tlb.QueueLen()) }))
 		reg(tel.Gauge("l2tlb/outstanding_misses", func() float64 { return float64(s.l2tlb.OutstandingMisses()) }))
+		reg(tel.Rate("l2tlb/miss_rate",
+			func() float64 { return float64(s.l2tlb.TotalStats().Misses) },
+			func() float64 { return float64(s.l2tlb.TotalStats().Accesses) }))
 		if s.cfg.Mask.Tokens {
 			reg(tel.Gauge("l2tlb/bypass_hit_rate", func() float64 { return s.l2tlb.BypassHitRate() }))
 		}
+	}
+
+	// --- demand paging ----------------------------------------------------
+	if s.faults != nil {
+		reg(tel.Gauge("faults/outstanding", func() float64 { return float64(s.faults.Outstanding()) }))
 	}
 
 	// --- DRAM queues ------------------------------------------------------

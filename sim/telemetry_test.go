@@ -51,9 +51,13 @@ func TestTelemetryEpochSampling(t *testing.T) {
 	if len(d.Samples) != 6 {
 		t.Fatalf("6000 cycles at epoch 1000 produced %d samples, want 6", len(d.Samples))
 	}
+	miss := d.ColumnIndex("l2tlb/miss_rate")
 	for i, s := range d.Samples {
 		if want := int64(i+1) * 1000; s.Cycle != want {
 			t.Fatalf("sample %d at cycle %d, want %d", i, s.Cycle, want)
+		}
+		if r := s.Values[miss]; r < 0 || r > 1 {
+			t.Fatalf("cycle %d: l2tlb/miss_rate %g outside [0,1]", s.Cycle, r)
 		}
 	}
 }
@@ -91,7 +95,8 @@ func TestTelemetryCSVHasRequiredColumns(t *testing.T) {
 		"cycle",
 		"app0/l1tlb/hit_rate", "app1/l1tlb/hit_rate",
 		"app0/l2tlb/hit_rate",
-		"app0/tokens",
+		"app0/tokens", "app1/tokens",
+		"l2tlb/miss_rate",
 		"dram/queued", "dram/golden", "dram/silver", "dram/normal",
 		"dram/chan0/bank0/queued",
 		"ptw/walk_lat_p50", "ptw/walk_lat_p99", "ptw/queue_depth",
