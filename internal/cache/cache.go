@@ -414,8 +414,7 @@ func (c *Cache) Submit(now int64, r *memreq.Request) bool {
 		m.waiting = append(m.waiting, r)
 		c.bypassMSHRs[lineAddr] = m
 		fetch := c.pool.Get()
-		fetch.AppID, fetch.ASID = r.AppID, r.ASID
-		fetch.CoreID, fetch.WarpID = r.CoreID, r.WarpID
+		fetch.AppID, fetch.CoreID, fetch.WarpID = r.AppID, r.CoreID, r.WarpID
 		fetch.Kind, fetch.Class, fetch.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 		fetch.Addr, fetch.Issue = lineAddr<<c.lineShift, r.Issue
 		fetch.Ret, fetch.Tag = c, tagBypass
@@ -579,8 +578,7 @@ func (c *Cache) service(now int64, r *memreq.Request) {
 	m.waiting = append(m.waiting, r)
 	c.mshrs[lineAddr] = m
 	fill := c.pool.Get()
-	fill.AppID, fill.ASID = r.AppID, r.ASID
-	fill.CoreID, fill.WarpID = r.CoreID, r.WarpID
+	fill.AppID, fill.CoreID, fill.WarpID = r.AppID, r.CoreID, r.WarpID
 	fill.Kind, fill.Class, fill.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 	fill.Addr, fill.Issue = lineAddr<<c.lineShift, r.Issue
 	fill.Ret = c
@@ -608,7 +606,7 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 		lineAddr := r.Addr >> c.lineShift
 		c.install(now, lineAddr, true, r.AppID)
 		fill := c.pool.Get()
-		fill.AppID, fill.ASID, fill.CoreID = r.AppID, r.ASID, r.CoreID
+		fill.AppID, fill.CoreID = r.AppID, r.CoreID
 		fill.Kind, fill.Class, fill.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 		fill.Addr, fill.Issue = lineAddr<<c.lineShift, now
 		if !c.backend.Submit(now, fill) {
@@ -642,7 +640,7 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 		c.combineCur[lineAddr] = struct{}{}
 	}
 	fwd := c.pool.Get()
-	fwd.AppID, fwd.ASID, fwd.CoreID = r.AppID, r.ASID, r.CoreID
+	fwd.AppID, fwd.CoreID = r.AppID, r.CoreID
 	fwd.Kind, fwd.Class, fwd.WalkLevel = memreq.Write, r.Class, r.WalkLevel
 	fwd.Addr, fwd.Issue = r.Addr, now
 	if !c.backend.Submit(now, fwd) {

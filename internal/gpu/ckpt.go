@@ -92,6 +92,9 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 			if len(lines) == 0 {
 				return fmt.Errorf("gpu: checkpoint warp %d has a page slot without lines", i)
 			}
+			if _, ok := c.space.TranslateVPN(c.space.VPN(lines[0])); !ok {
+				return fmt.Errorf("gpu: checkpoint warp %d has a page slot on vpn %#x, which address space %d does not map", i, c.space.VPN(lines[0]), c.space.ASID())
+			}
 			w.inst.Pages = append(w.inst.Pages, workload.PageAccess{Lines: lines})
 		}
 	}
@@ -109,14 +112,16 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 }
 
 // Awaits implements tlb.Waker: whether page slot of warpID's memory
-// instruction may still be waiting for its translation — the warp is blocked
-// with translations pending, and the instruction has that slot.
-func (c *Core) Awaits(warpID, slot int) bool {
+// instruction may still be waiting for the translation of vpn — the warp is
+// blocked with translations pending, and the instruction has that slot, on
+// that page.
+func (c *Core) Awaits(warpID, slot int, vpn uint64) bool {
 	if warpID < 0 || warpID >= len(c.warps) {
 		return false
 	}
 	w := &c.warps[warpID]
-	return w.state == warpWaitMem && w.pendingTrans > 0 && slot >= 0 && slot < len(w.inst.Pages)
+	return w.state == warpWaitMem && w.pendingTrans > 0 && slot >= 0 && slot < len(w.inst.Pages) &&
+		c.space.VPN(w.inst.Pages[slot].Lines[0]) == vpn
 }
 
 // Stream exposes a warp's stream so the simulator can enumerate shared

@@ -17,23 +17,21 @@ import (
 	"masksim/internal/cache"
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/pagetable"
 	"masksim/internal/slab"
 	"masksim/internal/workload"
 )
 
-// TranslateFn resolves a virtual page for page slot of warpID's current
-// memory instruction. It returns the frame when the translation is available
-// at once (an L1 TLB hit, or the instantaneous page-table lookup of the Ideal
-// configuration); otherwise the L1 TLB records (warpID, slot) against the
-// miss and hands the frame to Core.Translated when it returns.
-type TranslateFn func(now int64, vpn uint64, warpID, slot int) (frame uint64, ok bool)
+// TranslateFn looks up a virtual page for page slot of warpID's current
+// memory instruction and reports whether it is translated at once (an L1 TLB
+// hit); otherwise the L1 TLB records (warpID, slot) against the miss and
+// calls Core.Translated when it returns. A nil TranslateFn (the Ideal
+// configuration) translates every page at once.
+type TranslateFn func(now int64, vpn uint64, warpID, slot int) bool
 
 // Config holds the per-core parameters.
 type Config struct {
 	WarpsPerCore int
-	PageShift    uint
-	FrameSize    uint64
-	LineSize     uint64
 	// RoundRobin selects round-robin warp scheduling instead of the default
 	// GTO (greedy-then-oldest, Rogers et al.; the paper's baseline).
 	RoundRobin bool
@@ -107,6 +105,9 @@ type Core struct {
 	id    int
 	appID int
 	cfg   Config
+	// space is the application's address space: the one place a translated
+	// page's frame is read from.
+	space *pagetable.Space
 
 	warps   []warp
 	current int
@@ -132,17 +133,17 @@ type Core struct {
 	Stats Stats
 }
 
-// New builds a core whose warps draw from the given streams (one per warp)
-// and whose data accesses come from pool.
-func New(id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache, pool *memreq.Pool) *Core {
-	return Renew(nil, id, appID, cfg, streams, translate, l1d, pool)
+// New builds a core running in address space space, whose warps draw from
+// the given streams (one per warp) and whose data accesses come from pool.
+func New(id, appID int, cfg Config, space *pagetable.Space, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache, pool *memreq.Pool) *Core {
+	return Renew(nil, id, appID, cfg, space, streams, translate, l1d, pool)
 }
 
 // Renew is New built in place over a donor: c is retired and comes back as
 // New would return it, over the donor's buffers where they fit
 // (docs/MODEL.md §11). streams is copied, not kept. A nil donor allocates
 // everything.
-func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache, pool *memreq.Pool) *Core {
+func Renew(c *Core, id, appID int, cfg Config, space *pagetable.Space, streams []*workload.Stream, translate TranslateFn, l1d *cache.Cache, pool *memreq.Pool) *Core {
 	if len(streams) != cfg.WarpsPerCore {
 		panic("gpu: stream count must equal warps per core")
 	}
@@ -150,7 +151,7 @@ func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, trans
 		c = new(Core)
 	}
 	c.Retire()
-	c.id, c.appID, c.cfg = id, appID, cfg
+	c.id, c.appID, c.cfg, c.space = id, appID, cfg, space
 	c.translate, c.l1d, c.pool = translate, l1d, pool
 	c.warps = slab.Slice(c.warps, cfg.WarpsPerCore)
 	for i := range c.warps {
@@ -163,8 +164,8 @@ func Renew(c *Core, id, appID int, cfg Config, streams []*workload.Stream, trans
 
 // Retire empties c in place: what is left is the zero Core but for the
 // capacity of its warp array, ready set and retry list, with nothing in
-// them — no stream, no request, no pool, no neighbour (cache.Cache.Retire
-// has the why).
+// them — no stream, no request, no pool, no address space, no neighbour
+// (cache.Cache.Retire has the why).
 func (c *Core) Retire() {
 	d := *c
 	*c = Core{
@@ -356,16 +357,17 @@ func (c *Core) issueMem(now int64, w *warp) {
 	w.inst = inst
 
 	for slot, pg := range inst.Pages {
-		if frame, ok := c.translate(now, pg.Lines[0]>>c.cfg.PageShift, w.id, slot); ok {
-			c.Translated(now, w.id, slot, frame)
+		if c.translate == nil || c.translate(now, c.space.VPN(pg.Lines[0]), w.id, slot) {
+			c.Translated(now, w.id, slot)
 		}
 	}
 }
 
-// Translated delivers the frame of page slot of warpID's current memory
+// Translated lands the translation of page slot of warpID's current memory
 // instruction — from issueMem on an immediate translation, from the L1 TLB
-// when a miss returns — and issues the page's line accesses.
-func (c *Core) Translated(now int64, warpID, slot int, frame uint64) {
+// when a miss returns — reads the page's frame from the address space and
+// issues the page's line accesses.
+func (c *Core) Translated(now int64, warpID, slot int) {
 	w := &c.warps[warpID]
 	lines, isWrite := w.inst.Pages[slot].Lines, w.inst.Write
 	w.pendingTrans--
@@ -374,9 +376,13 @@ func (c *Core) Translated(now int64, warpID, slot int, frame uint64) {
 		c.waitTrans--
 		c.waitData++
 	}
-	pageMask := (uint64(1) << c.cfg.PageShift) - 1
+	frame, ok := c.space.TranslateVPN(c.space.VPN(lines[0]))
+	if !ok {
+		panic("gpu: translated page is not mapped")
+	}
+	base, pageMask := frame*pagetable.FrameSize, uint64(c.space.PageSize())-1
 	for _, va := range lines {
-		pa := frame*c.cfg.FrameSize + (va & pageMask)
+		pa := base + (va & pageMask)
 		req := c.pool.Get()
 		req.AppID, req.CoreID, req.WarpID = c.appID, c.id, w.id
 		req.Class, req.Addr, req.Issue = memreq.Data, pa, now

@@ -7,6 +7,7 @@ import (
 	"masksim/internal/cache"
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/pagetable"
 	"masksim/internal/workload"
 )
 
@@ -48,6 +49,17 @@ func testProfile() workload.Profile {
 	}
 }
 
+// testBase is where the test streams' heap starts.
+const testBase = 1 << 32
+
+// mappedSpace is an address space mapping every page p's warps touch, as the
+// simulator maps an application's working set before it runs.
+func mappedSpace(p workload.Profile, warps int) *pagetable.Space {
+	sp := pagetable.NewSpace(1, pagetable.PageSize4K, pagetable.NewAllocator())
+	p.PagesToMap(testBase, pagetable.PageSize4K, warps, func(va uint64) { sp.EnsureMapped(va) })
+	return sp
+}
+
 func newTestCore(warps int, translate TranslateFn) (*Core, *sink, *cache.Cache) {
 	be := &sink{delay: 5}
 	pool := new(memreq.Pool)
@@ -59,29 +71,25 @@ func newTestCore(warps int, translate TranslateFn) (*Core, *sink, *cache.Cache) 
 	p := testProfile()
 	for w := 0; w < warps; w++ {
 		streams[w] = p.NewStream(workload.StreamConfig{
-			Base: 1 << 32, PageSize: 4096, LineSize: 64,
+			Base: testBase, PageSize: 4096, LineSize: 64,
 			WarpIndex: w, NumWarps: warps, Seed: 5,
 		})
 	}
-	core := New(0, 0, Config{
-		WarpsPerCore: warps, PageShift: 12, FrameSize: 4096, LineSize: 64,
-	}, streams, translate, l1d, pool)
+	core := New(0, 0, Config{WarpsPerCore: warps}, mappedSpace(p, warps), streams, translate, l1d, pool)
 	return core, be, l1d
 }
 
-// identity translation: frame number = vpn (keeps data addresses valid).
-func instantTranslate(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
-	return vpn, true
-}
+// instantTranslate is the Ideal configuration's TranslateFn: nil, every page
+// translated at once.
+var instantTranslate TranslateFn
 
 // queuedTrans is a translation the test's TranslateFn left unanswered: the
 // test answers it later through Core.Translated, as an L1 TLB would.
 type queuedTrans struct {
-	vpn        uint64
 	warp, slot int
 }
 
-func (q queuedTrans) answer(core *Core, now int64) { core.Translated(now, q.warp, q.slot, q.vpn) }
+func (q queuedTrans) answer(core *Core, now int64) { core.Translated(now, q.warp, q.slot) }
 
 func run(core *Core, be *sink, l1d *cache.Cache, cycles int64) {
 	for now := int64(0); now < cycles; now++ {
@@ -117,7 +125,7 @@ func TestCoreIssuesAtMostOnePerCycle(t *testing.T) {
 func TestCoreIdlesWhenTranslationStalls(t *testing.T) {
 	// A translation that never completes must idle the core once every warp
 	// has issued its first memory instruction.
-	neverTranslate := func(now int64, vpn uint64, warpID, slot int) (uint64, bool) { return 0, false }
+	neverTranslate := func(now int64, vpn uint64, warpID, slot int) bool { return false }
 	core, be, l1d := newTestCore(2, neverTranslate)
 	run(core, be, l1d, 500)
 	if core.ReadyWarps() != 0 {
@@ -142,9 +150,9 @@ func TestIdleAttributionSumsToIdleCycles(t *testing.T) {
 		q  queuedTrans
 	}
 	var trq []pendingTr
-	translate := func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
-		trq = append(trq, pendingTr{at: now + 7, q: queuedTrans{vpn, warpID, slot}})
-		return 0, false
+	translate := func(now int64, vpn uint64, warpID, slot int) bool {
+		trq = append(trq, pendingTr{at: now + 7, q: queuedTrans{warpID, slot}})
+		return false
 	}
 	core, be, l1d := newTestCore(4, translate)
 	for now := int64(0); now < 3000; now++ {
@@ -177,9 +185,9 @@ func TestIdleAttributionSumsToIdleCycles(t *testing.T) {
 
 func TestDelayedTranslationUnblocksWarp(t *testing.T) {
 	var pending []queuedTrans
-	stash := func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
-		pending = append(pending, queuedTrans{vpn, warpID, slot})
-		return 0, false
+	stash := func(now int64, vpn uint64, warpID, slot int) bool {
+		pending = append(pending, queuedTrans{warpID, slot})
+		return false
 	}
 	core, be, l1d := newTestCore(1, stash)
 	run(core, be, l1d, 50)
@@ -237,9 +245,9 @@ func TestWritesDoNotBlockWarp(t *testing.T) {
 		Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 256,
 	}, be, pool)
 	s := p.NewStream(workload.StreamConfig{
-		Base: 1 << 32, PageSize: 4096, LineSize: 64, WarpIndex: 0, NumWarps: 1, Seed: 3,
+		Base: testBase, PageSize: 4096, LineSize: 64, WarpIndex: 0, NumWarps: 1, Seed: 3,
 	})
-	core := New(0, 0, Config{WarpsPerCore: 1, PageShift: 12, FrameSize: 4096, LineSize: 64},
+	core := New(0, 0, Config{WarpsPerCore: 1}, mappedSpace(p, 1),
 		[]*workload.Stream{s}, instantTranslate, l1d, pool)
 	for now := int64(0); now < 300; now++ {
 		core.Tick(now)
@@ -253,7 +261,7 @@ func TestWritesDoNotBlockWarp(t *testing.T) {
 func TestSyncStalledWarpSkipped(t *testing.T) {
 	p := testProfile()
 	p.WarpsPerGroup = 2
-	f := workload.NewStreamFactory(p, 1<<32, 4096, 64, 2, 9)
+	f := workload.NewStreamFactory(p, testBase, 4096, 64, 2, 9)
 	streams := []*workload.Stream{f.New(0), f.New(1)}
 	// Block warp 1 forever by never translating for it; warp 0 advances
 	// until the group-sync window stops it.
@@ -263,10 +271,10 @@ func TestSyncStalledWarpSkipped(t *testing.T) {
 		Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 64,
 	}, be, pool)
-	translate := func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
-		return vpn, warpID != 1 // warp 1's translations never complete
+	translate := func(now int64, vpn uint64, warpID, slot int) bool {
+		return warpID != 1 // warp 1's translations never complete
 	}
-	core := New(0, 0, Config{WarpsPerCore: 2, PageShift: 12, FrameSize: 4096, LineSize: 64},
+	core := New(0, 0, Config{WarpsPerCore: 2}, mappedSpace(p, 2),
 		streams, translate, l1d, pool)
 	for now := int64(0); now < 3000; now++ {
 		core.Tick(now)
@@ -289,9 +297,9 @@ type schedWorld struct {
 
 func newSchedWorld(warps int, roundRobin bool) *schedWorld {
 	w := &schedWorld{}
-	w.core, w.be, w.l1d = newTestCore(warps, func(_ int64, vpn uint64, warpID, slot int) (uint64, bool) {
-		w.trans = append(w.trans, queuedTrans{vpn, warpID, slot})
-		return 0, false
+	w.core, w.be, w.l1d = newTestCore(warps, func(_ int64, vpn uint64, warpID, slot int) bool {
+		w.trans = append(w.trans, queuedTrans{warpID, slot})
+		return false
 	})
 	w.core.cfg.RoundRobin = roundRobin
 	return w
@@ -395,12 +403,11 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 		streams := make([]*workload.Stream, warps)
 		for w := range streams {
 			streams[w] = p.NewStream(workload.StreamConfig{
-				Base: 1 << 32, PageSize: 4096, LineSize: 64, WarpIndex: w, NumWarps: warps, Seed: 5,
+				Base: testBase, PageSize: 4096, LineSize: 64, WarpIndex: w, NumWarps: warps, Seed: 5,
 			})
 		}
-		core := New(0, 0, Config{
-			WarpsPerCore: warps, PageShift: 12, FrameSize: 4096, LineSize: 64, RoundRobin: rr,
-		}, streams, instantTranslate, l1d, pool)
+		core := New(0, 0, Config{WarpsPerCore: warps, RoundRobin: rr}, mappedSpace(p, warps),
+			streams, instantTranslate, l1d, pool)
 		for now := int64(0); now < 2000; now++ {
 			core.Tick(now)
 			l1d.Tick(now)

@@ -37,7 +37,6 @@ type Wiring struct {
 // RequestState is the checkpoint image of one live, not yet served Request.
 type RequestState struct {
 	AppID     int
-	ASID      uint8
 	CoreID    int
 	WarpID    int
 	Kind      Kind
@@ -90,7 +89,7 @@ func SortedKeys[K comparable, V any](m map[K]V, order func(a, b K) int) []K {
 // wiring's sinks.
 func (w *Wiring) Image(r *Request) RequestState {
 	st := RequestState{
-		AppID: r.AppID, ASID: r.ASID, CoreID: r.CoreID, WarpID: r.WarpID,
+		AppID: r.AppID, CoreID: r.CoreID, WarpID: r.WarpID,
 		Kind: r.Kind, Class: r.Class, WalkLevel: r.WalkLevel,
 		Addr: r.Addr, Issue: r.Issue, Tag: r.Tag,
 	}
@@ -130,7 +129,7 @@ func (w *Wiring) Request(st RequestState) (*Request, error) {
 		sink = w.Sinks[i]
 	}
 	r := w.Pool.Get()
-	r.AppID, r.ASID, r.CoreID, r.WarpID = st.AppID, st.ASID, st.CoreID, st.WarpID
+	r.AppID, r.CoreID, r.WarpID = st.AppID, st.CoreID, st.WarpID
 	r.Kind, r.Class, r.WalkLevel = st.Kind, st.Class, st.WalkLevel
 	r.Addr, r.Issue = st.Addr, st.Issue
 	r.Ret, r.Tag = sink, st.Tag

@@ -112,7 +112,6 @@ func (f SinkFunc) RequestDone(now int64, r *Request) { f(now, r) }
 // contract is what makes pooled recycling (Pool) sound.
 type Request struct {
 	AppID  int
-	ASID   uint8
 	CoreID int
 	WarpID int
 
@@ -172,17 +171,18 @@ func (r *Request) Complete(now int64, svc Service) {
 // TransSink is a component a completed TransReq returns to: the L1 TLB of
 // tr.CoreID, which finds its miss tracker by tr.VPN.
 type TransSink interface {
-	TransDone(now int64, tr *TransReq, frame uint64)
+	TransDone(now int64, tr *TransReq)
 }
 
 // TransSinkFunc adapts a function to TransSink (see SinkFunc).
-type TransSinkFunc func(now int64, tr *TransReq, frame uint64)
+type TransSinkFunc func(now int64, tr *TransReq)
 
 // TransDone implements TransSink.
-func (f TransSinkFunc) TransDone(now int64, tr *TransReq, frame uint64) { f(now, tr, frame) }
+func (f TransSinkFunc) TransDone(now int64, tr *TransReq) { f(now, tr) }
 
 // TransReq is a virtual-page translation request flowing through the TLB
-// hierarchy. Ret receives it back with the translated physical frame number.
+// hierarchy. Ret receives it back once its page is translated; which
+// physical page that is, the requesting core reads from its address space.
 type TransReq struct {
 	AppID  int
 	ASID   uint8
@@ -207,10 +207,10 @@ type TransReq struct {
 	life lifeState
 }
 
-// Complete delivers the translated frame to Ret and, for pool-owned
-// requests, recycles the object. Mirrors Request.Complete: the caller must
-// not touch tr afterwards, and double completion panics.
-func (tr *TransReq) Complete(now int64, frame uint64) {
+// Complete returns tr to Ret and, for pool-owned requests, recycles the
+// object. Mirrors Request.Complete: the caller must not touch tr afterwards,
+// and double completion panics.
+func (tr *TransReq) Complete(now int64) {
 	switch tr.life {
 	case lifeDone:
 		panic("memreq: TransReq completed twice")
@@ -219,7 +219,7 @@ func (tr *TransReq) Complete(now int64, frame uint64) {
 	}
 	tr.life = lifeDone
 	if tr.Ret != nil {
-		tr.Ret.TransDone(now, tr, frame)
+		tr.Ret.TransDone(now, tr)
 	}
 	if tr.pool != nil {
 		tr.pool.put(tr)

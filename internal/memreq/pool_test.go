@@ -79,22 +79,22 @@ func TestTransPoolLifecycle(t *testing.T) {
 	var p TransPool
 	tr := p.Get()
 	tr.VPN = 42
-	var gotFrame uint64
-	tr.Ret = TransSinkFunc(func(now int64, got *TransReq, frame uint64) {
+	var gotAt int64
+	tr.Ret = TransSinkFunc(func(now int64, got *TransReq) {
 		if got != tr {
 			t.Error("sink received a different TransReq")
 		}
-		gotFrame = frame
+		gotAt = now
 	})
-	tr.Complete(1, 7)
-	if gotFrame != 7 {
-		t.Fatalf("sink got frame %d, want 7", gotFrame)
+	tr.Complete(7)
+	if gotAt != 7 {
+		t.Fatalf("sink ran at cycle %d, want 7", gotAt)
 	}
 	if p.Live() != 0 {
 		t.Fatal("TransReq not recycled on Complete")
 	}
 	mustPanic(t, "memreq: Complete on a recycled TransReq (use-after-done)", func() {
-		tr.Complete(2, 8)
+		tr.Complete(8)
 	})
 	tr2 := p.Get()
 	if tr2 != tr || tr2.VPN != 0 || tr2.Ret != nil {
@@ -104,8 +104,8 @@ func TestTransPoolLifecycle(t *testing.T) {
 
 func TestTransReqDoubleCompletePanics(t *testing.T) {
 	tr := &TransReq{}
-	tr.Complete(1, 1)
+	tr.Complete(1)
 	mustPanic(t, "memreq: TransReq completed twice", func() {
-		tr.Complete(2, 2)
+		tr.Complete(2)
 	})
 }

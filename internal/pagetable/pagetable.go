@@ -223,8 +223,9 @@ func (s *Space) EnsureMapped(va uint64) uint64 {
 }
 
 // Translate performs an instantaneous software walk: it returns the physical
-// address for va and whether the page is mapped. Used by the Ideal-TLB
-// configuration and by correctness tests.
+// address for va and whether the page is mapped. The TLB hierarchy models
+// only the timing of translation; a core reads the frame here when a
+// translation lands.
 func (s *Space) Translate(va uint64) (uint64, bool) {
 	vpn := s.VPN(va)
 	n := s.root

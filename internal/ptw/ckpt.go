@@ -36,8 +36,9 @@ type WalkerState struct {
 }
 
 // Deliverable implements FaultSink: whether a walk finishing as h has
-// somewhere to deliver its frame — its TransReq (OriginTrans), a shared-TLB miss tracker
-// for its page (OriginL2Miss), or the shared TLB's prefetch install.
+// somewhere to deliver its result — its TransReq (OriginTrans), a shared-TLB
+// miss tracker for its page (OriginL2Miss), or the shared TLB's prefetch
+// install.
 func (w *Walker) Deliverable(h HeldWalk) bool {
 	switch h.Origin {
 	case OriginTrans:
@@ -134,6 +135,9 @@ func (w *Walker) buildWalks(wi *memreq.Wiring, dst []*walk, sts []WalkState) ([]
 		if !ok {
 			return dst, fmt.Errorf("ptw: checkpoint walk for unregistered ASID %d", ws.ASID)
 		}
+		if _, ok := sp.TranslateVPN(ws.VPN); !ok {
+			return dst, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is of a page its address space does not map", ws.ASID, ws.VPN)
+		}
 		wk, _ := w.walkFree.Get()
 		wk.asid, wk.appID, wk.vpn = ws.ASID, ws.AppID, ws.VPN
 		wk.origin, wk.serial = WalkOrigin(ws.Origin), ws.Serial
@@ -162,7 +166,6 @@ type FaultNotifyState struct {
 	Start  int64
 	Origin uint8
 	AppID  int
-	Frame  uint64
 	// Tr names the TransReq of an OriginTrans walk by its tracker key.
 	Tr memreq.TransKey
 }
@@ -196,7 +199,7 @@ func (f *FaultUnit) SnapshotState() FaultUnitState {
 	snap := func(p *pendingFault) PendingFaultState {
 		ps := PendingFaultState{ASID: p.key.asid, VPN: p.key.vpn, Start: p.start, DoneAt: p.doneAt}
 		for _, h := range p.notify {
-			ns := FaultNotifyState{Start: h.Start, Origin: uint8(h.Origin), AppID: h.AppID, Frame: h.Frame}
+			ns := FaultNotifyState{Start: h.Start, Origin: uint8(h.Origin), AppID: h.AppID}
 			if h.Tr != nil {
 				ns.Tr = h.Tr.Key()
 			}
@@ -228,7 +231,7 @@ func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
 			for _, ns := range ps.Notify {
 				h := HeldWalk{
 					Start: ns.Start, Origin: WalkOrigin(ns.Origin), AppID: ns.AppID,
-					ASID: ps.ASID, VPN: ps.VPN, Frame: ns.Frame,
+					ASID: ps.ASID, VPN: ps.VPN,
 				}
 				if err := resolveHeld(wi, f.sink, &h, ns.Tr); err != nil {
 					return dst, err

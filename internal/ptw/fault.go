@@ -69,12 +69,11 @@ type HeldWalk struct {
 	AppID  int
 	ASID   uint8
 	VPN    uint64
-	Frame  uint64
 	Tr     *memreq.TransReq
 }
 
 // FaultSink receives the held walks of a completed fault (the walker).
-// Deliverable reports whether h still has somewhere to deliver its frame; a
+// Deliverable reports whether h still has somewhere to deliver its result; a
 // restore checks every held walk with it.
 type FaultSink interface {
 	FaultDone(now int64, h HeldWalk)

@@ -15,7 +15,7 @@ func newFaultUnit(latency int64, concurrency int) (*FaultUnit, *walkLog) {
 
 func TestFaultFirstTouchPaysLatency(t *testing.T) {
 	f, log := newFaultUnit(100, 4)
-	if f.Touch(0, 1, 42, HeldWalk{VPN: 42, Frame: 9}) {
+	if f.Touch(0, 1, 42, HeldWalk{VPN: 42, Origin: OriginL2Miss}) {
 		t.Fatal("first touch reported resident")
 	}
 	for now := int64(1); now < 99; now++ {
@@ -25,7 +25,7 @@ func TestFaultFirstTouchPaysLatency(t *testing.T) {
 		}
 	}
 	f.Tick(100)
-	if len(log.done) != 1 || log.done[0] != (walkResult{now: 100, vpn: 42, frame: 9}) {
+	if len(log.done) != 1 || log.done[0] != (walkResult{now: 100, vpn: 42, origin: OriginL2Miss}) {
 		t.Fatalf("fault delivered %+v, want the held walk once at 100", log.done)
 	}
 	// Page now resident: no further fault.

@@ -94,7 +94,7 @@ const (
 // a miss tracker waits for the demand walk of (asid, vpn); a restore checks
 // every OriginL2Miss walk with it.
 type WalkSink interface {
-	WalkDone(now int64, asid uint8, appID int, vpn, frame uint64, origin WalkOrigin)
+	WalkDone(now int64, asid uint8, appID int, vpn uint64, origin WalkOrigin)
 	Awaits(asid uint8, vpn uint64) bool
 }
 
@@ -343,7 +343,7 @@ func (w *Walker) issue(now int64, wk *walk) {
 	}
 	lvl := wk.level
 	r := w.pool.Get()
-	r.AppID, r.ASID = wk.appID, wk.asid
+	r.AppID = wk.appID
 	r.Kind, r.Class, r.WalkLevel = memreq.Read, memreq.Translation, uint8(lvl)
 	r.Addr, r.Issue = wk.addrs[lvl-1], now
 	r.Ret, r.Tag = w, wk.serial
@@ -377,19 +377,13 @@ func (w *Walker) RequestDone(now int64, r *memreq.Request) {
 	if wk.level <= len(wk.addrs) {
 		return // next dependent access issues on the following tick
 	}
-	// Walk complete: resolve the frame from the radix table.
-	sp := w.spaces[wk.asid]
-	frame, ok := sp.TranslateVPN(wk.vpn)
-	if !ok {
-		panic("ptw: completed walk for unmapped page")
-	}
 	wk.finished = true
 	if wk.appID >= 0 && wk.appID < len(w.perAppActive) {
 		w.perAppActive[wk.appID]--
 	}
 	// The walk object is recycled at the next Tick's compaction, so what may
 	// be delivered later (a fault-held result) is copied out of it.
-	h := HeldWalk{Start: wk.start, Origin: wk.origin, AppID: wk.appID, ASID: wk.asid, VPN: wk.vpn, Frame: frame, Tr: wk.tr}
+	h := HeldWalk{Start: wk.start, Origin: wk.origin, AppID: wk.appID, ASID: wk.asid, VPN: wk.vpn, Tr: wk.tr}
 	// Demand paging (§5.5): the walk found the PTE, but a non-resident page
 	// must be faulted in before the translation is usable.
 	if w.faults != nil && !w.faults.Touch(now, wk.asid, wk.vpn, h) {
@@ -402,8 +396,8 @@ func (w *Walker) RequestDone(now int64, r *memreq.Request) {
 // resident.
 func (w *Walker) FaultDone(now int64, h HeldWalk) { w.finishWalk(now, h) }
 
-// finishWalk records completion stats and delivers the frame where the walk's
-// origin says (tr.Complete recycles the TransReq into its pool).
+// finishWalk records completion stats and delivers the result where the
+// walk's origin says (tr.Complete recycles the TransReq into its pool).
 func (w *Walker) finishWalk(now int64, h HeldWalk) {
 	w.Stats.Completed++
 	w.Stats.LatSum += uint64(now - h.Start)
@@ -411,10 +405,10 @@ func (w *Walker) finishWalk(now int64, h HeldWalk) {
 		w.latHist.Observe(float64(now - h.Start))
 	}
 	if h.Origin == OriginTrans {
-		h.Tr.Complete(now, h.Frame)
+		h.Tr.Complete(now)
 		return
 	}
-	w.sink.WalkDone(now, h.ASID, h.AppID, h.VPN, h.Frame, h.Origin)
+	w.sink.WalkDone(now, h.ASID, h.AppID, h.VPN, h.Origin)
 }
 
 // ActiveWalks returns the number of in-flight walks.

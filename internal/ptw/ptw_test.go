@@ -39,16 +39,15 @@ type walkLog struct {
 type walkResult struct {
 	now    int64
 	vpn    uint64
-	frame  uint64
 	origin WalkOrigin
 }
 
-func (l *walkLog) WalkDone(now int64, asid uint8, appID int, vpn, frame uint64, origin WalkOrigin) {
-	l.done = append(l.done, walkResult{now, vpn, frame, origin})
+func (l *walkLog) WalkDone(now int64, asid uint8, appID int, vpn uint64, origin WalkOrigin) {
+	l.done = append(l.done, walkResult{now, vpn, origin})
 }
 
 func (l *walkLog) FaultDone(now int64, h HeldWalk) {
-	l.done = append(l.done, walkResult{now, h.VPN, h.Frame, h.Origin})
+	l.done = append(l.done, walkResult{now, h.VPN, h.Origin})
 }
 
 func (l *walkLog) Awaits(asid uint8, vpn uint64) bool { return true }
@@ -63,19 +62,18 @@ func newWalker(maxConcurrent int, mem *fakeMem, numApps int) (*Walker, *walkLog)
 	return w, log
 }
 
-func newWalkerWithPage(t *testing.T, maxConcurrent int) (*Walker, *fakeMem, *pagetable.Space, uint64) {
+func newWalkerWithPage(t *testing.T, maxConcurrent int) (*Walker, *fakeMem, *pagetable.Space) {
 	t.Helper()
 	mem := &fakeMem{}
 	w, _ := newWalker(maxConcurrent, mem, 2)
 	sp := pagetable.NewSpace(1, pagetable.PageSize4K, pagetable.NewAllocator())
 	w.AddSpace(sp)
-	va := uint64(0x4_0000_0000)
-	frame := sp.EnsureMapped(va)
-	return w, mem, sp, frame
+	sp.EnsureMapped(0x4_0000_0000)
+	return w, mem, sp
 }
 
 func TestWalkIssuesAllLevelsInOrder(t *testing.T) {
-	w, mem, sp, frame := newWalkerWithPage(t, 4)
+	w, mem, sp := newWalkerWithPage(t, 4)
 	va := uint64(0x4_0000_0000)
 	log := &walkLog{}
 	w.SetWalkSink(log)
@@ -94,8 +92,8 @@ func TestWalkIssuesAllLevelsInOrder(t *testing.T) {
 		mem.completeAll(now + 1)
 		now += 2
 	}
-	if len(log.done) != 1 || log.done[0] != (walkResult{7, sp.VPN(va), frame, OriginPrefetch}) {
-		t.Fatalf("walk delivered %+v, want frame %d for its vpn and origin, once, at cycle 7", log.done, frame)
+	if len(log.done) != 1 || log.done[0] != (walkResult{7, sp.VPN(va), OriginPrefetch}) {
+		t.Fatalf("walk delivered %+v, want its vpn and origin, once, at cycle 7", log.done)
 	}
 	if w.Stats.Completed != 1 {
 		t.Fatal("completion not counted")
@@ -103,7 +101,7 @@ func TestWalkIssuesAllLevelsInOrder(t *testing.T) {
 }
 
 func TestWalkAddressesMatchPageTable(t *testing.T) {
-	w, mem, sp, _ := newWalkerWithPage(t, 4)
+	w, mem, sp := newWalkerWithPage(t, 4)
 	va := uint64(0x4_0000_0000)
 	vpn := sp.VPN(va)
 	want := sp.WalkAddrs(vpn)
@@ -120,7 +118,7 @@ func TestWalkAddressesMatchPageTable(t *testing.T) {
 }
 
 func TestConcurrencyLimit(t *testing.T) {
-	w, mem, sp, _ := newWalkerWithPage(t, 2)
+	w, mem, sp := newWalkerWithPage(t, 2)
 	base := uint64(0x4_0000_0000)
 	for i := 0; i < 5; i++ {
 		va := base + uint64(i)*pagetable.PageSize4K
@@ -145,7 +143,7 @@ func TestConcurrencyLimit(t *testing.T) {
 }
 
 func TestActiveWalksForApp(t *testing.T) {
-	w, _, sp, _ := newWalkerWithPage(t, 8)
+	w, _, sp := newWalkerWithPage(t, 8)
 	base := uint64(0x4_0000_0000)
 	for i := 0; i < 3; i++ {
 		va := base + uint64(i)*pagetable.PageSize4K
@@ -161,7 +159,7 @@ func TestActiveWalksForApp(t *testing.T) {
 }
 
 func TestMemRejectionRetries(t *testing.T) {
-	w, mem, sp, frame := newWalkerWithPage(t, 4)
+	w, mem, sp := newWalkerWithPage(t, 4)
 	mem.reject = true
 	va := uint64(0x4_0000_0000)
 	log := &walkLog{}
@@ -179,17 +177,17 @@ func TestMemRejectionRetries(t *testing.T) {
 		mem.completeAll(now + 1)
 		now += 2
 	}
-	if len(log.done) != 1 || log.done[0].frame != frame {
+	if len(log.done) != 1 || log.done[0].vpn != sp.VPN(va) {
 		t.Fatal("walk did not recover from rejections")
 	}
 }
 
 func TestSubmitTransRoutesToWalk(t *testing.T) {
-	w, mem, sp, frame := newWalkerWithPage(t, 4)
+	w, mem, sp := newWalkerWithPage(t, 4)
 	va := uint64(0x4_0000_0000)
-	var got uint64
+	var got int64 = -1
 	tr := &memreq.TransReq{ASID: 1, AppID: 0, VPN: sp.VPN(va),
-		Ret: memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq, f uint64) { got = f })}
+		Ret: memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq) { got = now })}
 	if !w.SubmitTrans(0, tr) {
 		t.Fatal("SubmitTrans rejected")
 	}
@@ -199,8 +197,8 @@ func TestSubmitTransRoutesToWalk(t *testing.T) {
 		mem.completeAll(now + 1)
 		now += 2
 	}
-	if got != frame {
-		t.Fatal("SubmitTrans walk did not complete")
+	if got != 7 {
+		t.Fatalf("SubmitTrans walk completed at cycle %d, want 7", got)
 	}
 }
 
@@ -216,7 +214,7 @@ func TestWalkUnknownASIDPanics(t *testing.T) {
 }
 
 func TestConcurrencySampling(t *testing.T) {
-	w, mem, sp, _ := newWalkerWithPage(t, 8)
+	w, mem, sp := newWalkerWithPage(t, 8)
 	base := uint64(0x4_0000_0000)
 	for i := 0; i < 4; i++ {
 		va := base + uint64(i)*pagetable.PageSize4K

@@ -50,7 +50,10 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	6 — one time series: the payload no longer carries the second sampler's
 //	    samples and window counters; the telemetry collector's state is the
 //	    only series an image holds
-const Version uint32 = 6
+//	7 — no frames: TLB entries, shared-TLB lines and fault-held walks no
+//	    longer carry one (a core reads it from its address space), and a
+//	    request image no longer carries an ASID
+const Version uint32 = 7
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

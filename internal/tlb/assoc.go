@@ -37,7 +37,6 @@ type assocSlot struct {
 // assocEntry is one cached translation as checkpoints see it.
 type assocEntry struct {
 	key   l2key
-	frame uint64
 	stamp int64
 }
 
@@ -109,19 +108,19 @@ func (a *assocLRU) unhash(i int32) {
 	*p = a.slots[i].chain
 }
 
-// probe returns k's frame and makes it the MRU entry.
-func (a *assocLRU) probe(k l2key) (uint64, bool) {
+// probe reports whether k is cached and, if so, makes it the MRU entry.
+func (a *assocLRU) probe(k l2key) bool {
 	i := a.find(k)
 	if i < 0 {
-		return 0, false
+		return false
 	}
 	a.touch(i)
-	return a.slots[i].frame, true
+	return true
 }
 
-// fill installs or updates k as the MRU entry, evicting the LRU entry when
-// the table is full.
-func (a *assocLRU) fill(k l2key, frame uint64) {
+// fill installs k, or refreshes it, as the MRU entry, evicting the LRU entry
+// when the table is full.
+func (a *assocLRU) fill(k l2key) {
 	i := a.find(k)
 	if i < 0 {
 		i = a.slots[a.end].prev // an unused slot while any remain, else the LRU entry
@@ -134,7 +133,6 @@ func (a *assocLRU) fill(k l2key, frame uint64) {
 		a.slots[i].key, a.slots[i].chain = k, *b
 		*b = i
 	}
-	a.slots[i].frame = frame
 	a.touch(i)
 }
 
@@ -167,7 +165,7 @@ func (a *assocLRU) entries() []assocEntry {
 func (a *assocLRU) snapshot() []EntryState {
 	var out []EntryState
 	for _, e := range a.entries() {
-		out = append(out, EntryState{ASID: e.key.asid, VPN: e.key.vpn, Frame: e.frame, Stamp: e.stamp})
+		out = append(out, EntryState{ASID: e.key.asid, VPN: e.key.vpn, Stamp: e.stamp})
 	}
 	return out
 }
@@ -191,7 +189,7 @@ func (a *assocLRU) restore(what string, stamp int64, es []EntryState) error {
 		if a.contains(k) {
 			return fmt.Errorf("tlb: checkpoint has duplicate %s entry (asid %d, vpn %#x)", what, e.ASID, e.VPN)
 		}
-		a.fill(k, e.Frame)
+		a.fill(k)
 		a.slots[a.slots[a.end].next].stamp = e.Stamp
 	}
 	a.stamp = stamp

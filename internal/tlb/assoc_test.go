@@ -19,20 +19,20 @@ type refLRU struct {
 	stamp int64
 }
 
-func (r *refLRU) probe(k l2key) (uint64, bool) {
+func (r *refLRU) probe(k l2key) bool {
 	e, ok := r.m[k]
 	if !ok {
-		return 0, false
+		return false
 	}
 	r.stamp++
 	e.stamp = r.stamp
-	return e.frame, true
+	return true
 }
 
-func (r *refLRU) fill(k l2key, frame uint64) {
+func (r *refLRU) fill(k l2key) {
 	r.stamp++
 	if e, ok := r.m[k]; ok {
-		e.frame, e.stamp = frame, r.stamp
+		e.stamp = r.stamp
 		return
 	}
 	if len(r.m) >= r.size {
@@ -45,7 +45,7 @@ func (r *refLRU) fill(k l2key, frame uint64) {
 		}
 		delete(r.m, victim)
 	}
-	r.m[k] = &assocEntry{key: k, frame: frame, stamp: r.stamp}
+	r.m[k] = &assocEntry{key: k, stamp: r.stamp}
 }
 
 // flushFraction mirrors L1TLB.FlushFraction: every stride-th entry in
@@ -113,21 +113,19 @@ func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 	for step := 0; step+1 < len(prog); step += 2 {
 		op, arg := prog[step]%8, prog[step+1]
 		k := l2key{asid, uint64(arg) % universe}
-		frame := uint64(step)<<8 | uint64(arg)
 		switch op {
 		case 0, 1, 2: // lookup through the public path; a miss fills
-			got, hit := l1.Lookup(int64(step), k.vpn, 0, 0, true)
-			want, wantHit := ref.probe(k)
-			if hit != wantHit || (hit && got != want) {
-				t.Fatalf("step %d: Lookup(%#x) = (%d, %v), reference (%d, %v)", step, k.vpn, got, hit, want, wantHit)
+			hit := l1.Lookup(int64(step), k.vpn, 0, 0, true)
+			if wantHit := ref.probe(k); hit != wantHit {
+				t.Fatalf("step %d: Lookup(%#x) hit %v, reference %v", step, k.vpn, hit, wantHit)
 			}
 			if !hit {
-				be.answerAll(int64(step), frame)
-				ref.fill(k, frame)
+				be.answerAll(int64(step))
+				ref.fill(k)
 			}
-		case 3: // direct fill: update-or-insert
-			l1.tab.fill(k, frame)
-			ref.fill(k, frame)
+		case 3: // direct fill: insert or refresh
+			l1.tab.fill(k)
+			ref.fill(k)
 		case 4: // delete
 			l1.tab.remove(k)
 			delete(ref.m, k)
@@ -196,8 +194,8 @@ func TestAssocLRUSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 200; i++ { // misses fill and (once full) evict; hits touch
 			vpn = (vpn*7 + 13) % 150
-			if _, ok := a.probe(l2key{1, vpn}); !ok {
-				a.fill(l2key{1, vpn}, vpn)
+			if !a.probe(l2key{1, vpn}) {
+				a.fill(l2key{1, vpn})
 			}
 		}
 		a.reset()
@@ -212,7 +210,7 @@ func TestSnapshotEntriesInRecencyOrder(t *testing.T) {
 	l1, _ := newL1(1, 8, be)
 	for _, vpn := range []uint64{5, 9, 2, 7, 9, 5, 11} {
 		l1.Lookup(0, vpn, 0, 0, true)
-		be.answerAll(1, vpn+100)
+		be.answerAll(1)
 	}
 	var vpns []uint64
 	for _, e := range l1.SnapshotState().Entries {
@@ -230,7 +228,7 @@ func TestRestoreRejectsHostileTableState(t *testing.T) {
 	entries := func(n int) []EntryState {
 		es := make([]EntryState, n)
 		for i := range es {
-			es[i] = EntryState{VPN: uint64(i), Frame: uint64(i), Stamp: int64(i + 1)}
+			es[i] = EntryState{VPN: uint64(i), Stamp: int64(i + 1)}
 		}
 		return es
 	}
@@ -257,7 +255,7 @@ func TestRestoreRejectsHostileTableState(t *testing.T) {
 		img := l2.SnapshotState()
 		img.Bypass.Stamp = tc.stamp
 		for _, e := range tc.entries {
-			img.Bypass.Entries = append(img.Bypass.Entries, EntryState{ASID: 1, VPN: e.VPN, Frame: e.Frame, Stamp: e.Stamp})
+			img.Bypass.Entries = append(img.Bypass.Entries, EntryState{ASID: 1, VPN: e.VPN, Stamp: e.Stamp})
 		}
 		errL2 := l2.RestoreState(&memreq.Wiring{}, img)
 
@@ -283,7 +281,7 @@ func TestRestoreLegacyOrderSameVictims(t *testing.T) {
 	be := &fakeTransBackend{}
 	lookup := func(l1 *L1TLB, vpn uint64) {
 		l1.Lookup(0, vpn, 0, 0, true)
-		be.answerAll(1, vpn+100)
+		be.answerAll(1)
 	}
 	live, _ := newL1(1, 16, be)
 	for i := uint64(0); i < 40; i++ {

@@ -10,7 +10,7 @@ func BenchmarkL1Hit(b *testing.B) {
 	be := &fakeTransBackend{}
 	l1, _ := newL1(1, 64, be)
 	l1.Lookup(0, 42, 0, 0, true)
-	be.answerAll(1, 7)
+	be.answerAll(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l1.Lookup(int64(i), 42, 0, 0, true)
@@ -24,7 +24,7 @@ func BenchmarkL2ProbeHit(b *testing.B) {
 	for now := int64(0); now < 4; now++ {
 		l2.Tick(now)
 	}
-	w.completeAll(5, 3)
+	w.completeAll(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := int64(10 + i*2)

@@ -22,17 +22,17 @@ func renewBypassCache(b *bypassCache, size int) *bypassCache {
 	return b
 }
 
-func (b *bypassCache) probe(asid uint8, vpn uint64) (uint64, bool) {
+func (b *bypassCache) probe(asid uint8, vpn uint64) bool {
 	b.Accesses++
-	frame, ok := b.tab.probe(l2key{asid, vpn})
+	ok := b.tab.probe(l2key{asid, vpn})
 	if ok {
 		b.Hits++
 	}
-	return frame, ok
+	return ok
 }
 
-func (b *bypassCache) fill(asid uint8, vpn, frame uint64) {
-	b.tab.fill(l2key{asid, vpn}, frame)
+func (b *bypassCache) fill(asid uint8, vpn uint64) {
+	b.tab.fill(l2key{asid, vpn})
 }
 
 // flushASID drops all entries belonging to one address space.

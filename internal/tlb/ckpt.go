@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
@@ -15,7 +16,6 @@ import (
 type EntryState struct {
 	ASID  uint8
 	VPN   uint64
-	Frame uint64
 	Stamp int64
 }
 
@@ -77,9 +77,10 @@ func compareKeys(a, b l2key) int {
 }
 
 // RestoreState restores an image captured by SnapshotState onto a TLB built
-// for the same core. The core restores first: every waiter must name a warp
-// it has blocked on a translation of that page slot. A pending translation is
-// one of the holders wi.Trans accounts for.
+// for the same core. The core restores first: every waiter must name, once, a
+// warp it has blocked on a translation of that page slot, and the slot must be
+// on the miss's page. A pending translation is one of the holders wi.Trans
+// accounts for.
 func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 	t.Stats = st.Stats
 	if err := t.tab.restore("L1", st.Stamp, st.Entries); err != nil {
@@ -97,8 +98,11 @@ func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 		m := t.getMiss()
 		m.vpn, m.tr = ms.VPN, tr
 		for _, w := range ms.Waiting {
-			if t.waker == nil || !t.waker.Awaits(int(w.Warp), int(w.Slot)) {
-				return fmt.Errorf("tlb: checkpoint L1 miss of core %d for vpn %#x waits for warp %d slot %d, which awaits no translation there", t.coreID, ms.VPN, w.Warp, w.Slot)
+			if t.waker == nil || !t.waker.Awaits(int(w.Warp), int(w.Slot), ms.VPN) {
+				return fmt.Errorf("tlb: checkpoint L1 miss of core %d for vpn %#x waits for warp %d slot %d, which awaits no translation there for that page", t.coreID, ms.VPN, w.Warp, w.Slot)
+			}
+			if slices.Contains(m.waiting, waiter{w.Warp, w.Slot}) {
+				return fmt.Errorf("tlb: checkpoint L1 miss of core %d for vpn %#x lists warp %d slot %d twice", t.coreID, ms.VPN, w.Warp, w.Slot)
 			}
 			m.waiting = append(m.waiting, waiter{w.Warp, w.Slot})
 		}
@@ -190,7 +194,6 @@ type AppTLBStatsState struct {
 type L2EntryState struct {
 	ASID       uint8
 	VPN        uint64
-	Frame      uint64
 	Valid      bool
 	Stamp      int64
 	Prefetched bool
@@ -248,7 +251,7 @@ func (t *L2TLB) SnapshotState() L2State {
 	for i := range t.lines {
 		e := &t.lines[i]
 		st.Lines[i] = L2EntryState{
-			ASID: e.key.asid, VPN: e.key.vpn, Frame: e.frame,
+			ASID: e.key.asid, VPN: e.key.vpn,
 			Valid: e.valid, Stamp: e.stamp, Prefetched: e.prefetched,
 		}
 	}
@@ -307,7 +310,7 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 	t.stamp = st.Stamp
 	for i, es := range st.Lines {
 		t.lines[i] = l2entry{
-			key: l2key{asid: es.ASID, vpn: es.VPN}, frame: es.Frame,
+			key:   l2key{asid: es.ASID, vpn: es.VPN},
 			valid: es.Valid, stamp: es.Stamp, prefetched: es.Prefetched,
 		}
 	}

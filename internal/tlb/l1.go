@@ -49,11 +49,11 @@ func (s L1Stats) AvgStalledWarps() float64 {
 
 // Waker is the core an L1 TLB serves: a missed translation returns to the
 // warp and page slot that asked for it. Awaits reports whether that warp and
-// slot can be waiting for a translation; a restore checks every waiter with
-// it.
+// slot can be waiting for the translation of page vpn; a restore checks
+// every waiter with it.
 type Waker interface {
-	Translated(now int64, warpID, slot int, frame uint64)
-	Awaits(warpID, slot int) bool
+	Translated(now int64, warpID, slot int)
+	Awaits(warpID, slot int, vpn uint64) bool
 }
 
 // waiter names one blocked requester: a warp and the page slot of its
@@ -142,24 +142,24 @@ func (t *L1TLB) getMiss() *l1miss {
 	return m
 }
 
-// Lookup translates vpn for page slot of warpID's memory instruction. A hit
-// returns the frame (the core charges the 1-cycle access latency). On a miss
-// the warp and slot are recorded against the miss and the waker's Translated
-// receives the frame when the translation returns. hasToken is the warp's
+// Lookup looks vpn up for page slot of warpID's memory instruction and
+// reports whether it hit (the core charges the 1-cycle access latency). On a
+// miss the warp and slot are recorded against the miss and the waker's
+// Translated runs when the translation returns. hasToken is the warp's
 // TLB-Fill Token state, propagated so the shared L2 TLB can apply MASK's
 // fill policy.
-func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (frame uint64, hit bool) {
+func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (hit bool) {
 	t.Stats.Accesses++
-	if frame, ok := t.tab.probe(l2key{t.asid, vpn}); ok {
+	if t.tab.probe(l2key{t.asid, vpn}) {
 		t.Stats.Hits++
-		return frame, true
+		return true
 	}
 	t.Stats.Misses++
 	w := waiter{int32(warpID), int32(slot)}
 	if m, ok := t.mshrs[vpn]; ok {
 		m.waiting = append(m.waiting, w)
 		m.tr.StalledWarps++
-		return 0, false
+		return false
 	}
 	tr := t.pool.Get()
 	tr.AppID, tr.ASID, tr.CoreID = t.appID, t.asid, t.coreID
@@ -172,25 +172,25 @@ func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (
 	if !t.backend.SubmitTrans(now, tr) {
 		t.pending = append(t.pending, tr)
 	}
-	return 0, false
+	return false
 }
 
 // TransDone implements memreq.TransSink: the translation tr asked for has
 // returned. It installs the translation, wakes every blocked warp, recycles
 // the miss tracker, and records the stalled-warp sample for the Figure 6
 // metric.
-func (t *L1TLB) TransDone(now int64, tr *memreq.TransReq, frame uint64) {
+func (t *L1TLB) TransDone(now int64, tr *memreq.TransReq) {
 	vpn := tr.VPN
 	m, ok := t.mshrs[vpn]
 	if !ok || m.tr != tr {
 		return // no tracker waits on this request
 	}
 	delete(t.mshrs, vpn)
-	t.tab.fill(l2key{t.asid, vpn}, frame)
+	t.tab.fill(l2key{t.asid, vpn})
 	t.Stats.StalledWarpSum += uint64(len(m.waiting))
 	t.Stats.StalledWarpCount++
 	for _, w := range m.waiting {
-		t.waker.Translated(now, int(w.warp), int(w.slot), frame)
+		t.waker.Translated(now, int(w.warp), int(w.slot))
 	}
 	m.tr = nil
 	m.waiting = m.waiting[:0]
@@ -223,12 +223,9 @@ func (t *L1TLB) NextEvent(now int64) int64 {
 	return engine.NoEvent
 }
 
-// Flush empties the TLB (e.g. on an address-space switch). In-flight misses
-// are dropped; their warps are woken with the returned frame when the walk
-// completes via the stale MSHR map, so Flush also abandons the MSHRs after
-// waking waiters with the eventual translation. To keep the model simple and
-// live, Flush only clears cached entries; outstanding walks still complete
-// and wake their warps.
+// Flush drops every cached translation (e.g. on an address-space switch).
+// Outstanding misses are untouched: each still returns, installs its page
+// and wakes its warps.
 func (t *L1TLB) Flush() { t.tab.reset() }
 
 // Entries returns the number of valid entries (test helper).

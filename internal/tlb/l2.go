@@ -9,9 +9,9 @@ import (
 
 // WalkStarter begins a page table walk; the walker queues internally, so
 // StartWalk always succeeds. origin says what the walk is for (a demand miss
-// or a prediction) and comes back with the frame in WalkDone. QueuedWalks
-// exposes the backlog so the TLB can apply back-pressure instead of queueing
-// walks without bound.
+// or a prediction) and comes back in WalkDone. QueuedWalks exposes the
+// backlog so the TLB can apply back-pressure instead of queueing walks
+// without bound.
 type WalkStarter interface {
 	StartWalk(now int64, asid uint8, appID int, vpn uint64, origin ptw.WalkOrigin)
 	QueuedWalks() int
@@ -61,7 +61,6 @@ type l2key struct {
 
 type l2entry struct {
 	key   l2key
-	frame uint64
 	valid bool
 	stamp int64
 	// prefetched marks entries installed by the prefetcher and not yet hit;
@@ -236,7 +235,7 @@ func (t *L2TLB) maybePrefetch(now int64, asid uint8, appID int, vpn uint64) {
 	if t.pfInFlight[key] {
 		return
 	}
-	if _, present := t.probe(key); present {
+	if t.probe(key) {
 		return
 	}
 	if _, miss := t.mshrs[key]; miss {
@@ -250,19 +249,19 @@ func (t *L2TLB) maybePrefetch(now int64, asid uint8, appID int, vpn uint64) {
 	t.walker.StartWalk(now, asid, appID, next, ptw.OriginPrefetch)
 }
 
-// WalkDone implements ptw.WalkSink: a walk this TLB started has resolved
-// (asid, vpn) to frame. A prefetch walk installs the translation; a demand
-// walk fills the miss tracker of its key.
-func (t *L2TLB) WalkDone(now int64, asid uint8, appID int, vpn, frame uint64, origin ptw.WalkOrigin) {
+// WalkDone implements ptw.WalkSink: a walk this TLB started has translated
+// (asid, vpn). A prefetch walk installs the translation; a demand walk fills
+// the miss tracker of its key.
+func (t *L2TLB) WalkDone(now int64, asid uint8, appID int, vpn uint64, origin ptw.WalkOrigin) {
 	key := l2key{asid, vpn}
 	if origin == ptw.OriginPrefetch {
 		delete(t.pfInFlight, key)
-		t.install(key, frame, appID)
+		t.install(key, appID)
 		t.markPrefetched(key)
 		return
 	}
 	if m, ok := t.mshrs[key]; ok { // no tracker: nothing waits on this walk
-		t.fill(now, m, frame)
+		t.fill(now, m)
 	}
 }
 
@@ -339,17 +338,10 @@ func (t *L2TLB) lookup(now int64, tr *memreq.TransReq, first bool) {
 
 	// Probe the main TLB and the bypass cache in parallel (§5.2: "a hit in
 	// either the TLB or the TLB bypass cache yields a TLB hit").
-	if frame, ok := t.probe(key); ok {
+	if t.probe(key) || (t.bypass != nil && t.bypass.probe(key.asid, key.vpn)) {
 		t.recordHit(app)
-		tr.Complete(now, frame)
+		tr.Complete(now)
 		return
-	}
-	if t.bypass != nil {
-		if frame, ok := t.bypass.probe(key.asid, key.vpn); ok {
-			t.recordHit(app)
-			tr.Complete(now, frame)
-			return
-		}
 	}
 
 	if m, ok := t.mshrs[key]; ok {
@@ -392,7 +384,7 @@ func (t *L2TLB) recordHit(app int) {
 	}
 }
 
-func (t *L2TLB) probe(key l2key) (uint64, bool) {
+func (t *L2TLB) probe(key l2key) bool {
 	base := t.setOf(key) * t.cfg.Ways
 	for w := 0; w < t.cfg.Ways; w++ {
 		e := &t.lines[base+w]
@@ -405,10 +397,10 @@ func (t *L2TLB) probe(key l2key) (uint64, bool) {
 					t.pf.Stats.Useful++
 				}
 			}
-			return e.frame, true
+			return true
 		}
 	}
-	return 0, false
+	return false
 }
 
 func (t *L2TLB) setOf(key l2key) int {
@@ -421,7 +413,7 @@ func (t *L2TLB) setOf(key l2key) int {
 
 // fill completes a miss: install the translation (subject to TLB-Fill
 // Tokens), then wake every merged requester.
-func (t *L2TLB) fill(now int64, m *l2miss, frame uint64) {
+func (t *L2TLB) fill(now int64, m *l2miss) {
 	delete(t.mshrs, m.key)
 
 	// The fill may enter the main TLB if any merged requester held a token;
@@ -436,20 +428,20 @@ func (t *L2TLB) fill(now int64, m *l2miss, frame uint64) {
 		}
 	}
 	if hasToken {
-		t.install(m.key, frame, m.appID)
+		t.install(m.key, m.appID)
 	} else if t.bypass != nil {
-		t.bypass.fill(m.key.asid, m.key.vpn, frame)
+		t.bypass.fill(m.key.asid, m.key.vpn)
 	}
 
 	for _, tr := range m.reqs {
-		tr.Complete(now, frame)
+		tr.Complete(now)
 	}
 	clear(m.reqs)
 	m.reqs = m.reqs[:0]
 	t.missFree.Put(m)
 }
 
-func (t *L2TLB) install(key l2key, frame uint64, appID int) {
+func (t *L2TLB) install(key l2key, appID int) {
 	base := t.setOf(key) * t.cfg.Ways
 	victim := -1
 	var victimStamp int64 = 1<<63 - 1
@@ -475,7 +467,7 @@ func (t *L2TLB) install(key l2key, frame uint64, appID int) {
 		victim = 0
 	}
 	t.stamp++
-	t.lines[base+victim] = l2entry{key: key, frame: frame, valid: true, stamp: t.stamp}
+	t.lines[base+victim] = l2entry{key: key, valid: true, stamp: t.stamp}
 }
 
 // PrefetchStats returns the prefetcher counters (zero when disabled).

@@ -17,16 +17,16 @@ func TestL2WayPartitioning(t *testing.T) {
 	// simply verify app 1's translation survives a burst of app-0 fills.
 	tr := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x42}
 	submitAndTick(t, l2, tr, 0, 3)
-	w.completeAll(4, 7)
+	w.completeAll(4)
 
 	for i := 0; i < 200; i++ {
 		tr := &memreq.TransReq{ASID: 1, AppID: 0, VPN: uint64(0x1000 + i)}
 		at := int64(10 + i*4)
 		submitAndTick(t, l2, tr, at, at+2)
-		w.completeAll(at+3, uint64(i))
+		w.completeAll(at + 3)
 	}
 	hit := false
-	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x42, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { hit = true })}
+	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x42, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq) { hit = true })}
 	submitAndTick(t, l2, tr2, 5000, 5003)
 	if !hit {
 		t.Fatal("app 1's translation evicted despite way partitioning")
@@ -39,7 +39,7 @@ func TestL2FlushFraction(t *testing.T) {
 		tr := &memreq.TransReq{ASID: 1, VPN: uint64(i)}
 		at := int64(i * 5)
 		submitAndTick(t, l2, tr, at, at+2)
-		w.completeAll(at+3, uint64(i+1))
+		w.completeAll(at + 3)
 	}
 	l2.FlushFraction(1.0)
 	// Everything must now miss.
@@ -55,7 +55,7 @@ func TestL1FlushFractionPartial(t *testing.T) {
 	l1, _ := newL1(1, 16, be)
 	for i := 0; i < 16; i++ {
 		l1.Lookup(int64(i), uint64(i), 0, 0, true)
-		be.answerAll(int64(i), uint64(i+1))
+		be.answerAll(int64(i))
 	}
 	before := l1.Entries()
 	l1.FlushFraction(0.5)
@@ -76,7 +76,7 @@ func TestL2EpochRollResets(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	tr := &memreq.TransReq{ASID: 1, VPN: 0x900}
 	submitAndTick(t, l2, tr, 0, 3)
-	w.completeAll(4, 1)
+	w.completeAll(4)
 	rates := l2.EpochRoll()
 	if rates[0] != 1.0 {
 		t.Fatalf("first epoch miss rate %v, want 1.0", rates[0])
@@ -119,13 +119,13 @@ func TestTokenComfortZoneStable(t *testing.T) {
 
 func TestBypassCacheFlushASID(t *testing.T) {
 	b := newBypassCache(8)
-	b.fill(1, 10, 100)
-	b.fill(2, 10, 200)
+	b.fill(1, 10)
+	b.fill(2, 10)
 	b.flushASID(1)
-	if _, ok := b.probe(1, 10); ok {
+	if b.probe(1, 10) {
 		t.Fatal("flushed ASID entry survived")
 	}
-	if _, ok := b.probe(2, 10); !ok {
+	if !b.probe(2, 10) {
 		t.Fatal("other ASID's entry was flushed")
 	}
 }
@@ -137,7 +137,7 @@ func TestL2StatsHitsPlusMissesBounded(t *testing.T) {
 		tr := &memreq.TransReq{ASID: 1, VPN: vpn}
 		at := int64(i * 6)
 		submitAndTick(t, l2, tr, at, at+3)
-		w.completeAll(at+4, vpn+1)
+		w.completeAll(at + 4)
 	}
 	st := l2.AppStats(0)
 	if st.Accesses != 50 {
@@ -210,7 +210,7 @@ func TestL2PrefetchInstallsAndCountsUseful(t *testing.T) {
 		for _, vpn := range seq {
 			tr := &memreq.TransReq{ASID: 1, VPN: vpn}
 			submitAndTick(t, l2, tr, at, at+3)
-			w.completeAll(at+4, vpn)
+			w.completeAll(at + 4)
 			at += 10
 		}
 		// Break the chain between passes so the wrap transition is also

@@ -22,11 +22,11 @@ func (f *fakeTransBackend) SubmitTrans(now int64, tr *memreq.TransReq) bool {
 	return true
 }
 
-func (f *fakeTransBackend) answerAll(now int64, frame uint64) {
+func (f *fakeTransBackend) answerAll(now int64) {
 	reqs := f.reqs
 	f.reqs = nil
 	for _, tr := range reqs {
-		tr.Complete(now, frame)
+		tr.Complete(now)
 	}
 }
 
@@ -36,15 +36,15 @@ type wakeLog struct {
 }
 
 type woke struct {
+	now        int64
 	warp, slot int
-	frame      uint64
 }
 
-func (l *wakeLog) Translated(now int64, warpID, slot int, frame uint64) {
-	l.woken = append(l.woken, woke{warpID, slot, frame})
+func (l *wakeLog) Translated(now int64, warpID, slot int) {
+	l.woken = append(l.woken, woke{now, warpID, slot})
 }
 
-func (l *wakeLog) Awaits(warpID, slot int) bool { return true }
+func (l *wakeLog) Awaits(warpID, slot int, vpn uint64) bool { return true }
 
 func newL1(asid uint8, size int, be TransBackend) (*L1TLB, *wakeLog) {
 	l1, log := NewL1(0, 0, asid, size, be, new(memreq.TransPool)), &wakeLog{}
@@ -55,15 +55,15 @@ func newL1(asid uint8, size int, be TransBackend) (*L1TLB, *wakeLog) {
 func TestL1MissThenHit(t *testing.T) {
 	be := &fakeTransBackend{}
 	l1, log := newL1(1, 4, be)
-	if _, hit := l1.Lookup(0, 0x10, 3, 1, true); hit || len(be.reqs) != 1 {
+	if hit := l1.Lookup(0, 0x10, 3, 1, true); hit || len(be.reqs) != 1 {
 		t.Fatalf("cold lookup hit=%v and backend saw %d requests, want a miss and 1", hit, len(be.reqs))
 	}
-	be.answerAll(5, 99)
-	if len(log.woken) != 1 || log.woken[0] != (woke{3, 1, 99}) {
-		t.Fatalf("woken %+v, want warp 3 slot 1 with frame 99", log.woken)
+	be.answerAll(5)
+	if len(log.woken) != 1 || log.woken[0] != (woke{5, 3, 1}) {
+		t.Fatalf("woken %+v, want warp 3 slot 1 at cycle 5", log.woken)
 	}
 	// Second lookup hits without touching the backend or waking anyone.
-	if frame, hit := l1.Lookup(6, 0x10, 1, 0, true); !hit || frame != 99 || len(be.reqs) != 0 || len(log.woken) != 1 {
+	if hit := l1.Lookup(6, 0x10, 1, 0, true); !hit || len(be.reqs) != 0 || len(log.woken) != 1 {
 		t.Fatal("expected L1 hit")
 	}
 	if l1.Stats.Hits != 1 || l1.Stats.Misses != 1 {
@@ -83,9 +83,9 @@ func TestL1MSHRMergesWarps(t *testing.T) {
 	if be.reqs[0].StalledWarps != 5 {
 		t.Fatalf("StalledWarps=%d, want 5", be.reqs[0].StalledWarps)
 	}
-	be.answerAll(3, 7)
+	be.answerAll(3)
 	for w, got := range log.woken {
-		if got != (woke{w, w % 2, 7}) {
+		if got != (woke{3, w, w % 2}) {
 			t.Fatalf("wake %d is %+v, want arrival order", w, got)
 		}
 	}
@@ -102,7 +102,7 @@ func TestL1LRUEviction(t *testing.T) {
 	l1, _ := newL1(1, 2, be)
 	fill := func(vpn uint64) {
 		l1.Lookup(0, vpn, 0, 0, true)
-		be.answerAll(1, vpn+100)
+		be.answerAll(1)
 	}
 	fill(1)
 	fill(2)
@@ -123,7 +123,7 @@ func TestL1BackendRejectionRetries(t *testing.T) {
 	if len(be.reqs) != 1 {
 		t.Fatal("pending request not retried")
 	}
-	be.answerAll(2, 5)
+	be.answerAll(2)
 	if len(log.woken) != 1 {
 		t.Fatal("request lost after retry")
 	}
@@ -133,7 +133,7 @@ func TestL1FlushDropsEntries(t *testing.T) {
 	be := &fakeTransBackend{}
 	l1, _ := newL1(1, 8, be)
 	l1.Lookup(0, 0x40, 0, 0, true)
-	be.answerAll(1, 9)
+	be.answerAll(1)
 	l1.Flush()
 	if l1.Entries() != 0 {
 		t.Fatal("flush left entries")
@@ -162,11 +162,11 @@ func (f *fakeWalker) StartWalk(now int64, asid uint8, appID int, vpn uint64, ori
 }
 func (f *fakeWalker) QueuedWalks() int { return f.queued }
 
-func (f *fakeWalker) completeAll(now int64, frame uint64) {
+func (f *fakeWalker) completeAll(now int64) {
 	walks := f.walks
 	f.walks = nil
 	for _, wk := range walks {
-		f.sink.WalkDone(now, wk.asid, wk.appID, wk.vpn, frame, wk.origin)
+		f.sink.WalkDone(now, wk.asid, wk.appID, wk.vpn, wk.origin)
 	}
 }
 
@@ -192,19 +192,19 @@ func submitAndTick(t *testing.T, l2 *L2TLB, tr *memreq.TransReq, from, to int64)
 
 func TestL2MissWalkFill(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
-	var got uint64
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x100, Ret: memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq, f uint64) { got = f })}
+	var got int64
+	tr := &memreq.TransReq{ASID: 1, VPN: 0x100, Ret: memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq) { got = now })}
 	submitAndTick(t, l2, tr, 0, 3)
 	if len(w.walks) != 1 {
 		t.Fatalf("walker saw %d walks, want 1", len(w.walks))
 	}
-	w.completeAll(10, 77)
-	if got != 77 {
-		t.Fatalf("translation=%d, want 77", got)
+	w.completeAll(10)
+	if got != 10 {
+		t.Fatalf("translation returned at cycle %d, want 10", got)
 	}
 	// Now it hits.
 	hit := false
-	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x100, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { hit = true })}
+	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x100, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq) { hit = true })}
 	submitAndTick(t, l2, tr2, 11, 14)
 	if !hit || len(w.walks) != 0 {
 		t.Fatal("expected shared TLB hit")
@@ -219,7 +219,7 @@ func TestL2ASIDIsolation(t *testing.T) {
 	l2, w := newL2(2, 0, nil)
 	tr := &memreq.TransReq{ASID: 1, VPN: 0x200}
 	submitAndTick(t, l2, tr, 0, 3)
-	w.completeAll(5, 42)
+	w.completeAll(5)
 	// Same VPN, different ASID must MISS.
 	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x200}
 	submitAndTick(t, l2, tr2, 6, 9)
@@ -232,7 +232,7 @@ func TestL2MSHRMergesAcrossCores(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	done := 0
 	for i := 0; i < 3; i++ {
-		tr := &memreq.TransReq{ASID: 1, VPN: 0x300, CoreID: i, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { done++ })}
+		tr := &memreq.TransReq{ASID: 1, VPN: 0x300, CoreID: i, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq) { done++ })}
 		if !l2.SubmitTrans(0, tr) {
 			t.Fatal("submit failed")
 		}
@@ -243,7 +243,7 @@ func TestL2MSHRMergesAcrossCores(t *testing.T) {
 	if len(w.walks) != 1 {
 		t.Fatalf("%d walks for one page, want 1 (merged)", len(w.walks))
 	}
-	w.completeAll(5, 9)
+	w.completeAll(5)
 	if done != 3 {
 		t.Fatalf("%d callbacks, want 3", done)
 	}
@@ -271,7 +271,7 @@ func TestL2FlushASID(t *testing.T) {
 	for i, asid := range []uint8{1, 2} {
 		tr := &memreq.TransReq{ASID: asid, AppID: i, VPN: 0x500}
 		submitAndTick(t, l2, tr, int64(i*10), int64(i*10+3))
-		w.completeAll(int64(i*10+5), uint64(i+1))
+		w.completeAll(int64(i*10 + 5))
 	}
 	l2.FlushASID(1)
 	// ASID 1 must miss; ASID 2 must still hit.
@@ -280,9 +280,9 @@ func TestL2FlushASID(t *testing.T) {
 	if len(w.walks) != 1 {
 		t.Fatal("flushed ASID still hits")
 	}
-	w.completeAll(35, 1)
+	w.completeAll(35)
 	hit2 := false
-	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x500, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { hit2 = true })}
+	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x500, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq) { hit2 = true })}
 	submitAndTick(t, l2, tr2, 40, 43)
 	if !hit2 {
 		t.Fatal("unflushed ASID lost its entry")
@@ -304,13 +304,13 @@ func TestTokenGatingFillsBypassCache(t *testing.T) {
 		t.Fatal("test setup: warp 63 unexpectedly has a token")
 	}
 	submitAndTick(t, l2, tr, 0, 3)
-	w.completeAll(5, 11)
-	if _, ok := l2.probe(l2key{1, 0x600}); ok {
+	w.completeAll(5)
+	if l2.probe(l2key{1, 0x600}) {
 		t.Fatal("token-less fill entered the main TLB")
 	}
 	// But a subsequent probe still hits via the bypass cache.
 	hit := false
-	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x600, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq, uint64) { hit = true })}
+	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x600, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq) { hit = true })}
 	submitAndTick(t, l2, tr2, 6, 9)
 	if !hit {
 		t.Fatal("bypass cache did not serve the translation")
@@ -368,14 +368,14 @@ func TestTokenBoundsProperty(t *testing.T) {
 
 func TestBypassCacheLRU(t *testing.T) {
 	b := newBypassCache(2)
-	b.fill(1, 10, 100)
-	b.fill(1, 20, 200)
+	b.fill(1, 10)
+	b.fill(1, 20)
 	b.probe(1, 10) // 20 becomes LRU
-	b.fill(1, 30, 300)
-	if _, ok := b.probe(1, 20); ok {
+	b.fill(1, 30)
+	if b.probe(1, 20) {
 		t.Fatal("LRU victim survived")
 	}
-	if _, ok := b.probe(1, 10); !ok {
+	if !b.probe(1, 10) {
 		t.Fatal("recently used entry evicted")
 	}
 }

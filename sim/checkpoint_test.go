@@ -411,8 +411,10 @@ func TestCheckpointRejection(t *testing.T) {
 	// any of their payload is decoded: v2 requests carry Site/SiteRef, not a
 	// sink index; v3 payloads are a request registry plus a map of per-ticker
 	// states; v4 payloads carry pool images, pool IDs and free-list lengths;
-	// v5 payloads carry a second time series beside the telemetry.
-	for _, old := range []uint32{2, 3, 4, 5} {
+	// v5 payloads carry a second time series beside the telemetry; v6
+	// payloads carry frames in TLB entries and held walks, and an ASID in
+	// every request.
+	for _, old := range []uint32{2, 3, 4, 5, 6} {
 		t.Run(fmt.Sprintf("previous-format-v%d", old), func(t *testing.T) {
 			dir := makeDir(t)
 			ents, _ := os.ReadDir(dir)
@@ -493,6 +495,27 @@ func liveWalkOf(t *testing.T, p *checkpointPayload, origin ptw.WalkOrigin) *ptw.
 	}
 	t.Fatalf("no live walk of origin %d", origin)
 	return nil
+}
+
+// l1Miss is an L1 TLB miss image with waiters, and the core whose TLB holds
+// it.
+type l1Miss struct {
+	*tlb.L1MissState
+	core int
+}
+
+// firstL1Miss returns the first L1 TLB miss image with a waiter.
+func firstL1Miss(t *testing.T, p *checkpointPayload) l1Miss {
+	t.Helper()
+	for c := range p.L1TLBs {
+		for i := range p.L1TLBs[c].Mshrs {
+			if m := &p.L1TLBs[c].Mshrs[i]; len(m.Waiting) > 0 {
+				return l1Miss{m, c}
+			}
+		}
+	}
+	t.Fatal("no L1 TLB miss has a waiter")
+	return l1Miss{}
 }
 
 // TestRestoreRejectsHostileState drives impossible images — requests naming
@@ -648,6 +671,28 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		{"l1 waiter names a slot its warp does not await", false, func(t *testing.T, p *checkpointPayload) {
 			p.L1TLBs[0].Mshrs = append(p.L1TLBs[0].Mshrs, tlb.L1MissState{VPN: untracked.VPN, Waiting: []tlb.WaiterState{{Warp: 0, Slot: 1 << 20}}})
 		}, "waits for warp 0 slot 1048576, which awaits no translation there"},
+		{"l1 waiter names another page's slot", false, func(t *testing.T, p *checkpointPayload) {
+			m := firstL1Miss(t, p)
+			p.L1TLBs[m.core].Mshrs = append(p.L1TLBs[m.core].Mshrs, tlb.L1MissState{VPN: m.VPN + 12345, Waiting: m.Waiting[:1]})
+		}, "which awaits no translation there for that page"},
+		{"l1 miss lists a waiter twice", false, func(t *testing.T, p *checkpointPayload) {
+			m := firstL1Miss(t, p)
+			m.Waiting = append(m.Waiting, m.Waiting[0])
+		}, "twice"},
+		{"warp slot on an unmapped page", false, func(t *testing.T, p *checkpointPayload) {
+			for i := range p.Cores {
+				for j := range p.Cores[i].Warps {
+					if ws := &p.Cores[i].Warps[j]; ws.PendingTrans > 0 {
+						ws.Pages[0] = []uint64{1 << 52}
+						return
+					}
+				}
+			}
+			t.Fatal("no warp awaits a translation")
+		}, "has a page slot on vpn 0x10000000000, which address space"},
+		{"walk on an unmapped page", false, func(t *testing.T, p *checkpointPayload) {
+			liveWalkOf(t, p, ptw.OriginL2Miss).VPN = 1 << 40
+		}, "walk (asid 1, vpn 0x10000000000) is of a page its address space does not map"},
 		{"demand walk without an L2 TLB tracker", false, func(t *testing.T, p *checkpointPayload) {
 			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
 			p.L2TLB.Mshrs = slices.DeleteFunc(p.L2TLB.Mshrs, func(reqs []memreq.TransKey) bool { return reqs[0].VPN == ws.VPN })

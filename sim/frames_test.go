@@ -5,33 +5,38 @@ import (
 	"testing"
 )
 
-// TestCachedFramesMatchPageTables is the frame oracle: every translation a TLB
-// caches — an L1 TLB entry, a valid shared-TLB line, a bypass-cache entry —
-// holds the frame its address space maps the page to. Checkpoint images write
-// each entry's frame; this test shows the page tables already imply it. It
-// looks at several cuts through every checkpoint scenario, demand paging and
-// Figure 1's time multiplexing among them.
+// TestCachedFramesMatchPageTables is the translation oracle. No TLB holds a
+// frame: a core reads each page's frame from its address space when the
+// translation lands, so what a TLB caches matches the page tables exactly
+// when every cached key — an L1 TLB entry, a valid shared-TLB line, a
+// bypass-cache entry — is a page its address space maps, and every L1 TLB
+// entry is of its own core's address space. It looks at several cuts
+// through every checkpoint scenario, demand paging and Figure 1's time
+// multiplexing among them.
 func TestCachedFramesMatchPageTables(t *testing.T) {
 	const cycles, every = 4000, 1100
 	for _, sc := range ckptScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			s := prepareScenario(t, sc.cfg(), sc.names, sc.alone)
 			cuts, checked := 0, 0
-			check := func(now int64, where string, asid uint8, vpn, frame uint64) {
+			check := func(now int64, where string, asid uint8, vpn uint64) {
 				checked++
 				if int(asid) < 1 || int(asid) > len(s.spaces) {
 					t.Fatalf("cycle %d: %s caches vpn %#x under asid %d, which names no address space", now, where, vpn, asid)
 				}
-				if want, ok := s.spaces[asid-1].TranslateVPN(vpn); !ok || want != frame {
-					t.Fatalf("cycle %d: %s caches asid %d vpn %#x -> frame %#x, page table maps it to %#x (mapped %t)",
-						now, where, asid, vpn, frame, want, ok)
+				if _, ok := s.spaces[asid-1].TranslateVPN(vpn); !ok {
+					t.Fatalf("cycle %d: %s caches asid %d vpn %#x, which its page table does not map", now, where, asid, vpn)
 				}
 			}
 			s.eng.SetCheckpointHook(every, func(now int64) {
 				cuts++
 				for i, l1 := range s.l1tlbs {
+					own := s.spaces[s.cores[i].AppID()].ASID()
 					for _, e := range l1.SnapshotState().Entries {
-						check(now, fmt.Sprintf("L1 TLB %d", i), e.ASID, e.VPN, e.Frame)
+						if e.ASID != own {
+							t.Fatalf("cycle %d: L1 TLB %d caches vpn %#x under asid %d, its core runs in asid %d", now, i, e.VPN, e.ASID, own)
+						}
+						check(now, fmt.Sprintf("L1 TLB %d", i), e.ASID, e.VPN)
 					}
 				}
 				if s.l2tlb == nil {
@@ -40,12 +45,12 @@ func TestCachedFramesMatchPageTables(t *testing.T) {
 				st := s.l2tlb.SnapshotState()
 				for _, l := range st.Lines {
 					if l.Valid {
-						check(now, "the shared TLB", l.ASID, l.VPN, l.Frame)
+						check(now, "the shared TLB", l.ASID, l.VPN)
 					}
 				}
 				if st.Bypass != nil {
 					for _, e := range st.Bypass.Entries {
-						check(now, "the bypass cache", e.ASID, e.VPN, e.Frame)
+						check(now, "the bypass cache", e.ASID, e.VPN)
 					}
 				}
 			})

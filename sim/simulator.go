@@ -430,7 +430,6 @@ func (s *Simulator) build(d *Simulator) {
 	s.alloc.SetConstraint(nil)
 
 	// --- cores ------------------------------------------------------------
-	pageShift := s.spaces[0].PageShift()
 	s.cores, s.l1ds, s.l1tlbs = d.cores[:0], d.l1ds[:0], d.l1tlbs[:0]
 	s.l1dNames = d.l1dNames // a name depends on nothing but its index
 	for len(s.l1dNames) < assignedCores {
@@ -461,16 +460,8 @@ func (s *Simulator) build(d *Simulator) {
 			s.l1ds = append(s.l1ds, l1d)
 
 			var l1 *tlb.L1TLB
-			var translate gpu.TranslateFn
-			if cfg.Ideal {
-				translate = func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
-					frame, ok := space.TranslateVPN(vpn)
-					if !ok {
-						panic("sim: ideal translation of unmapped page")
-					}
-					return frame, true
-				}
-			} else {
+			var translate gpu.TranslateFn // nil: Ideal, every page hits at once
+			if !cfg.Ideal {
 				var transBackend tlb.TransBackend = s.walker
 				if s.l2tlb != nil {
 					transBackend = s.l2tlb
@@ -478,7 +469,7 @@ func (s *Simulator) build(d *Simulator) {
 				l1 = tlb.RenewL1(slab.Donor(d.l1tlbs, coreID), coreID, appIdx, space.ASID(), cfg.L1TLBEntries, transBackend, &s.transPool)
 				s.l1tlbs = append(s.l1tlbs, l1)
 				app := appIdx
-				translate = func(now int64, vpn uint64, warpID, slot int) (uint64, bool) {
+				translate = func(now int64, vpn uint64, warpID, slot int) bool {
 					return l1.Lookup(now, vpn, warpID, slot, s.tokens.HasToken(app, warpID))
 				}
 			}
@@ -493,11 +484,8 @@ func (s *Simulator) build(d *Simulator) {
 			}
 			core := gpu.Renew(slab.Donor(d.cores, coreID), coreID, appIdx, gpu.Config{
 				WarpsPerCore: cfg.WarpsPerCore,
-				PageShift:    pageShift,
-				FrameSize:    pagetable.FrameSize,
-				LineSize:     uint64(cfg.L1Cache.LineSize),
 				RoundRobin:   cfg.RoundRobinSched,
-			}, streams, translate, l1d, &s.reqPool)
+			}, space, streams, translate, l1d, &s.reqPool)
 			if l1 != nil {
 				l1.SetWaker(core)
 			}
