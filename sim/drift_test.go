@@ -20,8 +20,10 @@ type scenario struct {
 
 // driftScenarios cover every design the hot path flows through: the MASK
 // mechanisms (tokens + bypass + Golden/Silver DRAM queues), the SharedTLB and
-// PWCache baselines, Static partitioning, and single-app calibration runs on
-// the Table 2 reference quadrants (one representative per quadrant).
+// PWCache baselines, Static partitioning, single-app calibration runs on the
+// Table 2 reference quadrants (one representative per quadrant), and the two
+// DRAM scheduler variants no design selects by default: plain FCFS (§7.3)
+// and MASK with the Silver Queue disabled (Golden Queue only).
 var driftScenarios = []scenario{
 	{"mask-3DS+CONS", func(mod func(*Config)) (*Results, error) {
 		cfg := MASKConfig()
@@ -62,6 +64,18 @@ var driftScenarios = []scenario{
 		cfg := SharedTLBConfig()
 		mod(&cfg)
 		return RunAlone(context.Background(), cfg, "MUM", 30, 4000)
+	}},
+	{"fcfs-3DS+CONS", func(mod func(*Config)) (*Results, error) {
+		cfg := SharedTLBConfig()
+		cfg.FCFSSched = true
+		mod(&cfg)
+		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
+	}},
+	{"gold-only-3DS+CONS", func(mod func(*Config)) (*Results, error) {
+		cfg := MASKConfig()
+		cfg.ThreshMax = 0
+		mod(&cfg)
+		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
 	}},
 }
 
