@@ -142,10 +142,12 @@ func TestColdCellBudget(t *testing.T) {
 // cell of TestColdCellBudget again, but built by a sim.Recycler over the
 // simulator the previous cell returned — 3 211 objects new. The second such
 // cell measures 296–300 objects and 3.36 MB, and a third that follows a cell
-// of another design (MASK: other DRAM schedulers, a bypass cache, token
-// state) 321–326 objects and 3 386 032 B at most; with a request pool and a
-// translation pool per core they measured 361 and 394 objects, 3.85 and
-// 3.88 MB. Both budgets are the largest measurement + 2 %. Bytes barely move between cold
+// of another design (MASK: other DRAM queue capacities, a bypass cache,
+// token state) 321–326 objects and 3 386 032 B at most; with a request pool
+// and a translation pool per core they measured 361 and 394 objects, 3.85
+// and 3.88 MB. Both budgets are the largest measurement + 2 %. Since one
+// scheduler per DRAM channel replaced the three scheduler types, the two
+// cells measure 285 and 295 objects. Bytes barely move between cold
 // and recycled cells, by design — a recycled simulator keeps its small
 // buffers and lets the large ones go, because keeping them cost a third more
 // resident memory (docs/MODEL.md §11) — so the byte budget only says they may

@@ -7,22 +7,22 @@ import (
 )
 
 func BenchmarkFRFCFSPickDeepQueue(b *testing.B) {
-	s := NewFRFCFS(0)
+	s := newSched(SchedConfig{Policy: FRFCFS}, 0)
 	banks := make([]Bank, 16)
 	for i := range banks {
 		banks[i].OpenRow = -1
 	}
 	for i := 0; i < 64; i++ {
-		s.Enqueue(int64(i), &Queued{
+		s.enqueue(&Queued{
 			Req: &memreq.Request{}, Arrival: int64(i),
 			Bank: i % 16, Row: int64(i),
 		})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := s.Pick(int64(1000+i), banks)
+		q := s.pick(int64(1000+i), banks)
 		if q != nil {
-			s.Enqueue(int64(1000+i), q) // keep the queue full
+			s.enqueue(q) // keep the queue full
 		}
 	}
 }

@@ -14,9 +14,9 @@ type QueuedState struct {
 	Finish  int64
 }
 
-// SchedState is the serializable image of any built-in scheduler's queues.
-// FR-FCFS and FCFS use only Normal; MASKSched uses all three plus the silver
-// turn. Queue slices preserve arrival order.
+// SchedState is the serializable image of a channel scheduler's queues.
+// FR-FCFS and FCFS use only Normal; MASK uses all three plus the silver turn.
+// Queue slices preserve arrival order.
 type SchedState struct {
 	Golden []QueuedState
 	Silver []QueuedState
@@ -58,7 +58,7 @@ func (d *DRAM) SnapshotState(w *memreq.Wiring) DRAMState {
 		cs.Banks = append([]Bank(nil), ch.banks...)
 		cs.BusReadyAt = ch.busReadyAt
 		cs.Inflight = encQueue(ch.inflight, enc)
-		cs.Sched = ch.sched.SnapshotQueue(enc)
+		cs.Sched = ch.sched.snapshot(enc)
 	}
 	return st
 }
@@ -94,71 +94,46 @@ func (d *DRAM) RestoreState(w *memreq.Wiring, st DRAMState) error {
 			return fmt.Errorf("dram: channel %d: %w", i, err)
 		}
 		ch.setInflight(inflight)
-		if err := ch.sched.RestoreQueue(cs.Sched, dec); err != nil {
+		if err := ch.sched.restore(cs.Sched, dec); err != nil {
 			return fmt.Errorf("dram: channel %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// SnapshotQueue implements Scheduler.
-func (s *FRFCFS) SnapshotQueue(enc func(*Queued) QueuedState) SchedState {
-	return SchedState{Normal: encQueue(s.queue, enc)}
-}
-
-// RestoreQueue implements Scheduler.
-func (s *FRFCFS) RestoreQueue(st SchedState, dec func(QueuedState) (*Queued, error)) (err error) {
-	s.queue, err = restorePlain("FR-FCFS", s.queue, s.cap, st, dec)
-	return err
-}
-
-// SnapshotQueue implements Scheduler.
-func (s *FCFS) SnapshotQueue(enc func(*Queued) QueuedState) SchedState {
-	return SchedState{Normal: encQueue(s.queue, enc)}
-}
-
-// RestoreQueue implements Scheduler.
-func (s *FCFS) RestoreQueue(st SchedState, dec func(QueuedState) (*Queued, error)) (err error) {
-	s.queue, err = restorePlain("FCFS", s.queue, s.cap, st, dec)
-	return err
-}
-
-// restorePlain restores the one queue of a scheduler without class queues.
-func restorePlain(name string, dst []*Queued, capacity int, st SchedState, dec func(QueuedState) (*Queued, error)) ([]*Queued, error) {
-	if len(st.Golden) > 0 || len(st.Silver) > 0 {
-		return dst, fmt.Errorf("dram: %s checkpoint carries class-queue state", name)
-	}
-	return decQueue("request", dst, st.Normal, capacity, dec)
-}
-
-// SnapshotQueue implements Scheduler.
-func (s *MASKSched) SnapshotQueue(enc func(*Queued) QueuedState) SchedState {
+// snapshot captures the scheduler's queues and silver turn.
+func (s *sched) snapshot(enc func(*Queued) QueuedState) SchedState {
 	return SchedState{
-		Golden:      encQueue(s.golden, enc),
-		Silver:      encQueue(s.silver, enc),
-		Normal:      encQueue(s.normal, enc),
+		Golden:      encQueue(s.q[QGolden], enc),
+		Silver:      encQueue(s.q[QSilver], enc),
+		Normal:      encQueue(s.q[QNormal], enc),
 		SilverApp:   s.silverApp,
 		SilverQuota: s.silverQuota,
 	}
 }
 
-// RestoreQueue implements Scheduler.
-func (s *MASKSched) RestoreQueue(st SchedState, dec func(QueuedState) (*Queued, error)) error {
-	if st.SilverApp >= s.numApps {
-		return fmt.Errorf("dram: silver turn app %d out of range (%d apps)", st.SilverApp, s.numApps)
+// restore adopts an image captured by snapshot under the same SchedConfig.
+// Beyond each queue's capacity it checks the silver turn: an app this
+// scheduler has and a quota that is not negative. FR-FCFS and FCFS images
+// have neither class queues nor a turn.
+func (s *sched) restore(st SchedState, dec func(QueuedState) (*Queued, error)) error {
+	switch {
+	case s.Policy != MASK && (len(st.Golden) > 0 || len(st.Silver) > 0 || st.SilverApp != 0 || st.SilverQuota != 0):
+		return fmt.Errorf("dram: %v checkpoint carries class-queue state", s.Policy)
+	case st.SilverApp < 0 || st.SilverApp >= s.Apps || st.SilverQuota < 0:
+		return fmt.Errorf("dram: silver turn (app %d, quota %d) out of range (%d apps)", st.SilverApp, st.SilverQuota, s.Apps)
 	}
-	var err error
-	if s.golden, err = decQueue("golden", s.golden, st.Golden, s.goldenCap, dec); err != nil {
-		return err
+	names := [3]string{QGolden: "golden", QSilver: "silver", QNormal: "normal"}
+	if s.Policy != MASK {
+		names[QNormal] = "request"
 	}
-	if s.silver, err = decQueue("silver", s.silver, st.Silver, s.silverCap, dec); err != nil {
-		return err
+	for c, src := range [3][]QueuedState{st.Golden, st.Silver, st.Normal} {
+		var err error
+		if s.q[c], err = decQueue(names[c], s.q[c], src, s.caps[c], dec); err != nil {
+			return err
+		}
 	}
-	if s.normal, err = decQueue("normal", s.normal, st.Normal, s.normalCap, dec); err != nil {
-		return err
-	}
-	s.silverApp = st.SilverApp
-	s.silverQuota = st.SilverQuota
+	s.silverApp, s.silverQuota = st.SilverApp, st.SilverQuota
 	return nil
 }
 

@@ -1,12 +1,13 @@
 // Package dram models the GPU's GDDR5 main memory: channels, banks, row
-// buffers, and pluggable request schedulers.
+// buffers, and each channel's request scheduler.
 //
 // The model captures the behaviours §4.3 and §5.4 of the paper depend on:
 // row-buffer locality (row hits are much cheaper than row conflicts), a
 // shared data bus per channel, and a scheduler that decides which queued
-// request to service next. The baseline scheduler is FR-FCFS; MASK replaces
-// it with the Address-Space-Aware scheduler (Golden/Silver/Normal queues)
-// implemented in sched.go.
+// request to service next. There is one scheduler (sched.go) with three
+// arrival-order queues and a Policy: the baseline FR-FCFS, and FCFS, use the
+// Normal queue alone; MASK's Address-Space-Aware scheduler adds the Golden
+// and Silver queues in front of it.
 package dram
 
 import (
@@ -59,24 +60,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Scheduler selects the next request to service on a channel. Enqueue may
-// refuse (queue full). Pick must return a request whose bank is ready at
-// now, or nil. NextReady reports the earliest cycle >= now at which Pick
-// could possibly return non-nil (engine.NoEvent when the queue is empty); it
-// may be conservatively early but never late, so the engine can fast-forward
-// over spans in which the channel provably stays idle.
-type Scheduler interface {
-	Enqueue(now int64, q *Queued) bool
-	Pick(now int64, banks []Bank) *Queued
-	NextReady(now int64, banks []Bank) int64
-	Len() int
-	// SnapshotQueue and RestoreQueue serialize the scheduler's queued
-	// requests (and any policy state) for checkpointing; enc/dec convert
-	// between live Queued wrappers and their serializable form (ckpt.go).
-	SnapshotQueue(enc func(*Queued) QueuedState) SchedState
-	RestoreQueue(st SchedState, dec func(QueuedState) (*Queued, error)) error
-}
-
 // Queued is a request waiting in (or in flight from) a channel.
 type Queued struct {
 	Req     *memreq.Request
@@ -122,7 +105,7 @@ func (c ClassCounters) AvgLatency() float64 {
 
 type channel struct {
 	banks      []Bank
-	sched      Scheduler
+	sched      sched
 	busReadyAt int64
 	inflight   []*Queued
 	// nextFinish is the earliest finish cycle in inflight (engine.NoEvent when
@@ -157,21 +140,18 @@ type DRAM struct {
 	drop func(now int64) bool
 
 	// qFree recycles Queued wrappers: Submit takes one, and it returns when
-	// the scheduler refuses it or its transfer completes. Schedulers never
-	// retain a Queued after Pick, so recycling at completion is safe.
+	// the scheduler refuses it or its transfer completes. A scheduler never
+	// retains a Queued after pick, so recycling at completion is safe.
 	qFree slab.List[Queued]
 }
 
-// New builds the DRAM model. mkSched constructs one scheduler per channel.
-func New(cfg Config, mkSched func(chanIdx int) Scheduler) *DRAM {
-	return Renew(nil, cfg, func(chanIdx int, _ Scheduler) Scheduler { return mkSched(chanIdx) })
-}
+// New builds the DRAM model; every channel schedules by sc.
+func New(cfg Config, sc SchedConfig) *DRAM { return Renew(nil, cfg, sc) }
 
 // Renew is New built in place over a donor: d is retired and comes back as
 // New would return it, over the donor's buffers where they fit
-// (docs/MODEL.md §11). mkSched is handed the channel's previous scheduler
-// (nil for a new channel) to renew in turn. A nil donor allocates everything.
-func Renew(d *DRAM, cfg Config, mkSched func(chanIdx int, old Scheduler) Scheduler) *DRAM {
+// (docs/MODEL.md §11). A nil donor allocates everything.
+func Renew(d *DRAM, cfg Config, sc SchedConfig) *DRAM {
 	shift := uint(0)
 	for 1<<shift < cfg.LineSize {
 		shift++
@@ -188,41 +168,27 @@ func Renew(d *DRAM, cfg Config, mkSched func(chanIdx int, old Scheduler) Schedul
 		for b := range ch.banks {
 			ch.banks[b].OpenRow = -1
 		}
-		ch.sched = mkSched(i, ch.sched)
+		ch.sched.renew(sc, cfg.QueueCap)
 		ch.nextFinish = engine.NoEvent
 	}
 	return d
 }
 
 // Retire empties d in place: what is left is the zero DRAM but for the
-// capacity of its channels' bank arrays and in-flight lists, its per-app
-// counters and its queue wrappers, with nothing in them, and each channel's
-// scheduler, emptied the same way — Renew hands that to mkSched, which renews
-// it or lets it go. No request, no hook (cache.Cache.Retire has the why).
+// capacity of its channels' bank arrays, scheduler queues and in-flight
+// lists, its per-app counters and its queue wrappers, with nothing in them.
+// No request, no hook, no pressure callback (cache.Cache.Retire has the why):
+// a queue left as it was would pin the wrappers a Rewind let go, and through
+// them the requests they held.
 func (d *DRAM) Retire() {
 	old := *d
 	old.qFree.Rewind(nil) // the wrappers are what holds the queued requests
 	old.channels = old.channels[:cap(old.channels)]
 	for i := range old.channels {
 		ch := &old.channels[i]
-		*ch = channel{banks: slab.Slice(ch.banks, 0), sched: retireSched(ch.sched), inflight: slab.Grown(ch.inflight)}
+		*ch = channel{banks: slab.Slice(ch.banks, 0), sched: ch.sched.retired(), inflight: slab.Grown(ch.inflight)}
 	}
 	*d = DRAM{channels: old.channels, perAppBus: slab.Slice(old.perAppBus, 0), qFree: old.qFree}
-}
-
-// retireSched empties a built-in scheduler in place, keeping its kind and its
-// queues' capacity: a queue left as it was pins the wrappers a Rewind let go,
-// and through them the requests they held. Any other scheduler is dropped.
-func retireSched(s Scheduler) Scheduler {
-	switch s := s.(type) {
-	case *FRFCFS:
-		return RenewFRFCFS(s, s.cap)
-	case *FCFS:
-		return RenewFCFS(s, s.cap)
-	case *MASKSched:
-		return RenewMASKSched(s, 1, 0, nil)
-	}
-	return nil
 }
 
 // Config returns the DRAM configuration.
@@ -268,7 +234,7 @@ func (d *DRAM) Submit(now int64, r *memreq.Request) bool {
 	chanIdx, bank, row := d.Map(r.Addr)
 	q, _ := d.qFree.Get()
 	*q = Queued{Req: r, Arrival: now, Bank: bank, Row: row}
-	if !d.channels[chanIdx].sched.Enqueue(now, q) {
+	if !d.channels[chanIdx].sched.enqueue(q) {
 		d.qFree.Put(q)
 		return false
 	}
@@ -296,7 +262,7 @@ func (d *DRAM) Tick(now int64) {
 		}
 
 		// Issue one request per cycle if the scheduler has a ready candidate.
-		q := ch.sched.Pick(now, ch.banks)
+		q := ch.sched.pick(now, ch.banks)
 		if q == nil {
 			continue
 		}
@@ -361,12 +327,20 @@ func (d *DRAM) NextEvent(now int64) int64 {
 	h := engine.NoEvent
 	for i := range d.channels {
 		ch := &d.channels[i]
-		h = min(h, ch.nextFinish, ch.sched.NextReady(now, ch.banks))
+		h = min(h, ch.nextFinish, ch.sched.nextReady(now, ch.banks))
 		if h <= now {
 			return now
 		}
 	}
 	return h
+}
+
+// Epoch rolls every channel scheduler's epoch: MASK rotates the silver turn;
+// the other policies keep no epoch state.
+func (d *DRAM) Epoch() {
+	for i := range d.channels {
+		d.channels[i].sched.epoch()
+	}
 }
 
 // SetDropHook installs a fault-injection hook consulted when a transfer
@@ -412,7 +386,7 @@ func (d *DRAM) AppBusCycles(app int) uint64 {
 func (d *DRAM) QueueLen() int {
 	n := 0
 	for i := range d.channels {
-		n += d.channels[i].sched.Len()
+		n += d.channels[i].sched.len()
 	}
 	return n
 }

@@ -18,7 +18,7 @@ func testConfig() Config {
 
 func newFRFCFSDRAM() *DRAM {
 	cfg := testConfig()
-	return New(cfg, func(int) Scheduler { return NewFRFCFS(cfg.QueueCap) })
+	return New(cfg, SchedConfig{})
 }
 
 func drive(d *DRAM, from, to int64) {
@@ -116,7 +116,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 func TestClosedRowPolicy(t *testing.T) {
 	cfg := testConfig()
 	cfg.ClosedRowPolicy = true
-	d := New(cfg, func(int) Scheduler { return NewFRFCFS(cfg.QueueCap) })
+	d := New(cfg, SchedConfig{})
 	var t1, t2 int64
 	d.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: 0x0000,
 		Ret: memreq.SinkFunc(func(now int64, _ *memreq.Request) { t1 = now })})
@@ -132,136 +132,136 @@ func TestClosedRowPolicy(t *testing.T) {
 }
 
 func TestFRFCFSPrefersRowHit(t *testing.T) {
-	s := NewFRFCFS(0)
+	s := newSched(SchedConfig{Policy: FRFCFS}, 0)
 	banks := []Bank{{OpenRow: 7, ReadyAt: 0}, {OpenRow: -1, ReadyAt: 0}}
 	older := &Queued{Req: &memreq.Request{}, Arrival: 0, Bank: 1, Row: 3}
 	hit := &Queued{Req: &memreq.Request{}, Arrival: 5, Bank: 0, Row: 7}
-	s.Enqueue(0, older)
-	s.Enqueue(5, hit)
-	if got := s.Pick(10, banks); got != hit {
+	s.enqueue(older)
+	s.enqueue(hit)
+	if got := s.pick(10, banks); got != hit {
 		t.Fatal("FR-FCFS did not prefer the row hit over the older request")
 	}
-	if got := s.Pick(10, banks); got != older {
+	if got := s.pick(10, banks); got != older {
 		t.Fatal("remaining request not served")
 	}
 }
 
 func TestFRFCFSSkipsBusyBanks(t *testing.T) {
-	s := NewFRFCFS(0)
+	s := newSched(SchedConfig{Policy: FRFCFS}, 0)
 	banks := []Bank{{OpenRow: -1, ReadyAt: 100}, {OpenRow: -1, ReadyAt: 0}}
 	blocked := &Queued{Req: &memreq.Request{}, Arrival: 0, Bank: 0, Row: 1}
 	ready := &Queued{Req: &memreq.Request{}, Arrival: 5, Bank: 1, Row: 2}
-	s.Enqueue(0, blocked)
-	s.Enqueue(5, ready)
-	if got := s.Pick(10, banks); got != ready {
+	s.enqueue(blocked)
+	s.enqueue(ready)
+	if got := s.pick(10, banks); got != ready {
 		t.Fatal("scheduler picked a busy bank")
 	}
 }
 
 func TestFCFSOrder(t *testing.T) {
-	s := NewFCFS(0)
+	s := newSched(SchedConfig{Policy: FCFS}, 0)
 	banks := []Bank{{OpenRow: 7, ReadyAt: 0}}
 	first := &Queued{Req: &memreq.Request{}, Arrival: 0, Bank: 0, Row: 3}
 	hit := &Queued{Req: &memreq.Request{}, Arrival: 5, Bank: 0, Row: 7}
-	s.Enqueue(0, first)
-	s.Enqueue(5, hit)
-	if got := s.Pick(10, banks); got != first {
+	s.enqueue(first)
+	s.enqueue(hit)
+	if got := s.pick(10, banks); got != first {
 		t.Fatal("FCFS reordered requests")
 	}
 }
 
 func TestQueueCapacity(t *testing.T) {
-	s := NewFRFCFS(2)
+	s := newSched(SchedConfig{Policy: FRFCFS}, 2)
 	q := func() *Queued { return &Queued{Req: &memreq.Request{}} }
-	if !s.Enqueue(0, q()) || !s.Enqueue(0, q()) {
+	if !s.enqueue(q()) || !s.enqueue(q()) {
 		t.Fatal("enqueue under capacity failed")
 	}
-	if s.Enqueue(0, q()) {
+	if s.enqueue(q()) {
 		t.Fatal("enqueue over capacity succeeded")
 	}
 }
 
 func TestMASKGoldenPriority(t *testing.T) {
-	s := NewMASKSched(2, 500, nil)
+	s := newSched(SchedConfig{Policy: MASK, Apps: 2, ThreshMax: 500}, 0)
 	banks := []Bank{{OpenRow: -1, ReadyAt: 0}}
 	data := &Queued{Req: &memreq.Request{Class: memreq.Data, AppID: 1}, Arrival: 0, Bank: 0, Row: 1}
 	trans := &Queued{Req: &memreq.Request{Class: memreq.Translation}, Arrival: 5, Bank: 0, Row: 2}
-	s.Enqueue(0, data)
-	s.Enqueue(5, trans)
-	if got := s.Pick(10, banks); got != trans {
+	s.enqueue(data)
+	s.enqueue(trans)
+	if got := s.pick(10, banks); got != trans {
 		t.Fatal("golden queue did not outrank data")
 	}
 }
 
 func TestMASKGoldenDefersToRowHitRun(t *testing.T) {
-	s := NewMASKSched(2, 500, nil)
+	s := newSched(SchedConfig{Policy: MASK, Apps: 2, ThreshMax: 500}, 0)
 	banks := []Bank{{OpenRow: 7, ReadyAt: 0}}
 	hit := &Queued{Req: &memreq.Request{Class: memreq.Data, AppID: 1}, Arrival: 0, Bank: 0, Row: 7}
 	trans := &Queued{Req: &memreq.Request{Class: memreq.Translation}, Arrival: 5, Bank: 0, Row: 2}
-	s.Enqueue(0, hit)
-	s.Enqueue(5, trans)
-	if got := s.Pick(10, banks); got != hit {
+	s.enqueue(hit)
+	s.enqueue(trans)
+	if got := s.pick(10, banks); got != hit {
 		t.Fatal("golden request interrupted a pending row-hit")
 	}
 	// Once the run drains, the translation goes next.
-	if got := s.Pick(11, banks); got != trans {
+	if got := s.pick(11, banks); got != trans {
 		t.Fatal("translation not served after the run drained")
 	}
 }
 
 func TestMASKGoldenAgeCapBeatsStarvation(t *testing.T) {
-	s := NewMASKSched(2, 500, nil)
+	s := newSched(SchedConfig{Policy: MASK, Apps: 2, ThreshMax: 500}, 0)
 	banks := []Bank{{OpenRow: 7, ReadyAt: 0}}
 	trans := &Queued{Req: &memreq.Request{Class: memreq.Translation}, Arrival: 0, Bank: 0, Row: 2}
-	s.Enqueue(0, trans)
+	s.enqueue(trans)
 	hit := &Queued{Req: &memreq.Request{Class: memreq.Data, AppID: 1}, Arrival: 1, Bank: 0, Row: 7}
-	s.Enqueue(1, hit)
+	s.enqueue(hit)
 	// Beyond the age cap the translation is served despite the pending hit.
-	if got := s.Pick(goldenAgeCap+1, banks); got != trans {
+	if got := s.pick(goldenAgeCap+1, banks); got != trans {
 		t.Fatal("aged golden request still deferred")
 	}
 }
 
 func TestMASKSilverQuotaRotation(t *testing.T) {
-	s := NewMASKSched(2, 4, nil) // quota = 4/2 = 2 per app
-	if s.SilverApp() != 0 {
+	s := newSched(SchedConfig{Policy: MASK, Apps: 2, ThreshMax: 4}, 0) // quota = 4/2 = 2 per app
+	if image(s).SilverApp != 0 {
 		t.Fatal("initial silver app not 0")
 	}
 	mk := func(app int) *Queued {
 		return &Queued{Req: &memreq.Request{Class: memreq.Data, AppID: app}}
 	}
-	s.Enqueue(0, mk(0))
-	s.Enqueue(0, mk(0)) // exhausts app 0's quota
-	if s.SilverApp() != 1 {
-		t.Fatalf("silver turn did not rotate; still %d", s.SilverApp())
+	s.enqueue(mk(0))
+	s.enqueue(mk(0)) // exhausts app 0's quota
+	if image(s).SilverApp != 1 {
+		t.Fatalf("silver turn did not rotate; still %d", image(s).SilverApp)
 	}
-	g, sv, n := s.QueueLens()
+	g, sv, n := queueLens(s)
 	if g != 0 || sv != 2 || n != 0 {
 		t.Fatalf("queue lens %d/%d/%d", g, sv, n)
 	}
 	// App 0 (no longer silver) lands in normal.
-	s.Enqueue(1, mk(0))
-	_, _, n = s.QueueLens()
+	s.enqueue(mk(0))
+	_, _, n = queueLens(s)
 	if n != 1 {
 		t.Fatal("non-silver app's request not in normal queue")
 	}
 }
 
 func TestMASKThreshZeroDisablesSilver(t *testing.T) {
-	s := NewMASKSched(2, 0, nil)
+	s := newSched(SchedConfig{Policy: MASK, Apps: 2, ThreshMax: 0}, 0)
 	q := &Queued{Req: &memreq.Request{Class: memreq.Data, AppID: 0}}
-	s.Enqueue(0, q)
-	_, sv, n := s.QueueLens()
+	s.enqueue(q)
+	_, sv, n := queueLens(s)
 	if sv != 0 || n != 1 {
 		t.Fatalf("silver disabled but lens silver=%d normal=%d", sv, n)
 	}
 }
 
 func TestMASKEpochRotatesSilver(t *testing.T) {
-	s := NewMASKSched(3, 300, nil)
-	was := s.SilverApp()
-	s.Epoch()
-	if s.SilverApp() == was {
+	s := newSched(SchedConfig{Policy: MASK, Apps: 3, ThreshMax: 300}, 0)
+	was := image(s).SilverApp
+	s.epoch()
+	if image(s).SilverApp == was {
 		t.Fatal("epoch did not rotate the silver turn")
 	}
 }
@@ -273,7 +273,7 @@ func TestMASKQuotaFollowsPressure(t *testing.T) {
 		}
 		return 1, 1 // 1
 	}
-	s := NewMASKSched(2, 500, pressure)
+	s := newSched(SchedConfig{Policy: MASK, Apps: 2, ThreshMax: 500, Pressure: pressure}, 0)
 	q0 := s.quotaFor(0)
 	q1 := s.quotaFor(1)
 	if q0 <= q1 {
@@ -338,7 +338,7 @@ func TestCompletionWatermarkExact(t *testing.T) {
 	for _, busCycles := range []int64{0, 2} {
 		cfg := testConfig()
 		cfg.BusCycles = busCycles
-		d := New(cfg, func(int) Scheduler { return NewFRFCFS(cfg.QueueCap) })
+		d := New(cfg, SchedConfig{})
 		src := rng.New(7)
 		submitted, completed := 0, 0
 		for now := int64(0); now < 8000; now++ {
@@ -361,7 +361,7 @@ func TestCompletionWatermarkExact(t *testing.T) {
 				if ch.nextFinish != low || low <= now {
 					t.Fatalf("BusCycles=%d cycle %d channel %d: nextFinish %d, earliest in-flight finish %d", busCycles, now, i, ch.nextFinish, low)
 				}
-				want = min(want, low, ch.sched.NextReady(now+1, ch.banks))
+				want = min(want, low, ch.sched.nextReady(now+1, ch.banks))
 			}
 			if got := d.NextEvent(now + 1); got != max(want, now+1) {
 				t.Fatalf("BusCycles=%d cycle %d: NextEvent %d, want %d", busCycles, now, got, max(want, now+1))

@@ -1,8 +1,8 @@
 package dram
 
-// QueueClass labels which scheduler queue a queued request sits in. Plain
-// FR-FCFS/FCFS schedulers have a single queue, reported as QNormal; the MASK
-// Address-Space-Aware scheduler splits into all three (§5.4).
+// QueueClass names one of a channel scheduler's three queues. FR-FCFS and
+// FCFS use QNormal alone; the MASK Address-Space-Aware scheduler uses all
+// three (§5.4).
 type QueueClass uint8
 
 const (
@@ -11,47 +11,12 @@ const (
 	QNormal
 )
 
-// QueueInspector is an optional Scheduler extension used by telemetry: Each
-// visits every queued (not yet issued) request together with the class queue
-// holding it. Order is unspecified.
-type QueueInspector interface {
-	InspectQueues(fn func(q *Queued, class QueueClass))
-}
-
-// InspectQueues implements QueueInspector.
-func (s *FRFCFS) InspectQueues(fn func(q *Queued, class QueueClass)) {
-	for _, q := range s.queue {
-		fn(q, QNormal)
-	}
-}
-
-// InspectQueues implements QueueInspector.
-func (s *FCFS) InspectQueues(fn func(q *Queued, class QueueClass)) {
-	for _, q := range s.queue {
-		fn(q, QNormal)
-	}
-}
-
-// InspectQueues implements QueueInspector.
-func (s *MASKSched) InspectQueues(fn func(q *Queued, class QueueClass)) {
-	for _, q := range s.golden {
-		fn(q, QGolden)
-	}
-	for _, q := range s.silver {
-		fn(q, QSilver)
-	}
-	for _, q := range s.normal {
-		fn(q, QNormal)
-	}
-}
-
 // ChannelSnapshot is one channel's queue occupancy at a sample point.
 type ChannelSnapshot struct {
 	// Golden/Silver/Normal is the class breakdown of queued requests.
-	// Schedulers without class queues report everything as Normal.
+	// FR-FCFS and FCFS report everything as Normal.
 	Golden, Silver, Normal int
-	// PerBank counts queued requests per bank (zero-length if the channel's
-	// scheduler does not support inspection).
+	// PerBank counts queued requests per bank.
 	PerBank []int
 	// Inflight counts issued-but-incomplete transfers.
 	Inflight int
@@ -72,34 +37,18 @@ func (d *DRAM) QueueSnapshot(dst []ChannelSnapshot) []ChannelSnapshot {
 	for i := range d.channels {
 		ch := &d.channels[i]
 		cs := &dst[i]
-		cs.Golden, cs.Silver, cs.Normal = 0, 0, 0
 		cs.Inflight = len(ch.inflight)
 		if cap(cs.PerBank) < len(ch.banks) {
 			cs.PerBank = make([]int, len(ch.banks))
 		}
 		cs.PerBank = cs.PerBank[:len(ch.banks)]
-		for b := range cs.PerBank {
-			cs.PerBank[b] = 0
-		}
-		insp, ok := ch.sched.(QueueInspector)
-		if !ok {
-			cs.Normal = ch.sched.Len()
-			cs.PerBank = cs.PerBank[:0]
-			continue
-		}
-		insp.InspectQueues(func(q *Queued, class QueueClass) {
-			switch class {
-			case QGolden:
-				cs.Golden++
-			case QSilver:
-				cs.Silver++
-			default:
-				cs.Normal++
-			}
-			if q.Bank >= 0 && q.Bank < len(cs.PerBank) {
+		clear(cs.PerBank)
+		cs.Golden, cs.Silver, cs.Normal = len(ch.sched.q[QGolden]), len(ch.sched.q[QSilver]), len(ch.sched.q[QNormal])
+		for _, queue := range ch.sched.q {
+			for _, q := range queue {
 				cs.PerBank[q.Bank]++
 			}
-		})
+		}
 	}
 	return dst
 }

@@ -9,7 +9,7 @@ import (
 func TestQueueSnapshotBreakdown(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Channels = 2
-	d := New(cfg, func(int) Scheduler { return NewMASKSched(2, 0, nil) })
+	d := New(cfg, SchedConfig{Policy: MASK, Apps: 2})
 
 	// Addresses on channel 0: frame numbers divisible by cfg.Channels.
 	addr := func(frame uint64) uint64 { return frame << frameShift }
@@ -57,7 +57,8 @@ func TestQueueSnapshotBreakdown(t *testing.T) {
 func TestQueueSnapshotPlainSchedulers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Channels = 1
-	d := New(cfg, func(int) Scheduler { return NewFRFCFS(0) })
+	cfg.QueueCap = 0
+	d := New(cfg, SchedConfig{})
 	d.Submit(0, &memreq.Request{Kind: memreq.Read, Class: memreq.Translation, Addr: 0})
 	d.Submit(0, &memreq.Request{Kind: memreq.Read, Class: memreq.Data, Addr: 64})
 	snap := d.QueueSnapshot(nil)

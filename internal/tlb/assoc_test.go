@@ -274,6 +274,29 @@ func TestRestoreRejectsHostileTableState(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsTokenMismatch restores a shared TLB image across the
+// presence of the TLB-fill token policy, both ways: the image must say
+// whether the TLB it came from had one.
+func TestRestoreRejectsTokenMismatch(t *testing.T) {
+	withTokens, _ := newL2(2, 4, NewTokenPolicy(2, 8, 0.8, true))
+	without, _ := newL2(2, 4, nil)
+	for _, tc := range []struct {
+		name string
+		img  L2State
+		dst  *L2TLB
+	}{
+		{"token image on a TLB without tokens", withTokens.SnapshotState(), without},
+		{"no token image on a TLB with tokens", without.SnapshotState(), withTokens},
+	} {
+		if err := tc.dst.RestoreState(&memreq.Wiring{}, tc.img); err == nil || !strings.Contains(err.Error(), "differ in their TLB-fill token policy") {
+			t.Errorf("%s: error %v", tc.name, err)
+		}
+	}
+	if err := withTokens.RestoreState(&memreq.Wiring{}, withTokens.SnapshotState()); err != nil {
+		t.Fatalf("matching image: %v", err)
+	}
+}
+
 // TestRestoreLegacyOrderSameVictims restores a state whose Entries arrive in
 // arbitrary order (as the map-backed TLB wrote them) and checks the restored
 // TLB evicts in the same sequence as the uninterrupted one.

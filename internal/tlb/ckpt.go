@@ -168,13 +168,19 @@ func (p *TokenPolicy) State() TokenState {
 }
 
 // SetState restores state captured from a policy built with the same app
-// count and warps per core.
-func (p *TokenPolicy) SetState(st TokenState) {
+// count and warps per core; an image with another app count is rejected.
+func (p *TokenPolicy) SetState(st TokenState) error {
+	n := len(p.tokensPerCore)
+	if len(st.TokensPerCore) != n || len(st.PrevMissRate) != n || len(st.HavePrev) != n || len(st.Dir) != n {
+		return fmt.Errorf("tlb: checkpoint token state has %d/%d/%d/%d per-app entries, policy has %d apps",
+			len(st.TokensPerCore), len(st.PrevMissRate), len(st.HavePrev), len(st.Dir), n)
+	}
 	copy(p.tokensPerCore, st.TokensPerCore)
 	copy(p.prevMissRate, st.PrevMissRate)
 	copy(p.havePrev, st.HavePrev)
 	p.firstEpoch = st.FirstEpoch
 	copy(p.dir, st.Dir)
+	return nil
 }
 
 // --- shared L2 TLB ----------------------------------------------------------
@@ -347,6 +353,9 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 	for _, k := range st.PfInFlight {
 		t.pfInFlight[l2key{asid: k.ASID, vpn: k.VPN}] = true
 	}
+	if len(st.Apps) != len(t.apps) {
+		return fmt.Errorf("tlb: checkpoint has L2 TLB counters of %d apps, configuration has %d", len(st.Apps), len(t.apps))
+	}
 	for i := range t.apps {
 		a := st.Apps[i]
 		t.apps[i] = AppTLBStats{
@@ -368,11 +377,17 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 		if t.pf == nil {
 			return fmt.Errorf("tlb: checkpoint has prefetcher state but prefetching is disabled")
 		}
+		if len(st.Prefetch.Entries) > t.pf.cap {
+			return fmt.Errorf("tlb: checkpoint has %d prefetcher entries, capacity is %d", len(st.Prefetch.Entries), t.pf.cap)
+		}
 		t.pf.Stats = st.Prefetch.Stats
 		t.pf.next = make(map[pfKey]uint64, t.pf.cap)
 		t.pf.order = t.pf.order[:0]
 		for _, es := range st.Prefetch.Entries {
 			k := pfKey{asid: es.ASID, vpn: es.VPN}
+			if _, dup := t.pf.next[k]; dup {
+				return fmt.Errorf("tlb: checkpoint has a duplicate prefetcher entry (asid %d, vpn %#x)", k.asid, k.vpn)
+			}
 			t.pf.next[k] = es.Next
 			t.pf.order = append(t.pf.order, k)
 		}
@@ -381,8 +396,11 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 			t.pf.last[ls.ASID] = ls.VPN
 		}
 	}
-	if st.Tokens != nil && t.tokens != nil {
-		t.tokens.SetState(*st.Tokens)
+	if (st.Tokens != nil) != (t.tokens != nil) {
+		return fmt.Errorf("tlb: checkpoint and configuration differ in their TLB-fill token policy")
+	}
+	if t.tokens != nil {
+		return t.tokens.SetState(*st.Tokens)
 	}
 	return nil
 }

@@ -530,6 +530,8 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 	cfg := SharedTLBConfig()
 	pagingCfg := cfg
 	pagingCfg.DemandPaging, pagingCfg.FaultLatency, pagingCfg.FaultConcurrency = true, 500, 4
+	prefetchCfg := cfg
+	prefetchCfg.TLBPrefetch = true
 	names := []string{"MUM", "GUP"}
 	type image struct {
 		h       snapshot.Header
@@ -552,8 +554,21 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		}
 		return image{h, payload, src.wiring().Sinks}
 	}
-	shared, paging := take(cfg), take(pagingCfg)
-	sinks := shared.sinks
+	// The images a case may edit, indexed by its on field: SharedTLB, demand
+	// paging, MASK (DRAM class queues, TLB-fill tokens) and the shared-TLB
+	// prefetcher.
+	const (
+		onShared = iota
+		onPaging
+		onMASK
+		onPrefetch
+	)
+	cfgs := [...]Config{onShared: cfg, onPaging: pagingCfg, onMASK: MASKConfig(), onPrefetch: prefetchCfg}
+	var images [len(cfgs)]image
+	for i, c := range cfgs {
+		images[i] = take(c)
+	}
+	sinks := images[onShared].sinks
 	// A key no L1 TLB miss tracks, and a request image that returns nowhere
 	// the simulator has.
 	untracked := memreq.TransKey{Core: 0, VPN: 1 << 40}
@@ -563,80 +578,82 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		paging bool // edit the demand-paging image instead
+		on     int // the image to edit
 		mutate func(t *testing.T, p *checkpointPayload)
 		want   string // "" = must restore
 	}{
-		{"untouched", false, func(t *testing.T, p *checkpointPayload) {}, ""},
+		{"untouched", onShared, func(t *testing.T, p *checkpointPayload) {}, ""},
+		{"untouched MASK", onMASK, func(t *testing.T, p *checkpointPayload) {}, ""},
+		{"untouched prefetcher", onPrefetch, func(t *testing.T, p *checkpointPayload) {}, ""},
 		// Shape: an image whose component list is not the simulator's is
 		// rejected before any restore could dereference a missing image or
 		// index past a short list. One row per line of checkShape.
-		{"fewer cores", false, func(t *testing.T, p *checkpointPayload) { p.Cores = p.Cores[:len(p.Cores)-1] },
+		{"fewer cores", onShared, func(t *testing.T, p *checkpointPayload) { p.Cores = p.Cores[:len(p.Cores)-1] },
 			"differ in their cores"},
-		{"fewer L1 TLBs", false, func(t *testing.T, p *checkpointPayload) { p.L1TLBs = p.L1TLBs[:1] },
+		{"fewer L1 TLBs", onShared, func(t *testing.T, p *checkpointPayload) { p.L1TLBs = p.L1TLBs[:1] },
 			"differ in their L1 TLBs"},
-		{"fewer L1 data caches", false, func(t *testing.T, p *checkpointPayload) { p.L1Ds = nil },
+		{"fewer L1 data caches", onShared, func(t *testing.T, p *checkpointPayload) { p.L1Ds = nil },
 			"differ in their L1 data caches"},
-		{"missing L2 TLB", false, func(t *testing.T, p *checkpointPayload) { p.L2TLB = nil },
+		{"missing L2 TLB", onShared, func(t *testing.T, p *checkpointPayload) { p.L2TLB = nil },
 			"differ in their L2 TLB"},
-		{"fault unit without demand paging", false, func(t *testing.T, p *checkpointPayload) { p.Faults = &ptw.FaultUnitState{} },
+		{"fault unit without demand paging", onShared, func(t *testing.T, p *checkpointPayload) { p.Faults = &ptw.FaultUnitState{} },
 			"differ in their fault unit"},
-		{"missing fault unit", true, func(t *testing.T, p *checkpointPayload) { p.Faults = nil },
+		{"missing fault unit", onPaging, func(t *testing.T, p *checkpointPayload) { p.Faults = nil },
 			"differ in their fault unit"},
-		{"page walk cache outside PWCache", false, func(t *testing.T, p *checkpointPayload) { p.PWC = &cache.CacheState{} },
+		{"page walk cache outside PWCache", onShared, func(t *testing.T, p *checkpointPayload) { p.PWC = &cache.CacheState{} },
 			"differ in their page walk cache"},
-		{"telemetry without a collector", false, func(t *testing.T, p *checkpointPayload) { p.Telemetry = &telemetry.CollectorState{} },
+		{"telemetry without a collector", onShared, func(t *testing.T, p *checkpointPayload) { p.Telemetry = &telemetry.CollectorState{} },
 			"differ in their telemetry collector"},
-		{"extra group sync", false, func(t *testing.T, p *checkpointPayload) { p.Syncs = append(p.Syncs, workload.GroupSyncState{}) },
+		{"extra group sync", onShared, func(t *testing.T, p *checkpointPayload) { p.Syncs = append(p.Syncs, workload.GroupSyncState{}) },
 			"differ in their group syncs"},
-		{"L2 bypass state without the policy", false, func(t *testing.T, p *checkpointPayload) { p.ATA = &cache.ATAState{} },
+		{"L2 bypass state without the policy", onShared, func(t *testing.T, p *checkpointPayload) { p.ATA = &cache.ATAState{} },
 			"differ in their L2 bypass policy"},
 		// Every container of requests, one case each: the image it writes
 		// inline must name a sink the simulator has.
-		{"core retry reference", false, func(t *testing.T, p *checkpointPayload) {
+		{"core retry reference", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.Cores[0].Retry = append(p.Cores[0].Retry, badSink)
 		}, noSink},
-		{"cache bank queue reference", false, func(t *testing.T, p *checkpointPayload) {
+		{"cache bank queue reference", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L2C.Queues[0] = append(p.L2C.Queues[0], cache.BankItemState{Req: memreq.RequestState{Sink: -5}})
 		}, "returns to ticker -6, which is not a sink"},
-		{"cache MSHR waiter reference", false, func(t *testing.T, p *checkpointPayload) {
+		{"cache MSHR waiter reference", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L1Ds[0].Mshrs = append(p.L1Ds[0].Mshrs, cache.MSHRState{LineAddr: 1 << 50, Waiting: []memreq.RequestState{badSink}})
 		}, noSink},
-		{"dram queue reference", false, func(t *testing.T, p *checkpointPayload) {
+		{"dram queue reference", onShared, func(t *testing.T, p *checkpointPayload) {
 			q := &p.DRAM.Channels[0].Sched.Normal
 			*q = append(*q, dram.QueuedState{Req: badSink})
 		}, noSink},
 		// Every holder of a translation key, one case each, a key naming a
 		// core that has no L1 TLB, and a key two holders name: the resumed
 		// run would complete that translation twice.
-		{"l1 pending reference", false, func(t *testing.T, p *checkpointPayload) {
+		{"l1 pending reference", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L1TLBs[0].Pending = append(p.L1TLBs[0].Pending, untracked.VPN)
 		}, noTracker},
-		{"l2 stalled reference", false, func(t *testing.T, p *checkpointPayload) {
+		{"l2 stalled reference", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L2TLB.Stalled = append(p.L2TLB.Stalled, untracked)
 		}, noTracker},
-		{"l2 pipe key names no tracker", false, func(t *testing.T, p *checkpointPayload) {
+		{"l2 pipe key names no tracker", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L2TLB.In = append(p.L2TLB.In, engine.PipeItemState[memreq.TransKey]{ReadyAt: 1, Value: untracked})
 		}, noTracker},
-		{"l2 MSHR key names no tracker", false, func(t *testing.T, p *checkpointPayload) {
+		{"l2 MSHR key names no tracker", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L2TLB.Mshrs = append(p.L2TLB.Mshrs, []memreq.TransKey{untracked})
 		}, noTracker},
-		{"l2 MSHR without a requester", false, func(t *testing.T, p *checkpointPayload) {
+		{"l2 MSHR without a requester", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L2TLB.Mshrs = append(p.L2TLB.Mshrs, nil)
 		}, "L2 TLB miss without a requester"},
-		{"walk transreq reference", false, func(t *testing.T, p *checkpointPayload) {
+		{"walk transreq reference", onShared, func(t *testing.T, p *checkpointPayload) {
 			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
 			ws.Origin, ws.Tr = uint8(ptw.OriginTrans), untracked
 		}, noTracker},
-		{"fault-held walk key names no tracker", true, func(t *testing.T, p *checkpointPayload) {
+		{"fault-held walk key names no tracker", onPaging, func(t *testing.T, p *checkpointPayload) {
 			p.Faults.Queue = append(p.Faults.Queue, ptw.PendingFaultState{ASID: 1, VPN: untracked.VPN, Notify: []ptw.FaultNotifyState{
 				{Origin: uint8(ptw.OriginTrans), Tr: untracked},
 			}})
 		}, noTracker},
-		{"transreq names a core without an L1 TLB", false, func(t *testing.T, p *checkpointPayload) {
+		{"transreq names a core without an L1 TLB", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L2TLB.Stalled = append(p.L2TLB.Stalled, memreq.TransKey{Core: 1 << 20})
 		}, "tlb: checkpoint names the L1 TLB of core 1048576"},
-		{"translation held twice", false, func(t *testing.T, p *checkpointPayload) {
+		{"translation held twice", onShared, func(t *testing.T, p *checkpointPayload) {
 			for _, reqs := range p.L2TLB.Mshrs {
 				if len(reqs) > 0 {
 					p.L2TLB.Stalled = append(p.L2TLB.Stalled, reqs[0])
@@ -647,39 +664,39 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		}, "names one translation from two holders"},
 		// Return routes: the sink index must name a sink restored after the
 		// request's holder, and the sink must hold the state it resumes.
-		{"sink index out of range", false, func(t *testing.T, p *checkpointPayload) { requestImages(p)[0].Sink = 1<<20 + 1 },
+		{"sink index out of range", onShared, func(t *testing.T, p *checkpointPayload) { requestImages(p)[0].Sink = 1<<20 + 1 },
 			"returns to ticker 1048576, which is not a sink"},
-		{"sink index names a non-sink", false, func(t *testing.T, p *checkpointPayload) {
+		{"sink index names a non-sink", onShared, func(t *testing.T, p *checkpointPayload) {
 			// Cores register first, then the L1 TLBs, which are no request sink.
 			requestImages(p)[0].Sink = int32(len(p.Cores)) + 1
 		}, "which is not a sink"},
-		{"request returns to a sink restored before its holder", false, func(t *testing.T, p *checkpointPayload) {
+		{"request returns to a sink restored before its holder", onShared, func(t *testing.T, p *checkpointPayload) {
 			d := *firstReturning[*cache.Cache](t, p, sinks)
 			p.Cores[0].Retry = append(p.Cores[0].Retry, d)
 		}, "which restored before the component holding it"},
-		{"walk serial names no walk", false, func(t *testing.T, p *checkpointPayload) {
+		{"walk serial names no walk", onShared, func(t *testing.T, p *checkpointPayload) {
 			firstReturning[*ptw.Walker](t, p, sinks).Tag = 1 << 60
 		}, "returns to walk 1152921504606846976, which awaits no read"},
-		{"bypass tag names no MSHR", false, func(t *testing.T, p *checkpointPayload) {
+		{"bypass tag names no MSHR", onShared, func(t *testing.T, p *checkpointPayload) {
 			firstReturning[*cache.Cache](t, p, sinks).Tag = 1
 		}, "tag 1) has no MSHR"},
-		{"request returns to a warp the core lacks", false, func(t *testing.T, p *checkpointPayload) {
+		{"request returns to a warp the core lacks", onShared, func(t *testing.T, p *checkpointPayload) {
 			firstReturning[*gpu.Core](t, p, sinks).WarpID = 1 << 20
 		}, "returns to warp 1048576 of"},
 		// Continuations held as (warp, slot) pairs and walk origins: the core
 		// and the shared TLB they lead to must still wait for them.
-		{"l1 waiter names a slot its warp does not await", false, func(t *testing.T, p *checkpointPayload) {
+		{"l1 waiter names a slot its warp does not await", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L1TLBs[0].Mshrs = append(p.L1TLBs[0].Mshrs, tlb.L1MissState{VPN: untracked.VPN, Waiting: []tlb.WaiterState{{Warp: 0, Slot: 1 << 20}}})
 		}, "waits for warp 0 slot 1048576, which awaits no translation there"},
-		{"l1 waiter names another page's slot", false, func(t *testing.T, p *checkpointPayload) {
+		{"l1 waiter names another page's slot", onShared, func(t *testing.T, p *checkpointPayload) {
 			m := firstL1Miss(t, p)
 			p.L1TLBs[m.core].Mshrs = append(p.L1TLBs[m.core].Mshrs, tlb.L1MissState{VPN: m.VPN + 12345, Waiting: m.Waiting[:1]})
 		}, "which awaits no translation there for that page"},
-		{"l1 miss lists a waiter twice", false, func(t *testing.T, p *checkpointPayload) {
+		{"l1 miss lists a waiter twice", onShared, func(t *testing.T, p *checkpointPayload) {
 			m := firstL1Miss(t, p)
 			m.Waiting = append(m.Waiting, m.Waiting[0])
 		}, "twice"},
-		{"warp slot on an unmapped page", false, func(t *testing.T, p *checkpointPayload) {
+		{"warp slot on an unmapped page", onShared, func(t *testing.T, p *checkpointPayload) {
 			for i := range p.Cores {
 				for j := range p.Cores[i].Warps {
 					if ws := &p.Cores[i].Warps[j]; ws.PendingTrans > 0 {
@@ -690,10 +707,10 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			}
 			t.Fatal("no warp awaits a translation")
 		}, "has a page slot on vpn 0x10000000000, which address space"},
-		{"walk on an unmapped page", false, func(t *testing.T, p *checkpointPayload) {
+		{"walk on an unmapped page", onShared, func(t *testing.T, p *checkpointPayload) {
 			liveWalkOf(t, p, ptw.OriginL2Miss).VPN = 1 << 40
 		}, "walk (asid 1, vpn 0x10000000000) is of a page its address space does not map"},
-		{"demand walk without an L2 TLB tracker", false, func(t *testing.T, p *checkpointPayload) {
+		{"demand walk without an L2 TLB tracker", onShared, func(t *testing.T, p *checkpointPayload) {
 			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
 			p.L2TLB.Mshrs = slices.DeleteFunc(p.L2TLB.Mshrs, func(reqs []memreq.TransKey) bool { return reqs[0].VPN == ws.VPN })
 		}, "has nothing waiting for its result"},
@@ -701,31 +718,60 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		// cache has, a bank or channel queue longer than its capacity. The
 		// added requests are valid so that nothing else is wrong with the
 		// image.
-		{"more MSHRs than the cache has", false, func(t *testing.T, p *checkpointPayload) {
+		{"more MSHRs than the cache has", onShared, func(t *testing.T, p *checkpointPayload) {
 			st := &p.L1Ds[0]
 			for i := len(st.Mshrs); i <= cfg.L1Cache.MSHRs; i++ {
 				st.Mshrs = append(st.Mshrs, cache.MSHRState{LineAddr: 1<<50 + uint64(i)})
 			}
 		}, "checkpoint has " + strconv.Itoa(cfg.L1Cache.MSHRs+1) + " MSHRs, capacity is " + strconv.Itoa(cfg.L1Cache.MSHRs)},
-		{"bank queue past its capacity", false, func(t *testing.T, p *checkpointPayload) {
+		{"bank queue past its capacity", onShared, func(t *testing.T, p *checkpointPayload) {
 			st := &p.L1Ds[0]
 			for len(st.Queues[0]) <= cfg.L1Cache.QueueCap {
 				st.Queues[0] = append(st.Queues[0], cache.BankItemState{})
 			}
 		}, "checkpoint bank 0 queues " + strconv.Itoa(cfg.L1Cache.QueueCap+1) + " requests, capacity is " + strconv.Itoa(cfg.L1Cache.QueueCap)},
-		{"dram queue past its capacity", false, func(t *testing.T, p *checkpointPayload) {
+		{"dram queue past its capacity", onShared, func(t *testing.T, p *checkpointPayload) {
 			q := &p.DRAM.Channels[1].Sched.Normal
 			for len(*q) <= cfg.DRAM.QueueCap {
 				*q = append(*q, dram.QueuedState{})
 			}
 		}, "dram: channel 1: dram: checkpoint request queue holds " + strconv.Itoa(cfg.DRAM.QueueCap+1) + " requests, capacity is " + strconv.Itoa(cfg.DRAM.QueueCap)},
+		// Per-app state of another length than the configuration's apps,
+		// policy state of a mechanism the configuration lacks or has, and
+		// policy state out of its range.
+		{"L2 TLB counters of fewer apps", onShared, func(t *testing.T, p *checkpointPayload) { p.L2TLB.Apps = p.L2TLB.Apps[:1] },
+			"L2 TLB counters of 1 apps, configuration has 2"},
+		{"L2 TLB counters of more apps", onShared, func(t *testing.T, p *checkpointPayload) {
+			p.L2TLB.Apps = append(p.L2TLB.Apps, tlb.AppTLBStatsState{})
+		}, "L2 TLB counters of 3 apps, configuration has 2"},
+		{"token lists shorter than the apps", onMASK, func(t *testing.T, p *checkpointPayload) {
+			p.L2TLB.Tokens.Dir = p.L2TLB.Tokens.Dir[:1]
+		}, "token state has 2/2/2/1 per-app entries, policy has 2 apps"},
+		{"missing token lists", onMASK, func(t *testing.T, p *checkpointPayload) { p.L2TLB.Tokens.TokensPerCore = nil },
+			"token state has 0/2/2/2 per-app entries, policy has 2 apps"},
+		{"missing token image", onShared, func(t *testing.T, p *checkpointPayload) { p.L2TLB.Tokens = nil },
+			"differ in their TLB-fill token policy"},
+		{"prefetcher table past its capacity", onPrefetch, func(t *testing.T, p *checkpointPayload) {
+			pf := p.L2TLB.Prefetch
+			for i := len(pf.Entries); i < 5000; i++ {
+				pf.Entries = append(pf.Entries, tlb.PfEntryState{ASID: 1, VPN: 1<<40 + uint64(i), Next: 1})
+			}
+		}, "checkpoint has 5000 prefetcher entries, capacity is 1024"},
+		{"prefetcher key repeated", onPrefetch, func(t *testing.T, p *checkpointPayload) {
+			es := p.L2TLB.Prefetch.Entries
+			if len(es) < 2 {
+				t.Fatal("the prefetcher image has fewer than two entries")
+			}
+			es[len(es)-1].ASID, es[len(es)-1].VPN = es[0].ASID, es[0].VPN
+		}, "duplicate prefetcher entry"},
+		{"negative silver turn app", onMASK, func(t *testing.T, p *checkpointPayload) { p.DRAM.Channels[0].Sched.SilverApp = -1 },
+			"dram: channel 0: dram: silver turn (app -1, quota"},
+		{"negative silver quota", onMASK, func(t *testing.T, p *checkpointPayload) { p.DRAM.Channels[2].Sched.SilverQuota = -1 },
+			"quota -1) out of range (2 apps)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			img, c := shared, cfg
-			if tc.paging {
-				img, c = paging, pagingCfg
-			}
+			img, c := images[tc.on], cfgs[tc.on]
 			var p checkpointPayload
 			if err := gob.NewDecoder(bytes.NewReader(img.payload)).Decode(&p); err != nil {
 				t.Fatal(err)

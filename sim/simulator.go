@@ -61,8 +61,6 @@ type Simulator struct {
 	reqPool   memreq.Pool
 	transPool memreq.TransPool
 
-	maskScheds []*dram.MASKSched
-
 	// tel is the telemetry collector, nil unless Config.TelemetryEpoch > 0.
 	tel *telemetry.Collector
 
@@ -182,10 +180,9 @@ func (s *Simulator) retire() {
 		l2c:    d.l2c,
 		mem:    d.mem,
 
-		reqPool:    d.reqPool,
-		transPool:  d.transPool,
-		maskScheds: slab.Slice(d.maskScheds, 0),
-		l1dNames:   d.l1dNames,
+		reqPool:   d.reqPool,
+		transPool: d.transPool,
+		l1dNames:  d.l1dNames,
 	}
 }
 
@@ -306,27 +303,21 @@ func (s *Simulator) build(d *Simulator) {
 	s.reqPool, s.transPool = d.reqPool, d.transPool // retire renewed them
 
 	// --- DRAM -----------------------------------------------------------
-	s.maskScheds = slab.Slice(d.maskScheds, 0)
-	mkSched := func(chanIdx int, old dram.Scheduler) dram.Scheduler {
-		if cfg.Mask.DRAMSched {
-			ms := dram.RenewMASKSched(old, numApps, cfg.ThreshMax, func(app int) (float64, float64) {
-				// Pressure metrics come from the shared TLB's MSHRs (§5.4);
-				// the closure resolves lazily because the L2 TLB is built
-				// after DRAM.
-				if s.l2tlb == nil {
-					return 0, 0
-				}
-				return s.l2tlb.Pressure(app)
-			})
-			s.maskScheds = append(s.maskScheds, ms)
-			return ms
-		}
-		if cfg.FCFSSched {
-			return dram.RenewFCFS(old, cfg.DRAM.QueueCap)
-		}
-		return dram.RenewFRFCFS(old, cfg.DRAM.QueueCap)
+	sched := dram.SchedConfig{Policy: dram.FRFCFS}
+	switch {
+	case cfg.Mask.DRAMSched:
+		sched = dram.SchedConfig{Policy: dram.MASK, Apps: numApps, ThreshMax: cfg.ThreshMax, Pressure: func(app int) (float64, float64) {
+			// Pressure metrics come from the shared TLB's MSHRs (§5.4); the
+			// closure resolves lazily because the L2 TLB is built after DRAM.
+			if s.l2tlb == nil {
+				return 0, 0
+			}
+			return s.l2tlb.Pressure(app)
+		}}
+	case cfg.FCFSSched:
+		sched.Policy = dram.FCFS
 	}
-	s.mem = dram.Renew(d.mem, cfg.DRAM, mkSched)
+	s.mem = dram.Renew(d.mem, cfg.DRAM, sched)
 
 	// --- shared L2 data cache --------------------------------------------
 	s.l2c = cache.Renew(d.l2c, cache.Config{
@@ -637,9 +628,7 @@ func (s *Simulator) epochTick(int64) {
 	if s.ata != nil {
 		s.ata.Roll()
 	}
-	for _, ms := range s.maskScheds {
-		ms.Epoch()
-	}
+	s.mem.Epoch()
 }
 
 // wayMasks splits ways evenly across apps, assigning the remainder to the
