@@ -180,23 +180,22 @@ func main() {
 		defer cancel()
 	}
 
-	var res *sim.Results
-	var err2 error
+	var s *sim.Simulator
 	if *traceFiles != "" {
-		res, err2 = runTraceFiles(ctx, cfg, strings.Split(*traceFiles, ","), *cycles)
+		s, err = prepareTraceFiles(cfg, strings.Split(*traceFiles, ","))
 	} else {
-		s, err := sim.Prepare(cfg, names)
-		if err != nil {
-			fatal(err)
-		}
-		res, err2 = s.Run(ctx, *cycles)
-		if *ckptDir != "" {
-			// Stats go to stderr so checkpointed and clean runs stay
-			// byte-identical on stdout.
-			cs := s.CheckpointStats()
-			fmt.Fprintf(os.Stderr, "masksim: checkpoints: taken=%d restored=%d rejected=%d\n",
-				cs.Taken, cs.Restored, cs.Rejected)
-		}
+		s, err = sim.Prepare(cfg, names)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	res, err2 := s.Run(ctx, *cycles)
+	if *ckptDir != "" {
+		// Stats go to stderr so checkpointed and clean runs stay
+		// byte-identical on stdout.
+		cs := s.CheckpointStats()
+		fmt.Fprintf(os.Stderr, "masksim: checkpoints: taken=%d restored=%d rejected=%d\n",
+			cs.Taken, cs.Restored, cs.Rejected)
 	}
 	if err2 != nil && res == nil {
 		// Config/build errors: report cleanly, no stack trace.
@@ -224,14 +223,7 @@ func main() {
 	}
 
 	if *speedup {
-		// IPC_alone runs on the same platform under the SharedTLB design
-		// with full, unpartitioned resources (the paper's normalization).
-		aloneCfg := cfg
-		aloneCfg.Ideal = false
-		aloneCfg.Static = false
-		aloneCfg.Mask = sim.Mechanisms{}
-		aloneCfg.Design = sim.DesignSharedTLB
-		aloneCfg.TimeMuxQuantum = 0
+		aloneCfg := sim.AlonePlatform(cfg)
 		// The telemetry outputs belong to the shared run above; its sink
 		// is already closed and cannot be bound again.
 		aloneCfg.TelemetrySink = nil
@@ -326,9 +318,9 @@ func closeSink(sink *telemetry.StreamSink, outs []io.WriteCloser, resumable bool
 	return err
 }
 
-// runTraceFiles loads external traces — text or binary .mtb, either gzipped —
-// and runs them as the workload.
-func runTraceFiles(ctx context.Context, cfg sim.Config, paths []string, cycles int64) (*sim.Results, error) {
+// prepareTraceFiles loads external traces — text or binary .mtb, either
+// gzipped — and builds the simulator that runs them as the workload.
+func prepareTraceFiles(cfg sim.Config, paths []string) (*sim.Simulator, error) {
 	var apps []workload.App
 	for i, path := range paths {
 		ts, err := workload.LoadTraceFile(strings.TrimSpace(path))
@@ -337,9 +329,5 @@ func runTraceFiles(ctx context.Context, cfg sim.Config, paths []string, cycles i
 		}
 		apps = append(apps, workload.App{ID: i, Trace: ts})
 	}
-	s, err := sim.New(cfg, apps, sim.EvenSplit(cfg.Cores, len(apps)))
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(ctx, cycles)
+	return sim.New(cfg, apps, sim.EvenSplit(cfg.Cores, len(apps)))
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"masksim/internal/dram"
 	"masksim/internal/memreq"
 	"masksim/sim"
 )
@@ -24,7 +25,7 @@ func main() {
 	}
 	frfcfs := sim.SharedTLBConfig()
 	fcfs := sim.SharedTLBConfig()
-	fcfs.FCFSSched = true
+	fcfs.DRAMPolicy = dram.FCFS
 	maskDRAM := sim.MASKDRAMConfig()
 	mask := sim.MASKConfig()
 

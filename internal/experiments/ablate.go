@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"masksim/internal/dram"
 	"masksim/internal/metrics"
 	"masksim/sim"
 )
@@ -13,17 +14,18 @@ import (
 func Ablate(h *Harness, full bool) (*Table, error) {
 	pairs := pairSet(full)
 	combos := []struct {
-		name string
-		mask sim.Mechanisms
+		name   string
+		mask   sim.Mechanisms
+		policy dram.Policy
 	}{
-		{"baseline", sim.Mechanisms{}},
-		{"T (tokens)", sim.Mechanisms{Tokens: true}},
-		{"C (L2 bypass)", sim.Mechanisms{L2Bypass: true}},
-		{"D (DRAM sched)", sim.Mechanisms{DRAMSched: true}},
-		{"T+C", sim.Mechanisms{Tokens: true, L2Bypass: true}},
-		{"T+D", sim.Mechanisms{Tokens: true, DRAMSched: true}},
-		{"C+D", sim.Mechanisms{L2Bypass: true, DRAMSched: true}},
-		{"T+C+D (MASK)", sim.Mechanisms{Tokens: true, L2Bypass: true, DRAMSched: true}},
+		{"baseline", sim.Mechanisms{}, dram.FRFCFS},
+		{"T (tokens)", sim.Mechanisms{Tokens: true}, dram.FRFCFS},
+		{"C (L2 bypass)", sim.Mechanisms{L2Bypass: true}, dram.FRFCFS},
+		{"D (DRAM sched)", sim.Mechanisms{}, dram.MASK},
+		{"T+C", sim.Mechanisms{Tokens: true, L2Bypass: true}, dram.FRFCFS},
+		{"T+D", sim.Mechanisms{Tokens: true}, dram.MASK},
+		{"C+D", sim.Mechanisms{L2Bypass: true}, dram.MASK},
+		{"T+C+D (MASK)", sim.Mechanisms{Tokens: true, L2Bypass: true}, dram.MASK},
 	}
 	t := &Table{
 		ID:    "ablate",
@@ -34,7 +36,7 @@ func Ablate(h *Harness, full bool) (*Table, error) {
 	for _, combo := range combos {
 		cfg := sim.SharedTLBConfig()
 		cfg.Name = combo.name
-		cfg.Mask = combo.mask
+		cfg.Mask, cfg.DRAMPolicy = combo.mask, combo.policy
 		for _, p := range pairs {
 			jobs = append(jobs, BatchJob{Cfg: cfg, Names: []string{p.A, p.B}})
 		}

@@ -99,16 +99,16 @@ func TestHarnessAloneCaching(t *testing.T) {
 
 func TestRunMatrixSmall(t *testing.T) {
 	h := NewHarness(1200)
-	small := func(name string, ideal bool) sim.Config {
+	small := func(name string, design sim.Design) sim.Config {
 		c := sim.SharedTLBConfig()
 		c.Name = name
 		c.Cores = 4
 		c.WarpsPerCore = 8
-		c.Ideal = ideal
+		c.Design = design
 		return c
 	}
 	pairs := []workload.Pair{{A: "NN", B: "LUD"}}
-	m, err := h.RunMatrix(small("base", false), []sim.Config{small("base", false), small("ideal", true)}, pairs)
+	m, err := h.RunMatrix(small("base", sim.DesignSharedTLB), []sim.Config{small("base", sim.DesignSharedTLB), small("ideal", sim.DesignIdeal)}, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,5 +137,18 @@ func TestTableCSV(t *testing.T) {
 	want := "a,b\n1,\"he,llo\"\n"
 	if got != want {
 		t.Fatalf("CSV = %q, want %q", got, want)
+	}
+}
+
+// TestTab4VariantsValidate checks that every design Table 4 runs on its
+// platforms is a configuration the simulator accepts, not one whose cells
+// would fail and drop out of the table's means.
+func TestTab4VariantsValidate(t *testing.T) {
+	for _, plat := range tab4Platforms {
+		for _, cfg := range tab4Variants(plat) {
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%s: %v", cfg.Name, err)
+			}
+		}
 	}
 }

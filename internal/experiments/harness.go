@@ -431,17 +431,11 @@ func (h *Harness) parallel(n int, fn func(i int) error) error {
 }
 
 // AloneIPC returns the paper's IPC_alone for app on cores cores of the
-// aloneCfg platform. The underlying run is memoized in the result cache —
-// including failures, so a broken alone run is not retried for every
-// dependent cell. Alone runs use the SharedTLB design of the same platform
-// with full (unpartitioned) resources.
+// aloneCfg platform (sim.AlonePlatform). The underlying run is memoized in the
+// result cache — including failures, so a broken alone run is not retried for
+// every dependent cell.
 func (h *Harness) AloneIPC(aloneCfg sim.Config, app string, cores int) (float64, error) {
-	cfg := aloneCfg
-	cfg.Static = false
-	cfg.Ideal = false
-	cfg.Mask = sim.Mechanisms{}
-	cfg.Design = sim.DesignSharedTLB
-	res, err := h.RunAlone(cfg, app, cores)
+	res, err := h.RunAlone(sim.AlonePlatform(aloneCfg), app, cores)
 	if err != nil {
 		return 0, err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"masksim/internal/dram"
 	"masksim/internal/metrics"
 	"masksim/internal/pagetable"
 	"masksim/internal/workload"
@@ -121,7 +122,13 @@ func SensMemPolicy(h *Harness, full bool) (*Table, error) {
 	}{
 		{"FR-FCFS/open-row", func(c *sim.Config) {}},
 		{"FR-FCFS/closed-row", func(c *sim.Config) { c.DRAM.ClosedRowPolicy = true }},
-		{"FCFS/open-row", func(c *sim.Config) { c.FCFSSched = true }},
+		// FCFS replaces the baseline's FR-FCFS; MASK keeps its own
+		// Address-Space-Aware scheduler.
+		{"FCFS/open-row", func(c *sim.Config) {
+			if c.DRAMPolicy == dram.FRFCFS {
+				c.DRAMPolicy = dram.FCFS
+			}
+		}},
 	}
 	varied := func(base sim.Config, mut func(*sim.Config)) sim.Config {
 		mut(&base)

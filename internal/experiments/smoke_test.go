@@ -5,8 +5,10 @@ import (
 )
 
 // TestAllExperimentsSmoke runs every registered experiment at a tiny scale,
-// verifying each produces non-empty, well-formed tables. This is the
-// integration test for the whole reproduction pipeline.
+// verifying each produces non-empty, well-formed tables and fails no cell: a
+// table's means skip failed cells, so a cell Config.Validate rejects would
+// otherwise vanish from it unnoticed. This is the integration test for the
+// whole reproduction pipeline.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -14,10 +16,14 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tables, err := Run(id, 600, false)
+			rep, err := RunReport(id, Options{Cycles: 600})
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, f := range rep.Failures {
+				t.Errorf("failed cell: %v", f)
+			}
+			tables := rep.Tables
 			if len(tables) == 0 {
 				t.Fatal("no tables")
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"masksim/internal/dram"
 	"masksim/internal/metrics"
 	"masksim/internal/workload"
 	"masksim/sim"
@@ -44,6 +45,30 @@ func Tab3(h *Harness, full bool) (*Table, error) {
 	return t, nil
 }
 
+// tab4Platforms are Table 4's platforms, by standard configuration name.
+var tab4Platforms = []string{"Fermi", "Integrated"}
+
+// tab4Variants returns plat's PWCache, SharedTLB, MASK and Ideal designs,
+// named plat-<design>.
+func tab4Variants(plat string) []sim.Config {
+	base, _ := sim.ConfigByName(plat)
+	variant := func(mut func(*sim.Config)) sim.Config {
+		c := base
+		mut(&c)
+		return c
+	}
+	return []sim.Config{
+		variant(func(c *sim.Config) { c.Name = plat + "-PWCache"; c.Design = sim.DesignPWCache }),
+		variant(func(c *sim.Config) { c.Name = plat + "-SharedTLB" }),
+		variant(func(c *sim.Config) {
+			c.Name = plat + "-MASK"
+			c.Mask = sim.Mechanisms{Tokens: true, L2Bypass: true}
+			c.DRAMPolicy = dram.MASK
+		}),
+		variant(func(c *sim.Config) { c.Name = plat + "-Ideal"; c.Design = sim.DesignIdeal }),
+	}
+}
+
 // Tab4 reproduces Table 4: generality across GPU architectures — the
 // Fermi-like and integrated-GPU-like platforms, with PWCache, SharedTLB and
 // MASK normalized to each platform's Ideal.
@@ -58,23 +83,9 @@ func Tab4(h *Harness, full bool) (*Table, error) {
 		Note:  "paper (Fermi): PWCache 53.1%, SharedTLB 60.4%, MASK 78.0%; (integrated): 52.1%, 38.2%, 64.5%",
 		Cols:  []string{"platform", "PWCache%", "SharedTLB%", "MASK%"},
 	}
-	for _, plat := range []string{"Fermi", "Integrated"} {
-		base, _ := sim.ConfigByName(plat)
-		variant := func(mut func(*sim.Config)) sim.Config {
-			c := base
-			mut(&c)
-			return c
-		}
-		cfgs := []sim.Config{
-			variant(func(c *sim.Config) { c.Name = plat + "-PWCache"; c.Design = sim.DesignPWCache }),
-			variant(func(c *sim.Config) { c.Name = plat + "-SharedTLB" }),
-			variant(func(c *sim.Config) {
-				c.Name = plat + "-MASK"
-				c.Mask = sim.Mechanisms{Tokens: true, L2Bypass: true, DRAMSched: true}
-			}),
-			variant(func(c *sim.Config) { c.Name = plat + "-Ideal"; c.Ideal = true }),
-		}
-		m, err := h.RunMatrix(variant(func(c *sim.Config) { c.Name = plat + "-SharedTLB" }), cfgs, pairs)
+	for _, plat := range tab4Platforms {
+		cfgs := tab4Variants(plat)
+		m, err := h.RunMatrix(cfgs[1], cfgs, pairs) // alone runs on the SharedTLB variant
 		if err != nil {
 			return nil, err
 		}

@@ -83,7 +83,9 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 		w.outstandingData = ws.OutstandingData
 		w.issuedAt = ws.IssuedAt
 		w.transDoneAt = ws.TransDoneAt
-		w.stream.SetState(ws.Stream)
+		if err := w.stream.SetState(ws.Stream); err != nil {
+			return fmt.Errorf("gpu: core %d warp %d: %w", c.id, i, err)
+		}
 		if ws.PendingTrans < 0 || ws.PendingTrans > len(ws.Pages) {
 			return fmt.Errorf("gpu: checkpoint warp %d awaits %d translations of a %d-page instruction", i, ws.PendingTrans, len(ws.Pages))
 		}

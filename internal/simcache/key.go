@@ -44,7 +44,9 @@ func RunKey(cfg sim.Config, names []string, cycles int64) string {
 func AloneKey(cfg sim.Config, app string, cores int, cycles int64) string {
 	// sim.RunAlone never partitions resources; normalize so direct RunAlone
 	// callers and AloneIPC agree on the key.
-	cfg.Static = false
+	if cfg.Design == sim.DesignStatic {
+		cfg.Design = sim.DesignSharedTLB
+	}
 	return fingerprint("alone", cfg, fmt.Sprintf("%s/%d", app, cores), cycles)
 }
 

@@ -381,7 +381,7 @@ func TestKeys(t *testing.T) {
 	})
 	t.Run("alone normalizes static", func(t *testing.T) {
 		static := base
-		static.Static = true
+		static.Design = sim.DesignStatic
 		if AloneKey(base, "MM", 15, 600) != AloneKey(static, "MM", 15, 600) {
 			t.Fatal("Static changed the alone key; sim.RunAlone ignores it")
 		}

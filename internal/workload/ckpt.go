@@ -1,6 +1,9 @@
 package workload
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // Checkpoint support: serializable images of the mutable stream state.
 //
@@ -38,14 +41,44 @@ func (s *Stream) State() StreamState {
 }
 
 // SetState restores a state captured by State onto a stream built with the
-// identical construction parameters.
-func (s *Stream) SetState(st StreamState) {
+// identical construction parameters. A cursor the stream could never hold —
+// a replay position or compute gap its trace has not, a page past the app's
+// pages, a line past the page — is an error, and s is left as it was.
+func (s *Stream) SetState(st StreamState) error {
+	if err := s.checkState(st); err != nil {
+		return err
+	}
 	s.curPage, s.curLine = st.CurPage, st.CurLine
 	s.replayPos, s.replayGap = st.ReplayPos, st.ReplayGap
 	if s.replay == nil {
 		s.rnd.SetState(st.Rnd)
 		s.scatterRnd.SetState(st.ScatterRnd)
 	}
+	return nil
+}
+
+func (s *Stream) checkState(st StreamState) error {
+	if n := len(s.replay); n > 0 {
+		if st.ReplayPos < 0 || st.ReplayPos >= n {
+			return fmt.Errorf("workload: replay cursor %d outside a %d-entry trace", st.ReplayPos, n)
+		}
+		// The gap is the one the entry before the cursor carries, or zero
+		// before the first entry is served.
+		if prev := s.replay[(st.ReplayPos+n-1)%n].ComputeGap; st.ReplayGap != prev && (st.ReplayPos != 0 || st.ReplayGap != 0) {
+			return fmt.Errorf("workload: replay gap %d, but the entry before cursor %d has gap %d", st.ReplayGap, st.ReplayPos, prev)
+		}
+		return nil
+	}
+	if st.ReplayPos != 0 || st.ReplayGap != 0 {
+		return fmt.Errorf("workload: replay cursor %d (gap %d) on a synthetic stream", st.ReplayPos, st.ReplayGap)
+	}
+	if pages := max(s.totPages, s.privStart+s.privLen); st.CurPage >= pages {
+		return fmt.Errorf("workload: page cursor %d past the app's %d pages", st.CurPage, pages)
+	}
+	if st.CurLine >= s.linesPerPage() {
+		return fmt.Errorf("workload: line cursor %d past a %d-line page", st.CurLine, s.linesPerPage())
+	}
+	return nil
 }
 
 // Sync returns the stream's shared group-sync object (nil for ungrouped
@@ -67,8 +100,12 @@ func (g *GroupSync) State() GroupSyncState {
 }
 
 // SetState restores barrier state captured from a group with the same member
-// count.
-func (g *GroupSync) SetState(st GroupSyncState) {
+// count; another count is an error, and g is left as it was.
+func (g *GroupSync) SetState(st GroupSyncState) error {
+	if len(st.Steps) != len(g.steps) {
+		return fmt.Errorf("workload: group sync image has %d members, the group has %d", len(st.Steps), len(g.steps))
+	}
 	copy(g.steps, st.Steps)
 	g.min = slices.Min(g.steps)
+	return nil
 }

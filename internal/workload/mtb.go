@@ -229,6 +229,7 @@ func DecodeMTB(name string, r io.Reader) (*TraceSet, error) {
 	if len(ts.Warps) == 0 {
 		return fail("no warps")
 	}
+	ts.Digest = digest(ts.Warps)
 	return ts, nil
 }
 

@@ -3,6 +3,9 @@ package workload
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -33,6 +36,41 @@ type TraceSet struct {
 	Name string
 	// Warps holds one trace per warp; warp w uses Warps[w % len(Warps)].
 	Warps [][]TraceEntry
+	// Digest identifies Warps' content: the loaders compute it once over
+	// the decoded entries, so a text trace and its .mtb conversion share it
+	// and two same-named traces of different content do not. Checkpoint
+	// fingerprints write it beside Name.
+	Digest string
+}
+
+// digest hashes the decoded entries of warps: per warp its entry count, per
+// entry its write flag, compute gap and addresses.
+func digest(warps [][]TraceEntry) string {
+	h := sha256.New()
+	buf := make([]byte, 0, 4096)
+	put := func(v uint64) {
+		if len(buf)+8 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+	}
+	for _, w := range warps {
+		put(uint64(len(w)))
+		for _, e := range w {
+			var write uint64
+			if e.Write {
+				write = 1
+			}
+			put(write<<32 | uint64(len(e.Addrs)))
+			put(uint64(e.ComputeGap))
+			for _, a := range e.Addrs {
+				put(a)
+			}
+		}
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // ParseTrace reads the textual trace format (docs/FORMATS.md):
@@ -156,6 +194,7 @@ func ParseTrace(name string, r io.Reader) (*TraceSet, error) {
 			return nil, fmt.Errorf("trace %s: warp %d has no accesses", name, i)
 		}
 	}
+	ts.Digest = digest(ts.Warps)
 	return ts, nil
 }
 

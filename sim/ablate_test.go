@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"masksim/internal/dram"
 	"masksim/sim"
 )
 
@@ -19,8 +20,8 @@ func TestAblateDRAM(t *testing.T) {
 		mut  func(*sim.Config)
 	}{
 		{"SharedTLB", func(c *sim.Config) {}},
-		{"gold+silver", func(c *sim.Config) { c.Mask.DRAMSched = true }},
-		{"gold-only", func(c *sim.Config) { c.Mask.DRAMSched = true; c.ThreshMax = 0 }},
+		{"gold+silver", func(c *sim.Config) { c.DRAMPolicy = dram.MASK }},
+		{"gold-only", func(c *sim.Config) { c.DRAMPolicy = dram.MASK; c.ThreshMax = 0 }},
 	} {
 		cfg := sim.SharedTLBConfig()
 		tc.mut(&cfg)

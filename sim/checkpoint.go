@@ -145,9 +145,9 @@ func CanonicalConfig(cfg Config) Config {
 }
 
 // Fingerprint identifies this exact simulation: canonical config plus every
-// application's identity, seed and core share. Two simulators with equal
-// fingerprints simulate bit-identically, so a checkpoint may only restore
-// onto a matching one.
+// application's identity (a trace by name and content digest), seed and core
+// share. Two simulators with equal fingerprints simulate bit-identically, so
+// a checkpoint may only restore onto a matching one.
 func (s *Simulator) Fingerprint() string {
 	if s.fp != "" {
 		return s.fp
@@ -157,7 +157,7 @@ func (s *Simulator) Fingerprint() string {
 	for i, app := range s.apps {
 		name := app.Profile.Name
 		if app.Trace != nil {
-			name = app.Trace.Name
+			name = app.Trace.Name + "@" + app.Trace.Digest
 		}
 		fmt.Fprintf(h, "%d:%s:%d:%d|", app.ID, name, app.Seed, s.coresPerApp[i])
 	}
@@ -289,10 +289,16 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 
 	// Simulator-owned state outside the tick list.
 	nSyncs := 0
+	var syncErr error
 	s.forEachSync(func(g *workload.GroupSync) {
-		g.SetState(p.Syncs[nSyncs])
+		if err := g.SetState(p.Syncs[nSyncs]); err != nil && syncErr == nil {
+			syncErr = fmt.Errorf("sim: restore checkpoint: group sync %d: %w", nSyncs, err)
+		}
 		nSyncs++
 	})
+	if syncErr != nil {
+		return syncErr
+	}
 	if p.ATA != nil {
 		s.ata.SetState(*p.ATA)
 	}

@@ -518,6 +518,77 @@ func firstL1Miss(t *testing.T, p *checkpointPayload) l1Miss {
 	return l1Miss{}
 }
 
+// smokeTrace is the repository's smallest trace.
+const smokeTrace = "../internal/workload/testdata/smoke.trace"
+
+// newTracePair builds a simulator whose two apps both replay the trace at
+// path.
+func newTracePair(t *testing.T, cfg Config, path string) *Simulator {
+	t.Helper()
+	ts, err := workload.LoadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cfg, []workload.App{{ID: 0, Trace: ts}, {ID: 1, Trace: ts}}, EvenSplit(cfg.Cores, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestTraceCheckpointResume checkpoints a trace-driven pair: the resumed run
+// equals the uninterrupted one, the trace's .mtb conversion is the same
+// simulation, and a same-named trace of other content is another one.
+func TestTraceCheckpointResume(t *testing.T) {
+	const cycles = 4000
+	cfg := tinyConfig()
+	ref := newTracePair(t, cfg, smokeTrace).mustRun(t, cycles)
+
+	ckCfg := cfg
+	ckCfg.CheckpointEvery, ckCfg.CheckpointDir = 1700, t.TempDir()
+	src := newTracePair(t, ckCfg, smokeTrace)
+	src.mustRun(t, cycles)
+	image, err := os.ReadFile(src.checkpointPath(3400))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same trace stored as .mtb resumes the image to the same end.
+	ts, err := workload.LoadTraceFile(smokeTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var mtb bytes.Buffer
+	if err := ts.EncodeMTB(&mtb); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "smoke.mtb"), mtb.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dst := newTracePair(t, cfg, filepath.Join(dir, "smoke.mtb"))
+	if err := dst.RestoreCheckpoint(bytes.NewReader(image)); err != nil {
+		t.Fatalf("restore onto the .mtb conversion: %v", err)
+	}
+	if got := dst.mustRun(t, cycles); !reflect.DeepEqual(ref, got) {
+		t.Fatalf("resumed run diverged:\nref:     %+v\nresumed: %+v", ref, got)
+	}
+
+	// A trace of the same name and other content is another simulation.
+	var text bytes.Buffer
+	other := &workload.TraceSet{Warps: ts.Warps[:len(ts.Warps)/2]}
+	if err := other.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	otherPath := filepath.Join(t.TempDir(), "smoke.trace")
+	if err := os.WriteFile(otherPath, text.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := newTracePair(t, cfg, otherPath).RestoreCheckpoint(bytes.NewReader(image)); !errors.Is(err, ErrWrongSimulation) {
+		t.Fatalf("restore onto a same-named other trace: %v, want ErrWrongSimulation", err)
+	}
+}
+
 // TestRestoreRejectsHostileState drives impossible images — requests naming
 // sinks that do not exist, translation keys that name no tracker or are held
 // twice, return routes that lead nowhere — past the envelope checksum:
@@ -538,11 +609,29 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		payload []byte
 		sinks   []memreq.Sink
 	}
-	take := func(cfg Config) image {
+	// The images a case may edit, indexed by its on field: SharedTLB, demand
+	// paging, MASK (DRAM class queues, TLB-fill tokens), the shared-TLB
+	// prefetcher and trace replay.
+	const (
+		onShared = iota
+		onPaging
+		onMASK
+		onPrefetch
+		onTrace
+	)
+	// prepare builds the simulator of image on: the trace image replays
+	// smoke.trace as both apps, every other one runs names.
+	prepare := func(on int, cfg Config) *Simulator {
+		if on == onTrace {
+			return newTracePair(t, cfg, smokeTrace)
+		}
+		return prepareScenario(t, cfg, names, 0)
+	}
+	take := func(on int, cfg Config) image {
 		ckCfg := cfg
 		ckCfg.CheckpointEvery = 1300
 		ckCfg.CheckpointDir = t.TempDir()
-		src := prepareScenario(t, ckCfg, names, 0)
+		src := prepare(on, ckCfg)
 		src.mustRun(t, cycles)
 		data, err := os.ReadFile(src.checkpointPath(2600))
 		if err != nil {
@@ -554,19 +643,10 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		}
 		return image{h, payload, src.wiring().Sinks}
 	}
-	// The images a case may edit, indexed by its on field: SharedTLB, demand
-	// paging, MASK (DRAM class queues, TLB-fill tokens) and the shared-TLB
-	// prefetcher.
-	const (
-		onShared = iota
-		onPaging
-		onMASK
-		onPrefetch
-	)
-	cfgs := [...]Config{onShared: cfg, onPaging: pagingCfg, onMASK: MASKConfig(), onPrefetch: prefetchCfg}
+	cfgs := [...]Config{onShared: cfg, onPaging: pagingCfg, onMASK: MASKConfig(), onPrefetch: prefetchCfg, onTrace: cfg}
 	var images [len(cfgs)]image
 	for i, c := range cfgs {
-		images[i] = take(c)
+		images[i] = take(i, c)
 	}
 	sinks := images[onShared].sinks
 	// A key no L1 TLB miss tracks, and a request image that returns nowhere
@@ -768,6 +848,22 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			"dram: channel 0: dram: silver turn (app -1, quota"},
 		{"negative silver quota", onMASK, func(t *testing.T, p *checkpointPayload) { p.DRAM.Channels[2].Sched.SilverQuota = -1 },
 			"quota -1) out of range (2 apps)"},
+		// Stream cursors: a replay cursor or gap the trace has not, a
+		// replay cursor on a synthetic stream, a page cursor past the app's
+		// pages, and a group barrier of another member count.
+		{"untouched trace", onTrace, func(t *testing.T, p *checkpointPayload) {}, ""},
+		{"replay cursor past the trace", onTrace, func(t *testing.T, p *checkpointPayload) { p.Cores[0].Warps[0].Stream.ReplayPos = 1 << 20 },
+			"gpu: core 0 warp 0: workload: replay cursor 1048576 outside a"},
+		{"replay gap of no entry", onTrace, func(t *testing.T, p *checkpointPayload) { p.Cores[0].Warps[0].Stream.ReplayGap = 1 << 20 },
+			"workload: replay gap 1048576, but the entry before cursor"},
+		{"replay cursor on a synthetic stream", onShared, func(t *testing.T, p *checkpointPayload) { p.Cores[0].Warps[0].Stream.ReplayPos = 1 },
+			"workload: replay cursor 1 (gap 0) on a synthetic stream"},
+		{"page cursor past the app's pages", onShared, func(t *testing.T, p *checkpointPayload) { p.Cores[0].Warps[0].Stream.CurPage = 1 << 40 },
+			"workload: page cursor 1099511627776 past the app's"},
+		{"group sync of fewer members", onShared, func(t *testing.T, p *checkpointPayload) { p.Syncs[0].Steps = p.Syncs[0].Steps[:1] },
+			"workload: group sync image has 1 members"},
+		{"group sync of more members", onShared, func(t *testing.T, p *checkpointPayload) { p.Syncs[0].Steps = append(p.Syncs[0].Steps, 0) },
+			"members, the group"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -784,7 +880,7 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			if err := snapshot.Write(&file, img.h, body.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-			dst := prepareScenario(t, c, names, 0)
+			dst := prepare(tc.on, c)
 			err := dst.RestoreCheckpoint(&file)
 			switch {
 			case tc.want == "" && err != nil:

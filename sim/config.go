@@ -2,16 +2,19 @@
 // (cores, TLBs, page table walker, caches, DRAM) according to a Config,
 // runs multiprogrammed workloads, and reports the paper's metrics.
 //
-// The standard configurations mirror the designs evaluated in the paper:
+// A Config picks one point of the paper's design space with three values
+// (docs/MODEL.md, "Design space"):
 //
-//	Static     — statically partitioned L2 cache ways, L2 TLB ways and DRAM
-//	             channels (models NVIDIA GRID / AMD FirePro, §2.2)
-//	PWCache    — private L1 TLBs + shared page walk cache (Power et al.)
-//	SharedTLB  — private L1 TLBs + shared L2 TLB
-//	MASK       — SharedTLB + TLB-Fill Tokens + Address-Translation-Aware L2
-//	             Bypass + Address-Space-Aware DRAM scheduler (§5)
-//	MASK-TLB / MASK-Cache / MASK-DRAM — each mechanism alone (§7.2)
-//	Ideal      — every L1 TLB access hits; zero translation overhead
+//	Design      — SharedTLB (private L1 TLBs + shared L2 TLB), PWCache (shared
+//	              page walk cache, Power et al.), Static (SharedTLB with L2
+//	              cache ways, L2 TLB ways and DRAM channels partitioned, as
+//	              NVIDIA GRID / AMD FirePro, §2.2) or Ideal (free translation)
+//	Mask        — MASK's TLB-Fill Tokens and L2 Bypass (§5.2, §5.3)
+//	DRAMPolicy  — FR-FCFS, FCFS (§7.3) or MASK's scheduler (§5.4)
+//
+// MASK is SharedTLB with both mechanisms and the MASK policy; MASK-TLB,
+// MASK-Cache and MASK-DRAM each enable one of the three (§7.2).
+// Config.Validate rejects every combination the simulator could not honour.
 package sim
 
 import (
@@ -23,7 +26,8 @@ import (
 	"masksim/internal/telemetry"
 )
 
-// Design selects the baseline translation hierarchy of Figure 2.
+// Design selects the translation hierarchy: the two baselines of Figure 2,
+// static partitioning and the perfect TLB of Figure 11.
 type Design uint8
 
 // Translation hierarchy designs.
@@ -34,26 +38,26 @@ const (
 	// DesignPWCache routes L1 TLB misses directly to the walker, which
 	// probes a shared page walk cache (Figure 2a).
 	DesignPWCache
+	// DesignStatic is the SharedTLB hierarchy with L2 cache ways, L2 TLB
+	// ways and DRAM channels partitioned evenly across applications.
+	DesignStatic
+	// DesignIdeal makes every translation free (hypothetical perfect TLB):
+	// no TLB or page walk cache is built and no page is ever walked.
+	DesignIdeal
 )
 
 // String names the design.
 func (d Design) String() string {
-	if d == DesignPWCache {
-		return "PWCache"
-	}
-	return "SharedTLB"
+	return [...]string{DesignSharedTLB: "SharedTLB", DesignPWCache: "PWCache", DesignStatic: "Static", DesignIdeal: "Ideal"}[d]
 }
 
-// Mechanisms toggles MASK's three components independently (§7.2 evaluates
-// each in isolation as MASK-TLB, MASK-Cache and MASK-DRAM).
+// Mechanisms toggles MASK's two translation-side components independently
+// (§7.2 evaluates each in isolation as MASK-TLB and MASK-Cache; the third,
+// MASK-DRAM, is Config.DRAMPolicy = dram.MASK).
 type Mechanisms struct {
-	Tokens    bool // TLB-Fill Tokens + TLB bypass cache (§5.2)
-	L2Bypass  bool // Address-Translation-Aware L2 Bypass (§5.3)
-	DRAMSched bool // Address-Space-Aware DRAM scheduler (§5.4)
+	Tokens   bool // TLB-Fill Tokens + TLB bypass cache (§5.2)
+	L2Bypass bool // Address-Translation-Aware L2 Bypass (§5.3)
 }
-
-// Any reports whether at least one mechanism is enabled.
-func (m Mechanisms) Any() bool { return m.Tokens || m.L2Bypass || m.DRAMSched }
 
 // CacheParams configures one cache instance.
 type CacheParams struct {
@@ -108,11 +112,6 @@ type Config struct {
 	DRAM dram.Config
 
 	Design Design
-	// Ideal makes every translation free (hypothetical perfect TLB).
-	Ideal bool
-	// Static partitions L2 cache ways, L2 TLB ways and DRAM channels evenly
-	// across applications.
-	Static bool
 	Mask   Mechanisms
 
 	// TokenInitFraction is InitialTokens (§6: 80%).
@@ -120,10 +119,10 @@ type Config struct {
 	// ThreshMax is the Silver Queue quota ceiling (§6: 500).
 	ThreshMax int
 
-	// FCFSSched replaces the baseline FR-FCFS with plain FCFS (the §7.3
-	// memory-scheduler sensitivity study). Ignored when Mask.DRAMSched is
-	// enabled.
-	FCFSSched bool
+	// DRAMPolicy is every channel's scheduler: the baseline FR-FCFS, plain
+	// FCFS (the §7.3 memory-scheduler sensitivity study) or MASK's
+	// Address-Space-Aware scheduler (§5.4).
+	DRAMPolicy dram.Policy
 
 	// TimeMuxQuantum, when positive, models coarse time multiplexing: every
 	// quantum the GPU's TLBs and caches lose TimeMuxEvict of their contents,
@@ -133,7 +132,7 @@ type Config struct {
 
 	// DemandPaging enables the §5.5 extension: a page's first touch raises
 	// a major fault serviced at FaultLatency cycles with FaultConcurrency
-	// parallel handlers. Ignored under Ideal.
+	// parallel handlers. Rejected under DesignIdeal, which never walks.
 	DemandPaging     bool
 	FaultLatency     int64
 	FaultConcurrency int
@@ -143,7 +142,7 @@ type Config struct {
 	RoundRobinSched bool
 
 	// TLBPrefetch enables the stride TLB prefetcher at the shared L2 TLB
-	// (related-work comparison, §8.2). Requires the SharedTLB design.
+	// (related-work comparison, §8.2). Requires DesignSharedTLB.
 	TLBPrefetch bool
 
 	// TelemetryEpoch, when positive, enables the cycle-level telemetry
@@ -276,7 +275,7 @@ func PWCacheConfig() Config {
 func StaticConfig() Config {
 	c := Baseline()
 	c.Name = "Static"
-	c.Static = true
+	c.Design = DesignStatic
 	return c
 }
 
@@ -284,7 +283,7 @@ func StaticConfig() Config {
 func IdealConfig() Config {
 	c := Baseline()
 	c.Name = "Ideal"
-	c.Ideal = true
+	c.Design = DesignIdeal
 	return c
 }
 
@@ -292,7 +291,8 @@ func IdealConfig() Config {
 func MASKConfig() Config {
 	c := Baseline()
 	c.Name = "MASK"
-	c.Mask = Mechanisms{Tokens: true, L2Bypass: true, DRAMSched: true}
+	c.Mask = Mechanisms{Tokens: true, L2Bypass: true}
+	c.DRAMPolicy = dram.MASK
 	return c
 }
 
@@ -316,7 +316,7 @@ func MASKCacheConfig() Config {
 func MASKDRAMConfig() Config {
 	c := Baseline()
 	c.Name = "MASK-DRAM"
-	c.Mask = Mechanisms{DRAMSched: true}
+	c.DRAMPolicy = dram.MASK
 	return c
 }
 
@@ -378,9 +378,35 @@ func ConfigNames() []string {
 	return []string{"Static", "PWCache", "SharedTLB", "MASK-TLB", "MASK-Cache", "MASK-DRAM", "MASK", "Ideal"}
 }
 
-// Validate reports configuration errors early and clearly.
+// Validate reports configuration errors early and clearly. It is the one
+// gate of the design space: a field the chosen Design could not honour is an
+// error naming both, never silently ignored.
 func (c Config) Validate() error {
+	if c.Design > DesignIdeal {
+		return fmt.Errorf("sim: unknown Design %d", c.Design)
+	}
+	if c.DRAMPolicy > dram.MASK {
+		return fmt.Errorf("sim: unknown DRAMPolicy %d", c.DRAMPolicy)
+	}
+	// MASK's components and the prefetcher live at the shared L2 TLB, which
+	// Static partitions and PWCache and Ideal do not build; MASK's DRAM
+	// scheduler reads its pressure from that TLB.
+	for _, f := range []struct {
+		field string
+		on    bool
+	}{
+		{"Mask.Tokens", c.Mask.Tokens},
+		{"Mask.L2Bypass", c.Mask.L2Bypass},
+		{"DRAMPolicy MASK", c.DRAMPolicy == dram.MASK},
+		{"TLBPrefetch", c.TLBPrefetch},
+	} {
+		if f.on && c.Design != DesignSharedTLB {
+			return fmt.Errorf("sim: %s requires Design SharedTLB, got Design %v", f.field, c.Design)
+		}
+	}
 	switch {
+	case c.DemandPaging && c.Design == DesignIdeal:
+		return fmt.Errorf("sim: DemandPaging faults on page walks, which Design Ideal never makes")
 	case c.Cores < 1:
 		return fmt.Errorf("sim: Cores must be >= 1, got %d", c.Cores)
 	case c.WarpsPerCore < 1:

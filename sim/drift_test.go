@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"masksim/internal/dram"
 	"masksim/internal/memreq"
 )
 
@@ -67,7 +68,7 @@ var driftScenarios = []scenario{
 	}},
 	{"fcfs-3DS+CONS", func(mod func(*Config)) (*Results, error) {
 		cfg := SharedTLBConfig()
-		cfg.FCFSSched = true
+		cfg.DRAMPolicy = dram.FCFS
 		mod(&cfg)
 		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
 	}},

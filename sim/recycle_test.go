@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"masksim/internal/dram"
 	"masksim/internal/pagetable"
 	"masksim/internal/workload"
 )
@@ -55,11 +56,15 @@ func decodeCell(b []byte) recycleCell {
 	if b[2]&1 != 0 {
 		cfg.PageSize = pagetable.PageSize2M
 	}
-	if b[2]&2 != 0 {
+	// A bit whose knob Validate rejects for the design decodes to the design
+	// alone. The simulator used to ignore each such knob, so the cell runs as
+	// it always did; the one exception is the prefetcher under Static, which
+	// used to run and is no longer a valid combination.
+	if b[2]&2 != 0 && cfg.Design != DesignIdeal {
 		cfg.DemandPaging, cfg.FaultLatency, cfg.FaultConcurrency = true, 500, 4
 	}
 	cfg.FastForward = b[2]&4 == 0
-	cfg.TLBPrefetch = b[2]&8 != 0
+	cfg.TLBPrefetch = b[2]&8 != 0 && cfg.Design == DesignSharedTLB
 	if b[2]&16 != 0 {
 		cfg.WatchdogCheckEvery = 1000
 	}
@@ -67,7 +72,9 @@ func decodeCell(b []byte) recycleCell {
 		cfg.TelemetryEpoch = 700
 	}
 	cfg.RoundRobinSched = b[2]&64 != 0
-	cfg.FCFSSched = b[2]&128 != 0
+	if b[2]&128 != 0 && cfg.DRAMPolicy != dram.MASK {
+		cfg.DRAMPolicy = dram.FCFS
+	}
 
 	machine := [][2]int{{4, 16}, {8, 32}, {30, 64}, {12, 64}}[b[3]&3]
 	cfg.Cores, cfg.WarpsPerCore = machine[0], machine[1]
@@ -86,8 +93,8 @@ func decodeCell(b []byte) recycleCell {
 	for i, n := range mix.names {
 		c.apps = append(c.apps, workload.NewApp(i, n))
 	}
-	if len(c.apps) == 1 {
-		c.cfg.Static = false // as PrepareAlone: alone runs never partition
+	if len(c.apps) == 1 && c.cfg.Design == DesignStatic {
+		c.cfg.Design = DesignSharedTLB // as PrepareAlone: alone runs never partition
 	}
 	c.cycles = 1 + (int64(b[4])<<8|int64(b[5]))%20000
 	if b[6] != 0 {

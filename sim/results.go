@@ -129,7 +129,7 @@ func (s *Simulator) collect(cycles int64) *Results {
 			r.TransStallCycles += st.TransStallCycles
 			r.DataStallCycles += st.DataStallCycles
 		}
-		if !s.cfg.Ideal {
+		if len(s.l1tlbs) > 0 {
 			// L1 TLBs are created in core order, so the app's TLBs are the
 			// next coresPerApp[appIdx] entries.
 			for i := 0; i < s.coresPerApp[appIdx]; i++ {
@@ -156,7 +156,7 @@ func (s *Simulator) collect(cycles int64) *Results {
 		r.IdleFraction = float64(idle) / float64(coreCycles)
 	}
 
-	if !s.cfg.Ideal {
+	if s.cfg.Design != DesignIdeal {
 		r.Walker = s.walker.Stats
 	}
 	r.DRAMClass[memreq.Data] = s.mem.Class[memreq.Data]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"masksim/internal/dram"
 	"masksim/internal/metrics"
 	"masksim/internal/workload"
 )
@@ -66,8 +67,23 @@ func (r *Recycler) PrepareAlone(cfg Config, name string, cores int) (*Simulator,
 		return nil, fmt.Errorf("sim: invalid alone core count %d", cores)
 	}
 	// Alone runs never partition resources.
-	cfg.Static = false
+	if cfg.Design == DesignStatic {
+		cfg.Design = DesignSharedTLB
+	}
 	return r.New(cfg, []workload.App{workload.NewApp(0, name)}, []int{cores})
+}
+
+// AlonePlatform returns the platform the paper measures IPC_alone on for a
+// shared run under cfg (§6): the same machine under the SharedTLB design with
+// no MASK mechanism. MASK's DRAM scheduler falls back to the baseline FR-FCFS;
+// FCFS, a property of the platform, stays.
+func AlonePlatform(cfg Config) Config {
+	cfg.Design = DesignSharedTLB
+	cfg.Mask = Mechanisms{}
+	if cfg.DRAMPolicy == dram.MASK {
+		cfg.DRAMPolicy = dram.FRFCFS
+	}
+	return cfg
 }
 
 // RunAlone measures one app running by itself on cores cores with the whole

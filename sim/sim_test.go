@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"masksim/internal/dram"
 	"masksim/internal/memreq"
 	"masksim/internal/workload"
 )
@@ -83,6 +84,78 @@ func TestMaskRequiresSharedTLBDesign(t *testing.T) {
 	apps := []workload.App{workload.NewApp(0, "NN")}
 	if _, err := New(c, apps, []int{4}); err == nil {
 		t.Fatal("MASK on PWCache design accepted")
+	}
+}
+
+// TestValidateRejectsIgnoredCombinations has one row per combination of the
+// design-space fields the simulator once accepted and silently ignored (or
+// settled by precedence): each is now either impossible to spell, because
+// one Design or DRAMPolicy value replaces two flags, or rejected by Validate
+// with an error naming both fields. New must reject it too.
+func TestValidateRejectsIgnoredCombinations(t *testing.T) {
+	ideal := func(c *Config) { c.Design = DesignIdeal }
+	cases := []struct {
+		name string
+		mut  func(*Config) // nil: no Config spells the combination
+		want string
+	}{
+		{"Ideal with PWCache", nil, ""},
+		{"Ideal with Tokens", func(c *Config) { ideal(c); c.Mask.Tokens = true }, "Mask.Tokens requires Design SharedTLB, got Design Ideal"},
+		{"Ideal with L2Bypass", func(c *Config) { ideal(c); c.Mask.L2Bypass = true }, "Mask.L2Bypass requires Design SharedTLB, got Design Ideal"},
+		{"Ideal with MASK DRAM", func(c *Config) { ideal(c); c.DRAMPolicy = dram.MASK }, "DRAMPolicy MASK requires Design SharedTLB, got Design Ideal"},
+		{"Ideal with TLBPrefetch", func(c *Config) { ideal(c); c.TLBPrefetch = true }, "TLBPrefetch requires Design SharedTLB, got Design Ideal"},
+		{"Ideal with DemandPaging", func(c *Config) { ideal(c); c.DemandPaging = true }, "DemandPaging faults on page walks, which Design Ideal never makes"},
+		{"Ideal with Static", nil, ""},
+		{"PWCache with TLBPrefetch", func(c *Config) { c.Design = DesignPWCache; c.TLBPrefetch = true }, "TLBPrefetch requires Design SharedTLB, got Design PWCache"},
+		{"PWCache with Static", nil, ""},
+		{"Static with MASK", func(c *Config) { *c = MASKConfig(); c.Design = DesignStatic }, "Mask.Tokens requires Design SharedTLB, got Design Static"},
+		{"FCFS with MASK DRAM", nil, ""},
+	}
+	apps := []workload.App{workload.NewApp(0, "NN")}
+	for _, tc := range cases {
+		if tc.mut == nil {
+			continue
+		}
+		c := tinyConfig()
+		tc.mut(&c)
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := New(c, apps, []int{1}); err == nil {
+			t.Errorf("%s: New accepted it", tc.name)
+		}
+	}
+	for name := range standardConfigs {
+		cfg, _ := ConfigByName(name)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for _, bad := range []func(*Config){
+		func(c *Config) { c.Design = DesignIdeal + 1 },
+		func(c *Config) { c.DRAMPolicy = dram.MASK + 1 },
+	} {
+		c := Baseline()
+		bad(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Errorf("out-of-range value: Validate = %v", err)
+		}
+	}
+}
+
+func TestAlonePlatform(t *testing.T) {
+	for _, name := range ConfigNames() {
+		cfg, _ := ConfigByName(name)
+		got := AlonePlatform(cfg)
+		if got.Design != DesignSharedTLB || got.Mask != (Mechanisms{}) || got.DRAMPolicy != dram.FRFCFS {
+			t.Errorf("%s: alone platform %v/%+v/%v", name, got.Design, got.Mask, got.DRAMPolicy)
+		}
+	}
+	fcfs := PWCacheConfig()
+	fcfs.DRAMPolicy = dram.FCFS
+	if got := AlonePlatform(fcfs); got.Design != DesignSharedTLB || got.DRAMPolicy != dram.FCFS {
+		t.Errorf("FCFS PWCache: alone platform %v/%v, want SharedTLB/FCFS", got.Design, got.DRAMPolicy)
 	}
 }
 
@@ -198,7 +271,7 @@ func TestAccountingInvariants(t *testing.T) {
 
 func TestIdealHasNoTranslationActivity(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Ideal = true
+	cfg.Design = DesignIdeal
 	res := tinyRun(t, cfg, []string{"3DS"}, 3000)
 	if res.Walker.Started != 0 {
 		t.Fatal("Ideal design started page walks")
@@ -214,7 +287,7 @@ func TestIdealHasNoTranslationActivity(t *testing.T) {
 func TestIdealBeatsBaselineOnContendedPair(t *testing.T) {
 	cfg := tinyConfig()
 	base := tinyRun(t, cfg, []string{"3DS", "CONS"}, 6000)
-	cfg.Ideal = true
+	cfg.Design = DesignIdeal
 	ideal := tinyRun(t, cfg, []string{"3DS", "CONS"}, 6000)
 	if ideal.TotalIPC <= base.TotalIPC {
 		t.Fatalf("Ideal (%v) not faster than baseline (%v)", ideal.TotalIPC, base.TotalIPC)
@@ -236,7 +309,7 @@ func TestPWCacheDesignRuns(t *testing.T) {
 
 func TestStaticPartitioningConfinesFrames(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Static = true
+	cfg.Design = DesignStatic
 	apps := []workload.App{workload.NewApp(0, "NN"), workload.NewApp(1, "LUD")}
 	s, err := New(cfg, apps, EvenSplit(cfg.Cores, 2))
 	if err != nil {
@@ -285,7 +358,8 @@ func TestThreeAppRun(t *testing.T) {
 
 func TestMASKConfigRunsAllMechanisms(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Mask = Mechanisms{Tokens: true, L2Bypass: true, DRAMSched: true}
+	cfg.Mask = Mechanisms{Tokens: true, L2Bypass: true}
+	cfg.DRAMPolicy = dram.MASK
 	res := tinyRun(t, cfg, []string{"3DS", "CONS"}, 6000)
 	if res.TotalIPC <= 0 {
 		t.Fatal("MASK run made no progress")
@@ -294,7 +368,7 @@ func TestMASKConfigRunsAllMechanisms(t *testing.T) {
 
 func TestFCFSSchedulerOption(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.FCFSSched = true
+	cfg.DRAMPolicy = dram.FCFS
 	res := tinyRun(t, cfg, []string{"MM", "CONS"}, 3000)
 	if res.TotalIPC <= 0 {
 		t.Fatal("FCFS run made no progress")
@@ -521,7 +595,7 @@ func TestStaticVsSharedOrdering(t *testing.T) {
 	// partitioning, §2.2).
 	shared := tinyRun(t, tinyConfig(), []string{"NN", "LUD"}, 4000)
 	cfg := tinyConfig()
-	cfg.Static = true
+	cfg.Design = DesignStatic
 	static := tinyRun(t, cfg, []string{"NN", "LUD"}, 4000)
 	if static.TotalIPC > shared.TotalIPC*1.05 {
 		t.Fatalf("Static (%v) beats full sharing (%v) by >5%%", static.TotalIPC, shared.TotalIPC)
@@ -537,7 +611,7 @@ func TestStallAnatomyAccounting(t *testing.T) {
 		t.Fatal("no data stall time recorded")
 	}
 	cfg := tinyConfig()
-	cfg.Ideal = true
+	cfg.Design = DesignIdeal
 	ideal := tinyRun(t, cfg, []string{"3DS", "CONS"}, 5000)
 	if ideal.TransStallCycles != 0 {
 		t.Fatal("Ideal recorded translation stall time")

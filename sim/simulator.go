@@ -214,9 +214,6 @@ func validate(cfg Config, apps []workload.App, coresPerApp []int) error {
 	if total > cfg.Cores {
 		return fmt.Errorf("sim: %d cores assigned but only %d exist", total, cfg.Cores)
 	}
-	if cfg.Mask.Any() && cfg.Design != DesignSharedTLB {
-		return fmt.Errorf("sim: MASK mechanisms require the SharedTLB design")
-	}
 	if cfg.CheckpointDir != "" {
 		if err := probeCheckpointDir(cfg.CheckpointDir); err != nil {
 			return err
@@ -290,7 +287,7 @@ func (s *Simulator) build(d *Simulator) {
 	// per-core L1Ds): a single construction-time allocation instead of one
 	// per cache.
 	arenaLines := cache.ArenaLines(cfg.L2Cache.SizeBytes, cfg.L2Cache.LineSize, cfg.L2Cache.Ways)
-	if cfg.Design == DesignPWCache && !cfg.Ideal {
+	if cfg.Design == DesignPWCache {
 		arenaLines += cache.ArenaLines(cfg.PWCache.SizeBytes, cfg.PWCache.LineSize, cfg.PWCache.Ways)
 	}
 	assignedCores := 0
@@ -303,21 +300,14 @@ func (s *Simulator) build(d *Simulator) {
 	s.reqPool, s.transPool = d.reqPool, d.transPool // retire renewed them
 
 	// --- DRAM -----------------------------------------------------------
-	sched := dram.SchedConfig{Policy: dram.FRFCFS}
-	switch {
-	case cfg.Mask.DRAMSched:
-		sched = dram.SchedConfig{Policy: dram.MASK, Apps: numApps, ThreshMax: cfg.ThreshMax, Pressure: func(app int) (float64, float64) {
-			// Pressure metrics come from the shared TLB's MSHRs (§5.4); the
-			// closure resolves lazily because the L2 TLB is built after DRAM.
-			if s.l2tlb == nil {
-				return 0, 0
-			}
-			return s.l2tlb.Pressure(app)
-		}}
-	case cfg.FCFSSched:
-		sched.Policy = dram.FCFS
-	}
-	s.mem = dram.Renew(d.mem, cfg.DRAM, sched)
+	s.mem = dram.Renew(d.mem, cfg.DRAM, dram.SchedConfig{Policy: cfg.DRAMPolicy, Apps: numApps, ThreshMax: cfg.ThreshMax, Pressure: func(app int) (float64, float64) {
+		// Pressure metrics come from the shared TLB's MSHRs (§5.4); the
+		// closure resolves lazily because the L2 TLB is built after DRAM.
+		if s.l2tlb == nil {
+			return 0, 0
+		}
+		return s.l2tlb.Pressure(app)
+	}})
 
 	// --- shared L2 data cache --------------------------------------------
 	s.l2c = cache.Renew(d.l2c, cache.Config{
@@ -333,7 +323,7 @@ func (s *Simulator) build(d *Simulator) {
 		WriteBack:    true,
 		Arena:        arena,
 	}, s.mem, &s.reqPool)
-	if cfg.Static {
+	if cfg.Design == DesignStatic {
 		s.l2c.SetWayPartition(wayMasks(cfg.L2Cache.Ways, numApps))
 	}
 	if cfg.Mask.L2Bypass {
@@ -342,7 +332,7 @@ func (s *Simulator) build(d *Simulator) {
 
 	// --- page walk cache (PWCache design only) ---------------------------
 	walkBackend := cache.Backend(s.l2c)
-	if cfg.Design == DesignPWCache && !cfg.Ideal {
+	if cfg.Design == DesignPWCache {
 		s.pwc = cache.Renew(d.pwc, cache.Config{
 			Name:         "PWCache",
 			SizeBytes:    cfg.PWCache.SizeBytes,
@@ -360,12 +350,12 @@ func (s *Simulator) build(d *Simulator) {
 
 	// --- walker and shared L2 TLB ----------------------------------------
 	s.walker = ptw.Renew(d.walker, walkerConcurrency, walkBackend, numApps, &s.reqPool)
-	if cfg.DemandPaging && !cfg.Ideal {
+	if cfg.DemandPaging {
 		s.faults = ptw.NewFaultUnit(cfg.FaultLatency, cfg.FaultConcurrency)
 		s.walker.SetFaultUnit(s.faults)
 	}
 	s.tokens = tlb.NewTokenPolicy(numApps, cfg.WarpsPerCore, cfg.TokenInitFraction, cfg.Mask.Tokens)
-	if cfg.Design == DesignSharedTLB && !cfg.Ideal {
+	if cfg.Design == DesignSharedTLB || cfg.Design == DesignStatic {
 		bypassSize := 0
 		if cfg.Mask.Tokens {
 			bypassSize = BypassCacheEntries
@@ -380,7 +370,7 @@ func (s *Simulator) build(d *Simulator) {
 			NumApps:    numApps,
 		}, s.walker, s.tokens)
 		s.walker.SetWalkSink(s.l2tlb)
-		if cfg.Static {
+		if cfg.Design == DesignStatic {
 			s.l2tlb.SetWayPartition(wayMasks(cfg.L2TLBWays, numApps))
 		}
 		if cfg.TLBPrefetch {
@@ -398,7 +388,7 @@ func (s *Simulator) build(d *Simulator) {
 	// --- address spaces ---------------------------------------------------
 	s.spaces = make([]*pagetable.Space, numApps)
 	for i, app := range s.apps {
-		if cfg.Static {
+		if cfg.Design == DesignStatic {
 			// Confine the app's frames (data and page-table nodes) to its
 			// DRAM channel partition.
 			chans := channelPartition(cfg.DRAM.Channels, numApps, i)
@@ -452,7 +442,7 @@ func (s *Simulator) build(d *Simulator) {
 
 			var l1 *tlb.L1TLB
 			var translate gpu.TranslateFn // nil: Ideal, every page hits at once
-			if !cfg.Ideal {
+			if cfg.Design != DesignIdeal {
 				var transBackend tlb.TransBackend = s.walker
 				if s.l2tlb != nil {
 					transBackend = s.l2tlb
@@ -495,7 +485,7 @@ func (s *Simulator) build(d *Simulator) {
 	if s.l2tlb != nil {
 		s.eng.Register(s.l2tlb)
 	}
-	if !cfg.Ideal {
+	if cfg.Design != DesignIdeal {
 		s.eng.Register(s.walker)
 	}
 	if s.faults != nil {
@@ -523,7 +513,7 @@ func (s *Simulator) build(d *Simulator) {
 	// with every index still aligned — fingerprints deliberately ignore
 	// FaultPlan, and resume drops the flag.
 	if plan := cfg.FaultPlan; plan != nil && plan.Active() {
-		if !cfg.Ideal {
+		if cfg.Design != DesignIdeal {
 			s.walker.SetWedgeHook(plan.WedgeWalk)
 		}
 		s.mem.SetDropHook(plan.DropResponse)

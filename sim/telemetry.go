@@ -46,7 +46,7 @@ func (s *Simulator) buildTelemetry() {
 			}
 			return float64(n)
 		}))
-		if !s.cfg.Ideal {
+		if len(s.l1tlbs) > 0 {
 			// L1 TLBs are created in core order, so the app's TLBs are the
 			// next coresPerApp[appIdx] entries (same walk as Results.collect).
 			appTLBs := s.l1tlbs[l1Idx : l1Idx+s.coresPerApp[appIdx]]
@@ -94,7 +94,7 @@ func (s *Simulator) buildTelemetry() {
 	}
 
 	// --- page table walker ------------------------------------------------
-	if !s.cfg.Ideal {
+	if s.cfg.Design != DesignIdeal {
 		hist := metrics.NewHistogram()
 		s.walker.SetLatencyHistogram(hist)
 		reg(tel.Gauge("ptw/queue_depth", func() float64 { return float64(s.walker.QueuedWalks()) }))
