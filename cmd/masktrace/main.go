@@ -1,5 +1,5 @@
 // Command masktrace is the trace-file tool: it converts memory traces
-// between their encodings, prints an .mtb file's index, and validates the
+// between their encodings, summarises an .mtb file, and validates the
 // Chrome traces masksim writes. Simulation runs belong to masksim.
 //
 // Usage:
@@ -14,8 +14,8 @@
 // bytes (text or binary .mtb, either gzip-compressed), the output format is
 // chosen by extension — ".mtb" writes the indexed binary format, anything
 // else the canonical text format, gzip-compressed when the name ends in
-// ".gz". The info subcommand prints an .mtb file's footer index without
-// decoding the warp sections. The check subcommand re-reads a Chrome
+// ".gz". The info subcommand decodes an .mtb file and prints its warp count
+// and per-warp entry counts. The check subcommand re-reads a Chrome
 // trace_event JSON (masksim -chrome-trace; gzip-compressed or not) and
 // validates it — monotonic timestamps, required fields — exiting non-zero on
 // failure; CI uses this as an end-to-end smoke test. See
@@ -95,8 +95,9 @@ func convertCmd(args []string) error {
 	return nil
 }
 
-// infoCmd implements "masktrace info <file.mtb>": print the footer index —
-// warp count and per-section byte extents — without decoding any section.
+// infoCmd implements "masktrace info <file.mtb>": decode the file, which
+// checks every section against the footer, and print its warp count and
+// per-warp entry counts.
 func infoCmd(args []string) error {
 	fs := flag.NewFlagSet("masktrace info", flag.ExitOnError)
 	fs.Usage = func() {
@@ -109,22 +110,18 @@ func infoCmd(args []string) error {
 		os.Exit(2)
 	}
 	path := fs.Arg(0)
-	f, err := os.Open(path)
+	f, err := streamio.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	st, err := f.Stat()
+	ts, err := workload.DecodeMTB(workload.TraceName(path), f)
 	if err != nil {
 		return err
 	}
-	ix, err := workload.ReadMTBIndex(f, st.Size())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d bytes, %d warp sections\n", path, st.Size(), ix.Warps())
-	for i := range ix.Offsets {
-		fmt.Printf("  warp %3d: offset %8d  length %8d\n", i, ix.Offsets[i], ix.Lengths[i])
+	fmt.Printf("%s: %d warps\n", path, len(ts.Warps))
+	for i, w := range ts.Warps {
+		fmt.Printf("  warp %3d: %8d entries\n", i, len(w))
 	}
 	return nil
 }

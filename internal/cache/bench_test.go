@@ -12,11 +12,12 @@ func BenchmarkCacheHit(b *testing.B) {
 	read(c, 0, 0x1000)
 	drive(c, 0, 2)
 	be.completeAll(3)
-	r := &memreq.Request{Kind: memreq.Read, Addr: 0x1000,
-		Ret: memreq.SinkFunc(func(int64, *memreq.Request) {})}
+	rt := c.pool.Register(memreq.SinkFunc(func(int64, *memreq.Request) {}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := int64(10 + i*2)
+		r := c.pool.Get()
+		r.Kind, r.Addr, r.Ret = memreq.Read, 0x1000, rt
 		c.Submit(now, r)
 		c.Tick(now + 1)
 	}

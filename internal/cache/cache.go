@@ -168,8 +168,11 @@ type Cache struct {
 	retry []*memreq.Request
 
 	// pool recycles the requests this cache originates (fills, bypass
-	// fetches, forwarded writes, writebacks): the simulator's one pool.
-	pool *memreq.Pool
+	// fetches, forwarded writes, writebacks) and completes the ones it
+	// serves: the simulator's one pool. route is the cache's own entry in
+	// the pool's sink table, which its line fetches return on.
+	pool  *memreq.Pool
+	route memreq.Route
 
 	// bypass, when non-nil, routes matching requests directly to the backend
 	// with no probe, no fill, and no bank-queue occupancy. Used for MASK's
@@ -286,6 +289,7 @@ func Renew(c *Cache, cfg Config, backend Backend, pool *memreq.Pool) *Cache {
 	}
 	c.Retire()
 	c.cfg, c.lineShift, c.sets, c.backend, c.pool = cfg, shift, sets, backend, pool
+	c.route = pool.Register(c)
 	c.lines = cfg.Arena.take(sets * cfg.Ways)
 	c.queues = slab.Donors(c.queues, cfg.Banks)
 	c.mshrs, c.bypassMSHRs = slab.Map(c.mshrs), slab.Map(c.bypassMSHRs)
@@ -417,7 +421,7 @@ func (c *Cache) Submit(now int64, r *memreq.Request) bool {
 		fetch.AppID, fetch.CoreID, fetch.WarpID = r.AppID, r.CoreID, r.WarpID
 		fetch.Kind, fetch.Class, fetch.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 		fetch.Addr, fetch.Issue = lineAddr<<c.lineShift, r.Issue
-		fetch.Ret, fetch.Tag = c, tagBypass
+		fetch.Ret, fetch.Tag = c.route, tagBypass
 		if !c.backend.Submit(now, fetch) {
 			c.retry = append(c.retry, fetch)
 		}
@@ -556,7 +560,7 @@ func (c *Cache) service(now int64, r *memreq.Request) {
 		c.stamp++
 		c.lines[base+hitWay].stamp = c.stamp
 		c.recordLatency(now, r)
-		r.Complete(now, c.serviceLevel())
+		c.pool.Complete(r, now, c.serviceLevel())
 		return
 	}
 
@@ -581,7 +585,7 @@ func (c *Cache) service(now int64, r *memreq.Request) {
 	fill.AppID, fill.CoreID, fill.WarpID = r.AppID, r.CoreID, r.WarpID
 	fill.Kind, fill.Class, fill.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 	fill.Addr, fill.Issue = lineAddr<<c.lineShift, r.Issue
-	fill.Ret = c
+	fill.Ret = c.route
 	if !c.backend.Submit(now, fill) {
 		c.retry = append(c.retry, fill)
 	}
@@ -595,7 +599,7 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 			c.stamp++
 			ln.stamp = c.stamp
 			ln.dirty = true
-			r.Complete(now, c.serviceLevel())
+			c.pool.Complete(r, now, c.serviceLevel())
 			return
 		}
 		c.recordMiss(r)
@@ -612,7 +616,7 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 		if !c.backend.Submit(now, fill) {
 			c.retry = append(c.retry, fill)
 		}
-		r.Complete(now, c.serviceLevel())
+		c.pool.Complete(r, now, c.serviceLevel())
 		return
 	}
 	// Write-through no-allocate: update on hit, always forward, retire now.
@@ -626,11 +630,11 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 	if c.cfg.WriteCombineWindow > 0 {
 		lineAddr := r.Addr >> c.lineShift
 		if _, ok := c.combineCur[lineAddr]; ok {
-			r.Complete(now, c.serviceLevel())
+			c.pool.Complete(r, now, c.serviceLevel())
 			return
 		}
 		if _, ok := c.combinePrev[lineAddr]; ok {
-			r.Complete(now, c.serviceLevel())
+			c.pool.Complete(r, now, c.serviceLevel())
 			return
 		}
 		if c.combineCur == nil {
@@ -646,7 +650,7 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 	if !c.backend.Submit(now, fwd) {
 		c.retry = append(c.retry, fwd)
 	}
-	r.Complete(now, c.serviceLevel())
+	c.pool.Complete(r, now, c.serviceLevel())
 }
 
 // RequestDone implements memreq.Sink for the cache's own line fetches,
@@ -668,7 +672,7 @@ func (c *Cache) RequestDone(now int64, fr *memreq.Request) {
 		if !m.bypass {
 			c.recordLatency(now, w)
 		}
-		w.Complete(now, fr.Served)
+		c.pool.Complete(w, now, fr.Served)
 	}
 	clear(m.waiting)
 	m.waiting = m.waiting[:0]

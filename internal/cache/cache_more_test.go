@@ -12,7 +12,7 @@ func TestMSHRCapRequeues(t *testing.T) {
 	c := New(Config{
 		Name: "m", SizeBytes: 1024, Ways: 2, LineSize: 64,
 		Banks: 1, PortsPerBank: 8, Latency: 1, MSHRs: 1,
-	}, be, new(memreq.Pool))
+	}, be, &be.pool)
 	d1 := read(c, 0, 0x1000)
 	d2 := read(c, 0, 0x2000) // distinct line: exceeds the single MSHR
 	drive(c, 0, 3)
@@ -32,7 +32,7 @@ func TestMultiBankParallelService(t *testing.T) {
 	c := New(Config{
 		Name: "b", SizeBytes: 4096, Ways: 2, LineSize: 64,
 		Banks: 4, PortsPerBank: 1, Latency: 1,
-	}, be, new(memreq.Pool))
+	}, be, &be.pool)
 	// Four reads on four different banks are all serviced in one tick.
 	for i := uint64(0); i < 4; i++ {
 		read(c, 0, i*64)
@@ -48,7 +48,7 @@ func TestPortLimitSerializes(t *testing.T) {
 	c := New(Config{
 		Name: "p", SizeBytes: 4096, Ways: 2, LineSize: 64,
 		Banks: 1, PortsPerBank: 1, Latency: 1,
-	}, be, new(memreq.Pool))
+	}, be, &be.pool)
 	read(c, 0, 0)
 	read(c, 0, 4096/2) // same bank (1 bank), distinct set
 	drive(c, 0, 1)
@@ -66,7 +66,7 @@ func TestLatencyRespected(t *testing.T) {
 	c := New(Config{
 		Name: "lat", SizeBytes: 1024, Ways: 2, LineSize: 64,
 		Banks: 1, PortsPerBank: 1, Latency: 10,
-	}, be, new(memreq.Pool))
+	}, be, &be.pool)
 	read(c, 0, 0x100)
 	drive(c, 0, 9)
 	if len(be.reqs) != 0 {
@@ -90,15 +90,13 @@ func TestCacheAccountingProperty(t *testing.T) {
 		c := New(Config{
 			Name: "prop", SizeBytes: 2048, Ways: 4, LineSize: 64,
 			Banks: 2, PortsPerBank: 2, Latency: 1,
-		}, be, new(memreq.Pool))
+		}, be, &be.pool)
 		completed := 0
 		now := int64(0)
 		for _, seed := range addrSeeds {
 			addr := uint64(seed%512) << 6
-			r := &memreq.Request{
-				Kind: memreq.Read, Addr: addr, Issue: now,
-				Ret: memreq.SinkFunc(func(int64, *memreq.Request) { completed++ }),
-			}
+			r := newReq(c, memreq.Request{Kind: memreq.Read, Addr: addr, Issue: now},
+				func(int64, *memreq.Request) { completed++ })
 			if !c.Submit(now, r) {
 				return false
 			}
@@ -146,8 +144,8 @@ func TestInvalidGeometryPanics(t *testing.T) {
 func TestAvgLatencyTracksClasses(t *testing.T) {
 	be := &fakeBackend{}
 	c := smallCache(be, false)
-	r := &memreq.Request{Kind: memreq.Read, Class: memreq.Translation, WalkLevel: 2,
-		Addr: 0x100, Issue: 0, Ret: memreq.SinkFunc(func(int64, *memreq.Request) {})}
+	r := newReq(c, memreq.Request{Kind: memreq.Read, Class: memreq.Translation, WalkLevel: 2, Addr: 0x100},
+		func(int64, *memreq.Request) {})
 	c.Submit(0, r)
 	drive(c, 0, 2)
 	be.completeAll(40)

@@ -6,10 +6,12 @@ import (
 	"masksim/internal/memreq"
 )
 
-// fakeBackend records submitted requests and completes reads on demand.
+// fakeBackend records submitted requests and completes reads on demand,
+// through the pool of the cache it backs.
 type fakeBackend struct {
 	reqs   []*memreq.Request
 	reject bool
+	pool   memreq.Pool
 }
 
 func (f *fakeBackend) Submit(now int64, r *memreq.Request) bool {
@@ -26,7 +28,7 @@ func (f *fakeBackend) completeAll(now int64) {
 	f.reqs = nil
 	for _, r := range reqs {
 		if r.Kind == memreq.Read {
-			r.Complete(now, memreq.ServedDRAM)
+			f.pool.Complete(r, now, memreq.ServedDRAM)
 		}
 	}
 }
@@ -41,20 +43,29 @@ func (f *fakeBackend) countKind(k memreq.Kind) int {
 	return n
 }
 
-func smallCache(backend Backend, writeBack bool) *Cache {
+func smallCache(be *fakeBackend, writeBack bool) *Cache {
 	return New(Config{
 		Name: "test", SizeBytes: 1024, Ways: 2, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, WriteBack: writeBack,
-	}, backend, new(memreq.Pool))
+	}, be, &be.pool)
+}
+
+// newReq takes a request from c's pool with r's fields and, if done is not
+// nil, a route to done.
+func newReq(c *Cache, r memreq.Request, done func(int64, *memreq.Request)) *memreq.Request {
+	if done != nil {
+		r.Ret = c.pool.Register(memreq.SinkFunc(done))
+	}
+	p := c.pool.Get()
+	*p = r
+	return p
 }
 
 // read submits a read and returns a pointer to its completion flag.
 func read(c *Cache, now int64, addr uint64) *bool {
 	done := new(bool)
-	r := &memreq.Request{
-		Kind: memreq.Read, Addr: addr, Issue: now,
-		Ret: memreq.SinkFunc(func(int64, *memreq.Request) { *done = true }),
-	}
+	r := newReq(c, memreq.Request{Kind: memreq.Read, Addr: addr, Issue: now},
+		func(int64, *memreq.Request) { *done = true })
 	if !c.Submit(now, r) {
 		panic("submit rejected")
 	}
@@ -154,7 +165,7 @@ func TestLRUReplacement(t *testing.T) {
 func TestWriteThroughForwards(t *testing.T) {
 	be := &fakeBackend{}
 	c := smallCache(be, false)
-	w := &memreq.Request{Kind: memreq.Write, Addr: 0x5000}
+	w := newReq(c, memreq.Request{Kind: memreq.Write, Addr: 0x5000}, nil)
 	c.Submit(0, w)
 	drive(c, 0, 2)
 	if be.countKind(memreq.Write) != 1 {
@@ -170,16 +181,16 @@ func TestWriteCombining(t *testing.T) {
 	c := New(Config{
 		Name: "wc", SizeBytes: 1024, Ways: 2, LineSize: 64,
 		Banks: 1, PortsPerBank: 8, Latency: 1, WriteCombineWindow: 100,
-	}, be, new(memreq.Pool))
+	}, be, &be.pool)
 	for i := 0; i < 10; i++ {
-		c.Submit(int64(i), &memreq.Request{Kind: memreq.Write, Addr: 0x5000})
+		c.Submit(int64(i), newReq(c, memreq.Request{Kind: memreq.Write, Addr: 0x5000}, nil))
 	}
 	drive(c, 0, 12)
 	if got := be.countKind(memreq.Write); got != 1 {
 		t.Fatalf("combining forwarded %d writes, want 1", got)
 	}
 	// After the window expires the next store forwards again.
-	c.Submit(300, &memreq.Request{Kind: memreq.Write, Addr: 0x5000})
+	c.Submit(300, newReq(c, memreq.Request{Kind: memreq.Write, Addr: 0x5000}, nil))
 	drive(c, 300, 302)
 	if got := be.countKind(memreq.Write); got != 2 {
 		t.Fatalf("expired window forwarded %d writes total, want 2", got)
@@ -190,7 +201,7 @@ func TestWriteBackDirtyEviction(t *testing.T) {
 	be := &fakeBackend{}
 	c := smallCache(be, true)
 	// Write misses allocate and dirty the line.
-	c.Submit(0, &memreq.Request{Kind: memreq.Write, Addr: 0x0000})
+	c.Submit(0, newReq(c, memreq.Request{Kind: memreq.Write, Addr: 0x0000}, nil))
 	drive(c, 0, 2)
 	be.reqs = nil // drop the allocate fetch
 	// Evict it by filling two more lines in the same set.
@@ -229,10 +240,10 @@ func TestQueueCapacityBackpressure(t *testing.T) {
 	c := New(Config{
 		Name: "q", SizeBytes: 1024, Ways: 2, LineSize: 64,
 		Banks: 1, PortsPerBank: 1, Latency: 1, QueueCap: 2,
-	}, be, new(memreq.Pool))
-	a := c.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: 0})
-	b := c.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: 64})
-	full := c.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: 128})
+	}, be, &be.pool)
+	a := c.Submit(0, newReq(c, memreq.Request{Kind: memreq.Read, Addr: 0}, nil))
+	b := c.Submit(0, newReq(c, memreq.Request{Kind: memreq.Read, Addr: 64}, nil))
+	full := c.Submit(0, newReq(c, memreq.Request{Kind: memreq.Read, Addr: 128}, nil))
 	if !a || !b || full {
 		t.Fatalf("capacity behaviour wrong: %v %v %v", a, b, full)
 	}
@@ -243,10 +254,8 @@ func TestBypassSkipsProbeAndFill(t *testing.T) {
 	c := smallCache(be, false)
 	c.SetBypass(func(r *memreq.Request) bool { return r.Class == memreq.Translation })
 	done := new(bool)
-	r := &memreq.Request{
-		Kind: memreq.Read, Class: memreq.Translation, WalkLevel: 4, Addr: 0x8000,
-		Ret: memreq.SinkFunc(func(int64, *memreq.Request) { *done = true }),
-	}
+	r := newReq(c, memreq.Request{Kind: memreq.Read, Class: memreq.Translation, WalkLevel: 4, Addr: 0x8000},
+		func(int64, *memreq.Request) { *done = true })
 	c.Submit(0, r)
 	if len(be.reqs) != 1 {
 		t.Fatal("bypass did not forward immediately")
@@ -269,10 +278,8 @@ func TestBypassMSHRCoalesces(t *testing.T) {
 	c.SetBypass(func(r *memreq.Request) bool { return true })
 	var done1, done2 bool
 	mk := func(flag *bool) *memreq.Request {
-		return &memreq.Request{
-			Kind: memreq.Read, Class: memreq.Translation, WalkLevel: 4, Addr: 0x9000,
-			Ret: memreq.SinkFunc(func(int64, *memreq.Request) { *flag = true }),
-		}
+		return newReq(c, memreq.Request{Kind: memreq.Read, Class: memreq.Translation, WalkLevel: 4, Addr: 0x9000},
+			func(int64, *memreq.Request) { *flag = true })
 	}
 	c.Submit(0, mk(&done1))
 	c.Submit(0, mk(&done2))
@@ -290,13 +297,13 @@ func TestWayPartitioning(t *testing.T) {
 	c := New(Config{
 		Name: "part", SizeBytes: 1024, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1,
-	}, be, new(memreq.Pool))
+	}, be, &be.pool)
 	c.SetWayPartition([]uint64{0b0011, 0b1100}) // app0 ways 0-1, app1 ways 2-3
 	// App 0 fills three same-set lines; only two ways available, so one
 	// evicts — but app 1's line in the same set must survive.
 	// 1024/64/4 ways = 4 sets; same-set stride = 4*64 = 256.
 	fill := func(app int, addr uint64, at int64) {
-		r := &memreq.Request{Kind: memreq.Read, Addr: addr, AppID: app}
+		r := newReq(c, memreq.Request{Kind: memreq.Read, Addr: addr, AppID: app}, nil)
 		c.Submit(at, r)
 		drive(c, at, at+2)
 		be.completeAll(at + 3)

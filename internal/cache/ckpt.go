@@ -19,14 +19,14 @@ type LineState struct {
 // BankItemState is one queued bank-queue entry (FIFO order preserved).
 type BankItemState struct {
 	ReadyAt int64
-	Req     memreq.RequestState
+	Req     memreq.Request
 }
 
 // MSHRState is one outstanding line fetch with its merged waiters in arrival
 // order.
 type MSHRState struct {
 	LineAddr uint64
-	Waiting  []memreq.RequestState
+	Waiting  []memreq.Request
 }
 
 // CacheState is a cache's checkpoint image.
@@ -36,7 +36,7 @@ type CacheState struct {
 	Queues        [][]BankItemState
 	Mshrs         []MSHRState
 	BypassMshrs   []MSHRState
-	Retry         []memreq.RequestState
+	Retry         []memreq.Request
 	CombineCur    []uint64
 	CombinePrev   []uint64
 	CombineSwapAt int64
@@ -48,12 +48,11 @@ type CacheState struct {
 	LatCount      [2]uint64
 }
 
-// SnapshotState captures the cache's checkpoint image; w names its requests'
-// sinks.
-func (c *Cache) SnapshotState(w *memreq.Wiring) CacheState {
+// SnapshotState captures the cache's checkpoint image.
+func (c *Cache) SnapshotState() CacheState {
 	st := CacheState{
 		Stamp:         c.stamp,
-		Retry:         w.Images(nil, c.retry),
+		Retry:         memreq.Images(nil, c.retry),
 		CombineSwapAt: c.combineSwapAt,
 		LevelStats:    c.levelStats,
 		EpochStats:    c.epochStats,
@@ -72,13 +71,13 @@ func (c *Cache) SnapshotState(w *memreq.Wiring) CacheState {
 		q := &c.queues[b]
 		for i := 0; i < q.n; i++ {
 			it := &q.items[(q.head+i)%len(q.items)]
-			st.Queues[b] = append(st.Queues[b], BankItemState{ReadyAt: it.readyAt, Req: w.Image(it.req)})
+			st.Queues[b] = append(st.Queues[b], BankItemState{ReadyAt: it.readyAt, Req: *it.req})
 		}
 	}
 	snapMSHRs := func(set map[uint64]*mshr) []MSHRState {
 		var out []MSHRState
 		for _, la := range memreq.SortedKeys(set, cmp.Compare[uint64]) {
-			out = append(out, MSHRState{LineAddr: la, Waiting: w.Images(nil, set[la].waiting)})
+			out = append(out, MSHRState{LineAddr: la, Waiting: memreq.Images(nil, set[la].waiting)})
 		}
 		return out
 	}
@@ -169,7 +168,7 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 			c.combinePrev[la] = struct{}{}
 		}
 	}
-	for _, fr := range w.Returning(c) {
+	for _, fr := range w.Returning(c.route) {
 		set := c.mshrs
 		if fr.Tag == tagBypass {
 			set = c.bypassMSHRs

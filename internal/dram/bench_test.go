@@ -30,7 +30,7 @@ func BenchmarkFRFCFSPickDeepQueue(b *testing.B) {
 func BenchmarkDRAMTick(b *testing.B) {
 	d := newFRFCFSDRAM()
 	for i := 0; i < 32; i++ {
-		d.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: uint64(i) << 12})
+		d.Submit(0, newReq(d, memreq.Request{Kind: memreq.Read, Addr: uint64(i) << 12}, nil))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

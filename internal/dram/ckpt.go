@@ -9,7 +9,7 @@ import (
 // QueuedState is the serializable image of one Queued wrapper (queued or in
 // flight). Its bank and row are the request address's (DRAM.Map).
 type QueuedState struct {
-	Req     memreq.RequestState
+	Req     memreq.Request
 	Arrival int64
 	Finish  int64
 }
@@ -41,11 +41,10 @@ type DRAMState struct {
 	PerAppBus []uint64
 }
 
-// SnapshotState captures the memory subsystem's checkpoint image; w names
-// its requests' sinks.
-func (d *DRAM) SnapshotState(w *memreq.Wiring) DRAMState {
+// SnapshotState captures the memory subsystem's checkpoint image.
+func (d *DRAM) SnapshotState() DRAMState {
 	enc := func(q *Queued) QueuedState {
-		return QueuedState{Req: w.Image(q.Req), Arrival: q.Arrival, Finish: q.finish}
+		return QueuedState{Req: *q.Req, Arrival: q.Arrival, Finish: q.finish}
 	}
 	st := DRAMState{
 		Class:     d.Class,

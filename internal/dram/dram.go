@@ -139,19 +139,23 @@ type DRAM struct {
 	// sink). Used to prove the watchdog catches hung memory dependents.
 	drop func(now int64) bool
 
+	// pool completes the requests DRAM serves: the simulator's one pool.
+	pool *memreq.Pool
+
 	// qFree recycles Queued wrappers: Submit takes one, and it returns when
 	// the scheduler refuses it or its transfer completes. A scheduler never
 	// retains a Queued after pick, so recycling at completion is safe.
 	qFree slab.List[Queued]
 }
 
-// New builds the DRAM model; every channel schedules by sc.
-func New(cfg Config, sc SchedConfig) *DRAM { return Renew(nil, cfg, sc) }
+// New builds the DRAM model, which completes its requests through pool;
+// every channel schedules by sc.
+func New(cfg Config, sc SchedConfig, pool *memreq.Pool) *DRAM { return Renew(nil, cfg, sc, pool) }
 
 // Renew is New built in place over a donor: d is retired and comes back as
 // New would return it, over the donor's buffers where they fit
 // (docs/MODEL.md §11). A nil donor allocates everything.
-func Renew(d *DRAM, cfg Config, sc SchedConfig) *DRAM {
+func Renew(d *DRAM, cfg Config, sc SchedConfig, pool *memreq.Pool) *DRAM {
 	shift := uint(0)
 	for 1<<shift < cfg.LineSize {
 		shift++
@@ -160,7 +164,7 @@ func Renew(d *DRAM, cfg Config, sc SchedConfig) *DRAM {
 		d = new(DRAM)
 	}
 	d.Retire()
-	d.cfg, d.lineShift = cfg, shift
+	d.cfg, d.lineShift, d.pool = cfg, shift, pool
 	d.channels = slab.Donors(d.channels, cfg.Channels)
 	for i := range d.channels {
 		ch := &d.channels[i]
@@ -177,9 +181,9 @@ func Renew(d *DRAM, cfg Config, sc SchedConfig) *DRAM {
 // Retire empties d in place: what is left is the zero DRAM but for the
 // capacity of its channels' bank arrays, scheduler queues and in-flight
 // lists, its per-app counters and its queue wrappers, with nothing in them.
-// No request, no hook, no pressure callback (cache.Cache.Retire has the why):
-// a queue left as it was would pin the wrappers a Rewind let go, and through
-// them the requests they held.
+// No request, no pool, no hook, no pressure callback (cache.Cache.Retire has
+// the why): a queue left as it was would pin the wrappers a Rewind let go,
+// and through them the requests they held.
 func (d *DRAM) Retire() {
 	old := *d
 	old.qFree.Rewind(nil) // the wrappers are what holds the queued requests
@@ -359,7 +363,7 @@ func (d *DRAM) complete(now int64, q *Queued) {
 	if d.drop != nil && d.drop(now) {
 		return // the Request is stranded by design (fault injection)
 	}
-	req.Complete(now, memreq.ServedDRAM)
+	d.pool.Complete(req, now, memreq.ServedDRAM)
 }
 
 // BandwidthUtil returns the fraction of the channel-cycles 1 … now−1 during

@@ -18,7 +18,18 @@ func testConfig() Config {
 
 func newFRFCFSDRAM() *DRAM {
 	cfg := testConfig()
-	return New(cfg, SchedConfig{})
+	return New(cfg, SchedConfig{}, new(memreq.Pool))
+}
+
+// newReq takes a request from d's pool with r's fields and, if done is not
+// nil, a route to done.
+func newReq(d *DRAM, r memreq.Request, done func(int64, *memreq.Request)) *memreq.Request {
+	if done != nil {
+		r.Ret = d.pool.Register(memreq.SinkFunc(done))
+	}
+	p := d.pool.Get()
+	*p = r
+	return p
 }
 
 func drive(d *DRAM, from, to int64) {
@@ -72,8 +83,7 @@ func TestSameFrameSameRow(t *testing.T) {
 func TestReadCompletes(t *testing.T) {
 	d := newFRFCFSDRAM()
 	done := false
-	r := &memreq.Request{Kind: memreq.Read, Addr: 0x1000, Issue: 0,
-		Ret: memreq.SinkFunc(func(int64, *memreq.Request) { done = true })}
+	r := newReq(d, memreq.Request{Kind: memreq.Read, Addr: 0x1000}, func(int64, *memreq.Request) { done = true })
 	if !d.Submit(0, r) {
 		t.Fatal("submit rejected")
 	}
@@ -93,11 +103,9 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	latency := func(a1, a2 uint64) int64 {
 		d := newFRFCFSDRAM()
 		var t1, t2 int64
-		d.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: a1,
-			Ret: memreq.SinkFunc(func(now int64, _ *memreq.Request) { t1 = now })})
+		d.Submit(0, newReq(d, memreq.Request{Kind: memreq.Read, Addr: a1}, func(now int64, _ *memreq.Request) { t1 = now }))
 		drive(d, 0, 300)
-		d.Submit(301, &memreq.Request{Kind: memreq.Read, Addr: a2,
-			Ret: memreq.SinkFunc(func(now int64, _ *memreq.Request) { t2 = now })})
+		d.Submit(301, newReq(d, memreq.Request{Kind: memreq.Read, Addr: a2}, func(now int64, _ *memreq.Request) { t2 = now }))
 		drive(d, 301, 700)
 		_ = t1
 		return t2 - 301
@@ -116,13 +124,11 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 func TestClosedRowPolicy(t *testing.T) {
 	cfg := testConfig()
 	cfg.ClosedRowPolicy = true
-	d := New(cfg, SchedConfig{})
+	d := New(cfg, SchedConfig{}, new(memreq.Pool))
 	var t1, t2 int64
-	d.Submit(0, &memreq.Request{Kind: memreq.Read, Addr: 0x0000,
-		Ret: memreq.SinkFunc(func(now int64, _ *memreq.Request) { t1 = now })})
+	d.Submit(0, newReq(d, memreq.Request{Kind: memreq.Read, Addr: 0x0000}, func(now int64, _ *memreq.Request) { t1 = now }))
 	drive(d, 0, 300)
-	d.Submit(301, &memreq.Request{Kind: memreq.Read, Addr: 0x0040,
-		Ret: memreq.SinkFunc(func(now int64, _ *memreq.Request) { t2 = now })})
+	d.Submit(301, newReq(d, memreq.Request{Kind: memreq.Read, Addr: 0x0040}, func(now int64, _ *memreq.Request) { t2 = now }))
 	drive(d, 301, 700)
 	_ = t1
 	// Under the closed-row policy the second access cannot be a row hit.
@@ -288,8 +294,8 @@ func TestBandwidthCounters(t *testing.T) {
 		if i%2 == 0 {
 			cls = memreq.Translation
 		}
-		d.Submit(int64(i), &memreq.Request{Kind: memreq.Read, Class: cls,
-			Addr: uint64(i) << 12, AppID: i % 2})
+		d.Submit(int64(i), newReq(d, memreq.Request{Kind: memreq.Read, Class: cls,
+			Addr: uint64(i) << 12, AppID: i % 2}, nil))
 	}
 	drive(d, 0, 500)
 	if d.Class[memreq.Data].BusCycles == 0 || d.Class[memreq.Translation].BusCycles == 0 {
@@ -313,10 +319,7 @@ func TestAllReadsCompleteProperty(t *testing.T) {
 		d := newFRFCFSDRAM()
 		completed := 0
 		for i, a := range addrs {
-			ok := d.Submit(int64(i), &memreq.Request{
-				Kind: memreq.Read, Addr: uint64(a) << 8,
-				Ret: memreq.SinkFunc(func(int64, *memreq.Request) { completed++ }),
-			})
+			ok := d.Submit(int64(i), newReq(d, memreq.Request{Kind: memreq.Read, Addr: uint64(a) << 8}, func(int64, *memreq.Request) { completed++ }))
 			if !ok {
 				return false
 			}
@@ -338,15 +341,12 @@ func TestCompletionWatermarkExact(t *testing.T) {
 	for _, busCycles := range []int64{0, 2} {
 		cfg := testConfig()
 		cfg.BusCycles = busCycles
-		d := New(cfg, SchedConfig{})
+		d := New(cfg, SchedConfig{}, new(memreq.Pool))
 		src := rng.New(7)
 		submitted, completed := 0, 0
 		for now := int64(0); now < 8000; now++ {
 			if now < 3000 && src.Uint64()%3 == 0 {
-				if d.Submit(now, &memreq.Request{
-					Kind: memreq.Read, Addr: (src.Uint64() % 4096) << 8,
-					Ret: memreq.SinkFunc(func(int64, *memreq.Request) { completed++ }),
-				}) {
+				if d.Submit(now, newReq(d, memreq.Request{Kind: memreq.Read, Addr: (src.Uint64() % 4096) << 8}, func(int64, *memreq.Request) { completed++ })) {
 					submitted++
 				}
 			}

@@ -9,17 +9,17 @@ import (
 func TestQueueSnapshotBreakdown(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Channels = 2
-	d := New(cfg, SchedConfig{Policy: MASK, Apps: 2})
+	d := New(cfg, SchedConfig{Policy: MASK, Apps: 2}, new(memreq.Pool))
 
 	// Addresses on channel 0: frame numbers divisible by cfg.Channels.
 	addr := func(frame uint64) uint64 { return frame << frameShift }
 	for i := uint64(0); i < 5; i++ {
-		if !d.Submit(0, &memreq.Request{Kind: memreq.Read, Class: memreq.Data, AppID: 1, Addr: addr(2 * i)}) {
+		if !d.Submit(0, newReq(d, memreq.Request{Kind: memreq.Read, Class: memreq.Data, AppID: 1, Addr: addr(2 * i)}, nil)) {
 			t.Fatal("data submit refused")
 		}
 	}
 	for i := uint64(0); i < 3; i++ {
-		if !d.Submit(0, &memreq.Request{Kind: memreq.Read, Class: memreq.Translation, AppID: 0, Addr: addr(2 * i)}) {
+		if !d.Submit(0, newReq(d, memreq.Request{Kind: memreq.Read, Class: memreq.Translation, AppID: 0, Addr: addr(2 * i)}, nil)) {
 			t.Fatal("translation submit refused")
 		}
 	}
@@ -58,9 +58,9 @@ func TestQueueSnapshotPlainSchedulers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Channels = 1
 	cfg.QueueCap = 0
-	d := New(cfg, SchedConfig{})
-	d.Submit(0, &memreq.Request{Kind: memreq.Read, Class: memreq.Translation, Addr: 0})
-	d.Submit(0, &memreq.Request{Kind: memreq.Read, Class: memreq.Data, Addr: 64})
+	d := New(cfg, SchedConfig{}, new(memreq.Pool))
+	d.Submit(0, newReq(d, memreq.Request{Kind: memreq.Read, Class: memreq.Translation, Addr: 0}, nil))
+	d.Submit(0, newReq(d, memreq.Request{Kind: memreq.Read, Class: memreq.Data, Addr: 64}, nil))
 	snap := d.QueueSnapshot(nil)
 	if snap[0].Golden != 0 || snap[0].Normal != 2 {
 		t.Fatalf("FR-FCFS breakdown = %+v, want everything in Normal", snap[0])

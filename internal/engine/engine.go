@@ -114,11 +114,6 @@ func (e *Engine) Register(t Ticker) {
 	}
 }
 
-// Tickers returns the registered components in tick order; a component's
-// index is its registration index, the key checkpoints name a request sink
-// by.
-func (e *Engine) Tickers() []Ticker { return e.tickers }
-
 // SetFastForward enables or disables next-event fast-forwarding. Even when
 // enabled, the engine only skips if every registered ticker implements
 // EventSource; results are bit-identical either way.

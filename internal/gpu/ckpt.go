@@ -28,16 +28,15 @@ type CoreState struct {
 	Current int
 	Stats   Stats
 	Warps   []WarpState
-	Retry   []memreq.RequestState
+	Retry   []memreq.Request
 }
 
-// SnapshotState captures the core's checkpoint image; wi names the retry
-// list's sinks.
-func (c *Core) SnapshotState(wi *memreq.Wiring) CoreState {
+// SnapshotState captures the core's checkpoint image.
+func (c *Core) SnapshotState() CoreState {
 	st := CoreState{
 		Current: c.current,
 		Stats:   c.Stats,
-		Retry:   wi.Images(nil, c.retry),
+		Retry:   memreq.Images(nil, c.retry),
 	}
 	st.Warps = make([]WarpState, len(c.warps))
 	for i := range c.warps {
@@ -105,7 +104,7 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 	if c.retry, err = wi.Requests(c.retry[:0], st.Retry); err != nil {
 		return fmt.Errorf("gpu: core %d retry list: %w", c.id, err)
 	}
-	for _, r := range wi.Returning(c) {
+	for _, r := range wi.Returning(c.route) {
 		if r.WarpID < 0 || r.WarpID >= len(c.warps) {
 			return fmt.Errorf("gpu: checkpoint request (addr %#x) returns to warp %d of %d", r.Addr, r.WarpID, len(c.warps))
 		}

@@ -115,8 +115,10 @@ type Core struct {
 	translate TranslateFn
 	l1d       *cache.Cache
 
-	// pool recycles data-access requests: the simulator's one pool.
-	pool *memreq.Pool
+	// pool recycles data-access requests: the simulator's one pool. route
+	// is the core's entry in its sink table, which data reads return on.
+	pool  *memreq.Pool
+	route memreq.Route
 
 	retry []*memreq.Request
 
@@ -153,6 +155,7 @@ func Renew(c *Core, id, appID int, cfg Config, space *pagetable.Space, streams [
 	c.Retire()
 	c.id, c.appID, c.cfg, c.space = id, appID, cfg, space
 	c.translate, c.l1d, c.pool = translate, l1d, pool
+	c.route = pool.Register(c)
 	c.warps = slab.Slice(c.warps, cfg.WarpsPerCore)
 	for i := range c.warps {
 		c.warps[i] = warp{id: i, stream: streams[i]}
@@ -392,7 +395,7 @@ func (c *Core) Translated(now int64, warpID, slot int) {
 		} else {
 			req.Kind = memreq.Read
 			w.outstandingData++
-			req.Ret = c
+			req.Ret = c.route
 		}
 		if !c.l1d.Submit(now, req) {
 			c.retry = append(c.retry, req)

@@ -12,10 +12,11 @@ import (
 )
 
 // sink is a backend that completes everything after a fixed delay, driven
-// by tick().
+// by tick(), through the pool of the cache it backs.
 type sink struct {
 	delay   int64
 	pending []pendingReq
+	pool    memreq.Pool
 }
 
 type pendingReq struct {
@@ -32,7 +33,7 @@ func (s *sink) tick(now int64) {
 	nkeep := 0
 	for _, p := range s.pending {
 		if p.at <= now {
-			p.r.Complete(now, memreq.ServedDRAM)
+			s.pool.Complete(p.r, now, memreq.ServedDRAM)
 		} else {
 			s.pending[nkeep] = p
 			nkeep++
@@ -62,7 +63,7 @@ func mappedSpace(p workload.Profile, warps int) *pagetable.Space {
 
 func newTestCore(warps int, translate TranslateFn) (*Core, *sink, *cache.Cache) {
 	be := &sink{delay: 5}
-	pool := new(memreq.Pool)
+	pool := &be.pool
 	l1d := cache.New(cache.Config{
 		Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 64,
@@ -239,7 +240,7 @@ func TestWritesDoNotBlockWarp(t *testing.T) {
 	p := testProfile()
 	p.WriteFrac = 1
 	be := &sink{delay: 1000} // writes would block forever if they counted
-	pool := new(memreq.Pool)
+	pool := &be.pool
 	l1d := cache.New(cache.Config{
 		Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 256,
@@ -266,7 +267,7 @@ func TestSyncStalledWarpSkipped(t *testing.T) {
 	// Block warp 1 forever by never translating for it; warp 0 advances
 	// until the group-sync window stops it.
 	be := &sink{delay: 2}
-	pool := new(memreq.Pool)
+	pool := &be.pool
 	l1d := cache.New(cache.Config{
 		Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 64,
@@ -339,12 +340,15 @@ func TestRestoredCorePicksSameWarps(t *testing.T) {
 		if len(replica.be.pending) != 0 || replica.l1d.NextEvent(snapAt) != engine.NoEvent || len(replica.core.retry) != 0 {
 			t.Fatal("data side still busy at the snapshot cycle")
 		}
-		st := replica.core.SnapshotState(&memreq.Wiring{})
+		st := replica.core.SnapshotState()
 
+		// The restored core takes over the replica's cache, and with it the
+		// pool its reads return through.
 		restored := newSchedWorld(warps, roundRobin)
 		restored.be, restored.l1d = replica.be, replica.l1d
 		restored.core.l1d = replica.l1d
-		if err := restored.core.RestoreState(&memreq.Wiring{}, st); err != nil {
+		restored.core.pool, restored.core.route = &replica.be.pool, replica.be.pool.Register(restored.core)
+		if err := restored.core.RestoreState(&memreq.Wiring{Pool: &replica.be.pool}, st); err != nil {
 			t.Fatal(err)
 		}
 		// The waiting translations are the TLB's state, not the core's: the
@@ -369,12 +373,12 @@ func TestRestoredCorePicksSameWarps(t *testing.T) {
 }
 
 func TestRestoreRejectsCurrentWarpOutOfRange(t *testing.T) {
-	core, _, _ := newTestCore(4, instantTranslate)
-	st := core.SnapshotState(&memreq.Wiring{})
+	core, be, _ := newTestCore(4, instantTranslate)
+	st := core.SnapshotState()
 	for _, current := range []int{-1, 4} {
 		img := st
 		img.Current = current
-		if err := core.RestoreState(&memreq.Wiring{}, img); err == nil || !strings.Contains(err.Error(), "current warp") {
+		if err := core.RestoreState(&memreq.Wiring{Pool: &be.pool}, img); err == nil || !strings.Contains(err.Error(), "current warp") {
 			t.Errorf("Current=%d: error %v, want one naming the current warp", current, err)
 		}
 	}
@@ -389,7 +393,7 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 	for _, rr := range []bool{false, true} {
 		const warps = 64
 		be := &sink{delay: 1 << 40} // nothing returns until the test says so
-		pool := new(memreq.Pool)
+		pool := &be.pool
 		l1d := cache.New(cache.Config{
 			Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 			Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 64,
@@ -427,7 +431,7 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 		returned := 0
 		for _, pr := range be.pending {
 			if pr.r.WarpID == 63 {
-				pr.r.Complete(2000, memreq.ServedDRAM)
+				pool.Complete(pr.r, 2000, memreq.ServedDRAM)
 				returned++
 			}
 		}

@@ -8,46 +8,25 @@ import (
 
 // Checkpoint support. Every live Request has exactly one owner (a retry
 // list, a bank queue, an MSHR's waiters, a DRAM queue), so that owner writes
-// it inline as a RequestState and restores it in place. Every live TransReq
-// has exactly one L1 TLB miss tracker, which writes it, and at most one other
-// holder, which names it by its TransKey.
+// it inline — a Request is its own image — and restores it in place. Every
+// live TransReq has exactly one L1 TLB miss tracker, which writes it, and at
+// most one other holder, which names it by its TransKey.
 
-// Wiring is the fixed layout of one simulator that a checkpoint names things
-// by: request sinks by engine registration index (nil for tickers that are
-// not sinks), and live translations by TransKey. One Wiring serves one
-// Checkpoint or one restore.
+// Wiring is what a restore resolves names against: the pool whose sink table
+// the images' routes number, and live translations by TransKey. One Wiring
+// serves one restore.
 type Wiring struct {
 	// Pool is the simulator's one request pool, which restore takes every
-	// request from (restore only).
-	Pool  *Pool
-	Sinks []Sink
+	// request from.
+	Pool *Pool
 	// Trans resolves a key to the TransReq the restored L1 TLB of its core
-	// tracks, once: every holder asks for the keys it holds (restore only).
+	// tracks, once: every holder asks for the keys it holds.
 	Trans func(TransKey) (*TransReq, error)
 
-	// last is the index of the sink the previous Image looked up: a
-	// container's requests mostly return to one sink.
-	last int
-	// bySink holds the requests restored so far by the sink they return to,
-	// and closed the sinks whose Returning already ran.
+	// bySink holds the requests restored so far by the route they return on,
+	// and closed the routes whose Returning already ran.
 	bySink [][]*Request
 	closed []bool
-}
-
-// RequestState is the checkpoint image of one live, not yet served Request.
-type RequestState struct {
-	AppID     int
-	CoreID    int
-	WarpID    int
-	Kind      Kind
-	Class     Class
-	WalkLevel uint8
-	Addr      uint64
-	Issue     int64
-	// Sink is 1 + the index in Wiring.Sinks of the component the request
-	// returns to, 0 for none; Tag is that component's continuation detail.
-	Sink int32
-	Tag  uint64
 }
 
 // TransKey names a live TransReq by its one miss tracker: the L1 TLB of core
@@ -85,64 +64,43 @@ func SortedKeys[K comparable, V any](m map[K]V, order func(a, b K) int) []K {
 	return keys
 }
 
-// Image returns r's checkpoint image. r must return nowhere or to one of the
-// wiring's sinks.
-func (w *Wiring) Image(r *Request) RequestState {
-	st := RequestState{
-		AppID: r.AppID, CoreID: r.CoreID, WarpID: r.WarpID,
-		Kind: r.Kind, Class: r.Class, WalkLevel: r.WalkLevel,
-		Addr: r.Addr, Issue: r.Issue, Tag: r.Tag,
-	}
-	if r.Ret != nil {
-		if w.last >= len(w.Sinks) || w.Sinks[w.last] != r.Ret {
-			if w.last = slices.Index(w.Sinks, r.Ret); w.last < 0 {
-				panic(fmt.Sprintf("memreq: request (addr %#x, tag %d) returns to a %T that is not a registered sink", r.Addr, r.Tag, r.Ret))
-			}
-		}
-		st.Sink = int32(w.last) + 1
-	}
-	return st
-}
-
 // Images appends the images of rs to dst.
-func (w *Wiring) Images(dst []RequestState, rs []*Request) []RequestState {
+func Images(dst []Request, rs []*Request) []Request {
 	for _, r := range rs {
-		dst = append(dst, w.Image(r))
+		dst = append(dst, *r)
 	}
 	return dst
 }
 
-// Request takes a request from the pool and gives it st's fields, return
-// route included. An image naming a sink the wiring does not have, or a sink
-// whose Returning already ran, is an error.
-func (w *Wiring) Request(st RequestState) (*Request, error) {
-	var sink Sink
-	i := int(st.Sink) - 1
-	if st.Sink != 0 {
-		if i < 0 || i >= len(w.Sinks) || w.Sinks[i] == nil {
-			return nil, fmt.Errorf("memreq: request (addr %#x, tag %d) returns to ticker %d, which is not a sink", st.Addr, st.Tag, i)
+// Request takes a request from the pool and gives it the image's fields. An
+// image of a kind, class or walk level no request has, or whose route names
+// no sink or a sink whose Returning already ran, is an error.
+func (w *Wiring) Request(img Request) (*Request, error) {
+	if img.Kind > Write || img.Class > Translation || img.WalkLevel > MaxWalkLevel {
+		return nil, fmt.Errorf("memreq: request (addr %#x, tag %d) has kind %d, class %d, walk level %d, which no request has", img.Addr, img.Tag, img.Kind, img.Class, img.WalkLevel)
+	}
+	if img.Ret != 0 {
+		if w.Pool.Sink(img.Ret) == nil {
+			return nil, fmt.Errorf("memreq: request (addr %#x, tag %d) returns to sink %d, which is not a sink", img.Addr, img.Tag, img.Ret)
 		}
 		w.routes()
-		if w.closed[i] {
-			return nil, fmt.Errorf("memreq: request (addr %#x, tag %d) returns to ticker %d, which restored before the component holding it", st.Addr, st.Tag, i)
+		if w.closed[img.Ret-1] {
+			return nil, fmt.Errorf("memreq: request (addr %#x, tag %d) returns to sink %d, which restored before the component holding it", img.Addr, img.Tag, img.Ret)
 		}
-		sink = w.Sinks[i]
 	}
 	r := w.Pool.Get()
-	r.AppID, r.CoreID, r.WarpID = st.AppID, st.CoreID, st.WarpID
-	r.Kind, r.Class, r.WalkLevel = st.Kind, st.Class, st.WalkLevel
-	r.Addr, r.Issue = st.Addr, st.Issue
-	r.Ret, r.Tag = sink, st.Tag
-	if sink != nil {
-		w.bySink[i] = append(w.bySink[i], r)
+	img.life = lifeLive
+	*r = img
+	if r.Ret != 0 {
+		w.bySink[r.Ret-1] = append(w.bySink[r.Ret-1], r)
 	}
 	return r, nil
 }
 
-// Requests appends the requests restored from sts to dst.
-func (w *Wiring) Requests(dst []*Request, sts []RequestState) ([]*Request, error) {
-	for _, st := range sts {
-		r, err := w.Request(st)
+// Requests appends the requests restored from imgs to dst.
+func (w *Wiring) Requests(dst []*Request, imgs []Request) ([]*Request, error) {
+	for _, img := range imgs {
+		r, err := w.Request(img)
 		if err != nil {
 			return dst, err
 		}
@@ -151,23 +109,23 @@ func (w *Wiring) Requests(dst []*Request, sts []RequestState) ([]*Request, error
 	return dst, nil
 }
 
-// Returning lists the restored requests that return to s. A sink calls it
-// last in its own restore: the simulator restores every component that can
-// hold a request before the sink it returns to, so the list is complete, and
-// a request restored later that names s is rejected.
-func (w *Wiring) Returning(s Sink) []*Request {
-	i := slices.Index(w.Sinks, s)
-	if i < 0 {
+// Returning lists the restored requests that return on rt. A sink calls it
+// with its own route last in its own restore: the simulator restores every
+// component that can hold a request before the sink it returns to, so the
+// list is complete, and a request restored later on rt is rejected.
+func (w *Wiring) Returning(rt Route) []*Request {
+	if w.Pool.Sink(rt) == nil {
 		return nil
 	}
 	w.routes()
-	w.closed[i] = true
-	return w.bySink[i]
+	w.closed[rt-1] = true
+	return w.bySink[rt-1]
 }
 
 // routes allocates the per-sink restore bookkeeping on first use.
 func (w *Wiring) routes() {
 	if w.bySink == nil {
-		w.bySink, w.closed = make([][]*Request, len(w.Sinks)), make([]bool, len(w.Sinks))
+		n := len(w.Pool.sinks)
+		w.bySink, w.closed = make([][]*Request, n), make([]bool, n)
 	}
 }

@@ -1,11 +1,23 @@
 package memreq
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
+
+// sinkPool returns a pool with fn registered under the returned route.
+func sinkPool(fn func(now int64, r *Request)) (*Pool, Route) {
+	p := new(Pool)
+	return p, p.Register(SinkFunc(fn))
+}
 
 func TestCompleteInvokesDoneOnce(t *testing.T) {
 	calls := 0
-	r := &Request{Ret: SinkFunc(func(now int64, req *Request) { calls++ })}
-	r.Complete(5, ServedL2)
+	p, rt := sinkPool(func(now int64, req *Request) { calls++ })
+	r := p.Get()
+	r.Ret = rt
+	p.Complete(r, 5, ServedL2)
 	if calls != 1 {
 		t.Fatalf("sink called %d times", calls)
 	}
@@ -18,16 +30,20 @@ func TestCompleteKeepsFirstServiceLevel(t *testing.T) {
 	// MSHR completion paths pre-assign Served before calling Complete (the
 	// fill's service level, not the waiting request's); Complete must keep
 	// the pre-assigned level.
-	r := &Request{Served: ServedDRAM}
-	r.Complete(2, ServedL1)
+	var p Pool
+	r := p.Get()
+	r.Served = ServedDRAM
+	p.Complete(r, 2, ServedL1)
 	if r.Served != ServedDRAM {
 		t.Fatalf("Served=%v, want the pre-assigned level (ServedDRAM)", r.Served)
 	}
 }
 
 func TestCompleteNilDone(t *testing.T) {
-	r := &Request{Kind: Write}
-	r.Complete(1, ServedL1) // must not panic
+	var p Pool
+	r := p.Get()
+	r.Kind = Write
+	p.Complete(r, 1, ServedL1) // no route: must not panic
 }
 
 func TestKindString(t *testing.T) {
@@ -47,5 +63,32 @@ func TestTransReqCarriesTokenState(t *testing.T) {
 	tr.StalledWarps++
 	if tr.StalledWarps != 2 || !tr.HasToken {
 		t.Fatal("TransReq bookkeeping broken")
+	}
+}
+
+// TestRequestsArePlainData pins that both request families hold no pointer
+// of any kind, so a live request is its own checkpoint image and the chunks
+// pools carve requests from are memory the collector does not scan — and
+// that they stay small.
+func TestRequestsArePlainData(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		size uintptr
+		max  uintptr
+	}{
+		{reflect.TypeFor[Request](), unsafe.Sizeof(Request{}), 56},
+		{reflect.TypeFor[TransReq](), unsafe.Sizeof(TransReq{}), 48},
+	} {
+		for i := 0; i < c.typ.NumField(); i++ {
+			f := c.typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Slice,
+				reflect.Map, reflect.Func, reflect.Chan, reflect.String, reflect.Array, reflect.Struct:
+				t.Errorf("%v.%s is a %v", c.typ, f.Name, f.Type.Kind())
+			}
+		}
+		if c.size > c.max {
+			t.Errorf("%v is %d bytes, want at most %d", c.typ, c.size, c.max)
+		}
 	}
 }

@@ -2,77 +2,132 @@ package memreq
 
 import "masksim/internal/slab"
 
-// Pool is a deterministic free list of Requests owned by one simulator.
+// Pool is a deterministic free list of Requests owned by one simulator, and
+// the table of the sinks its requests return to.
 //
 // The simulation hot loop creates a Request per memory access and per MSHR
 // fill; without recycling those dominate the allocation profile (~550k
 // objects per 6k-cycle run). A Pool turns that into a handful of warm-up
 // allocations: Get hands out a zeroed request, and Complete returns it to
-// the free list once its sink has run.
+// the free list once its sink has run. A request holds no pointer, so the
+// chunks it is carved from are memory the collector does not scan.
 //
 // Pools are intentionally NOT sync.Pool: the cycle loop is single-threaded
 // per simulator, and a plain slab.List keeps recycling fully deterministic
 // (the GC never steals entries, so object identity sequences — and therefore
 // any accidental dependence on them — are identical run to run). A simulator
-// owns one Pool, which every component that issues requests draws from; two
-// simulators running concurrently never share request memory, which keeps
-// runs race-free (see the sim package's concurrency test).
+// owns one Pool, which every component that issues or completes requests
+// holds; two simulators running concurrently never share request memory,
+// which keeps runs race-free (see the sim package's concurrency test).
 //
 // The zero Pool is ready to use.
 type Pool struct {
 	// free recycles the requests. Its Allocs counts objects created because
 	// the free list was empty and its Gets all handouts.
 	free slab.List[Request]
+	// sinks[i] is the sink of Route i+1.
+	sinks []Sink
+}
+
+// Register adds s to the sink table and returns the route that names it.
+func (p *Pool) Register(s Sink) Route {
+	if len(p.sinks) == MaxRoute {
+		panic("memreq: more sinks than a Route can name")
+	}
+	p.sinks = append(p.sinks, s)
+	return Route(len(p.sinks))
+}
+
+// Sink returns the sink rt names, nil for route 0 or a route no sink was
+// registered under.
+func (p *Pool) Sink(rt Route) Sink {
+	if rt == 0 || int(rt) > len(p.sinks) {
+		return nil
+	}
+	return p.sinks[rt-1]
 }
 
 // Get returns a live, zeroed Request owned by the caller. The request comes
-// back to the pool automatically when its Complete runs.
+// back to the pool when Complete runs on it.
 func (p *Pool) Get() *Request {
 	r, _ := p.free.Get()
-	*r = Request{pool: p}
+	*r = Request{}
 	return r
 }
 
-// put returns a completed request to the free list. Only Request.Complete
-// calls it; the lifecycle state machine there guarantees a request is put at
-// most once per Get.
-func (p *Pool) put(r *Request) {
+// Complete marks r served at svc, delivers it to the sink of its route, and
+// recycles it. The caller must not touch r after Complete returns.
+// Completing a request twice, which is completing one that has already been
+// recycled, panics.
+func (p *Pool) Complete(r *Request, now int64, svc Service) {
+	if r.life == lifeFree {
+		panic("memreq: Complete on a recycled Request (use-after-done)")
+	}
 	r.life = lifeFree
-	r.Ret = nil
+	if r.Served == ServedNone {
+		r.Served = svc
+	}
+	if r.Ret != 0 {
+		p.sinks[r.Ret-1].RequestDone(now, r)
+	}
 	p.free.Put(r)
 }
 
 // Renew returns the pool to its initial state: every request it ever handed
-// out is dead. It keeps what slab.List.Rewind keeps — a few small chunks and
-// a free stack, not the hundreds of kilobytes of requests a busy pool grows
-// to.
-func (p *Pool) Renew() { p.free.Rewind(nil) }
+// out is dead, and no sink is registered. It keeps what slab.List.Rewind
+// keeps — a few small chunks and a free stack, not the hundreds of kilobytes
+// of requests a busy pool grows to.
+func (p *Pool) Renew() {
+	p.free.Rewind(nil)
+	clear(p.sinks)
+	p.sinks = p.sinks[:0]
+}
 
 // Live reports how many requests the pool created and does not hold free:
 // every one some component holds, plus any a fault plan stranded.
 func (p *Pool) Live() int { return int(p.free.Allocs) - p.free.Len() }
 
-// TransPool is the Pool analogue for TransReqs, recycled by
-// TransReq.Complete. The zero TransPool is ready to use.
+// TransPool is the Pool analogue for TransReqs. Its sink table is indexed by
+// core: a translation returns to the L1 TLB of its CoreID. The zero
+// TransPool is ready to use.
 type TransPool struct {
-	free slab.List[TransReq]
+	free  slab.List[TransReq]
+	sinks []TransSink
+}
+
+// Register names s as the sink of core's translations.
+func (p *TransPool) Register(core int, s TransSink) {
+	for len(p.sinks) <= core {
+		p.sinks = append(p.sinks, nil)
+	}
+	p.sinks[core] = s
 }
 
 // Get returns a live, zeroed TransReq owned by the caller.
 func (p *TransPool) Get() *TransReq {
 	tr, _ := p.free.Get()
-	*tr = TransReq{pool: p}
+	*tr = TransReq{}
 	return tr
 }
 
-func (p *TransPool) put(tr *TransReq) {
+// Complete returns tr to the sink of its core and recycles it. Mirrors
+// Pool.Complete: the caller must not touch tr afterwards, and double
+// completion panics.
+func (p *TransPool) Complete(tr *TransReq, now int64) {
+	if tr.life == lifeFree {
+		panic("memreq: Complete on a recycled TransReq (use-after-done)")
+	}
 	tr.life = lifeFree
-	tr.Ret = nil
+	p.sinks[tr.CoreID].TransDone(now, tr)
 	p.free.Put(tr)
 }
 
 // Renew is Pool.Renew for a TransPool.
-func (p *TransPool) Renew() { p.free.Rewind(nil) }
+func (p *TransPool) Renew() {
+	p.free.Rewind(nil)
+	clear(p.sinks)
+	p.sinks = p.sinks[:0]
+}
 
 // Live is Pool.Live for a TransPool.
 func (p *TransPool) Live() int { return int(p.free.Allocs) - p.free.Len() }

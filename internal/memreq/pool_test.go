@@ -17,13 +17,13 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 func TestPoolRecyclesOnComplete(t *testing.T) {
-	var p Pool
+	p, rt := sinkPool(func(int64, *Request) {})
 	r := p.Get()
-	r.Addr = 0x1000
+	r.Addr, r.Ret = 0x1000, rt
 	if p.Live() != 1 {
 		t.Fatalf("%d requests live after Get, want 1", p.Live())
 	}
-	r.Complete(1, ServedL1)
+	p.Complete(r, 1, ServedL1)
 	if p.Live() != 0 {
 		t.Fatalf("%d requests live after Complete, want 0", p.Live())
 	}
@@ -31,7 +31,7 @@ func TestPoolRecyclesOnComplete(t *testing.T) {
 	if r2 != r {
 		t.Fatal("Get did not reuse the recycled request")
 	}
-	if r2.Addr != 0 || r2.Served != ServedNone || r2.Ret != nil {
+	if *r2 != (Request{}) {
 		t.Fatalf("recycled request not zeroed: %+v", r2)
 	}
 	if p.free.Gets != 2 || p.free.Allocs != 1 {
@@ -40,10 +40,10 @@ func TestPoolRecyclesOnComplete(t *testing.T) {
 }
 
 func TestPooledDoneRunsBeforeRecycle(t *testing.T) {
-	var p Pool
-	r := p.Get()
+	var r *Request
 	ran := false
-	r.Ret = SinkFunc(func(now int64, req *Request) {
+	var p *Pool
+	p, rt := sinkPool(func(now int64, req *Request) {
 		ran = true
 		if p.Live() != 1 {
 			t.Error("request recycled before its sink returned")
@@ -52,41 +52,47 @@ func TestPooledDoneRunsBeforeRecycle(t *testing.T) {
 			t.Error("sink received a different request")
 		}
 	})
-	r.Complete(3, ServedDRAM)
+	r = p.Get()
+	r.Ret = rt
+	p.Complete(r, 3, ServedDRAM)
 	if !ran {
 		t.Fatal("sink not invoked")
 	}
 }
 
 func TestDoubleCompletePanics(t *testing.T) {
-	r := &Request{}
-	r.Complete(1, ServedL1)
-	mustPanic(t, "memreq: Request completed twice", func() {
-		r.Complete(2, ServedL2)
+	// A sink completing the request it was handed completes it twice.
+	var p *Pool
+	p, rt := sinkPool(func(now int64, req *Request) { p.Complete(req, now, ServedL2) })
+	r := p.Get()
+	r.Ret = rt
+	mustPanic(t, "memreq: Complete on a recycled Request (use-after-done)", func() {
+		p.Complete(r, 1, ServedL1)
 	})
 }
 
 func TestCompleteAfterRecyclePanics(t *testing.T) {
 	var p Pool
 	r := p.Get()
-	r.Complete(1, ServedL1) // recycled into p
+	p.Complete(r, 1, ServedL1) // recycled into p
 	mustPanic(t, "memreq: Complete on a recycled Request (use-after-done)", func() {
-		r.Complete(2, ServedL2)
+		p.Complete(r, 2, ServedL2)
 	})
 }
 
 func TestTransPoolLifecycle(t *testing.T) {
 	var p TransPool
-	tr := p.Get()
-	tr.VPN = 42
+	var tr *TransReq
 	var gotAt int64
-	tr.Ret = TransSinkFunc(func(now int64, got *TransReq) {
+	p.Register(3, TransSinkFunc(func(now int64, got *TransReq) {
 		if got != tr {
 			t.Error("sink received a different TransReq")
 		}
 		gotAt = now
-	})
-	tr.Complete(7)
+	}))
+	tr = p.Get()
+	tr.CoreID, tr.VPN = 3, 42
+	p.Complete(tr, 7)
 	if gotAt != 7 {
 		t.Fatalf("sink ran at cycle %d, want 7", gotAt)
 	}
@@ -94,18 +100,20 @@ func TestTransPoolLifecycle(t *testing.T) {
 		t.Fatal("TransReq not recycled on Complete")
 	}
 	mustPanic(t, "memreq: Complete on a recycled TransReq (use-after-done)", func() {
-		tr.Complete(8)
+		p.Complete(tr, 8)
 	})
 	tr2 := p.Get()
-	if tr2 != tr || tr2.VPN != 0 || tr2.Ret != nil {
+	if tr2 != tr || *tr2 != (TransReq{}) {
 		t.Fatalf("recycled TransReq not zeroed or not reused: %+v", tr2)
 	}
 }
 
 func TestTransReqDoubleCompletePanics(t *testing.T) {
-	tr := &TransReq{}
-	tr.Complete(1)
-	mustPanic(t, "memreq: TransReq completed twice", func() {
-		tr.Complete(2)
+	var p TransPool
+	p.Register(0, TransSinkFunc(func(int64, *TransReq) {}))
+	tr := p.Get()
+	p.Complete(tr, 1)
+	mustPanic(t, "memreq: Complete on a recycled TransReq (use-after-done)", func() {
+		p.Complete(tr, 2)
 	})
 }

@@ -119,7 +119,7 @@ func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 	if st.LatHist != nil && w.latHist != nil {
 		w.latHist.SetState(*st.LatHist)
 	}
-	for _, r := range wi.Returning(w) {
+	for _, r := range wi.Returning(w.route) {
 		if wk := w.walkBySerial(r.Tag); wk == nil || wk.finished || !wk.waiting {
 			return fmt.Errorf("ptw: checkpoint request (addr %#x) returns to walk %d, which awaits no read", r.Addr, r.Tag)
 		}

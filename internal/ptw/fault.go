@@ -100,10 +100,12 @@ func (f *FaultUnit) Touch(now int64, asid uint8, vpn uint64, h HeldWalk) bool {
 		return true
 	}
 	// Merge into an in-flight or queued fault for the same page.
-	for _, p := range append(f.inflight, f.queue...) {
-		if p.key == key {
-			p.notify = append(p.notify, h)
-			return false
+	for _, ps := range [...][]*pendingFault{f.inflight, f.queue} {
+		for _, p := range ps {
+			if p.key == key {
+				p.notify = append(p.notify, h)
+				return false
+			}
 		}
 	}
 	f.Stats.Faults++

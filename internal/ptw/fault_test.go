@@ -52,6 +52,24 @@ func TestFaultMergesSamePage(t *testing.T) {
 	}
 }
 
+// TestFaultMergeAllocatesNothing pins that a touch merging into a queued
+// fault allocates nothing when the fault's notify list has room: the search
+// walks the in-flight and queued faults where they are.
+func TestFaultMergeAllocatesNothing(t *testing.T) {
+	f, _ := newFaultUnit(100, 1)
+	for vpn := uint64(1); vpn <= 8; vpn++ {
+		f.Touch(0, 1, vpn, HeldWalk{VPN: vpn})
+	}
+	if len(f.inflight) != 1 || len(f.queue) != 7 {
+		t.Fatalf("%d faults in flight and %d queued, want 1 and 7", len(f.inflight), len(f.queue))
+	}
+	last := f.queue[len(f.queue)-1]
+	last.notify = make([]HeldWalk, 1, 256)
+	if n := testing.AllocsPerRun(100, func() { f.Touch(1, 1, 8, HeldWalk{VPN: 8}) }); n != 0 {
+		t.Fatalf("a merging Touch allocates %v times, want 0", n)
+	}
+}
+
 func TestFaultConcurrencyLimit(t *testing.T) {
 	f, log := newFaultUnit(100, 2)
 	for vpn := uint64(0); vpn < 5; vpn++ {

@@ -59,7 +59,7 @@ type walk struct {
 	// origin is the only record of where the walk's result goes: to the
 	// walker's WalkSink (shared-TLB fills, prefetches), or — OriginTrans, an
 	// L1 miss routed straight to the walker under the PWCache design — to tr
-	// (tr.Complete, so the TransReq recycles into its pool).
+	// (TransPool.Complete, so the TransReq recycles into its pool).
 	origin WalkOrigin
 	tr     *memreq.TransReq
 
@@ -110,8 +110,12 @@ type Walker struct {
 	// walkFree recycles finished walk objects.
 	walkFree slab.List[walk]
 	// pool recycles the walker's per-level memory read requests: the
-	// simulator's one pool.
-	pool *memreq.Pool
+	// simulator's one pool. route is the walker's entry in its sink table,
+	// which the reads return on. trans completes OriginTrans walks'
+	// translations.
+	pool  *memreq.Pool
+	route memreq.Route
+	trans *memreq.TransPool
 
 	// perAppActive counts each app's unfinished active walks; a restore
 	// recounts it.
@@ -138,15 +142,16 @@ type Walker struct {
 }
 
 // New builds a walker admitting maxConcurrent walks, reading page tables
-// through backend with requests from pool.
-func New(maxConcurrent int, backend cache.Backend, numApps int, pool *memreq.Pool) *Walker {
-	return Renew(nil, maxConcurrent, backend, numApps, pool)
+// through backend with requests from pool and completing the translations
+// routed straight to it through trans.
+func New(maxConcurrent int, backend cache.Backend, numApps int, pool *memreq.Pool, trans *memreq.TransPool) *Walker {
+	return Renew(nil, maxConcurrent, backend, numApps, pool, trans)
 }
 
 // Renew is New built in place over a donor: w is retired and comes back as
 // New would return it, over the donor's buffers where they fit
 // (docs/MODEL.md §11). A nil donor allocates everything.
-func Renew(w *Walker, maxConcurrent int, backend cache.Backend, numApps int, pool *memreq.Pool) *Walker {
+func Renew(w *Walker, maxConcurrent int, backend cache.Backend, numApps int, pool *memreq.Pool, trans *memreq.TransPool) *Walker {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 64
 	}
@@ -154,7 +159,8 @@ func Renew(w *Walker, maxConcurrent int, backend cache.Backend, numApps int, poo
 		w = new(Walker)
 	}
 	w.Retire()
-	w.max, w.backend, w.pool, w.sampleEvery = maxConcurrent, backend, pool, 128
+	w.max, w.backend, w.pool, w.trans, w.sampleEvery = maxConcurrent, backend, pool, trans, 128
+	w.route = pool.Register(w)
 	w.spaces = slab.Map(w.spaces)
 	w.perAppActive = slab.Slice(w.perAppActive, numApps)
 	return w
@@ -346,15 +352,15 @@ func (w *Walker) issue(now int64, wk *walk) {
 	r.AppID = wk.appID
 	r.Kind, r.Class, r.WalkLevel = memreq.Read, memreq.Translation, uint8(lvl)
 	r.Addr, r.Issue = wk.addrs[lvl-1], now
-	r.Ret, r.Tag = w, wk.serial
+	r.Ret, r.Tag = w.route, wk.serial
 	if w.backend.Submit(now, r) {
 		wk.waiting = true
 		return
 	}
 	// On refusal the walk retries next tick (with a fresh request; this one
 	// goes straight back to the pool).
-	r.Ret = nil
-	r.Complete(now, memreq.ServedNone)
+	r.Ret = 0
+	w.pool.Complete(r, now, memreq.ServedNone)
 }
 
 // walkBySerial finds the active walk numbered serial (nil if none). Only
@@ -397,7 +403,7 @@ func (w *Walker) RequestDone(now int64, r *memreq.Request) {
 func (w *Walker) FaultDone(now int64, h HeldWalk) { w.finishWalk(now, h) }
 
 // finishWalk records completion stats and delivers the result where the
-// walk's origin says (tr.Complete recycles the TransReq into its pool).
+// walk's origin says (TransPool.Complete recycles the TransReq).
 func (w *Walker) finishWalk(now int64, h HeldWalk) {
 	w.Stats.Completed++
 	w.Stats.LatSum += uint64(now - h.Start)
@@ -405,7 +411,7 @@ func (w *Walker) finishWalk(now int64, h HeldWalk) {
 		w.latHist.Observe(float64(now - h.Start))
 	}
 	if h.Origin == OriginTrans {
-		h.Tr.Complete(now)
+		w.trans.Complete(h.Tr, now)
 		return
 	}
 	w.sink.WalkDone(now, h.ASID, h.AppID, h.VPN, h.Origin)

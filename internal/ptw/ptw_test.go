@@ -7,10 +7,12 @@ import (
 	"masksim/internal/pagetable"
 )
 
-// fakeMem completes requests on demand, recording order and levels.
+// fakeMem completes requests on demand, recording order and levels, through
+// the pool of the walker it backs.
 type fakeMem struct {
 	reqs   []*memreq.Request
 	reject bool
+	pool   memreq.Pool
 }
 
 func (f *fakeMem) Submit(now int64, r *memreq.Request) bool {
@@ -25,7 +27,7 @@ func (f *fakeMem) completeAll(now int64) int {
 	reqs := f.reqs
 	f.reqs = nil
 	for _, r := range reqs {
-		r.Complete(now, memreq.ServedL2)
+		f.pool.Complete(r, now, memreq.ServedL2)
 	}
 	return len(reqs)
 }
@@ -57,7 +59,7 @@ func (l *walkLog) Deliverable(h HeldWalk) bool { return true }
 // newWalker builds a walker over mem whose walk results land in the returned
 // log.
 func newWalker(maxConcurrent int, mem *fakeMem, numApps int) (*Walker, *walkLog) {
-	w, log := New(maxConcurrent, mem, numApps, new(memreq.Pool)), &walkLog{}
+	w, log := New(maxConcurrent, mem, numApps, &mem.pool, new(memreq.TransPool)), &walkLog{}
 	w.SetWalkSink(log)
 	return w, log
 }
@@ -186,8 +188,9 @@ func TestSubmitTransRoutesToWalk(t *testing.T) {
 	w, mem, sp := newWalkerWithPage(t, 4)
 	va := uint64(0x4_0000_0000)
 	var got int64 = -1
-	tr := &memreq.TransReq{ASID: 1, AppID: 0, VPN: sp.VPN(va),
-		Ret: memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq) { got = now })}
+	w.trans.Register(0, memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq) { got = now }))
+	tr := w.trans.Get()
+	tr.ASID, tr.VPN = 1, sp.VPN(va)
 	if !w.SubmitTrans(0, tr) {
 		t.Fatal("SubmitTrans rejected")
 	}
@@ -204,7 +207,7 @@ func TestSubmitTransRoutesToWalk(t *testing.T) {
 
 func TestWalkUnknownASIDPanics(t *testing.T) {
 	mem := &fakeMem{}
-	w := New(4, mem, 1, new(memreq.Pool))
+	w := New(4, mem, 1, &mem.pool, new(memreq.TransPool))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("walk for unregistered ASID did not panic")

@@ -17,8 +17,8 @@ import "unsafe"
 // grow large (a core's hundreds of data requests) settle at maxChunk per
 // allocation, which bounds the unused tail. Both bounds and every doubling
 // between them are malloc size classes, so a chunk loses less than one object
-// to rounding — 64 112-byte Requests would occupy an 8 KB class and waste
-// 12 % of it.
+// to rounding — a fixed chunk of 64 objects of 112 bytes would occupy an 8 KB
+// class and waste 12 % of it.
 const (
 	minChunk = 1 << 10
 	maxChunk = 8 << 10

@@ -53,7 +53,10 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	7 — no frames: TLB entries, shared-TLB lines and fault-held walks no
 //	    longer carry one (a core reads it from its address space), and a
 //	    request image no longer carries an ASID
-const Version uint32 = 7
+//	8 — a request's image is the request: it records its sink by its
+//	    number in the request pool's sink table, which build order fixes,
+//	    not by engine registration index, and carries its served level
+const Version uint32 = 8
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

@@ -19,7 +19,7 @@ func BenchmarkL1Hit(b *testing.B) {
 
 func BenchmarkL2ProbeHit(b *testing.B) {
 	l2, w := newL2(1, 0, nil)
-	tr := &memreq.TransReq{ASID: 1, VPN: 9}
+	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 9}, nil)
 	l2.SubmitTrans(0, tr)
 	for now := int64(0); now < 4; now++ {
 		l2.Tick(now)
@@ -28,7 +28,7 @@ func BenchmarkL2ProbeHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := int64(10 + i*2)
-		tr := &memreq.TransReq{ASID: 1, VPN: 9}
+		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 9}, nil)
 		l2.SubmitTrans(now, tr)
 		l2.Tick(now + 1)
 	}

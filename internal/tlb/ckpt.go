@@ -94,7 +94,6 @@ func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 		tr := t.pool.Get()
 		tr.AppID, tr.ASID, tr.CoreID = t.appID, t.asid, t.coreID
 		tr.VPN, tr.HasToken, tr.StalledWarps = ms.VPN, ms.HasToken, len(ms.Waiting)
-		tr.Ret = t
 		m := t.getMiss()
 		m.vpn, m.tr = ms.VPN, tr
 		for _, w := range ms.Waiting {

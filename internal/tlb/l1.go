@@ -96,7 +96,8 @@ type L1TLB struct {
 	pending []*memreq.TransReq
 
 	missFree slab.List[l1miss]
-	// pool recycles translation requests: the simulator's one pool.
+	// pool recycles translation requests: the simulator's one pool, which
+	// returns this core's translations here.
 	pool *memreq.TransPool
 
 	Stats L1Stats
@@ -126,6 +127,7 @@ func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBac
 		backend:  backend,
 		pool:     pool,
 	}
+	pool.Register(coreID, t)
 	return t
 }
 
@@ -164,7 +166,6 @@ func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (
 	tr := t.pool.Get()
 	tr.AppID, tr.ASID, tr.CoreID = t.appID, t.asid, t.coreID
 	tr.VPN, tr.HasToken, tr.StalledWarps = vpn, hasToken, 1
-	tr.Ret = t
 	m := t.getMiss()
 	m.vpn, m.tr = vpn, tr
 	m.waiting = append(m.waiting, w)

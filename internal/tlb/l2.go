@@ -129,6 +129,9 @@ type L2TLB struct {
 	stamp  int64
 	in     *engine.Pipe[*memreq.TransReq]
 	walker WalkStarter
+	// pool completes the translations the TLB serves: the simulator's one
+	// translation pool.
+	pool *memreq.TransPool
 
 	mshrs    map[l2key]*l2miss
 	missFree slab.List[l2miss]
@@ -150,15 +153,16 @@ type L2TLB struct {
 	wayMask []uint64
 }
 
-// NewL2 builds the shared TLB. tokens may be nil (no token mechanism).
-func NewL2(cfg L2Config, walker WalkStarter, tokens *TokenPolicy) *L2TLB {
-	return RenewL2(nil, cfg, walker, tokens)
+// NewL2 builds the shared TLB, which completes translations through pool.
+// tokens may be nil (no token mechanism).
+func NewL2(cfg L2Config, walker WalkStarter, tokens *TokenPolicy, pool *memreq.TransPool) *L2TLB {
+	return RenewL2(nil, cfg, walker, tokens, pool)
 }
 
 // RenewL2 is NewL2 built in place over a donor: t is retired and comes back
 // as NewL2 would return it, over the donor's buffers where they fit
 // (docs/MODEL.md §11). A nil donor allocates everything.
-func RenewL2(t *L2TLB, cfg L2Config, walker WalkStarter, tokens *TokenPolicy) *L2TLB {
+func RenewL2(t *L2TLB, cfg L2Config, walker WalkStarter, tokens *TokenPolicy, pool *memreq.TransPool) *L2TLB {
 	if cfg.Ways <= 0 || cfg.Entries < cfg.Ways {
 		panic("tlb: invalid L2 TLB geometry")
 	}
@@ -172,7 +176,7 @@ func RenewL2(t *L2TLB, cfg L2Config, walker WalkStarter, tokens *TokenPolicy) *L
 		t = new(L2TLB)
 	}
 	t.Retire()
-	t.cfg, t.sets, t.walker, t.tokens = cfg, cfg.Entries/cfg.Ways, walker, tokens
+	t.cfg, t.sets, t.walker, t.tokens, t.pool = cfg, cfg.Entries/cfg.Ways, walker, tokens, pool
 	t.lines = slab.Slice(t.lines, cfg.Entries)
 	t.in = engine.RenewPipe(t.in, cfg.Latency, cfg.QueueCap)
 	t.mshrs = slab.Map(t.mshrs)
@@ -340,7 +344,7 @@ func (t *L2TLB) lookup(now int64, tr *memreq.TransReq, first bool) {
 	// either the TLB or the TLB bypass cache yields a TLB hit").
 	if t.probe(key) || (t.bypass != nil && t.bypass.probe(key.asid, key.vpn)) {
 		t.recordHit(app)
-		tr.Complete(now)
+		t.pool.Complete(tr, now)
 		return
 	}
 
@@ -434,7 +438,7 @@ func (t *L2TLB) fill(now int64, m *l2miss) {
 	}
 
 	for _, tr := range m.reqs {
-		tr.Complete(now)
+		t.pool.Complete(tr, now)
 	}
 	clear(m.reqs)
 	m.reqs = m.reqs[:0]

@@ -15,18 +15,18 @@ func TestL2WayPartitioning(t *testing.T) {
 	// Fill the same set repeatedly from app 0; app 1's entry must survive.
 	// With the hashed index we can't choose set collisions directly, so we
 	// simply verify app 1's translation survives a burst of app-0 fills.
-	tr := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x42}
+	tr := newTrans(l2, memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x42}, nil)
 	submitAndTick(t, l2, tr, 0, 3)
 	w.completeAll(4)
 
 	for i := 0; i < 200; i++ {
-		tr := &memreq.TransReq{ASID: 1, AppID: 0, VPN: uint64(0x1000 + i)}
+		tr := newTrans(l2, memreq.TransReq{ASID: 1, AppID: 0, VPN: uint64(0x1000 + i)}, nil)
 		at := int64(10 + i*4)
 		submitAndTick(t, l2, tr, at, at+2)
 		w.completeAll(at + 3)
 	}
 	hit := false
-	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x42, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq) { hit = true })}
+	tr2 := newTrans(l2, memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x42}, func(int64) { hit = true })
 	submitAndTick(t, l2, tr2, 5000, 5003)
 	if !hit {
 		t.Fatal("app 1's translation evicted despite way partitioning")
@@ -36,14 +36,14 @@ func TestL2WayPartitioning(t *testing.T) {
 func TestL2FlushFraction(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	for i := 0; i < 16; i++ {
-		tr := &memreq.TransReq{ASID: 1, VPN: uint64(i)}
+		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: uint64(i)}, nil)
 		at := int64(i * 5)
 		submitAndTick(t, l2, tr, at, at+2)
 		w.completeAll(at + 3)
 	}
 	l2.FlushFraction(1.0)
 	// Everything must now miss.
-	tr := &memreq.TransReq{ASID: 1, VPN: 3}
+	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 3}, nil)
 	submitAndTick(t, l2, tr, 200, 203)
 	if len(w.walks) != 1 {
 		t.Fatal("entry survived full flush")
@@ -74,7 +74,7 @@ func TestL1FlushFractionPartial(t *testing.T) {
 
 func TestL2EpochRollResets(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x900}
+	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x900}, nil)
 	submitAndTick(t, l2, tr, 0, 3)
 	w.completeAll(4)
 	rates := l2.EpochRoll()
@@ -82,7 +82,7 @@ func TestL2EpochRollResets(t *testing.T) {
 		t.Fatalf("first epoch miss rate %v, want 1.0", rates[0])
 	}
 	// New epoch starts clean: a hit-only epoch reports 0.
-	hit := &memreq.TransReq{ASID: 1, VPN: 0x900}
+	hit := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x900}, nil)
 	submitAndTick(t, l2, hit, 10, 13)
 	rates = l2.EpochRoll()
 	if rates[0] != 0.0 {
@@ -134,7 +134,7 @@ func TestL2StatsHitsPlusMissesBounded(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	for i := 0; i < 50; i++ {
 		vpn := uint64(i % 10)
-		tr := &memreq.TransReq{ASID: 1, VPN: vpn}
+		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: vpn}, nil)
 		at := int64(i * 6)
 		submitAndTick(t, l2, tr, at, at+3)
 		w.completeAll(at + 4)
@@ -208,7 +208,7 @@ func TestL2PrefetchInstallsAndCountsUseful(t *testing.T) {
 	at := int64(0)
 	for pass := 0; pass < 3; pass++ {
 		for _, vpn := range seq {
-			tr := &memreq.TransReq{ASID: 1, VPN: vpn}
+			tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: vpn}, nil)
 			submitAndTick(t, l2, tr, at, at+3)
 			w.completeAll(at + 4)
 			at += 10
@@ -232,7 +232,7 @@ func TestL2PrefetchNeverDelaysDemand(t *testing.T) {
 	seq := []uint64{100, 104, 100, 104, 100}
 	at := int64(0)
 	for _, vpn := range seq {
-		tr := &memreq.TransReq{ASID: 1, VPN: vpn}
+		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: vpn}, nil)
 		if !l2.SubmitTrans(at, tr) {
 			t.Fatal("submit failed")
 		}
@@ -260,11 +260,11 @@ func (c *countingWalker) StartWalk(now int64, asid uint8, appID int, vpn uint64,
 // order, and the drained queue must hold no pointer to a request any more.
 func TestL2StalledServedFIFO(t *testing.T) {
 	w := &countingWalker{}
-	l2 := NewL2(L2Config{Entries: 32, Ways: 4, Ports: 2, Latency: 1, QueueCap: 16, NumApps: 1}, w, nil)
+	l2 := NewL2(L2Config{Entries: 32, Ways: 4, Ports: 2, Latency: 1, QueueCap: 16, NumApps: 1}, w, nil, new(memreq.TransPool))
 	w.queued = walkBacklogLimit
 	const n = 10
 	for i := 0; i < n; i++ {
-		tr := &memreq.TransReq{ASID: 1, VPN: uint64(0x900 + i)}
+		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: uint64(0x900 + i)}, nil)
 		submitAndTick(t, l2, tr, int64(4*i), int64(4*i+3))
 	}
 	if l2.stalled.len() != n || l2.QueueLen() != n || len(w.walks) != 0 {

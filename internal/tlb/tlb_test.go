@@ -8,10 +8,13 @@ import (
 	"masksim/internal/ptw"
 )
 
-// fakeTransBackend records translation requests and answers on demand.
+// fakeTransBackend records translation requests and answers on demand,
+// through the pool of the L1 TLBs built over it (newL1), one core each.
 type fakeTransBackend struct {
 	reqs   []*memreq.TransReq
 	reject bool
+	pool   memreq.TransPool
+	cores  int
 }
 
 func (f *fakeTransBackend) SubmitTrans(now int64, tr *memreq.TransReq) bool {
@@ -26,7 +29,7 @@ func (f *fakeTransBackend) answerAll(now int64) {
 	reqs := f.reqs
 	f.reqs = nil
 	for _, tr := range reqs {
-		tr.Complete(now)
+		f.pool.Complete(tr, now)
 	}
 }
 
@@ -46,8 +49,9 @@ func (l *wakeLog) Translated(now int64, warpID, slot int) {
 
 func (l *wakeLog) Awaits(warpID, slot int, vpn uint64) bool { return true }
 
-func newL1(asid uint8, size int, be TransBackend) (*L1TLB, *wakeLog) {
-	l1, log := NewL1(0, 0, asid, size, be, new(memreq.TransPool)), &wakeLog{}
+func newL1(asid uint8, size int, be *fakeTransBackend) (*L1TLB, *wakeLog) {
+	l1, log := NewL1(be.cores, 0, asid, size, be, &be.pool), &wakeLog{}
+	be.cores++
 	l1.SetWaker(log)
 	return l1, log
 }
@@ -172,12 +176,26 @@ func (f *fakeWalker) completeAll(now int64) {
 
 func newL2(numApps int, bypassSize int, tokens *TokenPolicy) (*L2TLB, *fakeWalker) {
 	w := &fakeWalker{}
+	pool := new(memreq.TransPool)
+	pool.Register(0, memreq.TransSinkFunc(func(int64, *memreq.TransReq) {}))
 	l2 := NewL2(L2Config{
 		Entries: 32, Ways: 4, Ports: 2, Latency: 1, QueueCap: 16,
 		BypassSize: bypassSize, NumApps: numApps,
-	}, w, tokens)
+	}, w, tokens, pool)
 	w.sink = l2
 	return l2, w
+}
+
+// newTrans takes a translation from l2's pool with tr's fields. done, if not
+// nil, becomes the sink of core tr.CoreID (newL2 registers a no-op for
+// core 0).
+func newTrans(l2 *L2TLB, tr memreq.TransReq, done func(now int64)) *memreq.TransReq {
+	if done != nil {
+		l2.pool.Register(tr.CoreID, memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq) { done(now) }))
+	}
+	p := l2.pool.Get()
+	*p = tr
+	return p
 }
 
 func submitAndTick(t *testing.T, l2 *L2TLB, tr *memreq.TransReq, from, to int64) {
@@ -193,7 +211,7 @@ func submitAndTick(t *testing.T, l2 *L2TLB, tr *memreq.TransReq, from, to int64)
 func TestL2MissWalkFill(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	var got int64
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x100, Ret: memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq) { got = now })}
+	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x100}, func(now int64) { got = now })
 	submitAndTick(t, l2, tr, 0, 3)
 	if len(w.walks) != 1 {
 		t.Fatalf("walker saw %d walks, want 1", len(w.walks))
@@ -204,7 +222,7 @@ func TestL2MissWalkFill(t *testing.T) {
 	}
 	// Now it hits.
 	hit := false
-	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x100, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq) { hit = true })}
+	tr2 := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x100}, func(int64) { hit = true })
 	submitAndTick(t, l2, tr2, 11, 14)
 	if !hit || len(w.walks) != 0 {
 		t.Fatal("expected shared TLB hit")
@@ -217,11 +235,11 @@ func TestL2MissWalkFill(t *testing.T) {
 
 func TestL2ASIDIsolation(t *testing.T) {
 	l2, w := newL2(2, 0, nil)
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x200}
+	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x200}, nil)
 	submitAndTick(t, l2, tr, 0, 3)
 	w.completeAll(5)
 	// Same VPN, different ASID must MISS.
-	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x200}
+	tr2 := newTrans(l2, memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x200}, nil)
 	submitAndTick(t, l2, tr2, 6, 9)
 	if len(w.walks) != 1 {
 		t.Fatal("cross-ASID access hit another space's translation")
@@ -232,7 +250,7 @@ func TestL2MSHRMergesAcrossCores(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	done := 0
 	for i := 0; i < 3; i++ {
-		tr := &memreq.TransReq{ASID: 1, VPN: 0x300, CoreID: i, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq) { done++ })}
+		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x300, CoreID: i}, func(int64) { done++ })
 		if !l2.SubmitTrans(0, tr) {
 			t.Fatal("submit failed")
 		}
@@ -252,7 +270,7 @@ func TestL2MSHRMergesAcrossCores(t *testing.T) {
 func TestL2WalkBacklogStallsMisses(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	w.queued = walkBacklogLimit // backlog full
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x400}
+	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x400}, nil)
 	submitAndTick(t, l2, tr, 0, 3)
 	if len(w.walks) != 0 {
 		t.Fatal("walk started despite full backlog")
@@ -269,20 +287,20 @@ func TestL2WalkBacklogStallsMisses(t *testing.T) {
 func TestL2FlushASID(t *testing.T) {
 	l2, w := newL2(2, 0, nil)
 	for i, asid := range []uint8{1, 2} {
-		tr := &memreq.TransReq{ASID: asid, AppID: i, VPN: 0x500}
+		tr := newTrans(l2, memreq.TransReq{ASID: asid, AppID: i, VPN: 0x500}, nil)
 		submitAndTick(t, l2, tr, int64(i*10), int64(i*10+3))
 		w.completeAll(int64(i*10 + 5))
 	}
 	l2.FlushASID(1)
 	// ASID 1 must miss; ASID 2 must still hit.
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x500}
+	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x500}, nil)
 	submitAndTick(t, l2, tr, 30, 33)
 	if len(w.walks) != 1 {
 		t.Fatal("flushed ASID still hits")
 	}
 	w.completeAll(35)
 	hit2 := false
-	tr2 := &memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x500, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq) { hit2 = true })}
+	tr2 := newTrans(l2, memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x500}, func(int64) { hit2 = true })
 	submitAndTick(t, l2, tr2, 40, 43)
 	if !hit2 {
 		t.Fatal("unflushed ASID lost its entry")
@@ -299,7 +317,7 @@ func TestTokenGatingFillsBypassCache(t *testing.T) {
 	l2, w := newL2(1, 4, tokens)
 
 	// Token-less warp's fill must land in the bypass cache, not main TLB.
-	tr := &memreq.TransReq{ASID: 1, VPN: 0x600, HasToken: tokens.HasToken(0, 63)}
+	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x600, HasToken: tokens.HasToken(0, 63)}, nil)
 	if tr.HasToken {
 		t.Fatal("test setup: warp 63 unexpectedly has a token")
 	}
@@ -310,7 +328,7 @@ func TestTokenGatingFillsBypassCache(t *testing.T) {
 	}
 	// But a subsequent probe still hits via the bypass cache.
 	hit := false
-	tr2 := &memreq.TransReq{ASID: 1, VPN: 0x600, Ret: memreq.TransSinkFunc(func(int64, *memreq.TransReq) { hit = true })}
+	tr2 := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x600}, func(int64) { hit = true })
 	submitAndTick(t, l2, tr2, 6, 9)
 	if !hit {
 		t.Fatal("bypass cache did not serve the translation")
@@ -384,7 +402,7 @@ func TestPressureSaturatesAt6Bits(t *testing.T) {
 	l2, _ := newL2(1, 0, nil)
 	// Create 100 outstanding misses.
 	for i := 0; i < 100; i++ {
-		tr := &memreq.TransReq{ASID: 1, VPN: uint64(0x1000 + i), StalledWarps: 100}
+		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: uint64(0x1000 + i), StalledWarps: 100}, nil)
 		l2.SubmitTrans(int64(i), tr)
 	}
 	for now := int64(0); now < 120; now++ {

@@ -1,10 +1,8 @@
 package workload
 
 // The compact binary trace format (.mtb, docs/FORMATS.md): varint-encoded
-// records with a per-warp section index in a footer, so tools can decode one
-// warp by random access without reading the rest of the file. The sequential
-// decoder works on any io.Reader (including a gzip stream); the indexed
-// reader needs an io.ReaderAt and therefore an uncompressed file.
+// records with a per-warp section index in a footer. The decoder reads the
+// sections in order from any io.Reader (including a gzip stream).
 //
 // Layout:
 //
@@ -25,12 +23,9 @@ package workload
 //	  flen     uint32 LE             — footer length, tag through last len
 //	  "MTBI"                         — 4-byte trailer magic
 //
-// The trailer is fixed-size and at a known position from the end, so an
-// indexed reader seeks size-8, reads flen, seeks back flen+8 bytes to the
-// footer, and sums section lengths into offsets. The sequential decoder
-// instead verifies the footer against what it just decoded: section count
-// and every section length must match, so a truncated or spliced file is
-// rejected even without random access.
+// The decoder verifies the footer against what it just decoded: section
+// count and every section length must match, so a truncated or spliced file
+// is rejected.
 
 import (
 	"bufio"
@@ -292,99 +287,4 @@ func min64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// MTBIndex is the footer's per-warp section table, resolved to absolute file
-// offsets for random access.
-type MTBIndex struct {
-	// Offsets[i] is warp i's section start (its tag byte); Lengths[i] its
-	// byte length.
-	Offsets []int64
-	Lengths []int64
-}
-
-// Warps returns the number of indexed warp sections.
-func (ix *MTBIndex) Warps() int { return len(ix.Offsets) }
-
-// ReadMTBIndex reads the footer index of an .mtb file of the given size
-// without touching the warp sections — O(footer), not O(file).
-func ReadMTBIndex(ra io.ReaderAt, size int64) (*MTBIndex, error) {
-	var trailer [8]byte
-	if size < int64(len(mtbMagic))+8 {
-		return nil, fmt.Errorf("mtb index: file too short (%d bytes)", size)
-	}
-	if _, err := ra.ReadAt(trailer[:], size-8); err != nil {
-		return nil, fmt.Errorf("mtb index: trailer: %v", err)
-	}
-	if !bytes.Equal(trailer[4:], mtbTrailerMagic) {
-		return nil, fmt.Errorf("mtb index: bad trailer magic %q", trailer[4:])
-	}
-	flen := int64(binary.LittleEndian.Uint32(trailer[:4]))
-	footStart := size - 8 - flen
-	if flen <= 0 || footStart < int64(len(mtbMagic)) {
-		return nil, fmt.Errorf("mtb index: implausible footer length %d", flen)
-	}
-	foot := make([]byte, flen)
-	if _, err := ra.ReadAt(foot, footStart); err != nil {
-		return nil, fmt.Errorf("mtb index: footer: %v", err)
-	}
-	fr := bytes.NewReader(foot)
-	tag, err := binary.ReadUvarint(fr)
-	if err != nil || tag != mtbTagFooter {
-		return nil, fmt.Errorf("mtb index: bad footer tag")
-	}
-	warps, err := binary.ReadUvarint(fr)
-	if err != nil {
-		return nil, fmt.Errorf("mtb index: warp count: %v", err)
-	}
-	if warps == 0 || warps > uint64(flen) {
-		// Each section length costs at least one footer byte, so a plausible
-		// count never exceeds the footer size.
-		return nil, fmt.Errorf("mtb index: implausible warp count %d", warps)
-	}
-	ix := &MTBIndex{
-		Offsets: make([]int64, 0, warps),
-		Lengths: make([]int64, 0, warps),
-	}
-	off := int64(len(mtbMagic))
-	for i := uint64(0); i < warps; i++ {
-		l, err := binary.ReadUvarint(fr)
-		if err != nil {
-			return nil, fmt.Errorf("mtb index: length %d: %v", i, err)
-		}
-		if l == 0 || int64(l) > footStart-off {
-			return nil, fmt.Errorf("mtb index: section %d length %d exceeds file", i, l)
-		}
-		ix.Offsets = append(ix.Offsets, off)
-		ix.Lengths = append(ix.Lengths, int64(l))
-		off += int64(l)
-	}
-	if off != footStart {
-		return nil, fmt.Errorf("mtb index: sections end at %d, footer starts at %d", off, footStart)
-	}
-	return ix, nil
-}
-
-// DecodeWarp random-accesses and decodes warp i's section alone.
-func (ix *MTBIndex) DecodeWarp(ra io.ReaderAt, i int) ([]TraceEntry, error) {
-	if i < 0 || i >= len(ix.Offsets) {
-		return nil, fmt.Errorf("mtb: warp %d out of range (file has %d)", i, len(ix.Offsets))
-	}
-	sec := make([]byte, ix.Lengths[i])
-	if _, err := ra.ReadAt(sec, ix.Offsets[i]); err != nil {
-		return nil, fmt.Errorf("mtb: warp %d section: %v", i, err)
-	}
-	m := &mtbReader{r: bufio.NewReader(bytes.NewReader(sec))}
-	tag, err := m.uvarint()
-	if err != nil || tag != mtbTagSection {
-		return nil, fmt.Errorf("mtb: warp %d: bad section tag", i)
-	}
-	warp, err := decodeMTBSection(m)
-	if err != nil {
-		return nil, fmt.Errorf("mtb: warp %d: %v", i, err)
-	}
-	if m.n != int64(len(sec)) {
-		return nil, fmt.Errorf("mtb: warp %d: section has %d trailing bytes", i, int64(len(sec))-m.n)
-	}
-	return warp, nil
 }

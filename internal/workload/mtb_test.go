@@ -128,35 +128,6 @@ func TestLoadTraceSniffsAllFormats(t *testing.T) {
 	}
 }
 
-func TestMTBIndexRandomAccess(t *testing.T) {
-	ts := genTrace(t, 9, 64)
-	var bin bytes.Buffer
-	if err := ts.EncodeMTB(&bin); err != nil {
-		t.Fatal(err)
-	}
-	ra := bytes.NewReader(bin.Bytes())
-	ix, err := ReadMTBIndex(ra, int64(bin.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Warps() != len(ts.Warps) {
-		t.Fatalf("index has %d warps, want %d", ix.Warps(), len(ts.Warps))
-	}
-	// Decode out of order: the index alone locates each section.
-	for _, i := range []int{8, 0, 4, 1} {
-		warp, err := ix.DecodeWarp(ra, i)
-		if err != nil {
-			t.Fatalf("warp %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(warp, ts.Warps[i]) {
-			t.Fatalf("warp %d decoded differently via index", i)
-		}
-	}
-	if _, err := ix.DecodeWarp(ra, 9); err == nil {
-		t.Fatal("out-of-range warp accepted")
-	}
-}
-
 func TestDecodeMTBRejectsCorruption(t *testing.T) {
 	ts := genTrace(t, 3, 20)
 	var bin bytes.Buffer
@@ -182,12 +153,6 @@ func TestDecodeMTBRejectsCorruption(t *testing.T) {
 	for name, data := range cases {
 		if _, err := DecodeMTB("bad", bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: corrupt input accepted", name)
-		}
-	}
-	// Index reads reject the same classes of damage.
-	for name, data := range cases {
-		if _, err := ReadMTBIndex(bytes.NewReader(data), int64(len(data))); err == nil {
-			t.Errorf("index %s: corrupt input accepted", name)
 		}
 	}
 }

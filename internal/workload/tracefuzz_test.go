@@ -66,27 +66,3 @@ func FuzzDecodeMTB(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadMTBIndex asserts the footer-index reader never panics and that an
-// index it accepts only names sections the sequential decoder also accepts.
-func FuzzReadMTBIndex(f *testing.F) {
-	seed := genTrace(f, 3, 20)
-	var bin bytes.Buffer
-	if err := seed.EncodeMTB(&bin); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bin.Bytes())
-	f.Add(bin.Bytes()[:bin.Len()-4])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ra := bytes.NewReader(data)
-		ix, err := ReadMTBIndex(ra, int64(len(data)))
-		if err != nil {
-			return
-		}
-		for i := 0; i < ix.Warps(); i++ {
-			// DecodeWarp may reject (the index only proves geometry), but it
-			// must never panic.
-			ix.DecodeWarp(ra, i)
-		}
-	})
-}

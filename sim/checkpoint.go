@@ -165,39 +165,25 @@ func (s *Simulator) Fingerprint() string {
 	return s.fp
 }
 
-// wiring returns the fixed layout checkpoints name things by: the engine's
-// tickers that are request sinks, by registration index, and the L1 TLBs'
-// miss trackers, by (core, VPN). Restore takes every request from the one
-// request pool.
-func (s *Simulator) wiring() *memreq.Wiring {
-	w := &memreq.Wiring{Pool: &s.reqPool, Trans: tlb.Trackers(s.l1tlbs)}
-	for _, t := range s.eng.Tickers() {
-		sink, _ := t.(memreq.Sink)
-		w.Sinks = append(w.Sinks, sink)
-	}
-	return w
-}
-
 // Checkpoint serializes the simulator's complete state to w inside the
 // snapshot envelope. Callable between any two cycles: the engine's
 // checkpoint hook calls it at CheckpointEvery boundaries, and tests call it
 // directly after stepping the engine.
 func (s *Simulator) Checkpoint(w io.Writer) error {
-	wi := s.wiring()
 	p := checkpointPayload{
 		Clock:  s.eng.Clock(),
 		Walker: s.walker.SnapshotState(),
-		L2C:    s.l2c.SnapshotState(wi),
-		DRAM:   s.mem.SnapshotState(wi),
+		L2C:    s.l2c.SnapshotState(),
+		DRAM:   s.mem.SnapshotState(),
 	}
 	for _, c := range s.cores {
-		p.Cores = append(p.Cores, c.SnapshotState(wi))
+		p.Cores = append(p.Cores, c.SnapshotState())
 	}
 	for _, t := range s.l1tlbs {
 		p.L1TLBs = append(p.L1TLBs, t.SnapshotState())
 	}
 	for _, c := range s.l1ds {
-		p.L1Ds = append(p.L1Ds, c.SnapshotState(wi))
+		p.L1Ds = append(p.L1Ds, c.SnapshotState())
 	}
 	if s.l2tlb != nil {
 		st := s.l2tlb.SnapshotState()
@@ -208,7 +194,7 @@ func (s *Simulator) Checkpoint(w io.Writer) error {
 		p.Faults = &st
 	}
 	if s.pwc != nil {
-		st := s.pwc.SnapshotState(wi)
+		st := s.pwc.SnapshotState()
 		p.PWC = &st
 	}
 	if s.tel != nil {
@@ -278,10 +264,12 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
 		return fmt.Errorf("sim: decode checkpoint payload: %w", err)
 	}
-	wi := s.wiring()
 	if err := s.checkShape(&p); err != nil {
 		return err
 	}
+	// Restore resolves every route against the pool's sink table and every
+	// translation key against the L1 TLBs' miss trackers.
+	wi := &memreq.Wiring{Pool: &s.reqPool, Trans: tlb.Trackers(s.l1tlbs)}
 	if err := s.restoreComponents(wi, &p); err != nil {
 		return fmt.Errorf("sim: restore checkpoint: %w", err)
 	}

@@ -22,6 +22,7 @@ import (
 
 	"masksim/internal/dram"
 	"masksim/internal/faultinject"
+	"masksim/internal/memreq"
 	"masksim/internal/pagetable"
 	"masksim/internal/telemetry"
 )
@@ -88,6 +89,11 @@ const (
 	// epochCycles is the adaptation epoch for tokens and the L2 bypass
 	// policy; the paper uses 100K cycles. Run scales it down for short runs.
 	epochCycles = 100_000
+
+	// maxCores keeps the request sinks — the L2 cache, the page walk cache,
+	// the walker, and each core and its L1 data cache — within the routes a
+	// request can name.
+	maxCores = (memreq.MaxRoute - 3) / 2
 )
 
 // Config is the full simulated-system description (paper Table 1 defaults).
@@ -407,8 +413,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.DemandPaging && c.Design == DesignIdeal:
 		return fmt.Errorf("sim: DemandPaging faults on page walks, which Design Ideal never makes")
-	case c.Cores < 1:
-		return fmt.Errorf("sim: Cores must be >= 1, got %d", c.Cores)
+	case c.Cores < 1 || c.Cores > maxCores:
+		return fmt.Errorf("sim: Cores must be in [1,%d], got %d", maxCores, c.Cores)
 	case c.WarpsPerCore < 1:
 		return fmt.Errorf("sim: WarpsPerCore must be >= 1, got %d", c.WarpsPerCore)
 	case c.L1TLBEntries < 1:

@@ -113,7 +113,7 @@ func InspectCheckpoint(path string) (*CheckpointInfo, error) {
 func countRequests(v reflect.Value) (n uint64) {
 	switch v.Kind() {
 	case reflect.Struct:
-		if v.Type() == reflect.TypeFor[memreq.RequestState]() {
+		if v.Type() == reflect.TypeFor[memreq.Request]() {
 			return 1
 		}
 		for i := 0; i < v.NumField(); i++ {

@@ -32,9 +32,9 @@ func decodePayload(t *testing.T, data []byte) checkpointPayload {
 
 // requestImages lists every request image a payload holds, wherever it is
 // held, in a fixed order; tests edit them through the pointers.
-func requestImages(p *checkpointPayload) []*memreq.RequestState {
-	var out []*memreq.RequestState
-	add := func(sts []memreq.RequestState) {
+func requestImages(p *checkpointPayload) []*memreq.Request {
+	var out []*memreq.Request
+	add := func(sts []memreq.Request) {
 		for i := range sts {
 			out = append(out, &sts[i])
 		}
@@ -75,13 +75,11 @@ func requestImages(p *checkpointPayload) []*memreq.RequestState {
 }
 
 // returningTo finds a live request that returns to a sink of type T — sinks
-// is the simulator's wiring — and satisfies pick.
-func returningTo[T memreq.Sink](p *checkpointPayload, sinks []memreq.Sink, pick func(d *memreq.RequestState) bool) (*memreq.RequestState, bool) {
+// is the simulator's request pool, whose table numbers the routes — and
+// satisfies pick.
+func returningTo[T memreq.Sink](p *checkpointPayload, sinks *memreq.Pool, pick func(d *memreq.Request) bool) (*memreq.Request, bool) {
 	for _, d := range requestImages(p) {
-		if d.Sink == 0 {
-			continue
-		}
-		if _, ok := sinks[d.Sink-1].(T); ok && pick(d) {
+		if _, ok := sinks.Sink(d.Ret).(T); ok && pick(d) {
 			return d, true
 		}
 	}
@@ -90,13 +88,13 @@ func returningTo[T memreq.Sink](p *checkpointPayload, sinks []memreq.Sink, pick 
 
 // routeKey names a live request by what stays fixed for its whole life: its
 // route, its address and its issue cycle.
-func routeKey[T memreq.Sink](sinks []memreq.Sink, pick func(d *memreq.RequestState) bool) func(p *checkpointPayload) (string, bool) {
+func routeKey[T memreq.Sink](sinks *memreq.Pool, pick func(d *memreq.Request) bool) func(p *checkpointPayload) (string, bool) {
 	return func(p *checkpointPayload) (string, bool) {
 		d, ok := returningTo[T](p, sinks, pick)
 		if !ok {
 			return "", false
 		}
-		return fmt.Sprintf("request to ticker %d (addr %#x, tag %d, issued %d)", d.Sink-1, d.Addr, d.Tag, d.Issue), true
+		return fmt.Sprintf("request to sink %d (addr %#x, tag %d, issued %d)", d.Ret, d.Addr, d.Tag, d.Issue), true
 	}
 }
 
@@ -161,10 +159,10 @@ func TestContinuationRoutes(t *testing.T) {
 		// inFlight names one continuation of this route the image holds.
 		inFlight func(p *checkpointPayload) (string, bool)
 	}
-	anyRequest := func(*memreq.RequestState) bool { return true }
+	anyRequest := func(*memreq.Request) bool { return true }
 	mask := prepareScenario(t, MASKConfig(), []string{"3DS", "CONS"}, 0)
-	sinks := mask.wiring().Sinks
-	toL1D := func(d *memreq.RequestState) bool { return slices.Contains(mask.l1ds, sinks[d.Sink-1].(*cache.Cache)) }
+	sinks := &mask.reqPool
+	toL1D := func(d *memreq.Request) bool { return slices.Contains(mask.l1ds, sinks.Sink(d.Ret).(*cache.Cache)) }
 	walkFrom := func(origin ptw.WalkOrigin) func(p *checkpointPayload) (string, bool) {
 		return func(p *checkpointPayload) (string, bool) {
 			return liveWalk(p, func(w ptw.WalkState) bool { return ptw.WalkOrigin(w.Origin) == origin })
@@ -178,7 +176,7 @@ func TestContinuationRoutes(t *testing.T) {
 		{MASKConfig, []string{"3DS", "CONS"}, []route{
 			{"core data read", routeKey[*gpu.Core](sinks, anyRequest)},
 			{"L1D fill", routeKey[*cache.Cache](sinks, toL1D)},
-			{"L2 bypass fill", routeKey[*cache.Cache](sinks, func(d *memreq.RequestState) bool { return d.Tag == 1 })},
+			{"L2 bypass fill", routeKey[*cache.Cache](sinks, func(d *memreq.Request) bool { return d.Tag == 1 })},
 			{"walk step", routeKey[*ptw.Walker](sinks, anyRequest)},
 		}},
 		{SharedTLBConfig, []string{"MUM", "GUP"}, []route{{"L2 TLB miss fill", walkFrom(ptw.OriginL2Miss)}}},

@@ -34,6 +34,7 @@ func tinyRun(t *testing.T, cfg Config, names []string, cycles int64) *Results {
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	bads := []func(*Config){
 		func(c *Config) { c.Cores = 0 },
+		func(c *Config) { c.Cores = maxCores + 1 },
 		func(c *Config) { c.WarpsPerCore = 0 },
 		func(c *Config) { c.L1TLBEntries = 0 },
 		func(c *Config) { c.L2TLBWays = 0 },

@@ -55,9 +55,10 @@ type Simulator struct {
 	tokens *tlb.TokenPolicy
 
 	// The request free lists, one per kind, which every component that
-	// issues requests draws from. Per-instance ownership keeps concurrent
-	// simulators race-free; a checkpoint records none of it (docs/MODEL.md
-	// §1, §9).
+	// issues or completes requests holds, and their sink tables, which the
+	// components register in as they are built. Per-instance ownership keeps
+	// concurrent simulators race-free; a checkpoint records none of it
+	// (docs/MODEL.md §1, §9).
 	reqPool   memreq.Pool
 	transPool memreq.TransPool
 
@@ -307,7 +308,7 @@ func (s *Simulator) build(d *Simulator) {
 			return 0, 0
 		}
 		return s.l2tlb.Pressure(app)
-	}})
+	}}, &s.reqPool)
 
 	// --- shared L2 data cache --------------------------------------------
 	s.l2c = cache.Renew(d.l2c, cache.Config{
@@ -349,7 +350,7 @@ func (s *Simulator) build(d *Simulator) {
 	}
 
 	// --- walker and shared L2 TLB ----------------------------------------
-	s.walker = ptw.Renew(d.walker, walkerConcurrency, walkBackend, numApps, &s.reqPool)
+	s.walker = ptw.Renew(d.walker, walkerConcurrency, walkBackend, numApps, &s.reqPool, &s.transPool)
 	if cfg.DemandPaging {
 		s.faults = ptw.NewFaultUnit(cfg.FaultLatency, cfg.FaultConcurrency)
 		s.walker.SetFaultUnit(s.faults)
@@ -368,7 +369,7 @@ func (s *Simulator) build(d *Simulator) {
 			QueueCap:   l2TLBQueueCap,
 			BypassSize: bypassSize,
 			NumApps:    numApps,
-		}, s.walker, s.tokens)
+		}, s.walker, s.tokens, &s.transPool)
 		s.walker.SetWalkSink(s.l2tlb)
 		if cfg.Design == DesignStatic {
 			s.l2tlb.SetWayPartition(wayMasks(cfg.L2TLBWays, numApps))
@@ -508,10 +509,9 @@ func (s *Simulator) build(d *Simulator) {
 	s.buildTelemetry()
 
 	// --- fault injection ---------------------------------------------------
-	// Registered last: checkpoints name request sinks by registration index,
-	// so a run killed by a fault plan restores onto a plan-free simulator
-	// with every index still aligned — fingerprints deliberately ignore
-	// FaultPlan, and resume drops the flag.
+	// A plan registers no request sink, so a run killed by one restores onto
+	// a plan-free simulator with every route still aligned — fingerprints
+	// deliberately ignore FaultPlan, and resume drops the flag.
 	if plan := cfg.FaultPlan; plan != nil && plan.Active() {
 		if cfg.Design != DesignIdeal {
 			s.walker.SetWedgeHook(plan.WedgeWalk)

@@ -17,8 +17,8 @@ func TestTable2Behaviour(t *testing.T) {
 		t.Skip("runs all 30 benchmarks on the full machine")
 	}
 	for _, name := range workload.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			p := workload.MustByName(name)
 			// Low-miss benchmarks have slow L1-TLB turnover, so their
 			// steady-state rates need a longer warmup than the rest.
