@@ -154,7 +154,7 @@ type Cache struct {
 	lines     []line // sets*ways, set-major
 	backend   Backend
 
-	queues []bankQueue
+	queues []engine.Queue[*memreq.Request]
 
 	mshrs map[uint64]*mshr
 	// bypassMSHRs coalesces concurrent bypassed reads of one line: bypassing
@@ -165,7 +165,7 @@ type Cache struct {
 	// across misses.
 	mshrFree slab.List[mshr]
 	// retry holds fill and write requests the backend rejected.
-	retry []*memreq.Request
+	retry engine.Queue[*memreq.Request]
 
 	// pool recycles the requests this cache originates (fills, bypass
 	// fetches, forwarded writes, writebacks) and completes the ones it
@@ -201,55 +201,6 @@ type Cache struct {
 	// latency accounting per class
 	latSum   [2]uint64
 	latCount [2]uint64
-}
-
-// bankQueue is a ring buffer: pops are O(1), which matters because every
-// data access flows through a bank queue.
-type bankQueue struct {
-	items []bankItem
-	head  int
-	n     int
-}
-
-type bankItem struct {
-	readyAt int64
-	req     *memreq.Request
-}
-
-func (q *bankQueue) push(it bankItem) {
-	if q.n == len(q.items) {
-		q.grow()
-	}
-	q.items[(q.head+q.n)%len(q.items)] = it
-	q.n++
-}
-
-func (q *bankQueue) grow() {
-	next := make([]bankItem, max(8, len(q.items)*2))
-	for i := 0; i < q.n; i++ {
-		next[i] = q.items[(q.head+i)%len(q.items)]
-	}
-	q.items = next
-	q.head = 0
-}
-
-func (q *bankQueue) front() *bankItem {
-	return &q.items[q.head]
-}
-
-func (q *bankQueue) pop() bankItem {
-	it := q.items[q.head]
-	q.items[q.head].req = nil
-	q.head = (q.head + 1) % len(q.items)
-	q.n--
-	return it
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // New creates a cache whose own requests come from pool. backend may be nil
@@ -292,6 +243,9 @@ func Renew(c *Cache, cfg Config, backend Backend, pool *memreq.Pool) *Cache {
 	c.route = pool.Register(c)
 	c.lines = cfg.Arena.take(sets * cfg.Ways)
 	c.queues = slab.Donors(c.queues, cfg.Banks)
+	for b := range c.queues {
+		c.queues[b] = c.queues[b].Renewed(cfg.Latency, cfg.QueueCap)
+	}
 	c.mshrs, c.bypassMSHRs = slab.Map(c.mshrs), slab.Map(c.bypassMSHRs)
 	if cfg.WriteCombineWindow > 0 {
 		c.combineCur, c.combinePrev = slab.Map(c.combineCur), slab.Map(c.combinePrev)
@@ -312,9 +266,7 @@ func (c *Cache) Retire() {
 	d.mshrFree.Rewind((*mshr).reset)
 	d.queues = d.queues[:cap(d.queues)]
 	for b := range d.queues {
-		// A ring's length is its capacity; all of it comes back empty.
-		items := slab.Grown(d.queues[b].items)
-		d.queues[b] = bankQueue{items: items[:cap(items)]}
+		d.queues[b] = d.queues[b].Renewed(0, 0)
 	}
 	clear(d.mshrs)
 	clear(d.bypassMSHRs)
@@ -325,7 +277,7 @@ func (c *Cache) Retire() {
 		mshrs:       d.mshrs,
 		bypassMSHRs: d.bypassMSHRs,
 		mshrFree:    d.mshrFree,
-		retry:       slab.Grown(d.retry),
+		retry:       d.retry.Renewed(0, 0),
 		combineCur:  d.combineCur,
 		combinePrev: d.combinePrev,
 	}
@@ -423,17 +375,11 @@ func (c *Cache) Submit(now int64, r *memreq.Request) bool {
 		fetch.Addr, fetch.Issue = lineAddr<<c.lineShift, r.Issue
 		fetch.Ret, fetch.Tag = c.route, tagBypass
 		if !c.backend.Submit(now, fetch) {
-			c.retry = append(c.retry, fetch)
+			c.retry.Push(now, fetch)
 		}
 		return true
 	}
-	b := c.bankOf(lineAddr)
-	q := &c.queues[b]
-	if c.cfg.QueueCap > 0 && q.n >= c.cfg.QueueCap {
-		return false
-	}
-	q.push(bankItem{readyAt: now + c.cfg.Latency, req: r})
-	return true
+	return c.queues[c.bankOf(lineAddr)].Push(now, r)
 }
 
 // QueueOccupancy returns the total number of queued requests across banks,
@@ -441,7 +387,7 @@ func (c *Cache) Submit(now int64, r *memreq.Request) bool {
 func (c *Cache) QueueOccupancy() int {
 	n := 0
 	for i := range c.queues {
-		n += c.queues[i].n
+		n += c.queues[i].Len()
 	}
 	return n
 }
@@ -462,22 +408,21 @@ func (c *Cache) Tick(now int64) {
 	}
 	// Retry backend submissions first so freed backend slots are used by the
 	// oldest blocked traffic.
-	nkeep := 0
-	for _, r := range c.retry {
-		if !c.backend.Submit(now, r) {
-			c.retry[nkeep] = r
-			nkeep++
+	if c.retry.Len() > 0 {
+		pass := c.retry.Offers()
+		for _, r := range pass.Items {
+			if !c.backend.Submit(now, r) {
+				pass.Keep(r)
+			}
 		}
+		pass.Done()
 	}
-	c.retry = c.retry[:nkeep]
 
 	for b := range c.queues {
 		q := &c.queues[b]
-		served := 0
-		for served < c.cfg.PortsPerBank && q.n > 0 && q.front().readyAt <= now {
-			item := q.pop()
-			c.service(now, item.req)
-			served++
+		for served := 0; served < c.cfg.PortsPerBank && q.NextReady(now) == now; served++ {
+			r, _ := q.Pop(now)
+			c.service(now, r)
 		}
 	}
 }
@@ -491,17 +436,12 @@ func (c *Cache) Tick(now int64) {
 // driven by the backend's ticks, and write-combine window swaps are replayed
 // exactly by SkipTo, so neither forces a wakeup.
 func (c *Cache) NextEvent(now int64) int64 {
-	if len(c.retry) > 0 {
+	if c.retry.Len() > 0 {
 		return now
 	}
 	h := engine.NoEvent
 	for b := range c.queues {
-		q := &c.queues[b]
-		if q.n > 0 {
-			if r := q.front().readyAt; r < h {
-				h = r
-			}
-		}
+		h = min(h, c.queues[b].NextReady(now))
 	}
 	return h
 }
@@ -575,7 +515,7 @@ func (c *Cache) service(now int64, r *memreq.Request) {
 		// MSHRs exhausted: the request must retry through the bank queue.
 		// Re-enqueue at the back with no additional latency charge beyond
 		// the natural queueing delay.
-		c.queues[c.bankOf(lineAddr)].push(bankItem{readyAt: now + 1, req: r})
+		c.queues[c.bankOf(lineAddr)].PushAt(now+1, r)
 		return
 	}
 	m := c.getMSHR(lineAddr, false)
@@ -587,7 +527,7 @@ func (c *Cache) service(now int64, r *memreq.Request) {
 	fill.Addr, fill.Issue = lineAddr<<c.lineShift, r.Issue
 	fill.Ret = c.route
 	if !c.backend.Submit(now, fill) {
-		c.retry = append(c.retry, fill)
+		c.retry.Push(now, fill)
 	}
 }
 
@@ -614,7 +554,7 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 		fill.Kind, fill.Class, fill.WalkLevel = memreq.Read, r.Class, r.WalkLevel
 		fill.Addr, fill.Issue = lineAddr<<c.lineShift, now
 		if !c.backend.Submit(now, fill) {
-			c.retry = append(c.retry, fill)
+			c.retry.Push(now, fill)
 		}
 		c.pool.Complete(r, now, c.serviceLevel())
 		return
@@ -648,7 +588,7 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 	fwd.Kind, fwd.Class, fwd.WalkLevel = memreq.Write, r.Class, r.WalkLevel
 	fwd.Addr, fwd.Issue = r.Addr, now
 	if !c.backend.Submit(now, fwd) {
-		c.retry = append(c.retry, fwd)
+		c.retry.Push(now, fwd)
 	}
 	c.pool.Complete(r, now, c.serviceLevel())
 }
@@ -715,7 +655,7 @@ func (c *Cache) install(now int64, lineAddr uint64, dirty bool, appID int) {
 		wb.Kind, wb.Class = memreq.Write, memreq.Data
 		wb.Addr, wb.Issue, wb.AppID = ln.tag<<c.lineShift, now, appID
 		if !c.backend.Submit(now, wb) {
-			c.retry = append(c.retry, wb)
+			c.retry.Push(now, wb)
 		}
 	}
 	c.stamp++
@@ -771,7 +711,7 @@ func (c *Cache) FlushFraction(now int64, fraction float64) {
 			wb.Kind, wb.Class = memreq.Write, memreq.Data
 			wb.Addr, wb.Issue = ln.tag<<c.lineShift, now
 			if !c.backend.Submit(now, wb) {
-				c.retry = append(c.retry, wb)
+				c.retry.Push(now, wb)
 			}
 		}
 		ln.valid = false

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 
+	"masksim/internal/engine"
 	"masksim/internal/memreq"
 )
 
@@ -14,12 +15,6 @@ type LineState struct {
 	Valid bool
 	Dirty bool
 	Stamp int64
-}
-
-// BankItemState is one queued bank-queue entry (FIFO order preserved).
-type BankItemState struct {
-	ReadyAt int64
-	Req     memreq.Request
 }
 
 // MSHRState is one outstanding line fetch with its merged waiters in arrival
@@ -33,10 +28,10 @@ type MSHRState struct {
 type CacheState struct {
 	Lines         []LineState
 	Stamp         int64
-	Queues        [][]BankItemState
+	Queues        [][]engine.QueueItem[memreq.Request]
 	Mshrs         []MSHRState
 	BypassMshrs   []MSHRState
-	Retry         []memreq.Request
+	Retry         []engine.QueueItem[memreq.Request]
 	CombineCur    []uint64
 	CombinePrev   []uint64
 	CombineSwapAt int64
@@ -52,7 +47,7 @@ type CacheState struct {
 func (c *Cache) SnapshotState() CacheState {
 	st := CacheState{
 		Stamp:         c.stamp,
-		Retry:         memreq.Images(nil, c.retry),
+		Retry:         engine.SnapshotQueue(&c.retry, (*memreq.Request).Image),
 		CombineSwapAt: c.combineSwapAt,
 		LevelStats:    c.levelStats,
 		EpochStats:    c.epochStats,
@@ -66,18 +61,18 @@ func (c *Cache) SnapshotState() CacheState {
 		ln := &c.lines[i]
 		st.Lines[i] = LineState{Tag: ln.tag, Valid: ln.valid, Dirty: ln.dirty, Stamp: ln.stamp}
 	}
-	st.Queues = make([][]BankItemState, len(c.queues))
+	st.Queues = make([][]engine.QueueItem[memreq.Request], len(c.queues))
 	for b := range c.queues {
-		q := &c.queues[b]
-		for i := 0; i < q.n; i++ {
-			it := &q.items[(q.head+i)%len(q.items)]
-			st.Queues[b] = append(st.Queues[b], BankItemState{ReadyAt: it.readyAt, Req: *it.req})
-		}
+		st.Queues[b] = engine.SnapshotQueue(&c.queues[b], (*memreq.Request).Image)
 	}
 	snapMSHRs := func(set map[uint64]*mshr) []MSHRState {
 		var out []MSHRState
 		for _, la := range memreq.SortedKeys(set, cmp.Compare[uint64]) {
-			out = append(out, MSHRState{LineAddr: la, Waiting: memreq.Images(nil, set[la].waiting)})
+			ms := MSHRState{LineAddr: la}
+			for _, r := range set[la].waiting {
+				ms.Waiting = append(ms.Waiting, *r)
+			}
+			out = append(out, ms)
 		}
 		return out
 	}
@@ -119,18 +114,8 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 		c.lines[i] = line{tag: ls.Tag, valid: ls.Valid, dirty: ls.Dirty, stamp: ls.Stamp}
 	}
 	for b, sq := range st.Queues {
-		if c.cfg.QueueCap > 0 && len(sq) > c.cfg.QueueCap {
-			return fmt.Errorf("cache %s: checkpoint bank %d queues %d requests, capacity is %d", c.cfg.Name, b, len(sq), c.cfg.QueueCap)
-		}
-		q := &c.queues[b]
-		q.items = make([]bankItem, max(8, len(sq)))
-		q.head, q.n = 0, len(sq)
-		for i, is := range sq {
-			r, err := w.Request(is.Req)
-			if err != nil {
-				return fmt.Errorf("cache %s: bank %d: %w", c.cfg.Name, b, err)
-			}
-			q.items[i] = bankItem{readyAt: is.ReadyAt, req: r}
+		if err := engine.RestoreQueue(&c.queues[b], sq, w.Request); err != nil {
+			return fmt.Errorf("cache %s: checkpoint bank %d %w", c.cfg.Name, b, err)
 		}
 	}
 	restoreMSHRs := func(sts []MSHRState, bypass bool) (map[uint64]*mshr, error) {
@@ -152,8 +137,8 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 	if c.bypassMSHRs, err = restoreMSHRs(st.BypassMshrs, true); err != nil {
 		return err
 	}
-	if c.retry, err = w.Requests(c.retry[:0], st.Retry); err != nil {
-		return fmt.Errorf("cache %s: retry list: %w", c.cfg.Name, err)
+	if err := engine.RestoreQueue(&c.retry, st.Retry, w.Request); err != nil {
+		return fmt.Errorf("cache %s: retry %w", c.cfg.Name, err)
 	}
 	if (len(st.CombineCur) > 0 || len(st.CombinePrev) > 0) && c.cfg.WriteCombineWindow <= 0 {
 		return fmt.Errorf("cache %s: checkpoint carries write-combine state but combining is disabled", c.cfg.Name)

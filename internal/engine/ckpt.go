@@ -1,5 +1,7 @@
 package engine
 
+import "fmt"
+
 // ClockState is the engine's own checkpoint image: the clock and the
 // tick/skip split behind Results.CyclesTicked/CyclesSkipped.
 type ClockState struct {
@@ -69,32 +71,39 @@ func (w *Watchdog) TripError(now int64) *DeadlockError {
 	}
 }
 
-// PipeItemState is one in-flight pipe item in checkpoint form: its delivery
-// cycle and the image of its value.
-type PipeItemState[S any] struct {
-	ReadyAt int64
-	Value   S
+// QueueItem is one queued item in checkpoint form: its ready cycle and the
+// image of its value.
+type QueueItem[S any] struct {
+	Ready int64
+	Value S
 }
 
-// SnapshotPipe images the pipe's in-flight items oldest-first.
-func SnapshotPipe[T, S any](p *Pipe[T], image func(T) S) []PipeItemState[S] {
-	out := make([]PipeItemState[S], 0, len(p.items))
-	for _, it := range p.items {
-		out = append(out, PipeItemState[S]{ReadyAt: it.readyAt, Value: image(it.value)})
+// SnapshotQueue images the queue's items oldest-first.
+func SnapshotQueue[T, S any](q *Queue[T], image func(T) S) []QueueItem[S] {
+	out := make([]QueueItem[S], q.n)
+	for i := range out {
+		ready, v := q.slot((q.head + i) & q.mask())
+		out[i] = QueueItem[S]{Ready: ready, Value: image(v)}
 	}
 	return out
 }
 
-// RestorePipe rebuilds the pipe's in-flight items from a SnapshotPipe image,
-// resolving each value. Existing items are discarded.
-func RestorePipe[T, S any](p *Pipe[T], items []PipeItemState[S], resolve func(S) (T, error)) error {
-	p.items = p.items[:0]
-	for _, it := range items {
+// RestoreQueue replaces the queue's items with a SnapshotQueue image's,
+// resolving each value in order. An image past the capacity is rejected
+// before any is resolved, for the holder to prefix with the queue's name.
+func RestoreQueue[T, S any](q *Queue[T], items []QueueItem[S], resolve func(S) (T, error)) error {
+	if q.cap > 0 && len(items) > q.cap {
+		return fmt.Errorf("queues %d requests, capacity is %d", len(items), q.cap)
+	}
+	clear(q.plain)
+	clear(q.timed)
+	q.head, q.n = 0, 0
+	for i, it := range items {
 		v, err := resolve(it.Value)
 		if err != nil {
-			return err
+			return fmt.Errorf("item %d: %w", i, err)
 		}
-		p.items = append(p.items, pipeItem[T]{readyAt: it.ReadyAt, value: v})
+		q.PushAt(it.Ready, v)
 	}
 	return nil
 }

@@ -57,32 +57,45 @@ func TestTickFuncSeesMonotonicClock(t *testing.T) {
 	e.Run(10)
 }
 
+// newQueue returns a queue of the given latency and capacity.
+func newQueue[T any](latency int64, capacity int) *Queue[T] {
+	q := new(Queue[T])
+	*q = q.Renewed(latency, capacity)
+	return q
+}
+
 func TestPipeLatency(t *testing.T) {
-	p := NewPipe[int](3, 0)
+	p := newQueue[int](3, 0)
 	if !p.Push(10, 42) {
-		t.Fatal("push failed on unbounded pipe")
+		t.Fatal("push failed on unbounded queue")
 	}
 	for now := int64(10); now < 13; now++ {
 		if _, ok := p.Pop(now); ok {
 			t.Fatalf("item visible at %d before latency elapsed", now)
+		}
+		if r := p.NextReady(now); r != 13 {
+			t.Fatalf("NextReady(%d) = %d, want 13", now, r)
 		}
 	}
 	v, ok := p.Pop(13)
 	if !ok || v != 42 {
 		t.Fatalf("Pop(13) = %v,%v; want 42,true", v, ok)
 	}
+	if r := p.NextReady(13); r != NoEvent {
+		t.Fatalf("NextReady of an empty queue = %d, want NoEvent", r)
+	}
 }
 
 func TestPipeZeroLatency(t *testing.T) {
-	p := NewPipe[string](0, 0)
+	var p Queue[string] // the zero queue: unbounded, latency 0
 	p.Push(5, "x")
 	if v, ok := p.Pop(5); !ok || v != "x" {
-		t.Fatal("zero-latency pipe should deliver same cycle")
+		t.Fatal("zero-latency queue should deliver same cycle")
 	}
 }
 
 func TestPipeFIFO(t *testing.T) {
-	p := NewPipe[int](1, 0)
+	p := newQueue[int](1, 0)
 	for i := 0; i < 10; i++ {
 		p.Push(0, i)
 	}
@@ -95,33 +108,37 @@ func TestPipeFIFO(t *testing.T) {
 }
 
 func TestPipeCapacity(t *testing.T) {
-	p := NewPipe[int](1, 2)
+	p := newQueue[int](1, 2)
 	if !p.Push(0, 1) || !p.Push(0, 2) {
 		t.Fatal("pushes under capacity failed")
 	}
 	if p.Push(0, 3) {
 		t.Fatal("push over capacity succeeded")
 	}
-	if !p.Full() {
-		t.Fatal("Full() false on full pipe")
+	if p.Len() != 2 {
+		t.Fatalf("Len() = %d after a refused push, want 2", p.Len())
 	}
 	p.Pop(10)
 	if !p.Push(10, 3) {
 		t.Fatal("push after pop failed")
 	}
+	p.PushAt(11, 4) // a taken-back item may exceed the capacity
+	if p.Len() != 3 {
+		t.Fatalf("Len() = %d after PushAt, want 3", p.Len())
+	}
 }
 
 func TestPipePeekDoesNotConsume(t *testing.T) {
-	p := NewPipe[int](0, 0)
+	p := newQueue[int](0, 0)
 	p.Push(0, 7)
-	if v, ok := p.Peek(0); !ok || v != 7 {
-		t.Fatal("peek failed")
+	if v := p.At(0); v != 7 {
+		t.Fatal("At(0) failed")
 	}
 	if p.Len() != 1 {
-		t.Fatal("peek consumed the item")
+		t.Fatal("At consumed the item")
 	}
 	if v, ok := p.Pop(0); !ok || v != 7 {
-		t.Fatal("pop after peek failed")
+		t.Fatal("pop after At failed")
 	}
 }
 
@@ -131,7 +148,7 @@ func TestPipeNegativeLatencyPanics(t *testing.T) {
 			t.Fatal("negative latency did not panic")
 		}
 	}()
-	NewPipe[int](-1, 0)
+	newQueue[int](-1, 0)
 }
 
 // Property: every pushed item is popped exactly once, in order, and never
@@ -139,7 +156,7 @@ func TestPipeNegativeLatencyPanics(t *testing.T) {
 func TestPipeDeliveryProperty(t *testing.T) {
 	f := func(latencies []uint8) bool {
 		const lat = 4
-		p := NewPipe[int](lat, 0)
+		p := newQueue[int](lat, 0)
 		now := int64(0)
 		pushTimes := map[int]int64{}
 		next := 0

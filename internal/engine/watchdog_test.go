@@ -149,22 +149,3 @@ func TestRunContextCompletesWithoutSupervision(t *testing.T) {
 		t.Fatalf("ran %d cycles, want 5000", e.Now())
 	}
 }
-
-func TestPipeStallHook(t *testing.T) {
-	p := NewPipe[int](1, 0)
-	stalled := true
-	p.SetStallHook(func(int64) bool { return stalled })
-	if !p.Push(0, 42) {
-		t.Fatal("push refused")
-	}
-	if _, ok := p.Pop(10); ok {
-		t.Fatal("stalled pipe delivered an item")
-	}
-	if _, ok := p.Peek(10); ok {
-		t.Fatal("stalled pipe peeked an item")
-	}
-	stalled = false
-	if v, ok := p.Pop(10); !ok || v != 42 {
-		t.Fatalf("unstalled pipe delivered (%v, %v), want (42, true)", v, ok)
-	}
-}

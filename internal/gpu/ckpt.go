@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 
+	"masksim/internal/engine"
 	"masksim/internal/memreq"
 	"masksim/internal/workload"
 )
@@ -28,7 +29,7 @@ type CoreState struct {
 	Current int
 	Stats   Stats
 	Warps   []WarpState
-	Retry   []memreq.Request
+	Retry   []engine.QueueItem[memreq.Request]
 }
 
 // SnapshotState captures the core's checkpoint image.
@@ -36,7 +37,7 @@ func (c *Core) SnapshotState() CoreState {
 	st := CoreState{
 		Current: c.current,
 		Stats:   c.Stats,
-		Retry:   memreq.Images(nil, c.retry),
+		Retry:   engine.SnapshotQueue(&c.retry, (*memreq.Request).Image),
 	}
 	st.Warps = make([]WarpState, len(c.warps))
 	for i := range c.warps {
@@ -100,9 +101,8 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 		}
 	}
 	c.rebuildReady()
-	var err error
-	if c.retry, err = wi.Requests(c.retry[:0], st.Retry); err != nil {
-		return fmt.Errorf("gpu: core %d retry list: %w", c.id, err)
+	if err := engine.RestoreQueue(&c.retry, st.Retry, wi.Request); err != nil {
+		return fmt.Errorf("gpu: core %d retry %w", c.id, err)
 	}
 	for _, r := range wi.Returning(c.route) {
 		if r.WarpID < 0 || r.WarpID >= len(c.warps) {

@@ -120,7 +120,7 @@ type Core struct {
 	pool  *memreq.Pool
 	route memreq.Route
 
-	retry []*memreq.Request
+	retry engine.Queue[*memreq.Request]
 
 	// ready has bit i set exactly while warps[i].state == warpReady, so the
 	// schedulers walk ready warps instead of scanning the whole array.
@@ -174,7 +174,7 @@ func (c *Core) Retire() {
 	*c = Core{
 		warps: slab.Slice(d.warps, 0),
 		ready: slab.Slice(d.ready, 0),
-		retry: slab.Grown(d.retry),
+		retry: d.retry.Renewed(0, 0),
 	}
 }
 
@@ -198,15 +198,14 @@ func (c *Core) ReadyWarps() int {
 func (c *Core) Tick(now int64) {
 	c.Stats.Cycles++
 
-	if len(c.retry) > 0 {
-		nkeep := 0
-		for _, r := range c.retry {
+	if c.retry.Len() > 0 {
+		pass := c.retry.Offers()
+		for _, r := range pass.Items {
 			if !c.l1d.Submit(now, r) {
-				c.retry[nkeep] = r
-				nkeep++
+				pass.Keep(r)
 			}
 		}
-		c.retry = c.retry[:nkeep]
+		pass.Done()
 	}
 
 	w := c.pickWarp()
@@ -233,7 +232,7 @@ func (c *Core) Tick(now int64) {
 // core issues, which cannot happen during a span in which every core is
 // quiescent — so the horizon is NoEvent rather than a future cycle.
 func (c *Core) NextEvent(now int64) int64 {
-	if len(c.retry) > 0 || c.canIssue() {
+	if c.retry.Len() > 0 || c.canIssue() {
 		return now
 	}
 	return engine.NoEvent
@@ -398,7 +397,7 @@ func (c *Core) Translated(now int64, warpID, slot int) {
 			req.Ret = c.route
 		}
 		if !c.l1d.Submit(now, req) {
-			c.retry = append(c.retry, req)
+			c.retry.Push(now, req)
 		}
 	}
 	c.maybeUnblock(now, w)

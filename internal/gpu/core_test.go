@@ -337,7 +337,7 @@ func TestRestoredCorePicksSameWarps(t *testing.T) {
 			live.step(now, answer(now))
 			replica.step(now, answer(now))
 		}
-		if len(replica.be.pending) != 0 || replica.l1d.NextEvent(snapAt) != engine.NoEvent || len(replica.core.retry) != 0 {
+		if len(replica.be.pending) != 0 || replica.l1d.NextEvent(snapAt) != engine.NoEvent || replica.core.retry.Len() != 0 {
 			t.Fatal("data side still busy at the snapshot cycle")
 		}
 		st := replica.core.SnapshotState()
@@ -416,8 +416,8 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 			core.Tick(now)
 			l1d.Tick(now)
 		}
-		if core.ReadyWarps() != 0 || len(core.retry) != 0 {
-			t.Fatalf("rr=%v: %d warps ready, %d requests in retry; want every warp parked on data", rr, core.ReadyWarps(), len(core.retry))
+		if core.ReadyWarps() != 0 || core.retry.Len() != 0 {
+			t.Fatalf("rr=%v: %d warps ready, %d requests in retry; want every warp parked on data", rr, core.ReadyWarps(), core.retry.Len())
 		}
 		outstanding := func(skip int) (n int) {
 			for i := range core.warps {

@@ -64,13 +64,8 @@ func SortedKeys[K comparable, V any](m map[K]V, order func(a, b K) int) []K {
 	return keys
 }
 
-// Images appends the images of rs to dst.
-func Images(dst []Request, rs []*Request) []Request {
-	for _, r := range rs {
-		dst = append(dst, *r)
-	}
-	return dst
-}
+// Image returns the request's image: the request is its own image.
+func (r *Request) Image() Request { return *r }
 
 // Request takes a request from the pool and gives it the image's fields. An
 // image of a kind, class or walk level no request has, or whose route names

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"masksim/internal/engine"
 	"masksim/internal/memreq"
 	"masksim/internal/metrics"
 )
@@ -30,7 +31,7 @@ type WalkState struct {
 // WalkerState is the walker's checkpoint image.
 type WalkerState struct {
 	Active  []WalkState
-	Pending []WalkState
+	Pending []engine.QueueItem[WalkState]
 	Stats   Stats
 	LatHist *metrics.HistogramState
 }
@@ -87,9 +88,7 @@ func (w *Walker) SnapshotState() WalkerState {
 	for _, wk := range w.active {
 		st.Active = append(st.Active, snap(wk))
 	}
-	for _, wk := range w.pending {
-		st.Pending = append(st.Pending, snap(wk))
-	}
+	st.Pending = engine.SnapshotQueue(&w.pending, snap)
 	if w.latHist != nil {
 		h := w.latHist.State()
 		st.LatHist = &h
@@ -103,12 +102,19 @@ func (w *Walker) SnapshotState() WalkerState {
 // walker, so every read returning to it is known by the end.
 func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 	w.Stats = st.Stats
-	var err error
-	if w.active, err = w.buildWalks(wi, w.active[:0], st.Active); err != nil {
-		return err
+	if len(st.Active) > w.max {
+		return fmt.Errorf("ptw: checkpoint has %d active walks, the walker has %d slots", len(st.Active), w.max)
 	}
-	if w.pending, err = w.buildWalks(wi, w.pending[:0], st.Pending); err != nil {
-		return err
+	w.active = w.active[:0]
+	for _, ws := range st.Active {
+		wk, err := w.buildWalk(wi, ws)
+		if err != nil {
+			return err
+		}
+		w.active = append(w.active, wk)
+	}
+	if err := engine.RestoreQueue(&w.pending, st.Pending, func(ws WalkState) (*walk, error) { return w.buildWalk(wi, ws) }); err != nil {
+		return fmt.Errorf("ptw: checkpoint pending walk %w", err)
 	}
 	clear(w.perAppActive)
 	for _, wk := range w.active {
@@ -127,35 +133,31 @@ func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 	return nil
 }
 
-// buildWalks appends the walks of sts to dst, recomputing their page-table
-// addresses.
-func (w *Walker) buildWalks(wi *memreq.Wiring, dst []*walk, sts []WalkState) ([]*walk, error) {
-	for _, ws := range sts {
-		sp, ok := w.spaces[ws.ASID]
-		if !ok {
-			return dst, fmt.Errorf("ptw: checkpoint walk for unregistered ASID %d", ws.ASID)
-		}
-		if _, ok := sp.TranslateVPN(ws.VPN); !ok {
-			return dst, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is of a page its address space does not map", ws.ASID, ws.VPN)
-		}
-		wk, _ := w.walkFree.Get()
-		wk.asid, wk.appID, wk.vpn = ws.ASID, ws.AppID, ws.VPN
-		wk.origin, wk.serial = WalkOrigin(ws.Origin), ws.Serial
-		wk.level, wk.waiting, wk.finished, wk.start = ws.Level, ws.Waiting, ws.Finished, ws.Start
-		wk.addrs = sp.WalkAddrsInto(ws.VPN, wk.buf[:0])
-		if !ws.Finished {
-			if ws.Level < 1 || ws.Level > len(wk.addrs) {
-				return dst, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is at level %d of %d", ws.ASID, ws.VPN, ws.Level, len(wk.addrs))
-			}
-			h := HeldWalk{Origin: wk.origin, ASID: ws.ASID, VPN: ws.VPN}
-			if err := resolveHeld(wi, w, &h, ws.Tr); err != nil {
-				return dst, err
-			}
-			wk.tr = h.Tr
-		}
-		dst = append(dst, wk)
+// buildWalk rebuilds the walk of ws, recomputing its page-table addresses.
+func (w *Walker) buildWalk(wi *memreq.Wiring, ws WalkState) (*walk, error) {
+	sp, ok := w.spaces[ws.ASID]
+	if !ok {
+		return nil, fmt.Errorf("ptw: checkpoint walk for unregistered ASID %d", ws.ASID)
 	}
-	return dst, nil
+	if _, ok := sp.TranslateVPN(ws.VPN); !ok {
+		return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is of a page its address space does not map", ws.ASID, ws.VPN)
+	}
+	wk, _ := w.walkFree.Get()
+	wk.asid, wk.appID, wk.vpn = ws.ASID, ws.AppID, ws.VPN
+	wk.origin, wk.serial = WalkOrigin(ws.Origin), ws.Serial
+	wk.level, wk.waiting, wk.finished, wk.start = ws.Level, ws.Waiting, ws.Finished, ws.Start
+	wk.addrs = sp.WalkAddrsInto(ws.VPN, wk.buf[:0])
+	if !ws.Finished {
+		if ws.Level < 1 || ws.Level > len(wk.addrs) {
+			return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is at level %d of %d", ws.ASID, ws.VPN, ws.Level, len(wk.addrs))
+		}
+		h := HeldWalk{Origin: wk.origin, ASID: ws.ASID, VPN: ws.VPN}
+		if err := resolveHeld(wi, w, &h, ws.Tr); err != nil {
+			return nil, err
+		}
+		wk.tr = h.Tr
+	}
+	return wk, nil
 }
 
 // --- fault unit -------------------------------------------------------------
@@ -183,7 +185,7 @@ type PendingFaultState struct {
 type FaultUnitState struct {
 	Resident []memreq.PageKey
 	Inflight []PendingFaultState
-	Queue    []PendingFaultState
+	Queue    []engine.QueueItem[PendingFaultState]
 	Stats    FaultStats
 }
 
@@ -210,9 +212,7 @@ func (f *FaultUnit) SnapshotState() FaultUnitState {
 	for _, p := range f.inflight {
 		st.Inflight = append(st.Inflight, snap(p))
 	}
-	for _, p := range f.queue {
-		st.Queue = append(st.Queue, snap(p))
-	}
+	st.Queue = engine.SnapshotQueue(&f.queue, snap)
 	return st
 }
 
@@ -225,27 +225,37 @@ func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
 	for _, k := range st.Resident {
 		f.resident[faultKey{asid: k.ASID, vpn: k.VPN}] = true
 	}
-	build := func(dst []*pendingFault, sts []PendingFaultState) ([]*pendingFault, error) {
-		for _, ps := range sts {
-			p := &pendingFault{key: faultKey{asid: ps.ASID, vpn: ps.VPN}, start: ps.Start, doneAt: ps.DoneAt}
-			for _, ns := range ps.Notify {
-				h := HeldWalk{
-					Start: ns.Start, Origin: WalkOrigin(ns.Origin), AppID: ns.AppID,
-					ASID: ps.ASID, VPN: ps.VPN,
-				}
-				if err := resolveHeld(wi, f.sink, &h, ns.Tr); err != nil {
-					return dst, err
-				}
-				p.notify = append(p.notify, h)
-			}
-			dst = append(dst, p)
+	if len(st.Inflight) > f.Concurrency {
+		return fmt.Errorf("ptw: checkpoint has %d faults in service, concurrency is %d", len(st.Inflight), f.Concurrency)
+	}
+	build := func(ps PendingFaultState) (*pendingFault, error) {
+		key := faultKey{asid: ps.ASID, vpn: ps.VPN}
+		if f.pending(key) != nil { // a run merges a page's faults into one
+			return nil, fmt.Errorf("ptw: checkpoint has two faults of asid %d, vpn %#x", ps.ASID, ps.VPN)
 		}
-		return dst, nil
+		p := &pendingFault{key: key, start: ps.Start, doneAt: ps.DoneAt}
+		for _, ns := range ps.Notify {
+			h := HeldWalk{
+				Start: ns.Start, Origin: WalkOrigin(ns.Origin), AppID: ns.AppID,
+				ASID: ps.ASID, VPN: ps.VPN,
+			}
+			if err := resolveHeld(wi, f.sink, &h, ns.Tr); err != nil {
+				return nil, err
+			}
+			p.notify = append(p.notify, h)
+		}
+		return p, nil
 	}
-	var err error
-	if f.inflight, err = build(f.inflight[:0], st.Inflight); err != nil {
-		return err
+	f.inflight = f.inflight[:0]
+	for _, ps := range st.Inflight {
+		p, err := build(ps)
+		if err != nil {
+			return err
+		}
+		f.inflight = append(f.inflight, p)
 	}
-	f.queue, err = build(f.queue[:0], st.Queue)
-	return err
+	if err := engine.RestoreQueue(&f.queue, st.Queue, build); err != nil {
+		return fmt.Errorf("ptw: checkpoint fault queue %w", err)
+	}
+	return nil
 }

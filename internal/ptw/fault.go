@@ -24,7 +24,7 @@ type FaultUnit struct {
 
 	resident map[faultKey]bool
 	inflight []*pendingFault
-	queue    []*pendingFault
+	queue    engine.Queue[*pendingFault]
 
 	// sink receives the held walks of a completed fault; SetFaultUnit sets it
 	// to the walker.
@@ -100,13 +100,9 @@ func (f *FaultUnit) Touch(now int64, asid uint8, vpn uint64, h HeldWalk) bool {
 		return true
 	}
 	// Merge into an in-flight or queued fault for the same page.
-	for _, ps := range [...][]*pendingFault{f.inflight, f.queue} {
-		for _, p := range ps {
-			if p.key == key {
-				p.notify = append(p.notify, h)
-				return false
-			}
-		}
+	if p := f.pending(key); p != nil {
+		p.notify = append(p.notify, h)
+		return false
 	}
 	f.Stats.Faults++
 	p := &pendingFault{key: key, start: now, notify: []HeldWalk{h}}
@@ -114,9 +110,24 @@ func (f *FaultUnit) Touch(now int64, asid uint8, vpn uint64, h HeldWalk) bool {
 		p.doneAt = now + f.Latency
 		f.inflight = append(f.inflight, p)
 	} else {
-		f.queue = append(f.queue, p)
+		f.queue.Push(now, p)
 	}
 	return false
+}
+
+// pending returns the in-flight or queued fault of key, or nil.
+func (f *FaultUnit) pending(key faultKey) *pendingFault {
+	for _, p := range f.inflight {
+		if p.key == key {
+			return p
+		}
+	}
+	for i := 0; i < f.queue.Len(); i++ {
+		if p := f.queue.At(i); p.key == key {
+			return p
+		}
+	}
+	return nil
 }
 
 // Prefault marks a page resident without cost (used to pre-populate pinned
@@ -142,10 +153,11 @@ func (f *FaultUnit) Tick(now int64) {
 		}
 	}
 	f.inflight = f.inflight[:nkeep]
-	for len(f.inflight) < f.Concurrency && len(f.queue) > 0 {
-		p := f.queue[0]
-		copy(f.queue, f.queue[1:])
-		f.queue = f.queue[:len(f.queue)-1]
+	for len(f.inflight) < f.Concurrency {
+		p, ok := f.queue.Pop(now)
+		if !ok {
+			break
+		}
 		p.doneAt = now + f.Latency
 		f.inflight = append(f.inflight, p)
 	}
@@ -156,10 +168,10 @@ func (f *FaultUnit) Tick(now int64) {
 // when idle. Queued faults behind a full in-flight set can only start after
 // some in-flight fault completes, so the completion horizon covers them.
 func (f *FaultUnit) NextEvent(now int64) int64 {
-	if len(f.queue) > 0 && len(f.inflight) < f.Concurrency {
-		return now
-	}
 	h := engine.NoEvent
+	if len(f.inflight) < f.Concurrency {
+		h = f.queue.NextReady(now)
+	}
 	for _, p := range f.inflight {
 		if p.doneAt < h {
 			h = p.doneAt
@@ -169,7 +181,7 @@ func (f *FaultUnit) NextEvent(now int64) int64 {
 }
 
 // Outstanding returns in-flight plus queued fault counts.
-func (f *FaultUnit) Outstanding() int { return len(f.inflight) + len(f.queue) }
+func (f *FaultUnit) Outstanding() int { return len(f.inflight) + f.queue.Len() }
 
 // SetFaultUnit attaches demand paging to the walker: a completed walk for a
 // non-resident page is held until its fault is serviced.

@@ -60,10 +60,10 @@ func TestFaultMergeAllocatesNothing(t *testing.T) {
 	for vpn := uint64(1); vpn <= 8; vpn++ {
 		f.Touch(0, 1, vpn, HeldWalk{VPN: vpn})
 	}
-	if len(f.inflight) != 1 || len(f.queue) != 7 {
-		t.Fatalf("%d faults in flight and %d queued, want 1 and 7", len(f.inflight), len(f.queue))
+	if len(f.inflight) != 1 || f.queue.Len() != 7 {
+		t.Fatalf("%d faults in flight and %d queued, want 1 and 7", len(f.inflight), f.queue.Len())
 	}
-	last := f.queue[len(f.queue)-1]
+	last := f.queue.At(f.queue.Len() - 1)
 	last.notify = make([]HeldWalk, 1, 256)
 	if n := testing.AllocsPerRun(100, func() { f.Touch(1, 1, 8, HeldWalk{VPN: 8}) }); n != 0 {
 		t.Fatalf("a merging Touch allocates %v times, want 0", n)

@@ -106,7 +106,7 @@ type Walker struct {
 	spaces  map[uint8]*pagetable.Space
 
 	active  []*walk
-	pending []*walk
+	pending engine.Queue[*walk]
 	// walkFree recycles finished walk objects.
 	walkFree slab.List[walk]
 	// pool recycles the walker's per-level memory read requests: the
@@ -177,7 +177,7 @@ func (w *Walker) Retire() {
 	*w = Walker{
 		spaces:       d.spaces,
 		active:       slab.Grown(d.active),
-		pending:      slab.Grown(d.pending),
+		pending:      d.pending.Renewed(0, 0),
 		walkFree:     d.walkFree,
 		perAppActive: slab.Slice(d.perAppActive, 0),
 	}
@@ -213,9 +213,9 @@ func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, origin Walk
 	if len(w.active) < w.max {
 		w.admit(wk)
 	} else {
-		w.pending = append(w.pending, wk)
+		w.pending.Push(now, wk)
 	}
-	if total := len(w.active) + len(w.pending); total > w.Stats.ActivePeak {
+	if total := len(w.active) + w.pending.Len(); total > w.Stats.ActivePeak {
 		w.Stats.ActivePeak = total
 	}
 }
@@ -257,10 +257,11 @@ func (w *Walker) Tick(now int64) {
 		w.active[i] = nil
 	}
 	w.active = w.active[:nkeep]
-	for len(w.active) < w.max && len(w.pending) > 0 {
-		wk := w.pending[0]
-		copy(w.pending, w.pending[1:])
-		w.pending = w.pending[:len(w.pending)-1]
+	for len(w.active) < w.max {
+		wk, ok := w.pending.Pop(now)
+		if !ok {
+			break
+		}
 		w.admit(wk)
 	}
 
@@ -293,8 +294,8 @@ func (w *Walker) NextEvent(now int64) int64 {
 			return now
 		}
 	}
-	if len(w.pending) > 0 && len(w.active) < w.max {
-		return now
+	if len(w.active) < w.max {
+		return w.pending.NextReady(now)
 	}
 	return engine.NoEvent
 }
@@ -421,7 +422,7 @@ func (w *Walker) finishWalk(now int64, h HeldWalk) {
 func (w *Walker) ActiveWalks() int { return len(w.active) }
 
 // QueuedWalks returns the number of walks waiting for a slot.
-func (w *Walker) QueuedWalks() int { return len(w.pending) }
+func (w *Walker) QueuedWalks() int { return w.pending.Len() }
 
 // ActiveWalksForApp returns app's in-flight walk count; with the PWCache
 // design (no shared TLB) this provides the ConPTW pressure metric.

@@ -56,7 +56,11 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	8 — a request's image is the request: it records its sink by its
 //	    number in the request pool's sink table, which build order fixes,
 //	    not by engine registration index, and carries its served level
-const Version uint32 = 8
+//	9 — one queue image: every FIFO (bank queues, retry lists, the L2 TLB's
+//	    input and stalled queues, the walker's pending walks, the fault
+//	    queue) writes its items as engine.QueueItem, each with its ready
+//	    cycle
+const Version uint32 = 9
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

@@ -39,12 +39,12 @@ type L1MissState struct {
 
 // L1State is the L1 TLB's checkpoint image. Entries are written from LRU to
 // MRU; restore accepts any order and rebuilds recency from the stamps.
-// Pending lists the VPNs of the misses the backend refused, in retry order.
+// Pending names the misses the backend refused by VPN, in retry order.
 type L1State struct {
 	Entries []EntryState
 	Stamp   int64
 	Mshrs   []L1MissState
-	Pending []uint64
+	Pending []engine.QueueItem[uint64]
 	Stats   L1Stats
 }
 
@@ -53,6 +53,7 @@ func (t *L1TLB) SnapshotState() L1State {
 	st := L1State{
 		Entries: t.tab.snapshot(),
 		Stamp:   t.tab.stamp,
+		Pending: engine.SnapshotQueue(&t.pending, func(tr *memreq.TransReq) uint64 { return tr.VPN }),
 		Stats:   t.Stats,
 	}
 	for _, vpn := range memreq.SortedKeys(t.mshrs, cmp.Compare[uint64]) {
@@ -62,9 +63,6 @@ func (t *L1TLB) SnapshotState() L1State {
 			ms.Waiting = append(ms.Waiting, WaiterState{Warp: w.warp, Slot: w.slot})
 		}
 		st.Mshrs = append(st.Mshrs, ms)
-	}
-	for _, tr := range t.pending {
-		st.Pending = append(st.Pending, tr.VPN)
 	}
 	return st
 }
@@ -107,13 +105,10 @@ func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 		}
 		t.mshrs[ms.VPN] = m
 	}
-	t.pending = t.pending[:0]
-	for _, vpn := range st.Pending {
-		tr, err := wi.Trans(memreq.TransKey{Core: int32(t.coreID), VPN: vpn})
-		if err != nil {
-			return err
-		}
-		t.pending = append(t.pending, tr)
+	if err := engine.RestoreQueue(&t.pending, st.Pending, func(vpn uint64) (*memreq.TransReq, error) {
+		return wi.Trans(memreq.TransKey{Core: int32(t.coreID), VPN: vpn})
+	}); err != nil {
+		return fmt.Errorf("tlb: L1 TLB of core %d pending %w", t.coreID, err)
 	}
 	return nil
 }
@@ -230,14 +225,14 @@ type PrefetcherState struct {
 }
 
 // L2State is the shared TLB's checkpoint image. Mshrs holds each miss
-// tracker's merged requesters in arrival order; the first is the lookup that
-// missed, whose page and application are the tracker's.
+// tracker's merged requesters in arrival order, all for the tracker's page;
+// the first is the lookup that missed, whose application is the tracker's.
 type L2State struct {
 	Lines      []L2EntryState
 	Stamp      int64
-	In         []engine.PipeItemState[memreq.TransKey]
+	In         []engine.QueueItem[memreq.TransKey]
 	Mshrs      [][]memreq.TransKey
-	Stalled    []memreq.TransKey
+	Stalled    []engine.QueueItem[memreq.TransKey]
 	PfInFlight []memreq.PageKey
 	Apps       []AppTLBStatsState
 	Bypass     *BypassState
@@ -249,8 +244,9 @@ type L2State struct {
 // requests are named by key: their L1 TLB miss trackers write them.
 func (t *L2TLB) SnapshotState() L2State {
 	st := L2State{
-		Stamp: t.stamp,
-		In:    engine.SnapshotPipe(t.in, (*memreq.TransReq).Key),
+		Stamp:   t.stamp,
+		In:      engine.SnapshotQueue(&t.in, (*memreq.TransReq).Key),
+		Stalled: engine.SnapshotQueue(&t.stalled, (*memreq.TransReq).Key),
 	}
 	st.Lines = make([]L2EntryState, len(t.lines))
 	for i := range t.lines {
@@ -266,9 +262,6 @@ func (t *L2TLB) SnapshotState() L2State {
 			reqs = append(reqs, tr.Key())
 		}
 		st.Mshrs = append(st.Mshrs, reqs)
-	}
-	for _, tr := range t.stalled.live() {
-		st.Stalled = append(st.Stalled, tr.Key())
 	}
 	for _, key := range memreq.SortedKeys(t.pfInFlight, compareKeys) {
 		st.PfInFlight = append(st.PfInFlight, memreq.PageKey{ASID: key.asid, VPN: key.vpn})
@@ -290,7 +283,8 @@ func (t *L2TLB) SnapshotState() L2State {
 	}
 	if t.pf != nil {
 		p := &PrefetcherState{Stats: t.pf.Stats}
-		for _, k := range t.pf.order {
+		for i := 0; i < t.pf.order.Len(); i++ {
+			k := t.pf.order.At(i)
 			p.Entries = append(p.Entries, PfEntryState{ASID: k.asid, VPN: k.vpn, Next: t.pf.next[k]})
 		}
 		for _, asid := range memreq.SortedKeys(t.pf.last, cmp.Compare[uint8]) {
@@ -319,8 +313,8 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 			valid: es.Valid, stamp: es.Stamp, prefetched: es.Prefetched,
 		}
 	}
-	if err := engine.RestorePipe(t.in, st.In, w.Trans); err != nil {
-		return err
+	if err := engine.RestoreQueue(&t.in, st.In, w.Trans); err != nil {
+		return fmt.Errorf("tlb: checkpoint L2 TLB input %w", err)
 	}
 	t.mshrs = make(map[l2key]*l2miss, len(st.Mshrs))
 	for _, reqs := range st.Mshrs {
@@ -336,15 +330,20 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 			m.reqs = append(m.reqs, tr)
 		}
 		m.key, m.appID = l2key{asid: m.reqs[0].ASID, vpn: m.reqs[0].VPN}, m.reqs[0].AppID
+		// A run merges every miss of a page into its one tracker, which its
+		// walk fills.
+		for _, tr := range m.reqs[1:] {
+			if tr.ASID != m.key.asid || tr.VPN != m.key.vpn {
+				return fmt.Errorf("tlb: checkpoint L2 TLB miss of asid %d, vpn %#x merges a requester of vpn %#x", m.key.asid, m.key.vpn, tr.VPN)
+			}
+		}
+		if _, dup := t.mshrs[m.key]; dup {
+			return fmt.Errorf("tlb: checkpoint has two L2 TLB misses of asid %d, vpn %#x", m.key.asid, m.key.vpn)
+		}
 		t.mshrs[m.key] = m
 	}
-	t.stalled = transFIFO{}
-	for _, k := range st.Stalled {
-		tr, err := w.Trans(k)
-		if err != nil {
-			return err
-		}
-		t.stalled.push(tr)
+	if err := engine.RestoreQueue(&t.stalled, st.Stalled, w.Trans); err != nil {
+		return fmt.Errorf("tlb: checkpoint L2 TLB stalled %w", err)
 	}
 	if len(st.PfInFlight) > 0 && t.pfInFlight == nil {
 		return fmt.Errorf("tlb: checkpoint has in-flight prefetches but prefetching is disabled")
@@ -381,14 +380,14 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 		}
 		t.pf.Stats = st.Prefetch.Stats
 		t.pf.next = make(map[pfKey]uint64, t.pf.cap)
-		t.pf.order = t.pf.order[:0]
+		t.pf.order = t.pf.order.Renewed(0, 0)
 		for _, es := range st.Prefetch.Entries {
 			k := pfKey{asid: es.ASID, vpn: es.VPN}
 			if _, dup := t.pf.next[k]; dup {
 				return fmt.Errorf("tlb: checkpoint has a duplicate prefetcher entry (asid %d, vpn %#x)", k.asid, k.vpn)
 			}
 			t.pf.next[k] = es.Next
-			t.pf.order = append(t.pf.order, k)
+			t.pf.order.Push(0, k)
 		}
 		t.pf.last = make(map[uint8]uint64, len(st.Prefetch.Last))
 		for _, ls := range st.Prefetch.Last {

@@ -93,7 +93,7 @@ type L1TLB struct {
 	waker   Waker
 
 	mshrs   map[uint64]*l1miss
-	pending []*memreq.TransReq
+	pending engine.Queue[*memreq.TransReq]
 
 	missFree slab.List[l1miss]
 	// pool recycles translation requests: the simulator's one pool, which
@@ -122,7 +122,7 @@ func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBac
 		asid:     asid,
 		tab:      renewAssocLRU(d.tab, size),
 		mshrs:    slab.Map(d.mshrs),
-		pending:  slab.Grown(d.pending),
+		pending:  d.pending.Renewed(0, 0),
 		missFree: d.missFree,
 		backend:  backend,
 		pool:     pool,
@@ -171,7 +171,7 @@ func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (
 	m.waiting = append(m.waiting, w)
 	t.mshrs[vpn] = m
 	if !t.backend.SubmitTrans(now, tr) {
-		t.pending = append(t.pending, tr)
+		t.pending.Push(now, tr)
 	}
 	return false
 }
@@ -201,24 +201,22 @@ func (t *L1TLB) TransDone(now int64, tr *memreq.TransReq) {
 // Tick resubmits the backend submissions that were refused, in order, keeping
 // what the backend still refuses.
 func (t *L1TLB) Tick(now int64) {
-	if len(t.pending) == 0 {
-		return
-	}
-	nkeep := 0
-	for _, tr := range t.pending {
-		if !t.backend.SubmitTrans(now, tr) {
-			t.pending[nkeep] = tr
-			nkeep++
+	if t.pending.Len() > 0 {
+		pass := t.pending.Offers()
+		for _, tr := range pass.Items {
+			if !t.backend.SubmitTrans(now, tr) {
+				pass.Keep(tr)
+			}
 		}
+		pass.Done()
 	}
-	t.pending = t.pending[:nkeep]
 }
 
 // NextEvent implements engine.EventSource: the TLB acts on its own only to
 // retry refused backend submissions; everything else (lookups, fills) happens
 // inside callers' calls and returning translations.
 func (t *L1TLB) NextEvent(now int64) int64 {
-	if len(t.pending) > 0 {
+	if t.pending.Len() > 0 {
 		return now
 	}
 	return engine.NoEvent

@@ -87,39 +87,6 @@ func (m *l2miss) reset() {
 	}
 }
 
-// transFIFO is a queue of translation requests popped through a head index:
-// a pop is O(1) and leaves no pointer to a pooled request behind in the
-// vacated slot. live() is buf[head:], oldest first.
-type transFIFO struct {
-	buf  []*memreq.TransReq
-	head int
-}
-
-func (q *transFIFO) len() int { return len(q.buf) - q.head }
-
-func (q *transFIFO) live() []*memreq.TransReq { return q.buf[q.head:] }
-
-func (q *transFIFO) push(tr *memreq.TransReq) {
-	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
-		// Out of room with at least half the slots consumed: slide the live
-		// entries down instead of growing (amortized O(1) per push).
-		n := copy(q.buf, q.live())
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
-	}
-	q.buf = append(q.buf, tr)
-}
-
-func (q *transFIFO) pop() *memreq.TransReq {
-	tr := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return tr
-}
-
 // L2TLB is the shared, ASID-tagged second-level TLB. Under MASK it also owns
 // the TLB bypass cache and consults the TokenPolicy on fills.
 type L2TLB struct {
@@ -127,7 +94,7 @@ type L2TLB struct {
 	sets   int
 	lines  []l2entry
 	stamp  int64
-	in     *engine.Pipe[*memreq.TransReq]
+	in     engine.Queue[*memreq.TransReq]
 	walker WalkStarter
 	// pool completes the translations the TLB serves: the simulator's one
 	// translation pool.
@@ -138,7 +105,7 @@ type L2TLB struct {
 	// stalled holds lookups that missed while the walker backlog was full;
 	// they retry (and may meanwhile hit a newly filled entry or merge into a
 	// new MSHR) before fresh lookups are served.
-	stalled transFIFO
+	stalled engine.Queue[*memreq.TransReq]
 
 	tokens *TokenPolicy
 	bypass *bypassCache
@@ -178,7 +145,7 @@ func RenewL2(t *L2TLB, cfg L2Config, walker WalkStarter, tokens *TokenPolicy, po
 	t.Retire()
 	t.cfg, t.sets, t.walker, t.tokens, t.pool = cfg, cfg.Entries/cfg.Ways, walker, tokens, pool
 	t.lines = slab.Slice(t.lines, cfg.Entries)
-	t.in = engine.RenewPipe(t.in, cfg.Latency, cfg.QueueCap)
+	t.in = t.in.Renewed(cfg.Latency, cfg.QueueCap)
 	t.mshrs = slab.Map(t.mshrs)
 	t.apps = slab.Slice(t.apps, cfg.NumApps)
 	if cfg.BypassSize > 0 {
@@ -202,12 +169,10 @@ func (t *L2TLB) Retire() {
 		lines:    slab.Slice(d.lines, 0),
 		mshrs:    d.mshrs,
 		missFree: d.missFree,
-		stalled:  transFIFO{buf: slab.Grown(d.stalled.buf)},
+		in:       d.in.Renewed(0, 0),
+		stalled:  d.stalled.Renewed(0, 0),
 		apps:     slab.Slice(d.apps, 0),
 		bypass:   d.bypass,
-	}
-	if d.in != nil {
-		t.in = engine.RenewPipe(d.in, 0, 0)
 	}
 }
 
@@ -298,8 +263,12 @@ func (t *L2TLB) SubmitTrans(now int64, tr *memreq.TransReq) bool {
 // behind a full walker wait at the TLB rather than growing an unbounded
 // hardware queue.
 func (t *L2TLB) Tick(now int64) {
-	for t.stalled.len() > 0 && t.walker.QueuedWalks() < walkBacklogLimit {
-		t.lookup(now, t.stalled.pop(), false)
+	for t.stalled.Len() > 0 && t.walker.QueuedWalks() < walkBacklogLimit {
+		tr, ok := t.stalled.Pop(now)
+		if !ok {
+			break
+		}
+		t.lookup(now, tr, false)
 	}
 	for i := 0; i < t.cfg.Ports; i++ {
 		tr, ok := t.in.Pop(now)
@@ -310,14 +279,15 @@ func (t *L2TLB) Tick(now int64) {
 	}
 }
 
-// NextEvent implements engine.EventSource. Stalled lookups force a tick at
-// now only while the walker backlog has room: with the backlog full, Tick's
-// drain loop is a no-op, and the backlog can only drain through a walker tick
-// — the walker's (or its memory backend's) own horizon pins that cycle, after
-// which this horizon recomputes. Otherwise the horizon is the input pipe's
-// head arrival; fills arrive through WalkDone and need no wakeup.
+// NextEvent implements engine.EventSource. Stalled lookups (ready at once)
+// force a tick at now only while the walker backlog has room: with the
+// backlog full, Tick's drain loop is a no-op, and the backlog can only drain
+// through a walker tick — the walker's (or its memory backend's) own horizon
+// pins that cycle, after which this horizon recomputes. Otherwise the horizon
+// is the input queue's head arrival; fills arrive through WalkDone and need no
+// wakeup.
 func (t *L2TLB) NextEvent(now int64) int64 {
-	if t.stalled.len() > 0 && t.walker.QueuedWalks() < walkBacklogLimit {
+	if t.stalled.Len() > 0 && t.walker.QueuedWalks() < walkBacklogLimit {
 		return now
 	}
 	return t.in.NextReady(now)
@@ -355,7 +325,7 @@ func (t *L2TLB) lookup(now int64, tr *memreq.TransReq, first bool) {
 	}
 	if t.walker.QueuedWalks() >= walkBacklogLimit {
 		// No walk slot: park the request; it retries next tick.
-		t.stalled.push(tr)
+		t.stalled.Push(now, tr)
 		return
 	}
 	t.recordMiss(app)
@@ -559,7 +529,7 @@ func (t *L2TLB) OutstandingMisses() int { return len(t.mshrs) }
 
 // QueueLen returns the number of lookups waiting to be served (input pipe
 // plus stalled retries); the watchdog's diagnostic dump reports it.
-func (t *L2TLB) QueueLen() int { return t.in.Len() + t.stalled.len() }
+func (t *L2TLB) QueueLen() int { return t.in.Len() + t.stalled.Len() }
 
 // FlushASID removes all entries belonging to asid from the main TLB and the
 // bypass cache (TLB shootdown support, §5.5).

@@ -1,5 +1,7 @@
 package tlb
 
+import "masksim/internal/engine"
+
 // Prefetcher is a correlation (Markov) shared-TLB prefetcher in the spirit
 // of the inter-core cooperative TLB prefetchers the paper discusses as
 // related work (§8.2, Bhattacharjee & Martonosi). The paper argues such
@@ -17,8 +19,8 @@ package tlb
 type Prefetcher struct {
 	// next maps (asid, vpn) -> most recently observed successor VPN.
 	next map[pfKey]uint64
-	// order is a FIFO of inserted keys used for bounded eviction.
-	order []pfKey
+	// order is a FIFO of inserted keys used for bounded eviction (no cycles).
+	order engine.Queue[pfKey]
 	cap   int
 	last  map[uint8]uint64
 
@@ -64,12 +66,10 @@ func (p *Prefetcher) Observe(asid uint8, vpn uint64) (uint64, bool) {
 		key := pfKey{asid, lastVPN}
 		if _, exists := p.next[key]; !exists {
 			if len(p.next) >= p.cap {
-				victim := p.order[0]
-				copy(p.order, p.order[1:])
-				p.order = p.order[:len(p.order)-1]
+				victim, _ := p.order.Pop(0)
 				delete(p.next, victim)
 			}
-			p.order = append(p.order, key)
+			p.order.Push(0, key)
 		}
 		p.next[key] = vpn
 	}

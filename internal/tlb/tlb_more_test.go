@@ -1,8 +1,6 @@
 package tlb
 
 import (
-	"math/rand"
-	"slices"
 	"testing"
 
 	"masksim/internal/memreq"
@@ -257,7 +255,8 @@ func (c *countingWalker) StartWalk(now int64, asid uint8, appID int, vpn uint64,
 
 // TestL2StalledServedFIFO parks lookups behind a full walker backlog and lets
 // the backlog admit them one tick at a time: walks must start in arrival
-// order, and the drained queue must hold no pointer to a request any more.
+// order. (That a drained queue holds no pointer to a request any more is
+// engine.Queue's to keep: TestQueueMatchesSlice.)
 func TestL2StalledServedFIFO(t *testing.T) {
 	w := &countingWalker{}
 	l2 := NewL2(L2Config{Entries: 32, Ways: 4, Ports: 2, Latency: 1, QueueCap: 16, NumApps: 1}, w, nil, new(memreq.TransPool))
@@ -267,63 +266,19 @@ func TestL2StalledServedFIFO(t *testing.T) {
 		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: uint64(0x900 + i)}, nil)
 		submitAndTick(t, l2, tr, int64(4*i), int64(4*i+3))
 	}
-	if l2.stalled.len() != n || l2.QueueLen() != n || len(w.walks) != 0 {
-		t.Fatalf("parked %d lookups (QueueLen %d, %d walks started), want %d/%d/0", l2.stalled.len(), l2.QueueLen(), len(w.walks), n, n)
+	if l2.stalled.Len() != n || l2.QueueLen() != n || len(w.walks) != 0 {
+		t.Fatalf("parked %d lookups (QueueLen %d, %d walks started), want %d/%d/0", l2.stalled.Len(), l2.QueueLen(), len(w.walks), n, n)
 	}
-	for now := int64(100); l2.stalled.len() > 0; now++ {
+	for now := int64(100); l2.stalled.Len() > 0; now++ {
 		w.queued = walkBacklogLimit - 1 // one free slot per tick
 		l2.Tick(now)
-		if want := n - int(now-99); l2.stalled.len() != want {
-			t.Fatalf("tick %d left %d stalled lookups, want %d", now, l2.stalled.len(), want)
+		if want := n - int(now-99); l2.stalled.Len() != want {
+			t.Fatalf("tick %d left %d stalled lookups, want %d", now, l2.stalled.Len(), want)
 		}
 	}
 	for i, vpn := range w.vpns {
 		if vpn != uint64(0x900+i) {
 			t.Fatalf("walks started for VPNs %#x, want arrival order", w.vpns)
 		}
-	}
-	for i, tr := range l2.stalled.buf[:cap(l2.stalled.buf)] {
-		if tr != nil {
-			t.Fatalf("drained queue still points at a request in slot %d", i)
-		}
-	}
-}
-
-// TestTransFIFOMatchesSlice drives the head-indexed queue and a plain slice
-// with the same seeded push/pop sequence: same order, nothing but the live
-// entries reachable from the backing array, and a capacity that follows the
-// high-water mark rather than the number of pushes.
-func TestTransFIFOMatchesSlice(t *testing.T) {
-	rnd := rand.New(rand.NewSource(11))
-	var q transFIFO
-	var ref []*memreq.TransReq
-	maxLive := 0
-	for op := 0; op < 20000; op++ {
-		// Long fill phases alternate with long drain phases, with jitter.
-		if fill := op/500%2 == 0; len(ref) == 0 || rnd.Intn(10) < map[bool]int{true: 7, false: 3}[fill] {
-			tr := &memreq.TransReq{VPN: uint64(op)}
-			q.push(tr)
-			ref = append(ref, tr)
-		} else {
-			if got := q.pop(); got != ref[0] {
-				t.Fatalf("op %d: popped VPN %d, want %d", op, got.VPN, ref[0].VPN)
-			}
-			ref = ref[1:]
-		}
-		maxLive = max(maxLive, len(ref))
-		if q.len() != len(ref) || !slices.Equal(q.live(), ref) {
-			t.Fatalf("op %d: queue holds %d entries, reference %d", op, q.len(), len(ref))
-		}
-		for i, tr := range q.buf[:cap(q.buf)] {
-			if live := i >= q.head && i < len(q.buf); !live && tr != nil {
-				t.Fatalf("op %d: dead slot %d still points at a request", op, i)
-			}
-		}
-		if len(ref) == 0 && (q.head != 0 || len(q.buf) != 0) {
-			t.Fatalf("op %d: empty queue not rewound (head %d, len %d)", op, q.head, len(q.buf))
-		}
-	}
-	if cap(q.buf) > 4*maxLive {
-		t.Fatalf("capacity %d after a high-water mark of %d live entries", cap(q.buf), maxLive)
 	}
 }

@@ -33,12 +33,7 @@ import (
 // through) plus a demand-paging pair, a fully instrumented MASK run and a
 // time-multiplexed cell, so checkpoint/restore equivalence is proven over
 // every serialized subsystem.
-var ckptScenarios = []struct {
-	name  string
-	cfg   func() Config
-	names []string
-	alone int // >0: single-app alone run on this many cores
-}{
+var ckptScenarios = []ckptScenario{
 	{name: "mask-3DS+CONS", cfg: MASKConfig, names: []string{"3DS", "CONS"}},
 	{name: "sharedtlb-MUM+GUP", cfg: SharedTLBConfig, names: []string{"MUM", "GUP"}},
 	{name: "pwcache-3DS+CONS", cfg: PWCacheConfig, names: []string{"3DS", "CONS"}},
@@ -69,6 +64,67 @@ var ckptScenarios = []struct {
 		c.TimeMuxQuantum, c.TimeMuxEvict = 1000, 0.36
 		return c
 	}, names: []string{"MM"}},
+}
+
+type ckptScenario struct {
+	name  string
+	cfg   func() Config
+	names []string
+	alone int // >0: single-app alone run on this many cores
+}
+
+// The checkpointed run of a scenario: ckptCycles cycles with a checkpoint
+// every ckptEvery, which does not divide the run, so a resumed run restarts
+// mid-span (checkpoints at 1700 and 3400; a resume runs the last 600).
+const ckptCycles, ckptEvery = 4000, 1700
+
+// ckptRun is what a checkpointed run leaves: its Results, the number of
+// checkpoints it took, and the image of each by cycle.
+type ckptRun struct {
+	once   sync.Once
+	res    *Results
+	taken  int
+	images map[int64][]byte
+}
+
+var (
+	ckptRunsMu sync.Mutex
+	ckptRuns   = map[string]*ckptRun{}
+)
+
+// checkpointedRun returns the checkpointed run of sc with fast-forward ff,
+// simulated once per test binary: TestCheckpointRestoreEquivalence and
+// TestRestoreCheckpointFixpoint both start from it.
+func checkpointedRun(t *testing.T, sc ckptScenario, ff bool) *ckptRun {
+	t.Helper()
+	key := fmt.Sprintf("%s/ff=%t", sc.name, ff)
+	ckptRunsMu.Lock()
+	r := ckptRuns[key]
+	if r == nil {
+		r = new(ckptRun)
+		ckptRuns[key] = r
+	}
+	ckptRunsMu.Unlock()
+	r.once.Do(func() {
+		cfg := sc.cfg()
+		cfg.FastForward = ff
+		cfg.CheckpointEvery, cfg.CheckpointDir = ckptEvery, t.TempDir()
+		s := prepareScenario(t, cfg, sc.names, sc.alone)
+		res := s.mustRun(t, ckptCycles)
+		images := map[int64][]byte{}
+		for at := int64(ckptEvery); at < ckptCycles; at += ckptEvery {
+			data, err := os.ReadFile(s.checkpointPath(at))
+			if err != nil {
+				t.Fatal(err)
+			}
+			images[at] = data
+		}
+		r.res, r.taken, r.images = res, s.CheckpointStats().Taken, images
+	})
+	if r.res == nil {
+		t.Fatalf("the checkpointed run of %s failed in an earlier test", key)
+	}
+	return r
 }
 
 func (s *Simulator) mustRun(t *testing.T, cycles int64) *Results {
@@ -103,38 +159,35 @@ func prepareScenario(t *testing.T, cfg Config, names []string, alone int) *Simul
 // scenario and with fast-forward both on and off. The checkpoint interval is
 // chosen to not divide the run length, so the resumed run restarts mid-span.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
-	const cycles = 4000
-	const every = 1700 // checkpoints at 1700 and 3400; resume runs the last 600
-
 	for _, sc := range ckptScenarios {
 		for _, ff := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/ff=%t", sc.name, ff), func(t *testing.T) {
 				cfg := sc.cfg()
 				cfg.FastForward = ff
-				ref := prepareScenario(t, cfg, sc.names, sc.alone).mustRun(t, cycles)
+				ref := prepareScenario(t, cfg, sc.names, sc.alone).mustRun(t, ckptCycles)
 
-				dir := t.TempDir()
-				ckCfg := cfg
-				ckCfg.CheckpointEvery = every
-				ckCfg.CheckpointDir = dir
-				ckSim := prepareScenario(t, ckCfg, sc.names, sc.alone)
-				full := ckSim.mustRun(t, cycles)
-				if !reflect.DeepEqual(ref, full) {
-					t.Fatalf("taking checkpoints perturbed the run:\nref:  %+v\nfull: %+v", ref, full)
+				run := checkpointedRun(t, sc, ff)
+				if !reflect.DeepEqual(ref, run.res) {
+					t.Fatalf("taking checkpoints perturbed the run:\nref:  %+v\nfull: %+v", ref, run.res)
 				}
-				if got := ckSim.CheckpointStats().Taken; got != 2 {
-					t.Fatalf("expected 2 checkpoints taken, got %d", got)
+				if run.taken != 2 {
+					t.Fatalf("expected 2 checkpoints taken, got %d", run.taken)
 				}
 
-				rsCfg := ckCfg
-				rsCfg.Resume = true
+				rsCfg := cfg
+				rsCfg.CheckpointEvery, rsCfg.CheckpointDir, rsCfg.Resume = ckptEvery, t.TempDir(), true
 				rsSim := prepareScenario(t, rsCfg, sc.names, sc.alone)
-				resumed := rsSim.mustRun(t, cycles)
+				for at, data := range run.images {
+					if err := os.WriteFile(rsSim.checkpointPath(at), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				resumed := rsSim.mustRun(t, ckptCycles)
 				if rsSim.CheckpointStats().Restored != 1 {
 					t.Fatalf("resume did not adopt a checkpoint: %+v", rsSim.CheckpointStats())
 				}
-				if rsSim.Engine().Now() != cycles {
-					t.Fatalf("resumed run ended at cycle %d, want %d", rsSim.Engine().Now(), cycles)
+				if rsSim.Engine().Now() != ckptCycles {
+					t.Fatalf("resumed run ended at cycle %d, want %d", rsSim.Engine().Now(), ckptCycles)
 				}
 				if !reflect.DeepEqual(ref, resumed) {
 					t.Fatalf("restored run diverged from uninterrupted run:\nref:     %+v\nresumed: %+v", ref, resumed)
@@ -182,20 +235,10 @@ func TestCheckpointStreamRoundTrip(t *testing.T) {
 // one oracle that covers every field of every component at once — a field
 // one side forgets, or a set written in map order, shows up as a difference.
 func TestRestoreCheckpointFixpoint(t *testing.T) {
-	const cycles, at = 4000, 1700
 	for _, sc := range ckptScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			cfg := sc.cfg()
-			ckCfg := cfg
-			ckCfg.CheckpointEvery = at
-			ckCfg.CheckpointDir = t.TempDir()
-			src := prepareScenario(t, ckCfg, sc.names, sc.alone)
-			src.mustRun(t, cycles)
-			first, err := os.ReadFile(src.checkpointPath(at))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst := prepareScenario(t, cfg, sc.names, sc.alone)
+			first := checkpointedRun(t, sc, true).images[ckptEvery]
+			dst := prepareScenario(t, sc.cfg(), sc.names, sc.alone)
 			if err := dst.RestoreCheckpoint(bytes.NewReader(first)); err != nil {
 				t.Fatal(err)
 			}
@@ -414,8 +457,9 @@ func TestCheckpointRejection(t *testing.T) {
 	// v5 payloads carry a second time series beside the telemetry; v6
 	// payloads carry frames in TLB entries and held walks, and an ASID in
 	// every request; v7 requests name their sink by engine registration
-	// index.
-	for _, old := range []uint32{2, 3, 4, 5, 6, 7} {
+	// index; v8 retry lists and queues are plain lists of requests, keys and
+	// walks, and the bank and L2 TLB input queues carry pipe items.
+	for _, old := range []uint32{2, 3, 4, 5, 6, 7, 8} {
 		t.Run(fmt.Sprintf("previous-format-v%d", old), func(t *testing.T) {
 			dir := makeDir(t)
 			ents, _ := os.ReadDir(dir)
@@ -487,15 +531,39 @@ func firstReturning[T memreq.Sink](t *testing.T, p *checkpointPayload, sinks *me
 // liveWalkOf returns the first unfinished walk of the given origin.
 func liveWalkOf(t *testing.T, p *checkpointPayload, origin ptw.WalkOrigin) *ptw.WalkState {
 	t.Helper()
-	for _, ws := range [][]ptw.WalkState{p.Walker.Active, p.Walker.Pending} {
-		for i := range ws {
-			if !ws[i].Finished && ptw.WalkOrigin(ws[i].Origin) == origin {
-				return &ws[i]
-			}
+	walks := make([]*ptw.WalkState, 0, len(p.Walker.Active)+len(p.Walker.Pending))
+	for i := range p.Walker.Active {
+		walks = append(walks, &p.Walker.Active[i])
+	}
+	for i := range p.Walker.Pending {
+		walks = append(walks, &p.Walker.Pending[i].Value)
+	}
+	for _, ws := range walks {
+		if !ws.Finished && ptw.WalkOrigin(ws.Origin) == origin {
+			return ws
 		}
 	}
 	t.Fatalf("no live walk of origin %d", origin)
 	return nil
+}
+
+// takeQueuedTrans removes a translation from the queue an L1 TLB retries it
+// from, or else from the L2 TLB's stalled queue, and returns its key: a
+// translation the caller may hand to another holder.
+func takeQueuedTrans(t *testing.T, p *checkpointPayload) memreq.TransKey {
+	t.Helper()
+	for c := range p.L1TLBs {
+		if q := p.L1TLBs[c].Pending; len(q) > 0 {
+			p.L1TLBs[c].Pending = q[1:]
+			return memreq.TransKey{Core: int32(c), VPN: q[0].Value}
+		}
+	}
+	if q := p.L2TLB.Stalled; len(q) > 0 {
+		p.L2TLB.Stalled = q[1:]
+		return q[0].Value
+	}
+	t.Fatal("no translation waits in an L1 TLB's retry queue or the L2 TLB's stalled queue")
+	return memreq.TransKey{}
 }
 
 // l1Miss is an L1 TLB miss image with waiters, and the core whose TLB holds
@@ -692,10 +760,10 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		// Every container of requests, one case each: the image it writes
 		// inline must name a sink the simulator has.
 		{"core retry reference", onShared, func(t *testing.T, p *checkpointPayload) {
-			p.Cores[0].Retry = append(p.Cores[0].Retry, badSink)
+			p.Cores[0].Retry = append(p.Cores[0].Retry, engine.QueueItem[memreq.Request]{Value: badSink})
 		}, noSink},
 		{"cache bank queue reference", onShared, func(t *testing.T, p *checkpointPayload) {
-			p.L2C.Queues[0] = append(p.L2C.Queues[0], cache.BankItemState{Req: memreq.Request{Ret: 1<<16 - 1}})
+			p.L2C.Queues[0] = append(p.L2C.Queues[0], engine.QueueItem[memreq.Request]{Value: memreq.Request{Ret: 1<<16 - 1}})
 		}, "returns to sink 65535, which is not a sink"},
 		{"cache MSHR waiter reference", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L1Ds[0].Mshrs = append(p.L1Ds[0].Mshrs, cache.MSHRState{LineAddr: 1 << 50, Waiting: []memreq.Request{badSink}})
@@ -708,13 +776,13 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		// core that has no L1 TLB, and a key two holders name: the resumed
 		// run would complete that translation twice.
 		{"l1 pending reference", onShared, func(t *testing.T, p *checkpointPayload) {
-			p.L1TLBs[0].Pending = append(p.L1TLBs[0].Pending, untracked.VPN)
+			p.L1TLBs[0].Pending = append(p.L1TLBs[0].Pending, engine.QueueItem[uint64]{Value: untracked.VPN})
 		}, noTracker},
 		{"l2 stalled reference", onShared, func(t *testing.T, p *checkpointPayload) {
-			p.L2TLB.Stalled = append(p.L2TLB.Stalled, untracked)
+			p.L2TLB.Stalled = append(p.L2TLB.Stalled, engine.QueueItem[memreq.TransKey]{Value: untracked})
 		}, noTracker},
 		{"l2 pipe key names no tracker", onShared, func(t *testing.T, p *checkpointPayload) {
-			p.L2TLB.In = append(p.L2TLB.In, engine.PipeItemState[memreq.TransKey]{ReadyAt: 1, Value: untracked})
+			p.L2TLB.In = append(p.L2TLB.In, engine.QueueItem[memreq.TransKey]{Ready: 1, Value: untracked})
 		}, noTracker},
 		{"l2 MSHR key names no tracker", onShared, func(t *testing.T, p *checkpointPayload) {
 			p.L2TLB.Mshrs = append(p.L2TLB.Mshrs, []memreq.TransKey{untracked})
@@ -727,17 +795,17 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			ws.Origin, ws.Tr = uint8(ptw.OriginTrans), untracked
 		}, noTracker},
 		{"fault-held walk key names no tracker", onPaging, func(t *testing.T, p *checkpointPayload) {
-			p.Faults.Queue = append(p.Faults.Queue, ptw.PendingFaultState{ASID: 1, VPN: untracked.VPN, Notify: []ptw.FaultNotifyState{
+			p.Faults.Queue = append(p.Faults.Queue, engine.QueueItem[ptw.PendingFaultState]{Value: ptw.PendingFaultState{ASID: 1, VPN: untracked.VPN, Notify: []ptw.FaultNotifyState{
 				{Origin: uint8(ptw.OriginTrans), Tr: untracked},
-			}})
+			}}})
 		}, noTracker},
 		{"transreq names a core without an L1 TLB", onShared, func(t *testing.T, p *checkpointPayload) {
-			p.L2TLB.Stalled = append(p.L2TLB.Stalled, memreq.TransKey{Core: 1 << 20})
+			p.L2TLB.Stalled = append(p.L2TLB.Stalled, engine.QueueItem[memreq.TransKey]{Value: memreq.TransKey{Core: 1 << 20}})
 		}, "tlb: checkpoint names the L1 TLB of core 1048576"},
 		{"translation held twice", onShared, func(t *testing.T, p *checkpointPayload) {
 			for _, reqs := range p.L2TLB.Mshrs {
 				if len(reqs) > 0 {
-					p.L2TLB.Stalled = append(p.L2TLB.Stalled, reqs[0])
+					p.L2TLB.Stalled = append(p.L2TLB.Stalled, engine.QueueItem[memreq.TransKey]{Value: reqs[0]})
 					return
 				}
 			}
@@ -761,7 +829,7 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		}, "which is not a sink"},
 		{"request returns to a sink restored before its holder", onShared, func(t *testing.T, p *checkpointPayload) {
 			d := *firstReturning[*cache.Cache](t, p, sinks)
-			p.Cores[0].Retry = append(p.Cores[0].Retry, d)
+			p.Cores[0].Retry = append(p.Cores[0].Retry, engine.QueueItem[memreq.Request]{Value: d})
 		}, "which restored before the component holding it"},
 		{"walk serial names no walk", onShared, func(t *testing.T, p *checkpointPayload) {
 			firstReturning[*ptw.Walker](t, p, sinks).Tag = 1 << 60
@@ -816,7 +884,7 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		{"bank queue past its capacity", onShared, func(t *testing.T, p *checkpointPayload) {
 			st := &p.L1Ds[0]
 			for len(st.Queues[0]) <= cfg.L1Cache.QueueCap {
-				st.Queues[0] = append(st.Queues[0], cache.BankItemState{})
+				st.Queues[0] = append(st.Queues[0], engine.QueueItem[memreq.Request]{})
 			}
 		}, "checkpoint bank 0 queues " + strconv.Itoa(cfg.L1Cache.QueueCap+1) + " requests, capacity is " + strconv.Itoa(cfg.L1Cache.QueueCap)},
 		{"dram queue past its capacity", onShared, func(t *testing.T, p *checkpointPayload) {
@@ -825,6 +893,60 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 				*q = append(*q, dram.QueuedState{})
 			}
 		}, "dram: channel 1: dram: checkpoint request queue holds " + strconv.Itoa(cfg.DRAM.QueueCap+1) + " requests, capacity is " + strconv.Itoa(cfg.DRAM.QueueCap)},
+		// States no run reaches, which would otherwise restore and run on: a
+		// shared-TLB miss split in two, one merging two pages, a fault unit
+		// or walker past its slots, a page faulting twice, and the L2 TLB's
+		// input queue past its capacity. The translations they move are
+		// valid, so the shape is the only defect.
+		{"L2 TLB tracker split in two", onShared, func(t *testing.T, p *checkpointPayload) {
+			for i, reqs := range p.L2TLB.Mshrs {
+				if len(reqs) > 1 {
+					p.L2TLB.Mshrs[i] = reqs[:1]
+					p.L2TLB.Mshrs = append(p.L2TLB.Mshrs, reqs[1:])
+					return
+				}
+			}
+			t.Fatal("no L2 TLB miss has two requesters")
+		}, "checkpoint has two L2 TLB misses of asid"},
+		{"L2 TLB tracker merges another page", onShared, func(t *testing.T, p *checkpointPayload) {
+			k := takeQueuedTrans(t, p)
+			for i, reqs := range p.L2TLB.Mshrs {
+				if reqs[0].VPN != k.VPN {
+					p.L2TLB.Mshrs[i] = append(reqs, k)
+					return
+				}
+			}
+			t.Fatal("no L2 TLB miss is of another page")
+		}, "merges a requester of vpn"},
+		{"faults in service past the concurrency", onPaging, func(t *testing.T, p *checkpointPayload) {
+			for _, it := range p.Faults.Queue {
+				p.Faults.Inflight = append(p.Faults.Inflight, it.Value)
+			}
+			p.Faults.Queue = nil
+			if len(p.Faults.Inflight) <= pagingCfg.FaultConcurrency {
+				t.Fatalf("only %d faults pending", len(p.Faults.Inflight))
+			}
+		}, "faults in service, concurrency is 4"},
+		{"page faulting twice", onPaging, func(t *testing.T, p *checkpointPayload) {
+			if len(p.Faults.Inflight) == 0 {
+				t.Fatal("no fault in flight")
+			}
+			twice := p.Faults.Inflight[0]
+			twice.Notify, twice.DoneAt = nil, 0
+			p.Faults.Queue = append(p.Faults.Queue, engine.QueueItem[ptw.PendingFaultState]{Ready: twice.Start, Value: twice})
+		}, "checkpoint has two faults of asid"},
+		{"active walks past the walker's slots", onShared, func(t *testing.T, p *checkpointPayload) {
+			done := p.Walker.Active[0]
+			done.Finished, done.Waiting = true, false
+			for len(p.Walker.Active) <= walkerConcurrency {
+				p.Walker.Active = append(p.Walker.Active, done)
+			}
+		}, "active walks, the walker has " + strconv.Itoa(walkerConcurrency) + " slots"},
+		{"L2 TLB input queue past its capacity", onShared, func(t *testing.T, p *checkpointPayload) {
+			for len(p.L2TLB.In) <= l2TLBQueueCap {
+				p.L2TLB.In = append(p.L2TLB.In, engine.QueueItem[memreq.TransKey]{Value: takeQueuedTrans(t, p)})
+			}
+		}, "tlb: checkpoint L2 TLB input queues " + strconv.Itoa(l2TLBQueueCap+1) + " requests, capacity is " + strconv.Itoa(l2TLBQueueCap)},
 		// Per-app state of another length than the configuration's apps,
 		// policy state of a mechanism the configuration lacks or has, and
 		// policy state out of its range.

@@ -11,6 +11,7 @@ import (
 
 	"masksim/internal/cache"
 	"masksim/internal/dram"
+	"masksim/internal/engine"
 	"masksim/internal/gpu"
 	"masksim/internal/memreq"
 	"masksim/internal/ptw"
@@ -39,8 +40,13 @@ func requestImages(p *checkpointPayload) []*memreq.Request {
 			out = append(out, &sts[i])
 		}
 	}
+	addQueued := func(q []engine.QueueItem[memreq.Request]) {
+		for i := range q {
+			out = append(out, &q[i].Value)
+		}
+	}
 	for i := range p.Cores {
-		add(p.Cores[i].Retry)
+		addQueued(p.Cores[i].Retry)
 	}
 	caches := []*cache.CacheState{&p.L2C}
 	if p.PWC != nil {
@@ -51,9 +57,7 @@ func requestImages(p *checkpointPayload) []*memreq.Request {
 	}
 	for _, c := range caches {
 		for _, q := range c.Queues {
-			for i := range q {
-				out = append(out, &q[i].Req)
-			}
+			addQueued(q)
 		}
 		for _, ms := range c.Mshrs {
 			add(ms.Waiting)
@@ -61,7 +65,7 @@ func requestImages(p *checkpointPayload) []*memreq.Request {
 		for _, ms := range c.BypassMshrs {
 			add(ms.Waiting)
 		}
-		add(c.Retry)
+		addQueued(c.Retry)
 	}
 	for i := range p.DRAM.Channels {
 		ch := &p.DRAM.Channels[i]
@@ -101,7 +105,11 @@ func routeKey[T memreq.Sink](sinks *memreq.Pool, pick func(d *memreq.Request) bo
 // liveWalk finds an unfinished walk satisfying pick and names it by its
 // serial.
 func liveWalk(p *checkpointPayload, pick func(ws ptw.WalkState) bool) (string, bool) {
-	for _, w := range append(p.Walker.Active, p.Walker.Pending...) {
+	walks := slices.Clone(p.Walker.Active)
+	for _, it := range p.Walker.Pending {
+		walks = append(walks, it.Value)
+	}
+	for _, w := range walks {
 		if !w.Finished && pick(w) {
 			return fmt.Sprintf("walk %d", w.Serial), true
 		}
@@ -115,7 +123,11 @@ func heldWalk(p *checkpointPayload) (string, bool) {
 	if p.Faults == nil {
 		return "", false
 	}
-	for _, f := range append(p.Faults.Inflight, p.Faults.Queue...) {
+	faults := slices.Clone(p.Faults.Inflight)
+	for _, it := range p.Faults.Queue {
+		faults = append(faults, it.Value)
+	}
+	for _, f := range faults {
 		if len(f.Notify) > 0 {
 			return fmt.Sprintf("fault (asid %d, vpn %#x)", f.ASID, f.VPN), true
 		}
