@@ -21,11 +21,11 @@ const benchCycles = 6_000
 func runExperiment(b *testing.B, id string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Run(id, benchCycles, false)
+		rep, err := experiments.RunReport(id, experiments.Options{Cycles: benchCycles})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(tables) == 0 || len(tables[0].Rows) == 0 {
+		if len(rep.Tables) == 0 || len(rep.Tables[0].Rows) == 0 {
 			b.Fatalf("experiment %s produced no rows", id)
 		}
 	}

@@ -66,9 +66,3 @@ func (p *ATABypass) ShouldBypass(r *memreq.Request) bool {
 	}
 	return true
 }
-
-// BypassedLevels returns the current decision vector (levels 1..4); useful
-// for tests and introspection.
-func (p *ATABypass) BypassedLevels() [memreq.MaxWalkLevel + 1]bool {
-	return p.bypassLevel
-}

@@ -305,12 +305,6 @@ func (c *Cache) SetWayPartition(masks []uint64) {
 	c.wayMask = masks
 }
 
-// LineSize returns the cache line size in bytes.
-func (c *Cache) LineSize() int { return c.cfg.LineSize }
-
-// Name returns the configured cache name.
-func (c *Cache) Name() string { return c.cfg.Name }
-
 // LevelStats returns cumulative stats for walk level lvl (0 = data).
 func (c *Cache) LevelStats(lvl int) Stats { return c.levelStats[lvl] }
 
@@ -331,15 +325,6 @@ func (c *Cache) EpochRoll() {
 		}
 		c.epochStats[lvl] = Stats{}
 	}
-}
-
-// AvgLatency returns the average completion latency in cycles observed for
-// the given class of read requests completed by this cache or below it.
-func (c *Cache) AvgLatency(class memreq.Class) float64 {
-	if c.latCount[class] == 0 {
-		return 0
-	}
-	return float64(c.latSum[class]) / float64(c.latCount[class])
 }
 
 func (c *Cache) bankOf(lineAddr uint64) int {
@@ -717,19 +702,6 @@ func (c *Cache) FlushFraction(now int64, fraction float64) {
 		ln.valid = false
 		ln.dirty = false
 	}
-}
-
-// Contains reports whether the line holding addr is present (test helper).
-func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> c.lineShift
-	base := c.setOf(lineAddr) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == lineAddr {
-			return true
-		}
-	}
-	return false
 }
 
 // OutstandingMisses returns the number of active MSHRs (test/metrics helper).

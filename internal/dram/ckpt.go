@@ -78,8 +78,11 @@ func (d *DRAM) RestoreState(w *memreq.Wiring, st DRAMState) error {
 		*q = Queued{Req: r, Arrival: qs.Arrival, Bank: bank, Row: row, finish: qs.Finish}
 		return q, nil
 	}
+	if len(st.PerAppBus) != len(d.perAppBus) {
+		return fmt.Errorf("dram: checkpoint counts bus cycles of %d apps, model has %d", len(st.PerAppBus), len(d.perAppBus))
+	}
 	d.Class = st.Class
-	d.perAppBus = append(d.perAppBus[:0], st.PerAppBus...)
+	copy(d.perAppBus, st.PerAppBus)
 	for i := range d.channels {
 		ch := &d.channels[i]
 		cs := &st.Channels[i]

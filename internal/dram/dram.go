@@ -86,15 +86,6 @@ type ClassCounters struct {
 	RowConflicts uint64
 }
 
-// RowHitRate returns the fraction of issued requests that hit an open row.
-func (c ClassCounters) RowHitRate() float64 {
-	total := c.RowHits + c.RowClosed + c.RowConflicts
-	if total == 0 {
-		return 0
-	}
-	return float64(c.RowHits) / float64(total)
-}
-
 // AvgLatency returns the mean queueing+service latency.
 func (c ClassCounters) AvgLatency() float64 {
 	if c.Requests == 0 {
@@ -131,7 +122,7 @@ type DRAM struct {
 
 	// Class is indexed by memreq.Class.
 	Class [2]ClassCounters
-	// PerApp bus cycles, sized lazily.
+	// perAppBus counts each application's data-bus cycles, indexed by AppID.
 	perAppBus []uint64
 
 	// drop is a fault-injection hook: when it returns true for a completing
@@ -165,6 +156,7 @@ func Renew(d *DRAM, cfg Config, sc SchedConfig, pool *memreq.Pool) *DRAM {
 	}
 	d.Retire()
 	d.cfg, d.lineShift, d.pool = cfg, shift, pool
+	d.perAppBus = slab.Slice(d.perAppBus, max(sc.Apps, 1))
 	d.channels = slab.Donors(d.channels, cfg.Channels)
 	for i := range d.channels {
 		ch := &d.channels[i]
@@ -194,9 +186,6 @@ func (d *DRAM) Retire() {
 	}
 	*d = DRAM{channels: old.channels, perAppBus: slab.Slice(old.perAppBus, 0), qFree: old.qFree}
 }
-
-// Config returns the DRAM configuration.
-func (d *DRAM) Config() Config { return d.cfg }
 
 // frameShift is log2 of the 4KB physical frame used for channel
 // interleaving; it matches pagetable.FrameSize.
@@ -313,13 +302,7 @@ func (d *DRAM) Tick(now int64) {
 		ch.nextFinish = min(ch.nextFinish, finish)
 
 		d.Class[cls].BusCycles += uint64(d.cfg.BusCycles)
-		app := q.Req.AppID
-		if app >= 0 {
-			for len(d.perAppBus) <= app {
-				d.perAppBus = append(d.perAppBus, 0)
-			}
-			d.perAppBus[app] += uint64(d.cfg.BusCycles)
-		}
+		d.perAppBus[q.Req.AppID] += uint64(d.cfg.BusCycles)
 	}
 }
 

@@ -18,7 +18,7 @@ func testConfig() Config {
 
 func newFRFCFSDRAM() *DRAM {
 	cfg := testConfig()
-	return New(cfg, SchedConfig{}, new(memreq.Pool))
+	return New(cfg, SchedConfig{Apps: 2}, new(memreq.Pool))
 }
 
 // newReq takes a request from d's pool with r's fields and, if done is not
@@ -40,7 +40,7 @@ func drive(d *DRAM, from, to int64) {
 
 func TestMapDeterministicAndInRange(t *testing.T) {
 	d := newFRFCFSDRAM()
-	cfg := d.Config()
+	cfg := d.cfg
 	f := func(addr uint64) bool {
 		c1, b1, r1 := d.Map(addr)
 		c2, b2, r2 := d.Map(addr)
@@ -342,7 +342,8 @@ func TestCompletionWatermarkExact(t *testing.T) {
 		cfg := testConfig()
 		cfg.BusCycles = busCycles
 		d := New(cfg, SchedConfig{}, new(memreq.Pool))
-		src := rng.New(7)
+		var src rng.Source
+		src.Seed(7)
 		submitted, completed := 0, 0
 		for now := int64(0); now < 8000; now++ {
 			if now < 3000 && src.Uint64()%3 == 0 {

@@ -36,11 +36,12 @@ func (p Policy) String() string {
 // active TLB miss. The TLB subsystem provides the implementation.
 type PressureFunc func(app int) (concurrentPTW, warpsStalled float64)
 
-// SchedConfig selects every channel's scheduling policy. Apps, ThreshMax and
-// Pressure parameterise MASK's Silver Queue and are ignored otherwise: the
-// applications taking silver turns, Equation 1's thresh_max (non-positive
-// disables the Silver Queue — Golden Queue only), and the pressure metrics
-// (nil splits the quota evenly).
+// SchedConfig selects every channel's scheduling policy. Apps is the number
+// of applications, whose AppIDs index the per-app bus counters (fewer than
+// one counts as one). Apps, ThreshMax and Pressure parameterise MASK's Silver
+// Queue: the applications taking silver turns, Equation 1's thresh_max
+// (non-positive disables the Silver Queue — Golden Queue only), and the
+// pressure metrics (nil splits the quota evenly).
 type SchedConfig struct {
 	Policy    Policy
 	Apps      int

@@ -36,8 +36,9 @@ func (e *Engine) SetCheckpointHook(every int64, fn func(now int64)) {
 
 // WatchdogState is the watchdog's checkpoint image. Restoring it onto a
 // fresh watchdog with the same probes makes supervision resume exactly where
-// it left off — including a watchdog that had already tripped, which
-// re-raises its DeadlockError at the restored cycle (crash checkpoints).
+// it left off. The image of a watchdog that has reached its stall limit (a
+// crash dump's) is evidence, not a resume point: the simulator refuses to
+// restore it.
 type WatchdogState struct {
 	Last    uint64
 	Primed  bool
@@ -52,23 +53,6 @@ func (w *Watchdog) State() WatchdogState {
 // SetState restores the watchdog's progress-tracking state.
 func (w *Watchdog) SetState(st WatchdogState) {
 	w.last, w.primed, w.stalled = st.Last, st.Primed, st.Stalled
-}
-
-// Tripped reports whether the watchdog has already declared the run wedged
-// (only possible on a watchdog restored from a crash checkpoint).
-func (w *Watchdog) Tripped() bool {
-	return w.stalled >= w.StallChecks
-}
-
-// TripError rebuilds the DeadlockError for a tripped watchdog at cycle now.
-// The diagnostic dump is regenerated from current component state, which for
-// a restored crash checkpoint is exactly the state at the original abort.
-func (w *Watchdog) TripError(now int64) *DeadlockError {
-	return &DeadlockError{
-		Cycle:       now,
-		StallCycles: int64(w.stalled) * w.CheckEvery,
-		Dump:        w.Dump(),
-	}
 }
 
 // QueueItem is one queued item in checkpoint form: its ready cycle and the

@@ -11,7 +11,6 @@
 package engine
 
 import (
-	"context"
 	"math"
 
 	"masksim/internal/slab"
@@ -172,12 +171,6 @@ func (e *Engine) skipTo(to int64) {
 	}
 	e.skipped += to - e.now
 	e.now = to
-}
-
-// Run advances the simulation by n cycles: RunContext without cancellation
-// or a watchdog, which then cannot fail.
-func (e *Engine) Run(n int64) {
-	_ = e.RunContext(context.Background(), n, nil)
 }
 
 // TickFunc adapts a function to the Ticker interface.

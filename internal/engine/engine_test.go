@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
@@ -31,12 +32,16 @@ func TestTickOrderIsRegistrationOrder(t *testing.T) {
 	}
 }
 
+// run advances e by n cycles with neither cancellation nor a watchdog, so it
+// cannot fail.
+func run(e *Engine, n int64) { _ = e.RunContext(context.Background(), n, nil) }
+
 func TestRunAdvancesClock(t *testing.T) {
 	e := New()
 	var log []int
 	r := &recorder{log: &log}
 	e.Register(r)
-	e.Run(17)
+	run(e, 17)
 	if e.Now() != 17 {
 		t.Fatalf("Now=%d, want 17", e.Now())
 	}
@@ -54,7 +59,7 @@ func TestTickFuncSeesMonotonicClock(t *testing.T) {
 		}
 		last = now
 	}))
-	e.Run(10)
+	run(e, 10)
 }
 
 // newQueue returns a queue of the given latency and capacity.

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 )
 
@@ -44,7 +43,7 @@ func TestFastForwardSkipsQuiescentSpans(t *testing.T) {
 	e.SetFastForward(true)
 	c := &scripted{events: []int64{3, 10}}
 	e.Register(c)
-	e.Run(20)
+	run(e, 20)
 
 	if e.Now() != 20 {
 		t.Fatalf("Now=%d, want 20", e.Now())
@@ -80,7 +79,7 @@ func TestFastForwardOffByDefault(t *testing.T) {
 	e := New()
 	c := &scripted{events: []int64{3}}
 	e.Register(c)
-	e.Run(10)
+	run(e, 10)
 	if e.Ticked() != 10 || e.Skipped() != 0 {
 		t.Fatalf("Ticked=%d Skipped=%d, want 10/0 without SetFastForward", e.Ticked(), e.Skipped())
 	}
@@ -92,7 +91,7 @@ func TestFastForwardDisabledByOpaqueTicker(t *testing.T) {
 	e.Register(&scripted{events: []int64{3}})
 	// A plain TickFunc cannot report quiescence, so the engine must never skip.
 	e.Register(TickFunc(func(now int64) {}))
-	e.Run(10)
+	run(e, 10)
 	if e.Ticked() != 10 || e.Skipped() != 0 {
 		t.Fatalf("Ticked=%d Skipped=%d, want 10/0 with an opaque ticker registered", e.Ticked(), e.Skipped())
 	}
@@ -145,45 +144,5 @@ func TestFastForwardWatchdogHealthy(t *testing.T) {
 	}
 	if e.Now() != 1_000 {
 		t.Fatalf("Now=%d, want 1000", e.Now())
-	}
-}
-
-// TestRunIsRunContext pins that the engine has one cycle loop: scripted
-// tickers driven through Run(n) and through RunContext(ctx, n, nil) reach the
-// same clock, the same tick/skip split and the same per-ticker tick and span
-// logs, fast-forward on and off.
-func TestRunIsRunContext(t *testing.T) {
-	for _, ff := range []bool{false, true} {
-		drive := func(run func(e *Engine)) (*Engine, []*scripted) {
-			e := New()
-			e.SetFastForward(ff)
-			cs := []*scripted{{events: []int64{3, 10, 11}}, {events: []int64{0, 10, 37}}, {}}
-			for _, c := range cs {
-				e.Register(c)
-			}
-			// Two legs, so the second starts mid-run from a non-zero clock.
-			run(e)
-			run(e)
-			return e, cs
-		}
-		a, as := drive(func(e *Engine) { e.Run(25) })
-		b, bs := drive(func(e *Engine) {
-			if err := e.RunContext(context.Background(), 25, nil); err != nil {
-				t.Fatalf("ff=%v: RunContext: %v", ff, err)
-			}
-		})
-		if a.Now() != 50 || a.Now() != b.Now() || a.Ticked() != b.Ticked() || a.Skipped() != b.Skipped() {
-			t.Fatalf("ff=%v: Run now/ticked/skipped = %d/%d/%d, RunContext = %d/%d/%d",
-				ff, a.Now(), a.Ticked(), a.Skipped(), b.Now(), b.Ticked(), b.Skipped())
-		}
-		if ff == (a.Skipped() == 0) {
-			t.Fatalf("ff=%v: Skipped=%d", ff, a.Skipped())
-		}
-		for i := range as {
-			if !reflect.DeepEqual(as[i].ticks, bs[i].ticks) || !reflect.DeepEqual(as[i].spans, bs[i].spans) {
-				t.Fatalf("ff=%v ticker %d: Run ticks %v spans %v, RunContext ticks %v spans %v",
-					ff, i, as[i].ticks, as[i].spans, bs[i].ticks, bs[i].spans)
-			}
-		}
 	}
 }

@@ -169,13 +169,6 @@ func (e *Engine) RunContext(ctx context.Context, n int64, wd *Watchdog) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("engine: run canceled at cycle %d: %w", e.now, err)
 	}
-	// A watchdog restored from a crash checkpoint is already tripped: the
-	// original run aborted at exactly this cycle, so re-raise the same
-	// DeadlockError (the dump regenerates from the restored component state)
-	// before simulating anything.
-	if wd != nil && wd.Tripped() {
-		return wd.TripError(e.now)
-	}
 	end := e.now + n
 	ff := e.fastForward && e.allSources
 	for e.now < end {

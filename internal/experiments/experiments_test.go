@@ -45,17 +45,17 @@ func TestRegistryCoversDesignDoc(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", 100, false); err == nil {
+	if _, err := RunReport("nope", Options{Cycles: 100}); err == nil {
 		t.Fatal("unknown experiment id accepted")
 	}
 }
 
 func TestStorageExperimentIsPure(t *testing.T) {
-	tables, err := Run("storage", 1, false)
+	rep, err := RunReport("storage", Options{Cycles: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 1 || len(tables[0].Rows) < 5 {
+	if len(rep.Tables) != 1 || len(rep.Tables[0].Rows) < 5 {
 		t.Fatal("storage accounting incomplete")
 	}
 }
@@ -133,9 +133,12 @@ func TestRunMatrixSmall(t *testing.T) {
 func TestTableCSV(t *testing.T) {
 	tab := &Table{ID: "x", Title: "demo", Cols: []string{"a", "b"}}
 	tab.AddRow("1", "he,llo")
-	got := tab.CSV()
+	var b strings.Builder
+	if err := tab.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
 	want := "a,b\n1,\"he,llo\"\n"
-	if got != want {
+	if got := b.String(); got != want {
 		t.Fatalf("CSV = %q, want %q", got, want)
 	}
 }

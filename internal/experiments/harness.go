@@ -561,15 +561,6 @@ func (m *Matrix) Failed() []*Cell {
 	return out
 }
 
-// FailureFrac returns the fraction of matrix cells that failed.
-func (m *Matrix) FailureFrac() float64 {
-	total := len(m.Pairs) * len(m.Configs)
-	if total == 0 {
-		return 0
-	}
-	return float64(len(m.Failed())) / float64(total)
-}
-
 // MeanWS returns the arithmetic-mean weighted speedup for config over the
 // surviving pairs (all pairs when subset is nil).
 func (m *Matrix) MeanWS(config string, subset []workload.Pair) float64 {

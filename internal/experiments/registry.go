@@ -181,16 +181,6 @@ func RunCampaign(ids []string, opt Options) *CampaignReport {
 	return &CampaignReport{Reports: reports, Stats: h.Stats(), Failures: h.Failures()}
 }
 
-// Run executes one experiment by ID with default supervision (no timeout,
-// no cancellation).
-func Run(id string, cycles int64, full bool) ([]*Table, error) {
-	rep, err := RunReport(id, Options{Cycles: cycles, Full: full})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Tables, nil
-}
-
 func init() {
 	register("calib", "calibration matrix over representative pairs",
 		one(func(h *Harness, full bool) (*Table, error) { return Calib(h) }))

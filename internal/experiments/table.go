@@ -97,14 +97,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// CSV renders the table as a CSV string; a convenience wrapper over WriteCSV
-// for callers that embed the bytes (tests, golden files).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	t.WriteCSV(&b)
-	return b.String()
-}
-
 func writeCSVRow(b *bufio.Writer, cells []string) {
 	for i, c := range cells {
 		if i > 0 {

@@ -64,14 +64,6 @@ type Stats struct {
 	IdleOtherCycles uint64
 }
 
-// IPC returns instructions per cycle for this core.
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Instructions) / float64(s.Cycles)
-}
-
 type warpState uint8
 
 const (
@@ -183,15 +175,6 @@ func (c *Core) ID() int { return c.id }
 
 // AppID returns the application the core is assigned to.
 func (c *Core) AppID() int { return c.appID }
-
-// ReadyWarps returns the number of schedulable warps (metrics helper).
-func (c *Core) ReadyWarps() int {
-	n := 0
-	for _, word := range c.ready {
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
 
 // Tick retries rejected cache submissions, then issues one instruction from
 // the GTO-selected warp.

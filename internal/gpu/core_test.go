@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -70,11 +71,9 @@ func newTestCore(warps int, translate TranslateFn) (*Core, *sink, *cache.Cache) 
 	}, be, pool)
 	streams := make([]*workload.Stream, warps)
 	p := testProfile()
+	f := workload.NewStreamFactory(p, testBase, 4096, 64, warps, 5)
 	for w := 0; w < warps; w++ {
-		streams[w] = p.NewStream(workload.StreamConfig{
-			Base: testBase, PageSize: 4096, LineSize: 64,
-			WarpIndex: w, NumWarps: warps, Seed: 5,
-		})
+		streams[w] = f.New(w) // the profile is ungrouped: no barriers
 	}
 	core := New(0, 0, Config{WarpsPerCore: warps}, mappedSpace(p, warps), streams, translate, l1d, pool)
 	return core, be, l1d
@@ -91,6 +90,15 @@ type queuedTrans struct {
 }
 
 func (q queuedTrans) answer(core *Core, now int64) { core.Translated(now, q.warp, q.slot) }
+
+// readyWarps returns the number of c's schedulable warps.
+func readyWarps(c *Core) int {
+	n := 0
+	for _, word := range c.ready {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
 
 func run(core *Core, be *sink, l1d *cache.Cache, cycles int64) {
 	for now := int64(0); now < cycles; now++ {
@@ -109,8 +117,8 @@ func TestCoreMakesProgress(t *testing.T) {
 	if core.Stats.MemInsts == 0 || core.Stats.ComputeInsts == 0 {
 		t.Fatalf("instruction mix broken: %+v", core.Stats)
 	}
-	if core.Stats.IPC() <= 0 || core.Stats.IPC() > 1 {
-		t.Fatalf("IPC=%v out of (0,1]", core.Stats.IPC())
+	if ipc := float64(core.Stats.Instructions) / float64(core.Stats.Cycles); ipc <= 0 || ipc > 1 {
+		t.Fatalf("IPC=%v out of (0,1]", ipc)
 	}
 }
 
@@ -129,8 +137,8 @@ func TestCoreIdlesWhenTranslationStalls(t *testing.T) {
 	neverTranslate := func(now int64, vpn uint64, warpID, slot int) bool { return false }
 	core, be, l1d := newTestCore(2, neverTranslate)
 	run(core, be, l1d, 500)
-	if core.ReadyWarps() != 0 {
-		t.Fatalf("%d warps ready despite blocked translations", core.ReadyWarps())
+	if readyWarps(core) != 0 {
+		t.Fatalf("%d warps ready despite blocked translations", readyWarps(core))
 	}
 	if core.Stats.IdleCycles == 0 {
 		t.Fatal("core never idled")
@@ -245,9 +253,7 @@ func TestWritesDoNotBlockWarp(t *testing.T) {
 		Name: "l1", SizeBytes: 4096, Ways: 4, LineSize: 64,
 		Banks: 1, PortsPerBank: 4, Latency: 1, QueueCap: 256,
 	}, be, pool)
-	s := p.NewStream(workload.StreamConfig{
-		Base: testBase, PageSize: 4096, LineSize: 64, WarpIndex: 0, NumWarps: 1, Seed: 3,
-	})
+	s := workload.NewStreamFactory(p, testBase, 4096, 64, 1, 3).New(0)
 	core := New(0, 0, Config{WarpsPerCore: 1}, mappedSpace(p, 1),
 		[]*workload.Stream{s}, instantTranslate, l1d, pool)
 	for now := int64(0); now < 300; now++ {
@@ -354,8 +360,8 @@ func TestRestoredCorePicksSameWarps(t *testing.T) {
 		// The waiting translations are the TLB's state, not the core's: the
 		// restored world takes them over as a restored L1 TLB would.
 		restored.trans = append(restored.trans, replica.trans...)
-		if n := restored.core.ReadyWarps(); n == 0 || n == warps || n != live.core.ReadyWarps() {
-			t.Fatalf("restored core has %d of %d warps ready, live core %d: want a mixed, equal set", n, warps, live.core.ReadyWarps())
+		if n := readyWarps(restored.core); n == 0 || n == warps || n != readyWarps(live.core) {
+			t.Fatalf("restored core has %d of %d warps ready, live core %d: want a mixed, equal set", n, warps, readyWarps(live.core))
 		}
 
 		for now := int64(snapAt); now < end; now++ {
@@ -405,10 +411,9 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 			PageStayProb: 1, SeqProb: 1, ComputePerMem: 2, Divergence: 1, LinesPerInst: 2,
 		}
 		streams := make([]*workload.Stream, warps)
+		f := workload.NewStreamFactory(p, testBase, 4096, 64, warps, 5)
 		for w := range streams {
-			streams[w] = p.NewStream(workload.StreamConfig{
-				Base: testBase, PageSize: 4096, LineSize: 64, WarpIndex: w, NumWarps: warps, Seed: 5,
-			})
+			streams[w] = f.New(w)
 		}
 		core := New(0, 0, Config{WarpsPerCore: warps, RoundRobin: rr}, mappedSpace(p, warps),
 			streams, instantTranslate, l1d, pool)
@@ -416,8 +421,8 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 			core.Tick(now)
 			l1d.Tick(now)
 		}
-		if core.ReadyWarps() != 0 || core.retry.Len() != 0 {
-			t.Fatalf("rr=%v: %d warps ready, %d requests in retry; want every warp parked on data", rr, core.ReadyWarps(), core.retry.Len())
+		if readyWarps(core) != 0 || core.retry.Len() != 0 {
+			t.Fatalf("rr=%v: %d warps ready, %d requests in retry; want every warp parked on data", rr, readyWarps(core), core.retry.Len())
 		}
 		outstanding := func(skip int) (n int) {
 			for i := range core.warps {
@@ -441,8 +446,8 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 		if w := &core.warps[63]; w.state != warpReady || w.outstandingData != 0 {
 			t.Fatalf("rr=%v: warp 63 still blocked (state %d, %d reads outstanding) after its %d fills returned", rr, w.state, w.outstandingData, returned)
 		}
-		if core.ReadyWarps() != 1 || outstanding(63) != others {
-			t.Fatalf("rr=%v: %d warps ready and %d reads outstanding elsewhere (was %d); only warp 63 may move", rr, core.ReadyWarps(), outstanding(63), others)
+		if readyWarps(core) != 1 || outstanding(63) != others {
+			t.Fatalf("rr=%v: %d warps ready and %d reads outstanding elsewhere (was %d); only warp 63 may move", rr, readyWarps(core), outstanding(63), others)
 		}
 		core.Tick(2001)
 		if core.current != 63 {

@@ -130,24 +130,6 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("maskd: HTTP %d: %s", e.Code, strings.TrimSpace(e.Body))
 }
 
-// IsRetryable reports whether err is a 429/503 worth backing off and
-// retrying.
-func IsRetryable(err error) bool {
-	var se *statusError
-	if !asStatus(err, &se) {
-		return false
-	}
-	return se.Code == http.StatusTooManyRequests || se.Code == http.StatusServiceUnavailable
-}
-
-func asStatus(err error, out **statusError) bool {
-	se, ok := err.(*statusError)
-	if ok {
-		*out = se
-	}
-	return ok
-}
-
 func decodeResponse(resp *http.Response, v any) error {
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxStoreEntry))
@@ -232,34 +214,4 @@ func (c *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 			return st, err
 		}
 	}
-}
-
-// Cancel asks the server to cancel a job.
-func (c *Client) Cancel(id string) error {
-	hr, err := http.NewRequest(http.MethodDelete, c.url("/v1/jobs/"+id), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(hr)
-	if err != nil {
-		return err
-	}
-	return decodeResponse(resp, nil)
-}
-
-// Stats fetches the server-wide counters.
-func (c *Client) Stats() (*ServerStats, error) {
-	hr, err := http.NewRequest(http.MethodGet, c.url("/v1/stats"), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(hr)
-	if err != nil {
-		return nil, err
-	}
-	var st ServerStats
-	if err := decodeResponse(resp, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }

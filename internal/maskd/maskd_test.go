@@ -19,6 +19,43 @@ import (
 	"masksim/sim"
 )
 
+// isRetryable reports whether err is a 429 or 503 response, which a client
+// backs off and retries.
+func isRetryable(err error) bool {
+	se, ok := err.(*statusError)
+	return ok && (se.Code == http.StatusTooManyRequests || se.Code == http.StatusServiceUnavailable)
+}
+
+// serverStats fetches the server-wide counters through c.
+func serverStats(c *Client) (*ServerStats, error) {
+	hr, err := http.NewRequest(http.MethodGet, c.url("/v1/stats"), nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.do(hr)
+	if err != nil {
+		return nil, err
+	}
+	var st ServerStats
+	if err := decodeResponse(resp, &st); err != nil {
+		return nil, err
+	}
+	return &st, nil
+}
+
+// cancelJob asks the server behind c to cancel job id.
+func cancelJob(c *Client, id string) error {
+	hr, err := http.NewRequest(http.MethodDelete, c.url("/v1/jobs/"+id), nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.do(hr)
+	if err != nil {
+		return err
+	}
+	return decodeResponse(resp, nil)
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.CacheDir == "" {
@@ -119,7 +156,7 @@ func TestConcurrentClientsSingleFlight(t *testing.T) {
 	}
 
 	// Machine-wide single flight: every execution was a distinct cache miss.
-	stats, err := client(ts, "tenant-0").Stats()
+	stats, err := serverStats(client(ts, "tenant-0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +207,7 @@ func TestTenantQuota429(t *testing.T) {
 		t.Fatalf("first submit: %v", err)
 	}
 	_, err := a.Submit(job)
-	if !IsRetryable(err) {
+	if !isRetryable(err) {
 		t.Fatalf("exhausted tenant got %v, want 429", err)
 	}
 
@@ -459,7 +496,7 @@ func TestRemoteClientMode(t *testing.T) {
 	}
 
 	// The server observed the publishes and the cross-machine hits.
-	stats, err := client(ts, "alice").Stats()
+	stats, err := serverStats(client(ts, "alice"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +516,7 @@ func TestCancelJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Cancel(st.ID); err != nil {
+	if err := cancelJob(c, st.ID); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -516,7 +553,7 @@ func TestDrain(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(job); !IsRetryable(err) {
+	if _, err := c.Submit(job); !isRetryable(err) {
 		t.Fatalf("submit while draining = %v, want 503", err)
 	}
 	resp, err := http.Get(ts.URL + "/v1/healthz")

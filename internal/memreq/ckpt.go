@@ -22,6 +22,11 @@ type Wiring struct {
 	// Trans resolves a key to the TransReq the restored L1 TLB of its core
 	// tracks, once: every holder asks for the keys it holds.
 	Trans func(TransKey) (*TransReq, error)
+	// ASIDs holds each application's address space, indexed by AppID; Cores
+	// and Warps are the simulator's core count and warps per core. Together
+	// they bound every identity an image names (Request, Walk).
+	ASIDs        []uint8
+	Cores, Warps int
 
 	// bySink holds the requests restored so far by the route they return on,
 	// and closed the routes whose Returning already ran.
@@ -67,12 +72,34 @@ func SortedKeys[K comparable, V any](m map[K]V, order func(a, b K) int) []K {
 // Image returns the request's image: the request is its own image.
 func (r *Request) Image() Request { return *r }
 
+// identity rejects an application, core or warp the simulator does not have:
+// components index per-app, per-core and per-warp state by them.
+func (w *Wiring) identity(app, core, warp int) error {
+	if app < 0 || app >= len(w.ASIDs) || core < 0 || core >= w.Cores || warp < 0 || warp >= w.Warps {
+		return fmt.Errorf("memreq: app %d, core %d, warp %d is not one of %d apps, %d cores of %d warps", app, core, warp, len(w.ASIDs), w.Cores, w.Warps)
+	}
+	return nil
+}
+
+// Walk rejects a walk whose application and address space do not name the
+// same app.
+func (w *Wiring) Walk(asid uint8, app int) error {
+	if app < 0 || app >= len(w.ASIDs) || w.ASIDs[app] != asid {
+		return fmt.Errorf("walk of app %d in address space %d, which names no app of %d", app, asid, len(w.ASIDs))
+	}
+	return nil
+}
+
 // Request takes a request from the pool and gives it the image's fields. An
-// image of a kind, class or walk level no request has, or whose route names
-// no sink or a sink whose Returning already ran, is an error.
+// image of a kind, class or walk level no request has, of an identity the
+// simulator does not have, or whose route names no sink or a sink whose
+// Returning already ran, is an error.
 func (w *Wiring) Request(img Request) (*Request, error) {
 	if img.Kind > Write || img.Class > Translation || img.WalkLevel > MaxWalkLevel {
 		return nil, fmt.Errorf("memreq: request (addr %#x, tag %d) has kind %d, class %d, walk level %d, which no request has", img.Addr, img.Tag, img.Kind, img.Class, img.WalkLevel)
+	}
+	if err := w.identity(img.AppID, img.CoreID, img.WarpID); err != nil {
+		return nil, fmt.Errorf("request (addr %#x, tag %d): %w", img.Addr, img.Tag, err)
 	}
 	if img.Ret != 0 {
 		if w.Pool.Sink(img.Ret) == nil {

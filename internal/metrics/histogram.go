@@ -74,36 +74,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[bucketOf(uint64(v))]++
 }
 
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the exact sum of observed samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the exact sample mean (NaN when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observed sample (NaN when empty).
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	return h.min
-}
-
-// Max returns the largest observed sample (NaN when empty).
-func (h *Histogram) Max() float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	return h.max
-}
-
 // Quantile returns the approximate q-quantile (q in [0,1]) by locating the
 // bucket holding the rank-q sample and interpolating linearly inside it. The
 // result is clamped to the exact [Min, Max] envelope, so Quantile(0) and
@@ -135,15 +105,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		seen += float64(n)
 	}
 	return h.max
-}
-
-// Reset clears the histogram for reuse.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count = 0
-	h.sum = 0
-	h.min = 0
-	h.max = 0
 }

@@ -1,6 +1,6 @@
 // Package metrics implements the multiprogramming metrics the paper reports:
 // weighted speedup (system throughput), IPC throughput, and maximum-slowdown
-// unfairness, plus small helpers for aggregating time series.
+// unfairness, plus the log-bucketed Histogram behind latency quantiles.
 package metrics
 
 import "math"
@@ -66,47 +66,6 @@ func MaxSlowdown(shared, alone []float64) float64 {
 	return worst
 }
 
-// HarmonicSpeedup is the harmonic mean of per-app speedups, a
-// balance-sensitive alternative throughput metric.
-//
-// Contract: shared and alone must be non-empty and the same length, and every
-// alone IPC must be positive; otherwise the metric is undefined and NaN is
-// returned. An app with zero shared IPC has an infinite slowdown, which
-// drives the harmonic mean to its natural limit of 0.
-func HarmonicSpeedup(shared, alone []float64) float64 {
-	if len(shared) == 0 || len(shared) != len(alone) {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := range shared {
-		if alone[i] <= 0 {
-			return math.NaN()
-		}
-		if shared[i] <= 0 {
-			return 0 // one infinite slowdown collapses the harmonic mean
-		}
-		sum += alone[i] / shared[i]
-	}
-	return float64(len(shared)) / sum
-}
-
-// GeoMean returns the geometric mean of xs (ignoring non-positive entries),
-// used to average normalized results across workloads.
-func GeoMean(xs []float64) float64 {
-	n := 0
-	logSum := 0.0
-	for _, x := range xs {
-		if x > 0 {
-			logSum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -117,49 +76,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// MinMax returns the extrema of xs.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return
-}
-
-// Series accumulates periodic samples (e.g. concurrent page walks).
-type Series struct {
-	Sum   float64
-	Count int
-	Min   float64
-	Max   float64
-}
-
-// Add records one sample.
-func (s *Series) Add(v float64) {
-	if s.Count == 0 || v < s.Min {
-		s.Min = v
-	}
-	if s.Count == 0 || v > s.Max {
-		s.Max = v
-	}
-	s.Sum += v
-	s.Count++
-}
-
-// Avg returns the running mean.
-func (s *Series) Avg() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }

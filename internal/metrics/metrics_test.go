@@ -27,7 +27,6 @@ func TestSpeedupMetricsUndefinedInputs(t *testing.T) {
 	fns := []fn{
 		{"WeightedSpeedup", WeightedSpeedup},
 		{"MaxSlowdown", MaxSlowdown},
-		{"HarmonicSpeedup", HarmonicSpeedup},
 	}
 	cases := []struct {
 		name          string
@@ -57,10 +56,6 @@ func TestSpeedupMetricsZeroSharedIPC(t *testing.T) {
 	if u := MaxSlowdown(shared, alone); !math.IsInf(u, 1) {
 		t.Errorf("unfairness=%v, want +Inf", u)
 	}
-	// And the harmonic mean collapses to its limit of 0.
-	if h := HarmonicSpeedup(shared, alone); h != 0 {
-		t.Errorf("harmonic=%v, want 0", h)
-	}
 }
 
 func TestIPCThroughput(t *testing.T) {
@@ -76,51 +71,13 @@ func TestMaxSlowdown(t *testing.T) {
 	}
 }
 
-func TestHarmonicSpeedup(t *testing.T) {
-	// Equal 2x slowdowns: harmonic speedup = n / sum(slowdowns) = 2/4.
-	if h := HarmonicSpeedup([]float64{1, 1}, []float64{2, 2}); !close(h, 0.5) {
-		t.Fatalf("harmonic=%v, want 0.5", h)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); !close(g, 2) {
-		t.Fatalf("geomean=%v, want 2", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Fatalf("geomean(nil)=%v", g)
-	}
-	// Non-positive entries are skipped.
-	if g := GeoMean([]float64{0, 9}); !close(g, 9) {
-		t.Fatalf("geomean with zero=%v", g)
-	}
-}
-
 func TestMeanAndMinMax(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	if m := Mean(xs); !close(m, 2) {
 		t.Fatalf("mean=%v", m)
 	}
-	lo, hi := MinMax(xs)
-	if lo != 1 || hi != 3 {
-		t.Fatalf("minmax=%v,%v", lo, hi)
-	}
 	if Mean(nil) != 0 {
 		t.Fatal("mean(nil) != 0")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	for _, v := range []float64{2, 8, 5} {
-		s.Add(v)
-	}
-	if !close(s.Avg(), 5) || s.Min != 2 || s.Max != 8 || s.Count != 3 {
-		t.Fatalf("series %+v", s)
-	}
-	var empty Series
-	if empty.Avg() != 0 {
-		t.Fatal("empty series avg != 0")
 	}
 }
 

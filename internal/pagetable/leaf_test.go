@@ -88,13 +88,13 @@ func compareSpaces(t *testing.T, pageSize int, vas, probes []uint64) {
 		if got, want := s.EnsureMapped(va), ref.ensureMapped(va); got != want {
 			t.Fatalf("EnsureMapped #%d (%#x) = frame %d, reference %d", i, va, got, want)
 		}
-		if alloc.Allocated() != refAlloc.Allocated() {
-			t.Fatalf("after EnsureMapped #%d (%#x): %d frames allocated, reference %d", i, va, alloc.Allocated(), refAlloc.Allocated())
+		if (alloc.next - 1) != (refAlloc.next - 1) {
+			t.Fatalf("after EnsureMapped #%d (%#x): %d frames allocated, reference %d", i, va, (alloc.next - 1), (refAlloc.next - 1))
 		}
 	}
 	var buf [4]uint64
 	for _, va := range append(slices.Clone(vas), probes...) {
-		vpn := va >> s.PageShift()
+		vpn := va >> s.pageShift
 		addrs, frame, ok := ref.walk(vpn)
 		pa, gotOK := s.Translate(va)
 		if gotOK != ok || ok && pa != frame*FrameSize+va&uint64(pageSize-1) {
@@ -103,7 +103,7 @@ func compareSpaces(t *testing.T, pageSize int, vas, probes []uint64) {
 		if f, gotOK := s.TranslateVPN(vpn); gotOK != ok || f != frame {
 			t.Fatalf("TranslateVPN(%#x) = %d, %v; reference %d, %v", vpn, f, gotOK, frame, ok)
 		}
-		if len(addrs) == s.Levels() { // the walk exists down to the leaf
+		if len(addrs) == s.levels { // the walk exists down to the leaf
 			if got := s.WalkAddrsInto(vpn, buf[:0]); !slices.Equal(got, addrs) {
 				t.Fatalf("WalkAddrsInto(%#x) = %#x, reference %#x", vpn, got, addrs)
 			}

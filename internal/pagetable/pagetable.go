@@ -69,10 +69,6 @@ func (a *Allocator) Alloc() uint64 {
 	}
 }
 
-// Allocated returns how many frame numbers have been consumed (including
-// frames skipped by constraints); a cheap proxy for footprint in tests.
-func (a *Allocator) Allocated() uint64 { return a.next - 1 }
-
 // inlineSlots is how many mappings a leaf holds before it switches to a dense
 // table. Sparse VA layouts (large page strides) create many leaves holding
 // only a few mappings each — every leaf of every built-in profile holds
@@ -133,8 +129,6 @@ type Space struct {
 	alloc     *Allocator
 	root      *node
 	nodes     slab.List[node]
-
-	mappedPages uint64
 }
 
 // NewSpace creates an empty address space using pageSize (PageSize4K or
@@ -168,17 +162,8 @@ func (s *Space) newNode(interior bool) *node {
 // ASID returns the address space identifier.
 func (s *Space) ASID() uint8 { return s.asid }
 
-// PageShift returns log2(page size).
-func (s *Space) PageShift() uint { return s.pageShift }
-
 // PageSize returns the data page size in bytes.
 func (s *Space) PageSize() int { return 1 << s.pageShift }
-
-// Levels returns the number of page-table levels (4 for 4KB, 3 for 2MB).
-func (s *Space) Levels() int { return s.levels }
-
-// MappedPages returns the number of data pages currently mapped.
-func (s *Space) MappedPages() uint64 { return s.mappedPages }
 
 // VPN returns the virtual page number of va.
 func (s *Space) VPN(va uint64) uint64 { return va >> s.pageShift }
@@ -218,7 +203,6 @@ func (s *Space) EnsureMapped(va uint64) uint64 {
 		s.alloc.Alloc()
 	}
 	n.set(idx, base)
-	s.mappedPages++
 	return base
 }
 
@@ -254,27 +238,10 @@ func (s *Space) TranslateVPN(vpn uint64) (uint64, bool) {
 	return pa / FrameSize, true
 }
 
-// WalkAddrs returns the physical byte addresses of the page-table entries a
-// hardware walker must read to translate vpn, ordered from root (level 1) to
-// leaf. The page must be mapped.
-func (s *Space) WalkAddrs(vpn uint64) []uint64 {
-	addrs := make([]uint64, 0, s.levels)
-	n := s.root
-	for level := 1; level <= s.levels; level++ {
-		idx := s.indexAt(vpn, level)
-		addrs = append(addrs, n.frame*FrameSize+uint64(idx)*pteSize)
-		if level < s.levels {
-			if n.kids[idx] == nil {
-				panic(fmt.Sprintf("pagetable: WalkAddrs on unmapped vpn %#x (level %d)", vpn, level))
-			}
-			n = n.kids[idx]
-		}
-	}
-	return addrs
-}
-
-// WalkAddrsInto is WalkAddrs without allocation; dst must have capacity for
-// s.Levels() entries. It returns the filled prefix of dst.
+// WalkAddrsInto fills dst with the physical byte addresses of the page-table
+// entries a hardware walker must read to translate vpn, ordered from root
+// (level 1) to leaf, and returns the filled prefix of dst. It does not
+// allocate when dst has capacity for every level. The page must be mapped.
 func (s *Space) WalkAddrsInto(vpn uint64, dst []uint64) []uint64 {
 	dst = dst[:0]
 	n := s.root

@@ -33,8 +33,8 @@ func TestEnsureMappedIdempotent(t *testing.T) {
 	if f1 != f2 {
 		t.Fatalf("remapping same page gave different frames %d vs %d", f1, f2)
 	}
-	if s.MappedPages() != 1 {
-		t.Fatalf("MappedPages=%d, want 1", s.MappedPages())
+	if mappedPages(s) != 1 {
+		t.Fatalf("MappedPages=%d, want 1", mappedPages(s))
 	}
 }
 
@@ -77,7 +77,7 @@ func TestWalkAddrsShape(t *testing.T) {
 	s := NewSpace(1, PageSize4K, NewAllocator())
 	va := uint64(0x7654_3210_0000)
 	s.EnsureMapped(va)
-	addrs := s.WalkAddrs(s.VPN(va))
+	addrs := s.WalkAddrsInto(s.VPN(va), nil)
 	if len(addrs) != 4 {
 		t.Fatalf("4KB walk has %d levels, want 4", len(addrs))
 	}
@@ -99,8 +99,8 @@ func TestWalkAddrsSharedPrefix(t *testing.T) {
 	va2 := va1 + PageSize4K // adjacent page
 	s.EnsureMapped(va1)
 	s.EnsureMapped(va2)
-	a1 := s.WalkAddrs(s.VPN(va1))
-	a2 := s.WalkAddrs(s.VPN(va2))
+	a1 := s.WalkAddrsInto(s.VPN(va1), nil)
+	a2 := s.WalkAddrsInto(s.VPN(va2), nil)
 	// Adjacent pages share levels 1..3 node frames (same upper indices).
 	for lvl := 0; lvl < 3; lvl++ {
 		if a1[lvl]/FrameSize != a2[lvl]/FrameSize {
@@ -117,7 +117,7 @@ func TestWalkAddrsIntoMatches(t *testing.T) {
 	va := uint64(0x9999_0000)
 	s.EnsureMapped(va)
 	vpn := s.VPN(va)
-	a := s.WalkAddrs(vpn)
+	a := s.WalkAddrsInto(vpn, nil)
 	var buf [4]uint64
 	b := s.WalkAddrsInto(vpn, buf[:0])
 	if len(a) != len(b) {
@@ -125,15 +125,15 @@ func TestWalkAddrsIntoMatches(t *testing.T) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("WalkAddrsInto[%d]=%#x, WalkAddrs=%#x", i, b[i], a[i])
+			t.Fatalf("WalkAddrsInto[%d]=%#x into a buffer, %#x into nil", i, b[i], a[i])
 		}
 	}
 }
 
 func Test2MBPages(t *testing.T) {
 	s := NewSpace(2, PageSize2M, NewAllocator())
-	if s.Levels() != 3 {
-		t.Fatalf("2MB pages use %d levels, want 3", s.Levels())
+	if s.levels != 3 {
+		t.Fatalf("2MB pages use %d levels, want 3", s.levels)
 	}
 	va := uint64(0x8000_0000)
 	frame := s.EnsureMapped(va)
@@ -145,7 +145,7 @@ func Test2MBPages(t *testing.T) {
 	if pa != frame*FrameSize+1<<20 {
 		t.Fatalf("2MB offset translation wrong: %#x", pa)
 	}
-	addrs := s.WalkAddrs(s.VPN(va))
+	addrs := s.WalkAddrsInto(s.VPN(va), nil)
 	if len(addrs) != 3 {
 		t.Fatalf("2MB walk has %d levels, want 3", len(addrs))
 	}
@@ -187,12 +187,39 @@ func TestSeparateSpacesAreIsolated(t *testing.T) {
 	}
 }
 
+// mappedPages counts the data pages s maps, by walking its radix tree.
+func mappedPages(s *Space) uint64 {
+	var count func(n *node, level int) uint64
+	count = func(n *node, level int) uint64 {
+		if level == s.levels {
+			if n.dense == nil {
+				return uint64(n.n)
+			}
+			var c uint64
+			for _, f := range n.dense {
+				if f != 0 {
+					c++
+				}
+			}
+			return c
+		}
+		var c uint64
+		for _, k := range n.kids {
+			if k != nil {
+				c += count(k, level+1)
+			}
+		}
+		return c
+	}
+	return count(s.root, 1)
+}
+
 func TestMappedPagesCount(t *testing.T) {
 	s := NewSpace(1, PageSize4K, NewAllocator())
 	for i := uint64(0); i < 100; i++ {
 		s.EnsureMapped(i * PageSize4K)
 	}
-	if s.MappedPages() != 100 {
-		t.Fatalf("MappedPages=%d, want 100", s.MappedPages())
+	if mappedPages(s) != 100 {
+		t.Fatalf("MappedPages=%d, want 100", mappedPages(s))
 	}
 }

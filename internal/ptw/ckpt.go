@@ -116,12 +116,6 @@ func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 	if err := engine.RestoreQueue(&w.pending, st.Pending, func(ws WalkState) (*walk, error) { return w.buildWalk(wi, ws) }); err != nil {
 		return fmt.Errorf("ptw: checkpoint pending walk %w", err)
 	}
-	clear(w.perAppActive)
-	for _, wk := range w.active {
-		if !wk.finished && wk.appID >= 0 && wk.appID < len(w.perAppActive) {
-			w.perAppActive[wk.appID]++
-		}
-	}
 	if st.LatHist != nil && w.latHist != nil {
 		w.latHist.SetState(*st.LatHist)
 	}
@@ -141,6 +135,9 @@ func (w *Walker) buildWalk(wi *memreq.Wiring, ws WalkState) (*walk, error) {
 	}
 	if _, ok := sp.TranslateVPN(ws.VPN); !ok {
 		return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is of a page its address space does not map", ws.ASID, ws.VPN)
+	}
+	if err := wi.Walk(ws.ASID, ws.AppID); err != nil {
+		return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x): %w", ws.ASID, ws.VPN, err)
 	}
 	wk, _ := w.walkFree.Get()
 	wk.asid, wk.appID, wk.vpn = ws.ASID, ws.AppID, ws.VPN
@@ -235,6 +232,9 @@ func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
 		}
 		p := &pendingFault{key: key, start: ps.Start, doneAt: ps.DoneAt}
 		for _, ns := range ps.Notify {
+			if err := wi.Walk(ps.ASID, ns.AppID); err != nil {
+				return nil, fmt.Errorf("ptw: checkpoint fault of asid %d, vpn %#x holds a %w", ps.ASID, ps.VPN, err)
+			}
 			h := HeldWalk{
 				Start: ns.Start, Origin: WalkOrigin(ns.Origin), AppID: ns.AppID,
 				ASID: ps.ASID, VPN: ps.VPN,

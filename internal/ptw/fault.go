@@ -130,12 +130,6 @@ func (f *FaultUnit) pending(key faultKey) *pendingFault {
 	return nil
 }
 
-// Prefault marks a page resident without cost (used to pre-populate pinned
-// regions, e.g. the first touch of each hot page at load).
-func (f *FaultUnit) Prefault(asid uint8, vpn uint64) {
-	f.resident[faultKey{asid, vpn}] = true
-}
-
 // Tick completes due faults and starts queued ones.
 func (f *FaultUnit) Tick(now int64) {
 	nkeep := 0
@@ -186,6 +180,3 @@ func (f *FaultUnit) Outstanding() int { return len(f.inflight) + f.queue.Len() }
 // SetFaultUnit attaches demand paging to the walker: a completed walk for a
 // non-resident page is held until its fault is serviced.
 func (w *Walker) SetFaultUnit(f *FaultUnit) { w.faults = f; f.sink = w }
-
-// Faults returns the attached fault unit (nil when demand paging is off).
-func (w *Walker) Faults() *FaultUnit { return w.faults }

@@ -99,7 +99,7 @@ func TestFaultConcurrencyLimit(t *testing.T) {
 
 func TestPrefaultSkipsFault(t *testing.T) {
 	f := NewFaultUnit(100, 1)
-	f.Prefault(1, 9)
+	f.resident[faultKey{1, 9}] = true // resident from the start, as a restore leaves it
 	if !f.Touch(0, 1, 9, HeldWalk{}) {
 		t.Fatal("prefaulted page still faulted")
 	}
@@ -107,12 +107,12 @@ func TestPrefaultSkipsFault(t *testing.T) {
 
 func TestWalkerWithFaultUnit(t *testing.T) {
 	mem := &fakeMem{}
-	w, log := newWalker(4, mem, 1)
+	w, log := newWalker(4, mem)
 	sp := pagetable.NewSpace(1, pagetable.PageSize4K, pagetable.NewAllocator())
 	w.AddSpace(sp)
 	fu := NewFaultUnit(200, 4)
 	w.SetFaultUnit(fu)
-	if w.Faults() != fu {
+	if w.faults != fu {
 		t.Fatal("fault unit not attached")
 	}
 

@@ -117,10 +117,6 @@ type Walker struct {
 	route memreq.Route
 	trans *memreq.TransPool
 
-	// perAppActive counts each app's unfinished active walks; a restore
-	// recounts it.
-	perAppActive []int
-
 	// sampleEvery controls concurrency sampling (cycles); 0 disables.
 	sampleEvery int64
 
@@ -144,14 +140,14 @@ type Walker struct {
 // New builds a walker admitting maxConcurrent walks, reading page tables
 // through backend with requests from pool and completing the translations
 // routed straight to it through trans.
-func New(maxConcurrent int, backend cache.Backend, numApps int, pool *memreq.Pool, trans *memreq.TransPool) *Walker {
-	return Renew(nil, maxConcurrent, backend, numApps, pool, trans)
+func New(maxConcurrent int, backend cache.Backend, pool *memreq.Pool, trans *memreq.TransPool) *Walker {
+	return Renew(nil, maxConcurrent, backend, pool, trans)
 }
 
 // Renew is New built in place over a donor: w is retired and comes back as
 // New would return it, over the donor's buffers where they fit
 // (docs/MODEL.md §11). A nil donor allocates everything.
-func Renew(w *Walker, maxConcurrent int, backend cache.Backend, numApps int, pool *memreq.Pool, trans *memreq.TransPool) *Walker {
+func Renew(w *Walker, maxConcurrent int, backend cache.Backend, pool *memreq.Pool, trans *memreq.TransPool) *Walker {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 64
 	}
@@ -162,24 +158,22 @@ func Renew(w *Walker, maxConcurrent int, backend cache.Backend, numApps int, poo
 	w.max, w.backend, w.pool, w.trans, w.sampleEvery = maxConcurrent, backend, pool, trans, 128
 	w.route = pool.Register(w)
 	w.spaces = slab.Map(w.spaces)
-	w.perAppActive = slab.Slice(w.perAppActive, numApps)
 	return w
 }
 
 // Retire empties w in place: what is left is the zero Walker but for the
-// capacity of its space map, walk lists and objects and per-app counters,
-// with nothing in them — no address space, no fault unit, no pool, no hook,
-// no neighbour (cache.Cache.Retire has the why).
+// capacity of its space map, walk lists and objects, with nothing in them —
+// no address space, no fault unit, no pool, no hook, no neighbour
+// (cache.Cache.Retire has the why).
 func (w *Walker) Retire() {
 	d := *w
 	d.walkFree.Rewind(nil)
 	clear(d.spaces)
 	*w = Walker{
-		spaces:       d.spaces,
-		active:       slab.Grown(d.active),
-		pending:      d.pending.Renewed(0, 0),
-		walkFree:     d.walkFree,
-		perAppActive: slab.Slice(d.perAppActive, 0),
+		spaces:   d.spaces,
+		active:   slab.Grown(d.active),
+		pending:  d.pending.Renewed(0, 0),
+		walkFree: d.walkFree,
 	}
 }
 
@@ -233,9 +227,6 @@ func (w *Walker) SubmitTrans(now int64, tr *memreq.TransReq) bool {
 
 func (w *Walker) admit(wk *walk) {
 	w.active = append(w.active, wk)
-	if wk.appID >= 0 && wk.appID < len(w.perAppActive) {
-		w.perAppActive[wk.appID]++
-	}
 }
 
 // Tick issues the next dependent access for every walk that is not blocked
@@ -385,9 +376,6 @@ func (w *Walker) RequestDone(now int64, r *memreq.Request) {
 		return // next dependent access issues on the following tick
 	}
 	wk.finished = true
-	if wk.appID >= 0 && wk.appID < len(w.perAppActive) {
-		w.perAppActive[wk.appID]--
-	}
 	// The walk object is recycled at the next Tick's compaction, so what may
 	// be delivered later (a fault-held result) is copied out of it.
 	h := HeldWalk{Start: wk.start, Origin: wk.origin, AppID: wk.appID, ASID: wk.asid, VPN: wk.vpn, Tr: wk.tr}
@@ -423,12 +411,3 @@ func (w *Walker) ActiveWalks() int { return len(w.active) }
 
 // QueuedWalks returns the number of walks waiting for a slot.
 func (w *Walker) QueuedWalks() int { return w.pending.Len() }
-
-// ActiveWalksForApp returns app's in-flight walk count; with the PWCache
-// design (no shared TLB) this provides the ConPTW pressure metric.
-func (w *Walker) ActiveWalksForApp(app int) int {
-	if app < 0 || app >= len(w.perAppActive) {
-		return 0
-	}
-	return w.perAppActive[app]
-}

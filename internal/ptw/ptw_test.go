@@ -58,8 +58,8 @@ func (l *walkLog) Deliverable(h HeldWalk) bool { return true }
 
 // newWalker builds a walker over mem whose walk results land in the returned
 // log.
-func newWalker(maxConcurrent int, mem *fakeMem, numApps int) (*Walker, *walkLog) {
-	w, log := New(maxConcurrent, mem, numApps, &mem.pool, new(memreq.TransPool)), &walkLog{}
+func newWalker(maxConcurrent int, mem *fakeMem) (*Walker, *walkLog) {
+	w, log := New(maxConcurrent, mem, &mem.pool, new(memreq.TransPool)), &walkLog{}
 	w.SetWalkSink(log)
 	return w, log
 }
@@ -67,7 +67,7 @@ func newWalker(maxConcurrent int, mem *fakeMem, numApps int) (*Walker, *walkLog)
 func newWalkerWithPage(t *testing.T, maxConcurrent int) (*Walker, *fakeMem, *pagetable.Space) {
 	t.Helper()
 	mem := &fakeMem{}
-	w, _ := newWalker(maxConcurrent, mem, 2)
+	w, _ := newWalker(maxConcurrent, mem)
 	sp := pagetable.NewSpace(1, pagetable.PageSize4K, pagetable.NewAllocator())
 	w.AddSpace(sp)
 	sp.EnsureMapped(0x4_0000_0000)
@@ -106,7 +106,7 @@ func TestWalkAddressesMatchPageTable(t *testing.T) {
 	w, mem, sp := newWalkerWithPage(t, 4)
 	va := uint64(0x4_0000_0000)
 	vpn := sp.VPN(va)
-	want := sp.WalkAddrs(vpn)
+	want := sp.WalkAddrsInto(vpn, nil)
 	w.StartWalk(0, 1, 0, vpn, OriginL2Miss)
 	now := int64(0)
 	for lvl := 0; lvl < 4; lvl++ {
@@ -154,9 +154,14 @@ func TestActiveWalksForApp(t *testing.T) {
 		w.StartWalk(0, 1, app, sp.VPN(va), OriginL2Miss)
 	}
 	w.Tick(0)
-	if w.ActiveWalksForApp(0) != 2 || w.ActiveWalksForApp(1) != 1 {
-		t.Fatalf("per-app active = %d/%d, want 2/1",
-			w.ActiveWalksForApp(0), w.ActiveWalksForApp(1))
+	var perApp [2]int
+	for _, wk := range w.active {
+		if !wk.finished {
+			perApp[wk.appID]++
+		}
+	}
+	if perApp != [2]int{2, 1} {
+		t.Fatalf("per-app active = %d/%d, want 2/1", perApp[0], perApp[1])
 	}
 }
 
@@ -207,7 +212,7 @@ func TestSubmitTransRoutesToWalk(t *testing.T) {
 
 func TestWalkUnknownASIDPanics(t *testing.T) {
 	mem := &fakeMem{}
-	w := New(4, mem, 1, &mem.pool, new(memreq.TransPool))
+	w := New(4, mem, &mem.pool, new(memreq.TransPool))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("walk for unregistered ASID did not panic")

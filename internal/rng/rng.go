@@ -8,22 +8,15 @@
 // enough for workload synthesis and costs a handful of instructions per draw.
 package rng
 
-// Source is a deterministic xorshift64* generator. The zero value is invalid;
-// use New, which maps any seed (including 0) onto a valid non-zero state.
+// Source is a deterministic xorshift64* generator, usually embedded by value
+// in a larger structure. The zero value is invalid; call Seed first, which
+// maps any seed (including 0) onto a valid non-zero state.
 type Source struct {
 	state uint64
 }
 
-// New returns a Source seeded with seed. Distinct seeds yield decorrelated
+// Seed (re)initialises s with seed. Distinct seeds yield decorrelated
 // streams; a zero seed is remapped so the generator never sticks at zero.
-func New(seed uint64) *Source {
-	s := &Source{}
-	s.Seed(seed)
-	return s
-}
-
-// Seed (re)initialises s in place exactly as New(seed) would, for a Source
-// embedded by value in a larger structure.
 func (s *Source) Seed(seed uint64) {
 	s.state = seed
 	if s.state == 0 {
@@ -79,11 +72,4 @@ func (s *Source) Bool(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
-}
-
-// Split derives a new independent Source from this one. It is used to give
-// each warp or component its own stream so that draws in one component do not
-// perturb another.
-func (s *Source) Split() *Source {
-	return New(s.Uint64() ^ 0xD1B54A32D192ED03)
 }

@@ -5,9 +5,16 @@ import (
 	"testing/quick"
 )
 
+// seeded returns a Source seeded with seed.
+func seeded(seed uint64) *Source {
+	s := new(Source)
+	s.Seed(seed)
+	return s
+}
+
 func TestDeterminism(t *testing.T) {
-	a := New(42)
-	b := New(42)
+	a := seeded(42)
+	b := seeded(42)
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("same seed diverged at draw %d", i)
@@ -16,8 +23,8 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSeedsDiffer(t *testing.T) {
-	a := New(1)
-	b := New(2)
+	a := seeded(1)
+	b := seeded(2)
 	same := 0
 	for i := 0; i < 100; i++ {
 		if a.Uint64() == b.Uint64() {
@@ -30,7 +37,7 @@ func TestSeedsDiffer(t *testing.T) {
 }
 
 func TestZeroSeedValid(t *testing.T) {
-	s := New(0)
+	s := seeded(0)
 	if s.Uint64() == 0 && s.Uint64() == 0 && s.Uint64() == 0 {
 		t.Fatal("zero seed generator appears stuck")
 	}
@@ -42,7 +49,7 @@ func TestIntnRange(t *testing.T) {
 			n = -n + 1
 		}
 		n = n%10000 + 1
-		s := New(seed)
+		s := seeded(seed)
 		for i := 0; i < 50; i++ {
 			v := s.Intn(n)
 			if v < 0 || v >= n {
@@ -61,11 +68,11 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 			t.Fatal("Intn(0) did not panic")
 		}
 	}()
-	New(1).Intn(0)
+	seeded(1).Intn(0)
 }
 
 func TestFloat64Range(t *testing.T) {
-	s := New(7)
+	s := seeded(7)
 	for i := 0; i < 10000; i++ {
 		v := s.Float64()
 		if v < 0 || v >= 1 {
@@ -75,7 +82,7 @@ func TestFloat64Range(t *testing.T) {
 }
 
 func TestFloat64Mean(t *testing.T) {
-	s := New(9)
+	s := seeded(9)
 	sum := 0.0
 	const n = 100000
 	for i := 0; i < n; i++ {
@@ -88,7 +95,7 @@ func TestFloat64Mean(t *testing.T) {
 }
 
 func TestBoolEdges(t *testing.T) {
-	s := New(3)
+	s := seeded(3)
 	for i := 0; i < 100; i++ {
 		if s.Bool(0) {
 			t.Fatal("Bool(0) returned true")
@@ -100,7 +107,7 @@ func TestBoolEdges(t *testing.T) {
 }
 
 func TestBoolProbability(t *testing.T) {
-	s := New(11)
+	s := seeded(11)
 	hits := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
@@ -114,23 +121,8 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestSplitDecorrelates(t *testing.T) {
-	parent := New(5)
-	a := parent.Split()
-	b := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split streams matched %d times", same)
-	}
-}
-
 func TestIntnDistribution(t *testing.T) {
-	s := New(13)
+	s := seeded(13)
 	const buckets = 8
 	counts := make([]int, buckets)
 	const n = 80000

@@ -116,12 +116,6 @@ func (k *StreamSink) Attach(format Format, w io.Writer) error {
 // as it closes rather than when 256KB of them have accumulated.
 func (k *StreamSink) SetAutoFlush(on bool) { k.autoFlush = on }
 
-// Err returns the first write error, if any.
-func (k *StreamSink) Err() error { return k.err }
-
-// HighWater returns the cycle of the newest sample committed to the outputs.
-func (k *StreamSink) HighWater() int64 { return k.high }
-
 // BytesWritten sums the logical (pre-compression) bytes accepted by all
 // attached outputs, including bytes still in the sink's buffers.
 func (k *StreamSink) BytesWritten() int64 {

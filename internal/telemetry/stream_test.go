@@ -103,8 +103,8 @@ func TestStreamingMatchesGolden(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.HighWater() != rigEnd {
-		t.Fatalf("sink high water %d, want %d", sink.HighWater(), rigEnd)
+	if sink.high != rigEnd {
+		t.Fatalf("sink high water %d, want %d", sink.high, rigEnd)
 	}
 	for _, cmp := range []struct {
 		name      string
@@ -356,11 +356,11 @@ func TestStreamSinkWriteErrorIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive enough epochs to overflow the write budget plus any buffering.
-	for i := 0; i < 4000 && sink.Err() == nil; i++ {
+	for i := 0; i < 4000 && sink.err == nil; i++ {
 		r.drive(int64(i*10), int64((i+1)*10))
 	}
-	if !errors.Is(sink.Err(), errDiskFull) {
-		t.Fatalf("sink error = %v, want disk full", sink.Err())
+	if !errors.Is(sink.err, errDiskFull) {
+		t.Fatalf("sink error = %v, want disk full", sink.err)
 	}
 	if _, err := r.c.SnapshotState(); err == nil {
 		t.Fatal("checkpointing a failed sink succeeded")

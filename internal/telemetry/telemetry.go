@@ -103,9 +103,6 @@ func (r *Registry) Rate(name string, num, den func() float64) error {
 	return r.register(name, Rate, num, den)
 }
 
-// Len returns the number of registered probes.
-func (r *Registry) Len() int { return len(r.probes) }
-
 // Column describes one time-series column of collected Data.
 type Column struct {
 	Name string
@@ -173,9 +170,6 @@ func NewCollector(epoch int64) *Collector {
 	return &Collector{epoch: epoch}
 }
 
-// Epoch returns the sampling interval in cycles.
-func (c *Collector) Epoch() int64 { return c.epoch }
-
 // SetSink switches the collector to streaming mode: every snapshot and event
 // is handed to the sink as it happens and nothing accumulates in memory, so
 // an arbitrarily long instrumented run holds O(one epoch) telemetry state.
@@ -198,9 +192,6 @@ func (c *Collector) SetSink(k *StreamSink) error {
 	c.sink = k
 	return nil
 }
-
-// Sink returns the attached streaming sink, nil in buffered mode.
-func (c *Collector) Sink() *StreamSink { return c.sink }
 
 // OnSample registers a hook invoked just before each snapshot; components use
 // it to compute shared scratch state once per epoch (e.g. the DRAM queue
@@ -300,40 +291,6 @@ func (d *Data) ColumnIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// ColumnSum sums the named column across all samples (NaN-free by
-// construction; counters telescope to their end-of-run totals).
-func (d *Data) ColumnSum(name string) (float64, bool) {
-	idx := d.ColumnIndex(name)
-	if idx < 0 {
-		return 0, false
-	}
-	var sum float64
-	for _, s := range d.Samples {
-		sum += s.Values[idx]
-	}
-	return sum, true
-}
-
-// Components returns the distinct component names across columns and events,
-// in first-appearance order (columns first).
-func (d *Data) Components() []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
-	for _, col := range d.Columns {
-		add(col.Component())
-	}
-	for _, ev := range d.Events {
-		add(ev.Component)
-	}
-	return out
 }
 
 // sortedArgKeys returns an event's argument keys in deterministic order.

@@ -100,7 +100,7 @@ func checkLinks(t *testing.T, a *assocLRU) {
 // driveAssocLRU interprets prog as a sequence of two-byte (op, arg) steps
 // applied to an L1 TLB of the given capacity and to the reference model, and
 // asserts after every step that both agree on hit/miss, contents, stamps
-// (hence every future victim), Entries() and Contains().
+// (hence every future victim), entry count and membership.
 func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 	t.Helper()
 	const asid = 3
@@ -153,11 +153,11 @@ func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 		if got, want := l1.tab.entries(), ref.byStamp(); !slices.Equal(got, want) || l1.tab.stamp != ref.stamp {
 			t.Fatalf("step %d (op %d): table %v stamp %d, reference %v stamp %d", step, op, got, l1.tab.stamp, want, ref.stamp)
 		}
-		if l1.Entries() != len(ref.m) {
-			t.Fatalf("step %d: Entries() = %d, reference %d", step, l1.Entries(), len(ref.m))
+		if l1.tab.n != len(ref.m) {
+			t.Fatalf("step %d: %d entries, reference %d", step, l1.tab.n, len(ref.m))
 		}
 		for vpn := uint64(0); vpn < universe; vpn++ {
-			if _, want := ref.m[l2key{asid, vpn}]; l1.Contains(vpn) != want {
+			if _, want := ref.m[l2key{asid, vpn}]; l1.tab.contains(l2key{l1.asid, vpn}) != want {
 				t.Fatalf("step %d: Contains(%#x) = %v, reference %v", step, vpn, !want, want)
 			}
 		}
@@ -268,8 +268,8 @@ func TestRestoreRejectsHostileTableState(t *testing.T) {
 				t.Errorf("%s, %s: error %v, want one containing %q", tc.name, owner, err, want)
 			}
 		}
-		if tc.want == "" && (l1.Entries() != len(tc.entries) || l2.bypass.tab.n != len(tc.entries)) {
-			t.Errorf("%s: restored %d L1 / %d bypass entries, want %d", tc.name, l1.Entries(), l2.bypass.tab.n, len(tc.entries))
+		if tc.want == "" && (l1.tab.n != len(tc.entries) || l2.bypass.tab.n != len(tc.entries)) {
+			t.Errorf("%s: restored %d L1 / %d bypass entries, want %d", tc.name, l1.tab.n, l2.bypass.tab.n, len(tc.entries))
 		}
 	}
 }
@@ -322,8 +322,8 @@ func TestRestoreLegacyOrderSameVictims(t *testing.T) {
 		lookup(live, i)
 		lookup(restored, i)
 		for vpn := uint64(0); vpn < 140; vpn++ {
-			if live.Contains(vpn) != restored.Contains(vpn) {
-				t.Fatalf("after filling %d: Contains(%d) live %v, restored %v", i, vpn, live.Contains(vpn), restored.Contains(vpn))
+			if live.tab.contains(l2key{live.asid, vpn}) != restored.tab.contains(l2key{restored.asid, vpn}) {
+				t.Fatalf("after filling %d: Contains(%d) live %v, restored %v", i, vpn, live.tab.contains(l2key{live.asid, vpn}), restored.tab.contains(l2key{restored.asid, vpn}))
 			}
 		}
 	}

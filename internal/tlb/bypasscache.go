@@ -35,15 +35,6 @@ func (b *bypassCache) fill(asid uint8, vpn uint64) {
 	b.tab.fill(l2key{asid, vpn})
 }
 
-// flushASID drops all entries belonging to one address space.
-func (b *bypassCache) flushASID(asid uint8) {
-	for _, e := range b.tab.entries() {
-		if e.key.asid == asid {
-			b.tab.remove(e.key)
-		}
-	}
-}
-
 // hitRate returns the bypass cache hit rate (the paper reports 66.5% §7.2).
 func (b *bypassCache) hitRate() float64 {
 	if b.Accesses == 0 {

@@ -227,15 +227,6 @@ func (t *L1TLB) NextEvent(now int64) int64 {
 // and wakes its warps.
 func (t *L1TLB) Flush() { t.tab.reset() }
 
-// Entries returns the number of valid entries (test helper).
-func (t *L1TLB) Entries() int { return t.tab.n }
-
-// OutstandingMisses returns the number of active miss entries.
-func (t *L1TLB) OutstandingMisses() int { return len(t.mshrs) }
-
-// Contains reports whether vpn is cached (test helper).
-func (t *L1TLB) Contains(vpn uint64) bool { return t.tab.contains(l2key{t.asid, vpn}) }
-
 // FlushFraction drops roughly the given fraction of cached entries — every
 // stride-th one in ascending VPN order, so the victims do not depend on
 // recency — modelling partial eviction across a context switch.

@@ -188,9 +188,6 @@ func (t *L2TLB) SetPrefetcher(p *Prefetcher, mapped func(asid uint8, vpn uint64)
 	t.pfInFlight = make(map[l2key]bool)
 }
 
-// Prefetcher returns the attached prefetcher (nil when disabled).
-func (t *L2TLB) Prefetcher() *Prefetcher { return t.pf }
-
 // maybePrefetch issues a prediction-driven walk when the walker is idle.
 func (t *L2TLB) maybePrefetch(now int64, asid uint8, appID int, vpn uint64) {
 	if t.pf == nil {
@@ -530,19 +527,6 @@ func (t *L2TLB) OutstandingMisses() int { return len(t.mshrs) }
 // QueueLen returns the number of lookups waiting to be served (input pipe
 // plus stalled retries); the watchdog's diagnostic dump reports it.
 func (t *L2TLB) QueueLen() int { return t.in.Len() + t.stalled.Len() }
-
-// FlushASID removes all entries belonging to asid from the main TLB and the
-// bypass cache (TLB shootdown support, §5.5).
-func (t *L2TLB) FlushASID(asid uint8) {
-	for i := range t.lines {
-		if t.lines[i].valid && t.lines[i].key.asid == asid {
-			t.lines[i].valid = false
-		}
-	}
-	if t.bypass != nil {
-		t.bypass.flushASID(asid)
-	}
-}
 
 // FlushFraction invalidates roughly the given fraction of entries
 // (deterministically), modelling partial eviction across a context switch.

@@ -55,16 +55,16 @@ func TestL1FlushFractionPartial(t *testing.T) {
 		l1.Lookup(int64(i), uint64(i), 0, 0, true)
 		be.answerAll(int64(i))
 	}
-	before := l1.Entries()
+	before := l1.tab.n
 	l1.FlushFraction(0.5)
-	after := l1.Entries()
+	after := l1.tab.n
 	if after >= before || after == 0 {
 		t.Fatalf("partial flush: %d -> %d entries", before, after)
 	}
 	// Victims are every second entry in VPN order, whatever order the map
 	// iterates in.
 	for vpn := uint64(0); vpn < 16; vpn++ {
-		if got, want := l1.Contains(vpn), vpn%2 == 1; got != want {
+		if got, want := l1.tab.contains(l2key{l1.asid, vpn}), vpn%2 == 1; got != want {
 			t.Fatalf("after FlushFraction(0.5): Contains(%d) = %v, want %v", vpn, got, want)
 		}
 	}
@@ -112,19 +112,6 @@ func TestTokenComfortZoneStable(t *testing.T) {
 	}
 	if p.Tokens(0) != tok {
 		t.Fatalf("comfortable region adapted tokens %d -> %d", tok, p.Tokens(0))
-	}
-}
-
-func TestBypassCacheFlushASID(t *testing.T) {
-	b := newBypassCache(8)
-	b.fill(1, 10)
-	b.fill(2, 10)
-	b.flushASID(1)
-	if b.probe(1, 10) {
-		t.Fatal("flushed ASID entry survived")
-	}
-	if !b.probe(2, 10) {
-		t.Fatal("other ASID's entry was flushed")
 	}
 }
 

@@ -113,7 +113,7 @@ func TestL1LRUEviction(t *testing.T) {
 	// Touch 1 so 2 is LRU.
 	l1.Lookup(2, 1, 0, 0, true)
 	fill(3)
-	if !l1.Contains(1) || !l1.Contains(3) || l1.Contains(2) {
+	if !l1.tab.contains(l2key{l1.asid, 1}) || !l1.tab.contains(l2key{l1.asid, 3}) || l1.tab.contains(l2key{l1.asid, 2}) {
 		t.Fatal("LRU eviction picked the wrong victim")
 	}
 }
@@ -139,7 +139,7 @@ func TestL1FlushDropsEntries(t *testing.T) {
 	l1.Lookup(0, 0x40, 0, 0, true)
 	be.answerAll(1)
 	l1.Flush()
-	if l1.Entries() != 0 {
+	if l1.tab.n != 0 {
 		t.Fatal("flush left entries")
 	}
 }
@@ -281,29 +281,6 @@ func TestL2WalkBacklogStallsMisses(t *testing.T) {
 	}
 	if len(w.walks) != 1 {
 		t.Fatal("stalled miss never started its walk")
-	}
-}
-
-func TestL2FlushASID(t *testing.T) {
-	l2, w := newL2(2, 0, nil)
-	for i, asid := range []uint8{1, 2} {
-		tr := newTrans(l2, memreq.TransReq{ASID: asid, AppID: i, VPN: 0x500}, nil)
-		submitAndTick(t, l2, tr, int64(i*10), int64(i*10+3))
-		w.completeAll(int64(i*10 + 5))
-	}
-	l2.FlushASID(1)
-	// ASID 1 must miss; ASID 2 must still hit.
-	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x500}, nil)
-	submitAndTick(t, l2, tr, 30, 33)
-	if len(w.walks) != 1 {
-		t.Fatal("flushed ASID still hits")
-	}
-	w.completeAll(35)
-	hit2 := false
-	tr2 := newTrans(l2, memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x500}, func(int64) { hit2 = true })
-	submitAndTick(t, l2, tr2, 40, 43)
-	if !hit2 {
-		t.Fatal("unflushed ASID lost its entry")
 	}
 }
 

@@ -4,10 +4,7 @@ import "testing"
 
 func BenchmarkNextMem(b *testing.B) {
 	p := MustByName("3DS")
-	s := p.NewStream(StreamConfig{
-		Base: 1 << 32, PageSize: 4096, LineSize: 64,
-		WarpIndex: 0, NumWarps: 64, Seed: 1,
-	})
+	s := NewStreamFactory(p, 1<<32, 4096, 64, 64, 1).stream(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.NextMem()

@@ -1,7 +1,5 @@
 package workload
 
-import "strings"
-
 // Pair is a two-application workload, named the paper's way:
 // "3DS_HISTO" runs 3DS and HISTO concurrently.
 type Pair struct {
@@ -24,28 +22,6 @@ func (p Pair) HMRCount() int {
 	return n
 }
 
-// ParsePair converts "A_B" into a Pair, validating both names.
-func ParsePair(name string) (Pair, error) {
-	i := strings.Index(name, "_")
-	// Benchmark names contain no underscores, so the first underscore is the
-	// separator... except names like "3DS" are clean; split on first "_".
-	if i < 0 {
-		return Pair{}, errBadPair(name)
-	}
-	a, b := name[:i], name[i+1:]
-	if _, err := ByName(a); err != nil {
-		return Pair{}, err
-	}
-	if _, err := ByName(b); err != nil {
-		return Pair{}, err
-	}
-	return Pair{A: a, B: b}, nil
-}
-
-type errBadPair string
-
-func (e errBadPair) Error() string { return "workload: malformed pair name " + string(e) }
-
 // Pairs35 is the paper's 35 two-application workload list (Figures 8/9).
 var Pairs35 = []Pair{
 	{"3DS", "BP"}, {"3DS", "HISTO"}, {"BLK", "LPS"}, {"CFD", "MM"},
@@ -57,22 +33,6 @@ var Pairs35 = []Pair{
 	{"SCAN", "SAD"}, {"SCAN", "SRAD"}, {"SCP", "GUP"}, {"SCP", "HS"},
 	{"SC", "FWT"}, {"SRAD", "3DS"}, {"TRD", "HS"}, {"TRD", "LPS"},
 	{"TRD", "MUM"}, {"TRD", "RAY"}, {"TRD", "RED"},
-}
-
-// PairsByCategory splits Pairs35 into the paper's 0-HMR, 1-HMR and 2-HMR
-// groups (Figures 12, 13, 14 respectively).
-func PairsByCategory() (zero, one, two []Pair) {
-	for _, p := range Pairs35 {
-		switch p.HMRCount() {
-		case 0:
-			zero = append(zero, p)
-		case 1:
-			one = append(one, p)
-		default:
-			two = append(two, p)
-		}
-	}
-	return
 }
 
 // Fig7Pairs are the four representative pairs of the paper's Figure 7

@@ -182,22 +182,6 @@ func (s *Stream) SyncStalled() bool {
 	return s.sync != nil && s.sync.Stalled(s.syncMember)
 }
 
-// StreamConfig carries the placement parameters the simulator knows at
-// wiring time.
-type StreamConfig struct {
-	// Base is the app's heap base virtual address.
-	Base uint64
-	// PageSize is the data page size in bytes (4KB or 2MB).
-	PageSize int
-	// LineSize is the cache line size in bytes.
-	LineSize int
-	// WarpIndex is this warp's global index within the app; NumWarps is the
-	// app's total warp count across its cores.
-	WarpIndex, NumWarps int
-	// Seed decorrelates apps and runs.
-	Seed uint64
-}
-
 // groups returns the number of warp groups for numWarps warps.
 func (p Profile) groups(numWarps int) int {
 	g := p.WarpsPerGroup
@@ -211,7 +195,7 @@ func (p Profile) groups(numWarps int) int {
 	return n
 }
 
-// Layout computes the page-region geometry shared by NewStream and
+// Layout computes the page-region geometry shared by StreamFactory and
 // PagesToMap, guaranteeing they agree.
 func (p Profile) Layout(pageSize, numWarps int) (hotPages, privTotal uint64) {
 	ps := uint64(pageSize)
@@ -224,21 +208,6 @@ func (p Profile) Layout(pageSize, numWarps int) (hotPages, privTotal uint64) {
 		privTotal = g // at least one private page per warp group
 	}
 	return
-}
-
-// TotalPages returns the number of distinct pages the app can touch.
-func (p Profile) TotalPages(pageSize, numWarps int) uint64 {
-	hot, priv := p.Layout(pageSize, numWarps)
-	return hot + priv
-}
-
-// NewStream builds the generator for one warp on its own. A simulator builds
-// all of an app's streams through one StreamFactory instead, which also
-// wires the group barriers.
-func (p Profile) NewStream(cfg StreamConfig) *Stream {
-	f := NewStreamFactory(p, cfg.Base, cfg.PageSize, cfg.LineSize, cfg.NumWarps, cfg.Seed)
-	f.batch = 1
-	return f.stream(cfg.WarpIndex)
 }
 
 // linesPerPage returns how many cache lines fit in a page.

@@ -34,11 +34,6 @@ func (g *GroupSync) Advance(m int) {
 	}
 }
 
-// Lag returns how far member m is ahead of the slowest member.
-func (g *GroupSync) Lag(m int) int64 {
-	return g.steps[m] - g.min
-}
-
 // StreamFactory builds all of one application's warp streams, wiring group
 // members to shared GroupSync state. Everything its streams need — the
 // Streams themselves, their line and page buffers, the group barriers — is
@@ -58,9 +53,8 @@ type StreamFactory struct {
 	hot, chunk, total uint64
 	numGroups         int
 
-	// batch is how many streams' worth of storage to allocate when the slabs
-	// below run out: every warp at once, except for Profile.NewStream.
-	batch   int
+	// streams, lines and pages are carved from slabs sized for every warp at
+	// once.
 	streams []Stream
 	lines   []uint64
 	pages   []PageAccess
@@ -91,7 +85,7 @@ func NewStreamFactory(p Profile, base uint64, pageSize, lineSize, numWarps int, 
 	}
 	f := &StreamFactory{
 		p: p, base: base, pageShift: pageShiftFor(pageSize), lineSize: uint64(lineSize),
-		numWarps: numWarps, seed: seed, batch: max(numWarps, 1),
+		numWarps: numWarps, seed: seed,
 	}
 	hot, priv := p.Layout(pageSize, numWarps)
 	f.numGroups = p.groups(numWarps)
@@ -103,9 +97,10 @@ func NewStreamFactory(p Profile, base uint64, pageSize, lineSize, numWarps int, 
 func (f *StreamFactory) stream(warpIndex int) *Stream {
 	nl, np := f.p.LinesPerInst+f.p.Divergence, f.p.Divergence
 	if len(f.streams) == 0 {
-		f.streams = make([]Stream, f.batch)
-		f.lines = make([]uint64, f.batch*nl)
-		f.pages = make([]PageAccess, f.batch*np)
+		batch := max(f.numWarps, 1)
+		f.streams = make([]Stream, batch)
+		f.lines = make([]uint64, batch*nl)
+		f.pages = make([]PageAccess, batch*np)
 	}
 	s := &f.streams[0]
 	f.streams = f.streams[1:]

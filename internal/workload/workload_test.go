@@ -55,25 +55,22 @@ func TestPairs35(t *testing.T) {
 		MustByName(p.A)
 		MustByName(p.B)
 	}
-	zero, one, two := PairsByCategory()
+	var zero, one, two []Pair
+	for _, p := range Pairs35 {
+		switch p.HMRCount() {
+		case 0:
+			zero = append(zero, p)
+		case 1:
+			one = append(one, p)
+		default:
+			two = append(two, p)
+		}
+	}
 	if len(zero)+len(one)+len(two) != 35 {
 		t.Fatal("category split lost pairs")
 	}
 	if len(zero) != 8 {
 		t.Fatalf("0-HMR has %d pairs, want 8 (Figure 12)", len(zero))
-	}
-}
-
-func TestParsePair(t *testing.T) {
-	p, err := ParsePair("3DS_HISTO")
-	if err != nil || p.A != "3DS" || p.B != "HISTO" {
-		t.Fatalf("ParsePair: %+v, %v", p, err)
-	}
-	if _, err := ParsePair("NOPE_HISTO"); err == nil {
-		t.Fatal("bad pair accepted")
-	}
-	if _, err := ParsePair("NOUNDERSCORE"); err == nil {
-		t.Fatal("malformed pair accepted")
 	}
 }
 
@@ -86,17 +83,16 @@ func TestHMRCount(t *testing.T) {
 	}
 }
 
-func streamCfg(warp, numWarps int) StreamConfig {
-	return StreamConfig{
-		Base: 1 << 32, PageSize: 4096, LineSize: 64,
-		WarpIndex: warp, NumWarps: numWarps, Seed: 42,
-	}
+// newStream builds warp's stream of an app of numWarps warps on its own,
+// without its group barrier.
+func newStream(p Profile, warp, numWarps int) *Stream {
+	return NewStreamFactory(p, 1<<32, 4096, 64, numWarps, 42).stream(warp)
 }
 
 func TestStreamDeterminism(t *testing.T) {
 	p := MustByName("3DS")
-	s1 := p.NewStream(streamCfg(0, 64))
-	s2 := p.NewStream(streamCfg(0, 64))
+	s1 := newStream(p, 0, 64)
+	s2 := newStream(p, 0, 64)
 	for i := 0; i < 500; i++ {
 		a := s1.NextMem()
 		b := s2.NextMem()
@@ -124,7 +120,7 @@ func TestStreamAddressesWithinMappedSet(t *testing.T) {
 		shift := uint(12)
 		p.PagesToMap(1<<32, 4096, numWarps, func(va uint64) { mapped[va>>shift] = true })
 		for warp := 0; warp < numWarps; warp += 17 {
-			s := p.NewStream(streamCfg(warp, numWarps))
+			s := newStream(p, warp, numWarps)
 			for i := 0; i < 2000; i++ {
 				inst := s.NextMem()
 				for _, pg := range inst.Pages {
@@ -142,7 +138,7 @@ func TestStreamAddressesWithinMappedSet(t *testing.T) {
 
 func TestMemInstShape(t *testing.T) {
 	p := MustByName("MM") // LinesPerInst 16, Divergence 2
-	s := p.NewStream(streamCfg(0, 64))
+	s := newStream(p, 0, 64)
 	sawDiverged := false
 	for i := 0; i < 2000; i++ {
 		inst := s.NextMem()
@@ -172,9 +168,9 @@ func TestMemInstShape(t *testing.T) {
 
 func TestWarpGroupsShareStreams(t *testing.T) {
 	p := MustByName("3DS") // WarpsPerGroup 32
-	a := p.NewStream(streamCfg(0, 64))
-	b := p.NewStream(streamCfg(1, 64))  // same group
-	c := p.NewStream(streamCfg(32, 64)) // next group
+	a := newStream(p, 0, 64)
+	b := newStream(p, 1, 64)  // same group
+	c := newStream(p, 32, 64) // next group
 	aInst := a.NextMem().Pages[0].Lines[0]
 	bInst := b.NextMem().Pages[0].Lines[0]
 	cInst := c.NextMem().Pages[0].Lines[0]
@@ -221,8 +217,8 @@ func TestGroupSync(t *testing.T) {
 	if g.Stalled(0) {
 		t.Fatal("member 0 still stalled after others caught up")
 	}
-	if g.Lag(0) != 2 {
-		t.Fatalf("lag=%d, want 2", g.Lag(0))
+	if lag := g.steps[0] - g.min; lag != 2 {
+		t.Fatalf("lag=%d, want 2", lag)
 	}
 }
 

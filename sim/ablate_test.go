@@ -23,18 +23,21 @@ func TestAblateDRAM(t *testing.T) {
 		{"gold+silver", func(c *sim.Config) { c.DRAMPolicy = dram.MASK }},
 		{"gold-only", func(c *sim.Config) { c.DRAMPolicy = dram.MASK; c.ThreshMax = 0 }},
 	} {
-		cfg := sim.SharedTLBConfig()
-		tc.mut(&cfg)
-		res, err := sim.Run(context.Background(), cfg, []string{"3DS", "CONS"}, 30000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%-12s total=%.2f appIPC=%.2f/%.2f walkLat=%.0f", tc.name,
-			res.TotalIPC, res.Apps[0].IPC, res.Apps[1].IPC, res.Walker.AvgLatency())
-		for _, a := range res.Apps {
-			if a.IPC <= 0.1 {
-				t.Fatalf("%s: app %s starved (IPC=%.3f)", tc.name, a.Name, a.IPC)
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := sim.SharedTLBConfig()
+			tc.mut(&cfg)
+			res, err := sim.Run(context.Background(), cfg, []string{"3DS", "CONS"}, 30000)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			t.Logf("%-12s total=%.2f appIPC=%.2f/%.2f walkLat=%.0f", tc.name,
+				res.TotalIPC, res.Apps[0].IPC, res.Apps[1].IPC, res.Walker.AvgLatency())
+			for _, a := range res.Apps {
+				if a.IPC <= 0.1 {
+					t.Fatalf("%s: app %s starved (IPC=%.3f)", tc.name, a.Name, a.IPC)
+				}
+			}
+		})
 	}
 }

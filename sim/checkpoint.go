@@ -60,8 +60,7 @@ type checkpointPayload struct {
 	Telemetry *telemetry.CollectorState
 
 	// Watchdog is the supervision state mid-run (nil when unsupervised). A
-	// crash checkpoint carries a tripped watchdog, which re-raises its
-	// DeadlockError at the restored cycle.
+	// crash dump's has reached the stall limit, and restore rejects it.
 	Watchdog *engine.WatchdogState
 
 	// Syncs holds the deduplicated group-barrier states in deterministic
@@ -101,6 +100,13 @@ var ErrWrongSimulation = errors.New("sim: checkpoint fingerprint does not match 
 // starts turns what used to be a silent stream of best-effort write failures
 // into one structured, actionable error.
 var ErrCheckpointDirUnwritable = errors.New("sim: checkpoint directory unwritable")
+
+// ErrWatchdogTripped rejects an image whose watchdog has already seen
+// watchdogStallChecks checks without progress: a crash dump, written when
+// the watchdog aborted the run. Such an image is evidence to inspect
+// (masksim -inspect-checkpoint), not a state to resume, which would abort at
+// its first check.
+var ErrWatchdogTripped = errors.New("sim: checkpoint is a watchdog crash dump (stall limit reached)")
 
 // probeCheckpointDir durably creates dir and proves it accepts writes by
 // round-tripping a temp file. Called from New so a misconfigured campaign
@@ -267,9 +273,21 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte) error {
 	if err := s.checkShape(&p); err != nil {
 		return err
 	}
+	if wd := p.Watchdog; wd != nil {
+		if wd.Stalled >= watchdogStallChecks {
+			return fmt.Errorf("%w: %d checks without progress", ErrWatchdogTripped, wd.Stalled)
+		}
+		if wd.Stalled < 0 {
+			return fmt.Errorf("sim: checkpoint watchdog has %d checks without progress", wd.Stalled)
+		}
+	}
 	// Restore resolves every route against the pool's sink table and every
-	// translation key against the L1 TLBs' miss trackers.
-	wi := &memreq.Wiring{Pool: &s.reqPool, Trans: tlb.Trackers(s.l1tlbs)}
+	// translation key against the L1 TLBs' miss trackers, and bounds every
+	// identity by the simulator's apps, cores and warps.
+	wi := &memreq.Wiring{Pool: &s.reqPool, Trans: tlb.Trackers(s.l1tlbs), Cores: len(s.cores), Warps: s.cfg.WarpsPerCore}
+	for _, sp := range s.spaces {
+		wi.ASIDs = append(wi.ASIDs, sp.ASID())
+	}
 	if err := s.restoreComponents(wi, &p); err != nil {
 		return fmt.Errorf("sim: restore checkpoint: %w", err)
 	}
@@ -395,10 +413,6 @@ func (s *Simulator) crashCheckpointPath() string {
 	return filepath.Join(s.cfg.CheckpointDir, s.Fingerprint()+"-crash.ckpt")
 }
 
-// CrashCheckpointPath exposes the crash-dump location for post-mortem
-// tooling.
-func (s *Simulator) CrashCheckpointPath() string { return s.crashCheckpointPath() }
-
 // writeCheckpointFile serializes the current state and writes it atomically
 // (tmp+rename+fsync), so a kill mid-write can never leave a truncated file
 // under the final name.
@@ -427,8 +441,8 @@ type ckptCandidate struct {
 }
 
 // listCheckpoints returns this fingerprint's periodic checkpoints under dir,
-// newest (highest cycle) first. Crash dumps are excluded: resume must not
-// silently adopt a state that immediately re-raises its DeadlockError.
+// newest (highest cycle) first. Crash dumps are excluded: they are evidence,
+// and restore rejects them (ErrWatchdogTripped).
 func listCheckpoints(dir, fp string) []ckptCandidate {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -483,28 +497,6 @@ func (s *Simulator) RestoreFromDir(dir string, cycles int64) (bool, error) {
 		return true, nil
 	}
 	return false, nil
-}
-
-// RestoreCrashCheckpoint adopts the watchdog crash dump from dir, if present.
-// Running the restored simulator re-raises the original DeadlockError at the
-// abort cycle with the diagnostic dump regenerated from the restored state.
-func (s *Simulator) RestoreCrashCheckpoint(dir string) (bool, error) {
-	data, err := os.ReadFile(filepath.Join(dir, s.Fingerprint()+"-crash.ckpt"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	h, payload, err := snapshot.Decode(data)
-	if err != nil {
-		s.ckptStats.Rejected++
-		return false, err
-	}
-	if err := s.restoreDecoded(h, payload); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // RemoveCheckpoints deletes this simulation's periodic checkpoint files from

@@ -162,6 +162,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	for _, sc := range ckptScenarios {
 		for _, ff := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/ff=%t", sc.name, ff), func(t *testing.T) {
+				t.Parallel()
 				cfg := sc.cfg()
 				cfg.FastForward = ff
 				ref := prepareScenario(t, cfg, sc.names, sc.alone).mustRun(t, ckptCycles)
@@ -186,8 +187,8 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 				if rsSim.CheckpointStats().Restored != 1 {
 					t.Fatalf("resume did not adopt a checkpoint: %+v", rsSim.CheckpointStats())
 				}
-				if rsSim.Engine().Now() != ckptCycles {
-					t.Fatalf("resumed run ended at cycle %d, want %d", rsSim.Engine().Now(), ckptCycles)
+				if rsSim.eng.Now() != ckptCycles {
+					t.Fatalf("resumed run ended at cycle %d, want %d", rsSim.eng.Now(), ckptCycles)
 				}
 				if !reflect.DeepEqual(ref, resumed) {
 					t.Fatalf("restored run diverged from uninterrupted run:\nref:     %+v\nresumed: %+v", ref, resumed)
@@ -220,8 +221,8 @@ func TestCheckpointStreamRoundTrip(t *testing.T) {
 	if err := dst.RestoreCheckpoint(bytes.NewReader(data)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if dst.Engine().Now() != 2600 {
-		t.Fatalf("restored to cycle %d, want 2600", dst.Engine().Now())
+	if dst.eng.Now() != 2600 {
+		t.Fatalf("restored to cycle %d, want 2600", dst.eng.Now())
 	}
 	resumed := dst.mustRun(t, cycles)
 	if !reflect.DeepEqual(ref, resumed) {
@@ -302,14 +303,14 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 			cfg := MASKConfig()
 			cfg.Cores, cfg.WarpsPerCore = 2, 8
 			cfg.TelemetryEpoch = 500
-			cfg.WatchdogCheckEvery, cfg.WatchdogStallChecks = 500, 2
+			cfg.WatchdogCheckEvery = 500
 			cfg.FaultPlan = &faultinject.Plan{WedgePTWAfter: 200}
 			cfg.CheckpointDir = t.TempDir()
 			s := prepareScenario(t, cfg, []string{"3DS", "CONS"}, 0)
 			if _, err := s.Run(context.Background(), 200_000); err == nil {
 				t.Fatal("wedged run completed without abort")
 			}
-			data, err := os.ReadFile(s.CrashCheckpointPath())
+			data, err := os.ReadFile(s.crashCheckpointPath())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -680,13 +681,15 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 	}
 	// The images a case may edit, indexed by its on field: SharedTLB, demand
 	// paging, MASK (DRAM class queues, TLB-fill tokens), the shared-TLB
-	// prefetcher and trace replay.
+	// prefetcher, trace replay, and the crash dump of a SharedTLB run whose
+	// walker wedged.
 	const (
 		onShared = iota
 		onPaging
 		onMASK
 		onPrefetch
 		onTrace
+		onCrash
 	)
 	// prepare builds the simulator of image on: the trace image replays
 	// smoke.trace as both apps, every other one runs names.
@@ -700,9 +703,21 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		ckCfg := cfg
 		ckCfg.CheckpointEvery = 1300
 		ckCfg.CheckpointDir = t.TempDir()
-		src := prepare(on, ckCfg)
-		src.mustRun(t, cycles)
-		data, err := os.ReadFile(src.checkpointPath(2600))
+		var src *Simulator
+		var path string
+		if on == onCrash {
+			ckCfg.FaultPlan = &faultinject.Plan{WedgePTWAfter: 300}
+			src = prepare(on, ckCfg)
+			if _, err := src.Run(context.Background(), 60_000); !errors.As(err, new(*engine.DeadlockError)) {
+				t.Fatalf("wedged run returned %v, want a DeadlockError", err)
+			}
+			path = src.crashCheckpointPath()
+		} else {
+			src = prepare(on, ckCfg)
+			src.mustRun(t, cycles)
+			path = src.checkpointPath(2600)
+		}
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -712,7 +727,9 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		}
 		return image{h, payload, &src.reqPool}
 	}
-	cfgs := [...]Config{onShared: cfg, onPaging: pagingCfg, onMASK: MASKConfig(), onPrefetch: prefetchCfg, onTrace: cfg}
+	crashCfg := cfg
+	crashCfg.WatchdogCheckEvery = 500
+	cfgs := [...]Config{onShared: cfg, onPaging: pagingCfg, onMASK: MASKConfig(), onPrefetch: prefetchCfg, onTrace: cfg, onCrash: crashCfg}
 	var images [len(cfgs)]image
 	for i, c := range cfgs {
 		images[i] = take(i, c)
@@ -839,7 +856,52 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		}, "tag 1) has no MSHR"},
 		{"request returns to a warp the core lacks", onShared, func(t *testing.T, p *checkpointPayload) {
 			firstReturning[*gpu.Core](t, p, sinks).WarpID = 1 << 20
-		}, "returns to warp 1048576 of"},
+		}, "warp 1048576 is not one of"},
+		// Identities: every holder of a request, walk or fault-held walk must
+		// name an app, core and warp the simulator has, and a walk's app and
+		// address space the same app. Components index per-app state by them:
+		// a DRAM request of app 2^40 used to grow the per-app bus counters
+		// until the process ran out of memory.
+		{"core retry request of a core the simulator lacks", onShared, func(t *testing.T, p *checkpointPayload) {
+			p.Cores[0].Retry = append(p.Cores[0].Retry, engine.QueueItem[memreq.Request]{Value: memreq.Request{CoreID: 1 << 20}})
+		}, "app 0, core 1048576, warp 0 is not one of 2 apps"},
+		{"cache bank request of a warp the cores lack", onShared, func(t *testing.T, p *checkpointPayload) {
+			p.L2C.Queues[0] = append(p.L2C.Queues[0], engine.QueueItem[memreq.Request]{Value: memreq.Request{WarpID: -1}})
+		}, "app 0, core 0, warp -1 is not one of 2 apps"},
+		{"cache MSHR waiter of an app the simulator lacks", onShared, func(t *testing.T, p *checkpointPayload) {
+			p.L1Ds[0].Mshrs = append(p.L1Ds[0].Mshrs, cache.MSHRState{LineAddr: 1 << 50, Waiting: []memreq.Request{{AppID: 2}}})
+		}, "app 2, core 0, warp 0 is not one of 2 apps"},
+		{"dram request of an app the simulator lacks", onShared, func(t *testing.T, p *checkpointPayload) {
+			q := &p.DRAM.Channels[0].Sched.Normal
+			*q = append(*q, dram.QueuedState{Req: memreq.Request{AppID: 1 << 40}})
+		}, "app 1099511627776, core 0, warp 0 is not one of 2 apps"},
+		{"dram bus counters of more apps", onShared, func(t *testing.T, p *checkpointPayload) { p.DRAM.PerAppBus = append(p.DRAM.PerAppBus, 0) },
+			"dram: checkpoint counts bus cycles of 3 apps, model has 2"},
+		{"pending walk of an app the simulator lacks", onShared, func(t *testing.T, p *checkpointPayload) {
+			if len(p.Walker.Pending) == 0 {
+				t.Fatal("no walk waits for a walker slot")
+			}
+			p.Walker.Pending[0].Value.AppID = 1 << 40
+		}, "walk of app 1099511627776 in address space 1, which names no app of 2"},
+		{"active walk of another app's address space", onShared, func(t *testing.T, p *checkpointPayload) {
+			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
+			ws.AppID = 1 - ws.AppID
+		}, "names no app of 2"},
+		{"fault-held walk of another app's address space", onPaging, func(t *testing.T, p *checkpointPayload) {
+			for i := range p.Faults.Inflight {
+				if ns := p.Faults.Inflight[i].Notify; len(ns) > 0 {
+					ns[0].AppID = 1 - ns[0].AppID
+					return
+				}
+			}
+			t.Fatal("no fault in service holds a walk")
+		}, "holds a walk of app"},
+		// A watchdog that has reached its stall limit is a crash dump's:
+		// evidence, not a state to resume.
+		{"watchdog past its stall limit", onShared, func(t *testing.T, p *checkpointPayload) { p.Watchdog.Stalled = 7 },
+			"watchdog crash dump (stall limit reached): 7 checks without progress"},
+		{"crash dump", onCrash, func(t *testing.T, p *checkpointPayload) {},
+			"watchdog crash dump (stall limit reached): 4 checks without progress"},
 		// Continuations held as (warp, slot) pairs and walk origins: the core
 		// and the shared TLB they lead to must still wait for them.
 		{"l1 waiter names a slot its warp does not await", onShared, func(t *testing.T, p *checkpointPayload) {
@@ -1013,6 +1075,9 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			}
 			dst := prepare(tc.on, c)
 			err := dst.RestoreCheckpoint(&file)
+			if strings.Contains(tc.want, "watchdog crash dump") && !errors.Is(err, ErrWatchdogTripped) {
+				t.Fatalf("error %v, want ErrWatchdogTripped", err)
+			}
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("unexpected error %v", err)
@@ -1034,25 +1099,19 @@ func resealChecksum(data []byte) {
 }
 
 // TestWatchdogCrashCheckpoint wedges the page-table walker so the watchdog
-// aborts, then proves (a) a crash checkpoint was written at the abort cycle,
-// and (b) restoring it re-raises the same DeadlockError at the same cycle.
+// aborts, then proves that (a) a crash dump was written at the abort cycle,
+// (b) restoring it is rejected with ErrWatchdogTripped — a dump is evidence,
+// not a resume point — and (c) Resume skips it.
 func TestWatchdogCrashCheckpoint(t *testing.T) {
 	const cycles = 60_000
 	cfg := SharedTLBConfig()
 	cfg.WatchdogCheckEvery = 2000
-	cfg.WatchdogStallChecks = 3
 	cfg.CheckpointDir = t.TempDir()
+	cfg.FaultPlan = &faultinject.Plan{WedgePTWAfter: 3000}
 	names := []string{"MUM", "GUP"}
 
-	run := func(plan *faultinject.Plan) (*Simulator, *Results, error) {
-		c := cfg
-		c.FaultPlan = plan
-		s := prepareScenario(t, c, names, 0)
-		res, err := s.Run(context.Background(), cycles)
-		return s, res, err
-	}
-
-	_, res, err := run(&faultinject.Plan{WedgePTWAfter: 3000})
+	s := prepareScenario(t, cfg, names, 0)
+	res, err := s.Run(context.Background(), cycles)
 	var dead *engine.DeadlockError
 	if !errors.As(err, &dead) {
 		t.Fatalf("wedged run returned %v, want DeadlockError", err)
@@ -1061,40 +1120,44 @@ func TestWatchdogCrashCheckpoint(t *testing.T) {
 		t.Fatal("aborted run did not set Results.Aborted")
 	}
 
-	// The crash dump restores to the exact abort cycle and re-raises.
-	c := cfg
-	c.FaultPlan = &faultinject.Plan{WedgePTWAfter: 3000}
-	s2 := prepareScenario(t, c, names, 0)
-	ok, rerr := s2.RestoreCrashCheckpoint(cfg.CheckpointDir)
-	if rerr != nil || !ok {
-		t.Fatalf("crash restore: ok=%t err=%v", ok, rerr)
+	// The dump holds the state at the abort cycle.
+	dump := s.crashCheckpointPath()
+	info, err := InspectCheckpoint(dump)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s2.Engine().Now() != dead.Cycle {
-		t.Fatalf("crash checkpoint at cycle %d, abort was at %d", s2.Engine().Now(), dead.Cycle)
+	if info.Err != nil || !info.PayloadOK {
+		t.Fatalf("crash dump unreadable: %v / %v", info.Err, info.PayloadErr)
 	}
-	_, err2 := s2.Run(context.Background(), cycles)
-	var dead2 *engine.DeadlockError
-	if !errors.As(err2, &dead2) {
-		t.Fatalf("restored crash run returned %v, want DeadlockError", err2)
-	}
-	if dead2.Cycle != dead.Cycle {
-		t.Fatalf("re-raised abort at cycle %d, original at %d", dead2.Cycle, dead.Cycle)
-	}
-	if dead2.Error() != dead.Error() {
-		t.Fatalf("re-raised error differs:\noriginal: %s\nrestored: %s", dead.Error(), dead2.Error())
+	if info.Header.Cycle != dead.Cycle || info.Clock.Now != dead.Cycle {
+		t.Fatalf("crash dump at cycle %d (clock %d), abort was at %d", info.Header.Cycle, info.Clock.Now, dead.Cycle)
 	}
 
-	// Resume must NOT adopt the crash dump: with no periodic checkpoints in
+	// Restoring it is refused before any state is touched.
+	f, err := os.Open(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s2 := prepareScenario(t, cfg, names, 0)
+	if err := s2.RestoreCheckpoint(f); !errors.Is(err, ErrWatchdogTripped) {
+		t.Fatalf("restoring the crash dump returned %v, want ErrWatchdogTripped", err)
+	}
+	if s2.eng.Now() != 0 || s2.CheckpointStats().Restored != 0 {
+		t.Fatalf("rejected restore moved the clock to %d / counted %+v", s2.eng.Now(), s2.CheckpointStats())
+	}
+
+	// Resume must not adopt the crash dump: with no periodic checkpoints in
 	// the directory the run starts clean (and wedges again on its own).
-	c2 := cfg
-	c2.Resume = true
-	c2.FaultPlan = &faultinject.Plan{WedgePTWAfter: 3000}
-	s3 := prepareScenario(t, c2, names, 0)
+	c := cfg
+	c.Resume = true
+	c.FaultPlan = &faultinject.Plan{WedgePTWAfter: 3000}
+	s3 := prepareScenario(t, c, names, 0)
 	if _, err := s3.Run(context.Background(), cycles); err == nil {
 		t.Fatal("wedged rerun unexpectedly succeeded")
 	}
-	if s3.CheckpointStats().Restored != 0 {
-		t.Fatalf("resume adopted the crash dump: %+v", s3.CheckpointStats())
+	if st := s3.CheckpointStats(); st.Restored != 0 || st.Rejected != 0 {
+		t.Fatalf("resume looked at the crash dump: %+v", st)
 	}
 }
 

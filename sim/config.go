@@ -175,13 +175,10 @@ type Config struct {
 	TelemetrySink *telemetry.StreamSink
 
 	// WatchdogCheckEvery is the progress-watchdog check interval in cycles.
-	// If no component makes progress for WatchdogStallChecks consecutive
+	// If no component makes progress for watchdogStallChecks consecutive
 	// checks, the run aborts with a diagnostic dump instead of spinning
 	// forever. Zero disables the watchdog; negative is invalid.
 	WatchdogCheckEvery int64
-	// WatchdogStallChecks is the number of consecutive no-progress checks
-	// tolerated before abort (default 4 when zero).
-	WatchdogStallChecks int
 
 	// FaultPlan, when non-nil, injects the described faults into the run
 	// (wedged page-table walks, dropped DRAM responses, an engine-tick
@@ -259,8 +256,7 @@ func Baseline() Config {
 		FaultLatency:     20_000,
 		FaultConcurrency: 16,
 
-		WatchdogCheckEvery:  25_000,
-		WatchdogStallChecks: 4,
+		WatchdogCheckEvery: 25_000,
 
 		FastForward: true,
 	}
@@ -437,8 +433,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: TokenInitFraction must be in [0,1], got %g", c.TokenInitFraction)
 	case c.WatchdogCheckEvery < 0:
 		return fmt.Errorf("sim: WatchdogCheckEvery must be >= 0, got %d", c.WatchdogCheckEvery)
-	case c.WatchdogStallChecks < 0:
-		return fmt.Errorf("sim: WatchdogStallChecks must be >= 0, got %d", c.WatchdogStallChecks)
 	case c.CheckpointEvery < 0:
 		return fmt.Errorf("sim: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
 	case c.CheckpointEvery > 0 && c.CheckpointDir == "":

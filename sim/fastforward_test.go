@@ -75,7 +75,6 @@ func TestFastForwardWatchdogWedge(t *testing.T) {
 		cfg := tinyConfig()
 		cfg.FastForward = ff
 		cfg.WatchdogCheckEvery = 2_000
-		cfg.WatchdogStallChecks = 2
 		cfg.FaultPlan = &faultinject.Plan{WedgePTWAfter: 200}
 		res, err := Run(context.Background(), cfg, []string{"3DS", "CONS"}, 2_000_000)
 		if err == nil {
@@ -112,7 +111,6 @@ func TestFastForwardWatchdogWedge(t *testing.T) {
 func TestFastForwardHealthyWatchdog(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.WatchdogCheckEvery = 100
-	cfg.WatchdogStallChecks = 2
 	res, err := Run(context.Background(), cfg, []string{"3DS", "CONS"}, 20_000)
 	if err != nil {
 		t.Fatalf("healthy fast-forwarded run tripped the watchdog: %v", err)

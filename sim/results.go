@@ -194,17 +194,6 @@ func (r *Results) IPCs() []float64 {
 	return out
 }
 
-// AppByName returns the result for the named app (first match) and whether
-// it was found.
-func (r *Results) AppByName(name string) (AppResult, bool) {
-	for _, a := range r.Apps {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return AppResult{}, false
-}
-
 // String renders a compact human-readable summary.
 func (r *Results) String() string {
 	var b strings.Builder

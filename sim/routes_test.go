@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"masksim/internal/cache"
@@ -220,17 +221,35 @@ func TestContinuationRoutes(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		// The uninterrupted run, checkpointing as it goes (which perturbs
-		// nothing: TestCheckpointRestoreEquivalence).
+		// nothing: TestCheckpointRestoreEquivalence), made once by the first
+		// of the scenario's routes to need it.
 		cfg := sc.cfg()
 		ckCfg := cfg
 		ckCfg.CheckpointEvery = every
 		ckCfg.CheckpointDir = t.TempDir()
-		src := prepareScenario(t, ckCfg, sc.names, 0)
-		src.mustRun(t, total)
-		live := image(t, src)
+		var (
+			once sync.Once
+			src  *Simulator
+			live *checkpointPayload
+		)
+		uninterrupted := func(t *testing.T) (*Simulator, checkpointPayload) {
+			t.Helper()
+			once.Do(func() {
+				s := prepareScenario(t, ckCfg, sc.names, 0)
+				s.mustRun(t, total)
+				p := image(t, s)
+				src, live = s, &p
+			})
+			if live == nil {
+				t.Fatal("the uninterrupted run failed in another subtest")
+			}
+			return src, *live
+		}
 
 		for _, rt := range sc.routes {
 			t.Run(rt.name, func(t *testing.T) {
+				t.Parallel()
+				src, live := uninterrupted(t)
 				var cut int64
 				var cutImage []byte
 				var key string

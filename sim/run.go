@@ -10,8 +10,8 @@ import (
 )
 
 // EvenSplit divides cores evenly across n apps (remainder to the first
-// apps). The paper's oracle searches all static splits; the even split is
-// the default and SearchPartition refines it when asked.
+// apps). The paper's oracle searches all static splits; this model uses
+// the even split only.
 func EvenSplit(cores, n int) []int {
 	out := make([]int, n)
 	base := cores / n
@@ -113,35 +113,4 @@ func (r *Results) Metrics(aloneIPC []float64) PairMetrics {
 		IPCThroughput:   metrics.IPCThroughput(shared),
 		Unfairness:      metrics.MaxSlowdown(shared, aloneIPC),
 	}
-}
-
-// SearchPartition approximates the paper's oracle core scheduler (§6): it
-// tries each static split of cores between the two apps of pair (at the
-// given granularity), returning the split with the best weighted speedup
-// under cfg. It is exhaustive-but-coarse to stay affordable; experiments use
-// the even split by default.
-func SearchPartition(ctx context.Context, cfg Config, pair workload.Pair, cycles int64, step int, aloneIPC map[string]float64) ([]int, float64, error) {
-	if step < 1 {
-		step = 1
-	}
-	best := []int{cfg.Cores / 2, cfg.Cores - cfg.Cores/2}
-	bestWS := -1.0
-	for a := step; a < cfg.Cores; a += step {
-		split := []int{a, cfg.Cores - a}
-		apps := []workload.App{workload.NewApp(0, pair.A), workload.NewApp(1, pair.B)}
-		s, err := New(cfg, apps, split)
-		if err != nil {
-			return nil, 0, err
-		}
-		res, err := s.Run(ctx, cycles)
-		if err != nil {
-			return nil, 0, err
-		}
-		ws := res.Metrics([]float64{aloneIPC[pair.A], aloneIPC[pair.B]}).WeightedSpeedup
-		if ws > bestWS {
-			bestWS = ws
-			best = split
-		}
-	}
-	return best, bestWS, nil
 }

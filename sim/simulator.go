@@ -350,7 +350,7 @@ func (s *Simulator) build(d *Simulator) {
 	}
 
 	// --- walker and shared L2 TLB ----------------------------------------
-	s.walker = ptw.Renew(d.walker, walkerConcurrency, walkBackend, numApps, &s.reqPool, &s.transPool)
+	s.walker = ptw.Renew(d.walker, walkerConcurrency, walkBackend, &s.reqPool, &s.transPool)
 	if cfg.DemandPaging {
 		s.faults = ptw.NewFaultUnit(cfg.FaultLatency, cfg.FaultConcurrency)
 		s.walker.SetFaultUnit(s.faults)
@@ -521,6 +521,10 @@ func (s *Simulator) build(d *Simulator) {
 	}
 }
 
+// watchdogStallChecks is how many consecutive checks without progress the
+// watchdog tolerates before it aborts the run.
+const watchdogStallChecks = 4
+
 // watchdog builds the progress watchdog for one run, wiring progress probes
 // (instructions retired, walks completed, DRAM requests serviced) and the
 // per-component diagnostic dump. Returns nil when disabled.
@@ -528,11 +532,7 @@ func (s *Simulator) watchdog() *engine.Watchdog {
 	if s.cfg.WatchdogCheckEvery <= 0 {
 		return nil
 	}
-	checks := s.cfg.WatchdogStallChecks
-	if checks <= 0 {
-		checks = 4
-	}
-	wd := engine.NewWatchdog(s.cfg.WatchdogCheckEvery, checks)
+	wd := engine.NewWatchdog(s.cfg.WatchdogCheckEvery, watchdogStallChecks)
 	if s.tel != nil {
 		wd.SetEventSink(s.tel)
 	}
@@ -732,8 +732,8 @@ func (s *Simulator) Run(ctx context.Context, cycles int64) (*Results, error) {
 		var dead *engine.DeadlockError
 		if errors.As(err, &dead) {
 			// Crash checkpoint: the full wedged state at the abort cycle,
-			// restorable for post-mortem debugging (restoring it re-raises
-			// the same DeadlockError).
+			// evidence for post-mortem inspection (masksim
+			// -inspect-checkpoint), never a resume point.
 			s.curWD = wd
 			s.writeCheckpointFile(s.crashCheckpointPath())
 			s.curWD = nil
@@ -751,6 +751,3 @@ func (s *Simulator) Run(ctx context.Context, cycles int64) (*Results, error) {
 	s.clean = err == nil
 	return res, err
 }
-
-// Engine exposes the clock for tests that need finer stepping.
-func (s *Simulator) Engine() *engine.Engine { return s.eng }

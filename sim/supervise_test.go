@@ -19,7 +19,6 @@ import (
 func TestWatchdogAbortsWedgedWalk(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.WatchdogCheckEvery = 2_000
-	cfg.WatchdogStallChecks = 2
 	cfg.FaultPlan = &faultinject.Plan{WedgePTWAfter: 200}
 
 	const budget = 2_000_000
@@ -67,7 +66,6 @@ func TestWatchdogAbortsWedgedWalk(t *testing.T) {
 func TestWatchdogAbortsDroppedDRAM(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.WatchdogCheckEvery = 2_000
-	cfg.WatchdogStallChecks = 2
 	cfg.FaultPlan = &faultinject.Plan{DropDRAMOneIn: 1, DropDRAMAfter: 100}
 
 	res, err := Run(context.Background(), cfg, []string{"MM", "CONS"}, 2_000_000)
@@ -119,7 +117,6 @@ func TestRunPreCanceledContext(t *testing.T) {
 func TestHealthyRunPassesWatchdog(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.WatchdogCheckEvery = 1_000
-	cfg.WatchdogStallChecks = 2
 	res, err := Run(context.Background(), cfg, []string{"3DS", "CONS"}, 20_000)
 	if err != nil {
 		t.Fatalf("healthy run tripped the watchdog: %v", err)
@@ -134,7 +131,6 @@ func TestHealthyRunPassesWatchdog(t *testing.T) {
 func TestAbortedResultsRenderReason(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.WatchdogCheckEvery = 2_000
-	cfg.WatchdogStallChecks = 2
 	cfg.FaultPlan = &faultinject.Plan{WedgePTWAfter: 200}
 	res, err := Run(context.Background(), cfg, []string{"3DS", "CONS"}, 2_000_000)
 	if err == nil {

@@ -204,8 +204,8 @@ func TestSimStreamingCheckpointResume(t *testing.T) {
 	if err := rsSim.RestoreCheckpoint(bytes.NewReader(ckpt)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if rsSim.Engine().Now() != 2600 {
-		t.Fatalf("restored to cycle %d, want 2600", rsSim.Engine().Now())
+	if rsSim.eng.Now() != 2600 {
+		t.Fatalf("restored to cycle %d, want 2600", rsSim.eng.Now())
 	}
 	rsSim.mustRun(t, cycles)
 	closeAll(t, rsSink, rsFiles)
@@ -305,8 +305,8 @@ func TestSimStreamingKillResume(t *testing.T) {
 	if err := rsSim.RestoreCheckpoint(bytes.NewReader(ckpt)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if rsSim.Engine().Now() != 2600 {
-		t.Fatalf("restored to cycle %d, want 2600", rsSim.Engine().Now())
+	if rsSim.eng.Now() != 2600 {
+		t.Fatalf("restored to cycle %d, want 2600", rsSim.eng.Now())
 	}
 	rsSim.mustRun(t, cycles)
 	if err := rsSink.Close(); err != nil {
