@@ -127,10 +127,8 @@ type line struct {
 // objects are recycled through the cache's free list, and waiting starts out
 // on waitBuf so the first merges do not allocate.
 type mshr struct {
-	lineAddr uint64
-	bypass   bool
-	waiting  []*memreq.Request
-	waitBuf  [8]*memreq.Request
+	waiting []*memreq.Request
+	waitBuf [8]*memreq.Request
 }
 
 // reset returns m to the free list's state whatever state it was in: empty,
@@ -197,10 +195,6 @@ type Cache struct {
 	epochStats [memreq.MaxWalkLevel + 1]Stats
 	lastRates  [memreq.MaxWalkLevel + 1]float64
 	lastValid  [memreq.MaxWalkLevel + 1]bool
-
-	// latency accounting per class
-	latSum   [2]uint64
-	latCount [2]uint64
 }
 
 // New creates a cache whose own requests come from pool. backend may be nil
@@ -283,14 +277,13 @@ func (c *Cache) Retire() {
 	}
 }
 
-// getMSHR takes an mshr off the free list for the given line.
-func (c *Cache) getMSHR(lineAddr uint64, bypass bool) *mshr {
+// getMSHR takes an mshr off the free list; the map it goes into names its
+// line.
+func (c *Cache) getMSHR() *mshr {
 	m, fresh := c.mshrFree.Get()
 	if fresh {
 		m.waiting = m.waitBuf[:0]
 	}
-	m.lineAddr = lineAddr
-	m.bypass = bypass
 	return m
 }
 
@@ -351,7 +344,7 @@ func (c *Cache) Submit(now int64, r *memreq.Request) bool {
 			m.waiting = append(m.waiting, r)
 			return true
 		}
-		m := c.getMSHR(lineAddr, true)
+		m := c.getMSHR()
 		m.waiting = append(m.waiting, r)
 		c.bypassMSHRs[lineAddr] = m
 		fetch := c.pool.Get()
@@ -484,7 +477,6 @@ func (c *Cache) service(now int64, r *memreq.Request) {
 		c.recordHit(r)
 		c.stamp++
 		c.lines[base+hitWay].stamp = c.stamp
-		c.recordLatency(now, r)
 		c.pool.Complete(r, now, c.serviceLevel())
 		return
 	}
@@ -503,7 +495,7 @@ func (c *Cache) service(now int64, r *memreq.Request) {
 		c.queues[c.bankOf(lineAddr)].PushAt(now+1, r)
 		return
 	}
-	m := c.getMSHR(lineAddr, false)
+	m := c.getMSHR()
 	m.waiting = append(m.waiting, r)
 	c.mshrs[lineAddr] = m
 	fill := c.pool.Get()
@@ -594,9 +586,6 @@ func (c *Cache) RequestDone(now int64, fr *memreq.Request) {
 	}
 	for _, w := range m.waiting {
 		w.Served = fr.Served
-		if !m.bypass {
-			c.recordLatency(now, w)
-		}
 		c.pool.Complete(w, now, fr.Served)
 	}
 	clear(m.waiting)
@@ -655,11 +644,6 @@ func (c *Cache) recordHit(r *memreq.Request) {
 func (c *Cache) recordMiss(r *memreq.Request) {
 	c.levelStats[r.WalkLevel].Misses++
 	c.epochStats[r.WalkLevel].Misses++
-}
-
-func (c *Cache) recordLatency(now int64, r *memreq.Request) {
-	c.latSum[r.Class] += uint64(now - r.Issue)
-	c.latCount[r.Class]++
 }
 
 func (c *Cache) serviceLevel() memreq.Service {

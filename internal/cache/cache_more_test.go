@@ -140,19 +140,3 @@ func TestInvalidGeometryPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestAvgLatencyTracksClasses(t *testing.T) {
-	be := &fakeBackend{}
-	c := smallCache(be, false)
-	r := newReq(c, memreq.Request{Kind: memreq.Read, Class: memreq.Translation, WalkLevel: 2, Addr: 0x100},
-		func(int64, *memreq.Request) {})
-	c.Submit(0, r)
-	drive(c, 0, 2)
-	be.completeAll(40)
-	if c.latCount[memreq.Translation] == 0 || c.latSum[memreq.Translation] == 0 {
-		t.Fatal("translation latency not tracked")
-	}
-	if c.latCount[memreq.Data] != 0 {
-		t.Fatal("data latency counted without data traffic")
-	}
-}

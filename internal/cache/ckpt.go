@@ -39,8 +39,6 @@ type CacheState struct {
 	EpochStats    [memreq.MaxWalkLevel + 1]Stats
 	LastRates     [memreq.MaxWalkLevel + 1]float64
 	LastValid     [memreq.MaxWalkLevel + 1]bool
-	LatSum        [2]uint64
-	LatCount      [2]uint64
 }
 
 // SnapshotState captures the cache's checkpoint image.
@@ -53,8 +51,6 @@ func (c *Cache) SnapshotState() CacheState {
 		EpochStats:    c.epochStats,
 		LastRates:     c.lastRates,
 		LastValid:     c.lastValid,
-		LatSum:        c.latSum,
-		LatCount:      c.latCount,
 	}
 	st.Lines = make([]LineState, len(c.lines))
 	for i := range c.lines {
@@ -108,8 +104,6 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 	c.epochStats = st.EpochStats
 	c.lastRates = st.LastRates
 	c.lastValid = st.LastValid
-	c.latSum = st.LatSum
-	c.latCount = st.LatCount
 	for i, ls := range st.Lines {
 		c.lines[i] = line{tag: ls.Tag, valid: ls.Valid, dirty: ls.Dirty, stamp: ls.Stamp}
 	}
@@ -118,10 +112,10 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 			return fmt.Errorf("cache %s: checkpoint bank %d %w", c.cfg.Name, b, err)
 		}
 	}
-	restoreMSHRs := func(sts []MSHRState, bypass bool) (map[uint64]*mshr, error) {
+	restoreMSHRs := func(sts []MSHRState) (map[uint64]*mshr, error) {
 		set := make(map[uint64]*mshr, len(sts))
 		for _, ms := range sts {
-			m := c.getMSHR(ms.LineAddr, bypass)
+			m := c.getMSHR()
 			var err error
 			if m.waiting, err = w.Requests(m.waiting, ms.Waiting); err != nil {
 				return nil, fmt.Errorf("cache %s: MSHR of line %#x: %w", c.cfg.Name, ms.LineAddr, err)
@@ -131,10 +125,10 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 		return set, nil
 	}
 	var err error
-	if c.mshrs, err = restoreMSHRs(st.Mshrs, false); err != nil {
+	if c.mshrs, err = restoreMSHRs(st.Mshrs); err != nil {
 		return err
 	}
-	if c.bypassMSHRs, err = restoreMSHRs(st.BypassMshrs, true); err != nil {
+	if c.bypassMSHRs, err = restoreMSHRs(st.BypassMshrs); err != nil {
 		return err
 	}
 	if err := engine.RestoreQueue(&c.retry, st.Retry, w.Request); err != nil {

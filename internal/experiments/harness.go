@@ -236,9 +236,9 @@ func (h *Harness) supervised(label string, f func(ctx context.Context) (*sim.Res
 // With no CheckpointDir it is the identity; otherwise the run checkpoints
 // periodically and resumes from existing state, which makes both retry paths
 // (same-process retry after a panic, fresh-process retry after a kill)
-// continue mid-run. The policy is canonicalized out of cache and checkpoint
-// fingerprints — results are bit-identical regardless — so the overlay never
-// changes a run's identity.
+// continue mid-run. The policy is made of RunOptions, which never reach
+// sim.Config.Key — results are bit-identical regardless — so the overlay
+// never changes a run's cache key or checkpoint fingerprint.
 func (h *Harness) runConfig(cfg sim.Config) sim.Config {
 	if h.CheckpointDir == "" {
 		return cfg

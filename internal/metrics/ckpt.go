@@ -4,7 +4,6 @@ package metrics
 type HistogramState struct {
 	Counts []uint64
 	Count  uint64
-	Sum    float64
 	Min    float64
 	Max    float64
 }
@@ -14,7 +13,6 @@ func (h *Histogram) State() HistogramState {
 	return HistogramState{
 		Counts: append([]uint64(nil), h.counts...),
 		Count:  h.count,
-		Sum:    h.sum,
 		Min:    h.min,
 		Max:    h.max,
 	}
@@ -23,5 +21,5 @@ func (h *Histogram) State() HistogramState {
 // SetState restores a state captured by State.
 func (h *Histogram) SetState(st HistogramState) {
 	copy(h.counts, st.Counts)
-	h.count, h.sum, h.min, h.max = st.Count, st.Sum, st.Min, st.Max
+	h.count, h.min, h.max = st.Count, st.Min, st.Max
 }

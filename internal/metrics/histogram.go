@@ -19,12 +19,11 @@ const histBuckets = histSubCount + (64-histSubBits)*histSubCount
 // queue depths, ...). Values are bucketed by their power-of-two octave with
 // histSubCount sub-buckets per octave, so Observe is two shifts and an add —
 // no allocation, no map — and quantiles resolve within 12.5% relative error.
-// Count, Sum, Min and Max are tracked exactly. The zero value is NOT ready to
+// Count, Min and Max are tracked exactly. The zero value is NOT ready to
 // use; build with NewHistogram.
 type Histogram struct {
 	counts []uint64
 	count  uint64
-	sum    float64
 	min    float64
 	max    float64
 }
@@ -58,7 +57,7 @@ func bucketBounds(idx int) (lo, hi float64) {
 }
 
 // Observe records one sample. Negative values clamp to zero; non-integral
-// values are truncated for bucketing but accumulate exactly into Sum.
+// values are truncated for bucketing, and Min and Max keep them exactly.
 func (h *Histogram) Observe(v float64) {
 	if v < 0 || math.IsNaN(v) {
 		v = 0
@@ -70,7 +69,6 @@ func (h *Histogram) Observe(v float64) {
 		h.max = v
 	}
 	h.count++
-	h.sum += v
 	h.counts[bucketOf(uint64(v))]++
 }
 

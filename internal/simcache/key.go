@@ -9,10 +9,11 @@ import (
 	"masksim/sim"
 )
 
-// keyVersion is folded into every fingerprint so that a change to the
-// canonical encoding (or to the meaning of a Config field) invalidates old
-// on-disk entries instead of silently resurrecting stale results.
-const keyVersion = "v1"
+// keyVersion is folded into every fingerprint so that a change to the key's
+// encoding (or to the meaning of a Machine field) invalidates old on-disk
+// entries instead of silently resurrecting stale results. v2: the config
+// part is sim.Config.Key, the Machine and the telemetry epoch only.
+const keyVersion = "v2"
 
 // Cacheable reports whether a run under cfg may be memoized. Fault-injected
 // runs are excluded: a Plan carries mutable counters and exists precisely to
@@ -22,16 +23,6 @@ const keyVersion = "v1"
 // carry no telemetry samples, so a cached copy would shortchange later
 // consumers too.
 func Cacheable(cfg sim.Config) bool { return cfg.FaultPlan == nil && cfg.TelemetrySink == nil }
-
-// configString renders cfg in a canonical, content-only form, delegating the
-// canonicalization to sim.CanonicalConfig (the same normalization checkpoint
-// fingerprints use): the display name, fault injection, the fast-forward
-// speed knob, and the checkpoint/resume orchestration are all stripped, so
-// behaviorally equal runs — including a cell resumed from a checkpoint and a
-// cell run clean — share one cache entry.
-func configString(cfg sim.Config) string {
-	return fmt.Sprintf("%+v", sim.CanonicalConfig(cfg))
-}
 
 // RunKey fingerprints a shared multi-application run: sim.Run of names under
 // cfg for cycles.
@@ -50,10 +41,14 @@ func AloneKey(cfg sim.Config, app string, cores int, cycles int64) string {
 	return fingerprint("alone", cfg, fmt.Sprintf("%s/%d", app, cores), cycles)
 }
 
-// fingerprint hashes the canonical description of one simulation into a
-// stable hex key (also used as the on-disk entry name).
+// fingerprint hashes the description of one simulation into a stable hex
+// key (also used as the on-disk entry name). The config enters as
+// sim.Config.Key, the same identity checkpoint fingerprints hash, so
+// behaviorally equal runs — a cell resumed from a checkpoint and a cell run
+// clean, under any watchdog, fast-forward or checkpoint setting — share one
+// cache entry.
 func fingerprint(kind string, cfg sim.Config, apps string, cycles int64) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|apps=%s|cycles=%d|cfg=%s",
-		keyVersion, kind, apps, cycles, configString(cfg))))
+		keyVersion, kind, apps, cycles, cfg.Key())))
 	return hex.EncodeToString(sum[:])
 }

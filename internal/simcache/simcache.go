@@ -1,7 +1,7 @@
 // Package simcache is the campaign-wide, content-addressed simulation result
 // cache behind the experiments harness. A run is identified by a
-// deterministic fingerprint of its full sim.Config (minus presentation
-// metadata), application list and cycle budget; requesting the same
+// deterministic fingerprint of its sim.Config.Key (the simulated Machine and
+// the telemetry epoch), application list and cycle budget; requesting the same
 // fingerprint twice — from the same experiment or from two different
 // experiments sharing one Cache — executes the simulation once and shares the
 // completed *sim.Results read-only.

@@ -60,7 +60,10 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	    input and stalled queues, the walker's pending walks, the fault
 //	    queue) writes its items as engine.QueueItem, each with its ready
 //	    cycle
-const Version uint32 = 9
+//	10 — no latency sums: a cache image no longer carries per-class latency
+//	    sums and counts, nor a histogram image its sample sum; fingerprints
+//	    hash sim.Config.Key (the Machine and the telemetry epoch)
+const Version uint32 = 10
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

@@ -132,25 +132,7 @@ func probeCheckpointDir(dir string) error {
 	return nil
 }
 
-// CanonicalConfig strips the fields that do not affect simulated behavior —
-// the display name, test-only fault injection, the telemetry output sink
-// (where samples go, not what they contain), the fast-forward speed knob
-// (bit-identical by contract), and the checkpoint/resume orchestration itself
-// — so fingerprints and result-cache keys treat behaviorally equal configs as
-// equal.
-func CanonicalConfig(cfg Config) Config {
-	cfg.Name = ""
-	cfg.FaultPlan = nil
-	cfg.TelemetrySink = nil
-	cfg.FastForward = false
-	cfg.Shards = 0 // deprecated no-op
-	cfg.CheckpointEvery = 0
-	cfg.CheckpointDir = ""
-	cfg.Resume = false
-	return cfg
-}
-
-// Fingerprint identifies this exact simulation: canonical config plus every
+// Fingerprint identifies this exact simulation: the config's Key plus every
 // application's identity (a trace by name and content digest), seed and core
 // share. Two simulators with equal fingerprints simulate bit-identically, so
 // a checkpoint may only restore onto a matching one.
@@ -159,7 +141,7 @@ func (s *Simulator) Fingerprint() string {
 		return s.fp
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%+v|", CanonicalConfig(s.cfg))
+	fmt.Fprintf(h, "%s|", s.cfg.Key())
 	for i, app := range s.apps {
 		name := app.Profile.Name
 		if app.Trace != nil {

@@ -459,8 +459,9 @@ func TestCheckpointRejection(t *testing.T) {
 	// payloads carry frames in TLB entries and held walks, and an ASID in
 	// every request; v7 requests name their sink by engine registration
 	// index; v8 retry lists and queues are plain lists of requests, keys and
-	// walks, and the bank and L2 TLB input queues carry pipe items.
-	for _, old := range []uint32{2, 3, 4, 5, 6, 7, 8} {
+	// walks, and the bank and L2 TLB input queues carry pipe items; v9 cache
+	// images carry latency sums and histogram images a sample sum.
+	for _, old := range []uint32{2, 3, 4, 5, 6, 7, 8, 9} {
 		t.Run(fmt.Sprintf("previous-format-v%d", old), func(t *testing.T) {
 			dir := makeDir(t)
 			ents, _ := os.ReadDir(dir)
@@ -1158,6 +1159,71 @@ func TestWatchdogCrashCheckpoint(t *testing.T) {
 	}
 	if st := s3.CheckpointStats(); st.Restored != 0 || st.Rejected != 0 {
 		t.Fatalf("resume looked at the crash dump: %+v", st)
+	}
+}
+
+// TestWatchdogIntervalAcrossRestore pins that the watchdog interval is a run
+// option, outside the fingerprint: a checkpoint taken under one interval is
+// adopted by Resume under another or with the watchdog off, an unsupervised
+// checkpoint by a supervised run, and each resumed run's Results are deeply
+// equal to the uninterrupted run's. A crash dump stays rejected with
+// ErrWatchdogTripped whatever the restoring run's interval.
+func TestWatchdogIntervalAcrossRestore(t *testing.T) {
+	// One checkpoint at 30 000, after the watchdog's first check at 25 000.
+	const cycles, every = 50_000, 30_000
+	names := []string{"3DS", "CONS"}
+	cfg := tinyConfig()
+	cfg.WatchdogCheckEvery = 25_000
+	ref := prepareScenario(t, cfg, names, 0).mustRun(t, cycles)
+
+	checkpointed := func(interval int64) string {
+		c := cfg
+		c.WatchdogCheckEvery = interval
+		c.CheckpointEvery, c.CheckpointDir = every, t.TempDir()
+		if res := prepareScenario(t, c, names, 0).mustRun(t, cycles); !reflect.DeepEqual(ref, res) {
+			t.Fatalf("the checkpointed run under watchdog interval %d diverged", interval)
+		}
+		return c.CheckpointDir
+	}
+	resume := func(dir string, interval int64) {
+		t.Helper()
+		c := cfg
+		c.WatchdogCheckEvery = interval
+		c.CheckpointDir, c.Resume = dir, true
+		s := prepareScenario(t, c, names, 0)
+		res := s.mustRun(t, cycles)
+		if st := s.CheckpointStats(); st.Restored != 1 || st.Rejected != 0 {
+			t.Fatalf("resume under watchdog interval %d did not adopt the checkpoint: %+v", interval, st)
+		}
+		if !reflect.DeepEqual(ref, res) {
+			t.Fatalf("run resumed under watchdog interval %d diverged:\nref:     %+v\nresumed: %+v", interval, ref, res)
+		}
+	}
+	supervised := checkpointed(25_000)
+	resume(supervised, 10_000)
+	resume(supervised, 0)
+	resume(checkpointed(0), 25_000)
+
+	crash := cfg
+	crash.WatchdogCheckEvery = 2000
+	crash.CheckpointDir = t.TempDir()
+	crash.FaultPlan = &faultinject.Plan{WedgePTWAfter: 3000}
+	s := prepareScenario(t, crash, []string{"MUM", "GUP"}, 0)
+	var dead *engine.DeadlockError
+	if _, err := s.Run(context.Background(), cycles); !errors.As(err, &dead) {
+		t.Fatalf("wedged run returned %v, want DeadlockError", err)
+	}
+	dump, err := os.ReadFile(s.crashCheckpointPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, interval := range []int64{0, 2000, 10_000, 25_000} {
+		c := crash
+		c.WatchdogCheckEvery = interval
+		c.FaultPlan = nil
+		if err := prepareScenario(t, c, []string{"MUM", "GUP"}, 0).RestoreCheckpoint(bytes.NewReader(dump)); !errors.Is(err, ErrWatchdogTripped) {
+			t.Fatalf("restoring the crash dump under watchdog interval %d returned %v, want ErrWatchdogTripped", interval, err)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // (cores, TLBs, page table walker, caches, DRAM) according to a Config,
 // runs multiprogrammed workloads, and reports the paper's metrics.
 //
-// A Config picks one point of the paper's design space with three values
-// (docs/MODEL.md, "Design space"):
+// A Config's Machine picks one point of the paper's design space with three
+// values (docs/MODEL.md, "Design space"):
 //
 //	Design      — SharedTLB (private L1 TLBs + shared L2 TLB), PWCache (shared
 //	              page walk cache, Power et al.), Static (SharedTLB with L2
@@ -96,10 +96,19 @@ const (
 	maxCores = (memreq.MaxRoute - 3) / 2
 )
 
-// Config is the full simulated-system description (paper Table 1 defaults).
+// Config describes one simulation run: the simulated Machine and the
+// RunOptions that observe or steer the run. Both are embedded, so every
+// field reads and assigns as cfg.Cores or cfg.FastForward.
 type Config struct {
-	Name string
+	Machine
+	RunOptions
+}
 
+// Machine is the simulated GPU: paper Table 1's geometry and one point of
+// the §5 design space. Every field is plain data. Two configs with equal
+// Machines and equal TelemetryEpoch (Config.Key) simulate the same apps
+// bit-identically, whatever their RunOptions.
+type Machine struct {
 	Cores        int
 	WarpsPerCore int
 
@@ -150,6 +159,13 @@ type Config struct {
 	// TLBPrefetch enables the stride TLB prefetcher at the shared L2 TLB
 	// (related-work comparison, §8.2). Requires DesignSharedTLB.
 	TLBPrefetch bool
+}
+
+// RunOptions observe or steer one run without changing what it simulates.
+// None but TelemetryEpoch reaches a checkpoint fingerprint or a result-cache
+// key (Config.Key), so changing one keeps every checkpoint and cache entry.
+type RunOptions struct {
+	Name string
 
 	// TelemetryEpoch, when positive, enables the cycle-level telemetry
 	// subsystem: every TelemetryEpoch cycles the collector snapshots every
@@ -170,8 +186,7 @@ type Config struct {
 	// checkpoints record the sink's resume offsets so a restored run
 	// continues its output files without duplicate or missing epochs
 	// (docs/FORMATS.md). The caller owns the sink and must Close it after the
-	// run. Like FaultPlan, the pointer is stripped from fingerprints: it does
-	// not affect simulated behavior.
+	// run.
 	TelemetrySink *telemetry.StreamSink
 
 	// WatchdogCheckEvery is the progress-watchdog check interval in cycles.
@@ -188,7 +203,7 @@ type Config struct {
 	// Deprecated: Shards is accepted and ignored. Intra-simulation sharding
 	// was deleted (docs/MODEL.md §10): every simulation ticks on one
 	// goroutine. The field survives only because cmd/maskbench still assigns
-	// it; CanonicalConfig zeroes it so it cannot reach a fingerprint.
+	// it.
 	Shards int
 
 	// FastForward enables the engine's next-event fast-forward: spans in
@@ -217,48 +232,61 @@ type Config struct {
 	Resume bool
 }
 
+// Key identifies the simulation cfg describes; every checkpoint fingerprint
+// and result-cache key derives from it. It renders the Machine, whose fields
+// are plain data and so print by value, and TelemetryEpoch, because Results
+// and the collector's checkpoint image hold the epoch's samples. No other
+// RunOptions field reaches it.
+func (c Config) Key() string {
+	return fmt.Sprintf("%+v|epoch=%d", c.Machine, c.TelemetryEpoch)
+}
+
 // Baseline returns the paper's Table 1 system with the SharedTLB design and
 // no MASK mechanisms.
 func Baseline() Config {
 	return Config{
-		Name:         "SharedTLB",
-		Cores:        30,
-		WarpsPerCore: 64,
+		Machine: Machine{
+			Cores:        30,
+			WarpsPerCore: 64,
 
-		L1TLBEntries: 64,
+			L1TLBEntries: 64,
 
-		L2TLBEntries: 512,
-		L2TLBWays:    16,
+			L2TLBEntries: 512,
+			L2TLBWays:    16,
 
-		L1Cache: CacheParams{
-			SizeBytes: 16 << 10, Ways: 4, LineSize: 64,
-			Banks: 1, PortsPerBank: 2, Latency: 1, QueueCap: 32, MSHRs: 32,
-			WriteCombineWindow: 128,
+			L1Cache: CacheParams{
+				SizeBytes: 16 << 10, Ways: 4, LineSize: 64,
+				Banks: 1, PortsPerBank: 2, Latency: 1, QueueCap: 32, MSHRs: 32,
+				WriteCombineWindow: 128,
+			},
+			L2Cache: CacheParams{
+				SizeBytes: 2 << 20, Ways: 16, LineSize: 64,
+				Banks: 16, PortsPerBank: 2, Latency: 10, QueueCap: 32, MSHRs: 128,
+			},
+			PWCache: CacheParams{
+				SizeBytes: 8 << 10, Ways: 16, LineSize: 64,
+				Banks: 1, PortsPerBank: 2, Latency: 10, QueueCap: 32, MSHRs: 32,
+			},
+
+			PageSize: pagetable.PageSize4K,
+
+			DRAM: dram.DefaultConfig(),
+
+			Design: DesignSharedTLB,
+
+			TokenInitFraction: 0.80,
+			ThreshMax:         500,
+
+			FaultLatency:     20_000,
+			FaultConcurrency: 16,
 		},
-		L2Cache: CacheParams{
-			SizeBytes: 2 << 20, Ways: 16, LineSize: 64,
-			Banks: 16, PortsPerBank: 2, Latency: 10, QueueCap: 32, MSHRs: 128,
+		RunOptions: RunOptions{
+			Name: "SharedTLB",
+
+			WatchdogCheckEvery: 25_000,
+
+			FastForward: true,
 		},
-		PWCache: CacheParams{
-			SizeBytes: 8 << 10, Ways: 16, LineSize: 64,
-			Banks: 1, PortsPerBank: 2, Latency: 10, QueueCap: 32, MSHRs: 32,
-		},
-
-		PageSize: pagetable.PageSize4K,
-
-		DRAM: dram.DefaultConfig(),
-
-		Design: DesignSharedTLB,
-
-		TokenInitFraction: 0.80,
-		ThreshMax:         500,
-
-		FaultLatency:     20_000,
-		FaultConcurrency: 16,
-
-		WatchdogCheckEvery: 25_000,
-
-		FastForward: true,
 	}
 }
 
@@ -380,15 +408,23 @@ func ConfigNames() []string {
 	return []string{"Static", "PWCache", "SharedTLB", "MASK-TLB", "MASK-Cache", "MASK-DRAM", "MASK", "Ideal"}
 }
 
-// Validate reports configuration errors early and clearly. It is the one
-// gate of the design space: a field the chosen Design could not honour is an
-// error naming both, never silently ignored.
+// Validate reports configuration errors early and clearly: the Machine's
+// rules, then the run's.
 func (c Config) Validate() error {
-	if c.Design > DesignIdeal {
-		return fmt.Errorf("sim: unknown Design %d", c.Design)
+	if err := c.Machine.Validate(); err != nil {
+		return err
 	}
-	if c.DRAMPolicy > dram.MASK {
-		return fmt.Errorf("sim: unknown DRAMPolicy %d", c.DRAMPolicy)
+	return c.RunOptions.Validate()
+}
+
+// Validate is the one gate of the design space: a field the chosen Design
+// could not honour is an error naming both, never silently ignored.
+func (m Machine) Validate() error {
+	if m.Design > DesignIdeal {
+		return fmt.Errorf("sim: unknown Design %d", m.Design)
+	}
+	if m.DRAMPolicy > dram.MASK {
+		return fmt.Errorf("sim: unknown DRAMPolicy %d", m.DRAMPolicy)
 	}
 	// MASK's components and the prefetcher live at the shared L2 TLB, which
 	// Static partitions and PWCache and Ideal do not build; MASK's DRAM
@@ -397,52 +433,60 @@ func (c Config) Validate() error {
 		field string
 		on    bool
 	}{
-		{"Mask.Tokens", c.Mask.Tokens},
-		{"Mask.L2Bypass", c.Mask.L2Bypass},
-		{"DRAMPolicy MASK", c.DRAMPolicy == dram.MASK},
-		{"TLBPrefetch", c.TLBPrefetch},
+		{"Mask.Tokens", m.Mask.Tokens},
+		{"Mask.L2Bypass", m.Mask.L2Bypass},
+		{"DRAMPolicy MASK", m.DRAMPolicy == dram.MASK},
+		{"TLBPrefetch", m.TLBPrefetch},
 	} {
-		if f.on && c.Design != DesignSharedTLB {
-			return fmt.Errorf("sim: %s requires Design SharedTLB, got Design %v", f.field, c.Design)
+		if f.on && m.Design != DesignSharedTLB {
+			return fmt.Errorf("sim: %s requires Design SharedTLB, got Design %v", f.field, m.Design)
 		}
 	}
 	switch {
-	case c.DemandPaging && c.Design == DesignIdeal:
+	case m.DemandPaging && m.Design == DesignIdeal:
 		return fmt.Errorf("sim: DemandPaging faults on page walks, which Design Ideal never makes")
-	case c.Cores < 1 || c.Cores > maxCores:
-		return fmt.Errorf("sim: Cores must be in [1,%d], got %d", maxCores, c.Cores)
-	case c.WarpsPerCore < 1:
-		return fmt.Errorf("sim: WarpsPerCore must be >= 1, got %d", c.WarpsPerCore)
-	case c.L1TLBEntries < 1:
-		return fmt.Errorf("sim: L1TLBEntries must be >= 1, got %d", c.L1TLBEntries)
-	case c.L2TLBEntries < c.L2TLBWays || c.L2TLBWays < 1:
-		return fmt.Errorf("sim: invalid L2 TLB geometry %d entries / %d ways", c.L2TLBEntries, c.L2TLBWays)
-	case c.PageSize != pagetable.PageSize4K && c.PageSize != pagetable.PageSize2M:
-		return fmt.Errorf("sim: unsupported page size %d", c.PageSize)
-	case c.DRAM.Channels < 1 || c.DRAM.BanksPerChannel < 1:
-		return fmt.Errorf("sim: invalid DRAM geometry %+v", c.DRAM)
-	case c.TelemetryEpoch < 0:
-		return fmt.Errorf("sim: TelemetryEpoch must be >= 0, got %d", c.TelemetryEpoch)
-	case c.TelemetrySink != nil && c.TelemetryEpoch <= 0:
+	case m.Cores < 1 || m.Cores > maxCores:
+		return fmt.Errorf("sim: Cores must be in [1,%d], got %d", maxCores, m.Cores)
+	case m.WarpsPerCore < 1:
+		return fmt.Errorf("sim: WarpsPerCore must be >= 1, got %d", m.WarpsPerCore)
+	case m.L1TLBEntries < 1:
+		return fmt.Errorf("sim: L1TLBEntries must be >= 1, got %d", m.L1TLBEntries)
+	case m.L2TLBEntries < m.L2TLBWays || m.L2TLBWays < 1:
+		return fmt.Errorf("sim: invalid L2 TLB geometry %d entries / %d ways", m.L2TLBEntries, m.L2TLBWays)
+	case m.PageSize != pagetable.PageSize4K && m.PageSize != pagetable.PageSize2M:
+		return fmt.Errorf("sim: unsupported page size %d", m.PageSize)
+	case m.DRAM.Channels < 1 || m.DRAM.BanksPerChannel < 1:
+		return fmt.Errorf("sim: invalid DRAM geometry %+v", m.DRAM)
+	case m.TimeMuxQuantum < 0:
+		return fmt.Errorf("sim: TimeMuxQuantum must be >= 0, got %d", m.TimeMuxQuantum)
+	case m.TimeMuxEvict < 0 || m.TimeMuxEvict > 1:
+		return fmt.Errorf("sim: TimeMuxEvict must be in [0,1], got %g", m.TimeMuxEvict)
+	case m.TokenInitFraction < 0 || m.TokenInitFraction > 1:
+		return fmt.Errorf("sim: TokenInitFraction must be in [0,1], got %g", m.TokenInitFraction)
+	case m.DemandPaging && m.FaultLatency < 1:
+		return fmt.Errorf("sim: DemandPaging needs FaultLatency >= 1, got %d", m.FaultLatency)
+	case m.DemandPaging && m.FaultConcurrency < 1:
+		return fmt.Errorf("sim: DemandPaging needs FaultConcurrency >= 1, got %d", m.FaultConcurrency)
+	}
+	return nil
+}
+
+// Validate checks the run's own rules: telemetry, the watchdog and
+// checkpointing.
+func (o RunOptions) Validate() error {
+	switch {
+	case o.TelemetryEpoch < 0:
+		return fmt.Errorf("sim: TelemetryEpoch must be >= 0, got %d", o.TelemetryEpoch)
+	case o.TelemetrySink != nil && o.TelemetryEpoch <= 0:
 		return fmt.Errorf("sim: TelemetrySink requires TelemetryEpoch > 0")
-	case c.TimeMuxQuantum < 0:
-		return fmt.Errorf("sim: TimeMuxQuantum must be >= 0, got %d", c.TimeMuxQuantum)
-	case c.TimeMuxEvict < 0 || c.TimeMuxEvict > 1:
-		return fmt.Errorf("sim: TimeMuxEvict must be in [0,1], got %g", c.TimeMuxEvict)
-	case c.TokenInitFraction < 0 || c.TokenInitFraction > 1:
-		return fmt.Errorf("sim: TokenInitFraction must be in [0,1], got %g", c.TokenInitFraction)
-	case c.WatchdogCheckEvery < 0:
-		return fmt.Errorf("sim: WatchdogCheckEvery must be >= 0, got %d", c.WatchdogCheckEvery)
-	case c.CheckpointEvery < 0:
-		return fmt.Errorf("sim: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
-	case c.CheckpointEvery > 0 && c.CheckpointDir == "":
+	case o.WatchdogCheckEvery < 0:
+		return fmt.Errorf("sim: WatchdogCheckEvery must be >= 0, got %d", o.WatchdogCheckEvery)
+	case o.CheckpointEvery < 0:
+		return fmt.Errorf("sim: CheckpointEvery must be >= 0, got %d", o.CheckpointEvery)
+	case o.CheckpointEvery > 0 && o.CheckpointDir == "":
 		return fmt.Errorf("sim: CheckpointEvery requires CheckpointDir")
-	case c.Resume && c.CheckpointDir == "":
+	case o.Resume && o.CheckpointDir == "":
 		return fmt.Errorf("sim: Resume requires CheckpointDir")
-	case c.DemandPaging && c.FaultLatency < 1:
-		return fmt.Errorf("sim: DemandPaging needs FaultLatency >= 1, got %d", c.FaultLatency)
-	case c.DemandPaging && c.FaultConcurrency < 1:
-		return fmt.Errorf("sim: DemandPaging needs FaultConcurrency >= 1, got %d", c.FaultConcurrency)
 	}
 	return nil
 }
