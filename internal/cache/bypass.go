@@ -19,10 +19,19 @@ type ATABypass struct {
 	cache *Cache
 	// sampleEvery controls the dueling-sample rate; 0 disables sampling.
 	sampleEvery uint64
-	counters    [memreq.MaxWalkLevel + 1]uint64
+	// state is the policy's counters and per-epoch decisions, which a
+	// checkpoint writes as they are (State).
+	state ATAState
+}
 
-	// Decisions cached per epoch; refreshed by Roll.
-	bypassLevel [memreq.MaxWalkLevel + 1]bool
+// ATAState is the bypass policy's adaptive state and its checkpoint image.
+type ATAState struct {
+	// Counters counts each level's otherwise-bypassed requests, for the
+	// dueling samples.
+	Counters [memreq.MaxWalkLevel + 1]uint64
+	// BypassLevel is each level's decision, cached per epoch and refreshed
+	// by Roll.
+	BypassLevel [memreq.MaxWalkLevel + 1]bool
 }
 
 // NewATABypass builds the policy over c and installs itself as c's bypass
@@ -42,7 +51,7 @@ func (p *ATABypass) Roll() {
 		rate, ok := p.cache.LastEpochHitRate(lvl)
 		// Bypass only when both rates have been observed and the level's
 		// translation hit rate is below the data demand hit rate.
-		p.bypassLevel[lvl] = dataOK && ok && rate < dataRate
+		p.state.BypassLevel[lvl] = dataOK && ok && rate < dataRate
 	}
 }
 
@@ -55,12 +64,12 @@ func (p *ATABypass) ShouldBypass(r *memreq.Request) bool {
 	if lvl > memreq.MaxWalkLevel {
 		lvl = memreq.MaxWalkLevel
 	}
-	if !p.bypassLevel[lvl] {
+	if !p.state.BypassLevel[lvl] {
 		return false
 	}
 	if p.sampleEvery > 0 {
-		p.counters[lvl]++
-		if p.counters[lvl]%p.sampleEvery == 0 {
+		p.state.Counters[lvl]++
+		if p.state.Counters[lvl]%p.sampleEvery == 0 {
 			return false // dueling sample keeps the estimate fresh
 		}
 	}

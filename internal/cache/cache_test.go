@@ -83,7 +83,7 @@ func contains(c *Cache, addr uint64) bool {
 	lineAddr := addr >> c.lineShift
 	base := c.setOf(lineAddr) * c.cfg.Ways
 	for w := 0; w < c.cfg.Ways; w++ {
-		if ln := &c.lines[base+w]; ln.valid && ln.tag == lineAddr {
+		if ln := &c.lines[base+w]; ln.Valid && ln.Tag == lineAddr {
 			return true
 		}
 	}
@@ -378,10 +378,10 @@ func TestATABypassPolicy(t *testing.T) {
 		c.recordHit(&memreq.Request{WalkLevel: 2})
 	}
 	p.Roll()
-	if !p.bypassLevel[4] {
+	if !p.state.BypassLevel[4] {
 		t.Fatal("level 4 (0% hit) not bypassed when data hits 100%")
 	}
-	if p.bypassLevel[2] {
+	if p.state.BypassLevel[2] {
 		t.Fatal("level 2 (100% hit) bypassed")
 	}
 	if p.ShouldBypass(&memreq.Request{Class: memreq.Data}) {

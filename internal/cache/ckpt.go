@@ -8,15 +8,6 @@ import (
 	"masksim/internal/memreq"
 )
 
-// LineState is one cache line's checkpoint image, index-aligned with the
-// cache's set-major line array.
-type LineState struct {
-	Tag   uint64
-	Valid bool
-	Dirty bool
-	Stamp int64
-}
-
 // MSHRState is one outstanding line fetch with its merged waiters in arrival
 // order.
 type MSHRState struct {
@@ -24,38 +15,27 @@ type MSHRState struct {
 	Waiting  []memreq.Request
 }
 
-// CacheState is a cache's checkpoint image.
+// CacheState is a cache's checkpoint image: its counters and line array as
+// they are (the lines index-aligned with the set-major array), and the
+// requests its queues and MSHRs hold, written inline.
 type CacheState struct {
-	Lines         []LineState
-	Stamp         int64
-	Queues        [][]engine.QueueItem[memreq.Request]
-	Mshrs         []MSHRState
-	BypassMshrs   []MSHRState
-	Retry         []engine.QueueItem[memreq.Request]
-	CombineCur    []uint64
-	CombinePrev   []uint64
-	CombineSwapAt int64
-	LevelStats    [memreq.MaxWalkLevel + 1]Stats
-	EpochStats    [memreq.MaxWalkLevel + 1]Stats
-	LastRates     [memreq.MaxWalkLevel + 1]float64
-	LastValid     [memreq.MaxWalkLevel + 1]bool
+	Counters
+	Lines       []Line
+	Queues      [][]engine.QueueItem[memreq.Request]
+	Mshrs       []MSHRState
+	BypassMshrs []MSHRState
+	Retry       []engine.QueueItem[memreq.Request]
+	CombineCur  []uint64
+	CombinePrev []uint64
 }
 
-// SnapshotState captures the cache's checkpoint image.
+// SnapshotState captures the cache's checkpoint image. The image shares the
+// line array with the cache: encode it before the cache ticks again.
 func (c *Cache) SnapshotState() CacheState {
 	st := CacheState{
-		Stamp:         c.stamp,
-		Retry:         engine.SnapshotQueue(&c.retry, (*memreq.Request).Image),
-		CombineSwapAt: c.combineSwapAt,
-		LevelStats:    c.levelStats,
-		EpochStats:    c.epochStats,
-		LastRates:     c.lastRates,
-		LastValid:     c.lastValid,
-	}
-	st.Lines = make([]LineState, len(c.lines))
-	for i := range c.lines {
-		ln := &c.lines[i]
-		st.Lines[i] = LineState{Tag: ln.tag, Valid: ln.valid, Dirty: ln.dirty, Stamp: ln.stamp}
+		Counters: c.counters,
+		Lines:    c.lines,
+		Retry:    engine.SnapshotQueue(&c.retry, (*memreq.Request).Image),
 	}
 	st.Queues = make([][]engine.QueueItem[memreq.Request], len(c.queues))
 	for b := range c.queues {
@@ -98,15 +78,8 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 	// One tag valid in two ways of a set is not checked for: a write-back
 	// cache reaches that state (a store write-allocates a line whose read
 	// fill is still in flight, and the fill installs it again).
-	c.stamp = st.Stamp
-	c.combineSwapAt = st.CombineSwapAt
-	c.levelStats = st.LevelStats
-	c.epochStats = st.EpochStats
-	c.lastRates = st.LastRates
-	c.lastValid = st.LastValid
-	for i, ls := range st.Lines {
-		c.lines[i] = line{tag: ls.Tag, valid: ls.Valid, dirty: ls.Dirty, stamp: ls.Stamp}
-	}
+	c.counters = st.Counters
+	copy(c.lines, st.Lines)
 	for b, sq := range st.Queues {
 		if err := engine.RestoreQueue(&c.queues[b], sq, w.Request); err != nil {
 			return fmt.Errorf("cache %s: checkpoint bank %d %w", c.cfg.Name, b, err)
@@ -159,19 +132,8 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 	return nil
 }
 
-// ATAState is the bypass policy's checkpoint image.
-type ATAState struct {
-	Counters    [memreq.MaxWalkLevel + 1]uint64
-	BypassLevel [memreq.MaxWalkLevel + 1]bool
-}
-
 // State captures the bypass policy for checkpointing.
-func (p *ATABypass) State() ATAState {
-	return ATAState{Counters: p.counters, BypassLevel: p.bypassLevel}
-}
+func (p *ATABypass) State() ATAState { return p.state }
 
 // SetState restores a state captured by State.
-func (p *ATABypass) SetState(st ATAState) {
-	p.counters = st.Counters
-	p.bypassLevel = st.BypassLevel
-}
+func (p *ATABypass) SetState(st ATAState) { p.state = st }

@@ -22,8 +22,7 @@ type SchedState struct {
 	Silver []QueuedState
 	Normal []QueuedState
 
-	SilverApp   int
-	SilverQuota int
+	SilverTurn
 }
 
 // ChannelState is one channel's checkpoint image.
@@ -106,11 +105,10 @@ func (d *DRAM) RestoreState(w *memreq.Wiring, st DRAMState) error {
 // snapshot captures the scheduler's queues and silver turn.
 func (s *sched) snapshot(enc func(*Queued) QueuedState) SchedState {
 	return SchedState{
-		Golden:      encQueue(s.q[QGolden], enc),
-		Silver:      encQueue(s.q[QSilver], enc),
-		Normal:      encQueue(s.q[QNormal], enc),
-		SilverApp:   s.silverApp,
-		SilverQuota: s.silverQuota,
+		Golden:     encQueue(s.q[QGolden], enc),
+		Silver:     encQueue(s.q[QSilver], enc),
+		Normal:     encQueue(s.q[QNormal], enc),
+		SilverTurn: s.turn,
 	}
 }
 
@@ -135,7 +133,7 @@ func (s *sched) restore(st SchedState, dec func(QueuedState) (*Queued, error)) e
 			return err
 		}
 	}
-	s.silverApp, s.silverQuota = st.SilverApp, st.SilverQuota
+	s.turn = st.SilverTurn
 	return nil
 }
 

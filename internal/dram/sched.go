@@ -75,8 +75,14 @@ type sched struct {
 	caps [3]int // 0 = unbounded
 	q    [3][]*Queued
 
-	silverApp   int
-	silverQuota int
+	turn SilverTurn
+}
+
+// SilverTurn is the application holding MASK's silver turn and the requests
+// its turn still admits: plain data, which a checkpoint writes as it is.
+type SilverTurn struct {
+	SilverApp   int
+	SilverQuota int
 }
 
 // renew makes s an empty scheduler for cfg over its queues' arrays
@@ -89,7 +95,7 @@ func (s *sched) renew(cfg SchedConfig, queueCap int) {
 	*s = sched{SchedConfig: cfg}
 	s.caps[QNormal] = queueCap
 	if cfg.Policy == MASK {
-		s.caps, s.silverQuota = maskCaps, s.quotaFor(0)
+		s.caps, s.turn.SilverQuota = maskCaps, s.quotaFor(0)
 	}
 	for c := range s.q {
 		s.q[c] = renewQueue(q[c], s.caps[c])
@@ -164,9 +170,9 @@ func (s *sched) enqueue(q *Queued) bool {
 	if q.Req.Class == memreq.Translation {
 		return s.push(QGolden, q) || s.push(QSilver, q) || s.push(QNormal, q)
 	}
-	if q.Req.AppID == s.silverApp && s.silverQuota > 0 && s.push(QSilver, q) {
-		s.silverQuota--
-		if s.silverQuota == 0 {
+	if q.Req.AppID == s.turn.SilverApp && s.turn.SilverQuota > 0 && s.push(QSilver, q) {
+		s.turn.SilverQuota--
+		if s.turn.SilverQuota == 0 {
 			s.advanceSilver()
 		}
 		return true
@@ -175,8 +181,8 @@ func (s *sched) enqueue(q *Queued) bool {
 }
 
 func (s *sched) advanceSilver() {
-	s.silverApp = (s.silverApp + 1) % s.Apps
-	s.silverQuota = s.quotaFor(s.silverApp)
+	s.turn.SilverApp = (s.turn.SilverApp + 1) % s.Apps
+	s.turn.SilverQuota = s.quotaFor(s.turn.SilverApp)
 }
 
 // epoch forces a silver-turn rotation under MASK. The paper resets the

@@ -2,23 +2,21 @@ package engine
 
 import "fmt"
 
-// ClockState is the engine's own checkpoint image: the clock and the
-// tick/skip split behind Results.CyclesTicked/CyclesSkipped.
+// ClockState is the engine's clock and its own checkpoint image: the cycle
+// and the tick/skip split behind Results.CyclesTicked/CyclesSkipped.
 type ClockState struct {
-	Now     int64
+	Now int64
+	// Ticked counts cycles advanced by Step (every component ticked);
+	// Skipped counts cycles covered by fast-forward jumps. Their sum is Now.
 	Ticked  int64
 	Skipped int64
 }
 
 // Clock captures the engine's clock state.
-func (e *Engine) Clock() ClockState {
-	return ClockState{Now: e.now, Ticked: e.ticked, Skipped: e.skipped}
-}
+func (e *Engine) Clock() ClockState { return e.clock }
 
 // SetClock restores the engine's clock state.
-func (e *Engine) SetClock(st ClockState) {
-	e.now, e.ticked, e.skipped = st.Now, st.Ticked, st.Skipped
-}
+func (e *Engine) SetClock(st ClockState) { e.clock = st }
 
 // SetCheckpointHook installs fn to be invoked at every cycle boundary that
 // is a multiple of every, at the same supervision points as watchdog checks
@@ -34,11 +32,12 @@ func (e *Engine) SetCheckpointHook(every int64, fn func(now int64)) {
 	e.ckptEvery, e.ckptFn = every, fn
 }
 
-// WatchdogState is the watchdog's checkpoint image. Restoring it onto a
-// fresh watchdog with the same probes makes supervision resume exactly where
-// it left off. The image of a watchdog that has reached its stall limit (a
-// crash dump's) is evidence, not a resume point: the simulator refuses to
-// restore it.
+// WatchdogState is the watchdog's progress tracking and its checkpoint
+// image: the probe sum at the last check, whether a check has run, and how
+// many checks in a row saw no progress. Restoring it onto a fresh watchdog
+// with the same probes makes supervision resume exactly where it left off.
+// The image of a watchdog that has reached its stall limit (a crash dump's)
+// is evidence, not a resume point: the simulator refuses to restore it.
 type WatchdogState struct {
 	Last    uint64
 	Primed  bool
@@ -46,14 +45,10 @@ type WatchdogState struct {
 }
 
 // State captures the watchdog's progress-tracking state.
-func (w *Watchdog) State() WatchdogState {
-	return WatchdogState{Last: w.last, Primed: w.primed, Stalled: w.stalled}
-}
+func (w *Watchdog) State() WatchdogState { return w.state }
 
 // SetState restores the watchdog's progress-tracking state.
-func (w *Watchdog) SetState(st WatchdogState) {
-	w.last, w.primed, w.stalled = st.Last, st.Primed, st.Stalled
-}
+func (w *Watchdog) SetState(st WatchdogState) { w.state = st }
 
 // QueueItem is one queued item in checkpoint form: its ready cycle and the
 // image of its value.

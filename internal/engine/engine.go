@@ -55,7 +55,9 @@ type Skipper interface {
 
 // Engine owns the simulation clock and the ordered set of components.
 type Engine struct {
-	now     int64
+	// clock is the cycle and its tick/skip split: plain data, which a
+	// checkpoint writes as it is (Clock).
+	clock   ClockState
 	tickers []Ticker
 
 	// sources/skippers mirror tickers: sources[i] is tickers[i] if it
@@ -74,12 +76,6 @@ type Engine struct {
 	// supervision boundary. Zero/nil when checkpointing is off.
 	ckptEvery int64
 	ckptFn    func(now int64)
-
-	// ticked counts cycles advanced by Step (every component ticked);
-	// skipped counts cycles covered by fast-forward jumps. Their sum is the
-	// number of cycles simulated.
-	ticked  int64
-	skipped int64
 }
 
 // New returns an Engine at cycle 0 with no components.
@@ -122,37 +118,37 @@ func (e *Engine) SetFastForward(on bool) {
 
 // Now returns the current cycle.
 func (e *Engine) Now() int64 {
-	return e.now
+	return e.clock.Now
 }
 
 // Ticked returns the number of cycles advanced by ticking every component.
 func (e *Engine) Ticked() int64 {
-	return e.ticked
+	return e.clock.Ticked
 }
 
 // Skipped returns the number of cycles covered by fast-forward jumps.
 func (e *Engine) Skipped() int64 {
-	return e.skipped
+	return e.clock.Skipped
 }
 
 // Step advances the simulation by one cycle, ticking every component.
 func (e *Engine) Step() {
 	for _, t := range e.tickers {
-		t.Tick(e.now)
+		t.Tick(e.clock.Now)
 	}
-	e.now++
-	e.ticked++
+	e.clock.Now++
+	e.clock.Ticked++
 }
 
 // nextHorizon returns the cycle fast-forward may jump to, capped at limit:
-// the minimum of every source's NextEvent, or e.now if any source needs the
-// current cycle ticked. Callers only skip when the result is > e.now.
+// the minimum of every source's NextEvent, or e.clock.Now if any source needs the
+// current cycle ticked. Callers only skip when the result is > e.clock.Now.
 func (e *Engine) nextHorizon(limit int64) int64 {
 	h := limit
 	for _, s := range e.sources {
-		ev := s.NextEvent(e.now)
-		if ev <= e.now {
-			return e.now
+		ev := s.NextEvent(e.clock.Now)
+		if ev <= e.clock.Now {
+			return e.clock.Now
 		}
 		if ev < h {
 			h = ev
@@ -161,16 +157,16 @@ func (e *Engine) nextHorizon(limit int64) int64 {
 	return h
 }
 
-// skipTo jumps the clock from e.now to cycle to (> e.now) without ticking,
-// giving every Skipper the chance to account for the span [e.now, to).
+// skipTo jumps the clock from e.clock.Now to cycle to (> e.clock.Now) without ticking,
+// giving every Skipper the chance to account for the span [e.clock.Now, to).
 func (e *Engine) skipTo(to int64) {
 	for _, s := range e.skippers {
 		if s != nil {
-			s.SkipTo(e.now, to)
+			s.SkipTo(e.clock.Now, to)
 		}
 	}
-	e.skipped += to - e.now
-	e.now = to
+	e.clock.Skipped += to - e.clock.Now
+	e.clock.Now = to
 }
 
 // TickFunc adapts a function to the Ticker interface.

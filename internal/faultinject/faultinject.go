@@ -55,45 +55,30 @@ type Plan struct {
 	// AllowKill arms KillAtCycle. Test-only: the simulator never sets it.
 	AllowKill bool
 
-	// Counters recording what actually fired, for test assertions.
+	// PlanState records what actually fired, for test assertions.
+	PlanState
+
+	sink EventSink
+}
+
+// PlanState is the plan's mutable counters and its checkpoint image: the
+// hit counters and the drop phase, so a run restored mid-fault-injection
+// counts and drops exactly like the uninterrupted one.
+type PlanState struct {
 	WedgedWalks      int64
 	DroppedResponses int64
 	// KillsArmed counts KillAtCycle activations observed before the exit;
 	// readable only if the kill was disarmed (AllowKill false).
 	KillsArmed int64
-
-	dropSeen int64
-
-	sink EventSink
-}
-
-// PlanState is the plan's checkpoint image: the hit counters and the drop
-// phase, so a run restored mid-fault-injection counts and drops exactly like
-// the uninterrupted one.
-type PlanState struct {
-	WedgedWalks      int64
-	DroppedResponses int64
-	KillsArmed       int64
-	DropSeen         int64
+	// DropSeen counts the responses seen since dropping began.
+	DropSeen int64
 }
 
 // State captures the plan's mutable counters for checkpointing.
-func (p *Plan) State() PlanState {
-	return PlanState{
-		WedgedWalks:      p.WedgedWalks,
-		DroppedResponses: p.DroppedResponses,
-		KillsArmed:       p.KillsArmed,
-		DropSeen:         p.dropSeen,
-	}
-}
+func (p *Plan) State() PlanState { return p.PlanState }
 
 // SetState restores counters captured by State.
-func (p *Plan) SetState(st PlanState) {
-	p.WedgedWalks = st.WedgedWalks
-	p.DroppedResponses = st.DroppedResponses
-	p.KillsArmed = st.KillsArmed
-	p.dropSeen = st.DropSeen
-}
+func (p *Plan) SetState(st PlanState) { p.PlanState = st }
 
 // EventSink receives one instant event per injected fault; telemetry.Collector
 // implements it. Nil (the default) costs a single branch per fault.
@@ -135,8 +120,8 @@ func (p *Plan) DropResponse(now int64) bool {
 	if p.DropDRAMOneIn <= 0 || now < p.DropDRAMAfter {
 		return false
 	}
-	p.dropSeen++
-	if p.dropSeen%p.DropDRAMOneIn != 0 {
+	p.DropSeen++
+	if p.DropSeen%p.DropDRAMOneIn != 0 {
 		return false
 	}
 	p.DroppedResponses++

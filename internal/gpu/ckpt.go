@@ -8,14 +8,10 @@ import (
 	"masksim/internal/workload"
 )
 
-// WarpState is the serializable image of one warp.
+// WarpState is the serializable image of one warp: its scheduling state as
+// it is, the memory instruction it waits on and its stream's cursor.
 type WarpState struct {
-	State           uint8
-	ComputeLeft     int
-	PendingTrans    int
-	OutstandingData int
-	IssuedAt        int64
-	TransDoneAt     int64
+	Warp
 	// Pages and Write are the memory instruction a warp with PendingTrans > 0
 	// is blocked on, one line list per page slot; the L1 TLB's miss images
 	// name the slots still waiting. Empty once every page is translated.
@@ -42,16 +38,8 @@ func (c *Core) SnapshotState() CoreState {
 	st.Warps = make([]WarpState, len(c.warps))
 	for i := range c.warps {
 		w := &c.warps[i]
-		st.Warps[i] = WarpState{
-			State:           uint8(w.state),
-			ComputeLeft:     w.computeLeft,
-			PendingTrans:    w.pendingTrans,
-			OutstandingData: w.outstandingData,
-			IssuedAt:        w.issuedAt,
-			TransDoneAt:     w.transDoneAt,
-			Stream:          w.stream.State(),
-		}
-		if w.pendingTrans > 0 {
+		st.Warps[i] = WarpState{Warp: w.Warp, Stream: w.stream.State()}
+		if w.PendingTrans > 0 {
 			ws := &st.Warps[i]
 			ws.Write = w.inst.Write
 			for _, pg := range w.inst.Pages {
@@ -77,12 +65,7 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 	for i := range c.warps {
 		w := &c.warps[i]
 		ws := st.Warps[i]
-		w.state = warpState(ws.State)
-		w.computeLeft = ws.ComputeLeft
-		w.pendingTrans = ws.PendingTrans
-		w.outstandingData = ws.OutstandingData
-		w.issuedAt = ws.IssuedAt
-		w.transDoneAt = ws.TransDoneAt
+		w.Warp = ws.Warp
 		if err := w.stream.SetState(ws.Stream); err != nil {
 			return fmt.Errorf("gpu: core %d warp %d: %w", c.id, i, err)
 		}
@@ -121,7 +104,7 @@ func (c *Core) Awaits(warpID, slot int, vpn uint64) bool {
 		return false
 	}
 	w := &c.warps[warpID]
-	return w.state == warpWaitMem && w.pendingTrans > 0 && slot >= 0 && slot < len(w.inst.Pages) &&
+	return w.Phase == warpWaitMem && w.PendingTrans > 0 && slot >= 0 && slot < len(w.inst.Pages) &&
 		c.space.VPN(w.inst.Pages[slot].Lines[0]) == vpn
 }
 

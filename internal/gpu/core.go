@@ -64,25 +64,32 @@ type Stats struct {
 	IdleOtherCycles uint64
 }
 
-type warpState uint8
+// WarpPhase is whether a warp may issue or waits on a memory instruction.
+type WarpPhase uint8
 
 const (
-	warpReady warpState = iota
+	warpReady WarpPhase = iota
 	warpWaitMem
 )
 
-type warp struct {
-	id          int
-	state       warpState
-	computeLeft int
+// Warp is a warp's plain scheduling state, which the core ticks and a
+// checkpoint writes as it is (WarpState).
+type Warp struct {
+	Phase       WarpPhase
+	ComputeLeft int
 
-	pendingTrans    int
-	outstandingData int
+	PendingTrans    int
+	OutstandingData int
 
-	// issuedAt and transDoneAt delimit the translation phase of the current
+	// IssuedAt and TransDoneAt delimit the translation phase of the current
 	// memory instruction for stall-anatomy accounting.
-	issuedAt    int64
-	transDoneAt int64
+	IssuedAt    int64
+	TransDoneAt int64
+}
+
+type warp struct {
+	Warp
+	id int
 
 	// inst is the memory instruction the warp is blocked on. Its buffers
 	// belong to stream and stay valid until the warp issues again, which it
@@ -114,7 +121,7 @@ type Core struct {
 
 	retry engine.Queue[*memreq.Request]
 
-	// ready has bit i set exactly while warps[i].state == warpReady, so the
+	// ready has bit i set exactly while warps[i].Phase == warpReady, so the
 	// schedulers walk ready warps instead of scanning the whole array.
 	ready []uint64
 	// waitTrans / waitData count blocked warps by phase (translation still
@@ -228,9 +235,9 @@ func (c *Core) rebuildReady() {
 	c.waitTrans, c.waitData = 0, 0
 	for i := range c.warps {
 		switch w := &c.warps[i]; {
-		case w.state == warpReady:
+		case w.Phase == warpReady:
 			c.ready[i/64] |= 1 << (i % 64)
-		case w.pendingTrans > 0:
+		case w.PendingTrans > 0:
 			c.waitTrans++
 		default:
 			c.waitData++
@@ -300,7 +307,7 @@ func (c *Core) pickWarp() *warp {
 			w = c.firstIssuable(0, c.current+1)
 		}
 	} else {
-		if w = &c.warps[c.current]; w.state == warpReady && issuable(w) {
+		if w = &c.warps[c.current]; w.Phase == warpReady && issuable(w) {
 			return w
 		}
 		w = c.firstIssuable(0, n)
@@ -312,13 +319,13 @@ func (c *Core) pickWarp() *warp {
 }
 
 func issuable(w *warp) bool {
-	return w.computeLeft > 0 || !w.stream.SyncStalled()
+	return w.ComputeLeft > 0 || !w.stream.SyncStalled()
 }
 
 func (c *Core) issue(now int64, w *warp) {
 	c.Stats.Instructions++
-	if w.computeLeft > 0 {
-		w.computeLeft--
+	if w.ComputeLeft > 0 {
+		w.ComputeLeft--
 		c.Stats.ComputeInsts++
 		return
 	}
@@ -332,13 +339,13 @@ func (c *Core) issue(now int64, w *warp) {
 // buffer and do not block beyond their translation.
 func (c *Core) issueMem(now int64, w *warp) {
 	inst := w.stream.NextMem()
-	w.state = warpWaitMem
+	w.Phase = warpWaitMem
 	c.ready[w.id/64] &^= 1 << (w.id % 64)
 	c.waitTrans++ // before the loop: an immediate translation lands inside it
-	w.pendingTrans = len(inst.Pages)
-	w.outstandingData = 0
-	w.issuedAt = now
-	w.transDoneAt = now
+	w.PendingTrans = len(inst.Pages)
+	w.OutstandingData = 0
+	w.IssuedAt = now
+	w.TransDoneAt = now
 	w.inst = inst
 
 	for slot, pg := range inst.Pages {
@@ -355,9 +362,9 @@ func (c *Core) issueMem(now int64, w *warp) {
 func (c *Core) Translated(now int64, warpID, slot int) {
 	w := &c.warps[warpID]
 	lines, isWrite := w.inst.Pages[slot].Lines, w.inst.Write
-	w.pendingTrans--
-	if w.pendingTrans == 0 {
-		w.transDoneAt = now
+	w.PendingTrans--
+	if w.PendingTrans == 0 {
+		w.TransDoneAt = now
 		c.waitTrans--
 		c.waitData++
 	}
@@ -376,7 +383,7 @@ func (c *Core) Translated(now int64, warpID, slot int) {
 			// Fire-and-forget through the write buffer.
 		} else {
 			req.Kind = memreq.Read
-			w.outstandingData++
+			w.OutstandingData++
 			req.Ret = c.route
 		}
 		if !c.l1d.Submit(now, req) {
@@ -390,17 +397,17 @@ func (c *Core) Translated(now int64, warpID, slot int) {
 // the warp it unblocks.
 func (c *Core) RequestDone(now int64, r *memreq.Request) {
 	w := &c.warps[r.WarpID]
-	w.outstandingData--
+	w.OutstandingData--
 	c.maybeUnblock(now, w)
 }
 
 func (c *Core) maybeUnblock(now int64, w *warp) {
-	if w.state == warpWaitMem && w.pendingTrans == 0 && w.outstandingData == 0 {
-		c.Stats.TransStallCycles += uint64(w.transDoneAt - w.issuedAt)
-		c.Stats.DataStallCycles += uint64(now - w.transDoneAt)
+	if w.Phase == warpWaitMem && w.PendingTrans == 0 && w.OutstandingData == 0 {
+		c.Stats.TransStallCycles += uint64(w.TransDoneAt - w.IssuedAt)
+		c.Stats.DataStallCycles += uint64(now - w.TransDoneAt)
 		c.waitData--
-		w.state = warpReady
+		w.Phase = warpReady
 		c.ready[w.id/64] |= 1 << (w.id % 64)
-		w.computeLeft = w.stream.NextComputeGap()
+		w.ComputeLeft = w.stream.NextComputeGap()
 	}
 }

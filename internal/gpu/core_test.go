@@ -234,7 +234,7 @@ func TestGTOPrefersCurrentWarp(t *testing.T) {
 	first := core.current
 	for now := int64(1); now < 5; now++ {
 		core.Tick(now)
-		if core.warps[first].state == warpReady && core.current != first {
+		if core.warps[first].Phase == warpReady && core.current != first {
 			t.Fatal("GTO switched away from a ready current warp")
 		}
 		l1d.Tick(now)
@@ -427,7 +427,7 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 		outstanding := func(skip int) (n int) {
 			for i := range core.warps {
 				if i != skip {
-					n += core.warps[i].outstandingData
+					n += core.warps[i].OutstandingData
 				}
 			}
 			return n
@@ -443,8 +443,8 @@ func TestCoreDataDoneByWarpID(t *testing.T) {
 		if returned == 0 {
 			t.Fatalf("rr=%v: warp 63 has no fill outstanding at the backend", rr)
 		}
-		if w := &core.warps[63]; w.state != warpReady || w.outstandingData != 0 {
-			t.Fatalf("rr=%v: warp 63 still blocked (state %d, %d reads outstanding) after its %d fills returned", rr, w.state, w.outstandingData, returned)
+		if w := &core.warps[63]; w.Phase != warpReady || w.OutstandingData != 0 {
+			t.Fatalf("rr=%v: warp 63 still blocked (state %d, %d reads outstanding) after its %d fills returned", rr, w.Phase, w.OutstandingData, returned)
 		}
 		if readyWarps(core) != 1 || outstanding(63) != others {
 			t.Fatalf("rr=%v: %d warps ready and %d reads outstanding elsewhere (was %d); only warp 63 may move", rr, readyWarps(core), outstanding(63), others)

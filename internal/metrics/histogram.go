@@ -19,19 +19,28 @@ const histBuckets = histSubCount + (64-histSubBits)*histSubCount
 // queue depths, ...). Values are bucketed by their power-of-two octave with
 // histSubCount sub-buckets per octave, so Observe is two shifts and an add —
 // no allocation, no map — and quantiles resolve within 12.5% relative error.
-// Count, Min and Max are tracked exactly. The zero value is NOT ready to
-// use; build with NewHistogram.
+// The sample count, Min and Max are tracked exactly. The zero value is an
+// empty histogram. A checkpoint writes the buckets and extremes as they are;
+// the count is their sum, which SetState recomputes.
 type Histogram struct {
-	counts []uint64
+	Counts [histBuckets]uint64
+	Min    float64
+	Max    float64
 	count  uint64
-	min    float64
-	max    float64
+}
+
+// SetState restores a histogram written by a checkpoint: its buckets and
+// extremes, with the sample count recounted from the buckets.
+func (h *Histogram) SetState(img Histogram) {
+	*h = img
+	h.count = 0
+	for _, n := range h.Counts {
+		h.count += n
+	}
 }
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make([]uint64, histBuckets)}
-}
+func NewHistogram() *Histogram { return new(Histogram) }
 
 // bucketOf maps a value to its bucket index.
 func bucketOf(v uint64) int {
@@ -62,14 +71,14 @@ func (h *Histogram) Observe(v float64) {
 	if v < 0 || math.IsNaN(v) {
 		v = 0
 	}
-	if h.count == 0 || v < h.min {
-		h.min = v
+	if h.count == 0 || v < h.Min {
+		h.Min = v
 	}
-	if h.count == 0 || v > h.max {
-		h.max = v
+	if h.count == 0 || v > h.Max {
+		h.Max = v
 	}
 	h.count++
-	h.counts[bucketOf(uint64(v))]++
+	h.Counts[bucketOf(uint64(v))]++
 }
 
 // Quantile returns the approximate q-quantile (q in [0,1]) by locating the
@@ -83,7 +92,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	rank := q * float64(h.count-1)
 	var seen float64
-	for idx, n := range h.counts {
+	for idx, n := range h.Counts {
 		if n == 0 {
 			continue
 		}
@@ -92,15 +101,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 			// Position of the target rank within this bucket, in [0,1).
 			frac := (rank - seen) / float64(n)
 			v := lo + frac*(hi-lo)
-			if v < h.min {
-				v = h.min
+			if v < h.Min {
+				v = h.Min
 			}
-			if v > h.max {
-				v = h.max
+			if v > h.Max {
+				v = h.Max
 			}
 			return v
 		}
 		seen += float64(n)
 	}
-	return h.max
+	return h.Max
 }

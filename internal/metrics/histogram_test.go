@@ -15,8 +15,8 @@ func TestHistogramExactSmallValues(t *testing.T) {
 	if h.count != 8 {
 		t.Fatalf("count=%d, want 8", h.count)
 	}
-	if h.min != 0 || h.max != 7 {
-		t.Fatalf("min/max = %v/%v, want 0/7", h.min, h.max)
+	if h.Min != 0 || h.Max != 7 {
+		t.Fatalf("min/max = %v/%v, want 0/7", h.Min, h.Max)
 	}
 	for v := 0; v < 8; v++ {
 		q := float64(v) / 7
@@ -85,7 +85,7 @@ func TestHistogramEmptyAndReset(t *testing.T) {
 		t.Fatal("empty histogram must report NaN")
 	}
 	h.Observe(42)
-	h.SetState(NewHistogram().State())
+	*h = Histogram{}
 	if h.count != 0 || !math.IsNaN(h.Quantile(0.5)) {
 		t.Fatalf("reset histogram not empty: count=%d", h.count)
 	}
@@ -98,8 +98,8 @@ func TestHistogramEmptyAndReset(t *testing.T) {
 	// buckets.
 	h.Observe(-5)
 	h.Observe(math.NaN())
-	if h.min != 0 {
-		t.Fatalf("min=%v, want 0 after clamped observations", h.min)
+	if h.Min != 0 {
+		t.Fatalf("min=%v, want 0 after clamped observations", h.Min)
 	}
 }
 

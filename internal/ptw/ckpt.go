@@ -2,30 +2,22 @@ package ptw
 
 import (
 	"fmt"
-	"slices"
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
 	"masksim/internal/metrics"
 )
 
-// WalkState is one in-flight (or queued, or finished-but-uncompacted) walk.
-// The per-level physical addresses are not serialized: they are a pure
-// function of the page table, which is rebuilt deterministically, so restore
+// WalkState is one in-flight (or queued, or finished-but-uncompacted) walk:
+// its plain state as it is, and the TransReq it completes by key. The
+// per-level physical addresses are not serialized: they are a pure function
+// of the page table, which is rebuilt deterministically, so restore
 // recomputes them.
 type WalkState struct {
-	ASID   uint8
-	AppID  int
-	VPN    uint64
-	Origin uint8
-	Serial uint64
+	Walk
 	// Tr names the TransReq an unfinished OriginTrans walk completes, by the
 	// key of its L1 TLB miss tracker.
-	Tr       memreq.TransKey
-	Level    int
-	Waiting  bool
-	Finished bool
-	Start    int64
+	Tr memreq.TransKey
 }
 
 // WalkerState is the walker's checkpoint image.
@@ -33,7 +25,7 @@ type WalkerState struct {
 	Active  []WalkState
 	Pending []engine.QueueItem[WalkState]
 	Stats   Stats
-	LatHist *metrics.HistogramState
+	LatHist *metrics.Histogram
 }
 
 // Deliverable implements FaultSink: whether a walk finishing as h has
@@ -73,14 +65,10 @@ func resolveHeld(wi *memreq.Wiring, sink FaultSink, h *HeldWalk, key memreq.Tran
 func (w *Walker) SnapshotState() WalkerState {
 	st := WalkerState{Stats: w.Stats}
 	snap := func(wk *walk) WalkState {
-		ws := WalkState{
-			ASID: wk.asid, AppID: wk.appID, VPN: wk.vpn,
-			Origin: uint8(wk.origin), Serial: wk.serial, Level: wk.level,
-			Waiting: wk.waiting, Finished: wk.finished, Start: wk.start,
-		}
+		ws := WalkState{Walk: wk.Walk}
 		// A finished walk has already delivered its continuation (tr may
 		// point at a recycled object); only live continuations serialize.
-		if !wk.finished && wk.tr != nil {
+		if !wk.Finished && wk.tr != nil {
 			ws.Tr = wk.tr.Key()
 		}
 		return ws
@@ -90,7 +78,7 @@ func (w *Walker) SnapshotState() WalkerState {
 	}
 	st.Pending = engine.SnapshotQueue(&w.pending, snap)
 	if w.latHist != nil {
-		h := w.latHist.State()
+		h := *w.latHist
 		st.LatHist = &h
 	}
 	return st
@@ -120,7 +108,7 @@ func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 		w.latHist.SetState(*st.LatHist)
 	}
 	for _, r := range wi.Returning(w.route) {
-		if wk := w.walkBySerial(r.Tag); wk == nil || wk.finished || !wk.waiting {
+		if wk := w.walkBySerial(r.Tag); wk == nil || wk.Finished || !wk.Waiting {
 			return fmt.Errorf("ptw: checkpoint request (addr %#x) returns to walk %d, which awaits no read", r.Addr, r.Tag)
 		}
 	}
@@ -140,15 +128,13 @@ func (w *Walker) buildWalk(wi *memreq.Wiring, ws WalkState) (*walk, error) {
 		return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x): %w", ws.ASID, ws.VPN, err)
 	}
 	wk, _ := w.walkFree.Get()
-	wk.asid, wk.appID, wk.vpn = ws.ASID, ws.AppID, ws.VPN
-	wk.origin, wk.serial = WalkOrigin(ws.Origin), ws.Serial
-	wk.level, wk.waiting, wk.finished, wk.start = ws.Level, ws.Waiting, ws.Finished, ws.Start
+	wk.Walk = ws.Walk
 	wk.addrs = sp.WalkAddrsInto(ws.VPN, wk.buf[:0])
 	if !ws.Finished {
 		if ws.Level < 1 || ws.Level > len(wk.addrs) {
 			return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is at level %d of %d", ws.ASID, ws.VPN, ws.Level, len(wk.addrs))
 		}
-		h := HeldWalk{Origin: wk.origin, ASID: ws.ASID, VPN: ws.VPN}
+		h := HeldWalk{Origin: ws.Origin, ASID: ws.ASID, VPN: ws.VPN}
 		if err := resolveHeld(wi, w, &h, ws.Tr); err != nil {
 			return nil, err
 		}
@@ -169,12 +155,10 @@ type FaultNotifyState struct {
 	Tr memreq.TransKey
 }
 
-// PendingFaultState is one in-flight or queued page fault.
+// PendingFaultState is one in-flight or queued page fault: its plain state
+// as it is, and the walks it holds.
 type PendingFaultState struct {
-	ASID   uint8
-	VPN    uint64
-	Start  int64
-	DoneAt int64
+	Fault
 	Notify []FaultNotifyState
 }
 
@@ -189,14 +173,11 @@ type FaultUnitState struct {
 // SnapshotState captures the fault unit's checkpoint image.
 func (f *FaultUnit) SnapshotState() FaultUnitState {
 	st := FaultUnitState{Stats: f.Stats}
-	for key := range f.resident {
-		st.Resident = append(st.Resident, memreq.PageKey{ASID: key.asid, VPN: key.vpn})
-	}
 	// The resident set is a map: write it in key order so equal states
 	// encode equally.
-	slices.SortFunc(st.Resident, memreq.PageKey.Compare)
+	st.Resident = memreq.SortedKeys(f.resident, memreq.PageKey.Compare)
 	snap := func(p *pendingFault) PendingFaultState {
-		ps := PendingFaultState{ASID: p.key.asid, VPN: p.key.vpn, Start: p.start, DoneAt: p.doneAt}
+		ps := PendingFaultState{Fault: p.Fault}
 		for _, h := range p.notify {
 			ns := FaultNotifyState{Start: h.Start, Origin: uint8(h.Origin), AppID: h.AppID}
 			if h.Tr != nil {
@@ -218,26 +199,26 @@ func (f *FaultUnit) SnapshotState() FaultUnitState {
 // continuation resolves.
 func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
 	f.Stats = st.Stats
-	f.resident = make(map[faultKey]bool, len(st.Resident))
+	f.resident = make(map[memreq.PageKey]bool, len(st.Resident))
 	for _, k := range st.Resident {
-		f.resident[faultKey{asid: k.ASID, vpn: k.VPN}] = true
+		f.resident[k] = true
 	}
 	if len(st.Inflight) > f.Concurrency {
 		return fmt.Errorf("ptw: checkpoint has %d faults in service, concurrency is %d", len(st.Inflight), f.Concurrency)
 	}
 	build := func(ps PendingFaultState) (*pendingFault, error) {
-		key := faultKey{asid: ps.ASID, vpn: ps.VPN}
-		if f.pending(key) != nil { // a run merges a page's faults into one
-			return nil, fmt.Errorf("ptw: checkpoint has two faults of asid %d, vpn %#x", ps.ASID, ps.VPN)
+		k := ps.Key
+		if f.pending(k) != nil { // a run merges a page's faults into one
+			return nil, fmt.Errorf("ptw: checkpoint has two faults of asid %d, vpn %#x", k.ASID, k.VPN)
 		}
-		p := &pendingFault{key: key, start: ps.Start, doneAt: ps.DoneAt}
+		p := &pendingFault{Fault: ps.Fault}
 		for _, ns := range ps.Notify {
-			if err := wi.Walk(ps.ASID, ns.AppID); err != nil {
-				return nil, fmt.Errorf("ptw: checkpoint fault of asid %d, vpn %#x holds a %w", ps.ASID, ps.VPN, err)
+			if err := wi.Walk(k.ASID, ns.AppID); err != nil {
+				return nil, fmt.Errorf("ptw: checkpoint fault of asid %d, vpn %#x holds a %w", k.ASID, k.VPN, err)
 			}
 			h := HeldWalk{
 				Start: ns.Start, Origin: WalkOrigin(ns.Origin), AppID: ns.AppID,
-				ASID: ps.ASID, VPN: ps.VPN,
+				ASID: k.ASID, VPN: k.VPN,
 			}
 			if err := resolveHeld(wi, f.sink, &h, ns.Tr); err != nil {
 				return nil, err

@@ -22,7 +22,7 @@ type FaultUnit struct {
 	// Concurrency bounds simultaneous fault services.
 	Concurrency int
 
-	resident map[faultKey]bool
+	resident map[memreq.PageKey]bool
 	inflight []*pendingFault
 	queue    engine.Queue[*pendingFault]
 
@@ -48,15 +48,19 @@ func (s FaultStats) AvgLatency() float64 {
 	return float64(s.LatSum) / float64(s.Completed)
 }
 
-type faultKey struct {
-	asid uint8
-	vpn  uint64
+// Fault is a page fault's plain state, which the fault unit ticks and a
+// checkpoint writes as it is (PendingFaultState): the page, when its first
+// touch faulted, and when its service completes (0 while queued).
+type Fault struct {
+	Key    memreq.PageKey
+	Start  int64
+	DoneAt int64
 }
 
+// pendingFault is one in-flight or queued page fault with the walks it
+// holds.
 type pendingFault struct {
-	key    faultKey
-	start  int64
-	doneAt int64
+	Fault
 	notify []HeldWalk
 }
 
@@ -88,14 +92,14 @@ func NewFaultUnit(latency int64, concurrency int) *FaultUnit {
 	return &FaultUnit{
 		Latency:     latency,
 		Concurrency: concurrency,
-		resident:    make(map[faultKey]bool),
+		resident:    make(map[memreq.PageKey]bool),
 	}
 }
 
 // Touch reports whether (asid, vpn) is resident. If not, h is held and handed
 // to the sink when the fault completes; Touch returns false in that case.
 func (f *FaultUnit) Touch(now int64, asid uint8, vpn uint64, h HeldWalk) bool {
-	key := faultKey{asid, vpn}
+	key := memreq.PageKey{ASID: asid, VPN: vpn}
 	if f.resident[key] {
 		return true
 	}
@@ -105,9 +109,9 @@ func (f *FaultUnit) Touch(now int64, asid uint8, vpn uint64, h HeldWalk) bool {
 		return false
 	}
 	f.Stats.Faults++
-	p := &pendingFault{key: key, start: now, notify: []HeldWalk{h}}
+	p := &pendingFault{Fault: Fault{Key: key, Start: now}, notify: []HeldWalk{h}}
 	if len(f.inflight) < f.Concurrency {
-		p.doneAt = now + f.Latency
+		p.DoneAt = now + f.Latency
 		f.inflight = append(f.inflight, p)
 	} else {
 		f.queue.Push(now, p)
@@ -116,14 +120,14 @@ func (f *FaultUnit) Touch(now int64, asid uint8, vpn uint64, h HeldWalk) bool {
 }
 
 // pending returns the in-flight or queued fault of key, or nil.
-func (f *FaultUnit) pending(key faultKey) *pendingFault {
+func (f *FaultUnit) pending(key memreq.PageKey) *pendingFault {
 	for _, p := range f.inflight {
-		if p.key == key {
+		if p.Key == key {
 			return p
 		}
 	}
 	for i := 0; i < f.queue.Len(); i++ {
-		if p := f.queue.At(i); p.key == key {
+		if p := f.queue.At(i); p.Key == key {
 			return p
 		}
 	}
@@ -134,10 +138,10 @@ func (f *FaultUnit) pending(key faultKey) *pendingFault {
 func (f *FaultUnit) Tick(now int64) {
 	nkeep := 0
 	for _, p := range f.inflight {
-		if p.doneAt <= now {
-			f.resident[p.key] = true
+		if p.DoneAt <= now {
+			f.resident[p.Key] = true
 			f.Stats.Completed++
-			f.Stats.LatSum += uint64(now - p.start)
+			f.Stats.LatSum += uint64(now - p.Start)
 			for _, h := range p.notify {
 				f.sink.FaultDone(now, h)
 			}
@@ -152,7 +156,7 @@ func (f *FaultUnit) Tick(now int64) {
 		if !ok {
 			break
 		}
-		p.doneAt = now + f.Latency
+		p.DoneAt = now + f.Latency
 		f.inflight = append(f.inflight, p)
 	}
 }
@@ -167,8 +171,8 @@ func (f *FaultUnit) NextEvent(now int64) int64 {
 		h = f.queue.NextReady(now)
 	}
 	for _, p := range f.inflight {
-		if p.doneAt < h {
-			h = p.doneAt
+		if p.DoneAt < h {
+			h = p.DoneAt
 		}
 	}
 	return h

@@ -3,6 +3,7 @@ package ptw
 import (
 	"testing"
 
+	"masksim/internal/memreq"
 	"masksim/internal/pagetable"
 )
 
@@ -99,7 +100,7 @@ func TestFaultConcurrencyLimit(t *testing.T) {
 
 func TestPrefaultSkipsFault(t *testing.T) {
 	f := NewFaultUnit(100, 1)
-	f.resident[faultKey{1, 9}] = true // resident from the start, as a restore leaves it
+	f.resident[memreq.PageKey{ASID: 1, VPN: 9}] = true // resident from the start, as a restore leaves it
 	if !f.Touch(0, 1, 9, HeldWalk{}) {
 		t.Fatal("prefaulted page still faulted")
 	}

@@ -156,8 +156,8 @@ func TestActiveWalksForApp(t *testing.T) {
 	w.Tick(0)
 	var perApp [2]int
 	for _, wk := range w.active {
-		if !wk.finished {
-			perApp[wk.appID]++
+		if !wk.Finished {
+			perApp[wk.AppID]++
 		}
 	}
 	if perApp != [2]int{2, 1} {

@@ -63,7 +63,11 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	10 — no latency sums: a cache image no longer carries per-class latency
 //	    sums and counts, nor a histogram image its sample sum; fingerprints
 //	    hash sim.Config.Key (the Machine and the telemetry epoch)
-const Version uint32 = 10
+//	11 — the image is the state: cache and shared-TLB lines, TLB entries,
+//	    walks, faults, warps, counters and policy state are written as the
+//	    component's own structs (page keys as memreq.PageKey), so field
+//	    names and nesting changed; a histogram image is a fixed bucket array
+const Version uint32 = 11
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

@@ -2,8 +2,9 @@ package telemetry
 
 import "fmt"
 
-// ProbeState is one probe's delta-tracking state, index-aligned with the
-// registry's (deterministic) registration order.
+// ProbeState is one probe's delta-tracking state — the counter and
+// denominator readings at the last sample — which a checkpoint writes as it
+// is, index-aligned with the registry's (deterministic) registration order.
 type ProbeState struct {
 	Last    float64
 	LastDen float64
@@ -62,7 +63,7 @@ func (c *Collector) SnapshotState() (CollectorState, error) {
 	}
 	st.Probes = make([]ProbeState, len(c.probes))
 	for i, p := range c.probes {
-		st.Probes[i] = ProbeState{Last: p.last, LastDen: p.lastDen}
+		st.Probes[i] = p.ProbeState
 	}
 	for _, ev := range c.events {
 		st.Events = append(st.Events, eventState(ev))
@@ -85,7 +86,7 @@ func (c *Collector) RestoreState(st CollectorState) error {
 		return fmt.Errorf("telemetry: checkpoint buffered its telemetry; restore without a streaming sink")
 	}
 	for i, p := range c.probes {
-		p.last, p.lastDen = st.Probes[i].Last, st.Probes[i].LastDen
+		p.ProbeState = st.Probes[i]
 	}
 	c.samples = append(c.samples[:0], st.Samples...)
 	c.events = c.events[:0]

@@ -54,8 +54,7 @@ type probe struct {
 	fn   func() float64
 	den  func() float64 // Rate only
 
-	last    float64
-	lastDen float64
+	ProbeState
 }
 
 // Registry holds named probes. Probe names are slash-separated paths whose
@@ -241,15 +240,15 @@ func (c *Collector) snapshot(cycle int64) {
 		case Gauge:
 			vals[i] = cur
 		case Counter:
-			vals[i] = cur - p.last
-			p.last = cur
+			vals[i] = cur - p.Last
+			p.Last = cur
 		case Rate:
 			den := p.den()
-			if dd := den - p.lastDen; dd != 0 {
-				vals[i] = (cur - p.last) / dd
+			if dd := den - p.LastDen; dd != 0 {
+				vals[i] = (cur - p.Last) / dd
 			}
-			p.last = cur
-			p.lastDen = den
+			p.Last = cur
+			p.LastDen = den
 		}
 	}
 	if c.sink != nil {

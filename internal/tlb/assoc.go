@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"masksim/internal/memreq"
 	"masksim/internal/slab"
 )
 
@@ -29,15 +30,16 @@ type assocLRU struct {
 }
 
 type assocSlot struct {
-	assocEntry
+	Entry
 	prev, next int32 // recency list, towards MRU / towards LRU
 	chain      int32 // next slot in the same hash bucket
 }
 
-// assocEntry is one cached translation as checkpoints see it.
-type assocEntry struct {
-	key   l2key
-	stamp int64
+// Entry is one cached translation of an L1 TLB or the bypass cache, as the
+// table keeps it and a checkpoint writes it.
+type Entry struct {
+	Key   memreq.PageKey
+	Stamp int64
 }
 
 func newAssocLRU(capacity int) *assocLRU { return renewAssocLRU(nil, capacity) }
@@ -61,28 +63,28 @@ func (a *assocLRU) reset() {
 		a.buckets[i] = -1
 	}
 	for i := range a.slots {
-		a.slots[i].stamp = 0
+		a.slots[i].Stamp = 0
 		a.slots[i].prev, a.slots[i].next = int32(i)-1, int32(i)+1
 	}
 	a.slots[0].prev, a.slots[a.end].next = a.end, 0
 	a.n = 0
 }
 
-func (a *assocLRU) bucket(k l2key) *int32 {
-	h := (k.vpn ^ uint64(k.asid)<<56) * 0x9E3779B97F4A7C15
+func (a *assocLRU) bucket(k memreq.PageKey) *int32 {
+	h := (k.VPN ^ uint64(k.ASID)<<56) * 0x9E3779B97F4A7C15
 	return &a.buckets[h>>32&uint64(len(a.buckets)-1)]
 }
 
 // find returns k's slot index, or -1.
-func (a *assocLRU) find(k l2key) int32 {
+func (a *assocLRU) find(k memreq.PageKey) int32 {
 	i := *a.bucket(k)
-	for i >= 0 && a.slots[i].key != k {
+	for i >= 0 && a.slots[i].Key != k {
 		i = a.slots[i].chain
 	}
 	return i
 }
 
-func (a *assocLRU) contains(k l2key) bool { return a.find(k) >= 0 }
+func (a *assocLRU) contains(k memreq.PageKey) bool { return a.find(k) >= 0 }
 
 // move relinks slot i on the recency list right after slot p (p != i).
 func (a *assocLRU) move(i, p int32) {
@@ -96,12 +98,12 @@ func (a *assocLRU) move(i, p int32) {
 func (a *assocLRU) touch(i int32) {
 	a.move(i, a.end)
 	a.stamp++
-	a.slots[i].stamp = a.stamp
+	a.slots[i].Stamp = a.stamp
 }
 
 // unhash takes slot i out of its bucket chain.
 func (a *assocLRU) unhash(i int32) {
-	p := a.bucket(a.slots[i].key)
+	p := a.bucket(a.slots[i].Key)
 	for *p != i {
 		p = &a.slots[*p].chain
 	}
@@ -109,7 +111,7 @@ func (a *assocLRU) unhash(i int32) {
 }
 
 // probe reports whether k is cached and, if so, makes it the MRU entry.
-func (a *assocLRU) probe(k l2key) bool {
+func (a *assocLRU) probe(k memreq.PageKey) bool {
 	i := a.find(k)
 	if i < 0 {
 		return false
@@ -120,52 +122,44 @@ func (a *assocLRU) probe(k l2key) bool {
 
 // fill installs k, or refreshes it, as the MRU entry, evicting the LRU entry
 // when the table is full.
-func (a *assocLRU) fill(k l2key) {
+func (a *assocLRU) fill(k memreq.PageKey) {
 	i := a.find(k)
 	if i < 0 {
 		i = a.slots[a.end].prev // an unused slot while any remain, else the LRU entry
-		if a.slots[i].stamp != 0 {
+		if a.slots[i].Stamp != 0 {
 			a.unhash(i)
 		} else {
 			a.n++
 		}
 		b := a.bucket(k)
-		a.slots[i].key, a.slots[i].chain = k, *b
+		a.slots[i].Key, a.slots[i].chain = k, *b
 		*b = i
 	}
 	a.touch(i)
 }
 
 // remove drops k's entry, if cached.
-func (a *assocLRU) remove(k l2key) {
+func (a *assocLRU) remove(k memreq.PageKey) {
 	i := a.find(k)
 	if i < 0 {
 		return
 	}
 	a.unhash(i)
-	a.slots[i].stamp = 0
+	a.slots[i].Stamp = 0
 	if tail := a.slots[a.end].prev; tail != i {
 		a.move(i, tail)
 	}
 	a.n--
 }
 
-// entries returns the cached translations from LRU to MRU (ascending stamp).
-func (a *assocLRU) entries() []assocEntry {
-	out := make([]assocEntry, a.n)
+// entries returns the cached translations from LRU to MRU (ascending stamp):
+// the table's checkpoint image.
+func (a *assocLRU) entries() []Entry {
+	out := make([]Entry, a.n)
 	i := a.end
 	for j := a.n - 1; j >= 0; j-- {
 		i = a.slots[i].next
-		out[j] = a.slots[i].assocEntry
-	}
-	return out
-}
-
-// snapshot images the cached translations from LRU to MRU.
-func (a *assocLRU) snapshot() []EntryState {
-	var out []EntryState
-	for _, e := range a.entries() {
-		out = append(out, EntryState{ASID: e.key.asid, VPN: e.key.vpn, Stamp: e.stamp})
+		out[j] = a.slots[i].Entry
 	}
 	return out
 }
@@ -174,23 +168,22 @@ func (a *assocLRU) snapshot() []EntryState {
 // order; what names the structure in errors. The image is hostile input:
 // more entries than slots, a repeated key, or a stamp that is not a distinct
 // value in [1, stamp] is an error, never a panic or a truncation.
-func (a *assocLRU) restore(what string, stamp int64, es []EntryState) error {
+func (a *assocLRU) restore(what string, stamp int64, es []Entry) error {
 	if len(es) > int(a.end) {
 		return fmt.Errorf("tlb: checkpoint has %d %s entries, capacity is %d", len(es), what, a.end)
 	}
-	slices.SortFunc(es, func(x, y EntryState) int { return cmp.Compare(x.Stamp, y.Stamp) })
+	slices.SortFunc(es, func(x, y Entry) int { return cmp.Compare(x.Stamp, y.Stamp) })
 	a.reset()
 	for i, e := range es {
 		if e.Stamp < 1 || e.Stamp > stamp || (i > 0 && e.Stamp == es[i-1].Stamp) {
 			return fmt.Errorf("tlb: checkpoint %s entry (asid %d, vpn %#x) has stamp %d, want a distinct value in [1, %d]",
-				what, e.ASID, e.VPN, e.Stamp, stamp)
+				what, e.Key.ASID, e.Key.VPN, e.Stamp, stamp)
 		}
-		k := l2key{e.ASID, e.VPN}
-		if a.contains(k) {
-			return fmt.Errorf("tlb: checkpoint has duplicate %s entry (asid %d, vpn %#x)", what, e.ASID, e.VPN)
+		if a.contains(e.Key) {
+			return fmt.Errorf("tlb: checkpoint has duplicate %s entry (asid %d, vpn %#x)", what, e.Key.ASID, e.Key.VPN)
 		}
-		a.fill(k)
-		a.slots[a.slots[a.end].next].stamp = e.Stamp
+		a.fill(e.Key)
+		a.slots[a.slots[a.end].next].Stamp = e.Stamp
 	}
 	a.stamp = stamp
 	return nil

@@ -15,37 +15,37 @@ import (
 // the minimum stamp on every eviction — kept as the reference model.
 type refLRU struct {
 	size  int
-	m     map[l2key]*assocEntry
+	m     map[memreq.PageKey]*Entry
 	stamp int64
 }
 
-func (r *refLRU) probe(k l2key) bool {
+func (r *refLRU) probe(k memreq.PageKey) bool {
 	e, ok := r.m[k]
 	if !ok {
 		return false
 	}
 	r.stamp++
-	e.stamp = r.stamp
+	e.Stamp = r.stamp
 	return true
 }
 
-func (r *refLRU) fill(k l2key) {
+func (r *refLRU) fill(k memreq.PageKey) {
 	r.stamp++
 	if e, ok := r.m[k]; ok {
-		e.stamp = r.stamp
+		e.Stamp = r.stamp
 		return
 	}
 	if len(r.m) >= r.size {
-		var victim l2key
+		var victim memreq.PageKey
 		victimStamp := int64(math.MaxInt64)
 		for key, e := range r.m {
-			if e.stamp < victimStamp {
-				victimStamp, victim = e.stamp, key
+			if e.Stamp < victimStamp {
+				victimStamp, victim = e.Stamp, key
 			}
 		}
 		delete(r.m, victim)
 	}
-	r.m[k] = &assocEntry{key: k, stamp: r.stamp}
+	r.m[k] = &Entry{Key: k, Stamp: r.stamp}
 }
 
 // flushFraction mirrors L1TLB.FlushFraction: every stride-th entry in
@@ -56,19 +56,19 @@ func (r *refLRU) flushFraction(fraction float64) {
 		return
 	}
 	es := r.byStamp()
-	slices.SortFunc(es, func(x, y assocEntry) int { return cmp.Compare(x.key.vpn, y.key.vpn) })
+	slices.SortFunc(es, func(x, y Entry) int { return cmp.Compare(x.Key.VPN, y.Key.VPN) })
 	for i := 0; i < len(es); i += int(1 / fraction) {
-		delete(r.m, es[i].key)
+		delete(r.m, es[i].Key)
 	}
 }
 
 // byStamp returns the contents from LRU to MRU.
-func (r *refLRU) byStamp() []assocEntry {
-	es := make([]assocEntry, 0, len(r.m))
+func (r *refLRU) byStamp() []Entry {
+	es := make([]Entry, 0, len(r.m))
 	for _, e := range r.m {
 		es = append(es, *e)
 	}
-	slices.SortFunc(es, func(x, y assocEntry) int { return cmp.Compare(x.stamp, y.stamp) })
+	slices.SortFunc(es, func(x, y Entry) int { return cmp.Compare(x.Stamp, y.Stamp) })
 	return es
 }
 
@@ -90,8 +90,8 @@ func checkLinks(t *testing.T, a *assocLRU) {
 		t.Fatalf("recency ring broken: MRU→LRU %v, LRU→MRU reversed %v, capacity %d", fwd, back, a.end)
 	}
 	for j, i := range fwd {
-		s := a.slots[i].stamp
-		if (j < a.n) != (s != 0) || (j > 0 && j < a.n && s >= a.slots[fwd[j-1]].stamp) {
+		s := a.slots[i].Stamp
+		if (j < a.n) != (s != 0) || (j > 0 && j < a.n && s >= a.slots[fwd[j-1]].Stamp) {
 			t.Fatalf("ring position %d (slot %d) has stamp %d with n=%d", j, i, s, a.n)
 		}
 	}
@@ -106,18 +106,18 @@ func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 	const asid = 3
 	be := &fakeTransBackend{}
 	l1, _ := newL1(asid, capacity, be)
-	ref := &refLRU{size: capacity, m: map[l2key]*assocEntry{}}
+	ref := &refLRU{size: capacity, m: map[memreq.PageKey]*Entry{}}
 	universe := uint64(2*capacity + 3)
 	fractions := []float64{0.1, 0.25, 0.34, 0.5, 1}
 
 	for step := 0; step+1 < len(prog); step += 2 {
 		op, arg := prog[step]%8, prog[step+1]
-		k := l2key{asid, uint64(arg) % universe}
+		k := memreq.PageKey{ASID: asid, VPN: uint64(arg) % universe}
 		switch op {
 		case 0, 1, 2: // lookup through the public path; a miss fills
-			hit := l1.Lookup(int64(step), k.vpn, 0, 0, true)
+			hit := l1.Lookup(int64(step), k.VPN, 0, 0, true)
 			if wantHit := ref.probe(k); hit != wantHit {
-				t.Fatalf("step %d: Lookup(%#x) hit %v, reference %v", step, k.vpn, hit, wantHit)
+				t.Fatalf("step %d: Lookup(%#x) hit %v, reference %v", step, k.VPN, hit, wantHit)
 			}
 			if !hit {
 				be.answerAll(int64(step))
@@ -157,7 +157,7 @@ func driveAssocLRU(t *testing.T, capacity int, prog []byte) {
 			t.Fatalf("step %d: %d entries, reference %d", step, l1.tab.n, len(ref.m))
 		}
 		for vpn := uint64(0); vpn < universe; vpn++ {
-			if _, want := ref.m[l2key{asid, vpn}]; l1.tab.contains(l2key{l1.asid, vpn}) != want {
+			if _, want := ref.m[memreq.PageKey{ASID: asid, VPN: vpn}]; l1.tab.contains(memreq.PageKey{ASID: l1.asid, VPN: vpn}) != want {
 				t.Fatalf("step %d: Contains(%#x) = %v, reference %v", step, vpn, !want, want)
 			}
 		}
@@ -194,8 +194,8 @@ func TestAssocLRUSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 200; i++ { // misses fill and (once full) evict; hits touch
 			vpn = (vpn*7 + 13) % 150
-			if !a.probe(l2key{1, vpn}) {
-				a.fill(l2key{1, vpn})
+			if !a.probe(memreq.PageKey{ASID: 1, VPN: vpn}) {
+				a.fill(memreq.PageKey{ASID: 1, VPN: vpn})
 			}
 		}
 		a.reset()
@@ -214,7 +214,7 @@ func TestSnapshotEntriesInRecencyOrder(t *testing.T) {
 	}
 	var vpns []uint64
 	for _, e := range l1.SnapshotState().Entries {
-		vpns = append(vpns, e.VPN)
+		vpns = append(vpns, e.Key.VPN)
 	}
 	if want := []uint64{2, 7, 9, 5, 11}; !slices.Equal(vpns, want) {
 		t.Fatalf("snapshot entries in order %v, want LRU→MRU %v", vpns, want)
@@ -225,26 +225,26 @@ func TestSnapshotEntriesInRecencyOrder(t *testing.T) {
 // TLB and bypass-cache checkpoint sections to RestoreState: all must be
 // structured errors.
 func TestRestoreRejectsHostileTableState(t *testing.T) {
-	entries := func(n int) []EntryState {
-		es := make([]EntryState, n)
+	entries := func(n int) []Entry {
+		es := make([]Entry, n)
 		for i := range es {
-			es[i] = EntryState{VPN: uint64(i), Stamp: int64(i + 1)}
+			es[i] = Entry{Key: memreq.PageKey{VPN: uint64(i)}, Stamp: int64(i + 1)}
 		}
 		return es
 	}
 	cases := []struct {
 		name    string
-		entries []EntryState
+		entries []Entry
 		stamp   int64
 		want    string // "" = must restore
 	}{
 		{"full", entries(4), 4, ""},
 		{"empty", nil, 0, ""},
 		{"oversize", entries(5), 5, "checkpoint has 5 L1 entries, capacity is 4"},
-		{"duplicate key", []EntryState{{VPN: 7, Stamp: 1}, {VPN: 8, Stamp: 2}, {VPN: 7, Stamp: 3}}, 3, "duplicate L1 entry"},
-		{"stamp above table stamp", []EntryState{{VPN: 1, Stamp: 1}, {VPN: 2, Stamp: 9}}, 8, "has stamp 9"},
-		{"stamp below one", []EntryState{{VPN: 1, Stamp: 0}}, 3, "has stamp 0"},
-		{"repeated stamp", []EntryState{{VPN: 1, Stamp: 2}, {VPN: 2, Stamp: 2}}, 3, "has stamp 2"},
+		{"duplicate key", []Entry{{Key: memreq.PageKey{VPN: 7}, Stamp: 1}, {Key: memreq.PageKey{VPN: 8}, Stamp: 2}, {Key: memreq.PageKey{VPN: 7}, Stamp: 3}}, 3, "duplicate L1 entry"},
+		{"stamp above table stamp", []Entry{{Key: memreq.PageKey{VPN: 1}, Stamp: 1}, {Key: memreq.PageKey{VPN: 2}, Stamp: 9}}, 8, "has stamp 9"},
+		{"stamp below one", []Entry{{Key: memreq.PageKey{VPN: 1}, Stamp: 0}}, 3, "has stamp 0"},
+		{"repeated stamp", []Entry{{Key: memreq.PageKey{VPN: 1}, Stamp: 2}, {Key: memreq.PageKey{VPN: 2}, Stamp: 2}}, 3, "has stamp 2"},
 	}
 	for _, tc := range cases {
 		// The same image through both owners of the table.
@@ -255,7 +255,7 @@ func TestRestoreRejectsHostileTableState(t *testing.T) {
 		img := l2.SnapshotState()
 		img.Bypass.Stamp = tc.stamp
 		for _, e := range tc.entries {
-			img.Bypass.Entries = append(img.Bypass.Entries, EntryState{ASID: 1, VPN: e.VPN, Stamp: e.Stamp})
+			img.Bypass.Entries = append(img.Bypass.Entries, Entry{Key: memreq.PageKey{ASID: 1, VPN: e.Key.VPN}, Stamp: e.Stamp})
 		}
 		errL2 := l2.RestoreState(&memreq.Wiring{}, img)
 
@@ -322,8 +322,8 @@ func TestRestoreLegacyOrderSameVictims(t *testing.T) {
 		lookup(live, i)
 		lookup(restored, i)
 		for vpn := uint64(0); vpn < 140; vpn++ {
-			if live.tab.contains(l2key{live.asid, vpn}) != restored.tab.contains(l2key{restored.asid, vpn}) {
-				t.Fatalf("after filling %d: Contains(%d) live %v, restored %v", i, vpn, live.tab.contains(l2key{live.asid, vpn}), restored.tab.contains(l2key{restored.asid, vpn}))
+			if live.tab.contains(memreq.PageKey{ASID: live.asid, VPN: vpn}) != restored.tab.contains(memreq.PageKey{ASID: restored.asid, VPN: vpn}) {
+				t.Fatalf("after filling %d: Contains(%d) live %v, restored %v", i, vpn, live.tab.contains(memreq.PageKey{ASID: live.asid, VPN: vpn}), restored.tab.contains(memreq.PageKey{ASID: restored.asid, VPN: vpn}))
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package tlb
 
-import "masksim/internal/slab"
+import (
+	"masksim/internal/memreq"
+	"masksim/internal/slab"
+)
 
 // bypassCache is MASK's TLB bypass cache (§5.2): a small (32-entry in the
 // paper) fully-associative, LRU-replaced store for translations requested by
@@ -22,18 +25,16 @@ func renewBypassCache(b *bypassCache, size int) *bypassCache {
 	return b
 }
 
-func (b *bypassCache) probe(asid uint8, vpn uint64) bool {
+func (b *bypassCache) probe(k memreq.PageKey) bool {
 	b.Accesses++
-	ok := b.tab.probe(l2key{asid, vpn})
+	ok := b.tab.probe(k)
 	if ok {
 		b.Hits++
 	}
 	return ok
 }
 
-func (b *bypassCache) fill(asid uint8, vpn uint64) {
-	b.tab.fill(l2key{asid, vpn})
-}
+func (b *bypassCache) fill(k memreq.PageKey) { b.tab.fill(k) }
 
 // hitRate returns the bypass cache hit rate (the paper reports 66.5% §7.2).
 func (b *bypassCache) hitRate() float64 {

@@ -12,13 +12,6 @@ import (
 
 // --- L1 TLB -----------------------------------------------------------------
 
-// EntryState is one cached translation of an L1 TLB or the bypass cache.
-type EntryState struct {
-	ASID  uint8
-	VPN   uint64
-	Stamp int64
-}
-
 // WaiterState names one warp blocked on an L1 miss and the page slot of its
 // memory instruction (gpu.WarpState.Pages) the translation is for.
 type WaiterState struct {
@@ -41,7 +34,7 @@ type L1MissState struct {
 // MRU; restore accepts any order and rebuilds recency from the stamps.
 // Pending names the misses the backend refused by VPN, in retry order.
 type L1State struct {
-	Entries []EntryState
+	Entries []Entry
 	Stamp   int64
 	Mshrs   []L1MissState
 	Pending []engine.QueueItem[uint64]
@@ -51,7 +44,7 @@ type L1State struct {
 // SnapshotState captures the L1 TLB's checkpoint image.
 func (t *L1TLB) SnapshotState() L1State {
 	st := L1State{
-		Entries: t.tab.snapshot(),
+		Entries: t.tab.entries(),
 		Stamp:   t.tab.stamp,
 		Pending: engine.SnapshotQueue(&t.pending, func(tr *memreq.TransReq) uint64 { return tr.VPN }),
 		Stats:   t.Stats,
@@ -65,13 +58,6 @@ func (t *L1TLB) SnapshotState() L1State {
 		st.Mshrs = append(st.Mshrs, ms)
 	}
 	return st
-}
-
-func compareKeys(a, b l2key) int {
-	if c := cmp.Compare(a.asid, b.asid); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.vpn, b.vpn)
 }
 
 // RestoreState restores an image captured by SnapshotState onto a TLB built
@@ -141,68 +127,27 @@ func Trackers(l1s []*L1TLB) func(memreq.TransKey) (*memreq.TransReq, error) {
 
 // --- token policy -----------------------------------------------------------
 
-// TokenState is the TLB-Fill Token policy's checkpoint image.
-type TokenState struct {
-	TokensPerCore []int
-	PrevMissRate  []float64
-	HavePrev      []bool
-	FirstEpoch    bool
-	Dir           []int
-}
-
 // State captures the policy's adaptive state.
-func (p *TokenPolicy) State() TokenState {
-	return TokenState{
-		TokensPerCore: append([]int(nil), p.tokensPerCore...),
-		PrevMissRate:  append([]float64(nil), p.prevMissRate...),
-		HavePrev:      append([]bool(nil), p.havePrev...),
-		FirstEpoch:    p.firstEpoch,
-		Dir:           append([]int(nil), p.dir...),
-	}
-}
+func (p *TokenPolicy) State() TokenState { return p.state }
 
 // SetState restores state captured from a policy built with the same app
 // count and warps per core; an image with another app count is rejected.
 func (p *TokenPolicy) SetState(st TokenState) error {
-	n := len(p.tokensPerCore)
+	n := len(p.state.TokensPerCore)
 	if len(st.TokensPerCore) != n || len(st.PrevMissRate) != n || len(st.HavePrev) != n || len(st.Dir) != n {
 		return fmt.Errorf("tlb: checkpoint token state has %d/%d/%d/%d per-app entries, policy has %d apps",
 			len(st.TokensPerCore), len(st.PrevMissRate), len(st.HavePrev), len(st.Dir), n)
 	}
-	copy(p.tokensPerCore, st.TokensPerCore)
-	copy(p.prevMissRate, st.PrevMissRate)
-	copy(p.havePrev, st.HavePrev)
-	p.firstEpoch = st.FirstEpoch
-	copy(p.dir, st.Dir)
+	p.state = st
 	return nil
 }
 
 // --- shared L2 TLB ----------------------------------------------------------
 
-// AppTLBStatsState mirrors AppTLBStats including the unexported epoch
-// counters.
-type AppTLBStatsState struct {
-	Accesses      uint64
-	Hits          uint64
-	Misses        uint64
-	EpochAccesses uint64
-	EpochMisses   uint64
-}
-
-// L2EntryState is one line of the set-associative array, index-aligned with
-// the lines slice.
-type L2EntryState struct {
-	ASID       uint8
-	VPN        uint64
-	Valid      bool
-	Stamp      int64
-	Prefetched bool
-}
-
 // BypassState is the TLB bypass cache's checkpoint image, with the same
 // entry-order rule as L1State.
 type BypassState struct {
-	Entries  []EntryState
+	Entries  []Entry
 	Stamp    int64
 	Accesses uint64
 	Hits     uint64
@@ -211,8 +156,7 @@ type BypassState struct {
 // PfEntryState is one correlation-table transition, stored in FIFO insertion
 // order so bounded eviction resumes identically.
 type PfEntryState struct {
-	ASID uint8
-	VPN  uint64
+	Key  memreq.PageKey
 	Next uint64
 }
 
@@ -224,58 +168,46 @@ type PrefetcherState struct {
 	Stats   PrefetchStats
 }
 
-// L2State is the shared TLB's checkpoint image. Mshrs holds each miss
+// L2State is the shared TLB's checkpoint image. Lines and Apps are the
+// TLB's entry array and per-app counters as they are. Mshrs holds each miss
 // tracker's merged requesters in arrival order, all for the tracker's page;
 // the first is the lookup that missed, whose application is the tracker's.
 type L2State struct {
-	Lines      []L2EntryState
+	Lines      []L2Entry
 	Stamp      int64
 	In         []engine.QueueItem[memreq.TransKey]
 	Mshrs      [][]memreq.TransKey
 	Stalled    []engine.QueueItem[memreq.TransKey]
 	PfInFlight []memreq.PageKey
-	Apps       []AppTLBStatsState
+	Apps       []AppTLBCounters
 	Bypass     *BypassState
 	Prefetch   *PrefetcherState
 	Tokens     *TokenState
 }
 
 // SnapshotState captures the shared TLB's checkpoint image. Translation
-// requests are named by key: their L1 TLB miss trackers write them.
+// requests are named by key: their L1 TLB miss trackers write them. The
+// image shares the entry array and the per-app counters with the TLB:
+// encode it before the TLB ticks again.
 func (t *L2TLB) SnapshotState() L2State {
 	st := L2State{
-		Stamp:   t.stamp,
-		In:      engine.SnapshotQueue(&t.in, (*memreq.TransReq).Key),
-		Stalled: engine.SnapshotQueue(&t.stalled, (*memreq.TransReq).Key),
+		Lines:      t.lines,
+		Stamp:      t.stamp,
+		In:         engine.SnapshotQueue(&t.in, (*memreq.TransReq).Key),
+		Stalled:    engine.SnapshotQueue(&t.stalled, (*memreq.TransReq).Key),
+		PfInFlight: memreq.SortedKeys(t.pfInFlight, memreq.PageKey.Compare),
+		Apps:       t.apps,
 	}
-	st.Lines = make([]L2EntryState, len(t.lines))
-	for i := range t.lines {
-		e := &t.lines[i]
-		st.Lines[i] = L2EntryState{
-			ASID: e.key.asid, VPN: e.key.vpn,
-			Valid: e.valid, Stamp: e.stamp, Prefetched: e.prefetched,
-		}
-	}
-	for _, key := range memreq.SortedKeys(t.mshrs, compareKeys) {
+	for _, key := range memreq.SortedKeys(t.mshrs, memreq.PageKey.Compare) {
 		var reqs []memreq.TransKey
 		for _, tr := range t.mshrs[key].reqs {
 			reqs = append(reqs, tr.Key())
 		}
 		st.Mshrs = append(st.Mshrs, reqs)
 	}
-	for _, key := range memreq.SortedKeys(t.pfInFlight, compareKeys) {
-		st.PfInFlight = append(st.PfInFlight, memreq.PageKey{ASID: key.asid, VPN: key.vpn})
-	}
-	st.Apps = make([]AppTLBStatsState, len(t.apps))
-	for i, a := range t.apps {
-		st.Apps[i] = AppTLBStatsState{
-			Accesses: a.Accesses, Hits: a.Hits, Misses: a.Misses,
-			EpochAccesses: a.epochAccesses, EpochMisses: a.epochMisses,
-		}
-	}
 	if t.bypass != nil {
 		st.Bypass = &BypassState{
-			Entries:  t.bypass.tab.snapshot(),
+			Entries:  t.bypass.tab.entries(),
 			Stamp:    t.bypass.tab.stamp,
 			Accesses: t.bypass.Accesses,
 			Hits:     t.bypass.Hits,
@@ -285,7 +217,7 @@ func (t *L2TLB) SnapshotState() L2State {
 		p := &PrefetcherState{Stats: t.pf.Stats}
 		for i := 0; i < t.pf.order.Len(); i++ {
 			k := t.pf.order.At(i)
-			p.Entries = append(p.Entries, PfEntryState{ASID: k.asid, VPN: k.vpn, Next: t.pf.next[k]})
+			p.Entries = append(p.Entries, PfEntryState{Key: k, Next: t.pf.next[k]})
 		}
 		for _, asid := range memreq.SortedKeys(t.pf.last, cmp.Compare[uint8]) {
 			p.Last = append(p.Last, memreq.PageKey{ASID: asid, VPN: t.pf.last[asid]})
@@ -307,16 +239,11 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 		return fmt.Errorf("tlb: checkpoint has %d L2 TLB lines, configuration has %d", len(st.Lines), len(t.lines))
 	}
 	t.stamp = st.Stamp
-	for i, es := range st.Lines {
-		t.lines[i] = l2entry{
-			key:   l2key{asid: es.ASID, vpn: es.VPN},
-			valid: es.Valid, stamp: es.Stamp, prefetched: es.Prefetched,
-		}
-	}
+	copy(t.lines, st.Lines)
 	if err := engine.RestoreQueue(&t.in, st.In, w.Trans); err != nil {
 		return fmt.Errorf("tlb: checkpoint L2 TLB input %w", err)
 	}
-	t.mshrs = make(map[l2key]*l2miss, len(st.Mshrs))
+	t.mshrs = make(map[memreq.PageKey]*l2miss, len(st.Mshrs))
 	for _, reqs := range st.Mshrs {
 		if len(reqs) == 0 {
 			return fmt.Errorf("tlb: checkpoint has an L2 TLB miss without a requester")
@@ -329,16 +256,16 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 			}
 			m.reqs = append(m.reqs, tr)
 		}
-		m.key, m.appID = l2key{asid: m.reqs[0].ASID, vpn: m.reqs[0].VPN}, m.reqs[0].AppID
+		m.key, m.appID = memreq.PageKey{ASID: m.reqs[0].ASID, VPN: m.reqs[0].VPN}, m.reqs[0].AppID
 		// A run merges every miss of a page into its one tracker, which its
 		// walk fills.
 		for _, tr := range m.reqs[1:] {
-			if tr.ASID != m.key.asid || tr.VPN != m.key.vpn {
-				return fmt.Errorf("tlb: checkpoint L2 TLB miss of asid %d, vpn %#x merges a requester of vpn %#x", m.key.asid, m.key.vpn, tr.VPN)
+			if tr.ASID != m.key.ASID || tr.VPN != m.key.VPN {
+				return fmt.Errorf("tlb: checkpoint L2 TLB miss of asid %d, vpn %#x merges a requester of vpn %#x", m.key.ASID, m.key.VPN, tr.VPN)
 			}
 		}
 		if _, dup := t.mshrs[m.key]; dup {
-			return fmt.Errorf("tlb: checkpoint has two L2 TLB misses of asid %d, vpn %#x", m.key.asid, m.key.vpn)
+			return fmt.Errorf("tlb: checkpoint has two L2 TLB misses of asid %d, vpn %#x", m.key.ASID, m.key.VPN)
 		}
 		t.mshrs[m.key] = m
 	}
@@ -349,18 +276,12 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 		return fmt.Errorf("tlb: checkpoint has in-flight prefetches but prefetching is disabled")
 	}
 	for _, k := range st.PfInFlight {
-		t.pfInFlight[l2key{asid: k.ASID, vpn: k.VPN}] = true
+		t.pfInFlight[k] = true
 	}
 	if len(st.Apps) != len(t.apps) {
 		return fmt.Errorf("tlb: checkpoint has L2 TLB counters of %d apps, configuration has %d", len(st.Apps), len(t.apps))
 	}
-	for i := range t.apps {
-		a := st.Apps[i]
-		t.apps[i] = AppTLBStats{
-			Accesses: a.Accesses, Hits: a.Hits, Misses: a.Misses,
-			epochAccesses: a.EpochAccesses, epochMisses: a.EpochMisses,
-		}
-	}
+	copy(t.apps, st.Apps)
 	if st.Bypass != nil {
 		if t.bypass == nil {
 			return fmt.Errorf("tlb: checkpoint has bypass-cache state but the bypass cache is disabled")
@@ -379,12 +300,12 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 			return fmt.Errorf("tlb: checkpoint has %d prefetcher entries, capacity is %d", len(st.Prefetch.Entries), t.pf.cap)
 		}
 		t.pf.Stats = st.Prefetch.Stats
-		t.pf.next = make(map[pfKey]uint64, t.pf.cap)
+		t.pf.next = make(map[memreq.PageKey]uint64, t.pf.cap)
 		t.pf.order = t.pf.order.Renewed(0, 0)
 		for _, es := range st.Prefetch.Entries {
-			k := pfKey{asid: es.ASID, vpn: es.VPN}
+			k := es.Key
 			if _, dup := t.pf.next[k]; dup {
-				return fmt.Errorf("tlb: checkpoint has a duplicate prefetcher entry (asid %d, vpn %#x)", k.asid, k.vpn)
+				return fmt.Errorf("tlb: checkpoint has a duplicate prefetcher entry (asid %d, vpn %#x)", k.ASID, k.VPN)
 			}
 			t.pf.next[k] = es.Next
 			t.pf.order.Push(0, k)

@@ -152,7 +152,7 @@ func (t *L1TLB) getMiss() *l1miss {
 // fill policy.
 func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (hit bool) {
 	t.Stats.Accesses++
-	if t.tab.probe(l2key{t.asid, vpn}) {
+	if t.tab.probe(memreq.PageKey{ASID: t.asid, VPN: vpn}) {
 		t.Stats.Hits++
 		return true
 	}
@@ -187,7 +187,7 @@ func (t *L1TLB) TransDone(now int64, tr *memreq.TransReq) {
 		return // no tracker waits on this request
 	}
 	delete(t.mshrs, vpn)
-	t.tab.fill(l2key{t.asid, vpn})
+	t.tab.fill(memreq.PageKey{ASID: t.asid, VPN: vpn})
 	t.Stats.StalledWarpSum += uint64(len(m.waiting))
 	t.Stats.StalledWarpCount++
 	for _, w := range m.waiting {
@@ -243,8 +243,8 @@ func (t *L1TLB) FlushFraction(fraction float64) {
 		stride = 1
 	}
 	es := t.tab.entries()
-	slices.SortFunc(es, func(x, y assocEntry) int { return cmp.Compare(x.key.vpn, y.key.vpn) })
+	slices.SortFunc(es, func(x, y Entry) int { return cmp.Compare(x.Key.VPN, y.Key.VPN) })
 	for i := 0; i < len(es); i += stride {
-		t.tab.remove(es[i].key)
+		t.tab.remove(es[i].Key)
 	}
 }

@@ -1,6 +1,9 @@
 package tlb
 
-import "masksim/internal/engine"
+import (
+	"masksim/internal/engine"
+	"masksim/internal/memreq"
+)
 
 // Prefetcher is a correlation (Markov) shared-TLB prefetcher in the spirit
 // of the inter-core cooperative TLB prefetchers the paper discusses as
@@ -18,18 +21,13 @@ import "masksim/internal/engine"
 // chains) recur and are exactly what a correlation table captures.
 type Prefetcher struct {
 	// next maps (asid, vpn) -> most recently observed successor VPN.
-	next map[pfKey]uint64
+	next map[memreq.PageKey]uint64
 	// order is a FIFO of inserted keys used for bounded eviction (no cycles).
-	order engine.Queue[pfKey]
+	order engine.Queue[memreq.PageKey]
 	cap   int
 	last  map[uint8]uint64
 
 	Stats PrefetchStats
-}
-
-type pfKey struct {
-	asid uint8
-	vpn  uint64
 }
 
 // PrefetchStats counts prefetcher activity and usefulness.
@@ -53,7 +51,7 @@ const prefetchTableCap = 1024
 // NewPrefetcher returns an empty correlation predictor.
 func NewPrefetcher() *Prefetcher {
 	return &Prefetcher{
-		next: make(map[pfKey]uint64, prefetchTableCap),
+		next: make(map[memreq.PageKey]uint64, prefetchTableCap),
 		cap:  prefetchTableCap,
 		last: make(map[uint8]uint64),
 	}
@@ -63,7 +61,7 @@ func NewPrefetcher() *Prefetcher {
 // predicted next VPN when the correlation table has one.
 func (p *Prefetcher) Observe(asid uint8, vpn uint64) (uint64, bool) {
 	if lastVPN, seen := p.last[asid]; seen && lastVPN != vpn {
-		key := pfKey{asid, lastVPN}
+		key := memreq.PageKey{ASID: asid, VPN: lastVPN}
 		if _, exists := p.next[key]; !exists {
 			if len(p.next) >= p.cap {
 				victim, _ := p.order.Pop(0)
@@ -75,7 +73,7 @@ func (p *Prefetcher) Observe(asid uint8, vpn uint64) (uint64, bool) {
 	}
 	p.last[asid] = vpn
 
-	if pred, ok := p.next[pfKey{asid, vpn}]; ok && pred != vpn {
+	if pred, ok := p.next[memreq.PageKey{ASID: asid, VPN: vpn}]; ok && pred != vpn {
 		p.Stats.Predictions++
 		return pred, true
 	}

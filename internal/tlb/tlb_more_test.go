@@ -64,7 +64,7 @@ func TestL1FlushFractionPartial(t *testing.T) {
 	// Victims are every second entry in VPN order, whatever order the map
 	// iterates in.
 	for vpn := uint64(0); vpn < 16; vpn++ {
-		if got, want := l1.tab.contains(l2key{l1.asid, vpn}), vpn%2 == 1; got != want {
+		if got, want := l1.tab.contains(memreq.PageKey{ASID: l1.asid, VPN: vpn}), vpn%2 == 1; got != want {
 			t.Fatalf("after FlushFraction(0.5): Contains(%d) = %v, want %v", vpn, got, want)
 		}
 	}

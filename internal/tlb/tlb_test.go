@@ -113,7 +113,7 @@ func TestL1LRUEviction(t *testing.T) {
 	// Touch 1 so 2 is LRU.
 	l1.Lookup(2, 1, 0, 0, true)
 	fill(3)
-	if !l1.tab.contains(l2key{l1.asid, 1}) || !l1.tab.contains(l2key{l1.asid, 3}) || l1.tab.contains(l2key{l1.asid, 2}) {
+	if !l1.tab.contains(memreq.PageKey{ASID: l1.asid, VPN: 1}) || !l1.tab.contains(memreq.PageKey{ASID: l1.asid, VPN: 3}) || l1.tab.contains(memreq.PageKey{ASID: l1.asid, VPN: 2}) {
 		t.Fatal("LRU eviction picked the wrong victim")
 	}
 }
@@ -300,7 +300,7 @@ func TestTokenGatingFillsBypassCache(t *testing.T) {
 	}
 	submitAndTick(t, l2, tr, 0, 3)
 	w.completeAll(5)
-	if l2.probe(l2key{1, 0x600}) {
+	if l2.probe(memreq.PageKey{ASID: 1, VPN: 0x600}) {
 		t.Fatal("token-less fill entered the main TLB")
 	}
 	// But a subsequent probe still hits via the bypass cache.
@@ -363,14 +363,14 @@ func TestTokenBoundsProperty(t *testing.T) {
 
 func TestBypassCacheLRU(t *testing.T) {
 	b := newBypassCache(2)
-	b.fill(1, 10)
-	b.fill(1, 20)
-	b.probe(1, 10) // 20 becomes LRU
-	b.fill(1, 30)
-	if b.probe(1, 20) {
+	b.fill(memreq.PageKey{ASID: 1, VPN: 10})
+	b.fill(memreq.PageKey{ASID: 1, VPN: 20})
+	b.probe(memreq.PageKey{ASID: 1, VPN: 10}) // 20 becomes LRU
+	b.fill(memreq.PageKey{ASID: 1, VPN: 30})
+	if b.probe(memreq.PageKey{ASID: 1, VPN: 20}) {
 		t.Fatal("LRU victim survived")
 	}
-	if !b.probe(1, 10) {
+	if !b.probe(memreq.PageKey{ASID: 1, VPN: 10}) {
 		t.Fatal("recently used entry evicted")
 	}
 }

@@ -13,22 +13,30 @@ package tlb
 type TokenPolicy struct {
 	enabled      bool
 	warpsPerCore int
-	// tokensPerCore[app] is the number of token-holding warps on each of the
+	step         int
+	// state is the policy's adaptive state, which a checkpoint writes as it
+	// is (State).
+	state TokenState
+}
+
+// TokenState is the policy's adaptive state and its checkpoint image, each
+// list indexed by application.
+type TokenState struct {
+	// TokensPerCore[app] is the number of token-holding warps on each of the
 	// app's cores.
-	tokensPerCore []int
-	prevMissRate  []float64
-	havePrev      []bool
-	// firstEpoch disables bypassing during the first epoch, per the paper
+	TokensPerCore []int
+	PrevMissRate  []float64
+	HavePrev      []bool
+	// FirstEpoch disables bypassing during the first epoch, per the paper
 	// (footnote 6).
-	firstEpoch bool
-	step       int
-	// dir is each app's current search direction (+1 grant, -1 shed), used
+	FirstEpoch bool
+	// Dir is each app's current search direction (+1 grant, -1 shed), used
 	// when the miss rate is flat: the paper's ±2%-delta rule alone has no
 	// gradient to follow once the miss rate plateaus, so the policy keeps
 	// probing in its current direction and reverses when an adjustment made
 	// the miss rate worse. This converges to the same steady state the
 	// paper describes (§7.2) without manual tuning of InitialTokens.
-	dir []int
+	Dir []int
 }
 
 // NewTokenPolicy creates the policy for numApps applications with the given
@@ -37,17 +45,19 @@ type TokenPolicy struct {
 // Epoch is a no-op, which turns MASK-TLB off.
 func NewTokenPolicy(numApps, warpsPerCore int, initialFraction float64, enabled bool) *TokenPolicy {
 	p := &TokenPolicy{
-		enabled:       enabled,
-		warpsPerCore:  warpsPerCore,
-		tokensPerCore: make([]int, numApps),
-		prevMissRate:  make([]float64, numApps),
-		havePrev:      make([]bool, numApps),
-		firstEpoch:    true,
-		step:          warpsPerCore / 16,
-		dir:           make([]int, numApps),
+		enabled:      enabled,
+		warpsPerCore: warpsPerCore,
+		step:         warpsPerCore / 16,
+		state: TokenState{
+			TokensPerCore: make([]int, numApps),
+			PrevMissRate:  make([]float64, numApps),
+			HavePrev:      make([]bool, numApps),
+			FirstEpoch:    true,
+			Dir:           make([]int, numApps),
+		},
 	}
-	for i := range p.dir {
-		p.dir[i] = -1 // start by probing downward: fewer fill sources
+	for i := range p.state.Dir {
+		p.state.Dir[i] = -1 // start by probing downward: fewer fill sources
 	}
 	if p.step < 1 {
 		p.step = 1
@@ -59,8 +69,8 @@ func NewTokenPolicy(numApps, warpsPerCore int, initialFraction float64, enabled 
 	if init > warpsPerCore {
 		init = warpsPerCore
 	}
-	for i := range p.tokensPerCore {
-		p.tokensPerCore[i] = init
+	for i := range p.state.TokensPerCore {
+		p.state.TokensPerCore[i] = init
 	}
 	return p
 }
@@ -70,21 +80,21 @@ func (p *TokenPolicy) Enabled() bool { return p.enabled }
 
 // HasToken reports whether the given warp of app currently holds a token.
 func (p *TokenPolicy) HasToken(app, warpID int) bool {
-	if !p.enabled || p.firstEpoch {
+	if !p.enabled || p.state.FirstEpoch {
 		return true
 	}
-	if app < 0 || app >= len(p.tokensPerCore) {
+	if app < 0 || app >= len(p.state.TokensPerCore) {
 		return true
 	}
-	return warpID < p.tokensPerCore[app]
+	return warpID < p.state.TokensPerCore[app]
 }
 
 // Tokens returns app's per-core token count (test/introspection helper).
 func (p *TokenPolicy) Tokens(app int) int {
-	if app < 0 || app >= len(p.tokensPerCore) {
+	if app < 0 || app >= len(p.state.TokensPerCore) {
 		return p.warpsPerCore
 	}
-	return p.tokensPerCore[app]
+	return p.state.TokensPerCore[app]
 }
 
 // Epoch adapts token counts from the per-app shared-TLB miss rates measured
@@ -93,11 +103,12 @@ func (p *TokenPolicy) Epoch(missRate []float64) {
 	if !p.enabled {
 		return
 	}
-	p.firstEpoch = false
-	for app := 0; app < len(p.tokensPerCore) && app < len(missRate); app++ {
+	st := &p.state
+	st.FirstEpoch = false
+	for app := 0; app < len(st.TokensPerCore) && app < len(missRate); app++ {
 		mr := missRate[app]
-		if p.havePrev[app] {
-			delta := mr - p.prevMissRate[app]
+		if st.HavePrev[app] {
+			delta := mr - st.PrevMissRate[app]
 			switch {
 			case delta > 0.02:
 				// The last adjustment made the miss rate worse: reverse
@@ -105,29 +116,29 @@ func (p *TokenPolicy) Epoch(missRate []float64) {
 				// tokens"; as pure feedback control that diverges when the
 				// rise was caused by the policy's own previous decrease, so
 				// the policy hill-climbs instead — DESIGN.md §5.)
-				p.dir[app] = -p.dir[app]
-				p.tokensPerCore[app] += p.step * p.dir[app]
+				st.Dir[app] = -st.Dir[app]
+				st.TokensPerCore[app] += p.step * st.Dir[app]
 			case delta < -0.02:
 				// Miss rate fell: keep whatever direction produced this.
-				p.tokensPerCore[app] += p.step * p.dir[app]
+				st.TokensPerCore[app] += p.step * st.Dir[app]
 			default:
 				// Flat miss rate: keep probing in the current direction,
 				// but only while the TLB is clearly struggling — in the
 				// comfortable region (low miss rate) leave tokens alone.
 				if mr > 0.5 {
-					p.tokensPerCore[app] += p.step * p.dir[app]
+					st.TokensPerCore[app] += p.step * st.Dir[app]
 				}
 			}
-			if p.tokensPerCore[app] <= 1 {
-				p.tokensPerCore[app] = 1
-				p.dir[app] = 1 // bounce off the floor
+			if st.TokensPerCore[app] <= 1 {
+				st.TokensPerCore[app] = 1
+				st.Dir[app] = 1 // bounce off the floor
 			}
-			if p.tokensPerCore[app] >= p.warpsPerCore {
-				p.tokensPerCore[app] = p.warpsPerCore
-				p.dir[app] = -1 // and off the ceiling
+			if st.TokensPerCore[app] >= p.warpsPerCore {
+				st.TokensPerCore[app] = p.warpsPerCore
+				st.Dir[app] = -1 // and off the ceiling
 			}
 		}
-		p.prevMissRate[app] = mr
-		p.havePrev[app] = true
+		st.PrevMissRate[app] = mr
+		st.HavePrev[app] = true
 	}
 }

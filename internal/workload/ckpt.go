@@ -87,25 +87,24 @@ func (s *Stream) checkState(st StreamState) error {
 // enumerate the same sync sequence.
 func (s *Stream) Sync() *GroupSync { return s.sync }
 
-// GroupSyncState is the serializable image of one warp group's barrier state.
-// The window is construction-time configuration and is not captured, and the
-// floor is the slowest member's step count.
+// GroupSyncState is one warp group's barrier state and its checkpoint image:
+// each member's memory-instruction count. The window is construction-time
+// configuration and is not captured, and the floor is the slowest member's
+// step count.
 type GroupSyncState struct {
 	Steps []int64
 }
 
 // State captures the group's barrier state.
-func (g *GroupSync) State() GroupSyncState {
-	return GroupSyncState{Steps: append([]int64(nil), g.steps...)}
-}
+func (g *GroupSync) State() GroupSyncState { return g.state }
 
 // SetState restores barrier state captured from a group with the same member
 // count; another count is an error, and g is left as it was.
 func (g *GroupSync) SetState(st GroupSyncState) error {
-	if len(st.Steps) != len(g.steps) {
-		return fmt.Errorf("workload: group sync image has %d members, the group has %d", len(st.Steps), len(g.steps))
+	if len(st.Steps) != len(g.state.Steps) {
+		return fmt.Errorf("workload: group sync image has %d members, the group has %d", len(st.Steps), len(g.state.Steps))
 	}
-	copy(g.steps, st.Steps)
-	g.min = slices.Min(g.steps)
+	g.state = st
+	g.min = slices.Min(st.Steps)
 	return nil
 }

@@ -7,8 +7,11 @@ package workload
 // when its peers need it, which is what makes a single TLB miss stall many
 // warps (§4.1) and gives the shared TLB its reuse.
 type GroupSync struct {
-	steps []int64
-	min   int64
+	// state holds each member's memory-instruction count, which a
+	// checkpoint writes as it is (State).
+	state GroupSyncState
+	// min is the slowest member's count, which a restore recomputes.
+	min int64
 	// window is the maximum number of memory instructions a member may run
 	// ahead of the slowest member.
 	window int64
@@ -16,16 +19,16 @@ type GroupSync struct {
 
 // Stalled reports whether member m must wait for slower members.
 func (g *GroupSync) Stalled(m int) bool {
-	return g.steps[m]-g.min >= g.window
+	return g.state.Steps[m]-g.min >= g.window
 }
 
 // Advance records one memory instruction by member m.
 func (g *GroupSync) Advance(m int) {
-	g.steps[m]++
-	if g.steps[m]-1 == g.min {
+	g.state.Steps[m]++
+	if g.state.Steps[m]-1 == g.min {
 		// m may have been (one of) the slowest; recompute the floor.
-		min := g.steps[0]
-		for _, s := range g.steps[1:] {
+		min := g.state.Steps[0]
+		for _, s := range g.state.Steps[1:] {
 			if s < min {
 				min = s
 			}
@@ -143,9 +146,9 @@ func (f *StreamFactory) New(warpIndex int) *Stream {
 	}
 	group := warpIndex / g
 	sync := &f.syncs[group]
-	if sync.steps == nil {
+	if sync.state.Steps == nil {
 		members := min(g, f.numWarps-group*g)
-		*sync = GroupSync{steps: f.steps[group*g : group*g+members : group*g+members], window: defaultSyncWindow}
+		*sync = GroupSync{state: GroupSyncState{Steps: f.steps[group*g : group*g+members : group*g+members]}, window: defaultSyncWindow}
 	}
 	s.sync = sync
 	s.syncMember = warpIndex % g

@@ -199,7 +199,7 @@ func TestVAStrideSpreadsPages(t *testing.T) {
 }
 
 func TestGroupSync(t *testing.T) {
-	g := &GroupSync{steps: make([]int64, 3), window: 4}
+	g := &GroupSync{state: GroupSyncState{Steps: make([]int64, 3)}, window: 4}
 	for i := 0; i < 4; i++ {
 		g.Advance(0)
 	}
@@ -217,7 +217,7 @@ func TestGroupSync(t *testing.T) {
 	if g.Stalled(0) {
 		t.Fatal("member 0 still stalled after others caught up")
 	}
-	if lag := g.steps[0] - g.min; lag != 2 {
+	if lag := g.state.Steps[0] - g.min; lag != 2 {
 		t.Fatalf("lag=%d, want 2", lag)
 	}
 }

@@ -29,49 +29,34 @@ import (
 	"masksim/internal/workload"
 )
 
-// ckptScenarios mirror the drift scenarios (every design the hot path flows
-// through) plus a demand-paging pair, a fully instrumented MASK run and a
+// ckptScenarios are the drift scenarios of every design the hot path flows
+// through plus a demand-paging pair, a fully instrumented MASK run and a
 // time-multiplexed cell, so checkpoint/restore equivalence is proven over
-// every serialized subsystem.
-var ckptScenarios = []ckptScenario{
-	{name: "mask-3DS+CONS", cfg: MASKConfig, names: []string{"3DS", "CONS"}},
-	{name: "sharedtlb-MUM+GUP", cfg: SharedTLBConfig, names: []string{"MUM", "GUP"}},
-	{name: "pwcache-3DS+CONS", cfg: PWCacheConfig, names: []string{"3DS", "CONS"}},
-	{name: "static-RED+BP", cfg: StaticConfig, names: []string{"RED", "BP"}},
-	{name: "alone-3DS", cfg: SharedTLBConfig, names: []string{"3DS"}, alone: 30},
-	{name: "alone-GUP", cfg: SharedTLBConfig, names: []string{"GUP"}, alone: 30},
-	{name: "alone-NN", cfg: SharedTLBConfig, names: []string{"NN"}, alone: 30},
-	{name: "alone-MUM", cfg: SharedTLBConfig, names: []string{"MUM"}, alone: 30},
-	{name: "paging-MUM+GUP", cfg: func() Config {
+// every serialized subsystem. Each runs ckptCycles cycles.
+var ckptScenarios = append(driftScenarios[:8:8],
+	scenario{name: "paging-MUM+GUP", cfg: func() Config {
 		c := SharedTLBConfig()
 		c.DemandPaging = true
 		c.FaultLatency = 500
 		c.FaultConcurrency = 4
 		c.TelemetryEpoch = 700
 		return c
-	}, names: []string{"MUM", "GUP"}},
-	{name: "mask-instrumented", cfg: func() Config {
+	}, names: []string{"MUM", "GUP"}, cycles: ckptCycles},
+	scenario{name: "mask-instrumented", cfg: func() Config {
 		c := MASKConfig()
 		c.TelemetryEpoch = 900
 		c.TLBPrefetch = true
 		c.WatchdogCheckEvery = 1000
 		return c
-	}, names: []string{"3DS", "CONS"}},
+	}, names: []string{"3DS", "CONS"}, cycles: ckptCycles},
 	// Figure 1's time multiplexing: every quantum flushes a share of every
 	// TLB and cache.
-	{name: "timemux-MM", cfg: func() Config {
+	scenario{name: "timemux-MM", cfg: func() Config {
 		c := SharedTLBConfig()
 		c.TimeMuxQuantum, c.TimeMuxEvict = 1000, 0.36
 		return c
-	}, names: []string{"MM"}},
-}
-
-type ckptScenario struct {
-	name  string
-	cfg   func() Config
-	names []string
-	alone int // >0: single-app alone run on this many cores
-}
+	}, names: []string{"MM"}, cycles: ckptCycles},
+)
 
 // The checkpointed run of a scenario: ckptCycles cycles with a checkpoint
 // every ckptEvery, which does not divide the run, so a resumed run restarts
@@ -95,7 +80,7 @@ var (
 // checkpointedRun returns the checkpointed run of sc with fast-forward ff,
 // simulated once per test binary: TestCheckpointRestoreEquivalence and
 // TestRestoreCheckpointFixpoint both start from it.
-func checkpointedRun(t *testing.T, sc ckptScenario, ff bool) *ckptRun {
+func checkpointedRun(t *testing.T, sc scenario, ff bool) *ckptRun {
 	t.Helper()
 	key := fmt.Sprintf("%s/ff=%t", sc.name, ff)
 	ckptRunsMu.Lock()
@@ -165,7 +150,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 				t.Parallel()
 				cfg := sc.cfg()
 				cfg.FastForward = ff
-				ref := prepareScenario(t, cfg, sc.names, sc.alone).mustRun(t, ckptCycles)
+				ref := uninterruptedRun(t, sc, ff)
 
 				run := checkpointedRun(t, sc, ff)
 				if !reflect.DeepEqual(ref, run.res) {
@@ -231,10 +216,12 @@ func TestCheckpointStreamRoundTrip(t *testing.T) {
 }
 
 // TestRestoreCheckpointFixpoint restores a checkpoint and checkpoints again
-// without stepping: the two images must be the same bytes. Restore and
-// snapshot are written field by field, per component, by hand; this is the
-// one oracle that covers every field of every component at once — a field
-// one side forgets, or a set written in map order, shows up as a difference.
+// without stepping: the two images must be the same bytes. Plain state is
+// its own image, but what an image writes differently — requests inline,
+// translations by key, queues, sets — is converted per component by hand;
+// this is the one oracle that covers every field of every component at
+// once — a field one side forgets, or a set written in map order, shows up
+// as a difference.
 func TestRestoreCheckpointFixpoint(t *testing.T) {
 	for _, sc := range ckptScenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -460,8 +447,10 @@ func TestCheckpointRejection(t *testing.T) {
 	// every request; v7 requests name their sink by engine registration
 	// index; v8 retry lists and queues are plain lists of requests, keys and
 	// walks, and the bank and L2 TLB input queues carry pipe items; v9 cache
-	// images carry latency sums and histogram images a sample sum.
-	for _, old := range []uint32{2, 3, 4, 5, 6, 7, 8, 9} {
+	// images carry latency sums and histogram images a sample sum; v10
+	// images write lines, entries, walks, faults and warps as mirror structs
+	// with flat page keys, and a histogram's buckets as a slice.
+	for _, old := range []uint32{2, 3, 4, 5, 6, 7, 8, 9, 10} {
 		t.Run(fmt.Sprintf("previous-format-v%d", old), func(t *testing.T) {
 			dir := makeDir(t)
 			ents, _ := os.ReadDir(dir)
@@ -541,7 +530,7 @@ func liveWalkOf(t *testing.T, p *checkpointPayload, origin ptw.WalkOrigin) *ptw.
 		walks = append(walks, &p.Walker.Pending[i].Value)
 	}
 	for _, ws := range walks {
-		if !ws.Finished && ptw.WalkOrigin(ws.Origin) == origin {
+		if !ws.Finished && ws.Origin == origin {
 			return ws
 		}
 	}
@@ -810,10 +799,10 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		}, "L2 TLB miss without a requester"},
 		{"walk transreq reference", onShared, func(t *testing.T, p *checkpointPayload) {
 			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
-			ws.Origin, ws.Tr = uint8(ptw.OriginTrans), untracked
+			ws.Origin, ws.Tr = ptw.OriginTrans, untracked
 		}, noTracker},
 		{"fault-held walk key names no tracker", onPaging, func(t *testing.T, p *checkpointPayload) {
-			p.Faults.Queue = append(p.Faults.Queue, engine.QueueItem[ptw.PendingFaultState]{Value: ptw.PendingFaultState{ASID: 1, VPN: untracked.VPN, Notify: []ptw.FaultNotifyState{
+			p.Faults.Queue = append(p.Faults.Queue, engine.QueueItem[ptw.PendingFaultState]{Value: ptw.PendingFaultState{Fault: ptw.Fault{Key: memreq.PageKey{ASID: 1, VPN: untracked.VPN}}, Notify: []ptw.FaultNotifyState{
 				{Origin: uint8(ptw.OriginTrans), Tr: untracked},
 			}}})
 		}, noTracker},
@@ -1016,7 +1005,7 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		{"L2 TLB counters of fewer apps", onShared, func(t *testing.T, p *checkpointPayload) { p.L2TLB.Apps = p.L2TLB.Apps[:1] },
 			"L2 TLB counters of 1 apps, configuration has 2"},
 		{"L2 TLB counters of more apps", onShared, func(t *testing.T, p *checkpointPayload) {
-			p.L2TLB.Apps = append(p.L2TLB.Apps, tlb.AppTLBStatsState{})
+			p.L2TLB.Apps = append(p.L2TLB.Apps, tlb.AppTLBCounters{})
 		}, "L2 TLB counters of 3 apps, configuration has 2"},
 		{"token lists shorter than the apps", onMASK, func(t *testing.T, p *checkpointPayload) {
 			p.L2TLB.Tokens.Dir = p.L2TLB.Tokens.Dir[:1]
@@ -1028,7 +1017,7 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		{"prefetcher table past its capacity", onPrefetch, func(t *testing.T, p *checkpointPayload) {
 			pf := p.L2TLB.Prefetch
 			for i := len(pf.Entries); i < 5000; i++ {
-				pf.Entries = append(pf.Entries, tlb.PfEntryState{ASID: 1, VPN: 1<<40 + uint64(i), Next: 1})
+				pf.Entries = append(pf.Entries, tlb.PfEntryState{Key: memreq.PageKey{ASID: 1, VPN: 1<<40 + uint64(i)}, Next: 1})
 			}
 		}, "checkpoint has 5000 prefetcher entries, capacity is 1024"},
 		{"prefetcher key repeated", onPrefetch, func(t *testing.T, p *checkpointPayload) {
@@ -1036,7 +1025,7 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			if len(es) < 2 {
 				t.Fatal("the prefetcher image has fewer than two entries")
 			}
-			es[len(es)-1].ASID, es[len(es)-1].VPN = es[0].ASID, es[0].VPN
+			es[len(es)-1].Key = es[0].Key
 		}, "duplicate prefetcher entry"},
 		{"negative silver turn app", onMASK, func(t *testing.T, p *checkpointPayload) { p.DRAM.Channels[0].Sched.SilverApp = -1 },
 			"dram: channel 0: dram: silver turn (app -1, quota"},

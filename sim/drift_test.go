@@ -5,18 +5,32 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"masksim/internal/dram"
 	"masksim/internal/memreq"
 )
 
-// scenario is one pinned simulation. run takes a config mutator so the
-// fast-forward equivalence suite can rerun the exact scenario with one knob
-// flipped; pass a no-op for the canonical configuration.
+// scenario is one pinned simulation: a configuration, its applications and
+// a run length.
 type scenario struct {
-	name string
-	run  func(mod func(*Config)) (*Results, error)
+	name   string
+	cfg    func() Config
+	names  []string
+	alone  int // >0: single-app alone run on this many cores
+	cycles int64
+}
+
+// run simulates sc with cfg changed by mod, so the fast-forward equivalence
+// suite can rerun the exact scenario with one knob flipped.
+func (sc scenario) run(mod func(*Config)) (*Results, error) {
+	cfg := sc.cfg()
+	mod(&cfg)
+	if sc.alone > 0 {
+		return RunAlone(context.Background(), cfg, sc.names[0], sc.alone, sc.cycles)
+	}
+	return Run(context.Background(), cfg, sc.names, sc.cycles)
 }
 
 // driftScenarios cover every design the hot path flows through: the MASK
@@ -26,62 +40,66 @@ type scenario struct {
 // DRAM scheduler variants no design selects by default: plain FCFS (§7.3)
 // and MASK with the Silver Queue disabled (Golden Queue only).
 var driftScenarios = []scenario{
-	{"mask-3DS+CONS", func(mod func(*Config)) (*Results, error) {
-		cfg := MASKConfig()
-		mod(&cfg)
-		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
-	}},
-	{"sharedtlb-MUM+GUP", func(mod func(*Config)) (*Results, error) {
-		cfg := SharedTLBConfig()
-		mod(&cfg)
-		return Run(context.Background(), cfg, []string{"MUM", "GUP"}, 4000)
-	}},
-	{"pwcache-3DS+CONS", func(mod func(*Config)) (*Results, error) {
-		cfg := PWCacheConfig()
-		mod(&cfg)
-		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
-	}},
-	{"static-RED+BP", func(mod func(*Config)) (*Results, error) {
-		cfg := StaticConfig()
-		mod(&cfg)
-		return Run(context.Background(), cfg, []string{"RED", "BP"}, 4000)
-	}},
-	{"alone-3DS", func(mod func(*Config)) (*Results, error) {
-		cfg := SharedTLBConfig()
-		mod(&cfg)
-		return RunAlone(context.Background(), cfg, "3DS", 30, 4000)
-	}},
-	{"alone-GUP", func(mod func(*Config)) (*Results, error) {
-		cfg := SharedTLBConfig()
-		mod(&cfg)
-		return RunAlone(context.Background(), cfg, "GUP", 30, 4000)
-	}},
-	{"alone-NN", func(mod func(*Config)) (*Results, error) {
-		cfg := SharedTLBConfig()
-		mod(&cfg)
-		return RunAlone(context.Background(), cfg, "NN", 30, 4000)
-	}},
-	{"alone-MUM", func(mod func(*Config)) (*Results, error) {
-		cfg := SharedTLBConfig()
-		mod(&cfg)
-		return RunAlone(context.Background(), cfg, "MUM", 30, 4000)
-	}},
-	{"fcfs-3DS+CONS", func(mod func(*Config)) (*Results, error) {
+	{name: "mask-3DS+CONS", cfg: MASKConfig, names: []string{"3DS", "CONS"}, cycles: 4000},
+	{name: "sharedtlb-MUM+GUP", cfg: SharedTLBConfig, names: []string{"MUM", "GUP"}, cycles: 4000},
+	{name: "pwcache-3DS+CONS", cfg: PWCacheConfig, names: []string{"3DS", "CONS"}, cycles: 4000},
+	{name: "static-RED+BP", cfg: StaticConfig, names: []string{"RED", "BP"}, cycles: 4000},
+	{name: "alone-3DS", cfg: SharedTLBConfig, names: []string{"3DS"}, alone: 30, cycles: 4000},
+	{name: "alone-GUP", cfg: SharedTLBConfig, names: []string{"GUP"}, alone: 30, cycles: 4000},
+	{name: "alone-NN", cfg: SharedTLBConfig, names: []string{"NN"}, alone: 30, cycles: 4000},
+	{name: "alone-MUM", cfg: SharedTLBConfig, names: []string{"MUM"}, alone: 30, cycles: 4000},
+	{name: "fcfs-3DS+CONS", cfg: func() Config {
 		cfg := SharedTLBConfig()
 		cfg.DRAMPolicy = dram.FCFS
-		mod(&cfg)
-		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
-	}},
-	{"gold-only-3DS+CONS", func(mod func(*Config)) (*Results, error) {
+		return cfg
+	}, names: []string{"3DS", "CONS"}, cycles: 4000},
+	{name: "gold-only-3DS+CONS", cfg: func() Config {
 		cfg := MASKConfig()
 		cfg.ThreshMax = 0
-		mod(&cfg)
-		return Run(context.Background(), cfg, []string{"3DS", "CONS"}, 4000)
-	}},
+		return cfg
+	}, names: []string{"3DS", "CONS"}, cycles: 4000},
 }
 
-// unmodified is the no-op config mutator: the scenario's canonical run.
-func unmodified(*Config) {}
+// uninterrupted is one memoised run: the Results of a scenario simulated
+// from cycle 0 to its end with fast-forward on or off, and what it was.
+type uninterrupted struct {
+	once sync.Once
+	key  string // the configuration's Key and the applications
+	res  *Results
+	err  error
+}
+
+var (
+	uninterruptedMu   sync.Mutex
+	uninterruptedRuns = map[string]*uninterrupted{}
+)
+
+// uninterruptedRun returns sc's uninterrupted run with fast-forward ff,
+// simulated once per test binary: the drift, fast-forward and checkpoint
+// suites all compare against it. Callers must treat the Results as
+// read-only.
+func uninterruptedRun(t *testing.T, sc scenario, ff bool) *Results {
+	t.Helper()
+	cfg := sc.cfg()
+	cfg.FastForward = ff
+	what := fmt.Sprintf("%s|%q|%d", cfg.Key(), sc.names, sc.alone)
+	uninterruptedMu.Lock()
+	name := fmt.Sprintf("%s/ff=%t/%d", sc.name, ff, sc.cycles)
+	r := uninterruptedRuns[name]
+	if r == nil {
+		r = &uninterrupted{key: what}
+		uninterruptedRuns[name] = r
+	}
+	uninterruptedMu.Unlock()
+	if r.key != what {
+		t.Fatalf("two scenarios named %s simulate different cells", name)
+	}
+	r.once.Do(func() { r.res, r.err = sc.run(func(c *Config) { c.FastForward = ff }) })
+	if r.err != nil {
+		t.Fatalf("%s: %v", name, r.err)
+	}
+	return r.res
+}
 
 // driftFingerprint renders every integer counter (and the derived floats) of
 // a Results into a canonical text form. Any behavioural change — one extra
@@ -126,11 +144,8 @@ const driftGoldenPath = "testdata/drift.golden"
 func TestNoBehavioralDrift(t *testing.T) {
 	var b strings.Builder
 	for _, sc := range driftScenarios {
-		res, err := sc.run(unmodified)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		fmt.Fprintf(&b, "== %s\n%s", sc.name, driftFingerprint(res))
+		// Every drift configuration runs with fast-forward on.
+		fmt.Fprintf(&b, "== %s\n%s", sc.name, driftFingerprint(uninterruptedRun(t, sc, true)))
 	}
 	got := b.String()
 

@@ -15,12 +15,11 @@ import (
 // exerciser: demand paging drains the whole machine for tens of thousands of
 // cycles per major fault, so most of the run is skipped (and the FaultUnit's
 // own horizon is on the critical path).
-var pagingScenario = scenario{"paging-MUM+GUP", func(mod func(*Config)) (*Results, error) {
+var pagingScenario = scenario{name: "paging-MUM+GUP", cfg: func() Config {
 	cfg := SharedTLBConfig()
 	cfg.DemandPaging = true
-	mod(&cfg)
-	return Run(context.Background(), cfg, []string{"MUM", "GUP"}, 20_000)
-}}
+	return cfg
+}, names: []string{"MUM", "GUP"}, cycles: 20_000}
 
 // TestFastForwardEquivalence is the tentpole acceptance test: for every drift
 // scenario, a fast-forwarded run must be bit-identical to the single-stepped
@@ -31,14 +30,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 	var totalSkipped int64
 	for _, sc := range slices.Concat(driftScenarios, []scenario{pagingScenario}) {
 		t.Run(sc.name, func(t *testing.T) {
-			slow, err := sc.run(func(c *Config) { c.FastForward = false })
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := sc.run(func(c *Config) { c.FastForward = true })
-			if err != nil {
-				t.Fatal(err)
-			}
+			slow, fast := uninterruptedRun(t, sc, false), uninterruptedRun(t, sc, true)
 
 			if slow.CyclesSkipped != 0 {
 				t.Errorf("FF-off run skipped %d cycles", slow.CyclesSkipped)

@@ -33,10 +33,10 @@ func TestCachedFramesMatchPageTables(t *testing.T) {
 				for i, l1 := range s.l1tlbs {
 					own := s.spaces[s.cores[i].AppID()].ASID()
 					for _, e := range l1.SnapshotState().Entries {
-						if e.ASID != own {
-							t.Fatalf("cycle %d: L1 TLB %d caches vpn %#x under asid %d, its core runs in asid %d", now, i, e.VPN, e.ASID, own)
+						if e.Key.ASID != own {
+							t.Fatalf("cycle %d: L1 TLB %d caches vpn %#x under asid %d, its core runs in asid %d", now, i, e.Key.VPN, e.Key.ASID, own)
 						}
-						check(now, fmt.Sprintf("L1 TLB %d", i), e.ASID, e.VPN)
+						check(now, fmt.Sprintf("L1 TLB %d", i), e.Key.ASID, e.Key.VPN)
 					}
 				}
 				if s.l2tlb == nil {
@@ -45,12 +45,12 @@ func TestCachedFramesMatchPageTables(t *testing.T) {
 				st := s.l2tlb.SnapshotState()
 				for _, l := range st.Lines {
 					if l.Valid {
-						check(now, "the shared TLB", l.ASID, l.VPN)
+						check(now, "the shared TLB", l.Key.ASID, l.Key.VPN)
 					}
 				}
 				if st.Bypass != nil {
 					for _, e := range st.Bypass.Entries {
-						check(now, "the bypass cache", e.ASID, e.VPN)
+						check(now, "the bypass cache", e.Key.ASID, e.Key.VPN)
 					}
 				}
 			})

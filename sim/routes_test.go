@@ -130,7 +130,7 @@ func heldWalk(p *checkpointPayload) (string, bool) {
 	}
 	for _, f := range faults {
 		if len(f.Notify) > 0 {
-			return fmt.Sprintf("fault (asid %d, vpn %#x)", f.ASID, f.VPN), true
+			return fmt.Sprintf("fault (asid %d, vpn %#x)", f.Key.ASID, f.Key.VPN), true
 		}
 	}
 	return "", false
