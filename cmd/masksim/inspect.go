@@ -37,7 +37,7 @@ func inspectCheckpoint(w io.Writer, path string) error {
 		return nil
 	}
 	fmt.Fprintf(w, "  clock:       now=%d ticked=%d skipped=%d\n",
-		info.Clock.Now, info.Clock.Ticked, info.Clock.Skipped)
+		info.Clock.Ticked+info.Clock.Skipped, info.Clock.Ticked, info.Clock.Skipped)
 	fmt.Fprintf(w, "  in flight:   %d requests, %d translations\n", info.Requests, info.TransReqs)
 	fmt.Fprintf(w, "  fields (%d, by serialized size):\n", len(info.Fields))
 	for _, f := range info.Fields {

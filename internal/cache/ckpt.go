@@ -85,23 +85,24 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 			return fmt.Errorf("cache %s: checkpoint bank %d %w", c.cfg.Name, b, err)
 		}
 	}
-	restoreMSHRs := func(sts []MSHRState) (map[uint64]*mshr, error) {
-		set := make(map[uint64]*mshr, len(sts))
+	restoreMSHRs := func(set map[uint64]*mshr, sts []MSHRState) error {
 		for _, ms := range sts {
 			m := c.getMSHR()
-			var err error
-			if m.waiting, err = w.Requests(m.waiting, ms.Waiting); err != nil {
-				return nil, fmt.Errorf("cache %s: MSHR of line %#x: %w", c.cfg.Name, ms.LineAddr, err)
+			for _, img := range ms.Waiting {
+				r, err := w.Request(img)
+				if err != nil {
+					return fmt.Errorf("cache %s: MSHR of line %#x: %w", c.cfg.Name, ms.LineAddr, err)
+				}
+				m.waiting = append(m.waiting, r)
 			}
 			set[ms.LineAddr] = m
 		}
-		return set, nil
+		return nil
 	}
-	var err error
-	if c.mshrs, err = restoreMSHRs(st.Mshrs); err != nil {
+	if err := restoreMSHRs(c.mshrs, st.Mshrs); err != nil {
 		return err
 	}
-	if c.bypassMSHRs, err = restoreMSHRs(st.BypassMshrs); err != nil {
+	if err := restoreMSHRs(c.bypassMSHRs, st.BypassMshrs); err != nil {
 		return err
 	}
 	if err := engine.RestoreQueue(&c.retry, st.Retry, w.Request); err != nil {
@@ -110,15 +111,11 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 	if (len(st.CombineCur) > 0 || len(st.CombinePrev) > 0) && c.cfg.WriteCombineWindow <= 0 {
 		return fmt.Errorf("cache %s: checkpoint carries write-combine state but combining is disabled", c.cfg.Name)
 	}
-	if c.cfg.WriteCombineWindow > 0 {
-		c.combineCur = make(map[uint64]struct{}, len(st.CombineCur))
-		for _, la := range st.CombineCur {
-			c.combineCur[la] = struct{}{}
-		}
-		c.combinePrev = make(map[uint64]struct{}, len(st.CombinePrev))
-		for _, la := range st.CombinePrev {
-			c.combinePrev[la] = struct{}{}
-		}
+	for _, la := range st.CombineCur {
+		c.combineCur[la] = struct{}{}
+	}
+	for _, la := range st.CombinePrev {
+		c.combinePrev[la] = struct{}{}
 	}
 	for _, fr := range w.Returning(c.route) {
 		set := c.mshrs

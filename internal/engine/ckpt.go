@@ -2,12 +2,11 @@ package engine
 
 import "fmt"
 
-// ClockState is the engine's clock and its own checkpoint image: the cycle
-// and the tick/skip split behind Results.CyclesTicked/CyclesSkipped.
+// ClockState is the engine's clock and its own checkpoint image: the tick/skip
+// split behind Results.CyclesTicked/CyclesSkipped, whose sum is the cycle.
 type ClockState struct {
-	Now int64
 	// Ticked counts cycles advanced by Step (every component ticked);
-	// Skipped counts cycles covered by fast-forward jumps. Their sum is Now.
+	// Skipped counts cycles covered by fast-forward jumps.
 	Ticked  int64
 	Skipped int64
 }
@@ -15,8 +14,8 @@ type ClockState struct {
 // Clock captures the engine's clock state.
 func (e *Engine) Clock() ClockState { return e.clock }
 
-// SetClock restores the engine's clock state.
-func (e *Engine) SetClock(st ClockState) { e.clock = st }
+// SetClock restores the engine's clock state; the cycle is its sum.
+func (e *Engine) SetClock(st ClockState) { e.clock, e.now = st, st.Ticked+st.Skipped }
 
 // SetCheckpointHook installs fn to be invoked at every cycle boundary that
 // is a multiple of every, at the same supervision points as watchdog checks
@@ -67,16 +66,13 @@ func SnapshotQueue[T, S any](q *Queue[T], image func(T) S) []QueueItem[S] {
 	return out
 }
 
-// RestoreQueue replaces the queue's items with a SnapshotQueue image's,
-// resolving each value in order. An image past the capacity is rejected
-// before any is resolved, for the holder to prefix with the queue's name.
+// RestoreQueue fills a new, empty queue with a SnapshotQueue image's items,
+// resolving each in order. An image past the capacity is rejected before any
+// is resolved, for the holder to prefix with the queue's name.
 func RestoreQueue[T, S any](q *Queue[T], items []QueueItem[S], resolve func(S) (T, error)) error {
 	if q.cap > 0 && len(items) > q.cap {
 		return fmt.Errorf("queues %d requests, capacity is %d", len(items), q.cap)
 	}
-	clear(q.plain)
-	clear(q.timed)
-	q.head, q.n = 0, 0
 	for i, it := range items {
 		v, err := resolve(it.Value)
 		if err != nil {

@@ -55,8 +55,9 @@ type Skipper interface {
 
 // Engine owns the simulation clock and the ordered set of components.
 type Engine struct {
-	// clock is the cycle and its tick/skip split: plain data, which a
-	// checkpoint writes as it is (Clock).
+	// now is the cycle, clock.Ticked + clock.Skipped; clock, the tick/skip
+	// split, is plain data a checkpoint writes as it is (Clock).
+	now     int64
 	clock   ClockState
 	tickers []Ticker
 
@@ -118,7 +119,7 @@ func (e *Engine) SetFastForward(on bool) {
 
 // Now returns the current cycle.
 func (e *Engine) Now() int64 {
-	return e.clock.Now
+	return e.now
 }
 
 // Ticked returns the number of cycles advanced by ticking every component.
@@ -134,21 +135,21 @@ func (e *Engine) Skipped() int64 {
 // Step advances the simulation by one cycle, ticking every component.
 func (e *Engine) Step() {
 	for _, t := range e.tickers {
-		t.Tick(e.clock.Now)
+		t.Tick(e.now)
 	}
-	e.clock.Now++
+	e.now++
 	e.clock.Ticked++
 }
 
 // nextHorizon returns the cycle fast-forward may jump to, capped at limit:
-// the minimum of every source's NextEvent, or e.clock.Now if any source needs the
-// current cycle ticked. Callers only skip when the result is > e.clock.Now.
+// the minimum of every source's NextEvent, or e.now if any source needs the
+// current cycle ticked. Callers only skip when the result is > e.now.
 func (e *Engine) nextHorizon(limit int64) int64 {
 	h := limit
 	for _, s := range e.sources {
-		ev := s.NextEvent(e.clock.Now)
-		if ev <= e.clock.Now {
-			return e.clock.Now
+		ev := s.NextEvent(e.now)
+		if ev <= e.now {
+			return e.now
 		}
 		if ev < h {
 			h = ev
@@ -157,16 +158,16 @@ func (e *Engine) nextHorizon(limit int64) int64 {
 	return h
 }
 
-// skipTo jumps the clock from e.clock.Now to cycle to (> e.clock.Now) without ticking,
-// giving every Skipper the chance to account for the span [e.clock.Now, to).
+// skipTo jumps the clock from e.now to cycle to (> e.now) without ticking,
+// giving every Skipper the chance to account for the span [e.now, to).
 func (e *Engine) skipTo(to int64) {
 	for _, s := range e.skippers {
 		if s != nil {
-			s.SkipTo(e.clock.Now, to)
+			s.SkipTo(e.now, to)
 		}
 	}
-	e.clock.Skipped += to - e.clock.Now
-	e.clock.Now = to
+	e.clock.Skipped += to - e.now
+	e.now = to
 }
 
 // TickFunc adapts a function to the Ticker interface.

@@ -166,11 +166,11 @@ func (e *Engine) RunContext(ctx context.Context, n int64, wd *Watchdog) error {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("engine: run canceled at cycle %d: %w", e.clock.Now, err)
+		return fmt.Errorf("engine: run canceled at cycle %d: %w", e.now, err)
 	}
-	end := e.clock.Now + n
+	end := e.now + n
 	ff := e.fastForward && e.allSources
-	for e.clock.Now < end {
+	for e.now < end {
 		if ff {
 			// Cap each jump at the next watchdog checkpoint so supervision
 			// observes the same cycle numbers as a single-stepped run: a
@@ -184,47 +184,47 @@ func (e *Engine) RunContext(ctx context.Context, n int64, wd *Watchdog) error {
 			// span.
 			limit := end
 			if wd != nil {
-				if next := (e.clock.Now/wd.CheckEvery + 1) * wd.CheckEvery; next < limit {
+				if next := (e.now/wd.CheckEvery + 1) * wd.CheckEvery; next < limit {
 					limit = next
 				}
 			}
 			if e.ckptEvery > 0 {
-				if next := (e.clock.Now/e.ckptEvery + 1) * e.ckptEvery; next < limit {
+				if next := (e.now/e.ckptEvery + 1) * e.ckptEvery; next < limit {
 					limit = next
 				}
 			}
-			if h := e.nextHorizon(limit); h > e.clock.Now {
+			if h := e.nextHorizon(limit); h > e.now {
 				e.skipTo(h)
 				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("engine: run canceled at cycle %d: %w", e.clock.Now, err)
+					return fmt.Errorf("engine: run canceled at cycle %d: %w", e.now, err)
 				}
-				if wd != nil && e.clock.Now%wd.CheckEvery == 0 {
-					if err := wd.check(e.clock.Now); err != nil {
+				if wd != nil && e.now%wd.CheckEvery == 0 {
+					if err := wd.check(e.now); err != nil {
 						return err
 					}
 				}
 				// Checkpoint after the boundary's watchdog check so the
 				// captured supervision state includes it; a restored run
 				// resumes with the next boundary, exactly like the original.
-				if e.ckptFn != nil && e.clock.Now%e.ckptEvery == 0 {
-					e.ckptFn(e.clock.Now)
+				if e.ckptFn != nil && e.now%e.ckptEvery == 0 {
+					e.ckptFn(e.now)
 				}
 				continue
 			}
 		}
 		e.Step()
-		if e.clock.Now%ctxPollEvery == 0 {
+		if e.now%ctxPollEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("engine: run canceled at cycle %d: %w", e.clock.Now, err)
+				return fmt.Errorf("engine: run canceled at cycle %d: %w", e.now, err)
 			}
 		}
-		if wd != nil && e.clock.Now%wd.CheckEvery == 0 {
-			if err := wd.check(e.clock.Now); err != nil {
+		if wd != nil && e.now%wd.CheckEvery == 0 {
+			if err := wd.check(e.now); err != nil {
 				return err
 			}
 		}
-		if e.ckptFn != nil && e.clock.Now%e.ckptEvery == 0 {
-			e.ckptFn(e.clock.Now)
+		if e.ckptFn != nil && e.now%e.ckptEvery == 0 {
+			e.ckptFn(e.now)
 		}
 	}
 	return nil

@@ -12,9 +12,10 @@ import (
 // it is, the memory instruction it waits on and its stream's cursor.
 type WarpState struct {
 	Warp
-	// Pages and Write are the memory instruction a warp with PendingTrans > 0
-	// is blocked on, one line list per page slot; the L1 TLB's miss images
-	// name the slots still waiting. Empty once every page is translated.
+	// Pages and Write are the memory instruction a warp with translations
+	// pending is blocked on, one line list per page slot; the L1 TLB's miss
+	// images name the slots still waiting. Empty once every page is
+	// translated.
 	Pages  [][]uint64
 	Write  bool
 	Stream workload.StreamState
@@ -39,7 +40,7 @@ func (c *Core) SnapshotState() CoreState {
 	for i := range c.warps {
 		w := &c.warps[i]
 		st.Warps[i] = WarpState{Warp: w.Warp, Stream: w.stream.State()}
-		if w.PendingTrans > 0 {
+		if w.pendingTrans > 0 {
 			ws := &st.Warps[i]
 			ws.Write = w.inst.Write
 			for _, pg := range w.inst.Pages {
@@ -52,7 +53,8 @@ func (c *Core) SnapshotState() CoreState {
 
 // RestoreState restores an image captured by SnapshotState onto a core built
 // from the identical configuration. The L1 data cache restores first, so
-// every data read returning to the core is known by the end.
+// every data read returning to the core is known by the end; the L1 TLB
+// restores next and counts its waiters (Await), and Recount finishes.
 func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 	if len(st.Warps) != len(c.warps) {
 		return fmt.Errorf("gpu: checkpoint has %d warps, core %d has %d", len(st.Warps), c.id, len(c.warps))
@@ -69,9 +71,6 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 		if err := w.stream.SetState(ws.Stream); err != nil {
 			return fmt.Errorf("gpu: core %d warp %d: %w", c.id, i, err)
 		}
-		if ws.PendingTrans < 0 || ws.PendingTrans > len(ws.Pages) {
-			return fmt.Errorf("gpu: checkpoint warp %d awaits %d translations of a %d-page instruction", i, ws.PendingTrans, len(ws.Pages))
-		}
 		w.inst = workload.MemInst{Write: ws.Write}
 		for _, lines := range ws.Pages {
 			if len(lines) == 0 {
@@ -83,7 +82,6 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 			w.inst.Pages = append(w.inst.Pages, workload.PageAccess{Lines: lines})
 		}
 	}
-	c.rebuildReady()
 	if err := engine.RestoreQueue(&c.retry, st.Retry, wi.Request); err != nil {
 		return fmt.Errorf("gpu: core %d retry %w", c.id, err)
 	}
@@ -95,17 +93,20 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 	return nil
 }
 
-// Awaits implements tlb.Waker: whether page slot of warpID's memory
-// instruction may still be waiting for the translation of vpn — the warp is
-// blocked with translations pending, and the instruction has that slot, on
-// that page.
-func (c *Core) Awaits(warpID, slot int, vpn uint64) bool {
+// Await implements tlb.Waker: it counts one translation pending for page slot
+// of warpID's memory instruction, and reports whether the warp can be waiting
+// for it — the warp is blocked on a memory instruction that has that slot, on
+// page vpn.
+func (c *Core) Await(warpID, slot int, vpn uint64) bool {
 	if warpID < 0 || warpID >= len(c.warps) {
 		return false
 	}
 	w := &c.warps[warpID]
-	return w.Phase == warpWaitMem && w.PendingTrans > 0 && slot >= 0 && slot < len(w.inst.Pages) &&
-		c.space.VPN(w.inst.Pages[slot].Lines[0]) == vpn
+	if w.Phase != warpWaitMem || slot < 0 || slot >= len(w.inst.Pages) || c.space.VPN(w.inst.Pages[slot].Lines[0]) != vpn {
+		return false
+	}
+	w.pendingTrans++
+	return true
 }
 
 // Stream exposes a warp's stream so the simulator can enumerate shared

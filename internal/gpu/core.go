@@ -12,6 +12,7 @@
 package gpu
 
 import (
+	"fmt"
 	"math/bits"
 
 	"masksim/internal/cache"
@@ -75,10 +76,8 @@ const (
 // Warp is a warp's plain scheduling state, which the core ticks and a
 // checkpoint writes as it is (WarpState).
 type Warp struct {
-	Phase       WarpPhase
-	ComputeLeft int
-
-	PendingTrans    int
+	Phase           WarpPhase
+	ComputeLeft     int
 	OutstandingData int
 
 	// IssuedAt and TransDoneAt delimit the translation phase of the current
@@ -90,6 +89,10 @@ type Warp struct {
 type warp struct {
 	Warp
 	id int
+
+	// pendingTrans counts inst's page slots waiting in the L1 TLB, which
+	// restore recounts (Await).
+	pendingTrans int
 
 	// inst is the memory instruction the warp is blocked on. Its buffers
 	// belong to stream and stay valid until the warp issues again, which it
@@ -127,7 +130,7 @@ type Core struct {
 	// waitTrans / waitData count blocked warps by phase (translation still
 	// pending vs data only), maintained at warp state transitions so idle
 	// cycles are attributed without scanning the warp array; a restore
-	// recounts them (rebuildReady).
+	// recounts them (Recount).
 	waitTrans int
 	waitData  int
 
@@ -160,7 +163,7 @@ func Renew(c *Core, id, appID int, cfg Config, space *pagetable.Space, streams [
 		c.warps[i] = warp{id: i, stream: streams[i]}
 	}
 	c.ready = slab.Slice(c.ready, (len(c.warps)+63)/64)
-	c.rebuildReady()
+	c.Recount() // new warps hold no instruction: nothing to reject
 	return c
 }
 
@@ -228,21 +231,26 @@ func (c *Core) NextEvent(now int64) int64 {
 	return engine.NoEvent
 }
 
-// rebuildReady derives the ready set and the blocked-warp counts from the
-// warp states.
-func (c *Core) rebuildReady() {
+// Recount derives the ready set and the blocked-warp counts from the warp
+// states: at build, and at restore once the L1 TLB has counted each warp's
+// pending translations (Await), which rejects a warp whose memory
+// instruction has pages but none pending.
+func (c *Core) Recount() error {
 	clear(c.ready)
 	c.waitTrans, c.waitData = 0, 0
 	for i := range c.warps {
 		switch w := &c.warps[i]; {
+		case len(w.inst.Pages) > 0 && w.pendingTrans == 0:
+			return fmt.Errorf("gpu: checkpoint warp %d of core %d has a %d-page instruction, but no L1 TLB miss waits for it", i, c.id, len(w.inst.Pages))
 		case w.Phase == warpReady:
 			c.ready[i/64] |= 1 << (i % 64)
-		case w.PendingTrans > 0:
+		case w.pendingTrans > 0:
 			c.waitTrans++
 		default:
 			c.waitData++
 		}
 	}
+	return nil
 }
 
 // firstIssuable returns the lowest-numbered ready, issuable warp with index
@@ -342,7 +350,7 @@ func (c *Core) issueMem(now int64, w *warp) {
 	w.Phase = warpWaitMem
 	c.ready[w.id/64] &^= 1 << (w.id % 64)
 	c.waitTrans++ // before the loop: an immediate translation lands inside it
-	w.PendingTrans = len(inst.Pages)
+	w.pendingTrans = len(inst.Pages)
 	w.OutstandingData = 0
 	w.IssuedAt = now
 	w.TransDoneAt = now
@@ -362,8 +370,8 @@ func (c *Core) issueMem(now int64, w *warp) {
 func (c *Core) Translated(now int64, warpID, slot int) {
 	w := &c.warps[warpID]
 	lines, isWrite := w.inst.Pages[slot].Lines, w.inst.Write
-	w.PendingTrans--
-	if w.PendingTrans == 0 {
+	w.pendingTrans--
+	if w.pendingTrans == 0 {
 		w.TransDoneAt = now
 		c.waitTrans--
 		c.waitData++
@@ -402,7 +410,7 @@ func (c *Core) RequestDone(now int64, r *memreq.Request) {
 }
 
 func (c *Core) maybeUnblock(now int64, w *warp) {
-	if w.Phase == warpWaitMem && w.PendingTrans == 0 && w.OutstandingData == 0 {
+	if w.Phase == warpWaitMem && w.pendingTrans == 0 && w.OutstandingData == 0 {
 		c.Stats.TransStallCycles += uint64(w.TransDoneAt - w.IssuedAt)
 		c.Stats.DataStallCycles += uint64(now - w.TransDoneAt)
 		c.waitData--

@@ -358,7 +358,17 @@ func TestRestoredCorePicksSameWarps(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The waiting translations are the TLB's state, not the core's: the
-		// restored world takes them over as a restored L1 TLB would.
+		// restored world takes them over as a restored L1 TLB would, handing
+		// each to the core (Await) before the core finishes (Recount).
+		for _, q := range replica.trans {
+			w := &restored.core.warps[q.warp]
+			if !restored.core.Await(q.warp, q.slot, restored.core.space.VPN(w.inst.Pages[q.slot].Lines[0])) {
+				t.Fatalf("restored warp %d does not await its slot %d", q.warp, q.slot)
+			}
+		}
+		if err := restored.core.Recount(); err != nil {
+			t.Fatal(err)
+		}
 		restored.trans = append(restored.trans, replica.trans...)
 		if n := readyWarps(restored.core); n == 0 || n == warps || n != readyWarps(live.core) {
 			t.Fatalf("restored core has %d of %d warps ready, live core %d: want a mixed, equal set", n, warps, readyWarps(live.core))

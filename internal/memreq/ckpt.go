@@ -119,18 +119,6 @@ func (w *Wiring) Request(img Request) (*Request, error) {
 	return r, nil
 }
 
-// Requests appends the requests restored from imgs to dst.
-func (w *Wiring) Requests(dst []*Request, imgs []Request) ([]*Request, error) {
-	for _, img := range imgs {
-		r, err := w.Request(img)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, r)
-	}
-	return dst, nil
-}
-
 // Returning lists the restored requests that return on rt. A sink calls it
 // with its own route last in its own restore: the simulator restores every
 // component that can hold a request before the sink it returns to, so the

@@ -93,7 +93,6 @@ func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 	if len(st.Active) > w.max {
 		return fmt.Errorf("ptw: checkpoint has %d active walks, the walker has %d slots", len(st.Active), w.max)
 	}
-	w.active = w.active[:0]
 	for _, ws := range st.Active {
 		wk, err := w.buildWalk(wi, ws)
 		if err != nil {
@@ -199,7 +198,6 @@ func (f *FaultUnit) SnapshotState() FaultUnitState {
 // continuation resolves.
 func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
 	f.Stats = st.Stats
-	f.resident = make(map[memreq.PageKey]bool, len(st.Resident))
 	for _, k := range st.Resident {
 		f.resident[k] = true
 	}
@@ -227,7 +225,6 @@ func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
 		}
 		return p, nil
 	}
-	f.inflight = f.inflight[:0]
 	for _, ps := range st.Inflight {
 		p, err := build(ps)
 		if err != nil {

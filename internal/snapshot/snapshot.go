@@ -67,7 +67,11 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	    walks, faults, warps, counters and policy state are written as the
 //	    component's own structs (page keys as memreq.PageKey), so field
 //	    names and nesting changed; a histogram image is a fixed bucket array
-const Version uint32 = 11
+//	12 — nothing a restore recounts: the clock image has no cycle (it is
+//	    Ticked + Skipped), the token policy no per-app "epoch seen" flags
+//	    (FirstEpoch says it) and a warp image no pending-translation count
+//	    (its L1 TLB's waiters say it)
+const Version uint32 = 12
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

@@ -88,8 +88,7 @@ func (c *Collector) RestoreState(st CollectorState) error {
 	for i, p := range c.probes {
 		p.ProbeState = st.Probes[i]
 	}
-	c.samples = append(c.samples[:0], st.Samples...)
-	c.events = c.events[:0]
+	c.samples = st.Samples
 	for _, es := range st.Events {
 		c.events = append(c.events, es.event())
 	}

@@ -126,6 +126,9 @@ func (k *StreamSink) BytesWritten() int64 {
 	return n
 }
 
+// Err reports the first error the sink has seen, nil while it is healthy.
+func (k *StreamSink) Err() error { return k.err }
+
 func (k *StreamSink) fail(err error) {
 	if k.err == nil && err != nil {
 		k.err = err
@@ -473,12 +476,13 @@ func (k *StreamSink) mark() (*SinkState, error) {
 	return st, nil
 }
 
-// restore rewinds the sink to a checkpointed state. Outputs that support
+// restore rewinds the sink to a checkpointed state, checking every output's
+// count, format and offset before it touches any. Outputs that support
 // truncation (plain files) are cut back to the recorded offset so the
 // resumed stream is byte-identical to an uninterrupted run; outputs that do
 // not (gzip, pipes, network feeds) keep the prelude bind just wrote and
-// carry only post-checkpoint epochs, which is the documented fresh-prelude
-// resume mode.
+// carry only post-checkpoint epochs, the fresh-prelude resume mode. A write
+// error while rewinding fails the sink (Err).
 func (k *StreamSink) restore(st *SinkState) error {
 	if !k.bound {
 		return fmt.Errorf("telemetry: restore before sink bind")
@@ -496,12 +500,18 @@ func (k *StreamSink) restore(st *SinkState) error {
 		if buffered := s.cw.N + int64(s.bw.Buffered()); saved.Offset < buffered {
 			return fmt.Errorf("telemetry: checkpoint offset %d is inside the %d-byte prelude (column catalogue mismatch?)", saved.Offset, buffered)
 		}
+	}
+	for i, s := range k.streams {
+		saved := st.Streams[i]
 		if err := s.bw.Flush(); err != nil {
+			k.fail(err)
 			return err
 		}
 		ok, err := streamio.TruncateTo(s.raw, saved.Offset)
 		if err != nil {
-			return fmt.Errorf("telemetry: rewind sink output %d: %w", i, err)
+			err = fmt.Errorf("telemetry: rewind sink output %d: %w", i, err)
+			k.fail(err)
+			return err
 		}
 		if !ok {
 			continue // fresh-prelude resume: keep the state bind built

@@ -304,6 +304,85 @@ func TestRestoreModeMismatch(t *testing.T) {
 	}
 }
 
+// TestStreamSinkRestoreChecksEveryOutput restores an image whose second
+// output has another format: the restore is refused before any output is
+// flushed or cut back, so the first output, a file the interrupted run
+// already filled, keeps every byte.
+func TestStreamSinkRestoreChecksEveryOutput(t *testing.T) {
+	r1 := newStreamRig(t, 100)
+	sink1 := NewStreamSink()
+	for _, f := range []Format{FormatCSV, FormatJSONL} {
+		if err := sink1.Attach(f, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r1.c.SetSink(sink1); err != nil {
+		t.Fatal(err)
+	}
+	r1.drive(0, 350)
+	st, err := r1.c.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "tel.csv")
+	before := bytes.Repeat([]byte("the interrupted run's epochs\n"), 100)
+	if err := os.WriteFile(path, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := streamio.CreateResumable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := newStreamRig(t, 100)
+	sink2 := NewStreamSink()
+	for _, w := range []io.Writer{f, io.Discard} {
+		if err := sink2.Attach(FormatCSV, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r2.c.SetSink(sink2); err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.c.RestoreState(st); err == nil || !strings.Contains(err.Error(), "sink output 1 is csv, checkpoint was jsonl") {
+		t.Fatalf("restore onto a sink whose second output has another format: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused restore changed the first output (%d bytes, was %d): %v", len(after), len(before), err)
+	}
+}
+
+// TestTakeSink hands a bound sink to a collector of the same catalogue,
+// which streams on without a second prelude; binding a sink twice stays an
+// error.
+func TestTakeSink(t *testing.T) {
+	var out bytes.Buffer
+	first := newStreamRig(t, 100)
+	sink := NewStreamSink()
+	if err := sink.Attach(FormatCSV, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.c.SetSink(sink); err != nil {
+		t.Fatal(err)
+	}
+	r := newStreamRig(t, 100)
+	if err := r.c.SetSink(sink); err == nil || !strings.Contains(err.Error(), "bound twice") {
+		t.Fatalf("second bind: %v, want the double-bind error", err)
+	}
+	r.c.TakeSink(first.c)
+	r.drive(0, 300)
+	r.c.Finish(300)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); len(lines) != 4 || strings.Count(out.String(), "cycle,") != 1 {
+		t.Fatalf("the taken sink wrote:\n%s\nwant one header and three epochs", out.String())
+	}
+}
+
 // failAfter accepts n bytes, then fails every write.
 type failAfter struct{ n int }
 

@@ -192,6 +192,13 @@ func (c *Collector) SetSink(k *StreamSink) error {
 	return nil
 }
 
+// TakeSink moves the sink from's SetSink bound to c, a collector built from
+// the same configuration, which continues the stream without a second bind:
+// how a simulator rebuilt after a rejected restore keeps its caller's sink.
+func (c *Collector) TakeSink(from *Collector) {
+	c.sink, from.sink = from.sink, nil
+}
+
 // OnSample registers a hook invoked just before each snapshot; components use
 // it to compute shared scratch state once per epoch (e.g. the DRAM queue
 // occupancy matrix) instead of once per probe.

@@ -63,14 +63,13 @@ func (t *L1TLB) SnapshotState() L1State {
 // RestoreState restores an image captured by SnapshotState onto a TLB built
 // for the same core. The core restores first: every waiter must name, once, a
 // warp it has blocked on a translation of that page slot, and the slot must be
-// on the miss's page. A pending translation is one of the holders wi.Trans
-// accounts for.
+// on the miss's page; the core counts each (Waker.Await). A pending
+// translation is one of the holders wi.Trans accounts for.
 func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 	t.Stats = st.Stats
 	if err := t.tab.restore("L1", st.Stamp, st.Entries); err != nil {
 		return err
 	}
-	t.mshrs = make(map[uint64]*l1miss, len(st.Mshrs))
 	for _, ms := range st.Mshrs {
 		if _, dup := t.mshrs[ms.VPN]; dup {
 			return fmt.Errorf("tlb: checkpoint has two L1 misses of core %d for vpn %#x", t.coreID, ms.VPN)
@@ -81,7 +80,7 @@ func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 		m := t.getMiss()
 		m.vpn, m.tr = ms.VPN, tr
 		for _, w := range ms.Waiting {
-			if t.waker == nil || !t.waker.Awaits(int(w.Warp), int(w.Slot), ms.VPN) {
+			if t.waker == nil || !t.waker.Await(int(w.Warp), int(w.Slot), ms.VPN) {
 				return fmt.Errorf("tlb: checkpoint L1 miss of core %d for vpn %#x waits for warp %d slot %d, which awaits no translation there for that page", t.coreID, ms.VPN, w.Warp, w.Slot)
 			}
 			if slices.Contains(m.waiting, waiter{w.Warp, w.Slot}) {
@@ -134,9 +133,9 @@ func (p *TokenPolicy) State() TokenState { return p.state }
 // count and warps per core; an image with another app count is rejected.
 func (p *TokenPolicy) SetState(st TokenState) error {
 	n := len(p.state.TokensPerCore)
-	if len(st.TokensPerCore) != n || len(st.PrevMissRate) != n || len(st.HavePrev) != n || len(st.Dir) != n {
-		return fmt.Errorf("tlb: checkpoint token state has %d/%d/%d/%d per-app entries, policy has %d apps",
-			len(st.TokensPerCore), len(st.PrevMissRate), len(st.HavePrev), len(st.Dir), n)
+	if len(st.TokensPerCore) != n || len(st.PrevMissRate) != n || len(st.Dir) != n {
+		return fmt.Errorf("tlb: checkpoint token state has %d/%d/%d per-app entries, policy has %d apps",
+			len(st.TokensPerCore), len(st.PrevMissRate), len(st.Dir), n)
 	}
 	p.state = st
 	return nil
@@ -243,7 +242,6 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 	if err := engine.RestoreQueue(&t.in, st.In, w.Trans); err != nil {
 		return fmt.Errorf("tlb: checkpoint L2 TLB input %w", err)
 	}
-	t.mshrs = make(map[memreq.PageKey]*l2miss, len(st.Mshrs))
 	for _, reqs := range st.Mshrs {
 		if len(reqs) == 0 {
 			return fmt.Errorf("tlb: checkpoint has an L2 TLB miss without a requester")
@@ -300,8 +298,6 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 			return fmt.Errorf("tlb: checkpoint has %d prefetcher entries, capacity is %d", len(st.Prefetch.Entries), t.pf.cap)
 		}
 		t.pf.Stats = st.Prefetch.Stats
-		t.pf.next = make(map[memreq.PageKey]uint64, t.pf.cap)
-		t.pf.order = t.pf.order.Renewed(0, 0)
 		for _, es := range st.Prefetch.Entries {
 			k := es.Key
 			if _, dup := t.pf.next[k]; dup {
@@ -310,7 +306,6 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 			t.pf.next[k] = es.Next
 			t.pf.order.Push(0, k)
 		}
-		t.pf.last = make(map[uint8]uint64, len(st.Prefetch.Last))
 		for _, ls := range st.Prefetch.Last {
 			t.pf.last[ls.ASID] = ls.VPN
 		}

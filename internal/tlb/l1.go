@@ -48,12 +48,12 @@ func (s L1Stats) AvgStalledWarps() float64 {
 }
 
 // Waker is the core an L1 TLB serves: a missed translation returns to the
-// warp and page slot that asked for it. Awaits reports whether that warp and
-// slot can be waiting for the translation of page vpn; a restore checks
-// every waiter with it.
+// warp and page slot that asked for it. A restore hands every waiter to
+// Await, which counts it against its warp and reports whether that warp and
+// slot can be waiting for the translation of page vpn.
 type Waker interface {
 	Translated(now int64, warpID, slot int)
-	Awaits(warpID, slot int, vpn uint64) bool
+	Await(warpID, slot int, vpn uint64) bool
 }
 
 // waiter names one blocked requester: a warp and the page slot of its

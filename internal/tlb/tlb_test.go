@@ -47,7 +47,7 @@ func (l *wakeLog) Translated(now int64, warpID, slot int) {
 	l.woken = append(l.woken, woke{now, warpID, slot})
 }
 
-func (l *wakeLog) Awaits(warpID, slot int, vpn uint64) bool { return true }
+func (l *wakeLog) Await(warpID, slot int, vpn uint64) bool { return true }
 
 func newL1(asid uint8, size int, be *fakeTransBackend) (*L1TLB, *wakeLog) {
 	l1, log := NewL1(be.cores, 0, asid, size, be, &be.pool), &wakeLog{}

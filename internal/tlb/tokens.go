@@ -26,7 +26,6 @@ type TokenState struct {
 	// app's cores.
 	TokensPerCore []int
 	PrevMissRate  []float64
-	HavePrev      []bool
 	// FirstEpoch disables bypassing during the first epoch, per the paper
 	// (footnote 6).
 	FirstEpoch bool
@@ -51,7 +50,6 @@ func NewTokenPolicy(numApps, warpsPerCore int, initialFraction float64, enabled 
 		state: TokenState{
 			TokensPerCore: make([]int, numApps),
 			PrevMissRate:  make([]float64, numApps),
-			HavePrev:      make([]bool, numApps),
 			FirstEpoch:    true,
 			Dir:           make([]int, numApps),
 		},
@@ -104,10 +102,11 @@ func (p *TokenPolicy) Epoch(missRate []float64) {
 		return
 	}
 	st := &p.state
+	havePrev := !st.FirstEpoch
 	st.FirstEpoch = false
 	for app := 0; app < len(st.TokensPerCore) && app < len(missRate); app++ {
 		mr := missRate[app]
-		if st.HavePrev[app] {
+		if havePrev {
 			delta := mr - st.PrevMissRate[app]
 			switch {
 			case delta > 0.02:
@@ -139,6 +138,5 @@ func (p *TokenPolicy) Epoch(missRate []float64) {
 			}
 		}
 		st.PrevMissRate[app] = mr
-		st.HavePrev[app] = true
 	}
 }

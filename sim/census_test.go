@@ -1,6 +1,11 @@
 package sim
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -26,7 +31,7 @@ const (
 
 type censusEntry struct {
 	class censusClass
-	by    string // recomputed: the function that recomputes the field
+	by    string // recomputed: "<Recv>.<Method>" or "<package>.<Func>" that recomputes the field
 }
 
 var (
@@ -106,9 +111,9 @@ var stateCensus = map[string]censusEntry{
 	"sim.Simulator.fp":          recomp("Simulator.Fingerprint"),
 	"sim.Simulator.curWD":       img,
 	"sim.Simulator.restored":    recomp("Simulator.restoreDecoded"),
-	"sim.Simulator.resuming":    recomp("Simulator.Run"),
 	"sim.Simulator.restoredWD":  img,
 
+	"engine.Engine.now":         recomp("Engine.SetClock"),
 	"engine.Engine.clock":       img,
 	"engine.Engine.tickers":     mach,
 	"engine.Engine.sources":     mach,
@@ -145,13 +150,14 @@ var stateCensus = map[string]censusEntry{
 	"gpu.Core.pool":      mach,
 	"gpu.Core.route":     mach,
 	"gpu.Core.retry":     img,
-	"gpu.Core.ready":     recomp("Core.rebuildReady"),
-	"gpu.Core.waitTrans": recomp("Core.rebuildReady"),
-	"gpu.Core.waitData":  recomp("Core.rebuildReady"),
+	"gpu.Core.ready":     recomp("Core.Recount"),
+	"gpu.Core.waitTrans": recomp("Core.Recount"),
+	"gpu.Core.waitData":  recomp("Core.Recount"),
 	"gpu.Core.Stats":     img,
 
 	"gpu.warp.Warp":             img,
 	"gpu.warp.id":               mach,
+	"gpu.warp.pendingTrans":     recomp("Core.Await"),
 	"gpu.warp.inst":             img,
 	"gpu.warp.stream":           img,
 	"workload.MemInst.Pages":    img,
@@ -312,7 +318,7 @@ var stateCensus = map[string]censusEntry{
 	"ptw.HeldWalk.AppID":        img,
 	"ptw.HeldWalk.ASID":         recomp("FaultUnit.RestoreState"),
 	"ptw.HeldWalk.VPN":          recomp("FaultUnit.RestoreState"),
-	"ptw.HeldWalk.Tr":           recomp("Wiring.Trans"),
+	"ptw.HeldWalk.Tr":           recomp("tlb.Trackers"),
 
 	"dram.DRAM.cfg":           mach,
 	"dram.DRAM.lineShift":     mach,
@@ -379,10 +385,12 @@ var stateCensus = map[string]censusEntry{
 }
 
 // TestStateCensus walks every struct a Simulator holds and fails on a field
-// stateCensus does not classify, and on an entry whose field is gone: a field
-// added to a component must say whether a checkpoint writes it, restore
-// recomputes it, or the build makes it.
+// stateCensus does not classify, on an entry whose field is gone, and on a
+// recomputed entry that names no function of the module: a field added to a
+// component must say whether a checkpoint writes it, restore recomputes it,
+// or the build makes it.
 func TestStateCensus(t *testing.T) {
+	funcs := moduleFuncs(t)
 	seen := map[string]bool{}
 	visited := map[reflect.Type]bool{}
 	var follow func(reflect.Type)
@@ -421,8 +429,8 @@ func TestStateCensus(t *testing.T) {
 				t.Errorf("%s (%s) is not classified: say in stateCensus whether a checkpoint writes it, restore recomputes it, or the build makes it", key, f.Type)
 				continue
 			}
-			if e.class == recomputed && e.by == "" {
-				t.Errorf("%s is recomputed, but the entry names no function that does it", key)
+			if e.class == recomputed && !funcs[e.by] {
+				t.Errorf("%s is recomputed by %q, which is no function or method of the module", key, e.by)
 			}
 			if e.class == imaged {
 				follow(f.Type)
@@ -446,4 +454,58 @@ func TestStateCensus(t *testing.T) {
 	for _, key := range gone {
 		t.Errorf("census entry %s names no field a Simulator holds: delete it", key)
 	}
+}
+
+// moduleFuncs parses the module's non-test Go files and returns the set of
+// its functions, keyed "<package>.<Func>", and methods, keyed
+// "<Recv>.<Method>".
+func moduleFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	funcs := map[string]bool{}
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != ".." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if fn.Recv == nil {
+				funcs[f.Name.Name+"."+fn.Name.Name] = true
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			switch x := recv.(type) {
+			case *ast.IndexExpr: // a generic receiver
+				recv = x.X
+			case *ast.IndexListExpr:
+				recv = x.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				funcs[id.Name+"."+fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,6 +25,7 @@ import (
 	"masksim/internal/memreq"
 	"masksim/internal/ptw"
 	"masksim/internal/snapshot"
+	"masksim/internal/streamio"
 	"masksim/internal/telemetry"
 	"masksim/internal/tlb"
 	"masksim/internal/workload"
@@ -449,8 +451,10 @@ func TestCheckpointRejection(t *testing.T) {
 	// walks, and the bank and L2 TLB input queues carry pipe items; v9 cache
 	// images carry latency sums and histogram images a sample sum; v10
 	// images write lines, entries, walks, faults and warps as mirror structs
-	// with flat page keys, and a histogram's buckets as a slice.
-	for _, old := range []uint32{2, 3, 4, 5, 6, 7, 8, 9, 10} {
+	// with flat page keys, and a histogram's buckets as a slice; v11 images
+	// write the clock's cycle, the token policy's per-app epoch flags and
+	// each warp's pending-translation count.
+	for _, old := range []uint32{2, 3, 4, 5, 6, 7, 8, 9, 10, 11} {
 		t.Run(fmt.Sprintf("previous-format-v%d", old), func(t *testing.T) {
 			dir := makeDir(t)
 			ents, _ := os.ReadDir(dir)
@@ -892,6 +896,13 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			"watchdog crash dump (stall limit reached): 7 checks without progress"},
 		{"crash dump", onCrash, func(t *testing.T, p *checkpointPayload) {},
 			"watchdog crash dump (stall limit reached): 4 checks without progress"},
+		// The clock: its ticked and skipped cycles add up to the cycle the
+		// envelope header names, and neither is negative.
+		{"clock off its header's cycle", onShared, func(t *testing.T, p *checkpointPayload) { p.Clock.Ticked++ },
+			"sim: checkpoint clock is at cycle 2601"},
+		{"negative clock count", onShared, func(t *testing.T, p *checkpointPayload) {
+			p.Clock.Ticked, p.Clock.Skipped = -1, p.Clock.Ticked+p.Clock.Skipped+1
+		}, "sim: checkpoint clock has a negative count (-1 ticked"},
 		// Continuations held as (warp, slot) pairs and walk origins: the core
 		// and the shared TLB they lead to must still wait for them.
 		{"l1 waiter names a slot its warp does not await", onShared, func(t *testing.T, p *checkpointPayload) {
@@ -908,7 +919,7 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		{"warp slot on an unmapped page", onShared, func(t *testing.T, p *checkpointPayload) {
 			for i := range p.Cores {
 				for j := range p.Cores[i].Warps {
-					if ws := &p.Cores[i].Warps[j]; ws.PendingTrans > 0 {
+					if ws := &p.Cores[i].Warps[j]; len(ws.Pages) > 0 {
 						ws.Pages[0] = []uint64{1 << 52}
 						return
 					}
@@ -916,6 +927,19 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			}
 			t.Fatal("no warp awaits a translation")
 		}, "has a page slot on vpn 0x10000000000, which address space"},
+		{"warp awaits pages no L1 TLB miss translates", onShared, func(t *testing.T, p *checkpointPayload) {
+			for _, c := range p.Cores {
+				for i := range c.Warps {
+					for j := range c.Warps {
+						if len(c.Warps[i].Pages) > 0 && len(c.Warps[j].Pages) == 0 {
+							c.Warps[j].Pages = c.Warps[i].Pages
+							return
+						}
+					}
+				}
+			}
+			t.Fatal("no core has a warp that awaits a translation beside one that does not")
+		}, "instruction, but no L1 TLB miss waits for it"},
 		{"walk on an unmapped page", onShared, func(t *testing.T, p *checkpointPayload) {
 			liveWalkOf(t, p, ptw.OriginL2Miss).VPN = 1 << 40
 		}, "walk (asid 1, vpn 0x10000000000) is of a page its address space does not map"},
@@ -1009,9 +1033,9 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		}, "L2 TLB counters of 3 apps, configuration has 2"},
 		{"token lists shorter than the apps", onMASK, func(t *testing.T, p *checkpointPayload) {
 			p.L2TLB.Tokens.Dir = p.L2TLB.Tokens.Dir[:1]
-		}, "token state has 2/2/2/1 per-app entries, policy has 2 apps"},
+		}, "token state has 2/2/1 per-app entries, policy has 2 apps"},
 		{"missing token lists", onMASK, func(t *testing.T, p *checkpointPayload) { p.L2TLB.Tokens.TokensPerCore = nil },
-			"token state has 0/2/2/2 per-app entries, policy has 2 apps"},
+			"token state has 0/2/2 per-app entries, policy has 2 apps"},
 		{"missing token image", onShared, func(t *testing.T, p *checkpointPayload) { p.L2TLB.Tokens = nil },
 			"differ in their TLB-fill token policy"},
 		{"prefetcher table past its capacity", onPrefetch, func(t *testing.T, p *checkpointPayload) {
@@ -1048,23 +1072,21 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		{"group sync of more members", onShared, func(t *testing.T, p *checkpointPayload) { p.Syncs[0].Steps = append(p.Syncs[0].Steps, 0) },
 			"members, the group"},
 	}
+	// The image of each simulator as New builds it: a rejected restore must
+	// leave its simulator with exactly this.
+	var fresh [len(cfgs)][]byte
+	for i, c := range cfgs {
+		var b bytes.Buffer
+		if err := prepare(i, c).Checkpoint(&b); err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = b.Bytes()
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			img, c := images[tc.on], cfgs[tc.on]
-			var p checkpointPayload
-			if err := gob.NewDecoder(bytes.NewReader(img.payload)).Decode(&p); err != nil {
-				t.Fatal(err)
-			}
-			tc.mutate(t, &p)
-			var body, file bytes.Buffer
-			if err := gob.NewEncoder(&body).Encode(&p); err != nil {
-				t.Fatal(err)
-			}
-			if err := snapshot.Write(&file, img.h, body.Bytes()); err != nil {
-				t.Fatal(err)
-			}
 			dst := prepare(tc.on, c)
-			err := dst.RestoreCheckpoint(&file)
+			err := dst.RestoreCheckpoint(bytes.NewReader(resealed(t, img.h, img.payload, tc.mutate)))
 			if strings.Contains(tc.want, "watchdog crash dump") && !errors.Is(err, ErrWatchdogTripped) {
 				t.Fatalf("error %v, want ErrWatchdogTripped", err)
 			}
@@ -1076,9 +1098,37 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			}
 			if tc.want == "" {
 				dst.mustRun(t, cycles) // the adopted image must also run on
+				return
+			}
+			var left bytes.Buffer
+			if err := dst.Checkpoint(&left); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(left.Bytes(), fresh[tc.on]) {
+				t.Fatalf("the rejected restore left state behind: %s", payloadDiff(t, fresh[tc.on], left.Bytes()))
 			}
 		})
 	}
+}
+
+// resealed returns the checkpoint file of header h over payload as mutate
+// edits it: the gob payload is decoded, edited and re-sealed, so the file is
+// valid in every respect except the state it encodes.
+func resealed(t *testing.T, h snapshot.Header, payload []byte, mutate func(*testing.T, *checkpointPayload)) []byte {
+	t.Helper()
+	var p checkpointPayload
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, &p)
+	var body, file bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.Write(&file, h, body.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return file.Bytes()
 }
 
 // resealChecksum recomputes the trailing SHA-256 over a mutated envelope so
@@ -1086,6 +1136,120 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 func resealChecksum(data []byte) {
 	sum := snapshot.Seal(data[:len(data)-32])
 	copy(data[len(data)-32:], sum)
+}
+
+// TestRestoreFromDirFallsBack resumes from a directory whose newest
+// checkpoint holds a state no run reaches — a group barrier of one member
+// more than its group, which restore finds after every component and the
+// clock are restored — and whose older one is good. The rejected image must
+// leave nothing behind, so the run adopts the older one and ends as the
+// uninterrupted run does, its streamed telemetry included.
+func TestRestoreFromDirFallsBack(t *testing.T) {
+	moreMembers := func(t *testing.T, data []byte) []byte {
+		h, payload, err := snapshot.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resealed(t, h, payload, func(t *testing.T, p *checkpointPayload) {
+			p.Syncs[0].Steps = append(p.Syncs[0].Steps, 0)
+		})
+	}
+	wantStats := func(t *testing.T, s *Simulator) {
+		t.Helper()
+		if st := s.CheckpointStats(); st.Rejected != 1 || st.Restored != 1 {
+			t.Fatalf("want the newest checkpoint rejected and the older one restored, got %+v", st)
+		}
+	}
+
+	t.Run("results", func(t *testing.T) {
+		sc := driftScenarios[1] // sharedtlb-MUM+GUP
+		run := checkpointedRun(t, sc, true)
+		cfg := sc.cfg()
+		cfg.FastForward = true
+		cfg.CheckpointDir, cfg.Resume = t.TempDir(), true
+		s := prepareScenario(t, cfg, sc.names, sc.alone)
+		for at, data := range run.images {
+			if at == ckptCycles/ckptEvery*ckptEvery {
+				data = moreMembers(t, data)
+			}
+			if err := os.WriteFile(s.checkpointPath(at), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := s.mustRun(t, ckptCycles)
+		wantStats(t, s)
+		if ref := uninterruptedRun(t, sc, true); !reflect.DeepEqual(ref, res) {
+			t.Fatalf("run resumed from the older checkpoint diverged:\nref:     %+v\nresumed: %+v", ref, res)
+		}
+	})
+
+	t.Run("streamed-csv", func(t *testing.T) {
+		const cycles, every = 4000, 1300
+		names := []string{"3DS", "CONS"}
+		dir := t.TempDir()
+		csvPath := filepath.Join(dir, "tel.csv")
+		// stream runs cfg into csvPath, opened with open, and returns the
+		// simulator once the run has ended (a run that panics ends early).
+		stream := func(cfg Config, open func(string) (io.WriteCloser, error)) *Simulator {
+			sink := telemetry.NewStreamSink()
+			f, err := open(csvPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := sink.Attach(telemetry.FormatCSV, f); err != nil {
+				t.Fatal(err)
+			}
+			cfg.TelemetrySink = sink
+			s := prepareScenario(t, cfg, names, 0)
+			defer func() {
+				if cfg.FaultPlan != nil && recover() == nil {
+					t.Fatal("injected panic did not fire")
+				}
+			}()
+			s.mustRun(t, cycles)
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		stream(streamTestConfig(), streamio.Create)
+		ref, err := os.ReadFile(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// A run that dies at cycle 3000 leaves checkpoints at 1300 and 2600
+		// and the stream as far as it got; the newest checkpoint is then
+		// corrupted.
+		ckCfg := streamTestConfig()
+		ckCfg.CheckpointEvery, ckCfg.CheckpointDir = every, dir
+		ckCfg.FaultPlan = &faultinject.Plan{PanicAtCycle: 3000}
+		stream(ckCfg, streamio.Create)
+		newest, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("*-%012d.ckpt", 2*every)))
+		if len(newest) != 1 {
+			t.Fatalf("the killed run left %d checkpoints at cycle %d", len(newest), 2*every)
+		}
+		data, err := os.ReadFile(newest[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(newest[0], moreMembers(t, data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		rsCfg := streamTestConfig()
+		rsCfg.CheckpointDir, rsCfg.Resume = dir, true
+		rs := stream(rsCfg, streamio.CreateResumable)
+		wantStats(t, rs)
+		got, err := os.ReadFile(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Errorf("stream resumed from the older checkpoint differs from the uninterrupted run's (%d vs %d bytes)", len(got), len(ref))
+		}
+	})
 }
 
 // TestWatchdogCrashCheckpoint wedges the page-table walker so the watchdog
@@ -1119,8 +1283,8 @@ func TestWatchdogCrashCheckpoint(t *testing.T) {
 	if info.Err != nil || !info.PayloadOK {
 		t.Fatalf("crash dump unreadable: %v / %v", info.Err, info.PayloadErr)
 	}
-	if info.Header.Cycle != dead.Cycle || info.Clock.Now != dead.Cycle {
-		t.Fatalf("crash dump at cycle %d (clock %d), abort was at %d", info.Header.Cycle, info.Clock.Now, dead.Cycle)
+	if now := info.Clock.Ticked + info.Clock.Skipped; info.Header.Cycle != dead.Cycle || now != dead.Cycle {
+		t.Fatalf("crash dump at cycle %d (clock %d), abort was at %d", info.Header.Cycle, now, dead.Cycle)
 	}
 
 	// Restoring it is refused before any state is touched.

@@ -227,8 +227,8 @@ type RunOptions struct {
 	// Resume makes Run look for the newest valid checkpoint of this exact
 	// simulation in CheckpointDir before simulating, restoring it and
 	// running only the remaining cycles. Rejected (corrupt, truncated,
-	// stale-format, wrong-simulation) files are skipped; with no usable
-	// checkpoint the run starts clean.
+	// stale-format, wrong-simulation, impossible-state) files are skipped;
+	// with no usable checkpoint the run starts clean.
 	Resume bool
 }
 

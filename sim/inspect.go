@@ -2,7 +2,7 @@ package sim
 
 // Checkpoint inspection for the masksim -inspect-checkpoint tool: a lenient,
 // read-only decode that answers "what is this file?" even when the envelope
-// is damaged. Unlike RestoreFromDir, nothing here refuses a corrupt file —
+// is damaged. Unlike a resume, nothing here refuses a corrupt file —
 // it reports as much structure as survives so an operator can decide whether
 // the checkpoint is salvageable, stale, or foreign.
 

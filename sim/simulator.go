@@ -81,7 +81,6 @@ type Simulator struct {
 	// restored* carry state from RestoreCheckpoint into the next Run, which
 	// must use the budget the checkpoint records (totalCycles).
 	restored   bool
-	resuming   bool // Run's own auto-resume is exempt from the ran guard
 	restoredWD *engine.WatchdogState
 }
 
@@ -274,9 +273,11 @@ func (t panicTick) NextEvent(now int64) int64 {
 // simulator it replaces (the zero Simulator for a new one). Every component
 // that ticks is its package's Renew over the matching component of d, so the
 // wiring below is the only wiring there is; a component the new design does
-// not have is dropped with d. The line arena, the address spaces and the
-// warp streams are built new: they are most of a simulator's bytes and none
-// of its allocation count (docs/MODEL.md §11).
+// not have is dropped with d, but for d's collector, which only a rebuild
+// after a rejected restore keeps: it hands over the sink it bound. The line
+// arena, the address spaces and the warp streams are built new: they are
+// most of a simulator's bytes and none of its allocation count
+// (docs/MODEL.md §11).
 func (s *Simulator) build(d *Simulator) {
 	cfg := s.cfg
 	numApps := len(s.apps)
@@ -506,7 +507,7 @@ func (s *Simulator) build(d *Simulator) {
 	}
 
 	// --- telemetry ---------------------------------------------------------
-	s.buildTelemetry()
+	s.buildTelemetry(d.tel)
 
 	// --- fault injection ---------------------------------------------------
 	// A plan registers no request sink, so a run killed by one restores onto
@@ -685,27 +686,20 @@ func (s *Simulator) Run(ctx context.Context, cycles int64) (*Results, error) {
 	if cycles <= 0 {
 		return nil, fmt.Errorf("sim: run length must be >= 1 cycle, got %d", cycles)
 	}
+	// Auto-resume: adopt the newest checkpoint of this exact simulation
+	// that restores, if one does. Rejected files are skipped (counted in
+	// CheckpointStats.Rejected); with none the run starts clean.
+	if !s.restored && s.cfg.Resume && s.cfg.CheckpointDir != "" {
+		if err := s.restoreFromDir(s.cfg.CheckpointDir, cycles); err != nil {
+			return nil, err
+		}
+	}
 	if s.restored && s.totalCycles != cycles {
 		return nil, fmt.Errorf("sim: checkpoint was taken in a %d-cycle run, resumed with %d",
 			s.totalCycles, cycles)
 	}
 	s.ran = true
 	s.totalCycles = cycles
-
-	// Auto-resume: adopt the newest valid checkpoint of this exact
-	// simulation, if one exists. Unusable files are skipped (counted in
-	// CheckpointStats.Rejected); with none the run starts clean.
-	if !s.restored && s.cfg.Resume && s.cfg.CheckpointDir != "" {
-		s.resuming = true
-		_, err := s.RestoreFromDir(s.cfg.CheckpointDir, cycles)
-		s.resuming = false
-		if err != nil {
-			return nil, err
-		}
-	}
-	if s.restored && s.eng.Now() > cycles {
-		return nil, fmt.Errorf("sim: checkpoint cycle %d past the %d-cycle budget", s.eng.Now(), cycles)
-	}
 
 	// Scale the adaptation epoch for short runs so tokens and the bypass
 	// policy still adapt several times (DESIGN.md §5). Pure function of the

@@ -10,7 +10,8 @@ import (
 )
 
 // buildTelemetry constructs the epoch sampler when Config.TelemetryEpoch > 0
-// and registers every probe against the wired components. Probes are
+// and registers every probe against the wired components; prev is the
+// collector a rebuild replaces. Probes are
 // pull-based closures over counters the components maintain anyway, so the
 // only run-time additions are the collector's once-per-epoch snapshot, the
 // walker's latency histogram, and the nil-checked event sinks — a disabled
@@ -19,7 +20,7 @@ import (
 // Probe catalogue and naming scheme: docs/OBSERVABILITY.md. The first
 // slash-separated segment of each name is the component; the Chrome-trace
 // exporter renders one track group per component.
-func (s *Simulator) buildTelemetry() {
+func (s *Simulator) buildTelemetry(prev *telemetry.Collector) {
 	if s.cfg.TelemetryEpoch <= 0 {
 		return
 	}
@@ -169,8 +170,11 @@ func (s *Simulator) buildTelemetry() {
 
 	// --- streaming sink ---------------------------------------------------
 	// Bound after every probe is registered: binding fixes the column
-	// catalogue and writes each attached output's prelude.
-	if s.cfg.TelemetrySink != nil {
+	// catalogue and writes each attached output's prelude; a rebuild takes
+	// over the sink prev bound.
+	if prev != nil {
+		tel.TakeSink(prev)
+	} else if s.cfg.TelemetrySink != nil {
 		if err := tel.SetSink(s.cfg.TelemetrySink); err != nil {
 			panic(err) // double-bind or no outputs: wiring bug at the call site
 		}
