@@ -233,8 +233,8 @@ func (s *Simulator) RestoreCheckpoint(r io.Reader) error {
 // restoreDecoded applies a verified envelope for a run of budget cycles. A
 // rejection rebuilds the simulator, dropping whatever the restore had
 // assigned by then; the caller's telemetry sink, the one resource outside
-// the simulator a restore changes, is rewound after every other step can
-// fail.
+// the simulator whose restore can fail, is rewound after every other step
+// that can.
 func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte, budget int64) (err error) {
 	if s.ran {
 		return fmt.Errorf("sim: RestoreCheckpoint must precede Run")
