@@ -86,10 +86,11 @@ func BenchmarkSimulatorKernel(b *testing.B) {
 // The iteration measured 5 564 objects with a request pool and a translation
 // pool per core (fast-forward on; 5 567 off) and 4 743 (4 745 off) with one
 // of each per simulator; with requests of 56 bytes, which fill fewer chunks,
-// it measures at most 4 650, fast-forward on or off, with or without -race.
-// The budget is that + 2 %. Raise it only with a profile in hand showing what
-// the new allocations buy.
-const allocBudget = 4_743
+// it measured at most 4 650, fast-forward on or off, with or without -race.
+// With every MSHR set on one miss table (no per-miss waiter spills, no maps)
+// it measures at most 2 129 (2 109 without -race). The budget is that + 2 %.
+// Raise it only with a profile in hand showing what the new allocations buy.
+const allocBudget = 2_171
 
 // TestAllocBudget is the allocation-regression gate CI runs on every change.
 func TestAllocBudget(t *testing.T) {
@@ -115,16 +116,17 @@ func TestAllocBudget(t *testing.T) {
 // to trace. The cell measured 3 952 objects and 5 795 696 B with a request
 // pool and a translation pool per core, and 3 211 objects and 4 647 272 B
 // with one of each per simulator (each per-core pool carved its own first
-// chunks). With requests of 56 bytes instead of 96 it measures at most
-// 3 176 objects and 4 146 512 B (with or without -race); both budgets are
-// that + 2 %.
+// chunks). With requests of 56 bytes instead of 96 it measured at most
+// 3 176 objects and 4 146 512 B (with or without -race); with every MSHR set
+// on one miss table, 2 935 → 1 936 objects and 4 154 104 → 4 064 376 B. Both
+// budgets are that + 2 %.
 func TestColdCellBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate skipped in -short mode")
 	}
 	const (
-		objectBudget = 3_240
-		byteBudget   = 4_229_443
+		objectBudget = 1_974
+		byteBudget   = 4_145_663
 	)
 	cell := func() {
 		if _, err := Run(context.Background(), SharedTLBConfig(), []string{"3DS", "HISTO"}, 3000); err != nil {
@@ -153,8 +155,9 @@ func TestColdCellBudget(t *testing.T) {
 // and 3.88 MB. Both budgets are the largest measurement + 2 %. Since one
 // scheduler per DRAM channel replaced the three scheduler types, the two
 // cells measured 285 and 295 objects; with requests of 56 bytes they measure
-// at most 238 and 249 objects, 2 874 248 and 2 879 328 B, which the budgets
-// are + 2 %. Bytes barely move between cold
+// at most 238 and 249 objects, 2 874 248 and 2 879 328 B; with every MSHR
+// set on one miss table, 235 and 241 objects, 2 857 704 and 2 862 120 B,
+// which the budgets are + 2 %. Bytes barely move between cold
 // and recycled cells, by design — a recycled simulator keeps its small
 // buffers and lets the large ones go, because keeping them cost a third more
 // resident memory (docs/MODEL.md §11) — so the byte budget only says they may
@@ -164,8 +167,8 @@ func TestRecycledCellBudget(t *testing.T) {
 		t.Skip("allocation gate skipped in -short mode")
 	}
 	const (
-		objectBudget = 254
-		byteBudget   = 2_936_915
+		objectBudget = 245
+		byteBudget   = 2_919_362
 	)
 	var r sim.Recycler
 	cell := func(cfg Config, names ...string) {

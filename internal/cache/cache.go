@@ -22,6 +22,7 @@ import (
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/mshr"
 	"masksim/internal/slab"
 )
 
@@ -141,22 +142,12 @@ type Counters struct {
 	LastValid  [memreq.MaxWalkLevel + 1]bool
 }
 
-// mshr tracks one outstanding line fetch (regular miss or bypass). MSHR
-// objects are recycled through the cache's free list, and waiting starts out
-// on waitBuf so the first merges do not allocate.
-type mshr struct {
-	waiting []*memreq.Request
-	waitBuf [8]*memreq.Request
-}
+// mshrTable holds a cache's outstanding line fetches by line address, each
+// with the requests merged into it in arrival order.
+type mshrTable = mshr.Table[uint64, struct{}, *memreq.Request]
 
-// reset returns m to the free list's state whatever state it was in: empty,
-// still holding the waiting buffer it grew (slab.List.Rewind).
-func (m *mshr) reset() {
-	*m = mshr{waiting: slab.Slice(m.waiting, 0)}
-	if m.waiting == nil {
-		m.waiting = m.waitBuf[:0]
-	}
-}
+// lineKeys are the keys of a cache's MSHR tables.
+var lineKeys = mshr.Numbers("line")
 
 // tagBypass is the Request.Tag of a bypass fetch: its fill resumes the
 // bypass MSHR of its line, any other fill the regular one.
@@ -172,14 +163,11 @@ type Cache struct {
 
 	queues []engine.Queue[*memreq.Request]
 
-	mshrs map[uint64]*mshr
+	mshrs mshrTable
 	// bypassMSHRs coalesces concurrent bypassed reads of one line: bypassing
 	// skips the probe and the fill (§5.3), but miss-status registers still
 	// exist, so identical in-flight line fetches must not be duplicated.
-	bypassMSHRs map[uint64]*mshr
-	// mshrFree recycles mshr objects (and their waiting-list capacity)
-	// across misses.
-	mshrFree slab.List[mshr]
+	bypassMSHRs mshrTable
 	// retry holds fill and write requests the backend rejected.
 	retry engine.Queue[*memreq.Request]
 
@@ -250,7 +238,7 @@ func Renew(c *Cache, cfg Config, backend Backend, pool *memreq.Pool) *Cache {
 	for b := range c.queues {
 		c.queues[b] = c.queues[b].Renewed(cfg.Latency, cfg.QueueCap)
 	}
-	c.mshrs, c.bypassMSHRs = slab.Map(c.mshrs), slab.Map(c.bypassMSHRs)
+	c.mshrs, c.bypassMSHRs = c.mshrs.Renewed(cfg.MSHRs, lineKeys), c.bypassMSHRs.Renewed(0, lineKeys)
 	if cfg.WriteCombineWindow > 0 {
 		c.combineCur, c.combinePrev = slab.Map(c.combineCur), slab.Map(c.combinePrev)
 	} else {
@@ -260,41 +248,27 @@ func Renew(c *Cache, cfg Config, backend Backend, pool *memreq.Pool) *Cache {
 }
 
 // Retire empties c in place: what is left is the zero Cache but for the
-// capacity of its small buffers — bank rings, MSHR maps and trackers, retry
-// list, write-combine sets — with nothing in them. It holds no line array, no
+// capacity of its small buffers — bank rings, MSHR tables, retry list,
+// write-combine sets — with nothing in them. It holds no line array, no
 // request, no pool and no neighbour, so a retired cache pins nothing else of
 // the simulator it was part of. Renew starts here; a sim.Recycler retires
 // what it keeps.
 func (c *Cache) Retire() {
 	d := *c
-	d.mshrFree.Rewind((*mshr).reset)
 	d.queues = d.queues[:cap(d.queues)]
 	for b := range d.queues {
 		d.queues[b] = d.queues[b].Renewed(0, 0)
 	}
-	clear(d.mshrs)
-	clear(d.bypassMSHRs)
 	clear(d.combineCur)
 	clear(d.combinePrev)
 	*c = Cache{
 		queues:      d.queues,
-		mshrs:       d.mshrs,
-		bypassMSHRs: d.bypassMSHRs,
-		mshrFree:    d.mshrFree,
+		mshrs:       d.mshrs.Renewed(0, nil),
+		bypassMSHRs: d.bypassMSHRs.Renewed(0, nil),
 		retry:       d.retry.Renewed(0, 0),
 		combineCur:  d.combineCur,
 		combinePrev: d.combinePrev,
 	}
-}
-
-// getMSHR takes an mshr off the free list; the map it goes into names its
-// line.
-func (c *Cache) getMSHR() *mshr {
-	m, fresh := c.mshrFree.Get()
-	if fresh {
-		m.waiting = m.waitBuf[:0]
-	}
-	return m
 }
 
 // SetBypass installs the bypass predicate (nil disables bypassing).
@@ -350,13 +324,11 @@ func (c *Cache) Submit(now int64, r *memreq.Request) bool {
 		// (§5.3).
 		c.counters.LevelStats[r.WalkLevel].Accesses++
 		c.counters.LevelStats[r.WalkLevel].Bypasses++
-		if m, ok := c.bypassMSHRs[lineAddr]; ok {
-			m.waiting = append(m.waiting, r)
+		if e, ok := c.bypassMSHRs.Find(lineAddr); ok {
+			c.bypassMSHRs.Add(e, r)
 			return true
 		}
-		m := c.getMSHR()
-		m.waiting = append(m.waiting, r)
-		c.bypassMSHRs[lineAddr] = m
+		c.bypassMSHRs.Add(c.bypassMSHRs.Open(lineAddr, struct{}{}), r)
 		fetch := c.pool.Get()
 		fetch.AppID, fetch.CoreID, fetch.WarpID = r.AppID, r.CoreID, r.WarpID
 		fetch.Kind, fetch.Class, fetch.WalkLevel = memreq.Read, r.Class, r.WalkLevel
@@ -494,20 +466,18 @@ func (c *Cache) service(now int64, r *memreq.Request) {
 	c.recordMiss(r)
 
 	// Merge into an existing MSHR if one covers this line.
-	if m, ok := c.mshrs[lineAddr]; ok {
-		m.waiting = append(m.waiting, r)
+	if e, ok := c.mshrs.Find(lineAddr); ok {
+		c.mshrs.Add(e, r)
 		return
 	}
-	if c.cfg.MSHRs > 0 && len(c.mshrs) >= c.cfg.MSHRs {
+	if c.mshrs.Full() {
 		// MSHRs exhausted: the request must retry through the bank queue.
 		// Re-enqueue at the back with no additional latency charge beyond
 		// the natural queueing delay.
 		c.queues[c.bankOf(lineAddr)].PushAt(now+1, r)
 		return
 	}
-	m := c.getMSHR()
-	m.waiting = append(m.waiting, r)
-	c.mshrs[lineAddr] = m
+	c.mshrs.Add(c.mshrs.Open(lineAddr, struct{}{}), r)
 	fill := c.pool.Get()
 	fill.AppID, fill.CoreID, fill.WarpID = r.AppID, r.CoreID, r.WarpID
 	fill.Kind, fill.Class, fill.WalkLevel = memreq.Read, r.Class, r.WalkLevel
@@ -582,25 +552,22 @@ func (c *Cache) serviceWrite(now int64, r *memreq.Request, base, hitWay int) {
 
 // RequestDone implements memreq.Sink for the cache's own line fetches,
 // regular fills and bypass fetches alike: it finds the MSHR the fetch was
-// issued for, wakes the merged waiters and recycles the mshr.
+// issued for, closes it and wakes the merged waiters.
 func (c *Cache) RequestDone(now int64, fr *memreq.Request) {
 	lineAddr := fr.Addr >> c.lineShift
-	var m *mshr
+	set := &c.mshrs
 	if fr.Tag == tagBypass {
-		m = c.bypassMSHRs[lineAddr]
-		delete(c.bypassMSHRs, lineAddr)
-	} else {
-		m = c.mshrs[lineAddr]
-		delete(c.mshrs, lineAddr)
+		set = &c.bypassMSHRs
+	}
+	e, _ := set.Find(lineAddr)
+	_, ws := set.Close(e)
+	if fr.Tag != tagBypass {
 		c.install(now, lineAddr, false, fr.AppID)
 	}
-	for _, w := range m.waiting {
+	for w, ok := set.Pop(&ws); ok; w, ok = set.Pop(&ws) {
 		w.Served = fr.Served
 		c.pool.Complete(w, now, fr.Served)
 	}
-	clear(m.waiting)
-	m.waiting = m.waiting[:0]
-	c.mshrFree.Put(m)
 }
 
 // install places lineAddr into its set, evicting the LRU victim (restricted
@@ -699,4 +666,4 @@ func (c *Cache) FlushFraction(now int64, fraction float64) {
 }
 
 // OutstandingMisses returns the number of active MSHRs (test/metrics helper).
-func (c *Cache) OutstandingMisses() int { return len(c.mshrs) }
+func (c *Cache) OutstandingMisses() int { return c.mshrs.Len() }

@@ -6,6 +6,7 @@ import (
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/mshr"
 )
 
 // MSHRState is one outstanding line fetch with its merged waiters in arrival
@@ -41,22 +42,20 @@ func (c *Cache) SnapshotState() CacheState {
 	for b := range c.queues {
 		st.Queues[b] = engine.SnapshotQueue(&c.queues[b], (*memreq.Request).Image)
 	}
-	snapMSHRs := func(set map[uint64]*mshr) []MSHRState {
-		var out []MSHRState
-		for _, la := range memreq.SortedKeys(set, cmp.Compare[uint64]) {
-			ms := MSHRState{LineAddr: la}
-			for _, r := range set[la].waiting {
-				ms.Waiting = append(ms.Waiting, *r)
-			}
-			out = append(out, ms)
-		}
-		return out
-	}
-	st.Mshrs = snapMSHRs(c.mshrs)
-	st.BypassMshrs = snapMSHRs(c.bypassMSHRs)
+	st.Mshrs = mshr.Image(&c.mshrs, mshrImage)
+	st.BypassMshrs = mshr.Image(&c.bypassMSHRs, mshrImage)
 	st.CombineCur = memreq.SortedKeys(c.combineCur, cmp.Compare[uint64])
 	st.CombinePrev = memreq.SortedKeys(c.combinePrev, cmp.Compare[uint64])
 	return st
+}
+
+// mshrImage is the image of one MSHR: its line and its waiters, inline.
+func mshrImage(line uint64, _ struct{}, ws []*memreq.Request) MSHRState {
+	ms := MSHRState{LineAddr: line}
+	for _, r := range ws {
+		ms.Waiting = append(ms.Waiting, *r)
+	}
+	return ms
 }
 
 // RestoreState restores an image captured by SnapshotState onto a cache built
@@ -70,11 +69,6 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 	if len(st.Queues) != len(c.queues) {
 		return fmt.Errorf("cache %s: checkpoint has %d banks, cache has %d", c.cfg.Name, len(st.Queues), len(c.queues))
 	}
-	// The envelope checksum vouches for the bytes, not for the state they
-	// encode: an image no run of this cache can reach is rejected.
-	if c.cfg.MSHRs > 0 && len(st.Mshrs) > c.cfg.MSHRs {
-		return fmt.Errorf("cache %s: checkpoint has %d MSHRs, capacity is %d", c.cfg.Name, len(st.Mshrs), c.cfg.MSHRs)
-	}
 	// One tag valid in two ways of a set is not checked for: a write-back
 	// cache reaches that state (a store write-allocates a line whose read
 	// fill is still in flight, and the fill installs it again).
@@ -85,24 +79,29 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 			return fmt.Errorf("cache %s: checkpoint bank %d %w", c.cfg.Name, b, err)
 		}
 	}
-	restoreMSHRs := func(set map[uint64]*mshr, sts []MSHRState) error {
-		for _, ms := range sts {
-			m := c.getMSHR()
+	// The envelope checksum vouches for the bytes, not for the state they
+	// encode: an image no run of this cache can reach is rejected.
+	restoreMSHRs := func(set *mshrTable, what string, sts []MSHRState) error {
+		err := set.Restore(what, len(sts), func(i int, wait func(*memreq.Request)) (uint64, struct{}, error) {
+			ms := sts[i]
 			for _, img := range ms.Waiting {
 				r, err := w.Request(img)
 				if err != nil {
-					return fmt.Errorf("cache %s: MSHR of line %#x: %w", c.cfg.Name, ms.LineAddr, err)
+					return 0, struct{}{}, fmt.Errorf("MSHR of line %#x: %w", ms.LineAddr, err)
 				}
-				m.waiting = append(m.waiting, r)
+				wait(r)
 			}
-			set[ms.LineAddr] = m
+			return ms.LineAddr, struct{}{}, nil
+		})
+		if err != nil {
+			return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
 		}
 		return nil
 	}
-	if err := restoreMSHRs(c.mshrs, st.Mshrs); err != nil {
+	if err := restoreMSHRs(&c.mshrs, "MSHRs", st.Mshrs); err != nil {
 		return err
 	}
-	if err := restoreMSHRs(c.bypassMSHRs, st.BypassMshrs); err != nil {
+	if err := restoreMSHRs(&c.bypassMSHRs, "bypass MSHRs", st.BypassMshrs); err != nil {
 		return err
 	}
 	if err := engine.RestoreQueue(&c.retry, st.Retry, w.Request); err != nil {
@@ -118,11 +117,11 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 		c.combinePrev[la] = struct{}{}
 	}
 	for _, fr := range w.Returning(c.route) {
-		set := c.mshrs
+		set := &c.mshrs
 		if fr.Tag == tagBypass {
-			set = c.bypassMSHRs
+			set = &c.bypassMSHRs
 		}
-		if _, ok := set[fr.Addr>>c.lineShift]; !ok {
+		if _, ok := set.Find(fr.Addr >> c.lineShift); !ok {
 			return fmt.Errorf("cache %s: checkpoint fill (addr %#x, tag %d) has no MSHR", c.cfg.Name, fr.Addr, fr.Tag)
 		}
 	}

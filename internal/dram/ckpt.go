@@ -73,7 +73,7 @@ func (d *DRAM) RestoreState(w *memreq.Wiring, st DRAMState) error {
 			return nil, err
 		}
 		_, bank, row := d.Map(r.Addr)
-		q, _ := d.qFree.Get()
+		q := d.qFree.Get()
 		*q = Queued{Req: r, Arrival: qs.Arrival, Bank: bank, Row: row, finish: qs.Finish}
 		return q, nil
 	}

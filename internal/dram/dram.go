@@ -178,7 +178,7 @@ func Renew(d *DRAM, cfg Config, sc SchedConfig, pool *memreq.Pool) *DRAM {
 // and through them the requests they held.
 func (d *DRAM) Retire() {
 	old := *d
-	old.qFree.Rewind(nil) // the wrappers are what holds the queued requests
+	old.qFree.Rewind() // the wrappers are what holds the queued requests
 	old.channels = old.channels[:cap(old.channels)]
 	for i := range old.channels {
 		ch := &old.channels[i]
@@ -225,7 +225,7 @@ func (d *DRAM) ChannelOfFrame(frame uint64) int {
 // Submit implements cache.Backend: route the request to its channel queue.
 func (d *DRAM) Submit(now int64, r *memreq.Request) bool {
 	chanIdx, bank, row := d.Map(r.Addr)
-	q, _ := d.qFree.Get()
+	q := d.qFree.Get()
 	*q = Queued{Req: r, Arrival: now, Bank: bank, Row: row}
 	if !d.channels[chanIdx].sched.enqueue(q) {
 		d.qFree.Put(q)

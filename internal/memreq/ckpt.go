@@ -50,6 +50,10 @@ type PageKey struct {
 	VPN  uint64
 }
 
+// Hash mixes the page number with the address space: the index of the
+// TLBs' sets and hash buckets, and of the shared TLB's miss table.
+func (k PageKey) Hash() uint64 { return (k.VPN ^ uint64(k.ASID)<<56) * 0x9E3779B97F4A7C15 }
+
 // Compare orders page keys by address space, then page.
 func (k PageKey) Compare(o PageKey) int {
 	if c := cmp.Compare(k.ASID, o.ASID); c != 0 {

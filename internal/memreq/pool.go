@@ -50,7 +50,7 @@ func (p *Pool) Sink(rt Route) Sink {
 // Get returns a live, zeroed Request owned by the caller. The request comes
 // back to the pool when Complete runs on it.
 func (p *Pool) Get() *Request {
-	r, _ := p.free.Get()
+	r := p.free.Get()
 	*r = Request{}
 	return r
 }
@@ -78,7 +78,7 @@ func (p *Pool) Complete(r *Request, now int64, svc Service) {
 // keeps — a few small chunks and a free stack, not the hundreds of kilobytes
 // of requests a busy pool grows to.
 func (p *Pool) Renew() {
-	p.free.Rewind(nil)
+	p.free.Rewind()
 	clear(p.sinks)
 	p.sinks = p.sinks[:0]
 }
@@ -105,7 +105,7 @@ func (p *TransPool) Register(core int, s TransSink) {
 
 // Get returns a live, zeroed TransReq owned by the caller.
 func (p *TransPool) Get() *TransReq {
-	tr, _ := p.free.Get()
+	tr := p.free.Get()
 	*tr = TransReq{}
 	return tr
 }
@@ -124,7 +124,7 @@ func (p *TransPool) Complete(tr *TransReq, now int64) {
 
 // Renew is Pool.Renew for a TransPool.
 func (p *TransPool) Renew() {
-	p.free.Rewind(nil)
+	p.free.Rewind()
 	clear(p.sinks)
 	p.sinks = p.sinks[:0]
 }

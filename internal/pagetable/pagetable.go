@@ -151,7 +151,7 @@ func NewSpace(asid uint8, pageSize int, alloc *Allocator) *Space {
 
 // newNode carves a node backed by a freshly allocated frame.
 func (s *Space) newNode(interior bool) *node {
-	n, _ := s.nodes.Get()
+	n := s.nodes.Get()
 	n.frame = s.alloc.Alloc()
 	if interior {
 		n.kids = new([entriesPerNode]*node)

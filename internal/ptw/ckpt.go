@@ -126,7 +126,7 @@ func (w *Walker) buildWalk(wi *memreq.Wiring, ws WalkState) (*walk, error) {
 	if err := wi.Walk(ws.ASID, ws.AppID); err != nil {
 		return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x): %w", ws.ASID, ws.VPN, err)
 	}
-	wk, _ := w.walkFree.Get()
+	wk := w.walkFree.Get()
 	wk.Walk = ws.Walk
 	wk.addrs = sp.WalkAddrsInto(ws.VPN, wk.buf[:0])
 	if !ws.Finished {

@@ -172,7 +172,7 @@ func Renew(w *Walker, maxConcurrent int, backend cache.Backend, pool *memreq.Poo
 // (cache.Cache.Retire has the why).
 func (w *Walker) Retire() {
 	d := *w
-	d.walkFree.Rewind(nil)
+	d.walkFree.Rewind()
 	clear(d.spaces)
 	*w = Walker{
 		spaces:   d.spaces,
@@ -203,7 +203,7 @@ func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, origin Walk
 	if !ok {
 		panic("ptw: walk for unregistered ASID")
 	}
-	wk, _ := w.walkFree.Get()
+	wk := w.walkFree.Get()
 	wk.ASID, wk.AppID, wk.VPN = asid, appID, vpn
 	wk.Origin, wk.tr, wk.Serial = origin, tr, w.Stats.Started
 	wk.Level, wk.Start = 1, now

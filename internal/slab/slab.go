@@ -1,6 +1,6 @@
 // Package slab provides the one free list behind every recycled object in the
-// simulator: pooled requests, MSHR and miss trackers, walks, translation
-// contexts, DRAM queue wrappers.
+// simulator: pooled requests and translations, walks, page-table nodes, DRAM
+// queue wrappers.
 //
 // A List is deterministic by construction — plain slices, LIFO reuse, no
 // sync.Pool, nothing the garbage collector or another goroutine can perturb —
@@ -37,10 +37,6 @@ type List[T any] struct {
 	used   int
 	chunk  []T
 	carved int
-	// chunks[:reset] hold objects a Rewind reset instead of zeroing, and
-	// fresh says the chunk being carved is not one of them.
-	reset int
-	fresh bool
 
 	// Allocs counts the objects created because the list was empty (objects,
 	// not chunks); Gets counts all handouts. Gets - Allocs is the number of
@@ -48,18 +44,15 @@ type List[T any] struct {
 	Allocs, Gets uint64
 }
 
-// Get hands out an object. fresh reports that it has never been handed out
-// before, or not since a Rewind zeroed it: it is zero, and the caller sets up
-// whatever it keeps across reuses (a slice over an inline buffer) exactly
-// then. A recycled object comes back as the caller Put it, or as Rewind's
-// reset left it.
-func (l *List[T]) Get() (p *T, fresh bool) {
+// Get hands out an object: a recycled one as the caller Put it, or one never
+// handed out since the list was new or rewound, which is zero.
+func (l *List[T]) Get() (p *T) {
 	l.Gets++
 	if n := len(l.free); n > 0 {
 		p = l.free[n-1]
 		l.free[n-1] = nil
 		l.free = l.free[:n-1]
-		return p, false
+		return p
 	}
 	l.Allocs++
 	if len(l.chunk) == 0 {
@@ -73,13 +66,13 @@ func (l *List[T]) Get() (p *T, fresh bool) {
 			}
 			l.chunks = append(l.chunks, make([]T, n))
 		}
-		l.chunk, l.fresh = l.chunks[l.used], l.used >= l.reset
+		l.chunk = l.chunks[l.used]
 		l.used++
 		l.carved += len(l.chunk)
 	}
 	p = &l.chunk[0]
 	l.chunk = l.chunk[1:]
-	return p, l.fresh
+	return p
 }
 
 // Put returns an object obtained from Get to the list.
@@ -89,19 +82,12 @@ func (l *List[T]) Put(p *T) { l.free = append(l.free, p) }
 func (l *List[T]) Len() int { return len(l.free) }
 
 // Rewind returns the list to its initial state over the chunks it already
-// has: it then hands out the same objects in the same order, with the same
-// counts, as a new List would — without allocating until it outgrows what it
-// kept, which is its oldest chunks and its free stack, up to KeepBytes of
-// each. Every object handed out before is dead; the caller must hold no
-// pointer to one (a recycled simulator, docs/MODEL.md §11).
-//
-// With a nil reset the kept chunks are zeroed and their objects come out
-// fresh. Otherwise reset is called on every object of every kept chunk in
-// use, handed out or not, and must leave it as the caller would Put it —
-// empty, but still holding the buffer it grew; Get then reports those objects
-// recycled, so the caller does not set the buffer up again. A list is rewound
-// with one reset throughout, or with none.
-func (l *List[T]) Rewind(reset func(*T)) {
+// has: it then hands out the same zero objects in the same order, with the
+// same counts, as a new List would — without allocating until it outgrows
+// what it kept, which is its oldest chunks and its free stack, up to
+// KeepBytes of each. Every object handed out before is dead; the caller must
+// hold no pointer to one (a recycled simulator, docs/MODEL.md §11).
+func (l *List[T]) Rewind() {
 	var zero T
 	keep, bytes := 0, 0
 	for keep < len(l.chunks) && bytes+len(l.chunks[keep])*int(unsafe.Sizeof(zero)) <= KeepBytes {
@@ -110,21 +96,9 @@ func (l *List[T]) Rewind(reset func(*T)) {
 	}
 	clear(l.chunks[keep:])
 	l.chunks = l.chunks[:keep]
-	// chunks[:dirty] may hold something; those past were never carved since
-	// they were zero, or since the last Rewind reset them.
-	dirty, wasReset := min(keep, l.used), min(keep, l.reset)
-	if reset == nil {
-		for _, c := range l.chunks[:max(dirty, wasReset)] {
-			clear(c)
-		}
-		wasReset = 0
-	} else {
-		for _, c := range l.chunks[:dirty] {
-			for i := range c {
-				reset(&c[i])
-			}
-		}
-		wasReset = max(dirty, wasReset)
+	// Only the chunks carved from may hold something.
+	for _, c := range l.chunks[:min(keep, l.used)] {
+		clear(c)
 	}
-	*l = List[T]{free: Grown(l.free), chunks: l.chunks, reset: wasReset}
+	*l = List[T]{free: Grown(l.free), chunks: l.chunks}
 }

@@ -36,40 +36,31 @@ func (l *refList) Put(p *obj) { l.free = append(l.free, p) }
 
 func (l *refList) Len() int { return len(l.free) }
 
-// wasReset is what the reset the tests rewind with leaves in an object.
-var wasReset = obj{id: -1}
-
 // drive applies one op sequence to both lists and checks they agree on every
 // count (which of several interchangeable free objects comes out next is not
 // part of the contract). Each op byte selects Get, Put (of a live object
-// chosen by the next byte) or Rewind — with a reset or without, throughout,
-// by the first byte — which the reference takes as starting over.
+// chosen by the next byte) or Rewind, which the reference takes as starting
+// over. An object never handed out since the list was new or rewound must
+// come out zero.
 func drive(t *testing.T, ops []byte) {
 	t.Helper()
 	var l List[obj]
 	var ref refList
 	var live, refLive []*obj
-	var reset func(*obj)
-	if len(ops) > 0 && ops[0] >= 128 {
-		reset = func(p *obj) { *p = wasReset }
-	}
 	seen := make(map[*obj]bool)
 	nextID := 0
 	for i := 0; i < len(ops); i++ {
 		switch op := ops[i] % 8; {
 		case ops[i]%32 == 31:
 			// Live objects die with the lap; nothing of it may show in the next.
-			l.Rewind(reset)
+			l.Rewind()
 			ref, live, refLive = refList{}, nil, nil
 			clear(seen)
 		case op < 4 || len(live) == 0:
-			p, fresh := l.Get()
+			p := l.Get()
 			rp := ref.Get()
-			if fresh == seen[p] && (fresh || *p != wasReset) {
-				t.Fatalf("op %d: fresh=%v for an object handed out before=%v holding %+v", i, fresh, seen[p], *p)
-			}
-			if fresh && *p != (obj{}) {
-				t.Fatalf("op %d: fresh object not zero: %+v", i, *p)
+			if !seen[p] && *p != (obj{}) {
+				t.Fatalf("op %d: object handed out for the first time this lap holds %+v", i, *p)
 			}
 			if p.live {
 				t.Fatalf("op %d: Get handed out object %d, which is still live", i, p.id)
@@ -125,13 +116,12 @@ func FuzzSlabList(f *testing.F) {
 
 // TestRewindEqualsNew runs one Get/Put sequence on a new list, rewinds it and
 // runs the sequence again: the second lap must hand out the same objects in
-// the same order, fresh and zero, with the same counts after every step —
+// the same order, zero where new, with the same counts after every step —
 // and, while the list fits in the KeepBytes of chunks a rewind keeps, must
 // not allocate.
 func TestRewindEqualsNew(t *testing.T) {
 	type step struct {
 		p                *obj
-		fresh            bool
 		allocs, gets     uint64
 		length, outgoing int
 	}
@@ -148,9 +138,9 @@ func TestRewindEqualsNew(t *testing.T) {
 		for _, op := range ops {
 			st := step{outgoing: -1}
 			if len(live) == 0 || op%3 != 0 && len(live) < maxLive {
-				st.p, st.fresh = l.Get()
-				if st.fresh && *st.p != (obj{}) {
-					t.Fatalf("fresh object not zero: %+v", *st.p)
+				allocs := l.Allocs
+				if st.p = l.Get(); l.Allocs > allocs && *st.p != (obj{}) {
+					t.Fatalf("new object not zero: %+v", *st.p)
 				}
 				st.p.id, st.p.live = op, true
 				live = append(live, st.p)
@@ -168,7 +158,7 @@ func TestRewindEqualsNew(t *testing.T) {
 		return log
 	}
 	first := lap(make([]step, 0, len(ops)))
-	l.Rewind(nil)
+	l.Rewind()
 	if l.Allocs != 0 || l.Gets != 0 || l.Len() != 0 {
 		t.Fatalf("rewound list reports Allocs/Gets/Len = %d/%d/%d", l.Allocs, l.Gets, l.Len())
 	}
@@ -179,7 +169,7 @@ func TestRewindEqualsNew(t *testing.T) {
 		}
 	}
 	if n := testing.AllocsPerRun(1, func() {
-		l.Rewind(nil)
+		l.Rewind()
 		lap(nil)
 	}); n != 0 {
 		t.Fatalf("a lap on a rewound list made %.0f allocations", n)
@@ -188,13 +178,13 @@ func TestRewindEqualsNew(t *testing.T) {
 
 // TestRewindKeepsKeepBytes pins what a rewind lets go: a list that grew far
 // past KeepBytes comes back holding at most that much, its oldest chunks, and
-// is otherwise a new list — same counts, every object fresh and zero.
+// is otherwise a new list — same counts, every object zero.
 func TestRewindKeepsKeepBytes(t *testing.T) {
 	const n = 2000 // 219 KB of objects
 	var l List[obj]
 	var held []*obj
 	for i := 0; i < n; i++ {
-		p, _ := l.Get()
+		p := l.Get()
 		p.id = i + 1
 		held = append(held, p)
 	}
@@ -202,7 +192,7 @@ func TestRewindKeepsKeepBytes(t *testing.T) {
 		l.Put(p)
 	}
 	first := held[0]
-	l.Rewind(nil)
+	l.Rewind()
 	kept := 0
 	for _, c := range l.chunks {
 		kept += len(c) * int(unsafe.Sizeof(obj{}))
@@ -211,75 +201,16 @@ func TestRewindKeepsKeepBytes(t *testing.T) {
 		t.Fatalf("rewound list keeps %d bytes of chunks and a %d-entry free stack, want at most %d bytes of each", kept, cap(l.free), KeepBytes)
 	}
 	for i := 0; i < n; i++ {
-		p, fresh := l.Get()
-		if !fresh || *p != (obj{}) {
-			t.Fatalf("object %d of the second lap: fresh=%v %+v", i, fresh, *p)
-		}
-		if i == 0 && p != first {
+		if p := l.Get(); *p != (obj{}) {
+			t.Fatalf("object %d of the second lap holds %+v", i, *p)
+		} else if i == 0 && p != first {
 			t.Fatal("the second lap did not start on the first lap's first chunk")
+		} else {
+			p.id = -1
 		}
-		p.id = -1
 	}
 	if l.Allocs != n || l.Gets != n || l.Len() != 0 {
 		t.Fatalf("second lap: Allocs/Gets/Len = %d/%d/%d, want %d/%d/0", l.Allocs, l.Gets, l.Len(), n, n)
-	}
-}
-
-// TestRewindWithResetKeepsBuffers pins the other mode: objects that own a
-// buffer come back recycled, with the buffer, and the counts still match a
-// new list's.
-func TestRewindWithResetKeepsBuffers(t *testing.T) {
-	type tracker struct {
-		key  int
-		wait []int
-		buf  [2]int
-	}
-	reset := func(p *tracker) { *p = tracker{wait: p.wait[:0]} }
-	var l List[tracker]
-	get := func(key int) *tracker {
-		p, fresh := l.Get()
-		if fresh {
-			p.wait = p.buf[:0]
-		}
-		if len(p.wait) != 0 || p.key != 0 {
-			t.Fatalf("tracker handed out holding %+v", *p)
-		}
-		p.key = key
-		return p
-	}
-	n := KeepBytes / int(unsafe.Sizeof(tracker{})) / 2 // fits whatever the chunk boundaries
-	for i := 1; i <= n; i++ {
-		p := get(i)
-		p.wait = append(p.wait, i, i, i) // outgrow the inline buffer
-	}
-	allocs, gets := l.Allocs, l.Gets
-	for lap := 0; lap < 3; lap++ {
-		l.Rewind(reset)
-		if a := testing.AllocsPerRun(1, func() {
-			for i := 1; i <= n; i++ {
-				p := get(i)
-				p.wait = append(p.wait, i, i, i)
-			}
-			l.Rewind(reset)
-		}); a != 0 {
-			t.Fatalf("lap %d over reset trackers made %.0f allocations", lap, a)
-		}
-		for i := 1; i <= n; i++ {
-			get(i)
-		}
-		if l.Allocs != allocs || l.Gets != gets {
-			t.Fatalf("lap %d: Allocs/Gets = %d/%d, first lap %d/%d", lap, l.Allocs, l.Gets, allocs, gets)
-		}
-	}
-	// Growing past what was reset hands out fresh objects again.
-	fresh := 0
-	for i := 0; i < 4*n; i++ {
-		if _, f := l.Get(); f {
-			fresh++
-		}
-	}
-	if fresh == 0 || fresh > 4*n {
-		t.Fatalf("%d of %d objects carved past the reset chunks were fresh", fresh, 4*n)
 	}
 }
 
@@ -296,8 +227,7 @@ func TestSlabListAllocations(t *testing.T) {
 	held := make([]*obj, 0, 2*n)
 	cold := testing.AllocsPerRun(1, func() {
 		for i := 0; i < n; i++ {
-			p, _ := l.Get()
-			held = append(held, p)
+			held = append(held, l.Get())
 		}
 	})
 	if cold > budget {
@@ -306,14 +236,14 @@ func TestSlabListAllocations(t *testing.T) {
 	for _, p := range held {
 		l.Put(p)
 	}
+	carved := l.Allocs
 	if warm := testing.AllocsPerRun(10, func() {
 		held = held[:0]
 		for i := 0; i < n; i++ {
-			p, fresh := l.Get()
-			if fresh {
-				t.Fatal("warm list carved a new object")
-			}
-			held = append(held, p)
+			held = append(held, l.Get())
+		}
+		if l.Allocs != carved {
+			t.Fatal("warm list carved a new object")
 		}
 		for _, p := range held {
 			l.Put(p)

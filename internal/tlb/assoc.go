@@ -71,8 +71,7 @@ func (a *assocLRU) reset() {
 }
 
 func (a *assocLRU) bucket(k memreq.PageKey) *int32 {
-	h := (k.VPN ^ uint64(k.ASID)<<56) * 0x9E3779B97F4A7C15
-	return &a.buckets[h>>32&uint64(len(a.buckets)-1)]
+	return &a.buckets[k.Hash()>>32&uint64(len(a.buckets)-1)]
 }
 
 // find returns k's slot index, or -1.

@@ -8,6 +8,7 @@ import (
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/mshr"
 )
 
 // --- L1 TLB -----------------------------------------------------------------
@@ -49,14 +50,13 @@ func (t *L1TLB) SnapshotState() L1State {
 		Pending: engine.SnapshotQueue(&t.pending, func(tr *memreq.TransReq) uint64 { return tr.VPN }),
 		Stats:   t.Stats,
 	}
-	for _, vpn := range memreq.SortedKeys(t.mshrs, cmp.Compare[uint64]) {
-		m := t.mshrs[vpn]
-		ms := L1MissState{VPN: vpn, HasToken: m.tr.HasToken}
-		for _, w := range m.waiting {
+	st.Mshrs = mshr.Image(&t.mshrs, func(vpn uint64, tr *memreq.TransReq, ws []waiter) L1MissState {
+		ms := L1MissState{VPN: vpn, HasToken: tr.HasToken}
+		for _, w := range ws {
 			ms.Waiting = append(ms.Waiting, WaiterState{Warp: w.warp, Slot: w.slot})
 		}
-		st.Mshrs = append(st.Mshrs, ms)
-	}
+		return ms
+	})
 	return st
 }
 
@@ -70,25 +70,24 @@ func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 	if err := t.tab.restore("L1", st.Stamp, st.Entries); err != nil {
 		return err
 	}
-	for _, ms := range st.Mshrs {
-		if _, dup := t.mshrs[ms.VPN]; dup {
-			return fmt.Errorf("tlb: checkpoint has two L1 misses of core %d for vpn %#x", t.coreID, ms.VPN)
-		}
+	err := t.mshrs.Restore("L1 misses", len(st.Mshrs), func(i int, wait func(waiter)) (uint64, *memreq.TransReq, error) {
+		ms := st.Mshrs[i]
 		tr := t.pool.Get()
 		tr.AppID, tr.ASID, tr.CoreID = t.appID, t.asid, t.coreID
 		tr.VPN, tr.HasToken, tr.StalledWarps = ms.VPN, ms.HasToken, len(ms.Waiting)
-		m := t.getMiss()
-		m.vpn, m.tr = ms.VPN, tr
-		for _, w := range ms.Waiting {
+		for j, w := range ms.Waiting {
 			if t.waker == nil || !t.waker.Await(int(w.Warp), int(w.Slot), ms.VPN) {
-				return fmt.Errorf("tlb: checkpoint L1 miss of core %d for vpn %#x waits for warp %d slot %d, which awaits no translation there for that page", t.coreID, ms.VPN, w.Warp, w.Slot)
+				return 0, nil, fmt.Errorf("checkpoint L1 miss for vpn %#x waits for warp %d slot %d, which awaits no translation there for that page", ms.VPN, w.Warp, w.Slot)
 			}
-			if slices.Contains(m.waiting, waiter{w.Warp, w.Slot}) {
-				return fmt.Errorf("tlb: checkpoint L1 miss of core %d for vpn %#x lists warp %d slot %d twice", t.coreID, ms.VPN, w.Warp, w.Slot)
+			if slices.Contains(ms.Waiting[:j], w) {
+				return 0, nil, fmt.Errorf("checkpoint L1 miss for vpn %#x lists warp %d slot %d twice", ms.VPN, w.Warp, w.Slot)
 			}
-			m.waiting = append(m.waiting, waiter{w.Warp, w.Slot})
+			wait(waiter{w.Warp, w.Slot})
 		}
-		t.mshrs[ms.VPN] = m
+		return ms.VPN, tr, nil
+	})
+	if err != nil {
+		return fmt.Errorf("tlb: L1 TLB of core %d: %w", t.coreID, err)
 	}
 	if err := engine.RestoreQueue(&t.pending, st.Pending, func(vpn uint64) (*memreq.TransReq, error) {
 		return wi.Trans(memreq.TransKey{Core: int32(t.coreID), VPN: vpn})
@@ -117,8 +116,8 @@ func Trackers(l1s []*L1TLB) func(memreq.TransKey) (*memreq.TransReq, error) {
 		if k.Core < 0 || int(k.Core) >= len(l1s) {
 			return nil, fmt.Errorf("tlb: checkpoint names the L1 TLB of core %d, there are %d", k.Core, len(l1s))
 		}
-		if m, ok := l1s[k.Core].mshrs[k.VPN]; ok {
-			return m.tr, nil
+		if e, ok := l1s[k.Core].mshrs.Find(k.VPN); ok {
+			return l1s[k.Core].mshrs.Payload(e), nil
 		}
 		return nil, fmt.Errorf("tlb: checkpoint names the translation of vpn %#x by core %d, which no L1 TLB miss tracks", k.VPN, k.Core)
 	}
@@ -197,13 +196,13 @@ func (t *L2TLB) SnapshotState() L2State {
 		PfInFlight: memreq.SortedKeys(t.pfInFlight, memreq.PageKey.Compare),
 		Apps:       t.apps,
 	}
-	for _, key := range memreq.SortedKeys(t.mshrs, memreq.PageKey.Compare) {
+	st.Mshrs = mshr.Image(&t.mshrs, func(_ memreq.PageKey, _ int, ws []*memreq.TransReq) []memreq.TransKey {
 		var reqs []memreq.TransKey
-		for _, tr := range t.mshrs[key].reqs {
+		for _, tr := range ws {
 			reqs = append(reqs, tr.Key())
 		}
-		st.Mshrs = append(st.Mshrs, reqs)
-	}
+		return reqs
+	})
 	if t.bypass != nil {
 		st.Bypass = &BypassState{
 			Entries:  t.bypass.tab.entries(),
@@ -242,30 +241,29 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 	if err := engine.RestoreQueue(&t.in, st.In, w.Trans); err != nil {
 		return fmt.Errorf("tlb: checkpoint L2 TLB input %w", err)
 	}
-	for _, reqs := range st.Mshrs {
-		if len(reqs) == 0 {
-			return fmt.Errorf("tlb: checkpoint has an L2 TLB miss without a requester")
+	// The first requester of a miss is the lookup that missed, whose page and
+	// application are the miss's. A run merges every miss of a page into its
+	// one entry, which its walk fills.
+	err := t.mshrs.Restore("L2 TLB misses", len(st.Mshrs), func(i int, wait func(*memreq.TransReq)) (key memreq.PageKey, app int, err error) {
+		if len(st.Mshrs[i]) == 0 {
+			return key, 0, errors.New("checkpoint has an L2 TLB miss without a requester")
 		}
-		m := t.getMiss()
-		for _, k := range reqs {
+		for j, k := range st.Mshrs[i] {
 			tr, err := w.Trans(k)
 			if err != nil {
-				return err
+				return key, 0, err
 			}
-			m.reqs = append(m.reqs, tr)
-		}
-		m.key, m.appID = memreq.PageKey{ASID: m.reqs[0].ASID, VPN: m.reqs[0].VPN}, m.reqs[0].AppID
-		// A run merges every miss of a page into its one tracker, which its
-		// walk fills.
-		for _, tr := range m.reqs[1:] {
-			if tr.ASID != m.key.ASID || tr.VPN != m.key.VPN {
-				return fmt.Errorf("tlb: checkpoint L2 TLB miss of asid %d, vpn %#x merges a requester of vpn %#x", m.key.ASID, m.key.VPN, tr.VPN)
+			if j == 0 {
+				key, app = memreq.PageKey{ASID: tr.ASID, VPN: tr.VPN}, tr.AppID
+			} else if tr.ASID != key.ASID || tr.VPN != key.VPN {
+				return key, 0, fmt.Errorf("checkpoint L2 TLB miss of asid %d, vpn %#x merges a requester of vpn %#x", key.ASID, key.VPN, tr.VPN)
 			}
+			wait(tr)
 		}
-		if _, dup := t.mshrs[m.key]; dup {
-			return fmt.Errorf("tlb: checkpoint has two L2 TLB misses of asid %d, vpn %#x", m.key.ASID, m.key.VPN)
-		}
-		t.mshrs[m.key] = m
+		return key, app, nil
+	})
+	if err != nil {
+		return fmt.Errorf("tlb: %w", err)
 	}
 	if err := engine.RestoreQueue(&t.stalled, st.Stalled, w.Trans); err != nil {
 		return fmt.Errorf("tlb: checkpoint L2 TLB stalled %w", err)

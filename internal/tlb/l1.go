@@ -10,6 +10,7 @@ import (
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/mshr"
 	"masksim/internal/slab"
 )
 
@@ -62,25 +63,8 @@ type waiter struct {
 	warp, slot int32
 }
 
-// l1miss tracks one outstanding translation. Miss objects are recycled
-// through the TLB's free list, so a steady-state miss allocates nothing.
-type l1miss struct {
-	vpn uint64
-	tr  *memreq.TransReq
-	// waiting holds every warp blocked on this translation, in arrival
-	// order; it starts out on waitBuf.
-	waiting []waiter
-	waitBuf [8]waiter
-}
-
-// reset returns m to the free list's state whatever state it was in: empty,
-// still holding the waiting buffer it grew (slab.List.Rewind).
-func (m *l1miss) reset() {
-	*m = l1miss{waiting: slab.Slice(m.waiting, 0)}
-	if m.waiting == nil {
-		m.waiting = m.waitBuf[:0]
-	}
-}
+// vpnKeys are the keys of an L1 TLB's miss table.
+var vpnKeys = mshr.Numbers("vpn")
 
 // L1TLB is a private, per-core, fully-associative TLB (Table 1: 64 entries,
 // LRU, 1-cycle). The one-cycle latency is charged by the core model.
@@ -92,10 +76,11 @@ type L1TLB struct {
 	backend TransBackend
 	waker   Waker
 
-	mshrs   map[uint64]*l1miss
+	// mshrs holds each outstanding translation by VPN, with every warp
+	// blocked on it in arrival order.
+	mshrs   mshr.Table[uint64, *memreq.TransReq, waiter]
 	pending engine.Queue[*memreq.TransReq]
 
-	missFree slab.List[l1miss]
 	// pool recycles translation requests: the simulator's one pool, which
 	// returns this core's translations here.
 	pool *memreq.TransPool
@@ -110,22 +95,19 @@ func NewL1(coreID, appID int, asid uint8, size int, backend TransBackend, pool *
 }
 
 // RenewL1 is NewL1 built in place over a donor: t comes back as NewL1 would
-// return it, keeping only the capacity of the donor's table, miss map and
-// trackers and pending list (docs/MODEL.md §11). A nil donor allocates
-// everything.
+// return it, keeping only the capacity of the donor's table, miss table and
+// pending list (docs/MODEL.md §11). A nil donor allocates everything.
 func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBackend, pool *memreq.TransPool) *L1TLB {
 	t, d := slab.Lift(t)
-	d.missFree.Rewind((*l1miss).reset)
 	*t = L1TLB{
-		coreID:   coreID,
-		appID:    appID,
-		asid:     asid,
-		tab:      renewAssocLRU(d.tab, size),
-		mshrs:    slab.Map(d.mshrs),
-		pending:  d.pending.Renewed(0, 0),
-		missFree: d.missFree,
-		backend:  backend,
-		pool:     pool,
+		coreID:  coreID,
+		appID:   appID,
+		asid:    asid,
+		tab:     renewAssocLRU(d.tab, size),
+		mshrs:   d.mshrs.Renewed(0, vpnKeys),
+		pending: d.pending.Renewed(0, 0),
+		backend: backend,
+		pool:    pool,
 	}
 	pool.Register(coreID, t)
 	return t
@@ -134,15 +116,6 @@ func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBac
 // SetWaker names the core whose warps wait on this TLB's misses. Must be
 // called before the first Lookup that misses.
 func (t *L1TLB) SetWaker(w Waker) { t.waker = w }
-
-// getMiss takes a miss tracker off the free list.
-func (t *L1TLB) getMiss() *l1miss {
-	m, fresh := t.missFree.Get()
-	if fresh {
-		m.waiting = m.waitBuf[:0]
-	}
-	return m
-}
 
 // Lookup looks vpn up for page slot of warpID's memory instruction and
 // reports whether it hit (the core charges the 1-cycle access latency). On a
@@ -158,18 +131,15 @@ func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (
 	}
 	t.Stats.Misses++
 	w := waiter{int32(warpID), int32(slot)}
-	if m, ok := t.mshrs[vpn]; ok {
-		m.waiting = append(m.waiting, w)
-		m.tr.StalledWarps++
+	if e, ok := t.mshrs.Find(vpn); ok {
+		t.mshrs.Add(e, w)
+		t.mshrs.Payload(e).StalledWarps++
 		return false
 	}
 	tr := t.pool.Get()
 	tr.AppID, tr.ASID, tr.CoreID = t.appID, t.asid, t.coreID
 	tr.VPN, tr.HasToken, tr.StalledWarps = vpn, hasToken, 1
-	m := t.getMiss()
-	m.vpn, m.tr = vpn, tr
-	m.waiting = append(m.waiting, w)
-	t.mshrs[vpn] = m
+	t.mshrs.Add(t.mshrs.Open(vpn, tr), w)
 	if !t.backend.SubmitTrans(now, tr) {
 		t.pending.Push(now, tr)
 	}
@@ -177,25 +147,21 @@ func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (
 }
 
 // TransDone implements memreq.TransSink: the translation tr asked for has
-// returned. It installs the translation, wakes every blocked warp, recycles
-// the miss tracker, and records the stalled-warp sample for the Figure 6
-// metric.
+// returned. It installs the translation, closes the miss, wakes every
+// blocked warp, and records the stalled-warp sample for the Figure 6 metric.
 func (t *L1TLB) TransDone(now int64, tr *memreq.TransReq) {
 	vpn := tr.VPN
-	m, ok := t.mshrs[vpn]
-	if !ok || m.tr != tr {
-		return // no tracker waits on this request
+	e, ok := t.mshrs.Find(vpn)
+	if !ok || t.mshrs.Payload(e) != tr {
+		return // no miss waits on this request
 	}
-	delete(t.mshrs, vpn)
-	t.tab.fill(memreq.PageKey{ASID: t.asid, VPN: vpn})
-	t.Stats.StalledWarpSum += uint64(len(m.waiting))
+	t.Stats.StalledWarpSum += uint64(t.mshrs.Count(e))
 	t.Stats.StalledWarpCount++
-	for _, w := range m.waiting {
+	_, ws := t.mshrs.Close(e)
+	t.tab.fill(memreq.PageKey{ASID: t.asid, VPN: vpn})
+	for w, ok := t.mshrs.Pop(&ws); ok; w, ok = t.mshrs.Pop(&ws) {
 		t.waker.Translated(now, int(w.warp), int(w.slot))
 	}
-	m.tr = nil
-	m.waiting = m.waiting[:0]
-	t.missFree.Put(m)
 }
 
 // Tick resubmits the backend submissions that were refused, in order, keeping

@@ -1,8 +1,11 @@
 package tlb
 
 import (
+	"fmt"
+
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
+	"masksim/internal/mshr"
 	"masksim/internal/ptw"
 	"masksim/internal/slab"
 )
@@ -70,23 +73,11 @@ type L2Entry struct {
 	Prefetched bool
 }
 
-// l2miss tracks one outstanding shared-TLB miss. Miss objects recycle through
-// the TLB's free list, so a steady-state miss allocates nothing, and reqs
-// starts out on reqBuf.
-type l2miss struct {
-	key    memreq.PageKey
-	appID  int
-	reqs   []*memreq.TransReq
-	reqBuf [4]*memreq.TransReq
-}
-
-// reset returns m to the free list's state whatever state it was in: empty,
-// still holding the request buffer it grew (slab.List.Rewind).
-func (m *l2miss) reset() {
-	*m = l2miss{reqs: slab.Slice(m.reqs, 0)}
-	if m.reqs == nil {
-		m.reqs = m.reqBuf[:0]
-	}
+// pageKeys are the keys of the shared TLB's miss table.
+var pageKeys = &mshr.Keys[memreq.PageKey]{
+	Hash:    memreq.PageKey.Hash,
+	Compare: memreq.PageKey.Compare,
+	Name:    func(k memreq.PageKey) string { return fmt.Sprintf("asid %d, vpn %#x", k.ASID, k.VPN) },
 }
 
 // L2TLB is the shared, ASID-tagged second-level TLB. Under MASK it also owns
@@ -102,8 +93,9 @@ type L2TLB struct {
 	// translation pool.
 	pool *memreq.TransPool
 
-	mshrs    map[memreq.PageKey]*l2miss
-	missFree slab.List[l2miss]
+	// mshrs holds each outstanding miss by page, with the app of the lookup
+	// that missed and every merged requester in arrival order.
+	mshrs mshr.Table[memreq.PageKey, int, *memreq.TransReq]
 	// stalled holds lookups that missed while the walker backlog was full;
 	// they retry (and may meanwhile hit a newly filled entry or merge into a
 	// new MSHR) before fresh lookups are served.
@@ -148,7 +140,7 @@ func RenewL2(t *L2TLB, cfg L2Config, walker WalkStarter, tokens *TokenPolicy, po
 	t.cfg, t.sets, t.walker, t.tokens, t.pool = cfg, cfg.Entries/cfg.Ways, walker, tokens, pool
 	t.lines = slab.Slice(t.lines, cfg.Entries)
 	t.in = t.in.Renewed(cfg.Latency, cfg.QueueCap)
-	t.mshrs = slab.Map(t.mshrs)
+	t.mshrs = t.mshrs.Renewed(0, pageKeys)
 	t.apps = slab.Slice(t.apps, cfg.NumApps)
 	if cfg.BypassSize > 0 {
 		t.bypass = renewBypassCache(t.bypass, cfg.BypassSize)
@@ -159,22 +151,19 @@ func RenewL2(t *L2TLB, cfg L2Config, walker WalkStarter, tokens *TokenPolicy, po
 }
 
 // Retire empties t in place: what is left is the zero L2TLB but for the
-// capacity of its entry array, input pipe, miss map and trackers, stalled
-// queue and per-app counters, with nothing in them, and its bypass cache as
-// it was, for RenewL2 to renew or let go — no prefetcher, no address space
-// behind it, no neighbour (cache.Cache.Retire has the why).
+// capacity of its entry array, input pipe, miss table, stalled queue and
+// per-app counters, with nothing in them, and its bypass cache as it was,
+// for RenewL2 to renew or let go — no prefetcher, no address space behind
+// it, no neighbour (cache.Cache.Retire has the why).
 func (t *L2TLB) Retire() {
 	d := *t
-	d.missFree.Rewind((*l2miss).reset)
-	clear(d.mshrs)
 	*t = L2TLB{
-		lines:    slab.Slice(d.lines, 0),
-		mshrs:    d.mshrs,
-		missFree: d.missFree,
-		in:       d.in.Renewed(0, 0),
-		stalled:  d.stalled.Renewed(0, 0),
-		apps:     slab.Slice(d.apps, 0),
-		bypass:   d.bypass,
+		lines:   slab.Slice(d.lines, 0),
+		mshrs:   d.mshrs.Renewed(0, nil),
+		in:      d.in.Renewed(0, 0),
+		stalled: d.stalled.Renewed(0, 0),
+		apps:    slab.Slice(d.apps, 0),
+		bypass:  d.bypass,
 	}
 }
 
@@ -206,7 +195,7 @@ func (t *L2TLB) maybePrefetch(now int64, asid uint8, appID int, vpn uint64) {
 	if t.probe(key) {
 		return
 	}
-	if _, miss := t.mshrs[key]; miss {
+	if _, miss := t.mshrs.Find(key); miss {
 		return
 	}
 	if t.walker.QueuedWalks() > 0 {
@@ -228,15 +217,15 @@ func (t *L2TLB) WalkDone(now int64, asid uint8, appID int, vpn uint64, origin pt
 		t.markPrefetched(key)
 		return
 	}
-	if m, ok := t.mshrs[key]; ok { // no tracker: nothing waits on this walk
-		t.fill(now, m)
+	if e, ok := t.mshrs.Find(key); ok { // no miss: nothing waits on this walk
+		t.fill(now, e)
 	}
 }
 
-// Awaits implements ptw.WalkSink: whether a miss tracker waits for the
-// demand walk of (asid, vpn).
+// Awaits implements ptw.WalkSink: whether a miss waits for the demand walk
+// of (asid, vpn).
 func (t *L2TLB) Awaits(asid uint8, vpn uint64) bool {
-	_, ok := t.mshrs[memreq.PageKey{ASID: asid, VPN: vpn}]
+	_, ok := t.mshrs.Find(memreq.PageKey{ASID: asid, VPN: vpn})
 	return ok
 }
 
@@ -317,9 +306,9 @@ func (t *L2TLB) lookup(now int64, tr *memreq.TransReq, first bool) {
 		return
 	}
 
-	if m, ok := t.mshrs[key]; ok {
+	if e, ok := t.mshrs.Find(key); ok {
 		t.recordMiss(app)
-		m.reqs = append(m.reqs, tr)
+		t.mshrs.Add(e, tr)
 		return
 	}
 	if t.walker.QueuedWalks() >= walkBacklogLimit {
@@ -328,20 +317,8 @@ func (t *L2TLB) lookup(now int64, tr *memreq.TransReq, first bool) {
 		return
 	}
 	t.recordMiss(app)
-	m := t.getMiss()
-	m.key, m.appID = key, app
-	m.reqs = append(m.reqs, tr)
-	t.mshrs[key] = m
+	t.mshrs.Add(t.mshrs.Open(key, app), tr)
 	t.walker.StartWalk(now, key.ASID, app, key.VPN, ptw.OriginL2Miss)
-}
-
-// getMiss takes a miss tracker off the free list.
-func (t *L2TLB) getMiss() *l2miss {
-	m, fresh := t.missFree.Get()
-	if fresh {
-		m.reqs = m.reqBuf[:0]
-	}
-	return m
 }
 
 func (t *L2TLB) recordMiss(app int) {
@@ -380,38 +357,32 @@ func (t *L2TLB) setOf(key memreq.PageKey) int {
 	// Hash the VPN (and mix in the ASID) rather than indexing with its low
 	// bits: GPGPU heaps allocate large-stride regions whose VPNs share low
 	// bits, and a modulo index would collapse them onto a handful of sets.
-	h := (key.VPN ^ uint64(key.ASID)<<56) * 0x9E3779B97F4A7C15
-	return int((h >> 32) % uint64(t.sets))
+	return int((key.Hash() >> 32) % uint64(t.sets))
 }
 
-// fill completes a miss: install the translation (subject to TLB-Fill
+// fill completes miss e: install the translation (subject to TLB-Fill
 // Tokens), then wake every merged requester.
-func (t *L2TLB) fill(now int64, m *l2miss) {
-	delete(t.mshrs, m.key)
-
+func (t *L2TLB) fill(now int64, e int) {
+	key := t.mshrs.Key(e)
 	// The fill may enter the main TLB if any merged requester held a token;
 	// otherwise it is buffered only in the bypass cache (§5.2).
 	hasToken := t.tokens == nil || !t.tokens.Enabled()
-	if !hasToken {
-		for _, tr := range m.reqs {
-			if tr.HasToken {
-				hasToken = true
-				break
-			}
+	for ws := t.mshrs.Waiters(e); !hasToken; {
+		tr, ok := t.mshrs.Next(&ws)
+		if !ok {
+			break
 		}
+		hasToken = tr.HasToken
 	}
+	app, ws := t.mshrs.Close(e)
 	if hasToken {
-		t.install(m.key, m.appID)
+		t.install(key, app)
 	} else if t.bypass != nil {
-		t.bypass.fill(m.key)
+		t.bypass.fill(key)
 	}
-
-	for _, tr := range m.reqs {
+	for tr, ok := t.mshrs.Pop(&ws); ok; tr, ok = t.mshrs.Pop(&ws) {
 		t.pool.Complete(tr, now)
 	}
-	clear(m.reqs)
-	m.reqs = m.reqs[:0]
-	t.missFree.Put(m)
 }
 
 func (t *L2TLB) install(key memreq.PageKey, appID int) {
@@ -474,12 +445,16 @@ func (t *L2TLB) EpochRoll() []float64 {
 func (t *L2TLB) Pressure(app int) (conPTW, warpsStalled float64) {
 	n := 0
 	stalled := 0
-	for _, m := range t.mshrs {
-		if m.appID != app {
+	for e := range t.mshrs.Len() {
+		if t.mshrs.Payload(e) != app {
 			continue
 		}
 		n++
-		for _, tr := range m.reqs {
+		for ws := t.mshrs.Waiters(e); ; {
+			tr, ok := t.mshrs.Next(&ws)
+			if !ok {
+				break
+			}
 			stalled += tr.StalledWarps
 		}
 	}
@@ -524,7 +499,7 @@ func (t *L2TLB) BypassHitRate() float64 {
 }
 
 // OutstandingMisses returns the number of active L2 TLB MSHRs.
-func (t *L2TLB) OutstandingMisses() int { return len(t.mshrs) }
+func (t *L2TLB) OutstandingMisses() int { return t.mshrs.Len() }
 
 // QueueLen returns the number of lookups waiting to be served (input pipe
 // plus stalled retries); the watchdog's diagnostic dump reports it.

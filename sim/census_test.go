@@ -196,7 +196,6 @@ var stateCensus = map[string]censusEntry{
 	"cache.Cache.queues":      img,
 	"cache.Cache.mshrs":       img,
 	"cache.Cache.bypassMSHRs": img,
-	"cache.Cache.mshrFree":    buf,
 	"cache.Cache.retry":       img,
 	"cache.Cache.pool":        mach,
 	"cache.Cache.route":       mach,
@@ -205,8 +204,6 @@ var stateCensus = map[string]censusEntry{
 	"cache.Cache.combineCur":  img,
 	"cache.Cache.combinePrev": img,
 	"cache.Cache.counters":    img,
-	"cache.mshr.waiting":      img,
-	"cache.mshr.waitBuf":      buf,
 
 	"cache.ATABypass.cache":       mach,
 	"cache.ATABypass.sampleEvery": mach,
@@ -221,23 +218,34 @@ var stateCensus = map[string]censusEntry{
 	"memreq.TransReq.HasToken":     img,
 	"memreq.TransReq.life":         recomp("TransPool.Get"),
 
-	"tlb.L1TLB.coreID":   mach,
-	"tlb.L1TLB.appID":    mach,
-	"tlb.L1TLB.asid":     mach,
-	"tlb.L1TLB.tab":      img,
-	"tlb.L1TLB.backend":  mach,
-	"tlb.L1TLB.waker":    mach,
-	"tlb.L1TLB.mshrs":    img,
-	"tlb.L1TLB.pending":  img,
-	"tlb.L1TLB.missFree": buf,
-	"tlb.L1TLB.pool":     mach,
-	"tlb.L1TLB.Stats":    img,
-	"tlb.l1miss.vpn":     img,
-	"tlb.l1miss.tr":      img,
-	"tlb.l1miss.waiting": img,
-	"tlb.l1miss.waitBuf": buf,
-	"tlb.waiter.warp":    img,
-	"tlb.waiter.slot":    img,
+	"tlb.L1TLB.coreID":  mach,
+	"tlb.L1TLB.appID":   mach,
+	"tlb.L1TLB.asid":    mach,
+	"tlb.L1TLB.tab":     img,
+	"tlb.L1TLB.backend": mach,
+	"tlb.L1TLB.waker":   mach,
+	"tlb.L1TLB.mshrs":   img,
+	"tlb.L1TLB.pending": img,
+	"tlb.L1TLB.pool":    mach,
+	"tlb.L1TLB.Stats":   img,
+	"tlb.waiter.warp":   img,
+	"tlb.waiter.slot":   img,
+
+	"mshr.Table.keys":    mach,
+	"mshr.Table.limit":   mach,
+	"mshr.Table.entries": img,
+	"mshr.Table.buckets": recomp("Table.Restore"),
+	"mshr.Table.segs":    img,
+	"mshr.Table.carved":  recomp("Table.Restore"),
+	"mshr.Table.free":    recomp("Table.Restore"),
+	"mshr.entry.key":     img,
+	"mshr.entry.payload": img,
+	"mshr.entry.head":    recomp("Table.Restore"),
+	"mshr.entry.tail":    recomp("Table.Restore"),
+	"mshr.entry.n":       recomp("Table.Restore"),
+	"mshr.entry.chain":   recomp("Table.Restore"),
+	"mshr.node.w":        img,
+	"mshr.node.next":     recomp("Table.Restore"),
 
 	"tlb.assocLRU.slots":   img,
 	"tlb.assocLRU.buckets": recomp("assocLRU.restore"),
@@ -257,7 +265,6 @@ var stateCensus = map[string]censusEntry{
 	"tlb.L2TLB.walker":     mach,
 	"tlb.L2TLB.pool":       mach,
 	"tlb.L2TLB.mshrs":      img,
-	"tlb.L2TLB.missFree":   buf,
 	"tlb.L2TLB.stalled":    img,
 	"tlb.L2TLB.tokens":     img,
 	"tlb.L2TLB.bypass":     img,
@@ -266,10 +273,6 @@ var stateCensus = map[string]censusEntry{
 	"tlb.L2TLB.pfInFlight": img,
 	"tlb.L2TLB.apps":       img,
 	"tlb.L2TLB.wayMask":    mach,
-	"tlb.l2miss.key":       recomp("L2TLB.RestoreState"),
-	"tlb.l2miss.appID":     recomp("L2TLB.RestoreState"),
-	"tlb.l2miss.reqs":      img,
-	"tlb.l2miss.reqBuf":    buf,
 
 	"tlb.TokenPolicy.enabled":      mach,
 	"tlb.TokenPolicy.warpsPerCore": mach,

@@ -957,6 +957,28 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 				st.Mshrs = append(st.Mshrs, cache.MSHRState{LineAddr: 1<<50 + uint64(i)})
 			}
 		}, "checkpoint has " + strconv.Itoa(cfg.L1Cache.MSHRs+1) + " MSHRs, capacity is " + strconv.Itoa(cfg.L1Cache.MSHRs)},
+		// One line fetch imaged as two MSHRs: restoring the second over the
+		// first would drop the first one's waiters.
+		{"cache MSHR line twice", onShared, func(t *testing.T, p *checkpointPayload) {
+			sts := []*cache.CacheState{&p.L2C}
+			for i := range p.L1Ds {
+				sts = append(sts, &p.L1Ds[i])
+			}
+			for _, st := range sts {
+				if len(st.Mshrs) > 0 {
+					st.Mshrs = append(st.Mshrs, st.Mshrs[0])
+					return
+				}
+			}
+			t.Fatal("no cache has an MSHR")
+		}, "checkpoint has two MSHRs of line"},
+		{"bypass MSHR line twice", onMASK, func(t *testing.T, p *checkpointPayload) {
+			st := &p.L2C
+			if len(st.BypassMshrs) == 0 {
+				t.Fatal("the L2 cache has no bypass MSHR")
+			}
+			st.BypassMshrs = append(st.BypassMshrs, st.BypassMshrs[0])
+		}, "checkpoint has two bypass MSHRs of line"},
 		{"bank queue past its capacity", onShared, func(t *testing.T, p *checkpointPayload) {
 			st := &p.L1Ds[0]
 			for len(st.Queues[0]) <= cfg.L1Cache.QueueCap {

@@ -23,9 +23,12 @@ import (
 type FieldSize struct {
 	// Field names the payload field: "Cores", "L2C", "DRAM", ...
 	Field string
-	// Bytes is the field's standalone gob encoding size — a relative weight
-	// for spotting which component dominates the file, not an exact share of
-	// the payload (the combined encoding dedupes type descriptors).
+	// Bytes is the size of the field's value in gob's encoding: the second
+	// encoding of the field on one encoder, less its message length and type
+	// id. It leaves out the type descriptors gob sends once per stream and
+	// numbers per process, so an unchanged component reads the same byte
+	// count in every build. It is a weight for spotting which component
+	// dominates the file; the fields' sizes do not sum to the payload's.
 	Bytes int
 }
 
@@ -100,13 +103,35 @@ func InspectCheckpoint(path string) (*CheckpointInfo, error) {
 	v := reflect.ValueOf(p)
 	info.Requests = countRequests(v)
 	for i := 0; i < v.NumField(); i++ {
-		var buf bytes.Buffer
-		if f := v.Field(i); !f.IsZero() && gob.NewEncoder(&buf).EncodeValue(f) == nil {
-			info.Fields = append(info.Fields, FieldSize{Field: v.Type().Field(i).Name, Bytes: buf.Len()})
+		if f := v.Field(i); !f.IsZero() {
+			if n, err := valueSize(f); err == nil {
+				info.Fields = append(info.Fields, FieldSize{Field: v.Type().Field(i).Name, Bytes: n})
+			}
 		}
 	}
 	sort.SliceStable(info.Fields, func(i, j int) bool { return info.Fields[i].Bytes > info.Fields[j].Bytes })
 	return info, nil
+}
+
+// valueSize returns the size of v's value in gob's encoding (FieldSize.Bytes):
+// its second encoding on one encoder, past the message's length and type id.
+// Each is a gob unsigned integer: one byte under 0x80, else a negated byte
+// count and the bytes.
+func valueSize(v reflect.Value) (int, error) {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.EncodeValue(v); err != nil {
+		return 0, err
+	}
+	buf.Reset()
+	if err := enc.EncodeValue(v); err != nil {
+		return 0, err
+	}
+	msg := buf.Bytes()
+	for range 2 {
+		msg = msg[1+max(0, int(-int8(msg[0]))):]
+	}
+	return len(msg), nil
 }
 
 // countRequests counts the request images v holds, wherever they are held.
