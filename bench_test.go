@@ -88,9 +88,11 @@ func BenchmarkSimulatorKernel(b *testing.B) {
 // of each per simulator; with requests of 56 bytes, which fill fewer chunks,
 // it measured at most 4 650, fast-forward on or off, with or without -race.
 // With every MSHR set on one miss table (no per-miss waiter spills, no maps)
-// it measures at most 2 129 (2 109 without -race). The budget is that + 2 %.
-// Raise it only with a profile in hand showing what the new allocations buy.
-const allocBudget = 2_171
+// it measured at most 2 129 (2 109 without -race); with translations as
+// values and no translation pool, at most 2 111 (2 089 without -race). The
+// budget is that + 2 %. Raise it only with a profile in hand showing what
+// the new allocations buy.
+const allocBudget = 2_153
 
 // TestAllocBudget is the allocation-regression gate CI runs on every change.
 func TestAllocBudget(t *testing.T) {
@@ -118,14 +120,17 @@ func TestAllocBudget(t *testing.T) {
 // with one of each per simulator (each per-core pool carved its own first
 // chunks). With requests of 56 bytes instead of 96 it measured at most
 // 3 176 objects and 4 146 512 B (with or without -race); with every MSHR set
-// on one miss table, 2 935 → 1 936 objects and 4 154 104 → 4 064 376 B. Both
-// budgets are that + 2 %.
+// on one miss table, 2 935 → 1 936 objects and 4 154 104 → 4 064 376 B; with
+// translations as values and no translation pool, at most 1 926 objects and
+// 4 070 448 B (1 902 and 4 063 552 B without -race). The object budget is
+// that + 2 %; the bytes did not fall, and their budget stays the earlier
+// measurement + 2 %.
 func TestColdCellBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate skipped in -short mode")
 	}
 	const (
-		objectBudget = 1_974
+		objectBudget = 1_964
 		byteBudget   = 4_145_663
 	)
 	cell := func() {
@@ -156,8 +161,9 @@ func TestColdCellBudget(t *testing.T) {
 // scheduler per DRAM channel replaced the three scheduler types, the two
 // cells measured 285 and 295 objects; with requests of 56 bytes they measure
 // at most 238 and 249 objects, 2 874 248 and 2 879 328 B; with every MSHR
-// set on one miss table, 235 and 241 objects, 2 857 704 and 2 862 120 B,
-// which the budgets are + 2 %. Bytes barely move between cold
+// set on one miss table, 235 and 241 objects, 2 857 704 and 2 862 120 B;
+// with translations as values, 235 and 241 objects, 2 856 424 and
+// 2 860 840 B, which the budgets are + 2 %. Bytes barely move between cold
 // and recycled cells, by design — a recycled simulator keeps its small
 // buffers and lets the large ones go, because keeping them cost a third more
 // resident memory (docs/MODEL.md §11) — so the byte budget only says they may
@@ -168,7 +174,7 @@ func TestRecycledCellBudget(t *testing.T) {
 	}
 	const (
 		objectBudget = 245
-		byteBudget   = 2_919_362
+		byteBudget   = 2_918_056
 	)
 	var r sim.Recycler
 	cell := func(cfg Config, names ...string) {

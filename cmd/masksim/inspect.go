@@ -38,7 +38,7 @@ func inspectCheckpoint(w io.Writer, path string) error {
 	}
 	fmt.Fprintf(w, "  clock:       now=%d ticked=%d skipped=%d\n",
 		info.Clock.Ticked+info.Clock.Skipped, info.Clock.Ticked, info.Clock.Skipped)
-	fmt.Fprintf(w, "  in flight:   %d requests, %d translations\n", info.Requests, info.TransReqs)
+	fmt.Fprintf(w, "  in flight:   %d requests, %d translations\n", info.Requests, info.Translations)
 	fmt.Fprintf(w, "  fields (%d, by serialized size):\n", len(info.Fields))
 	for _, f := range info.Fields {
 		fmt.Fprintf(w, "    %-14s %8d bytes\n", f.Field, f.Bytes)

@@ -24,7 +24,6 @@ var exportKeep = map[string]string{
 	"internal/snapshot.Seal":                     "tests in other packages forge checkpoint images with it; the checkpoint-field fuzzer (ROADMAP item 21) re-seals with it",
 	"internal/faultinject.CorruptCheckpointByte": "tests in other packages corrupt checkpoint files with it",
 	"internal/memreq.Pool.Live":                  "the request-conservation oracle tests assert",
-	"internal/memreq.TransPool.Live":             "the translation-conservation oracle tests assert",
 	"internal/experiments.RunError.Unwrap":       "satisfies the interface errors.Is and errors.As unwrap a run's error through",
 }
 

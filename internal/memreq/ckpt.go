@@ -9,8 +9,9 @@ import (
 // Checkpoint support. Every live Request has exactly one owner (a retry
 // list, a bank queue, an MSHR's waiters, a DRAM queue), so that owner writes
 // it inline — a Request is its own image — and restores it in place. Every
-// live TransReq has exactly one L1 TLB miss tracker, which writes it, and at
-// most one other holder, which names it by its TransKey.
+// live translation has exactly one L1 TLB miss, which writes what the
+// translation carries, and exactly one other holder, which names it by its
+// TransKey.
 
 // Wiring is what a restore resolves names against: the pool whose sink table
 // the images' routes number, and live translations by TransKey. One Wiring
@@ -19,9 +20,9 @@ type Wiring struct {
 	// Pool is the simulator's one request pool, which restore takes every
 	// request from.
 	Pool *Pool
-	// Trans resolves a key to the TransReq the restored L1 TLB of its core
-	// tracks, once: every holder asks for the keys it holds.
-	Trans func(TransKey) (*TransReq, error)
+	// Trans resolves a key to the translation of the restored L1 TLB miss
+	// it names, once: every holder asks for the keys it holds.
+	Trans func(TransKey) (Trans, error)
 	// ASIDs holds each application's address space, indexed by AppID; Cores
 	// and Warps are the simulator's core count and warps per core. Together
 	// they bound every identity an image names (Request, Walk).
@@ -33,16 +34,6 @@ type Wiring struct {
 	bySink [][]*Request
 	closed []bool
 }
-
-// TransKey names a live TransReq by its one miss tracker: the L1 TLB of core
-// Core, entry VPN.
-type TransKey struct {
-	Core int32
-	VPN  uint64
-}
-
-// Key returns the key naming tr.
-func (tr *TransReq) Key() TransKey { return TransKey{Core: int32(tr.CoreID), VPN: tr.VPN} }
 
 // PageKey names one page of one address space in a checkpoint image.
 type PageKey struct {

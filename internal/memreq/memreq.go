@@ -7,8 +7,12 @@
 //     and DRAM. Data demand requests and the page-table-walker's dependent
 //     accesses are both Requests; they are distinguished by Class and, for
 //     translation requests, by WalkLevel (1 = page-table root .. 4 = leaf).
-//   - TransReq: a virtual-page translation request serviced by the TLB
-//     hierarchy (L1 TLB -> shared L2 TLB / page walk cache -> walker).
+//     A simulator's one Pool recycles them and numbers the sinks they
+//     return to.
+//   - Trans: a virtual-page translation request serviced by the TLB
+//     hierarchy (L1 TLB -> shared L2 TLB / page walk cache -> walker). It is
+//     a plain value, not pooled, named by the L1 TLB miss it translates for
+//     (TransKey), and returns to that miss (TransSink).
 //
 // MASK's mechanisms key off these distinctions: the L2 bypass decision uses
 // Class and WalkLevel, and the DRAM scheduler routes Class Translation into
@@ -146,38 +150,34 @@ type Request struct {
 	life lifeState
 }
 
-// TransSink is a component a completed TransReq returns to: the L1 TLB of
-// tr.CoreID, which finds its miss tracker by tr.VPN.
+// TransSink is where a translation returns once its page is translated: the
+// L1 TLB of its core, which closes the miss its key names.
 type TransSink interface {
-	TransDone(now int64, tr *TransReq)
+	TransDone(now int64, tr Trans)
 }
 
-// TransSinkFunc adapts a function to TransSink for tests (see SinkFunc).
-type TransSinkFunc func(now int64, tr *TransReq)
-
-// TransDone implements TransSink.
-func (f TransSinkFunc) TransDone(now int64, tr *TransReq) { f(now, tr) }
-
-// TransReq is a virtual-page translation request flowing through the TLB
-// hierarchy. It returns, once its page is translated, to the L1 TLB of
-// CoreID, which its pool names (TransPool.Register); which physical page that
-// is, the requesting core reads from its address space.
-type TransReq struct {
-	AppID  int
-	CoreID int
-
+// Trans is a virtual-page translation request flowing through the TLB
+// hierarchy: a value each holder keeps its own copy of, one holder at a time.
+// Core and VPN key the L1 TLB miss it translates for and returns to (Key);
+// the other fields are fixed when that miss opens.
+type Trans struct {
 	// VPN is the virtual page number being translated.
-	VPN uint64
-	// StalledWarps counts the warps blocked on this translation; maintained
-	// by the L1 TLB MSHR and consumed by the Address-Space-Aware DRAM
-	// scheduler's WarpsStalled metric (§5.4).
-	StalledWarps int
-
-	ASID uint8
-	// HasToken records whether the requesting warp held a TLB-Fill Token at
-	// issue time (§5.2); it controls whether the walker's result may fill the
-	// shared L2 TLB or only the bypass cache.
+	VPN   uint64
+	AppID int
+	Core  int32
+	ASID  uint8
+	// HasToken records whether the warp whose lookup opened the miss held a
+	// TLB-Fill Token (§5.2); it controls whether the walker's result may
+	// fill the shared L2 TLB or only the bypass cache.
 	HasToken bool
-
-	life lifeState
 }
+
+// TransKey names a translation by its L1 TLB miss: the L1 TLB of core Core,
+// entry VPN. A checkpoint names every translation by it.
+type TransKey struct {
+	Core int32
+	VPN  uint64
+}
+
+// Key returns the key naming tr.
+func (tr Trans) Key() TransKey { return TransKey{Core: tr.Core, VPN: tr.VPN} }

@@ -58,18 +58,11 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-func TestTransReqCarriesTokenState(t *testing.T) {
-	tr := &TransReq{VPN: 0x1234, HasToken: true, StalledWarps: 1}
-	tr.StalledWarps++
-	if tr.StalledWarps != 2 || !tr.HasToken {
-		t.Fatal("TransReq bookkeeping broken")
-	}
-}
-
 // TestRequestsArePlainData pins that both request families hold no pointer
-// of any kind, so a live request is its own checkpoint image and the chunks
-// pools carve requests from are memory the collector does not scan — and
-// that they stay small.
+// of any kind, so a live request is its own checkpoint image, the chunks the
+// pool carves requests from are memory the collector does not scan, and
+// neither are the queues and miss tables that hold translations by value —
+// and that they stay small.
 func TestRequestsArePlainData(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
@@ -77,7 +70,7 @@ func TestRequestsArePlainData(t *testing.T) {
 		max  uintptr
 	}{
 		{reflect.TypeFor[Request](), unsafe.Sizeof(Request{}), 56},
-		{reflect.TypeFor[TransReq](), unsafe.Sizeof(TransReq{}), 48},
+		{reflect.TypeFor[Trans](), unsafe.Sizeof(Trans{}), 24},
 	} {
 		for i := 0; i < c.typ.NumField(); i++ {
 			f := c.typ.Field(i)

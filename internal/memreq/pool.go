@@ -86,48 +86,3 @@ func (p *Pool) Renew() {
 // Live reports how many requests the pool created and does not hold free:
 // every one some component holds, plus any a fault plan stranded.
 func (p *Pool) Live() int { return int(p.free.Allocs) - p.free.Len() }
-
-// TransPool is the Pool analogue for TransReqs. Its sink table is indexed by
-// core: a translation returns to the L1 TLB of its CoreID. The zero
-// TransPool is ready to use.
-type TransPool struct {
-	free  slab.List[TransReq]
-	sinks []TransSink
-}
-
-// Register names s as the sink of core's translations.
-func (p *TransPool) Register(core int, s TransSink) {
-	for len(p.sinks) <= core {
-		p.sinks = append(p.sinks, nil)
-	}
-	p.sinks[core] = s
-}
-
-// Get returns a live, zeroed TransReq owned by the caller.
-func (p *TransPool) Get() *TransReq {
-	tr := p.free.Get()
-	*tr = TransReq{}
-	return tr
-}
-
-// Complete returns tr to the sink of its core and recycles it. Mirrors
-// Pool.Complete: the caller must not touch tr afterwards, and double
-// completion panics.
-func (p *TransPool) Complete(tr *TransReq, now int64) {
-	if tr.life == lifeFree {
-		panic("memreq: Complete on a recycled TransReq (use-after-done)")
-	}
-	tr.life = lifeFree
-	p.sinks[tr.CoreID].TransDone(now, tr)
-	p.free.Put(tr)
-}
-
-// Renew is Pool.Renew for a TransPool.
-func (p *TransPool) Renew() {
-	p.free.Rewind()
-	clear(p.sinks)
-	p.sinks = p.sinks[:0]
-}
-
-// Live is Pool.Live for a TransPool.
-func (p *TransPool) Live() int { return int(p.free.Allocs) - p.free.Len() }

@@ -79,41 +79,3 @@ func TestCompleteAfterRecyclePanics(t *testing.T) {
 		p.Complete(r, 2, ServedL2)
 	})
 }
-
-func TestTransPoolLifecycle(t *testing.T) {
-	var p TransPool
-	var tr *TransReq
-	var gotAt int64
-	p.Register(3, TransSinkFunc(func(now int64, got *TransReq) {
-		if got != tr {
-			t.Error("sink received a different TransReq")
-		}
-		gotAt = now
-	}))
-	tr = p.Get()
-	tr.CoreID, tr.VPN = 3, 42
-	p.Complete(tr, 7)
-	if gotAt != 7 {
-		t.Fatalf("sink ran at cycle %d, want 7", gotAt)
-	}
-	if p.Live() != 0 {
-		t.Fatal("TransReq not recycled on Complete")
-	}
-	mustPanic(t, "memreq: Complete on a recycled TransReq (use-after-done)", func() {
-		p.Complete(tr, 8)
-	})
-	tr2 := p.Get()
-	if tr2 != tr || *tr2 != (TransReq{}) {
-		t.Fatalf("recycled TransReq not zeroed or not reused: %+v", tr2)
-	}
-}
-
-func TestTransReqDoubleCompletePanics(t *testing.T) {
-	var p TransPool
-	p.Register(0, TransSinkFunc(func(int64, *TransReq) {}))
-	tr := p.Get()
-	p.Complete(tr, 1)
-	mustPanic(t, "memreq: Complete on a recycled TransReq (use-after-done)", func() {
-		p.Complete(tr, 2)
-	})
-}

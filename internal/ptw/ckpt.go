@@ -2,6 +2,7 @@ package ptw
 
 import (
 	"fmt"
+	"slices"
 
 	"masksim/internal/engine"
 	"masksim/internal/memreq"
@@ -9,14 +10,14 @@ import (
 )
 
 // WalkState is one in-flight (or queued, or finished-but-uncompacted) walk:
-// its plain state as it is, and the TransReq it completes by key. The
+// its plain state as it is, and the translation it completes by key. The
 // per-level physical addresses are not serialized: they are a pure function
 // of the page table, which is rebuilt deterministically, so restore
 // recomputes them.
 type WalkState struct {
 	Walk
-	// Tr names the TransReq an unfinished OriginTrans walk completes, by the
-	// key of its L1 TLB miss tracker.
+	// Tr names the translation an unfinished OriginTrans walk completes, by
+	// the key of its L1 TLB miss.
 	Tr memreq.TransKey
 }
 
@@ -28,14 +29,11 @@ type WalkerState struct {
 	LatHist *metrics.Histogram
 }
 
-// Deliverable implements FaultSink: whether a walk finishing as h has
-// somewhere to deliver its result — its TransReq (OriginTrans), a shared-TLB
-// miss tracker for its page (OriginL2Miss), or the shared TLB's prefetch
-// install.
+// Deliverable implements FaultSink: whether a walk finishing as h, whose
+// result goes to the walk sink, has somewhere to deliver it — a shared-TLB
+// miss for its page (OriginL2Miss), or the shared TLB's prefetch install.
 func (w *Walker) Deliverable(h HeldWalk) bool {
 	switch h.Origin {
-	case OriginTrans:
-		return h.Tr != nil
 	case OriginL2Miss:
 		return w.sink != nil && w.sink.Awaits(h.ASID, h.VPN)
 	case OriginPrefetch:
@@ -44,16 +42,35 @@ func (w *Walker) Deliverable(h HeldWalk) bool {
 	return false
 }
 
-// resolveHeld gives a restored walk's result its route: the TransReq of an
-// OriginTrans walk, found by key, and sink's word that something still waits
-// for the result.
+// Demands reports whether a demand walk of (asid, vpn) is still to fill the
+// shared TLB's miss of that page: an unfinished one, active or waiting for a
+// slot, or a finished one a fault holds. A restore checks every shared-TLB
+// miss with it.
+func (w *Walker) Demands(asid uint8, vpn uint64) bool {
+	walks := slices.Clone(w.active)
+	for i := range w.pending.Len() {
+		walks = append(walks, w.pending.At(i))
+	}
+	if slices.ContainsFunc(walks, func(wk *walk) bool {
+		return !wk.Finished && wk.Origin == OriginL2Miss && wk.ASID == asid && wk.VPN == vpn
+	}) {
+		return true
+	}
+	if w.faults == nil {
+		return false
+	}
+	p := w.faults.pending(memreq.PageKey{ASID: asid, VPN: vpn})
+	return p != nil && slices.ContainsFunc(p.notify, func(h HeldWalk) bool { return h.Origin == OriginL2Miss })
+}
+
+// resolveHeld gives a restored walk's result its route: the translation of
+// an OriginTrans walk, found by the key of its L1 TLB miss, or else sink's
+// word that something still waits for the result.
 func resolveHeld(wi *memreq.Wiring, sink FaultSink, h *HeldWalk, key memreq.TransKey) error {
 	if h.Origin == OriginTrans {
 		tr, err := wi.Trans(key)
-		if err != nil {
-			return err
-		}
 		h.Tr = tr
+		return err
 	}
 	if !sink.Deliverable(*h) {
 		return fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) of origin %d has nothing waiting for its result", h.ASID, h.VPN, h.Origin)
@@ -66,9 +83,9 @@ func (w *Walker) SnapshotState() WalkerState {
 	st := WalkerState{Stats: w.Stats}
 	snap := func(wk *walk) WalkState {
 		ws := WalkState{Walk: wk.Walk}
-		// A finished walk has already delivered its continuation (tr may
-		// point at a recycled object); only live continuations serialize.
-		if !wk.Finished && wk.tr != nil {
+		// A finished walk has already delivered its continuation, or a
+		// fault holds it; only live continuations serialize.
+		if !wk.Finished && wk.Origin == OriginTrans {
 			ws.Tr = wk.tr.Key()
 		}
 		return ws
@@ -150,7 +167,7 @@ type FaultNotifyState struct {
 	Start  int64
 	Origin uint8
 	AppID  int
-	// Tr names the TransReq of an OriginTrans walk by its tracker key.
+	// Tr names the translation of an OriginTrans walk by its L1 TLB miss.
 	Tr memreq.TransKey
 }
 
@@ -179,7 +196,7 @@ func (f *FaultUnit) SnapshotState() FaultUnitState {
 		ps := PendingFaultState{Fault: p.Fault}
 		for _, h := range p.notify {
 			ns := FaultNotifyState{Start: h.Start, Origin: uint8(h.Origin), AppID: h.AppID}
-			if h.Tr != nil {
+			if h.Origin == OriginTrans {
 				ns.Tr = h.Tr.Key()
 			}
 			ps.Notify = append(ps.Notify, ns)

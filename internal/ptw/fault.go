@@ -65,15 +65,15 @@ type pendingFault struct {
 }
 
 // HeldWalk is the result of a finished walk, held until its page is
-// resident: everything finishing the walk needs, as plain data. Tr is set
-// exactly when Origin is OriginTrans.
+// resident: everything finishing the walk needs, as plain data. Tr is the
+// translation of an OriginTrans walk, zero for any other.
 type HeldWalk struct {
 	Start  int64
 	Origin WalkOrigin
 	AppID  int
 	ASID   uint8
 	VPN    uint64
-	Tr     *memreq.TransReq
+	Tr     memreq.Trans
 }
 
 // FaultSink receives the held walks of a completed fault (the walker).

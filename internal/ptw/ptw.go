@@ -59,7 +59,7 @@ type Walk struct {
 	// Origin is the only record of where the walk's result goes: to the
 	// walker's WalkSink (shared-TLB fills, prefetches), or — OriginTrans, an
 	// L1 miss routed straight to the walker under the PWCache design — to
-	// the walk's TransReq (TransPool.Complete, so it recycles into its pool).
+	// the L1 TLB the walk's translation returns to.
 	Origin WalkOrigin
 	// Serial numbers the walk in start order (Stats.Started before it
 	// started); its per-level memory reads carry it as their Tag and
@@ -75,8 +75,8 @@ type Walk struct {
 // walker's free list once finished, so steady-state walks allocate nothing.
 type walk struct {
 	Walk
-	// tr is the TransReq an OriginTrans walk completes.
-	tr *memreq.TransReq
+	// tr is the translation an OriginTrans walk completes.
+	tr memreq.Trans
 	// addrs holds the walk's per-level page-table addresses, on buf: a pure
 	// function of the page table, which a restore recomputes.
 	addrs []uint64
@@ -91,8 +91,8 @@ const (
 	OriginL2Miss WalkOrigin = iota + 1
 	// OriginPrefetch: a prediction; WalkDone installs the translation.
 	OriginPrefetch
-	// OriginTrans: the walk carries a TransReq and completes it (PWCache
-	// design).
+	// OriginTrans: the walk carries a translation and completes it
+	// (PWCache design).
 	OriginTrans
 )
 
@@ -122,11 +122,11 @@ type Walker struct {
 	walkFree slab.List[walk]
 	// pool recycles the walker's per-level memory read requests: the
 	// simulator's one pool. route is the walker's entry in its sink table,
-	// which the reads return on. trans completes OriginTrans walks'
-	// translations.
+	// which the reads return on. trans is where OriginTrans walks'
+	// translations return: the L1 TLBs.
 	pool  *memreq.Pool
 	route memreq.Route
-	trans *memreq.TransPool
+	trans memreq.TransSink
 
 	// faults, when non-nil, enables the demand-paging extension (§5.5).
 	faults *FaultUnit
@@ -146,16 +146,16 @@ type Walker struct {
 }
 
 // New builds a walker admitting maxConcurrent walks, reading page tables
-// through backend with requests from pool and completing the translations
-// routed straight to it through trans.
-func New(maxConcurrent int, backend cache.Backend, pool *memreq.Pool, trans *memreq.TransPool) *Walker {
+// through backend with requests from pool and returning the translations
+// routed straight to it to trans.
+func New(maxConcurrent int, backend cache.Backend, pool *memreq.Pool, trans memreq.TransSink) *Walker {
 	return Renew(nil, maxConcurrent, backend, pool, trans)
 }
 
 // Renew is New built in place over a donor: w is retired and comes back as
 // New would return it, over the donor's buffers where they fit
 // (docs/MODEL.md §11). A nil donor allocates everything.
-func Renew(w *Walker, maxConcurrent int, backend cache.Backend, pool *memreq.Pool, trans *memreq.TransPool) *Walker {
+func Renew(w *Walker, maxConcurrent int, backend cache.Backend, pool *memreq.Pool, trans memreq.TransSink) *Walker {
 	if w == nil {
 		w = new(Walker)
 	}
@@ -195,10 +195,10 @@ func (w *Walker) AddSpace(s *pagetable.Space) {
 // StartWalk implements tlb.WalkStarter: queue a walk for (asid, vpn) whose
 // result goes to the walk sink with origin (OriginL2Miss or OriginPrefetch).
 func (w *Walker) StartWalk(now int64, asid uint8, appID int, vpn uint64, origin WalkOrigin) {
-	w.start(now, asid, appID, vpn, origin, nil)
+	w.start(now, asid, appID, vpn, origin, memreq.Trans{})
 }
 
-func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, origin WalkOrigin, tr *memreq.TransReq) {
+func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, origin WalkOrigin, tr memreq.Trans) {
 	sp, ok := w.spaces[asid]
 	if !ok {
 		panic("ptw: walk for unregistered ASID")
@@ -225,7 +225,7 @@ func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, origin Walk
 // slow, which is precisely the PWCache design's weakness relative to a
 // shared L2 TLB (Figure 3). FIFO order keeps walker admission fair across
 // applications regardless of core tick order.
-func (w *Walker) SubmitTrans(now int64, tr *memreq.TransReq) bool {
+func (w *Walker) SubmitTrans(now int64, tr memreq.Trans) bool {
 	w.start(now, tr.ASID, tr.AppID, tr.VPN, OriginTrans, tr)
 	return true
 }
@@ -244,7 +244,7 @@ func (w *Walker) Tick(now int64) {
 			w.active[nkeep] = wk
 			nkeep++
 		} else {
-			wk.tr, wk.addrs = nil, nil
+			wk.tr, wk.addrs = memreq.Trans{}, nil
 			wk.Waiting, wk.Finished = false, false
 			w.walkFree.Put(wk)
 		}
@@ -394,7 +394,7 @@ func (w *Walker) RequestDone(now int64, r *memreq.Request) {
 func (w *Walker) FaultDone(now int64, h HeldWalk) { w.finishWalk(now, h) }
 
 // finishWalk records completion stats and delivers the result where the
-// walk's origin says (TransPool.Complete recycles the TransReq).
+// walk's origin says.
 func (w *Walker) finishWalk(now int64, h HeldWalk) {
 	w.Stats.Completed++
 	w.Stats.LatSum += uint64(now - h.Start)
@@ -402,7 +402,7 @@ func (w *Walker) finishWalk(now int64, h HeldWalk) {
 		w.latHist.Observe(float64(now - h.Start))
 	}
 	if h.Origin == OriginTrans {
-		w.trans.Complete(h.Tr, now)
+		w.trans.TransDone(now, h.Tr)
 		return
 	}
 	w.sink.WalkDone(now, h.ASID, h.AppID, h.VPN, h.Origin)

@@ -59,7 +59,7 @@ func (l *walkLog) Deliverable(h HeldWalk) bool { return true }
 // newWalker builds a walker over mem whose walk results land in the returned
 // log.
 func newWalker(maxConcurrent int, mem *fakeMem) (*Walker, *walkLog) {
-	w, log := New(maxConcurrent, mem, &mem.pool, new(memreq.TransPool)), &walkLog{}
+	w, log := New(maxConcurrent, mem, &mem.pool, nil), &walkLog{}
 	w.SetWalkSink(log)
 	return w, log
 }
@@ -189,13 +189,22 @@ func TestMemRejectionRetries(t *testing.T) {
 	}
 }
 
+// transFunc is the memreq.TransSink of a walker under test.
+type transFunc func(now int64, tr memreq.Trans)
+
+func (f transFunc) TransDone(now int64, tr memreq.Trans) { f(now, tr) }
+
 func TestSubmitTransRoutesToWalk(t *testing.T) {
 	w, mem, sp := newWalkerWithPage(t, 4)
 	va := uint64(0x4_0000_0000)
 	var got int64 = -1
-	w.trans.Register(0, memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq) { got = now }))
-	tr := w.trans.Get()
-	tr.ASID, tr.VPN = 1, sp.VPN(va)
+	tr := memreq.Trans{ASID: 1, VPN: sp.VPN(va), Core: 3}
+	w.trans = transFunc(func(now int64, done memreq.Trans) {
+		if done != tr {
+			t.Errorf("translation %+v returned, want %+v", done, tr)
+		}
+		got = now
+	})
 	if !w.SubmitTrans(0, tr) {
 		t.Fatal("SubmitTrans rejected")
 	}
@@ -212,7 +221,7 @@ func TestSubmitTransRoutesToWalk(t *testing.T) {
 
 func TestWalkUnknownASIDPanics(t *testing.T) {
 	mem := &fakeMem{}
-	w := New(4, mem, &mem.pool, new(memreq.TransPool))
+	w := New(4, mem, &mem.pool, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("walk for unregistered ASID did not panic")

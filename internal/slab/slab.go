@@ -1,6 +1,5 @@
 // Package slab provides the one free list behind every recycled object in the
-// simulator: pooled requests and translations, walks, page-table nodes, DRAM
-// queue wrappers.
+// simulator: pooled requests, walks, page-table nodes, DRAM queue wrappers.
 //
 // A List is deterministic by construction — plain slices, LIFO reuse, no
 // sync.Pool, nothing the garbage collector or another goroutine can perturb —
@@ -13,8 +12,8 @@ import "unsafe"
 
 // Chunk sizing, in bytes: the next chunk is as large as everything the list
 // has carved so far, clamped to [minChunk, maxChunk]. Lists that stay small
-// (a core's dozen translation requests) waste at most minChunk; lists that
-// grow large (a core's hundreds of data requests) settle at maxChunk per
+// (a walker's few dozen walks) waste at most minChunk; lists that grow large
+// (a simulator's thousands of data requests) settle at maxChunk per
 // allocation, which bounds the unused tail. Both bounds and every doubling
 // between them are malloc size classes, so a chunk loses less than one object
 // to rounding — a fixed chunk of 64 objects of 112 bytes would occupy an 8 KB

@@ -248,7 +248,7 @@ func TestRestoreRejectsHostileTableState(t *testing.T) {
 	}
 	for _, tc := range cases {
 		// The same image through both owners of the table.
-		l1 := NewL1(0, 0, 1, 4, &fakeTransBackend{}, new(memreq.TransPool))
+		l1 := NewL1(0, 0, 1, 4, &fakeTransBackend{})
 		errL1 := l1.RestoreState(&memreq.Wiring{}, L1State{Entries: tc.entries, Stamp: tc.stamp})
 
 		l2, _ := newL2(1, 4, nil)

@@ -19,8 +19,7 @@ func BenchmarkL1Hit(b *testing.B) {
 
 func BenchmarkL2ProbeHit(b *testing.B) {
 	l2, w := newL2(1, 0, nil)
-	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 9}, nil)
-	l2.SubmitTrans(0, tr)
+	l1 := submit(b, l2, memreq.Trans{ASID: 1, VPN: 9}, 0, nil)
 	for now := int64(0); now < 4; now++ {
 		l2.Tick(now)
 	}
@@ -28,8 +27,8 @@ func BenchmarkL2ProbeHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := int64(10 + i*2)
-		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 9}, nil)
-		l2.SubmitTrans(now, tr)
+		l1.Flush() // the L1 TLB misses, the shared TLB hits
+		l1.Lookup(now, 9, 0, 0, false)
 		l2.Tick(now + 1)
 	}
 }

@@ -14,17 +14,16 @@ import (
 // --- L1 TLB -----------------------------------------------------------------
 
 // WaiterState names one warp blocked on an L1 miss and the page slot of its
-// memory instruction (gpu.WarpState.Pages) the translation is for.
+// memory instruction (gpu.WarpState.Pages) the translation is for: a miss's
+// waiter, as the miss holds it and its image writes it.
 type WaiterState struct {
 	Warp, Slot int32
 }
 
 // L1MissState is one outstanding L1 miss with its blocked warps in arrival
-// order. The miss tracker is the one holder that writes its translation
-// request: the fields below are the ones the TLB does not imply (core, app,
-// ASID and VPN are the tracker's own, the stalled-warp count is the number of
-// waiters); everything else that holds the request names it by
-// memreq.TransKey.
+// order, at least one. The miss writes what its translation carries beyond
+// what the TLB implies (core, app and ASID are the TLB's own): every holder
+// of the translation names it by memreq.TransKey.
 type L1MissState struct {
 	VPN      uint64
 	HasToken bool
@@ -47,15 +46,11 @@ func (t *L1TLB) SnapshotState() L1State {
 	st := L1State{
 		Entries: t.tab.entries(),
 		Stamp:   t.tab.stamp,
-		Pending: engine.SnapshotQueue(&t.pending, func(tr *memreq.TransReq) uint64 { return tr.VPN }),
+		Pending: engine.SnapshotQueue(&t.pending, func(tr memreq.Trans) uint64 { return tr.VPN }),
 		Stats:   t.Stats,
 	}
-	st.Mshrs = mshr.Image(&t.mshrs, func(vpn uint64, tr *memreq.TransReq, ws []waiter) L1MissState {
-		ms := L1MissState{VPN: vpn, HasToken: tr.HasToken}
-		for _, w := range ws {
-			ms.Waiting = append(ms.Waiting, WaiterState{Warp: w.warp, Slot: w.slot})
-		}
-		return ms
+	st.Mshrs = mshr.Image(&t.mshrs, func(vpn uint64, hasToken bool, ws []WaiterState) L1MissState {
+		return L1MissState{VPN: vpn, HasToken: hasToken, Waiting: slices.Clone(ws)}
 	})
 	return st
 }
@@ -63,33 +58,34 @@ func (t *L1TLB) SnapshotState() L1State {
 // RestoreState restores an image captured by SnapshotState onto a TLB built
 // for the same core. The core restores first: every waiter must name, once, a
 // warp it has blocked on a translation of that page slot, and the slot must be
-// on the miss's page; the core counts each (Waker.Await). A pending
-// translation is one of the holders wi.Trans accounts for.
+// on the miss's page; the core counts each (Waker.Await). A miss opens with
+// its first waiter, so one without is rejected. A pending translation is one
+// of the holders wi.Trans accounts for.
 func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 	t.Stats = st.Stats
 	if err := t.tab.restore("L1", st.Stamp, st.Entries); err != nil {
 		return err
 	}
-	err := t.mshrs.Restore("L1 misses", len(st.Mshrs), func(i int, wait func(waiter)) (uint64, *memreq.TransReq, error) {
+	err := t.mshrs.Restore("L1 misses", len(st.Mshrs), func(i int, wait func(WaiterState)) (uint64, bool, error) {
 		ms := st.Mshrs[i]
-		tr := t.pool.Get()
-		tr.AppID, tr.ASID, tr.CoreID = t.appID, t.asid, t.coreID
-		tr.VPN, tr.HasToken, tr.StalledWarps = ms.VPN, ms.HasToken, len(ms.Waiting)
+		if len(ms.Waiting) == 0 {
+			return 0, false, fmt.Errorf("checkpoint L1 miss for vpn %#x has no waiter", ms.VPN)
+		}
 		for j, w := range ms.Waiting {
 			if t.waker == nil || !t.waker.Await(int(w.Warp), int(w.Slot), ms.VPN) {
-				return 0, nil, fmt.Errorf("checkpoint L1 miss for vpn %#x waits for warp %d slot %d, which awaits no translation there for that page", ms.VPN, w.Warp, w.Slot)
+				return 0, false, fmt.Errorf("checkpoint L1 miss for vpn %#x waits for warp %d slot %d, which awaits no translation there for that page", ms.VPN, w.Warp, w.Slot)
 			}
 			if slices.Contains(ms.Waiting[:j], w) {
-				return 0, nil, fmt.Errorf("checkpoint L1 miss for vpn %#x lists warp %d slot %d twice", ms.VPN, w.Warp, w.Slot)
+				return 0, false, fmt.Errorf("checkpoint L1 miss for vpn %#x lists warp %d slot %d twice", ms.VPN, w.Warp, w.Slot)
 			}
-			wait(waiter{w.Warp, w.Slot})
+			wait(w)
 		}
-		return ms.VPN, tr, nil
+		return ms.VPN, ms.HasToken, nil
 	})
 	if err != nil {
 		return fmt.Errorf("tlb: L1 TLB of core %d: %w", t.coreID, err)
 	}
-	if err := engine.RestoreQueue(&t.pending, st.Pending, func(vpn uint64) (*memreq.TransReq, error) {
+	if err := engine.RestoreQueue(&t.pending, st.Pending, func(vpn uint64) (memreq.Trans, error) {
 		return wi.Trans(memreq.TransKey{Core: int32(t.coreID), VPN: vpn})
 	}); err != nil {
 		return fmt.Errorf("tlb: L1 TLB of core %d pending %w", t.coreID, err)
@@ -97,30 +93,50 @@ func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 	return nil
 }
 
-// ErrHeldTwice rejects an image that names one translation from two holders.
-// A run never holds one TransReq in two places — it moves from the L1 TLB's
-// retry list to the shared TLB's pipe, stalled queue or a miss tracker, or to
-// a walk and a fault — and a resumed run would complete it twice.
-var ErrHeldTwice = errors.New("tlb: checkpoint names one translation from two holders")
+// Holders resolves the keys a checkpoint names translations by against the
+// restored L1 TLBs. A run holds the translation of every open L1 miss in
+// exactly one place — the L1 TLB's retry queue, the shared TLB's pipe,
+// stalled queue or a miss's waiters, a walk, a fault — so Trans hands out
+// each key once (a resumed run would complete a key named twice twice), and
+// Unheld rejects a miss no holder named (it would never return).
+type Holders struct {
+	l1s  L1TLBs
+	held map[memreq.TransKey]bool
+}
 
-// Trackers resolves the keys a checkpoint names translation requests by
-// against l1s, the restored L1 TLBs indexed by core, handing out each key
-// once.
-func Trackers(l1s []*L1TLB) func(memreq.TransKey) (*memreq.TransReq, error) {
-	held := make(map[memreq.TransKey]bool)
-	return func(k memreq.TransKey) (*memreq.TransReq, error) {
-		if held[k] {
-			return nil, fmt.Errorf("%w: core %d, vpn %#x", ErrHeldTwice, k.Core, k.VPN)
-		}
-		held[k] = true
-		if k.Core < 0 || int(k.Core) >= len(l1s) {
-			return nil, fmt.Errorf("tlb: checkpoint names the L1 TLB of core %d, there are %d", k.Core, len(l1s))
-		}
-		if e, ok := l1s[k.Core].mshrs.Find(k.VPN); ok {
-			return l1s[k.Core].mshrs.Payload(e), nil
-		}
-		return nil, fmt.Errorf("tlb: checkpoint names the translation of vpn %#x by core %d, which no L1 TLB miss tracks", k.VPN, k.Core)
+// Holders returns the resolver of one restore onto ts, which restore first.
+func (ts L1TLBs) Holders() *Holders {
+	return &Holders{l1s: ts, held: make(map[memreq.TransKey]bool)}
+}
+
+// Trans resolves k to the translation of the L1 miss it names
+// (memreq.Wiring.Trans).
+func (h *Holders) Trans(k memreq.TransKey) (memreq.Trans, error) {
+	if h.held[k] {
+		return memreq.Trans{}, fmt.Errorf("tlb: checkpoint names one translation from two holders: core %d, vpn %#x", k.Core, k.VPN)
 	}
+	h.held[k] = true
+	if k.Core < 0 || int(k.Core) >= len(h.l1s) {
+		return memreq.Trans{}, fmt.Errorf("tlb: checkpoint names the L1 TLB of core %d, there are %d", k.Core, len(h.l1s))
+	}
+	t := h.l1s[k.Core]
+	if e, ok := t.mshrs.Find(k.VPN); ok {
+		return t.trans(k.VPN, t.mshrs.Payload(e)), nil
+	}
+	return memreq.Trans{}, fmt.Errorf("tlb: checkpoint names the translation of vpn %#x by core %d, which no L1 TLB miss tracks", k.VPN, k.Core)
+}
+
+// Unheld rejects an L1 miss whose translation no holder named. Every holder
+// restores first.
+func (h *Holders) Unheld() error {
+	for _, t := range h.l1s {
+		for e := range t.mshrs.Len() {
+			if vpn := t.mshrs.Key(e); !h.held[memreq.TransKey{Core: int32(t.coreID), VPN: vpn}] {
+				return fmt.Errorf("tlb: checkpoint L1 TLB miss of core %d, vpn %#x has a translation no queue, miss, walk or fault holds", t.coreID, vpn)
+			}
+		}
+	}
+	return nil
 }
 
 // --- token policy -----------------------------------------------------------
@@ -183,20 +199,20 @@ type L2State struct {
 	Tokens     *TokenState
 }
 
-// SnapshotState captures the shared TLB's checkpoint image. Translation
-// requests are named by key: their L1 TLB miss trackers write them. The
+// SnapshotState captures the shared TLB's checkpoint image. Translations are
+// named by key: their L1 TLB misses write them. The
 // image shares the entry array and the per-app counters with the TLB:
 // encode it before the TLB ticks again.
 func (t *L2TLB) SnapshotState() L2State {
 	st := L2State{
 		Lines:      t.lines,
 		Stamp:      t.stamp,
-		In:         engine.SnapshotQueue(&t.in, (*memreq.TransReq).Key),
-		Stalled:    engine.SnapshotQueue(&t.stalled, (*memreq.TransReq).Key),
+		In:         engine.SnapshotQueue(&t.in, memreq.Trans.Key),
+		Stalled:    engine.SnapshotQueue(&t.stalled, memreq.Trans.Key),
 		PfInFlight: memreq.SortedKeys(t.pfInFlight, memreq.PageKey.Compare),
 		Apps:       t.apps,
 	}
-	st.Mshrs = mshr.Image(&t.mshrs, func(_ memreq.PageKey, _ int, ws []*memreq.TransReq) []memreq.TransKey {
+	st.Mshrs = mshr.Image(&t.mshrs, func(_ memreq.PageKey, _ int, ws []memreq.Trans) []memreq.TransKey {
 		var reqs []memreq.TransKey
 		for _, tr := range ws {
 			reqs = append(reqs, tr.Key())
@@ -231,7 +247,7 @@ func (t *L2TLB) SnapshotState() L2State {
 
 // RestoreState restores an image captured by SnapshotState onto a TLB built
 // from the identical configuration. The L1 TLBs restore first: w.Trans
-// resolves every key against their miss trackers.
+// resolves every key against their misses.
 func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 	if len(st.Lines) != len(t.lines) {
 		return fmt.Errorf("tlb: checkpoint has %d L2 TLB lines, configuration has %d", len(st.Lines), len(t.lines))
@@ -244,7 +260,7 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 	// The first requester of a miss is the lookup that missed, whose page and
 	// application are the miss's. A run merges every miss of a page into its
 	// one entry, which its walk fills.
-	err := t.mshrs.Restore("L2 TLB misses", len(st.Mshrs), func(i int, wait func(*memreq.TransReq)) (key memreq.PageKey, app int, err error) {
+	err := t.mshrs.Restore("L2 TLB misses", len(st.Mshrs), func(i int, wait func(memreq.Trans)) (key memreq.PageKey, app int, err error) {
 		if len(st.Mshrs[i]) == 0 {
 			return key, 0, errors.New("checkpoint has an L2 TLB miss without a requester")
 		}
@@ -313,6 +329,19 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 	}
 	if t.tokens != nil {
 		return t.tokens.SetState(*st.Tokens)
+	}
+	return nil
+}
+
+// CheckWalks rejects a miss no demand walk will fill: demands reports whether
+// a demand walk of (asid, vpn) is active, waits for a walker slot or is held
+// by a fault. A run starts one as it opens the miss, and the walk fills it as
+// it ends. The walker and its fault unit restore first.
+func (t *L2TLB) CheckWalks(demands func(asid uint8, vpn uint64) bool) error {
+	for e := range t.mshrs.Len() {
+		if k := t.mshrs.Key(e); !demands(k.ASID, k.VPN) {
+			return fmt.Errorf("tlb: checkpoint L2 TLB miss of asid %d, vpn %#x has no demand walk to fill it", k.ASID, k.VPN)
+		}
 	}
 	return nil
 }

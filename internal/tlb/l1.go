@@ -18,7 +18,7 @@ import (
 // shared L2 TLB under the SharedTLB/MASK designs, or the page table walker
 // directly under the PWCache design.
 type TransBackend interface {
-	SubmitTrans(now int64, tr *memreq.TransReq) bool
+	SubmitTrans(now int64, tr memreq.Trans) bool
 }
 
 // L1Stats aggregates per-core L1 TLB counters.
@@ -57,12 +57,6 @@ type Waker interface {
 	Await(warpID, slot int, vpn uint64) bool
 }
 
-// waiter names one blocked requester: a warp and the page slot of its
-// current memory instruction.
-type waiter struct {
-	warp, slot int32
-}
-
 // vpnKeys are the keys of an L1 TLB's miss table.
 var vpnKeys = mshr.Numbers("vpn")
 
@@ -76,28 +70,31 @@ type L1TLB struct {
 	backend TransBackend
 	waker   Waker
 
-	// mshrs holds each outstanding translation by VPN, with every warp
-	// blocked on it in arrival order.
-	mshrs   mshr.Table[uint64, *memreq.TransReq, waiter]
-	pending engine.Queue[*memreq.TransReq]
-
-	// pool recycles translation requests: the simulator's one pool, which
-	// returns this core's translations here.
-	pool *memreq.TransPool
+	// mshrs holds each outstanding translation by VPN, with its opening
+	// lookup's TLB-Fill Token state and its blocked warps in arrival order.
+	mshrs mshr.Table[uint64, bool, WaiterState]
+	// pending holds the translations the backend refused, in retry order.
+	pending engine.Queue[memreq.Trans]
 
 	Stats L1Stats
 }
 
-// NewL1 builds an L1 TLB of the given size for one core, whose translation
-// requests come from pool.
-func NewL1(coreID, appID int, asid uint8, size int, backend TransBackend, pool *memreq.TransPool) *L1TLB {
-	return RenewL1(nil, coreID, appID, asid, size, backend, pool)
+// L1TLBs are the simulator's L1 TLBs, indexed by core: where every
+// translation returns.
+type L1TLBs []*L1TLB
+
+// TransDone implements memreq.TransSink: tr returns to its core's L1 TLB.
+func (ts *L1TLBs) TransDone(now int64, tr memreq.Trans) { (*ts)[tr.Core].TransDone(now, tr) }
+
+// NewL1 builds an L1 TLB of the given size for one core.
+func NewL1(coreID, appID int, asid uint8, size int, backend TransBackend) *L1TLB {
+	return RenewL1(nil, coreID, appID, asid, size, backend)
 }
 
 // RenewL1 is NewL1 built in place over a donor: t comes back as NewL1 would
 // return it, keeping only the capacity of the donor's table, miss table and
 // pending list (docs/MODEL.md §11). A nil donor allocates everything.
-func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBackend, pool *memreq.TransPool) *L1TLB {
+func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBackend) *L1TLB {
 	t, d := slab.Lift(t)
 	*t = L1TLB{
 		coreID:  coreID,
@@ -107,9 +104,7 @@ func RenewL1(t *L1TLB, coreID, appID int, asid uint8, size int, backend TransBac
 		mshrs:   d.mshrs.Renewed(0, vpnKeys),
 		pending: d.pending.Renewed(0, 0),
 		backend: backend,
-		pool:    pool,
 	}
-	pool.Register(coreID, t)
 	return t
 }
 
@@ -130,37 +125,40 @@ func (t *L1TLB) Lookup(now int64, vpn uint64, warpID, slot int, hasToken bool) (
 		return true
 	}
 	t.Stats.Misses++
-	w := waiter{int32(warpID), int32(slot)}
+	w := WaiterState{int32(warpID), int32(slot)}
 	if e, ok := t.mshrs.Find(vpn); ok {
 		t.mshrs.Add(e, w)
-		t.mshrs.Payload(e).StalledWarps++
 		return false
 	}
-	tr := t.pool.Get()
-	tr.AppID, tr.ASID, tr.CoreID = t.appID, t.asid, t.coreID
-	tr.VPN, tr.HasToken, tr.StalledWarps = vpn, hasToken, 1
-	t.mshrs.Add(t.mshrs.Open(vpn, tr), w)
+	t.mshrs.Add(t.mshrs.Open(vpn, hasToken), w)
+	tr := t.trans(vpn, hasToken)
 	if !t.backend.SubmitTrans(now, tr) {
 		t.pending.Push(now, tr)
 	}
 	return false
 }
 
+// trans returns the translation of this TLB's miss on vpn.
+func (t *L1TLB) trans(vpn uint64, hasToken bool) memreq.Trans {
+	return memreq.Trans{VPN: vpn, AppID: t.appID, Core: int32(t.coreID), ASID: t.asid, HasToken: hasToken}
+}
+
 // TransDone implements memreq.TransSink: the translation tr asked for has
 // returned. It installs the translation, closes the miss, wakes every
 // blocked warp, and records the stalled-warp sample for the Figure 6 metric.
-func (t *L1TLB) TransDone(now int64, tr *memreq.TransReq) {
+// A translation with no miss open for it was completed twice, and panics.
+func (t *L1TLB) TransDone(now int64, tr memreq.Trans) {
 	vpn := tr.VPN
 	e, ok := t.mshrs.Find(vpn)
-	if !ok || t.mshrs.Payload(e) != tr {
-		return // no miss waits on this request
+	if !ok {
+		panic("tlb: a translation returned to an L1 TLB with no miss open for it (completed twice)")
 	}
 	t.Stats.StalledWarpSum += uint64(t.mshrs.Count(e))
 	t.Stats.StalledWarpCount++
 	_, ws := t.mshrs.Close(e)
 	t.tab.fill(memreq.PageKey{ASID: t.asid, VPN: vpn})
 	for w, ok := t.mshrs.Pop(&ws); ok; w, ok = t.mshrs.Pop(&ws) {
-		t.waker.Translated(now, int(w.warp), int(w.slot))
+		t.waker.Translated(now, int(w.Warp), int(w.Slot))
 	}
 }
 

@@ -87,19 +87,18 @@ type L2TLB struct {
 	sets   int
 	lines  []L2Entry
 	stamp  int64
-	in     engine.Queue[*memreq.TransReq]
+	in     engine.Queue[memreq.Trans]
 	walker WalkStarter
-	// pool completes the translations the TLB serves: the simulator's one
-	// translation pool.
-	pool *memreq.TransPool
+	// l1s are where translations return, their misses counting their warps.
+	l1s *L1TLBs
 
 	// mshrs holds each outstanding miss by page, with the app of the lookup
 	// that missed and every merged requester in arrival order.
-	mshrs mshr.Table[memreq.PageKey, int, *memreq.TransReq]
+	mshrs mshr.Table[memreq.PageKey, int, memreq.Trans]
 	// stalled holds lookups that missed while the walker backlog was full;
 	// they retry (and may meanwhile hit a newly filled entry or merge into a
 	// new MSHR) before fresh lookups are served.
-	stalled engine.Queue[*memreq.TransReq]
+	stalled engine.Queue[memreq.Trans]
 
 	tokens *TokenPolicy
 	bypass *bypassCache
@@ -114,16 +113,16 @@ type L2TLB struct {
 	wayMask []uint64
 }
 
-// NewL2 builds the shared TLB, which completes translations through pool.
-// tokens may be nil (no token mechanism).
-func NewL2(cfg L2Config, walker WalkStarter, tokens *TokenPolicy, pool *memreq.TransPool) *L2TLB {
-	return RenewL2(nil, cfg, walker, tokens, pool)
+// NewL2 builds the shared TLB, which returns translations to l1s. tokens may
+// be nil (no token mechanism).
+func NewL2(cfg L2Config, walker WalkStarter, tokens *TokenPolicy, l1s *L1TLBs) *L2TLB {
+	return RenewL2(nil, cfg, walker, tokens, l1s)
 }
 
 // RenewL2 is NewL2 built in place over a donor: t is retired and comes back
 // as NewL2 would return it, over the donor's buffers where they fit
 // (docs/MODEL.md §11). A nil donor allocates everything.
-func RenewL2(t *L2TLB, cfg L2Config, walker WalkStarter, tokens *TokenPolicy, pool *memreq.TransPool) *L2TLB {
+func RenewL2(t *L2TLB, cfg L2Config, walker WalkStarter, tokens *TokenPolicy, l1s *L1TLBs) *L2TLB {
 	if cfg.Ways <= 0 || cfg.Entries < cfg.Ways {
 		panic("tlb: invalid L2 TLB geometry")
 	}
@@ -137,7 +136,7 @@ func RenewL2(t *L2TLB, cfg L2Config, walker WalkStarter, tokens *TokenPolicy, po
 		t = new(L2TLB)
 	}
 	t.Retire()
-	t.cfg, t.sets, t.walker, t.tokens, t.pool = cfg, cfg.Entries/cfg.Ways, walker, tokens, pool
+	t.cfg, t.sets, t.walker, t.tokens, t.l1s = cfg, cfg.Entries/cfg.Ways, walker, tokens, l1s
 	t.lines = slab.Slice(t.lines, cfg.Entries)
 	t.in = t.in.Renewed(cfg.Latency, cfg.QueueCap)
 	t.mshrs = t.mshrs.Renewed(0, pageKeys)
@@ -241,7 +240,7 @@ func (t *L2TLB) markPrefetched(key memreq.PageKey) {
 }
 
 // SubmitTrans implements TransBackend for the L1 TLBs.
-func (t *L2TLB) SubmitTrans(now int64, tr *memreq.TransReq) bool {
+func (t *L2TLB) SubmitTrans(now int64, tr memreq.Trans) bool {
 	return t.in.Push(now, tr)
 }
 
@@ -284,7 +283,7 @@ func (t *L2TLB) NextEvent(now int64) int64 {
 // lookup resolves one translation request. Stats are recorded at resolution:
 // Accesses on first probe, Hits/Misses when the request hits, merges, or
 // starts a walk.
-func (t *L2TLB) lookup(now int64, tr *memreq.TransReq, first bool) {
+func (t *L2TLB) lookup(now int64, tr memreq.Trans, first bool) {
 	app := tr.AppID
 	if first && app >= 0 && app < len(t.apps) {
 		t.apps[app].Accesses++
@@ -302,7 +301,7 @@ func (t *L2TLB) lookup(now int64, tr *memreq.TransReq, first bool) {
 	// either the TLB or the TLB bypass cache yields a TLB hit").
 	if t.probe(key) || (t.bypass != nil && t.bypass.probe(key)) {
 		t.recordHit(app)
-		t.pool.Complete(tr, now)
+		t.l1s.TransDone(now, tr)
 		return
 	}
 
@@ -381,7 +380,7 @@ func (t *L2TLB) fill(now int64, e int) {
 		t.bypass.fill(key)
 	}
 	for tr, ok := t.mshrs.Pop(&ws); ok; tr, ok = t.mshrs.Pop(&ws) {
-		t.pool.Complete(tr, now)
+		t.l1s.TransDone(now, tr)
 	}
 }
 
@@ -439,9 +438,10 @@ func (t *L2TLB) EpochRoll() []float64 {
 
 // Pressure implements the per-app metrics for the MASK DRAM scheduler
 // (§5.4): the number of concurrent page walks and the average number of
-// warps stalled per active miss. Both counters saturate at 63, matching the
-// paper's 6-bit hardware counters; saturation also keeps the Silver-Queue
-// quota split stable when both apps are far beyond the measurable range.
+// warps stalled per active miss, each requester's warps counted at its L1
+// TLB miss. Both counters saturate at 63, matching the paper's 6-bit
+// hardware counters; saturation also keeps the Silver-Queue quota split
+// stable when both apps are far beyond the measurable range.
 func (t *L2TLB) Pressure(app int) (conPTW, warpsStalled float64) {
 	n := 0
 	stalled := 0
@@ -455,7 +455,9 @@ func (t *L2TLB) Pressure(app int) (conPTW, warpsStalled float64) {
 			if !ok {
 				break
 			}
-			stalled += tr.StalledWarps
+			l1 := (*t.l1s)[tr.Core]
+			m, _ := l1.mshrs.Find(tr.VPN)
+			stalled += l1.mshrs.Count(m)
 		}
 	}
 	if n == 0 {

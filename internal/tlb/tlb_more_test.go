@@ -13,19 +13,16 @@ func TestL2WayPartitioning(t *testing.T) {
 	// Fill the same set repeatedly from app 0; app 1's entry must survive.
 	// With the hashed index we can't choose set collisions directly, so we
 	// simply verify app 1's translation survives a burst of app-0 fills.
-	tr := newTrans(l2, memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x42}, nil)
-	submitAndTick(t, l2, tr, 0, 3)
+	submitAndTick(t, l2, memreq.Trans{ASID: 2, AppID: 1, VPN: 0x42}, 0, 3, nil)
 	w.completeAll(4)
 
 	for i := 0; i < 200; i++ {
-		tr := newTrans(l2, memreq.TransReq{ASID: 1, AppID: 0, VPN: uint64(0x1000 + i)}, nil)
 		at := int64(10 + i*4)
-		submitAndTick(t, l2, tr, at, at+2)
+		submitAndTick(t, l2, memreq.Trans{ASID: 1, AppID: 0, VPN: uint64(0x1000 + i)}, at, at+2, nil)
 		w.completeAll(at + 3)
 	}
 	hit := false
-	tr2 := newTrans(l2, memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x42}, func(int64) { hit = true })
-	submitAndTick(t, l2, tr2, 5000, 5003)
+	submitAndTick(t, l2, memreq.Trans{ASID: 2, AppID: 1, VPN: 0x42}, 5000, 5003, func(int64) { hit = true })
 	if !hit {
 		t.Fatal("app 1's translation evicted despite way partitioning")
 	}
@@ -34,15 +31,13 @@ func TestL2WayPartitioning(t *testing.T) {
 func TestL2FlushFraction(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	for i := 0; i < 16; i++ {
-		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: uint64(i)}, nil)
 		at := int64(i * 5)
-		submitAndTick(t, l2, tr, at, at+2)
+		submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: uint64(i)}, at, at+2, nil)
 		w.completeAll(at + 3)
 	}
 	l2.FlushFraction(1.0)
 	// Everything must now miss.
-	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 3}, nil)
-	submitAndTick(t, l2, tr, 200, 203)
+	submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: 3}, 200, 203, nil)
 	if len(w.walks) != 1 {
 		t.Fatal("entry survived full flush")
 	}
@@ -72,16 +67,14 @@ func TestL1FlushFractionPartial(t *testing.T) {
 
 func TestL2EpochRollResets(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
-	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x900}, nil)
-	submitAndTick(t, l2, tr, 0, 3)
+	submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: 0x900}, 0, 3, nil)
 	w.completeAll(4)
 	rates := l2.EpochRoll()
 	if rates[0] != 1.0 {
 		t.Fatalf("first epoch miss rate %v, want 1.0", rates[0])
 	}
 	// New epoch starts clean: a hit-only epoch reports 0.
-	hit := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x900}, nil)
-	submitAndTick(t, l2, hit, 10, 13)
+	submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: 0x900}, 10, 13, nil)
 	rates = l2.EpochRoll()
 	if rates[0] != 0.0 {
 		t.Fatalf("hit-only epoch miss rate %v, want 0", rates[0])
@@ -119,9 +112,8 @@ func TestL2StatsHitsPlusMissesBounded(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	for i := 0; i < 50; i++ {
 		vpn := uint64(i % 10)
-		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: vpn}, nil)
 		at := int64(i * 6)
-		submitAndTick(t, l2, tr, at, at+3)
+		submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: vpn}, at, at+3, nil)
 		w.completeAll(at + 4)
 	}
 	st := l2.AppStats(0)
@@ -193,8 +185,7 @@ func TestL2PrefetchInstallsAndCountsUseful(t *testing.T) {
 	at := int64(0)
 	for pass := 0; pass < 3; pass++ {
 		for _, vpn := range seq {
-			tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: vpn}, nil)
-			submitAndTick(t, l2, tr, at, at+3)
+			submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: vpn}, at, at+3, nil)
 			w.completeAll(at + 4)
 			at += 10
 		}
@@ -217,13 +208,7 @@ func TestL2PrefetchNeverDelaysDemand(t *testing.T) {
 	seq := []uint64{100, 104, 100, 104, 100}
 	at := int64(0)
 	for _, vpn := range seq {
-		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: vpn}, nil)
-		if !l2.SubmitTrans(at, tr) {
-			t.Fatal("submit failed")
-		}
-		for now := at; now <= at+3; now++ {
-			l2.Tick(now)
-		}
+		submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: vpn}, at, at+3, nil)
 		at += 10
 	}
 	if l2.PrefetchStats().Issued != 0 {
@@ -246,12 +231,11 @@ func (c *countingWalker) StartWalk(now int64, asid uint8, appID int, vpn uint64,
 // engine.Queue's to keep: TestQueueMatchesSlice.)
 func TestL2StalledServedFIFO(t *testing.T) {
 	w := &countingWalker{}
-	l2 := NewL2(L2Config{Entries: 32, Ways: 4, Ports: 2, Latency: 1, QueueCap: 16, NumApps: 1}, w, nil, new(memreq.TransPool))
+	l2 := NewL2(L2Config{Entries: 32, Ways: 4, Ports: 2, Latency: 1, QueueCap: 16, NumApps: 1}, w, nil, new(L1TLBs))
 	w.queued = walkBacklogLimit
 	const n = 10
 	for i := 0; i < n; i++ {
-		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: uint64(0x900 + i)}, nil)
-		submitAndTick(t, l2, tr, int64(4*i), int64(4*i+3))
+		submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: uint64(0x900 + i)}, int64(4*i), int64(4*i+3), nil)
 	}
 	if l2.stalled.Len() != n || l2.QueueLen() != n || len(w.walks) != 0 {
 		t.Fatalf("parked %d lookups (QueueLen %d, %d walks started), want %d/%d/0", l2.stalled.Len(), l2.QueueLen(), len(w.walks), n, n)

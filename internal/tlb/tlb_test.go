@@ -8,16 +8,15 @@ import (
 	"masksim/internal/ptw"
 )
 
-// fakeTransBackend records translation requests and answers on demand,
-// through the pool of the L1 TLBs built over it (newL1), one core each.
+// fakeTransBackend records translation requests and answers on demand to the
+// L1 TLBs built over it (newL1), one core each.
 type fakeTransBackend struct {
-	reqs   []*memreq.TransReq
+	reqs   []memreq.Trans
 	reject bool
-	pool   memreq.TransPool
-	cores  int
+	l1s    L1TLBs
 }
 
-func (f *fakeTransBackend) SubmitTrans(now int64, tr *memreq.TransReq) bool {
+func (f *fakeTransBackend) SubmitTrans(now int64, tr memreq.Trans) bool {
 	if f.reject {
 		return false
 	}
@@ -29,7 +28,7 @@ func (f *fakeTransBackend) answerAll(now int64) {
 	reqs := f.reqs
 	f.reqs = nil
 	for _, tr := range reqs {
-		f.pool.Complete(tr, now)
+		f.l1s.TransDone(now, tr)
 	}
 }
 
@@ -50,8 +49,8 @@ func (l *wakeLog) Translated(now int64, warpID, slot int) {
 func (l *wakeLog) Await(warpID, slot int, vpn uint64) bool { return true }
 
 func newL1(asid uint8, size int, be *fakeTransBackend) (*L1TLB, *wakeLog) {
-	l1, log := NewL1(be.cores, 0, asid, size, be, &be.pool), &wakeLog{}
-	be.cores++
+	l1, log := NewL1(len(be.l1s), 0, asid, size, be), &wakeLog{}
+	be.l1s = append(be.l1s, l1)
 	l1.SetWaker(log)
 	return l1, log
 }
@@ -84,8 +83,8 @@ func TestL1MSHRMergesWarps(t *testing.T) {
 	if len(be.reqs) != 1 {
 		t.Fatalf("merged miss sent %d backend requests", len(be.reqs))
 	}
-	if be.reqs[0].StalledWarps != 5 {
-		t.Fatalf("StalledWarps=%d, want 5", be.reqs[0].StalledWarps)
+	if e, _ := l1.mshrs.Find(0x20); l1.mshrs.Count(e) != 5 {
+		t.Fatalf("%d warps stalled on the miss, want 5", l1.mshrs.Count(e))
 	}
 	be.answerAll(3)
 	for w, got := range log.woken {
@@ -99,6 +98,22 @@ func TestL1MSHRMergesWarps(t *testing.T) {
 	if l1.Stats.AvgStalledWarps() != 5 {
 		t.Fatalf("AvgStalledWarps=%v, want 5", l1.Stats.AvgStalledWarps())
 	}
+}
+
+// TestTransDoneWithoutMissPanics returns one translation twice: the second
+// return finds no miss open for it, which only a double completion does.
+func TestTransDoneWithoutMissPanics(t *testing.T) {
+	be := &fakeTransBackend{}
+	l1, _ := newL1(1, 4, be)
+	l1.Lookup(0, 0x50, 0, 0, true)
+	tr := be.reqs[0]
+	be.answerAll(1)
+	defer func() {
+		if r := recover(); r != "tlb: a translation returned to an L1 TLB with no miss open for it (completed twice)" {
+			t.Fatalf("panic %v, want the double-completion panic", r)
+		}
+	}()
+	l1.TransDone(2, tr)
 }
 
 func TestL1LRUEviction(t *testing.T) {
@@ -176,33 +191,44 @@ func (f *fakeWalker) completeAll(now int64) {
 
 func newL2(numApps int, bypassSize int, tokens *TokenPolicy) (*L2TLB, *fakeWalker) {
 	w := &fakeWalker{}
-	pool := new(memreq.TransPool)
-	pool.Register(0, memreq.TransSinkFunc(func(int64, *memreq.TransReq) {}))
 	l2 := NewL2(L2Config{
 		Entries: 32, Ways: 4, Ports: 2, Latency: 1, QueueCap: 16,
 		BypassSize: bypassSize, NumApps: numApps,
-	}, w, tokens, pool)
+	}, w, tokens, new(L1TLBs))
 	w.sink = l2
 	return l2, w
 }
 
-// newTrans takes a translation from l2's pool with tr's fields. done, if not
-// nil, becomes the sink of core tr.CoreID (newL2 registers a no-op for
-// core 0).
-func newTrans(l2 *L2TLB, tr memreq.TransReq, done func(now int64)) *memreq.TransReq {
-	if done != nil {
-		l2.pool.Register(tr.CoreID, memreq.TransSinkFunc(func(now int64, _ *memreq.TransReq) { done(now) }))
+// wakeFunc is the Waker of an L1 TLB over a shared TLB under test: it runs
+// when a miss of its TLB returns (nil: nothing).
+type wakeFunc func(now int64)
+
+func (f wakeFunc) Translated(now int64, warpID, slot int) {
+	if f != nil {
+		f(now)
 	}
-	p := l2.pool.Get()
-	*p = tr
-	return p
 }
 
-func submitAndTick(t *testing.T, l2 *L2TLB, tr *memreq.TransReq, from, to int64) {
+func (f wakeFunc) Await(warpID, slot int, vpn uint64) bool { return true }
+
+// submit has the L1 TLB of a new core, of tr's app and address space, miss on
+// tr's page at cycle at: it sends l2 the translation tr describes, of that
+// core. done, if not nil, runs when the translation returns.
+func submit(t testing.TB, l2 *L2TLB, tr memreq.Trans, at int64, done func(now int64)) *L1TLB {
 	t.Helper()
-	if !l2.SubmitTrans(from, tr) {
+	l1 := NewL1(len(*l2.l1s), tr.AppID, tr.ASID, 4, l2)
+	*l2.l1s = append(*l2.l1s, l1)
+	l1.SetWaker(wakeFunc(done))
+	l1.Lookup(at, tr.VPN, 0, 0, tr.HasToken)
+	if l1.pending.Len() > 0 {
 		t.Fatal("SubmitTrans rejected")
 	}
+	return l1
+}
+
+func submitAndTick(t *testing.T, l2 *L2TLB, tr memreq.Trans, from, to int64, done func(now int64)) {
+	t.Helper()
+	submit(t, l2, tr, from, done)
 	for now := from; now <= to; now++ {
 		l2.Tick(now)
 	}
@@ -211,8 +237,7 @@ func submitAndTick(t *testing.T, l2 *L2TLB, tr *memreq.TransReq, from, to int64)
 func TestL2MissWalkFill(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	var got int64
-	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x100}, func(now int64) { got = now })
-	submitAndTick(t, l2, tr, 0, 3)
+	submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: 0x100}, 0, 3, func(now int64) { got = now })
 	if len(w.walks) != 1 {
 		t.Fatalf("walker saw %d walks, want 1", len(w.walks))
 	}
@@ -222,8 +247,7 @@ func TestL2MissWalkFill(t *testing.T) {
 	}
 	// Now it hits.
 	hit := false
-	tr2 := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x100}, func(int64) { hit = true })
-	submitAndTick(t, l2, tr2, 11, 14)
+	submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: 0x100}, 11, 14, func(int64) { hit = true })
 	if !hit || len(w.walks) != 0 {
 		t.Fatal("expected shared TLB hit")
 	}
@@ -235,12 +259,10 @@ func TestL2MissWalkFill(t *testing.T) {
 
 func TestL2ASIDIsolation(t *testing.T) {
 	l2, w := newL2(2, 0, nil)
-	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x200}, nil)
-	submitAndTick(t, l2, tr, 0, 3)
+	submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: 0x200}, 0, 3, nil)
 	w.completeAll(5)
 	// Same VPN, different ASID must MISS.
-	tr2 := newTrans(l2, memreq.TransReq{ASID: 2, AppID: 1, VPN: 0x200}, nil)
-	submitAndTick(t, l2, tr2, 6, 9)
+	submitAndTick(t, l2, memreq.Trans{ASID: 2, AppID: 1, VPN: 0x200}, 6, 9, nil)
 	if len(w.walks) != 1 {
 		t.Fatal("cross-ASID access hit another space's translation")
 	}
@@ -250,10 +272,7 @@ func TestL2MSHRMergesAcrossCores(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	done := 0
 	for i := 0; i < 3; i++ {
-		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x300, CoreID: i}, func(int64) { done++ })
-		if !l2.SubmitTrans(0, tr) {
-			t.Fatal("submit failed")
-		}
+		submit(t, l2, memreq.Trans{ASID: 1, VPN: 0x300}, 0, func(int64) { done++ })
 	}
 	for now := int64(0); now <= 3; now++ {
 		l2.Tick(now)
@@ -270,8 +289,7 @@ func TestL2MSHRMergesAcrossCores(t *testing.T) {
 func TestL2WalkBacklogStallsMisses(t *testing.T) {
 	l2, w := newL2(1, 0, nil)
 	w.queued = walkBacklogLimit // backlog full
-	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x400}, nil)
-	submitAndTick(t, l2, tr, 0, 3)
+	submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: 0x400}, 0, 3, nil)
 	if len(w.walks) != 0 {
 		t.Fatal("walk started despite full backlog")
 	}
@@ -294,19 +312,17 @@ func TestTokenGatingFillsBypassCache(t *testing.T) {
 	l2, w := newL2(1, 4, tokens)
 
 	// Token-less warp's fill must land in the bypass cache, not main TLB.
-	tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x600, HasToken: tokens.HasToken(0, 63)}, nil)
-	if tr.HasToken {
+	if tokens.HasToken(0, 63) {
 		t.Fatal("test setup: warp 63 unexpectedly has a token")
 	}
-	submitAndTick(t, l2, tr, 0, 3)
+	submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: 0x600}, 0, 3, nil)
 	w.completeAll(5)
 	if l2.probe(memreq.PageKey{ASID: 1, VPN: 0x600}) {
 		t.Fatal("token-less fill entered the main TLB")
 	}
 	// But a subsequent probe still hits via the bypass cache.
 	hit := false
-	tr2 := newTrans(l2, memreq.TransReq{ASID: 1, VPN: 0x600}, func(int64) { hit = true })
-	submitAndTick(t, l2, tr2, 6, 9)
+	submitAndTick(t, l2, memreq.Trans{ASID: 1, VPN: 0x600}, 6, 9, func(int64) { hit = true })
 	if !hit {
 		t.Fatal("bypass cache did not serve the translation")
 	}
@@ -377,19 +393,22 @@ func TestBypassCacheLRU(t *testing.T) {
 
 func TestPressureSaturatesAt6Bits(t *testing.T) {
 	l2, _ := newL2(1, 0, nil)
-	// Create 100 outstanding misses.
+	// Create 100 outstanding misses, each stalling 100 warps at its L1 TLB.
 	for i := 0; i < 100; i++ {
-		tr := newTrans(l2, memreq.TransReq{ASID: 1, VPN: uint64(0x1000 + i), StalledWarps: 100}, nil)
-		l2.SubmitTrans(int64(i), tr)
+		vpn := uint64(0x1000 + i)
+		l1 := submit(t, l2, memreq.Trans{ASID: 1, VPN: vpn}, int64(i), nil)
+		for w := 1; w < 100; w++ {
+			l1.Lookup(int64(i), vpn, w, 0, false)
+		}
+		l2.Tick(int64(i))
 	}
-	for now := int64(0); now < 120; now++ {
+	for now := int64(100); now < 120; now++ {
 		l2.Tick(now)
 	}
-	con, stalled := l2.Pressure(0)
-	if con > 63 || stalled > 63 {
-		t.Fatalf("pressure (%v,%v) exceeds 6-bit saturation", con, stalled)
+	if l2.OutstandingMisses() != 100 {
+		t.Fatalf("%d misses outstanding, want 100", l2.OutstandingMisses())
 	}
-	if con == 0 {
-		t.Fatal("no pressure measured despite outstanding misses")
+	if con, stalled := l2.Pressure(0); con != 63 || stalled != 63 {
+		t.Fatalf("pressure (%v,%v), want both saturated at 63", con, stalled)
 	}
 }

@@ -73,6 +73,7 @@ var censusImages = map[string]bool{
 	"tlb.L2Entry":             true,
 	"tlb.PrefetchStats":       true,
 	"tlb.TokenState":          true,
+	"tlb.WaiterState":         true,
 	"workload.GroupSyncState": true,
 }
 
@@ -101,7 +102,6 @@ var stateCensus = map[string]censusEntry{
 	"sim.Simulator.ata":         img,
 	"sim.Simulator.tokens":      img, // written by the L2 TLB's image
 	"sim.Simulator.reqPool":     mach,
-	"sim.Simulator.transPool":   mach,
 	"sim.Simulator.tel":         img,
 	"sim.Simulator.epoch":       recomp("Simulator.Run"),
 	"sim.Simulator.ran":         recomp("Simulator.Run"),
@@ -209,14 +209,12 @@ var stateCensus = map[string]censusEntry{
 	"cache.ATABypass.sampleEvery": mach,
 	"cache.ATABypass.state":       img,
 
-	"memreq.Request.life":          recomp("Wiring.Request"),
-	"memreq.TransReq.AppID":        recomp("L1TLB.RestoreState"),
-	"memreq.TransReq.CoreID":       recomp("L1TLB.RestoreState"),
-	"memreq.TransReq.VPN":          img,
-	"memreq.TransReq.StalledWarps": recomp("L1TLB.RestoreState"),
-	"memreq.TransReq.ASID":         recomp("L1TLB.RestoreState"),
-	"memreq.TransReq.HasToken":     img,
-	"memreq.TransReq.life":         recomp("TransPool.Get"),
+	"memreq.Request.life":   recomp("Wiring.Request"),
+	"memreq.Trans.VPN":      img, // the key every holder names it by
+	"memreq.Trans.Core":     img,
+	"memreq.Trans.AppID":    recomp("Holders.Trans"),
+	"memreq.Trans.ASID":     recomp("Holders.Trans"),
+	"memreq.Trans.HasToken": img, // its L1 TLB miss writes it
 
 	"tlb.L1TLB.coreID":  mach,
 	"tlb.L1TLB.appID":   mach,
@@ -226,10 +224,7 @@ var stateCensus = map[string]censusEntry{
 	"tlb.L1TLB.waker":   mach,
 	"tlb.L1TLB.mshrs":   img,
 	"tlb.L1TLB.pending": img,
-	"tlb.L1TLB.pool":    mach,
 	"tlb.L1TLB.Stats":   img,
-	"tlb.waiter.warp":   img,
-	"tlb.waiter.slot":   img,
 
 	"mshr.Table.keys":    mach,
 	"mshr.Table.limit":   mach,
@@ -263,7 +258,7 @@ var stateCensus = map[string]censusEntry{
 	"tlb.L2TLB.stamp":      img,
 	"tlb.L2TLB.in":         img,
 	"tlb.L2TLB.walker":     mach,
-	"tlb.L2TLB.pool":       mach,
+	"tlb.L2TLB.l1s":        mach,
 	"tlb.L2TLB.mshrs":      img,
 	"tlb.L2TLB.stalled":    img,
 	"tlb.L2TLB.tokens":     img,
@@ -321,7 +316,7 @@ var stateCensus = map[string]censusEntry{
 	"ptw.HeldWalk.AppID":        img,
 	"ptw.HeldWalk.ASID":         recomp("FaultUnit.RestoreState"),
 	"ptw.HeldWalk.VPN":          recomp("FaultUnit.RestoreState"),
-	"ptw.HeldWalk.Tr":           recomp("tlb.Trackers"),
+	"ptw.HeldWalk.Tr":           recomp("Holders.Trans"),
 
 	"dram.DRAM.cfg":           mach,
 	"dram.DRAM.lineShift":     mach,

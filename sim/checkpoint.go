@@ -272,9 +272,10 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte, budget int
 		return fmt.Errorf("sim: checkpoint clock is at cycle %d (%d ticked + %d skipped), its header at %d", c.Ticked+c.Skipped, c.Ticked, c.Skipped, h.Cycle)
 	}
 	// Restore resolves every route against the pool's sink table and every
-	// translation key against the L1 TLBs' miss trackers, and bounds every
-	// identity by the simulator's apps, cores and warps.
-	wi := &memreq.Wiring{Pool: &s.reqPool, Trans: tlb.Trackers(s.l1tlbs), Cores: len(s.cores), Warps: s.cfg.WarpsPerCore}
+	// translation key against the L1 TLBs' misses, and bounds every identity
+	// by the simulator's apps, cores and warps.
+	holders := s.l1tlbs.Holders()
+	wi := &memreq.Wiring{Pool: &s.reqPool, Trans: holders.Trans, Cores: len(s.cores), Warps: s.cfg.WarpsPerCore}
 	for _, sp := range s.spaces {
 		wi.ASIDs = append(wi.ASIDs, sp.ASID())
 	}
@@ -310,6 +311,14 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte, budget int
 	}
 	if err == nil {
 		err = s.walker.RestoreState(wi, p.Walker)
+	}
+	// With every holder restored: each L1 miss's translation has one, and
+	// each shared-TLB miss a demand walk to fill it.
+	if err == nil {
+		err = holders.Unheld()
+	}
+	if err == nil && s.l2tlb != nil {
+		err = s.l2tlb.CheckWalks(s.walker.Demands)
 	}
 	if err != nil {
 		return fmt.Errorf("sim: restore checkpoint: %w", err)

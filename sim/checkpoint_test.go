@@ -822,6 +822,20 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			}
 			t.Fatal("no L2 TLB miss holds a translation")
 		}, "names one translation from two holders"},
+		// A translation no holder names: its L1 TLB miss would never close,
+		// and the warps waiting on it would wait forever.
+		{"L2 TLB input translation dropped", onShared, func(t *testing.T, p *checkpointPayload) {
+			if len(p.L2TLB.In) == 0 {
+				t.Fatal("the L2 TLB's input pipe is empty")
+			}
+			p.L2TLB.In = p.L2TLB.In[1:]
+		}, "has a translation no queue, miss, walk or fault holds"},
+		{"L2 TLB stalled translation dropped", onShared, func(t *testing.T, p *checkpointPayload) {
+			if len(p.L2TLB.Stalled) == 0 {
+				t.Fatal("the L2 TLB's stalled queue is empty")
+			}
+			p.L2TLB.Stalled = p.L2TLB.Stalled[1:]
+		}, "has a translation no queue, miss, walk or fault holds"},
 		// Return routes: the sink index must name a sink restored after the
 		// request's holder, and the sink must hold the state it resumes.
 		{"request of a class no request has", onShared, func(t *testing.T, p *checkpointPayload) { requestImages(p)[0].Class = 2 },
@@ -916,6 +930,9 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			m := firstL1Miss(t, p)
 			m.Waiting = append(m.Waiting, m.Waiting[0])
 		}, "twice"},
+		{"L1 miss without a waiter", onShared, func(t *testing.T, p *checkpointPayload) {
+			p.L1TLBs[0].Mshrs = append(p.L1TLBs[0].Mshrs, tlb.L1MissState{VPN: untracked.VPN})
+		}, "checkpoint L1 miss for vpn 0x10000000000 has no waiter"},
 		{"warp slot on an unmapped page", onShared, func(t *testing.T, p *checkpointPayload) {
 			for i := range p.Cores {
 				for j := range p.Cores[i].Warps {
@@ -947,6 +964,9 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
 			p.L2TLB.Mshrs = slices.DeleteFunc(p.L2TLB.Mshrs, func(reqs []memreq.TransKey) bool { return reqs[0].VPN == ws.VPN })
 		}, "has nothing waiting for its result"},
+		{"L2 TLB miss no demand walk fills", onShared, func(t *testing.T, p *checkpointPayload) {
+			p.L2TLB.Mshrs = append(p.L2TLB.Mshrs, []memreq.TransKey{takeQueuedTrans(t, p)})
+		}, "has no demand walk to fill it"},
 		// Occupancies past what the component can hold: more MSHRs than the
 		// cache has, a bank or channel queue longer than its capacity. The
 		// added requests are valid so that nothing else is wrong with the
@@ -1310,17 +1330,28 @@ func TestWatchdogCrashCheckpoint(t *testing.T) {
 	}
 
 	// Restoring it is refused before any state is touched.
-	f, err := os.Open(dump)
+	data, err := os.ReadFile(dump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	s2 := prepareScenario(t, cfg, names, 0)
-	if err := s2.RestoreCheckpoint(f); !errors.Is(err, ErrWatchdogTripped) {
+	if err := s2.RestoreCheckpoint(bytes.NewReader(data)); !errors.Is(err, ErrWatchdogTripped) {
 		t.Fatalf("restoring the crash dump returned %v, want ErrWatchdogTripped", err)
 	}
 	if s2.eng.Now() != 0 || s2.CheckpointStats().Restored != 0 {
 		t.Fatalf("rejected restore moved the clock to %d / counted %+v", s2.eng.Now(), s2.CheckpointStats())
+	}
+
+	// Only the watchdog marks the dump as a crash: the wedged walk is still
+	// active, so its shared-TLB miss has a demand walk and every translation
+	// a holder, and with the count reset the state restores.
+	h, payload, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reset := resealed(t, h, payload, func(_ *testing.T, p *checkpointPayload) { p.Watchdog.Stalled = 0 })
+	if err := prepareScenario(t, cfg, names, 0).RestoreCheckpoint(bytes.NewReader(reset)); err != nil {
+		t.Fatalf("restoring the crash dump's state under a reset watchdog: %v", err)
 	}
 
 	// Resume must not adopt the crash dump: with no periodic checkpoints in

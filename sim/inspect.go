@@ -60,12 +60,12 @@ type CheckpointInfo struct {
 	// Fields lists the payload's present fields by size, largest first: a
 	// supervised run carries a Watchdog, an L2-bypass run an ATA, and so on.
 	Fields []FieldSize
-	// Requests and TransReqs count the requests and translations the image
-	// holds: the request images its components wrote, and the L1 TLB miss
-	// trackers. A request a fault plan stranded (a dropped DRAM response)
-	// is held by no component and is not among them.
-	Requests  uint64
-	TransReqs uint64
+	// Requests and Translations count the requests and translations the
+	// image holds: the request images its components wrote, and the L1 TLB
+	// misses. A request a fault plan stranded (a dropped DRAM response) is
+	// held by no component and is not among them.
+	Requests     uint64
+	Translations uint64
 }
 
 // InspectCheckpoint reads and describes one checkpoint file without building
@@ -98,7 +98,7 @@ func InspectCheckpoint(path string) (*CheckpointInfo, error) {
 	info.PayloadOK = true
 	info.Clock = p.Clock
 	for _, t := range p.L1TLBs {
-		info.TransReqs += uint64(len(t.Mshrs))
+		info.Translations += uint64(len(t.Mshrs))
 	}
 	v := reflect.ValueOf(p)
 	info.Requests = countRequests(v)

@@ -55,27 +55,31 @@ func TestInspectCheckpoint(t *testing.T) {
 		t.Fatalf("no Cores among the fields: %+v", info.Fields)
 	}
 	// The in-flight counts are what the image holds: every request image, and
-	// every L1 TLB miss tracker. A simulator restored from it holds as many.
+	// every L1 TLB miss. A simulator restored from it holds as many.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := decodePayload(t, data)
-	var trackers uint64
+	var misses uint64
 	for _, l1 := range p.L1TLBs {
-		trackers += uint64(len(l1.Mshrs))
+		misses += uint64(len(l1.Mshrs))
 	}
-	if info.Requests == 0 || info.Requests != uint64(len(requestImages(&p))) || info.TransReqs != trackers {
+	if info.Requests == 0 || info.Requests != uint64(len(requestImages(&p))) || info.Translations != misses {
 		t.Fatalf("inspection counts %d requests and %d translations in flight, image holds %d and %d",
-			info.Requests, info.TransReqs, len(requestImages(&p)), trackers)
+			info.Requests, info.Translations, len(requestImages(&p)), misses)
 	}
 	dst := prepareScenario(t, MASKConfig(), []string{"3DS", "CONS"}, 0)
 	if err := dst.RestoreCheckpoint(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	if info.Requests != uint64(dst.reqPool.Live()) || info.TransReqs != uint64(dst.transPool.Live()) {
-		t.Fatalf("inspection counts %d requests and %d translations in flight, the restored pools %d and %d",
-			info.Requests, info.TransReqs, dst.reqPool.Live(), dst.transPool.Live())
+	open := 0
+	for _, l1 := range dst.l1tlbs {
+		open += len(l1.SnapshotState().Mshrs)
+	}
+	if info.Requests != uint64(dst.reqPool.Live()) || info.Translations != uint64(open) {
+		t.Fatalf("inspection counts %d requests and %d translations in flight, the restored simulator %d and %d",
+			info.Requests, info.Translations, dst.reqPool.Live(), open)
 	}
 }
 

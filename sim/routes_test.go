@@ -118,39 +118,97 @@ func liveWalk(p *checkpointPayload, pick func(ws ptw.WalkState) bool) (string, b
 	return "", false
 }
 
-// heldWalk finds a finished walk a page fault is holding and names it by the
-// fault's page: the page turning resident is the fault delivering it.
-func heldWalk(p *checkpointPayload) (string, bool) {
-	if p.Faults == nil {
+// heldWalk finds a finished walk satisfying pick that a page fault is
+// holding, and names it by the fault's page: the page turning resident is
+// the fault delivering it.
+func heldWalk(pick func(ns ptw.FaultNotifyState) bool) func(p *checkpointPayload) (string, bool) {
+	return func(p *checkpointPayload) (string, bool) {
+		if p.Faults == nil {
+			return "", false
+		}
+		faults := slices.Clone(p.Faults.Inflight)
+		for _, it := range p.Faults.Queue {
+			faults = append(faults, it.Value)
+		}
+		for _, f := range faults {
+			if slices.ContainsFunc(f.Notify, pick) {
+				return fmt.Sprintf("fault (asid %d, vpn %#x)", f.Key.ASID, f.Key.VPN), true
+			}
+		}
 		return "", false
 	}
-	faults := slices.Clone(p.Faults.Inflight)
-	for _, it := range p.Faults.Queue {
-		faults = append(faults, it.Value)
-	}
-	for _, f := range faults {
-		if len(f.Notify) > 0 {
-			return fmt.Sprintf("fault (asid %d, vpn %#x)", f.Key.ASID, f.Key.VPN), true
+}
+
+// heldTrans lists the keys of the translations p's holders name, one entry
+// per holder: L1 TLB retry queues, the shared TLB's pipe, stalled queue and
+// miss waiters, unfinished walks and fault-held walks.
+func heldTrans(p *checkpointPayload) []memreq.TransKey {
+	var keys []memreq.TransKey
+	for c, l1 := range p.L1TLBs {
+		for _, it := range l1.Pending {
+			keys = append(keys, memreq.TransKey{Core: int32(c), VPN: it.Value})
 		}
 	}
-	return "", false
+	if l2 := p.L2TLB; l2 != nil {
+		for _, q := range [][]engine.QueueItem[memreq.TransKey]{l2.In, l2.Stalled} {
+			for _, it := range q {
+				keys = append(keys, it.Value)
+			}
+		}
+		for _, reqs := range l2.Mshrs {
+			keys = append(keys, reqs...)
+		}
+	}
+	walks := slices.Clone(p.Walker.Active)
+	for _, it := range p.Walker.Pending {
+		walks = append(walks, it.Value)
+	}
+	for _, ws := range walks {
+		if !ws.Finished && ws.Origin == ptw.OriginTrans {
+			keys = append(keys, ws.Tr)
+		}
+	}
+	if p.Faults != nil {
+		faults := slices.Clone(p.Faults.Inflight)
+		for _, it := range p.Faults.Queue {
+			faults = append(faults, it.Value)
+		}
+		for _, f := range faults {
+			for _, ns := range f.Notify {
+				if ptw.WalkOrigin(ns.Origin) == ptw.OriginTrans {
+					keys = append(keys, ns.Tr)
+				}
+			}
+		}
+	}
+	return keys
 }
 
 // checkPoolsConserved asserts that every request s's pool created and does
 // not hold free is held in p, s's image, exactly once: a continuation that
 // was dropped instead of completed, or recycled twice, breaks the sum. Every
-// live translation is held by the L1 TLB miss tracker of its core.
+// live translation is an L1 TLB miss of the image, and the image's holders
+// name each exactly once.
 func checkPoolsConserved(t *testing.T, s *Simulator, p *checkpointPayload) {
 	t.Helper()
 	if live, held := s.reqPool.Live(), len(requestImages(p)); live != held {
 		t.Errorf("%d requests are live, the image holds %d: one was lost or recycled twice", live, held)
 	}
-	held := 0
-	for _, l1 := range p.L1TLBs {
-		held += len(l1.Mshrs)
+	named := make(map[memreq.TransKey]int)
+	for _, k := range heldTrans(p) {
+		named[k]++
 	}
-	if live := s.transPool.Live(); live != held {
-		t.Errorf("%d translations are live, the image holds %d", live, held)
+	misses := 0
+	for c, l1 := range p.L1TLBs {
+		for _, ms := range l1.Mshrs {
+			misses++
+			if k := (memreq.TransKey{Core: int32(c), VPN: ms.VPN}); named[k] != 1 {
+				t.Errorf("the translation of core %d, vpn %#x has %d holders, want 1", c, ms.VPN, named[k])
+			}
+		}
+	}
+	if len(named) != misses {
+		t.Errorf("the image's holders name %d translations, its L1 TLBs have %d misses", len(named), misses)
 	}
 }
 
@@ -160,8 +218,9 @@ func checkPoolsConserved(t *testing.T, s *Simulator, p *checkpointPayload) {
 // simulator that issued it, and on a fresh one restored from the checkpoint
 // in between. Both must have delivered it by the end (it is gone from the
 // final image), exactly once (the pool accounts for every request, live and
-// after restore; a second Complete panics), and to the same place: the two
-// final images, every field of every component, are deeply equal.
+// after restore, and every translation has one holder; a second Complete or
+// TransDone panics), and to the same place: the two final images, every
+// field of every component, are deeply equal.
 func TestContinuationRoutes(t *testing.T) {
 	// One budget for every run: the run length is part of the simulation
 	// (it scales the adaptation epoch), so a checkpoint only restores into a
@@ -198,14 +257,23 @@ func TestContinuationRoutes(t *testing.T) {
 			c.TLBPrefetch = true
 			return c
 		}, []string{"RED", "BP"}, []route{{"prefetch install", walkFrom(ptw.OriginPrefetch)}}},
-		{PWCacheConfig, []string{"3DS", "CONS"}, []route{{"PWCache TransReq walk", walkFrom(ptw.OriginTrans)}}},
+		{PWCacheConfig, []string{"3DS", "CONS"}, []route{{"PWCache translation walk", walkFrom(ptw.OriginTrans)}}},
 		{func() Config {
 			c := SharedTLBConfig()
 			c.DemandPaging = true
 			c.FaultLatency = 500
 			c.FaultConcurrency = 4
 			return c
-		}, []string{"MUM", "GUP"}, []route{{"fault-held walk", heldWalk}}},
+		}, []string{"MUM", "GUP"}, []route{{"fault-held walk", heldWalk(func(ptw.FaultNotifyState) bool { return true })}}},
+		{func() Config {
+			c := PWCacheConfig()
+			c.DemandPaging = true
+			c.FaultLatency = 500
+			c.FaultConcurrency = 4
+			return c
+		}, []string{"3DS", "CONS"}, []route{{"fault-held translation", heldWalk(func(ns ptw.FaultNotifyState) bool {
+			return ptw.WalkOrigin(ns.Origin) == ptw.OriginTrans
+		})}}},
 	}
 	// image checkpoints s and checks what must hold of any image: of a run,
 	// of a simulator just restored, of its resumed run.

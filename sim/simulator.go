@@ -41,7 +41,7 @@ type Simulator struct {
 	l1dNames []string
 
 	cores  []*gpu.Core
-	l1tlbs []*tlb.L1TLB
+	l1tlbs tlb.L1TLBs // where every translation returns
 	l1ds   []*cache.Cache
 
 	l2tlb  *tlb.L2TLB
@@ -54,13 +54,11 @@ type Simulator struct {
 	ata    *cache.ATABypass
 	tokens *tlb.TokenPolicy
 
-	// The request free lists, one per kind, which every component that
-	// issues or completes requests holds, and their sink tables, which the
-	// components register in as they are built. Per-instance ownership keeps
-	// concurrent simulators race-free; a checkpoint records none of it
-	// (docs/MODEL.md §1, §9).
-	reqPool   memreq.Pool
-	transPool memreq.TransPool
+	// The request free list, which every component that issues or completes
+	// requests holds, and its sink table, which the components register in
+	// as they are built. Per-instance ownership keeps concurrent simulators
+	// race-free; a checkpoint records none of it (docs/MODEL.md §1, §9).
+	reqPool memreq.Pool
 
 	// tel is the telemetry collector, nil unless Config.TelemetryEpoch > 0.
 	tel *telemetry.Collector
@@ -149,7 +147,7 @@ func (r *Recycler) Put(s *Simulator) {
 }
 
 // retire reduces s to what build reuses: its ticking components, retired, and
-// its two request pools, renewed.
+// its request pool, renewed.
 func (s *Simulator) retire() {
 	d := *s
 	for _, c := range d.cores {
@@ -168,7 +166,6 @@ func (s *Simulator) retire() {
 	}
 	d.mem.Retire()
 	d.reqPool.Renew()
-	d.transPool.Renew()
 	*s = Simulator{
 		eng:    engine.Renew(d.eng),
 		cores:  d.cores,
@@ -180,9 +177,8 @@ func (s *Simulator) retire() {
 		l2c:    d.l2c,
 		mem:    d.mem,
 
-		reqPool:   d.reqPool,
-		transPool: d.transPool,
-		l1dNames:  d.l1dNames,
+		reqPool:  d.reqPool,
+		l1dNames: d.l1dNames,
 	}
 }
 
@@ -299,7 +295,7 @@ func (s *Simulator) build(d *Simulator) {
 	arenaLines += assignedCores * cache.ArenaLines(cfg.L1Cache.SizeBytes, cfg.L1Cache.LineSize, cfg.L1Cache.Ways)
 	arena := cache.NewLineArena(arenaLines)
 
-	s.reqPool, s.transPool = d.reqPool, d.transPool // retire renewed them
+	s.reqPool = d.reqPool // retire renewed it
 
 	// --- DRAM -----------------------------------------------------------
 	s.mem = dram.Renew(d.mem, cfg.DRAM, dram.SchedConfig{Policy: cfg.DRAMPolicy, Apps: numApps, ThreshMax: cfg.ThreshMax, Pressure: func(app int) (float64, float64) {
@@ -351,7 +347,7 @@ func (s *Simulator) build(d *Simulator) {
 	}
 
 	// --- walker and shared L2 TLB ----------------------------------------
-	s.walker = ptw.Renew(d.walker, walkerConcurrency, walkBackend, &s.reqPool, &s.transPool)
+	s.walker = ptw.Renew(d.walker, walkerConcurrency, walkBackend, &s.reqPool, &s.l1tlbs)
 	if cfg.DemandPaging {
 		s.faults = ptw.NewFaultUnit(cfg.FaultLatency, cfg.FaultConcurrency)
 		s.walker.SetFaultUnit(s.faults)
@@ -370,7 +366,7 @@ func (s *Simulator) build(d *Simulator) {
 			QueueCap:   l2TLBQueueCap,
 			BypassSize: bypassSize,
 			NumApps:    numApps,
-		}, s.walker, s.tokens, &s.transPool)
+		}, s.walker, s.tokens, &s.l1tlbs)
 		s.walker.SetWalkSink(s.l2tlb)
 		if cfg.Design == DesignStatic {
 			s.l2tlb.SetWayPartition(wayMasks(cfg.L2TLBWays, numApps))
@@ -449,7 +445,7 @@ func (s *Simulator) build(d *Simulator) {
 				if s.l2tlb != nil {
 					transBackend = s.l2tlb
 				}
-				l1 = tlb.RenewL1(slab.Donor(d.l1tlbs, coreID), coreID, appIdx, space.ASID(), cfg.L1TLBEntries, transBackend, &s.transPool)
+				l1 = tlb.RenewL1(slab.Donor(d.l1tlbs, coreID), coreID, appIdx, space.ASID(), cfg.L1TLBEntries, transBackend)
 				s.l1tlbs = append(s.l1tlbs, l1)
 				app := appIdx
 				translate = func(now int64, vpn uint64, warpID, slot int) bool {
