@@ -136,7 +136,7 @@ func TestPipeCapacity(t *testing.T) {
 func TestPipePeekDoesNotConsume(t *testing.T) {
 	p := newQueue[int](0, 0)
 	p.Push(0, 7)
-	if v := p.At(0); v != 7 {
+	if v := *p.At(0); v != 7 {
 		t.Fatal("At(0) failed")
 	}
 	if p.Len() != 1 {

@@ -180,8 +180,12 @@ func (q *Queue[T]) NextReady(now int64) int64 {
 // Len returns the number of items held, ready or not.
 func (q *Queue[T]) Len() int { return q.n }
 
-// At returns the i-th oldest item, 0 <= i < Len(), ready or not.
-func (q *Queue[T]) At(i int) T {
-	_, v := q.slot((q.head + i) & q.mask())
-	return v
+// At returns the i-th oldest item, 0 <= i < Len(), ready or not, where it
+// sits: a holder may change it in place until the next Push or Pop.
+func (q *Queue[T]) At(i int) *T {
+	s := (q.head + i) & q.mask()
+	if q.timed != nil {
+		return &q.timed[s].v
+	}
+	return &q.plain[s]
 }

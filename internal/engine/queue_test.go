@@ -99,7 +99,7 @@ func driveQueue(t *testing.T, latency int64, capacity int, prog []byte) {
 		case 7: // indexed access and the horizon
 			if len(ref) > 0 {
 				k := int(arg) % len(ref)
-				if v := q.At(k); v != ref[k].v {
+				if v := *q.At(k); v != ref[k].v {
 					t.Fatalf("step %d: At(%d) = %d, reference %d", step, k, v, ref[k].v)
 				}
 			}
@@ -169,7 +169,7 @@ func TestQueueMatchesSlice(t *testing.T) {
 			t.Fatalf("op %d: queue holds %d entries, reference %d", op, q.Len(), len(ref))
 		}
 		for i, v := range ref {
-			if q.At(i) != v {
+			if *q.At(i) != v {
 				t.Fatalf("op %d: entry %d differs from the reference", op, i)
 			}
 		}

@@ -151,9 +151,9 @@ type Request struct {
 }
 
 // TransSink is where a translation returns once its page is translated: the
-// L1 TLB of its core, which closes the miss its key names.
+// L1 TLB of its core, which closes the miss the key names.
 type TransSink interface {
-	TransDone(now int64, tr Trans)
+	TransDone(now int64, k TransKey)
 }
 
 // Trans is a virtual-page translation request flowing through the TLB

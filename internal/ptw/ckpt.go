@@ -9,33 +9,28 @@ import (
 	"masksim/internal/metrics"
 )
 
-// WalkState is one in-flight (or queued, or finished-but-uncompacted) walk:
-// its plain state as it is, and the translation it completes by key. The
-// per-level physical addresses are not serialized: they are a pure function
-// of the page table, which is rebuilt deterministically, so restore
-// recomputes them.
-type WalkState struct {
-	Walk
-	// Tr names the translation an unfinished OriginTrans walk completes, by
-	// the key of its L1 TLB miss.
-	Tr memreq.TransKey
-}
-
-// WalkerState is the walker's checkpoint image.
+// WalkerState is the walker's checkpoint image: its walks as they are. A
+// walk's page-table addresses are not written: they are a pure function of
+// the page table, which is rebuilt deterministically, so restore recomputes
+// them.
 type WalkerState struct {
-	Active  []WalkState
-	Pending []engine.QueueItem[WalkState]
+	Active  []Walk
+	Pending []engine.QueueItem[Walk]
 	Stats   Stats
 	LatHist *metrics.Histogram
 }
 
-// Deliverable implements FaultSink: whether a walk finishing as h, whose
-// result goes to the walk sink, has somewhere to deliver it — a shared-TLB
-// miss for its page (OriginL2Miss), or the shared TLB's prefetch install.
-func (w *Walker) Deliverable(h HeldWalk) bool {
+// same is the image of a value that is its own image.
+func same[T any](v T) T { return v }
+
+// Deliverable implements FaultSink: whether a walk of page key finishing as
+// h, whose result goes to the walk sink, has somewhere to deliver it — a
+// shared-TLB miss for its page (OriginL2Miss), or the shared TLB's prefetch
+// install.
+func (w *Walker) Deliverable(key memreq.PageKey, h HeldWalk) bool {
 	switch h.Origin {
 	case OriginL2Miss:
-		return w.sink != nil && w.sink.Awaits(h.ASID, h.VPN)
+		return w.sink != nil && w.sink.Awaits(key.ASID, key.VPN)
 	case OriginPrefetch:
 		return w.sink != nil
 	}
@@ -47,53 +42,48 @@ func (w *Walker) Deliverable(h HeldWalk) bool {
 // slot, or a finished one a fault holds. A restore checks every shared-TLB
 // miss with it.
 func (w *Walker) Demands(asid uint8, vpn uint64) bool {
-	walks := slices.Clone(w.active)
-	for i := range w.pending.Len() {
-		walks = append(walks, w.pending.At(i))
-	}
-	if slices.ContainsFunc(walks, func(wk *walk) bool {
+	demand := func(wk *Walk) bool {
 		return !wk.Finished && wk.Origin == OriginL2Miss && wk.ASID == asid && wk.VPN == vpn
-	}) {
-		return true
+	}
+	for i := range w.active {
+		if demand(&w.active[i]) {
+			return true
+		}
+	}
+	for i := range w.pending.Len() {
+		if demand(w.pending.At(i)) {
+			return true
+		}
 	}
 	if w.faults == nil {
 		return false
 	}
 	p := w.faults.pending(memreq.PageKey{ASID: asid, VPN: vpn})
-	return p != nil && slices.ContainsFunc(p.notify, func(h HeldWalk) bool { return h.Origin == OriginL2Miss })
+	return p != nil && slices.ContainsFunc(p.Notify, func(h HeldWalk) bool { return h.Origin == OriginL2Miss })
 }
 
-// resolveHeld gives a restored walk's result its route: the translation of
-// an OriginTrans walk, found by the key of its L1 TLB miss, or else sink's
-// word that something still waits for the result.
-func resolveHeld(wi *memreq.Wiring, sink FaultSink, h *HeldWalk, key memreq.TransKey) error {
+// awaited checks that something waits for the result of a walk of page key
+// finishing as h: the L1 TLB miss an OriginTrans walk translates for, whose
+// key it claims (memreq.Wiring.Trans), or else sink's word.
+func awaited(wi *memreq.Wiring, sink FaultSink, key memreq.PageKey, h HeldWalk) error {
 	if h.Origin == OriginTrans {
-		tr, err := wi.Trans(key)
-		h.Tr = tr
+		_, err := wi.Trans(memreq.TransKey{Core: h.Core, VPN: key.VPN})
 		return err
 	}
-	if !sink.Deliverable(*h) {
-		return fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) of origin %d has nothing waiting for its result", h.ASID, h.VPN, h.Origin)
+	if !sink.Deliverable(key, h) {
+		return fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) of origin %d has nothing waiting for its result", key.ASID, key.VPN, h.Origin)
 	}
 	return nil
 }
 
-// SnapshotState captures the walker's checkpoint image.
+// SnapshotState captures the walker's checkpoint image, sharing the walker's
+// slices: a checkpoint encodes it before the next tick.
 func (w *Walker) SnapshotState() WalkerState {
-	st := WalkerState{Stats: w.Stats}
-	snap := func(wk *walk) WalkState {
-		ws := WalkState{Walk: wk.Walk}
-		// A finished walk has already delivered its continuation, or a
-		// fault holds it; only live continuations serialize.
-		if !wk.Finished && wk.Origin == OriginTrans {
-			ws.Tr = wk.tr.Key()
-		}
-		return ws
+	st := WalkerState{
+		Active:  w.active,
+		Pending: engine.SnapshotQueue(&w.pending, same[Walk]),
+		Stats:   w.Stats,
 	}
-	for _, wk := range w.active {
-		st.Active = append(st.Active, snap(wk))
-	}
-	st.Pending = engine.SnapshotQueue(&w.pending, snap)
 	if w.latHist != nil {
 		h := *w.latHist
 		st.LatHist = &h
@@ -110,14 +100,13 @@ func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 	if len(st.Active) > w.max {
 		return fmt.Errorf("ptw: checkpoint has %d active walks, the walker has %d slots", len(st.Active), w.max)
 	}
-	for _, ws := range st.Active {
-		wk, err := w.buildWalk(wi, ws)
-		if err != nil {
+	for _, wk := range st.Active {
+		if err := w.rebuild(wi, &wk); err != nil {
 			return err
 		}
 		w.active = append(w.active, wk)
 	}
-	if err := engine.RestoreQueue(&w.pending, st.Pending, func(ws WalkState) (*walk, error) { return w.buildWalk(wi, ws) }); err != nil {
+	if err := engine.RestoreQueue(&w.pending, st.Pending, func(wk Walk) (Walk, error) { return wk, w.rebuild(wi, &wk) }); err != nil {
 		return fmt.Errorf("ptw: checkpoint pending walk %w", err)
 	}
 	if st.LatHist != nil && w.latHist != nil {
@@ -131,89 +120,71 @@ func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 	return nil
 }
 
-// buildWalk rebuilds the walk of ws, recomputing its page-table addresses.
-func (w *Walker) buildWalk(wi *memreq.Wiring, ws WalkState) (*walk, error) {
-	sp, ok := w.spaces[ws.ASID]
-	if !ok {
-		return nil, fmt.Errorf("ptw: checkpoint walk for unregistered ASID %d", ws.ASID)
+// rebuild checks a restored walk and recomputes its page-table addresses.
+// An unfinished walk claims its translation (OriginTrans) before its page is
+// checked, or has something waiting for its result.
+func (w *Walker) rebuild(wi *memreq.Wiring, wk *Walk) error {
+	key := memreq.PageKey{ASID: wk.ASID, VPN: wk.VPN}
+	if err := wi.Walk(wk.ASID, wk.AppID); err != nil {
+		return fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x): %w", wk.ASID, wk.VPN, err)
 	}
-	if _, ok := sp.TranslateVPN(ws.VPN); !ok {
-		return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is of a page its address space does not map", ws.ASID, ws.VPN)
-	}
-	if err := wi.Walk(ws.ASID, ws.AppID); err != nil {
-		return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x): %w", ws.ASID, ws.VPN, err)
-	}
-	wk := w.walkFree.Get()
-	wk.Walk = ws.Walk
-	wk.addrs = sp.WalkAddrsInto(ws.VPN, wk.buf[:0])
-	if !ws.Finished {
-		if ws.Level < 1 || ws.Level > len(wk.addrs) {
-			return nil, fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is at level %d of %d", ws.ASID, ws.VPN, ws.Level, len(wk.addrs))
+	if !wk.Finished && wk.Origin == OriginTrans {
+		if err := awaited(wi, w, key, wk.held()); err != nil {
+			return err
 		}
-		h := HeldWalk{Origin: ws.Origin, ASID: ws.ASID, VPN: ws.VPN}
-		if err := resolveHeld(wi, w, &h, ws.Tr); err != nil {
-			return nil, err
-		}
-		wk.tr = h.Tr
 	}
-	return wk, nil
+	// The address space is an app's (wi.Walk), so the walker has it.
+	sp := w.spaces[wk.ASID]
+	if _, ok := sp.TranslateVPN(wk.VPN); !ok {
+		return fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is of a page its address space does not map", wk.ASID, wk.VPN)
+	}
+	wk.levels = len(sp.WalkAddrsInto(wk.VPN, wk.addrs[:0]))
+	switch {
+	case wk.Finished:
+		return nil
+	case wk.Level < 1 || wk.Level > wk.levels:
+		return fmt.Errorf("ptw: checkpoint walk (asid %d, vpn %#x) is at level %d of %d", wk.ASID, wk.VPN, wk.Level, wk.levels)
+	case wk.Origin != OriginTrans:
+		return awaited(wi, w, key, wk.held())
+	}
+	return nil
 }
 
 // --- fault unit -------------------------------------------------------------
 
-// FaultNotifyState is one held walk in serialized form; its page is the
-// fault's.
-type FaultNotifyState struct {
-	Start  int64
-	Origin uint8
-	AppID  int
-	// Tr names the translation of an OriginTrans walk by its L1 TLB miss.
-	Tr memreq.TransKey
-}
-
-// PendingFaultState is one in-flight or queued page fault: its plain state
-// as it is, and the walks it holds.
-type PendingFaultState struct {
-	Fault
-	Notify []FaultNotifyState
-}
-
-// FaultUnitState is the fault unit's checkpoint image.
+// FaultUnitState is the fault unit's checkpoint image: its faults as they
+// are.
 type FaultUnitState struct {
 	Resident []memreq.PageKey
-	Inflight []PendingFaultState
-	Queue    []engine.QueueItem[PendingFaultState]
+	Inflight []PendingFault
+	Queue    []engine.QueueItem[PendingFault]
 	Stats    FaultStats
 }
 
-// SnapshotState captures the fault unit's checkpoint image.
+// SnapshotState captures the fault unit's checkpoint image, sharing the
+// unit's slices: a checkpoint encodes it before the next tick.
 func (f *FaultUnit) SnapshotState() FaultUnitState {
-	st := FaultUnitState{Stats: f.Stats}
-	// The resident set is a map: write it in key order so equal states
-	// encode equally.
-	st.Resident = memreq.SortedKeys(f.resident, memreq.PageKey.Compare)
-	snap := func(p *pendingFault) PendingFaultState {
-		ps := PendingFaultState{Fault: p.Fault}
-		for _, h := range p.notify {
-			ns := FaultNotifyState{Start: h.Start, Origin: uint8(h.Origin), AppID: h.AppID}
-			if h.Origin == OriginTrans {
-				ns.Tr = h.Tr.Key()
-			}
-			ps.Notify = append(ps.Notify, ns)
-		}
-		return ps
+	return FaultUnitState{
+		// The resident set is a map: write it in key order so equal states
+		// encode equally.
+		Resident: memreq.SortedKeys(f.resident, memreq.PageKey.Compare),
+		Inflight: f.inflight,
+		Queue:    engine.SnapshotQueue(&f.queue, same[PendingFault]),
+		Stats:    f.Stats,
 	}
-	for _, p := range f.inflight {
-		st.Inflight = append(st.Inflight, snap(p))
-	}
-	st.Queue = engine.SnapshotQueue(&f.queue, snap)
-	return st
 }
 
-// RestoreState restores an image captured by SnapshotState onto a fault unit
-// attached to a walker; the TLBs restore first, so every held walk's
-// continuation resolves.
-func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
+// RestoreState restores an image captured by SnapshotState at cycle now onto
+// a fault unit attached to a walker; the TLBs restore first, so every held
+// walk's continuation resolves.
+//
+// A run leaves only faults that Touch opened and Tick has not completed. A
+// fault holds at least one walk, and its page is not resident. A queued
+// fault has no completion cycle. A fault in service started at a cycle u
+// no earlier than its first touch and no later than now-1, the last cycle
+// ticked, and ends at u + Latency; the Tick of every cycle before now
+// completed the faults due by then, so it ends no earlier than now.
+func (f *FaultUnit) RestoreState(wi *memreq.Wiring, now int64, st FaultUnitState) error {
 	f.Stats = st.Stats
 	for _, k := range st.Resident {
 		f.resident[k] = true
@@ -221,35 +192,37 @@ func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
 	if len(st.Inflight) > f.Concurrency {
 		return fmt.Errorf("ptw: checkpoint has %d faults in service, concurrency is %d", len(st.Inflight), f.Concurrency)
 	}
-	build := func(ps PendingFaultState) (*pendingFault, error) {
-		k := ps.Key
-		if f.pending(k) != nil { // a run merges a page's faults into one
-			return nil, fmt.Errorf("ptw: checkpoint has two faults of asid %d, vpn %#x", k.ASID, k.VPN)
+	check := func(p PendingFault, inService bool) error {
+		k := p.Key
+		switch first, last := max(p.Start+f.Latency, now), now-1+f.Latency; {
+		case f.pending(k) != nil: // a run merges a page's faults into one
+			return fmt.Errorf("ptw: checkpoint has two faults of asid %d, vpn %#x", k.ASID, k.VPN)
+		case len(p.Notify) == 0:
+			return fmt.Errorf("ptw: checkpoint fault of asid %d, vpn %#x holds no walk", k.ASID, k.VPN)
+		case f.resident[k]:
+			return fmt.Errorf("ptw: checkpoint fault of asid %d, vpn %#x is of a resident page", k.ASID, k.VPN)
+		case !inService && p.DoneAt != 0:
+			return fmt.Errorf("ptw: checkpoint queued fault of asid %d, vpn %#x ends at cycle %d", k.ASID, k.VPN, p.DoneAt)
+		case inService && (p.DoneAt < first || p.DoneAt > last):
+			return fmt.Errorf("ptw: checkpoint fault of asid %d, vpn %#x, first touched at cycle %d, ends at cycle %d, not in [%d, %d]", k.ASID, k.VPN, p.Start, p.DoneAt, first, last)
 		}
-		p := &pendingFault{Fault: ps.Fault}
-		for _, ns := range ps.Notify {
-			if err := wi.Walk(k.ASID, ns.AppID); err != nil {
-				return nil, fmt.Errorf("ptw: checkpoint fault of asid %d, vpn %#x holds a %w", k.ASID, k.VPN, err)
+		for _, h := range p.Notify {
+			if err := wi.Walk(k.ASID, h.AppID); err != nil {
+				return fmt.Errorf("ptw: checkpoint fault of asid %d, vpn %#x holds a %w", k.ASID, k.VPN, err)
 			}
-			h := HeldWalk{
-				Start: ns.Start, Origin: WalkOrigin(ns.Origin), AppID: ns.AppID,
-				ASID: k.ASID, VPN: k.VPN,
+			if err := awaited(wi, f.sink, k, h); err != nil {
+				return err
 			}
-			if err := resolveHeld(wi, f.sink, &h, ns.Tr); err != nil {
-				return nil, err
-			}
-			p.notify = append(p.notify, h)
 		}
-		return p, nil
+		return nil
 	}
-	for _, ps := range st.Inflight {
-		p, err := build(ps)
-		if err != nil {
+	for _, p := range st.Inflight {
+		if err := check(p, true); err != nil {
 			return err
 		}
 		f.inflight = append(f.inflight, p)
 	}
-	if err := engine.RestoreQueue(&f.queue, st.Queue, build); err != nil {
+	if err := engine.RestoreQueue(&f.queue, st.Queue, func(p PendingFault) (PendingFault, error) { return p, check(p, false) }); err != nil {
 		return fmt.Errorf("ptw: checkpoint fault queue %w", err)
 	}
 	return nil

@@ -23,8 +23,8 @@ type FaultUnit struct {
 	Concurrency int
 
 	resident map[memreq.PageKey]bool
-	inflight []*pendingFault
-	queue    engine.Queue[*pendingFault]
+	inflight []PendingFault
+	queue    engine.Queue[PendingFault]
 
 	// sink receives the held walks of a completed fault; SetFaultUnit sets it
 	// to the walker.
@@ -48,47 +48,42 @@ func (s FaultStats) AvgLatency() float64 {
 	return float64(s.LatSum) / float64(s.Completed)
 }
 
-// Fault is a page fault's plain state, which the fault unit ticks and a
-// checkpoint writes as it is (PendingFaultState): the page, when its first
-// touch faulted, and when its service completes (0 while queued).
+// Fault is a page fault's plain state: the page, when its first touch
+// faulted, and when its service completes (0 while queued).
 type Fault struct {
 	Key    memreq.PageKey
 	Start  int64
 	DoneAt int64
 }
 
-// pendingFault is one in-flight or queued page fault with the walks it
-// holds.
-type pendingFault struct {
+// PendingFault is one in-flight or queued page fault with the walks it
+// holds, a value the fault unit holds and a checkpoint writes as it is.
+type PendingFault struct {
 	Fault
-	notify []HeldWalk
+	Notify []HeldWalk
 }
 
-// HeldWalk is the result of a finished walk, held until its page is
-// resident: everything finishing the walk needs, as plain data. Tr is the
-// translation of an OriginTrans walk, zero for any other.
+// HeldWalk is the result of a finished walk of the fault's page, held until
+// that page is resident: everything else finishing the walk needs. Core is
+// the core of an OriginTrans walk's L1 TLB miss.
 type HeldWalk struct {
 	Start  int64
 	Origin WalkOrigin
 	AppID  int
-	ASID   uint8
-	VPN    uint64
-	Tr     memreq.Trans
+	Core   int32
 }
 
 // FaultSink receives the held walks of a completed fault (the walker).
-// Deliverable reports whether h still has somewhere to deliver its result; a
-// restore checks every held walk with it.
+// Deliverable reports whether h, held for page key, still has somewhere to
+// deliver its result; a restore checks every held walk with it.
 type FaultSink interface {
-	FaultDone(now int64, h HeldWalk)
-	Deliverable(h HeldWalk) bool
+	FaultDone(now int64, key memreq.PageKey, h HeldWalk)
+	Deliverable(key memreq.PageKey, h HeldWalk) bool
 }
 
-// NewFaultUnit builds a fault unit.
+// NewFaultUnit builds a fault unit servicing up to concurrency (>= 1) faults
+// at once.
 func NewFaultUnit(latency int64, concurrency int) *FaultUnit {
-	if concurrency < 1 {
-		concurrency = 1
-	}
 	return &FaultUnit{
 		Latency:     latency,
 		Concurrency: concurrency,
@@ -96,20 +91,19 @@ func NewFaultUnit(latency int64, concurrency int) *FaultUnit {
 	}
 }
 
-// Touch reports whether (asid, vpn) is resident. If not, h is held and handed
+// Touch reports whether page key is resident. If not, h is held and handed
 // to the sink when the fault completes; Touch returns false in that case.
-func (f *FaultUnit) Touch(now int64, asid uint8, vpn uint64, h HeldWalk) bool {
-	key := memreq.PageKey{ASID: asid, VPN: vpn}
+func (f *FaultUnit) Touch(now int64, key memreq.PageKey, h HeldWalk) bool {
 	if f.resident[key] {
 		return true
 	}
 	// Merge into an in-flight or queued fault for the same page.
 	if p := f.pending(key); p != nil {
-		p.notify = append(p.notify, h)
+		p.Notify = append(p.Notify, h)
 		return false
 	}
 	f.Stats.Faults++
-	p := &pendingFault{Fault: Fault{Key: key, Start: now}, notify: []HeldWalk{h}}
+	p := PendingFault{Fault: Fault{Key: key, Start: now}, Notify: []HeldWalk{h}}
 	if len(f.inflight) < f.Concurrency {
 		p.DoneAt = now + f.Latency
 		f.inflight = append(f.inflight, p)
@@ -119,10 +113,11 @@ func (f *FaultUnit) Touch(now int64, asid uint8, vpn uint64, h HeldWalk) bool {
 	return false
 }
 
-// pending returns the in-flight or queued fault of key, or nil.
-func (f *FaultUnit) pending(key memreq.PageKey) *pendingFault {
-	for _, p := range f.inflight {
-		if p.Key == key {
+// pending returns the in-flight or queued fault of key where it sits, or
+// nil.
+func (f *FaultUnit) pending(key memreq.PageKey) *PendingFault {
+	for i := range f.inflight {
+		if p := &f.inflight[i]; p.Key == key {
 			return p
 		}
 	}
@@ -142,14 +137,15 @@ func (f *FaultUnit) Tick(now int64) {
 			f.resident[p.Key] = true
 			f.Stats.Completed++
 			f.Stats.LatSum += uint64(now - p.Start)
-			for _, h := range p.notify {
-				f.sink.FaultDone(now, h)
+			for _, h := range p.Notify {
+				f.sink.FaultDone(now, p.Key, h)
 			}
 		} else {
 			f.inflight[nkeep] = p
 			nkeep++
 		}
 	}
+	clear(f.inflight[nkeep:]) // drop the completed faults' held walks
 	f.inflight = f.inflight[:nkeep]
 	for len(f.inflight) < f.Concurrency {
 		p, ok := f.queue.Pop(now)

@@ -10,6 +10,11 @@
 // Under the PWCache baseline the walker's memory backend is the shared page
 // walk cache (an 8KB cache in front of the L2); under SharedTLB and MASK the
 // walker accesses the L2 data cache directly (Figure 2 of the paper).
+//
+// Walks and faults are values: the walker holds its Walks, and the fault
+// unit its PendingFaults, in slices and engine Queues, and a checkpoint
+// writes them as they are. A walk names the translation it completes by its
+// own Core and VPN, a fault-held walk by its Core and the fault's page.
 package ptw
 
 import (
@@ -50,8 +55,8 @@ func (s Stats) AvgConcurrent() float64 {
 	return float64(s.ActiveSum) / float64(s.Samples)
 }
 
-// Walk is a walk's plain state, which the walker ticks and a checkpoint
-// writes as it is (WalkState).
+// Walk is one walk, a value the walker holds in admission order and a
+// checkpoint writes as it is.
 type Walk struct {
 	ASID  uint8
 	AppID int
@@ -59,8 +64,9 @@ type Walk struct {
 	// Origin is the only record of where the walk's result goes: to the
 	// walker's WalkSink (shared-TLB fills, prefetches), or — OriginTrans, an
 	// L1 miss routed straight to the walker under the PWCache design — to
-	// the L1 TLB the walk's translation returns to.
+	// the L1 TLB of core Core, whose miss on VPN the walk translates for.
 	Origin WalkOrigin
+	Core   int32
 	// Serial numbers the walk in start order (Stats.Started before it
 	// started); its per-level memory reads carry it as their Tag and
 	// RequestDone finds the walk by it.
@@ -69,18 +75,17 @@ type Walk struct {
 	Waiting  bool
 	Finished bool
 	Start    int64
+
+	// addrs holds the walk's page-table addresses, root first, in its first
+	// levels entries: a pure function of the page table, which no image
+	// carries and a restore recomputes.
+	addrs  [memreq.MaxWalkLevel]uint64
+	levels int
 }
 
-// walk is the per-walk state. Walk objects are recycled through the
-// walker's free list once finished, so steady-state walks allocate nothing.
-type walk struct {
-	Walk
-	// tr is the translation an OriginTrans walk completes.
-	tr memreq.Trans
-	// addrs holds the walk's per-level page-table addresses, on buf: a pure
-	// function of the page table, which a restore recomputes.
-	addrs []uint64
-	buf   [4]uint64
+// held is what finishing w needs beyond its page.
+func (w *Walk) held() HeldWalk {
+	return HeldWalk{Start: w.Start, Origin: w.Origin, AppID: w.AppID, Core: w.Core}
 }
 
 // WalkOrigin identifies where a walk's result goes.
@@ -116,10 +121,10 @@ type Walker struct {
 	sink    WalkSink
 	spaces  map[uint8]*pagetable.Space
 
-	active  []*walk
-	pending engine.Queue[*walk]
-	// walkFree recycles finished walk objects.
-	walkFree slab.List[walk]
+	// active holds the admitted walks in admission order, pending the
+	// walks waiting for a slot.
+	active  []Walk
+	pending engine.Queue[Walk]
 	// pool recycles the walker's per-level memory read requests: the
 	// simulator's one pool. route is the walker's entry in its sink table,
 	// which the reads return on. trans is where OriginTrans walks'
@@ -167,18 +172,16 @@ func Renew(w *Walker, maxConcurrent int, backend cache.Backend, pool *memreq.Poo
 }
 
 // Retire empties w in place: what is left is the zero Walker but for the
-// capacity of its space map, walk lists and objects, with nothing in them —
+// capacity of its space map and walk lists, with nothing in them —
 // no address space, no fault unit, no pool, no hook, no neighbour
 // (cache.Cache.Retire has the why).
 func (w *Walker) Retire() {
 	d := *w
-	d.walkFree.Rewind()
 	clear(d.spaces)
 	*w = Walker{
-		spaces:   d.spaces,
-		active:   slab.Grown(d.active),
-		pending:  d.pending.Renewed(0, 0),
-		walkFree: d.walkFree,
+		spaces:  d.spaces,
+		active:  slab.Grown(d.active),
+		pending: d.pending.Renewed(0, 0),
 	}
 }
 
@@ -195,22 +198,20 @@ func (w *Walker) AddSpace(s *pagetable.Space) {
 // StartWalk implements tlb.WalkStarter: queue a walk for (asid, vpn) whose
 // result goes to the walk sink with origin (OriginL2Miss or OriginPrefetch).
 func (w *Walker) StartWalk(now int64, asid uint8, appID int, vpn uint64, origin WalkOrigin) {
-	w.start(now, asid, appID, vpn, origin, memreq.Trans{})
+	w.start(now, Walk{ASID: asid, AppID: appID, VPN: vpn, Origin: origin})
 }
 
-func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, origin WalkOrigin, tr memreq.Trans) {
-	sp, ok := w.spaces[asid]
+// start numbers wk and queues it, or admits it while a slot is free.
+func (w *Walker) start(now int64, wk Walk) {
+	sp, ok := w.spaces[wk.ASID]
 	if !ok {
 		panic("ptw: walk for unregistered ASID")
 	}
-	wk := w.walkFree.Get()
-	wk.ASID, wk.AppID, wk.VPN = asid, appID, vpn
-	wk.Origin, wk.tr, wk.Serial = origin, tr, w.Stats.Started
-	wk.Level, wk.Start = 1, now
-	wk.addrs = sp.WalkAddrsInto(vpn, wk.buf[:0])
+	wk.Serial, wk.Level, wk.Start = w.Stats.Started, 1, now
+	wk.levels = len(sp.WalkAddrsInto(wk.VPN, wk.addrs[:0]))
 	w.Stats.Started++
 	if len(w.active) < w.max {
-		w.admit(wk)
+		w.active = append(w.active, wk)
 	} else {
 		w.pending.Push(now, wk)
 	}
@@ -226,46 +227,36 @@ func (w *Walker) start(now int64, asid uint8, appID int, vpn uint64, origin Walk
 // shared L2 TLB (Figure 3). FIFO order keeps walker admission fair across
 // applications regardless of core tick order.
 func (w *Walker) SubmitTrans(now int64, tr memreq.Trans) bool {
-	w.start(now, tr.ASID, tr.AppID, tr.VPN, OriginTrans, tr)
+	w.start(now, Walk{ASID: tr.ASID, AppID: tr.AppID, VPN: tr.VPN, Origin: OriginTrans, Core: tr.Core})
 	return true
-}
-
-func (w *Walker) admit(wk *walk) {
-	w.active = append(w.active, wk)
 }
 
 // Tick issues the next dependent access for every walk that is not blocked
 // on memory, admits queued walks into freed slots, and samples concurrency.
 func (w *Walker) Tick(now int64) {
-	// Compact finished walks (recycling their state) and admit pending ones.
-	nkeep := 0
-	for _, wk := range w.active {
-		if !wk.Finished {
-			w.active[nkeep] = wk
-			nkeep++
-		} else {
-			wk.tr, wk.addrs = memreq.Trans{}, nil
-			wk.Waiting, wk.Finished = false, false
-			w.walkFree.Put(wk)
+	// Drop finished walks, keeping the rest in order, and admit pending ones.
+	n := 0
+	for i := range w.active {
+		if !w.active[i].Finished {
+			if i != n {
+				w.active[n] = w.active[i]
+			}
+			n++
 		}
 	}
-	for i := nkeep; i < len(w.active); i++ {
-		w.active[i] = nil
-	}
-	w.active = w.active[:nkeep]
+	w.active = w.active[:n]
 	for len(w.active) < w.max {
 		wk, ok := w.pending.Pop(now)
 		if !ok {
 			break
 		}
-		w.admit(wk)
+		w.active = append(w.active, wk)
 	}
 
-	for _, wk := range w.active {
-		if wk.Waiting || wk.Finished {
-			continue
+	for i := range w.active {
+		if wk := &w.active[i]; !wk.Waiting && !wk.Finished {
+			w.issue(now, wk)
 		}
-		w.issue(now, wk)
 	}
 
 	if now%sampleInterval == 0 {
@@ -285,8 +276,8 @@ func (w *Walker) Tick(now int64) {
 // Otherwise every active walk is waiting on a memory response delivered by
 // another component's tick, so the walker is purely reactive.
 func (w *Walker) NextEvent(now int64) int64 {
-	for _, wk := range w.active {
-		if wk.Finished || !wk.Waiting {
+	for i := range w.active {
+		if wk := &w.active[i]; wk.Finished || !wk.Waiting {
 			return now
 		}
 	}
@@ -335,7 +326,7 @@ func (w *Walker) SetLatencyHistogram(h *metrics.Histogram) {
 	w.latHist = h
 }
 
-func (w *Walker) issue(now int64, wk *walk) {
+func (w *Walker) issue(now int64, wk *Walk) {
 	if w.wedge != nil && w.wedge(now) {
 		// Mark the walk as waiting on a response that will never arrive.
 		wk.Waiting = true
@@ -359,9 +350,9 @@ func (w *Walker) issue(now int64, wk *walk) {
 
 // walkBySerial finds the active walk numbered serial (nil if none). Only
 // active walks have reads outstanding, and there are at most max of them.
-func (w *Walker) walkBySerial(serial uint64) *walk {
-	for _, wk := range w.active {
-		if wk.Serial == serial {
+func (w *Walker) walkBySerial(serial uint64) *Walk {
+	for i := range w.active {
+		if wk := &w.active[i]; wk.Serial == serial {
 			return wk
 		}
 	}
@@ -374,38 +365,38 @@ func (w *Walker) RequestDone(now int64, r *memreq.Request) {
 	wk := w.walkBySerial(r.Tag)
 	wk.Waiting = false
 	wk.Level++
-	if wk.Level <= len(wk.addrs) {
+	if wk.Level <= wk.levels {
 		return // next dependent access issues on the following tick
 	}
+	// The next Tick drops the finished walk, so what may be delivered later
+	// (a fault-held result) is copied out of it.
 	wk.Finished = true
-	// The walk object is recycled at the next Tick's compaction, so what may
-	// be delivered later (a fault-held result) is copied out of it.
-	h := HeldWalk{Start: wk.Start, Origin: wk.Origin, AppID: wk.AppID, ASID: wk.ASID, VPN: wk.VPN, Tr: wk.tr}
+	key, h := memreq.PageKey{ASID: wk.ASID, VPN: wk.VPN}, wk.held()
 	// Demand paging (§5.5): the walk found the PTE, but a non-resident page
 	// must be faulted in before the translation is usable.
-	if w.faults != nil && !w.faults.Touch(now, wk.ASID, wk.VPN, h) {
+	if w.faults != nil && !w.faults.Touch(now, key, h) {
 		return
 	}
-	w.finishWalk(now, h)
+	w.finishWalk(now, key, h)
 }
 
-// FaultDone implements FaultSink: the page a finished walk was held for is
-// resident.
-func (w *Walker) FaultDone(now int64, h HeldWalk) { w.finishWalk(now, h) }
+// FaultDone implements FaultSink: page key, which a finished walk was held
+// for, is resident.
+func (w *Walker) FaultDone(now int64, key memreq.PageKey, h HeldWalk) { w.finishWalk(now, key, h) }
 
-// finishWalk records completion stats and delivers the result where the
-// walk's origin says.
-func (w *Walker) finishWalk(now int64, h HeldWalk) {
+// finishWalk records completion stats and delivers the result of the walk of
+// page key where its origin says.
+func (w *Walker) finishWalk(now int64, key memreq.PageKey, h HeldWalk) {
 	w.Stats.Completed++
 	w.Stats.LatSum += uint64(now - h.Start)
 	if w.latHist != nil {
 		w.latHist.Observe(float64(now - h.Start))
 	}
 	if h.Origin == OriginTrans {
-		w.trans.TransDone(now, h.Tr)
+		w.trans.TransDone(now, memreq.TransKey{Core: h.Core, VPN: key.VPN})
 		return
 	}
-	w.sink.WalkDone(now, h.ASID, h.AppID, h.VPN, h.Origin)
+	w.sink.WalkDone(now, key.ASID, h.AppID, key.VPN, h.Origin)
 }
 
 // ActiveWalks returns the number of in-flight walks.

@@ -48,13 +48,13 @@ func (l *walkLog) WalkDone(now int64, asid uint8, appID int, vpn uint64, origin 
 	l.done = append(l.done, walkResult{now, vpn, origin})
 }
 
-func (l *walkLog) FaultDone(now int64, h HeldWalk) {
-	l.done = append(l.done, walkResult{now, h.VPN, h.Origin})
+func (l *walkLog) FaultDone(now int64, key memreq.PageKey, h HeldWalk) {
+	l.done = append(l.done, walkResult{now, key.VPN, h.Origin})
 }
 
 func (l *walkLog) Awaits(asid uint8, vpn uint64) bool { return true }
 
-func (l *walkLog) Deliverable(h HeldWalk) bool { return true }
+func (l *walkLog) Deliverable(key memreq.PageKey, h HeldWalk) bool { return true }
 
 // newWalker builds a walker over mem whose walk results land in the returned
 // log.
@@ -190,18 +190,18 @@ func TestMemRejectionRetries(t *testing.T) {
 }
 
 // transFunc is the memreq.TransSink of a walker under test.
-type transFunc func(now int64, tr memreq.Trans)
+type transFunc func(now int64, k memreq.TransKey)
 
-func (f transFunc) TransDone(now int64, tr memreq.Trans) { f(now, tr) }
+func (f transFunc) TransDone(now int64, k memreq.TransKey) { f(now, k) }
 
 func TestSubmitTransRoutesToWalk(t *testing.T) {
 	w, mem, sp := newWalkerWithPage(t, 4)
 	va := uint64(0x4_0000_0000)
 	var got int64 = -1
 	tr := memreq.Trans{ASID: 1, VPN: sp.VPN(va), Core: 3}
-	w.trans = transFunc(func(now int64, done memreq.Trans) {
-		if done != tr {
-			t.Errorf("translation %+v returned, want %+v", done, tr)
+	w.trans = transFunc(func(now int64, done memreq.TransKey) {
+		if done != tr.Key() {
+			t.Errorf("translation %+v returned, want %+v", done, tr.Key())
 		}
 		got = now
 	})

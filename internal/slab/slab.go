@@ -1,5 +1,5 @@
 // Package slab provides the one free list behind every recycled object in the
-// simulator: pooled requests, walks, page-table nodes, DRAM queue wrappers.
+// simulator: pooled requests, page-table nodes, DRAM queue wrappers.
 //
 // A List is deterministic by construction — plain slices, LIFO reuse, no
 // sync.Pool, nothing the garbage collector or another goroutine can perturb —
@@ -12,7 +12,7 @@ import "unsafe"
 
 // Chunk sizing, in bytes: the next chunk is as large as everything the list
 // has carved so far, clamped to [minChunk, maxChunk]. Lists that stay small
-// (a walker's few dozen walks) waste at most minChunk; lists that grow large
+// (a small page table's nodes) waste at most minChunk; lists that grow large
 // (a simulator's thousands of data requests) settle at maxChunk per
 // allocation, which bounds the unused tail. Both bounds and every doubling
 // between them are malloc size classes, so a chunk loses less than one object

@@ -71,7 +71,10 @@ var magic = [4]byte{'M', 'S', 'K', 'P'}
 //	    Ticked + Skipped), the token policy no per-app "epoch seen" flags
 //	    (FirstEpoch says it) and a warp image no pending-translation count
 //	    (its L1 TLB's waiters say it)
-const Version uint32 = 12
+//	13 — walks and faults as they are: a walk and a fault-held walk carry
+//	    the Core of the L1 TLB miss an OriginTrans walk translates for, in
+//	    place of that miss's key (Tr) beside them
+const Version uint32 = 13
 
 // maxMetaLen bounds the fingerprint length so a corrupt header cannot make
 // Read attempt a huge allocation.

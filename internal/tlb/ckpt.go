@@ -230,7 +230,7 @@ func (t *L2TLB) SnapshotState() L2State {
 	if t.pf != nil {
 		p := &PrefetcherState{Stats: t.pf.Stats}
 		for i := 0; i < t.pf.order.Len(); i++ {
-			k := t.pf.order.At(i)
+			k := *t.pf.order.At(i)
 			p.Entries = append(p.Entries, PfEntryState{Key: k, Next: t.pf.next[k]})
 		}
 		for _, asid := range memreq.SortedKeys(t.pf.last, cmp.Compare[uint8]) {

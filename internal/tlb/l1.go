@@ -83,8 +83,9 @@ type L1TLB struct {
 // translation returns.
 type L1TLBs []*L1TLB
 
-// TransDone implements memreq.TransSink: tr returns to its core's L1 TLB.
-func (ts *L1TLBs) TransDone(now int64, tr memreq.Trans) { (*ts)[tr.Core].TransDone(now, tr) }
+// TransDone implements memreq.TransSink: the translation of k returns to its
+// core's L1 TLB.
+func (ts *L1TLBs) TransDone(now int64, k memreq.TransKey) { (*ts)[k.Core].TransDone(now, k.VPN) }
 
 // NewL1 builds an L1 TLB of the given size for one core.
 func NewL1(coreID, appID int, asid uint8, size int, backend TransBackend) *L1TLB {
@@ -143,12 +144,11 @@ func (t *L1TLB) trans(vpn uint64, hasToken bool) memreq.Trans {
 	return memreq.Trans{VPN: vpn, AppID: t.appID, Core: int32(t.coreID), ASID: t.asid, HasToken: hasToken}
 }
 
-// TransDone implements memreq.TransSink: the translation tr asked for has
-// returned. It installs the translation, closes the miss, wakes every
-// blocked warp, and records the stalled-warp sample for the Figure 6 metric.
-// A translation with no miss open for it was completed twice, and panics.
-func (t *L1TLB) TransDone(now int64, tr memreq.Trans) {
-	vpn := tr.VPN
+// TransDone closes the miss on vpn: its translation has returned. It
+// installs the translation, closes the miss, wakes every blocked warp, and
+// records the stalled-warp sample for the Figure 6 metric. A translation with
+// no miss open for it was completed twice, and panics.
+func (t *L1TLB) TransDone(now int64, vpn uint64) {
 	e, ok := t.mshrs.Find(vpn)
 	if !ok {
 		panic("tlb: a translation returned to an L1 TLB with no miss open for it (completed twice)")

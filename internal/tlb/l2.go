@@ -301,7 +301,7 @@ func (t *L2TLB) lookup(now int64, tr memreq.Trans, first bool) {
 	// either the TLB or the TLB bypass cache yields a TLB hit").
 	if t.probe(key) || (t.bypass != nil && t.bypass.probe(key)) {
 		t.recordHit(app)
-		t.l1s.TransDone(now, tr)
+		t.l1s.TransDone(now, tr.Key())
 		return
 	}
 
@@ -380,7 +380,7 @@ func (t *L2TLB) fill(now int64, e int) {
 		t.bypass.fill(key)
 	}
 	for tr, ok := t.mshrs.Pop(&ws); ok; tr, ok = t.mshrs.Pop(&ws) {
-		t.l1s.TransDone(now, tr)
+		t.l1s.TransDone(now, tr.Key())
 	}
 }
 

@@ -28,7 +28,7 @@ func (f *fakeTransBackend) answerAll(now int64) {
 	reqs := f.reqs
 	f.reqs = nil
 	for _, tr := range reqs {
-		f.l1s.TransDone(now, tr)
+		f.l1s.TransDone(now, tr.Key())
 	}
 }
 
@@ -113,7 +113,7 @@ func TestTransDoneWithoutMissPanics(t *testing.T) {
 			t.Fatalf("panic %v, want the double-completion panic", r)
 		}
 	}()
-	l1.TransDone(2, tr)
+	l1.TransDone(2, tr.VPN)
 }
 
 func TestL1LRUEviction(t *testing.T) {

@@ -62,6 +62,8 @@ var censusImages = map[string]bool{
 	"metrics.Histogram":       true,
 	"ptw.Fault":               true,
 	"ptw.FaultStats":          true,
+	"ptw.HeldWalk":            true,
+	"ptw.PendingFault":        true,
 	"ptw.Stats":               true,
 	"ptw.Walk":                true,
 	"telemetry.ProbeState":    true,
@@ -288,7 +290,6 @@ var stateCensus = map[string]censusEntry{
 	"ptw.Walker.spaces":       mach,
 	"ptw.Walker.active":       img,
 	"ptw.Walker.pending":      img,
-	"ptw.Walker.walkFree":     buf,
 	"ptw.Walker.pool":         mach,
 	"ptw.Walker.route":        mach,
 	"ptw.Walker.trans":        mach,
@@ -297,10 +298,8 @@ var stateCensus = map[string]censusEntry{
 	"ptw.Walker.latHist":      img,
 	"ptw.Walker.Stats":        img,
 	"metrics.Histogram.count": recomp("Histogram.SetState"),
-	"ptw.walk.Walk":           img,
-	"ptw.walk.tr":             img, // named by its TransKey
-	"ptw.walk.addrs":          recomp("Space.WalkAddrsInto"),
-	"ptw.walk.buf":            buf,
+	"ptw.Walk.addrs":          recomp("Space.WalkAddrsInto"),
+	"ptw.Walk.levels":         recomp("Space.WalkAddrsInto"),
 
 	"ptw.FaultUnit.Latency":     mach,
 	"ptw.FaultUnit.Concurrency": mach,
@@ -309,14 +308,6 @@ var stateCensus = map[string]censusEntry{
 	"ptw.FaultUnit.queue":       img,
 	"ptw.FaultUnit.sink":        mach,
 	"ptw.FaultUnit.Stats":       img,
-	"ptw.pendingFault.Fault":    img,
-	"ptw.pendingFault.notify":   img,
-	"ptw.HeldWalk.Start":        img,
-	"ptw.HeldWalk.Origin":       img,
-	"ptw.HeldWalk.AppID":        img,
-	"ptw.HeldWalk.ASID":         recomp("FaultUnit.RestoreState"),
-	"ptw.HeldWalk.VPN":          recomp("FaultUnit.RestoreState"),
-	"ptw.HeldWalk.Tr":           recomp("Holders.Trans"),
 
 	"dram.DRAM.cfg":           mach,
 	"dram.DRAM.lineShift":     mach,

@@ -307,7 +307,7 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte, budget int
 		err = s.l2tlb.RestoreState(wi, *p.L2TLB)
 	}
 	if err == nil && s.faults != nil {
-		err = s.faults.RestoreState(wi, *p.Faults)
+		err = s.faults.RestoreState(wi, h.Cycle, *p.Faults)
 	}
 	if err == nil {
 		err = s.walker.RestoreState(wi, p.Walker)

@@ -453,8 +453,10 @@ func TestCheckpointRejection(t *testing.T) {
 	// images write lines, entries, walks, faults and warps as mirror structs
 	// with flat page keys, and a histogram's buckets as a slice; v11 images
 	// write the clock's cycle, the token policy's per-app epoch flags and
-	// each warp's pending-translation count.
-	for _, old := range []uint32{2, 3, 4, 5, 6, 7, 8, 9, 10, 11} {
+	// each warp's pending-translation count; v12 images write beside each walk
+	// and fault-held walk the key of the translation it completes (Tr),
+	// where v13 writes the walk's Core.
+	for _, old := range []uint32{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12} {
 		t.Run(fmt.Sprintf("previous-format-v%d", old), func(t *testing.T) {
 			dir := makeDir(t)
 			ents, _ := os.ReadDir(dir)
@@ -524,9 +526,9 @@ func firstReturning[T memreq.Sink](t *testing.T, p *checkpointPayload, sinks *me
 }
 
 // liveWalkOf returns the first unfinished walk of the given origin.
-func liveWalkOf(t *testing.T, p *checkpointPayload, origin ptw.WalkOrigin) *ptw.WalkState {
+func liveWalkOf(t *testing.T, p *checkpointPayload, origin ptw.WalkOrigin) *ptw.Walk {
 	t.Helper()
-	walks := make([]*ptw.WalkState, 0, len(p.Walker.Active)+len(p.Walker.Pending))
+	walks := make([]*ptw.Walk, 0, len(p.Walker.Active)+len(p.Walker.Pending))
 	for i := range p.Walker.Active {
 		walks = append(walks, &p.Walker.Active[i])
 	}
@@ -803,11 +805,11 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		}, "L2 TLB miss without a requester"},
 		{"walk transreq reference", onShared, func(t *testing.T, p *checkpointPayload) {
 			ws := liveWalkOf(t, p, ptw.OriginL2Miss)
-			ws.Origin, ws.Tr = ptw.OriginTrans, untracked
+			ws.Origin, ws.Core, ws.VPN = ptw.OriginTrans, untracked.Core, untracked.VPN
 		}, noTracker},
 		{"fault-held walk key names no tracker", onPaging, func(t *testing.T, p *checkpointPayload) {
-			p.Faults.Queue = append(p.Faults.Queue, engine.QueueItem[ptw.PendingFaultState]{Value: ptw.PendingFaultState{Fault: ptw.Fault{Key: memreq.PageKey{ASID: 1, VPN: untracked.VPN}}, Notify: []ptw.FaultNotifyState{
-				{Origin: uint8(ptw.OriginTrans), Tr: untracked},
+			p.Faults.Queue = append(p.Faults.Queue, engine.QueueItem[ptw.PendingFault]{Value: ptw.PendingFault{Fault: ptw.Fault{Key: memreq.PageKey{ASID: 1, VPN: untracked.VPN}}, Notify: []ptw.HeldWalk{
+				{Origin: ptw.OriginTrans, Core: untracked.Core},
 			}}})
 		}, noTracker},
 		{"transreq names a core without an L1 TLB", onShared, func(t *testing.T, p *checkpointPayload) {
@@ -1051,8 +1053,32 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			}
 			twice := p.Faults.Inflight[0]
 			twice.Notify, twice.DoneAt = nil, 0
-			p.Faults.Queue = append(p.Faults.Queue, engine.QueueItem[ptw.PendingFaultState]{Ready: twice.Start, Value: twice})
+			p.Faults.Queue = append(p.Faults.Queue, engine.QueueItem[ptw.PendingFault]{Ready: twice.Start, Value: twice})
 		}, "checkpoint has two faults of asid"},
+		// A fault's service ends Latency after it starts, at a cycle the run
+		// has ticked; a queued fault has not started; every fault holds the
+		// walk that opened it, of a page that is not resident.
+		{"fault in service ending past its latency", onPaging, func(t *testing.T, p *checkpointPayload) {
+			if len(p.Faults.Inflight) == 0 {
+				t.Fatal("no fault in flight")
+			}
+			p.Faults.Inflight[0].DoneAt = 1 << 62
+		}, "first touched at cycle 259, ends at cycle 4611686018427387904, not in [2600, 3099]"},
+		{"queued fault holding no walk", onPaging, func(t *testing.T, p *checkpointPayload) {
+			p.Faults.Queue = append(p.Faults.Queue, engine.QueueItem[ptw.PendingFault]{Value: ptw.PendingFault{Fault: ptw.Fault{Key: memreq.PageKey{ASID: 1, VPN: untracked.VPN}, Start: 2500}}})
+		}, "fault of asid 1, vpn 0x10000000000 holds no walk"},
+		{"fault of a resident page", onPaging, func(t *testing.T, p *checkpointPayload) {
+			if len(p.Faults.Inflight) == 0 {
+				t.Fatal("no fault in flight")
+			}
+			p.Faults.Resident = append(p.Faults.Resident, p.Faults.Inflight[0].Key)
+		}, "is of a resident page"},
+		{"queued fault with a completion cycle", onPaging, func(t *testing.T, p *checkpointPayload) {
+			if len(p.Faults.Queue) == 0 {
+				t.Fatal("no fault queued")
+			}
+			p.Faults.Queue[0].Value.DoneAt = 2700
+		}, "queued fault of asid 1, vpn 0x29c440 ends at cycle 2700"},
 		{"active walks past the walker's slots", onShared, func(t *testing.T, p *checkpointPayload) {
 			done := p.Walker.Active[0]
 			done.Finished, done.Waiting = true, false

@@ -105,7 +105,7 @@ func routeKey[T memreq.Sink](sinks *memreq.Pool, pick func(d *memreq.Request) bo
 
 // liveWalk finds an unfinished walk satisfying pick and names it by its
 // serial.
-func liveWalk(p *checkpointPayload, pick func(ws ptw.WalkState) bool) (string, bool) {
+func liveWalk(p *checkpointPayload, pick func(ws ptw.Walk) bool) (string, bool) {
 	walks := slices.Clone(p.Walker.Active)
 	for _, it := range p.Walker.Pending {
 		walks = append(walks, it.Value)
@@ -121,7 +121,7 @@ func liveWalk(p *checkpointPayload, pick func(ws ptw.WalkState) bool) (string, b
 // heldWalk finds a finished walk satisfying pick that a page fault is
 // holding, and names it by the fault's page: the page turning resident is
 // the fault delivering it.
-func heldWalk(pick func(ns ptw.FaultNotifyState) bool) func(p *checkpointPayload) (string, bool) {
+func heldWalk(pick func(h ptw.HeldWalk) bool) func(p *checkpointPayload) (string, bool) {
 	return func(p *checkpointPayload) (string, bool) {
 		if p.Faults == nil {
 			return "", false
@@ -165,7 +165,7 @@ func heldTrans(p *checkpointPayload) []memreq.TransKey {
 	}
 	for _, ws := range walks {
 		if !ws.Finished && ws.Origin == ptw.OriginTrans {
-			keys = append(keys, ws.Tr)
+			keys = append(keys, memreq.TransKey{Core: ws.Core, VPN: ws.VPN})
 		}
 	}
 	if p.Faults != nil {
@@ -174,9 +174,9 @@ func heldTrans(p *checkpointPayload) []memreq.TransKey {
 			faults = append(faults, it.Value)
 		}
 		for _, f := range faults {
-			for _, ns := range f.Notify {
-				if ptw.WalkOrigin(ns.Origin) == ptw.OriginTrans {
-					keys = append(keys, ns.Tr)
+			for _, h := range f.Notify {
+				if h.Origin == ptw.OriginTrans {
+					keys = append(keys, memreq.TransKey{Core: h.Core, VPN: f.Key.VPN})
 				}
 			}
 		}
@@ -237,7 +237,7 @@ func TestContinuationRoutes(t *testing.T) {
 	toL1D := func(d *memreq.Request) bool { return slices.Contains(mask.l1ds, sinks.Sink(d.Ret).(*cache.Cache)) }
 	walkFrom := func(origin ptw.WalkOrigin) func(p *checkpointPayload) (string, bool) {
 		return func(p *checkpointPayload) (string, bool) {
-			return liveWalk(p, func(w ptw.WalkState) bool { return ptw.WalkOrigin(w.Origin) == origin })
+			return liveWalk(p, func(w ptw.Walk) bool { return w.Origin == origin })
 		}
 	}
 	scenarios := []struct {
@@ -264,15 +264,15 @@ func TestContinuationRoutes(t *testing.T) {
 			c.FaultLatency = 500
 			c.FaultConcurrency = 4
 			return c
-		}, []string{"MUM", "GUP"}, []route{{"fault-held walk", heldWalk(func(ptw.FaultNotifyState) bool { return true })}}},
+		}, []string{"MUM", "GUP"}, []route{{"fault-held walk", heldWalk(func(ptw.HeldWalk) bool { return true })}}},
 		{func() Config {
 			c := PWCacheConfig()
 			c.DemandPaging = true
 			c.FaultLatency = 500
 			c.FaultConcurrency = 4
 			return c
-		}, []string{"3DS", "CONS"}, []route{{"fault-held translation", heldWalk(func(ns ptw.FaultNotifyState) bool {
-			return ptw.WalkOrigin(ns.Origin) == ptw.OriginTrans
+		}, []string{"3DS", "CONS"}, []route{{"fault-held translation", heldWalk(func(h ptw.HeldWalk) bool {
+			return h.Origin == ptw.OriginTrans
 		})}}},
 	}
 	// image checkpoints s and checks what must hold of any image: of a run,
