@@ -75,7 +75,7 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 	c.counters = st.Counters
 	copy(c.lines, st.Lines)
 	for b, sq := range st.Queues {
-		if err := engine.RestoreQueue(&c.queues[b], sq, w.Request); err != nil {
+		if err := engine.RestoreQueue(&c.queues[b], w.Now, sq, w.Request); err != nil {
 			return fmt.Errorf("cache %s: checkpoint bank %d %w", c.cfg.Name, b, err)
 		}
 	}
@@ -104,7 +104,7 @@ func (c *Cache) RestoreState(w *memreq.Wiring, st CacheState) error {
 	if err := restoreMSHRs(&c.bypassMSHRs, "bypass MSHRs", st.BypassMshrs); err != nil {
 		return err
 	}
-	if err := engine.RestoreQueue(&c.retry, st.Retry, w.Request); err != nil {
+	if err := engine.RestoreQueue(&c.retry, w.Now, st.Retry, w.Request); err != nil {
 		return fmt.Errorf("cache %s: retry %w", c.cfg.Name, err)
 	}
 	if (len(st.CombineCur) > 0 || len(st.CombinePrev) > 0) && c.cfg.WriteCombineWindow <= 0 {

@@ -67,11 +67,22 @@ func SnapshotQueue[T, S any](q *Queue[T], image func(T) S) []QueueItem[S] {
 }
 
 // RestoreQueue fills a new, empty queue with a SnapshotQueue image's items,
-// resolving each in order. An image past the capacity is rejected before any
-// is resolved, for the holder to prefix with the queue's name.
-func RestoreQueue[T, S any](q *Queue[T], items []QueueItem[S], resolve func(S) (T, error)) error {
+// resolving each in order. The image was taken at cycle now, so the tick of
+// cycle now-1 pushed its newest item at the latest, and no item is ready past
+// now-1+latency; in a queue of latency 0, which stamps a Push ready at 0, a
+// bank that takes back the request it just popped makes it ready one cycle on
+// (PushAt(now+1)), so no item is ready past now. An image past the capacity,
+// or with an item ready before cycle 0 or past that bound, is rejected before
+// any item is resolved, for the holder to prefix with the queue's name.
+func RestoreQueue[T, S any](q *Queue[T], now int64, items []QueueItem[S], resolve func(S) (T, error)) error {
 	if q.cap > 0 && len(items) > q.cap {
 		return fmt.Errorf("queues %d requests, capacity is %d", len(items), q.cap)
+	}
+	last := now - 1 + max(q.latency, 1)
+	for i, it := range items {
+		if it.Ready < 0 || it.Ready > last {
+			return fmt.Errorf("item %d is ready at cycle %d, not in [0, %d]", i, it.Ready, last)
+		}
 	}
 	for i, it := range items {
 		v, err := resolve(it.Value)

@@ -85,13 +85,22 @@ func driveQueue(t *testing.T, latency int64, capacity int, prog []byte) {
 			if donor.Len() != 0 {
 				t.Fatalf("step %d: a renewed queue holds %d items", step, donor.Len())
 			}
-			if err := RestoreQueue(donor, img, func(v int) (int, error) { return v, nil }); err != nil {
-				if !(capacity > 0 && len(ref) > capacity) {
-					t.Fatalf("step %d: restore: %v", step, err)
+			// The image of cycle now+1, taken after the tick of cycle now.
+			// PushAt may have gone past the capacity, or taken an item back
+			// later than a model's now+1; a restore rejects such an image.
+			want := ""
+			for k, it := range ref {
+				if last := now + max(latency, 1); it.ready > last {
+					want = fmt.Sprintf("item %d is ready at cycle %d, not in [0, %d]", k, it.ready, last)
+					break
 				}
-				// PushAt went past the capacity; a restore rejects that image.
-				if want := fmt.Sprintf("queues %d requests, capacity is %d", len(ref), capacity); err.Error() != want {
-					t.Fatalf("step %d: restore of %d items: %v, want %q", step, len(ref), err, want)
+			}
+			if capacity > 0 && len(ref) > capacity {
+				want = fmt.Sprintf("queues %d requests, capacity is %d", len(ref), capacity)
+			}
+			if err := RestoreQueue(donor, now+1, img, func(v int) (int, error) { return v, nil }); err != nil || want != "" {
+				if err == nil || err.Error() != want {
+					t.Fatalf("step %d: restore of %v: %v, want %q", step, ref, err, want)
 				}
 				continue
 			}
@@ -199,16 +208,40 @@ func FuzzQueue(f *testing.F) {
 	})
 }
 
+// TestRestoreQueueRejectsBeforeResolving restores images taken at cycle 100:
+// one past the capacity, and ones holding an item ready before cycle 0 or
+// after the last cycle a run can stamp (99 + latency, or 100 in a queue of
+// latency 0), are rejected before any item is resolved.
 func TestRestoreQueueRejectsBeforeResolving(t *testing.T) {
-	q := newQueue[int](0, 2)
-	img := []QueueItem[int]{{Value: 1}, {Value: 2}, {Value: 3}}
-	resolved := 0
-	err := RestoreQueue(q, img, func(v int) (int, error) { resolved++; return v, nil })
-	if err == nil || err.Error() != "queues 3 requests, capacity is 2" {
-		t.Fatalf("restore of 3 items into capacity 2: %v", err)
-	}
-	if resolved != 0 {
-		t.Fatalf("restore resolved %d items of an image it rejects", resolved)
+	for _, tc := range []struct {
+		latency  int64
+		capacity int
+		ready    []int64
+		want     string
+	}{
+		{0, 2, []int64{0, 0, 0}, "queues 3 requests, capacity is 2"},
+		{0, 0, []int64{0, 100}, ""},
+		{0, 0, []int64{0, 101}, "item 1 is ready at cycle 101, not in [0, 100]"},
+		{0, 0, []int64{-1}, "item 0 is ready at cycle -1, not in [0, 100]"},
+		{5, 0, []int64{100, 104}, ""},
+		{5, 0, []int64{100, 105}, "item 1 is ready at cycle 105, not in [0, 104]"},
+		{0, 0, []int64{1 << 62}, "item 0 is ready at cycle 4611686018427387904, not in [0, 100]"},
+	} {
+		q := newQueue[int](tc.latency, tc.capacity)
+		var img []QueueItem[int]
+		for k, r := range tc.ready {
+			img = append(img, QueueItem[int]{Ready: r, Value: k + 1})
+		}
+		resolved := 0
+		err := RestoreQueue(q, 100, img, func(v int) (int, error) { resolved++; return v, nil })
+		switch {
+		case tc.want == "" && err != nil:
+			t.Fatalf("latency %d, items ready at %v: %v", tc.latency, tc.ready, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Fatalf("latency %d, items ready at %v: %v, want %q", tc.latency, tc.ready, err, tc.want)
+		case tc.want != "" && resolved != 0:
+			t.Fatalf("restore resolved %d items of an image it rejects", resolved)
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ func (c *Core) RestoreState(wi *memreq.Wiring, st CoreState) error {
 			w.inst.Pages = append(w.inst.Pages, workload.PageAccess{Lines: lines})
 		}
 	}
-	if err := engine.RestoreQueue(&c.retry, st.Retry, wi.Request); err != nil {
+	if err := engine.RestoreQueue(&c.retry, wi.Now, st.Retry, wi.Request); err != nil {
 		return fmt.Errorf("gpu: core %d retry %w", c.id, err)
 	}
 	for _, r := range wi.Returning(c.route) {

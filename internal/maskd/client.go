@@ -34,6 +34,9 @@ type Client struct {
 	MaxEntryBytes int64
 
 	errs atomic.Uint64
+	// last is the last terminal status Submit or Job received, which Wait
+	// returns for its job without asking the server again.
+	last atomic.Pointer[JobStatus]
 }
 
 func (c *Client) maxEntry() int64 {
@@ -145,7 +148,19 @@ func decodeResponse(resp *http.Response, v any) error {
 	return json.Unmarshal(body, v)
 }
 
-// Submit posts a job and returns its initial status.
+// keep notes a status Submit or Job received: a terminal one becomes the
+// status Wait answers from, and a live one retires a held status of the same
+// ID (a restarted server numbers its jobs afresh).
+func (c *Client) keep(st *JobStatus) {
+	if st.Terminal() {
+		c.last.Store(st)
+	} else if old := c.last.Load(); old != nil && old.ID == st.ID {
+		c.last.CompareAndSwap(old, nil)
+	}
+}
+
+// Submit posts a job and returns its initial status, which is terminal when
+// the server's cache answered every cell.
 func (c *Client) Submit(req SubmitRequest) (*JobStatus, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -164,6 +179,7 @@ func (c *Client) Submit(req SubmitRequest) (*JobStatus, error) {
 	if err := decodeResponse(resp, &st); err != nil {
 		return nil, err
 	}
+	c.keep(&st)
 	return &st, nil
 }
 
@@ -195,11 +211,17 @@ func (c *Client) Job(ctx context.Context, id string, since uint64, wait time.Dur
 	if err := decodeResponse(resp, &st); err != nil {
 		return nil, err
 	}
+	c.keep(&st)
 	return &st, nil
 }
 
-// Wait long-polls until the job is terminal or ctx expires.
+// Wait long-polls until the job is terminal or ctx expires. A terminal status
+// of the job that the client's last Submit or Job received is returned
+// without a request.
 func (c *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
+	if st := c.last.Load(); st != nil && st.ID == id {
+		return st, nil
+	}
 	var since uint64
 	for {
 		st, err := c.Job(ctx, id, since, 30*time.Second)

@@ -122,11 +122,13 @@ func (s *JobStatus) Terminal() bool {
 
 // job is the server-side runtime state of one submission.
 type job struct {
+	tenant  string // status.Tenant, read without the lock
 	mu      sync.Mutex
 	status  JobStatus
 	waiters []chan struct{}
-	cancel  context.CancelFunc
-	done    chan struct{} // closed when the last cell finished
+	// cancel cancels the context of the job's cells; nil for a job the
+	// submit settled, which has nothing running.
+	cancel context.CancelFunc
 
 	// feeds holds one telemetry ring per cell (nil for cells that do not
 	// stream). The slice is built at submit time and never resized, so SSE
@@ -144,6 +146,13 @@ func (j *job) update(f func(*JobStatus)) {
 	j.mu.Unlock()
 	for _, w := range waiters {
 		close(w)
+	}
+}
+
+// stop cancels the job's running cells, if any.
+func (j *job) stop() {
+	if j.cancel != nil {
+		j.cancel()
 	}
 }
 

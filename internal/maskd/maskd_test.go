@@ -11,10 +11,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"masksim/internal/experiments"
+	"masksim/internal/metrics"
 	"masksim/internal/simcache"
 	"masksim/sim"
 )
@@ -762,5 +764,257 @@ func TestStreamingTelemetrySSE(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `"state":"done"`) {
 		t.Fatal("SSE feed did not end with the terminal status frame")
+	}
+}
+
+// countingTransport counts the requests a client sends.
+type countingTransport struct {
+	base http.RoundTripper
+	n    atomic.Int64
+}
+
+func (t *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	t.n.Add(1)
+	return t.base.RoundTrip(r)
+}
+
+// countingClient is a tenant's client whose requests are counted, over its
+// own connection pool.
+func countingClient(t *testing.T, ts *httptest.Server, key string) (*Client, *countingTransport) {
+	base := &http.Transport{}
+	t.Cleanup(base.CloseIdleConnections)
+	rt := &countingTransport{base: base}
+	return &Client{Base: ts.URL, APIKey: key, HTTP: &http.Client{Transport: rt}}, rt
+}
+
+// runToEnd submits req through c and waits for its terminal status.
+func runToEnd(t *testing.T, c *Client, req SubmitRequest) *JobStatus {
+	t.Helper()
+	st, err := c.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	fin, err := c.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fin
+}
+
+// TestSettleAtSubmit checks that a sim cell the shared cache has finished is
+// answered inside the POST: terminal at version 1, a cache hit that executed
+// nothing, its results byte-equal to the cold job's, and accounted exactly as
+// the harness path accounts the same hit. Wait then asks the server nothing.
+func TestSettleAtSubmit(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	spec := SimSpec{Config: "SharedTLB", Apps: []string{"MM", "RED"}, Cycles: 300}
+	alone := SimSpec{Config: "MASK", Apps: []string{"RED"}, Cycles: 300, Alone: true}
+	req := SubmitRequest{Sims: []SimSpec{spec, alone}}
+	cold := runToEnd(t, client(ts, "alice"), req)
+	if cold.State != JobDone || cold.Cells[0].Executed != 1 || cold.Cells[1].Executed != 1 {
+		t.Fatalf("cold job = %+v, want two executed cells", cold)
+	}
+	before, err := serverStats(client(ts, "alice"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bob, rt := countingClient(t, ts, "bob")
+	warm, err := bob.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.State != JobDone || warm.Version != 1 {
+		t.Fatalf("warm POST body: state %s, version %d, want done at version 1", warm.State, warm.Version)
+	}
+	for i, cell := range warm.Cells {
+		if cell.State != CellDone || !cell.CacheHit || cell.Executed != 0 || cell.Requests != 1 || cell.Name != cold.Cells[i].Name {
+			t.Fatalf("warm cell %d = %+v, want a done cache hit of %s", i, cell, cold.Cells[i].Name)
+		}
+		got, _ := json.Marshal(cell.Results)
+		want, _ := json.Marshal(cold.Cells[i].Results)
+		if string(got) != string(want) {
+			t.Fatalf("warm cell %d results differ from the cold job's", i)
+		}
+	}
+	sent := rt.n.Load()
+	fin, err := bob.Wait(context.Background(), warm.ID)
+	if err != nil || fin.ID != warm.ID || fin.State != JobDone {
+		t.Fatalf("Wait = %+v, %v", fin, err)
+	}
+	if n := rt.n.Load() - sent; n != 0 {
+		t.Fatalf("Wait of a terminal job sent %d requests, want 0", n)
+	}
+
+	// The server's books: one request and one hit per settled cell, and the
+	// job's stats what the harness path reports for the same hits.
+	after, err := serverStats(client(ts, "alice"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr, dh := after.Cache.Requests-before.Cache.Requests, after.Cache.Hits-before.Cache.Hits; dr != 2 || dh != 2 {
+		t.Fatalf("settling two cells counted %d cache requests and %d hits, want 2 and 2", dr, dh)
+	}
+	var harness metrics.RunStats
+	for i, spec := range req.Sims {
+		mid := s.cache.Stats()
+		cell, stats := s.runSimCell(context.Background(), "carol", resolveSim(spec, s.cfg.DefaultCycles), nil)
+		if c := s.cache.Stats(); c.Requests-mid.Requests != 1 || c.Hits-mid.Hits != 1 {
+			t.Fatalf("the harness path counted %+v over %+v for one hit", c, mid)
+		}
+		cell.Name, cell.Kind = warm.Cells[i].Name, warm.Cells[i].Kind
+		got, _ := json.Marshal(cell)
+		want, _ := json.Marshal(warm.Cells[i])
+		if string(got) != string(want) {
+			t.Fatalf("harness path cell %d:\n%s\nsettled:\n%s", i, got, want)
+		}
+		harness.Merge(runOnly(stats))
+	}
+	if warm.Stats != harness {
+		t.Fatalf("settled job stats %+v, the harness path's %+v", warm.Stats, harness)
+	}
+	want := before.Stats
+	want.Merge(harness)
+	if after.Stats != want {
+		t.Fatalf("/v1/stats merged %+v, want %+v", after.Stats, want)
+	}
+	if after.Jobs[string(JobDone)] != 2 || len(after.Inflight) != 0 {
+		t.Fatalf("/v1/stats jobs %v, inflight %v", after.Jobs, after.Inflight)
+	}
+}
+
+// TestSettleOnlyHits checks that a job with a hit and a miss settles the hit
+// in the POST and executes only the miss, and that streaming sim cells and
+// experiment cells are never settled.
+func TestSettleOnlyHits(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	c := client(ts, "t")
+	hit := SimSpec{Config: "SharedTLB", Apps: []string{"MM", "RED"}, Cycles: 300}
+	runToEnd(t, c, SubmitRequest{Sims: []SimSpec{hit}})
+
+	miss := SimSpec{Config: "SharedTLB", Apps: []string{"MM", "RED"}, Cycles: 400}
+	st, err := c.Submit(SubmitRequest{Sims: []SimSpec{hit, miss}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Terminal() || st.Version != 1 || st.Cells[0].State != CellDone || !st.Cells[0].CacheHit || st.Cells[1].State != CellQueued {
+		t.Fatalf("POST body = %+v, want the hit settled and the miss queued at version 1", st)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	fin, err := c.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != JobDone || fin.Cells[0].Executed != 0 || fin.Cells[1].Executed != 1 || fin.Stats.Attempted != 1 || fin.Stats.CacheRequests != 2 {
+		t.Fatalf("job = %+v, want only the miss executed", fin)
+	}
+
+	streaming := hit
+	streaming.TelemetryEpoch = 100
+	for _, req := range []SubmitRequest{
+		{Sims: []SimSpec{streaming}},
+		{Experiments: []string{"fig8"}, Cycles: 300},
+	} {
+		runToEnd(t, c, req)
+		st, err := c.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != JobQueued || st.Version != 0 || st.Cells[0].State != CellQueued {
+			t.Fatalf("resubmitted %+v: POST body %+v, want a queued job at version 0", req, st)
+		}
+		if fin, err := c.Wait(ctx, st.ID); err != nil || fin.State != JobDone {
+			t.Fatalf("resubmitted %+v: %+v, %v", req, fin, err)
+		}
+	}
+}
+
+// TestWaitHoldsOnlyTerminal checks the client's held status: Wait answers a
+// terminal job from it, but a live status of the same ID (a restarted
+// server's) retires it, and Wait of another job asks the server.
+func TestWaitHoldsOnlyTerminal(t *testing.T) {
+	c := &Client{}
+	done := &JobStatus{ID: "job-1", State: JobDone}
+	c.keep(done)
+	if st, err := c.Wait(context.Background(), "job-1"); st != done || err != nil {
+		t.Fatalf("Wait = %+v, %v, want the held status", st, err)
+	}
+	c.keep(&JobStatus{ID: "job-2", State: JobRunning})
+	if c.last.Load() != done {
+		t.Fatal("a live status of another job retired the held one")
+	}
+	c.keep(&JobStatus{ID: "job-1", State: JobQueued})
+	if c.last.Load() != nil {
+		t.Fatal("a live status of the held job's ID did not retire it")
+	}
+}
+
+// TestListOwnJobsNewestFirst checks GET /v1/jobs: each tenant sees its own
+// jobs only, newest first.
+func TestListOwnJobsNewestFirst(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	req := SubmitRequest{Sims: []SimSpec{{Config: "SharedTLB", Apps: []string{"MM", "RED"}, Cycles: 300}}}
+	var want = map[string][]string{}
+	for _, ten := range []string{"alice", "bob", "alice"} {
+		st := runToEnd(t, client(ts, ten), req)
+		want[ten] = append([]string{st.ID}, want[ten]...)
+	}
+	for ten, ids := range want {
+		hr, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client(ts, ten).do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var list []JobStatus
+		if err := decodeResponse(resp, &list); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, st := range list {
+			if st.Tenant != ten {
+				t.Fatalf("%s's list holds %s's job %s", ten, st.Tenant, st.ID)
+			}
+			got = append(got, st.ID)
+		}
+		if strings.Join(got, ",") != strings.Join(ids, ",") {
+			t.Fatalf("%s's list = %v, want %v", ten, got, ids)
+		}
+	}
+}
+
+// TestWarmSubmitBudget gates the cost of a warm job, one sim cell the shared
+// cache has finished, submitted and waited for through HTTP: the objects the
+// client and the server allocate together. Settled in the POST, with Wait
+// answering from the held status, it measures 163 objects (183-187 under the
+// race detector, which CI's race step runs it under); served by a job
+// goroutine, a harness and a long-poll, it measured 281 (310). The budget is
+// the race detector's largest measurement + 4 %.
+func TestWarmSubmitBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate skipped in -short mode")
+	}
+	const objectBudget = 195
+	_, ts := newTestServer(t, Config{Workers: 1})
+	c, _ := countingClient(t, ts, "t")
+	req := SubmitRequest{Sims: []SimSpec{{Config: "SharedTLB", Apps: []string{"MM", "RED"}, Cycles: 300}}}
+	runToEnd(t, c, req)
+	allocs := testing.AllocsPerRun(50, func() {
+		st, err := c.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.Wait(context.Background(), st.ID); err != nil || !st.Cells[0].CacheHit {
+			t.Fatalf("warm job = %+v, %v", st, err)
+		}
+	})
+	t.Logf("warm submit+wait: %.0f objects", allocs)
+	if allocs > objectBudget {
+		t.Fatalf("warm submit+wait allocated %.0f objects, budget is %d", allocs, objectBudget)
 	}
 }

@@ -68,7 +68,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string // submission order, for /v1/jobs listing
+	order    []*job // submission order, for /v1/jobs listing
 	nextID   int
 	active   int // queued or running jobs
 	draining bool
@@ -184,7 +184,9 @@ func retryAfterSeconds(ra time.Duration) int64 {
 	return secs
 }
 
-// handleSubmit admits, validates and launches a job.
+// handleSubmit admits and validates a job, settles every sim cell the shared
+// cache has already finished, and launches the rest. A job whose every cell
+// settled is terminal in the response and starts nothing.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ten := tenant(r)
 	var req SubmitRequest
@@ -195,6 +197,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := req.validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	cycles := req.Cycles
+	if cycles <= 0 {
+		cycles = s.cfg.DefaultCycles
+	}
+	// Resolved, and keyed, before admission: pure work, kept off the lock.
+	sims := make([]simCell, len(req.Sims))
+	for i, spec := range req.Sims {
+		sims[i] = resolveSim(spec, cycles)
 	}
 
 	now := s.cfg.Now()
@@ -219,43 +230,84 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{cancel: cancel, done: make(chan struct{})}
+	j := &job{tenant: ten}
 	j.status = JobStatus{ID: id, Tenant: ten, State: JobQueued}
+	j.status.Cells = make([]CellStatus, 0, len(req.Experiments)+len(sims))
 	for _, eid := range req.Experiments {
 		j.status.Cells = append(j.status.Cells, CellStatus{Name: eid, Kind: "experiment", State: CellQueued})
 	}
-	for _, spec := range req.Sims {
-		j.status.Cells = append(j.status.Cells, CellStatus{Name: cellName(spec), Kind: "sim", State: CellQueued})
+	for _, c := range sims {
+		j.status.Cells = append(j.status.Cells, CellStatus{Name: cellName(c.spec), Kind: "sim", State: CellQueued})
 	}
 	j.feeds = make([]*telemetryFeed, len(j.status.Cells))
-	for i, spec := range req.Sims {
-		if spec.TelemetryEpoch > 0 {
+	var (
+		pending []pendingCell
+		stats   metrics.RunStats
+	)
+	for i, eid := range req.Experiments {
+		pending = append(pending, pendingCell{i, func(ctx context.Context) (CellStatus, metrics.RunStats) {
+			return s.runExperimentCell(ctx, ten, eid, cycles, req.Full)
+		}})
+	}
+	for k, c := range sims {
+		i := len(req.Experiments) + k
+		if c.key != "" {
+			// What runSimCell would report: the harness's DoInfo answers
+			// this key from the same finished entry.
+			if res, ok, err := s.cache.Cached(c.key); ok {
+				setCell(&j.status, i, simCellStatus(res, false, err, cachedStats))
+				stats.Merge(cachedStats)
+				continue
+			}
+		} else {
 			// Each closing epoch bumps the job version (through an otherwise
 			// empty update), so SSE subscribers and long-pollers wake per
 			// epoch, not per cell transition.
-			j.feeds[len(req.Experiments)+i] = newTelemetryFeed(func() { j.update(func(*JobStatus) {}) })
+			j.feeds[i] = newTelemetryFeed(func() { j.update(func(*JobStatus) {}) })
 		}
+		pending = append(pending, pendingCell{i, func(ctx context.Context) (CellStatus, metrics.RunStats) {
+			return s.runSimCell(ctx, ten, c, j.feeds[i])
+		}})
+	}
+	if len(pending) < len(j.status.Cells) {
+		j.status.Version = 1 // the settled cells' one transition
+	}
+	var ctx context.Context
+	if len(pending) == 0 {
+		j.status.Stats = stats
+		settle(&j.status, false)
+		s.finished.Merge(stats)
+	} else {
+		ctx, j.cancel = context.WithCancel(context.Background())
+		s.active++
+		s.wg.Add(1)
 	}
 	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.active++
+	s.order = append(s.order, j)
 	s.mu.Unlock()
 
-	s.wg.Add(1)
-	go s.runJob(ctx, j, ten, req)
-
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	st := j.snapshot() // the status at submit, whatever the cells do next
+	if ctx != nil {
+		go s.runJob(ctx, j, pending, stats)
+	}
+	writeJSON(w, http.StatusAccepted, st)
 }
 
-// runJob executes every cell concurrently and settles the job state.
-func (s *Server) runJob(ctx context.Context, j *job, ten string, req SubmitRequest) {
+// cachedStats is the harness's accounting of a sim cell that a finished
+// cache entry answered: one request, nothing run.
+var cachedStats = metrics.RunStats{CacheRequests: 1}
+
+// pendingCell is a cell the submit could not settle: its index and its run.
+type pendingCell struct {
+	i   int
+	run func(ctx context.Context) (CellStatus, metrics.RunStats)
+}
+
+// runJob executes the pending cells concurrently and settles the job state.
+// stats is the accounting of the cells the submit settled.
+func (s *Server) runJob(ctx context.Context, j *job, pending []pendingCell, stats metrics.RunStats) {
 	defer s.wg.Done()
 	defer j.cancel()
-	cycles := req.Cycles
-	if cycles <= 0 {
-		cycles = s.cfg.DefaultCycles
-	}
 	j.update(func(st *JobStatus) { st.State = JobRunning })
 
 	var wg sync.WaitGroup
@@ -263,66 +315,53 @@ func (s *Server) runJob(ctx context.Context, j *job, ten string, req SubmitReque
 		sync.Mutex
 		stats metrics.RunStats
 	}
-	runCell := func(i int, run func() (CellStatus, metrics.RunStats)) {
-		defer wg.Done()
-		j.update(func(st *JobStatus) { st.Cells[i].State = CellRunning })
-		cell, stats := run()
-		jobStats.Lock()
-		jobStats.stats.Merge(runOnly(stats))
-		jobStats.Unlock()
-		j.update(func(st *JobStatus) {
-			name, kind := st.Cells[i].Name, st.Cells[i].Kind
-			st.Cells[i] = cell
-			st.Cells[i].Name, st.Cells[i].Kind = name, kind
-		})
-	}
-
-	idx := 0
-	for _, eid := range req.Experiments {
+	jobStats.stats = stats
+	for _, p := range pending {
 		wg.Add(1)
-		go func(i int, eid string) {
-			runCell(i, func() (CellStatus, metrics.RunStats) {
-				return s.runExperimentCell(ctx, ten, eid, cycles, req.Full)
-			})
-		}(idx, eid)
-		idx++
-	}
-	for _, spec := range req.Sims {
-		wg.Add(1)
-		go func(i int, spec SimSpec) {
-			runCell(i, func() (CellStatus, metrics.RunStats) {
-				return s.runSimCell(ctx, ten, spec, cycles, j.feeds[i])
-			})
-		}(idx, spec)
-		idx++
+		go func() {
+			defer wg.Done()
+			j.update(func(st *JobStatus) { st.Cells[p.i].State = CellRunning })
+			cell, cellStats := p.run(ctx)
+			jobStats.Lock()
+			jobStats.stats.Merge(runOnly(cellStats))
+			jobStats.Unlock()
+			j.update(func(st *JobStatus) { setCell(st, p.i, cell) })
+		}()
 	}
 	wg.Wait()
 
-	canceled := ctx.Err() != nil
 	j.update(func(st *JobStatus) {
 		st.Stats = jobStats.stats
-		st.State = JobDone
-		for i := range st.Cells {
-			switch {
-			case canceled && st.Cells[i].State != CellDone:
-				st.Cells[i].State = CellCanceled
-				st.State = JobCanceled
-			case st.Cells[i].State == CellFailed:
-				if st.State == JobDone {
-					st.State = JobFailed
-				}
-			}
-		}
-		if canceled {
-			st.State = JobCanceled
-		}
+		settle(st, ctx.Err() != nil)
 	})
-	close(j.done)
 
 	s.mu.Lock()
 	s.active--
 	s.finished.Merge(jobStats.stats)
 	s.mu.Unlock()
+}
+
+// setCell puts a finished cell's status in place, keeping its name and kind.
+func setCell(st *JobStatus, i int, cell CellStatus) {
+	cell.Name, cell.Kind = st.Cells[i].Name, st.Cells[i].Kind
+	st.Cells[i] = cell
+}
+
+// settle ends a job whose cells have all finished: done, failed when a cell
+// failed, or canceled, with every cell not done, when the job was.
+func settle(st *JobStatus, canceled bool) {
+	st.State = JobDone
+	for i := range st.Cells {
+		switch {
+		case canceled && st.Cells[i].State != CellDone:
+			st.Cells[i].State = CellCanceled
+		case st.Cells[i].State == CellFailed:
+			st.State = JobFailed
+		}
+	}
+	if canceled {
+		st.State = JobCanceled
+	}
 }
 
 // cellHarnessOpts are the per-cell experiment options: own harness, shared
@@ -360,22 +399,51 @@ func (s *Server) runExperimentCell(ctx context.Context, ten, id string, cycles i
 	return cell, stats
 }
 
-func (s *Server) runSimCell(ctx context.Context, ten string, spec SimSpec, defCycles int64, feed *telemetryFeed) (CellStatus, metrics.RunStats) {
-	cycles := spec.Cycles
-	if cycles <= 0 {
-		cycles = defCycles
+// simCell is a sim cell's run resolved from its spec, once: runSimCell runs
+// it, and the submit looks up the result-cache key the harness files it
+// under, so the two cannot disagree on the configuration, the cycle budget
+// or an alone run's core count.
+type simCell struct {
+	spec   SimSpec
+	cfg    sim.Config
+	cycles int64
+	cores  int // alone runs only
+	// key is the cache fingerprint of the run, as the harness's RunEx or
+	// RunAloneEx computes it; "" for a streaming cell, which runs with a
+	// telemetry sink that simcache.Cacheable refuses.
+	key string
+}
+
+// resolveSim resolves a validated spec, whose configuration name is known,
+// under the job's default cycle budget.
+func resolveSim(spec SimSpec, defCycles int64) simCell {
+	c := simCell{spec: spec, cycles: spec.Cycles, cores: spec.Cores}
+	if c.cycles <= 0 {
+		c.cycles = defCycles
 	}
-	cfg, err := sim.ConfigByName(spec.Config)
-	if err != nil {
-		return CellStatus{State: CellFailed, Error: err.Error()}, metrics.RunStats{}
+	c.cfg, _ = sim.ConfigByName(spec.Config)
+	if c.cores <= 0 {
+		c.cores = c.cfg.Cores
 	}
+	switch {
+	case spec.TelemetryEpoch > 0:
+	case spec.Alone:
+		c.key = simcache.AloneKey(c.cfg, spec.Apps[0], c.cores, c.cycles)
+	default:
+		c.key = simcache.RunKey(c.cfg, spec.Apps, c.cycles)
+	}
+	return c
+}
+
+func (s *Server) runSimCell(ctx context.Context, ten string, c simCell, feed *telemetryFeed) (CellStatus, metrics.RunStats) {
+	cfg := c.cfg
 	var sink *telemetry.StreamSink
-	if spec.TelemetryEpoch > 0 && feed != nil {
+	if feed != nil {
 		// Stream each closing epoch into the job's feed as JSONL. Auto-flush
 		// pushes records out per epoch instead of per 256KB buffer, and the
 		// sink in the config makes the run uncacheable, so the simulation the
 		// subscribers are watching actually executes.
-		cfg.TelemetryEpoch = spec.TelemetryEpoch
+		cfg.TelemetryEpoch = c.spec.TelemetryEpoch
 		sink = telemetry.NewStreamSink()
 		sink.SetAutoFlush(true)
 		if err := sink.Attach(telemetry.FormatJSONL, feed); err != nil {
@@ -383,7 +451,7 @@ func (s *Server) runSimCell(ctx context.Context, ten string, spec SimSpec, defCy
 		}
 		cfg.TelemetrySink = sink
 	}
-	h := experiments.NewHarness(cycles)
+	h := experiments.NewHarness(c.cycles)
 	h.Ctx = ctx
 	h.RunTimeout = s.cfg.RunTimeout
 	h.Cache = s.cache
@@ -394,15 +462,12 @@ func (s *Server) runSimCell(ctx context.Context, ten string, spec SimSpec, defCy
 	var (
 		res  *sim.Results
 		info experiments.RunInfo
+		err  error
 	)
-	if spec.Alone {
-		cores := spec.Cores
-		if cores <= 0 {
-			cores = cfg.Cores
-		}
-		res, info, err = h.RunAloneEx(cfg, spec.Apps[0], cores)
+	if c.spec.Alone {
+		res, info, err = h.RunAloneEx(cfg, c.spec.Apps[0], c.cores)
 	} else {
-		res, info, err = h.RunEx(cfg, spec.Apps)
+		res, info, err = h.RunEx(cfg, c.spec.Apps)
 	}
 	if sink != nil {
 		if cerr := sink.Close(); cerr != nil && err == nil {
@@ -410,11 +475,17 @@ func (s *Server) runSimCell(ctx context.Context, ten string, spec SimSpec, defCy
 		}
 	}
 	stats := h.Stats()
+	return simCellStatus(res, info.Executed, err, stats), stats
+}
+
+// simCellStatus is a finished sim cell's status: its run's outcome, whether
+// this request executed it, and the harness's accounting of the request.
+func simCellStatus(res *sim.Results, executed bool, err error, stats metrics.RunStats) CellStatus {
 	cell := CellStatus{
 		State:    CellDone,
 		Requests: stats.CacheRequests,
 		Executed: stats.Attempted,
-		CacheHit: err == nil && !info.Executed,
+		CacheHit: err == nil && !executed,
 		Results:  res,
 	}
 	if err != nil {
@@ -422,7 +493,7 @@ func (s *Server) runSimCell(ctx context.Context, ten string, spec SimSpec, defCy
 		cell.Error = err.Error()
 		cell.Results = nil
 	}
-	return cell, stats
+	return cell
 }
 
 func (s *Server) lookup(id string) *job {
@@ -529,20 +600,24 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	j.cancel()
+	j.stop()
 	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
-// handleList returns every job snapshot in submission order.
+// handleList returns the calling tenant's job snapshots, newest first.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	ten := tenant(r)
+	var jobs []*job
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		if j := s.lookup(id); j != nil {
-			out = append(out, j.snapshot())
+	for k := len(s.order) - 1; k >= 0; k-- {
+		if j := s.order[k]; j.tenant == ten {
+			jobs = append(jobs, j)
 		}
+	}
+	s.mu.Unlock()
+	out := make([]JobStatus, len(jobs))
+	for k, j := range jobs {
+		out[k] = j.snapshot()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -728,6 +803,6 @@ func (s *Server) CancelAll() {
 	}
 	s.mu.Unlock()
 	for _, j := range jobs {
-		j.cancel()
+		j.stop()
 	}
 }

@@ -28,6 +28,9 @@ type Wiring struct {
 	// they bound every identity an image names (Request, Walk).
 	ASIDs        []uint8
 	Cores, Warps int
+	// Now is the cycle the image was taken at, which the restored run
+	// starts from: it bounds every cycle an image holds.
+	Now int64
 
 	// bySink holds the requests restored so far by the route they return on,
 	// and closed the routes whose Returning already ran.

@@ -106,7 +106,7 @@ func (w *Walker) RestoreState(wi *memreq.Wiring, st WalkerState) error {
 		}
 		w.active = append(w.active, wk)
 	}
-	if err := engine.RestoreQueue(&w.pending, st.Pending, func(wk Walk) (Walk, error) { return wk, w.rebuild(wi, &wk) }); err != nil {
+	if err := engine.RestoreQueue(&w.pending, wi.Now, st.Pending, func(wk Walk) (Walk, error) { return wk, w.rebuild(wi, &wk) }); err != nil {
 		return fmt.Errorf("ptw: checkpoint pending walk %w", err)
 	}
 	if st.LatHist != nil && w.latHist != nil {
@@ -174,9 +174,9 @@ func (f *FaultUnit) SnapshotState() FaultUnitState {
 	}
 }
 
-// RestoreState restores an image captured by SnapshotState at cycle now onto
-// a fault unit attached to a walker; the TLBs restore first, so every held
-// walk's continuation resolves.
+// RestoreState restores an image captured by SnapshotState at cycle now
+// (wi.Now) onto a fault unit attached to a walker; the TLBs restore first, so
+// every held walk's continuation resolves.
 //
 // A run leaves only faults that Touch opened and Tick has not completed. A
 // fault holds at least one walk, and its page is not resident. A queued
@@ -184,7 +184,8 @@ func (f *FaultUnit) SnapshotState() FaultUnitState {
 // no earlier than its first touch and no later than now-1, the last cycle
 // ticked, and ends at u + Latency; the Tick of every cycle before now
 // completed the faults due by then, so it ends no earlier than now.
-func (f *FaultUnit) RestoreState(wi *memreq.Wiring, now int64, st FaultUnitState) error {
+func (f *FaultUnit) RestoreState(wi *memreq.Wiring, st FaultUnitState) error {
+	now := wi.Now
 	f.Stats = st.Stats
 	for _, k := range st.Resident {
 		f.resident[k] = true
@@ -222,7 +223,7 @@ func (f *FaultUnit) RestoreState(wi *memreq.Wiring, now int64, st FaultUnitState
 		}
 		f.inflight = append(f.inflight, p)
 	}
-	if err := engine.RestoreQueue(&f.queue, st.Queue, func(p PendingFault) (PendingFault, error) { return p, check(p, false) }); err != nil {
+	if err := engine.RestoreQueue(&f.queue, wi.Now, st.Queue, func(p PendingFault) (PendingFault, error) { return p, check(p, false) }); err != nil {
 		return fmt.Errorf("ptw: checkpoint fault queue %w", err)
 	}
 	return nil

@@ -282,8 +282,8 @@ func FuzzFaultUnit(f *testing.F) {
 			}
 			g := NewFaultUnit(latency, conc)
 			g.sink = log
-			wi := &memreq.Wiring{ASIDs: []uint8{1}, Trans: func(memreq.TransKey) (memreq.Trans, error) { return memreq.Trans{}, nil }}
-			if err := g.RestoreState(wi, now+1, st); err != nil {
+			wi := &memreq.Wiring{ASIDs: []uint8{1}, Trans: func(memreq.TransKey) (memreq.Trans, error) { return memreq.Trans{}, nil }, Now: now + 1}
+			if err := g.RestoreState(wi, st); err != nil {
 				t.Fatalf("cycle %d: restore of the unit's own image: %v", now+1, err)
 			}
 			if err := gob.NewEncoder(&after).Encode(g.SnapshotState()); err != nil {

@@ -128,17 +128,15 @@ func (c *Cache) Do(key string, run func() (*sim.Results, error)) (*sim.Results, 
 // and did not resolve from the disk or remote layer).
 func (c *Cache) DoInfo(key string, run func() (*sim.Results, error)) (res *sim.Results, executed bool, err error) {
 	c.mu.Lock()
+	if e := c.finished(key); e != nil {
+		c.mu.Unlock()
+		return e.res, false, e.err
+	}
 	c.stats.Requests++
 	if e, ok := c.entries[key]; ok {
-		select {
-		case <-e.done:
-			c.stats.Hits++
-			c.mu.Unlock()
-		default:
-			c.stats.InflightWaits++
-			c.mu.Unlock()
-			<-e.done
-		}
+		c.stats.InflightWaits++
+		c.mu.Unlock()
+		<-e.done
 		return e.res, false, e.err
 	}
 	e := &entry{done: make(chan struct{})}
@@ -182,6 +180,36 @@ func (c *Cache) DoInfo(key string, run func() (*sim.Results, error)) (res *sim.R
 		c.storeRemote(key, e.res)
 	}
 	return e.res, true, e.err
+}
+
+// Cached is DoInfo's answer for a key whose entry has finished — its memoized
+// result or failure, counted as a request and a hit — without waiting or
+// running anything: ok is false, and nothing is counted, when the key has no
+// entry or its computation is still in flight.
+func (c *Cache) Cached(key string) (res *sim.Results, ok bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.finished(key); e != nil {
+		return e.res, true, e.err
+	}
+	return nil, false, nil
+}
+
+// finished returns key's entry if its computation has finished, counting the
+// request and the hit; c.mu is held.
+func (c *Cache) finished(key string) *entry {
+	e, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	select {
+	case <-e.done:
+	default:
+		return nil
+	}
+	c.stats.Requests++
+	c.stats.Hits++
+	return e
 }
 
 // isContextErr reports whether err stems from cancellation or a deadline

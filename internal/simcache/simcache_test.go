@@ -326,6 +326,45 @@ func TestDoInfoReportsExecution(t *testing.T) {
 	}
 }
 
+// TestCachedAnswersFinishedEntries pins Cached against DoInfo: it answers a
+// finished entry, success or memoized failure, counting a request and a hit
+// as DoInfo's hit does, and answers nothing, counting nothing, for a key with
+// no entry or one still in flight.
+func TestCachedAnswersFinishedEntries(t *testing.T) {
+	c := New("")
+	if _, ok, _ := c.Cached("k"); ok {
+		t.Fatal("Cached answered a key with no entry")
+	}
+	release, started := make(chan struct{}), make(chan struct{})
+	want := &sim.Results{TotalIPC: 2}
+	go c.Do("k", func() (*sim.Results, error) { close(started); <-release; return want, nil })
+	<-started
+	if _, ok, _ := c.Cached("k"); ok {
+		t.Fatal("Cached answered a key still in flight")
+	}
+	if s := c.Stats(); s.Requests != 1 || s.Hits != 0 {
+		t.Fatalf("a miss of Cached counted: %+v", s)
+	}
+	close(release)
+	for {
+		if res, ok, err := c.Cached("k"); ok {
+			if res != want || err != nil {
+				t.Fatalf("Cached = %v, %v, want the shared result", res, err)
+			}
+			break
+		}
+		runtime.Gosched()
+	}
+	wantErr := errors.New("boom")
+	c.Do("bad", func() (*sim.Results, error) { return nil, wantErr })
+	if _, ok, err := c.Cached("bad"); !ok || !errors.Is(err, wantErr) {
+		t.Fatalf("Cached of a memoized failure = %v, %v", ok, err)
+	}
+	if s := c.Stats(); s.Requests != 4 || s.Hits != 2 || s.Misses != 2 {
+		t.Fatalf("stats = %+v, want Requests=4 Hits=2 Misses=2", s)
+	}
+}
+
 // TestValidKey pins the store key shape.
 func TestValidKey(t *testing.T) {
 	good := RunKey(sim.SharedTLBConfig(), []string{"MM"}, 600)

@@ -85,7 +85,7 @@ func (t *L1TLB) RestoreState(wi *memreq.Wiring, st L1State) error {
 	if err != nil {
 		return fmt.Errorf("tlb: L1 TLB of core %d: %w", t.coreID, err)
 	}
-	if err := engine.RestoreQueue(&t.pending, st.Pending, func(vpn uint64) (memreq.Trans, error) {
+	if err := engine.RestoreQueue(&t.pending, wi.Now, st.Pending, func(vpn uint64) (memreq.Trans, error) {
 		return wi.Trans(memreq.TransKey{Core: int32(t.coreID), VPN: vpn})
 	}); err != nil {
 		return fmt.Errorf("tlb: L1 TLB of core %d pending %w", t.coreID, err)
@@ -254,7 +254,7 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 	}
 	t.stamp = st.Stamp
 	copy(t.lines, st.Lines)
-	if err := engine.RestoreQueue(&t.in, st.In, w.Trans); err != nil {
+	if err := engine.RestoreQueue(&t.in, w.Now, st.In, w.Trans); err != nil {
 		return fmt.Errorf("tlb: checkpoint L2 TLB input %w", err)
 	}
 	// The first requester of a miss is the lookup that missed, whose page and
@@ -281,7 +281,7 @@ func (t *L2TLB) RestoreState(w *memreq.Wiring, st L2State) error {
 	if err != nil {
 		return fmt.Errorf("tlb: %w", err)
 	}
-	if err := engine.RestoreQueue(&t.stalled, st.Stalled, w.Trans); err != nil {
+	if err := engine.RestoreQueue(&t.stalled, w.Now, st.Stalled, w.Trans); err != nil {
 		return fmt.Errorf("tlb: checkpoint L2 TLB stalled %w", err)
 	}
 	if len(st.PfInFlight) > 0 && t.pfInFlight == nil {

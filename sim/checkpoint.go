@@ -275,7 +275,7 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte, budget int
 	// translation key against the L1 TLBs' misses, and bounds every identity
 	// by the simulator's apps, cores and warps.
 	holders := s.l1tlbs.Holders()
-	wi := &memreq.Wiring{Pool: &s.reqPool, Trans: holders.Trans, Cores: len(s.cores), Warps: s.cfg.WarpsPerCore}
+	wi := &memreq.Wiring{Pool: &s.reqPool, Trans: holders.Trans, Cores: len(s.cores), Warps: s.cfg.WarpsPerCore, Now: h.Cycle}
 	for _, sp := range s.spaces {
 		wi.ASIDs = append(wi.ASIDs, sp.ASID())
 	}
@@ -307,7 +307,7 @@ func (s *Simulator) restoreDecoded(h snapshot.Header, payload []byte, budget int
 		err = s.l2tlb.RestoreState(wi, *p.L2TLB)
 	}
 	if err == nil && s.faults != nil {
-		err = s.faults.RestoreState(wi, h.Cycle, *p.Faults)
+		err = s.faults.RestoreState(wi, *p.Faults)
 	}
 	if err == nil {
 		err = s.walker.RestoreState(wi, p.Walker)

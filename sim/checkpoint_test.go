@@ -1079,6 +1079,21 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 			}
 			p.Faults.Queue[0].Value.DoneAt = 2700
 		}, "queued fault of asid 1, vpn 0x29c440 ends at cycle 2700"},
+		// A queue of latency 0 stamps every item ready at cycle 0, so an
+		// item ready later would hold the queue's head, and every item
+		// behind it, for as long as it says.
+		{"queued fault ready in the far future", onPaging, func(t *testing.T, p *checkpointPayload) {
+			if len(p.Faults.Queue) == 0 {
+				t.Fatal("no fault queued")
+			}
+			p.Faults.Queue[0].Ready = 1 << 62
+		}, "fault queue item 0 is ready at cycle 4611686018427387904, not in [0, 2600]"},
+		{"pending walk ready in the far future", onShared, func(t *testing.T, p *checkpointPayload) {
+			if len(p.Walker.Pending) == 0 {
+				t.Fatal("no walk waits for a walker slot")
+			}
+			p.Walker.Pending[0].Ready = 1 << 62
+		}, "pending walk item 0 is ready at cycle 4611686018427387904, not in [0, 2600]"},
 		{"active walks past the walker's slots", onShared, func(t *testing.T, p *checkpointPayload) {
 			done := p.Walker.Active[0]
 			done.Finished, done.Waiting = true, false
